@@ -55,15 +55,27 @@ bench-wire:
 		|| { echo "$$out"; exit 1; }; \
 	printf '%s\n' "$$out" | $(GO) run ./cmd/benchjson -out BENCH_wire.json
 
-# bench-shard measures aggregate submit throughput of the sharded LB
-# tier vs a single LBServer (see PERFORMANCE.md's "Sharded LB tier"
-# table; acceptance bar: >= 1.5x at 2 shards). Summary in
-# BENCH_shard.json.
-.PHONY: bench-shard
-bench-shard:
-	@out="$$($(GO) test -run '^$$' -bench 'BenchmarkShardedSubmit' -benchmem ./internal/cluster/)" \
-		|| { echo "$$out"; exit 1; }; \
-	printf '%s\n' "$$out" | $(GO) run ./cmd/benchjson -out BENCH_shard.json
+# bench-all runs the repo's benchmark (benchmark/, BENCHMARK.json):
+# every workload ten times, each run a fresh process, medians and
+# spreads in one document (about 12 minutes). It goes through
+# benchmark/run.sh, whose `go build` stamps the document with the
+# commit; `go run` would leave it "unknown". bench-compare holds two
+# such documents against each end-to-end metric's bound, e.g.
+#
+#	make bench-all OUT=/tmp/new.json
+#	make bench-compare BASE=/tmp/base.json NEW=/tmp/new.json
+#
+# BENCH_e2e.json is the committed ledger of those medians, one entry
+# per measured commit; PERFORMANCE.md quotes it.
+OUT ?= benchmark/out/all.json
+.PHONY: bench-all
+bench-all:
+	@mkdir -p $(dir $(OUT))
+	bash benchmark/run.sh -all -repeat 10 -o $(OUT) >/dev/null
+
+.PHONY: bench-compare
+bench-compare:
+	bash benchmark/run.sh -compare $(BASE) $(NEW)
 
 # bench-milp runs the allocation-solver benchmarks: the Fig 5
 # allocation slice (one full Allocate: threshold binary search over
@@ -86,6 +98,14 @@ allocs-gate:
 		|| { echo "$$out"; exit 1; }; \
 	printf '%s\n' "$$out" | $(GO) run ./cmd/benchjson \
 		-max-allocs 'BenchmarkWirePath/tcp=16,BenchmarkWirePath/inproc=8'
+
+# race runs the concurrent packages' tests under the race detector:
+# the cluster data path, the parallel helpers, and the benchmark's
+# smoke test, which drives cluster.Run end to end. -short skips the
+# wall-clock-calibrated harness assertions the ~10x slowdown distorts.
+.PHONY: race
+race:
+	$(GO) test -race -short ./internal/cluster/ ./internal/parallel/ ./benchmark/
 
 # poison-test re-runs the cluster suite with recycled buffers filled
 # with NaN sentinels on release (see pool_poison.go): any read or

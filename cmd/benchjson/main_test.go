@@ -6,7 +6,7 @@ import (
 )
 
 func TestParseBenchLine(t *testing.T) {
-	r, ok := parseBenchLine("BenchmarkWirePath/tcp-8   \t 1234\t     43210 ns/op\t    6409 B/op\t      14 allocs/op")
+	r, ok := parseBenchLine("BenchmarkWirePath/tcp-8   \t 1234\t     43210 ns/op\t    6409 B/op\t      14 allocs/op", 8)
 	if !ok {
 		t.Fatal("line not recognized")
 	}
@@ -16,7 +16,7 @@ func TestParseBenchLine(t *testing.T) {
 	}
 
 	// Without -benchmem the memory columns are absent, not zero.
-	r, ok = parseBenchLine("BenchmarkRingLookup-8   999   55.5 ns/op")
+	r, ok = parseBenchLine("BenchmarkRingLookup-8   999   55.5 ns/op", 8)
 	if !ok || r.NsPerOp != 55.5 || r.BytesPerOp != -1 || r.AllocsPerOp != -1 {
 		t.Fatalf("parsed %+v", r)
 	}
@@ -29,21 +29,32 @@ func TestParseBenchLine(t *testing.T) {
 		"BenchmarkBroken notanumber 1 ns/op",
 		"",
 	} {
-		if _, ok := parseBenchLine(line); ok {
+		if _, ok := parseBenchLine(line, 8); ok {
 			t.Fatalf("non-result line parsed: %q", line)
 		}
 	}
 }
 
 func TestTrimProcs(t *testing.T) {
-	for in, want := range map[string]string{
-		"BenchmarkWirePath/tcp-8":  "BenchmarkWirePath/tcp",
-		"BenchmarkWirePath/tcp-16": "BenchmarkWirePath/tcp",
-		"BenchmarkFig5":            "BenchmarkFig5",
-		"BenchmarkX/sub-case":      "BenchmarkX/sub-case",
+	for _, tc := range []struct {
+		in    string
+		procs int
+		want  string
+	}{
+		{"BenchmarkWirePath/tcp-8", 8, "BenchmarkWirePath/tcp"},
+		{"BenchmarkWirePath/tcp-16", 16, "BenchmarkWirePath/tcp"},
+		{"BenchmarkFig5", 8, "BenchmarkFig5"},
+		{"BenchmarkX/sub-case", 8, "BenchmarkX/sub-case"},
+		// A sub-benchmark's own trailing number is not the suffix: at
+		// GOMAXPROCS 1 go test appends nothing, elsewhere it appends
+		// after it.
+		{"BenchmarkX/shards-4", 1, "BenchmarkX/shards-4"},
+		{"BenchmarkX/shards-4-2", 2, "BenchmarkX/shards-4"},
+		{"BenchmarkX/shards-2-2", 2, "BenchmarkX/shards-2"},
+		{"BenchmarkX/pools=10-2", 2, "BenchmarkX/pools=10"},
 	} {
-		if got := trimProcs(in); got != want {
-			t.Errorf("trimProcs(%q) = %q, want %q", in, got, want)
+		if got := trimProcs(tc.in, tc.procs); got != tc.want {
+			t.Errorf("trimProcs(%q, %d) = %q, want %q", tc.in, tc.procs, got, tc.want)
 		}
 	}
 }

@@ -92,7 +92,14 @@
 // cluster.ShardedLB fans SubmitBatch out per shard, merges
 // PollResults streams (one background pump per shard), routes each
 // Complete item back to its owning shard, broadcasts Configure, and
-// sums Stats. Workers pin to one shard — pulls, completions, and
+// sums Stats. A Pull through the frontend gathers its batch from as
+// many shards as it takes to fill req.Max, under the earliest lease
+// deadline any of them granted. Shards served in the frontend's own
+// process cost it no goroutines: their legs of every fan-out run
+// inline on the caller, and a PollResults call collects from them
+// itself before it parks; only legs that cross a wire fly
+// concurrently and rely on the pumps. Workers that pull from their
+// own shard pin to it — pulls, completions, and
 // cascade deferrals never cross shards — so a multi-host layout runs
 // one shard plus its worker group per host with no cross-host data
 // traffic. The controller stripes each allocation plan across the
@@ -107,7 +114,7 @@
 // reproduces the single-LB completed/dropped outcome exactly on a
 // deterministic trace, with per-shard routing RNG streams
 // ("lb/<shard>") derived from the shared experiment seed. See
-// PERFORMANCE.md for measured submit-throughput scaling.
+// PERFORMANCE.md for what the frontend costs per query.
 //
 // # Dynamic shard membership
 //

@@ -301,6 +301,97 @@ func testTransportConformance(t *testing.T, tc transportCase) {
 		}
 	})
 
+	t.Run("gather-pull", func(t *testing.T) {
+		// One frontend pull gathers a batch from however many shards
+		// hold it, over any transport: up to Max queries, no more, under
+		// the earliest lease deadline any shard granted. Shard i leases
+		// for 10*(i+1) trace seconds, so the earliest is shard 0's.
+		tp := tc.mk()
+		defer tp.Close()
+		clock := NewClock(0.001)
+		const shards, perShard, queries = 4, 4, 16
+		conns := make([]LBConn, shards)
+		for i := range conns {
+			conns[i] = serveTestLB(t, tp, NewLBServer(LBConfig{
+				Mode: loadbalancer.ModeCascade, SLO: 1e9,
+				LightMinExec: 0.1, HeavyMinExec: 1.78,
+				Clock: clock, Seed: 1, RNGStream: fmt.Sprintf("lb/%d", i),
+				CoalesceWait: 1e-9, LeaseDuration: 10 * float64(i+1),
+			}))
+		}
+		fe, err := NewShardedLB(ShardedLBConfig{Shards: conns, Clock: clock})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fe.Close()
+		ctx := context.Background()
+
+		// Nothing queued: a zero-wait pull asks all four shards and
+		// comes back empty without parking on any of them.
+		start := time.Now()
+		resp, err := fe.Pull(ctx, PullRequest{Role: "light", Max: queries})
+		if err != nil || len(resp.Queries) != 0 {
+			t.Fatalf("zero-wait pull on empty shards = %+v, %v", resp.Queries, err)
+		}
+		if wall := time.Since(start); wall > 2*time.Second {
+			t.Errorf("zero-wait pull over empty shards took %v, want immediate", wall)
+		}
+
+		ids := idsPerShard(shards, perShard, 0)
+		if err := fe.SubmitBatch(ctx, SubmitRequest{Queries: queriesFor(ids)}); err != nil {
+			t.Fatal(err)
+		}
+		before := clock.Now()
+		resp, err = fe.Pull(ctx, PullRequest{WorkerID: 1, Role: "light", Max: queries})
+		after := clock.Now()
+		if err != nil || len(resp.Queries) != queries {
+			t.Fatalf("Max:%d pull gathered %d queries: %v", queries, len(resp.Queries), err)
+		}
+		got := map[int]bool{}
+		for _, q := range resp.Queries {
+			got[q.ID] = true
+		}
+		for _, id := range ids {
+			if !got[id] {
+				t.Errorf("query %d missing from the gathered batch", id)
+			}
+		}
+		if d := resp.LeaseDeadline; d < before+10 || d > after+10 {
+			t.Errorf("lease deadline %.3f, want shard 0's (granted in [%.3f, %.3f] + 10)", d, before, after)
+		}
+		if err := completeAll(ctx, fe, 1, "light", resp, 0.9); err != nil {
+			t.Fatal(err)
+		}
+
+		// A smaller Max is filled exactly and the rest stays queued.
+		if err := fe.SubmitBatch(ctx, SubmitRequest{Queries: queriesFor(idsPerShard(shards, perShard, 1000))}); err != nil {
+			t.Fatal(err)
+		}
+		resp, err = fe.Pull(ctx, PullRequest{WorkerID: 1, Role: "light", Max: 5})
+		if err != nil || len(resp.Queries) != 5 {
+			t.Fatalf("Max:5 pull returned %d queries: %v", len(resp.Queries), err)
+		}
+		st, err := fe.Stats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.LightQueueLen != queries-5 {
+			t.Errorf("%d queries left queued after a Max:5 pull, want %d", st.LightQueueLen, queries-5)
+		}
+
+		// A drain pull hands over one shard's queue per call, as before.
+		resp, err = fe.Pull(ctx, PullRequest{Role: "light", Max: 512, Drain: true})
+		if err != nil || len(resp.Queries) == 0 || len(resp.Queries) > perShard {
+			t.Fatalf("drain pull returned %d queries, want one shard's share (1..%d): %v", len(resp.Queries), perShard, err)
+		}
+		owner := loadbalancer.ShardOf(resp.Queries[0].ID, shards)
+		for _, q := range resp.Queries {
+			if sh := loadbalancer.ShardOf(q.ID, shards); sh != owner {
+				t.Errorf("drain pull mixed shards %d and %d", owner, sh)
+			}
+		}
+	})
+
 	t.Run("drain-pull-ownership", func(t *testing.T) {
 		// PullRequest.Drain must behave identically on every
 		// transport: queued async queries are handed over exactly once

@@ -376,7 +376,14 @@ func Run(cfg HarnessConfig) (*Result, error) {
 		return nil, err
 	}
 	loop.Apply(ctx, initialPlan)
-	go loop.Run(ctx)
+	// Joined before the Result is built: a tick still in flight after
+	// cancel appends to the plan log the Result reads.
+	var loopDone sync.WaitGroup
+	loopDone.Add(1)
+	go func() {
+		defer loopDone.Done()
+		loop.Run(ctx)
+	}()
 
 	// Precompute arrivals and the FID reference features while setup
 	// time is still free.
@@ -518,6 +525,7 @@ func Run(cfg HarnessConfig) (*Result, error) {
 	drainAll()
 	cancel()
 	collected.Wait()
+	loopDone.Wait()
 	if transportErr == nil {
 		// The failure may have raced with normal completion.
 		select {

@@ -7,6 +7,7 @@ package cluster
 
 const poolPoisonEnabled = false
 
-func poisonFloats([]float64)   {}
-func poisonQueries([]QueryMsg) {}
-func poisonFrame([]byte)       {}
+func poisonFloats([]float64)     {}
+func poisonQueries([]QueryMsg)   {}
+func poisonItems([]CompleteItem) {}
+func poisonFrame([]byte)         {}

@@ -41,6 +41,15 @@ func poisonQueries(qs []QueryMsg) {
 	}
 }
 
+// poisonItems marks pooled completion items only by ID: their Features
+// were the caller's buffers, not the pool's to scribble on.
+func poisonItems(items []CompleteItem) {
+	items = items[:cap(items)]
+	for i := range items {
+		items[i] = CompleteItem{ID: poisonID}
+	}
+}
+
 func poisonFrame(b []byte) {
 	b = b[:cap(b)]
 	for i := range b {

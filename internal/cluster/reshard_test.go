@@ -3,8 +3,8 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -105,22 +105,28 @@ func TestReshardChaosNoLostOrDoubleResolve(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var resolved atomic.Int64
+	ledger := newDeliveryLedger(total)
+	resolved := &ledger.total
 	var wg sync.WaitGroup
 
-	// Merged-result pollers.
-	for i := 0; i < 2; i++ {
+	// Merged-result pollers, two parking and one zero-wait: their
+	// caller-side gathers race the pumps (and the reshards retiring the
+	// shards they gather from) for the same results.
+	for _, wait := range []float64{50, 50, 0} {
 		wg.Add(1)
-		go func() {
+		go func(wait float64) {
 			defer wg.Done()
 			for resolved.Load() < total && ctx.Err() == nil {
-				resp, err := fe.PollResults(ctx, ResultsRequest{Max: 64, Wait: 50})
+				resp, err := fe.PollResults(ctx, ResultsRequest{Max: 64, Wait: wait})
 				if err != nil {
 					return
 				}
-				resolved.Add(int64(len(resp.Results)))
+				ledger.record(resp.Results)
+				if wait == 0 && len(resp.Results) == 0 {
+					runtime.Gosched()
+				}
 			}
-		}()
+		}(wait)
 	}
 
 	complete := func(conn LBConn, role string, qs []QueryMsg) {
@@ -238,6 +244,7 @@ func TestReshardChaosNoLostOrDoubleResolve(t *testing.T) {
 	if got := resolved.Load(); got != total {
 		t.Fatalf("resolved %d of %d queries", got, total)
 	}
+	ledger.check(t)
 	if got, want := fmt.Sprint(fe.Members()), fmt.Sprint([]int{2, 3}); got != want {
 		t.Errorf("final membership %s, want %s", got, want)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -142,20 +143,24 @@ func (e *epochRing) conn(member int) LBConn {
 // consistent hashing and re-exposes them as one LBConn:
 //
 //   - Submit / SubmitBatch route each query to its owning shard under
-//     the current ring epoch (batches fan out per shard concurrently,
-//     and a whole batch lands in exactly one epoch);
+//     the current ring epoch (batches fan out per shard, and a whole
+//     batch lands in exactly one epoch);
 //   - PollResults merges the shards' result streams: one background
 //     pump per shard long-polls its shard and lands results in a
 //     shared buffer with LBServer-identical wait semantics (pumps
 //     start lazily on the first PollResults call, so a frontend used
-//     only for control-plane fan-out never consumes results);
-//   - Pull sweeps the shards (retired ones included) from a rotating
-//     start for dispatchable work, parking on one shard at a time
-//     between sweeps;
+//     only for control-plane fan-out never consumes results), and
+//     each call first collects from the in-process shards itself;
+//   - Pull gathers up to req.Max queries from the shards (retired
+//     ones included), sweeping from a rotating start and parking on
+//     one shard at a time between empty sweeps;
 //   - Complete routes each finished item to its owning shard under
 //     every epoch — the non-owners treat the delivery as a no-op;
 //   - Configure broadcasts with the current ring epoch stamped;
 //     Stats merges the shards' reports;
+//   - every fan-out (SubmitBatch, Complete, Configure) runs its legs
+//     to in-process shards, and its last remote leg, on the caller's
+//     goroutine; only the other remote legs get goroutines;
 //   - Resharding / AddShard / RemoveShard change membership at
 //     runtime (see the file comment for the migration protocol).
 //
@@ -172,10 +177,11 @@ type ShardedLB struct {
 	ringMu  sync.RWMutex
 	epochs  []epochRing
 	retired map[int]LBConn // removed member -> conn, kept for stragglers
-	// sweep is the immutable conn list Pull sweeps (current members in
-	// ascending order, then retired members), rebuilt on every
-	// reshard so the per-pull snapshot is a slice read, not a copy.
-	sweep []LBConn
+	// sweep is the immutable list of every reachable member (current
+	// members in ascending order, then retired members) that Pull
+	// sweeps, PollResults gathers from and Configure/Stats broadcast to,
+	// rebuilt on every reshard so a snapshot is a slice read, not a copy.
+	sweep sweepList
 
 	// reshardMu serializes membership changes end to end (flip +
 	// drain), so two concurrent reshards cannot interleave their
@@ -400,7 +406,7 @@ func NewShardedLB(cfg ShardedLBConfig) (*ShardedLB, error) {
 		retired:     map[int]LBConn{},
 		pumped:      map[int]bool{},
 		finished:    map[int]bool{},
-		sweep:       append([]LBConn(nil), e.conns...),
+		sweep:       newSweepList(e.members, e.conns),
 		memberFails: map[int]int{},
 		degraded:    map[int]bool{},
 		liveEpoch:   map[int]int{},
@@ -602,10 +608,11 @@ func (s *ShardedLB) epochDone(epoch int) {
 }
 
 // SubmitBatch splits the batch by owning shard under the current ring
-// epoch and fans the per-shard batches out concurrently. The epoch is
-// held (shared-locked) for the whole flight: a Resharding call
-// barriers behind in-flight batches, so every batch lands entirely in
-// one epoch — never straddling two rings.
+// epoch and fans the per-shard batches out (see fanScratch.run: legs
+// to in-process shards run inline, remote legs concurrently). The
+// epoch is held (shared-locked) for the whole flight: a Resharding
+// call barriers behind in-flight batches, so every batch lands
+// entirely in one epoch — never straddling two rings.
 func (s *ShardedLB) SubmitBatch(ctx context.Context, req SubmitRequest) error {
 	s.ringMu.RLock()
 	defer s.ringMu.RUnlock()
@@ -620,34 +627,21 @@ func (s *ShardedLB) SubmitBatch(ctx context.Context, req SubmitRequest) error {
 		}
 		return err
 	}
-	// The fan-out scratch (per-shard groups and error slots) is pooled:
-	// the goroutines all join before return, and errors.Join copies the
-	// non-nil errors, so nothing references the scratch afterwards.
-	sc := getSubmitScratch(n)
-	defer putSubmitScratch(sc)
-	groups, errs := sc.groups, sc.errs
+	sc := getFanScratch(n)
+	defer putFanScratch(sc)
 	for _, q := range req.Queries {
-		sh := s.shardFor(cur, q.ID)
-		groups[sh] = append(groups[sh], q)
+		sc.addQuery(s.shardFor(cur, q.ID), q)
 	}
 	s.trackBatch(cur.epoch, req.Queries)
-	var wg sync.WaitGroup
-	for i, g := range groups {
-		if len(g) == 0 {
-			continue
+	return sc.run(cur.conns, func(i int) error {
+		g := sc.queries[i]
+		err := cur.conns[i].SubmitBatch(ctx, SubmitRequest{Queries: g, Pool: req.Pool})
+		s.recordDispatch(cur.members[i], err)
+		if err != nil {
+			s.untrackBatch(cur.epoch, g)
 		}
-		wg.Add(1)
-		go func(i int, g []QueryMsg) {
-			defer wg.Done()
-			errs[i] = cur.conns[i].SubmitBatch(ctx, SubmitRequest{Queries: g, Pool: req.Pool})
-			s.recordDispatch(cur.members[i], errs[i])
-			if errs[i] != nil {
-				s.untrackBatch(cur.epoch, g)
-			}
-		}(i, g)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
+		return err
+	})
 }
 
 // trackBatch tags each query with its dispatch epoch BEFORE the
@@ -752,39 +746,113 @@ func (s *ShardedLB) collapseQuiescedLocked() {
 	}
 }
 
-// submitScratch recycles SubmitBatch's fan-out state — the per-shard
-// query groups (inner slice capacity included) and the error slots —
-// so a steady stream of batches does not allocate per call. The
-// grouped queries are value copies of the caller's, and every shard
-// dispatch joins before the scratch is returned, so recycling cannot
-// alias a batch still in flight.
-type submitScratch struct {
-	groups [][]QueryMsg
-	errs   []error
+// inProcessConn is the capability of a conn whose calls dispatch
+// straight into an LBServer in this process: they cost microseconds and
+// never wait on a peer, so a fan-out runs them on the caller's
+// goroutine and PollResults gathers from them directly. Only
+// localLBConn claims it; retry and fault wrappers do not forward it, so
+// a wrapped conn (which may sleep or back off) is treated as remote.
+type inProcessConn interface{ dispatchesInProcess() }
+
+func inProcess(conn LBConn) bool {
+	_, ok := conn.(inProcessConn)
+	return ok
 }
 
-var submitScratchPool = sync.Pool{New: func() interface{} { return new(submitScratch) }}
+// fanScratch recycles one fan-out's state — the per-leg query or item
+// groups (inner slice capacity included), the list of legs to run,
+// their error slots and the join — so a steady stream of calls does not
+// allocate. Grouped elements are value copies of the caller's and every
+// leg joins before the scratch is returned, so recycling cannot alias a
+// call still in flight.
+type fanScratch struct {
+	queries [][]QueryMsg     // SubmitBatch's groups, by leg
+	items   [][]CompleteItem // Complete's groups, by leg
+	legs    []int            // the legs this call dispatches
+	errs    []error          // by leg
+	wg      sync.WaitGroup
+}
 
-// getSubmitScratch returns a scratch sized for n shards with empty
-// groups and nil error slots.
-func getSubmitScratch(n int) *submitScratch {
-	sc := submitScratchPool.Get().(*submitScratch)
-	if cap(sc.groups) < n {
-		old := sc.groups[:cap(sc.groups)]
-		sc.groups = make([][]QueryMsg, n)
-		copy(sc.groups, old) // keep the inner capacity already grown
+var fanScratchPool = sync.Pool{New: func() interface{} { return new(fanScratch) }}
+
+// getFanScratch returns a scratch for up to n legs with empty groups,
+// no legs listed and nil error slots.
+func getFanScratch(n int) *fanScratch {
+	sc := fanScratchPool.Get().(*fanScratch)
+	if cap(sc.errs) < n {
+		// Keep the inner capacity already grown.
+		sc.queries = append(make([][]QueryMsg, 0, n), sc.queries[:cap(sc.queries)]...)
+		sc.items = append(make([][]CompleteItem, 0, n), sc.items[:cap(sc.items)]...)
 		sc.errs = make([]error, n)
 	}
-	sc.groups = sc.groups[:n]
-	sc.errs = sc.errs[:n]
-	for i := range sc.groups {
-		sc.groups[i] = sc.groups[i][:0]
-		sc.errs[i] = nil
-	}
+	sc.queries, sc.items, sc.errs = sc.queries[:n], sc.items[:n], sc.errs[:n]
 	return sc
 }
 
-func putSubmitScratch(sc *submitScratch) { submitScratchPool.Put(sc) }
+// addQuery puts q in leg's group, listing the leg on its first element.
+func (sc *fanScratch) addQuery(leg int, q QueryMsg) {
+	if len(sc.queries[leg]) == 0 {
+		sc.legs = append(sc.legs, leg)
+	}
+	sc.queries[leg] = append(sc.queries[leg], q)
+}
+
+// addItem is addQuery for a completion item.
+func (sc *fanScratch) addItem(leg int, it CompleteItem) {
+	if len(sc.items[leg]) == 0 {
+		sc.legs = append(sc.legs, leg)
+	}
+	sc.items[leg] = append(sc.items[leg], it)
+}
+
+// putFanScratch empties the scratch and recycles it. Items are zeroed
+// rather than truncated: their Features alias the caller's buffers,
+// which the pool must not keep reachable (or, under poolpoison, scribble
+// on).
+func putFanScratch(sc *fanScratch) {
+	for _, i := range sc.legs {
+		poisonQueries(sc.queries[i])
+		sc.queries[i] = sc.queries[i][:0]
+		clear(sc.items[i])
+		poisonItems(sc.items[i])
+		sc.items[i] = sc.items[i][:0]
+		sc.errs[i] = nil
+	}
+	sc.legs = sc.legs[:0]
+	fanScratchPool.Put(sc)
+}
+
+// run dispatches leg(i) for every listed leg and joins their errors.
+// Legs to in-process conns run on the caller's goroutine, and so does
+// the last remote leg — a call with one leg, or with only in-process
+// ones, starts no goroutine; the other remote legs fly concurrently
+// while the caller works through its own.
+func (sc *fanScratch) run(conns []LBConn, leg func(i int) error) error {
+	mine := -1 // the remote leg the caller keeps
+	for _, i := range sc.legs {
+		if inProcess(conns[i]) {
+			continue
+		}
+		if mine >= 0 {
+			sc.wg.Add(1)
+			go func(i int) {
+				defer sc.wg.Done()
+				sc.errs[i] = leg(i)
+			}(mine)
+		}
+		mine = i
+	}
+	for _, i := range sc.legs {
+		if inProcess(conns[i]) {
+			sc.errs[i] = leg(i)
+		}
+	}
+	if mine >= 0 {
+		sc.errs[mine] = leg(mine)
+	}
+	sc.wg.Wait()
+	return errors.Join(sc.errs...)
+}
 
 // startPumps launches the result pumps lazily on first use, and marks
 // the frontend as pumping so later reshards start pumps for the
@@ -796,27 +864,19 @@ func (s *ShardedLB) startPumps() {
 	s.pumpMu.Lock()
 	defer s.pumpMu.Unlock()
 	s.pumping = true
-	s.ringMu.RLock()
-	cur := s.cur()
-	members := append([]int(nil), cur.members...)
-	conns := append([]LBConn(nil), cur.conns...)
-	for m, c := range s.retired {
-		members = append(members, m)
-		conns = append(conns, c)
-	}
-	s.ringMu.RUnlock()
-	for i, m := range members {
+	sweep, _ := s.sweepConns()
+	for i, m := range sweep.members {
 		if !s.pumped[m] {
 			s.pumped[m] = true
 			s.pumps.Add(1)
-			go s.pump(m, conns[i])
+			go s.pump(m, sweep.conns[i])
 		}
 	}
 	s.pumpsUp.Store(true)
 }
 
 // pump long-polls one shard for results and lands them in the merged
-// buffer. Results are appended before the error is inspected: an
+// stream. Results are landed before the error is inspected: an
 // in-process poll cancelled at shutdown still returns the batch it
 // popped, and dropping it would lose resolved queries. Retired
 // shards keep their pump — stragglers completed there after a
@@ -830,27 +890,13 @@ func (s *ShardedLB) startPumps() {
 // that came back without any new submits being risked on it first.
 func (s *ShardedLB) pump(member int, conn LBConn) {
 	defer s.pumps.Done()
-	// The poll response is reused across iterations; the merged buffer
-	// takes value copies of the results, so each element's Features
-	// pointer is handed off by zeroing the element before the next poll
-	// decodes into the struct — reusing that capacity would scribble on
-	// results already landed in the stream.
-	var resp ResultsResponse
+	var resp ResultsResponse // reused across iterations; land empties it
 	for s.ctx.Err() == nil {
 		if s.pumpFinished(member) {
 			return
 		}
 		err := PollResultsIntoConn(s.ctx, conn, ResultsRequest{Max: 1024, Wait: s.cfg.PumpWait}, &resp)
-		if len(resp.Results) > 0 {
-			s.resMu.Lock()
-			s.results = append(s.results, resp.Results...)
-			s.wake.wake()
-			s.resMu.Unlock()
-			s.untrackResults(resp.Results)
-			for i := range resp.Results {
-				resp.Results[i] = QueryResponse{}
-			}
-		}
+		s.land(resp.Results)
 		if err != nil {
 			// Transient transport failure (or shutdown): back off so a
 			// dead shard cannot spin the pump.
@@ -864,6 +910,46 @@ func (s *ShardedLB) pump(member int, conn LBConn) {
 	}
 }
 
+// land moves one member poll's results into the merged stream and
+// releases their epoch tags — the one way results enter the stream,
+// whether a pump or a polling caller fetched them. The stream takes
+// value copies, so each element's Features pointer is handed off by
+// zeroing the element: the fetcher's next poll decodes into the same
+// slice, and reusing that capacity would scribble on results already
+// landed.
+func (s *ShardedLB) land(results []QueryResponse) {
+	if len(results) == 0 {
+		return
+	}
+	s.resMu.Lock()
+	s.results = append(s.results, results...)
+	s.wake.wake()
+	s.resMu.Unlock()
+	s.untrackResults(results)
+	clear(results)
+}
+
+// gatherResults polls every in-process member once, without waiting,
+// on the caller's goroutine and lands what they hold: a caller that
+// polls right after the completions were reported finds every result
+// in one call instead of being woken once per pump. Remote members are
+// left to their pumps — a round trip each is what the pumps exist to
+// keep off this path.
+func (s *ShardedLB) gatherResults(ctx context.Context) {
+	sweep, _ := s.sweepConns()
+	if len(sweep.local) == 0 {
+		return
+	}
+	leg := getResultsResponse()
+	defer ReleaseMessage(leg)
+	for _, conn := range sweep.local {
+		// An in-process poll cannot fail, only observe ctx; what it
+		// popped is landed either way and the caller sees ctx itself.
+		_ = PollResultsIntoConn(ctx, conn, ResultsRequest{Max: 1024}, leg)
+		s.land(leg.Results)
+	}
+}
+
 // pumpFinished reports whether a member's pump should exit: its
 // retirement finalized, so no result can ever surface there again.
 func (s *ShardedLB) pumpFinished(member int) bool {
@@ -872,10 +958,14 @@ func (s *ShardedLB) pumpFinished(member int) bool {
 	return s.finished[member]
 }
 
-// PollResults drains the merged result buffer with the same wait
+// PollResults drains the merged result stream with the same wait
 // semantics as LBServer.PollResults: req.Wait <= 0 is an explicit
 // non-blocking poll; otherwise the call blocks until at least one
-// result arrives from any shard or the wait expires.
+// result arrives from any shard or the wait expires. Before it looks
+// at the stream, every poll first gathers from the in-process members
+// itself (gatherResults), so results they already hold are returned by
+// this call whether or not their pump has run; results of remote
+// members arrive through the pumps.
 func (s *ShardedLB) PollResults(ctx context.Context, req ResultsRequest) (ResultsResponse, error) {
 	var resp ResultsResponse
 	err := s.PollResultsInto(ctx, req, &resp)
@@ -891,41 +981,67 @@ func (s *ShardedLB) PollResultsInto(ctx context.Context, req ResultsRequest, res
 	if max <= 0 {
 		max = 256
 	}
-	if req.Wait <= 0 {
-		s.resMu.Lock()
-		s.takeInto(max, resp)
-		s.resMu.Unlock()
-		return nil
+	var deadline time.Time
+	if req.Wait > 0 {
+		deadline = time.Now().Add(s.cfg.Clock.WallDuration(req.Wait)) //diffvet:allow walltime — long-poll deadline in wall time; the trace wait is already Clock-converted
 	}
-	deadline := time.Now().Add(s.cfg.Clock.WallDuration(req.Wait)) //diffvet:allow walltime — long-poll deadline in wall time; the trace wait is already Clock-converted
 	for {
+		s.gatherResults(ctx)
 		s.resMu.Lock()
 		s.takeInto(max, resp)
 		var wake <-chan struct{}
-		if len(resp.Results) == 0 {
+		if len(resp.Results) == 0 && req.Wait > 0 {
+			// Armed under the lock that guards the stream: a result a
+			// pump lands from here on wakes this call.
 			wake = s.wake.wait()
 		}
 		s.resMu.Unlock()
-		if len(resp.Results) > 0 {
+		if len(resp.Results) > 0 || req.Wait <= 0 {
 			return nil
 		}
 		remain := time.Until(deadline) //diffvet:allow walltime — remaining wall budget of the Clock-converted long-poll deadline
 		if remain <= 0 {
 			return nil
 		}
-		t := time.NewTimer(remain)
+		t := getParkTimer(remain)
 		select {
 		case <-ctx.Done():
-			t.Stop()
+			putParkTimer(t)
 			return ctx.Err()
 		case <-s.ctx.Done():
-			t.Stop()
+			putParkTimer(t)
 			return ErrTransportClosed
 		case <-wake:
-			t.Stop()
 		case <-t.C:
 		}
+		putParkTimer(t)
 	}
+}
+
+// parkTimerPool recycles the timers PollResults parks on, so a wait
+// costs a Reset, not an allocation.
+var parkTimerPool = sync.Pool{New: func() interface{} {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return t
+}}
+
+func getParkTimer(d time.Duration) *time.Timer {
+	t := parkTimerPool.Get().(*time.Timer)
+	t.Reset(d)
+	return t
+}
+
+// putParkTimer stops the timer and drains a tick the caller did not
+// consume, so the next Reset starts from an empty channel.
+func putParkTimer(t *time.Timer) {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
+		}
+	}
+	parkTimerPool.Put(t)
 }
 
 // takeInto pops up to max merged results into resp.Results, reusing
@@ -940,21 +1056,40 @@ func (s *ShardedLB) takeInto(max int, resp *ResultsResponse) {
 	s.results = append(s.results[:0], s.results[n:]...)
 }
 
-// sweepConns snapshots the connections Pull sweeps: current members
-// in ascending order, then retired shards — a straggler parked in a
-// retired shard's queue is still dispatchable work. The list is
-// rebuilt only on reshard, so the per-pull cost is a pointer read.
-func (s *ShardedLB) sweepConns() ([]LBConn, int) {
+// sweepList is an immutable snapshot of every reachable member:
+// current members in ascending order, then retired shards — a
+// straggler parked in a retired shard's queue is still dispatchable
+// work, and its policy and counters still matter.
+type sweepList struct {
+	members []int
+	conns   []LBConn // parallel to members
+	local   []LBConn // the in-process subset of conns
+}
+
+func newSweepList(members []int, conns []LBConn) sweepList {
+	l := sweepList{members: members, conns: conns}
+	for _, c := range conns {
+		if inProcess(c) {
+			l.local = append(l.local, c)
+		}
+	}
+	return l
+}
+
+// sweepConns snapshots the sweep list and the current epoch. The list
+// is rebuilt only on reshard, so the per-call cost is a struct read.
+func (s *ShardedLB) sweepConns() (sweepList, int) {
 	s.ringMu.RLock()
 	defer s.ringMu.RUnlock()
 	return s.sweep, s.cur().epoch
 }
 
-// rebuildSweepLocked recomputes the Pull sweep list. Callers hold
-// ringMu exclusively.
+// rebuildSweepLocked recomputes the sweep list. Callers hold ringMu
+// exclusively.
 func (s *ShardedLB) rebuildSweepLocked() {
 	cur := s.cur()
-	out := append([]LBConn(nil), cur.conns...)
+	members := append([]int(nil), cur.members...)
+	conns := append([]LBConn(nil), cur.conns...)
 	if len(s.retired) > 0 {
 		ms := make([]int, 0, len(s.retired))
 		for m := range s.retired {
@@ -962,19 +1097,31 @@ func (s *ShardedLB) rebuildSweepLocked() {
 		}
 		sort.Ints(ms)
 		for _, m := range ms {
-			out = append(out, s.retired[m])
+			members = append(members, m)
+			conns = append(conns, s.retired[m])
 		}
 	}
-	s.sweep = out
+	s.sweep = newSweepList(members, conns)
 }
 
-// Pull sweeps the shards for dispatchable work, starting each round
-// at a rotating shard so concurrent frontend pullers spread out. With
-// req.Wait > 0 an empty sweep parks on the round's first shard for a
-// bounded slice of the remaining wait, then re-sweeps — work arriving
-// on any shard is picked up within one slice. Workers that should
-// stay pinned to one shard (the multi-host layout) dial their shard
-// directly instead of pulling through the frontend.
+// Pull gathers dispatchable work from the shards: starting at a
+// rotating shard, so concurrent frontend pullers spread out, it asks
+// each shard without waiting for what is still missing from req.Max
+// and appends that shard's share, until the batch is full or every
+// shard (retired ones included) was asked — one call returns up to
+// req.Max queries however they are spread over the shards. The
+// response carries the earliest lease deadline any share was granted
+// under and the frontend's ring epoch. A shard that fails after
+// something was gathered costs the call nothing but that shard's
+// share: the gathered queries are returned (they are leased to this
+// caller) and the failure counts against the member; a failure before
+// anything was gathered is returned. With req.Wait > 0 an empty sweep
+// parks on the round's first shard for a bounded slice of the
+// remaining wait, then re-sweeps — work arriving on any shard is
+// picked up within one slice. A Drain pull transfers ownership of one
+// shard's queue at a time and returns the first non-empty share.
+// Workers that should stay pinned to one shard (the multi-host layout)
+// dial their shard directly instead of pulling through the frontend.
 func (s *ShardedLB) Pull(ctx context.Context, req PullRequest) (PullResponse, error) {
 	var resp PullResponse
 	err := s.PullInto(ctx, req, &resp)
@@ -982,13 +1129,13 @@ func (s *ShardedLB) Pull(ctx context.Context, req PullRequest) (PullResponse, er
 }
 
 // PullInto is Pull decoding into the caller's response, reusing
-// resp.Queries' capacity across the sweep and across calls. The
-// frontend's ring epoch overwrites whatever epoch the shard reported.
+// resp.Queries' capacity across calls (an empty pull leaves Queries
+// nil, as an LBServer's does).
 func (s *ShardedLB) PullInto(ctx context.Context, req PullRequest, resp *PullResponse) error {
-	conns, epoch := s.sweepConns()
-	n := len(conns)
+	sweep, epoch := s.sweepConns()
+	n := len(sweep.conns)
 	if n == 1 {
-		err := PullIntoConn(ctx, conns[0], req, resp)
+		err := PullIntoConn(ctx, sweep.conns[0], req, resp)
 		resp.RingEpoch = epoch
 		return err
 	}
@@ -996,44 +1143,66 @@ func (s *ShardedLB) PullInto(ctx context.Context, req PullRequest, resp *PullRes
 	if req.Wait > 0 {
 		deadline = s.cfg.Clock.Now() + req.Wait
 	}
-	for {
-		start := int(s.rr.Add(1)-1) % n
-		sweep := req
-		sweep.Wait = 0
-		for i := 0; i < n; i++ {
-			err := PullIntoConn(ctx, conns[(start+i)%n], sweep, resp)
-			if err != nil || len(resp.Queries) > 0 {
-				resp.RingEpoch = epoch
-				return err
+	got := resp.Queries[:0]
+	*resp = PullResponse{RingEpoch: epoch}
+	leg := getPullResponse()
+	defer ReleaseMessage(leg)
+	// ask pulls shard i's share of what is still missing into got and
+	// reports whether the call is over: the batch is full, a drain found
+	// a share, or the shard failed.
+	ask := func(i int, wait float64) (over bool, err error) {
+		r := req
+		r.Wait, r.Max = wait, req.Max-len(got)
+		err = PullIntoConn(ctx, sweep.conns[i], r, leg)
+		if len(leg.Queries) > 0 {
+			got = append(got, leg.Queries...)
+			if d := leg.LeaseDeadline; d > 0 && (resp.LeaseDeadline == 0 || d < resp.LeaseDeadline) {
+				resp.LeaseDeadline = d
 			}
 		}
-		if req.Wait <= 0 {
-			resp.RingEpoch = epoch
-			return nil
+		if err != nil && len(got) > 0 {
+			if ctx.Err() == nil { // the member's failure, not the caller giving up
+				s.recordMemberFailure(sweep.members[i])
+			}
+			return true, nil
 		}
-		remain := deadline - s.cfg.Clock.Now()
-		if remain <= 0 {
-			resp.RingEpoch = epoch
-			return nil
+		return err != nil || (len(got) > 0 && (req.Drain || len(got) >= req.Max)), err
+	}
+	for {
+		start := int(s.rr.Add(1)-1) % n
+		var over bool
+		var err error
+		for i := 0; i < n && !over; i++ {
+			over, err = ask((start+i)%n, 0)
 		}
-		park := req
-		park.Wait = min(remain, shardPullSlice)
-		err := PullIntoConn(ctx, conns[start], park, resp)
-		if err != nil || len(resp.Queries) > 0 {
-			resp.RingEpoch = epoch
-			return err
+		if !over && len(got) == 0 && req.Wait > 0 {
+			if remain := deadline - s.cfg.Clock.Now(); remain > 0 {
+				if over, err = ask(start, min(remain, shardPullSlice)); !over && len(got) == 0 {
+					continue
+				}
+			}
 		}
+		if len(got) > 0 {
+			resp.Queries = got
+		}
+		return err
 	}
 }
 
 // Complete routes each finished item to the shard that owns its query
-// ID under every installed epoch, fanning the per-shard reports out
-// concurrently. The item's registration lives on exactly one of those
-// shards (wherever it was last submitted or migrated to); the others
-// treat the delivery as a no-op thanks to the LBServer's idempotent
-// resolve machinery. The fan-out is what lets a completion raced by a
-// reshard — or reported by a worker that pulled before the flip —
-// always reach the shard that can resolve it.
+// ID under every installed epoch and fans the per-shard reports out
+// (see fanScratch.run). The item's registration lives on exactly one
+// of those shards (wherever it was last submitted or migrated to); the
+// others treat the delivery as a no-op thanks to the LBServer's
+// idempotent resolve machinery. The fan-out is what lets a completion
+// raced by a reshard — or reported by a worker that pulled before the
+// flip — always reach the shard that can resolve it.
+//
+// With one epoch installed every item has one destination, and the
+// lease deadline the worker echoes is forwarded with it so the shard
+// can tell a zombie report from a timely one. With several epochs the
+// duplicate deliveries are no-ops by design and must not each count as
+// a late completion, so their legs carry no deadline.
 func (s *ShardedLB) Complete(ctx context.Context, req CompleteRequest) error {
 	s.ringMu.RLock()
 	// Snapshotting the epoch list is a reference, not a copy: epochs
@@ -1049,85 +1218,53 @@ func (s *ShardedLB) Complete(ctx context.Context, req CompleteRequest) error {
 
 	// Group items by owning member. With a single epoch (no reshard
 	// yet — the overwhelmingly common case, and the steady-state data
-	// path) grouping is slot-indexed slices with no per-item map
-	// traffic, exactly like SubmitBatch. After a reshard the rare
-	// multi-epoch path groups by member ID across every epoch (member
-	// IDs are stable over the frontend's lifetime, so a member names
-	// one conn forever — current or retired).
-	var groups [][]CompleteItem
-	var conns []LBConn
+	// path) a leg is a slot of that epoch, exactly like SubmitBatch.
+	// After a reshard the rare multi-epoch path numbers the legs by
+	// member ID across every epoch (member IDs are stable over the
+	// frontend's lifetime, so a member names one conn forever — current
+	// or retired).
+	conns := last.conns
+	legs := 0
+	for e := range epochs {
+		legs += len(epochs[e].conns)
+	}
+	sc := getFanScratch(legs)
+	defer putFanScratch(sc)
 	if len(epochs) == 1 {
-		groups = make([][]CompleteItem, len(last.conns))
-		conns = last.conns
 		for _, it := range req.Items {
-			sh := last.slot[last.ring.Owner(it.ID)]
-			groups[sh] = append(groups[sh], it)
+			sc.addItem(last.slot[last.ring.Owner(it.ID)], it)
 		}
 	} else {
-		byMember := map[int][]CompleteItem{}
-		connOf := map[int]LBConn{}
+		req.LeaseDeadline = 0
+		conns = nil
+		legOf := map[int]int{}
 		var owners []int // per-item dedup scratch
 		for _, it := range req.Items {
 			owners = owners[:0]
 			for e := len(epochs) - 1; e >= 0; e-- {
 				m := epochs[e].ring.Owner(it.ID)
-				dup := false
-				for _, o := range owners {
-					if o == m {
-						dup = true
-						break
-					}
-				}
-				if dup {
+				if slices.Contains(owners, m) {
 					continue
 				}
-				// An epoch's owner always has a conn in that epoch
-				// (removed members keep theirs in the epochs that
-				// owned them), so no retired-map fallback is needed.
 				owners = append(owners, m)
-				connOf[m] = epochs[e].conn(m)
-				byMember[m] = append(byMember[m], it)
+				leg, ok := legOf[m]
+				if !ok {
+					// An epoch's owner always has a conn in that epoch
+					// (removed members keep theirs in the epochs that
+					// owned them), so no retired-map fallback is needed.
+					leg = len(conns)
+					legOf[m] = leg
+					conns = append(conns, epochs[e].conn(m))
+				}
+				sc.addItem(leg, it)
 			}
 		}
-		for m, g := range byMember {
-			groups = append(groups, g)
-			conns = append(conns, connOf[m])
-		}
 	}
-	errs := make([]error, 0, len(groups))
-	var errMu sync.Mutex
-	var wg sync.WaitGroup
-	for i, g := range groups {
-		if len(g) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(conn LBConn, g []CompleteItem) {
-			defer wg.Done()
-			err := conn.Complete(ctx, CompleteRequest{
-				WorkerID: req.WorkerID, Role: req.Role, Items: g,
-			})
-			if err != nil {
-				errMu.Lock()
-				errs = append(errs, err)
-				errMu.Unlock()
-			}
-		}(conns[i], g)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
-}
-
-// broadcastConns snapshots every reachable conn — current members and
-// retired shards — for policy broadcasts.
-func (s *ShardedLB) broadcastConns() []LBConn {
-	s.ringMu.RLock()
-	defer s.ringMu.RUnlock()
-	out := append([]LBConn(nil), s.cur().conns...)
-	for _, c := range s.retired {
-		out = append(out, c)
-	}
-	return out
+	return sc.run(conns, func(i int) error {
+		return conns[i].Complete(ctx, CompleteRequest{
+			WorkerID: req.WorkerID, Role: req.Role, Items: sc.items[i], LeaseDeadline: req.LeaseDeadline,
+		})
+	})
 }
 
 // Configure broadcasts the policy update to every shard — retired
@@ -1154,18 +1291,13 @@ func (s *ShardedLB) Configure(ctx context.Context, req ConfigureLBRequest) error
 
 // broadcast fans a configure message out to every reachable shard.
 func (s *ShardedLB) broadcast(ctx context.Context, req ConfigureLBRequest) error {
-	conns := s.broadcastConns()
-	errs := make([]error, len(conns))
-	var wg sync.WaitGroup
-	for i, conn := range conns {
-		wg.Add(1)
-		go func(i int, conn LBConn) {
-			defer wg.Done()
-			errs[i] = conn.Configure(ctx, req)
-		}(i, conn)
+	sweep, _ := s.sweepConns()
+	sc := getFanScratch(len(sweep.conns))
+	defer putFanScratch(sc)
+	for i := range sweep.conns {
+		sc.legs = append(sc.legs, i)
 	}
-	wg.Wait()
-	return errors.Join(errs...)
+	return sc.run(sweep.conns, func(i int) error { return sweep.conns[i].Configure(ctx, req) })
 }
 
 // Stats merges the shards' control-plane reports — retired shards
@@ -1184,10 +1316,10 @@ func (s *ShardedLB) Stats(ctx context.Context) (LBStats, error) {
 	// poll of the same conn.
 	s.statsMu.Lock()
 	defer s.statsMu.Unlock()
-	conns := s.broadcastConns()
+	sweep, _ := s.sweepConns()
 	var out LBStats
 	var firstErr error
-	for _, conn := range conns {
+	for _, conn := range sweep.conns {
 		st, err := conn.Stats(ctx)
 		if err != nil {
 			if firstErr == nil {

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -198,8 +199,10 @@ func TestShardedLBAssignmentDeterminism(t *testing.T) {
 // TestShardedLBStress hammers the frontend from concurrent batch
 // submitters, per-shard pull/complete workers, frontend sweep
 // pullers, and merged-result pollers, with cascade deferrals crossing
-// pools inside each shard. Runs in -short mode on purpose: the verify
-// script's -race leg executes it. Accounting must balance exactly.
+// pools inside each shard. The pollers' caller-side gathers race the
+// pumps for the same shards' results. Runs in -short mode on purpose:
+// the verify script's -race leg executes it. Accounting must balance
+// exactly, and every ID must be delivered exactly once.
 func TestShardedLBStress(t *testing.T) {
 	const (
 		shards     = 2
@@ -214,21 +217,28 @@ func TestShardedLBStress(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var resolved atomic.Int64
+	ledger := newDeliveryLedger(total)
+	resolved := &ledger.total
 	var wg sync.WaitGroup
 
-	for i := 0; i < 2; i++ {
+	// Two parking pollers and a zero-wait one: each gathers from the
+	// shards on its own goroutine while the pumps poll the same shards,
+	// and every result must still come out exactly once.
+	for _, wait := range []float64{50, 50, 0} {
 		wg.Add(1)
-		go func() {
+		go func(wait float64) {
 			defer wg.Done()
 			for resolved.Load() < total && ctx.Err() == nil {
-				resp, err := fe.PollResults(ctx, ResultsRequest{Max: 64, Wait: 50})
+				resp, err := fe.PollResults(ctx, ResultsRequest{Max: 64, Wait: wait})
 				if err != nil {
 					return
 				}
-				resolved.Add(int64(len(resp.Results)))
+				ledger.record(resp.Results)
+				if wait == 0 && len(resp.Results) == 0 {
+					runtime.Gosched()
+				}
 			}
-		}()
+		}(wait)
 	}
 
 	complete := func(conn LBConn, role string, qs []QueryMsg) {
@@ -303,6 +313,7 @@ func TestShardedLBStress(t *testing.T) {
 	if got := resolved.Load(); got != total {
 		t.Fatalf("resolved %d of %d", got, total)
 	}
+	ledger.check(t)
 	st, err := fe.Stats(context.Background())
 	if err != nil {
 		t.Fatal(err)

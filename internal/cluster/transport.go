@@ -426,6 +426,9 @@ type localLBConn struct{ s *LBServer }
 // sockets, no goroutine-per-request.
 func NewLocalLBConn(s *LBServer) LBConn { return localLBConn{s: s} }
 
+// dispatchesInProcess marks the conn for ShardedLB (see inProcessConn).
+func (localLBConn) dispatchesInProcess() {}
+
 func (c localLBConn) Submit(ctx context.Context, q QueryMsg) (QueryResponse, error) {
 	resp, ok := c.s.Submit(ctx, q)
 	if !ok {

@@ -22,8 +22,9 @@ go test ./...
 # submit/pull/complete hammer and the transport conformance matrix —
 # under the race detector. -short skips the wall-clock-calibrated
 # end-to-end harness assertions, which the ~10x race slowdown would
-# distort.
-go test -race -short ./internal/cluster/ ./internal/parallel/
+# distort. The benchmark's smoke test rides along: it drives
+# cluster.Run end to end with the controller ticking.
+go test -race -short ./internal/cluster/ ./internal/parallel/ ./benchmark/
 # Sharded-LB stress leg: the frontend fan-out/merge paths, the
 # missed-wakeup notifier, and the drain/complete idempotency guard get
 # an extra -count=2 hammering under -race (they are the newest
