@@ -39,10 +39,13 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
 
 # bench-perf runs just the perf-pipeline benchmarks this refactor
-# tracks (see PERFORMANCE.md).
+# tracks (see PERFORMANCE.md), and the RNG's two: the per-query
+# re-seed-and-draw-20 pattern and the steady-state draw, each next to
+# math/rand's seeded source.
 .PHONY: bench-perf
 bench-perf:
 	$(GO) test -run '^$$' -bench 'Fig5$$|MomentsStreaming|MomentsBatch|GenerateCached|ExperimentsSerial|ExperimentsParallel' -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkReseedDraw20|BenchmarkLongStream' -benchmem ./internal/stats/
 
 # bench-wire runs the cluster wire-path benchmarks: codec
 # encode/decode and the end-to-end submit/pull/complete/results cycle
@@ -77,16 +80,36 @@ bench-all:
 bench-compare:
 	bash benchmark/run.sh -compare $(BASE) $(NEW)
 
+# bench-smoke runs every workload once at a tenth of the size (about
+# 9 s after the build) and fails unless each reports correct: true. It
+# is the one place run.sh's build and the -all re-exec path (a fresh
+# process per workload) are exercised outside a full measurement.
+.PHONY: bench-smoke
+bench-smoke:
+	@mkdir -p benchmark/out
+	bash benchmark/run.sh -all -seconds 1 -o benchmark/out/smoke.json >/dev/null
+
 # bench-milp runs the allocation-solver benchmarks: the Fig 5
-# allocation slice (one full Allocate: threshold binary search over
-# warm-started MILP subproblems) and the control-tick solve rate at
-# 1x and 10x the current pool count (see PERFORMANCE.md's
+# allocation slice (one full Allocate: the closed-form threshold
+# search, then one warm-started MILP) and the control-tick solve rate
+# at 1x and 10x the current pool count (see PERFORMANCE.md's
 # "Warm-started MILP" tables). Summary in BENCH_milp.json.
 .PHONY: bench-milp
 bench-milp:
 	@out="$$($(GO) test -run '^$$' -bench 'BenchmarkMILPSolve|BenchmarkControlTickSolve' -benchmem .)" \
 		|| { echo "$$out"; exit 1; }; \
 	printf '%s\n' "$$out" | $(GO) run ./cmd/benchjson -out BENCH_milp.json
+
+# sweep-allocator runs the allocator's two property tests at full
+# size: the closed-form feasibility oracle against the solver on
+# 10 500 random observations x every threshold-grid index x 7 config
+# variants, and Allocate against the legacy MILP-per-probe bisect over
+# 10 500 drifting-demand ticks (~40 s). `go test ./...` runs both at
+# 1/15 of that so the package stays off the box while the cluster's
+# wall-clock-calibrated tests run.
+.PHONY: sweep-allocator
+sweep-allocator:
+	$(GO) test -run 'TestOracleMatchesSolver|TestAllocateMatchesLegacyBisect' ./internal/allocator/ -sweep 1500
 
 # allocs-gate pins the zero-allocation wire path: the end-to-end
 # tcp/binary cycle must stay within 16 allocs/op (8 queries/op, so
@@ -156,11 +179,15 @@ chaos-soak:
 		-run 'TestChaosWorkerChurnNoLostQueries|TestTransportConformance/.*/lease-reclaim-exactly-once|TestTransportConformance/.*/retry-after-sever|TestControllerConservativeFailover|TestShardedLBDegradeSpill' \
 		./internal/cluster/
 
-# fuzz-smoke runs each decoder fuzz target briefly on top of the
-# committed seed corpus (testdata/fuzz). CI runs this on every push;
-# raise -fuzztime for a deeper local hunt.
+# fuzz-smoke runs each fuzz target briefly on top of the committed
+# seed corpus (testdata/fuzz): the decoders, the ring, warm-vs-cold
+# MILP solves, and the lazily seeded RNG source's parity with
+# math/rand. CI runs this on every
+# push; raise -fuzztime for a deeper local hunt.
 .PHONY: fuzz-smoke
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzCodecRoundTrip -fuzztime=10s ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime=10s ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz FuzzRingLookup -fuzztime=10s ./internal/loadbalancer/
+	$(GO) test -run '^$$' -fuzz FuzzWarmVsCold -fuzztime=10s ./internal/milp/
+	$(GO) test -run '^$$' -fuzz FuzzLazySourceParity -fuzztime=10s ./internal/stats/

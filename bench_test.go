@@ -4,8 +4,8 @@ package diffserve
 // paper's evaluation (run with `go test -bench=. -benchmem`). Each
 // benchmark executes the corresponding experiment end to end at
 // reduced ("Short") sizes so the whole suite completes in minutes;
-// run cmd/diffserve-sim with full sizes to reproduce the numbers in
-// EXPERIMENTS.md.
+// run cmd/diffserve-sim with full sizes (`-experiment <name>`, names
+// from `-list`) for the full-size numbers.
 
 import (
 	"fmt"

@@ -27,8 +27,9 @@
 // (internal/cascade), the MILP solver (internal/milp), the resource
 // allocator (internal/allocator), the discrete-event system simulator
 // (internal/system), and the cluster runtime (internal/cluster).
-// See DESIGN.md for the system inventory and EXPERIMENTS.md for
-// paper-versus-measured results.
+// The sections below are the system inventory; `diffserve-sim -list`
+// names every experiment and `diffserve-sim -experiment <name>`
+// prints its measured table.
 //
 // # Cluster transports
 //
@@ -224,12 +225,14 @@
 //
 // Every control tick re-solves the paper's resource-allocation MILP:
 // the controller (internal/controller) EWMA-smooths observed demand,
-// the allocator (internal/allocator) binary-searches the confidence-
-// threshold grid, and each candidate threshold is a mixed-integer
-// subproblem solved by internal/milp. Successive subproblems are
-// nearly identical — between thresholds only the deferral fraction
-// moves, between ticks only demand — so each MILPAllocator holds one
-// persistent milp.IncrementalSolver: the simplex warm-starts from the
+// the allocator (internal/allocator) bisects the confidence-threshold
+// grid on a closed-form feasibility test (some batch pair meets the
+// latency row and its minimal worker counts fit the budget), and the
+// largest feasible threshold is one mixed-integer subproblem solved
+// by internal/milp. Successive ticks pose nearly identical problems —
+// only demand and the chosen deferral fraction move — so each
+// MILPAllocator holds one persistent milp.IncrementalSolver: the
+// simplex warm-starts from the
 // previous solve's optimal basis (dual-simplex repair when the moved
 // demand makes it primal-infeasible), branch-and-bound nodes are
 // bound-deltas in a pooled arena under a best-bound heap, and the
@@ -237,12 +240,17 @@
 // exhausts its node budget (allocator.Config.NodeLimit) returns the
 // best incumbent with milp.StatusNodeLimit — a starved tick degrades
 // to a usable plan rather than failing. Warm and cold solves agree by
-// construction (equivalence suites pin it), one full Allocate runs in
-// ~1.8 ms and ~131 allocations, and per-solve cost stays flat at 10×
-// the pool count (BenchmarkControlTickSolve); solver path counters
-// surface through controller.Controller.SolveStats and
-// cluster.ControllerLoopStats. See PERFORMANCE.md's "Warm-started
-// MILP" section.
+// construction (equivalence suites pin it), the closed-form search
+// and the MILP-per-probe bisect it replaced return the same plans
+// (property tests in internal/allocator keep the old search as their
+// reference), one full Allocate runs in ~0.7 ms and 37 allocations,
+// and per-solve cost stays flat at 10× the pool count
+// (BenchmarkControlTickSolve); solver path counters surface through
+// controller.Controller.SolveStats and cluster.ControllerLoopStats,
+// which also counts failed configure RPCs (ConfigureErrors,
+// LastApplyErrors) so a half-applied plan is visible. See
+// PERFORMANCE.md's "Warm-started MILP" and "Simulator and control
+// plane" sections.
 //
 // # Failure model
 //

@@ -12,15 +12,15 @@ import (
 // paper's optimization (maximize the confidence threshold subject to
 // latency, throughput, and budget constraints) as a mixed-integer
 // linear program and solves it with the internal branch-and-bound
-// solver.
+// solver — one MILP per Allocate, at the threshold a closed-form
+// feasibility oracle picks (see Allocate).
 //
 // The allocator holds one milp.IncrementalSolver for its lifetime:
-// successive subproblems — the candidate thresholds of one Allocate's
-// binary search, and the nearly-identical problems of successive
-// control ticks — share the same shape, so the solver warm-starts
-// each from the previous optimal basis and incumbent instead of
-// re-deriving everything from scratch. Allocate is safe for
-// concurrent use; calls serialize on the solver.
+// successive control ticks pose nearly identical problems of the same
+// shape, so the solver warm-starts each from the previous tick's
+// optimal basis and incumbent instead of re-deriving everything from
+// scratch. Allocate is safe for concurrent use; calls serialize on the
+// solver.
 type MILPAllocator struct {
 	cfg Config
 
@@ -55,9 +55,11 @@ func (a *MILPAllocator) SolveStats() milp.IncrementalStats {
 //
 // The paper's optimization maximizes the confidence threshold t
 // subject to Eqs. 1-4. Feasibility is monotone in t (a higher
-// threshold only increases the heavy pool's required throughput), so
-// the allocator binary-searches the discretized threshold grid; each
-// candidate threshold yields a mixed-integer subproblem over
+// threshold only increases the heavy pool's required throughput), and
+// whether a threshold is feasible at all has a closed form (feasible
+// below), so the allocator bisects the discretized threshold grid on
+// that oracle and then solves one mixed-integer subproblem, at the
+// largest feasible threshold, over
 //
 //	w1[b]  (|B1| integers) — light workers running batch b
 //	w2[b]  (|B2| integers) — heavy workers running batch b
@@ -65,11 +67,11 @@ func (a *MILPAllocator) SolveStats() milp.IncrementalStats {
 //	y2[b]  (|B2| binaries) — heavy batch selector
 //	h      (continuous)    — normalized capacity headroom
 //
-// solved by the internal branch-and-bound solver. The single-batch-
+// with the internal branch-and-bound solver. The single-batch-
 // size-per-pool rule is enforced by w_i[b] <= S·y_i[b] and sum y_i = 1;
 // worker-count products x_i·T_i(b_i) linearize as sum_b w_i[b]·T_i(b);
 // the latency constraint selects per-batch execution+queueing costs
-// through the y binaries. Within each subproblem the objective
+// through the y binaries. The subproblem's objective
 // maximizes the minimum normalized capacity headroom h
 // (sum w1·T1 >= h·D and sum w2·T2 >= h·f·D), which co-optimizes batch
 // sizes for throughput and spreads every available worker across the
@@ -81,45 +83,56 @@ func (a *MILPAllocator) Allocate(obs Observation) (Plan, error) {
 	c := &a.cfg
 	demand := math.Max(obs.Demand, 0) * c.OverProvision
 	ts, fs := thresholdGrid(c)
-
-	// Binary search the largest feasible threshold index. Feasibility
-	// is monotone non-increasing in the index.
-	solve := func(j int) (Plan, bool, error) {
-		return a.solveAtThreshold(obs, demand, ts[j], fs[j])
-	}
-	loPlan, loOK, err := solve(0)
+	plan, err := a.solveDownFrom(obs, demand, ts, fs, searchThreshold(c, obs, demand, fs))
 	if err != nil {
 		return Plan{}, err
 	}
-	if !loOK {
-		p := bestEffortPlan(c)
-		p.SolveTime = time.Since(start)
-		return p, nil
+	plan.SolveTime = time.Since(start)
+	return plan, nil
+}
+
+// searchThreshold bisects the threshold grid on the feasibility oracle
+// and returns the largest feasible index — 0 when the oracle rejects
+// even that, so declaring the tick infeasible is left to the solver.
+func searchThreshold(c *Config, obs Observation, demand float64, fs []float64) int {
+	hi := len(fs) - 1
+	if !feasible(c, obs, demand, fs[0]) {
+		return 0
 	}
-	bestPlan := loPlan
-	if hiPlan, hiOK, err := solve(len(ts) - 1); err != nil {
-		return Plan{}, err
-	} else if hiOK {
-		bestPlan = hiPlan
-	} else {
-		lo, hi := 0, len(ts)-1 // feasible at lo, infeasible at hi
-		for hi-lo > 1 {
-			mid := (lo + hi) / 2
-			midPlan, midOK, err := solve(mid)
-			if err != nil {
-				return Plan{}, err
-			}
-			if midOK {
-				lo = mid
-				bestPlan = midPlan
-			} else {
-				hi = mid
-			}
+	if feasible(c, obs, demand, fs[hi]) {
+		return hi
+	}
+	lo := 0 // feasible at lo, infeasible at hi
+	for hi-lo > 1 {
+		mid := (lo + hi) / 2
+		if feasible(c, obs, demand, fs[mid]) {
+			lo = mid
+		} else {
+			hi = mid
 		}
 	}
-	bestPlan.SolveTime = time.Since(start)
-	return bestPlan, nil
+	return lo
 }
+
+// solveDownFrom solves the MILP at grid index j. The oracle and the
+// solver evaluate the same rows in different floating-point order and
+// under different tolerances, so on a knife edge they can disagree; if
+// the solver calls j infeasible it steps down the grid, solving, until
+// an index is feasible, and returns the best-effort plan when none is.
+func (a *MILPAllocator) solveDownFrom(obs Observation, demand float64, ts, fs []float64, j int) (Plan, error) {
+	for ; j >= 0; j-- {
+		plan, ok, err := a.solveAtThreshold(obs, demand, ts[j], fs[j])
+		if err != nil || ok {
+			return plan, err
+		}
+	}
+	return bestEffortPlan(&a.cfg), nil
+}
+
+// headroomCap bounds the headroom variable h so the LP stays bounded.
+// Once both pools reach it (demand around 1 QPS and below on 16
+// workers) the objective no longer tells batch sizes apart.
+const headroomCap = 20
 
 // solveAtThreshold solves the fixed-threshold MILP subproblem.
 func (a *MILPAllocator) solveAtThreshold(obs Observation, demand, t, f float64) (Plan, bool, error) {
@@ -161,7 +174,7 @@ func (a *MILPAllocator) solveAtThreshold(obs Observation, demand, t, f float64) 
 		upper[y2+b] = 1
 		integer[y2+b] = true
 	}
-	upper[h] = 20 // cap headroom so the LP stays bounded
+	upper[h] = headroomCap
 
 	var cons []milp.Constraint
 	row := func() []float64 { return make([]float64, nVars) }
@@ -245,7 +258,7 @@ func (a *MILPAllocator) solveAtThreshold(obs Observation, demand, t, f float64) 
 	cons = append(cons, milp.Constraint{Coeffs: r, Rel: milp.GE, RHS: 0, Name: "light-headroom"})
 	// Emitted even when demand*f == 0 (where it is trivially satisfied)
 	// so the problem shape is identical at every threshold and the
-	// incremental solver's warm state survives the binary search.
+	// incremental solver's warm state survives from tick to tick.
 	r = row()
 	for b, bs := range heavyBs {
 		r[w2+b] = heavyThroughput(c, bs)
@@ -289,6 +302,43 @@ func (a *MILPAllocator) solveAtThreshold(obs Observation, demand, t, f float64) 
 	return plan, true, nil
 }
 
+// admit is the closed-form admissibility test of one batch pair
+// (b1, b2) in the fixed-threshold subproblem: the pair must meet the
+// latency row (Eq. 1), and the fewest workers that carry the demand —
+// x1 = max(1, ceil(D'/T1(b1))) light (Eq. 2 and the min-light row),
+// x2 = ceil(D'·f/T2(b2)) heavy (Eq. 3) — must fit the budget (Eq. 4).
+// Each pool runs a single batch size, so the subproblem is feasible
+// exactly when some pair is admitted; warmStart and the feasibility
+// oracle both go through here so the two cannot drift apart.
+func admit(c *Config, obs Observation, demand, f float64, b1, b2 int) (x1, x2 int, ok bool) {
+	q1, q2 := queueDelays(c, obs, b1, b2)
+	if lightExec(c, b1)+q1+heavyExec(c, b2)+q2 > c.SLO {
+		return 0, 0, false
+	}
+	x1 = int(math.Ceil(demand / lightThroughput(c, b1)))
+	if x1 < 1 {
+		x1 = 1
+	}
+	if demand*f > 0 {
+		x2 = int(math.Ceil(demand * f / heavyThroughput(c, b2)))
+	}
+	return x1, x2, x1+x2 <= c.TotalWorkers
+}
+
+// feasible is the threshold search's oracle: whether the subproblem at
+// deferral fraction f has any solution, answered without the solver.
+func feasible(c *Config, obs Observation, demand, f float64) bool {
+	lightBs, heavyBs := batchCandidates(c)
+	for _, b1 := range lightBs {
+		for _, b2 := range heavyBs {
+			if _, _, ok := admit(c, obs, demand, f, b1, b2); ok {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // warmStart builds an analytic candidate solution for the fixed-
 // threshold subproblem — the greedy allocation the grid solver would
 // produce, with leftover workers distributed to balance headroom.
@@ -301,22 +351,11 @@ func (a *MILPAllocator) warmStart(obs Observation, demand, f float64, nVars, w1,
 	var best []float64
 	for bi1, b1 := range lightBs {
 		for bi2, b2 := range heavyBs {
-			q1, q2 := queueDelays(c, obs, b1, b2)
-			if lightExec(c, b1)+q1+heavyExec(c, b2)+q2 > c.SLO {
+			x1, x2, ok := admit(c, obs, demand, f, b1, b2)
+			if !ok {
 				continue
 			}
 			t1, t2 := lightThroughput(c, b1), heavyThroughput(c, b2)
-			x1 := int(math.Ceil(demand / t1))
-			if x1 < 1 {
-				x1 = 1
-			}
-			x2 := 0
-			if demand*f > 0 {
-				x2 = int(math.Ceil(demand * f / t2))
-			}
-			if x1+x2 > c.TotalWorkers {
-				continue
-			}
 			// Distribute spare workers to the pool with less headroom.
 			dl := math.Max(demand, 0.5)
 			dh := demand * f
@@ -337,7 +376,7 @@ func (a *MILPAllocator) warmStart(obs Observation, demand, f float64, nVars, w1,
 			if dh > 0 {
 				hh = float64(x2) * t2 / dh
 			}
-			hv := math.Min(20, math.Min(hl, hh))
+			hv := math.Min(headroomCap, math.Min(hl, hh))
 			if hv > bestH {
 				bestH = hv
 				x := make([]float64, nVars)

@@ -100,6 +100,11 @@ type ControllerLoopStats struct {
 	// path: warm (reused basis) vs cold (fresh two-phase solve). Zero
 	// for allocators without an internal solver.
 	WarmLPs, ColdLPs int
+	// ConfigureErrors counts failed configure RPCs — the LB's and each
+	// worker's — over the loop's life; LastApplyErrors counts those of
+	// the most recent plan application alone, so a non-zero value
+	// means the cluster currently holds a half-applied plan.
+	ConfigureErrors, LastApplyErrors int
 }
 
 // ControllerLoop polls runtime statistics, re-solves allocation, and
@@ -131,6 +136,10 @@ type ControllerLoop struct {
 	statsMisses  int
 	totalMisses  int
 	conservative bool
+	// configure-RPC failure tracking (guarded by mu): the lifetime
+	// count and the count of the latest applyLocked.
+	configureErrors int
+	lastApplyErrors int
 	// elastic-scaling state (guarded by mu): the hysteresis streaks,
 	// the next fresh member ID (member IDs are never reused — retired
 	// members stay retired), and the peak tier size observed.
@@ -191,6 +200,8 @@ func (c *ControllerLoop) LoopStats() ControllerLoopStats {
 		TotalStatsMisses:       c.totalMisses,
 		Conservative:           c.conservative,
 		MeanSolveMs:            c.cfg.Ctrl.MeanSolveSeconds() * 1e3,
+		ConfigureErrors:        c.configureErrors,
+		LastApplyErrors:        c.lastApplyErrors,
 	}
 	if ss, ok := c.cfg.Ctrl.SolveStats(); ok {
 		st.WarmLPs, st.ColdLPs = ss.WarmLPs, ss.ColdLPs
@@ -438,18 +449,37 @@ func (c *ControllerLoop) Apply(ctx context.Context, plan allocator.Plan) {
 }
 
 // applyLocked is Apply's core. Callers hold mu.
+//
+// Every apply re-sends the LB's policy and every worker's role, also
+// to workers whose role did not change: a configure RPC that fails is
+// counted (ControllerLoopStats.ConfigureErrors / LastApplyErrors) and
+// logged but not retried, and the assignment cache records the
+// intended role regardless, so the next tick's re-send is what heals a
+// lost configure. Sending only the roles that changed would need the
+// cache to remember which sends failed first.
 func (c *ControllerLoop) applyLocked(ctx context.Context, plan allocator.Plan) {
 	c.lastPlan, c.hasPlan = plan, true
+	failed := 0
+	var firstErr error
+	sent := func(err error) {
+		if err == nil {
+			return
+		}
+		if failed == 0 {
+			firstErr = err
+		}
+		failed++
+	}
 	// Configure the LB policy first so new completions observe the
 	// fresh threshold.
 	split := 0.0
 	if c.cfg.Mode == loadbalancer.ModeRandomSplit {
 		split = plan.DeferFraction
 	}
-	_ = c.cfg.LB.Configure(ctx, ConfigureLBRequest{
+	sent(c.cfg.LB.Configure(ctx, ConfigureLBRequest{
 		Threshold: plan.Threshold,
 		SplitProb: split,
-	})
+	}))
 
 	// Current roles come from the assignment cache (the controller is
 	// the only writer of worker roles, so the cache is authoritative
@@ -503,11 +533,16 @@ func (c *ControllerLoop) applyLocked(ctx context.Context, plan allocator.Plan) {
 		if next[i] == "heavy" {
 			batch = plan.HeavyBatch
 		}
-		_ = conn.Configure(ctx, ConfigureWorkerRequest{
+		sent(conn.Configure(ctx, ConfigureWorkerRequest{
 			Role: next[i], Batch: batch,
-		})
+		}))
 	}
 	c.assigned = next
+	c.configureErrors += failed
+	c.lastApplyErrors = failed
+	if failed > 0 {
+		c.logf("controller: plan half-applied: %d of %d configure RPCs failed (first: %v); the next tick re-sends", failed, 1+len(c.cfg.Workers), firstErr)
+	}
 }
 
 // assignRoles computes the next role assignment for one worker group,

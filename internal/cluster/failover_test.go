@@ -296,3 +296,70 @@ func TestShardedLBDegradeSpill(t *testing.T) {
 		}
 	}
 }
+
+// flakyWorkerConn is a WorkerConn whose first failN Configure calls
+// fail; it remembers the last request that got through.
+type flakyWorkerConn struct {
+	failN int
+	calls int
+	held  ConfigureWorkerRequest
+}
+
+func (w *flakyWorkerConn) Configure(ctx context.Context, req ConfigureWorkerRequest) error {
+	w.calls++
+	if w.calls <= w.failN {
+		return errors.New("configure severed")
+	}
+	w.held = req
+	return nil
+}
+
+func (w *flakyWorkerConn) Stats(ctx context.Context) (WorkerStats, error) {
+	return WorkerStats{}, nil
+}
+
+// TestControllerCountsConfigureErrors pins that a half-applied plan is
+// visible and heals: a worker whose Configure fails twice shows up in
+// ConfigureErrors and LastApplyErrors (and in one log line per failed
+// apply), and because every apply re-sends every worker, the third
+// apply lands the role the first one meant it to have.
+func TestControllerCountsConfigureErrors(t *testing.T) {
+	f := newFixtures(t)
+	good, flaky := &flakyWorkerConn{}, &flakyWorkerConn{failN: 2}
+	var logs []string
+	loop := NewControllerLoop(ControllerConfig{
+		Ctrl: f.controller(t, 2, 5), LB: &blindStatsConn{},
+		Workers: []WorkerConn{good, flaky},
+		Mode:    loadbalancer.ModeCascade, Clock: NewClock(0.001),
+		Logf: func(format string, args ...interface{}) {
+			logs = append(logs, fmt.Sprintf(format, args...))
+		},
+	})
+	ctx := context.Background()
+	plan := allocator.Plan{Threshold: 0.7, DeferFraction: 0.4, LightWorkers: 1, HeavyWorkers: 1, LightBatch: 4, HeavyBatch: 2}
+
+	loop.Apply(ctx, plan)
+	if st := loop.LoopStats(); st.ConfigureErrors != 1 || st.LastApplyErrors != 1 {
+		t.Fatalf("after first apply: %+v, want 1 lifetime / 1 last", st)
+	}
+	if good.held.Role != "light" || flaky.held.Role != "" {
+		t.Fatalf("after first apply: good holds %+v, flaky %+v", good.held, flaky.held)
+	}
+	loop.Apply(ctx, plan)
+	if st := loop.LoopStats(); st.ConfigureErrors != 2 || st.LastApplyErrors != 1 {
+		t.Fatalf("after second apply: %+v, want 2 lifetime / 1 last", st)
+	}
+	loop.Apply(ctx, plan)
+	if st := loop.LoopStats(); st.ConfigureErrors != 2 || st.LastApplyErrors != 0 {
+		t.Fatalf("after third apply: %+v, want 2 lifetime / 0 last", st)
+	}
+	if want := (ConfigureWorkerRequest{Role: "heavy", Batch: 2}); flaky.held != want {
+		t.Fatalf("flaky worker holds %+v after the healing re-send, want %+v", flaky.held, want)
+	}
+	if good.calls != 3 {
+		t.Errorf("healthy worker configured %d times, want once per apply (3)", good.calls)
+	}
+	if len(logs) != 2 || !strings.Contains(logs[0], "1 of 3 configure RPCs failed") {
+		t.Errorf("want one log line per failed apply, got %q", logs)
+	}
+}

@@ -40,6 +40,13 @@ func fnvString(h uint64, s string) uint64 {
 // sub-stream derivation. Deriving a child stream with a stable name
 // decouples the randomness consumed by independent components: adding
 // draws to one component does not perturb another.
+//
+// The stream for a seed is bit-identical to
+// rand.New(rand.NewSource(int64(seed)))'s — every golden in the
+// repository depends on that — but it is produced by lazySource, which
+// seeds in O(draws): creating or re-seeding an RNG costs nothing until
+// values are drawn, so a per-query stream of ~20 draws no longer pays
+// for 607 state words.
 type RNG struct {
 	seed uint64
 	src  *rand.Rand
@@ -47,7 +54,9 @@ type RNG struct {
 
 // NewRNG returns a new RNG seeded with the given root seed.
 func NewRNG(seed uint64) *RNG {
-	return &RNG{seed: seed, src: rand.New(rand.NewSource(int64(seed)))}
+	ls := &lazySource{}
+	ls.Seed(int64(seed))
+	return &RNG{seed: seed, src: rand.New(ls)}
 }
 
 // Stream derives an independent child RNG identified by name.
@@ -82,7 +91,8 @@ func StreamNSeedFrom(seed uint64, name string, n int) uint64 {
 }
 
 // Reseed resets the RNG in place to the given seed, reusing its
-// source. The state afterwards is identical to NewRNG(seed)'s.
+// source. The state afterwards is identical to NewRNG(seed)'s; the
+// call itself is O(1) (see lazySource).
 func (r *RNG) Reseed(seed uint64) {
 	r.seed = seed
 	r.src.Seed(int64(seed))
