@@ -100,16 +100,20 @@ bench-milp:
 		|| { echo "$$out"; exit 1; }; \
 	printf '%s\n' "$$out" | $(GO) run ./cmd/benchjson -out BENCH_milp.json
 
-# sweep-allocator runs the allocator's two property tests at full
-# size: the closed-form feasibility oracle against the solver on
-# 10 500 random observations x every threshold-grid index x 7 config
-# variants, and Allocate against the legacy MILP-per-probe bisect over
-# 10 500 drifting-demand ticks (~40 s). `go test ./...` runs both at
-# 1/15 of that so the package stays off the box while the cluster's
-# wall-clock-calibrated tests run.
+# sweep-allocator runs the solver's and the allocator's property tests
+# at full size: the closed-form feasibility oracle against the solver
+# on 10 500 random observations x every threshold-grid index x 7 config
+# variants, Allocate against the legacy MILP-per-probe bisect over
+# 10 500 drifting-demand ticks (~15 s together), and one
+# IncrementalSolver held against a cold solve at every one of 10^5
+# perturbed ticks, a couple of hundred refactor periods (~3 s).
+# `go test ./...` runs the first two at 1/15 and the last at 1/20 of
+# that so the packages stay off the box while the cluster's wall-clock-
+# calibrated tests run.
 .PHONY: sweep-allocator
 sweep-allocator:
 	$(GO) test -run 'TestOracleMatchesSolver|TestAllocateMatchesLegacyBisect' ./internal/allocator/ -sweep 1500
+	$(GO) test -run 'TestWarmVsColdLongHorizon' ./internal/milp/ -sweep 100000
 
 # allocs-gate pins the zero-allocation wire path: the end-to-end
 # tcp/binary cycle must stay within 16 allocs/op (8 queries/op, so

@@ -243,14 +243,22 @@
 // construction (equivalence suites pin it), the closed-form search
 // and the MILP-per-probe bisect it replaced return the same plans
 // (property tests in internal/allocator keep the old search as their
-// reference), one full Allocate runs in ~0.7 ms and 37 allocations,
-// and per-solve cost stays flat at 10× the pool count
-// (BenchmarkControlTickSolve); solver path counters surface through
-// controller.Controller.SolveStats and cluster.ControllerLoopStats,
-// which also counts failed configure RPCs (ConfigureErrors,
-// LastApplyErrors) so a half-applied plan is visible. See
-// PERFORMANCE.md's "Warm-started MILP" and "Simulator and control
-// plane" sections.
+// reference), the simplex's inner loops skip structural zeros through
+// index lists in an order that leaves every floating-point result as
+// the dense loops gave it (a parent-generated plan-sequence hash pins
+// that), one full Allocate runs in ~0.3 ms and 37 allocations, and
+// per-solve cost stays flat at 10× the pool count
+// (BenchmarkControlTickSolve). The cluster's ControllerLoop then
+// pushes the plan: the LB's policy every tick, and a configure to each
+// worker whose request differs from the last one it acknowledged — a
+// failed or cancelled send leaves the worker unknown and is re-sent
+// on the next apply, and every tenth apply re-sends everyone. Solver
+// path counters surface through controller.Controller.SolveStats and
+// cluster.ControllerLoopStats, which also counts failed configure
+// RPCs (ConfigureErrors, LastApplyErrors) so a half-applied plan is
+// visible, and worker configures sent and skipped. See
+// PERFORMANCE.md's "Control tick", "Simulator and control plane" and
+// "Warm-started MILP" sections.
 //
 // # Failure model
 //

@@ -13,9 +13,9 @@ import (
 // variant for TestAllocateMatchesLegacyBisect. The default keeps the
 // package to a few seconds, because `go test ./...` runs it on the
 // same two cores as the cluster's wall-clock-calibrated tests and
-// because the race detector slows the dense simplex ~15x;
+// because the race detector slows the simplex ~15x;
 // `make sweep-allocator` (scripts/verify.sh, CI) runs -sweep 1500:
-// 10 500 observations x every grid index, 10 500 ticks, ~40 s.
+// 10 500 observations x every grid index, 10 500 ticks, ~15 s.
 var sweep = flag.Int("sweep", 100, "observations / ticks per config variant in the allocator property sweeps")
 
 // legacyAllocate is the threshold search Allocate ran before the
@@ -191,6 +191,38 @@ func headroomCapped(c *Config, obs Observation, p Plan) bool {
 		float64(p.HeavyWorkers)*heavyThroughput(c, p.HeavyBatch) >= headroomCap*demand*p.DeferFraction
 }
 
+// driftingObservation advances demand one tick — a random walk with
+// the occasional burst, reflected into [0, 60] — and returns tick i's
+// observation: queue state follows the load loosely, and twice in every
+// 40 ticks the state is one no plan can meet.
+func driftingObservation(r *stats.RNG, demand *float64, i int) Observation {
+	d := *demand + r.Normal(0, 2.5)
+	if r.Bernoulli(0.03) {
+		d += r.Uniform(-20, 30)
+	}
+	d = math.Abs(d)
+	if d > 60 {
+		d = 120 - d
+	}
+	*demand = d
+	obs := Observation{
+		Demand:        d,
+		LightQueueLen: r.Intn(1 + int(d)),
+		HeavyQueueLen: r.Intn(1 + int(d/3)),
+	}
+	if r.Bernoulli(0.5) {
+		obs.LightArrivalRate = d * r.Uniform(0.8, 1.2)
+		obs.HeavyArrivalRate = d * r.Uniform(0.1, 0.6)
+	}
+	switch i % 40 {
+	case 19:
+		obs.LightQueueLen = 5000 // a backlog no plan can meet
+	case 39:
+		obs.Demand = 400 + d // nor this, whatever the queue model
+	}
+	return obs
+}
+
 // TestAllocateMatchesLegacyBisect runs the production search and the
 // MILP-per-probe reference, each on its own long-lived allocator, over
 // one drifting-demand sequence: every field of every plan must agree
@@ -213,31 +245,7 @@ func TestAllocateMatchesLegacyBisect(t *testing.T) {
 			demand := 8.0
 			var infeasible, capped int
 			for i := 0; i < ticks; i++ {
-				// A random walk with the occasional burst, reflected
-				// into [0, 60]; queue state follows the load loosely.
-				demand += r.Normal(0, 2.5)
-				if r.Bernoulli(0.03) {
-					demand += r.Uniform(-20, 30)
-				}
-				demand = math.Abs(demand)
-				if demand > 60 {
-					demand = 120 - demand
-				}
-				obs := Observation{
-					Demand:        demand,
-					LightQueueLen: r.Intn(1 + int(demand)),
-					HeavyQueueLen: r.Intn(1 + int(demand/3)),
-				}
-				if r.Bernoulli(0.5) {
-					obs.LightArrivalRate = demand * r.Uniform(0.8, 1.2)
-					obs.HeavyArrivalRate = demand * r.Uniform(0.1, 0.6)
-				}
-				switch i % 40 {
-				case 19:
-					obs.LightQueueLen = 5000 // a backlog no plan can meet
-				case 39:
-					obs.Demand = 400 + demand // nor this, whatever the queue model
-				}
+				obs := driftingObservation(r, &demand, i)
 				before := got.SolveStats().Solves
 				p, err := got.Allocate(obs)
 				if err != nil {

@@ -105,10 +105,17 @@ type ControllerLoopStats struct {
 	// the most recent plan application alone, so a non-zero value
 	// means the cluster currently holds a half-applied plan.
 	ConfigureErrors, LastApplyErrors int
+	// WorkerConfiguresSent counts the worker configure RPCs the loop
+	// has made, WorkerConfiguresSkipped those it did not make because
+	// the worker had already acknowledged the identical request.
+	WorkerConfiguresSent, WorkerConfiguresSkipped int
 }
 
 // ControllerLoop polls runtime statistics, re-solves allocation, and
 // pushes plans — the cluster analogue of the simulator's control tick.
+// A push is the LB's policy plus a configure for each worker whose
+// request changed since it last acknowledged one (see applyLocked), so
+// a steady plan costs one RPC per tick, not one per process.
 type ControllerLoop struct {
 	cfg ControllerConfig
 	// mu serializes control ticks and plan applications: the periodic
@@ -127,9 +134,18 @@ type ControllerLoop struct {
 	// via SetShards and the next Apply re-stripes roles across the
 	// new shard-pinned worker groups.
 	shards atomic.Int32
-	// assigned caches the last role pushed to each worker so ticks do
-	// not need a per-worker stats round-trip.
+	// assigned caches the role each worker was last meant to have —
+	// assignRoles' stability input, so ticks need no per-worker stats
+	// round-trip. It records intent: whether the worker heard it is
+	// acked's business.
 	assigned []string
+	// acked is, per worker, the last configure request it acknowledged
+	// (Configure returned nil). The zero request — no role is ever "" —
+	// marks a worker whose state is unknown: never configured, or the
+	// last send failed or was cancelled. applies counts applyLocked
+	// calls, for the periodic full re-send. Guarded by mu.
+	acked   []ConfigureWorkerRequest
+	applies int
 	// stats-poll failure tracking (guarded by mu): statsMisses is the
 	// consecutive run, totalMisses the lifetime count, conservative
 	// whether the blind-fallback plan is currently applied.
@@ -140,6 +156,8 @@ type ControllerLoop struct {
 	// count and the count of the latest applyLocked.
 	configureErrors int
 	lastApplyErrors int
+	// worker configure RPCs made and skipped, lifetime (guarded by mu).
+	workerSent, workerSkipped int
 	// elastic-scaling state (guarded by mu): the hysteresis streaks,
 	// the next fresh member ID (member IDs are never reused — retired
 	// members stay retired), and the peak tier size observed.
@@ -202,6 +220,9 @@ func (c *ControllerLoop) LoopStats() ControllerLoopStats {
 		MeanSolveMs:            c.cfg.Ctrl.MeanSolveSeconds() * 1e3,
 		ConfigureErrors:        c.configureErrors,
 		LastApplyErrors:        c.lastApplyErrors,
+
+		WorkerConfiguresSent:    c.workerSent,
+		WorkerConfiguresSkipped: c.workerSkipped,
 	}
 	if ss, ok := c.cfg.Ctrl.SolveStats(); ok {
 		st.WarmLPs, st.ColdLPs = ss.WarmLPs, ss.ColdLPs
@@ -448,20 +469,36 @@ func (c *ControllerLoop) Apply(ctx context.Context, plan allocator.Plan) {
 	c.applyLocked(ctx, plan)
 }
 
+// fullResendEvery is the period, in applies, of the full worker
+// re-send: the first apply and every fullResendEvery-th after it
+// configure every worker whatever it last acknowledged. A worker that
+// lost its state without failing an RPC (restarted behind the same
+// address, say) therefore holds its role again within fullResendEvery
+// applies — at most that many control periods, fewer when reshards
+// re-apply in between. Sized by cost: over loopback tcp a full send to
+// 16 workers takes ~165 µs longer than a diffed apply, so one in ten
+// adds ~16 µs, under 5 % of the 0.37 ms tick `control_tick` measures.
+const fullResendEvery = 10
+
 // applyLocked is Apply's core. Callers hold mu.
 //
-// Every apply re-sends the LB's policy and every worker's role, also
-// to workers whose role did not change: a configure RPC that fails is
-// counted (ControllerLoopStats.ConfigureErrors / LastApplyErrors) and
-// logged but not retried, and the assignment cache records the
-// intended role regardless, so the next tick's re-send is what heals a
-// lost configure. Sending only the roles that changed would need the
-// cache to remember which sends failed first.
+// The LB's policy is sent on every apply: it is one broadcast, and it
+// carries the threshold and the membership stamp to shards the elastic
+// loop has just added. A worker is configured only when it has to be:
+// when the request differs from the last one that worker acknowledged,
+// when the worker's state is unknown (never configured, or its last
+// send failed or was cancelled — a failed RPC is counted in
+// ConfigureErrors / LastApplyErrors and logged, not retried, and the
+// next apply re-sends it), or on a full re-send (fullResendEvery). A
+// worker treats an identical request as a no-op, so with no failures
+// every worker passes through exactly the states an every-apply re-send
+// would have put it through.
 func (c *ControllerLoop) applyLocked(ctx context.Context, plan allocator.Plan) {
 	c.lastPlan, c.hasPlan = plan, true
-	failed := 0
+	attempted, failed := 0, 0
 	var firstErr error
 	sent := func(err error) {
+		attempted++
 		if err == nil {
 			return
 		}
@@ -489,6 +526,7 @@ func (c *ControllerLoop) applyLocked(ctx context.Context, plan allocator.Plan) {
 		for i := range c.assigned {
 			c.assigned[i] = "idle"
 		}
+		c.acked = make([]ConfigureWorkerRequest, len(c.cfg.Workers))
 	}
 
 	needLight, needHeavy := plan.LightWorkers, plan.HeavyWorkers
@@ -528,20 +566,36 @@ func (c *ControllerLoop) applyLocked(ctx context.Context, plan allocator.Plan) {
 	} else {
 		next = assignRoles(c.assigned, needLight, needHeavy)
 	}
-	for i, conn := range c.cfg.Workers {
-		batch := plan.LightBatch
-		if next[i] == "heavy" {
-			batch = plan.HeavyBatch
+	if c.applies%fullResendEvery == 0 {
+		for i := range c.acked {
+			c.acked[i] = ConfigureWorkerRequest{}
 		}
-		sent(conn.Configure(ctx, ConfigureWorkerRequest{
-			Role: next[i], Batch: batch,
-		}))
+	}
+	c.applies++
+	var unknown []int
+	for i, conn := range c.cfg.Workers {
+		req := ConfigureWorkerRequest{Role: next[i], Batch: plan.LightBatch}
+		if next[i] == "heavy" {
+			req.Batch = plan.HeavyBatch
+		}
+		if c.acked[i] == req {
+			c.workerSkipped++
+			continue
+		}
+		c.workerSent++
+		err := conn.Configure(ctx, req)
+		sent(err)
+		if err != nil {
+			req = ConfigureWorkerRequest{}
+			unknown = append(unknown, i)
+		}
+		c.acked[i] = req
 	}
 	c.assigned = next
 	c.configureErrors += failed
 	c.lastApplyErrors = failed
 	if failed > 0 {
-		c.logf("controller: plan half-applied: %d of %d configure RPCs failed (first: %v); the next tick re-sends", failed, 1+len(c.cfg.Workers), firstErr)
+		c.logf("controller: plan half-applied: %d of %d configure RPCs failed (first: %v); the next apply re-sends the LB policy and workers %v", failed, attempted, firstErr, unknown)
 	}
 }
 

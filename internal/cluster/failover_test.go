@@ -298,7 +298,8 @@ func TestShardedLBDegradeSpill(t *testing.T) {
 }
 
 // flakyWorkerConn is a WorkerConn whose first failN Configure calls
-// fail; it remembers the last request that got through.
+// fail and which, like a real conn, fails a call whose context has
+// ended; it remembers the last request that got through.
 type flakyWorkerConn struct {
 	failN int
 	calls int
@@ -307,6 +308,9 @@ type flakyWorkerConn struct {
 
 func (w *flakyWorkerConn) Configure(ctx context.Context, req ConfigureWorkerRequest) error {
 	w.calls++
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	if w.calls <= w.failN {
 		return errors.New("configure severed")
 	}
@@ -319,10 +323,12 @@ func (w *flakyWorkerConn) Stats(ctx context.Context) (WorkerStats, error) {
 }
 
 // TestControllerCountsConfigureErrors pins that a half-applied plan is
-// visible and heals: a worker whose Configure fails twice shows up in
-// ConfigureErrors and LastApplyErrors (and in one log line per failed
-// apply), and because every apply re-sends every worker, the third
-// apply lands the role the first one meant it to have.
+// visible and heals, and that healing costs only the worker that needs
+// it: over three applies of one plan the healthy worker is configured
+// once, while the worker whose first two sends fail stays unknown, is
+// sent every time, and ends holding the role the first apply meant it
+// to have. ConfigureErrors / LastApplyErrors and one log line per
+// failed apply report it.
 func TestControllerCountsConfigureErrors(t *testing.T) {
 	f := newFixtures(t)
 	good, flaky := &flakyWorkerConn{}, &flakyWorkerConn{failN: 2}
@@ -350,16 +356,21 @@ func TestControllerCountsConfigureErrors(t *testing.T) {
 		t.Fatalf("after second apply: %+v, want 2 lifetime / 1 last", st)
 	}
 	loop.Apply(ctx, plan)
-	if st := loop.LoopStats(); st.ConfigureErrors != 2 || st.LastApplyErrors != 0 {
+	st := loop.LoopStats()
+	if st.ConfigureErrors != 2 || st.LastApplyErrors != 0 {
 		t.Fatalf("after third apply: %+v, want 2 lifetime / 0 last", st)
 	}
 	if want := (ConfigureWorkerRequest{Role: "heavy", Batch: 2}); flaky.held != want {
 		t.Fatalf("flaky worker holds %+v after the healing re-send, want %+v", flaky.held, want)
 	}
-	if good.calls != 3 {
-		t.Errorf("healthy worker configured %d times, want once per apply (3)", good.calls)
+	if good.calls != 1 || flaky.calls != 3 {
+		t.Errorf("healthy worker configured %d times, flaky %d; want 1 (acknowledged, then skipped) and 3 (unknown until it acknowledges)", good.calls, flaky.calls)
 	}
-	if len(logs) != 2 || !strings.Contains(logs[0], "1 of 3 configure RPCs failed") {
-		t.Errorf("want one log line per failed apply, got %q", logs)
+	if st.WorkerConfiguresSent != 4 || st.WorkerConfiguresSkipped != 2 {
+		t.Errorf("sent %d / skipped %d worker configures, want 4 / 2", st.WorkerConfiguresSent, st.WorkerConfiguresSkipped)
+	}
+	if len(logs) != 2 || !strings.Contains(logs[0], "1 of 3 configure RPCs failed") ||
+		!strings.Contains(logs[1], "1 of 2 configure RPCs failed") || !strings.Contains(logs[1], "workers [1]") {
+		t.Errorf("want one log line per failed apply naming worker 1, got %q", logs)
 	}
 }

@@ -89,7 +89,13 @@ func Fig7(cfg Config) (*Fig7Result, error) {
 // Render writes the Fig 7 tables.
 func (r *Fig7Result) Render(w io.Writer) {
 	fmt.Fprintln(w, "Figure 7 — discriminator design comparison (FID at matched latency)")
-	for pair, curves := range r.Curves {
+	pairs := make([]string, 0, len(r.Curves))
+	for pair := range r.Curves {
+		pairs = append(pairs, pair)
+	}
+	sort.Strings(pairs)
+	for _, pair := range pairs {
+		curves := r.Curves[pair]
 		fmt.Fprintf(w, "\npair %s\n", pair)
 		names := make([]string, 0, len(curves))
 		for n := range curves {

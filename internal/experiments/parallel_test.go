@@ -93,3 +93,29 @@ func TestFanOutHelper(t *testing.T) {
 		t.Fatalf("empty fan-out: %v %v", out, err)
 	}
 }
+
+// TestFig7RenderIsDeterministic pins the render order of Figure 7's
+// model pairs: the result keeps them in a map, and ranging over it
+// printed the two pair blocks in a different order from run to run, so
+// the table could not be diffed. Two blocks swap with probability 1/2
+// per render; sixteen renders make a regression all but certain to show.
+func TestFig7RenderIsDeterministic(t *testing.T) {
+	r, err := Fig7(Config{Seed: 777, Short: true, Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first bytes.Buffer
+	r.Render(&first)
+	for i := 1; i < 16; i++ {
+		var again bytes.Buffer
+		r.Render(&again)
+		if !bytes.Equal(first.Bytes(), again.Bytes()) {
+			t.Fatalf("render %d of one Fig7 result differs from the first.\nfirst:\n%s\nthen:\n%s", i+1, first.Bytes(), again.Bytes())
+		}
+	}
+	turbo := bytes.Index(first.Bytes(), []byte("pair sdturbo+sdv15"))
+	sdxs := bytes.Index(first.Bytes(), []byte("pair sdxs+sdv15"))
+	if turbo < 0 || sdxs < 0 || turbo > sdxs {
+		t.Errorf("pairs are not rendered in sorted order:\n%s", first.Bytes())
+	}
+}

@@ -2,6 +2,7 @@ package milp
 
 import (
 	"math"
+	"slices"
 )
 
 // IncrementalSolver solves a sequence of related MILPs — the control
@@ -22,7 +23,14 @@ import (
 //     full lo/hi copies, with the best-bound frontier kept as a real
 //     binary heap;
 //   - the previous solve's integral solution seeds the incumbent, so
-//     a tick whose optimum barely moved prunes from node one.
+//     a tick whose optimum barely moved prunes from node one;
+//   - the inner loops walk index lists instead of the dense slab: a
+//     pivot subtracts only the non-zero entries of its pivot row (see
+//     pivoter.pivot), reduced costs sum only the rows whose basic cost
+//     is non-zero (costRows, kept up to date pivot by pivot), and an
+//     RHS rebind only the non-zero right-hand sides. Each list is in
+//     index order, so every sum is formed in the order the dense loop
+//     formed it and every result is bit-identical to it.
 //
 // The zero value is ready to use. A solver is NOT safe for concurrent
 // use; guard it or use one per goroutine. Every Solve falls back to
@@ -59,8 +67,11 @@ type IncrementalSolver struct {
 	lpsSinceRefactor int
 
 	// Pooled scratch.
+	piv        pivoter   // pivot-row gather and work counters
 	costB      []float64 // basic costs (simplex multipliers source)
+	costRows   []int     // rows whose basic cost is non-zero, ascending
 	bS         []float64 // raw per-row RHS
+	bRows      []int     // rows whose raw RHS is non-zero, ascending
 	loS, hiS   []float64 // materialized node bounds
 	rootLo     []float64
 	rootHi     []float64
@@ -96,10 +107,20 @@ type IncrementalStats struct {
 	DualPivots, PrimalPivots int
 	// Nodes counts branch-and-bound nodes across all solves.
 	Nodes int
+	// PivotCells counts the multiply-subtracts the warm path's pivots
+	// executed, PivotDense what they would have executed updating the
+	// same rows across the full row width: their ratio is the share of
+	// a dense update the zero-skipping kernel still pays. Both are
+	// deterministic.
+	PivotCells, PivotDense int
 }
 
 // Stats returns the cumulative path counters.
-func (s *IncrementalSolver) Stats() IncrementalStats { return s.stats }
+func (s *IncrementalSolver) Stats() IncrementalStats {
+	st := s.stats
+	st.PivotCells, st.PivotDense = s.piv.cells, s.piv.dense
+	return st
+}
 
 // bbNode is one branch-and-bound node: a single-variable bound delta
 // off its parent. Bounds are materialized by walking the parent chain
@@ -463,6 +484,11 @@ func (s *IncrementalSolver) adopt(p *Problem) {
 		s.stride = s.total + 1
 		s.bS = resizeF(s.bS, m)
 		s.costB = resizeF(s.costB, m)
+		s.costRows = resizeInt(s.costRows, m)[:0]
+		s.bRows = resizeInt(s.bRows, m)[:0]
+		if cap(s.piv.nz) < s.stride {
+			s.piv.nz = make([]pivotTerm, 0, s.stride)
+		}
 		s.xS = resizeF(s.xS, maxInt(n, s.total))
 		s.basis = resizeInt(s.basis, m)
 		s.savedBasis = resizeInt(s.savedBasis, m)
@@ -664,13 +690,21 @@ func (s *IncrementalSolver) rebindRHS(lo, hi []float64) {
 			r++
 		}
 	}
+	// B⁻¹·b over the non-zero entries of b only, in row order, so each
+	// sum is the one the all-rows loop would form.
+	nz := s.bRows[:0]
+	for k, b := range s.bS[:m] {
+		if b != 0 {
+			nz = append(nz, k)
+		}
+	}
+	s.bRows = nz
 	for ri := 0; ri < m; ri++ {
 		row := s.t[ri]
+		inv := row[n : n+m]
 		sum := 0.0
-		for k := 0; k < m; k++ {
-			if s.bS[k] != 0 {
-				sum += row[n+k] * s.bS[k]
-			}
+		for _, k := range nz {
+			sum += inv[k] * s.bS[k]
 		}
 		row[total] = sum
 	}
@@ -720,7 +754,7 @@ func (s *IncrementalSolver) repivot(saved []int) bool {
 		if best < 0 {
 			return false
 		}
-		pivot(s.t, s.basis, best, c)
+		s.piv.pivot(s.t, s.basis, best, c)
 		claimed[best] = true
 		s.stats.Repivots++
 	}
@@ -766,28 +800,55 @@ func (s *IncrementalSolver) repair() (repairStatus, int) {
 	return st, iters
 }
 
-// reducedCost returns cost_j - c_B·(B⁻¹A)_j using the pooled basic
-// cost vector (fill with fillCostB first).
-func (s *IncrementalSolver) reducedCost(j int) float64 {
-	red := 0.0
+// colCost is column j's cost: only structural columns carry one.
+func (s *IncrementalSolver) colCost(j int) float64 {
 	if j < s.n {
-		red = s.cost[j]
+		return s.cost[j]
 	}
-	for i := 0; i < s.m; i++ {
-		if cb := s.costB[i]; cb != 0 {
-			red -= cb * s.t[i][j]
-		}
+	return 0
+}
+
+// reducedCost returns cost_j - c_B·(B⁻¹A)_j using the pooled basic
+// cost vector (fill with fillCostB first). Only rows whose basic cost
+// is non-zero contribute — the headroom and worker-count columns, a
+// handful of the rows — so the sum walks costRows, in row order.
+func (s *IncrementalSolver) reducedCost(j int) float64 {
+	red := s.colCost(j)
+	for _, i := range s.costRows {
+		red -= s.costB[i] * s.t[i][j]
 	}
 	return red
 }
 
+// fillCostB derives the basic costs, and the list of rows where they
+// are non-zero, from the basis.
 func (s *IncrementalSolver) fillCostB() {
+	rows := s.costRows[:0]
 	for i, bi := range s.basis {
-		if bi < s.n {
-			s.costB[i] = s.cost[bi]
-		} else {
-			s.costB[i] = 0
+		cb := s.colCost(bi)
+		s.costB[i] = cb
+		if cb != 0 {
+			rows = append(rows, i)
 		}
+	}
+	s.costRows = rows
+}
+
+// pivotCostB pivots column col into row r and brings costB and
+// costRows up to date in place, which only row r's entry can need.
+func (s *IncrementalSolver) pivotCostB(r, col int) {
+	s.piv.pivot(s.t, s.basis, r, col)
+	cb := s.colCost(col)
+	was := s.costB[r] != 0
+	s.costB[r] = cb
+	if was == (cb != 0) {
+		return
+	}
+	at, _ := slices.BinarySearch(s.costRows, r)
+	if was {
+		s.costRows = slices.Delete(s.costRows, at, at+1)
+	} else {
+		s.costRows = slices.Insert(s.costRows, at, r)
 	}
 }
 
@@ -814,6 +875,7 @@ func (s *IncrementalSolver) dualFeasible() bool {
 func (s *IncrementalSolver) dualSimplex() (repairStatus, int) {
 	m, total := s.m, s.total
 	iters := 0
+	s.fillCostB()
 	for {
 		iters++
 		if iters > 20000 {
@@ -830,7 +892,6 @@ func (s *IncrementalSolver) dualSimplex() (repairStatus, int) {
 		if r < 0 {
 			return repairOptimal, iters
 		}
-		s.fillCostB()
 		enter := -1
 		bestRatio := math.Inf(1)
 		row := s.t[r]
@@ -855,7 +916,7 @@ func (s *IncrementalSolver) dualSimplex() (repairStatus, int) {
 		if enter < 0 {
 			return repairInfeasible, iters
 		}
-		pivot(s.t, s.basis, r, enter)
+		s.pivotCostB(r, enter)
 		s.stats.DualPivots++
 	}
 }
@@ -867,12 +928,12 @@ func (s *IncrementalSolver) dualSimplex() (repairStatus, int) {
 func (s *IncrementalSolver) primalSimplex() (repairStatus, int) {
 	m, total := s.m, s.total
 	iters := 0
+	s.fillCostB()
 	for {
 		iters++
 		if iters > 20000 {
 			return repairCold, iters
 		}
-		s.fillCostB()
 		enter := -1
 		for j := 0; j < total; j++ {
 			if s.noEnter[j] {
@@ -900,7 +961,7 @@ func (s *IncrementalSolver) primalSimplex() (repairStatus, int) {
 		if leave < 0 {
 			return repairUnbounded, iters
 		}
-		pivot(s.t, s.basis, leave, enter)
+		s.pivotCostB(leave, enter)
 		s.stats.PrimalPivots++
 	}
 }

@@ -2,6 +2,7 @@ package milp
 
 import (
 	"errors"
+	"flag"
 	"math"
 	"testing"
 
@@ -354,4 +355,151 @@ func FuzzWarmVsCold(f *testing.F) {
 			p.Upper[i] = float64(1 + int(next())%4)
 		}
 	})
+}
+
+// maxViolation is the largest amount by which x breaks a bound or a
+// constraint row of p.
+func maxViolation(p *Problem, x []float64) float64 {
+	worst := 0.0
+	for i, v := range x {
+		lo, hi := p.boundsAt(i)
+		worst = math.Max(worst, math.Max(lo-v, v-hi))
+	}
+	for _, c := range p.Constraints {
+		dot := -c.RHS
+		for i, v := range x {
+			dot += c.Coeffs[i] * v
+		}
+		switch c.Rel {
+		case LE:
+			worst = math.Max(worst, dot)
+		case GE:
+			worst = math.Max(worst, -dot)
+		case EQ:
+			worst = math.Max(worst, math.Abs(dot))
+		}
+	}
+	return worst
+}
+
+// sweep sizes TestWarmVsColdLongHorizon. The default is 1/20 of the
+// full horizon and keeps the package under a second; `make
+// sweep-allocator` runs -sweep 100000.
+var sweep = flag.Int("sweep", 5000, "ticks of the long-horizon warm-vs-cold drift test")
+
+// TestWarmVsColdLongHorizon is the drift property the periodic cold
+// refactor exists for: one IncrementalSolver lives through the whole
+// horizon of perturbed ticks on a fixed-shape problem — RHS, matrix and
+// bound walks, the three ways a control tick moves — crossing
+// refactorEvery many times (some 230 at full size), and at every tick
+// its answer is held against a from-scratch solve: same status, the
+// objective within tolerance, and the warm integer vector integral,
+// feasible and worth the cold optimum (where the optimum is tied the two
+// may legitimately pick different vectors; the objective row is drawn
+// from the reals so that almost never happens, and the test requires
+// the vectors to be identical on nearly every tick).
+func TestWarmVsColdLongHorizon(t *testing.T) {
+	ticks := *sweep
+	r := stats.NewRNG(20).Stream("long-horizon")
+	const n, nCons = 5, 4
+	// Branch-and-bound accepts integers within intTol of whole and snaps
+	// them, which can move a row with coefficients up to 3 by this much.
+	const snapTol = n * 3 * intTol
+	p := &Problem{
+		Sense:     Maximize,
+		Objective: make([]float64, n),
+		Upper:     make([]float64, n),
+		Integer:   []bool{true, true, true, true, false},
+	}
+	for i := 0; i < n; i++ {
+		p.Objective[i] = r.Uniform(0.5, 5)
+		p.Upper[i] = float64(2 + r.Intn(5))
+	}
+	rels := [nCons]Rel{LE, LE, GE, EQ}
+	for k := 0; k < nCons; k++ {
+		co := make([]float64, n)
+		for i := range co {
+			co[i] = r.Uniform(0.2, 3)
+		}
+		p.Constraints = append(p.Constraints, Constraint{Coeffs: co, Rel: rels[k]})
+	}
+	// RHS values that keep most ticks feasible: the GE and EQ rows well
+	// inside what the LE rows allow.
+	rhsLo := [nCons]float64{6, 6, 1, 2}
+	rhsHi := [nCons]float64{30, 30, 5, 9}
+	for k := range p.Constraints {
+		p.Constraints[k].RHS = (rhsLo[k] + rhsHi[k]) / 2
+	}
+	reflect := func(v, lo, hi float64) float64 {
+		if v < lo {
+			v = 2*lo - v
+		}
+		if v > hi {
+			v = 2*hi - v
+		}
+		return math.Min(math.Max(v, lo), hi)
+	}
+
+	var warm IncrementalSolver
+	optimal, infeasible, sameVector := 0, 0, 0
+	for tick := 0; tick < ticks; tick++ {
+		switch r.Intn(4) {
+		case 0, 1: // demand moved: an RHS walks
+			k := r.Intn(nCons)
+			p.Constraints[k].RHS = reflect(p.Constraints[k].RHS+r.Normal(0, 1.5), rhsLo[k], rhsHi[k])
+		case 2: // demand enters the matrix: a coefficient walks
+			k, i := r.Intn(nCons), r.Intn(n)
+			p.Constraints[k].Coeffs[i] = reflect(p.Constraints[k].Coeffs[i]+r.Normal(0, 0.3), 0.2, 3)
+		case 3: // a root bound moves
+			p.Upper[r.Intn(n)] = float64(1 + r.Intn(6))
+		}
+		got, err := warm.Solve(p)
+		if err != nil {
+			t.Fatalf("tick %d: warm: %v", tick, err)
+		}
+		var cold IncrementalSolver
+		want, err := cold.Solve(p)
+		if err != nil {
+			t.Fatalf("tick %d: cold: %v", tick, err)
+		}
+		if got.Status != want.Status {
+			t.Fatalf("tick %d: warm status %v, cold %v\nproblem: %+v", tick, got.Status, want.Status, p)
+		}
+		if got.Status != StatusOptimal {
+			infeasible++
+			continue
+		}
+		optimal++
+		tol := 1e-6 * math.Max(1, math.Abs(want.Objective))
+		if math.Abs(got.Objective-want.Objective) > tol {
+			t.Fatalf("tick %d: warm objective %v, cold %v (after %d warm LPs)\nproblem: %+v\nwarm x=%v cold x=%v",
+				tick, got.Objective, want.Objective, warm.Stats().WarmLPs, p, got.X, want.X)
+		}
+		dot, same := 0.0, true
+		for i, v := range got.X {
+			if p.Integer[i] {
+				if v != math.Round(v) {
+					t.Fatalf("tick %d: warm x[%d] = %v is not integral", tick, i, v)
+				}
+				same = same && v == want.X[i]
+			}
+			dot += p.Objective[i] * v
+		}
+		if v := maxViolation(p, got.X); v > snapTol || math.Abs(dot-want.Objective) > tol {
+			t.Fatalf("tick %d: warm vector %v (violation %g, worth %v) against the cold optimum %v at %v\nproblem: %+v",
+				tick, got.X, v, dot, want.Objective, want.X, p)
+		}
+		if same {
+			sameVector++
+		}
+	}
+	st := warm.Stats()
+	t.Logf("%d ticks: %d optimal (%d with the cold solve's integer vector), %d infeasible; %d warm / %d cold LPs, %d refactor periods crossed",
+		ticks, optimal, sameVector, infeasible, st.WarmLPs, st.ColdLPs, st.WarmLPs/refactorEvery)
+	if st.WarmLPs < refactorEvery || st.WarmLPs < 4*st.ColdLPs {
+		t.Errorf("horizon too easy: %d warm and %d cold LPs never cross refactorEvery = %d on the warm path", st.WarmLPs, st.ColdLPs, refactorEvery)
+	}
+	if optimal < ticks/2 || sameVector < optimal*99/100 {
+		t.Errorf("%d of %d ticks optimal, %d with identical integer vectors: the walk should stay mostly feasible and mostly untied", optimal, ticks, sameVector)
+	}
 }

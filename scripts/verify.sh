@@ -64,12 +64,12 @@ go test -race ./internal/loadbalancer/
 # search vs the legacy MILP-per-probe bisect) at their default size —
 # raced under the detector (ISSUE 10 acceptance bar).
 go test -race ./internal/milp/ ./internal/allocator/
-# sweep-allocator leg: the same two property tests at full size —
-# 10 500 random observations x every threshold-grid index x 7 config
-# variants against the solver, 10 500 drifting-demand ticks against
-# the legacy bisect (~40 s). Kept out of `go test ./...` so it does not
-# compete for the box with the wall-clock-calibrated cluster tests.
-go test -run 'TestOracleMatchesSolver|TestAllocateMatchesLegacyBisect' ./internal/allocator/ -sweep 1500
+# sweep-allocator leg: the same two property tests at full size
+# (10 500 observations, 10 500 ticks) and the solver's long-horizon
+# warm-vs-cold drift test (10^5 ticks) — see the Makefile target. Kept
+# out of `go test ./...` so it does not compete for the box with the
+# wall-clock-calibrated cluster tests.
+make sweep-allocator
 # poolpoison leg: recycled wire buffers are filled with NaN sentinels
 # on release, so any handler that reads or resolves through a buffer
 # the pool already owns fails loudly instead of serving stale floats.
