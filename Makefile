@@ -126,62 +126,101 @@ allocs-gate:
 	printf '%s\n' "$$out" | $(GO) run ./cmd/benchjson \
 		-max-allocs 'BenchmarkWirePath/tcp=16,BenchmarkWirePath/inproc=8'
 
-# race runs the concurrent packages' tests under the race detector:
-# the cluster data path, the parallel helpers, and the benchmark's
-# smoke test, which drives cluster.Run end to end. -short skips the
-# wall-clock-calibrated harness assertions the ~10x slowdown distorts.
+# race is every race-detector leg, the one list scripts/verify.sh and
+# CI run too; each leg is also a target of its own. -short (where set)
+# skips the wall-clock-calibrated harness assertions the ~10x slowdown
+# distorts. Raise COUNT for a longer hunt on the soak legs.
+COUNT ?= 2
 .PHONY: race
-race:
-	$(GO) test -race -short ./internal/cluster/ ./internal/parallel/ ./benchmark/
+race: race-cluster race-sharded race-posted race-reshard race-autoscale chaos-soak race-solver race-poison
 
-# poison-test re-runs the cluster suite with recycled buffers filled
-# with NaN sentinels on release (see pool_poison.go): any read or
-# resolve of a buffer the pool already owns fails loudly instead of
-# silently serving stale floats. The full suite runs without the race
-# detector; the race leg is -short because the ~10x slowdown distorts
-# the wall-clock-calibrated harness assertions.
-.PHONY: poison-test
-poison-test:
-	$(GO) test -tags poolpoison ./internal/cluster/
+# race-cluster: the cluster data path (the per-pool lock stress hammer
+# and the transport conformance matrix included), the parallel helpers,
+# the consistent-hash ring, and the benchmark's smoke test, which
+# drives cluster.Run end to end with the controller ticking.
+.PHONY: race-cluster
+race-cluster:
+	$(GO) test -race -short ./internal/cluster/ ./internal/parallel/ ./benchmark/
+	$(GO) test -race ./internal/loadbalancer/
+
+# race-sharded: the frontend fan-out/merge paths, the missed-wakeup
+# notifier, and the drain/complete idempotency guard.
+.PHONY: race-sharded
+race-sharded:
+	$(GO) test -race -short -count=$(COUNT) \
+		-run 'TestShardedLBStress|TestLBPoolWakeupStress|TestDrainCompleteRaceNoDoubleResolve|TestNotifierCoalescing' \
+		./internal/cluster/
+
+# race-posted: the tcp transport's posted calls — posters, callers, the
+# flusher and the read loop sharing one connection; replay after a lost
+# connection; the bound; Close with frames unacknowledged; try-first
+# serving. (The posted-order conformance row is single-threaded and
+# runs once per transport in race-cluster.)
+.PHONY: race-posted
+race-posted:
+	$(GO) test -race -count=10 \
+		-run 'TestTCPPosted|TestTCPCloseWithPostedFrames|TestTCPInlineResponseNotStranded|TestTCPTryFirst' \
+		./internal/cluster/
+
+# race-reshard: the dynamic-membership machinery — epoch flips, drain
+# migration, retired-shard sweeps, worker re-pinning.
+.PHONY: race-reshard
+race-reshard:
+	$(GO) test -race -short -count=$(COUNT) \
+		-run 'TestReshardChaosNoLostOrDoubleResolve|TestTransportConformance/.*/epoch-flip-atomic-submit|TestTransportConformance/.*/drain-pull-ownership' \
+		./internal/cluster/
+
+# race-autoscale: the elasticity loop — the controller alone scales a
+# 1-shard frontend to 4 and back under a bursty trace (zero lost or
+# double-resolved queries, bounded epochs), plus the epoch-collapse and
+# retired-pump-termination regressions and the membership-endpoint
+# follower sync. Not -short: the soak is the point, and its clock
+# headroom tolerates the race slowdown.
+.PHONY: race-autoscale
+race-autoscale:
+	$(GO) test -race -count=1 \
+		-run 'TestHarnessAutoscaleTopology|TestManyReshardsCollapseEpochs|TestRetiredPumpsTerminate|TestMembershipEndpointHTTP|TestMembershipFollowerSyncsOverTCP' \
+		./internal/cluster/
+
+# chaos-soak: the fault-tolerance suite — the worker-churn soak (killed
+# workers, severed conns, injected drops/latency, exactly-once
+# accounting), the lease-reclaim and retry-after-sever conformance rows
+# on every transport, and the controller/shard failover units.
+.PHONY: chaos-soak
+chaos-soak:
+	$(GO) test -race -count=$(COUNT) \
+		-run 'TestChaosWorkerChurnNoLostQueries|TestTransportConformance/.*/lease-reclaim-exactly-once|TestTransportConformance/.*/retry-after-sever|TestControllerConservativeFailover|TestShardedLBDegradeSpill' \
+		./internal/cluster/
+
+# race-solver: the warm-started incremental solver and the allocator's
+# threshold search over it — warm-vs-cold equivalence, node-limit
+# degradation, concurrent Allocate calls serializing on one solver, and
+# the property tests at their default size.
+.PHONY: race-solver
+race-solver:
+	$(GO) test -race ./internal/milp/ ./internal/allocator/
+
+# race-poison: the cluster suite under the race detector with recycled
+# buffers filled with NaN sentinels on release (see pool_poison.go).
+.PHONY: race-poison
+race-poison:
 	$(GO) test -race -short -tags poolpoison ./internal/cluster/
+
+# poison-test runs the cluster suite with recycled buffers poisoned on
+# release: any read or resolve of a buffer the pool already owns — a
+# posted frame recycled before its acknowledgement, say — fails loudly
+# instead of silently serving stale bytes. The full suite runs without
+# the race detector; the race leg is race-poison above (`make race
+# poison-test` runs it once).
+.PHONY: poison-test
+poison-test: race-poison
+	$(GO) test -tags poolpoison ./internal/cluster/
 
 # bench-ring compares the consistent-hash ring lookup against the
 # static-modulus ShardOf baseline (acceptance bar: ring within 2x).
 .PHONY: bench-ring
 bench-ring:
 	$(GO) test -run '^$$' -bench 'BenchmarkRingLookup|BenchmarkShardOf' -benchmem ./internal/loadbalancer/
-
-# race-reshard hammers the dynamic-membership machinery — epoch
-# flips, drain migration, retired-shard sweeps, worker re-pinning —
-# under the race detector (the newest concurrency surface).
-.PHONY: race-reshard
-race-reshard:
-	$(GO) test -race -short -count=2 \
-		-run 'TestReshardChaosNoLostOrDoubleResolve|TestTransportConformance/.*/epoch-flip-atomic-submit|TestTransportConformance/.*/drain-pull-ownership' \
-		./internal/cluster/
-
-# race-autoscale soaks the elasticity loop under the race detector:
-# the controller alone scales a 1-shard frontend to 4 and back under a
-# bursty trace (zero lost/double-resolved queries, bounded epochs),
-# plus the epoch-collapse and retired-pump-termination regressions and
-# the membership-endpoint follower sync.
-.PHONY: race-autoscale
-race-autoscale:
-	$(GO) test -race -count=2 \
-		-run 'TestHarnessAutoscaleTopology|TestManyReshardsCollapseEpochs|TestRetiredPumpsTerminate|TestMembershipEndpointHTTP|TestMembershipFollowerSyncsOverTCP' \
-		./internal/cluster/
-
-# chaos-soak runs the fault-tolerance suite under the race detector:
-# the worker-churn soak (killed workers, severed conns, injected
-# drops/latency — exactly-once accounting), the lease-reclaim and
-# retry-after-sever conformance rows on every transport, and the
-# controller/shard failover units. Raise COUNT for a longer hunt.
-COUNT ?= 2
-.PHONY: chaos-soak
-chaos-soak:
-	$(GO) test -race -count=$(COUNT) \
-		-run 'TestChaosWorkerChurnNoLostQueries|TestTransportConformance/.*/lease-reclaim-exactly-once|TestTransportConformance/.*/retry-after-sever|TestControllerConservativeFailover|TestShardedLBDegradeSpill' \
-		./internal/cluster/
 
 # fuzz-smoke runs each fuzz target briefly on top of the committed
 # seed corpus (testdata/fuzz): the decoders, the ring, warm-vs-cold

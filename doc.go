@@ -52,7 +52,10 @@
 //     clients decode long polls into reusable response structs
 //     (cluster.ReusingLBConn), request/response correlation reuses
 //     generation-checked slots instead of per-call channels, and
-//     frame writes coalesce into one flush per burst. The standalone
+//     frame writes coalesce into one flush per burst. SubmitBatch
+//     and Complete are posted: accepted in order, applied before any
+//     later call on the same conn, replayed on redial until
+//     acknowledged (cluster.LBConn states the contract). The standalone
 //     binaries accept -transport=tcp to serve and dial this protocol;
 //     the sim-vs-cluster validation runs it at 50x real time.
 //   - "inproc": in-process direct dispatch with zero serialization —

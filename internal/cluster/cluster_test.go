@@ -1,7 +1,11 @@
 package cluster
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -16,6 +20,43 @@ import (
 	"diffserve/internal/stats"
 	"diffserve/internal/trace"
 )
+
+// postJSON talks to an LBServer's mux the way an external JSON client
+// would: plain JSON over HTTP, no LBConn.
+func postJSON(client *http.Client, url string, in, out interface{}) error {
+	body, err := json.Marshal(in)
+	if err != nil {
+		return fmt.Errorf("cluster: marshal %s: %w", url, err)
+	}
+	resp, err := client.Post(url, "application/json", bytes.NewReader(body))
+	if err != nil {
+		return fmt.Errorf("cluster: post %s: %w", url, err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("cluster: post %s: status %s", url, resp.Status)
+	}
+	if out == nil {
+		return nil
+	}
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		return fmt.Errorf("cluster: decode %s: %w", url, err)
+	}
+	return nil
+}
+
+// getJSON fetches a JSON document.
+func getJSON(client *http.Client, url string, out interface{}) error {
+	resp, err := client.Get(url)
+	if err != nil {
+		return fmt.Errorf("cluster: get %s: %w", url, err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("cluster: get %s: status %s", url, resp.Status)
+	}
+	return json.NewDecoder(resp.Body).Decode(out)
+}
 
 type fixtures struct {
 	space  *imagespace.Space

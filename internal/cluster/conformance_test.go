@@ -220,6 +220,49 @@ func testTransportConformance(t *testing.T, tc transportCase) {
 		}
 	})
 
+	t.Run("posted-order", func(t *testing.T) {
+		// SubmitBatch and Complete returning nil means applied before any
+		// later call on the same conn is served, on every transport —
+		// also the ones that return before the server has answered. A
+		// zero-wait pull right behind a submit therefore sees the whole
+		// batch, and a zero-wait poll right behind a complete every
+		// result.
+		tp := tc.mk()
+		defer tp.Close()
+		conn := serveTestLB(t, tp, NewLBServer(LBConfig{
+			Mode: loadbalancer.ModeCascade, SLO: 1e9,
+			LightMinExec: 0.1, HeavyMinExec: 1.78,
+			Clock: NewClock(1), Seed: 1, CoalesceWait: 1e-9,
+		}))
+		ctx := context.Background()
+		const rounds, batch = 1000, 4
+		qs := make([]QueryMsg, batch)
+		var pulled PullResponse
+		var results ResultsResponse
+		for r := 0; r < rounds; r++ {
+			for j := range qs {
+				qs[j] = QueryMsg{ID: r*batch + j, Arrival: 0.001}
+			}
+			if err := conn.SubmitBatch(ctx, SubmitRequest{Queries: qs}); err != nil {
+				t.Fatal(err)
+			}
+			if err := PullIntoConn(ctx, conn, PullRequest{Role: "light", Max: batch}, &pulled); err != nil || len(pulled.Queries) != batch {
+				t.Fatalf("round %d: zero-wait pull behind a submit returned %d of %d: %v", r, len(pulled.Queries), batch, err)
+			}
+			if err := completeAll(ctx, conn, 0, "light", pulled, 0.9); err != nil {
+				t.Fatal(err)
+			}
+			if err := PollResultsIntoConn(ctx, conn, ResultsRequest{Max: batch}, &results); err != nil || len(results.Results) != batch {
+				t.Fatalf("round %d: zero-wait poll behind a complete returned %d of %d: %v", r, len(results.Results), batch, err)
+			}
+			for j, res := range results.Results {
+				if res.ID != r*batch+j || res.Dropped {
+					t.Fatalf("round %d: result %d = %+v", r, j, res)
+				}
+			}
+		}
+	})
+
 	t.Run("sharded-topology", func(t *testing.T) {
 		// A 2-shard tier over this transport: the frontend must
 		// partition by loadbalancer.ShardOf identically to every other
@@ -444,7 +487,10 @@ func testTransportConformance(t *testing.T, tc transportCase) {
 		if err := conn.SubmitBatch(ctx, SubmitRequest{Queries: drained.Queries}); err != nil {
 			t.Fatal(err)
 		}
-		pulled, err := conn.Pull(ctx, PullRequest{Role: "light", Max: 8, Wait: 5})
+		// The batch is queued but inside its coalesce window; the pull
+		// returns the moment it is dispatchable. Wait is a ceiling that
+		// must not expire first on a loaded box (5 would be 5 ms here).
+		pulled, err := conn.Pull(ctx, PullRequest{Role: "light", Max: 8, Wait: 5000})
 		if err != nil || len(pulled.Queries) != 2 {
 			t.Fatalf("post-migration pull = %+v, %v", pulled, err)
 		}

@@ -161,6 +161,12 @@ func TestShardedLBAssignmentDeterminism(t *testing.T) {
 		if err := fe.SubmitBatch(context.Background(), SubmitRequest{Queries: qs}); err != nil {
 			t.Fatal(err)
 		}
+		// The pulls below go to the servers directly, not through the
+		// conns the submit was accepted on: a responding call on every
+		// shard's conn is the barrier that it has been applied.
+		if _, err := fe.Stats(context.Background()); err != nil {
+			t.Fatal(err)
+		}
 		out := map[int]int{}
 		for s, lb := range lbs {
 			for {

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -31,8 +32,27 @@ import (
 // A client writes request frames on one persistent connection and
 // correlates responses by id, so any number of in-flight calls —
 // including server-side-blocking long polls — share the connection.
-// The server dispatches each request frame to its own goroutine and
-// serializes response frames through a per-connection writer.
+//
+// The server decodes and serves every request on the connection's read
+// loop, in arrival order. A method that can park (Pull, PollResults) is
+// first tried without waiting and answered inline when something was
+// ready or nothing was asked to wait; only a call that really has to
+// park gets a goroutine. Inline responses are buffered and leave in one
+// write when the read loop has consumed everything it received (or
+// hands a request to a goroutine), so [Complete, Pull] arriving in one
+// segment costs one read and one write.
+//
+// The client has two primitives. call writes a request, flushes, and
+// waits for the response. post (SubmitBatch, Complete: requests whose
+// response carries nothing) buffers the request and returns; the frame
+// leaves with the next call's flush or, failing that, with the
+// connection's flusher goroutine, and the read loop consumes the
+// acknowledgement. A posted frame is kept until it is acknowledged: if
+// the connection dies first, the next dial writes every unacknowledged
+// frame again, oldest first, before anything new. Together with the
+// in-order read loop that gives a post these semantics: accepted in
+// order on this conn; applied before any later call on the same conn is
+// served; delivered at least once across redials.
 
 const (
 	// frameHeaderLen is the fixed body header: kind + method + codec
@@ -212,27 +232,29 @@ func appendFrame(b []byte, kind, method, cID byte, id uint64, codec Codec, msg i
 // the message a method decodes into (nil for methods with no request
 // payload, ok=false for methods the service does not serve), and
 // serve runs the fully decoded request. Splitting decode from serve
-// lets the dispatcher recycle the frame buffer before serve blocks —
-// long polls hold requests open for seconds and must not pin pooled
+// lets the read loop recycle the frame buffer before serve runs — long
+// polls hold requests open for seconds and must not pin pooled
 // buffers.
 //
-// newRequest hands out pooled structs; the dispatcher owns them and
+// newRequest hands out pooled structs; the server owns them and
 // returns both request and response to the pools via ReleaseMessage
 // once the response frame is written. Handlers therefore must not
 // retain anything a request references past serve's return (strings
 // are immutable and exempt; the LB interns feature slices into the
 // collector arena).
 //
-// blocking marks the methods that can park for a long-poll wait; only
-// those get their own dispatch goroutine. Quick methods (submit,
-// complete, configure, stats) serve inline on the read loop, saving
-// the spawn and letting consecutive responses share one coalesced
-// flush.
+// serve is first called on the connection's read loop with park false:
+// it must not block, and answers errWouldPark when the call can only
+// be served by waiting (a long poll that found nothing, a blocking
+// submit). The server then calls it again with park true on a
+// goroutine of its own. Methods that never wait ignore park.
 type tcpService interface {
 	newRequest(method byte) (msg interface{}, ok bool)
-	serve(ctx context.Context, method byte, req interface{}) (interface{}, error)
-	blocking(method byte) bool
+	serve(ctx context.Context, method byte, req interface{}, park bool) (interface{}, error)
 }
+
+// errWouldPark is serve's answer to a call it was told not to park for.
+var errWouldPark = errors.New("cluster: tcp call would park")
 
 // TCPServer serves a component's API over the framed TCP protocol.
 // Construct one with ServeLBTCP or ServeWorkerTCP.
@@ -286,15 +308,12 @@ func (lbService) newRequest(method byte) (interface{}, bool) {
 	return nil, false
 }
 
-func (lbService) blocking(method byte) bool {
-	// Submit long-polls for its query's resolution; results and pull
-	// park on their wait windows. Everything else returns promptly.
-	return method == methodQuery || method == methodResults || method == methodPull
-}
-
-func (l lbService) serve(ctx context.Context, method byte, req interface{}) (interface{}, error) {
+func (l lbService) serve(ctx context.Context, method byte, req interface{}, park bool) (interface{}, error) {
 	switch method {
 	case methodQuery:
+		if !park {
+			return nil, errWouldPark // blocks until the query resolves
+		}
 		resp, ok := l.s.Submit(ctx, *req.(*QueryMsg))
 		if !ok {
 			return nil, errors.New("query cancelled")
@@ -304,12 +323,33 @@ func (l lbService) serve(ctx context.Context, method byte, req interface{}) (int
 		l.s.SubmitBatchReq(*req.(*SubmitRequest))
 		return nil, nil
 	case methodResults:
+		// Try first: a long poll is served without parking when results
+		// are already buffered.
+		r := *req.(*ResultsRequest)
+		try := !park && r.Wait > 0
+		if try {
+			r.Wait = 0
+		}
 		resp := getResultsResponse()
-		l.s.PollResultsInto(ctx, *req.(*ResultsRequest), resp)
+		l.s.PollResultsInto(ctx, r, resp)
+		if try && len(resp.Results) == 0 {
+			ReleaseMessage(resp)
+			return nil, errWouldPark
+		}
 		return resp, nil
 	case methodPull:
+		// Try first, as above; a drain pull never waits.
+		r := *req.(*PullRequest)
+		try := !park && r.Wait > 0 && !r.Drain
+		if try {
+			r.Wait = 0
+		}
 		resp := getPullResponse()
-		l.s.PullInto(ctx, *req.(*PullRequest), resp)
+		l.s.PullInto(ctx, r, resp)
+		if try && len(resp.Queries) == 0 {
+			ReleaseMessage(resp)
+			return nil, errWouldPark
+		}
 		return resp, nil
 	case methodComplete:
 		l.s.Complete(*req.(*CompleteRequest))
@@ -341,9 +381,7 @@ func (workerService) newRequest(method byte) (interface{}, bool) {
 	return nil, false
 }
 
-func (workerService) blocking(byte) bool { return false }
-
-func (w workerService) serve(ctx context.Context, method byte, req interface{}) (interface{}, error) {
+func (w workerService) serve(_ context.Context, method byte, req interface{}, _ bool) (interface{}, error) {
 	switch method {
 	case methodConfigureWorker:
 		w.s.Configure(*req.(*ConfigureWorkerRequest))
@@ -433,70 +471,65 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 		bp := getFrame()
 		f, buf, err := readFrame(br, (*bp)[:0])
 		*bp = buf
-		if err != nil {
+		if err != nil || f.kind != frameRequest {
 			putFrame(bp)
 			return // closed, EOF, or protocol violation: drop the conn
 		}
-		if f.kind != frameRequest {
-			putFrame(bp)
-			return
+		codec := codecByID(f.codec)
+		req, err := s.decode(f, codec)
+		// The frame buffer is recycled as soon as the request is decoded,
+		// before serve can block; only f's header fields live on.
+		f.payload = nil
+		putFrame(bp)
+		var resp interface{}
+		if err == nil {
+			resp, err = s.svc.serve(ctx, f.method, req, false)
 		}
-		s.wg.Add(1)
-		if s.svc.blocking(f.method) {
-			// Long polls get their own goroutine so they never block the
-			// connection's other in-flight requests.
-			go s.dispatch(ctx, w, f, bp)
-		} else {
-			// Quick methods serve inline: no spawn, and consecutive
-			// responses on a busy connection share one coalesced flush.
-			s.dispatch(ctx, w, f, bp)
+		if err == errWouldPark {
+			// The call has to wait, on a goroutine of its own so it never
+			// blocks the connection's other requests. Responses buffered
+			// so far leave first: no acknowledgement waits out a long poll.
+			w.flush()
+			s.wg.Add(1)
+			go s.park(ctx, w, f, codec, req)
+			continue
 		}
+		// Served inline. The response leaves now only if the read loop is
+		// about to block; otherwise it shares a write with the responses
+		// to the frames already received behind this one.
+		w.respond(f, codec, req, resp, err, br.Buffered() == 0)
 	}
 }
 
-// dispatch runs one request to completion and writes its response.
-// The frame buffer is recycled as soon as the request is decoded —
-// before serve blocks — and the pooled request/response messages go
-// back to their pools once the response frame is written (handlers
-// must not retain them; see tcpService).
-func (s *TCPServer) dispatch(ctx context.Context, w *frameWriter, f frame, bp *[]byte) {
-	defer s.wg.Done()
-	codec := codecByID(f.codec)
+// decode returns the pooled message f's payload decodes into: nil for
+// a method that carries no request payload.
+func (s *TCPServer) decode(f frame, codec Codec) (interface{}, error) {
 	req, known := s.svc.newRequest(f.method)
 	if !known {
-		putFrame(bp)
-		w.write(frameError, f.method, f.codec, f.id, codec, nil,
-			fmt.Sprintf("method %d not supported", f.method))
-		return
+		return nil, fmt.Errorf("method %d not supported", f.method)
 	}
-	if req != nil {
-		if f.codec != codecIDBinary {
-			// JSON merges into dirty targets (absent fields keep their
-			// stale values), so pooled requests must be zeroed for it.
-			// The binary decoder overwrites every field and may reuse
-			// the dirty capacity directly.
-			zeroWireMessage(req)
-		}
-		if err := codec.Unmarshal(f.payload, req); err != nil {
-			putFrame(bp)
-			ReleaseMessage(req)
-			w.write(frameError, f.method, f.codec, f.id, codec, nil, err.Error())
-			return
-		}
+	if req == nil {
+		return nil, nil
 	}
-	putFrame(bp)
-	resp, err := s.svc.serve(ctx, f.method, req)
-	if req != nil {
+	if f.codec != codecIDBinary {
+		// JSON merges into dirty targets (absent fields keep their
+		// stale values), so pooled requests must be zeroed for it.
+		// The binary decoder overwrites every field and may reuse
+		// the dirty capacity directly.
+		zeroWireMessage(req)
+	}
+	if err := codec.Unmarshal(f.payload, req); err != nil {
 		ReleaseMessage(req)
+		return nil, err
 	}
-	if err != nil {
-		w.write(frameError, f.method, f.codec, f.id, codec, nil, err.Error())
-		return
-	}
-	w.write(frameResponse, f.method, f.codec, f.id, codec, resp, "")
-	if resp != nil {
-		ReleaseMessage(resp)
-	}
+	return req, nil
+}
+
+// park serves one call that has to wait and writes its response.
+func (s *TCPServer) park(ctx context.Context, w *frameWriter, f frame, codec Codec, req interface{}) {
+	defer s.wg.Done()
+	resp, err := s.svc.serve(ctx, f.method, req, true)
+	w.respond(f, codec, req, resp, err, true)
 }
 
 // frameWriter serializes response frames onto one connection. The
@@ -506,13 +539,17 @@ func (s *TCPServer) dispatch(ctx context.Context, w *frameWriter, f frame, bp *[
 // Closing unblocks the connection's read loop, which tears the
 // serving state down and cancels in-flight handlers.
 //
-// Flushes are coalesced: writers announce themselves on the atomic
-// counter before taking the lock, and only the writer that brings the
-// counter back to zero flushes. Under a burst of concurrent responses
-// (the sharded frontend resolving a fan-out, a worker group's pulls
-// firing together) the buffered frames go out in one syscall instead
-// of one per response; a lone writer still flushes immediately, so
-// latency is unchanged when idle.
+// Who flushes when: the read loop's inline responses ask for a flush
+// only when the read buffer is empty (the loop is about to block), and
+// the loop flushes before it hands a request to a goroutine; a parked
+// call's response always asks. Among writers that ask, flushes are
+// coalesced: writers announce themselves on the atomic counter before
+// taking the lock, and only the writer that brings the counter back to
+// zero flushes. Under a burst of concurrent responses (the sharded
+// frontend resolving a fan-out, a worker group's pulls firing together)
+// the buffered frames go out in one syscall instead of one per
+// response; a lone response is written and flushed in one critical
+// section.
 type frameWriter struct {
 	conn    net.Conn
 	writers atomic.Int32 // announced-but-not-yet-written frames
@@ -521,7 +558,24 @@ type frameWriter struct {
 	err     error
 }
 
-func (w *frameWriter) write(kind, method, cID byte, id uint64, codec Codec, msg interface{}, errText string) {
+// respond writes the response (or error) frame of one served call and
+// returns the pooled request and response messages to their pools
+// (handlers must not retain them; see tcpService).
+func (w *frameWriter) respond(f frame, codec Codec, req, resp interface{}, err error, flush bool) {
+	if req != nil {
+		ReleaseMessage(req)
+	}
+	if err != nil {
+		w.write(frameError, f.method, f.codec, f.id, codec, nil, err.Error(), flush)
+		return
+	}
+	w.write(frameResponse, f.method, f.codec, f.id, codec, resp, "", flush)
+	if resp != nil {
+		ReleaseMessage(resp)
+	}
+}
+
+func (w *frameWriter) write(kind, method, cID byte, id uint64, codec Codec, msg interface{}, errText string, flush bool) {
 	bp := getFrame()
 	b, err := appendFrame((*bp)[:0], kind, method, cID, id, codec, msg, errText)
 	if err != nil {
@@ -539,8 +593,9 @@ func (w *frameWriter) write(kind, method, cID byte, id uint64, codec Codec, msg 
 		}
 		// Last announced writer flushes for everyone; any writer that
 		// announced after our Add(1) is guaranteed to reach its own
-		// flush check, so buffered frames never strand.
-		if w.writers.Add(-1) == 0 && w.err == nil {
+		// flush check, and what an inline response leaves buffered the
+		// read loop flushes before it blocks, so frames never strand.
+		if w.writers.Add(-1) == 0 && flush && w.err == nil {
 			w.err = w.bw.Flush()
 		}
 		if w.err != nil && !wasDead {
@@ -552,11 +607,28 @@ func (w *frameWriter) write(kind, method, cID byte, id uint64, codec Codec, msg 
 	putFrame(bp)
 }
 
+// flush sends whatever inline responses are still buffered.
+func (w *frameWriter) flush() {
+	w.mu.Lock()
+	if w.err == nil && w.bw.Buffered() > 0 {
+		if w.err = w.bw.Flush(); w.err != nil {
+			w.conn.Close()
+		}
+	}
+	w.mu.Unlock()
+}
+
 // --- client ---
 
 // tcpDialAttempts bounds connection-establishment retries before a
 // call fails and the transport reports the error.
 const tcpDialAttempts = 5
+
+// maxPosted bounds the posted frames one connection holds
+// unacknowledged. At the bound a post becomes an ordinary call and
+// waits for its own response, which is the backpressure: a server that
+// stops reading turns posts back into blocking calls.
+const maxPosted = 256
 
 // tcpClient multiplexes calls over one persistent framed connection,
 // redialing (with backoff) when the connection is lost.
@@ -573,6 +645,10 @@ type tcpClient struct {
 	mu      sync.Mutex
 	cs      *tcpConnState // nil when disconnected
 	dialing chan struct{} // non-nil while one caller redials
+	// replay holds the posted frames dead connections left
+	// unacknowledged, oldest first. The next successful dial writes
+	// them before any new frame.
+	replay []*[]byte
 }
 
 // tcpConnState is the per-connection half of the client: the
@@ -593,22 +669,34 @@ type tcpConnState struct {
 	conn   net.Conn
 	bw     *bufio.Writer
 
-	// writers counts announced-but-not-yet-written request frames for
-	// coalesced flushing (same discipline as frameWriter).
+	// writers counts announced-but-not-yet-written frames of calls for
+	// coalesced flushing (same discipline as frameWriter). Posts do not
+	// announce: they leave their frame buffered for the next call's
+	// flush and kick flushLoop in case none comes.
 	writers atomic.Int32
+	kick    chan struct{}  // 1-buffered: a post buffered a frame
+	done    chan struct{}  // closed by fail
+	loops   sync.WaitGroup // readLoop and flushLoop
 
-	mu    sync.Mutex
-	slots []*tcpSlot
-	free  []uint32 // free slot indexes, LIFO for cache warmth
-	dead  bool
-	err   error
+	mu      sync.Mutex
+	slots   []*tcpSlot
+	free    []uint32 // free slot indexes, LIFO for cache warmth
+	posted  int      // slots holding an unacknowledged posted frame
+	postSeq uint64   // posts so far: the order a replay keeps
+	dead    bool
+	err     error
 }
 
 // tcpSlot is one reusable waiter: the channel survives across calls.
+// A posted call has no waiter; its slot instead keeps the request
+// frame (post, in post order seq) until the read loop sees the
+// acknowledgement, so a lost connection can write it again.
 type tcpSlot struct {
 	ch   chan tcpResult
 	gen  uint32
 	busy bool
+	post *[]byte
+	seq  uint64
 }
 
 // acquireSlotLocked returns a slot and the frame id encoding it.
@@ -644,6 +732,19 @@ func (cs *tcpConnState) releaseSlotLocked(id uint64) {
 	default:
 	}
 	cs.free = append(cs.free, idx)
+}
+
+// postLocked takes a slot that keeps the encoded request frame bp
+// until its acknowledgement and buffers the frame, unflushed. Callers
+// must hold cs.mu.
+func (cs *tcpConnState) postLocked(bp *[]byte) error {
+	sl, id := cs.acquireSlotLocked()
+	binary.BigEndian.PutUint64((*bp)[7:7+8], id)
+	cs.postSeq++
+	sl.post, sl.seq = bp, cs.postSeq
+	cs.posted++
+	_, err := cs.bw.Write(*bp)
+	return err
 }
 
 type tcpResult struct {
@@ -710,20 +811,35 @@ func (c *tcpClient) connState(ctx context.Context) (*tcpConnState, error) {
 			c.mu.Unlock()
 
 			cs, err := c.dial(ctx)
+			if err == nil {
+				// Nobody else can see cs yet, and nothing adds to c.replay
+				// while a dial is in flight: what the last connection left
+				// unacknowledged goes out first.
+				c.mu.Lock()
+				lost := c.replay
+				c.replay = nil
+				c.mu.Unlock()
+				if err = cs.replay(lost); err != nil {
+					cs.fail(err) // the frames are back in c.replay
+				}
+			}
 			c.mu.Lock()
 			c.dialing = nil
+			if err == nil && c.closed.Load() {
+				err = ErrTransportClosed
+			}
 			if err == nil {
-				if c.closed.Load() {
-					err = ErrTransportClosed
-					cs.conn.Close()
-				} else {
-					c.cs = cs
-					go cs.readLoop()
-				}
+				c.cs = cs
+				cs.loops.Add(2)
+				go cs.readLoop()
+				go cs.flushLoop()
 			}
 			c.mu.Unlock()
 			close(done)
 			if err != nil {
+				if cs != nil {
+					cs.fail(err) // closed while dialing: the frames go to the pool
+				}
 				return nil, err
 			}
 			continue
@@ -770,7 +886,8 @@ func (c *tcpClient) dial(ctx context.Context) (*tcpConnState, error) {
 		}
 		return &tcpConnState{
 			client: c, conn: conn,
-			bw: bufio.NewWriterSize(conn, 32<<10),
+			bw:   bufio.NewWriterSize(conn, 32<<10),
+			kick: make(chan struct{}, 1), done: make(chan struct{}),
 		}, nil
 	}
 	err = fmt.Errorf("cluster: tcp dial %s: %w (after %d attempts)", c.addr, err, tcpDialAttempts)
@@ -781,6 +898,19 @@ func (c *tcpClient) dial(ctx context.Context) (*tcpConnState, error) {
 // call performs one request/response round trip. in may be nil (empty
 // request payload); out may be nil (response payload discarded).
 func (c *tcpClient) call(ctx context.Context, method byte, in, out interface{}) error {
+	return c.do(ctx, method, in, out, false)
+}
+
+// post sends a request whose response carries nothing and returns
+// without waiting for it: nil means accepted in order on this
+// connection, applied before any later call on it is served, and
+// delivered at least once across redials (see the file comment). At
+// maxPosted unacknowledged frames it is a call.
+func (c *tcpClient) post(ctx context.Context, method byte, in interface{}) error {
+	return c.do(ctx, method, in, nil, true)
+}
+
+func (c *tcpClient) do(ctx context.Context, method byte, in, out interface{}, post bool) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -788,17 +918,35 @@ func (c *tcpClient) call(ctx context.Context, method byte, in, out interface{}) 
 	// id is patched in once assigned.
 	bp := getFrame()
 	b, err := appendFrame((*bp)[:0], frameRequest, method, c.cID, 0, c.codec, in, "")
+	*bp = b
 	if err != nil {
-		*bp = b
 		putFrame(bp)
 		return fmt.Errorf("cluster: tcp marshal method %d: %w", method, err)
 	}
 
 	cs, err := c.connState(ctx)
 	if err != nil {
-		*bp = b
 		putFrame(bp)
 		return err
+	}
+
+	if post {
+		cs.mu.Lock()
+		if !cs.dead && cs.posted < maxPosted {
+			werr := cs.postLocked(bp)
+			cs.mu.Unlock()
+			if werr != nil {
+				// The slot holds the frame: fail queues it for replay.
+				cs.fail(fmt.Errorf("cluster: tcp write %s: %w", c.addr, werr))
+				return nil
+			}
+			select {
+			case cs.kick <- struct{}{}:
+			default: // flushLoop already has a kick pending
+			}
+			return nil
+		}
+		cs.mu.Unlock()
 	}
 
 	// Announce the pending write before taking the lock so concurrent
@@ -809,7 +957,6 @@ func (c *tcpClient) call(ctx context.Context, method byte, in, out interface{}) 
 		cs.writers.Add(-1)
 		err := cs.err
 		cs.mu.Unlock()
-		*bp = b
 		putFrame(bp)
 		return err
 	}
@@ -817,10 +964,9 @@ func (c *tcpClient) call(ctx context.Context, method byte, in, out interface{}) 
 	binary.BigEndian.PutUint64(b[7:7+8], id)
 	_, werr := cs.bw.Write(b)
 	if cs.writers.Add(-1) == 0 && werr == nil {
-		werr = cs.bw.Flush()
+		werr = cs.bw.Flush() // posted frames buffered ahead of b leave with it
 	}
 	cs.mu.Unlock()
-	*bp = b
 	putFrame(bp)
 
 	if werr != nil {
@@ -860,55 +1006,145 @@ func (c *tcpClient) finish(res tcpResult, out interface{}) error {
 	return err
 }
 
-// Close tears down the connection and fails in-flight calls. Further
-// calls return ErrTransportClosed. The atomic flag also aborts any
-// dial-retry cycle in progress before taking the lock.
+// Close tears down the connection, fails in-flight calls, and returns
+// once the connection's goroutines have exited. Further calls return
+// ErrTransportClosed; posted frames still unacknowledged go back to
+// the pool undelivered. The atomic flag also aborts any dial-retry
+// cycle in progress before taking the lock.
 func (c *tcpClient) Close() {
 	c.closed.Store(true)
 	c.mu.Lock()
 	cs := c.cs
 	c.cs = nil
+	lost := c.replay
+	c.replay = nil
 	c.mu.Unlock()
+	for _, bp := range lost {
+		putFrame(bp)
+	}
 	if cs != nil {
 		cs.fail(ErrTransportClosed)
+		cs.loops.Wait()
 	}
 }
 
 // fail marks the connection dead exactly once, resolving every
-// busy slot with err. The next call on the client redials. Sends are
-// non-blocking: a slot whose real response already raced into its
-// buffer keeps that response.
+// waiting slot with err and handing the posted frames still
+// unacknowledged to the client, oldest first, for the next dial to
+// replay. The next call on the client redials. Sends are non-blocking:
+// a slot whose real response already raced into its buffer keeps that
+// response.
 func (cs *tcpConnState) fail(err error) {
-	cs.conn.Close()
+	cs.conn.Close() // first: unblocks a writer holding cs.mu
 	cs.mu.Lock()
-	if !cs.dead {
-		cs.dead = true
-		cs.err = err
-		for _, sl := range cs.slots {
-			if !sl.busy {
-				continue
-			}
+	if cs.dead {
+		cs.mu.Unlock()
+		return
+	}
+	cs.dead = true
+	cs.err = err
+	close(cs.done)
+	var lost []*tcpSlot
+	for _, sl := range cs.slots {
+		switch {
+		case !sl.busy:
+		case sl.post != nil:
+			lost = append(lost, sl)
+		default:
 			select {
 			case sl.ch <- tcpResult{err: err}:
 			default:
 			}
 		}
 	}
+	sort.Slice(lost, func(i, j int) bool { return lost[i].seq < lost[j].seq })
+	frames := make([]*[]byte, len(lost))
+	for i, sl := range lost {
+		frames[i], sl.post, sl.busy = sl.post, nil, false
+	}
+	cs.posted = 0
 	cs.mu.Unlock()
 
+	// Only the caller that marked the connection dead gets here, so
+	// c.cs stays set — and no redial starts — until the frames are
+	// queued for it.
 	c := cs.client
 	c.mu.Lock()
 	if c.cs == cs {
 		c.cs = nil
 	}
+	closed := c.closed.Load()
+	if !closed {
+		c.replay = append(c.replay, frames...)
+	}
 	c.mu.Unlock()
+	if closed {
+		for _, bp := range frames {
+			putFrame(bp)
+		}
+	} else if len(frames) > 0 {
+		c.report(TransientTransportError(fmt.Errorf(
+			"cluster: tcp %s: %d posted frames unacknowledged, replaying on redial: %w", c.addr, len(frames), err)))
+	}
+}
+
+// replay posts the frames a dead connection left unacknowledged, in
+// order, and flushes them. It runs before the connection is visible to
+// any caller, so they reach the server ahead of every new frame. On an
+// error every frame is in a slot all the same: fail hands them back.
+func (cs *tcpConnState) replay(frames []*[]byte) error {
+	if len(frames) == 0 {
+		return nil
+	}
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	var err error
+	for _, bp := range frames {
+		if werr := cs.postLocked(bp); err == nil {
+			err = werr
+		}
+	}
+	if err == nil {
+		err = cs.bw.Flush()
+	}
+	if err != nil {
+		return fmt.Errorf("cluster: tcp replay %s: %w", cs.client.addr, err)
+	}
+	return nil
+}
+
+// flushLoop sends posted frames no call came along to flush. Each post
+// kicks it; there is no timer. With one P it runs when the poster next
+// parks (by then usually in a call that has flushed already, and there
+// is nothing to do); with several it flushes at once from another P.
+func (cs *tcpConnState) flushLoop() {
+	defer cs.loops.Done()
+	for {
+		select {
+		case <-cs.done:
+			return
+		case <-cs.kick:
+		}
+		var err error
+		cs.mu.Lock()
+		// An announced call flushes for everyone (see call).
+		if !cs.dead && cs.writers.Load() == 0 && cs.bw.Buffered() > 0 {
+			err = cs.bw.Flush()
+		}
+		cs.mu.Unlock()
+		if err != nil {
+			cs.fail(fmt.Errorf("cluster: tcp write %s: %w", cs.client.addr, err))
+		}
+	}
 }
 
 // readLoop receives response frames and resolves waiting calls by
-// slot. The generation check and the channel send happen under cs.mu,
-// so a concurrent cancel (which bumps the generation and drains the
-// slot) can never be interleaved with a stale delivery.
+// slot; the acknowledgement of a posted frame it consumes itself. The
+// generation check and the channel send happen under cs.mu, so a
+// concurrent cancel (which bumps the generation and drains the slot)
+// can never be interleaved with a stale delivery.
 func (cs *tcpConnState) readLoop() {
+	defer cs.loops.Done()
 	br := bufio.NewReaderSize(cs.conn, 32<<10)
 	for {
 		bp := getFrame()
@@ -936,6 +1172,22 @@ func (cs *tcpConnState) readLoop() {
 		if sl == nil {
 			cs.mu.Unlock()
 			putFrame(bp) // call cancelled (or never existed): drop it
+			continue
+		}
+		if sl.post != nil {
+			// Acknowledged: the kept frame goes back to the pool.
+			putFrame(sl.post)
+			sl.post = nil
+			cs.posted--
+			cs.releaseSlotLocked(f.id)
+			cs.mu.Unlock()
+			if f.kind == frameError {
+				// Nobody is waiting to be told: the server refused a frame
+				// the caller was promised would be applied.
+				cs.client.report(TransientTransportError(fmt.Errorf(
+					"cluster: tcp remote refused posted method %d: %s", f.method, f.payload)))
+			}
+			putFrame(bp)
 			continue
 		}
 		var res tcpResult
@@ -977,7 +1229,7 @@ func (c tcpLBConn) Submit(ctx context.Context, q QueryMsg) (QueryResponse, error
 }
 
 func (c tcpLBConn) SubmitBatch(ctx context.Context, req SubmitRequest) error {
-	return c.c.call(ctx, methodSubmit, &req, nil)
+	return c.c.post(ctx, methodSubmit, &req)
 }
 
 func (c tcpLBConn) PollResults(ctx context.Context, req ResultsRequest) (ResultsResponse, error) {
@@ -1017,7 +1269,7 @@ func (c tcpLBConn) PullInto(ctx context.Context, req PullRequest, resp *PullResp
 }
 
 func (c tcpLBConn) Complete(ctx context.Context, req CompleteRequest) error {
-	return c.c.call(ctx, methodComplete, &req, nil)
+	return c.c.post(ctx, methodComplete, &req)
 }
 
 func (c tcpLBConn) Configure(ctx context.Context, req ConfigureLBRequest) error {

@@ -12,8 +12,24 @@ import (
 
 // LBConn is a client connection to the load balancer's data and
 // control plane. Implementations: NewHTTPLBConn (persistent HTTP with
-// a pluggable Codec) and NewLocalLBConn (in-process direct dispatch,
-// zero serialization).
+// a pluggable Codec), NewTCPLBConn (framed TCP) and NewLocalLBConn
+// (in-process direct dispatch, zero serialization).
+//
+// SubmitBatch and Complete carry no response, and what their nil means
+// depends on the transport. Over http and in-process it means applied:
+// the server has run the request. Over tcp it means accepted: the
+// request is applied in order with the conn's other SubmitBatch and
+// Complete calls and before any later call on the same conn is served,
+// and it is delivered at least once across redials — if the connection
+// dies before the server's acknowledgement, the conn sends it again
+// ahead of everything else on the next dial (a repeated Complete is a
+// no-op; a repeated SubmitBatch queues its queries again and the first
+// resolution of each is final, as under retryLBConn). On every transport a
+// call that returns a response — Stats is the cheap one — is therefore
+// a barrier: when it returns, everything this conn accepted before it
+// has been applied. Code that looks at the server by any other route
+// (another conn, the LBServer itself) needs that barrier first.
+// Configure is applied when it returns, on every transport.
 type LBConn interface {
 	// Submit admits one query and blocks until it completes or drops.
 	Submit(ctx context.Context, q QueryMsg) (QueryResponse, error)

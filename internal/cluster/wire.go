@@ -65,11 +65,7 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"fmt"
-	"net/http"
 	"sync"
 	"time"
 )
@@ -282,50 +278,6 @@ type LBStats struct {
 	ShedRedelivery    int     `json:"shed_redelivery,omitempty"`
 	LateCompletions   int     `json:"late_completions,omitempty"`
 	DegradedShards    int     `json:"degraded_shards,omitempty"`
-}
-
-// postJSON is the shared JSON-over-HTTP helper (pre-codec wire path,
-// kept for the tests and any external JSON clients).
-func postJSON(client *http.Client, url string, in, out interface{}) error {
-	body, err := json.Marshal(in)
-	if err != nil {
-		return fmt.Errorf("cluster: marshal %s: %w", url, err)
-	}
-	resp, err := client.Post(url, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return fmt.Errorf("cluster: post %s: %w", url, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("cluster: post %s: status %s", url, resp.Status)
-	}
-	if out == nil {
-		return nil
-	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		return fmt.Errorf("cluster: decode %s: %w", url, err)
-	}
-	return nil
-}
-
-// PostJSON posts a JSON document and decodes the JSON response.
-// External JSON clients can use it to talk to the load balancer;
-// in-repo components use an LBConn instead.
-func PostJSON(client *http.Client, url string, in, out interface{}) error {
-	return postJSON(client, url, in, out)
-}
-
-// getJSON fetches a JSON document.
-func getJSON(client *http.Client, url string, out interface{}) error {
-	resp, err := client.Get(url)
-	if err != nil {
-		return fmt.Errorf("cluster: get %s: %w", url, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("cluster: get %s: status %s", url, resp.Status)
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
 }
 
 // Clock converts between wall time and trace time. Now and Restart
