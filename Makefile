@@ -33,6 +33,15 @@ build:
 test:
 	$(GO) test ./...
 
+# loc prints the three sizes the ROADMAP's bars are stated in, counted
+# one way: lines of tracked non-test Go in the repo and in
+# internal/cluster, and lines of tracked _test.go.
+.PHONY: loc
+loc:
+	@printf 'non-test Go, repo:             %s\n' "$$(git ls-files '*.go' | grep -v '_test\.go$$' | xargs cat | wc -l)"
+	@printf 'non-test Go, internal/cluster: %s\n' "$$(git ls-files 'internal/cluster/*.go' | grep -v '_test\.go$$' | xargs cat | wc -l)"
+	@printf '_test.go:                      %s\n' "$$(git ls-files '*_test.go' | xargs cat | wc -l)"
+
 # bench regenerates every figure benchmark (minutes).
 .PHONY: bench
 bench:
@@ -48,10 +57,10 @@ bench-perf:
 	$(GO) test -run '^$$' -bench 'BenchmarkReseedDraw20|BenchmarkLongStream' -benchmem ./internal/stats/
 
 # bench-wire runs the cluster wire-path benchmarks: codec
-# encode/decode and the end-to-end submit/pull/complete/results cycle
-# across the json, binary, tcp, and inproc transports (see
-# PERFORMANCE.md). The machine-readable summary lands in
-# BENCH_wire.json via cmd/benchjson.
+# encode/decode (the binary codec next to its JSON reference) and the
+# end-to-end submit/pull/complete/results cycle across the tcp and
+# inproc transports (see PERFORMANCE.md). The machine-readable summary
+# lands in BENCH_wire.json via cmd/benchjson.
 .PHONY: bench-wire
 bench-wire:
 	@out="$$($(GO) test -run '^$$' -bench 'BenchmarkCodec|BenchmarkWirePath' -benchmem ./internal/cluster/)" \
@@ -116,7 +125,7 @@ sweep-allocator:
 	$(GO) test -run 'TestWarmVsColdLongHorizon' ./internal/milp/ -sweep 100000
 
 # allocs-gate pins the zero-allocation wire path: the end-to-end
-# tcp/binary cycle must stay within 16 allocs/op (8 queries/op, so
+# tcp cycle must stay within 16 allocs/op (8 queries/op, so
 # <= 2 allocs per query) and the in-process transport within 8.
 # Baseline before pooling: tcp 73 allocs/op (see PERFORMANCE.md).
 .PHONY: allocs-gate
@@ -179,13 +188,13 @@ race-reshard:
 .PHONY: race-autoscale
 race-autoscale:
 	$(GO) test -race -count=1 \
-		-run 'TestHarnessAutoscaleTopology|TestManyReshardsCollapseEpochs|TestRetiredPumpsTerminate|TestMembershipEndpointHTTP|TestMembershipFollowerSyncsOverTCP' \
+		-run 'TestHarnessAutoscaleTopology|TestManyReshardsCollapseEpochs|TestRetiredPumpsTerminate|TestMembershipEndpoint|TestMembershipFollowerSyncsOverTCP' \
 		./internal/cluster/
 
 # chaos-soak: the fault-tolerance suite — the worker-churn soak (killed
 # workers, severed conns, injected drops/latency, exactly-once
 # accounting), the lease-reclaim and retry-after-sever conformance rows
-# on every transport, and the controller/shard failover units.
+# on both transports, and the controller/shard failover units.
 .PHONY: chaos-soak
 chaos-soak:
 	$(GO) test -race -count=$(COUNT) \

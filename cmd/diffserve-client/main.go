@@ -11,10 +11,9 @@
 // partitioned by query ID across the shards and results are merged
 // back into one stream.
 //
-//	diffserve-client -lb http://localhost:8100 -trace trace_4to32qps.txt -timescale 0.1
-//	diffserve-client -lb http://localhost:8100 -min 4 -max 32 -duration 360 -codec binary
-//	diffserve-client -lb localhost:8100 -transport tcp -codec binary
-//	diffserve-client -shard-addrs localhost:8100,localhost:8101 -transport tcp
+//	diffserve-client -lb localhost:8100 -trace trace_4to32qps.txt -timescale 0.1
+//	diffserve-client -lb localhost:8100 -min 4 -max 32 -duration 360
+//	diffserve-client -shard-addrs localhost:8100,localhost:8101
 package main
 
 import (
@@ -34,10 +33,9 @@ import (
 
 func main() {
 	var (
-		lbURL      = flag.String("lb", "http://localhost:8100", "load balancer base URL (host:port with -transport tcp)")
+		lbURL      = flag.String("lb", "localhost:8100", "load balancer address (host:port)")
 		shardAddrs = flag.String("shard-addrs", "", "comma-separated LB shard addresses; overrides -lb and partitions the replay across the shards")
 		ringVNodes = flag.Int("ring-vnodes", 0, "virtual nodes per LB shard on the consistent-hash ring (0 = legacy static modulus); must match every peer")
-		transport  = flag.String("transport", "http", "wire transport: http|tcp (raw framed TCP)")
 		traceFile  = flag.String("trace", "", "trace file (empty: generate an Azure-like trace)")
 		cascadeN   = flag.String("cascade", "cascade1", "cascade (for query content + SLO)")
 		minQPS     = flag.Float64("min", 4, "generated trace minimum QPS")
@@ -45,7 +43,6 @@ func main() {
 		duration   = flag.Float64("duration", 360, "generated trace duration (seconds)")
 		seed       = flag.Uint64("seed", 20250610, "shared experiment seed")
 		timescale  = flag.Float64("timescale", 0.1, "wall seconds per trace second")
-		codecName  = flag.String("codec", "json", "wire codec: json|binary")
 	)
 	flag.Parse()
 
@@ -74,26 +71,22 @@ func main() {
 			fatal(err)
 		}
 	}
-	codec, err := cluster.CodecByName(*codecName)
-	if err != nil {
-		fatal(err)
-	}
 
 	arrivals := tr.Arrivals(stats.NewRNG(*seed + 17).Stream("trace"))
-	fmt.Printf("diffserve-client: replaying %s (%d queries) at %gx speed, %s transport, %s codec\n",
-		tr.Name(), len(arrivals), 1 / *timescale, *transport, codec.Name())
+	fmt.Printf("diffserve-client: replaying %s (%d queries) at %gx speed\n",
+		tr.Name(), len(arrivals), 1 / *timescale)
 
 	clock := cluster.NewClock(*timescale)
 	var conn cluster.LBConn
 	if *shardAddrs != "" {
-		frontend, err := cluster.DialShardedLB(*transport, *shardAddrs, codec, clock, *ringVNodes)
+		frontend, err := cluster.DialShardedLB(*shardAddrs, clock, *ringVNodes)
 		if err != nil {
 			fatal(err)
 		}
 		defer frontend.Close()
 		conn = frontend
 		fmt.Printf("diffserve-client: partitioning across %d LB shards\n", frontend.Shards())
-	} else if conn, err = cluster.DialLB(*transport, *lbURL, codec); err != nil {
+	} else if conn, err = cluster.DialLB(*lbURL); err != nil {
 		fatal(err)
 	}
 	col := metrics.NewCollector()
@@ -112,12 +105,15 @@ func main() {
 	wallDeadline := time.Now().Add(clock.WallDuration(tr.Duration()+grace) + 5*time.Second)
 	ctx := context.Background()
 	done := make(chan struct{})
-	go func() { // collector: long-poll completions until all accounted
+	unresolved := 0 // queries whose result never arrived; read after done
+	go func() {     // collector: long-poll completions until all accounted
 		defer close(done)
 		seen := make(map[int]bool, len(arrivals))
 		for len(seen) < len(arrivals) && time.Now().Before(wallDeadline) {
-			resp, err := conn.PollResults(ctx, cluster.ResultsRequest{Max: 1024, Wait: 2})
-			if err != nil {
+			// A fresh response per poll: the collector keeps each result's
+			// Features, which a reused struct would decode over.
+			var resp cluster.ResultsResponse
+			if err := conn.PollResultsInto(ctx, cluster.ResultsRequest{Max: 1024, Wait: 2}, &resp); err != nil {
 				clock.SleepTrace(0.1)
 				continue
 			}
@@ -141,6 +137,7 @@ func main() {
 				})
 			}
 		}
+		unresolved = len(arrivals) - len(seen)
 		for id, at := range arrivals {
 			if !seen[id] {
 				col.Record(metrics.QueryRecord{ID: id, Arrival: at, Deadline: at + env.Spec.SLOSeconds, Dropped: true})
@@ -175,6 +172,7 @@ func main() {
 	}
 	sum := col.Summarize(ref)
 	fmt.Printf("queries          %d\n", sum.Queries)
+	fmt.Printf("unresolved       %d\n", unresolved)
 	fmt.Printf("FID              %.2f\n", sum.FID)
 	fmt.Printf("SLO violations   %.3f (drops %.3f)\n", sum.ViolationRatio, sum.DropRatio)
 	fmt.Printf("deferred         %.2f\n", sum.DeferRatio)

@@ -4,13 +4,12 @@
 // allocation every control interval, and pushes plans to the load
 // balancer and workers.
 //
-//	diffserve-controller -lb http://localhost:8100 \
-//	    -workers http://localhost:50051,http://localhost:50052 \
+//	diffserve-controller -lb localhost:8100 \
+//	    -workers localhost:50051,localhost:50052 \
 //	    -cascade cascade1 -timescale 0.1
 //
-// With -transport=tcp the controller dials the load balancer and the
-// workers over the raw framed-TCP protocol; -lb and -workers then
-// take host:port addresses.
+// The controller dials the load balancer and the workers over the
+// framed-TCP protocol; -lb and -workers take host:port addresses.
 //
 // Against a sharded LB tier, pass the full shard list via
 // -shard-addrs (same order on every process): the controller
@@ -49,24 +48,22 @@ import (
 
 func main() {
 	var (
-		lbURL      = flag.String("lb", "http://localhost:8100", "load balancer base URL (host:port with -transport tcp)")
+		lbURL      = flag.String("lb", "localhost:8100", "load balancer address (host:port)")
 		shardAddrs = flag.String("shard-addrs", "", "comma-separated LB shard addresses; overrides -lb and enables shard-striped role assignment")
 		ringVNodes = flag.Int("ring-vnodes", 0, "virtual nodes per LB shard on the consistent-hash ring (0 = legacy static modulus); must match every peer")
 		adminPort  = flag.Int("admin-port", 0, "admin API port for runtime add-shard/remove-shard (0 = disabled; needs -shard-addrs)")
-		workerCSV  = flag.String("workers", "", "comma-separated worker base URLs (host:port with -transport tcp)")
-		transport  = flag.String("transport", "http", "wire transport to LB and workers: http|tcp (raw framed TCP)")
+		workerCSV  = flag.String("workers", "", "comma-separated worker control-plane addresses (host:port)")
 		cascadeN   = flag.String("cascade", "cascade1", "cascade: cascade1|cascade2|cascade3")
 		slo        = flag.Float64("slo", 0, "SLO seconds (0 = cascade default)")
 		seed       = flag.Uint64("seed", 20250610, "shared experiment seed")
 		timescale  = flag.Float64("timescale", 0.1, "wall seconds per trace second")
 		interval   = flag.Float64("interval", 2, "control period in trace seconds")
-		codecName  = flag.String("codec", "json", "wire codec to LB and workers: json|binary")
 	)
 	flag.Parse()
 
 	workerURLs := strings.Split(*workerCSV, ",")
 	if *workerCSV == "" || len(workerURLs) == 0 {
-		fatal(fmt.Errorf("need -workers URLs"))
+		fatal(fmt.Errorf("need -workers addresses"))
 	}
 
 	env, err := baselines.NewEnv(*cascadeN, *seed, 2000)
@@ -91,25 +88,21 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	codec, err := cluster.CodecByName(*codecName)
-	if err != nil {
-		fatal(err)
-	}
 	clock := cluster.NewClock(*timescale)
 	var lbConn cluster.LBConn
 	var frontend *cluster.ShardedLB
 	shards := 1
 	if *shardAddrs != "" {
-		if frontend, err = cluster.DialShardedLB(*transport, *shardAddrs, codec, clock, *ringVNodes); err != nil {
+		if frontend, err = cluster.DialShardedLB(*shardAddrs, clock, *ringVNodes); err != nil {
 			fatal(err)
 		}
 		lbConn, shards = frontend, frontend.Shards()
-	} else if lbConn, err = cluster.DialLB(*transport, *lbURL, codec); err != nil {
+	} else if lbConn, err = cluster.DialLB(*lbURL); err != nil {
 		fatal(err)
 	}
 	workerConns := make([]cluster.WorkerConn, len(workerURLs))
 	for i, u := range workerURLs {
-		if workerConns[i], err = cluster.DialWorker(*transport, u, codec); err != nil {
+		if workerConns[i], err = cluster.DialWorker(u); err != nil {
 			fatal(err)
 		}
 	}
@@ -121,7 +114,7 @@ func main() {
 		if frontend == nil {
 			fatal(fmt.Errorf("-admin-port needs a sharded tier (-shard-addrs)"))
 		}
-		go serveAdmin(*adminPort, frontend, loop, *transport, codec)
+		go serveAdmin(*adminPort, frontend, loop)
 	}
 	fmt.Printf("diffserve-controller: %d workers, %d LB shard(s), SLO %.1fs, interval %.1fs\n",
 		len(workerURLs), shards, deadline, *interval)
@@ -133,7 +126,7 @@ func main() {
 // a grown ring epoch; POST /remove-shard {"member": N} shrinks the
 // ring and migrates the departing shard's queued work. Role striping
 // follows on the next control tick.
-func serveAdmin(port int, fe *cluster.ShardedLB, loop *cluster.ControllerLoop, transport string, codec cluster.Codec) {
+func serveAdmin(port int, fe *cluster.ShardedLB, loop *cluster.ControllerLoop) {
 	type reshardReq struct {
 		Member int    `json:"member"`
 		Addr   string `json:"addr"`
@@ -155,7 +148,7 @@ func serveAdmin(port int, fe *cluster.ShardedLB, loop *cluster.ControllerLoop, t
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		conn, err := cluster.DialLB(transport, req.Addr, codec)
+		conn, err := cluster.DialLB(req.Addr)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return

@@ -2,11 +2,9 @@
 // standalone process (the artifact's start_load_balancer.sh).
 //
 // Workers pull batches from this process; the controller pushes
-// thresholds; clients POST /query and block until completion.
-//
-// With -transport=tcp the process serves the same API over the raw
-// framed-TCP protocol (persistent multiplexed connections) instead of
-// HTTP; every peer must then dial with -transport=tcp too.
+// thresholds; clients submit query batches and long-poll for their
+// results. The API is served over the framed-TCP protocol (persistent
+// multiplexed connections, binary codec); peers dial host:port.
 //
 // With -lb-shards N the process serves N independent LB shards on
 // consecutive ports (port, port+1, …, port+N-1), each owning the
@@ -23,8 +21,7 @@
 // (the tier must run with matching -ring-vnodes on the frontends).
 //
 //	diffserve-lb -port 8100 -cascade cascade1 -slo 5 -timescale 0.1
-//	diffserve-lb -port 8100 -transport tcp -codec binary
-//	diffserve-lb -port 8100 -lb-shards 2 -transport tcp
+//	diffserve-lb -port 8100 -lb-shards 2
 //	diffserve-lb -port 8100 -lb-shards 2 -admin-port 9101
 package main
 
@@ -32,7 +29,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net"
 	"net/http"
 	"os"
 	"sync"
@@ -51,8 +47,6 @@ func main() {
 		seed      = flag.Uint64("seed", 20250610, "shared experiment seed")
 		timescale = flag.Float64("timescale", 0.1, "wall seconds per trace second")
 		mode      = flag.String("mode", "cascade", "routing: cascade|all-light|all-heavy|random-split")
-		transport = flag.String("transport", "http", "wire transport: http|tcp (raw framed TCP)")
-		codecName = flag.String("codec", "json", "advertised wire codec: json|binary (the server answers each request in the codec it arrived in)")
 		lease     = flag.Float64("lease", 0, "pull-lease duration in trace seconds: a worker that pulls a batch and never completes it forfeits the queries to the expiry sweep (0 = 4x the SLO, negative disables leasing)")
 		leaseRed  = flag.Int("lease-redeliveries", 0, "times an unlucky query is reclaimed and re-queued before it is shed as a drop (0 = default 3)")
 		adminPort = flag.Int("admin-port", 0, "admin API port: POST /add-shard serves one more shard on the next consecutive port (0 = disabled)")
@@ -60,17 +54,8 @@ func main() {
 	)
 	flag.Parse()
 
-	codec, err := cluster.CodecByName(*codecName)
-	if err != nil {
-		fatal(err)
-	}
 	if *shards < 1 {
 		fatal(fmt.Errorf("-lb-shards must be at least 1, got %d", *shards))
-	}
-	switch *transport {
-	case "", "http", cluster.TransportTCP:
-	default:
-		fatal(fmt.Errorf("unknown -transport %q (have http, tcp)", *transport))
 	}
 	env, err := baselines.NewEnv(*cascadeN, *seed, 2000)
 	if err != nil {
@@ -88,33 +73,13 @@ func main() {
 	}[*mode]
 
 	clock := cluster.NewClock(*timescale)
-	fmt.Printf("diffserve-lb: %s, %d shard(s) from port %d (cascade %s, SLO %.1fs, mode %s, %s transport, %s codec)\n",
-		env.Spec.Name, *shards, *port, *cascadeN, deadline, *mode, *transport, codec.Name())
+	fmt.Printf("diffserve-lb: %s, %d shard(s) from port %d (cascade %s, SLO %.1fs, mode %s)\n",
+		env.Spec.Name, *shards, *port, *cascadeN, deadline, *mode)
 
-	errc := make(chan error, 64)
+	errc := make(chan error, 1)
 	var serveMu sync.Mutex
 	nextShard := 0
 	nextPort := *port
-	// bind serves lb on addr, failing synchronously when the port is
-	// occupied (the admin /add-shard must not report an address that
-	// never came up).
-	bind := func(addr string, lb *cluster.LBServer) error {
-		switch *transport {
-		case "", "http":
-			ln, err := net.Listen("tcp", addr)
-			if err != nil {
-				return err
-			}
-			go func(ln net.Listener, lb *cluster.LBServer) {
-				errc <- http.Serve(ln, lb.Mux())
-			}(ln, lb)
-			return nil
-		case cluster.TransportTCP:
-			_, err := cluster.ServeLBTCP(addr, lb)
-			return err
-		}
-		return fmt.Errorf("unknown -transport %q (have http, tcp)", *transport)
-	}
 	serveShard := func() (int, string, error) {
 		serveMu.Lock()
 		defer serveMu.Unlock()
@@ -141,7 +106,10 @@ func main() {
 		for try := 0; try < maxPortTries; try++ {
 			addr := fmt.Sprintf(":%d", nextPort)
 			nextPort++
-			if err := bind(addr, lb); err != nil {
+			// ServeLBTCP fails synchronously when the port is occupied:
+			// the admin /add-shard must not report an address that never
+			// came up.
+			if _, err := cluster.ServeLBTCP(addr, lb); err != nil {
 				lastErr = err
 				fmt.Printf("diffserve-lb: shard %d: port %s occupied, trying next (%v)\n", i, addr, err)
 				continue
@@ -176,7 +144,7 @@ func main() {
 		}()
 		fmt.Printf("diffserve-lb: admin API on :%d\n", *adminPort)
 	}
-	// Serve until the process is killed or an HTTP listener fails.
+	// Serve until the process is killed or the admin listener fails.
 	if err := <-errc; err != nil {
 		fatal(err)
 	}

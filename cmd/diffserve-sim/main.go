@@ -32,7 +32,7 @@ func main() {
 		slo        = flag.Float64("slo", 0, "SLO override in seconds (0 = cascade default)")
 		minQPS     = flag.Float64("min-qps", 4, "trace minimum rate for -serve")
 		maxQPS     = flag.Float64("max-qps", 32, "trace maximum rate for -serve")
-		transport  = flag.String("transport", "json", "cluster transport for sim-vs-cluster: json|binary|inproc|tcp")
+		transport  = flag.String("transport", "tcp", "cluster transport for sim-vs-cluster: inproc|tcp")
 		lbShards   = flag.Int("lb-shards", 1, "LB shard count for sim-vs-cluster (>1 runs the sharded LB tier plus static and mid-trace-resharding parity checks)")
 		ringVNodes = flag.Int("ring-vnodes", 0, "virtual nodes per LB shard on the consistent-hash ring for sim-vs-cluster (0 = legacy static modulus; the resharding leg defaults to 128)")
 	)

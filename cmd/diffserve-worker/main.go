@@ -6,9 +6,9 @@
 // generated images and discriminator confidences. All processes must
 // share the same -seed so query content is regenerated consistently.
 //
-// With -transport=tcp the worker dials the load balancer over the raw
-// framed-TCP protocol (-lb takes a host:port) and serves its own
-// control plane over framed TCP as well.
+// The worker dials the load balancer over the framed-TCP protocol
+// (-lb takes a host:port) and serves its own control plane over framed
+// TCP as well.
 //
 // Against a sharded LB tier, pass the full shard list via
 // -shard-addrs (same order on every process): the worker pins itself
@@ -30,16 +30,14 @@
 // batch to the LB's lease sweep, which re-queues the queries for
 // another worker.
 //
-//	diffserve-worker -port 50051 -id 0 -lb http://localhost:8100 -cascade cascade1
-//	diffserve-worker -port 50051 -id 0 -lb localhost:8100 -transport tcp -codec binary
-//	diffserve-worker -port 50051 -id 3 -shard-addrs localhost:8100,localhost:8101 -transport tcp
+//	diffserve-worker -port 50051 -id 0 -lb localhost:8100 -cascade cascade1
+//	diffserve-worker -port 50051 -id 3 -shard-addrs localhost:8100,localhost:8101
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"time"
 
@@ -51,14 +49,12 @@ func main() {
 	var (
 		port       = flag.Int("port", 50051, "listen port (control API)")
 		id         = flag.Int("id", 0, "worker ID")
-		lbURL      = flag.String("lb", "http://localhost:8100", "load balancer base URL (host:port with -transport tcp)")
+		lbURL      = flag.String("lb", "localhost:8100", "load balancer address (host:port)")
 		shardAddrs = flag.String("shard-addrs", "", "comma-separated LB shard addresses; the worker pins to shard (id mod count), overriding -lb")
 		cascadeN   = flag.String("cascade", "cascade1", "cascade: cascade1|cascade2|cascade3")
 		seed       = flag.Uint64("seed", 20250610, "shared experiment seed")
 		timescale  = flag.Float64("timescale", 0.1, "wall seconds per trace second")
 		fastLoad   = flag.Bool("fast-load", false, "skip model-switch load delays")
-		transport  = flag.String("transport", "http", "wire transport to the LB and for the control API: http|tcp (raw framed TCP)")
-		codecName  = flag.String("codec", "json", "wire codec to the LB: json|binary")
 
 		retryAttempts = flag.Int("retry-attempts", 0, "tries per LB data-path call before the transient failure surfaces (0 = default 4, 1 disables retries)")
 		retryBaseMs   = flag.Float64("retry-base-ms", 0, "first retry backoff in milliseconds, doubling with jitter up to a 50x cap (0 = default 5ms)")
@@ -68,10 +64,6 @@ func main() {
 	flag.Parse()
 
 	env, err := baselines.NewEnv(*cascadeN, *seed, 2000)
-	if err != nil {
-		fatal(err)
-	}
-	codec, err := cluster.CodecByName(*codecName)
 	if err != nil {
 		fatal(err)
 	}
@@ -94,7 +86,7 @@ func main() {
 		Seed:     *seed ^ uint64(*id)<<32,
 	}
 	dialLB := func() (cluster.LBConn, error) {
-		conn, err := cluster.DialLB(*transport, lbAddr, codec)
+		conn, err := cluster.DialLB(lbAddr)
 		if err != nil {
 			return nil, err
 		}
@@ -138,16 +130,11 @@ func main() {
 	go ws.Loop(context.Background())
 
 	addr := fmt.Sprintf(":%d", *port)
-	fmt.Printf("diffserve-worker %d: ready on %s (%s transport, pulling from %s)\n", *id, addr, *transport, lbAddr)
-	if *transport == cluster.TransportTCP {
-		if _, err := cluster.ServeWorkerTCP(addr, ws); err != nil {
-			fatal(err)
-		}
-		select {} // serve until the process is killed
-	}
-	if err := http.ListenAndServe(addr, ws.Mux()); err != nil {
+	if _, err := cluster.ServeWorkerTCP(addr, ws); err != nil {
 		fatal(err)
 	}
+	fmt.Printf("diffserve-worker %d: ready on %s (pulling from %s)\n", *id, addr, lbAddr)
+	select {} // serve until the process is killed
 }
 
 func fatal(err error) {

@@ -36,42 +36,48 @@
 // The cluster runtime (load balancer, workers, controller — also
 // available as the standalone cmd/diffserve-{lb,worker,controller,
 // client} processes) wires its components through a pluggable
-// transport seam. Four transports ship with the package, selected by
-// the -transport flags:
+// transport seam. Two transports ship with the package, and one codec
+// goes over the wire:
 //
-//   - "json": HTTP with the original JSON wire format — the
-//     compatibility path for external clients.
-//   - "binary": HTTP with the hand-rolled length-prefixed binary
-//     codec (~2.7x smaller payloads, ~43x faster encode/decode).
-//   - "tcp": raw framed TCP — persistent multiplexed connections
-//     carrying length-prefixed frames with the binary codec, no HTTP
-//     machinery at all. With the pooled wire path the full
-//     submit/pull/complete/collect cycle runs at under 2 allocations
-//     per query (~28x fewer than "binary"; see PERFORMANCE.md): the
-//     server decodes into pooled messages released after dispatch,
-//     clients decode long polls into reusable response structs
-//     (cluster.ReusingLBConn), request/response correlation reuses
-//     generation-checked slots instead of per-call channels, and
-//     frame writes coalesce into one flush per burst. SubmitBatch
-//     and Complete are posted: accepted in order, applied before any
-//     later call on the same conn, replayed on redial until
-//     acknowledged (cluster.LBConn states the contract). The standalone
-//     binaries accept -transport=tcp to serve and dial this protocol;
-//     the sim-vs-cluster validation runs it at 50x real time.
+//   - "tcp": framed TCP — persistent multiplexed connections carrying
+//     length-prefixed frames with the hand-rolled binary codec. It is
+//     what every standalone binary serves and dials (addresses are
+//     host:port; there is no transport or codec flag) and the default
+//     of cluster.NewTransport and the harness. With the pooled wire
+//     path the full submit/pull/complete/collect cycle runs at under 2
+//     allocations per query (see PERFORMANCE.md): the server decodes
+//     into pooled messages released after dispatch, clients decode long
+//     polls into caller-owned response structs (PullInto,
+//     PollResultsInto), request/response correlation reuses
+//     generation-checked slots instead of per-call channels, and frame
+//     writes coalesce into one flush per burst. SubmitBatch and
+//     Complete are posted: accepted in order, applied before any later
+//     call on the same conn, replayed on redial until acknowledged
+//     (cluster.LBConn states the contract). The sim-vs-cluster
+//     validation runs it at 50x real time.
 //   - "inproc": in-process direct dispatch with zero serialization —
 //     and zero steady-state allocation — for harness validation at
 //     the highest timescale factors.
 //
-// All transports are behaviorally interchangeable: a shared
-// conformance suite exercises every transport x codec combination
+// cluster.LBConn is the seven calls the system makes — SubmitBatch,
+// PullInto, Complete, PollResultsInto, Configure, Stats, Membership —
+// and every conn (tcp, inproc, the ShardedLB frontend, the retry and
+// fault wrappers) implements all of them. cluster.CodecJSON encodes
+// the same messages through their json tags; nothing sends it over a
+// connection. It is the reference the parity tests, the fuzzers and
+// diffvet's codecparity analyzer hold the binary codec against, and a
+// tcp server answers a frame that names it with an error frame.
+//
+// The two transports are behaviorally interchangeable: a shared
+// conformance suite exercises both, plus the sharded topologies
 // (including a buffer-reuse-no-alias row pinning the buffer-ownership
 // contract documented in the cluster package), and fuzz targets cover
 // the binary codec and TCP frame decoders that face raw network
 // bytes. The "Buffer ownership" section of the cluster package doc
 // states who owns which slice on each call; `make allocs-gate` pins
-// the tcp/binary allocation budget in CI, and `make poison-test`
-// reruns the suite with released pool buffers poisoned (NaN
-// sentinels) to catch use-after-release.
+// the tcp allocation budget in CI, and `make poison-test` reruns the
+// suite with released pool buffers poisoned (NaN sentinels) to catch
+// use-after-release.
 //
 // # Sharded LB tier
 //
@@ -79,7 +85,7 @@
 // locks long before web-scale arrival rates. The sharded tier
 // partitions the query stream by ID hash (loadbalancer.ShardOf, a
 // pure FNV-1a function every process computes locally) across N
-// independent LBServer shards, each reachable over any transport:
+// independent LBServer shards, each reachable over either transport:
 //
 //	                 client (cluster.ShardedLB frontend)
 //	                 /  submit by ID hash, merge results  \
@@ -94,13 +100,13 @@
 //	                  stripes roles across shard groups
 //
 // cluster.ShardedLB fans SubmitBatch out per shard, merges
-// PollResults streams (one background pump per shard), routes each
+// PollResultsInto streams (one background pump per shard), routes each
 // Complete item back to its owning shard, broadcasts Configure, and
-// sums Stats. A Pull through the frontend gathers its batch from as
+// sums Stats. A PullInto through the frontend gathers its batch from as
 // many shards as it takes to fill req.Max, under the earliest lease
 // deadline any of them granted. Shards served in the frontend's own
 // process cost it no goroutines: their legs of every fan-out run
-// inline on the caller, and a PollResults call collects from them
+// inline on the caller, and a PollResultsInto call collects from them
 // itself before it parks; only legs that cross a wire fly
 // concurrently and rely on the pumps. Workers that pull from their
 // own shard pin to it — pulls, completions, and
@@ -190,8 +196,8 @@
 //   - Membership endpoint. Every reshard broadcast stamps the new
 //     epoch, member list, advertised dial addresses, and placement
 //     weights onto the shards; each LBServer republishes the newest
-//     view through the Membership verb (GET /membership over HTTP, its
-//     own method on the TCP framing), ignoring stale broadcasts. A
+//     view through the Membership call (its own method on the TCP
+//     framing), ignoring stale broadcasts. A
 //     standalone frontend that notices the epoch move on any pull or
 //     configure response calls ShardedLB.SyncMembership, which adopts
 //     the authority's epoch, weights, and members — dialing members it

@@ -6,11 +6,11 @@
 // path at 10x speed, growing the tier to three shards mid-trace: the
 // reshard installs a new ring epoch, workers re-pin off the epoch
 // their pull responses carry, and the controller re-stripes roles.
-// The example uses the raw framed-TCP transport (persistent
-// multiplexed connections, binary codec), the fastest wire path; swap
-// the Transport field for the HTTP or in-process alternatives, or set
-// LBShards to 1 (and drop Reshard) for the classic single-balancer
-// topology.
+// The example uses the framed-TCP transport (persistent multiplexed
+// connections, binary codec), the wire the standalone binaries speak;
+// set the Transport field to cluster.TransportInproc for the
+// zero-serialization in-process alternative, or LBShards to 1 (and
+// drop Reshard) for the classic single-balancer topology.
 //
 //	go run ./examples/cluster
 package main
@@ -59,17 +59,15 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("replaying %s through 2 LB shards (growing to 3 at t=60s) + %d workers + controller over raw TCP with the binary codec (10x speed)...\n",
+	fmt.Printf("replaying %s through 2 LB shards (growing to 3 at t=60s) + %d workers + controller over framed TCP (10x speed)...\n",
 		tr.Name(), workers)
 	res, err := cluster.Run(cluster.HarnessConfig{
 		Space: env.Space, Light: env.Light, Heavy: env.Heavy, Scorer: env.Scorer,
 		Mode: loadbalancer.ModeCascade, Workers: workers, SLO: env.Spec.SLOSeconds,
 		Trace: tr, Ctrl: ctrl, Timescale: 0.1, Seed: 99,
 		DisableLoadDelay: true,
-		// Other transports: cluster.TransportBinary (HTTP + binary
-		// codec), cluster.TransportJSON (the pre-codec wire format),
-		// and cluster.TransportInproc (zero-serialization direct
-		// dispatch for maximum replay speed).
+		// The alternative is cluster.TransportInproc (zero-serialization
+		// direct dispatch for maximum replay speed).
 		Transport: cluster.TransportTCP,
 		// Sharded LB tier: queries are partitioned across independent
 		// balancer shards on a consistent-hash ring (128 virtual nodes

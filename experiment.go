@@ -21,8 +21,7 @@ type ExperimentConfig struct {
 	// Short shrinks everything for quick runs.
 	Short bool
 	// ClusterTransport selects the cluster runtime's wire path for
-	// the sim-vs-cluster experiment: "json" (default), "binary",
-	// "tcp", or "inproc".
+	// the sim-vs-cluster experiment: "tcp" (default) or "inproc".
 	ClusterTransport string
 	// ClusterLBShards runs the sim-vs-cluster experiment's cluster
 	// side through the sharded LB tier with this many shards (0 or 1:

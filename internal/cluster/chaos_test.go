@@ -149,7 +149,7 @@ func TestChaosWorkerChurnNoLostQueries(t *testing.T) {
 	go func() {
 		defer close(pollDone)
 		for len(seen) < total && ctx.Err() == nil {
-			resp, err := pollConn.PollResults(ctx, ResultsRequest{Max: 64, Wait: 5})
+			resp, err := pollResults(ctx, pollConn, ResultsRequest{Max: 64, Wait: 5})
 			if err != nil {
 				continue
 			}
@@ -165,7 +165,7 @@ func TestChaosWorkerChurnNoLostQueries(t *testing.T) {
 	zombie := NewLocalLBConn(lb)
 	var zombiePull PullResponse
 	for len(zombiePull.Queries) == 0 && ctx.Err() == nil {
-		zombiePull, _ = zombie.Pull(ctx, PullRequest{WorkerID: 99, Role: "light", Max: 4, Wait: 5})
+		zombiePull, _ = pull(ctx, zombie, PullRequest{WorkerID: 99, Role: "light", Max: 4, Wait: 5})
 	}
 	if zombiePull.LeaseDeadline <= 0 {
 		t.Fatalf("pull response carries no lease deadline: %+v", zombiePull)

@@ -1,12 +1,8 @@
 package cluster
 
 import (
-	"bytes"
-	"encoding/json"
-	"fmt"
+	"context"
 	"math"
-	"net/http"
-	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -20,43 +16,6 @@ import (
 	"diffserve/internal/stats"
 	"diffserve/internal/trace"
 )
-
-// postJSON talks to an LBServer's mux the way an external JSON client
-// would: plain JSON over HTTP, no LBConn.
-func postJSON(client *http.Client, url string, in, out interface{}) error {
-	body, err := json.Marshal(in)
-	if err != nil {
-		return fmt.Errorf("cluster: marshal %s: %w", url, err)
-	}
-	resp, err := client.Post(url, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return fmt.Errorf("cluster: post %s: %w", url, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("cluster: post %s: status %s", url, resp.Status)
-	}
-	if out == nil {
-		return nil
-	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		return fmt.Errorf("cluster: decode %s: %w", url, err)
-	}
-	return nil
-}
-
-// getJSON fetches a JSON document.
-func getJSON(client *http.Client, url string, out interface{}) error {
-	resp, err := client.Get(url)
-	if err != nil {
-		return fmt.Errorf("cluster: get %s: %w", url, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("cluster: get %s: status %s", url, resp.Status)
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
-}
 
 type fixtures struct {
 	space  *imagespace.Space
@@ -130,56 +89,47 @@ func TestClockTimescale(t *testing.T) {
 	}
 }
 
+// The four tests below drive an LBServer and a WorkerServer the way a
+// remote peer does: through a conn of the tcp transport.
+
 func TestLBServerQueryCompleteRoundTrip(t *testing.T) {
-	clock := NewClock(0.01)
 	lb := NewLBServer(LBConfig{
 		Mode: loadbalancer.ModeCascade, SLO: 5,
-		LightMinExec: 0.1, HeavyMinExec: 1.78, Clock: clock, Seed: 1,
+		LightMinExec: 0.1, HeavyMinExec: 1.78, Clock: NewClock(0.01), Seed: 1,
 	})
-	srv := httptest.NewServer(lb.Mux())
-	defer srv.Close()
-	client := srv.Client()
+	tp := newTCPTransport()
+	defer tp.Close()
+	conn := serveTestLB(t, tp, lb)
+	ctx := context.Background()
 
-	// Submit asynchronously; the call blocks until completion.
-	respCh := make(chan QueryResponse, 1)
-	go func() {
-		var resp QueryResponse
-		if err := postJSON(client, srv.URL+"/query", QueryMsg{ID: 7, Arrival: 0.001}, &resp); err != nil {
-			t.Error(err)
-		}
-		respCh <- resp
-	}()
-
+	if err := conn.SubmitBatch(ctx, SubmitRequest{Queries: []QueryMsg{{ID: 7, Arrival: 0.001}}}); err != nil {
+		t.Fatal(err)
+	}
 	// Pull it as a light worker.
-	var pulled PullResponse
-	deadline := time.Now().Add(5 * time.Second)
-	for len(pulled.Queries) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("query never appeared on the light queue")
-		}
-		if err := postJSON(client, srv.URL+"/pull", PullRequest{WorkerID: 0, Role: "light", Max: 4}, &pulled); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if pulled.Queries[0].ID != 7 {
-		t.Fatalf("pulled %+v", pulled.Queries)
-	}
-
-	// Complete it above threshold (threshold defaults to 0).
-	err := postJSON(client, srv.URL+"/complete", CompleteRequest{
-		WorkerID: 0, Role: "light",
-		Items: []CompleteItem{{ID: 7, Arrival: 0.001, Variant: "sdturbo", Features: []float64{1}, Confidence: 0.9}},
-	}, nil)
+	pulled, err := pull(ctx, conn, PullRequest{WorkerID: 0, Role: "light", Max: 4, Wait: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case resp := <-respCh:
-		if resp.Dropped || resp.Variant != "sdturbo" || resp.Deferred {
-			t.Errorf("response = %+v", resp)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("client never unblocked")
+	if len(pulled.Queries) != 1 || pulled.Queries[0].ID != 7 {
+		t.Fatalf("pulled %+v", pulled.Queries)
+	}
+	// Complete it above threshold (threshold defaults to 0).
+	err = conn.Complete(ctx, CompleteRequest{
+		WorkerID: 0, Role: "light",
+		Items: []CompleteItem{{ID: 7, Arrival: 0.001, Variant: "sdturbo", Features: []float64{1}, Confidence: 0.9}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := pollResults(ctx, conn, ResultsRequest{Max: 4, Wait: 500})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Results) != 1 {
+		t.Fatalf("results = %+v, want the one query", res.Results)
+	}
+	if r := res.Results[0]; r.ID != 7 || r.Dropped || r.Variant != "sdturbo" || r.Deferred {
+		t.Errorf("result = %+v", r)
 	}
 	if lb.Collector().Len() != 1 {
 		t.Errorf("collector has %d records", lb.Collector().Len())
@@ -187,37 +137,35 @@ func TestLBServerQueryCompleteRoundTrip(t *testing.T) {
 }
 
 func TestLBServerDefersBelowThreshold(t *testing.T) {
-	clock := NewClock(0.01)
 	lb := NewLBServer(LBConfig{
 		Mode: loadbalancer.ModeCascade, SLO: 50,
-		LightMinExec: 0.1, HeavyMinExec: 1.78, Clock: clock, Seed: 1,
+		LightMinExec: 0.1, HeavyMinExec: 1.78, Clock: NewClock(0.01), Seed: 1,
 	})
-	srv := httptest.NewServer(lb.Mux())
-	defer srv.Close()
-	// Resolve the deferred query's blocked waiter before Close.
-	defer lb.DrainRemaining()
-	client := srv.Client()
+	tp := newTCPTransport()
+	defer tp.Close()
+	conn := serveTestLB(t, tp, lb)
+	ctx := context.Background()
 
 	// Raise the threshold so the completion defers.
-	if err := postJSON(client, srv.URL+"/configure", ConfigureLBRequest{Threshold: 0.8}, nil); err != nil {
+	if err := conn.Configure(ctx, ConfigureLBRequest{Threshold: 0.8}); err != nil {
 		t.Fatal(err)
 	}
-	go func() {
-		var resp QueryResponse
-		_ = postJSON(client, srv.URL+"/query", QueryMsg{ID: 1, Arrival: 0.001}, &resp)
-	}()
-	var pulled PullResponse
-	deadline := time.Now().Add(5 * time.Second)
-	for len(pulled.Queries) == 0 && time.Now().Before(deadline) {
-		_ = postJSON(client, srv.URL+"/pull", PullRequest{Role: "light", Max: 1}, &pulled)
+	if err := conn.SubmitBatch(ctx, SubmitRequest{Queries: []QueryMsg{{ID: 1, Arrival: 0.001}}}); err != nil {
+		t.Fatal(err)
+	}
+	if pulled, err := pull(ctx, conn, PullRequest{Role: "light", Max: 1, Wait: 500}); err != nil || len(pulled.Queries) != 1 {
+		t.Fatalf("pulled %+v, err %v", pulled.Queries, err)
 	}
 	// Low-confidence completion: must land on the heavy queue.
-	_ = postJSON(client, srv.URL+"/complete", CompleteRequest{
+	err := conn.Complete(ctx, CompleteRequest{
 		Role:  "light",
 		Items: []CompleteItem{{ID: 1, Arrival: 0.001, Variant: "sdturbo", Confidence: 0.2}},
-	}, nil)
-	var stats LBStats
-	if err := getJSON(client, srv.URL+"/stats", &stats); err != nil {
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := conn.Stats(ctx)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.HeavyQueueLen != 1 {
@@ -226,58 +174,57 @@ func TestLBServerDefersBelowThreshold(t *testing.T) {
 }
 
 func TestLBServerShedsExpired(t *testing.T) {
-	clock := NewClock(0.001)
 	lb := NewLBServer(LBConfig{
 		Mode: loadbalancer.ModeCascade, SLO: 0.5,
-		LightMinExec: 0.1, HeavyMinExec: 1.78, Clock: clock, Seed: 1,
+		LightMinExec: 0.1, HeavyMinExec: 1.78, Clock: NewClock(0.001), Seed: 1,
 	})
-	srv := httptest.NewServer(lb.Mux())
-	defer srv.Close()
-	client := srv.Client()
+	tp := newTCPTransport()
+	defer tp.Close()
+	conn := serveTestLB(t, tp, lb)
+	ctx := context.Background()
 
-	done := make(chan QueryResponse, 1)
-	go func() {
-		var resp QueryResponse
-		_ = postJSON(client, srv.URL+"/query", QueryMsg{ID: 9, Arrival: 0.0001}, &resp)
-		done <- resp
-	}()
+	if err := conn.SubmitBatch(ctx, SubmitRequest{Queries: []QueryMsg{{ID: 9, Arrival: 0.0001}}}); err != nil {
+		t.Fatal(err)
+	}
 	// Wait past the deadline in trace time, then pull: the item must
 	// be shed, not served.
 	time.Sleep(5 * time.Millisecond) // 5 trace seconds at 0.001 scale
-	var pulled PullResponse
-	if err := postJSON(client, srv.URL+"/pull", PullRequest{Role: "light", Max: 4}, &pulled); err != nil {
+	pulled, err := pull(ctx, conn, PullRequest{Role: "light", Max: 4})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if len(pulled.Queries) != 0 {
 		t.Errorf("expired query was handed out: %+v", pulled.Queries)
 	}
-	select {
-	case resp := <-done:
-		if !resp.Dropped {
-			t.Errorf("response = %+v, want dropped", resp)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("waiter never resolved after shed")
+	res, err := pollResults(ctx, conn, ResultsRequest{Max: 4, Wait: 5000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Results) != 1 || res.Results[0].ID != 9 || !res.Results[0].Dropped {
+		t.Errorf("results = %+v, want query 9 dropped", res.Results)
 	}
 }
 
 func TestWorkerConfigureAndStats(t *testing.T) {
 	f := newFixtures(t)
-	clock := NewClock(0.001)
 	ws := NewWorkerServer(WorkerConfig{
 		ID: 3, Space: f.space,
-		Light: f.light, Heavy: f.heavy, Scorer: f.scorer, Clock: clock,
+		Light: f.light, Heavy: f.heavy, Scorer: f.scorer, Clock: NewClock(0.001),
 		DisableLoadDelay: true,
 	})
-	srv := httptest.NewServer(ws.Mux())
-	defer srv.Close()
-	client := srv.Client()
-
-	if err := postJSON(client, srv.URL+"/configure", ConfigureWorkerRequest{Role: "light", Batch: 8}, nil); err != nil {
+	tp := newTCPTransport()
+	defer tp.Close()
+	conn, err := tp.ServeWorker(ws)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var st WorkerStats
-	if err := getJSON(client, srv.URL+"/stats", &st); err != nil {
+	ctx := context.Background()
+
+	if err := conn.Configure(ctx, ConfigureWorkerRequest{Role: "light", Batch: 8}); err != nil {
+		t.Fatal(err)
+	}
+	st, err := conn.Stats(ctx)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if st.ID != 3 || st.Role != "light" || st.Batch != 8 {

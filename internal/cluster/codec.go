@@ -7,66 +7,34 @@ import (
 	"math"
 )
 
-// Codec serializes cluster wire messages. Two codecs ship with the
-// package: CodecJSON (the original encoding/json wire format, kept as
-// the compatibility default) and CodecBinary (a hand-rolled
-// length-prefixed binary encoding with no reflection on the hot
-// path). Both carry identical payload semantics: for any message,
+// Codec serializes cluster wire messages. CodecBinary (a hand-rolled
+// length-prefixed binary encoding with no reflection on the hot path)
+// is the one codec on the wire. CodecJSON (encoding/json over the
+// messages' json tags) is its reference: the parity tests, the fuzzers
+// and diffvet's codecparity analyzer hold the binary codec against it.
+// Both carry identical payload semantics: for any message,
 // decode(encode(msg)) yields the same value under either codec.
 type Codec interface {
 	// Name identifies the codec ("json", "binary").
 	Name() string
-	// ContentType is the HTTP content type used on the wire.
-	ContentType() string
 	// Marshal encodes a message (pass a wire-message value or pointer).
 	Marshal(v interface{}) ([]byte, error)
 	// Unmarshal decodes into a wire-message pointer.
 	Unmarshal(data []byte, v interface{}) error
 }
 
-// Codec names accepted by CodecByName and the cmd binaries' -codec
-// flags.
-const (
-	CodecNameJSON   = "json"
-	CodecNameBinary = "binary"
-)
-
-// CodecJSON is the reflection-based encoding/json codec (the original
-// wire format).
+// CodecJSON is the reflection-based encoding/json codec, the reference
+// encoding. Nothing sends it over a connection.
 var CodecJSON Codec = jsonCodec{}
 
-// CodecBinary is the length-prefixed binary codec.
+// CodecBinary is the length-prefixed binary codec, the wire format.
 var CodecBinary Codec = binaryCodec{}
-
-// CodecByName resolves a -codec flag value.
-func CodecByName(name string) (Codec, error) {
-	switch name {
-	case "", CodecNameJSON:
-		return CodecJSON, nil
-	case CodecNameBinary:
-		return CodecBinary, nil
-	}
-	return nil, fmt.Errorf("cluster: unknown codec %q (have json, binary)", name)
-}
-
-// codecForContentType picks the codec matching an HTTP Content-Type
-// (or Accept) header; anything unrecognized decodes as JSON, which
-// keeps pre-codec clients working.
-func codecForContentType(ct string) Codec {
-	if ct == binaryContentType {
-		return CodecBinary
-	}
-	return CodecJSON
-}
 
 type jsonCodec struct{}
 
-func (jsonCodec) Name() string                            { return CodecNameJSON }
-func (jsonCodec) ContentType() string                     { return "application/json" }
+func (jsonCodec) Name() string                            { return "json" }
 func (jsonCodec) Marshal(v interface{}) ([]byte, error)   { return json.Marshal(v) }
 func (jsonCodec) Unmarshal(d []byte, v interface{}) error { return json.Unmarshal(d, v) }
-
-const binaryContentType = "application/x-diffserve-binary"
 
 // Message tags: one leading byte per frame so decode mismatches fail
 // loudly instead of misreading fields.
@@ -93,8 +61,7 @@ const (
 // switch over the concrete wire-message types — no reflection.
 type binaryCodec struct{}
 
-func (binaryCodec) Name() string        { return CodecNameBinary }
-func (binaryCodec) ContentType() string { return binaryContentType }
+func (binaryCodec) Name() string { return "binary" }
 
 func (c binaryCodec) Marshal(v interface{}) ([]byte, error) {
 	return c.MarshalAppend(make([]byte, 0, binarySizeHint(v)), v)

@@ -214,18 +214,3 @@ func TestBinaryCodecRejectsMismatchedTag(t *testing.T) {
 		t.Error("trailing bytes should fail")
 	}
 }
-
-func TestCodecByName(t *testing.T) {
-	for name, want := range map[string]Codec{"": CodecJSON, "json": CodecJSON, "binary": CodecBinary} {
-		got, err := CodecByName(name)
-		if err != nil || got != want {
-			t.Errorf("CodecByName(%q) = %v, %v", name, got, err)
-		}
-	}
-	if _, err := CodecByName("protobuf"); err == nil {
-		t.Error("unknown codec name should error")
-	}
-	if _, err := NewTransport("grpc"); err == nil {
-		t.Error("unknown transport name should error")
-	}
-}

@@ -10,8 +10,7 @@ import (
 	"diffserve/internal/loadbalancer"
 )
 
-// transportCase is one transport × codec combination under
-// conformance test.
+// transportCase is one transport under conformance test.
 type transportCase struct {
 	name string
 	mk   func() Transport
@@ -21,9 +20,8 @@ type transportCase struct {
 	failsAfterClose bool
 }
 
-// transportMatrix enumerates every transport × codec combination the
-// package ships: in-process, HTTP with both codecs, and raw TCP with
-// both codecs.
+// transportMatrix enumerates the transports the package ships:
+// in-process, and framed TCP with the binary codec.
 func transportMatrix() []transportCase {
 	mkNamed := func(name string) func() Transport {
 		return func() Transport {
@@ -36,15 +34,12 @@ func transportMatrix() []transportCase {
 	}
 	return []transportCase{
 		{name: "inproc", mk: mkNamed(TransportInproc), failsAfterClose: false},
-		{name: "http-json", mk: mkNamed(TransportJSON), failsAfterClose: true},
-		{name: "http-binary", mk: mkNamed(TransportBinary), failsAfterClose: true},
-		{name: "tcp-json", mk: func() Transport { return newTCPTransport(CodecJSON) }, failsAfterClose: true},
 		{name: "tcp-binary", mk: mkNamed(TransportTCP), failsAfterClose: true},
 	}
 }
 
 // TestTransportConformance runs the shared behavioral suite over
-// every transport × codec combination.
+// every transport.
 func TestTransportConformance(t *testing.T) {
 	for _, tc := range transportMatrix() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -65,14 +60,11 @@ func testTransportConformance(t *testing.T, tc transportCase) {
 		defer tp.Close()
 		conn := serveTestLB(t, tp, newTestLB(0.001))
 
-		respCh := make(chan QueryResponse, 1)
-		errCh := make(chan error, 1)
-		go func() {
-			resp, err := conn.Submit(context.Background(), QueryMsg{ID: 7, Arrival: 0.001})
-			errCh <- err
-			respCh <- resp
-		}()
-		pulled, err := conn.Pull(context.Background(), PullRequest{Role: "light", Max: 1, Wait: 20})
+		err := conn.SubmitBatch(context.Background(), SubmitRequest{Queries: []QueryMsg{{ID: 7, Arrival: 0.001}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pulled, err := pull(context.Background(), conn, PullRequest{Role: "light", Max: 1, Wait: 20})
 		if err != nil || len(pulled.Queries) != 1 {
 			t.Fatalf("pull = %+v, %v", pulled, err)
 		}
@@ -86,10 +78,14 @@ func testTransportConformance(t *testing.T, tc transportCase) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := <-errCh; err != nil {
+		var res ResultsResponse
+		if err := conn.PollResultsInto(context.Background(), ResultsRequest{Max: 4, Wait: 5000}, &res); err != nil {
 			t.Fatal(err)
 		}
-		resp := <-respCh
+		if len(res.Results) != 1 {
+			t.Fatalf("results = %+v, want the one query", res.Results)
+		}
+		resp := res.Results[0]
 		if resp.ID != 7 || resp.Dropped || resp.Variant != "sdturbo" ||
 			len(resp.Features) != 2 || resp.Features[0] != 1 || resp.Features[1] != 2 ||
 			resp.Artifact != 0.5 || resp.Confidence != 0.9 {
@@ -139,7 +135,7 @@ func testTransportConformance(t *testing.T, tc transportCase) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pulled, err := conn.Pull(context.Background(), PullRequest{Role: "light", Max: 2, Wait: 5})
+		pulled, err := pull(context.Background(), conn, PullRequest{Role: "light", Max: 2, Wait: 5})
 		if err != nil || len(pulled.Queries) != 2 {
 			t.Fatalf("pull = %+v, %v", pulled, err)
 		}
@@ -152,7 +148,7 @@ func testTransportConformance(t *testing.T, tc transportCase) {
 		}
 		got := map[int]bool{}
 		for len(got) < 2 {
-			resp, err := conn.PollResults(context.Background(), ResultsRequest{Max: 10, Wait: 5})
+			resp, err := pollResults(context.Background(), conn, ResultsRequest{Max: 10, Wait: 5})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -187,11 +183,11 @@ func testTransportConformance(t *testing.T, tc transportCase) {
 		// runs at 0.01, so any accidental blocking path (e.g. a
 		// long-poll slice) would cost hundreds of milliseconds.
 		start := time.Now()
-		resp, err := conn.Pull(context.Background(), PullRequest{Role: "light", Max: 4})
+		resp, err := pull(context.Background(), conn, PullRequest{Role: "light", Max: 4})
 		if err != nil || len(resp.Queries) != 0 {
 			t.Fatalf("zero-wait pull on empty queue = %+v, %v", resp.Queries, err)
 		}
-		rres, err := conn.PollResults(context.Background(), ResultsRequest{Max: 4})
+		rres, err := pollResults(context.Background(), conn, ResultsRequest{Max: 4})
 		if err != nil || len(rres.Results) != 0 {
 			t.Fatalf("zero-wait results on empty buffer = %+v, %v", rres.Results, err)
 		}
@@ -204,7 +200,7 @@ func testTransportConformance(t *testing.T, tc transportCase) {
 		if err := conn.SubmitBatch(context.Background(), SubmitRequest{Queries: []QueryMsg{{ID: 3, Arrival: 0.001}}}); err != nil {
 			t.Fatal(err)
 		}
-		resp, err = conn.Pull(context.Background(), PullRequest{Role: "light", Max: 4})
+		resp, err = pull(context.Background(), conn, PullRequest{Role: "light", Max: 4})
 		if err != nil || len(resp.Queries) != 1 || resp.Queries[0].ID != 3 {
 			t.Fatalf("zero-wait pull with queued work = %+v, %v", resp.Queries, err)
 		}
@@ -214,7 +210,7 @@ func testTransportConformance(t *testing.T, tc transportCase) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rres, err = conn.PollResults(context.Background(), ResultsRequest{Max: 4})
+		rres, err = pollResults(context.Background(), conn, ResultsRequest{Max: 4})
 		if err != nil || len(rres.Results) != 1 || rres.Results[0].ID != 3 {
 			t.Fatalf("zero-wait results with buffered result = %+v, %v", rres.Results, err)
 		}
@@ -246,13 +242,13 @@ func testTransportConformance(t *testing.T, tc transportCase) {
 			if err := conn.SubmitBatch(ctx, SubmitRequest{Queries: qs}); err != nil {
 				t.Fatal(err)
 			}
-			if err := PullIntoConn(ctx, conn, PullRequest{Role: "light", Max: batch}, &pulled); err != nil || len(pulled.Queries) != batch {
+			if err := conn.PullInto(ctx, PullRequest{Role: "light", Max: batch}, &pulled); err != nil || len(pulled.Queries) != batch {
 				t.Fatalf("round %d: zero-wait pull behind a submit returned %d of %d: %v", r, len(pulled.Queries), batch, err)
 			}
 			if err := completeAll(ctx, conn, 0, "light", pulled, 0.9); err != nil {
 				t.Fatal(err)
 			}
-			if err := PollResultsIntoConn(ctx, conn, ResultsRequest{Max: batch}, &results); err != nil || len(results.Results) != batch {
+			if err := conn.PollResultsInto(ctx, ResultsRequest{Max: batch}, &results); err != nil || len(results.Results) != batch {
 				t.Fatalf("round %d: zero-wait poll behind a complete returned %d of %d: %v", r, len(results.Results), batch, err)
 			}
 			for j, res := range results.Results {
@@ -299,7 +295,7 @@ func testTransportConformance(t *testing.T, tc transportCase) {
 		// must surface on exactly the shard ShardOf names.
 		for s, conn := range conns {
 			for {
-				resp, err := conn.Pull(context.Background(), PullRequest{Role: "light", Max: 8})
+				resp, err := pull(context.Background(), conn, PullRequest{Role: "light", Max: 8})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -321,7 +317,7 @@ func testTransportConformance(t *testing.T, tc transportCase) {
 		got := map[int]bool{}
 		deadline := time.Now().Add(10 * time.Second)
 		for len(got) < queries && time.Now().Before(deadline) {
-			resp, err := fe.PollResults(context.Background(), ResultsRequest{Max: 32, Wait: 5})
+			resp, err := pollResults(context.Background(), fe, ResultsRequest{Max: 32, Wait: 5})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -372,7 +368,7 @@ func testTransportConformance(t *testing.T, tc transportCase) {
 		// Nothing queued: a zero-wait pull asks all four shards and
 		// comes back empty without parking on any of them.
 		start := time.Now()
-		resp, err := fe.Pull(ctx, PullRequest{Role: "light", Max: queries})
+		resp, err := pull(ctx, fe, PullRequest{Role: "light", Max: queries})
 		if err != nil || len(resp.Queries) != 0 {
 			t.Fatalf("zero-wait pull on empty shards = %+v, %v", resp.Queries, err)
 		}
@@ -385,7 +381,7 @@ func testTransportConformance(t *testing.T, tc transportCase) {
 			t.Fatal(err)
 		}
 		before := clock.Now()
-		resp, err = fe.Pull(ctx, PullRequest{WorkerID: 1, Role: "light", Max: queries})
+		resp, err = pull(ctx, fe, PullRequest{WorkerID: 1, Role: "light", Max: queries})
 		after := clock.Now()
 		if err != nil || len(resp.Queries) != queries {
 			t.Fatalf("Max:%d pull gathered %d queries: %v", queries, len(resp.Queries), err)
@@ -410,7 +406,7 @@ func testTransportConformance(t *testing.T, tc transportCase) {
 		if err := fe.SubmitBatch(ctx, SubmitRequest{Queries: queriesFor(idsPerShard(shards, perShard, 1000))}); err != nil {
 			t.Fatal(err)
 		}
-		resp, err = fe.Pull(ctx, PullRequest{WorkerID: 1, Role: "light", Max: 5})
+		resp, err = pull(ctx, fe, PullRequest{WorkerID: 1, Role: "light", Max: 5})
 		if err != nil || len(resp.Queries) != 5 {
 			t.Fatalf("Max:5 pull returned %d queries: %v", len(resp.Queries), err)
 		}
@@ -423,7 +419,7 @@ func testTransportConformance(t *testing.T, tc transportCase) {
 		}
 
 		// A drain pull hands over one shard's queue per call, as before.
-		resp, err = fe.Pull(ctx, PullRequest{Role: "light", Max: 512, Drain: true})
+		resp, err = pull(ctx, fe, PullRequest{Role: "light", Max: 512, Drain: true})
 		if err != nil || len(resp.Queries) == 0 || len(resp.Queries) > perShard {
 			t.Fatalf("drain pull returned %d queries, want one shard's share (1..%d): %v", len(resp.Queries), perShard, err)
 		}
@@ -456,7 +452,7 @@ func testTransportConformance(t *testing.T, tc transportCase) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		drained, err := conn.Pull(ctx, PullRequest{Role: "light", Max: 8, Drain: true})
+		drained, err := pull(ctx, conn, PullRequest{Role: "light", Max: 8, Drain: true})
 		if err != nil || len(drained.Queries) != 2 {
 			t.Fatalf("drain pull = %+v, %v", drained, err)
 		}
@@ -466,7 +462,7 @@ func testTransportConformance(t *testing.T, tc transportCase) {
 		if drained.Queries[0].Arrival != 0.001 {
 			t.Errorf("drained query lost its arrival stamp: %+v", drained.Queries[0])
 		}
-		again, err := conn.Pull(ctx, PullRequest{Role: "light", Max: 8, Drain: true})
+		again, err := pull(ctx, conn, PullRequest{Role: "light", Max: 8, Drain: true})
 		if err != nil || len(again.Queries) != 0 {
 			t.Fatalf("second drain pull = %+v, %v", again, err)
 		}
@@ -479,7 +475,7 @@ func testTransportConformance(t *testing.T, tc transportCase) {
 		if err := conn.Complete(ctx, CompleteRequest{Role: "light", Items: items}); err != nil {
 			t.Fatal(err)
 		}
-		if res, err := conn.PollResults(ctx, ResultsRequest{Max: 8}); err != nil || len(res.Results) != 0 {
+		if res, err := pollResults(ctx, conn, ResultsRequest{Max: 8}); err != nil || len(res.Results) != 0 {
 			t.Fatalf("completion after drain resolved %d results, want 0 (err %v)", len(res.Results), err)
 		}
 		// Re-submission (the migration path) re-registers them; now
@@ -490,7 +486,7 @@ func testTransportConformance(t *testing.T, tc transportCase) {
 		// The batch is queued but inside its coalesce window; the pull
 		// returns the moment it is dispatchable. Wait is a ceiling that
 		// must not expire first on a loaded box (5 would be 5 ms here).
-		pulled, err := conn.Pull(ctx, PullRequest{Role: "light", Max: 8, Wait: 5000})
+		pulled, err := pull(ctx, conn, PullRequest{Role: "light", Max: 8, Wait: 5000})
 		if err != nil || len(pulled.Queries) != 2 {
 			t.Fatalf("post-migration pull = %+v, %v", pulled, err)
 		}
@@ -502,7 +498,7 @@ func testTransportConformance(t *testing.T, tc transportCase) {
 		}
 		got := map[int]bool{}
 		for len(got) < 2 {
-			res, err := conn.PollResults(ctx, ResultsRequest{Max: 8, Wait: 5})
+			res, err := pollResults(ctx, conn, ResultsRequest{Max: 8, Wait: 5})
 			if err != nil || len(res.Results) == 0 {
 				t.Fatalf("migrated results missing: %v (got %v)", err, got)
 			}
@@ -547,7 +543,7 @@ func testTransportConformance(t *testing.T, tc transportCase) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pullA, err := conn.Pull(ctx, PullRequest{WorkerID: 1, Role: "light", Max: 8, Wait: 5})
+		pullA, err := pull(ctx, conn, PullRequest{WorkerID: 1, Role: "light", Max: 8, Wait: 5})
 		if err != nil || len(pullA.Queries) != 2 {
 			t.Fatalf("first pull = %+v, %v", pullA, err)
 		}
@@ -558,7 +554,7 @@ func testTransportConformance(t *testing.T, tc transportCase) {
 		// the lease duration) worker 2's pull sweeps, reclaims, and
 		// receives the re-queued batch.
 		clock.SleepTraceCtx(ctx, 3)
-		pullB, err := conn.Pull(ctx, PullRequest{WorkerID: 2, Role: "light", Max: 8, Wait: 5})
+		pullB, err := pull(ctx, conn, PullRequest{WorkerID: 2, Role: "light", Max: 8, Wait: 5})
 		if err != nil || len(pullB.Queries) != 2 {
 			t.Fatalf("reclaim pull = %+v, %v", pullB, err)
 		}
@@ -587,7 +583,7 @@ func testTransportConformance(t *testing.T, tc transportCase) {
 		}
 		got := map[int]bool{}
 		for len(got) < 2 {
-			res, err := conn.PollResults(ctx, ResultsRequest{Max: 8, Wait: 5})
+			res, err := pollResults(ctx, conn, ResultsRequest{Max: 8, Wait: 5})
 			if err != nil || len(res.Results) == 0 {
 				t.Fatalf("reclaimed results missing: %v (got %v)", err, got)
 			}
@@ -643,7 +639,7 @@ func testTransportConformance(t *testing.T, tc transportCase) {
 			if err := conn.SubmitBatch(ctx, SubmitRequest{Queries: []QueryMsg{{ID: id, Arrival: 0.25}}}); err != nil {
 				t.Fatal(err)
 			}
-			err := PullIntoConn(ctx, conn, PullRequest{WorkerID: workerID, Role: "light", Max: 8, Wait: 5}, &pulled)
+			err := conn.PullInto(ctx, PullRequest{WorkerID: workerID, Role: "light", Max: 8, Wait: 5}, &pulled)
 			if err != nil || len(pulled.Queries) != 1 {
 				t.Fatalf("pull = %+v, %v", pulled, err)
 			}
@@ -667,7 +663,7 @@ func testTransportConformance(t *testing.T, tc transportCase) {
 		}
 
 		var delivered ResultsResponse
-		err := PollResultsIntoConn(ctx, conn, ResultsRequest{Max: 8, Wait: 5}, &delivered)
+		err := conn.PollResultsInto(ctx, ResultsRequest{Max: 8, Wait: 5}, &delivered)
 		if err != nil || len(delivered.Results) != 1 {
 			t.Fatalf("poll = %+v, %v", delivered, err)
 		}
@@ -694,7 +690,7 @@ func testTransportConformance(t *testing.T, tc transportCase) {
 		var churn ResultsResponse
 		got := 0
 		for got < 4 {
-			if err := PollResultsIntoConn(ctx, conn, ResultsRequest{Max: 8, Wait: 5}, &churn); err != nil || len(churn.Results) == 0 {
+			if err := conn.PollResultsInto(ctx, ResultsRequest{Max: 8, Wait: 5}, &churn); err != nil || len(churn.Results) == 0 {
 				t.Fatalf("churn poll = %v", err)
 			}
 			got += len(churn.Results)
@@ -706,12 +702,12 @@ func testTransportConformance(t *testing.T, tc transportCase) {
 		if err := conn.SubmitBatch(ctx, SubmitRequest{Queries: []QueryMsg{{ID: 6, Arrival: 0.25}}}); err != nil {
 			t.Fatal(err)
 		}
-		pullA, err := conn.Pull(ctx, PullRequest{WorkerID: 1, Role: "light", Max: 8, Wait: 5})
+		pullA, err := pull(ctx, conn, PullRequest{WorkerID: 1, Role: "light", Max: 8, Wait: 5})
 		if err != nil || len(pullA.Queries) != 1 {
 			t.Fatalf("lease pull = %+v, %v", pullA, err)
 		}
 		clock.SleepTraceCtx(ctx, 3)
-		err = PullIntoConn(ctx, conn, PullRequest{WorkerID: 2, Role: "light", Max: 8, Wait: 5}, &pulled)
+		err = conn.PullInto(ctx, PullRequest{WorkerID: 2, Role: "light", Max: 8, Wait: 5}, &pulled)
 		if err != nil || len(pulled.Queries) != 1 {
 			t.Fatalf("reclaim pull = %+v, %v", pulled, err)
 		}
@@ -730,7 +726,7 @@ func testTransportConformance(t *testing.T, tc transportCase) {
 			t.Fatal(err)
 		}
 		for got = 0; got < 1; {
-			if err := PollResultsIntoConn(ctx, conn, ResultsRequest{Max: 8, Wait: 5}, &churn); err != nil || len(churn.Results) == 0 {
+			if err := conn.PollResultsInto(ctx, ResultsRequest{Max: 8, Wait: 5}, &churn); err != nil || len(churn.Results) == 0 {
 				t.Fatalf("reclaim result missing: %v", err)
 			}
 			got += len(churn.Results)
@@ -789,7 +785,7 @@ func testTransportConformance(t *testing.T, tc transportCase) {
 		if err != nil {
 			t.Fatalf("retrying submit never healed: %v", err)
 		}
-		pulled, err := retry.Pull(ctx, PullRequest{WorkerID: 1, Role: "light", Max: 8, Wait: 5})
+		pulled, err := pull(ctx, retry, PullRequest{WorkerID: 1, Role: "light", Max: 8, Wait: 5})
 		if err != nil || len(pulled.Queries) != 2 {
 			t.Fatalf("pull after heal = %+v, %v", pulled, err)
 		}
@@ -803,7 +799,7 @@ func testTransportConformance(t *testing.T, tc transportCase) {
 		}
 		got := map[int]bool{}
 		for len(got) < 2 {
-			res, err := retry.PollResults(ctx, ResultsRequest{Max: 8, Wait: 5})
+			res, err := pollResults(ctx, retry, ResultsRequest{Max: 8, Wait: 5})
 			if err != nil || len(res.Results) == 0 {
 				t.Fatalf("results after heal missing: %v (got %v)", err, got)
 			}
@@ -885,7 +881,7 @@ func testTransportConformance(t *testing.T, tc transportCase) {
 		for m := 0; m <= 2; m++ {
 			conn := fe.MemberConn(m)
 			for {
-				resp, err := conn.Pull(ctx, PullRequest{Role: "light", Max: 64, Drain: true})
+				resp, err := pull(ctx, conn, PullRequest{Role: "light", Max: 64, Drain: true})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -944,7 +940,7 @@ func testTransportConformance(t *testing.T, tc transportCase) {
 		}()
 		start := time.Now()
 		// Wait 10 trace seconds = 100ms wall; work arrives at ~30ms.
-		resp, err := conn.Pull(context.Background(), PullRequest{Role: "light", Max: 1, Wait: 10})
+		resp, err := pull(context.Background(), conn, PullRequest{Role: "light", Max: 1, Wait: 10})
 		if err != nil || len(resp.Queries) != 1 || resp.Queries[0].ID != 11 {
 			t.Fatalf("long poll returned %+v, %v", resp.Queries, err)
 		}
@@ -959,7 +955,7 @@ func testTransportConformance(t *testing.T, tc transportCase) {
 		defer tp.Close()
 		conn := serveTestLB(t, tp, newTestLB(0.01))
 		start := time.Now()
-		resp, err := conn.Pull(context.Background(), PullRequest{Role: "light", Max: 1, Wait: 3})
+		resp, err := pull(context.Background(), conn, PullRequest{Role: "light", Max: 1, Wait: 3})
 		if err != nil || len(resp.Queries) != 0 {
 			t.Fatalf("empty queue long poll returned %+v, %v", resp.Queries, err)
 		}
@@ -981,7 +977,7 @@ func testTransportConformance(t *testing.T, tc transportCase) {
 			// 120 trace seconds = 1.2s of wall time at this timescale;
 			// a shutdown-aware transport unblocks the poll sooner, and
 			// none may hang past the poll's own deadline.
-			resp, err := conn.Pull(context.Background(), PullRequest{Role: "light", Max: 1, Wait: 120})
+			resp, err := pull(context.Background(), conn, PullRequest{Role: "light", Max: 1, Wait: 120})
 			if err == nil && len(resp.Queries) != 0 {
 				t.Errorf("shutdown long poll returned work: %+v", resp.Queries)
 			}

@@ -3,8 +3,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"runtime"
 	"testing"
 	"time"
@@ -87,7 +85,7 @@ func TestManyReshardsCollapseEpochs(t *testing.T) {
 			if time.Now().After(deadline) {
 				t.Fatalf("round %d: drained %d of %d queries", round, resolved, batchSize)
 			}
-			if resp, err := fe.Pull(ctx, PullRequest{Role: "light", Max: batchSize, Wait: 5}); err == nil && len(resp.Queries) > 0 {
+			if resp, err := pull(ctx, fe, PullRequest{Role: "light", Max: batchSize, Wait: 5}); err == nil && len(resp.Queries) > 0 {
 				items := make([]CompleteItem, len(resp.Queries))
 				for i, q := range resp.Queries {
 					items[i] = CompleteItem{ID: q.ID, Arrival: q.Arrival, Variant: "light", Confidence: 0.95}
@@ -96,7 +94,7 @@ func TestManyReshardsCollapseEpochs(t *testing.T) {
 					t.Fatalf("round %d: complete: %v", round, err)
 				}
 			}
-			rr, err := fe.PollResults(ctx, ResultsRequest{Max: batchSize, Wait: 5})
+			rr, err := pollResults(ctx, fe, ResultsRequest{Max: batchSize, Wait: 5})
 			if err != nil {
 				t.Fatalf("round %d: poll: %v", round, err)
 			}
@@ -150,7 +148,7 @@ func TestRetiredPumpsTerminate(t *testing.T) {
 	}
 	// Pump startup is lazy: one results poll ignites it, so members
 	// added later get a pump goroutine each.
-	if _, err := fe.PollResults(ctx, ResultsRequest{Max: 1, Wait: 0.01}); err != nil {
+	if _, err := pollResults(ctx, fe, ResultsRequest{Max: 1, Wait: 0.01}); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(20 * time.Millisecond) // let the two boot pumps settle
@@ -181,20 +179,20 @@ func TestRetiredPumpsTerminate(t *testing.T) {
 	})
 }
 
-// TestMembershipEndpointHTTP round-trips the membership snapshot
-// through a standalone LBServer over HTTP: the server adopts the view
-// a Configure broadcast carries and republishes it on /membership.
-func TestMembershipEndpointHTTP(t *testing.T) {
+// TestMembershipEndpoint round-trips the membership snapshot through a
+// standalone LBServer over tcp: the server adopts the view a Configure
+// broadcast carries and republishes it through the Membership call.
+func TestMembershipEndpoint(t *testing.T) {
 	clock := NewClock(1e-5)
 	lb, _ := newLocalShard(clock, 0)
-	srv := httptest.NewServer(lb.Mux())
-	defer srv.Close()
-	conn := NewHTTPLBConn(http.DefaultClient, srv.URL, CodecJSON)
+	tp := newTCPTransport()
+	defer tp.Close()
+	conn := serveTestLB(t, tp, lb)
 	ctx := context.Background()
 
-	m, ok, err := MembershipFromConn(ctx, conn)
-	if err != nil || !ok {
-		t.Fatalf("membership: ok=%v err=%v", ok, err)
+	m, err := conn.Membership(ctx)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if m.RingEpoch != 0 || len(m.Members) != 0 {
 		t.Fatalf("fresh server membership = %+v, want empty epoch 0", m)
@@ -208,8 +206,7 @@ func TestMembershipEndpointHTTP(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	m, _, err = MembershipFromConn(ctx, conn)
-	if err != nil {
+	if m, err = conn.Membership(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if m.RingEpoch != 3 {
@@ -227,7 +224,7 @@ func TestMembershipEndpointHTTP(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if m, _, _ = MembershipFromConn(ctx, conn); m.RingEpoch != 3 || len(m.Members) != 3 {
+	if m, _ = conn.Membership(ctx); m.RingEpoch != 3 || len(m.Members) != 3 {
 		t.Errorf("stale broadcast regressed membership to %+v", m)
 	}
 }
@@ -247,7 +244,7 @@ func TestMembershipFollowerSyncsOverTCP(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(srv.Close)
-		return srv.Addr(), NewTCPLBConn(srv.Addr(), CodecBinary)
+		return srv.Addr(), NewTCPLBConn(srv.Addr())
 	}
 	addr0, auth0 := serveTCP(0)
 	addr1, auth1 := serveTCP(1)
@@ -263,7 +260,7 @@ func TestMembershipFollowerSyncsOverTCP(t *testing.T) {
 	authority.SetMemberAddr(1, addr1)
 
 	follower, err := NewShardedLB(ShardedLBConfig{
-		Shards: []LBConn{NewTCPLBConn(addr0, CodecBinary), NewTCPLBConn(addr1, CodecBinary)},
+		Shards: []LBConn{NewTCPLBConn(addr0), NewTCPLBConn(addr1)},
 		Clock:  clock, VNodes: 128,
 	})
 	if err != nil {
@@ -277,12 +274,9 @@ func TestMembershipFollowerSyncsOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	src, ok := follower.MemberConn(0).(MembershipSource)
-	if !ok {
-		t.Fatal("tcp conn does not serve the membership verb")
-	}
+	src := follower.MemberConn(0)
 	dial := func(member int, addr string) (LBConn, error) {
-		return NewTCPLBConn(addr, CodecBinary), nil
+		return NewTCPLBConn(addr), nil
 	}
 	flipped, err := follower.SyncMembership(ctx, src, dial)
 	if err != nil {

@@ -35,17 +35,17 @@ func (c *blindStatsConn) last() (ConfigureLBRequest, int) {
 	return c.lastCfg, c.cfgs
 }
 
-func (c *blindStatsConn) Submit(ctx context.Context, q QueryMsg) (QueryResponse, error) {
-	return QueryResponse{}, nil
-}
 func (c *blindStatsConn) SubmitBatch(ctx context.Context, req SubmitRequest) error { return nil }
-func (c *blindStatsConn) PollResults(ctx context.Context, req ResultsRequest) (ResultsResponse, error) {
-	return ResultsResponse{}, nil
+func (c *blindStatsConn) PollResultsInto(ctx context.Context, req ResultsRequest, resp *ResultsResponse) error {
+	return nil
 }
-func (c *blindStatsConn) Pull(ctx context.Context, req PullRequest) (PullResponse, error) {
-	return PullResponse{}, nil
+func (c *blindStatsConn) PullInto(ctx context.Context, req PullRequest, resp *PullResponse) error {
+	return nil
 }
 func (c *blindStatsConn) Complete(ctx context.Context, req CompleteRequest) error { return nil }
+func (c *blindStatsConn) Membership(ctx context.Context) (MembershipResponse, error) {
+	return MembershipResponse{}, nil
+}
 func (c *blindStatsConn) Configure(ctx context.Context, req ConfigureLBRequest) error {
 	c.mu.Lock()
 	c.lastCfg = req
@@ -159,11 +159,11 @@ func (c *gateConn) SubmitBatch(ctx context.Context, req SubmitRequest) error {
 	return c.LBConn.SubmitBatch(ctx, req)
 }
 
-func (c *gateConn) PollResults(ctx context.Context, req ResultsRequest) (ResultsResponse, error) {
+func (c *gateConn) PollResultsInto(ctx context.Context, req ResultsRequest, resp *ResultsResponse) error {
 	if c.isDown() {
-		return ResultsResponse{}, errors.New("shard unreachable")
+		return errors.New("shard unreachable")
 	}
-	return c.LBConn.PollResults(ctx, req)
+	return c.LBConn.PollResultsInto(ctx, req, resp)
 }
 
 // TestShardedLBDegradeSpill pins the shard-degradation lifecycle: an
@@ -216,7 +216,7 @@ func TestShardedLBDegradeSpill(t *testing.T) {
 	pullIDs := func(conn LBConn) map[int]bool {
 		got := map[int]bool{}
 		for {
-			resp, err := conn.Pull(ctx, PullRequest{WorkerID: 1, Role: "light", Max: 64, Wait: 2})
+			resp, err := pull(ctx, conn, PullRequest{WorkerID: 1, Role: "light", Max: 64, Wait: 2})
 			if err != nil || len(resp.Queries) == 0 {
 				return got
 			}
@@ -274,7 +274,7 @@ func TestShardedLBDegradeSpill(t *testing.T) {
 
 	// Recovery: the shard heals, the result pump's next successful
 	// poll un-degrades it, and placement returns to the primary.
-	if _, err := fe.PollResults(ctx, ResultsRequest{Max: 8}); err != nil {
+	if _, err := pollResults(ctx, fe, ResultsRequest{Max: 8}); err != nil {
 		t.Fatal(err) // starts the pumps
 	}
 	gate.set(false)

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -249,58 +248,19 @@ func (c *faultLBConn) run(ctx context.Context, method string, call func() error)
 	return err
 }
 
-func (c *faultLBConn) Submit(ctx context.Context, q QueryMsg) (QueryResponse, error) {
-	var out QueryResponse
-	err := c.run(ctx, "submit", func() error {
-		var e error
-		out, e = c.inner.Submit(ctx, q)
-		return e
-	})
-	if err != nil {
-		return QueryResponse{}, err
-	}
-	return out, nil
-}
-
 func (c *faultLBConn) SubmitBatch(ctx context.Context, req SubmitRequest) error {
 	return c.run(ctx, "submit-batch", func() error { return c.inner.SubmitBatch(ctx, req) })
 }
 
-func (c *faultLBConn) PollResults(ctx context.Context, req ResultsRequest) (ResultsResponse, error) {
-	var out ResultsResponse
-	err := c.run(ctx, "poll-results", func() error {
-		var e error
-		out, e = c.inner.PollResults(ctx, req)
-		return e
-	})
-	if err != nil {
-		return ResultsResponse{}, err
-	}
-	return out, nil
-}
-
-func (c *faultLBConn) Pull(ctx context.Context, req PullRequest) (PullResponse, error) {
-	var out PullResponse
-	err := c.run(ctx, "pull", func() error {
-		var e error
-		out, e = c.inner.Pull(ctx, req)
-		return e
-	})
-	if err != nil {
-		return PullResponse{}, err
-	}
-	return out, nil
-}
-
 func (c *faultLBConn) PollResultsInto(ctx context.Context, req ResultsRequest, resp *ResultsResponse) error {
 	return c.run(ctx, "poll-results", func() error {
-		return PollResultsIntoConn(ctx, c.inner, req, resp)
+		return c.inner.PollResultsInto(ctx, req, resp)
 	})
 }
 
 func (c *faultLBConn) PullInto(ctx context.Context, req PullRequest, resp *PullResponse) error {
 	return c.run(ctx, "pull", func() error {
-		return PullIntoConn(ctx, c.inner, req, resp)
+		return c.inner.PullInto(ctx, req, resp)
 	})
 }
 
@@ -326,14 +286,10 @@ func (c *faultLBConn) Stats(ctx context.Context) (LBStats, error) {
 }
 
 func (c *faultLBConn) Membership(ctx context.Context) (MembershipResponse, error) {
-	src, ok := c.inner.(MembershipSource)
-	if !ok {
-		return MembershipResponse{}, errors.New("cluster: inner conn does not report membership")
-	}
 	var out MembershipResponse
 	err := c.run(ctx, "membership", func() error {
 		var e error
-		out, e = src.Membership(ctx)
+		out, e = c.inner.Membership(ctx)
 		return e
 	})
 	if err != nil {

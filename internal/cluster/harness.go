@@ -42,10 +42,9 @@ type HarnessConfig struct {
 	DisableLoadDelay bool
 	// QueryIDBase offsets query IDs.
 	QueryIDBase int
-	// Transport selects how components are wired: "json" (HTTP +
-	// JSON codec, the default), "binary" (HTTP + binary codec),
-	// "tcp" (raw framed TCP + binary codec), or "inproc" (direct
-	// calls, zero serialization — the fastest path for high timescale
+	// Transport selects how components are wired: "tcp" (framed TCP
+	// with the binary codec, the default) or "inproc" (direct calls,
+	// zero serialization — the fastest path for high timescale
 	// factors).
 	Transport string
 	// TransportImpl overrides Transport with a pre-built transport.
@@ -463,7 +462,7 @@ func Run(cfg HarnessConfig) (*Result, error) {
 		got := 0
 		var resp ResultsResponse // reused across polls
 		for got < len(arrivals) && ctx.Err() == nil {
-			err := PollResultsIntoConn(ctx, lbConn, ResultsRequest{Max: 1024, Wait: 1}, &resp)
+			err := lbConn.PollResultsInto(ctx, ResultsRequest{Max: 1024, Wait: 1}, &resp)
 			if err != nil {
 				// Transient transport failure: back off briefly.
 				clock.SleepTraceCtx(ctx, 0.05)

@@ -2,8 +2,6 @@ package cluster
 
 import (
 	"context"
-	"io"
-	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -107,16 +105,15 @@ func (p *lbPool) push(now float64, items ...queueing.Item) bool {
 // LBServer is the data-path entry point: it queues queries per pool,
 // hands batches to pulling workers (blocking long polls when asked),
 // applies the cascade threshold to completed light generations, and
-// resolves client waiters. Its core methods (Submit, SubmitBatch,
-// PollResults, Pull, Complete, Configure, Stats) are
-// transport-agnostic; Mux wraps them in codec-aware HTTP handlers,
-// ServeLBTCP in framed-TCP handlers, and NewLocalLBConn dispatches to
-// them directly.
+// buffers results for polling clients. Its core methods (SubmitBatchReq,
+// PollResultsInto, PullInto, Complete, Configure, Stats, Membership)
+// are transport-agnostic: ServeLBTCP wraps them in framed-TCP handlers
+// and NewLocalLBConn dispatches to them directly.
 //
 // Locking is sharded so the hot paths do not contend on one mutex:
 // each pool queue has its own lock (light pulls never wait on heavy
 // pulls or on submissions routed to the other pool), the
-// client-result state (waiters, async results, metrics, counters) is
+// client-result state (async results, metrics, counters) is
 // guarded by resMu, and the random-split routing state by splitMu.
 type LBServer struct {
 	cfg LBConfig
@@ -145,13 +142,12 @@ type LBServer struct {
 	splitProb float64
 	rng       *stats.RNG
 
-	// resMu guards everything on the client-result side: waiters,
-	// async-result buffering, the metrics collector, the control-plane
-	// counters, and the cascade threshold.
+	// resMu guards everything on the client-result side: async-result
+	// buffering, the metrics collector, the control-plane counters, and
+	// the cascade threshold.
 	resMu     sync.Mutex
 	threshold float64
-	waiters   map[int]chan QueryResponse
-	async     map[int]struct{} // batch-submitted queries awaiting results
+	async     map[int]struct{} // submitted queries awaiting results
 	results   []QueryResponse  // finished async results not yet fetched
 	col       *metrics.Collector
 	arrivals  int // since last stats poll
@@ -198,11 +194,10 @@ func NewLBServer(cfg LBConfig) *LBServer {
 		cfg.LeaseRedeliveries = 3
 	}
 	s := &LBServer{
-		cfg:     cfg,
-		rng:     stats.NewRNG(cfg.Seed).Stream(stream),
-		waiters: make(map[int]chan QueryResponse),
-		async:   make(map[int]struct{}),
-		col:     metrics.NewCollector(),
+		cfg:   cfg,
+		rng:   stats.NewRNG(cfg.Seed).Stream(stream),
+		async: make(map[int]struct{}),
+		col:   metrics.NewCollector(),
 	}
 	if cfg.LeaseDuration > 0 {
 		s.leases = make(map[int]lbLease)
@@ -281,58 +276,8 @@ func (n *notifier) wake() {
 	n.armed = false
 }
 
-// Mux returns the HTTP handler exposing the LB API. Handlers decode
-// the request with the codec named by its Content-Type (JSON when
-// absent) and respond in kind.
-func (s *LBServer) Mux() *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/query", s.handleQuery)
-	mux.HandleFunc("/submit", s.handleSubmit)
-	mux.HandleFunc("/results", s.handleResults)
-	mux.HandleFunc("/pull", s.handlePull)
-	mux.HandleFunc("/complete", s.handleComplete)
-	mux.HandleFunc("/configure", s.handleConfigure)
-	mux.HandleFunc("/stats", s.handleStats)
-	mux.HandleFunc("/membership", s.handleMembership)
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
-	})
-	return mux
-}
-
-// Submit admits a query and blocks until it completes, drops, or ctx
-// is cancelled (reported by ok=false).
-func (s *LBServer) Submit(ctx context.Context, q QueryMsg) (resp QueryResponse, ok bool) {
-	now := s.cfg.Clock.Now()
-	if q.Arrival == 0 {
-		q.Arrival = now
-	}
-	ch := make(chan QueryResponse, 1)
-
-	// Register the waiter before the query becomes pullable, so a
-	// worker on another core cannot complete it first.
-	s.resMu.Lock()
-	s.waiters[q.ID] = ch
-	s.arrivals++
-	s.resMu.Unlock()
-
-	if !s.pools[s.routePool()].push(now, queueing.Item{ID: q.ID, Arrival: q.Arrival}) {
-		s.dropRejected([]queueing.Item{{ID: q.ID, Arrival: q.Arrival}})
-	}
-
-	select {
-	case resp = <-ch:
-		return resp, true
-	case <-ctx.Done():
-		s.resMu.Lock()
-		delete(s.waiters, q.ID)
-		s.resMu.Unlock()
-		return QueryResponse{}, false
-	}
-}
-
 // SubmitBatch admits queries asynchronously: each will eventually
-// surface exactly one result (completion or drop) via PollResults.
+// surface exactly one result (completion or drop) via PollResultsInto.
 func (s *LBServer) SubmitBatch(qs []QueryMsg) {
 	s.submitBatch(qs, "")
 }
@@ -414,23 +359,15 @@ func (s *LBServer) submitBatch(qs []QueryMsg, pool string) {
 	}
 }
 
-// PollResults returns finished async results, blocking up to req.Wait
-// trace-seconds for at least one to arrive. req.Wait <= 0 is an
-// explicit non-blocking poll: one buffer check, never a sleep —
-// identical across every transport (the conformance suite pins it).
-func (s *LBServer) PollResults(ctx context.Context, req ResultsRequest) ResultsResponse {
-	var resp ResultsResponse
-	s.PollResultsInto(ctx, req, &resp)
-	return resp
-}
-
-// PollResultsInto is the buffer-reusing form of PollResults: results
-// are copied into resp.Results' existing capacity instead of a fresh
-// slice per poll, so a caller that polls in a loop with one persistent
-// response struct allocates nothing in steady state. resp is
-// overwritten entirely; the caller owns it and everything it
-// references (result Features alias the collector's immutable arena
-// and must not be mutated).
+// PollResultsInto returns finished async results, blocking up to
+// req.Wait trace-seconds for at least one to arrive. req.Wait <= 0 is
+// an explicit non-blocking poll: one buffer check, never a sleep —
+// identical across both transports (the conformance suite pins it).
+// Results are copied into resp.Results' existing capacity, so a caller
+// that polls in a loop with one persistent response struct allocates
+// nothing in steady state. resp is overwritten entirely; the caller
+// owns it and everything it references (result Features alias the
+// collector's immutable arena and must not be mutated).
 func (s *LBServer) PollResultsInto(ctx context.Context, req ResultsRequest, resp *ResultsResponse) {
 	max := req.Max
 	if max <= 0 {
@@ -488,64 +425,18 @@ func (s *LBServer) takeResultsInto(max int, resp *ResultsResponse) {
 	s.results = append(s.results[:0], s.results[n:]...)
 }
 
-// handleQuery admits a query and blocks until it completes or drops.
-func (s *LBServer) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var q QueryMsg
-	codec, err := readMsg(r, &q)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	resp, ok := s.Submit(r.Context(), q)
-	if !ok {
-		return // client went away
-	}
-	writeMsg(w, codec, &resp)
-}
-
-// handleSubmit admits an async query batch.
-func (s *LBServer) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req SubmitRequest
-	if _, err := readMsg(r, &req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	s.SubmitBatchReq(req)
-	w.WriteHeader(http.StatusOK)
-}
-
-// handleResults long-polls for async results.
-func (s *LBServer) handleResults(w http.ResponseWriter, r *http.Request) {
-	var req ResultsRequest
-	codec, err := readMsg(r, &req)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	resp := s.PollResults(r.Context(), req)
-	writeMsg(w, codec, &resp)
-}
-
-// Pull hands up to req.Max queued queries to a worker, shedding
+// PullInto hands up to req.Max queued queries to a worker, shedding
 // queries that can no longer meet their deadline. With req.Wait > 0
 // it long-polls: the call blocks until a batch is dispatchable under
 // the coalescing policy or the wait expires. req.Wait <= 0 is an
 // explicit non-blocking poll: one dequeue attempt, never a sleep —
-// identical across every transport (the conformance suite pins it).
+// identical across both transports (the conformance suite pins it).
 // Pulls only touch their own pool's lock, so light and heavy dispatch
-// proceed concurrently.
-func (s *LBServer) Pull(ctx context.Context, req PullRequest) PullResponse {
-	var resp PullResponse
-	s.PullInto(ctx, req, &resp)
-	return resp
-}
-
-// PullInto is the buffer-reusing form of Pull: the pulled batch is
-// written into resp.Queries' existing capacity, so a worker that
-// pulls in a loop with one persistent response struct allocates
-// nothing in steady state. resp is overwritten entirely (an empty
-// pull leaves Queries nil, matching the by-value API and the wire
-// codecs' nil-vs-empty normalization).
+// proceed concurrently. The batch is written into resp.Queries'
+// existing capacity, so a worker that pulls in a loop with one
+// persistent response struct allocates nothing in steady state. resp
+// is overwritten entirely (an empty pull leaves Queries nil, matching
+// the wire codec's nil-vs-empty normalization).
 func (s *LBServer) PullInto(ctx context.Context, req PullRequest, resp *PullResponse) {
 	if req.Drain {
 		*resp = s.drainPull(req)
@@ -635,11 +526,9 @@ func (s *LBServer) PullInto(ctx context.Context, req PullRequest, resp *PullResp
 // PullRequest.Drain): it pops up to req.Max queued queries from the
 // pool with no shedding and no coalescing, forgets their async
 // registrations, and hands them to the caller for re-submission to
-// their new owning shard. A query with a blocking waiter stays here
-// and resolves as a drop (its client is parked on this server's
-// Submit); a query with no live registration was already resolved by
-// a racing drop and is silently discarded — returning it would let
-// the re-submission resolve it a second time.
+// their new owning shard. A query with no live registration was
+// already resolved by a racing drop and is silently discarded —
+// returning it would let the re-submission resolve it a second time.
 func (s *LBServer) drainPull(req PullRequest) PullResponse {
 	epoch := int(s.ringEpoch.Load())
 	max := req.Max
@@ -650,11 +539,10 @@ func (s *LBServer) drainPull(req PullRequest) PullResponse {
 	p := s.pool(req.Role)
 	resp := PullResponse{RingEpoch: epoch}
 	// An empty response means "this pool is drained": a popped round
-	// whose items all turn out non-migratable (waiter-backed, or
-	// already resolved by a racing drop) must not end the caller's
-	// drain loop while queries still sit in the queue, so keep
-	// popping until a round yields something migratable or the queue
-	// is empty.
+	// whose items all turn out non-migratable (already resolved by a
+	// racing drop) must not end the caller's drain loop while queries
+	// still sit in the queue, so keep popping until a round yields
+	// something migratable or the queue is empty.
 	for len(resp.Queries) == 0 {
 		p.mu.Lock()
 		n := p.q.Len()
@@ -671,13 +559,8 @@ func (s *LBServer) drainPull(req PullRequest) PullResponse {
 			if _, ok := s.async[it.ID]; ok {
 				delete(s.async, it.ID)
 				resp.Queries = append(resp.Queries, QueryMsg{ID: it.ID, Arrival: it.Arrival})
-				continue
-			}
-			if _, ok := s.waiters[it.ID]; ok {
-				s.dropLocked(it.ID, it.Arrival)
 			}
 		}
-		s.flushResultsLocked()
 		s.resMu.Unlock()
 	}
 	return resp
@@ -716,18 +599,6 @@ func (s *LBServer) dequeuePool(p *lbPool, max int, now float64, dst []queueing.I
 	return shed, dst, 0
 }
 
-// handlePull serves worker pulls.
-func (s *LBServer) handlePull(w http.ResponseWriter, r *http.Request) {
-	var req PullRequest
-	codec, err := readMsg(r, &req)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	resp := s.Pull(r.Context(), req)
-	writeMsg(w, codec, &resp)
-}
-
 // Complete receives a finished batch: light-pool results are
 // thresholded (serve or defer); heavy-pool results always serve.
 func (s *LBServer) Complete(req CompleteRequest) {
@@ -757,7 +628,7 @@ func (s *LBServer) Complete(req CompleteRequest) {
 	if len(deferred) > 0 && !s.pools[loadbalancer.PoolHeavy].push(now, deferred...) {
 		// The end-of-run drain already swept the heavy queue: these
 		// deferrals arrived too late to ever be pulled, so they
-		// resolve as drops instead of stranding their waiters.
+		// resolve as drops instead of stranding their clients.
 		s.dropRejected(deferred)
 	}
 }
@@ -911,13 +782,12 @@ func (s *LBServer) collectExpiredLocked(now float64) (light, heavy, shed []queue
 // pulled from. This is the same exactly-once shape as the resharding
 // re-submit path (SubmitRequest.Pool): the arrival stamp rides along
 // untouched, nothing is re-counted as an arrival, and — because a
-// reclaim never crosses servers — the waiter/async registration is
-// still in place, so no re-registration happens at all. A query whose
-// registration is already gone (resolved by a zombie completion, or
-// its blocking Submit was cancelled) is skipped rather than
-// re-executed for nobody; a pool already draining for shutdown
-// refuses the push and the queries resolve as drops like any late
-// arrival.
+// reclaim never crosses servers — the async registration is still in
+// place, so no re-registration happens at all. A query whose
+// registration is already gone (resolved by a zombie completion) is
+// skipped rather than re-executed for nobody; a pool already draining
+// for shutdown refuses the push and the queries resolve as drops like
+// any late arrival.
 func (s *LBServer) settleExpired(light, heavy, shed []queueing.Item, now float64) {
 	if len(shed) > 0 {
 		s.dropRejected(shed)
@@ -945,31 +815,17 @@ func (s *LBServer) settleExpired(light, heavy, shed []queueing.Item, now float64
 	requeue(loadbalancer.PoolHeavy, heavy)
 }
 
-// handleComplete serves completion reports.
-func (s *LBServer) handleComplete(w http.ResponseWriter, r *http.Request) {
-	var req CompleteRequest
-	if _, err := readMsg(r, &req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	s.Complete(req)
-	w.WriteHeader(http.StatusOK)
-}
-
 // liveLocked reports whether a query still awaits its resolution —
-// a blocking waiter or an async entry exists. Once resolved, neither
-// does, so completions and drops racing a drain (or arriving twice)
-// become no-ops instead of double-counting in the collector and the
-// control-plane counters. Callers must hold resMu.
+// its async entry exists. Once resolved it does not, so completions
+// and drops racing a drain (or arriving twice) become no-ops instead
+// of double-counting in the collector and the control-plane counters.
+// Callers must hold resMu.
 func (s *LBServer) liveLocked(id int) bool {
-	if _, ok := s.waiters[id]; ok {
-		return true
-	}
 	_, ok := s.async[id]
 	return ok
 }
 
-// completeLocked resolves a waiter and records the outcome. A query
+// completeLocked resolves a query and records the outcome. A query
 // already resolved — e.g. dropped by DrainRemaining while this
 // completion was in flight, or delivered twice by a retrying peer —
 // is skipped: the first resolution is final and must not be
@@ -1023,19 +879,12 @@ func (s *LBServer) dropLocked(id int, arrival float64) {
 	s.resolveLocked(id, QueryResponse{ID: id, Dropped: true, Arrival: arrival})
 }
 
-// resolveLocked delivers a query's final outcome to whichever side is
-// waiting for it: a blocking Submit waiter, or the async results
-// buffer drained by PollResults. Callers must hold resMu.
+// resolveLocked delivers a live query's final outcome to the results
+// buffer drained by PollResultsInto. Callers must hold resMu.
 func (s *LBServer) resolveLocked(id int, resp QueryResponse) {
-	if ch, ok := s.waiters[id]; ok {
-		ch <- resp
-		delete(s.waiters, id)
-	}
-	if _, ok := s.async[id]; ok {
-		s.results = append(s.results, resp)
-		delete(s.async, id)
-		s.resultsDirty = true
-	}
+	s.results = append(s.results, resp)
+	delete(s.async, id)
+	s.resultsDirty = true
 }
 
 // flushResultsLocked wakes result pollers once for however many
@@ -1077,17 +926,6 @@ func (s *LBServer) Configure(req ConfigureLBRequest) {
 	s.splitMu.Lock()
 	s.splitProb = loadbalancer.ClampProb(req.SplitProb)
 	s.splitMu.Unlock()
-}
-
-// handleConfigure serves policy updates.
-func (s *LBServer) handleConfigure(w http.ResponseWriter, r *http.Request) {
-	var req ConfigureLBRequest
-	if _, err := readMsg(r, &req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	s.Configure(req)
-	w.WriteHeader(http.StatusOK)
 }
 
 // Stats reports control-plane statistics and resets the per-tick
@@ -1133,13 +971,6 @@ func (s *LBServer) Stats() LBStats {
 	return out
 }
 
-// handleStats serves the control-plane report. The response codec
-// follows the Accept header (GET has no body to infer from).
-func (s *LBServer) handleStats(w http.ResponseWriter, r *http.Request) {
-	out := s.Stats()
-	writeMsg(w, codecForContentType(r.Header.Get("Accept")), &out)
-}
-
 // Membership reports the tier membership this server last adopted
 // from a Configure broadcast — epoch, member IDs, dial addresses, and
 // placement weights. A server that never saw a membership broadcast
@@ -1156,13 +987,6 @@ func (s *LBServer) Membership() MembershipResponse {
 	out.Addrs = append([]string(nil), s.memberAddrs...)
 	out.Weights = append([]int(nil), s.memberWeights...)
 	return out
-}
-
-// handleMembership serves the membership snapshot; like /stats the
-// response codec follows the Accept header.
-func (s *LBServer) handleMembership(w http.ResponseWriter, r *http.Request) {
-	out := s.Membership()
-	writeMsg(w, codecForContentType(r.Header.Get("Accept")), &out)
 }
 
 // DrainRemaining drops every still-queued query (end of run) and
@@ -1183,27 +1007,4 @@ func (s *LBServer) DrainRemaining() {
 		}
 		s.dropRejected(items)
 	}
-}
-
-// readMsg decodes an HTTP request body with the codec named by its
-// Content-Type header (JSON when absent) and returns that codec so
-// the response can be written in kind.
-func readMsg(r *http.Request, v interface{}) (Codec, error) {
-	codec := codecForContentType(r.Header.Get("Content-Type"))
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		return codec, err
-	}
-	return codec, codec.Unmarshal(body, v)
-}
-
-// writeMsg encodes a response with the given codec.
-func writeMsg(w http.ResponseWriter, codec Codec, v interface{}) {
-	data, err := codec.Marshal(v)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", codec.ContentType())
-	w.Write(data)
 }

@@ -46,7 +46,7 @@ func TestLBServerPerPoolLockStress(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for resolved.Load() < total && ctx.Err() == nil {
-				resp := lb.PollResults(ctx, ResultsRequest{Max: 64, Wait: 50})
+				resp, _ := pollResults(ctx, NewLocalLBConn(lb), ResultsRequest{Max: 64, Wait: 50})
 				resolved.Add(int64(len(resp.Results)))
 			}
 		}()
@@ -56,7 +56,7 @@ func TestLBServerPerPoolLockStress(t *testing.T) {
 	pull := func(role string, confidence float64) {
 		defer wg.Done()
 		for resolved.Load() < total && ctx.Err() == nil {
-			resp := lb.Pull(ctx, PullRequest{Role: role, Max: batchSize, Wait: 100})
+			resp, _ := pull(ctx, NewLocalLBConn(lb), PullRequest{Role: role, Max: batchSize, Wait: 100})
 			if len(resp.Queries) == 0 {
 				continue
 			}
@@ -93,8 +93,7 @@ func TestLBServerPerPoolLockStress(t *testing.T) {
 		}
 	}()
 
-	// Submitters: batched async admissions plus occasional blocking
-	// Submits (resolved through the same waiters path).
+	// Submitters: batched async admissions.
 	for s := 0; s < submitters; s++ {
 		wg.Add(1)
 		go func(s int) {
@@ -212,7 +211,7 @@ func TestLBPoolWakeupStress(t *testing.T) {
 			for pulled.Load() < total && ctx.Err() == nil {
 				// 1e7 trace seconds = 100s of wall time at this
 				// timescale: no puller may ever need the deadline.
-				resp := lb.Pull(ctx, PullRequest{Role: "light", Max: 1, Wait: 1e7})
+				resp, _ := pull(ctx, NewLocalLBConn(lb), PullRequest{Role: "light", Max: 1, Wait: 1e7})
 				if len(resp.Queries) == 0 {
 					continue
 				}
@@ -283,7 +282,7 @@ func TestDrainCompleteRaceNoDoubleResolve(t *testing.T) {
 	go func() { // merged-result accounting
 		defer wg.Done()
 		for resolved.Load() < total && ctx.Err() == nil {
-			resp := lb.PollResults(ctx, ResultsRequest{Max: 64, Wait: 50})
+			resp, _ := pollResults(ctx, NewLocalLBConn(lb), ResultsRequest{Max: 64, Wait: 50})
 			resolved.Add(int64(len(resp.Results)))
 		}
 	}()
@@ -308,7 +307,7 @@ func TestDrainCompleteRaceNoDoubleResolve(t *testing.T) {
 		// already resolved as a drop.
 		pulledItems := []CompleteItem{}
 		for {
-			resp := lb.Pull(ctx, PullRequest{Role: "light", Max: batchSize})
+			resp, _ := pull(ctx, NewLocalLBConn(lb), PullRequest{Role: "light", Max: batchSize})
 			if len(resp.Queries) == 0 {
 				break
 			}
@@ -327,7 +326,7 @@ func TestDrainCompleteRaceNoDoubleResolve(t *testing.T) {
 		lb.Complete(CompleteRequest{Role: "light", Items: pulledItems})
 		// Heavy side serves (or the drain already dropped) deferrals.
 		for {
-			resp := lb.Pull(ctx, PullRequest{Role: "heavy", Max: batchSize})
+			resp, _ := pull(ctx, NewLocalLBConn(lb), PullRequest{Role: "heavy", Max: batchSize})
 			if len(resp.Queries) == 0 {
 				break
 			}

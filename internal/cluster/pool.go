@@ -66,7 +66,6 @@ func internString(b []byte) string {
 // these; anyone may return messages via ReleaseMessage as long as
 // they own them.
 var (
-	queryMsgPool        = sync.Pool{New: func() interface{} { return new(QueryMsg) }}
 	queryResponsePool   = sync.Pool{New: func() interface{} { return new(QueryResponse) }}
 	submitRequestPool   = sync.Pool{New: func() interface{} { return new(SubmitRequest) }}
 	pullRequestPool     = sync.Pool{New: func() interface{} { return new(PullRequest) }}
@@ -78,7 +77,6 @@ var (
 	confWorkerPool      = sync.Pool{New: func() interface{} { return new(ConfigureWorkerRequest) }}
 )
 
-func getQueryMsg() *QueryMsg               { return queryMsgPool.Get().(*QueryMsg) }
 func getQueryResponse() *QueryResponse     { return queryResponsePool.Get().(*QueryResponse) }
 func getSubmitRequest() *SubmitRequest     { return submitRequestPool.Get().(*SubmitRequest) }
 func getPullRequest() *PullRequest         { return pullRequestPool.Get().(*PullRequest) }
@@ -106,9 +104,6 @@ func getConfigureWorkerRequest() *ConfigureWorkerRequest {
 // arena and must never become decode targets.
 func ReleaseMessage(v interface{}) {
 	switch m := v.(type) {
-	case *QueryMsg:
-		*m = QueryMsg{}
-		queryMsgPool.Put(m)
 	case *QueryResponse:
 		// Features may alias the collector arena: drop, don't reuse.
 		*m = QueryResponse{}
@@ -154,36 +149,7 @@ func ReleaseMessage(v interface{}) {
 	}
 }
 
-// zeroWireMessage fully zeroes a pooled request before a decode whose
-// codec merges into dirty targets (JSON leaves absent fields alone).
-// The binary decoder overwrites every field, so it skips this and
-// keeps the dirty capacity for reuse.
-func zeroWireMessage(v interface{}) {
-	switch m := v.(type) {
-	case *QueryMsg:
-		*m = QueryMsg{}
-	case *QueryResponse:
-		*m = QueryResponse{}
-	case *SubmitRequest:
-		*m = SubmitRequest{}
-	case *PullRequest:
-		*m = PullRequest{}
-	case *PullResponse:
-		*m = PullResponse{}
-	case *CompleteRequest:
-		*m = CompleteRequest{}
-	case *ResultsRequest:
-		*m = ResultsRequest{}
-	case *ResultsResponse:
-		*m = ResultsResponse{}
-	case *ConfigureLBRequest:
-		*m = ConfigureLBRequest{}
-	case *ConfigureWorkerRequest:
-		*m = ConfigureWorkerRequest{}
-	}
-}
-
-// queueItemPool recycles the scratch slices Pull uses to dequeue
+// queueItemPool recycles the scratch slices PullInto uses to dequeue
 // batches, so the hot pull path never allocates for the dequeue.
 var queueItemPool = sync.Pool{
 	New: func() interface{} {

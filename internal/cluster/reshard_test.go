@@ -117,7 +117,7 @@ func TestReshardChaosNoLostOrDoubleResolve(t *testing.T) {
 		go func(wait float64) {
 			defer wg.Done()
 			for resolved.Load() < total && ctx.Err() == nil {
-				resp, err := fe.PollResults(ctx, ResultsRequest{Max: 64, Wait: wait})
+				resp, err := pollResults(ctx, fe, ResultsRequest{Max: 64, Wait: wait})
 				if err != nil {
 					return
 				}
@@ -154,7 +154,7 @@ func TestReshardChaosNoLostOrDoubleResolve(t *testing.T) {
 					if conn == nil {
 						continue
 					}
-					resp, err := conn.Pull(ctx, PullRequest{Role: role, Max: batchSize, Wait: 20})
+					resp, err := pull(ctx, conn, PullRequest{Role: role, Max: batchSize, Wait: 20})
 					if err != nil || len(resp.Queries) == 0 {
 						continue
 					}
@@ -170,7 +170,7 @@ func TestReshardChaosNoLostOrDoubleResolve(t *testing.T) {
 		go func(role string) {
 			defer wg.Done()
 			for resolved.Load() < total && ctx.Err() == nil {
-				resp, err := fe.Pull(ctx, PullRequest{Role: role, Max: batchSize, Wait: 20})
+				resp, err := pull(ctx, fe, PullRequest{Role: role, Max: batchSize, Wait: 20})
 				if err != nil || len(resp.Queries) == 0 {
 					continue
 				}
@@ -253,8 +253,8 @@ func TestReshardChaosNoLostOrDoubleResolve(t *testing.T) {
 	}
 
 	// Exactly-once accounting across every shard that ever existed:
-	// each ID recorded exactly once, nothing dropped (unbounded SLO,
-	// no blocking waiters), merged counters balance.
+	// each ID recorded exactly once, nothing dropped (unbounded SLO),
+	// merged counters balance.
 	st, err := fe.Stats(context.Background())
 	if err != nil {
 		t.Fatal(err)

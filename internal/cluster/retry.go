@@ -77,17 +77,17 @@ func (p RetryPolicy) norm() RetryPolicy {
 }
 
 // retryLBConn wraps an LBConn with bounded, jittered exponential
-// backoff on the data-path calls (SubmitBatch, PollResults, Pull,
-// Complete). It works over every transport: HTTP conns surface
-// per-call errors, TCP conns surface redial failures, and the
-// in-process conn never fails (the wrapper is then a pass-through).
+// backoff on the data-path calls (SubmitBatch, PollResultsInto,
+// PullInto, Complete) and Membership. It works over both transports:
+// TCP conns surface redial failures, and the in-process conn never
+// fails (the wrapper is then a pass-through).
 //
 // Retried calls stay exactly-once where it matters: the server
 // resolves each query at most once regardless of how many times a
 // request is delivered (duplicate submits re-queue, but the first
 // resolution is final and later completions no-op), so retrying
 // cannot double-resolve. What a retry cannot recover is a response
-// lost after the server acted — a PollResults reply dropped in
+// lost after the server acted — a PollResultsInto reply dropped in
 // transit is gone from the client's view (the server already handed
 // the results out); run accounting that must survive that failure
 // mode reads the server-side collectors instead.
@@ -147,46 +147,19 @@ func (c *retryLBConn) do(ctx context.Context, call func(context.Context) error) 
 	}
 }
 
-func (c *retryLBConn) Submit(ctx context.Context, q QueryMsg) (QueryResponse, error) {
-	// Blocking submits are not retried: the server may be holding the
-	// waiter from a first delivery whose reply was lost, and a
-	// re-submit would strand it. Batch admission is the retryable path.
-	return c.inner.Submit(ctx, q)
-}
-
 func (c *retryLBConn) SubmitBatch(ctx context.Context, req SubmitRequest) error {
 	return c.do(ctx, func(ctx context.Context) error { return c.inner.SubmitBatch(ctx, req) })
 }
 
-func (c *retryLBConn) PollResults(ctx context.Context, req ResultsRequest) (ResultsResponse, error) {
-	var out ResultsResponse
-	err := c.do(ctx, func(ctx context.Context) error {
-		var e error
-		out, e = c.inner.PollResults(ctx, req)
-		return e
-	})
-	return out, err
-}
-
-func (c *retryLBConn) Pull(ctx context.Context, req PullRequest) (PullResponse, error) {
-	var out PullResponse
-	err := c.do(ctx, func(ctx context.Context) error {
-		var e error
-		out, e = c.inner.Pull(ctx, req)
-		return e
-	})
-	return out, err
-}
-
 func (c *retryLBConn) PollResultsInto(ctx context.Context, req ResultsRequest, resp *ResultsResponse) error {
 	return c.do(ctx, func(ctx context.Context) error {
-		return PollResultsIntoConn(ctx, c.inner, req, resp)
+		return c.inner.PollResultsInto(ctx, req, resp)
 	})
 }
 
 func (c *retryLBConn) PullInto(ctx context.Context, req PullRequest, resp *PullResponse) error {
 	return c.do(ctx, func(ctx context.Context) error {
-		return PullIntoConn(ctx, c.inner, req, resp)
+		return c.inner.PullInto(ctx, req, resp)
 	})
 }
 
@@ -209,14 +182,10 @@ func (c *retryLBConn) Membership(ctx context.Context) (MembershipResponse, error
 	// Membership reads are idempotent (a pure snapshot, no server-side
 	// effect), so unlike Stats they retry: a follower whose poll hits a
 	// transient fault should still converge within the same interval.
-	src, ok := c.inner.(MembershipSource)
-	if !ok {
-		return MembershipResponse{}, errors.New("cluster: inner conn does not report membership")
-	}
 	var out MembershipResponse
 	err := c.do(ctx, func(ctx context.Context) error {
 		var e error
-		out, e = src.Membership(ctx)
+		out, e = c.inner.Membership(ctx)
 		return e
 	})
 	return out, err

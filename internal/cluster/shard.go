@@ -16,7 +16,7 @@ import (
 
 // This file implements the sharded load-balancer tier: a frontend
 // that partitions the query stream across N independent LBServer
-// shards, each reachable through any Transport (inproc, http, tcp).
+// shards, each reachable through either Transport (inproc, tcp).
 // One LBServer process tops out on its result lock and admission path
 // long before "millions of users" arrival rates; partitioning query
 // IDs across shards multiplies the admission and result throughput
@@ -142,16 +142,16 @@ func (e *epochRing) conn(member int) LBConn {
 // ShardedLB partitions queries across independent LBServer shards by
 // consistent hashing and re-exposes them as one LBConn:
 //
-//   - Submit / SubmitBatch route each query to its owning shard under
-//     the current ring epoch (batches fan out per shard, and a whole
-//     batch lands in exactly one epoch);
-//   - PollResults merges the shards' result streams: one background
-//     pump per shard long-polls its shard and lands results in a
-//     shared buffer with LBServer-identical wait semantics (pumps
-//     start lazily on the first PollResults call, so a frontend used
-//     only for control-plane fan-out never consumes results), and
+//   - SubmitBatch routes each query to its owning shard under the
+//     current ring epoch (batches fan out per shard, and a whole batch
+//     lands in exactly one epoch);
+//   - PollResultsInto merges the shards' result streams: one
+//     background pump per shard long-polls its shard and lands results
+//     in a shared buffer with LBServer-identical wait semantics (pumps
+//     start lazily on the first PollResultsInto call, so a frontend
+//     used only for control-plane fan-out never consumes results), and
 //     each call first collects from the in-process shards itself;
-//   - Pull gathers up to req.Max queries from the shards (retired
+//   - PullInto gathers up to req.Max queries from the shards (retired
 //     ones included), sweeping from a rotating start and parking on
 //     one shard at a time between empty sweeps;
 //   - Complete routes each finished item to its owning shard under
@@ -178,8 +178,8 @@ type ShardedLB struct {
 	epochs  []epochRing
 	retired map[int]LBConn // removed member -> conn, kept for stragglers
 	// sweep is the immutable list of every reachable member (current
-	// members in ascending order, then retired members) that Pull
-	// sweeps, PollResults gathers from and Configure/Stats broadcast to,
+	// members in ascending order, then retired members) that PullInto
+	// sweeps, PollResultsInto gathers from and Configure/Stats broadcast to,
 	// rebuilt on every reshard so a snapshot is a slice read, not a copy.
 	sweep sweepList
 
@@ -192,9 +192,7 @@ type ShardedLB struct {
 	// liveEpoch maps each in-flight query ID admitted through
 	// SubmitBatch (or migrated by a drain) to the epoch it was
 	// dispatched under; epochLive counts in-flight queries per epoch.
-	// Blocking Submits count in epochLive without an ID entry — their
-	// results return on the call itself, not through a pump. An epoch
-	// with a zero count and a newer successor is quiesced:
+	// An epoch with a zero count and a newer successor is quiesced:
 	// collapseQuiescedLocked drops it from the installed list. liveMu
 	// is a leaf lock, taken under ringMu; curEpoch mirrors the newest
 	// epoch so decrement paths can skip the collapse attempt without
@@ -293,14 +291,14 @@ func SplitShardAddrs(csv string) []string {
 // the standalone client's and controller's way onto a sharded tier.
 // vnodes selects the placement exactly as ShardedLBConfig.VNodes
 // does: 0 is the legacy static modulus, > 0 a consistent-hash ring.
-func DialShardedLB(transport, addrCSV string, codec Codec, clock *Clock, vnodes int) (*ShardedLB, error) {
+func DialShardedLB(addrCSV string, clock *Clock, vnodes int) (*ShardedLB, error) {
 	addrs := SplitShardAddrs(addrCSV)
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("cluster: no shard addresses in %q", addrCSV)
 	}
 	conns := make([]LBConn, len(addrs))
 	for i, a := range addrs {
-		conn, err := DialLB(transport, a, codec)
+		conn, err := DialLB(a)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: dialing shard %d: %w", i, err)
 		}
@@ -566,45 +564,6 @@ func (s *ShardedLB) DegradedMembers() []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// Submit admits one query on its owning shard (under the current
-// epoch) and blocks until it completes or drops. Unlike SubmitBatch,
-// the ring lock cannot be held for the call's duration (a blocking
-// Submit lasts until the query resolves, which would stall every
-// reshard behind it), so a reshard can slip between the owner lookup
-// and the dispatch; the worst case is bounded and mirrors the
-// documented migration semantics for blocking waiters — the query
-// lands on a just-retired shard and the straggler sweep resolves it
-// as a drop. It is never lost or left hanging.
-func (s *ShardedLB) Submit(ctx context.Context, q QueryMsg) (QueryResponse, error) {
-	s.ringMu.RLock()
-	cur := s.cur()
-	epoch := cur.epoch
-	conn := cur.conns[s.shardFor(cur, q.ID)]
-	// A blocking waiter keeps its dispatch epoch live (so Complete
-	// fan-out still covers its shard) but needs no per-ID entry — the
-	// result returns on this call, never through a pump.
-	s.liveMu.Lock()
-	s.epochLive[epoch]++
-	s.liveMu.Unlock()
-	s.ringMu.RUnlock()
-	resp, err := conn.Submit(ctx, q)
-	s.epochDone(epoch)
-	return resp, err
-}
-
-// epochDone releases one blocking Submit's hold on its dispatch epoch,
-// collapsing the epoch if the release drained it and it is no longer
-// current.
-func (s *ShardedLB) epochDone(epoch int) {
-	s.liveMu.Lock()
-	s.epochLive[epoch]--
-	drained := s.epochLive[epoch] <= 0
-	s.liveMu.Unlock()
-	if drained && int(s.curEpoch.Load()) != epoch {
-		s.maybeCollapse()
-	}
 }
 
 // SubmitBatch splits the batch by owning shard under the current ring
@@ -895,7 +854,8 @@ func (s *ShardedLB) pump(member int, conn LBConn) {
 		if s.pumpFinished(member) {
 			return
 		}
-		err := PollResultsIntoConn(s.ctx, conn, ResultsRequest{Max: 1024, Wait: s.cfg.PumpWait}, &resp)
+		resp.Results = resp.Results[:0] // a failed remote call leaves resp as it was
+		err := conn.PollResultsInto(s.ctx, ResultsRequest{Max: 1024, Wait: s.cfg.PumpWait}, &resp)
 		s.land(resp.Results)
 		if err != nil {
 			// Transient transport failure (or shutdown): back off so a
@@ -945,7 +905,7 @@ func (s *ShardedLB) gatherResults(ctx context.Context) {
 	for _, conn := range sweep.local {
 		// An in-process poll cannot fail, only observe ctx; what it
 		// popped is landed either way and the caller sees ctx itself.
-		_ = PollResultsIntoConn(ctx, conn, ResultsRequest{Max: 1024}, leg)
+		_ = conn.PollResultsInto(ctx, ResultsRequest{Max: 1024}, leg)
 		s.land(leg.Results)
 	}
 }
@@ -958,23 +918,15 @@ func (s *ShardedLB) pumpFinished(member int) bool {
 	return s.finished[member]
 }
 
-// PollResults drains the merged result stream with the same wait
-// semantics as LBServer.PollResults: req.Wait <= 0 is an explicit
+// PollResultsInto drains the merged result stream with the same wait
+// semantics as LBServer.PollResultsInto: req.Wait <= 0 is an explicit
 // non-blocking poll; otherwise the call blocks until at least one
 // result arrives from any shard or the wait expires. Before it looks
 // at the stream, every poll first gathers from the in-process members
 // itself (gatherResults), so results they already hold are returned by
 // this call whether or not their pump has run; results of remote
-// members arrive through the pumps.
-func (s *ShardedLB) PollResults(ctx context.Context, req ResultsRequest) (ResultsResponse, error) {
-	var resp ResultsResponse
-	err := s.PollResultsInto(ctx, req, &resp)
-	return resp, err
-}
-
-// PollResultsInto is PollResults decoding into the caller's response,
-// reusing resp.Results' capacity. The caller owns the results until
-// its next call with the same struct.
+// members arrive through the pumps. resp.Results' capacity is reused;
+// the caller owns the results until its next call with the same struct.
 func (s *ShardedLB) PollResultsInto(ctx context.Context, req ResultsRequest, resp *ResultsResponse) error {
 	s.startPumps()
 	max := req.Max
@@ -1018,7 +970,7 @@ func (s *ShardedLB) PollResultsInto(ctx context.Context, req ResultsRequest, res
 	}
 }
 
-// parkTimerPool recycles the timers PollResults parks on, so a wait
+// parkTimerPool recycles the timers PollResultsInto parks on, so a wait
 // costs a Reset, not an allocation.
 var parkTimerPool = sync.Pool{New: func() interface{} {
 	t := time.NewTimer(time.Hour)
@@ -1104,7 +1056,7 @@ func (s *ShardedLB) rebuildSweepLocked() {
 	s.sweep = newSweepList(members, conns)
 }
 
-// Pull gathers dispatchable work from the shards: starting at a
+// PullInto gathers dispatchable work from the shards: starting at a
 // rotating shard, so concurrent frontend pullers spread out, it asks
 // each shard without waiting for what is still missing from req.Max
 // and appends that shard's share, until the batch is full or every
@@ -1122,20 +1074,13 @@ func (s *ShardedLB) rebuildSweepLocked() {
 // shard's queue at a time and returns the first non-empty share.
 // Workers that should stay pinned to one shard (the multi-host layout)
 // dial their shard directly instead of pulling through the frontend.
-func (s *ShardedLB) Pull(ctx context.Context, req PullRequest) (PullResponse, error) {
-	var resp PullResponse
-	err := s.PullInto(ctx, req, &resp)
-	return resp, err
-}
-
-// PullInto is Pull decoding into the caller's response, reusing
-// resp.Queries' capacity across calls (an empty pull leaves Queries
-// nil, as an LBServer's does).
+// resp.Queries' capacity is reused across calls (an empty pull leaves
+// Queries nil, as an LBServer's does).
 func (s *ShardedLB) PullInto(ctx context.Context, req PullRequest, resp *PullResponse) error {
 	sweep, epoch := s.sweepConns()
 	n := len(sweep.conns)
 	if n == 1 {
-		err := PullIntoConn(ctx, sweep.conns[0], req, resp)
+		err := sweep.conns[0].PullInto(ctx, req, resp)
 		resp.RingEpoch = epoch
 		return err
 	}
@@ -1153,7 +1098,8 @@ func (s *ShardedLB) PullInto(ctx context.Context, req PullRequest, resp *PullRes
 	ask := func(i int, wait float64) (over bool, err error) {
 		r := req
 		r.Wait, r.Max = wait, req.Max-len(got)
-		err = PullIntoConn(ctx, sweep.conns[i], r, leg)
+		leg.Queries = leg.Queries[:0] // a failed remote call leaves leg as it was
+		err = sweep.conns[i].PullInto(ctx, r, leg)
 		if len(leg.Queries) > 0 {
 			got = append(got, leg.Queries...)
 			if d := leg.LeaseDeadline; d > 0 && (resp.LeaseDeadline == 0 || d < resp.LeaseDeadline) {
@@ -1568,9 +1514,11 @@ func (s *ShardedLB) stampMembership(req *ConfigureLBRequest, e *epochRing) {
 // pull has.)
 func (s *ShardedLB) drainShard(ctx context.Context, conn LBConn) bool {
 	moved := false
+	var resp PullResponse
 	for _, role := range []string{"light", "heavy"} {
 		for {
-			resp, err := conn.Pull(ctx, PullRequest{Role: role, Max: 512, Drain: true})
+			resp.Queries = resp.Queries[:0] // a failed remote call leaves resp as it was
+			err := conn.PullInto(ctx, PullRequest{Role: role, Max: 512, Drain: true}, &resp)
 			if len(resp.Queries) > 0 {
 				moved = true
 				s.resubmitMigrated(resp.Queries, role)
@@ -1789,9 +1737,9 @@ func (s *ShardedLB) Membership(ctx context.Context) (MembershipResponse, error) 
 	return resp, ctx.Err()
 }
 
-// SyncMembership adopts a newer membership from src (any conn that
-// serves the Membership verb — typically one of this frontend's own
-// shard conns, which republish the authority's broadcasts). dial
+// SyncMembership adopts a newer membership from src (typically one of
+// this frontend's own shard conns, which republish the authority's
+// broadcasts). dial
 // opens a connection to a member this frontend has never seen, from
 // its advertised address. It returns whether a flip was adopted; an
 // already-current epoch is a cheap no-op, which is why callers poll
@@ -1800,7 +1748,7 @@ func (s *ShardedLB) Membership(ctx context.Context) (MembershipResponse, error) 
 // The adopted epoch keeps the authority's number and weight vector,
 // so both sides compute identical placement and later syncs compare
 // epochs meaningfully.
-func (s *ShardedLB) SyncMembership(ctx context.Context, src MembershipSource, dial func(member int, addr string) (LBConn, error)) (bool, error) {
+func (s *ShardedLB) SyncMembership(ctx context.Context, src LBConn, dial func(member int, addr string) (LBConn, error)) (bool, error) {
 	m, err := src.Membership(ctx)
 	if err != nil {
 		return false, err
@@ -1876,7 +1824,3 @@ func (s *ShardedLB) epochRings() []*loadbalancer.Ring {
 	}
 	return out
 }
-
-// ShardedLB is a full LBConn: clients, the controller, and frontend
-// workers all speak to the shard tier through it.
-var _ LBConn = (*ShardedLB)(nil)

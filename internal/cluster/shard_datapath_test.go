@@ -96,14 +96,14 @@ func TestShardedLBLateCompletionCounted(t *testing.T) {
 	if err := fe.SubmitBatch(ctx, SubmitRequest{Queries: queriesFor(idsPerShard(2, 2, 0))}); err != nil {
 		t.Fatal(err)
 	}
-	zombie, err := fe.Pull(ctx, PullRequest{WorkerID: 1, Role: "light", Max: 1})
+	zombie, err := pull(ctx, fe, PullRequest{WorkerID: 1, Role: "light", Max: 1})
 	if err != nil || len(zombie.Queries) != 1 || zombie.LeaseDeadline <= 0 {
 		t.Fatalf("zombie pull = %+v, %v", zombie, err)
 	}
 	// Worker 1 goes silent past the lease's hard cap; worker 2's pull
 	// reclaims its query and gathers it with the other three.
 	clock.SleepTraceCtx(ctx, 3)
-	live, err := fe.Pull(ctx, PullRequest{WorkerID: 2, Role: "light", Max: 8})
+	live, err := pull(ctx, fe, PullRequest{WorkerID: 2, Role: "light", Max: 8})
 	if err != nil || len(live.Queries) != 4 {
 		t.Fatalf("reclaiming pull = %+v, %v", live, err)
 	}
@@ -128,7 +128,7 @@ func TestShardedLBLateCompletionCounted(t *testing.T) {
 // and one collect merges a caller-side gather with pumped results.
 func TestShardedLBMixedLegs(t *testing.T) {
 	const shards, perShard = 4, 8
-	tcp := newTCPTransport(CodecBinary)
+	tcp := newTCPTransport()
 	defer tcp.Close()
 	clock := NewClock(0.001)
 	lbs := make([]*LBServer, shards)
@@ -165,7 +165,7 @@ func TestShardedLBMixedLegs(t *testing.T) {
 	if err := fe.SubmitBatch(ctx, SubmitRequest{Queries: queriesFor(ids)}); err != nil {
 		t.Fatal(err)
 	}
-	light, err := fe.Pull(ctx, PullRequest{Role: "light", Max: total})
+	light, err := pull(ctx, fe, PullRequest{Role: "light", Max: total})
 	if err != nil || len(light.Queries) != total {
 		t.Fatalf("light pull gathered %d of %d: %v", len(light.Queries), total, err)
 	}
@@ -181,7 +181,7 @@ func TestShardedLBMixedLegs(t *testing.T) {
 	if err := fe.Complete(ctx, req); err != nil {
 		t.Fatal(err)
 	}
-	heavy, err := fe.Pull(ctx, PullRequest{Role: "heavy", Max: total})
+	heavy, err := pull(ctx, fe, PullRequest{Role: "heavy", Max: total})
 	if err != nil || len(heavy.Queries) != deferred {
 		t.Fatalf("heavy pull gathered %d of %d deferred: %v", len(heavy.Queries), deferred, err)
 	}
@@ -288,11 +288,13 @@ type failingPullConn struct {
 	fail atomic.Bool
 }
 
-func (c *failingPullConn) Pull(ctx context.Context, req PullRequest) (PullResponse, error) {
+// A failed pull leaves resp as the caller passed it, as a failed call
+// over tcp does.
+func (c *failingPullConn) PullInto(ctx context.Context, req PullRequest, resp *PullResponse) error {
 	if c.fail.Load() {
-		return PullResponse{}, fmt.Errorf("injected pull failure")
+		return fmt.Errorf("injected pull failure")
 	}
-	return c.LBConn.Pull(ctx, req)
+	return c.LBConn.PullInto(ctx, req, resp)
 }
 
 // TestShardedLBGatherPullLegFailure pins what a failing shard costs a
@@ -325,17 +327,17 @@ func TestShardedLBGatherPullLegFailure(t *testing.T) {
 
 	// The sweep's rotating start is shard 0 on the first pull, shard 1
 	// on the second.
-	resp, err := fe.Pull(ctx, PullRequest{Role: "light", Max: 2})
+	resp, err := pull(ctx, fe, PullRequest{Role: "light", Max: 2})
 	if err != nil || len(resp.Queries) != 2 {
 		t.Fatalf("pull filled from the healthy shard = %+v, %v", resp.Queries, err)
 	}
 	if got := fe.DegradedMembers(); len(got) != 0 {
 		t.Fatalf("members %v degraded by a pull that never reached them", got)
 	}
-	if resp, err = fe.Pull(ctx, PullRequest{Role: "light", Max: 6}); err == nil {
+	if resp, err = pull(ctx, fe, PullRequest{Role: "light", Max: 6}); err == nil {
 		t.Fatalf("pull starting at the failing shard returned %+v, want its error", resp.Queries)
 	}
-	resp, err = fe.Pull(ctx, PullRequest{Role: "light", Max: 6})
+	resp, err = pull(ctx, fe, PullRequest{Role: "light", Max: 6})
 	if err != nil || len(resp.Queries) != 1 {
 		t.Fatalf("pull past the failing shard = %+v, %v; want the healthy shard's last query", resp.Queries, err)
 	}
@@ -344,7 +346,7 @@ func TestShardedLBGatherPullLegFailure(t *testing.T) {
 	}
 
 	flaky.fail.Store(false)
-	resp, err = fe.Pull(ctx, PullRequest{Role: "light", Max: 6})
+	resp, err = pull(ctx, fe, PullRequest{Role: "light", Max: 6})
 	if err != nil || len(resp.Queries) != 3 {
 		t.Fatalf("pull after recovery = %+v, %v; want the failed shard's three queries", resp.Queries, err)
 	}

@@ -59,7 +59,7 @@ func TestShardedLBRoutesByHash(t *testing.T) {
 	seen := map[int]int{}
 	for s, lb := range lbs {
 		for {
-			resp := lb.Pull(ctx, PullRequest{Role: "light", Max: 16})
+			resp, _ := pull(ctx, NewLocalLBConn(lb), PullRequest{Role: "light", Max: 16})
 			if len(resp.Queries) == 0 {
 				break
 			}
@@ -85,7 +85,7 @@ func TestShardedLBRoutesByHash(t *testing.T) {
 	got := map[int]bool{}
 	deadline := time.Now().Add(10 * time.Second)
 	for len(got) < queries && time.Now().Before(deadline) {
-		resp, err := fe.PollResults(ctx, ResultsRequest{Max: 64, Wait: 5})
+		resp, err := pollResults(ctx, fe, ResultsRequest{Max: 64, Wait: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +170,7 @@ func TestShardedLBAssignmentDeterminism(t *testing.T) {
 		out := map[int]int{}
 		for s, lb := range lbs {
 			for {
-				resp := lb.Pull(context.Background(), PullRequest{Role: "light", Max: 64})
+				resp, _ := pull(context.Background(), NewLocalLBConn(lb), PullRequest{Role: "light", Max: 64})
 				if len(resp.Queries) == 0 {
 					break
 				}
@@ -184,7 +184,7 @@ func TestShardedLBAssignmentDeterminism(t *testing.T) {
 	}
 
 	mkInproc := func() Transport { return localTransport{} }
-	mkTCP := func() Transport { return newTCPTransport(CodecBinary) }
+	mkTCP := func() Transport { return newTCPTransport() }
 	first := assign(mkInproc)
 	if len(first) != len(ids) {
 		t.Fatalf("first run assigned %d of %d", len(first), len(ids))
@@ -235,7 +235,7 @@ func TestShardedLBStress(t *testing.T) {
 		go func(wait float64) {
 			defer wg.Done()
 			for resolved.Load() < total && ctx.Err() == nil {
-				resp, err := fe.PollResults(ctx, ResultsRequest{Max: 64, Wait: wait})
+				resp, err := pollResults(ctx, fe, ResultsRequest{Max: 64, Wait: wait})
 				if err != nil {
 					return
 				}
@@ -266,7 +266,7 @@ func TestShardedLBStress(t *testing.T) {
 			go func(conn LBConn, role string) {
 				defer wg.Done()
 				for resolved.Load() < total && ctx.Err() == nil {
-					resp, err := conn.Pull(ctx, PullRequest{Role: role, Max: batchSize, Wait: 100})
+					resp, err := pull(ctx, conn, PullRequest{Role: role, Max: batchSize, Wait: 100})
 					if err != nil || len(resp.Queries) == 0 {
 						continue
 					}
@@ -281,7 +281,7 @@ func TestShardedLBStress(t *testing.T) {
 		go func(role string) {
 			defer wg.Done()
 			for resolved.Load() < total && ctx.Err() == nil {
-				resp, err := fe.Pull(ctx, PullRequest{Role: role, Max: batchSize, Wait: 100})
+				resp, err := pull(ctx, fe, PullRequest{Role: role, Max: batchSize, Wait: 100})
 				if err != nil || len(resp.Queries) == 0 {
 					continue
 				}
@@ -543,7 +543,7 @@ func TestSplitShardAddrs(t *testing.T) {
 	if SplitShardAddrs("") != nil {
 		t.Errorf("empty list should parse to nil")
 	}
-	if _, err := DialShardedLB("tcp", " , ", CodecBinary, NewClock(1), 0); err == nil {
+	if _, err := DialShardedLB(" , ", NewClock(1), 0); err == nil {
 		t.Error("DialShardedLB accepted an empty shard list")
 	}
 }

@@ -15,19 +15,18 @@ import (
 	"time"
 )
 
-// This file implements the raw-TCP framed transport: the same wire
-// messages and Codec seam as the HTTP transport, but over persistent
-// TCP connections with length-prefixed frames and multiplexed
-// request/response correlation instead of net/http request plumbing.
+// This file implements the framed TCP transport: the wire messages,
+// binary-encoded, over persistent TCP connections with length-prefixed
+// frames and multiplexed request/response correlation.
 //
 // Frame layout (both directions):
 //
 //	uint32 big-endian  body length (header + payload, ≤ maxFrameBody)
 //	byte               frame kind (request, response, error)
-//	byte               method (methodQuery … methodWorkerStats)
-//	byte               codec id (JSON or binary; responses echo it)
+//	byte               method (methodSubmit … methodMembership)
+//	byte               codec id (binary; a server refuses any other)
 //	uint64 big-endian  request id (responses echo it)
-//	payload            codec-encoded message, or UTF-8 error text
+//	payload            binary-encoded message, or UTF-8 error text
 //
 // A client writes request frames on one persistent connection and
 // correlates responses by id, so any number of in-flight calls —
@@ -76,10 +75,11 @@ const (
 	frameError
 )
 
-// Methods multiplexed over one connection (the TCP analogue of the
-// HTTP mux paths).
+// Methods multiplexed over one connection. Id 1 was the blocking
+// single-query submit: it is retired, never reused, and a server
+// answers it like any method it does not serve, with an error frame.
 const (
-	methodQuery byte = iota + 1
+	methodQueryRetired byte = iota + 1
 	methodSubmit
 	methodResults
 	methodPull
@@ -92,36 +92,19 @@ const (
 	methodMax = methodMembership
 )
 
-// Codec ids on the wire.
+// Codec ids on the wire. Every frame this package writes carries
+// codecIDBinary; the JSON id is still a well-formed header value, which
+// a server answers with an error frame instead of dropping the
+// connection.
 const (
 	codecIDJSON byte = iota + 1
 	codecIDBinary
 	codecIDMax = codecIDBinary
 )
 
-func codecByID(id byte) Codec {
-	if id == codecIDBinary {
-		return CodecBinary
-	}
-	return CodecJSON
-}
-
-func codecID(c Codec) byte {
-	if c != nil && c.Name() == CodecNameBinary {
-		return codecIDBinary
-	}
-	return codecIDJSON
-}
-
 // ErrTransportClosed is returned by calls on a closed TCP conn or
 // transport.
 var ErrTransportClosed = errors.New("cluster: transport closed")
-
-// marshalAppender is the optional codec fast path: encode straight
-// into the frame buffer instead of allocating an intermediate slice.
-type marshalAppender interface {
-	MarshalAppend(b []byte, v interface{}) ([]byte, error)
-}
 
 // framePool recycles frame buffers across reads and writes. All
 // returns go through putFrame, which poisons the buffer first under
@@ -189,7 +172,7 @@ func readFrame(br *bufio.Reader, buf []byte) (frame, []byte, error) {
 	switch {
 	case f.kind < frameRequest || f.kind > frameError:
 		return frame{}, buf, fmt.Errorf("cluster: tcp frame kind %d invalid", f.kind)
-	case f.method < methodQuery || f.method > methodMax:
+	case f.method < methodQueryRetired || f.method > methodMax:
 		return frame{}, buf, fmt.Errorf("cluster: tcp frame method %d invalid", f.method)
 	case f.codec < codecIDJSON || f.codec > codecIDMax:
 		return frame{}, buf, fmt.Errorf("cluster: tcp frame codec %d invalid", f.codec)
@@ -199,23 +182,17 @@ func readFrame(br *bufio.Reader, buf []byte) (frame, []byte, error) {
 
 // appendFrame encodes a whole frame into b (which must be the empty
 // start of a frame buffer): length prefix, header, and either the
-// codec-encoded msg or the error text.
-func appendFrame(b []byte, kind, method, cID byte, id uint64, codec Codec, msg interface{}, errText string) ([]byte, error) {
-	b = append(b, 0, 0, 0, 0, kind, method, cID)
+// binary-encoded msg (straight into the frame buffer, no intermediate
+// slice) or the error text.
+func appendFrame(b []byte, kind, method byte, id uint64, msg interface{}, errText string) ([]byte, error) {
+	b = append(b, 0, 0, 0, 0, kind, method, codecIDBinary)
 	b = binary.BigEndian.AppendUint64(b, id)
 	switch {
 	case errText != "":
 		b = append(b, errText...)
 	case msg != nil:
 		var err error
-		if ma, ok := codec.(marshalAppender); ok {
-			b, err = ma.MarshalAppend(b, msg)
-		} else {
-			var data []byte
-			data, err = codec.Marshal(msg)
-			b = append(b, data...)
-		}
-		if err != nil {
+		if b, err = (binaryCodec{}).MarshalAppend(b, msg); err != nil {
 			return b, err
 		}
 	}
@@ -245,9 +222,9 @@ func appendFrame(b []byte, kind, method, cID byte, id uint64, codec Codec, msg i
 //
 // serve is first called on the connection's read loop with park false:
 // it must not block, and answers errWouldPark when the call can only
-// be served by waiting (a long poll that found nothing, a blocking
-// submit). The server then calls it again with park true on a
-// goroutine of its own. Methods that never wait ignore park.
+// be served by waiting (a long poll that found nothing). The server
+// then calls it again with park true on a goroutine of its own.
+// Methods that never wait ignore park.
 type tcpService interface {
 	newRequest(method byte) (msg interface{}, ok bool)
 	serve(ctx context.Context, method byte, req interface{}, park bool) (interface{}, error)
@@ -288,8 +265,6 @@ type lbService struct{ s *LBServer }
 
 func (lbService) newRequest(method byte) (interface{}, bool) {
 	switch method {
-	case methodQuery:
-		return getQueryMsg(), true
 	case methodSubmit:
 		return getSubmitRequest(), true
 	case methodResults:
@@ -310,15 +285,6 @@ func (lbService) newRequest(method byte) (interface{}, bool) {
 
 func (l lbService) serve(ctx context.Context, method byte, req interface{}, park bool) (interface{}, error) {
 	switch method {
-	case methodQuery:
-		if !park {
-			return nil, errWouldPark // blocks until the query resolves
-		}
-		resp, ok := l.s.Submit(ctx, *req.(*QueryMsg))
-		if !ok {
-			return nil, errors.New("query cancelled")
-		}
-		return &resp, nil
 	case methodSubmit:
 		l.s.SubmitBatchReq(*req.(*SubmitRequest))
 		return nil, nil
@@ -475,8 +441,7 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 			putFrame(bp)
 			return // closed, EOF, or protocol violation: drop the conn
 		}
-		codec := codecByID(f.codec)
-		req, err := s.decode(f, codec)
+		req, err := s.decode(f)
 		// The frame buffer is recycled as soon as the request is decoded,
 		// before serve can block; only f's header fields live on.
 		f.payload = nil
@@ -491,19 +456,24 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 			// so far leave first: no acknowledgement waits out a long poll.
 			w.flush()
 			s.wg.Add(1)
-			go s.park(ctx, w, f, codec, req)
+			go s.park(ctx, w, f, req)
 			continue
 		}
 		// Served inline. The response leaves now only if the read loop is
 		// about to block; otherwise it shares a write with the responses
 		// to the frames already received behind this one.
-		w.respond(f, codec, req, resp, err, br.Buffered() == 0)
+		w.respond(f, req, resp, err, br.Buffered() == 0)
 	}
 }
 
 // decode returns the pooled message f's payload decodes into: nil for
-// a method that carries no request payload.
-func (s *TCPServer) decode(f frame, codec Codec) (interface{}, error) {
+// a method that carries no request payload. Nothing is taken from a
+// pool for a frame that is refused. The binary decoder overwrites every
+// field, so a pooled request's dirty capacity is reused as it is.
+func (s *TCPServer) decode(f frame) (interface{}, error) {
+	if f.codec != codecIDBinary {
+		return nil, fmt.Errorf("codec %d not supported", f.codec)
+	}
 	req, known := s.svc.newRequest(f.method)
 	if !known {
 		return nil, fmt.Errorf("method %d not supported", f.method)
@@ -511,14 +481,7 @@ func (s *TCPServer) decode(f frame, codec Codec) (interface{}, error) {
 	if req == nil {
 		return nil, nil
 	}
-	if f.codec != codecIDBinary {
-		// JSON merges into dirty targets (absent fields keep their
-		// stale values), so pooled requests must be zeroed for it.
-		// The binary decoder overwrites every field and may reuse
-		// the dirty capacity directly.
-		zeroWireMessage(req)
-	}
-	if err := codec.Unmarshal(f.payload, req); err != nil {
+	if err := CodecBinary.Unmarshal(f.payload, req); err != nil {
 		ReleaseMessage(req)
 		return nil, err
 	}
@@ -526,10 +489,10 @@ func (s *TCPServer) decode(f frame, codec Codec) (interface{}, error) {
 }
 
 // park serves one call that has to wait and writes its response.
-func (s *TCPServer) park(ctx context.Context, w *frameWriter, f frame, codec Codec, req interface{}) {
+func (s *TCPServer) park(ctx context.Context, w *frameWriter, f frame, req interface{}) {
 	defer s.wg.Done()
 	resp, err := s.svc.serve(ctx, f.method, req, true)
-	w.respond(f, codec, req, resp, err, true)
+	w.respond(f, req, resp, err, true)
 }
 
 // frameWriter serializes response frames onto one connection. The
@@ -561,26 +524,26 @@ type frameWriter struct {
 // respond writes the response (or error) frame of one served call and
 // returns the pooled request and response messages to their pools
 // (handlers must not retain them; see tcpService).
-func (w *frameWriter) respond(f frame, codec Codec, req, resp interface{}, err error, flush bool) {
+func (w *frameWriter) respond(f frame, req, resp interface{}, err error, flush bool) {
 	if req != nil {
 		ReleaseMessage(req)
 	}
 	if err != nil {
-		w.write(frameError, f.method, f.codec, f.id, codec, nil, err.Error(), flush)
+		w.write(frameError, f.method, f.id, nil, err.Error(), flush)
 		return
 	}
-	w.write(frameResponse, f.method, f.codec, f.id, codec, resp, "", flush)
+	w.write(frameResponse, f.method, f.id, resp, "", flush)
 	if resp != nil {
 		ReleaseMessage(resp)
 	}
 }
 
-func (w *frameWriter) write(kind, method, cID byte, id uint64, codec Codec, msg interface{}, errText string, flush bool) {
+func (w *frameWriter) write(kind, method byte, id uint64, msg interface{}, errText string, flush bool) {
 	bp := getFrame()
-	b, err := appendFrame((*bp)[:0], kind, method, cID, id, codec, msg, errText)
+	b, err := appendFrame((*bp)[:0], kind, method, id, msg, errText)
 	if err != nil {
 		// Encoding failed: report the failure instead of the payload.
-		b, err = appendFrame(b[:0], frameError, method, cID, id, codec, nil, err.Error())
+		b, err = appendFrame(b[:0], frameError, method, id, nil, err.Error())
 	}
 	if err == nil {
 		w.writers.Add(1)
@@ -633,10 +596,8 @@ const maxPosted = 256
 // tcpClient multiplexes calls over one persistent framed connection,
 // redialing (with backoff) when the connection is lost.
 type tcpClient struct {
-	addr  string
-	codec Codec
-	cID   byte
-	errs  chan<- error // fatal transport errors (nil: unreported)
+	addr string
+	errs chan<- error // fatal transport errors (nil: unreported)
 
 	// closed is atomic so Close takes effect immediately even while
 	// a dial-retry cycle is in flight.
@@ -753,11 +714,8 @@ type tcpResult struct {
 	err     error
 }
 
-func newTCPClient(addr string, codec Codec, errs chan<- error) *tcpClient {
-	if codec == nil {
-		codec = CodecBinary
-	}
-	return &tcpClient{addr: tcpAddr(addr), codec: codec, cID: codecID(codec), errs: errs}
+func newTCPClient(addr string, errs chan<- error) *tcpClient {
+	return &tcpClient{addr: tcpAddr(addr), errs: errs}
 }
 
 // tcpAddr strips an optional tcp:// scheme so flags accept both
@@ -767,9 +725,9 @@ func tcpAddr(addr string) string {
 }
 
 // checkTCPAddr rejects addresses carrying a non-tcp scheme before
-// they reach the dialer, where an http:// base URL (the HTTP flags'
-// default) would otherwise burn the full retry budget resolving a
-// nonsense host and fail without naming the actual mistake.
+// they reach the dialer, where an http:// base URL would otherwise
+// burn the full retry budget resolving a nonsense host and fail
+// without naming the actual mistake.
 func checkTCPAddr(addr string) error {
 	if i := strings.Index(addr, "://"); i >= 0 && addr[:i] != "tcp" {
 		return fmt.Errorf("cluster: %q has scheme %q — the tcp transport takes host:port (or tcp://host:port) addresses", addr, addr[:i])
@@ -917,7 +875,7 @@ func (c *tcpClient) do(ctx context.Context, method byte, in, out interface{}, po
 	// Encode the request frame before touching any lock; the request
 	// id is patched in once assigned.
 	bp := getFrame()
-	b, err := appendFrame((*bp)[:0], frameRequest, method, c.cID, 0, c.codec, in, "")
+	b, err := appendFrame((*bp)[:0], frameRequest, method, 0, in, "")
 	*bp = b
 	if err != nil {
 		putFrame(bp)
@@ -998,7 +956,7 @@ func (c *tcpClient) finish(res tcpResult, out interface{}) error {
 	}
 	var err error
 	if out != nil {
-		err = c.codec.Unmarshal(res.payload, out)
+		err = CodecBinary.Unmarshal(res.payload, out)
 	}
 	if res.bp != nil {
 		putFrame(res.bp)
@@ -1215,56 +1173,26 @@ func (cs *tcpConnState) readLoop() {
 type tcpLBConn struct{ c *tcpClient }
 
 // NewTCPLBConn connects to a framed-TCP load balancer at addr
-// ("host:port"; a tcp:// prefix is accepted). A nil codec defaults to
-// the binary codec. The connection is persistent and multiplexed;
-// it is established lazily and redialed with backoff after failures.
-func NewTCPLBConn(addr string, codec Codec) LBConn {
-	return tcpLBConn{newTCPClient(addr, codec, nil)}
-}
-
-func (c tcpLBConn) Submit(ctx context.Context, q QueryMsg) (QueryResponse, error) {
-	var resp QueryResponse
-	err := c.c.call(ctx, methodQuery, &q, &resp)
-	return resp, err
+// ("host:port"; a tcp:// prefix is accepted). The connection is
+// persistent and multiplexed; it is established lazily and redialed
+// with backoff after failures.
+func NewTCPLBConn(addr string) LBConn {
+	return tcpLBConn{newTCPClient(addr, nil)}
 }
 
 func (c tcpLBConn) SubmitBatch(ctx context.Context, req SubmitRequest) error {
 	return c.c.post(ctx, methodSubmit, &req)
 }
 
-func (c tcpLBConn) PollResults(ctx context.Context, req ResultsRequest) (ResultsResponse, error) {
-	var resp ResultsResponse
-	err := c.c.call(ctx, methodResults, &req, &resp)
-	return resp, err
-}
-
-func (c tcpLBConn) Pull(ctx context.Context, req PullRequest) (PullResponse, error) {
-	var resp PullResponse
-	err := c.c.call(ctx, methodPull, &req, &resp)
-	return resp, err
-}
-
 // PollResultsInto and PullInto decode straight into the caller's
-// response struct, reusing its slice capacity across calls (the
-// ReusingLBConn capability). Only the binary codec overwrites every
-// field on decode; the JSON codec merges into dirty targets, so it
-// falls back to a fresh decode.
+// response struct, reusing its slice capacity across calls: the binary
+// decoder overwrites every field.
 
 func (c tcpLBConn) PollResultsInto(ctx context.Context, req ResultsRequest, resp *ResultsResponse) error {
-	if c.c.cID != codecIDBinary {
-		out, err := c.PollResults(ctx, req)
-		*resp = out
-		return err
-	}
 	return c.c.call(ctx, methodResults, &req, resp)
 }
 
 func (c tcpLBConn) PullInto(ctx context.Context, req PullRequest, resp *PullResponse) error {
-	if c.c.cID != codecIDBinary {
-		out, err := c.Pull(ctx, req)
-		*resp = out
-		return err
-	}
 	return c.c.call(ctx, methodPull, &req, resp)
 }
 
@@ -1291,8 +1219,8 @@ func (c tcpLBConn) Membership(ctx context.Context) (MembershipResponse, error) {
 type tcpWorkerConn struct{ c *tcpClient }
 
 // NewTCPWorkerConn connects to a worker's framed-TCP control plane.
-func NewTCPWorkerConn(addr string, codec Codec) WorkerConn {
-	return tcpWorkerConn{newTCPClient(addr, codec, nil)}
+func NewTCPWorkerConn(addr string) WorkerConn {
+	return tcpWorkerConn{newTCPClient(addr, nil)}
 }
 
 func (c tcpWorkerConn) Configure(ctx context.Context, req ConfigureWorkerRequest) error {
@@ -1310,16 +1238,15 @@ func (c tcpWorkerConn) Stats(ctx context.Context) (WorkerStats, error) {
 // tcpTransport serves components on loopback TCP listeners and
 // connects them with persistent multiplexed framed connections.
 type tcpTransport struct {
-	codec Codec
-	errs  chan error
+	errs chan error
 
 	mu    sync.Mutex
 	srvs  []*TCPServer
 	conns []*tcpClient
 }
 
-func newTCPTransport(codec Codec) *tcpTransport {
-	return &tcpTransport{codec: codec, errs: make(chan error, 8)}
+func newTCPTransport() *tcpTransport {
+	return &tcpTransport{errs: make(chan error, 8)}
 }
 
 func (t *tcpTransport) Name() string { return TransportTCP }
@@ -1331,7 +1258,7 @@ func (t *tcpTransport) ServeLB(s *LBServer) (LBConn, error) {
 	if err != nil {
 		return nil, err
 	}
-	cl := newTCPClient(srv.Addr(), t.codec, t.errs)
+	cl := newTCPClient(srv.Addr(), t.errs)
 	t.mu.Lock()
 	t.srvs = append(t.srvs, srv)
 	t.conns = append(t.conns, cl)
@@ -1344,7 +1271,7 @@ func (t *tcpTransport) ServeWorker(s *WorkerServer) (WorkerConn, error) {
 	if err != nil {
 		return nil, err
 	}
-	cl := newTCPClient(srv.Addr(), t.codec, t.errs)
+	cl := newTCPClient(srv.Addr(), t.errs)
 	t.mu.Lock()
 	t.srvs = append(t.srvs, srv)
 	t.conns = append(t.conns, cl)

@@ -83,7 +83,7 @@ func newPostRig(t *testing.T) *postRig {
 	if r.srv, err = newTCPServer("127.0.0.1:0", r.probe); err != nil {
 		t.Fatal(err)
 	}
-	r.c = newTCPClient(r.srv.Addr(), CodecBinary, r.errs)
+	r.c = newTCPClient(r.srv.Addr(), r.errs)
 	r.conn = tcpLBConn{r.c}
 	t.Cleanup(func() {
 		r.c.Close()
@@ -233,7 +233,7 @@ func TestTCPPostedReplay(t *testing.T) {
 	// Every query resolved exactly once.
 	seen := map[int]bool{}
 	for len(seen) < 2*n {
-		res, err := r.conn.PollResults(ctx, ResultsRequest{Max: 64})
+		res, err := pollResults(ctx, r.conn, ResultsRequest{Max: 64})
 		if err != nil || len(res.Results) == 0 {
 			t.Fatalf("results ran out at %d of %d: %v", len(seen), 2*n, err)
 		}
@@ -244,7 +244,7 @@ func TestTCPPostedReplay(t *testing.T) {
 			seen[q.ID] = true
 		}
 	}
-	if res, err := r.conn.PollResults(ctx, ResultsRequest{Max: 64}); err != nil || len(res.Results) != 0 {
+	if res, err := pollResults(ctx, r.conn, ResultsRequest{Max: 64}); err != nil || len(res.Results) != 0 {
 		t.Fatalf("%d results beyond the %d submitted: %v", len(res.Results), 2*n, err)
 	}
 	if got := r.c.posted(); got != 0 {
@@ -377,12 +377,12 @@ func TestTCPInlineResponseNotStranded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	seg, err := appendFrame(nil, frameRequest, methodConfigureLB, codecIDBinary, 1, CodecBinary, &ConfigureLBRequest{Threshold: 0.5}, "")
+	seg, err := appendFrame(nil, frameRequest, methodConfigureLB, 1, &ConfigureLBRequest{Threshold: 0.5}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	// 3600 trace seconds at NewClock(1): the poll ends when woken, below.
-	pull, err := appendFrame(nil, frameRequest, methodPull, codecIDBinary, 2, CodecBinary, &PullRequest{Role: "light", Max: 1, Wait: 3600}, "")
+	pull, err := appendFrame(nil, frameRequest, methodPull, 2, &PullRequest{Role: "light", Max: 1, Wait: 3600}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,22 +418,22 @@ func TestTCPTryFirst(t *testing.T) {
 	if err := r.conn.SubmitBatch(ctx, SubmitRequest{Queries: []QueryMsg{{ID: 1, Arrival: 0.001}}}); err != nil {
 		t.Fatal(err)
 	}
-	pulled, err := r.conn.Pull(ctx, PullRequest{Role: "light", Max: 1, Wait: 3600})
+	pulled, err := pull(ctx, r.conn, PullRequest{Role: "light", Max: 1, Wait: 3600})
 	if err != nil || len(pulled.Queries) != 1 {
 		t.Fatalf("pull = %+v, %v", pulled, err)
 	}
 	if err := completeAll(ctx, r.conn, 0, "light", pulled, 0.9); err != nil {
 		t.Fatal(err)
 	}
-	res, err := r.conn.PollResults(ctx, ResultsRequest{Max: 4, Wait: 3600})
+	res, err := pollResults(ctx, r.conn, ResultsRequest{Max: 4, Wait: 3600})
 	if err != nil || len(res.Results) != 1 {
 		t.Fatalf("poll = %+v, %v", res, err)
 	}
 	// Nothing ready, nothing asked to wait: answered empty, inline.
-	if pulled, err = r.conn.Pull(ctx, PullRequest{Role: "light", Max: 1}); err != nil || len(pulled.Queries) != 0 {
+	if pulled, err = pull(ctx, r.conn, PullRequest{Role: "light", Max: 1}); err != nil || len(pulled.Queries) != 0 {
 		t.Fatalf("zero-wait pull = %+v, %v", pulled, err)
 	}
-	if pulled, err = r.conn.Pull(ctx, PullRequest{Role: "light", Max: 1, Wait: 3600, Drain: true}); err != nil || len(pulled.Queries) != 0 {
+	if pulled, err = pull(ctx, r.conn, PullRequest{Role: "light", Max: 1, Wait: 3600, Drain: true}); err != nil || len(pulled.Queries) != 0 {
 		t.Fatalf("drain pull = %+v, %v", pulled, err)
 	}
 	if got := r.probe.parks.Load(); got != 0 {
@@ -443,7 +443,7 @@ func TestTCPTryFirst(t *testing.T) {
 	// Nothing ready: the pull parks and a later submit wakes it.
 	got := make(chan PullResponse, 1)
 	go func() {
-		resp, err := r.conn.Pull(ctx, PullRequest{Role: "light", Max: 1, Wait: 3600})
+		resp, err := pull(ctx, r.conn, PullRequest{Role: "light", Max: 1, Wait: 3600})
 		if err != nil {
 			t.Error(err)
 		}

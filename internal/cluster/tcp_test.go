@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -17,33 +19,31 @@ import (
 // must decode to the same header and payload.
 func TestTCPFrameRoundTrip(t *testing.T) {
 	msg := &PullRequest{WorkerID: 3, Role: "light", Max: 8, Wait: 0.25}
-	for _, codec := range []Codec{CodecJSON, CodecBinary} {
-		b, err := appendFrame(nil, frameRequest, methodPull, codecID(codec), 42, codec, msg, "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		f, _, err := readFrame(bufio.NewReader(bytes.NewReader(b)), nil)
-		if err != nil {
-			t.Fatalf("%s: %v", codec.Name(), err)
-		}
-		if f.kind != frameRequest || f.method != methodPull || f.codec != codecID(codec) || f.id != 42 {
-			t.Errorf("%s: header = %+v", codec.Name(), f)
-		}
-		var out PullRequest
-		if err := codec.Unmarshal(f.payload, &out); err != nil {
-			t.Fatal(err)
-		}
-		if out != *msg {
-			t.Errorf("%s: payload = %+v, want %+v", codec.Name(), out, *msg)
-		}
-	}
-
-	// Error frames carry the error text as their payload.
-	b, err := appendFrame(nil, frameError, methodPull, codecIDBinary, 7, CodecBinary, nil, "boom")
+	b, err := appendFrame(nil, frameRequest, methodPull, 42, msg, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	f, _, err := readFrame(bufio.NewReader(bytes.NewReader(b)), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.kind != frameRequest || f.method != methodPull || f.codec != codecIDBinary || f.id != 42 {
+		t.Errorf("header = %+v", f)
+	}
+	var out PullRequest
+	if err := CodecBinary.Unmarshal(f.payload, &out); err != nil {
+		t.Fatal(err)
+	}
+	if out != *msg {
+		t.Errorf("payload = %+v, want %+v", out, *msg)
+	}
+
+	// Error frames carry the error text as their payload.
+	b, err = appendFrame(nil, frameError, methodPull, 7, nil, "boom")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, _, err = readFrame(bufio.NewReader(bytes.NewReader(b)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestTCPFrameRoundTrip(t *testing.T) {
 // oversized and undersized declared lengths, invalid kind, method,
 // and codec bytes must all fail without panicking.
 func TestTCPFrameRejectsCorruptHeaders(t *testing.T) {
-	valid, err := appendFrame(nil, frameRequest, methodPull, codecIDBinary, 1, CodecBinary, &PullRequest{}, "")
+	valid, err := appendFrame(nil, frameRequest, methodPull, 1, &PullRequest{}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,6 +80,91 @@ func TestTCPFrameRejectsCorruptHeaders(t *testing.T) {
 	}
 }
 
+// TestTCPRefusesRetiredCodecAndMethod pins the one change a tcp peer
+// can see on the wire: a request frame that names the JSON codec, and
+// one that names the retired blocking-submit method, each get an error
+// frame — nothing is applied, nothing is taken from a message pool for
+// them (the suite runs this under -tags poolpoison too), and the
+// connection serves the next frame as if they had never arrived.
+func TestTCPRefusesRetiredCodecAndMethod(t *testing.T) {
+	lb := newTestLB(0.001)
+	srv, err := ServeLBTCP("127.0.0.1:0", lb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	// What a pre-deletion "-codec json" client sent: a well-formed
+	// frame, JSON codec id, JSON payload.
+	submit := SubmitRequest{Queries: []QueryMsg{{ID: 1, Arrival: 0.001}}}
+	payload, err := CodecJSON.Marshal(&submit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jsonFrame, err := appendFrame(nil, frameRequest, methodSubmit, 1, nil, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	jsonFrame = append(jsonFrame, payload...)
+	jsonFrame[6] = codecIDJSON
+	binary.BigEndian.PutUint32(jsonFrame[:4], uint32(len(jsonFrame)-4))
+	// The same codec id over a binary payload, as a peer with only the
+	// header wrong would send it.
+	mislabelled, err := appendFrame(nil, frameRequest, methodSubmit, 2, &submit, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mislabelled[6] = codecIDJSON
+	// The retired method, payload as its clients encoded it.
+	query, err := appendFrame(nil, frameRequest, methodQueryRetired, 3, &QueryMsg{ID: 2, Arrival: 0.001}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := appendFrame(nil, frameRequest, methodLBStats, 4, nil, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seg []byte
+	for _, f := range [][]byte{jsonFrame, mislabelled, query, stats} {
+		seg = append(seg, f...)
+	}
+	if _, err := conn.Write(seg); err != nil {
+		t.Fatal(err)
+	}
+
+	br := bufio.NewReader(conn)
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	for _, want := range []struct {
+		id   uint64
+		text string
+	}{{1, "codec 1 not supported"}, {2, "codec 1 not supported"}, {3, "method 1 not supported"}} {
+		f, _, err := readFrame(br, nil)
+		if err != nil {
+			t.Fatalf("frame %d: connection lost instead of an error frame: %v", want.id, err)
+		}
+		if f.kind != frameError || f.id != want.id || string(f.payload) != want.text {
+			t.Errorf("frame %d answered with kind %d id %d %q, want an error frame saying %q",
+				want.id, f.kind, f.id, f.payload, want.text)
+		}
+	}
+	f, _, err := readFrame(br, nil)
+	if err != nil || f.kind != frameResponse || f.id != 4 {
+		t.Fatalf("frame after the refusals = %+v, %v; want the Stats response on the same connection", f, err)
+	}
+	var st LBStats
+	if err := CodecBinary.Unmarshal(f.payload, &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.ArrivalsSinceTick != 0 || st.LightQueueLen != 0 {
+		t.Errorf("a refused frame was applied: stats = %+v", st)
+	}
+}
+
 // TestTCPConcurrentCalls hammers one multiplexed connection from many
 // goroutines and checks every response correlates to its own request.
 func TestTCPConcurrentCalls(t *testing.T) {
@@ -89,7 +174,7 @@ func TestTCPConcurrentCalls(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	conn := NewTCPLBConn(srv.Addr(), CodecBinary)
+	conn := NewTCPLBConn(srv.Addr())
 	defer conn.(tcpLBConn).c.Close()
 
 	const calls = 64
@@ -102,7 +187,7 @@ func TestTCPConcurrentCalls(t *testing.T) {
 			// Mix blocking long polls with instant control calls so
 			// responses interleave out of request order.
 			if i%4 == 0 {
-				resp, err := conn.Pull(context.Background(), PullRequest{Role: "light", Max: 1, Wait: 2})
+				resp, err := pull(context.Background(), conn, PullRequest{Role: "light", Max: 1, Wait: 2})
 				if err != nil {
 					errs <- err
 				} else if len(resp.Queries) != 0 {
@@ -132,7 +217,7 @@ func TestTCPClientRedialsAfterRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := srv.Addr()
-	conn := NewTCPLBConn(addr, CodecBinary)
+	conn := NewTCPLBConn(addr)
 	defer conn.(tcpLBConn).c.Close()
 	if _, err := conn.Stats(context.Background()); err != nil {
 		t.Fatal(err)
@@ -170,7 +255,7 @@ func TestHarnessReportsTransportFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tp := newTCPTransport(CodecBinary)
+	tp := newTCPTransport()
 
 	resCh := make(chan *Result, 1)
 	errCh := make(chan error, 1)

@@ -48,7 +48,7 @@ func TestPullLongPollCancellable(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	resp := lb.Pull(ctx, PullRequest{Role: "light", Max: 1, Wait: 60})
+	resp, _ := pull(ctx, NewLocalLBConn(lb), PullRequest{Role: "light", Max: 1, Wait: 60})
 	if len(resp.Queries) != 0 {
 		t.Fatalf("cancelled long poll returned %+v", resp.Queries)
 	}
@@ -61,7 +61,7 @@ func TestSubmitBatchResultsRoundTrip(t *testing.T) {
 	lb := newTestLB(0.001)
 	lb.SubmitBatch([]QueryMsg{{ID: 1, Arrival: 0.001}, {ID: 2, Arrival: 0.001}})
 
-	pulled := lb.Pull(context.Background(), PullRequest{Role: "light", Max: 2, Wait: 5})
+	pulled, _ := pull(context.Background(), NewLocalLBConn(lb), PullRequest{Role: "light", Max: 2, Wait: 5})
 	if len(pulled.Queries) != 2 {
 		t.Fatalf("pulled %+v", pulled.Queries)
 	}
@@ -73,7 +73,7 @@ func TestSubmitBatchResultsRoundTrip(t *testing.T) {
 
 	got := map[int]bool{}
 	for len(got) < 2 {
-		resp := lb.PollResults(context.Background(), ResultsRequest{Max: 10, Wait: 5})
+		resp, _ := pollResults(context.Background(), NewLocalLBConn(lb), ResultsRequest{Max: 10, Wait: 5})
 		if len(resp.Results) == 0 {
 			t.Fatal("PollResults returned empty before all results arrived")
 		}
@@ -102,7 +102,7 @@ func TestDrainRefusesLatePushes(t *testing.T) {
 
 	// A query pulled by a worker while the drain runs...
 	lb.SubmitBatch([]QueryMsg{{ID: 1, Arrival: 0.001}})
-	pulled := lb.Pull(context.Background(), PullRequest{Role: "light", Max: 1, Wait: 5})
+	pulled, _ := pull(context.Background(), NewLocalLBConn(lb), PullRequest{Role: "light", Max: 1, Wait: 5})
 	if len(pulled.Queries) != 1 {
 		t.Fatalf("pulled %+v", pulled.Queries)
 	}
@@ -117,7 +117,7 @@ func TestDrainRefusesLatePushes(t *testing.T) {
 
 	got := map[int]bool{}
 	for len(got) < 2 {
-		resp := lb.PollResults(context.Background(), ResultsRequest{Max: 10, Wait: 5})
+		resp, _ := pollResults(context.Background(), NewLocalLBConn(lb), ResultsRequest{Max: 10, Wait: 5})
 		if len(resp.Results) == 0 {
 			t.Fatalf("late pushes never resolved: have %v", got)
 		}
@@ -139,7 +139,7 @@ func TestDrainRefusesLatePushes(t *testing.T) {
 // them over every transport × codec combination.
 
 // TestHarnessTransportEquivalence replays the same lightly loaded
-// trace at a fixed seed through all four transports and requires
+// trace at a fixed seed through both transports and requires
 // identical completed/dropped outcomes: with ample capacity the
 // outcome set is timing-insensitive, so any divergence indicates a
 // transport bug rather than scheduling noise.
@@ -157,7 +157,7 @@ func TestHarnessTransportEquivalence(t *testing.T) {
 		fid                         float64
 	}
 	outcomes := map[string]outcome{}
-	for _, name := range []string{TransportJSON, TransportBinary, TransportInproc, TransportTCP} {
+	for _, name := range []string{TransportInproc, TransportTCP} {
 		res, err := Run(HarnessConfig{
 			Space: f.space, Light: f.light, Heavy: f.heavy, Scorer: f.scorer,
 			Mode: loadbalancer.ModeCascade, Workers: 8, SLO: 5,
@@ -177,13 +177,33 @@ func TestHarnessTransportEquivalence(t *testing.T) {
 		t.Logf("%-7s completed=%d dropped=%d FID=%.2f wall=%.2fs",
 			name, outcomes[name].completed, outcomes[name].dropped, sum.FID, res.WallSeconds)
 	}
-	base := outcomes[TransportJSON]
+	base := outcomes[TransportInproc]
 	if base.dropped != 0 {
-		t.Errorf("json transport dropped %d queries under light load", base.dropped)
+		t.Errorf("inproc transport dropped %d queries under light load", base.dropped)
 	}
 	for name, o := range outcomes {
 		if o.queries != base.queries || o.completed != base.completed || o.dropped != base.dropped {
-			t.Errorf("%s outcome %+v != json %+v", name, o, base)
+			t.Errorf("%s outcome %+v != inproc %+v", name, o, base)
+		}
+	}
+}
+
+// TestNewTransportNames pins the two-name vocabulary: empty means tcp,
+// and the names of the deleted http transports are unknown.
+func TestNewTransportNames(t *testing.T) {
+	for name, want := range map[string]string{"": TransportTCP, "tcp": TransportTCP, "inproc": TransportInproc} {
+		tp, err := NewTransport(name)
+		if err != nil {
+			t.Fatalf("NewTransport(%q): %v", name, err)
+		}
+		if tp.Name() != want {
+			t.Errorf("NewTransport(%q).Name() = %q, want %q", name, tp.Name(), want)
+		}
+		tp.Close()
+	}
+	for _, name := range []string{"json", "binary", "http", "grpc"} {
+		if _, err := NewTransport(name); err == nil {
+			t.Errorf("NewTransport(%q) succeeded, want an unknown-transport error", name)
 		}
 	}
 }

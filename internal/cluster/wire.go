@@ -8,16 +8,17 @@
 //   - wire messages (QueryMsg, PullRequest/Response, CompleteRequest,
 //     stats and configure messages) — plain structs with stable
 //     payload semantics;
-//   - a Codec (CodecJSON, CodecBinary) that serializes those messages
-//     — the binary codec is hand-rolled and length-prefixed, with no
-//     reflection on the hot path;
-//   - a Transport / LBConn / WorkerConn abstraction over how encoded
-//     messages move: persistent HTTP connections (with either codec),
-//     raw framed TCP (persistent multiplexed connections carrying
-//     length-prefixed frames — no HTTP machinery on the hot path), or
-//     an in-process fast path that dispatches direct calls with zero
-//     serialization so the harness can validate at the highest
-//     timescale factors.
+//   - one codec on the wire, CodecBinary — hand-rolled and
+//     length-prefixed, with no reflection on the hot path; CodecJSON
+//     encodes the same messages through their json tags and is the
+//     reference the parity tests, the fuzzers and diffvet's
+//     codecparity analyzer hold the binary codec against;
+//   - a Transport / LBConn / WorkerConn abstraction over how messages
+//     move, with two implementations: framed TCP (persistent
+//     multiplexed connections carrying length-prefixed binary frames —
+//     what every standalone binary speaks), or an in-process fast path
+//     that dispatches direct calls with zero serialization so the
+//     harness can validate at the highest timescale factors.
 //
 // The data path is pull-based and latency-conscious: clients submit
 // query batches asynchronously and long-poll for results; idle
@@ -35,14 +36,12 @@
 //     interns into the metrics collector's append-only arena) anything
 //     it retains, so callers may reuse or overwrite request buffers the
 //     moment the call returns.
-//   - By-value responses (Pull, PollResults): the returned message and
-//     its slices belong to the caller; nothing else aliases them.
-//   - Reused responses (PullInto, PollResultsInto — see ReusingLBConn):
-//     the response struct's slices are decode targets. The caller owns
-//     their contents only until its next *Into call on the same struct,
-//     which overwrites them in place. Callers that retain results past
-//     that point (or poll into a shared struct from two goroutines)
-//     must copy.
+//   - Responses (PullInto, PollResultsInto): the caller supplies the
+//     response struct and its slices are decode targets. The caller
+//     owns their contents only until its next *Into call on the same
+//     struct, which overwrites them in place. Callers that retain
+//     results past that point (or poll into a shared struct from two
+//     goroutines) must copy.
 //   - Pooled decodes (the TCP server's dispatch path): messages
 //     acquired from the package pools are owned by exactly one
 //     goroutine and returned via ReleaseMessage; released storage is
@@ -81,9 +80,8 @@ type QueryMsg struct {
 // QueryResponse is returned to the client when its query completes.
 //
 // Features follows the package's buffer-ownership rules: delivered
-// by value it belongs to the caller; delivered through
-// PollResultsInto it is valid until the next Into call on the same
-// response struct.
+// through PollResultsInto it is valid until the next Into call on the
+// same response struct.
 type QueryResponse struct {
 	ID         int       `json:"id"`
 	Dropped    bool      `json:"dropped"`
@@ -122,9 +120,8 @@ type ResultsRequest struct {
 	Wait float64 `json:"wait,omitempty"` // trace seconds
 }
 
-// ResultsResponse carries completed query results. Results belongs to
-// the caller when polled by value; polled through PollResultsInto it
-// is a decode target, valid until the next Into call on the same
+// ResultsResponse carries completed query results. Results is a
+// decode target, valid until the next PollResultsInto call on the same
 // struct.
 type ResultsResponse struct {
 	Results []QueryResponse `json:"results"`
@@ -139,10 +136,9 @@ type ResultsResponse struct {
 // resharding path: the server pops up to Max queued queries without
 // shedding or coalescing and forgets their async registrations, so
 // the caller becomes responsible for re-submitting them (to their
-// new owning shard). Queries with a blocking Submit waiter cannot
-// migrate — their client is parked on this server — and resolve as
-// drops instead; queries already resolved by a racing drop are not
-// returned at all, which is what keeps migration double-resolve-free.
+// new owning shard). Queries already resolved by a racing drop are
+// not returned at all, which is what keeps migration
+// double-resolve-free.
 type PullRequest struct {
 	WorkerID int     `json:"worker_id"`
 	Role     string  `json:"role"` // "light" or "heavy"
@@ -163,8 +159,7 @@ type PullRequest struct {
 // server's expiry sweep reclaims and re-queues it. Zero means the
 // server is not leasing (leases disabled).
 //
-// Queries belongs to the caller when pulled by value; pulled through
-// PullInto it is a decode target, valid until the next Into call on
+// Queries is a decode target, valid until the next PullInto call on
 // the same struct.
 type PullResponse struct {
 	Queries       []QueryMsg `json:"queries"`

@@ -72,7 +72,7 @@ func BenchmarkCodecCompleteRequest(b *testing.B) {
 // collected — through each transport. Divide B/op and allocs/op by 8
 // for per-query numbers.
 func BenchmarkWirePath(b *testing.B) {
-	for _, name := range []string{TransportJSON, TransportBinary, TransportTCP, TransportInproc} {
+	for _, name := range []string{TransportTCP, TransportInproc} {
 		b.Run(name, func(b *testing.B) {
 			tp, err := NewTransport(name)
 			if err != nil {
@@ -114,7 +114,7 @@ func BenchmarkWirePath(b *testing.B) {
 				if err := conn.SubmitBatch(ctx, SubmitRequest{Queries: queries}); err != nil {
 					b.Fatal(err)
 				}
-				if err := PullIntoConn(ctx, conn, PullRequest{Role: "light", Max: len(queries), Wait: 10}, &pulled); err != nil {
+				if err := conn.PullInto(ctx, PullRequest{Role: "light", Max: len(queries), Wait: 10}, &pulled); err != nil {
 					b.Fatal(err)
 				}
 				if len(pulled.Queries) != len(queries) {
@@ -125,7 +125,7 @@ func BenchmarkWirePath(b *testing.B) {
 				}
 				got := 0
 				for got < len(queries) {
-					if err := PollResultsIntoConn(ctx, conn, ResultsRequest{Max: len(queries), Wait: 10}, &results); err != nil {
+					if err := conn.PollResultsInto(ctx, ResultsRequest{Max: len(queries), Wait: 10}, &results); err != nil {
 						b.Fatal(err)
 					}
 					if len(results.Results) == 0 {

@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"math/rand"
-	"net/http"
 	"sync"
 
 	"diffserve/internal/discriminator"
@@ -15,8 +14,7 @@ import (
 // WorkerConfig parameterizes a worker process.
 type WorkerConfig struct {
 	ID int
-	// LB is the connection to the load balancer (HTTP with either
-	// codec, or the in-process fast path).
+	// LB is the connection to the load balancer.
 	LB LBConn
 	// Space regenerates query content; all processes share its seed.
 	Space *imagespace.Space
@@ -106,17 +104,6 @@ func NewWorkerServer(cfg WorkerConfig) *WorkerServer {
 	}
 }
 
-// Mux returns the worker's control API.
-func (s *WorkerServer) Mux() *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/configure", s.handleConfigure)
-	mux.HandleFunc("/stats", s.handleStats)
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
-	})
-	return mux
-}
-
 func parseRole(s string) worker.Role {
 	switch s {
 	case "light":
@@ -150,17 +137,6 @@ func (s *WorkerServer) Configure(req ConfigureWorkerRequest) {
 	s.mu.Unlock()
 }
 
-// handleConfigure serves role reassignments.
-func (s *WorkerServer) handleConfigure(w http.ResponseWriter, r *http.Request) {
-	var req ConfigureWorkerRequest
-	if _, err := readMsg(r, &req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	s.Configure(req)
-	w.WriteHeader(http.StatusOK)
-}
-
 func maxInt(a, b int) int {
 	if a > b {
 		return a
@@ -181,12 +157,6 @@ func (s *WorkerServer) Stats() WorkerStats {
 	}
 	s.mu.Unlock()
 	return out
-}
-
-// handleStats serves the worker's control-plane report.
-func (s *WorkerServer) handleStats(w http.ResponseWriter, r *http.Request) {
-	out := s.Stats()
-	writeMsg(w, codecForContentType(r.Header.Get("Accept")), &out)
 }
 
 // Loop runs the worker's pull-execute-complete cycle until the context
@@ -222,7 +192,7 @@ func (s *WorkerServer) Loop(ctx context.Context) {
 			continue
 		}
 
-		err := PullIntoConn(ctx, lb, PullRequest{
+		err := lb.PullInto(ctx, PullRequest{
 			WorkerID: s.cfg.ID, Role: roleName(role), Max: batch, Wait: s.cfg.PullWait,
 		}, &pulled)
 		if err != nil {
@@ -253,7 +223,7 @@ func (s *WorkerServer) Loop(ctx context.Context) {
 				if alt == nil || alt == lb || ctx.Err() != nil {
 					continue
 				}
-				if PullIntoConn(ctx, alt, PullRequest{
+				if alt.PullInto(ctx, PullRequest{
 					WorkerID: s.cfg.ID, Role: roleName(role), Max: batch, Wait: 0,
 				}, &pulled) != nil {
 					continue

@@ -52,9 +52,7 @@ type Config struct {
 	// bit-for-bit identical at every setting.
 	Parallelism int
 	// ClusterTransport selects the cluster runtime's wire path for
-	// SimVsCluster: "json" (default), "binary", "tcp" (raw framed
-	// TCP), or "inproc". The in-process and TCP transports replay at
-	// the highest timescale factors.
+	// SimVsCluster: "tcp" (framed TCP, the default) or "inproc".
 	ClusterTransport string
 	// ClusterLBShards runs SimVsCluster's cluster side through the
 	// sharded LB tier with this many shards (0 or 1: single LB). With

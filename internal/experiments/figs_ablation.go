@@ -356,16 +356,11 @@ func SimVsCluster(cfg Config) (*SimVsClusterResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	// 0.1 wall-seconds per trace-second (10x speedup) on the HTTP
-	// transports: fast enough for CI, slow enough that wire overhead
-	// stays negligible next to the profiled execution latencies. The
-	// in-process transport has no wire overhead at all, and the raw
-	// framed-TCP transport's is a small fraction of HTTP's, so both
-	// validate at 5x that rate (50x real time).
-	timescale := 0.1
-	if cfg.ClusterTransport == cluster.TransportInproc || cfg.ClusterTransport == cluster.TransportTCP {
-		timescale = 0.02
-	}
+	// 0.02 wall-seconds per trace-second (50x real time): fast enough
+	// for CI, slow enough that the framed-TCP transport's wire overhead
+	// (tens of microseconds per call; the in-process transport has
+	// none) stays negligible next to the profiled execution latencies.
+	const timescale = 0.02
 	res, err := cluster.Run(cluster.HarnessConfig{
 		Space: env.Space, Light: env.Light, Heavy: env.Heavy, Scorer: env.Scorer,
 		Mode: loadbalancer.ModeCascade, Workers: cfg.Workers, SLO: env.Spec.SLOSeconds,

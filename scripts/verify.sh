@@ -14,6 +14,8 @@ go vet ./...
 # wall-clock bans, and global-rand bans. Exit 1 on any finding.
 go run ./cmd/diffvet ./...
 go build ./...
+# The three sizes the ROADMAP's bars are stated in.
+make loc
 go test ./...
 # Every race-detector leg — the cluster data path, the sharded
 # frontend, the tcp transport's posted calls, reshard, autoscale, the
