@@ -33,13 +33,19 @@ build:
 test:
 	$(GO) test ./...
 
-# loc prints the three sizes the ROADMAP's bars are stated in, counted
-# one way: lines of tracked non-test Go in the repo and in
-# internal/cluster, and lines of tracked _test.go.
+# loc prints the four sizes the ROADMAP's bars are stated in, counted
+# one way: lines of tracked non-test Go in the repo, in internal/cluster
+# and in the data-path policy's homes (the core in internal/loadbalancer,
+# internal/queueing and internal/worker plus its two drivers), and
+# lines of tracked _test.go.
+POLICY_HOMES = internal/cluster/lb.go internal/cluster/controller.go \
+	'internal/system/*.go' internal/loadbalancer/loadbalancer.go \
+	'internal/queueing/*.go' 'internal/worker/*.go'
 .PHONY: loc
 loc:
 	@printf 'non-test Go, repo:             %s\n' "$$(git ls-files '*.go' | grep -v '_test\.go$$' | xargs cat | wc -l)"
 	@printf 'non-test Go, internal/cluster: %s\n' "$$(git ls-files 'internal/cluster/*.go' | grep -v '_test\.go$$' | xargs cat | wc -l)"
+	@printf 'non-test Go, policy homes:     %s\n' "$$(git ls-files $(POLICY_HOMES) | grep -v '_test\.go$$' | xargs cat | wc -l)"
 	@printf '_test.go:                      %s\n' "$$(git ls-files '*_test.go' | xargs cat | wc -l)"
 
 # bench regenerates every figure benchmark (minutes).

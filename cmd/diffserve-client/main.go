@@ -27,6 +27,7 @@ import (
 	"diffserve/internal/cluster"
 	"diffserve/internal/fid"
 	"diffserve/internal/metrics"
+	"diffserve/internal/model"
 	"diffserve/internal/stats"
 	"diffserve/internal/trace"
 )
@@ -101,7 +102,7 @@ func main() {
 	// response loses its popped results, and an unbounded wait would
 	// hang the binary. Unaccounted queries are recorded as drops,
 	// like the old per-query path did on request errors.
-	grace := 3*env.Spec.SLOSeconds + env.Heavy.Latency.Latency(env.Heavy.Latency.MaxBatch())
+	grace := model.DrainGrace(env.Spec.SLOSeconds, env.Heavy)
 	wallDeadline := time.Now().Add(clock.WallDuration(tr.Duration()+grace) + 5*time.Second)
 	ctx := context.Background()
 	done := make(chan struct{})

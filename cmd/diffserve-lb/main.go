@@ -35,6 +35,7 @@ import (
 
 	"diffserve/internal/baselines"
 	"diffserve/internal/cluster"
+	"diffserve/internal/discriminator"
 	"diffserve/internal/loadbalancer"
 )
 
@@ -47,7 +48,7 @@ func main() {
 		seed      = flag.Uint64("seed", 20250610, "shared experiment seed")
 		timescale = flag.Float64("timescale", 0.1, "wall seconds per trace second")
 		mode      = flag.String("mode", "cascade", "routing: cascade|all-light|all-heavy|random-split")
-		lease     = flag.Float64("lease", 0, "pull-lease duration in trace seconds: a worker that pulls a batch and never completes it forfeits the queries to the expiry sweep (0 = 4x the SLO, negative disables leasing)")
+		lease     = flag.Float64("lease", 0, "pull-lease duration in trace seconds: a worker that pulls a batch and never completes it forfeits the queries to the expiry sweep (0 = 4x the SLO)")
 		leaseRed  = flag.Int("lease-redeliveries", 0, "times an unlucky query is reclaimed and re-queued before it is shed as a drop (0 = default 3)")
 		adminPort = flag.Int("admin-port", 0, "admin API port: POST /add-shard serves one more shard on the next consecutive port (0 = disabled)")
 		advertise = flag.String("advertise", "", "host other processes should dial this LB's shards at; /add-shard reports addresses as <advertise>:<port> (empty: port-only, same-host layouts)")
@@ -86,7 +87,7 @@ func main() {
 		i := nextShard
 		cfg := cluster.LBConfig{
 			Mode: lbMode, SLO: deadline,
-			LightMinExec: env.Light.Latency.Latency(1) + env.Scorer.PerImageLatency(),
+			LightMinExec: discriminator.LightExec(env.Light, env.Scorer, 1),
 			HeavyMinExec: env.Heavy.Latency.Latency(1),
 			Clock:        clock, Seed: *seed,
 			RNGStream:     fmt.Sprintf("lb/%d", i),

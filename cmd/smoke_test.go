@@ -33,13 +33,11 @@ func freePort(t *testing.T) int {
 // loopback ports with no transport or codec flag — so whatever wire
 // the binaries speak by default is the wire under test — and replays a
 // few trace-seconds through them: the client must exit 0 having
-// received a result for every query it submitted.
-//
-// The LB routes all-light: at this size the controller's plan puts both
-// workers on the light model with a threshold above zero, and a
-// deferred query would wait in the heavy queue for a worker that never
-// comes (a standalone LB sheds only when somebody pulls). That is the
-// plan's business; this test is about the processes and the wire.
+// received a result for every query it submitted. At this size the
+// controller's plan puts both workers on the light model with a
+// threshold above zero, so deferred queries wait in a heavy queue no
+// worker pulls from: they resolve when the controller's stats poll
+// sheds them.
 func TestServingBinariesSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the serving binaries; skipped in -short mode")
@@ -99,7 +97,7 @@ func TestServingBinariesSmoke(t *testing.T) {
 
 	lbAddr := fmt.Sprintf("127.0.0.1:%d", freePort(t))
 	_, lbPort, _ := net.SplitHostPort(lbAddr)
-	start("diffserve-lb", "-port", lbPort, "-mode", "all-light")
+	start("diffserve-lb", "-port", lbPort)
 	listening(lbAddr)
 	workers := make([]string, 2)
 	for i := range workers {

@@ -31,6 +31,30 @@
 // names every experiment and `diffserve-sim -experiment <name>`
 // prints its measured table.
 //
+// # Data-path policy
+//
+// What happens to a query on the data path (paper §3) is one small
+// policy, and the simulator and the cluster runtime call the same code
+// for it. internal/loadbalancer is that code, with no clock, lock or
+// goroutine in it: Decide routes an arrival to a pool; Pool is a
+// pool's FIFO with its shed rule (a query that cannot finish by its
+// deadline even if started now with a batch-1 execution is dropped)
+// and its dequeue rule (a full batch, or a partial one whose head has
+// waited out the coalesce window); Defers is the cascade's verdict on a
+// light result's confidence; Ledger builds the completed or dropped
+// record and keeps the arrival and violation counts the controller
+// polls. worker.AssignRoles turns a plan's pool sizes into per-worker
+// roles, keeping workers in place. internal/system drives these from
+// its event ring (with no coalesce window: its dispatcher runs at every
+// event) and keeps only worker timing and image generation;
+// cluster.LBServer drives them under its per-pool locks and keeps what
+// a server needs — wakeups, long polls, the exactly-once registration
+// map, result buffering, leases; cluster.ControllerLoop applies plans
+// through the same role assignment, per shard group. Both drivers shed
+// at dispatch and again at every control tick (LBServer.Stats is the
+// cluster's tick), so a query waiting in a pool no worker serves still
+// resolves, as a drop.
+//
 // # Cluster transports
 //
 // The cluster runtime (load balancer, workers, controller — also

@@ -63,7 +63,7 @@ func (c *Cascade) Process(q *imagespace.Query, threshold float64) Outcome {
 		Query:      q,
 		LightImage: light,
 		Confidence: conf,
-		Latency:    c.Light.Latency.Latency(1) + c.Scorer.PerImageLatency(),
+		Latency:    discriminator.LightExec(c.Light, c.Scorer, 1),
 	}
 	if conf >= threshold {
 		out.Served = light

@@ -205,6 +205,34 @@ func TestLBServerShedsExpired(t *testing.T) {
 	}
 }
 
+// TestLBServerStatsShedsExpired pins that the stats poll sheds expired
+// queue heads before it snapshots and counts, as the simulator's
+// control tick does: a query waiting in a pool no worker pulls from
+// still resolves, as a drop, and the controller sees it as a timeout.
+func TestLBServerStatsShedsExpired(t *testing.T) {
+	lb := NewLBServer(LBConfig{
+		Mode: loadbalancer.ModeCascade, SLO: 5,
+		LightMinExec: 0.1, HeavyMinExec: 1.78, Clock: NewClock(1), Seed: 1,
+	})
+	// Both arrivals are back-dated past their deadline; the second sits
+	// in the heavy pool the way a deferred query does.
+	lb.SubmitBatch([]QueryMsg{{ID: 1, Arrival: -10}})
+	lb.SubmitBatchReq(SubmitRequest{Queries: []QueryMsg{{ID: 2, Arrival: -10}}, Pool: "heavy"})
+
+	st := lb.Stats()
+	if st.TimeoutsSinceTick != 2 || st.Dropped != 2 || st.ArrivalsSinceTick != 1 {
+		t.Errorf("stats = %+v, want 2 timeouts, 2 dropped, 1 arrival", st)
+	}
+	if st.LightQueueLen != 0 || st.HeavyQueueLen != 0 {
+		t.Errorf("expired queries still queued: %d light, %d heavy", st.LightQueueLen, st.HeavyQueueLen)
+	}
+	var res ResultsResponse
+	lb.PollResultsInto(context.Background(), ResultsRequest{Max: 4}, &res)
+	if len(res.Results) != 2 || !res.Results[0].Dropped || !res.Results[1].Dropped {
+		t.Errorf("results = %+v, want queries 1 and 2 dropped", res.Results)
+	}
+}
+
 func TestWorkerConfigureAndStats(t *testing.T) {
 	f := newFixtures(t)
 	ws := NewWorkerServer(WorkerConfig{

@@ -9,6 +9,7 @@ import (
 	"diffserve/internal/allocator"
 	"diffserve/internal/controller"
 	"diffserve/internal/loadbalancer"
+	"diffserve/internal/worker"
 )
 
 // ControllerConfig parameterizes the cluster controller process.
@@ -135,10 +136,10 @@ type ControllerLoop struct {
 	// new shard-pinned worker groups.
 	shards atomic.Int32
 	// assigned caches the role each worker was last meant to have —
-	// assignRoles' stability input, so ticks need no per-worker stats
-	// round-trip. It records intent: whether the worker heard it is
-	// acked's business.
-	assigned []string
+	// worker.AssignRoles' stability input, so ticks need no per-worker
+	// stats round-trip. It records intent: whether the worker heard it
+	// is acked's business.
+	assigned []worker.Role
 	// acked is, per worker, the last configure request it acknowledged
 	// (Configure returned nil). The zero request — no role is ever "" —
 	// marks a worker whose state is unknown: never configured, or the
@@ -522,22 +523,11 @@ func (c *ControllerLoop) applyLocked(ctx context.Context, plan allocator.Plan) {
 	// the only writer of worker roles, so the cache is authoritative
 	// and avoids a per-worker stats round-trip each tick).
 	if len(c.assigned) != len(c.cfg.Workers) {
-		c.assigned = make([]string, len(c.cfg.Workers))
-		for i := range c.assigned {
-			c.assigned[i] = "idle"
-		}
+		c.assigned = make([]worker.Role, len(c.cfg.Workers)) // all idle
 		c.acked = make([]ConfigureWorkerRequest, len(c.cfg.Workers))
 	}
 
-	needLight, needHeavy := plan.LightWorkers, plan.HeavyWorkers
-	if needLight+needHeavy > len(c.assigned) {
-		needHeavy = len(c.assigned) - needLight
-		if needHeavy < 0 {
-			needLight, needHeavy = len(c.assigned), 0
-		}
-	}
-
-	var next []string
+	var next []worker.Role
 	if shards := int(c.shards.Load()); shards > 1 {
 		// Sharded LB tier: stripe the plan across the shard-pinned
 		// worker groups (worker i serves shard i mod shards) so each
@@ -551,20 +541,21 @@ func (c *ControllerLoop) applyLocked(ctx context.Context, plan allocator.Plan) {
 		for s, g := range groups {
 			sizes[s] = len(g)
 		}
+		needLight, needHeavy := worker.FitPlan(len(c.assigned), plan.LightWorkers, plan.HeavyWorkers)
 		lightQ, heavyQ := shardQuotas(needLight, needHeavy, sizes)
-		next = make([]string, len(c.assigned))
+		next = make([]worker.Role, len(c.assigned))
 		for s, g := range groups {
-			cur := make([]string, len(g))
+			cur := make([]worker.Role, len(g))
 			for j, i := range g {
 				cur[j] = c.assigned[i]
 			}
-			sub := assignRoles(cur, lightQ[s], heavyQ[s])
+			sub := worker.AssignRoles(cur, lightQ[s], heavyQ[s])
 			for j, i := range g {
 				next[i] = sub[j]
 			}
 		}
 	} else {
-		next = assignRoles(c.assigned, needLight, needHeavy)
+		next = worker.AssignRoles(c.assigned, plan.LightWorkers, plan.HeavyWorkers)
 	}
 	if c.applies%fullResendEvery == 0 {
 		for i := range c.acked {
@@ -574,8 +565,8 @@ func (c *ControllerLoop) applyLocked(ctx context.Context, plan allocator.Plan) {
 	c.applies++
 	var unknown []int
 	for i, conn := range c.cfg.Workers {
-		req := ConfigureWorkerRequest{Role: next[i], Batch: plan.LightBatch}
-		if next[i] == "heavy" {
+		req := ConfigureWorkerRequest{Role: roleName(next[i]), Batch: plan.LightBatch}
+		if next[i] == worker.RoleHeavy {
 			req.Batch = plan.HeavyBatch
 		}
 		if c.acked[i] == req {
@@ -597,39 +588,6 @@ func (c *ControllerLoop) applyLocked(ctx context.Context, plan allocator.Plan) {
 	if failed > 0 {
 		c.logf("controller: plan half-applied: %d of %d configure RPCs failed (first: %v); the next apply re-sends the LB policy and workers %v", failed, attempted, firstErr, unknown)
 	}
-}
-
-// assignRoles computes the next role assignment for one worker group,
-// keeping matching existing roles in place to minimize model reloads.
-func assignRoles(current []string, needLight, needHeavy int) []string {
-	next := make([]string, len(current))
-	light, heavy := 0, 0
-	for i, role := range current {
-		switch {
-		case role == "light" && light < needLight:
-			next[i] = "light"
-			light++
-		case role == "heavy" && heavy < needHeavy:
-			next[i] = "heavy"
-			heavy++
-		}
-	}
-	for i := range next {
-		if next[i] != "" {
-			continue
-		}
-		switch {
-		case light < needLight:
-			next[i] = "light"
-			light++
-		case heavy < needHeavy:
-			next[i] = "heavy"
-			heavy++
-		default:
-			next[i] = "idle"
-		}
-	}
-	return next
 }
 
 // shardQuotas splits a global role plan across shard-pinned worker
@@ -687,7 +645,7 @@ func shardQuotas(needLight, needHeavy int, sizes []int) (light, heavy []int) {
 	// group's quotas can sum past its size. Move the excess unit of
 	// the group's larger role to the first shard with spare room (or
 	// drop it — only reachable when the plan exceeds total capacity,
-	// which Apply already clamps away).
+	// which worker.FitPlan already clamps away).
 	for i := 0; i < n; i++ {
 		for light[i]+heavy[i] > sizes[i] {
 			role := light

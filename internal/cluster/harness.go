@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"time"
@@ -180,9 +179,10 @@ func Run(cfg HarnessConfig) (*Result, error) {
 	clock := NewClock(cfg.Timescale)
 	rng := stats.NewRNG(cfg.Seed)
 
-	discLat := 0.0
-	if cfg.Scorer != nil && cfg.Mode == loadbalancer.ModeCascade {
-		discLat = cfg.Scorer.PerImageLatency()
+	// Only the cascade runs a discriminator.
+	var scorer discriminator.Scorer
+	if cfg.Mode == loadbalancer.ModeCascade {
+		scorer = cfg.Scorer
 	}
 	// One LBServer per shard (one shard: the classic topology). Each
 	// shard draws routing randomness from its own stream "lb/<member>"
@@ -199,7 +199,7 @@ func Run(cfg HarnessConfig) (*Result, error) {
 	newShardServer := func(member int) *LBServer {
 		lbCfg := LBConfig{
 			Mode: cfg.Mode, SLO: cfg.SLO,
-			LightMinExec: cfg.Light.Latency.Latency(1) + discLat,
+			LightMinExec: discriminator.LightExec(cfg.Light, scorer, 1),
 			HeavyMinExec: cfg.Heavy.Latency.Latency(1),
 			Clock:        clock, Seed: cfg.Seed,
 		}
@@ -288,10 +288,6 @@ func Run(cfg HarnessConfig) (*Result, error) {
 		}()
 	}
 
-	var scorer discriminator.Scorer
-	if cfg.Mode == loadbalancer.ModeCascade {
-		scorer = cfg.Scorer
-	}
 	workerConns := make([]WorkerConn, cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		wCfg := WorkerConfig{
@@ -368,9 +364,7 @@ func Run(cfg HarnessConfig) (*Result, error) {
 	}
 	loop := NewControllerLoop(ctrlCfg)
 	// Initial plan from the trace's starting rate, then periodic ticks.
-	initialPlan, err := cfg.Ctrl.Tick(0, controller.TickInput{
-		Arrivals: int(math.Round(cfg.Trace.RateAt(0) * cfg.Ctrl.Interval())),
-	})
+	initialPlan, err := cfg.Ctrl.InitialPlan(cfg.Trace.RateAt(0))
 	if err != nil {
 		return nil, err
 	}
@@ -506,7 +500,7 @@ func Run(cfg HarnessConfig) (*Result, error) {
 			lb.DrainRemaining()
 		}
 	}
-	grace := 3*cfg.SLO + cfg.Heavy.Latency.Latency(cfg.Heavy.Latency.MaxBatch())
+	grace := model.DrainGrace(cfg.SLO, cfg.Heavy)
 	horizon := cfg.Trace.Duration() + grace
 	select {
 	case <-done:

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"diffserve/internal/imagespace"
 	"diffserve/internal/loadbalancer"
 	"diffserve/internal/metrics"
 	"diffserve/internal/queueing"
@@ -44,9 +45,7 @@ type LBConfig struct {
 	// that worker. Past the deadline the expiry sweep reclaims the
 	// query and re-queues it into the pool it was pulled from, arrival
 	// stamp intact. Zero defaults to 4x the SLO — generous enough that
-	// a healthy worker never forfeits a batch mid-execution — and a
-	// negative value disables leasing entirely (pre-lease behavior: a
-	// dead worker's batch is silently lost).
+	// a healthy worker never forfeits a batch mid-execution.
 	LeaseDuration float64
 	// LeaseRedeliveries bounds how many times an unlucky query is
 	// reclaimed and re-queued before the server sheds it to a drop
@@ -65,20 +64,20 @@ type lbLease struct {
 	// the orphaned lease would extend forever.
 	deadline, hard float64
 	worker         int
-	pool           string
+	pool           loadbalancer.PoolID
 	red            int // times already reclaimed and re-queued
 }
 
-// lbPool is one pool's share of the data path: its FIFO, its long-poll
-// wakeup channel, and the lock that guards both. Sharding the state
-// per pool keeps light pulls, heavy pulls, and submissions to
-// different pools off each other's locks; the pool locks are leaves —
-// no other LBServer lock is ever taken while one is held.
+// lbPool is one pool's share of the data path: its policy core (the
+// FIFO with its shed and dequeue rules), its long-poll wakeup channel,
+// and the lock that guards both. Sharding the state per pool keeps
+// light pulls, heavy pulls, and submissions to different pools off each
+// other's locks; the pool locks are leaves — no other LBServer lock is
+// ever taken while one is held.
 type lbPool struct {
-	mu      sync.Mutex
-	q       *queueing.FIFO
-	wake    notifier
-	minExec float64
+	mu sync.Mutex
+	loadbalancer.Pool
+	wake notifier
 	// draining is set by DrainRemaining under mu: once the end-of-run
 	// sweep has emptied the queue, late pushes (a deferral or submit
 	// racing the drain) are refused so the caller drops them instead
@@ -95,7 +94,7 @@ func (p *lbPool) push(now float64, items ...queueing.Item) bool {
 		return false
 	}
 	for _, it := range items {
-		p.q.Push(now, it)
+		p.Push(now, it)
 	}
 	p.wake.wake()
 	p.mu.Unlock()
@@ -105,7 +104,12 @@ func (p *lbPool) push(now float64, items ...queueing.Item) bool {
 // LBServer is the data-path entry point: it queues queries per pool,
 // hands batches to pulling workers (blocking long polls when asked),
 // applies the cascade threshold to completed light generations, and
-// buffers results for polling clients. Its core methods (SubmitBatchReq,
+// buffers results for polling clients. The policy those steps follow —
+// where an arrival goes, what is shed, when a batch is dispatchable,
+// what defers, how a resolution is recorded and counted — is
+// internal/loadbalancer, the same code the simulator runs; what is
+// here is the server around it: locks, wakeups, long polls, the
+// exactly-once registration map, leases. Its core methods (SubmitBatchReq,
 // PollResultsInto, PullInto, Complete, Configure, Stats, Membership)
 // are transport-agnostic: ServeLBTCP wraps them in framed-TCP handlers
 // and NewLocalLBConn dispatches to them directly.
@@ -143,17 +147,13 @@ type LBServer struct {
 	rng       *stats.RNG
 
 	// resMu guards everything on the client-result side: async-result
-	// buffering, the metrics collector, the control-plane counters, and
-	// the cascade threshold.
+	// buffering, the resolution ledger (metrics collector and
+	// control-plane counters), and the cascade threshold.
 	resMu     sync.Mutex
 	threshold float64
 	async     map[int]struct{} // submitted queries awaiting results
 	results   []QueryResponse  // finished async results not yet fetched
-	col       *metrics.Collector
-	arrivals  int // since last stats poll
-	timeouts  int // since last stats poll
-	completed int
-	dropped   int
+	ledger    loadbalancer.Ledger
 	// Result long-poll wakeup. resultsDirty batches the wakeup: a
 	// whole Complete batch signals once, not once per query.
 	wakeResults  notifier
@@ -187,45 +187,44 @@ func NewLBServer(cfg LBConfig) *LBServer {
 	if stream == "" {
 		stream = "lb"
 	}
-	if cfg.LeaseDuration == 0 {
+	if cfg.LeaseDuration <= 0 {
 		cfg.LeaseDuration = 4 * cfg.SLO
 	}
 	if cfg.LeaseRedeliveries <= 0 {
 		cfg.LeaseRedeliveries = 3
 	}
 	s := &LBServer{
-		cfg:   cfg,
-		rng:   stats.NewRNG(cfg.Seed).Stream(stream),
-		async: make(map[int]struct{}),
-		col:   metrics.NewCollector(),
+		cfg:        cfg,
+		rng:        stats.NewRNG(cfg.Seed).Stream(stream),
+		async:      make(map[int]struct{}),
+		ledger:     loadbalancer.Ledger{SLO: cfg.SLO, Col: metrics.NewCollector()},
+		leases:     make(map[int]lbLease),
+		workerSeen: make(map[int]float64),
 	}
-	if cfg.LeaseDuration > 0 {
-		s.leases = make(map[int]lbLease)
-		s.workerSeen = make(map[int]float64)
+	pool := func(minExec float64) loadbalancer.Pool {
+		return loadbalancer.Pool{
+			FIFO: queueing.NewFIFO(cfg.QueueWindow), MinExec: minExec, SLO: cfg.SLO, Coalesce: cfg.CoalesceWait,
+		}
 	}
-	s.pools[loadbalancer.PoolLight] = lbPool{
-		q: queueing.NewFIFO(cfg.QueueWindow), minExec: cfg.LightMinExec,
-	}
-	s.pools[loadbalancer.PoolHeavy] = lbPool{
-		q: queueing.NewFIFO(cfg.QueueWindow), minExec: cfg.HeavyMinExec,
-	}
+	s.pools[loadbalancer.PoolLight].Pool = pool(cfg.LightMinExec)
+	s.pools[loadbalancer.PoolHeavy].Pool = pool(cfg.HeavyMinExec)
 	return s
 }
 
 // Collector exposes the LB's metrics records (read after the run).
-func (s *LBServer) Collector() *metrics.Collector { return s.col }
+func (s *LBServer) Collector() *metrics.Collector { return s.ledger.Col }
 
-// pool maps a worker role to its pool shard.
-func (s *LBServer) pool(role string) *lbPool {
-	if role == "heavy" {
-		return &s.pools[loadbalancer.PoolHeavy]
+// poolOf resolves a wire role or pool name to its pool: "heavy" is the
+// heavy pool, anything else the light one.
+func poolOf(name string) loadbalancer.PoolID {
+	if name == "heavy" {
+		return loadbalancer.PoolHeavy
 	}
-	return &s.pools[loadbalancer.PoolLight]
+	return loadbalancer.PoolLight
 }
 
-// routePool picks the pool an arrival joins. The decision itself is
-// loadbalancer.Decide — the same policy the simulator runs — with the
-// split state locked only in the one mode that uses it.
+// routePool picks the pool an arrival joins: loadbalancer.Decide, with
+// the split state locked only in the one mode that uses it.
 func (s *LBServer) routePool() loadbalancer.PoolID {
 	if s.cfg.Mode != loadbalancer.ModeRandomSplit {
 		return loadbalancer.Decide(s.cfg.Mode, 0, nil)
@@ -279,7 +278,7 @@ func (n *notifier) wake() {
 // SubmitBatch admits queries asynchronously: each will eventually
 // surface exactly one result (completion or drop) via PollResultsInto.
 func (s *LBServer) SubmitBatch(qs []QueryMsg) {
-	s.submitBatch(qs, "")
+	s.submitBatch(qs, false, loadbalancer.PoolLight)
 }
 
 // SubmitBatchReq admits a SubmitRequest, honoring its Pool override —
@@ -289,21 +288,17 @@ func (s *LBServer) SubmitBatch(qs []QueryMsg) {
 // a normal policy-routed (and demand-counted) admission rather than
 // silently picking a pool for a value the peer mistyped.
 func (s *LBServer) SubmitBatchReq(req SubmitRequest) {
-	pool := req.Pool
-	if pool != "light" && pool != "heavy" {
-		pool = ""
-	}
-	s.submitBatch(req.Queries, pool)
+	s.submitBatch(req.Queries, req.Pool == "light" || req.Pool == "heavy", poolOf(req.Pool))
 }
 
-// submitBatch is the admission core. pool "" is a normal arrival:
-// routed by policy and counted in the demand counters. A non-empty
-// pool is a resharding migration re-queue: the queries go straight to
-// that pool (a drained deferral keeps its place in the cascade) and
-// the arrival counters stay untouched — they were already counted at
-// the shard the queries first arrived on, which the merged Stats
+// submitBatch is the admission core. Without requeue the queries are
+// normal arrivals: routed by policy and counted in the demand
+// counters. A requeue is a resharding migration: the queries go
+// straight to dest (a drained deferral keeps its place in the cascade)
+// and the arrival counters stay untouched — they were already counted
+// at the shard the queries first arrived on, which the merged Stats
 // still sums.
-func (s *LBServer) submitBatch(qs []QueryMsg, pool string) {
+func (s *LBServer) submitBatch(qs []QueryMsg, requeue bool, dest loadbalancer.PoolID) {
 	if len(qs) == 0 {
 		return
 	}
@@ -317,21 +312,17 @@ func (s *LBServer) submitBatch(qs []QueryMsg, pool string) {
 	s.resMu.Lock()
 	for _, q := range qs {
 		s.async[q.ID] = struct{}{}
-		if pool == "" {
-			s.arrivals++
-		}
+	}
+	if !requeue {
+		s.ledger.Arrive(len(qs))
 	}
 	s.resMu.Unlock()
 
-	if pool != "" || s.cfg.Mode != loadbalancer.ModeRandomSplit {
+	if requeue || s.cfg.Mode != loadbalancer.ModeRandomSplit {
 		// Single-destination admissions (every policy but random
-		// split, and all pool overrides): push the whole batch under
-		// one pool lock with no per-query routing state or allocation.
-		dest := loadbalancer.PoolLight
-		switch {
-		case pool == "heavy":
-			dest = loadbalancer.PoolHeavy
-		case pool == "":
+		// split, and all requeues): push the whole batch under one
+		// pool lock with no per-query routing state or allocation.
+		if !requeue {
 			dest = s.routePool()
 		}
 		p := &s.pools[dest]
@@ -342,11 +333,11 @@ func (s *LBServer) submitBatch(qs []QueryMsg, pool string) {
 			for i, q := range qs {
 				items[i] = item(q)
 			}
-			s.dropRejected(items)
+			s.drop(items)
 			return
 		}
 		for _, q := range qs {
-			p.q.Push(now, item(q))
+			p.Push(now, item(q))
 		}
 		p.wake.wake()
 		p.mu.Unlock()
@@ -354,7 +345,7 @@ func (s *LBServer) submitBatch(qs []QueryMsg, pool string) {
 	}
 	for _, q := range qs {
 		if it := item(q); !s.pools[s.routePool()].push(now, it) {
-			s.dropRejected([]queueing.Item{it})
+			s.drop([]queueing.Item{it})
 		}
 	}
 }
@@ -449,7 +440,8 @@ func (s *LBServer) PullInto(ctx context.Context, req PullRequest, resp *PullResp
 	// nil (wire parity) without dropping the capacity they carried in.
 	qbuf := resp.Queries[:0]
 	resp.Queries = nil
-	p := s.pool(req.Role)
+	pool := poolOf(req.Role)
+	p := &s.pools[pool]
 	var deadline time.Time
 	if req.Wait > 0 {
 		deadline = time.Now().Add(s.cfg.Clock.WallDuration(req.Wait)) //diffvet:allow walltime — long-poll deadline in wall time; the trace wait is already Clock-converted
@@ -462,7 +454,7 @@ func (s *LBServer) PullInto(ctx context.Context, req PullRequest, resp *PullResp
 		// the sweep is pullable by this very call.
 		s.leaseTouch(req.WorkerID, now)
 		p.mu.Lock()
-		shed, items, retry := s.dequeuePool(p, req.Max, now, (*scratch)[:0])
+		shed, items, retry := p.Dequeue(now, req.Max, (*scratch)[:0])
 		var wake <-chan struct{}
 		if len(items) == 0 && req.Wait > 0 {
 			// Arm the wakeup inside the same critical section as the
@@ -474,20 +466,13 @@ func (s *LBServer) PullInto(ctx context.Context, req PullRequest, resp *PullResp
 			*scratch = items[:0]
 		}
 
-		if len(shed) > 0 {
-			s.resMu.Lock()
-			for _, it := range shed {
-				s.dropLocked(it.ID, it.Arrival)
-			}
-			s.flushResultsLocked()
-			s.resMu.Unlock()
-		}
+		s.drop(shed)
 		if len(items) > 0 {
 			for _, it := range items {
 				qbuf = append(qbuf, QueryMsg{ID: it.ID, Arrival: it.Arrival})
 			}
 			resp.Queries = qbuf
-			resp.LeaseDeadline = s.leaseBatch(req.WorkerID, req.Role, items, now)
+			resp.LeaseDeadline = s.leaseBatch(req.WorkerID, pool, items, now)
 			return
 		}
 		if req.Wait <= 0 {
@@ -536,7 +521,7 @@ func (s *LBServer) drainPull(req PullRequest) PullResponse {
 		max = 256
 	}
 	now := s.cfg.Clock.Now()
-	p := s.pool(req.Role)
+	p := &s.pools[poolOf(req.Role)]
 	resp := PullResponse{RingEpoch: epoch}
 	// An empty response means "this pool is drained": a popped round
 	// whose items all turn out non-migratable (already resolved by a
@@ -545,11 +530,11 @@ func (s *LBServer) drainPull(req PullRequest) PullResponse {
 	// something migratable or the queue is empty.
 	for len(resp.Queries) == 0 {
 		p.mu.Lock()
-		n := p.q.Len()
+		n := p.Len()
 		if n > max {
 			n = max
 		}
-		items := p.q.Pop(now, n)
+		items := p.Pop(now, n)
 		p.mu.Unlock()
 		if len(items) == 0 {
 			return resp
@@ -566,61 +551,29 @@ func (s *LBServer) drainPull(req PullRequest) PullResponse {
 	return resp
 }
 
-// dequeuePool sheds expired queries, then dequeues a batch if one is
-// dispatchable under the coalescing policy. Shed items are returned to
-// the caller for drop accounting outside the pool lock; dequeued items
-// are appended to dst (a pooled scratch slice on the hot path, so the
-// dequeue itself is allocation-free). When the queue holds a
-// not-yet-dispatchable partial batch it returns the trace-seconds
-// until the head's coalesce window expires, so long polls can wake
-// exactly then. Callers must hold p.mu.
-func (s *LBServer) dequeuePool(p *lbPool, max int, now float64, dst []queueing.Item) (shed, items []queueing.Item, retry float64) {
-	shed = p.q.DropWhere(func(it queueing.Item) bool {
-		return now+p.minExec > it.Arrival+s.cfg.SLO
-	})
-	// Batch coalescing: let the batch fill unless the head of the
-	// queue has already waited its share. Waiting longer than one
-	// batch-1 execution is never worthwhile, so the wait is capped
-	// per pool by its execution time.
-	wait := s.cfg.CoalesceWait
-	if p.minExec < wait {
-		wait = p.minExec
-	}
-	if p.q.Len() >= max {
-		return shed, p.q.PopAppend(now, max, dst), 0
-	}
-	if oldest, ok := p.q.PeekEnqueue(); ok {
-		if waited := now - oldest; waited >= wait {
-			return shed, p.q.PopAppend(now, max, dst), 0
-		} else {
-			return shed, dst, wait - waited
-		}
-	}
-	return shed, dst, 0
-}
-
 // Complete receives a finished batch: light-pool results are
 // thresholded (serve or defer); heavy-pool results always serve.
 func (s *LBServer) Complete(req CompleteRequest) {
 	now := s.cfg.Clock.Now()
 	s.clearLeases(&req, now)
-	cascadeLight := req.Role == "light" && s.cfg.Mode == loadbalancer.ModeCascade
+	pool := poolOf(req.Role)
 
 	var deferred []queueing.Item
 	s.resMu.Lock()
-	threshold := s.threshold
 	for _, item := range req.Items {
-		if cascadeLight && item.Confidence < threshold {
-			// Only live queries defer: the resharding fan-out delivers
-			// completions to every epoch's owner, so a shard that never
-			// held (or already migrated away) this query must not
-			// enqueue a phantom copy in its heavy pool.
-			if s.liveLocked(item.ID) {
-				deferred = append(deferred, queueing.Item{ID: item.ID, Arrival: item.Arrival})
-			}
+		// Only live queries resolve or defer: the first resolution is
+		// final, and the resharding fan-out delivers completions to
+		// every epoch's owner, so a shard that never held (or already
+		// migrated away) this query must not enqueue a phantom copy in
+		// its heavy pool.
+		if !s.liveLocked(item.ID) {
 			continue
 		}
-		s.completeLocked(item, now, req.Role == "heavy")
+		if loadbalancer.Defers(s.cfg.Mode, pool, item.Confidence, s.threshold) {
+			deferred = append(deferred, queueing.Item{ID: item.ID, Arrival: item.Arrival})
+			continue
+		}
+		s.completeLocked(item, now, pool)
 	}
 	s.flushResultsLocked()
 	s.resMu.Unlock()
@@ -629,15 +582,23 @@ func (s *LBServer) Complete(req CompleteRequest) {
 		// The end-of-run drain already swept the heavy queue: these
 		// deferrals arrived too late to ever be pulled, so they
 		// resolve as drops instead of stranding their clients.
-		s.dropRejected(deferred)
+		s.drop(deferred)
 	}
 }
 
-// dropRejected resolves queries a drained pool refused to enqueue.
-func (s *LBServer) dropRejected(items []queueing.Item) {
+// drop resolves queries as drops: shed by a pool, refused by a drained
+// one, or out of redeliveries. A query already resolved by a racing
+// complete or an earlier sweep is left alone.
+func (s *LBServer) drop(items []queueing.Item) {
+	if len(items) == 0 {
+		return
+	}
 	s.resMu.Lock()
 	for _, it := range items {
-		s.dropLocked(it.ID, it.Arrival)
+		if s.liveLocked(it.ID) {
+			s.ledger.Drop(it)
+			s.resolveLocked(QueryResponse{ID: it.ID, Dropped: true, Arrival: it.Arrival})
+		}
 	}
 	s.flushResultsLocked()
 	s.resMu.Unlock()
@@ -651,50 +612,34 @@ func (s *LBServer) dropRejected(items []queueing.Item) {
 // forever.
 const leaseHardFactor = 4
 
-// leasing reports whether pull leases are enabled.
-func (s *LBServer) leasing() bool { return s.leases != nil }
-
 // leaseTouch records worker activity (the lease heartbeat) and runs
 // the expiry sweep when its interval has elapsed. It is called on
 // every pull attempt and every completion, so in any cluster with at
 // least one live worker, dead workers' leases are reclaimed within a
 // sweep interval.
 func (s *LBServer) leaseTouch(workerID int, now float64) {
-	if !s.leasing() {
-		return
-	}
 	s.leaseMu.Lock()
 	s.workerSeen[workerID] = now
-	light, heavy, shed := s.collectExpiredLocked(now)
+	requeue, shed := s.collectExpiredLocked(now)
 	s.leaseMu.Unlock()
-	s.settleExpired(light, heavy, shed, now)
+	s.settleExpired(requeue, shed, now)
 }
 
 // sweepLeases runs the expiry sweep without attributing a heartbeat
 // (the Stats path: the controller's poll must reclaim a fully dead
 // worker set even when no worker is pulling).
 func (s *LBServer) sweepLeases(now float64) {
-	if !s.leasing() {
-		return
-	}
 	s.leaseMu.Lock()
-	light, heavy, shed := s.collectExpiredLocked(now)
+	requeue, shed := s.collectExpiredLocked(now)
 	s.leaseMu.Unlock()
-	s.settleExpired(light, heavy, shed, now)
+	s.settleExpired(requeue, shed, now)
 }
 
 // leaseBatch registers pulled items under a fresh lease for the
 // worker and returns the deadline echoed in the PullResponse. A
 // reclaimed item carries its redelivery count in Item.Payload, so the
 // bound survives the trip through the queue.
-func (s *LBServer) leaseBatch(workerID int, role string, items []queueing.Item, now float64) float64 {
-	if !s.leasing() {
-		return 0
-	}
-	pool := "light"
-	if role == "heavy" {
-		pool = "heavy"
-	}
+func (s *LBServer) leaseBatch(workerID int, pool loadbalancer.PoolID, items []queueing.Item, now float64) float64 {
 	dur := s.cfg.LeaseDuration
 	deadline := now + dur
 	s.leaseMu.Lock()
@@ -721,9 +666,6 @@ func (s *LBServer) leaseBatch(workerID int, role string, items []queueing.Item, 
 // the query resolves (or re-queues as a deferral) under resMu right
 // after this, so any copy still leased elsewhere is moot.
 func (s *LBServer) clearLeases(req *CompleteRequest, now float64) {
-	if !s.leasing() {
-		return
-	}
 	s.leaseMu.Lock()
 	s.workerSeen[req.WorkerID] = now
 	for i := range req.Items {
@@ -733,9 +675,9 @@ func (s *LBServer) clearLeases(req *CompleteRequest, now float64) {
 			s.lateCompletions++
 		}
 	}
-	light, heavy, shed := s.collectExpiredLocked(now)
+	requeue, shed := s.collectExpiredLocked(now)
 	s.leaseMu.Unlock()
-	s.settleExpired(light, heavy, shed, now)
+	s.settleExpired(requeue, shed, now)
 }
 
 // collectExpiredLocked removes every lease past its effective
@@ -743,9 +685,9 @@ func (s *LBServer) clearLeases(req *CompleteRequest, now float64) {
 // and a shed list (queries that exhausted their redelivery bound).
 // It self-throttles to one scan per quarter lease duration. Callers
 // must hold leaseMu.
-func (s *LBServer) collectExpiredLocked(now float64) (light, heavy, shed []queueing.Item) {
+func (s *LBServer) collectExpiredLocked(now float64) (requeue [2][]queueing.Item, shed []queueing.Item) {
 	if now < s.nextSweep {
-		return nil, nil, nil
+		return requeue, nil
 	}
 	dur := s.cfg.LeaseDuration
 	s.nextSweep = now + dur/4
@@ -762,19 +704,15 @@ func (s *LBServer) collectExpiredLocked(now float64) (light, heavy, shed []queue
 		}
 		delete(s.leases, id)
 		it := queueing.Item{ID: id, Arrival: l.arrival, Payload: l.red + 1}
-		switch {
-		case l.red+1 > s.cfg.LeaseRedeliveries:
+		if l.red+1 > s.cfg.LeaseRedeliveries {
 			shed = append(shed, it)
 			s.shedRedelivery++
-		case l.pool == "heavy":
-			heavy = append(heavy, it)
-			s.reclaims++
-		default:
-			light = append(light, it)
+		} else {
+			requeue[l.pool] = append(requeue[l.pool], it)
 			s.reclaims++
 		}
 	}
-	return light, heavy, shed
+	return requeue, shed
 }
 
 // settleExpired disposes of a sweep's harvest: redelivery-exhausted
@@ -788,13 +726,11 @@ func (s *LBServer) collectExpiredLocked(now float64) (light, heavy, shed []queue
 // skipped rather than re-executed for nobody; a pool already draining
 // for shutdown refuses the push and the queries resolve as drops like
 // any late arrival.
-func (s *LBServer) settleExpired(light, heavy, shed []queueing.Item, now float64) {
-	if len(shed) > 0 {
-		s.dropRejected(shed)
-	}
-	requeue := func(dest loadbalancer.PoolID, items []queueing.Item) {
+func (s *LBServer) settleExpired(requeue [2][]queueing.Item, shed []queueing.Item, now float64) {
+	s.drop(shed)
+	for dest, items := range requeue {
 		if len(items) == 0 {
-			return
+			continue
 		}
 		live := items[:0]
 		s.resMu.Lock()
@@ -804,86 +740,45 @@ func (s *LBServer) settleExpired(light, heavy, shed []queueing.Item, now float64
 			}
 		}
 		s.resMu.Unlock()
-		if len(live) == 0 {
-			return
-		}
-		if !s.pools[dest].push(now, live...) {
-			s.dropRejected(live)
+		if len(live) > 0 && !s.pools[dest].push(now, live...) {
+			s.drop(live)
 		}
 	}
-	requeue(loadbalancer.PoolLight, light)
-	requeue(loadbalancer.PoolHeavy, heavy)
 }
 
 // liveLocked reports whether a query still awaits its resolution —
 // its async entry exists. Once resolved it does not, so completions
 // and drops racing a drain (or arriving twice) become no-ops instead
-// of double-counting in the collector and the control-plane counters.
-// Callers must hold resMu.
+// of double-counting in the ledger. Callers must hold resMu.
 func (s *LBServer) liveLocked(id int) bool {
 	_, ok := s.async[id]
 	return ok
 }
 
-// completeLocked resolves a query and records the outcome. A query
-// already resolved — e.g. dropped by DrainRemaining while this
-// completion was in flight, or delivered twice by a retrying peer —
-// is skipped: the first resolution is final and must not be
-// double-recorded or resurrected in the results buffer. Callers must
-// hold resMu.
-func (s *LBServer) completeLocked(item CompleteItem, now float64, deferred bool) {
-	if !s.liveLocked(item.ID) {
-		return
-	}
+// completeLocked resolves a live query as served and records the
+// outcome. Callers must hold resMu.
+func (s *LBServer) completeLocked(item CompleteItem, now float64, pool loadbalancer.PoolID) {
 	// Intern the features once into the collector's immutable arena:
 	// the stored record and the delivered result share that copy, so
 	// neither retains the caller's slice — a pooled decode buffer can
 	// be recycled the moment Complete returns.
-	feats := s.col.InternFeatures(item.Features)
-	rec := metrics.QueryRecord{
-		ID:         item.ID,
-		Arrival:    item.Arrival,
-		Completion: now,
-		Deadline:   item.Arrival + s.cfg.SLO,
-		Deferred:   deferred,
-		ServedBy:   item.Variant,
-		Confidence: item.Confidence,
-		Features:   feats,
-		Artifact:   item.Artifact,
-	}
-	if rec.Violated() {
-		s.timeouts++
-	}
-	s.col.Record(rec)
-	s.completed++
-	resp := QueryResponse{
-		ID: item.ID, Variant: item.Variant, Features: feats,
-		Artifact: item.Artifact, Confidence: item.Confidence,
-		Deferred: deferred, Arrival: item.Arrival, Completion: now,
-	}
-	s.resolveLocked(item.ID, resp)
-}
-
-// dropLocked sheds a query. Like completeLocked it is idempotent:
-// a query already resolved by a racing complete or an earlier drain
-// sweep is left alone. Callers must hold resMu.
-func (s *LBServer) dropLocked(id int, arrival float64) {
-	if !s.liveLocked(id) {
-		return
-	}
-	s.col.Record(metrics.QueryRecord{
-		ID: id, Arrival: arrival, Deadline: arrival + s.cfg.SLO, Dropped: true,
+	rec := s.ledger.Complete(queueing.Item{ID: item.ID, Arrival: item.Arrival}, now, pool, imagespace.Image{
+		Variant: item.Variant, Features: s.ledger.Col.InternFeatures(item.Features), Artifact: item.Artifact,
+	}, item.Confidence)
+	s.resolveLocked(QueryResponse{
+		ID: rec.ID, Variant: rec.ServedBy, Features: rec.Features,
+		Artifact: rec.Artifact, Confidence: rec.Confidence,
+		Deferred: rec.Deferred, Arrival: rec.Arrival, Completion: rec.Completion,
 	})
-	s.dropped++
-	s.timeouts++
-	s.resolveLocked(id, QueryResponse{ID: id, Dropped: true, Arrival: arrival})
 }
 
 // resolveLocked delivers a live query's final outcome to the results
-// buffer drained by PollResultsInto. Callers must hold resMu.
-func (s *LBServer) resolveLocked(id int, resp QueryResponse) {
+// buffer drained by PollResultsInto and ends its registration, so a
+// completion or drop racing a drain (or arriving twice) finds it no
+// longer live. Callers must hold resMu.
+func (s *LBServer) resolveLocked(resp QueryResponse) {
 	s.results = append(s.results, resp)
-	delete(s.async, id)
+	delete(s.async, resp.ID)
 	s.resultsDirty = true
 }
 
@@ -929,45 +824,45 @@ func (s *LBServer) Configure(req ConfigureLBRequest) {
 }
 
 // Stats reports control-plane statistics and resets the per-tick
-// counters.
+// counters. Like the simulator's control tick it first sheds what has
+// expired in the queues, so a query waiting in a pool no worker pulls
+// from still resolves (as a drop) and the queue lengths the allocator
+// sees are honest.
 func (s *LBServer) Stats() LBStats {
 	now := s.cfg.Clock.Now()
 	// The stats poll doubles as the sweep of last resort: with every
 	// worker dead nothing else ticks the lease table, and it is
 	// exactly then that reclamation matters most.
 	s.sweepLeases(now)
-	snap := func(p *lbPool) queueing.Snapshot {
+	var snap [2]queueing.Snapshot
+	for i := range s.pools {
+		p := &s.pools[i]
 		p.mu.Lock()
-		defer p.mu.Unlock()
-		return p.q.Snap(now)
+		shed := p.Shed(now)
+		snap[i] = p.Snap(now)
+		p.mu.Unlock()
+		s.drop(shed)
 	}
-	light := snap(&s.pools[loadbalancer.PoolLight])
-	heavy := snap(&s.pools[loadbalancer.PoolHeavy])
+	light, heavy := snap[loadbalancer.PoolLight], snap[loadbalancer.PoolHeavy]
 
 	s.resMu.Lock()
 	out := LBStats{
-		Now:               now,
-		LightQueueLen:     light.Len,
-		HeavyQueueLen:     heavy.Len,
-		LightArrivalRate:  light.ArrivalRate,
-		HeavyArrivalRate:  heavy.ArrivalRate,
-		ArrivalsSinceTick: s.arrivals,
-		TimeoutsSinceTick: s.timeouts,
-		Completed:         s.completed,
-		Dropped:           s.dropped,
+		Now:              now,
+		LightQueueLen:    light.Len,
+		HeavyQueueLen:    heavy.Len,
+		LightArrivalRate: light.ArrivalRate,
+		HeavyArrivalRate: heavy.ArrivalRate,
 	}
-	s.arrivals = 0
-	s.timeouts = 0
+	out.ArrivalsSinceTick, out.TimeoutsSinceTick = s.ledger.Tick()
+	out.Completed, out.Dropped = s.ledger.Counts()
 	s.resMu.Unlock()
 
-	if s.leasing() {
-		s.leaseMu.Lock()
-		out.InFlight = len(s.leases)
-		out.Reclaims = s.reclaims
-		out.ShedRedelivery = s.shedRedelivery
-		out.LateCompletions = s.lateCompletions
-		s.leaseMu.Unlock()
-	}
+	s.leaseMu.Lock()
+	out.InFlight = len(s.leases)
+	out.Reclaims = s.reclaims
+	out.ShedRedelivery = s.shedRedelivery
+	out.LateCompletions = s.lateCompletions
+	s.leaseMu.Unlock()
 	return out
 }
 
@@ -999,12 +894,9 @@ func (s *LBServer) DrainRemaining() {
 	for i := range s.pools {
 		p := &s.pools[i]
 		p.mu.Lock()
-		items := p.q.Pop(now, p.q.Len())
+		items := p.Pop(now, p.Len())
 		p.draining = true
 		p.mu.Unlock()
-		if len(items) == 0 {
-			continue
-		}
-		s.dropRejected(items)
+		s.drop(items)
 	}
 }

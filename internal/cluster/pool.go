@@ -66,7 +66,6 @@ func internString(b []byte) string {
 // these; anyone may return messages via ReleaseMessage as long as
 // they own them.
 var (
-	queryResponsePool   = sync.Pool{New: func() interface{} { return new(QueryResponse) }}
 	submitRequestPool   = sync.Pool{New: func() interface{} { return new(SubmitRequest) }}
 	pullRequestPool     = sync.Pool{New: func() interface{} { return new(PullRequest) }}
 	pullResponsePool    = sync.Pool{New: func() interface{} { return new(PullResponse) }}
@@ -77,7 +76,6 @@ var (
 	confWorkerPool      = sync.Pool{New: func() interface{} { return new(ConfigureWorkerRequest) }}
 )
 
-func getQueryResponse() *QueryResponse     { return queryResponsePool.Get().(*QueryResponse) }
 func getSubmitRequest() *SubmitRequest     { return submitRequestPool.Get().(*SubmitRequest) }
 func getPullRequest() *PullRequest         { return pullRequestPool.Get().(*PullRequest) }
 func getPullResponse() *PullResponse       { return pullResponsePool.Get().(*PullResponse) }
@@ -107,7 +105,6 @@ func ReleaseMessage(v interface{}) {
 	case *QueryResponse:
 		// Features may alias the collector arena: drop, don't reuse.
 		*m = QueryResponse{}
-		queryResponsePool.Put(m)
 	case *SubmitRequest:
 		qs := m.Queries
 		poisonQueries(qs)

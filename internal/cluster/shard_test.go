@@ -391,27 +391,6 @@ func TestShardQuotas(t *testing.T) {
 	}
 }
 
-// TestAssignRolesKeepsExisting pins the reload-minimizing behavior the
-// sharded striping reuses per group.
-func TestAssignRolesKeepsExisting(t *testing.T) {
-	next := assignRoles([]string{"light", "heavy", "idle", "light"}, 1, 2)
-	if next[0] != "light" || next[1] != "heavy" {
-		t.Errorf("existing roles not kept: %v", next)
-	}
-	nLight, nHeavy := 0, 0
-	for _, r := range next {
-		switch r {
-		case "light":
-			nLight++
-		case "heavy":
-			nHeavy++
-		}
-	}
-	if nLight != 1 || nHeavy != 2 {
-		t.Errorf("assignment %v, want 1 light / 2 heavy", next)
-	}
-}
-
 // TestHarnessShardedTopology replays a lightly loaded trace through
 // the 2-shard TCP topology and requires the same loss-free outcome a
 // single LB produces: every query resolves exactly once, none drop.

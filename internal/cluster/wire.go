@@ -156,8 +156,7 @@ type PullRequest struct {
 // considers the pulled queries owned by this worker. Worker activity
 // (further pulls or completions) heartbeats the lease forward; a
 // worker that goes silent past the deadline forfeits the batch — the
-// server's expiry sweep reclaims and re-queues it. Zero means the
-// server is not leasing (leases disabled).
+// server's expiry sweep reclaims and re-queues it.
 //
 // Queries is a decode target, valid until the next PullInto call on
 // the same struct.

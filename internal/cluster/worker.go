@@ -255,13 +255,9 @@ func (s *WorkerServer) Loop(ctx context.Context) {
 func (s *WorkerServer) executeBatch(ctx context.Context, role worker.Role, lb LBConn, pulled *PullResponse, items []CompleteItem) []CompleteItem {
 	queries := pulled.Queries
 	n := len(queries)
-	variant := s.cfg.Light
+	variant, exec := s.cfg.Light, discriminator.LightExec(s.cfg.Light, s.cfg.Scorer, n)
 	if role == worker.RoleHeavy {
-		variant = s.cfg.Heavy
-	}
-	exec := variant.Latency.Latency(n)
-	if role == worker.RoleLight && s.cfg.Scorer != nil {
-		exec += float64(n) * s.cfg.Scorer.PerImageLatency()
+		variant, exec = s.cfg.Heavy, s.cfg.Heavy.Latency.Latency(n)
 	}
 
 	now := s.cfg.Clock.Now()

@@ -9,6 +9,7 @@ package controller
 
 import (
 	"fmt"
+	"math"
 
 	"diffserve/internal/allocator"
 	"diffserve/internal/milp"
@@ -89,6 +90,12 @@ type TickInput struct {
 	// SLOTimeouts is the number of violations observed in the interval
 	// (drives AIMD).
 	SLOTimeouts int
+}
+
+// InitialPlan is the tick at time zero, before anything has been
+// observed: one interval's arrivals at the trace's starting rate.
+func (c *Controller) InitialPlan(startRate float64) (allocator.Plan, error) {
+	return c.Tick(0, TickInput{Arrivals: int(math.Round(startRate * c.cfg.Interval))})
 }
 
 // Tick runs one control period at time now and returns the new plan.

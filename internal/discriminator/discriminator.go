@@ -29,6 +29,7 @@ import (
 	"sync"
 
 	"diffserve/internal/imagespace"
+	"diffserve/internal/model"
 	"diffserve/internal/stats"
 )
 
@@ -86,6 +87,18 @@ type Scorer interface {
 	Confidence(q *imagespace.Query, img imagespace.Image) float64
 	// PerImageLatency is the scoring cost in seconds per image.
 	PerImageLatency() float64
+}
+
+// LightExec is the light pool's execution time for a batch of n
+// queries: the light variant's profiled batch latency plus the
+// scorer's per-image cost. A nil scorer — only the cascade runs one —
+// adds nothing.
+func LightExec(light *model.Variant, s Scorer, n int) float64 {
+	exec := light.Latency.Latency(n)
+	if s != nil {
+		exec += float64(n) * s.PerImageLatency()
+	}
+	return exec
 }
 
 // Arch identifies a discriminator backbone architecture.

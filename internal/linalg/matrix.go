@@ -146,24 +146,6 @@ func (m *Matrix) Symmetrize() *Matrix {
 	return r
 }
 
-// MaxAbsOffDiag returns the largest absolute off-diagonal element of a
-// square matrix, used as a convergence measure by the Jacobi sweep.
-func (m *Matrix) MaxAbsOffDiag() float64 {
-	m.mustSquare()
-	mx := 0.0
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			if i == j {
-				continue
-			}
-			if a := math.Abs(m.At(i, j)); a > mx {
-				mx = a
-			}
-		}
-	}
-	return mx
-}
-
 // IsSymmetric reports whether m is symmetric within tolerance tol.
 func (m *Matrix) IsSymmetric(tol float64) bool {
 	if m.Rows != m.Cols {

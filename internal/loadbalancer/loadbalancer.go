@@ -1,14 +1,21 @@
-// Package loadbalancer implements DiffServe's data-path routing: the
-// entry point that queues arriving queries for the light pool (cascade
-// mode), routes everything to a single pool (the Clipper baselines),
-// or splits randomly by capacity share (Proteus), plus the deferral
-// path that moves low-confidence queries from the light to the heavy
-// pool.
+// Package loadbalancer is DiffServe's data-path policy (paper §3),
+// written once for both of its drivers: the discrete-event simulator
+// (internal/system) and the cluster runtime's LBServer
+// (internal/cluster). It decides which pool an arrival joins (Decide:
+// light first in cascade mode, a single pool for the Clipper
+// baselines, a random split for Proteus), which queued queries can no
+// longer make their SLO and when a worker gets a batch (Pool), whether
+// a light result is confident enough to serve (Defers), and how a
+// resolved query is recorded and counted for the controller (Ledger).
+//
+// The package holds no clock, lock or goroutine: every call takes the
+// trace time it acts at, and a driver that shares the state between
+// goroutines guards it with its own locks.
 package loadbalancer
 
 import (
-	"fmt"
-
+	"diffserve/internal/imagespace"
+	"diffserve/internal/metrics"
 	"diffserve/internal/queueing"
 	"diffserve/internal/stats"
 )
@@ -78,31 +85,138 @@ const (
 	PoolHeavy
 )
 
-// LB is the load balancer: two pool queues plus the routing policy.
+// Pool is one pool's queue with the three numbers that decide what
+// leaves it and when.
+type Pool struct {
+	*queueing.FIFO
+	// MinExec is the pool's batch-1 execution time: a query that cannot
+	// finish even if started now with minimal service is shed.
+	MinExec float64
+	// SLO is the latency deadline.
+	SLO float64
+	// Coalesce bounds how long the head of the queue waits for a batch
+	// to fill. Zero hands a worker whatever is queued (the simulator,
+	// whose dispatcher runs at every event); the cluster's concurrently
+	// polling workers would otherwise shred deferral groups into
+	// batch-1 executions.
+	Coalesce float64
+}
+
+// Shed removes and returns the queued queries that can no longer meet
+// their deadline even if started at now with minimal service.
+func (p *Pool) Shed(now float64) []queueing.Item {
+	return p.DropWhere(func(it queueing.Item) bool {
+		return now+p.MinExec > it.Arrival+p.SLO
+	})
+}
+
+// Dequeue sheds, then dequeues up to max queries if a batch is
+// dispatchable: the queue holds a full one, or its head has waited out
+// the coalesce window — capped at MinExec, since waiting longer than
+// one batch-1 execution is never worthwhile. The batch is appended to
+// dst. With a partial batch still inside its window it returns the
+// seconds until the window expires, so a long poll can wake then.
+func (p *Pool) Dequeue(now float64, max int, dst []queueing.Item) (shed, batch []queueing.Item, retry float64) {
+	shed = p.Shed(now)
+	wait := p.Coalesce
+	if p.MinExec < wait {
+		wait = p.MinExec
+	}
+	if p.Len() < max {
+		oldest, ok := p.PeekEnqueue()
+		if !ok {
+			return shed, dst, 0
+		}
+		if waited := now - oldest; waited < wait {
+			return shed, dst, wait - waited
+		}
+	}
+	return shed, p.PopAppend(now, max, dst), 0
+}
+
+// Defers is the cascade's verdict on a finished generation: a light
+// result whose confidence is under the threshold goes to the heavy
+// pool; everything else is served.
+func Defers(mode Mode, pool PoolID, conf, threshold float64) bool {
+	return mode == ModeCascade && pool == PoolLight && conf < threshold
+}
+
+// Ledger resolves queries: it builds the completed or dropped record,
+// hands it to the collector, and keeps the counts the controller
+// polls. Resolving a query twice is the caller's to prevent.
+type Ledger struct {
+	// SLO is the latency deadline stamped on every record.
+	SLO float64
+	// Col receives every record.
+	Col *metrics.Collector
+
+	arrivals, violations int // since the last Tick
+	completed, dropped   int // lifetime
+}
+
+// Arrive counts n new arrivals toward the controller's demand estimate.
+func (l *Ledger) Arrive(n int) { l.arrivals += n }
+
+// Complete records a query served at now by the given pool — a heavy
+// serve counts as deferred — with the image it got and the light
+// image's confidence, and returns the record.
+func (l *Ledger) Complete(it queueing.Item, now float64, pool PoolID, img imagespace.Image, conf float64) metrics.QueryRecord {
+	rec := metrics.QueryRecord{
+		ID:         it.ID,
+		Arrival:    it.Arrival,
+		Completion: now,
+		Deadline:   it.Arrival + l.SLO,
+		Deferred:   pool == PoolHeavy,
+		ServedBy:   img.Variant,
+		Confidence: conf,
+		Features:   img.Features,
+		Artifact:   img.Artifact,
+	}
+	if rec.Violated() {
+		l.violations++
+	}
+	l.Col.Record(rec)
+	l.completed++
+	return rec
+}
+
+// Drop records a query as shed.
+func (l *Ledger) Drop(it queueing.Item) {
+	l.Col.Record(metrics.QueryRecord{
+		ID:       it.ID,
+		Arrival:  it.Arrival,
+		Deadline: it.Arrival + l.SLO,
+		Dropped:  true,
+	})
+	l.violations++
+	l.dropped++
+}
+
+// Tick returns the arrivals and SLO violations since the previous call
+// and resets both.
+func (l *Ledger) Tick() (arrivals, violations int) {
+	arrivals, violations = l.arrivals, l.violations
+	l.arrivals, l.violations = 0, 0
+	return arrivals, violations
+}
+
+// Counts returns the lifetime completed and dropped totals.
+func (l *Ledger) Counts() (completed, dropped int) { return l.completed, l.dropped }
+
+// LB is the simulator's load balancer: the two pools plus the routing
+// policy's state.
 type LB struct {
 	mode      Mode
 	splitProb float64
 	rng       *stats.RNG
 
-	Light *queueing.FIFO
-	Heavy *queueing.FIFO
-
-	routedLight, routedHeavy, deferred int
+	Light, Heavy *Pool
 }
 
-// New constructs a load balancer. windowSecs sizes the queues'
-// arrival-rate estimation windows.
-func New(mode Mode, windowSecs float64, rng *stats.RNG) *LB {
-	return &LB{
-		mode:  mode,
-		rng:   rng.Stream("lb"),
-		Light: queueing.NewFIFO(windowSecs),
-		Heavy: queueing.NewFIFO(windowSecs),
-	}
+// New constructs a load balancer over the two pools.
+func New(mode Mode, rng *stats.RNG, light, heavy *Pool) *LB {
+	return &LB{mode: mode, rng: rng.Stream("lb"), Light: light, Heavy: heavy}
 }
-
-// Mode returns the routing policy.
-func (lb *LB) Mode() Mode { return lb.mode }
 
 // ClampProb clamps a probability to [0, 1].
 func ClampProb(p float64) float64 {
@@ -121,14 +235,9 @@ func (lb *LB) SetSplit(p float64) {
 	lb.splitProb = ClampProb(p)
 }
 
-// Split returns the current heavy-routing probability.
-func (lb *LB) Split() float64 { return lb.splitProb }
-
-// Decide picks the pool an arrival joins under the routing policy:
-// the single source of truth shared by the simulator's LB and the
-// cluster runtime's LBServer. rng is consulted only in
-// ModeRandomSplit (one Bernoulli draw per arrival); the other modes
-// never touch it.
+// Decide picks the pool an arrival joins under the routing policy.
+// rng is consulted only in ModeRandomSplit (one Bernoulli draw per
+// arrival); the other modes never touch it.
 func Decide(mode Mode, splitProb float64, rng *stats.RNG) PoolID {
 	switch mode {
 	case ModeAllHeavy:
@@ -146,33 +255,16 @@ func Decide(mode Mode, splitProb float64, rng *stats.RNG) PoolID {
 // Route enqueues an arriving query and returns the pool it joined.
 func (lb *LB) Route(now float64, it queueing.Item) PoolID {
 	pool := Decide(lb.mode, lb.splitProb, lb.rng)
-	if pool == PoolHeavy {
-		lb.Heavy.Push(now, it)
-		lb.routedHeavy++
-	} else {
-		lb.Light.Push(now, it)
-		lb.routedLight++
-	}
+	lb.Queue(pool).Push(now, it)
 	return pool
 }
 
-// Defer moves a low-confidence query to the heavy pool (cascade mode).
-func (lb *LB) Defer(now float64, it queueing.Item) {
-	lb.Heavy.Push(now, it)
-	lb.deferred++
-}
-
-// Queue returns the queue for a pool.
-func (lb *LB) Queue(p PoolID) *queueing.FIFO {
+// Queue returns the pool with the given ID.
+func (lb *LB) Queue(p PoolID) *Pool {
 	if p == PoolHeavy {
 		return lb.Heavy
 	}
 	return lb.Light
-}
-
-// Stats summarizes routing counters.
-func (lb *LB) Stats() (routedLight, routedHeavy, deferred int) {
-	return lb.routedLight, lb.routedHeavy, lb.deferred
 }
 
 // Snapshot captures both queues for the controller.
@@ -183,9 +275,4 @@ type Snapshot struct {
 // Snap builds the controller-facing snapshot at time now.
 func (lb *LB) Snap(now float64) Snapshot {
 	return Snapshot{Light: lb.Light.Snap(now), Heavy: lb.Heavy.Snap(now)}
-}
-
-// String renders the LB state for diagnostics.
-func (lb *LB) String() string {
-	return fmt.Sprintf("lb[%s light=%d heavy=%d deferred=%d]", lb.mode, lb.Light.Len(), lb.Heavy.Len(), lb.deferred)
 }

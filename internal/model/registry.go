@@ -31,6 +31,13 @@ type Variant struct {
 // BaseLatency returns the batch-1 execution latency in seconds.
 func (v *Variant) BaseLatency() float64 { return v.Latency.Latency(1) }
 
+// DrainGrace is how long past the end of a trace a run keeps serving
+// before whatever is still queued counts as dropped: three SLOs plus
+// one largest batch on the heavy variant.
+func DrainGrace(slo float64, heavy *Variant) float64 {
+	return 3*slo + heavy.Latency.Latency(heavy.Latency.MaxBatch())
+}
+
 // Registry maps variant names to variants.
 type Registry struct {
 	variants map[string]*Variant

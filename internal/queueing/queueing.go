@@ -74,15 +74,6 @@ func (q *FIFO) PopAppend(now float64, n int, dst []Item) []Item {
 	return dst
 }
 
-// PeekDeadline returns the arrival time of the oldest queued item and
-// true, or 0 and false when empty.
-func (q *FIFO) PeekDeadline() (float64, bool) {
-	if len(q.items) == 0 {
-		return 0, false
-	}
-	return q.items[0].Arrival, true
-}
-
 // PeekEnqueue returns the enqueue time of the oldest queued item and
 // true, or 0 and false when empty. Batch-coalescing dispatchers use
 // this to bound how long the head of the queue waits for a batch to

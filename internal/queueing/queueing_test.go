@@ -44,19 +44,6 @@ func TestFIFOEnqueueStampsTime(t *testing.T) {
 	}
 }
 
-func TestPeekDeadline(t *testing.T) {
-	q := NewFIFO(10)
-	if _, ok := q.PeekDeadline(); ok {
-		t.Error("empty queue should have no deadline")
-	}
-	q.Push(1, Item{ID: 1, Arrival: 0.5})
-	q.Push(2, Item{ID: 2, Arrival: 1.5})
-	at, ok := q.PeekDeadline()
-	if !ok || at != 0.5 {
-		t.Errorf("PeekDeadline = %v, %v", at, ok)
-	}
-}
-
 func TestDropWhere(t *testing.T) {
 	q := NewFIFO(10)
 	for i := 0; i < 6; i++ {

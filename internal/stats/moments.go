@@ -266,9 +266,6 @@ func (h *Histogram) Add(x float64) {
 // Count returns the count in bin i.
 func (h *Histogram) Count(i int) int { return h.counts[i] }
 
-// Bins returns the number of bins.
-func (h *Histogram) Bins() int { return len(h.counts) }
-
 // Total returns the total number of observations including out-of-range.
 func (h *Histogram) Total() int { return h.total }
 

@@ -6,6 +6,13 @@
 // periodically re-solves resource allocation — the simulator
 // counterpart of the paper's testbed (§4.1).
 //
+// The data-path policy itself — routing, shedding, dequeueing, the
+// deferral verdict, resolution records and tick counters, keep-in-place
+// role assignment — is not written here: the simulator and the cluster
+// runtime (internal/cluster) both call internal/loadbalancer and
+// worker.AssignRoles. This package keeps what is the simulator's: the
+// event ring, worker timing and image generation.
+//
 // One deliberate simplification: queues live at pool granularity (one
 // light queue, one heavy queue) rather than per worker. Idle workers
 // pull from their pool's queue, which is work-conserving and
@@ -15,7 +22,6 @@ package system
 
 import (
 	"fmt"
-	"math"
 
 	"diffserve/internal/allocator"
 	"diffserve/internal/controller"
@@ -54,8 +60,6 @@ type Config struct {
 	Seed uint64
 	// QueueWindow sizes arrival-rate estimation windows (default 10s).
 	QueueWindow float64
-	// DisableDrop turns off predicted-deadline-miss shedding.
-	DisableDrop bool
 	// DisableModelLoadDelay makes role switches instantaneous (used by
 	// tests and the simulator-vs-cluster comparison).
 	DisableModelLoadDelay bool
@@ -105,18 +109,14 @@ func (r *Result) Summary() metrics.Summary { return r.Collector.Summarize(r.Refe
 
 // System is a runnable simulated serving system.
 type System struct {
-	cfg Config
-	sim *simring.Sim
-	lb  *loadbalancer.LB
-	ws  []*worker.Worker
-	col *metrics.Collector
-	rng *stats.RNG
+	cfg    Config
+	sim    *simring.Sim
+	lb     *loadbalancer.LB
+	ledger loadbalancer.Ledger
+	ws     []*worker.Worker
+	rng    *stats.RNG
 
 	threshold float64
-	plan      allocator.Plan
-
-	arrivalsSinceTick int
-	violationsSince   int
 
 	queries map[int]*imagespace.Query
 }
@@ -129,12 +129,20 @@ func New(cfg Config) (*System, error) {
 	if cfg.QueueWindow <= 0 {
 		cfg.QueueWindow = 10
 	}
+	if cfg.Mode != loadbalancer.ModeCascade {
+		// The Clipper/Proteus baselines run no discriminator.
+		cfg.Scorer = nil
+	}
 	rng := stats.NewRNG(cfg.Seed)
+	pool := func(minExec float64) *loadbalancer.Pool {
+		return &loadbalancer.Pool{FIFO: queueing.NewFIFO(cfg.QueueWindow), MinExec: minExec, SLO: cfg.SLO}
+	}
 	s := &System{
-		cfg:     cfg,
-		sim:     simring.New(),
-		lb:      loadbalancer.New(cfg.Mode, cfg.QueueWindow, rng),
-		col:     metrics.NewCollector(),
+		cfg: cfg,
+		sim: simring.New(),
+		lb: loadbalancer.New(cfg.Mode, rng,
+			pool(discriminator.LightExec(cfg.Light, cfg.Scorer, 1)), pool(cfg.Heavy.Latency.Latency(1))),
+		ledger:  loadbalancer.Ledger{SLO: cfg.SLO, Col: metrics.NewCollector()},
 		rng:     rng,
 		queries: make(map[int]*imagespace.Query),
 	}
@@ -143,25 +151,6 @@ func New(cfg Config) (*System, error) {
 		s.ws[i] = worker.New(i)
 	}
 	return s, nil
-}
-
-// discLatency returns the per-image discriminator cost (zero outside
-// cascade mode: the Clipper/Proteus baselines run no discriminator).
-func (s *System) discLatency() float64 {
-	if s.cfg.Mode != loadbalancer.ModeCascade || s.cfg.Scorer == nil {
-		return 0
-	}
-	return s.cfg.Scorer.PerImageLatency()
-}
-
-// lightExec is the light pool's batch execution latency for n queries.
-func (s *System) lightExec(n int) float64 {
-	return s.cfg.Light.Latency.Latency(n) + float64(n)*s.discLatency()
-}
-
-// heavyExec is the heavy pool's batch execution latency for n queries.
-func (s *System) heavyExec(n int) float64 {
-	return s.cfg.Heavy.Latency.Latency(n)
 }
 
 // Run simulates the full trace and returns the result.
@@ -181,9 +170,7 @@ func (s *System) Run() (*Result, error) {
 	}
 
 	// Initial plan from the trace's starting rate, then periodic ticks.
-	initialPlan, err := s.cfg.Controller.Tick(0, controller.TickInput{
-		Arrivals: int(math.Round(s.cfg.Trace.RateAt(0) * s.cfg.Controller.Interval())),
-	})
+	initialPlan, err := s.cfg.Controller.InitialPlan(s.cfg.Trace.RateAt(0))
 	if err != nil {
 		return nil, err
 	}
@@ -198,8 +185,7 @@ func (s *System) Run() (*Result, error) {
 
 	// Run to the horizon plus a grace period that lets queued work
 	// drain, then mark whatever is still queued as dropped.
-	grace := 3*s.cfg.SLO + s.heavyExec(s.cfg.Heavy.Latency.MaxBatch())
-	s.sim.Run(horizon + grace)
+	s.sim.Run(horizon + model.DrainGrace(s.cfg.SLO, s.cfg.Heavy))
 	s.sim.Drain()
 	s.dropRemaining()
 
@@ -208,7 +194,7 @@ func (s *System) Run() (*Result, error) {
 		return nil, fmt.Errorf("system: building FID reference: %w", err)
 	}
 	return &Result{
-		Collector:        s.col,
+		Collector:        s.ledger.Col,
 		Reference:        ref,
 		Plans:            s.cfg.Controller.Plans(),
 		Queries:          len(arrivals),
@@ -218,55 +204,36 @@ func (s *System) Run() (*Result, error) {
 
 // onArrival admits a query into the system.
 func (s *System) onArrival(id int, at float64) {
-	s.arrivalsSinceTick++
-	it := queueing.Item{ID: id, Arrival: at}
-	s.lb.Route(s.sim.Now(), it)
+	s.ledger.Arrive(1)
+	s.lb.Route(s.sim.Now(), queueing.Item{ID: id, Arrival: at})
 	s.dispatchAll()
 }
 
-// shedPool applies predicted-deadline-miss shedding to one pool
-// queue: items that cannot finish in time even if started immediately
-// with minimal service are dropped and recorded.
-func (s *System) shedPool(pool loadbalancer.PoolID) {
-	if s.cfg.DisableDrop {
-		return
-	}
-	now := s.sim.Now()
-	exec := s.execFor(pool, 1)
-	for _, it := range s.lb.Queue(pool).DropWhere(func(it queueing.Item) bool {
-		return now+exec > it.Arrival+s.cfg.SLO
-	}) {
-		s.recordDrop(it)
+// drop resolves shed queries.
+func (s *System) drop(shed []queueing.Item) {
+	for _, it := range shed {
+		s.ledger.Drop(it)
 	}
 }
 
-// shedExpired drops queued items that can no longer meet their
-// deadline even with immediate minimal service. Running this on the
-// control tick (not only at dispatch) keeps queue state honest when a
-// pool temporarily has no workers — otherwise stranded items inflate
-// the Little's-law wait forever and wedge the allocator in its
-// best-effort fallback.
-func (s *System) shedExpired() {
-	for _, pool := range []loadbalancer.PoolID{loadbalancer.PoolLight, loadbalancer.PoolHeavy} {
-		s.shedPool(pool)
-	}
-}
-
-// onControlTick runs one control period.
+// onControlTick runs one control period. Shedding here, not only at
+// dispatch, keeps queue state honest when a pool temporarily has no
+// workers — otherwise stranded items inflate the Little's-law wait
+// forever and wedge the allocator in its best-effort fallback.
 func (s *System) onControlTick(t float64) {
-	s.shedExpired()
+	now := s.sim.Now()
+	s.drop(s.lb.Light.Shed(now))
+	s.drop(s.lb.Heavy.Shed(now))
 	snap := s.lb.Snap(t)
-	in := controller.TickInput{
-		Arrivals:         s.arrivalsSinceTick,
+	arrivals, violations := s.ledger.Tick()
+	plan, err := s.cfg.Controller.Tick(t, controller.TickInput{
+		Arrivals:         arrivals,
 		LightQueueLen:    snap.Light.Len,
 		HeavyQueueLen:    snap.Heavy.Len,
 		LightArrivalRate: snap.Light.ArrivalRate,
 		HeavyArrivalRate: snap.Heavy.ArrivalRate,
-		SLOTimeouts:      s.violationsSince,
-	}
-	s.arrivalsSinceTick = 0
-	s.violationsSince = 0
-	plan, err := s.cfg.Controller.Tick(t, in)
+		SLOTimeouts:      violations,
+	})
 	if err != nil {
 		// Control failures must not halt the data path; keep the
 		// previous plan.
@@ -278,57 +245,30 @@ func (s *System) onControlTick(t float64) {
 
 // applyPlan reconfigures threshold, batch sizes, and worker roles.
 func (s *System) applyPlan(now float64, plan allocator.Plan, initial bool) {
-	s.plan = plan
 	s.threshold = plan.Threshold
 	if s.cfg.Mode == loadbalancer.ModeRandomSplit {
 		s.lb.SetSplit(plan.DeferFraction)
 	}
-
-	// Decide target roles, preferring to keep workers in place.
-	needLight, needHeavy := plan.LightWorkers, plan.HeavyWorkers
-	if needLight+needHeavy > len(s.ws) {
-		needHeavy = len(s.ws) - needLight
-		if needHeavy < 0 {
-			needLight, needHeavy = len(s.ws), 0
-		}
+	current := make([]worker.Role, len(s.ws))
+	for i, w := range s.ws {
+		current[i] = w.Role()
 	}
-	var keepLight, keepHeavy, rest []*worker.Worker
-	for _, w := range s.ws {
-		switch {
-		case w.Role() == worker.RoleLight && len(keepLight) < needLight:
-			keepLight = append(keepLight, w)
-		case w.Role() == worker.RoleHeavy && len(keepHeavy) < needHeavy:
-			keepHeavy = append(keepHeavy, w)
-		default:
-			rest = append(rest, w)
+	for i, role := range worker.AssignRoles(current, plan.LightWorkers, plan.HeavyWorkers) {
+		// Assign charges the load time only when the role changes.
+		batch, load := 0, 0.0
+		switch role {
+		case worker.RoleLight:
+			batch, load = plan.LightBatch, s.cfg.Light.LoadSeconds
+		case worker.RoleHeavy:
+			batch, load = plan.HeavyBatch, s.cfg.Heavy.LoadSeconds
 		}
-	}
-	assign := func(w *worker.Worker, role worker.Role, batch int, load float64) {
 		if s.cfg.DisableModelLoadDelay || initial {
 			load = 0
 		}
+		w := s.ws[i]
 		w.Assign(now, role, batch, load)
 		if at, ok := w.ReadyAt(); ok && at > now {
-			at := at
 			s.sim.At(at, func() { s.dispatchAll() })
-		}
-	}
-	for _, w := range keepLight {
-		assign(w, worker.RoleLight, plan.LightBatch, 0)
-	}
-	for _, w := range keepHeavy {
-		assign(w, worker.RoleHeavy, plan.HeavyBatch, 0)
-	}
-	for _, w := range rest {
-		switch {
-		case len(keepLight) < needLight:
-			assign(w, worker.RoleLight, plan.LightBatch, s.cfg.Light.LoadSeconds)
-			keepLight = append(keepLight, w)
-		case len(keepHeavy) < needHeavy:
-			assign(w, worker.RoleHeavy, plan.HeavyBatch, s.cfg.Heavy.LoadSeconds)
-			keepHeavy = append(keepHeavy, w)
-		default:
-			assign(w, worker.RoleIdle, 0, 0)
 		}
 	}
 }
@@ -352,97 +292,49 @@ func (s *System) dispatchAll() {
 // dispatch pulls work for one available worker from its pool queue.
 func (s *System) dispatch(w *worker.Worker, pool loadbalancer.PoolID) {
 	now := s.sim.Now()
-	s.shedPool(pool)
-	q := s.lb.Queue(pool)
-	items := q.Pop(now, w.Batch())
+	shed, items, _ := s.lb.Queue(pool).Dequeue(now, w.Batch(), nil)
+	s.drop(shed)
 	if len(items) == 0 {
 		return
 	}
-	exec := s.execFor(pool, len(items))
-	done := w.StartBatch(now, len(items), exec)
-	s.sim.At(done, func() { s.onBatchDone(w, pool, items) })
-}
-
-// execFor returns the batch execution latency for a pool.
-func (s *System) execFor(pool loadbalancer.PoolID, n int) float64 {
-	if pool == loadbalancer.PoolHeavy {
-		return s.heavyExec(n)
+	exec := s.cfg.Heavy.Latency.Latency(len(items))
+	if pool == loadbalancer.PoolLight {
+		exec = discriminator.LightExec(s.cfg.Light, s.cfg.Scorer, len(items))
 	}
-	return s.lightExec(n)
+	done := w.StartBatch(now, len(items), exec)
+	s.sim.At(done, func() { s.onBatchDone(pool, items) })
 }
 
 // onBatchDone finalizes a batch: generates images, applies the
 // cascade's discriminator, completes or defers each query.
-func (s *System) onBatchDone(w *worker.Worker, pool loadbalancer.PoolID, items []queueing.Item) {
+func (s *System) onBatchDone(pool loadbalancer.PoolID, items []queueing.Item) {
 	now := s.sim.Now()
+	variant := s.cfg.Light
+	if pool == loadbalancer.PoolHeavy {
+		variant = s.cfg.Heavy
+	}
 	for _, it := range items {
 		q := s.queries[it.ID]
 		if q == nil {
 			continue // cannot happen; defensive
 		}
-		if pool == loadbalancer.PoolHeavy {
-			img := s.cfg.Space.GenerateDeterministic(q, s.cfg.Heavy.Name, s.cfg.Heavy.Gen)
-			s.complete(it, img, now, true)
+		img := s.cfg.Space.GenerateDeterministic(q, variant.Name, variant.Gen)
+		conf := 0.0
+		if pool == loadbalancer.PoolLight && s.cfg.Scorer != nil {
+			conf = s.cfg.Scorer.Confidence(q, img)
+		}
+		if loadbalancer.Defers(s.cfg.Mode, pool, conf, s.threshold) {
+			s.lb.Heavy.Push(now, it)
 			continue
 		}
-		img := s.cfg.Space.GenerateDeterministic(q, s.cfg.Light.Name, s.cfg.Light.Gen)
-		if s.cfg.Mode == loadbalancer.ModeCascade {
-			conf := s.cfg.Scorer.Confidence(q, img)
-			if conf < s.threshold {
-				it2 := it
-				s.lb.Defer(now, it2)
-				continue
-			}
-			rec := s.makeRecord(it, img, now, false)
-			rec.Confidence = conf
-			s.record(rec)
-			continue
-		}
-		s.complete(it, img, now, false)
+		s.ledger.Complete(it, now, pool, img, conf)
 	}
 	s.dispatchAll()
 }
 
-func (s *System) makeRecord(it queueing.Item, img imagespace.Image, now float64, deferred bool) metrics.QueryRecord {
-	return metrics.QueryRecord{
-		ID:         it.ID,
-		Arrival:    it.Arrival,
-		Completion: now,
-		Deadline:   it.Arrival + s.cfg.SLO,
-		Deferred:   deferred,
-		ServedBy:   img.Variant,
-		Features:   img.Features,
-		Artifact:   img.Artifact,
-	}
-}
-
-func (s *System) complete(it queueing.Item, img imagespace.Image, now float64, deferred bool) {
-	s.record(s.makeRecord(it, img, now, deferred))
-}
-
-func (s *System) record(rec metrics.QueryRecord) {
-	if rec.Violated() {
-		s.violationsSince++
-	}
-	s.col.Record(rec)
-}
-
-func (s *System) recordDrop(it queueing.Item) {
-	s.violationsSince++
-	s.col.Record(metrics.QueryRecord{
-		ID:       it.ID,
-		Arrival:  it.Arrival,
-		Deadline: it.Arrival + s.cfg.SLO,
-		Dropped:  true,
-	})
-}
-
 // dropRemaining records still-queued items as dropped after the run.
 func (s *System) dropRemaining() {
-	for _, pool := range []loadbalancer.PoolID{loadbalancer.PoolLight, loadbalancer.PoolHeavy} {
-		q := s.lb.Queue(pool)
-		for _, it := range q.Pop(s.sim.Now(), q.Len()) {
-			s.recordDrop(it)
-		}
+	for _, q := range []*loadbalancer.Pool{s.lb.Light, s.lb.Heavy} {
+		s.drop(q.Pop(s.sim.Now(), q.Len()))
 	}
 }

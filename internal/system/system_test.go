@@ -244,31 +244,6 @@ func TestOverloadShedsInsteadOfQueueing(t *testing.T) {
 	}
 }
 
-func TestDisableDropQueuesForever(t *testing.T) {
-	tr, _ := trace.Static(20, 30, 1)
-	cfg := fixture(t, tr, 2, loadbalancer.ModeAllHeavy)
-	cfg.Controller = clipperController(t, cfg, true)
-	cfg.DisableDrop = true
-	sys, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sys.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// With dropping disabled, queries are only dropped by final drain.
-	late := 0
-	for _, r := range res.Collector.Records() {
-		if r.Late() {
-			late++
-		}
-	}
-	if late == 0 {
-		t.Error("without shedding, lateness should appear under overload")
-	}
-}
-
 func TestDeterministicRuns(t *testing.T) {
 	tr, _ := trace.Static(8, 40, 1)
 	run := func() float64 {

@@ -1,8 +1,9 @@
 // Package worker models a GPU worker's serving state machine: the
 // role it currently hosts (light model + discriminator, heavy model,
 // or idle), its configured batch size, busy/loading intervals, and
-// execution accounting. The discrete-event simulator and the HTTP
-// cluster runtime both drive this state machine.
+// execution accounting, plus the keep-in-place role assignment a new
+// plan goes through. The discrete-event simulator and the cluster
+// runtime both drive it.
 package worker
 
 import (
@@ -139,24 +140,47 @@ func (w *Worker) StartBatch(now float64, n int, execSeconds float64) float64 {
 	return w.busyUntil
 }
 
-// Pool is a set of workers playing the same role.
-type Pool struct {
-	workers []*Worker
-}
-
-// NewPool wraps the given workers.
-func NewPool(ws []*Worker) *Pool { return &Pool{workers: ws} }
-
-// Available returns the workers able to start a batch at time now.
-func (p *Pool) Available(now float64) []*Worker {
-	var out []*Worker
-	for _, w := range p.workers {
-		if w.Available(now) {
-			out = append(out, w)
+// FitPlan clamps a plan's pool sizes to a group of n workers: the heavy
+// pool gives way first, and a light pool that alone exceeds the group
+// takes every worker.
+func FitPlan(n, needLight, needHeavy int) (light, heavy int) {
+	if needLight+needHeavy > n {
+		needHeavy = n - needLight
+		if needHeavy < 0 {
+			needLight, needHeavy = n, 0
 		}
 	}
-	return out
+	return needLight, needHeavy
 }
 
-// Size returns the pool size.
-func (p *Pool) Size() int { return len(p.workers) }
+// AssignRoles computes the next role of every worker of a group from
+// a plan's pool sizes (fitted to the group by FitPlan), keeping workers
+// that already hold a wanted role in place so a new plan reloads as few
+// models as possible.
+func AssignRoles(current []Role, needLight, needHeavy int) []Role {
+	needLight, needHeavy = FitPlan(len(current), needLight, needHeavy)
+	next := make([]Role, len(current))
+	light, heavy := 0, 0
+	for i, role := range current {
+		switch {
+		case role == RoleLight && light < needLight:
+			next[i] = RoleLight
+			light++
+		case role == RoleHeavy && heavy < needHeavy:
+			next[i] = RoleHeavy
+			heavy++
+		}
+	}
+	for i := range next {
+		switch {
+		case next[i] != RoleIdle:
+		case light < needLight:
+			next[i] = RoleLight
+			light++
+		case heavy < needHeavy:
+			next[i] = RoleHeavy
+			heavy++
+		}
+	}
+	return next
+}

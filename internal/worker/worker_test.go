@@ -1,6 +1,7 @@
 package worker
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -122,20 +123,32 @@ func TestNegativeLoadClamped(t *testing.T) {
 	}
 }
 
-func TestPool(t *testing.T) {
-	ws := []*Worker{New(0), New(1), New(2)}
-	ws[0].Assign(0, RoleLight, 1, 0)
-	ws[1].Assign(0, RoleLight, 1, 10) // loading
-	p := NewPool(ws)
-	if p.Size() != 3 {
-		t.Errorf("Size = %d", p.Size())
-	}
-	avail := p.Available(1)
-	if len(avail) != 1 || avail[0].ID() != 0 {
-		t.Errorf("available = %v", avail)
-	}
-	if got := p.Available(10); len(got) != 2 {
-		t.Errorf("available after load = %d", len(got))
+// TestAssignRoles pins the keep-in-place assignment both the
+// simulator's plan application and the cluster controller (per shard
+// group) go through, including the clamp of a plan that asks for more
+// workers than the group has.
+func TestAssignRoles(t *testing.T) {
+	const I, L, H = RoleIdle, RoleLight, RoleHeavy
+	for _, tc := range []struct {
+		name                 string
+		current              []Role
+		needLight, needHeavy int
+		want                 []Role
+	}{
+		{"fresh group fills light first", []Role{I, I, I, I}, 2, 1, []Role{L, L, H, I}},
+		{"existing roles stay in place", []Role{L, H, I, L}, 1, 2, []Role{L, H, H, I}},
+		{"surplus light worker turns heavy", []Role{L, L, L}, 1, 2, []Role{L, H, H}},
+		{"shrinking plan idles the tail", []Role{L, H, L, H}, 1, 1, []Role{L, H, I, I}},
+		{"unchanged plan moves nobody", []Role{H, L, I}, 1, 1, []Role{H, L, I}},
+		{"oversized plan: heavy gives way", []Role{I, H, H, I}, 3, 3, []Role{L, H, L, L}},
+		{"oversized light pool takes everyone", []Role{H, I, L}, 5, 2, []Role{L, L, L}},
+		{"empty group", nil, 2, 2, []Role{}},
+	} {
+		got := AssignRoles(tc.current, tc.needLight, tc.needHeavy)
+		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("%s: AssignRoles(%v, %d, %d) = %v, want %v",
+				tc.name, tc.current, tc.needLight, tc.needHeavy, got, tc.want)
+		}
 	}
 }
 
