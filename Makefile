@@ -147,7 +147,7 @@ allocs-gate:
 # distorts. Raise COUNT for a longer hunt on the soak legs.
 COUNT ?= 2
 .PHONY: race
-race: race-cluster race-sharded race-posted race-reshard race-autoscale chaos-soak race-solver race-poison
+race: race-cluster race-sharded race-posted race-reshard chaos-soak race-solver race-poison
 
 # race-cluster: the cluster data path (the per-pool lock stress hammer
 # and the transport conformance matrix included), the parallel helpers,
@@ -178,23 +178,12 @@ race-posted:
 		./internal/cluster/
 
 # race-reshard: the dynamic-membership machinery — epoch flips, drain
-# migration, retired-shard sweeps, worker re-pinning.
+# migration, retired-shard sweeps, worker re-pinning, and the
+# epoch-collapse and retired-pump-termination regressions.
 .PHONY: race-reshard
 race-reshard:
 	$(GO) test -race -short -count=$(COUNT) \
-		-run 'TestReshardChaosNoLostOrDoubleResolve|TestTransportConformance/.*/epoch-flip-atomic-submit|TestTransportConformance/.*/drain-pull-ownership' \
-		./internal/cluster/
-
-# race-autoscale: the elasticity loop — the controller alone scales a
-# 1-shard frontend to 4 and back under a bursty trace (zero lost or
-# double-resolved queries, bounded epochs), plus the epoch-collapse and
-# retired-pump-termination regressions and the membership-endpoint
-# follower sync. Not -short: the soak is the point, and its clock
-# headroom tolerates the race slowdown.
-.PHONY: race-autoscale
-race-autoscale:
-	$(GO) test -race -count=1 \
-		-run 'TestHarnessAutoscaleTopology|TestManyReshardsCollapseEpochs|TestRetiredPumpsTerminate|TestMembershipEndpoint|TestMembershipFollowerSyncsOverTCP' \
+		-run 'TestReshardChaosNoLostOrDoubleResolve|TestTransportConformance/.*/epoch-flip-atomic-submit|TestTransportConformance/.*/drain-pull-ownership|TestManyReshardsCollapseEpochs|TestRetiredPumpsTerminate' \
 		./internal/cluster/
 
 # chaos-soak: the fault-tolerance suite — the worker-churn soak (killed

@@ -17,17 +17,19 @@
 // worker roles so each shard keeps both pools served (worker i is
 // assumed pinned to shard i mod shards, matching diffserve-worker's
 // -shard-addrs behavior). With -ring-vnodes N the tier partitions by
-// consistent-hash ring instead of the static modulus, which makes
-// membership elastic: the -admin-port RPC can then add or remove a
-// shard at runtime without restarting the tier —
+// consistent-hash ring instead of the static modulus, and the
+// -admin-port RPC can then add or remove a shard at runtime without
+// restarting the tier —
 //
 //	curl -X POST localhost:9100/add-shard \
 //	    -d '{"member": 2, "addr": "localhost:8102"}'
 //	curl -X POST localhost:9100/remove-shard -d '{"member": 0}'
 //
-// The controller installs the new ring epoch on its frontend, drains
-// a removed shard's queued work to the survivors, and re-stripes
-// worker roles on the next control tick.
+// The controller installs the new ring epoch on its own frontend,
+// drains a removed shard's queued work to the survivors, and re-stripes
+// worker roles on the next control tick. Nothing else adopts the flip:
+// a separately running diffserve-client or diffserve-worker keeps
+// routing by the -shard-addrs it was started with.
 package main
 
 import (

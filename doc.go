@@ -83,11 +83,11 @@
 //     and zero steady-state allocation — for harness validation at
 //     the highest timescale factors.
 //
-// cluster.LBConn is the seven calls the system makes — SubmitBatch,
-// PullInto, Complete, PollResultsInto, Configure, Stats, Membership —
-// and every conn (tcp, inproc, the ShardedLB frontend, the retry and
-// fault wrappers) implements all of them. cluster.CodecJSON encodes
-// the same messages through their json tags; nothing sends it over a
+// cluster.LBConn is the six calls the system makes — SubmitBatch,
+// PullInto, Complete, PollResultsInto, Configure, Stats — and every
+// conn (tcp, inproc, the ShardedLB frontend, the retry and fault
+// wrappers) implements all of them. cluster.CodecJSON encodes the same
+// messages through their json tags; nothing sends it over a
 // connection. It is the reference the parity tests, the fuzzers and
 // diffvet's codecparity analyzer hold the binary codec against, and a
 // tcp server answers a frame that names it with an error frame.
@@ -191,42 +191,21 @@
 // resharding parity leg requires a 2->3-shard TCP cluster to
 // reproduce the single-LB completed/dropped counts exactly.
 //
-// # Elastic frontend tier
+// # Scheduled resharding
 //
-// Nothing above decides *when* membership changes — the elasticity
-// loop closes inside the controller (cluster.ElasticConfig on
-// ControllerLoop, HarnessConfig.Autoscale in the harness). Each
-// control tick already merges LBStats from every shard; the elastic
-// step derives the observed load from them — this tick's arrival rate
-// plus the standing queue backlog amortized over one control period,
-// so a tier that keeps up with arrivals but cannot drain its queues
-// still reads as undersized — and sizes the tier to
-// ceil(load / ShardCapacityQPS), clamped to [MinShards, MaxShards].
-// The decision is hysteresis-banded: scale-up fires after UpTicks
-// consecutive undersized ticks (default 1 — under-provisioning costs
-// SLO violations) and jumps straight to the desired size, provisioning
-// fresh shards through ElasticConfig.Provision; scale-down waits for
-// DownTicks consecutive oversized ticks (default 3) and retires one
-// member per tick — the youngest, so long-lived members keep their key
-// shares — bounding each removal's drain burst. A tick that sees
-// degraded shards skips shrinking entirely: a degraded member is
-// already spilling its share onto the survivors. After every change
-// the controller re-stripes the cached worker plan across the new
-// shard groups immediately instead of waiting out the control
-// interval.
+// Membership changes when someone asks: a HarnessConfig.Reshard event
+// at its trace time, or diffserve-controller's admin RPC
+// (/add-shard, /remove-shard). Either flips the ring epoch on one
+// frontend — the harness's, or the controller's — and the controller
+// re-stripes worker roles across the new shard groups (the harness at
+// once, the admin RPC on the next control tick). In the harness the
+// workers re-pin to the new ring too. A separately running
+// diffserve-client or diffserve-worker does not: it keeps routing by
+// the -shard-addrs it was started with (diffserve-worker's header says
+// so for workers).
 //
-// Three mechanisms keep continuous membership change cheap:
+// Two mechanisms keep repeated membership change cheap:
 //
-//   - Membership endpoint. Every reshard broadcast stamps the new
-//     epoch, member list, advertised dial addresses, and placement
-//     weights onto the shards; each LBServer republishes the newest
-//     view through the Membership call (its own method on the TCP
-//     framing), ignoring stale broadcasts. A
-//     standalone frontend that notices the epoch move on any pull or
-//     configure response calls ShardedLB.SyncMembership, which adopts
-//     the authority's epoch, weights, and members — dialing members it
-//     has never seen from their advertised addresses — so followers
-//     track flips without operator redials.
 //   - Epoch quiescence. The frontend tags every in-flight query with
 //     the epoch it was submitted under and counts live queries per
 //     epoch; once an old epoch's count reaches zero it collapses out
@@ -248,11 +227,6 @@
 //     fractional remainder. The sim-vs-cluster parity suite pins a
 //     7-worker/3-shard weighted+stealing cluster to the single-LB
 //     outcome.
-//
-// The `make race-autoscale` soak runs the loop end to end under the
-// race detector: the controller alone grows a 1-shard tier to 4 under
-// a bursty trace and shrinks it back afterwards, with zero lost or
-// double-resolved queries and a bounded epoch count.
 //
 // # Allocation control loop
 //
@@ -332,12 +306,11 @@
 // epoch machinery above. Transport error events are classified
 // transient versus fatal (cluster.TransientTransportError), so the
 // harness aborts runs on real faults but rides out injected or
-// recovered ones. At the tier level, a shard unreachable past
-// ShardedLBConfig.DegradeThreshold consecutive failures is marked
-// degraded: new submits for its hash range spill to the ring's next
-// owner, the state surfaces through merged Stats (DegradedShards) so
-// the controller can trigger a reshard, and the first successful
-// probe un-degrades it. A controller blinded by stats-poll failures
+// recovered ones. At the tier level, a shard unreachable for three
+// consecutive dispatches or pump polls is marked degraded: new submits
+// for its hash range spill to the ring's next owner, the state
+// surfaces through merged Stats (DegradedShards) so an operator can
+// reshard it away, and the first successful probe un-degrades it. A controller blinded by stats-poll failures
 // for MaxStatsMisses ticks fails over to a conservative plan
 // (threshold zero — light-only routing — with the worker layout kept)
 // until polls recover.

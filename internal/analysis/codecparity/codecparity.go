@@ -25,8 +25,9 @@
 //     the size-hint helper (the binary encode path) and written at
 //     least once in codec.go (the binary decode path). A read of the
 //     written field inside its own assignment's RHS — the
-//     capacity-reuse decode pattern `m.Xs = d.intsInto(m.Xs)` — is
-//     buffer reuse, not encoding, and earns no encode-side credit.
+//     capacity-reuse decode pattern
+//     `m.Features = d.floatsInto(m.Features)` — is buffer reuse, not
+//     encoding, and earns no encode-side credit.
 //
 // The read/write requirement is existence-based per field, which makes
 // every scalar decode line (`m.Field = d.int()` and friends)
@@ -256,8 +257,8 @@ func collectCodecAccesses(pass *analysis.Pass, codecFile *ast.File, ignoreFuncs 
 		// Mark write-position selector nodes first, then classify every
 		// field selector in one walk. A read of the written field inside
 		// its own assignment's RHS — the capacity-reuse decode pattern
-		// `m.Xs = d.intsInto(m.Xs)` — is buffer reuse, not encoding, so
-		// it must not satisfy the encode-side requirement.
+		// `m.Features = d.floatsInto(m.Features)` — is buffer reuse, not
+		// encoding, so it must not satisfy the encode-side requirement.
 		writePos := map[*ast.SelectorExpr]bool{}
 		reuseRead := map[*ast.SelectorExpr]bool{}
 		fieldOf := func(e ast.Expr) (*ast.SelectorExpr, *types.Var) {

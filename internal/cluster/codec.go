@@ -51,7 +51,6 @@ const (
 	tagSubmitRequest
 	tagResultsRequest
 	tagResultsResponse
-	tagMembershipResponse
 )
 
 // binaryCodec is a hand-rolled length-prefixed encoding: uvarints for
@@ -149,10 +148,6 @@ func (binaryCodec) MarshalAppend(b []byte, v interface{}) ([]byte, error) {
 		return appendResultsResponse(b, m), nil
 	case ResultsResponse:
 		return appendResultsResponse(b, &m), nil
-	case *MembershipResponse:
-		return appendMembershipResponse(b, m), nil
-	case MembershipResponse:
-		return appendMembershipResponse(b, &m), nil
 	}
 	return nil, fmt.Errorf("cluster: binary codec cannot marshal %T", v)
 }
@@ -184,15 +179,6 @@ func (binaryCodec) Unmarshal(data []byte, v interface{}) error {
 		m.Threshold = d.f64()
 		m.SplitProb = d.f64()
 		m.RingEpoch = d.int()
-		m.Members = d.intsInto(m.Members)
-		m.MemberAddrs = d.strsInto(m.MemberAddrs)
-		m.MemberWeights = d.intsInto(m.MemberWeights)
-	case *MembershipResponse:
-		d.tag(tagMembershipResponse)
-		m.RingEpoch = d.int()
-		m.Members = d.intsInto(m.Members)
-		m.Addrs = d.strsInto(m.Addrs)
-		m.Weights = d.intsInto(m.Weights)
 	case *WorkerStats:
 		d.tag(tagWorkerStats)
 		readWorkerStats(d, m)
@@ -249,30 +235,6 @@ func appendFloats(b []byte, v []float64) []byte {
 	b = binary.AppendUvarint(b, uint64(len(v))+1)
 	for _, f := range v {
 		b = appendF64(b, f)
-	}
-	return b
-}
-
-// appendInts and appendStrs length-prefix with the same len+1
-// nil-vs-empty convention as appendFloats.
-func appendInts(b []byte, v []int) []byte {
-	if v == nil {
-		return binary.AppendUvarint(b, 0)
-	}
-	b = binary.AppendUvarint(b, uint64(len(v))+1)
-	for _, x := range v {
-		b = appendInt(b, x)
-	}
-	return b
-}
-
-func appendStrs(b []byte, v []string) []byte {
-	if v == nil {
-		return binary.AppendUvarint(b, 0)
-	}
-	b = binary.AppendUvarint(b, uint64(len(v))+1)
-	for _, s := range v {
-		b = appendStr(b, s)
 	}
 	return b
 }
@@ -361,18 +323,7 @@ func appendConfigureLB(b []byte, m *ConfigureLBRequest) []byte {
 	b = append(b, tagConfigureLBRequest)
 	b = appendF64(b, m.Threshold)
 	b = appendF64(b, m.SplitProb)
-	b = appendInt(b, m.RingEpoch)
-	b = appendInts(b, m.Members)
-	b = appendStrs(b, m.MemberAddrs)
-	return appendInts(b, m.MemberWeights)
-}
-
-func appendMembershipResponse(b []byte, m *MembershipResponse) []byte {
-	b = append(b, tagMembershipResponse)
-	b = appendInt(b, m.RingEpoch)
-	b = appendInts(b, m.Members)
-	b = appendStrs(b, m.Addrs)
-	return appendInts(b, m.Weights)
+	return appendInt(b, m.RingEpoch)
 }
 
 func appendWorkerStats(b []byte, m *WorkerStats) []byte {
@@ -559,48 +510,6 @@ func (d *bdec) floatsInto(prev []float64) []float64 {
 	}
 	for i := range out {
 		out[i] = d.f64()
-	}
-	return out
-}
-
-// intsInto and strsInto decode length-prefixed slices with the same
-// capacity-reuse and nil-vs-empty rules as floatsInto.
-func (d *bdec) intsInto(prev []int) []int {
-	n := d.count()
-	if n < 0 {
-		return nil
-	}
-	var out []int
-	if cap(prev) >= n {
-		out = prev[:n]
-		if out == nil {
-			out = []int{} // wire says empty, not nil
-		}
-	} else {
-		out = make([]int, n)
-	}
-	for i := range out {
-		out[i] = d.int()
-	}
-	return out
-}
-
-func (d *bdec) strsInto(prev []string) []string {
-	n := d.count()
-	if n < 0 {
-		return nil
-	}
-	var out []string
-	if cap(prev) >= n {
-		out = prev[:n]
-		if out == nil {
-			out = []string{} // wire says empty, not nil
-		}
-	} else {
-		out = make([]string, n)
-	}
-	for i := range out {
-		out[i] = d.str()
 	}
 	return out
 }

@@ -125,25 +125,8 @@ func TestCodecParityRandomized(t *testing.T) {
 		cw := ConfigureWorkerRequest{Role: randString(rng), Batch: rng.Intn(32)}
 		checkParity(t, &cw, func() interface{} { return new(ConfigureWorkerRequest) })
 
-		var members, weights []int
-		var addrs []string
-		if n := rng.Intn(4); n > 0 {
-			for j := 0; j < n; j++ {
-				members = append(members, rng.Intn(16))
-				addrs = append(addrs, randString(rng))
-				weights = append(weights, 1+rng.Intn(4))
-			}
-		}
-		cl := ConfigureLBRequest{
-			Threshold: rng.Float64(), SplitProb: rng.Float64(), RingEpoch: rng.Intn(8),
-			Members: members, MemberAddrs: addrs, MemberWeights: weights,
-		}
+		cl := ConfigureLBRequest{Threshold: rng.Float64(), SplitProb: rng.Float64(), RingEpoch: rng.Intn(8)}
 		checkParity(t, &cl, func() interface{} { return new(ConfigureLBRequest) })
-
-		mr := MembershipResponse{
-			RingEpoch: rng.Intn(8), Members: members, Addrs: addrs, Weights: weights,
-		}
-		checkParity(t, &mr, func() interface{} { return new(MembershipResponse) })
 
 		ws := WorkerStats{
 			ID: rng.Intn(64), Role: randString(rng), Batch: rng.Intn(32),

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -44,44 +43,6 @@ type ControllerConfig struct {
 	// Logf, when set, receives controller-loop events (stats misses,
 	// the conservative failover, recovery). Nil discards them.
 	Logf func(format string, args ...interface{})
-	// Elastic, when set, closes the elasticity loop: the controller
-	// decides frontend shard membership from the same observed load
-	// that drives model scaling, growing and shrinking the sharded LB
-	// tier at tick boundaries instead of waiting for an operator.
-	Elastic *ElasticConfig
-}
-
-// ElasticConfig parameterizes controller-driven frontend scaling. The
-// controller reuses its tick observations (arrival rate and queue
-// backlog from the LBStats poll) to size the shard tier: desired =
-// ceil(load / ShardCapacityQPS) clamped to [MinShards, MaxShards],
-// with hysteresis bands (UpTicks consecutive over-capacity ticks to
-// grow, DownTicks under-capacity ticks to shrink) so a bursty trace
-// does not thrash membership. Scale-up jumps straight to the desired
-// count — under-provisioning costs SLO violations — while scale-down
-// retires one member per tick, because each removal migrates that
-// member's queued share and slow shrinking bounds the migration burst.
-type ElasticConfig struct {
-	// Frontend is the sharded tier whose membership the controller
-	// drives (AddShard / RemoveShard).
-	Frontend *ShardedLB
-	// Provision brings up a new shard member and returns its conn and
-	// dial address (the address may be empty for in-process members).
-	// Called once per added member; the member stays retired forever
-	// after removal, so Provision never sees a reused ID.
-	Provision func(ctx context.Context, member int) (LBConn, string, error)
-	// MinShards and MaxShards clamp the tier size (defaults 1 and the
-	// current membership size).
-	MinShards, MaxShards int
-	// ShardCapacityQPS is one shard's sustainable arrival rate — the
-	// denominator of the sizing rule.
-	ShardCapacityQPS float64
-	// UpTicks and DownTicks are the hysteresis bands: consecutive
-	// ticks the desired size must exceed (resp. fall below) the
-	// current size before the controller acts. Zero defaults to 1 up
-	// (react to overload within one control period) and 3 down
-	// (shrink only on sustained slack).
-	UpTicks, DownTicks int
 }
 
 // ControllerLoopStats is the control loop's own health report.
@@ -159,13 +120,6 @@ type ControllerLoop struct {
 	lastApplyErrors int
 	// worker configure RPCs made and skipped, lifetime (guarded by mu).
 	workerSent, workerSkipped int
-	// elastic-scaling state (guarded by mu): the hysteresis streaks,
-	// the next fresh member ID (member IDs are never reused — retired
-	// members stay retired), and the peak tier size observed.
-	upStreak   int
-	downStreak int
-	nextMember int
-	peakShards int
 }
 
 // NewControllerLoop constructs the control loop.
@@ -175,31 +129,6 @@ func NewControllerLoop(cfg ControllerConfig) *ControllerLoop {
 	}
 	c := &ControllerLoop{cfg: cfg}
 	c.shards.Store(int32(cfg.Shards))
-	if e := cfg.Elastic; e != nil && e.Frontend != nil {
-		if e.MinShards <= 0 {
-			e.MinShards = 1
-		}
-		members := e.Frontend.Members()
-		if e.MaxShards < e.MinShards {
-			e.MaxShards = len(members)
-			if e.MaxShards < e.MinShards {
-				e.MaxShards = e.MinShards
-			}
-		}
-		if e.UpTicks <= 0 {
-			e.UpTicks = 1
-		}
-		if e.DownTicks <= 0 {
-			e.DownTicks = 3
-		}
-		for _, m := range members {
-			if m >= c.nextMember {
-				c.nextMember = m + 1
-			}
-		}
-		c.peakShards = len(members)
-		c.shards.Store(int32(len(members)))
-	}
 	return c
 }
 
@@ -319,119 +248,6 @@ func (c *ControllerLoop) TickOnce(ctx context.Context) {
 		return
 	}
 	c.applyLocked(ctx, plan)
-	c.elasticLocked(ctx, lbStats, elapsed)
-}
-
-// PeakShards reports the largest frontend tier size the elastic loop
-// has observed (the initial size when scaling never triggered).
-func (c *ControllerLoop) PeakShards() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.peakShards
-}
-
-// elasticLocked runs one elastic-sizing decision from the tick's
-// stats sample. Callers hold mu (the tick lock), which serializes the
-// hysteresis state and the membership changes against Restripe.
-func (c *ControllerLoop) elasticLocked(ctx context.Context, st LBStats, elapsed float64) {
-	e := c.cfg.Elastic
-	if e == nil || e.Frontend == nil || e.ShardCapacityQPS <= 0 {
-		return
-	}
-	members := e.Frontend.Members()
-	cur := len(members)
-	if cur > c.peakShards {
-		c.peakShards = cur
-	}
-	if elapsed <= 0 {
-		return
-	}
-	// Observed load: this tick's arrival rate plus the standing
-	// backlog amortized over one control period — a tier that keeps up
-	// with arrivals but cannot drain its queue is still undersized.
-	load := float64(st.ArrivalsSinceTick)/elapsed +
-		float64(st.LightQueueLen+st.HeavyQueueLen)/elapsed
-	desired := int(math.Ceil(load / e.ShardCapacityQPS))
-	if desired < e.MinShards {
-		desired = e.MinShards
-	}
-	if desired > e.MaxShards {
-		desired = e.MaxShards
-	}
-	switch {
-	case desired > cur:
-		c.upStreak++
-		c.downStreak = 0
-	case desired < cur:
-		c.downStreak++
-		c.upStreak = 0
-	default:
-		c.upStreak, c.downStreak = 0, 0
-		return
-	}
-	changed := false
-	if desired > cur && c.upStreak >= e.UpTicks && e.Provision != nil {
-		// Scale up straight to the desired size: under-provisioning
-		// costs SLO violations, and each member added later would pay
-		// its own migration anyway.
-		for len(members) < desired {
-			id := c.nextMember
-			conn, addr, err := e.Provision(ctx, id)
-			if err != nil {
-				c.logf("controller: provisioning shard member %d failed: %v", id, err)
-				break
-			}
-			c.nextMember++
-			if addr != "" {
-				e.Frontend.SetMemberAddr(id, addr)
-			}
-			if err := e.Frontend.AddShard(ctx, id, conn); err != nil {
-				c.logf("controller: adding shard member %d failed: %v", id, err)
-				break
-			}
-			members = append(members, id)
-			changed = true
-			c.logf("controller: scaled frontend up to %d shards (member %d added, load %.1f qps)", len(members), id, load)
-		}
-		c.upStreak = 0
-	} else if desired < cur && c.downStreak >= e.DownTicks {
-		if st.DegradedShards > 0 {
-			// A degraded member is already shedding its share onto the
-			// survivors; shrinking now would compound the overload.
-			c.downStreak = 0
-			return
-		}
-		// Scale down one member per tick — each removal migrates the
-		// departing member's queued share, and shrinking slowly bounds
-		// that burst. Retire the highest ID (the youngest member, so
-		// long-lived members keep their key shares stable).
-		hi := members[0]
-		for _, m := range members {
-			if m > hi {
-				hi = m
-			}
-		}
-		if err := e.Frontend.RemoveShard(ctx, hi); err != nil {
-			c.logf("controller: removing shard member %d failed: %v", hi, err)
-		} else {
-			changed = true
-			c.logf("controller: scaled frontend down to %d shards (member %d retired, load %.1f qps)", cur-1, hi, load)
-		}
-		c.downStreak = 0
-	}
-	if changed {
-		n := e.Frontend.Shards()
-		if n > c.peakShards {
-			c.peakShards = n
-		}
-		c.shards.Store(int32(n))
-		// Re-stripe the cached plan across the new shard-pinned worker
-		// groups immediately — a membership change that waited out the
-		// control interval would leave some shard without a role.
-		if c.hasPlan {
-			c.applyLocked(ctx, c.lastPlan)
-		}
-	}
 }
 
 // conservativePlanLocked derives the stats-blind fallback from the
@@ -484,16 +300,15 @@ const fullResendEvery = 10
 // applyLocked is Apply's core. Callers hold mu.
 //
 // The LB's policy is sent on every apply: it is one broadcast, and it
-// carries the threshold and the membership stamp to shards the elastic
-// loop has just added. A worker is configured only when it has to be:
-// when the request differs from the last one that worker acknowledged,
-// when the worker's state is unknown (never configured, or its last
-// send failed or was cancelled — a failed RPC is counted in
-// ConfigureErrors / LastApplyErrors and logged, not retried, and the
-// next apply re-sends it), or on a full re-send (fullResendEvery). A
-// worker treats an identical request as a no-op, so with no failures
-// every worker passes through exactly the states an every-apply re-send
-// would have put it through.
+// carries the threshold to shards a reshard has just added. A worker is
+// configured only when it has to be: when the request differs from the
+// last one that worker acknowledged, when the worker's state is unknown
+// (never configured, or its last send failed or was cancelled — a
+// failed RPC is counted in ConfigureErrors / LastApplyErrors and
+// logged, not retried, and the next apply re-sends it), or on a full
+// re-send (fullResendEvery). A worker treats an identical request as a
+// no-op, so with no failures every worker passes through exactly the
+// states an every-apply re-send would have put it through.
 func (c *ControllerLoop) applyLocked(ctx context.Context, plan allocator.Plan) {
 	c.lastPlan, c.hasPlan = plan, true
 	attempted, failed := 0, 0

@@ -43,9 +43,6 @@ func (c *blindStatsConn) PullInto(ctx context.Context, req PullRequest, resp *Pu
 	return nil
 }
 func (c *blindStatsConn) Complete(ctx context.Context, req CompleteRequest) error { return nil }
-func (c *blindStatsConn) Membership(ctx context.Context) (MembershipResponse, error) {
-	return MembershipResponse{}, nil
-}
 func (c *blindStatsConn) Configure(ctx context.Context, req ConfigureLBRequest) error {
 	c.mu.Lock()
 	c.lastCfg = req
@@ -187,7 +184,6 @@ func TestShardedLBDegradeSpill(t *testing.T) {
 	gate := &gateConn{LBConn: conn0}
 	fe, err := NewShardedLB(ShardedLBConfig{
 		Shards: []LBConn{gate, conn1}, Clock: clock, VNodes: 64,
-		DegradeThreshold: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -243,7 +239,7 @@ func TestShardedLBDegradeSpill(t *testing.T) {
 	// — so the dispatch path alone must trip the marker.)
 	gate.set(true)
 	down := ownedBy(0, 1, 100)
-	for i := 0; i < 2; i++ {
+	for i := 0; i < degradeThreshold; i++ {
 		if err := submit(down); err == nil {
 			t.Fatal("submit to an unreachable shard succeeded")
 		}

@@ -284,16 +284,3 @@ func (c *faultLBConn) Stats(ctx context.Context) (LBStats, error) {
 	}
 	return out, nil
 }
-
-func (c *faultLBConn) Membership(ctx context.Context) (MembershipResponse, error) {
-	var out MembershipResponse
-	err := c.run(ctx, "membership", func() error {
-		var e error
-		out, e = c.inner.Membership(ctx)
-		return e
-	})
-	if err != nil {
-		return MembershipResponse{}, err
-	}
-	return out, nil
-}

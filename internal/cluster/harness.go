@@ -67,29 +67,12 @@ type HarnessConfig struct {
 	// worker re-pin + role re-stripe) or removes one (draining its
 	// queued work to the survivors). Events run in At order.
 	Reshard []ReshardEvent
-	// Autoscale, when set, hands frontend membership to the controller:
-	// instead of (or in addition to) scheduled Reshard events, the
-	// control loop grows and shrinks the shard tier from observed load.
-	// Forces the ShardedLB frontend even over one initial shard.
-	Autoscale *AutoscaleConfig
 	// Steal enables cross-shard work stealing: a worker whose pinned
 	// shard's long poll comes back empty tries zero-wait pulls on the
 	// other members before sleeping. Soaks up the fractional capacity
 	// mismatch integer worker striping leaves on non-divisible
 	// worker/shard ratios.
 	Steal bool
-}
-
-// AutoscaleConfig mirrors ElasticConfig's sizing knobs for harness
-// runs (the harness supplies Frontend and Provision itself).
-type AutoscaleConfig struct {
-	// MinShards and MaxShards clamp the tier size (defaults 1 and the
-	// initial shard count).
-	MinShards, MaxShards int
-	// ShardCapacityQPS is one shard's sustainable arrival rate.
-	ShardCapacityQPS float64
-	// UpTicks and DownTicks are the hysteresis bands (defaults 1, 3).
-	UpTicks, DownTicks int
 }
 
 // ReshardEvent is one scheduled membership change in a harness run.
@@ -126,9 +109,6 @@ func (c *HarnessConfig) validate() error {
 			return fmt.Errorf("cluster: reshard event at negative trace time %g", ev.At)
 		}
 	}
-	if c.Autoscale != nil && c.Autoscale.ShardCapacityQPS <= 0 {
-		return fmt.Errorf("cluster: autoscale requires a positive shard capacity")
-	}
 	return nil
 }
 
@@ -142,15 +122,6 @@ type Result struct {
 	Transport string
 	// LBShards is the LB shard count the run used (1 = single LB).
 	LBShards int
-	// PeakLBShards is the largest tier size the run reached (equals
-	// LBShards unless resharding or autoscaling changed membership).
-	PeakLBShards int
-	// FinalLBShards is the tier size when the run ended.
-	FinalLBShards int
-	// LiveEpochs is the installed ring-epoch count at the end of the
-	// run — with quiescence collapse it stays small (<= 2) no matter
-	// how many membership changes the run made.
-	LiveEpochs int
 	// WallSeconds is the real elapsed time.
 	WallSeconds float64
 }
@@ -193,9 +164,8 @@ func Run(cfg HarnessConfig) (*Result, error) {
 	if shardCount <= 0 {
 		shardCount = 1
 	}
-	// Reshard events and autoscaling need the frontend even over one
-	// initial shard.
-	useFrontend := shardCount > 1 || len(cfg.Reshard) > 0 || cfg.Autoscale != nil
+	// Reshard events need the frontend even over one initial shard.
+	useFrontend := shardCount > 1 || len(cfg.Reshard) > 0
 	newShardServer := func(member int) *LBServer {
 		lbCfg := LBConfig{
 			Mode: cfg.Mode, SLO: cfg.SLO,
@@ -339,30 +309,10 @@ func Run(cfg HarnessConfig) (*Result, error) {
 		go ws.Loop(ctx)
 	}
 
-	ctrlCfg := ControllerConfig{
+	loop := NewControllerLoop(ControllerConfig{
 		Ctrl: cfg.Ctrl, LB: lbConn, Workers: workerConns,
 		Mode: cfg.Mode, Clock: clock, Shards: shardCount,
-	}
-	if a := cfg.Autoscale; a != nil {
-		ctrlCfg.Elastic = &ElasticConfig{
-			Frontend: frontend,
-			Provision: func(ctx context.Context, member int) (LBConn, string, error) {
-				lb := newShardServer(member)
-				conn, err := tp.ServeLB(lb)
-				if err != nil {
-					return nil, "", err
-				}
-				serverMu.Lock()
-				servers = append(servers, lb)
-				serverMu.Unlock()
-				return conn, "", nil
-			},
-			MinShards: a.MinShards, MaxShards: a.MaxShards,
-			ShardCapacityQPS: a.ShardCapacityQPS,
-			UpTicks:          a.UpTicks, DownTicks: a.DownTicks,
-		}
-	}
-	loop := NewControllerLoop(ctrlCfg)
+	})
 	// Initial plan from the trace's starting rate, then periodic ticks.
 	initialPlan, err := cfg.Ctrl.InitialPlan(cfg.Trace.RateAt(0))
 	if err != nil {
@@ -399,8 +349,6 @@ func Run(cfg HarnessConfig) (*Result, error) {
 	// the control interval. A failed reshard is a configuration bug
 	// and aborts the run like a fatal transport failure would.
 	reshardFailed := make(chan error, 1)
-	var peakMu sync.Mutex
-	peakShards := shardCount
 	if len(cfg.Reshard) > 0 {
 		events := append([]ReshardEvent(nil), cfg.Reshard...)
 		sort.SliceStable(events, func(i, j int) bool { return events[i].At < events[j].At })
@@ -431,13 +379,7 @@ func Run(cfg HarnessConfig) (*Result, error) {
 					cancel()
 					return
 				}
-				n := frontend.Shards()
-				peakMu.Lock()
-				if n > peakShards {
-					peakShards = n
-				}
-				peakMu.Unlock()
-				loop.SetShards(n)
+				loop.SetShards(frontend.Shards())
 				loop.Restripe(ctx)
 			}
 		}()
@@ -551,32 +493,13 @@ func Run(cfg HarnessConfig) (*Result, error) {
 			col.Merge(lb.Collector())
 		}
 	}
-	res := &Result{
-		Collector:     col,
-		Reference:     ref,
-		Plans:         loop.Plans(),
-		Queries:       len(arrivals),
-		Transport:     tp.Name(),
-		LBShards:      shardCount,
-		PeakLBShards:  shardCount,
-		FinalLBShards: shardCount,
-		LiveEpochs:    1,
-		WallSeconds:   time.Since(wallStart).Seconds(), //diffvet:allow walltime — WallSeconds measures real elapsed time for the run report
-	}
-	if frontend != nil {
-		peakMu.Lock()
-		if peakShards > res.PeakLBShards {
-			res.PeakLBShards = peakShards
-		}
-		peakMu.Unlock()
-		if p := loop.PeakShards(); p > res.PeakLBShards {
-			res.PeakLBShards = p
-		}
-		if n := frontend.Shards(); n > res.PeakLBShards {
-			res.PeakLBShards = n
-		}
-		res.FinalLBShards = frontend.Shards()
-		res.LiveEpochs = frontend.LiveEpochs()
-	}
-	return res, nil
+	return &Result{
+		Collector:   col,
+		Reference:   ref,
+		Plans:       loop.Plans(),
+		Queries:     len(arrivals),
+		Transport:   tp.Name(),
+		LBShards:    shardCount,
+		WallSeconds: time.Since(wallStart).Seconds(), //diffvet:allow walltime — WallSeconds measures real elapsed time for the run report
+	}, nil
 }

@@ -110,8 +110,8 @@ func (p *lbPool) push(now float64, items ...queueing.Item) bool {
 // internal/loadbalancer, the same code the simulator runs; what is
 // here is the server around it: locks, wakeups, long polls, the
 // exactly-once registration map, leases. Its core methods (SubmitBatchReq,
-// PollResultsInto, PullInto, Complete, Configure, Stats, Membership)
-// are transport-agnostic: ServeLBTCP wraps them in framed-TCP handlers
+// PollResultsInto, PullInto, Complete, Configure, Stats) are
+// transport-agnostic: ServeLBTCP wraps them in framed-TCP handlers
 // and NewLocalLBConn dispatches to them directly.
 //
 // Locking is sharded so the hot paths do not contend on one mutex:
@@ -126,17 +126,6 @@ type LBServer struct {
 	// learned via Configure (monotonic). It is echoed in every
 	// PullResponse so shard-pinned workers notice membership changes.
 	ringEpoch atomic.Int64
-
-	// memberMu guards the tier-membership snapshot the server last
-	// adopted from a Configure broadcast. Every shard server in an
-	// elastic tier holds the same snapshot, so any of them can answer
-	// Membership() for followers (standalone frontends and workers)
-	// that track the tier through a single bootstrap address.
-	memberMu      sync.Mutex
-	memberEpoch   int
-	members       []int
-	memberAddrs   []string
-	memberWeights []int
 
 	// pools is indexed by loadbalancer.PoolID (PoolLight, PoolHeavy).
 	pools [2]lbPool
@@ -801,19 +790,6 @@ func (s *LBServer) Configure(req ConfigureLBRequest) {
 			break
 		}
 	}
-	// Adopt the membership snapshot monotonically too, under its own
-	// lock: the atomic above may already hold a newer epoch from a
-	// racing broadcast, so the snapshot keeps its own high-water mark.
-	if len(req.Members) > 0 {
-		s.memberMu.Lock()
-		if req.RingEpoch >= s.memberEpoch {
-			s.memberEpoch = req.RingEpoch
-			s.members = append(s.members[:0], req.Members...)
-			s.memberAddrs = append(s.memberAddrs[:0], req.MemberAddrs...)
-			s.memberWeights = append(s.memberWeights[:0], req.MemberWeights...)
-		}
-		s.memberMu.Unlock()
-	}
 	s.resMu.Lock()
 	s.threshold = req.Threshold
 	s.resMu.Unlock()
@@ -863,24 +839,6 @@ func (s *LBServer) Stats() LBStats {
 	out.ShedRedelivery = s.shedRedelivery
 	out.LateCompletions = s.lateCompletions
 	s.leaseMu.Unlock()
-	return out
-}
-
-// Membership reports the tier membership this server last adopted
-// from a Configure broadcast — epoch, member IDs, dial addresses, and
-// placement weights. A server that never saw a membership broadcast
-// (a standalone single-shard LB) reports its bare ring epoch with no
-// members; followers treat that as "nothing to follow".
-func (s *LBServer) Membership() MembershipResponse {
-	s.memberMu.Lock()
-	defer s.memberMu.Unlock()
-	out := MembershipResponse{RingEpoch: s.memberEpoch}
-	if out.RingEpoch == 0 {
-		out.RingEpoch = int(s.ringEpoch.Load())
-	}
-	out.Members = append([]int(nil), s.members...)
-	out.Addrs = append([]string(nil), s.memberAddrs...)
-	out.Weights = append([]int(nil), s.memberWeights...)
 	return out
 }
 

@@ -78,7 +78,7 @@ func (p RetryPolicy) norm() RetryPolicy {
 
 // retryLBConn wraps an LBConn with bounded, jittered exponential
 // backoff on the data-path calls (SubmitBatch, PollResultsInto,
-// PullInto, Complete) and Membership. It works over both transports:
+// PullInto, Complete). It works over both transports:
 // TCP conns surface redial failures, and the in-process conn never
 // fails (the wrapper is then a pass-through).
 //
@@ -176,17 +176,4 @@ func (c *retryLBConn) Stats(ctx context.Context) (LBStats, error) {
 	// cadence, and masking consecutive misses here would defeat its
 	// stale-plan failover.
 	return c.inner.Stats(ctx)
-}
-
-func (c *retryLBConn) Membership(ctx context.Context) (MembershipResponse, error) {
-	// Membership reads are idempotent (a pure snapshot, no server-side
-	// effect), so unlike Stats they retry: a follower whose poll hits a
-	// transient fault should still converge within the same interval.
-	var out MembershipResponse
-	err := c.do(ctx, func(ctx context.Context) error {
-		var e error
-		out, e = c.inner.Membership(ctx)
-		return e
-	})
-	return out, err
 }

@@ -55,12 +55,6 @@ import (
 // consecutive straggler sweeps came back empty: its cumulative
 // counters are folded into the merged Stats baseline, and its pump and
 // sweeper terminate instead of polling a drained shard forever.
-//
-// Membership is also discoverable at runtime: every reshard broadcast
-// carries the new (epoch, members, addrs, weights), each shard
-// republishes it through the Membership verb, and SyncMembership lets
-// a standalone frontend adopt the authority's flip — polled only on
-// epoch change — without redialing from a static address list.
 
 // shardPullSlice bounds, in trace seconds, how long a frontend Pull
 // parks on one shard before re-sweeping the others for work.
@@ -70,6 +64,17 @@ const shardPullSlice = 0.25
 // removed shard is re-swept for straggler queries.
 const retiredSweepInterval = 0.25
 
+// pumpWait is the long-poll duration, in trace seconds, of each
+// background result pump.
+const pumpWait = 0.5
+
+// degradeThreshold is the number of consecutive failed dispatches (or
+// result-pump polls) against one shard before the frontend marks the
+// member degraded: new submits spill to the ring's next owner and the
+// degraded count surfaces in merged Stats. The first success
+// un-degrades.
+const degradeThreshold = 3
+
 // retiredEmptySweeps is how many consecutive empty straggler sweeps a
 // fully-quiesced retired member must report before it is finalized.
 // The grace rounds cover the re-route window for stale foreign
@@ -78,15 +83,12 @@ const retiredEmptySweeps = 2
 
 // ShardedLBConfig parameterizes the sharded frontend.
 type ShardedLBConfig struct {
-	// Shards are the per-shard connections, one per LBServer. With
-	// the default modulus placement (VNodes == 0, Members nil),
-	// Shards[i] must serve the shard loadbalancer.ShardOf assigns
-	// index i.
+	// Shards are the per-shard connections, one per LBServer; Shards[i]
+	// serves ring member i. With the default modulus placement
+	// (VNodes == 0) that is the shard loadbalancer.ShardOf assigns
+	// index i. Member IDs are never reused: a removed member stays
+	// retired for the frontend's lifetime.
 	Shards []LBConn
-	// Members are the ring member IDs, parallel to Shards. Nil
-	// defaults to 0..len(Shards)-1. Member IDs are never reused: a
-	// removed member stays retired for the frontend's lifetime.
-	Members []int
 	// VNodes selects the placement: 0 keeps the legacy static-modulus
 	// assignment (bit-identical to ShardOf) as long as membership
 	// stays contiguous 0..N-1, falling back to a consistent-hash ring
@@ -97,24 +99,13 @@ type ShardedLBConfig struct {
 	// Clock converts long-poll waits (trace seconds) to wall time,
 	// exactly as the shards themselves do.
 	Clock *Clock
-	// PumpWait is the long-poll duration (trace seconds) of each
-	// background result pump. Zero defaults to 0.5.
-	PumpWait float64
-	// DegradeThreshold is the number of consecutive failed dispatches
-	// (or result-pump polls) against one shard before the frontend
-	// marks the member degraded: new submits spill to the ring's next
-	// owner and the degraded count surfaces in merged Stats, so the
-	// controller can trigger a reshard. The first success un-degrades.
-	// Zero defaults to 3; negative disables degradation.
-	DegradeThreshold int
 	// Weights, when set, makes placement capacity-aware: each epoch's
 	// ring is built with loadbalancer.NewWeightedRing over the weights
 	// the callback returns for that epoch's membership (a shard's
 	// worker-group size, in the harness), so a shard with fewer workers
 	// owns a proportionally smaller key share instead of its equal
 	// 1/N slice. Weights missing from the map or <= 0 count as 1.
-	// Every frontend of a tier must compute identical weights (or
-	// follow the authority via SyncMembership, which carries them).
+	// Every frontend of a tier must compute identical weights.
 	Weights func(members []int) map[int]int
 }
 
@@ -128,7 +119,6 @@ type epochRing struct {
 	ring    *loadbalancer.Ring
 	members []int    // sorted ascending
 	conns   []LBConn // parallel to members
-	weights []int    // parallel to members; nil when placement is unweighted
 	slot    map[int]int
 }
 
@@ -202,12 +192,6 @@ type ShardedLB struct {
 	epochLive map[int]int
 	curEpoch  atomic.Int64
 
-	// addrMu guards the advertised member addresses (SetMemberAddr /
-	// Membership): the dial strings a following frontend needs to reach
-	// members it has never seen.
-	addrMu      sync.Mutex
-	memberAddrs map[int]string
-
 	// cfgMu guards the last configured policy AND serializes policy
 	// broadcasts: a reshard re-broadcasts lastCfg with the new epoch
 	// stamp, and without the serialization it could interleave with a
@@ -257,7 +241,7 @@ type ShardedLB struct {
 	carryTimeouts int
 	retiredBase   LBStats
 
-	// Degradation state. A member that fails DegradeThreshold
+	// Degradation state. A member that fails degradeThreshold
 	// consecutive dispatches or pump polls is marked degraded; while
 	// marked, new submits owned by it spill to the ring's next owner
 	// (see shardFor) and the merged Stats report the count. The first
@@ -304,35 +288,25 @@ func DialShardedLB(addrCSV string, clock *Clock, vnodes int) (*ShardedLB, error)
 		}
 		conns[i] = conn
 	}
-	s, err := NewShardedLB(ShardedLBConfig{Shards: conns, Clock: clock, VNodes: vnodes})
-	if err != nil {
-		return nil, err
-	}
-	for i, a := range addrs {
-		s.SetMemberAddr(i, a)
-	}
-	return s, nil
+	return NewShardedLB(ShardedLBConfig{Shards: conns, Clock: clock, VNodes: vnodes})
 }
 
 // buildRing constructs the placement for one epoch's membership under
-// the config's VNodes policy. weights, when non-nil, overrides the
-// config's Weights callback — a following frontend builds the exact
-// ring the authority advertised rather than re-deriving it. The
-// returned weight vector is parallel to the sorted members and nil
-// when the placement is unweighted.
-func (cfg *ShardedLBConfig) buildRing(members []int, weights map[int]int) (*loadbalancer.Ring, []int) {
-	if weights == nil && cfg.Weights != nil {
+// the config's VNodes policy and Weights callback.
+func (cfg *ShardedLBConfig) buildRing(members []int) *loadbalancer.Ring {
+	var weights map[int]int
+	if cfg.Weights != nil {
 		weights = cfg.Weights(members)
 	}
-	vec := make([]int, len(members))
-	uniform := true
-	for i, m := range members {
+	weightOf := func(m int) int {
 		if w := weights[m]; w > 0 {
-			vec[i] = w
-		} else {
-			vec[i] = 1
+			return w
 		}
-		if vec[i] != vec[0] {
+		return 1
+	}
+	uniform := true
+	for _, m := range members {
+		if weightOf(m) != weightOf(members[0]) {
 			uniform = false
 		}
 	}
@@ -341,11 +315,11 @@ func (cfg *ShardedLBConfig) buildRing(members []int, weights map[int]int) (*load
 		// legacy modulus shape (and NewRing) stay reachable under a
 		// Weights callback that happens to return a flat vector.
 		if cfg.VNodes == 0 && contiguousMembers(members) {
-			return loadbalancer.NewModulusRing(len(members)), nil
+			return loadbalancer.NewModulusRing(len(members))
 		}
-		return loadbalancer.NewRing(members, cfg.VNodes), nil
+		return loadbalancer.NewRing(members, cfg.VNodes)
 	}
-	return loadbalancer.NewWeightedRing(members, weights, cfg.VNodes), vec
+	return loadbalancer.NewWeightedRing(members, weights, cfg.VNodes)
 }
 
 // contiguousMembers reports whether sorted members are exactly 0..N-1
@@ -367,38 +341,18 @@ func NewShardedLB(cfg ShardedLBConfig) (*ShardedLB, error) {
 	if cfg.Clock == nil {
 		return nil, fmt.Errorf("cluster: sharded LB needs a clock")
 	}
-	if cfg.PumpWait <= 0 {
-		cfg.PumpWait = 0.5
-	}
-	if cfg.DegradeThreshold == 0 {
-		cfg.DegradeThreshold = 3
-	}
-	members := cfg.Members
-	if members == nil {
-		members = make([]int, len(cfg.Shards))
-		for i := range members {
-			members[i] = i
-		}
-	}
-	if len(members) != len(cfg.Shards) {
-		return nil, fmt.Errorf("cluster: %d members for %d shard conns", len(members), len(cfg.Shards))
-	}
 	e := epochRing{
-		epoch:   0,
-		members: append([]int(nil), members...),
+		members: make([]int, len(cfg.Shards)),
 		conns:   append([]LBConn(nil), cfg.Shards...),
-		slot:    make(map[int]int, len(members)),
+		slot:    make(map[int]int, len(cfg.Shards)),
 	}
-	sort.Sort(&memberSort{e.members, e.conns})
-	for i, m := range e.members {
-		if _, dup := e.slot[m]; dup {
-			return nil, fmt.Errorf("cluster: duplicate shard member %d", m)
-		}
-		e.slot[m] = i
+	for i := range e.members {
+		e.members[i] = i
+		e.slot[i] = i
 	}
-	e.ring, e.weights = cfg.buildRing(e.members, nil)
+	e.ring = cfg.buildRing(e.members)
 	ctx, cancel := context.WithCancel(context.Background())
-	s := &ShardedLB{
+	return &ShardedLB{
 		cfg: cfg, ctx: ctx, cancel: cancel,
 		epochs:      []epochRing{e},
 		retired:     map[int]LBConn{},
@@ -409,23 +363,7 @@ func NewShardedLB(cfg ShardedLBConfig) (*ShardedLB, error) {
 		degraded:    map[int]bool{},
 		liveEpoch:   map[int]int{},
 		epochLive:   map[int]int{},
-		memberAddrs: map[int]string{},
-	}
-	s.curEpoch.Store(int64(e.epoch))
-	return s, nil
-}
-
-// memberSort co-sorts a member list and its parallel conns.
-type memberSort struct {
-	members []int
-	conns   []LBConn
-}
-
-func (s *memberSort) Len() int           { return len(s.members) }
-func (s *memberSort) Less(i, j int) bool { return s.members[i] < s.members[j] }
-func (s *memberSort) Swap(i, j int) {
-	s.members[i], s.members[j] = s.members[j], s.members[i]
-	s.conns[i], s.conns[j] = s.conns[j], s.conns[i]
+	}, nil
 }
 
 // cur returns the newest epoch. Callers must hold ringMu.
@@ -520,15 +458,12 @@ func (s *ShardedLB) recordDispatch(member int, err error) {
 }
 
 // recordMemberFailure counts one failed dispatch or pump poll against
-// a member, marking it degraded at the configured threshold.
+// a member, marking it degraded at degradeThreshold.
 func (s *ShardedLB) recordMemberFailure(m int) {
-	if s.cfg.DegradeThreshold <= 0 {
-		return
-	}
 	s.degradeMu.Lock()
 	defer s.degradeMu.Unlock()
 	s.memberFails[m]++
-	if s.memberFails[m] >= s.cfg.DegradeThreshold && !s.degraded[m] {
+	if s.memberFails[m] >= degradeThreshold && !s.degraded[m] {
 		s.degraded[m] = true
 		s.degradedN.Add(1)
 	}
@@ -537,9 +472,6 @@ func (s *ShardedLB) recordMemberFailure(m int) {
 // recordMemberSuccess resets a member's failure streak and, if it was
 // degraded, restores normal placement for its hash range.
 func (s *ShardedLB) recordMemberSuccess(m int) {
-	if s.cfg.DegradeThreshold <= 0 {
-		return
-	}
 	s.degradeMu.Lock()
 	defer s.degradeMu.Unlock()
 	if s.memberFails[m] == 0 && !s.degraded[m] {
@@ -553,7 +485,7 @@ func (s *ShardedLB) recordMemberSuccess(m int) {
 }
 
 // DegradedMembers returns the member IDs currently marked degraded,
-// sorted ascending. The controller reads the count from merged Stats
+// sorted ascending. The count surfaces in merged Stats
 // (LBStats.DegradedShards); tests and operators read identities here.
 func (s *ShardedLB) DegradedMembers() []int {
 	s.degradeMu.Lock()
@@ -855,7 +787,7 @@ func (s *ShardedLB) pump(member int, conn LBConn) {
 			return
 		}
 		resp.Results = resp.Results[:0] // a failed remote call leaves resp as it was
-		err := conn.PollResultsInto(s.ctx, ResultsRequest{Max: 1024, Wait: s.cfg.PumpWait}, &resp)
+		err := conn.PollResultsInto(s.ctx, ResultsRequest{Max: 1024, Wait: pumpWait}, &resp)
 		s.land(resp.Results)
 		if err != nil {
 			// Transient transport failure (or shutdown): back off so a
@@ -1215,7 +1147,7 @@ func (s *ShardedLB) Complete(ctx context.Context, req CompleteRequest) error {
 
 // Configure broadcasts the policy update to every shard — retired
 // ones included, so their pinned workers see epoch flips too — with
-// the current ring epoch and membership stamped. The policy is
+// the current ring epoch stamped. The policy is
 // remembered and re-broadcast (with the new stamp) whenever
 // membership changes.
 func (s *ShardedLB) Configure(ctx context.Context, req ConfigureLBRequest) error {
@@ -1225,13 +1157,7 @@ func (s *ShardedLB) Configure(ctx context.Context, req ConfigureLBRequest) error
 	s.cfgMu.Lock()
 	defer s.cfgMu.Unlock()
 	s.lastCfg = req
-	s.ringMu.RLock()
-	cur := s.cur()
-	s.ringMu.RUnlock()
-	// cur stays valid outside the lock: epochs are immutable once
-	// installed, and a collapse swaps the slice without touching the
-	// array a snapshot points at.
-	s.stampMembership(&req, cur)
+	req.RingEpoch = s.Epoch()
 	return s.broadcast(ctx, req)
 }
 
@@ -1322,21 +1248,17 @@ func (s *ShardedLB) Stats(ctx context.Context) (LBStats, error) {
 // Member IDs are never reused: re-adding a retired member is an
 // error, because its old conn may still hold registrations.
 //
-// Scope: the flip originates at THIS frontend (plus the workers,
-// which follow the epoch their pull responses carry), but it is
-// discoverable: the re-broadcast stamps every shard with the new
-// (epoch, members, addrs, weights), each shard republishes them
-// through the Membership verb, and another frontend — a standalone
-// diffserve-client dialed with its own -shard-addrs — adopts the flip
-// by calling SyncMembership when it notices the epoch move. Until it
-// does, it keeps routing by its last-known membership: queries it
-// sends to a retired shard are re-routed by the straggler sweep
-// (within ~2 trace-seconds of added latency), which is also why a
-// retired member keeps a grace window before finalizing.
+// Scope: the flip is THIS frontend's (plus the workers', which follow
+// the epoch their pull responses carry). Another frontend over the
+// same shards — a standalone diffserve-client dialed with its own
+// -shard-addrs — keeps routing by the membership it was started with:
+// queries it sends to a retired shard are re-routed by the straggler
+// sweep (within ~2 trace-seconds of added latency), which is also why
+// a retired member keeps a grace window before finalizing.
 func (s *ShardedLB) Resharding(ctx context.Context, members []int, conns map[int]LBConn) error {
 	s.reshardMu.Lock()
 	defer s.reshardMu.Unlock()
-	return s.reshardLocked(ctx, members, conns, -1, nil)
+	return s.reshardLocked(ctx, members, conns)
 }
 
 // AddShard grows the ring by one member served by conn.
@@ -1349,7 +1271,7 @@ func (s *ShardedLB) AddShard(ctx context.Context, member int, conn LBConn) error
 			return fmt.Errorf("cluster: shard member %d already in the ring", member)
 		}
 	}
-	return s.reshardLocked(ctx, append(cur, member), map[int]LBConn{member: conn}, -1, nil)
+	return s.reshardLocked(ctx, append(cur, member), map[int]LBConn{member: conn})
 }
 
 // RemoveShard shrinks the ring by one member, migrating its queued
@@ -1371,30 +1293,20 @@ func (s *ShardedLB) RemoveShard(ctx context.Context, member int) error {
 	if len(next) == 0 {
 		return fmt.Errorf("cluster: cannot remove the last shard member %d", member)
 	}
-	return s.reshardLocked(ctx, next, nil, -1, nil)
+	return s.reshardLocked(ctx, next, nil)
 }
 
-// reshardLocked is the membership-change core. targetEpoch < 0
-// installs the next epoch number (a locally-originated flip);
-// SyncMembership passes the authority's epoch so followers and
-// authority agree on epoch identity. weights, when non-nil, overrides
-// the config's Weights callback for this epoch's ring (the authority's
-// advertised vector). Callers hold reshardMu.
-func (s *ShardedLB) reshardLocked(ctx context.Context, members []int, newConns map[int]LBConn, targetEpoch int, weights map[int]int) error {
+// reshardLocked is the membership-change core: it installs epoch
+// cur+1 over members. Callers hold reshardMu.
+func (s *ShardedLB) reshardLocked(ctx context.Context, members []int, newConns map[int]LBConn) error {
 	if len(members) == 0 {
 		return fmt.Errorf("cluster: resharding to an empty membership")
 	}
 
 	s.ringMu.Lock()
 	cur := s.cur()
-	if targetEpoch < 0 {
-		targetEpoch = cur.epoch + 1
-	} else if targetEpoch <= cur.epoch {
-		s.ringMu.Unlock()
-		return fmt.Errorf("cluster: resharding to epoch %d behind current epoch %d", targetEpoch, cur.epoch)
-	}
 	next := epochRing{
-		epoch:   targetEpoch,
+		epoch:   cur.epoch + 1,
 		members: append([]int(nil), members...),
 		slot:    make(map[int]int, len(members)),
 	}
@@ -1420,7 +1332,7 @@ func (s *ShardedLB) reshardLocked(ctx context.Context, members []int, newConns m
 			return fmt.Errorf("cluster: no connection for new shard member %d", m)
 		}
 	}
-	next.ring, next.weights = s.cfg.buildRing(next.members, weights)
+	next.ring = s.cfg.buildRing(next.members)
 	var removed []LBConn
 	var removedMembers []int
 	for i, m := range cur.members {
@@ -1456,16 +1368,14 @@ func (s *ShardedLB) reshardLocked(ctx context.Context, members []int, newConns m
 	}
 	s.pumpMu.Unlock()
 
-	// Re-broadcast the remembered policy with the new epoch AND the
-	// new membership stamped, so shard-pinned workers (including those
-	// on removed shards) observe the flip in their next pull response
-	// and re-pin, and every shard can republish the membership to
-	// standalone frontends. cfgMu is held across the broadcast so a
-	// racing Configure cannot end up partially overwritten by this
-	// stale policy.
+	// Re-broadcast the remembered policy with the new epoch stamped, so
+	// shard-pinned workers (including those on removed shards) observe
+	// the flip in their next pull response and re-pin. cfgMu is held
+	// across the broadcast so a racing Configure cannot end up
+	// partially overwritten by this stale policy.
 	s.cfgMu.Lock()
 	cfgMsg := s.lastCfg
-	s.stampMembership(&cfgMsg, &next)
+	cfgMsg.RingEpoch = next.epoch
 	_ = s.broadcast(ctx, cfgMsg)
 	s.cfgMu.Unlock()
 
@@ -1477,22 +1387,6 @@ func (s *ShardedLB) reshardLocked(ctx context.Context, members []int, newConns m
 		go s.sweepRetired(removedMembers[i], conn)
 	}
 	return nil
-}
-
-// stampMembership fills a configure broadcast's epoch and membership
-// fields from one epoch's view: the members, their advertised dial
-// addresses (empty where unknown), and the placement weight vector
-// (nil when unweighted).
-func (s *ShardedLB) stampMembership(req *ConfigureLBRequest, e *epochRing) {
-	req.RingEpoch = e.epoch
-	req.Members = append([]int(nil), e.members...)
-	req.MemberWeights = append([]int(nil), e.weights...)
-	req.MemberAddrs = make([]string, len(e.members))
-	s.addrMu.Lock()
-	for i, m := range e.members {
-		req.MemberAddrs[i] = s.memberAddrs[m]
-	}
-	s.addrMu.Unlock()
 }
 
 // drainShard pulls everything queued on a departing shard with
@@ -1600,10 +1494,9 @@ func (s *ShardedLB) resubmitMigrated(queries []QueryMsg, pool string) {
 // re-pinned worker pulling there that query would strand forever.
 // Empty sweeps back off exponentially, but only up to 8x the base
 // interval (2 trace-seconds): besides pre-flip worker stragglers, the
-// sweep is the re-route path for any OTHER frontend that has not yet
-// adopted the new membership (see SyncMembership) — its misdirected
-// queries must reach their real owner with latency budget left under
-// typical SLOs.
+// sweep is the re-route path for any OTHER frontend still routing by
+// an older membership (see Resharding) — its misdirected queries must
+// reach their real owner with latency budget left under typical SLOs.
 //
 // The sweep does not run forever. Once every epoch that knew the
 // member has collapsed (so no frontend-tracked query can live there)
@@ -1702,93 +1595,6 @@ func (s *ShardedLB) sweepWait(traceSecs float64) time.Duration {
 		wait = time.Millisecond
 	}
 	return wait
-}
-
-// SetMemberAddr records the dial address advertised for a member in
-// membership broadcasts, so a following frontend can dial members it
-// has never seen. DialShardedLB records the boot addresses; the
-// harness and admin paths record provisioned shards' addresses.
-func (s *ShardedLB) SetMemberAddr(member int, addr string) {
-	s.addrMu.Lock()
-	s.memberAddrs[member] = addr
-	s.addrMu.Unlock()
-}
-
-// Membership reports the frontend's own current view: the ring epoch,
-// the sorted members, their advertised dial addresses (empty where
-// unknown), and the placement weight vector (nil when unweighted).
-// Standalone shards answer the same verb with the last view their
-// authority broadcast (see LBServer.Membership).
-func (s *ShardedLB) Membership(ctx context.Context) (MembershipResponse, error) {
-	s.ringMu.RLock()
-	cur := s.cur()
-	s.ringMu.RUnlock()
-	resp := MembershipResponse{
-		RingEpoch: cur.epoch,
-		Members:   append([]int(nil), cur.members...),
-		Weights:   append([]int(nil), cur.weights...),
-		Addrs:     make([]string, len(cur.members)),
-	}
-	s.addrMu.Lock()
-	for i, m := range cur.members {
-		resp.Addrs[i] = s.memberAddrs[m]
-	}
-	s.addrMu.Unlock()
-	return resp, ctx.Err()
-}
-
-// SyncMembership adopts a newer membership from src (typically one of
-// this frontend's own shard conns, which republish the authority's
-// broadcasts). dial
-// opens a connection to a member this frontend has never seen, from
-// its advertised address. It returns whether a flip was adopted; an
-// already-current epoch is a cheap no-op, which is why callers poll
-// it only when the epoch stamped on a pull or configure moves.
-//
-// The adopted epoch keeps the authority's number and weight vector,
-// so both sides compute identical placement and later syncs compare
-// epochs meaningfully.
-func (s *ShardedLB) SyncMembership(ctx context.Context, src LBConn, dial func(member int, addr string) (LBConn, error)) (bool, error) {
-	m, err := src.Membership(ctx)
-	if err != nil {
-		return false, err
-	}
-	s.reshardMu.Lock()
-	defer s.reshardMu.Unlock()
-	if m.RingEpoch <= s.Epoch() {
-		return false, nil
-	}
-	newConns := map[int]LBConn{}
-	var weights map[int]int
-	for i, mem := range m.Members {
-		addr := ""
-		if i < len(m.Addrs) {
-			addr = m.Addrs[i]
-		}
-		if addr != "" {
-			s.SetMemberAddr(mem, addr)
-		}
-		if i < len(m.Weights) {
-			if weights == nil {
-				weights = make(map[int]int, len(m.Members))
-			}
-			weights[mem] = m.Weights[i]
-		}
-		if s.MemberConn(mem) == nil {
-			if dial == nil {
-				return false, fmt.Errorf("cluster: membership epoch %d adds member %d but no dialer was given", m.RingEpoch, mem)
-			}
-			if addr == "" {
-				return false, fmt.Errorf("cluster: membership epoch %d adds member %d with no advertised address", m.RingEpoch, mem)
-			}
-			conn, err := dial(mem, addr)
-			if err != nil {
-				return false, fmt.Errorf("cluster: dialing member %d at %s: %w", mem, addr, err)
-			}
-			newConns[mem] = conn
-		}
-	}
-	return true, s.reshardLocked(ctx, m.Members, newConns, m.RingEpoch, weights)
 }
 
 // LiveEpochs returns the installed-epoch count — bounded by the

@@ -314,7 +314,7 @@ func TestShardedLBGatherPullLegFailure(t *testing.T) {
 	}
 	flaky := &failingPullConn{LBConn: conns[1]}
 	conns[1] = flaky
-	fe, err := NewShardedLB(ShardedLBConfig{Shards: conns, Clock: clock, DegradeThreshold: 1})
+	fe, err := NewShardedLB(ShardedLBConfig{Shards: conns, Clock: clock})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,8 +325,8 @@ func TestShardedLBGatherPullLegFailure(t *testing.T) {
 	}
 	flaky.fail.Store(true)
 
-	// The sweep's rotating start is shard 0 on the first pull, shard 1
-	// on the second.
+	// The sweep's rotating start alternates: shard 0 on the first pull,
+	// shard 1 on the second, and so on.
 	resp, err := pull(ctx, fe, PullRequest{Role: "light", Max: 2})
 	if err != nil || len(resp.Queries) != 2 {
 		t.Fatalf("pull filled from the healthy shard = %+v, %v", resp.Queries, err)
@@ -334,15 +334,35 @@ func TestShardedLBGatherPullLegFailure(t *testing.T) {
 	if got := fe.DegradedMembers(); len(got) != 0 {
 		t.Fatalf("members %v degraded by a pull that never reached them", got)
 	}
-	if resp, err = pull(ctx, fe, PullRequest{Role: "light", Max: 6}); err == nil {
-		t.Fatalf("pull starting at the failing shard returned %+v, want its error", resp.Queries)
-	}
-	resp, err = pull(ctx, fe, PullRequest{Role: "light", Max: 6})
-	if err != nil || len(resp.Queries) != 1 {
-		t.Fatalf("pull past the failing shard = %+v, %v; want the healthy shard's last query", resp.Queries, err)
+	// Each pull that gathers the healthy shard's share and then fails on
+	// shard 1 counts one failure against member 1. Rounds after the first
+	// re-fill shard 0 (a submit to it alone leaves member 1's streak
+	// alone) and take the failing shard's error first, which counts
+	// nothing.
+	refill := 100
+	for round := 0; round < degradeThreshold; round++ {
+		if got := fe.DegradedMembers(); len(got) != 0 {
+			t.Fatalf("members %v degraded after %d failed legs", got, round)
+		}
+		if round > 0 {
+			for loadbalancer.ShardOf(refill, 2) != 0 {
+				refill++
+			}
+			if err := fe.SubmitBatch(ctx, SubmitRequest{Queries: queriesFor([]int{refill})}); err != nil {
+				t.Fatal(err)
+			}
+			refill++
+		}
+		if resp, err = pull(ctx, fe, PullRequest{Role: "light", Max: 6}); err == nil {
+			t.Fatalf("pull starting at the failing shard returned %+v, want its error", resp.Queries)
+		}
+		resp, err = pull(ctx, fe, PullRequest{Role: "light", Max: 6})
+		if err != nil || len(resp.Queries) != 1 {
+			t.Fatalf("pull past the failing shard = %+v, %v; want the healthy shard's last query", resp.Queries, err)
+		}
 	}
 	if got := fmt.Sprint(fe.DegradedMembers()); got != "[1]" {
-		t.Errorf("degraded members %s after a failed leg, want [1]", got)
+		t.Errorf("degraded members %s after %d failed legs, want [1]", got, degradeThreshold)
 	}
 
 	flaky.fail.Store(false)

@@ -23,7 +23,7 @@ import (
 //
 //	uint32 big-endian  body length (header + payload, ≤ maxFrameBody)
 //	byte               frame kind (request, response, error)
-//	byte               method (methodSubmit … methodMembership)
+//	byte               method (methodSubmit … methodWorkerStats)
 //	byte               codec id (binary; a server refuses any other)
 //	uint64 big-endian  request id (responses echo it)
 //	payload            binary-encoded message, or UTF-8 error text
@@ -76,8 +76,9 @@ const (
 )
 
 // Methods multiplexed over one connection. Id 1 was the blocking
-// single-query submit: it is retired, never reused, and a server
-// answers it like any method it does not serve, with an error frame.
+// single-query submit and id 10 the membership-discovery read: both are
+// retired, never reused, and a server answers them like any method it
+// does not serve, with an error frame.
 const (
 	methodQueryRetired byte = iota + 1
 	methodSubmit
@@ -88,8 +89,8 @@ const (
 	methodLBStats
 	methodConfigureWorker
 	methodWorkerStats
-	methodMembership
-	methodMax = methodMembership
+	methodMembershipRetired
+	methodMax = methodMembershipRetired
 )
 
 // Codec ids on the wire. Every frame this package writes carries
@@ -277,8 +278,6 @@ func (lbService) newRequest(method byte) (interface{}, bool) {
 		return getConfigureLBRequest(), true
 	case methodLBStats:
 		return nil, true
-	case methodMembership:
-		return nil, true
 	}
 	return nil, false
 }
@@ -325,9 +324,6 @@ func (l lbService) serve(ctx context.Context, method byte, req interface{}, park
 		return nil, nil
 	case methodLBStats:
 		out := l.s.Stats()
-		return &out, nil
-	case methodMembership:
-		out := l.s.Membership()
 		return &out, nil
 	}
 	return nil, fmt.Errorf("method %d not served by the load balancer", method)
@@ -1207,12 +1203,6 @@ func (c tcpLBConn) Configure(ctx context.Context, req ConfigureLBRequest) error 
 func (c tcpLBConn) Stats(ctx context.Context) (LBStats, error) {
 	var out LBStats
 	err := c.c.call(ctx, methodLBStats, nil, &out)
-	return out, err
-}
-
-func (c tcpLBConn) Membership(ctx context.Context) (MembershipResponse, error) {
-	var out MembershipResponse
-	err := c.c.call(ctx, methodMembership, nil, &out)
 	return out, err
 }
 

@@ -82,8 +82,8 @@ func TestTCPFrameRejectsCorruptHeaders(t *testing.T) {
 
 // TestTCPRefusesRetiredCodecAndMethod pins the one change a tcp peer
 // can see on the wire: a request frame that names the JSON codec, and
-// one that names the retired blocking-submit method, each get an error
-// frame — nothing is applied, nothing is taken from a message pool for
+// one that names a retired method (the blocking submit, the membership
+// read), each get an error frame — nothing is applied, nothing is taken from a message pool for
 // them (the suite runs this under -tags poolpoison too), and the
 // connection serves the next frame as if they had never arrived.
 func TestTCPRefusesRetiredCodecAndMethod(t *testing.T) {
@@ -125,12 +125,16 @@ func TestTCPRefusesRetiredCodecAndMethod(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := appendFrame(nil, frameRequest, methodLBStats, 4, nil, "")
+	membership, err := appendFrame(nil, frameRequest, methodMembershipRetired, 4, nil, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := appendFrame(nil, frameRequest, methodLBStats, 5, nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var seg []byte
-	for _, f := range [][]byte{jsonFrame, mislabelled, query, stats} {
+	for _, f := range [][]byte{jsonFrame, mislabelled, query, membership, stats} {
 		seg = append(seg, f...)
 	}
 	if _, err := conn.Write(seg); err != nil {
@@ -142,7 +146,7 @@ func TestTCPRefusesRetiredCodecAndMethod(t *testing.T) {
 	for _, want := range []struct {
 		id   uint64
 		text string
-	}{{1, "codec 1 not supported"}, {2, "codec 1 not supported"}, {3, "method 1 not supported"}} {
+	}{{1, "codec 1 not supported"}, {2, "codec 1 not supported"}, {3, "method 1 not supported"}, {4, "method 10 not supported"}} {
 		f, _, err := readFrame(br, nil)
 		if err != nil {
 			t.Fatalf("frame %d: connection lost instead of an error frame: %v", want.id, err)
@@ -153,7 +157,7 @@ func TestTCPRefusesRetiredCodecAndMethod(t *testing.T) {
 		}
 	}
 	f, _, err := readFrame(br, nil)
-	if err != nil || f.kind != frameResponse || f.id != 4 {
+	if err != nil || f.kind != frameResponse || f.id != 5 {
 		t.Fatalf("frame after the refusals = %+v, %v; want the Stats response on the same connection", f, err)
 	}
 	var st LBStats

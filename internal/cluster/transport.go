@@ -6,13 +6,13 @@ import (
 )
 
 // LBConn is a client connection to the load balancer's data and
-// control plane: the seven calls the system makes. Clients submit
+// control plane: the six calls the system makes. Clients submit
 // batches and poll for their results, workers pull batches and report
-// completions, the controller configures and reads stats, and
-// followers of an elastic tier read its membership. Implementations:
-// NewTCPLBConn (framed TCP, binary codec), NewLocalLBConn (in-process
-// direct dispatch, zero serialization), ShardedLB (a frontend over N
-// of either), and the retry and fault wrappers.
+// completions, and the controller configures and reads stats.
+// Implementations: NewTCPLBConn (framed TCP, binary codec),
+// NewLocalLBConn (in-process direct dispatch, zero serialization),
+// ShardedLB (a frontend over N of either), and the retry and fault
+// wrappers.
 //
 // PullInto and PollResultsInto decode into a caller-owned response
 // struct, reusing its slice capacity across calls. The response is
@@ -53,12 +53,6 @@ type LBConn interface {
 	Configure(ctx context.Context, req ConfigureLBRequest) error
 	// Stats fetches the LB's control-plane report.
 	Stats(ctx context.Context) (LBStats, error)
-	// Membership returns the serving tier's current ring epoch and
-	// member list (with dial addresses and placement weights when
-	// known). Followers — standalone frontends and workers tracking an
-	// elastic tier — poll it cheaply (the response is a few dozen
-	// bytes) and act only when the epoch advances.
-	Membership(ctx context.Context) (MembershipResponse, error)
 }
 
 // Every conn in the package is the whole interface: there is no
@@ -200,10 +194,6 @@ func (c localLBConn) Configure(ctx context.Context, req ConfigureLBRequest) erro
 
 func (c localLBConn) Stats(ctx context.Context) (LBStats, error) {
 	return c.s.Stats(), ctx.Err()
-}
-
-func (c localLBConn) Membership(ctx context.Context) (MembershipResponse, error) {
-	return c.s.Membership(), ctx.Err()
 }
 
 type localWorkerConn struct{ s *WorkerServer }

@@ -205,35 +205,10 @@ type ConfigureWorkerRequest struct {
 // monotonically (a stale broadcast cannot regress the epoch) and
 // echoes it in every PullResponse so shard-pinned workers observe
 // membership changes without a dedicated control channel.
-//
-// Members / MemberAddrs / MemberWeights describe the epoch's shard
-// membership (parallel slices: sorted member IDs, their advertised
-// dial addresses, and the placement weight vector — addrs may hold
-// empty strings where no address is known, and weights may be absent
-// for unweighted placement). The server stores the view alongside the
-// adopted epoch and republishes it through the Membership verb, which
-// is how standalone frontends and workers follow flips without
-// redialing from static address lists.
 type ConfigureLBRequest struct {
-	Threshold     float64  `json:"threshold"`
-	SplitProb     float64  `json:"split_prob"`
-	RingEpoch     int      `json:"ring_epoch,omitempty"`
-	Members       []int    `json:"members,omitempty"`
-	MemberAddrs   []string `json:"member_addrs,omitempty"`
-	MemberWeights []int    `json:"member_weights,omitempty"`
-}
-
-// MembershipResponse is the membership-discovery verb's answer: the
-// ring epoch and the member view last adopted via ConfigureLBRequest
-// (or, served by a ShardedLB frontend, its own current view). Clients
-// poll it only when they observe the epoch move — the response is
-// deliberately small and read-only, so following a flip costs one
-// round trip per membership change, not a poll per tick.
-type MembershipResponse struct {
-	RingEpoch int      `json:"ring_epoch"`
-	Members   []int    `json:"members,omitempty"`
-	Addrs     []string `json:"addrs,omitempty"`
-	Weights   []int    `json:"weights,omitempty"`
+	Threshold float64 `json:"threshold"`
+	SplitProb float64 `json:"split_prob"`
+	RingEpoch int     `json:"ring_epoch,omitempty"`
 }
 
 // WorkerStats is a worker's control-plane report.
@@ -256,7 +231,7 @@ type WorkerStats struct {
 // completion items reported by a worker whose lease had already been
 // reclaimed. DegradedShards is only set by the sharded frontend's
 // merged report: the number of shards currently marked unreachable —
-// a nonzero value is the controller's cue to reshard around them.
+// a nonzero value is an operator's cue to reshard around them.
 type LBStats struct {
 	Now               float64 `json:"now"` // trace time, seconds
 	LightQueueLen     int     `json:"light_queue_len"`

@@ -14,12 +14,12 @@ go vet ./...
 # wall-clock bans, and global-rand bans. Exit 1 on any finding.
 go run ./cmd/diffvet ./...
 go build ./...
-# The three sizes the ROADMAP's bars are stated in.
+# The four sizes the ROADMAP's bars are stated in.
 make loc
 go test ./...
 # Every race-detector leg — the cluster data path, the sharded
-# frontend, the tcp transport's posted calls, reshard, autoscale, the
-# chaos soak, ring, solver and allocator, and the poolpoison build — and
+# frontend, the tcp transport's posted calls, reshard, the chaos soak,
+# ring, solver and allocator, and the poolpoison build — and
 # the poolpoison suite without the detector. The legs and what each is
 # for are listed once, in the Makefile.
 make race poison-test
