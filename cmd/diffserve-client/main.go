@@ -115,7 +115,7 @@ func main() {
 			// Features, which a reused struct would decode over.
 			var resp cluster.ResultsResponse
 			if err := conn.PollResultsInto(ctx, cluster.ResultsRequest{Max: 1024, Wait: 2}, &resp); err != nil {
-				clock.SleepTrace(0.1)
+				clock.WaitUntil(ctx, clock.Now()+0.1, nil)
 				continue
 			}
 			// Arrival/Completion both come from the LB's trace clock:
@@ -149,7 +149,7 @@ func main() {
 	batch := make([]cluster.QueryMsg, 0, 64)
 	i := 0
 	for i < len(arrivals) {
-		clock.SleepTrace(arrivals[i] - clock.Now())
+		clock.WaitUntil(ctx, arrivals[i], nil)
 		now := clock.Now()
 		batch = batch[:0]
 		for i < len(arrivals) && arrivals[i] <= now {

@@ -296,7 +296,11 @@
 // shed as a deliberate drop rather than looping forever through dying
 // workers — exactly-once here means "resolved exactly once, as a
 // completion or as an accounted drop" (LBStats.Reclaims,
-// ShedRedelivery, InFlight expose the lifecycle).
+// ShedRedelivery, InFlight expose the lifecycle). No lease outlives
+// its query: a pull leases only queries still awaiting resolution, so
+// a reclaimed copy whose query the zombie's late report resolved is
+// discarded at dequeue, and every resolution releases its lease in the
+// same critical section, so InFlight is 0 once every query resolved.
 //
 // Around the lease sit three more layers. Client and worker calls
 // retry transient transport failures with jittered exponential
@@ -322,6 +326,31 @@
 // (TestChaosWorkerChurnNoLostQueries, the verify script's race-chaos
 // leg) kills busy workers and severs conns mid-trace and requires
 // every submitted query to resolve exactly once.
+//
+// # Trace time
+//
+// The cluster runs on trace time: cluster.Clock maps wall time to
+// trace seconds at a timescale (0.005 replays at 200x), and every timed
+// wait in the runtime — long polls, worker batches, control ticks, the
+// replay client, the trace-time back-offs and the retired-shard sweeps
+// — is one call, Clock.WaitUntil(ctx, deadline, wake): block until the
+// absolute trace deadline, a wakeup channel, or the context, on a
+// pooled timer that allocates nothing. (The retry wrapper's and the tcp
+// dialer's back-offs are wall durations by configuration and stay
+// outside the clock.) Deadlines are absolute because a Go timer wakes
+// late: the runtime's poller rounds a sub-millisecond delay up to a
+// whole millisecond, ~0.12 trace-seconds at 200x, a whole light batch.
+// So the two periodic loops wait for their own schedule rather than an
+// interval after the last wake. A worker starts each batch at the
+// latest of its previous batch's scheduled end, the batch's newest
+// arrival and the pull's return less the time the worker lost getting
+// to that pull (at most one 1 ms timer tick, so a stalled completion is
+// not replayed as GPU time), and completes it at start + exec; the
+// controller ticks at t0 + k·interval, t0 being the harness's clock
+// restart. One late wake then delays one step, not every later one,
+// and no query is served sooner after it arrived than the emulated GPU
+// allows. PERFORMANCE.md ("Schedule-anchored waits") has
+// the timer probe and what it moved.
 //
 // # Static analysis
 //
@@ -356,9 +385,12 @@
 // Any finding fails the build. The escape hatch is a same-line or
 // line-above comment with a mandatory reason,
 //
-//	//diffvet:allow walltime — long-poll deadline in wall time
+//	//diffvet:allow walltime — shutdown watchdog must fire on wall time even if the trace clock stalls
 //
 // and a reasonless or nameless directive is itself a finding, so
 // every suppression in the tree documents why the invariant does not
-// apply.
+// apply. The walltime escapes are few enough to list: a tier-1 test
+// (TestWallInventoryPinned) pins all seven — the Clock's three
+// anchors and the harness's four wall-time measurements and
+// watchdogs — so a new wall read has to be added to it by name.
 package diffserve

@@ -9,9 +9,9 @@
 // and sim-vs-cluster parity. The analyzer forbids the time functions
 // that read or wait on the wall clock — Now, Sleep, After, Tick,
 // Since, Until — in the configured trace-time packages. Deliberate
-// wall-clock spots (the Clock implementation itself, long-poll wall
-// deadlines, TCP dial timeouts) carry //diffvet:allow walltime
-// escapes with a reason.
+// wall-clock spots (the Clock's anchors, the harness's wall-time run
+// measurement and watchdogs) carry //diffvet:allow walltime escapes
+// with a reason; TestWallInventoryPinned lists every one.
 //
 // Duration arithmetic (time.Duration, time.NewTimer fed from
 // Clock.WallDuration, time.Millisecond literals) stays legal: only

@@ -132,7 +132,7 @@ func TestChaosWorkerChurnNoLostQueries(t *testing.T) {
 				t.Errorf("submit batch %d: %v", b, err)
 				return
 			}
-			clock.SleepTraceCtx(ctx, 0.3)
+			clock.WaitUntil(ctx, clock.Now()+0.3, nil)
 		}
 	}()
 
@@ -197,7 +197,7 @@ func TestChaosWorkerChurnNoLostQueries(t *testing.T) {
 
 	// The zombie's abandoned lease expires hard at grant + 4x the
 	// duration; live workers' pulls run the sweep past that point.
-	clock.SleepTraceCtx(ctx, 5*leaseDur)
+	clock.WaitUntil(ctx, clock.Now()+5*leaseDur, nil)
 	zreq := CompleteRequest{WorkerID: 99, Role: "light", LeaseDeadline: zombiePull.LeaseDeadline}
 	for _, q := range zombiePull.Queries {
 		zreq.Items = append(zreq.Items, CompleteItem{ID: q.ID, Arrival: q.Arrival, Variant: "light", Confidence: 0.9})

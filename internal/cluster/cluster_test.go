@@ -76,14 +76,14 @@ func TestClockTimescale(t *testing.T) {
 		t.Errorf("timescale = %v", c.Timescale())
 	}
 	start := time.Now()
-	c.SleepTrace(1) // 1 trace second = 10ms wall
+	c.WaitUntil(context.Background(), c.Now()+1, nil) // 1 trace second = 10ms wall
 	if wall := time.Since(start); wall < 8*time.Millisecond || wall > 250*time.Millisecond {
-		t.Errorf("scaled sleep took %v", wall)
+		t.Errorf("scaled wait took %v", wall)
 	}
 	if now := c.Now(); now < 0.5 || now > 30 {
 		t.Errorf("trace now = %v", now)
 	}
-	c.SleepTrace(-1) // no-op
+	c.WaitUntil(context.Background(), -1, nil) // past deadline: no-op
 	if NewClock(0).Timescale() != 1 {
 		t.Error("zero timescale should default to 1")
 	}

@@ -101,9 +101,9 @@ func binarySizeHint(v interface{}) int {
 func (binaryCodec) MarshalAppend(b []byte, v interface{}) ([]byte, error) {
 	switch m := v.(type) {
 	case *QueryMsg:
-		return appendQueryMsg(b, m), nil
+		return appendQueryMsg(append(b, tagQueryMsg), m), nil
 	case QueryMsg:
-		return appendQueryMsg(b, &m), nil
+		return appendQueryMsg(append(b, tagQueryMsg), &m), nil
 	case *QueryResponse:
 		return appendQueryResponse(b, m), nil
 	case QueryResponse:
@@ -239,8 +239,10 @@ func appendFloats(b []byte, v []float64) []byte {
 	return b
 }
 
+// appendQueryMsg encodes a QueryMsg's fields, untagged: the one
+// encode site of the struct, whether it travels alone (MarshalAppend
+// writes the tag) or as an element of a SubmitRequest or PullResponse.
 func appendQueryMsg(b []byte, m *QueryMsg) []byte {
-	b = append(b, tagQueryMsg)
 	b = appendInt(b, m.ID)
 	return appendF64(b, m.Arrival)
 }
@@ -281,8 +283,7 @@ func appendPullResponse(b []byte, m *PullResponse) []byte {
 	} else {
 		b = appendUint(b, uint64(len(m.Queries))+1)
 		for i := range m.Queries {
-			b = appendInt(b, m.Queries[i].ID)
-			b = appendF64(b, m.Queries[i].Arrival)
+			b = appendQueryMsg(b, &m.Queries[i])
 		}
 	}
 	b = appendInt(b, m.RingEpoch)
@@ -361,8 +362,7 @@ func appendSubmitRequest(b []byte, m *SubmitRequest) []byte {
 	} else {
 		b = appendUint(b, uint64(len(m.Queries))+1)
 		for i := range m.Queries {
-			b = appendInt(b, m.Queries[i].ID)
-			b = appendF64(b, m.Queries[i].Arrival)
+			b = appendQueryMsg(b, &m.Queries[i])
 		}
 	}
 	return appendStr(b, m.Pool)
@@ -599,16 +599,19 @@ func readCompleteRequest(d *bdec, m *CompleteRequest) {
 			m.Items = []CompleteItem{} // wire says empty, not nil
 		}
 		for i := range m.Items {
-			it := &m.Items[i]
-			it.ID = d.int()
-			it.Arrival = d.f64()
-			it.Variant = d.str()
-			it.Features = d.floatsInto(it.Features)
-			it.Artifact = d.f64()
-			it.Confidence = d.f64()
+			readCompleteItem(d, &m.Items[i])
 		}
 	}
 	m.LeaseDeadline = d.f64()
+}
+
+func readCompleteItem(d *bdec, m *CompleteItem) {
+	m.ID = d.int()
+	m.Arrival = d.f64()
+	m.Variant = d.str()
+	m.Features = d.floatsInto(m.Features)
+	m.Artifact = d.f64()
+	m.Confidence = d.f64()
 }
 
 func readWorkerStats(d *bdec, m *WorkerStats) {

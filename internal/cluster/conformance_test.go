@@ -553,7 +553,7 @@ func testTransportConformance(t *testing.T, tc transportCase) {
 		// Worker 1 goes silent. Past the hard deadline (grant + 4x
 		// the lease duration) worker 2's pull sweeps, reclaims, and
 		// receives the re-queued batch.
-		clock.SleepTraceCtx(ctx, 3)
+		clock.WaitUntil(ctx, clock.Now()+3, nil)
 		pullB, err := pull(ctx, conn, PullRequest{WorkerID: 2, Role: "light", Max: 8, Wait: 5})
 		if err != nil || len(pullB.Queries) != 2 {
 			t.Fatalf("reclaim pull = %+v, %v", pullB, err)
@@ -706,7 +706,7 @@ func testTransportConformance(t *testing.T, tc transportCase) {
 		if err != nil || len(pullA.Queries) != 1 {
 			t.Fatalf("lease pull = %+v, %v", pullA, err)
 		}
-		clock.SleepTraceCtx(ctx, 3)
+		clock.WaitUntil(ctx, clock.Now()+3, nil)
 		err = conn.PullInto(ctx, PullRequest{WorkerID: 2, Role: "light", Max: 8, Wait: 5}, &pulled)
 		if err != nil || len(pulled.Queries) != 1 {
 			t.Fatalf("reclaim pull = %+v, %v", pulled, err)

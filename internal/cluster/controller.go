@@ -172,17 +172,22 @@ func (c *ControllerLoop) SetShards(n int) {
 // Plans returns the plans applied so far.
 func (c *ControllerLoop) Plans() []controller.PlanAt { return c.cfg.Ctrl.Plans() }
 
-// Run executes control ticks every controller interval (trace time)
-// until the context is cancelled. Each tick (stats poll + MILP solve +
-// plan push) runs asynchronously with at most one in flight, so solver
-// time stays off the control cadence — the paper's design: "the MILP
-// is called asynchronously and its execution is in the control path".
-// Run returns only once the tick in flight at cancellation has
-// finished, so a caller that waits for Run may then read Plans.
+// Run executes control ticks on the trace-time schedule t0 + k·interval
+// until the context is cancelled, t0 being when Run starts; a late wake
+// delays one tick, not every later one. A caller that restarts the
+// clock starts Run after the restart. Each tick (stats poll + MILP
+// solve + plan push) runs asynchronously with at most one in flight,
+// so solver time stays off the control cadence — the paper's design:
+// "the MILP is called asynchronously and its execution is in the
+// control path". Run returns only once the tick in flight at
+// cancellation has finished, so a caller that waits for Run may then
+// read Plans.
 func (c *ControllerLoop) Run(ctx context.Context) {
 	var busy int32
 	var inFlight sync.WaitGroup
 	defer inFlight.Wait()
+	interval := c.cfg.Ctrl.Interval()
+	next := c.cfg.Clock.Now()
 	for ctx.Err() == nil {
 		if atomic.CompareAndSwapInt32(&busy, 0, 1) {
 			inFlight.Add(1)
@@ -192,7 +197,8 @@ func (c *ControllerLoop) Run(ctx context.Context) {
 				c.TickOnce(ctx)
 			}()
 		}
-		if !c.cfg.Clock.SleepTraceCtx(ctx, c.cfg.Ctrl.Interval()) {
+		next += interval
+		if !c.cfg.Clock.WaitUntil(ctx, next, nil) {
 			return
 		}
 	}

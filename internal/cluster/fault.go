@@ -229,7 +229,7 @@ func (c *faultLBConn) gate(ctx context.Context, method string) (bool, error) {
 		return false, c.injected(method, FaultDropRequests)
 	}
 	if delay && plan.Clock != nil {
-		plan.Clock.SleepTraceCtx(ctx, plan.LatencySecs)
+		plan.Clock.WaitUntil(ctx, plan.Clock.Now()+plan.LatencySecs, nil)
 	}
 	return dropResp, nil
 }

@@ -319,14 +319,6 @@ func Run(cfg HarnessConfig) (*Result, error) {
 		return nil, err
 	}
 	loop.Apply(ctx, initialPlan)
-	// Joined before the Result is built: a tick still in flight after
-	// cancel appends to the plan log the Result reads.
-	var loopDone sync.WaitGroup
-	loopDone.Add(1)
-	go func() {
-		defer loopDone.Done()
-		loop.Run(ctx)
-	}()
 
 	// Precompute arrivals and the FID reference features while setup
 	// time is still free.
@@ -338,8 +330,16 @@ func Run(cfg HarnessConfig) (*Result, error) {
 	}
 
 	// Setup is done (servers up, initial plan applied): rewind trace
-	// time so setup cost does not eat into the replay.
+	// time so setup cost does not eat into the replay, then start the
+	// control ticks on the rewound clock. They are joined before the
+	// Result is built: a tick in flight at cancel appends to its plans.
 	clock.Restart()
+	var loopDone sync.WaitGroup
+	loopDone.Add(1)
+	go func() {
+		defer loopDone.Done()
+		loop.Run(ctx)
+	}()
 
 	// Reshard driver: apply the scheduled membership changes at their
 	// trace times. Each change installs a new ring epoch on the
@@ -354,7 +354,7 @@ func Run(cfg HarnessConfig) (*Result, error) {
 		sort.SliceStable(events, func(i, j int) bool { return events[i].At < events[j].At })
 		go func() {
 			for _, ev := range events {
-				if !clock.SleepTraceCtx(ctx, ev.At-clock.Now()) {
+				if !clock.WaitUntil(ctx, ev.At, nil) {
 					return
 				}
 				var err error
@@ -401,7 +401,7 @@ func Run(cfg HarnessConfig) (*Result, error) {
 			err := lbConn.PollResultsInto(ctx, ResultsRequest{Max: 1024, Wait: 1}, &resp)
 			if err != nil {
 				// Transient transport failure: back off briefly.
-				clock.SleepTraceCtx(ctx, 0.05)
+				clock.WaitUntil(ctx, clock.Now()+0.05, nil)
 				continue
 			}
 			got += len(resp.Results)
@@ -414,7 +414,7 @@ func Run(cfg HarnessConfig) (*Result, error) {
 		batch := make([]QueryMsg, 0, 64)
 		i := 0
 		for i < len(arrivals) {
-			if !clock.SleepTraceCtx(ctx, arrivals[i]-clock.Now()) {
+			if !clock.WaitUntil(ctx, arrivals[i], nil) {
 				return
 			}
 			now := clock.Now()

@@ -4,7 +4,6 @@ import (
 	"context"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"diffserve/internal/imagespace"
 	"diffserve/internal/loadbalancer"
@@ -359,7 +358,7 @@ func (s *LBServer) PollResultsInto(ctx context.Context, req ResultsRequest, resp
 		s.resMu.Unlock()
 		return
 	}
-	deadline := time.Now().Add(s.cfg.Clock.WallDuration(req.Wait)) //diffvet:allow walltime — long-poll deadline in wall time; the trace wait is already Clock-converted
+	deadline := s.cfg.Clock.Now() + req.Wait
 	for {
 		s.resMu.Lock()
 		s.takeResultsInto(max, resp)
@@ -368,22 +367,9 @@ func (s *LBServer) PollResultsInto(ctx context.Context, req ResultsRequest, resp
 			wake = s.wakeResults.wait()
 		}
 		s.resMu.Unlock()
-		if len(resp.Results) > 0 {
+		if len(resp.Results) > 0 || s.cfg.Clock.Now() >= deadline ||
+			!s.cfg.Clock.WaitUntil(ctx, deadline, wake) {
 			return
-		}
-
-		remain := time.Until(deadline) //diffvet:allow walltime — remaining wall budget of the Clock-converted long-poll deadline
-		if remain <= 0 {
-			return
-		}
-		t := time.NewTimer(remain)
-		select {
-		case <-ctx.Done():
-			t.Stop()
-			return
-		case <-wake:
-			t.Stop()
-		case <-t.C:
 		}
 	}
 }
@@ -431,10 +417,7 @@ func (s *LBServer) PullInto(ctx context.Context, req PullRequest, resp *PullResp
 	resp.Queries = nil
 	pool := poolOf(req.Role)
 	p := &s.pools[pool]
-	var deadline time.Time
-	if req.Wait > 0 {
-		deadline = time.Now().Add(s.cfg.Clock.WallDuration(req.Wait)) //diffvet:allow walltime — long-poll deadline in wall time; the trace wait is already Clock-converted
-	}
+	deadline := s.cfg.Clock.Now() + req.Wait
 	scratch := getItemScratch()
 	defer putItemScratch(scratch)
 	for {
@@ -457,41 +440,28 @@ func (s *LBServer) PullInto(ctx context.Context, req PullRequest, resp *PullResp
 
 		s.drop(shed)
 		if len(items) > 0 {
+			if items = s.leaseBatch(req.WorkerID, pool, items, now); len(items) == 0 {
+				continue // every item had resolved while queued: dequeue again
+			}
 			for _, it := range items {
 				qbuf = append(qbuf, QueryMsg{ID: it.ID, Arrival: it.Arrival})
 			}
 			resp.Queries = qbuf
-			resp.LeaseDeadline = s.leaseBatch(req.WorkerID, pool, items, now)
+			resp.LeaseDeadline = now + s.cfg.LeaseDuration
 			return
 		}
-		if req.Wait <= 0 {
-			resp.Queries = nil
-			return
-		}
-		remain := time.Until(deadline) //diffvet:allow walltime — remaining wall budget of the Clock-converted long-poll deadline
-		if remain <= 0 {
+		if req.Wait <= 0 || now >= deadline {
 			resp.Queries = nil
 			return
 		}
 		// Sleep until new work arrives, the head's coalesce window
 		// expires, or the long-poll deadline — whichever is first.
-		sleep := remain
-		if retry > 0 {
-			if d := s.cfg.Clock.WallDuration(retry); d < sleep {
-				sleep = d
-			}
+		until := deadline
+		if retry > 0 && now+retry < until {
+			until = now + retry
 		}
-		if sleep < time.Millisecond {
-			sleep = time.Millisecond
-		}
-		t := time.NewTimer(sleep)
-		select {
-		case <-ctx.Done():
-			t.Stop()
+		if !s.cfg.Clock.WaitUntil(ctx, until, wake) {
 			return
-		case <-wake:
-			t.Stop()
-		case <-t.C:
 		}
 	}
 }
@@ -544,11 +514,11 @@ func (s *LBServer) drainPull(req PullRequest) PullResponse {
 // thresholded (serve or defer); heavy-pool results always serve.
 func (s *LBServer) Complete(req CompleteRequest) {
 	now := s.cfg.Clock.Now()
-	s.clearLeases(&req, now)
 	pool := poolOf(req.Role)
 
 	var deferred []queueing.Item
 	s.resMu.Lock()
+	s.clearLeasesLocked(&req)
 	for _, item := range req.Items {
 		// Only live queries resolve or defer: the first resolution is
 		// final, and the resharding fan-out delivers completions to
@@ -566,6 +536,7 @@ func (s *LBServer) Complete(req CompleteRequest) {
 	}
 	s.flushResultsLocked()
 	s.resMu.Unlock()
+	s.leaseTouch(req.WorkerID, now)
 
 	if len(deferred) > 0 && !s.pools[loadbalancer.PoolHeavy].push(now, deferred...) {
 		// The end-of-run drain already swept the heavy queue: these
@@ -577,18 +548,22 @@ func (s *LBServer) Complete(req CompleteRequest) {
 
 // drop resolves queries as drops: shed by a pool, refused by a drained
 // one, or out of redeliveries. A query already resolved by a racing
-// complete or an earlier sweep is left alone.
+// complete or an earlier sweep is left alone. A reclaimed copy deferred
+// by a late completion sits in both pools, so a drop releases leases.
 func (s *LBServer) drop(items []queueing.Item) {
 	if len(items) == 0 {
 		return
 	}
 	s.resMu.Lock()
+	s.leaseMu.Lock()
 	for _, it := range items {
 		if s.liveLocked(it.ID) {
 			s.ledger.Drop(it)
 			s.resolveLocked(QueryResponse{ID: it.ID, Dropped: true, Arrival: it.Arrival})
+			delete(s.leases, it.ID)
 		}
 	}
+	s.leaseMu.Unlock()
 	s.flushResultsLocked()
 	s.resMu.Unlock()
 }
@@ -624,39 +599,45 @@ func (s *LBServer) sweepLeases(now float64) {
 	s.settleExpired(requeue, shed, now)
 }
 
-// leaseBatch registers pulled items under a fresh lease for the
-// worker and returns the deadline echoed in the PullResponse. A
-// reclaimed item carries its redelivery count in Item.Payload, so the
-// bound survives the trip through the queue.
-func (s *LBServer) leaseBatch(workerID int, pool loadbalancer.PoolID, items []queueing.Item, now float64) float64 {
+// leaseBatch leases the pulled items whose queries are still live to
+// the worker and returns them; a reclaimed copy whose query a late
+// completion resolved is not dispatched again. Resolutions release
+// leases under resMu too, so no lease outlives its query. A reclaimed
+// item's Item.Payload carries its redelivery count through the queue.
+func (s *LBServer) leaseBatch(workerID int, pool loadbalancer.PoolID, items []queueing.Item, now float64) []queueing.Item {
 	dur := s.cfg.LeaseDuration
-	deadline := now + dur
+	live := items[:0]
+	s.resMu.Lock()
 	s.leaseMu.Lock()
 	for _, it := range items {
+		if !s.liveLocked(it.ID) {
+			continue
+		}
+		live = append(live, it)
 		red := 0
 		if v, ok := it.Payload.(int); ok {
 			red = v
 		}
 		s.leases[it.ID] = lbLease{
-			arrival: it.Arrival, deadline: deadline, hard: now + leaseHardFactor*dur,
+			arrival: it.Arrival, deadline: now + dur, hard: now + leaseHardFactor*dur,
 			worker: workerID, pool: pool, red: red,
 		}
 	}
 	s.leaseMu.Unlock()
-	return deadline
+	s.resMu.Unlock()
+	return live
 }
 
-// clearLeases releases the leases of a completed batch (heartbeating
-// the reporting worker) and counts zombie reports: items whose lease
-// was already reclaimed — or resolved by someone else — before this
-// completion arrived. Only lease-aware reports (a nonzero echoed
-// deadline) are counted, so pre-lease clients do not inflate the
-// counter. The lease is released regardless of which worker holds it:
-// the query resolves (or re-queues as a deferral) under resMu right
-// after this, so any copy still leased elsewhere is moot.
-func (s *LBServer) clearLeases(req *CompleteRequest, now float64) {
+// clearLeasesLocked releases the leases of a completed batch and
+// counts zombie reports: items whose lease was already reclaimed — or
+// resolved by someone else — before this completion arrived. Only
+// lease-aware reports (a nonzero echoed deadline) are counted, so
+// pre-lease clients do not inflate the counter. The lease is released
+// regardless of which worker holds it: the query resolves (or
+// re-queues as a deferral) in the caller's resMu section, so any copy
+// still leased elsewhere is moot. Callers must hold resMu.
+func (s *LBServer) clearLeasesLocked(req *CompleteRequest) {
 	s.leaseMu.Lock()
-	s.workerSeen[req.WorkerID] = now
 	for i := range req.Items {
 		if _, ok := s.leases[req.Items[i].ID]; ok {
 			delete(s.leases, req.Items[i].ID)
@@ -664,9 +645,7 @@ func (s *LBServer) clearLeases(req *CompleteRequest, now float64) {
 			s.lateCompletions++
 		}
 	}
-	requeue, shed := s.collectExpiredLocked(now)
 	s.leaseMu.Unlock()
-	s.settleExpired(requeue, shed, now)
 }
 
 // collectExpiredLocked removes every lease past its effective

@@ -4,12 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"diffserve/internal/loadbalancer"
 )
@@ -412,11 +412,15 @@ func (s *ShardedLB) MemberConn(m int) LBConn {
 }
 
 // Close stops the result pumps and retired-shard sweepers. In-flight
-// pump polls are cancelled; callers drain all expected results before
+// pump polls are cancelled and parked PollResultsInto calls return
+// ErrTransportClosed; callers drain all expected results before
 // closing, exactly as they would before tearing down a single
 // LBServer's transport.
 func (s *ShardedLB) Close() {
 	s.cancel()
+	s.resMu.Lock()
+	s.wake.wake()
+	s.resMu.Unlock()
 	s.pumps.Wait()
 }
 
@@ -579,11 +583,15 @@ func (s *ShardedLB) untrackBatch(epoch int, qs []QueryMsg) {
 }
 
 // untrackResults releases landed results' epoch tags and collapses any
-// non-current epoch the landings drained.
+// non-current epoch the landings drained. The current epoch is read
+// under liveMu: a reshard stores the new epoch before its collapse
+// takes liveMu, so either that collapse sees these decrements or this
+// read sees the new epoch. Read before the lock, a landing racing the
+// flip could drain the old epoch unseen by both and pin it forever.
 func (s *ShardedLB) untrackResults(results []QueryResponse) {
-	cur := int(s.curEpoch.Load())
 	collapse := false
 	s.liveMu.Lock()
+	cur := int(s.curEpoch.Load())
 	for i := range results {
 		id := results[i].ID
 		e, ok := s.liveEpoch[id]
@@ -795,7 +803,7 @@ func (s *ShardedLB) pump(member int, conn LBConn) {
 			if s.ctx.Err() == nil {
 				s.recordMemberFailure(member)
 			}
-			s.cfg.Clock.SleepTraceCtx(s.ctx, 0.05)
+			s.cfg.Clock.WaitUntil(s.ctx, s.cfg.Clock.Now()+0.05, nil)
 			continue
 		}
 		s.recordMemberSuccess(member)
@@ -865,10 +873,7 @@ func (s *ShardedLB) PollResultsInto(ctx context.Context, req ResultsRequest, res
 	if max <= 0 {
 		max = 256
 	}
-	var deadline time.Time
-	if req.Wait > 0 {
-		deadline = time.Now().Add(s.cfg.Clock.WallDuration(req.Wait)) //diffvet:allow walltime — long-poll deadline in wall time; the trace wait is already Clock-converted
-	}
+	deadline := s.cfg.Clock.Now() + req.Wait
 	for {
 		s.gatherResults(ctx)
 		s.resMu.Lock()
@@ -876,56 +881,21 @@ func (s *ShardedLB) PollResultsInto(ctx context.Context, req ResultsRequest, res
 		var wake <-chan struct{}
 		if len(resp.Results) == 0 && req.Wait > 0 {
 			// Armed under the lock that guards the stream: a result a
-			// pump lands from here on wakes this call.
+			// pump lands from here on wakes this call, and so does Close.
 			wake = s.wake.wait()
 		}
 		s.resMu.Unlock()
-		if len(resp.Results) > 0 || req.Wait <= 0 {
+		if len(resp.Results) > 0 || req.Wait <= 0 || s.cfg.Clock.Now() >= deadline {
 			return nil
 		}
-		remain := time.Until(deadline) //diffvet:allow walltime — remaining wall budget of the Clock-converted long-poll deadline
-		if remain <= 0 {
-			return nil
-		}
-		t := getParkTimer(remain)
-		select {
-		case <-ctx.Done():
-			putParkTimer(t)
-			return ctx.Err()
-		case <-s.ctx.Done():
-			putParkTimer(t)
+		// Checked after arming: a Close from here on wakes the wait.
+		if s.ctx.Err() != nil {
 			return ErrTransportClosed
-		case <-wake:
-		case <-t.C:
 		}
-		putParkTimer(t)
-	}
-}
-
-// parkTimerPool recycles the timers PollResultsInto parks on, so a wait
-// costs a Reset, not an allocation.
-var parkTimerPool = sync.Pool{New: func() interface{} {
-	t := time.NewTimer(time.Hour)
-	t.Stop()
-	return t
-}}
-
-func getParkTimer(d time.Duration) *time.Timer {
-	t := parkTimerPool.Get().(*time.Timer)
-	t.Reset(d)
-	return t
-}
-
-// putParkTimer stops the timer and drains a tick the caller did not
-// consume, so the next Reset starts from an empty channel.
-func putParkTimer(t *time.Timer) {
-	if !t.Stop() {
-		select {
-		case <-t.C:
-		default:
+		if !s.cfg.Clock.WaitUntil(ctx, deadline, wake) {
+			return ctx.Err()
 		}
 	}
-	parkTimerPool.Put(t)
 }
 
 // takeInto pops up to max merged results into resp.Results, reusing
@@ -1475,15 +1445,11 @@ func (s *ShardedLB) resubmitMigrated(queries []QueryMsg, pool string) {
 		if !pending || s.ctx.Err() != nil {
 			return
 		}
-		// Wall-clock floor, like sweepWait: at extreme timescales a
+		// Wall-clock floor, like the sweeper's: at extreme timescales a
 		// trace-seconds back-off rounds to nothing and a dead shard
 		// would be hammered in a busy loop.
-		t := time.NewTimer(s.sweepWait(0.05))
-		select {
-		case <-s.ctx.Done():
-			t.Stop()
+		if !s.cfg.Clock.WaitUntil(s.ctx, s.sweepDeadline(0.05), nil) {
 			return
-		case <-t.C:
 		}
 	}
 }
@@ -1508,30 +1474,22 @@ func (s *ShardedLB) sweepRetired(member int, conn LBConn) {
 	defer s.pumps.Done()
 	interval := retiredSweepInterval
 	empty := 0
-	t := time.NewTimer(s.sweepWait(interval))
-	defer t.Stop()
-	for {
-		select {
-		case <-s.ctx.Done():
-			return
-		case <-t.C:
-			if s.drainShard(s.ctx, conn) {
-				interval = retiredSweepInterval
-				empty = 0
-			} else {
-				if s.memberQuiesced(member) {
-					empty++
-					if empty >= retiredEmptySweeps && s.finalizeRetired(member, conn) {
-						return
-					}
-				} else {
-					empty = 0
-				}
-				if interval < 8*retiredSweepInterval {
-					interval *= 2
-				}
+	for s.cfg.Clock.WaitUntil(s.ctx, s.sweepDeadline(interval), nil) {
+		if s.drainShard(s.ctx, conn) {
+			interval = retiredSweepInterval
+			empty = 0
+			continue
+		}
+		if s.memberQuiesced(member) {
+			empty++
+			if empty >= retiredEmptySweeps && s.finalizeRetired(member, conn) {
+				return
 			}
-			t.Reset(s.sweepWait(interval))
+		} else {
+			empty = 0
+		}
+		if interval < 8*retiredSweepInterval {
+			interval *= 2
 		}
 	}
 }
@@ -1587,14 +1545,11 @@ func (s *ShardedLB) finalizeRetired(member int, conn LBConn) bool {
 	return true
 }
 
-// sweepWait converts a sweep interval to wall time with a floor, so
-// extreme timescales cannot spin the sweeper.
-func (s *ShardedLB) sweepWait(traceSecs float64) time.Duration {
-	wait := s.cfg.Clock.WallDuration(traceSecs)
-	if wait < time.Millisecond {
-		wait = time.Millisecond
-	}
-	return wait
+// sweepDeadline is the trace time a sweep interval started now ends,
+// the interval floored at one wall millisecond so extreme timescales
+// cannot spin the sweeper.
+func (s *ShardedLB) sweepDeadline(traceSecs float64) float64 {
+	return s.cfg.Clock.Now() + math.Max(traceSecs, 1e-3/s.cfg.Clock.Timescale())
 }
 
 // LiveEpochs returns the installed-epoch count — bounded by the

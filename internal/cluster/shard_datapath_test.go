@@ -102,7 +102,7 @@ func TestShardedLBLateCompletionCounted(t *testing.T) {
 	}
 	// Worker 1 goes silent past the lease's hard cap; worker 2's pull
 	// reclaims its query and gathers it with the other three.
-	clock.SleepTraceCtx(ctx, 3)
+	clock.WaitUntil(ctx, clock.Now()+3, nil)
 	live, err := pull(ctx, fe, PullRequest{WorkerID: 2, Role: "light", Max: 8})
 	if err != nil || len(live.Queries) != 4 {
 		t.Fatalf("reclaiming pull = %+v, %v", live, err)

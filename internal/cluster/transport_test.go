@@ -18,7 +18,7 @@ func newTestLB(timescale float64) *LBServer {
 	})
 }
 
-func TestSleepTraceCtxInterruptible(t *testing.T) {
+func TestWaitUntilInterruptible(t *testing.T) {
 	c := NewClock(1) // 1 trace second = 1 wall second
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
@@ -26,17 +26,47 @@ func TestSleepTraceCtxInterruptible(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	if c.SleepTraceCtx(ctx, 30) {
-		t.Error("interrupted sleep reported full elapse")
+	if c.WaitUntil(ctx, c.Now()+30, nil) {
+		t.Error("cancelled wait reported true")
 	}
 	if wall := time.Since(start); wall > 5*time.Second {
-		t.Errorf("cancelled sleep blocked for %v", wall)
+		t.Errorf("cancelled wait blocked for %v", wall)
 	}
-	if !c.SleepTraceCtx(context.Background(), 0.001) {
-		t.Error("uninterrupted sleep should report true")
+	deadline := c.Now() + 0.001
+	if !c.WaitUntil(context.Background(), deadline, nil) {
+		t.Error("uncancelled wait should report true")
 	}
-	if c.SleepTraceCtx(ctx, 0.001) {
-		t.Error("sleep under a cancelled context should report false")
+	if now := c.Now(); now < deadline {
+		t.Errorf("wait returned at %v, before its deadline %v", now, deadline)
+	}
+	if c.WaitUntil(ctx, c.Now()+0.001, nil) {
+		t.Error("wait under a cancelled context should report false")
+	}
+	wake := make(chan struct{})
+	close(wake)
+	start = time.Now()
+	if !c.WaitUntil(context.Background(), c.Now()+30, wake) {
+		t.Error("woken wait should report true")
+	}
+	if wall := time.Since(start); wall > 5*time.Second {
+		t.Errorf("woken wait blocked for %v", wall)
+	}
+}
+
+// TestWaitUntilAllocs pins that a wait that parks on a timer allocates
+// nothing: the timer comes from the pool.
+func TestWaitUntilAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	c := NewClock(1e-6) // 1 trace second = 1 µs wall
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	wake := make(chan struct{})
+	if n := testing.AllocsPerRun(200, func() {
+		c.WaitUntil(ctx, c.Now()+20, wake)
+	}); n != 0 {
+		t.Errorf("WaitUntil allocated %v times per wait, want 0", n)
 	}
 }
 

@@ -252,6 +252,12 @@ type LBStats struct {
 // Clock converts between wall time and trace time. Now and Restart
 // are safe for concurrent use: the harness restarts the clock after
 // setup while worker loops are already reading it.
+//
+// Every trace-time wait in the cluster is a WaitUntil on an absolute
+// trace deadline. A timer wakes up to a timerTick late (~0.12
+// trace-seconds at 200x); a loop that waits for its own schedule (a
+// worker for its batch's end, the controller for its next tick), not
+// an interval after each wake, does not accumulate that lateness.
 type Clock struct {
 	mu        sync.Mutex
 	start     time.Time
@@ -289,35 +295,61 @@ func (c *Clock) WallDuration(traceSecs float64) time.Duration {
 	return time.Duration(traceSecs * c.timescale * float64(time.Second))
 }
 
-// SleepTrace blocks for d trace-seconds.
-func (c *Clock) SleepTrace(d float64) {
-	if d <= 0 {
-		return
+// WaitUntil blocks until trace time reaches deadline, wake fires, or
+// ctx ends, and reports false only in the last case. A deadline
+// already past returns at once; a nil ctx or wake never fires. A true
+// return without wake guarantees Now() >= deadline: a timer that lands
+// early (its wall duration is truncated) is re-armed for the rest. The
+// timer comes from a pool, so a wait allocates nothing.
+func (c *Clock) WaitUntil(ctx context.Context, deadline float64, wake <-chan struct{}) bool {
+	var done <-chan struct{}
+	if ctx != nil {
+		done = ctx.Done()
 	}
-	time.Sleep(c.WallDuration(d)) //diffvet:allow walltime — SleepTrace realizes a trace interval as wall time; this is the boundary itself
+	for {
+		select {
+		case <-done:
+			return false
+		default:
+		}
+		rem := deadline - c.Now()
+		if rem <= 0 {
+			return true
+		}
+		t := waitTimers.Get().(*time.Timer)
+		t.Reset(c.WallDuration(rem))
+		fired, woke := false, false
+		select {
+		case <-t.C:
+			fired = true
+		case <-wake:
+			woke = true
+		case <-done:
+		}
+		if !fired && !t.Stop() {
+			select { // fired while another case won: drain for the next Reset
+			case <-t.C:
+			default:
+			}
+		}
+		waitTimers.Put(t)
+		if woke {
+			return true
+		}
+	}
 }
 
-// SleepTraceCtx blocks for d trace-seconds or until ctx is cancelled,
-// whichever comes first. It reports whether the full sleep elapsed.
-// Long-running loops use it so harness shutdown does not block on
-// in-flight simulated sleeps at low timescales.
-func (c *Clock) SleepTraceCtx(ctx context.Context, d float64) bool {
-	if d <= 0 {
-		return ctx == nil || ctx.Err() == nil
-	}
-	if ctx == nil || ctx.Done() == nil {
-		time.Sleep(c.WallDuration(d)) //diffvet:allow walltime — SleepTraceCtx realizes a trace interval as wall time; this is the boundary itself
-		return true
-	}
-	t := time.NewTimer(c.WallDuration(d))
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}
+// timerTick is the runtime poller's granularity, which rounds a timer
+// wait up to whole milliseconds: a wait wakes up to this late.
+const timerTick = time.Millisecond
+
+// waitTimers recycles the timers WaitUntil parks on, so a wait costs
+// a Reset, not an allocation. A pooled timer is stopped and drained.
+var waitTimers = sync.Pool{New: func() interface{} {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return t
+}}
 
 // Timescale returns the wall-seconds-per-trace-second factor.
 func (c *Clock) Timescale() float64 { return c.timescale }

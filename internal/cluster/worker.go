@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"sync"
 
@@ -133,15 +134,8 @@ func (s *WorkerServer) Configure(req ConfigureWorkerRequest) {
 	}
 	now := s.cfg.Clock.Now()
 	s.mu.Lock()
-	s.state.Assign(now, role, maxInt(req.Batch, 1), load)
+	s.state.Assign(now, role, max(req.Batch, 1), load)
 	s.mu.Unlock()
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Stats reports the worker's state.
@@ -177,20 +171,32 @@ func (s *WorkerServer) Loop(ctx context.Context) {
 	// goroutine alone.
 	var pulled PullResponse
 	var items []CompleteItem
+	// fromBatch is set while the worker comes straight from executing a
+	// batch: the pull it issues next is late by lag, the time it spent
+	// past that batch's scheduled end, and the next batch is credited it
+	// back (see executeBatch).
+	fromBatch := false
 	for ctx.Err() == nil {
 		now := s.cfg.Clock.Now()
 		s.mu.Lock()
 		role := s.state.Role()
 		batch := s.state.Batch()
 		available := s.state.Available(now)
+		ready, _ := s.state.ReadyAt()
 		s.mu.Unlock()
 
 		if role == worker.RoleIdle || !available {
-			if !s.cfg.Clock.SleepTraceCtx(ctx, s.cfg.PollInterval) {
+			fromBatch = false
+			if !s.cfg.Clock.WaitUntil(ctx, now+s.cfg.PollInterval, nil) {
 				return
 			}
 			continue
 		}
+		lag := 0.0
+		if fromBatch && now > ready {
+			lag = now - ready
+		}
+		fromBatch = false
 
 		err := lb.PullInto(ctx, PullRequest{
 			WorkerID: s.cfg.ID, Role: roleName(role), Max: batch, Wait: s.cfg.PullWait,
@@ -206,14 +212,15 @@ func (s *WorkerServer) Loop(ctx context.Context) {
 					pullFails = 0
 				}
 			}
-			if !s.cfg.Clock.SleepTraceCtx(ctx, s.cfg.PollInterval) {
+			if !s.cfg.Clock.WaitUntil(ctx, s.cfg.Clock.Now()+s.cfg.PollInterval, nil) {
 				return
 			}
 			continue
 		}
 		pullFails = 0
 		if len(pulled.Queries) > 0 {
-			items = s.executeBatch(ctx, role, lb, &pulled, items)
+			items = s.executeBatch(ctx, role, lb, &pulled, items, lag)
+			fromBatch = true
 		} else if s.cfg.Steal != nil {
 			// The pinned shard's long poll expired empty: the worker has
 			// spare capacity right now. Poach one batch from another
@@ -229,7 +236,8 @@ func (s *WorkerServer) Loop(ctx context.Context) {
 					continue
 				}
 				if len(pulled.Queries) > 0 {
-					items = s.executeBatch(ctx, role, alt, &pulled, items)
+					items = s.executeBatch(ctx, role, alt, &pulled, items, 0)
+					fromBatch = true
 					break
 				}
 			}
@@ -252,7 +260,16 @@ func (s *WorkerServer) Loop(ctx context.Context) {
 // completion scratch; the (possibly grown) slice is returned for the
 // next batch — its Features fields point into the imagespace cache and
 // are only ever replaced, never written through.
-func (s *WorkerServer) executeBatch(ctx context.Context, role worker.Role, lb LBConn, pulled *PullResponse, items []CompleteItem) []CompleteItem {
+//
+// The batch runs on its own trace schedule: it starts at the latest of
+// the worker's ReadyAt, the batch's newest arrival, and the pull's
+// return minus lag (how late the pull was issued after the previous
+// batch's scheduled end, capped at one timerTick so a stalled completion
+// is not replayed as GPU time), never later than the pull's return, and
+// completes at start + exec. So the timer overshoot and the completion
+// round trip of one batch are not charged to the next, while no batch
+// starts before its queries arrived or before the previous one ended.
+func (s *WorkerServer) executeBatch(ctx context.Context, role worker.Role, lb LBConn, pulled *PullResponse, items []CompleteItem, lag float64) []CompleteItem {
 	queries := pulled.Queries
 	n := len(queries)
 	variant, exec := s.cfg.Light, discriminator.LightExec(s.cfg.Light, s.cfg.Scorer, n)
@@ -260,15 +277,23 @@ func (s *WorkerServer) executeBatch(ctx context.Context, role worker.Role, lb LB
 		variant, exec = s.cfg.Heavy, s.cfg.Heavy.Latency.Latency(n)
 	}
 
-	now := s.cfg.Clock.Now()
+	returned := s.cfg.Clock.Now()
+	start := returned - math.Min(lag, timerTick.Seconds()/s.cfg.Clock.Timescale())
+	for _, q := range queries {
+		start = math.Max(start, q.Arrival)
+	}
 	s.mu.Lock()
-	if s.state.Available(now) {
-		s.state.StartBatch(now, n, exec)
+	if ready, ok := s.state.ReadyAt(); ok {
+		start = math.Max(start, ready)
+	}
+	start = math.Min(start, returned)
+	if s.state.Available(start) {
+		s.state.StartBatch(start, n, exec)
 	}
 	s.busy = true
 	s.mu.Unlock()
 
-	finished := s.cfg.Clock.SleepTraceCtx(ctx, exec)
+	finished := s.cfg.Clock.WaitUntil(ctx, start+exec, nil)
 
 	if finished {
 		req := CompleteRequest{
@@ -299,7 +324,7 @@ func (s *WorkerServer) executeBatch(ctx context.Context, role worker.Role, lb LB
 			s.mu.Lock()
 			jitter := 0.5 + s.rng.Float64()
 			s.mu.Unlock()
-			if !s.cfg.Clock.SleepTraceCtx(ctx, backoff*jitter) {
+			if !s.cfg.Clock.WaitUntil(ctx, s.cfg.Clock.Now()+backoff*jitter, nil) {
 				break
 			}
 			backoff *= 2
