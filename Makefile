@@ -95,6 +95,19 @@ bench-all:
 bench-compare:
 	bash benchmark/run.sh -compare $(BASE) $(NEW)
 
+# bench-pairs measures a perf claim: PAIRS alternating pairs of
+# 10-second runs of one workload, the revision BASE against the working
+# tree, each side built from its own source; it prints every end-to-end
+# metric per seed, each side's median and quartiles, and the change's
+# win count (scripts/bench-pairs.sh), e.g.
+#
+#	make bench-pairs BASE=HEAD~1 WORKLOAD=cluster_trace PAIRS=10 SEEDS="1 2 3 4 5 6 7 8 7001 7002"
+PAIRS ?= 10
+SEEDS ?=
+.PHONY: bench-pairs
+bench-pairs:
+	bash scripts/bench-pairs.sh $(BASE) $(WORKLOAD) $(PAIRS) "$(SEEDS)"
+
 # bench-smoke runs every workload once at a tenth of the size (about
 # 9 s after the build) and fails unless each reports correct: true. It
 # is the one place run.sh's build and the -all re-exec path (a fresh

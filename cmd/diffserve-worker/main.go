@@ -20,8 +20,9 @@
 // controller's admin RPC), every pull response carries the new ring
 // epoch; a standalone worker logs the flip but keeps its static pin —
 // re-pinning standalone workers onto new shard addresses is the
-// operator's move (restart with the new -shard-addrs), while the
-// in-process harness re-pins automatically.
+// operator's move (restart with the new -shard-addrs). The in-process
+// harness pins no worker: its workers pull through the ShardedLB
+// frontend, which follows the flip itself.
 //
 // Data-path calls to the LB retry transient failures with jittered
 // exponential backoff (-retry-attempts, -retry-base-ms), and a conn

@@ -39,18 +39,19 @@
 // goroutine in it: Decide routes an arrival to a pool; Pool is a
 // pool's FIFO with its shed rule (a query that cannot finish by its
 // deadline even if started now with a batch-1 execution is dropped)
-// and its dequeue rule (a full batch, or a partial one whose head has
-// waited out the coalesce window); Defers is the cascade's verdict on a
+// and its dequeue rule (a worker that asks for a batch gets whatever is
+// queued, up to its batch size — neither driver holds a partial batch
+// back for a coalesce window); Defers is the cascade's verdict on a
 // light result's confidence; Ledger builds the completed or dropped
 // record and keeps the arrival and violation counts the controller
 // polls. worker.AssignRoles turns a plan's pool sizes into per-worker
 // roles, keeping workers in place. internal/system drives these from
-// its event ring (with no coalesce window: its dispatcher runs at every
-// event) and keeps only worker timing and image generation;
+// its event ring and keeps only worker timing and image generation;
 // cluster.LBServer drives them under its per-pool locks and keeps what
 // a server needs — wakeups, long polls, the exactly-once registration
 // map, result buffering, leases; cluster.ControllerLoop applies plans
-// through the same role assignment, per shard group. Both drivers shed
+// through the same role assignment (per shard group when workers are
+// pinned to shards). Both drivers shed
 // at dispatch and again at every control tick (LBServer.Stats is the
 // cluster's tick), so a query waiting in a pool no worker serves still
 // resolves, as a drop.
@@ -117,8 +118,8 @@
 //	    | LB shard 0|  "lb/0" RNG stream                   | LB shard 1|
 //	    +-----------+                                      +-----------+
 //	     /         \                                        /         \
-//	worker 0    worker 2  ...  (worker i pins to       worker 1    worker 3
-//	                            shard i mod N)
+//	worker 0    worker 2  ...  (standalone worker i    worker 1    worker 3
+//	                            pins to shard i mod N)
 //	                 \            controller            /
 //	                  broadcasts policy, merges stats,
 //	                  stripes roles across shard groups
@@ -132,12 +133,15 @@
 // process cost it no goroutines: their legs of every fan-out run
 // inline on the caller, and a PollResultsInto call collects from them
 // itself before it parks; only legs that cross a wire fly
-// concurrently and rely on the pumps. Workers that pull from their
-// own shard pin to it — pulls, completions, and
-// cascade deferrals never cross shards — so a multi-host layout runs
-// one shard plus its worker group per host with no cross-host data
-// traffic. The controller stripes each allocation plan across the
-// shard-pinned worker groups so every shard keeps both pools served.
+// concurrently and rely on the pumps. The harness's workers pull
+// through the frontend, so every worker of a role serves every shard's
+// queue of that role — one queue per pool, as in the simulator.
+// Standalone workers (diffserve-worker -shard-addrs) instead pin to
+// one shard — pulls, completions, and cascade deferrals never cross
+// shards — so a multi-host layout runs one shard plus its worker group
+// per host with no cross-host data traffic; for them the controller
+// (-shard-addrs) stripes each allocation plan across the shard-pinned
+// worker groups so every shard keeps both pools served.
 //
 // The standalone binaries wire the tier with flags: diffserve-lb
 // -lb-shards N serves N shards on consecutive ports; diffserve-worker,
@@ -174,16 +178,15 @@
 //	  |                 |    registrations)      |                          |
 //	  |                 |-- submit(migrated) ------------------>|           |
 //	  |                 |   ... straggler sweeps keep re-draining A ...     |
-//	  |                 |                        |             |  restripe  |
-//	  |                 |                        |             |<-----------|
 //	  |  results merge from B's pump — and from A's, which stays reachable |
-//	  |  ("retired") so a deferral pushed by a not-yet-re-pinned worker    |
-//	  |  still resolves; completions fan out to every epoch's owner and    |
-//	  |  the idempotent resolve machinery no-ops the extra deliveries.     |
+//	  |  ("retired") so a deferral a late completion pushes into A still   |
+//	  |  resolves; completions fan out to every epoch's owner and the      |
+//	  |  idempotent resolve machinery no-ops the extra deliveries.         |
 //
-// Workers observe the flip through the ring-epoch field every pull
-// response carries and re-pin to their member under the new ring; the
-// controller re-stripes worker roles across the new shard groups. The
+// Workers that pull through the frontend see the new membership on
+// their next pull. Shard-pinned workers observe the flip through the
+// ring-epoch field every pull response carries, and the controller
+// re-stripes their roles across the new shard groups. The
 // protocol is exactly-once end to end: the resharding chaos test
 // races submits, completions, deferrals, and four membership changes
 // under the race detector and requires zero lost and zero
@@ -196,37 +199,25 @@
 // Membership changes when someone asks: a HarnessConfig.Reshard event
 // at its trace time, or diffserve-controller's admin RPC
 // (/add-shard, /remove-shard). Either flips the ring epoch on one
-// frontend — the harness's, or the controller's — and the controller
-// re-stripes worker roles across the new shard groups (the harness at
-// once, the admin RPC on the next control tick). In the harness the
-// workers re-pin to the new ring too. A separately running
-// diffserve-client or diffserve-worker does not: it keeps routing by
-// the -shard-addrs it was started with (diffserve-worker's header says
-// so for workers).
+// frontend — the harness's, or the controller's. The harness's workers
+// pull through that frontend, so their next pulls sweep the new
+// membership and no worker is pinned or re-striped. Standalone workers
+// stay pinned to their shard: the controller re-stripes their roles
+// across the new shard groups on its next control tick, and a
+// separately running diffserve-client or diffserve-worker keeps
+// routing by the -shard-addrs it was started with (diffserve-worker's
+// header says so for workers).
 //
-// Two mechanisms keep repeated membership change cheap:
-//
-//   - Epoch quiescence. The frontend tags every in-flight query with
-//     the epoch it was submitted under and counts live queries per
-//     epoch; once an old epoch's count reaches zero it collapses out
-//     of the installed-epoch list, so Complete fan-out stays bounded:
-//     50 back-to-back reshards leave at most two live epochs, not 50
-//     rings. A retired member is swept for stragglers until it
-//     quiesces, then finalized — its residual stats fold into the
-//     merged totals once, and its result pump and sweep goroutines
-//     terminate (both regression-tested, the latter by goroutine
-//     count under the race detector).
-//   - Weighted placement plus work stealing. When worker counts do not
-//     divide the shard count, integer striping leaves one group
-//     smaller; ShardedLBConfig.Weights sizes each member's vnode count
-//     in proportion to its worker-group capacity
-//     (loadbalancer.NewWeightedRing — a uniform weight vector keeps
-//     legacy placement bit-identically), and workers whose pinned
-//     shard's long poll comes back empty steal with zero-wait pulls
-//     from the other members (WorkerConfig.Steal), soaking up the
-//     fractional remainder. The sim-vs-cluster parity suite pins a
-//     7-worker/3-shard weighted+stealing cluster to the single-LB
-//     outcome.
+// Epoch quiescence keeps repeated membership change cheap. The
+// frontend tags every in-flight query with the epoch it was submitted
+// under and counts live queries per epoch; once an old epoch's count
+// reaches zero it collapses out of the installed-epoch list, so
+// Complete fan-out stays bounded: 50 back-to-back reshards leave at
+// most two live epochs, not 50 rings. A retired member is swept for
+// stragglers until it quiesces, then finalized — its residual stats
+// fold into the merged totals once, and its result pump and sweep
+// goroutines terminate (both regression-tested, the latter by
+// goroutine count under the race detector).
 //
 // # Allocation control loop
 //

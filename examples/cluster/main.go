@@ -1,11 +1,12 @@
 // Cluster example: run the full DiffServe system as real networked
 // components — a sharded load-balancer tier (two LB shards
 // partitioning the query stream on a consistent-hash ring), eight
-// workers pinned to their shards, and the MILP controller — wired
-// over loopback sockets, then replay a trace through the network data
-// path at 10x speed, growing the tier to three shards mid-trace: the
-// reshard installs a new ring epoch, workers re-pin off the epoch
-// their pull responses carry, and the controller re-stripes roles.
+// workers pulling from every shard through the tier's frontend, and
+// the MILP controller — wired over loopback sockets, then replay a
+// trace through the network data path at 10x speed, growing the tier
+// to three shards mid-trace: the reshard installs a new ring epoch
+// and migrates the queued work it moves, and the workers' next pulls
+// sweep the new shard too.
 // The example uses the framed-TCP transport (persistent multiplexed
 // connections, binary codec), the wire the standalone binaries speak;
 // set the Transport field to cluster.TransportInproc for the

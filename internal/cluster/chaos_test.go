@@ -39,7 +39,7 @@ func TestChaosWorkerChurnNoLostQueries(t *testing.T) {
 	lb := NewLBServer(LBConfig{
 		Mode: loadbalancer.ModeCascade, SLO: 1e9,
 		LightMinExec: 0.1, HeavyMinExec: 1.78,
-		Clock: clock, Seed: 7, CoalesceWait: 1e-9,
+		Clock: clock, Seed: 7,
 		LeaseDuration: leaseDur, LeaseRedeliveries: 6,
 	})
 	lb.Configure(ConfigureLBRequest{Threshold: threshold})

@@ -173,7 +173,7 @@ func testTransportConformance(t *testing.T, tc transportCase) {
 		lb := NewLBServer(LBConfig{
 			Mode: loadbalancer.ModeCascade, SLO: 50,
 			LightMinExec: 0.1, HeavyMinExec: 1.78,
-			Clock: NewClock(0.01), Seed: 1, CoalesceWait: 1e-9,
+			Clock: NewClock(0.01), Seed: 1,
 		})
 		conn := serveTestLB(t, tp, lb)
 
@@ -216,6 +216,30 @@ func testTransportConformance(t *testing.T, tc transportCase) {
 		}
 	})
 
+	t.Run("partial-batch-dispatch", func(t *testing.T) {
+		// The dispatch rule both drivers share: a pull hands out whatever
+		// is queued, up to its Max, with no coalesce window. One queued
+		// query and a zero-wait pull for 16 must return that query, on a
+		// server with default config whose light batch-1 time (1 s on a
+		// real-time clock) would bound any such window well above the
+		// call's own latency.
+		tp := tc.mk()
+		defer tp.Close()
+		conn := serveTestLB(t, tp, NewLBServer(LBConfig{
+			Mode: loadbalancer.ModeCascade, SLO: 5,
+			LightMinExec: 1, HeavyMinExec: 1.78,
+			Clock: NewClock(1), Seed: 1,
+		}))
+		ctx := context.Background()
+		if err := conn.SubmitBatch(ctx, SubmitRequest{Queries: []QueryMsg{{ID: 5}}}); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := pull(ctx, conn, PullRequest{Role: "light", Max: 16, Wait: 0})
+		if err != nil || len(resp.Queries) != 1 || resp.Queries[0].ID != 5 {
+			t.Fatalf("zero-wait pull for 16 with 1 queued = %+v, %v; want the queued query", resp.Queries, err)
+		}
+	})
+
 	t.Run("posted-order", func(t *testing.T) {
 		// SubmitBatch and Complete returning nil means applied before any
 		// later call on the same conn is served, on every transport —
@@ -228,7 +252,7 @@ func testTransportConformance(t *testing.T, tc transportCase) {
 		conn := serveTestLB(t, tp, NewLBServer(LBConfig{
 			Mode: loadbalancer.ModeCascade, SLO: 1e9,
 			LightMinExec: 0.1, HeavyMinExec: 1.78,
-			Clock: NewClock(1), Seed: 1, CoalesceWait: 1e-9,
+			Clock: NewClock(1), Seed: 1,
 		}))
 		ctx := context.Background()
 		const rounds, batch = 1000, 4
@@ -274,7 +298,6 @@ func testTransportConformance(t *testing.T, tc transportCase) {
 				Mode: loadbalancer.ModeCascade, SLO: 1e9,
 				LightMinExec: 0.1, HeavyMinExec: 1.78,
 				Clock: clock, Seed: 1, RNGStream: fmt.Sprintf("lb/%d", i),
-				CoalesceWait: 1e-9,
 			})
 			conns[i] = serveTestLB(t, tp, lbs[i])
 		}
@@ -355,7 +378,7 @@ func testTransportConformance(t *testing.T, tc transportCase) {
 				Mode: loadbalancer.ModeCascade, SLO: 1e9,
 				LightMinExec: 0.1, HeavyMinExec: 1.78,
 				Clock: clock, Seed: 1, RNGStream: fmt.Sprintf("lb/%d", i),
-				CoalesceWait: 1e-9, LeaseDuration: 10 * float64(i+1),
+				LeaseDuration: 10 * float64(i+1),
 			}))
 		}
 		fe, err := NewShardedLB(ShardedLBConfig{Shards: conns, Clock: clock})
@@ -483,9 +506,9 @@ func testTransportConformance(t *testing.T, tc transportCase) {
 		if err := conn.SubmitBatch(ctx, SubmitRequest{Queries: drained.Queries}); err != nil {
 			t.Fatal(err)
 		}
-		// The batch is queued but inside its coalesce window; the pull
-		// returns the moment it is dispatchable. Wait is a ceiling that
-		// must not expire first on a loaded box (5 would be 5 ms here).
+		// The batch is queued, so the pull returns it at once. Wait is
+		// a ceiling that must not expire first on a loaded box (5 would
+		// be 5 ms here).
 		pulled, err := pull(ctx, conn, PullRequest{Role: "light", Max: 8, Wait: 5000})
 		if err != nil || len(pulled.Queries) != 2 {
 			t.Fatalf("post-migration pull = %+v, %v", pulled, err)
@@ -531,7 +554,7 @@ func testTransportConformance(t *testing.T, tc transportCase) {
 		lb := NewLBServer(LBConfig{
 			Mode: loadbalancer.ModeCascade, SLO: 1e9,
 			LightMinExec: 0.1, HeavyMinExec: 1.78,
-			Clock: clock, Seed: 1, CoalesceWait: 1e-9,
+			Clock: clock, Seed: 1,
 			LeaseDuration: 0.5,
 		})
 		conn := serveTestLB(t, tp, lb)
@@ -627,7 +650,7 @@ func testTransportConformance(t *testing.T, tc transportCase) {
 		lb := NewLBServer(LBConfig{
 			Mode: loadbalancer.ModeCascade, SLO: 1e9,
 			LightMinExec: 0.1, HeavyMinExec: 1.78,
-			Clock: clock, Seed: 1, CoalesceWait: 1e-9,
+			Clock: clock, Seed: 1,
 			LeaseDuration: 0.5,
 		})
 		conn := serveTestLB(t, tp, lb)
@@ -747,7 +770,7 @@ func testTransportConformance(t *testing.T, tc transportCase) {
 		lb := NewLBServer(LBConfig{
 			Mode: loadbalancer.ModeCascade, SLO: 1e9,
 			LightMinExec: 0.1, HeavyMinExec: 1.78,
-			Clock: clock, Seed: 1, CoalesceWait: 1e-9,
+			Clock: clock, Seed: 1,
 		})
 		connA := serveTestLB(t, ftp, lb) // conn index 0
 		connB := serveTestLB(t, ftp, lb) // conn index 1
@@ -834,7 +857,6 @@ func testTransportConformance(t *testing.T, tc transportCase) {
 				Mode: loadbalancer.ModeCascade, SLO: 1e9,
 				LightMinExec: 0.1, HeavyMinExec: 1.78,
 				Clock: clock, Seed: 1, RNGStream: fmt.Sprintf("lb/%d", m),
-				CoalesceWait: 1e-9,
 			})
 			return lb, serveTestLB(t, tp, lb)
 		}
@@ -879,7 +901,7 @@ func testTransportConformance(t *testing.T, tc transportCase) {
 		// placement still reflects the submit-time epoch).
 		loc := map[int]int{}
 		for m := 0; m <= 2; m++ {
-			conn := fe.MemberConn(m)
+			conn := fe.memberConn(m)
 			for {
 				resp, err := pull(ctx, conn, PullRequest{Role: "light", Max: 64, Drain: true})
 				if err != nil {

@@ -24,14 +24,16 @@ type ControllerConfig struct {
 	Mode loadbalancer.Mode
 	// Clock provides trace time.
 	Clock *Clock
-	// Shards is the initial LB shard count (0 or 1: single LB).
-	// Worker i is pinned to shard group i mod Shards — the harness
-	// and the cmd wiring both use that mapping — and role assignment
-	// then stripes each plan across the shard-pinned worker groups so
-	// every shard keeps at least one worker of every role the plan
-	// uses: a shard whose partition of the query stream has no light
-	// (or no heavy) worker would starve, which a global plan never
-	// intends. Resharding updates the count at runtime via SetShards.
+	// Shards is the initial count of LB shards the workers are pinned
+	// to (0 or 1: no pinning — a single LB, or workers that pull
+	// through the ShardedLB frontend, as the harness's do). A
+	// standalone diffserve-worker started with -shard-addrs pins
+	// worker i to shard group i mod Shards, and role assignment then
+	// stripes each plan across those groups so every shard keeps at
+	// least one worker of every role the plan uses: a shard whose
+	// partition of the query stream has no light (or no heavy) worker
+	// would starve, which a global plan never intends. Resharding
+	// updates the count at runtime via SetShards.
 	Shards int
 	// MaxStatsMisses is the consecutive stats-poll-failure budget:
 	// after this many misses the loop stops trusting its stale plan
@@ -81,19 +83,16 @@ type ControllerLoopStats struct {
 type ControllerLoop struct {
 	cfg ControllerConfig
 	// mu serializes control ticks and plan applications: the periodic
-	// Run loop and the resharding driver's Restripe may otherwise
-	// interleave, racing the assignment cache and the controller's
-	// demand estimator.
+	// Run loop and an explicit Apply may otherwise interleave, racing
+	// the assignment cache and the controller's demand estimator.
 	mu       sync.Mutex
 	lastTick float64
-	// lastPlan caches the most recently applied plan so Restripe can
-	// re-stripe it across a changed shard layout without polling stats
-	// (a second poll would reset the since-tick counters and feed the
-	// demand EWMA a phantom near-zero sample).
+	// lastPlan caches the most recently applied plan, the base of the
+	// stats-blind fallback (conservativePlanLocked).
 	lastPlan allocator.Plan
 	hasPlan  bool
-	// shards tracks the current LB shard count; resharding updates it
-	// via SetShards and the next Apply re-stripes roles across the
+	// shards tracks the current pinned-shard count; resharding updates
+	// it via SetShards and the next Apply re-stripes roles across the
 	// new shard-pinned worker groups.
 	shards atomic.Int32
 	// assigned caches the role each worker was last meant to have —
@@ -160,9 +159,9 @@ func (c *ControllerLoop) LoopStats() ControllerLoopStats {
 	return st
 }
 
-// SetShards updates the shard count the role striping targets — the
-// resharding path calls it when LB membership changes so worker i's
-// group becomes i mod the new count, matching the re-pinned layout.
+// SetShards updates the shard count the role striping targets —
+// diffserve-controller's reshard RPCs call it when LB membership
+// changes, so worker i's group becomes i mod the new count.
 func (c *ControllerLoop) SetShards(n int) {
 	if n >= 1 {
 		c.shards.Store(int32(n))
@@ -269,19 +268,6 @@ func (c *ControllerLoop) conservativePlanLocked() allocator.Plan {
 	plan.Threshold = 0
 	plan.DeferFraction = 0
 	return plan
-}
-
-// Restripe re-applies the last plan across the current shard layout —
-// the resharding path's way to give a membership change workers
-// immediately without waiting out the control interval. Unlike a full
-// tick it does not poll stats, so the since-tick counters and the
-// demand estimate are left untouched.
-func (c *ControllerLoop) Restripe(ctx context.Context) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.hasPlan {
-		c.applyLocked(ctx, c.lastPlan)
-	}
 }
 
 // Apply pushes a plan to the LB and workers. Worker role assignment

@@ -24,14 +24,12 @@ func waitUntil(t *testing.T, d time.Duration, what string, cond func() bool) {
 }
 
 // newLocalShard builds one LB shard on the chaos-test configuration:
-// huge SLO (nothing sheds), near-zero coalesce wait, per-member RNG
-// stream.
+// huge SLO (nothing sheds), per-member RNG stream.
 func newLocalShard(clock *Clock, member int) (*LBServer, LBConn) {
 	lb := NewLBServer(LBConfig{
 		Mode: loadbalancer.ModeCascade, SLO: 1e9,
 		LightMinExec: 0.1, HeavyMinExec: 1.78,
 		Clock: clock, Seed: 1, RNGStream: fmt.Sprintf("lb/%d", member),
-		CoalesceWait: 1e-9,
 	})
 	return lb, NewLocalLBConn(lb)
 }

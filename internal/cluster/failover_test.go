@@ -175,7 +175,6 @@ func TestShardedLBDegradeSpill(t *testing.T) {
 			Mode: loadbalancer.ModeCascade, SLO: 1e9,
 			LightMinExec: 0.1, HeavyMinExec: 1.78,
 			Clock: clock, Seed: 1, RNGStream: fmt.Sprintf("lb/%d", member),
-			CoalesceWait: 1e-9,
 		})
 		return lb, NewLocalLBConn(lb)
 	}

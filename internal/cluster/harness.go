@@ -52,9 +52,11 @@ type HarnessConfig struct {
 	TransportImpl Transport
 	// LBShards runs the sharded LB tier: the query stream is
 	// partitioned across this many independent LBServer shards (each
-	// with its own RNG stream "lb/<shard>"), worker i is pinned to
-	// shard i mod LBShards, and the client plus controller speak to a
-	// ShardedLB frontend. 0 or 1 runs the single-LB topology (unless
+	// with its own RNG stream "lb/<shard>"), and the client, the
+	// controller and every worker speak to one ShardedLB frontend. A
+	// worker's pull gathers from every shard, so each pool is served by
+	// all the workers of its role, as in the simulator, however the
+	// stream is split. 0 or 1 runs the single-LB topology (unless
 	// Reshard events are present, which force the frontend).
 	LBShards int
 	// RingVNodes selects the tier's placement exactly as
@@ -63,16 +65,10 @@ type HarnessConfig struct {
 	// ring — required for minimal-disruption resharding.
 	RingVNodes int
 	// Reshard schedules mid-trace membership changes: at each event's
-	// trace time the harness adds a fresh shard (a new LBServer +
-	// worker re-pin + role re-stripe) or removes one (draining its
-	// queued work to the survivors). Events run in At order.
+	// trace time the harness adds a fresh shard (a new LBServer) or
+	// removes one (draining its queued work to the survivors). Events
+	// run in At order.
 	Reshard []ReshardEvent
-	// Steal enables cross-shard work stealing: a worker whose pinned
-	// shard's long poll comes back empty tries zero-wait pulls on the
-	// other members before sleeping. Soaks up the fractional capacity
-	// mismatch integer worker striping leaves on non-divisible
-	// worker/shard ratios.
-	Steal bool
 }
 
 // ReshardEvent is one scheduled membership change in a harness run.
@@ -202,21 +198,7 @@ func Run(cfg HarnessConfig) (*Result, error) {
 		lbConn = shardConns[0]
 	} else {
 		var err error
-		frontend, err = NewShardedLB(ShardedLBConfig{
-			Shards: shardConns, Clock: clock, VNodes: cfg.RingVNodes,
-			// Weight each member by the worker count pinned to it
-			// (worker i serves member i mod N of the sorted ring), so
-			// key shares track capacity when the worker count does not
-			// divide the shard count. Divisible layouts yield uniform
-			// weights, which keep the unweighted placement bit for bit.
-			Weights: func(ms []int) map[int]int {
-				w := make(map[int]int, len(ms))
-				for i := 0; i < cfg.Workers; i++ {
-					w[ms[i%len(ms)]]++
-				}
-				return w
-			},
-		})
+		frontend, err = NewShardedLB(ShardedLBConfig{Shards: shardConns, Clock: clock, VNodes: cfg.RingVNodes})
 		if err != nil {
 			return nil, err
 		}
@@ -260,48 +242,16 @@ func Run(cfg HarnessConfig) (*Result, error) {
 
 	workerConns := make([]WorkerConn, cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
-		wCfg := WorkerConfig{
-			// Workers pin themselves to their shard's LB: pulls,
-			// completes, and deferrals all stay within the shard that
-			// owns their queries.
-			ID: i, LB: shardConns[i%shardCount],
+		// Every worker pulls through the run's one LB conn: behind a
+		// frontend a pull gathers from any shard and a completion is
+		// routed to the shard that owns each query, so no worker is
+		// pinned and a reshard needs nothing from the workers.
+		ws := NewWorkerServer(WorkerConfig{
+			ID: i, LB: lbConn,
 			Space: cfg.Space, Light: cfg.Light, Heavy: cfg.Heavy,
 			Scorer: scorer, Clock: clock,
 			DisableLoadDelay: cfg.DisableLoadDelay,
-		}
-		if frontend != nil {
-			// Dynamic membership: when a pull response carries a newer
-			// ring epoch, worker i re-pins to the i-th member (mod N)
-			// of the current ring — the same mapping the controller's
-			// role striping assumes.
-			id := i
-			wCfg.RePin = func(epoch int) LBConn {
-				ms := frontend.Members()
-				if len(ms) == 0 {
-					return nil
-				}
-				return frontend.MemberConn(ms[id%len(ms)])
-			}
-			// A dead conn re-resolves through the same member lookup:
-			// if the worker's shard left the ring (or its conn died),
-			// the current membership supplies the replacement pin.
-			wCfg.Redial = wCfg.RePin
-			if cfg.Steal {
-				// Work stealing offers every other member's conn, own
-				// pin included (the worker skips its current conn).
-				wCfg.Steal = func() []LBConn {
-					ms := frontend.Members()
-					conns := make([]LBConn, 0, len(ms))
-					for j, m := range ms {
-						if j != id%len(ms) {
-							conns = append(conns, frontend.MemberConn(m))
-						}
-					}
-					return conns
-				}
-			}
-		}
-		ws := NewWorkerServer(wCfg)
+		})
 		var err error
 		if workerConns[i], err = tp.ServeWorker(ws); err != nil {
 			return nil, err
@@ -311,7 +261,7 @@ func Run(cfg HarnessConfig) (*Result, error) {
 
 	loop := NewControllerLoop(ControllerConfig{
 		Ctrl: cfg.Ctrl, LB: lbConn, Workers: workerConns,
-		Mode: cfg.Mode, Clock: clock, Shards: shardCount,
+		Mode: cfg.Mode, Clock: clock,
 	})
 	// Initial plan from the trace's starting rate, then periodic ticks.
 	initialPlan, err := cfg.Ctrl.InitialPlan(cfg.Trace.RateAt(0))
@@ -343,11 +293,10 @@ func Run(cfg HarnessConfig) (*Result, error) {
 
 	// Reshard driver: apply the scheduled membership changes at their
 	// trace times. Each change installs a new ring epoch on the
-	// frontend (adding a freshly served LBServer or retiring one),
-	// updates the role-striping shard count, and forces an immediate
-	// control tick so the new layout gets workers without waiting out
-	// the control interval. A failed reshard is a configuration bug
-	// and aborts the run like a fatal transport failure would.
+	// frontend (adding a freshly served LBServer or retiring one); the
+	// workers' next pulls already sweep the new membership. A failed
+	// reshard is a configuration bug and aborts the run like a fatal
+	// transport failure would.
 	reshardFailed := make(chan error, 1)
 	if len(cfg.Reshard) > 0 {
 		events := append([]ReshardEvent(nil), cfg.Reshard...)
@@ -379,8 +328,6 @@ func Run(cfg HarnessConfig) (*Result, error) {
 					cancel()
 					return
 				}
-				loop.SetShards(frontend.Shards())
-				loop.Restripe(ctx)
 			}
 		}()
 	}

@@ -27,12 +27,10 @@ type LBConfig struct {
 	Seed uint64
 	// QueueWindow sizes arrival-rate windows (trace seconds).
 	QueueWindow float64
-	// CoalesceWait bounds how long a pull waits for a batch to fill:
-	// a pull for Max items returns empty while the queue holds fewer
-	// than Max items AND the oldest has been queued for less than
-	// CoalesceWait. Without it, concurrently polling workers shred
-	// deferral groups into batch-1 executions and halve pool
-	// throughput. Zero defaults to min(0.5s, SLO/10).
+	// CoalesceWait is ignored. A pull hands out whatever is queued, up
+	// to its Max, as the simulator's dispatcher does; no pull waits for
+	// a batch to fill. The field stays only because existing callers
+	// still set it.
 	CoalesceWait float64
 	// RNGStream names the routing RNG stream derived from Seed (empty
 	// defaults to "lb"). The sharded LB tier gives shard i the stream
@@ -165,12 +163,6 @@ func NewLBServer(cfg LBConfig) *LBServer {
 	if cfg.QueueWindow <= 0 {
 		cfg.QueueWindow = 10
 	}
-	if cfg.CoalesceWait <= 0 {
-		cfg.CoalesceWait = cfg.SLO / 10
-		if cfg.CoalesceWait > 0.5 {
-			cfg.CoalesceWait = 0.5
-		}
-	}
 	stream := cfg.RNGStream
 	if stream == "" {
 		stream = "lb"
@@ -190,9 +182,7 @@ func NewLBServer(cfg LBConfig) *LBServer {
 		workerSeen: make(map[int]float64),
 	}
 	pool := func(minExec float64) loadbalancer.Pool {
-		return loadbalancer.Pool{
-			FIFO: queueing.NewFIFO(cfg.QueueWindow), MinExec: minExec, SLO: cfg.SLO, Coalesce: cfg.CoalesceWait,
-		}
+		return loadbalancer.Pool{FIFO: queueing.NewFIFO(cfg.QueueWindow), MinExec: minExec, SLO: cfg.SLO}
 	}
 	s.pools[loadbalancer.PoolLight].Pool = pool(cfg.LightMinExec)
 	s.pools[loadbalancer.PoolHeavy].Pool = pool(cfg.HeavyMinExec)
@@ -393,11 +383,10 @@ func (s *LBServer) takeResultsInto(max int, resp *ResultsResponse) {
 
 // PullInto hands up to req.Max queued queries to a worker, shedding
 // queries that can no longer meet their deadline. With req.Wait > 0
-// it long-polls: the call blocks until a batch is dispatchable under
-// the coalescing policy or the wait expires. req.Wait <= 0 is an
-// explicit non-blocking poll: one dequeue attempt, never a sleep —
-// identical across both transports (the conformance suite pins it).
-// Pulls only touch their own pool's lock, so light and heavy dispatch
+// it long-polls: the call blocks until anything is queued or the wait
+// expires. req.Wait <= 0 is an explicit non-blocking poll: one
+// dequeue attempt, never a sleep — identical across both transports
+// (the conformance suite pins it). Pulls only touch their own pool's lock, so light and heavy dispatch
 // proceed concurrently. The batch is written into resp.Queries'
 // existing capacity, so a worker that pulls in a loop with one
 // persistent response struct allocates nothing in steady state. resp
@@ -426,7 +415,7 @@ func (s *LBServer) PullInto(ctx context.Context, req PullRequest, resp *PullResp
 		// the sweep is pullable by this very call.
 		s.leaseTouch(req.WorkerID, now)
 		p.mu.Lock()
-		shed, items, retry := p.Dequeue(now, req.Max, (*scratch)[:0])
+		shed, items := p.Dequeue(now, req.Max, (*scratch)[:0])
 		var wake <-chan struct{}
 		if len(items) == 0 && req.Wait > 0 {
 			// Arm the wakeup inside the same critical section as the
@@ -454,13 +443,8 @@ func (s *LBServer) PullInto(ctx context.Context, req PullRequest, resp *PullResp
 			resp.Queries = nil
 			return
 		}
-		// Sleep until new work arrives, the head's coalesce window
-		// expires, or the long-poll deadline — whichever is first.
-		until := deadline
-		if retry > 0 && now+retry < until {
-			until = now + retry
-		}
-		if !s.cfg.Clock.WaitUntil(ctx, until, wake) {
+		// Sleep until new work arrives or the long poll expires.
+		if !s.cfg.Clock.WaitUntil(ctx, deadline, wake) {
 			return
 		}
 	}
@@ -468,7 +452,7 @@ func (s *LBServer) PullInto(ctx context.Context, req PullRequest, resp *PullResp
 
 // drainPull is the resharding path's ownership transfer (see
 // PullRequest.Drain): it pops up to req.Max queued queries from the
-// pool with no shedding and no coalescing, forgets their async
+// pool with no shedding, forgets their async
 // registrations, and hands them to the caller for re-submission to
 // their new owning shard. A query with no live registration was
 // already resolved by a racing drop and is silently discarded —

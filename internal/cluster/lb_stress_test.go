@@ -28,7 +28,7 @@ func TestLBServerPerPoolLockStress(t *testing.T) {
 	lb := NewLBServer(LBConfig{
 		Mode: loadbalancer.ModeCascade, SLO: 1e9, // nothing sheds
 		LightMinExec: 0.01, HeavyMinExec: 0.02,
-		Clock: NewClock(1e-5), Seed: 9, CoalesceWait: 1e-9,
+		Clock: NewClock(1e-5), Seed: 9,
 	})
 	// Half the light completions fall below the threshold and defer
 	// to the heavy pool, so both pools stay busy.
@@ -185,8 +185,8 @@ func TestNotifierCoalescing(t *testing.T) {
 // TestLBPoolWakeupStress is the missed-wakeup hammer: single-item
 // pushes race pullers whose long-poll deadline is far beyond the test
 // budget, so one dropped wakeup wedges a puller and fails the run.
-// The tiny CoalesceWait makes every push immediately dispatchable —
-// each one must produce a wakeup that some puller observes.
+// Every push is dispatchable at once — a pull never waits for a batch
+// to fill — so each one must produce a wakeup that some puller observes.
 func TestLBPoolWakeupStress(t *testing.T) {
 	const (
 		pushers = 4
@@ -197,7 +197,7 @@ func TestLBPoolWakeupStress(t *testing.T) {
 	lb := NewLBServer(LBConfig{
 		Mode: loadbalancer.ModeCascade, SLO: 1e9,
 		LightMinExec: 0.01, HeavyMinExec: 0.02,
-		Clock: NewClock(1e-5), Seed: 3, CoalesceWait: 1e-9,
+		Clock: NewClock(1e-5), Seed: 3,
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -267,7 +267,7 @@ func TestDrainCompleteRaceNoDoubleResolve(t *testing.T) {
 	lb := NewLBServer(LBConfig{
 		Mode: loadbalancer.ModeCascade, SLO: 1e9,
 		LightMinExec: 0.01, HeavyMinExec: 0.02,
-		Clock: NewClock(1e-5), Seed: 5, CoalesceWait: 1e-9,
+		Clock: NewClock(1e-5), Seed: 5,
 	})
 	// Half the completions fall below the threshold and defer: after a
 	// drain has marked the heavy pool, those deferrals must resolve as

@@ -17,9 +17,9 @@ import (
 // mid-trace, and requires the same loss-free outcome a static
 // topology produces: every query resolves exactly once, none drop.
 // The run covers the full resharding protocol end to end — epoch
-// flips, worker re-pinning off pull responses, controller
-// re-striping, the drain migration of the removed shard's queued
-// work, and the retired-shard straggler sweeps.
+// flips under workers pulling through the frontend, the drain
+// migration of the removed shard's queued work, and the retired-shard
+// straggler sweeps.
 func TestHarnessReshardTopology(t *testing.T) {
 	if testing.Short() {
 		t.Skip("reshard harness skipped in -short mode")
@@ -86,7 +86,6 @@ func TestReshardChaosNoLostOrDoubleResolve(t *testing.T) {
 			Mode: loadbalancer.ModeCascade, SLO: 1e9,
 			LightMinExec: 0.1, HeavyMinExec: 1.78,
 			Clock: clock, Seed: 1, RNGStream: fmt.Sprintf("lb/%d", member),
-			CoalesceWait: 1e-9,
 		})
 		return lb, NewLocalLBConn(lb)
 	}
@@ -150,7 +149,7 @@ func TestReshardChaosNoLostOrDoubleResolve(t *testing.T) {
 				defer wg.Done()
 				for resolved.Load() < total && ctx.Err() == nil {
 					ms := fe.Members()
-					conn := fe.MemberConn(ms[w%len(ms)])
+					conn := fe.memberConn(ms[w%len(ms)])
 					if conn == nil {
 						continue
 					}

@@ -41,10 +41,11 @@ import (
 // the idempotent complete/drop machinery makes the extra deliveries
 // no-ops. Removed shards stay reachable as "retired" conns: their
 // result pumps keep running and a background sweeper re-routes
-// stragglers (e.g. a deferral pushed by a worker that had not yet
-// re-pinned), so nothing a retired shard still holds is ever lost.
-// Workers observe the flip through the ring-epoch field every pull
-// response carries and re-pin via their RePin hook.
+// stragglers (e.g. a deferral a completion pushed there after the
+// drain ran), so nothing a retired shard still holds is ever lost.
+// Workers that pull through the frontend sweep the new membership on
+// their next pull; a shard-pinned worker observes the flip through
+// the ring-epoch field every pull response carries (its RePin hook).
 //
 // Neither old epochs nor retired conns are kept forever. The frontend
 // counts the in-flight queries dispatched under each epoch; an epoch
@@ -99,14 +100,6 @@ type ShardedLBConfig struct {
 	// Clock converts long-poll waits (trace seconds) to wall time,
 	// exactly as the shards themselves do.
 	Clock *Clock
-	// Weights, when set, makes placement capacity-aware: each epoch's
-	// ring is built with loadbalancer.NewWeightedRing over the weights
-	// the callback returns for that epoch's membership (a shard's
-	// worker-group size, in the harness), so a shard with fewer workers
-	// owns a proportionally smaller key share instead of its equal
-	// 1/N slice. Weights missing from the map or <= 0 count as 1.
-	// Every frontend of a tier must compute identical weights.
-	Weights func(members []int) map[int]int
 }
 
 // epochRing is one installed placement epoch: the ring plus the
@@ -292,34 +285,12 @@ func DialShardedLB(addrCSV string, clock *Clock, vnodes int) (*ShardedLB, error)
 }
 
 // buildRing constructs the placement for one epoch's membership under
-// the config's VNodes policy and Weights callback.
+// the config's VNodes policy.
 func (cfg *ShardedLBConfig) buildRing(members []int) *loadbalancer.Ring {
-	var weights map[int]int
-	if cfg.Weights != nil {
-		weights = cfg.Weights(members)
+	if cfg.VNodes == 0 && contiguousMembers(members) {
+		return loadbalancer.NewModulusRing(len(members))
 	}
-	weightOf := func(m int) int {
-		if w := weights[m]; w > 0 {
-			return w
-		}
-		return 1
-	}
-	uniform := true
-	for _, m := range members {
-		if weightOf(m) != weightOf(members[0]) {
-			uniform = false
-		}
-	}
-	if uniform {
-		// Equal weights are the unweighted placement bit for bit, so the
-		// legacy modulus shape (and NewRing) stay reachable under a
-		// Weights callback that happens to return a flat vector.
-		if cfg.VNodes == 0 && contiguousMembers(members) {
-			return loadbalancer.NewModulusRing(len(members))
-		}
-		return loadbalancer.NewRing(members, cfg.VNodes)
-	}
-	return loadbalancer.NewWeightedRing(members, weights, cfg.VNodes)
+	return loadbalancer.NewRing(members, cfg.VNodes)
 }
 
 // contiguousMembers reports whether sorted members are exactly 0..N-1
@@ -390,19 +361,9 @@ func (s *ShardedLB) Members() []int {
 	return append([]int(nil), s.cur().members...)
 }
 
-// ShardConn returns the connection serving the i-th member (ascending
-// member order) of the current ring — workers pin themselves to one
-// shard with it (the harness assigns worker w to member index w mod
-// N).
-func (s *ShardedLB) ShardConn(i int) LBConn {
-	s.ringMu.RLock()
-	defer s.ringMu.RUnlock()
-	return s.cur().conns[i]
-}
-
-// MemberConn returns the connection serving a member ID, retired
+// memberConn returns the connection serving a member ID, retired
 // members included (their stragglers still resolve there), or nil.
-func (s *ShardedLB) MemberConn(m int) LBConn {
+func (s *ShardedLB) memberConn(m int) LBConn {
 	s.ringMu.RLock()
 	defer s.ringMu.RUnlock()
 	if c := s.cur().conn(m); c != nil {
@@ -974,10 +935,12 @@ func (s *ShardedLB) rebuildSweepLocked() {
 // remaining wait, then re-sweeps — work arriving on any shard is
 // picked up within one slice. A Drain pull transfers ownership of one
 // shard's queue at a time and returns the first non-empty share.
-// Workers that should stay pinned to one shard (the multi-host layout)
-// dial their shard directly instead of pulling through the frontend.
-// resp.Queries' capacity is reused across calls (an empty pull leaves
-// Queries nil, as an LBServer's does).
+// This is how the harness's workers pull: every worker of a role
+// draws from every shard's queue of that role, so the tier serves
+// each pool from one queue of all its workers, as the simulator does.
+// Standalone workers of the multi-host layout instead dial their own
+// shard and stay pinned to it. resp.Queries' capacity is reused across
+// calls (an empty pull leaves Queries nil, as an LBServer's does).
 func (s *ShardedLB) PullInto(ctx context.Context, req PullRequest, resp *PullResponse) error {
 	sweep, epoch := s.sweepConns()
 	n := len(sweep.conns)
@@ -1214,7 +1177,7 @@ func (s *ShardedLB) Stats(ctx context.Context) (LBStats, error) {
 // (each lands entirely in one epoch); queued queries on departing
 // shards are drain-pulled and re-submitted to their new owners, and a
 // background sweeper keeps re-routing stragglers that reach a retired
-// shard afterwards (a deferral from a not-yet-re-pinned worker).
+// shard afterwards (a deferral from a batch pulled before the flip).
 // Member IDs are never reused: re-adding a retired member is an
 // error, because its old conn may still hold registrations.
 //
@@ -1456,8 +1419,8 @@ func (s *ShardedLB) resubmitMigrated(queries []QueryMsg, pool string) {
 
 // sweepRetired periodically re-drains a removed shard: a worker that
 // pulled before the flip can still push a deferral into the retired
-// shard's heavy queue after the migration drain ran, and without a
-// re-pinned worker pulling there that query would strand forever.
+// shard's heavy queue after the migration drain ran, and with no
+// worker pinned there any more that query would strand forever.
 // Empty sweeps back off exponentially, but only up to 8x the base
 // interval (2 trace-seconds): besides pre-flip worker stragglers, the
 // sweep is the re-route path for any OTHER frontend still routing by

@@ -83,7 +83,7 @@ func TestShardedLBLateCompletionCounted(t *testing.T) {
 			Mode: loadbalancer.ModeCascade, SLO: 1e9,
 			LightMinExec: 0.1, HeavyMinExec: 1.78,
 			Clock: clock, Seed: 1, RNGStream: fmt.Sprintf("lb/%d", i),
-			CoalesceWait: 1e-9, LeaseDuration: 0.5,
+			LeaseDuration: 0.5,
 		}))
 	}
 	fe, err := NewShardedLB(ShardedLBConfig{Shards: conns, Clock: clock})
@@ -138,7 +138,6 @@ func TestShardedLBMixedLegs(t *testing.T) {
 			Mode: loadbalancer.ModeCascade, SLO: 1e9,
 			LightMinExec: 0.1, HeavyMinExec: 1.78,
 			Clock: clock, Seed: 1, RNGStream: fmt.Sprintf("lb/%d", i),
-			CoalesceWait: 1e-9,
 		})
 		var tp Transport = localTransport{}
 		if i%2 == 1 {
@@ -309,7 +308,6 @@ func TestShardedLBGatherPullLegFailure(t *testing.T) {
 			Mode: loadbalancer.ModeCascade, SLO: 1e9,
 			LightMinExec: 0.1, HeavyMinExec: 1.78,
 			Clock: clock, Seed: 1, RNGStream: fmt.Sprintf("lb/%d", i),
-			CoalesceWait: 1e-9,
 		}))
 	}
 	flaky := &failingPullConn{LBConn: conns[1]}

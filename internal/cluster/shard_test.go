@@ -9,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"diffserve/internal/allocator"
+	"diffserve/internal/controller"
 	"diffserve/internal/loadbalancer"
 	"diffserve/internal/stats"
 	"diffserve/internal/trace"
@@ -26,7 +28,6 @@ func newTestShards(t testing.TB, n int, timescale, slo float64) ([]*LBServer, *S
 			Mode: loadbalancer.ModeCascade, SLO: slo,
 			LightMinExec: 0.1, HeavyMinExec: 1.78,
 			Clock: clock, Seed: 1, RNGStream: fmt.Sprintf("lb/%d", i),
-			CoalesceWait: 1e-9, // dispatch partial batches immediately
 		})
 		conns[i] = NewLocalLBConn(lbs[i])
 	}
@@ -141,7 +142,6 @@ func TestShardedLBAssignmentDeterminism(t *testing.T) {
 				Mode: loadbalancer.ModeCascade, SLO: 1e9,
 				LightMinExec: 0.1, HeavyMinExec: 1.78,
 				Clock: clock, Seed: 7, RNGStream: fmt.Sprintf("lb/%d", i),
-				CoalesceWait: 1e-9,
 			})
 			conn, err := tp.ServeLB(lbs[i])
 			if err != nil {
@@ -260,7 +260,7 @@ func TestShardedLBStress(t *testing.T) {
 	}
 	// Shard-pinned workers (the multi-host layout)...
 	for s := 0; s < shards; s++ {
-		conn := fe.ShardConn(s)
+		conn := fe.memberConn(s)
 		for _, role := range []string{"light", "heavy"} {
 			wg.Add(1)
 			go func(conn LBConn, role string) {
@@ -391,50 +391,77 @@ func TestShardQuotas(t *testing.T) {
 	}
 }
 
-// TestHarnessShardedTopology replays a lightly loaded trace through
+// TestHarnessShardedTopology replays lightly loaded traces through
 // the 2-shard TCP topology and requires the same loss-free outcome a
 // single LB produces: every query resolves exactly once, none drop.
+// The one-worker row holds the tier to one queue per pool: its single
+// worker must serve both shards, so a worker pinned to one shard would
+// leave the other shard's half of the stream to be shed.
 func TestHarnessShardedTopology(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sharded harness skipped in -short mode")
 	}
 	f := newFixtures(t)
-	tr, err := trace.Static(6, 15, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(HarnessConfig{
-		Space: f.space, Light: f.light, Heavy: f.heavy, Scorer: f.scorer,
-		Mode: loadbalancer.ModeCascade, Workers: 8, SLO: 5,
-		Trace: tr, Ctrl: f.controller(t, 8, 5),
-		// 0.05 like the reshard topology test: at 0.02 a GC pause on a
-		// loaded 1-core box spans multiple trace seconds and sheds a
-		// tail query past the SLO.
-		Timescale: 0.05, Seed: 4242, DisableLoadDelay: true,
-		Transport: TransportTCP, LBShards: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.LBShards != 2 {
-		t.Errorf("result reports %d shards", res.LBShards)
-	}
-	if res.Collector.Len() != res.Queries {
-		t.Errorf("recorded %d of %d queries", res.Collector.Len(), res.Queries)
-	}
-	sum := res.Summary()
-	if sum.DropRatio != 0 {
-		t.Errorf("sharded run dropped %.3f under light load", sum.DropRatio)
-	}
-	ids := map[int]bool{}
-	for _, r := range res.Collector.Records() {
-		if ids[r.ID] {
-			t.Errorf("query %d recorded twice", r.ID)
+	clipperLight := func(workers int) *controller.Controller {
+		a, err := allocator.NewClipper(f.light, false, workers, 5)
+		if err != nil {
+			t.Fatal(err)
 		}
-		ids[r.ID] = true
+		ctrl, err := controller.New(controller.Config{Alloc: a})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ctrl
 	}
-	t.Logf("sharded harness: %d queries, FID=%.2f viol=%.3f wall=%.1fs",
-		sum.Queries, sum.FID, sum.ViolationRatio, res.WallSeconds)
+	for _, tc := range []struct {
+		name     string
+		mode     loadbalancer.Mode
+		workers  int
+		qps, dur float64
+		ctrl     func(workers int) *controller.Controller
+	}{
+		{"cascade-8-workers", loadbalancer.ModeCascade, 8, 6, 15, func(n int) *controller.Controller { return f.controller(t, n, 5) }},
+		{"all-light-1-worker", loadbalancer.ModeAllLight, 1, 2, 10, clipperLight},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr, err := trace.Static(tc.qps, tc.dur, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Run(HarnessConfig{
+				Space: f.space, Light: f.light, Heavy: f.heavy, Scorer: f.scorer,
+				Mode: tc.mode, Workers: tc.workers, SLO: 5,
+				Trace: tr, Ctrl: tc.ctrl(tc.workers),
+				// 0.05 like the reshard topology test: at 0.02 a GC pause on
+				// a loaded 1-core box spans multiple trace seconds and sheds
+				// a tail query past the SLO.
+				Timescale: 0.05, Seed: 4242, DisableLoadDelay: true,
+				Transport: TransportTCP, LBShards: 2,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.LBShards != 2 {
+				t.Errorf("result reports %d shards", res.LBShards)
+			}
+			if res.Collector.Len() != res.Queries {
+				t.Errorf("recorded %d of %d queries", res.Collector.Len(), res.Queries)
+			}
+			sum := res.Summary()
+			if sum.DropRatio != 0 {
+				t.Errorf("sharded run dropped %.3f under light load", sum.DropRatio)
+			}
+			ids := map[int]bool{}
+			for _, r := range res.Collector.Records() {
+				if ids[r.ID] {
+					t.Errorf("query %d recorded twice", r.ID)
+				}
+				ids[r.ID] = true
+			}
+			t.Logf("sharded harness: %d queries, FID=%.2f viol=%.3f wall=%.1fs",
+				sum.Queries, sum.FID, sum.ViolationRatio, res.WallSeconds)
+		})
+	}
 }
 
 // flakyStatsConn wraps an LBConn and fails its Stats call while

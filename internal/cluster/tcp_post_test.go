@@ -74,7 +74,7 @@ func newPostRig(t *testing.T) *postRig {
 		lb: NewLBServer(LBConfig{
 			Mode: loadbalancer.ModeCascade, SLO: 1e9,
 			LightMinExec: 0.1, HeavyMinExec: 1.78,
-			Clock: NewClock(1), Seed: 1, CoalesceWait: 1e-9,
+			Clock: NewClock(1), Seed: 1,
 		}),
 		errs: make(chan error, 64), // every event of a test fits: none is dropped unseen
 	}

@@ -23,7 +23,7 @@
 // The data path is pull-based and latency-conscious: clients submit
 // query batches asynchronously and long-poll for results; idle
 // workers long-poll the load balancer for work (the pull blocks
-// server-side until a batch is dispatchable or a deadline passes,
+// server-side until work is queued or a deadline passes,
 // instead of sleep-and-retry).
 //
 // # Buffer ownership
@@ -129,12 +129,12 @@ type ResultsResponse struct {
 
 // PullRequest asks the load balancer for up to Max queued queries for
 // the given pool. A positive Wait turns the pull into a long poll:
-// the server blocks until a batch is dispatchable or Wait
+// the server blocks until anything is queued or Wait
 // trace-seconds pass, which replaces client-side sleep-and-retry.
 //
 // Drain flips the pull into an ownership transfer used by the
 // resharding path: the server pops up to Max queued queries without
-// shedding or coalescing and forgets their async registrations, so
+// shedding and forgets their async registrations, so
 // the caller becomes responsible for re-submitting them (to their
 // new owning shard). Queries already resolved by a racing drop are
 // not returned at all, which is what keeps migration

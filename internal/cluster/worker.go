@@ -38,17 +38,15 @@ type WorkerConfig struct {
 	// RePin, when set, is consulted whenever a pull response carries a
 	// ring epoch newer than the one the worker pinned under: it
 	// returns the connection the worker should pull from at that
-	// epoch (nil keeps the current pin). The harness wires it so
-	// shard-pinned workers follow dynamic membership; a batch already
-	// pulled always completes to the connection it was pulled from,
-	// because that shard holds the queries' registrations.
+	// epoch (nil keeps the current pin). Only a worker pinned to one
+	// shard has a use for it; a batch already pulled always completes
+	// to the connection it was pulled from, because that shard holds
+	// the queries' registrations.
 	RePin func(epoch int) LBConn
 	// Redial, when set, is consulted after RedialAfter consecutive
 	// pull failures: it returns a fresh connection to the worker's
-	// shard (nil keeps the current one). It reuses the re-pin
-	// machinery's shape — the harness typically wires both to the same
-	// member lookup — so a conn that died for good is replaced instead
-	// of being error-polled forever.
+	// shard (nil keeps the current one), so a conn that died for good
+	// is replaced instead of being error-polled forever.
 	Redial func(epoch int) LBConn
 	// RedialAfter is the consecutive-pull-failure threshold that
 	// triggers Redial (0 defaults to 3).
@@ -58,16 +56,6 @@ type WorkerConfig struct {
 	// batch (0 defaults to 4). Retries back off exponentially from
 	// PollInterval with deterministic per-worker jitter.
 	CompleteRetries int
-	// Steal, when set, returns the other shard members' connections.
-	// After a pull from the pinned shard comes back empty, the worker
-	// tries one zero-wait pull from each in turn — cross-shard work
-	// stealing. In a weighted tier the ring sizes key shares to
-	// worker-group capacity, but integer striping still leaves
-	// fractional mismatch; stealing soaks up that remainder so a
-	// thin shard's spare worker-seconds serve the tier instead of
-	// idling. A stolen batch completes to the shard it was pulled
-	// from (that shard holds the queries' registrations).
-	Steal func() []LBConn
 }
 
 // WorkerServer simulates one GPU worker: it long-polls batches from
@@ -158,7 +146,8 @@ func (s *WorkerServer) Stats() WorkerStats {
 // dispatch/onBatchDone events. Pulls long-poll server-side, so an
 // idle worker consumes no wire round-trips between arrivals.
 func (s *WorkerServer) Loop(ctx context.Context) {
-	// lb is the shard the worker is currently pinned to; epoch is the
+	// lb is the conn the worker pulls from — the whole tier's frontend,
+	// or the one shard a standalone worker is pinned to; epoch is the
 	// ring epoch it pinned under. A pulled batch completes to the conn
 	// it came from even if the worker re-pins before execution ends.
 	lb := s.cfg.LB
@@ -221,26 +210,6 @@ func (s *WorkerServer) Loop(ctx context.Context) {
 		if len(pulled.Queries) > 0 {
 			items = s.executeBatch(ctx, role, lb, &pulled, items, lag)
 			fromBatch = true
-		} else if s.cfg.Steal != nil {
-			// The pinned shard's long poll expired empty: the worker has
-			// spare capacity right now. Poach one batch from another
-			// member with zero-wait pulls (never parking on a foreign
-			// shard — the pinned shard stays the only long poll).
-			for _, alt := range s.cfg.Steal() {
-				if alt == nil || alt == lb || ctx.Err() != nil {
-					continue
-				}
-				if alt.PullInto(ctx, PullRequest{
-					WorkerID: s.cfg.ID, Role: roleName(role), Max: batch, Wait: 0,
-				}, &pulled) != nil {
-					continue
-				}
-				if len(pulled.Queries) > 0 {
-					items = s.executeBatch(ctx, role, alt, &pulled, items, 0)
-					fromBatch = true
-					break
-				}
-			}
 		}
 		if pulled.RingEpoch > epoch {
 			// The tier resharded: re-pin after the in-flight batch has

@@ -292,11 +292,9 @@ type ShardParity struct {
 	// work migration.
 	ReshardCompleted, ReshardDropped int
 	// Uneven* is the non-divisible leg: UnevenWorkers workers across
-	// UnevenShards shards (7 across 3), where integer striping cannot
-	// give every shard the same worker-group capacity. Weighted vnode
-	// placement sizes each shard's key share to its group and
-	// cross-shard work stealing soaks up the fractional remainder, so
-	// the counts still match a single-LB baseline with the same
+	// UnevenShards shards (7 across 3), a worker count the shard count
+	// does not divide. Every worker pulls from every shard, so the
+	// counts must still match a single-LB baseline with the same
 	// (reduced) worker count.
 	UnevenWorkers, UnevenShards                int
 	UnevenSingleCompleted, UnevenSingleDropped int
@@ -304,7 +302,7 @@ type ShardParity struct {
 }
 
 // Matches reports whether the sharded topologies — static,
-// mid-trace-resharded, and unevenly striped — reproduced their
+// mid-trace-resharded, and uneven — reproduced their
 // single-LB outcome counts.
 func (p *ShardParity) Matches() bool {
 	return p.SingleCompleted == p.ShardedCompleted && p.SingleDropped == p.ShardedDropped &&
@@ -406,48 +404,26 @@ func SimVsCluster(cfg Config) (*SimVsClusterResult, error) {
 // nothing, including across a ring epoch flip that migrates queued
 // ownership while the trace is in flight.
 func shardParityRuns(cfg Config, env *baselines.Env, timescale float64) (*ShardParity, error) {
-	// 4 QPS leaves every striped worker group comfortable capacity
-	// headroom in all three legs (at 6 QPS the post-reshard guard
-	// layout of 1 light + 2 heavy per shard is marginal for the
-	// cascade's deferral rate, and a tail query can shed right at the
-	// SLO boundary depending on wall-clock jitter).
+	// 4 QPS leaves the workers comfortable capacity headroom in every
+	// leg, so no tail query sheds right at the SLO boundary on
+	// wall-clock jitter.
 	const parityDuration = 40
 	tr, err := trace.Static(4, parityDuration, 1)
 	if err != nil {
 		return nil, err
 	}
-	// 9 workers: divisible by both the 2-shard and the post-reshard
-	// 3-shard layouts, so the striped per-shard capacity matches the
-	// globally-optimized threshold in every leg. (A count that does
-	// not divide the shard count leaves one shard a thinner worker
-	// group than its ring share of the stream — a real capacity
-	// imbalance that sheds load by design, which would make the
-	// parity comparison measure striping arithmetic instead of the
-	// resharding protocol.)
 	const parityWorkers = 9
 	// The parity legs run on wall-clock time like any cluster replay,
 	// and they are timing-sensitive: on a loaded 1-core CI box a
 	// scheduler stall at 50x replay spans several trace seconds and
-	// sheds queries that a quiet machine serves. 12.5x keeps the
-	// flip-free legs deterministic even with residual load while
-	// still finishing in a few wall seconds each.
+	// sheds queries that a quiet machine serves. 12.5x keeps the legs
+	// deterministic even with residual load while still finishing in
+	// a few wall seconds each.
 	if timescale < 0.08 {
 		timescale = 0.08
 	}
-	// The resharding leg gets extra headroom on top of that: with
-	// capacity-weighted placement the 9-worker/2-shard ring splits
-	// {5,4}, so the mid-trace flip to a uniform three-way split
-	// migrates more keys than a uniform-to-uniform flip would, and a
-	// GC pause landing in that window used to shed the tail query
-	// nearest the SLO boundary roughly once per handful of full-suite
-	// runs. 4x replay makes the migrated queries' SLO budget over a
-	// wall second, which no realistic pause eats.
-	reshardScale := timescale
-	if reshardScale < 0.25 {
-		reshardScale = 0.25
-	}
 	out := &ShardParity{Shards: cfg.ClusterLBShards}
-	run := func(ts float64, workers, shards, vnodes int, steal bool, reshard []cluster.ReshardEvent) (completed, dropped int, err error) {
+	run := func(workers, shards, vnodes int, reshard []cluster.ReshardEvent) (completed, dropped int, err error) {
 		a, err := allocator.NewMILP(allocator.Config{
 			Light: env.Light, Heavy: env.Heavy,
 			DiscPerImage: env.Scorer.PerImageLatency(),
@@ -465,9 +441,9 @@ func shardParityRuns(cfg Config, env *baselines.Env, timescale float64) (*ShardP
 		res, err := cluster.Run(cluster.HarnessConfig{
 			Space: env.Space, Light: env.Light, Heavy: env.Heavy, Scorer: env.Scorer,
 			Mode: loadbalancer.ModeCascade, Workers: workers, SLO: env.Spec.SLOSeconds,
-			Trace: tr, Ctrl: ctrl, Timescale: ts, Seed: env.Seed + 23,
+			Trace: tr, Ctrl: ctrl, Timescale: timescale, Seed: env.Seed + 23,
 			DisableLoadDelay: true, Transport: cfg.ClusterTransport,
-			LBShards: shards, RingVNodes: vnodes, Reshard: reshard, Steal: steal,
+			LBShards: shards, RingVNodes: vnodes, Reshard: reshard,
 		})
 		if err != nil {
 			return 0, 0, err
@@ -482,17 +458,16 @@ func shardParityRuns(cfg Config, env *baselines.Env, timescale float64) (*ShardP
 		}
 		return completed, dropped, nil
 	}
-	if out.SingleCompleted, out.SingleDropped, err = run(timescale, parityWorkers, 1, 0, false, nil); err != nil {
+	if out.SingleCompleted, out.SingleDropped, err = run(parityWorkers, 1, 0, nil); err != nil {
 		return nil, err
 	}
-	if out.ShardedCompleted, out.ShardedDropped, err = run(timescale, parityWorkers, cfg.ClusterLBShards, cfg.ClusterRingVNodes, false, nil); err != nil {
+	if out.ShardedCompleted, out.ShardedDropped, err = run(parityWorkers, cfg.ClusterLBShards, cfg.ClusterRingVNodes, nil); err != nil {
 		return nil, err
 	}
 	// Resharding leg: start sharded on a true consistent-hash ring and
-	// grow by one shard at half trace — the epoch flip, the worker
-	// re-pin, the role re-stripe, and the drain migration all happen
-	// while queries are in flight, and the outcome counts must still
-	// be the single-LB counts.
+	// grow by one shard at half trace — the epoch flip and the drain
+	// migration happen while queries are in flight, and the outcome
+	// counts must still be the single-LB counts.
 	vnodes := cfg.ClusterRingVNodes
 	if vnodes <= 0 {
 		vnodes = 128
@@ -500,22 +475,18 @@ func shardParityRuns(cfg Config, env *baselines.Env, timescale float64) (*ShardP
 	reshard := []cluster.ReshardEvent{
 		{At: parityDuration / 2, Action: "add", Member: cfg.ClusterLBShards},
 	}
-	if out.ReshardCompleted, out.ReshardDropped, err = run(reshardScale, parityWorkers, cfg.ClusterLBShards, vnodes, false, reshard); err != nil {
+	if out.ReshardCompleted, out.ReshardDropped, err = run(parityWorkers, cfg.ClusterLBShards, vnodes, reshard); err != nil {
 		return nil, err
 	}
 	// Uneven leg: 7 workers across 3 shards, a count the shard count
-	// does not divide. One shard's striped worker group is thinner than
-	// the others; weighted vnode placement shrinks that shard's key
-	// share proportionally, and cross-shard stealing covers the
-	// fractional remainder weights cannot express. Compared against its
-	// own 7-worker single-LB baseline (capacity differs from the
-	// 9-worker legs above).
+	// does not divide. Compared against its own 7-worker single-LB
+	// baseline (capacity differs from the 9-worker legs above).
 	const unevenWorkers, unevenShards = 7, 3
 	out.UnevenWorkers, out.UnevenShards = unevenWorkers, unevenShards
-	if out.UnevenSingleCompleted, out.UnevenSingleDropped, err = run(timescale, unevenWorkers, 1, 0, false, nil); err != nil {
+	if out.UnevenSingleCompleted, out.UnevenSingleDropped, err = run(unevenWorkers, 1, 0, nil); err != nil {
 		return nil, err
 	}
-	if out.UnevenCompleted, out.UnevenDropped, err = run(timescale, unevenWorkers, unevenShards, vnodes, true, nil); err != nil {
+	if out.UnevenCompleted, out.UnevenDropped, err = run(unevenWorkers, unevenShards, vnodes, nil); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -542,7 +513,7 @@ func (r *SimVsClusterResult) Render(w io.Writer) {
 			p.Queries, p.SingleCompleted, p.SingleDropped, p.Shards, p.ShardedCompleted, p.ShardedDropped,
 			p.Shards, p.Shards+1, p.ReshardCompleted, p.ReshardDropped, verdict)
 		if p.UnevenWorkers > 0 {
-			fmt.Fprintf(w, "uneven parity (%d workers / %d shards, weighted ring + stealing): single LB %d completed / %d dropped, sharded %d completed / %d dropped\n",
+			fmt.Fprintf(w, "uneven parity (%d workers / %d shards): single LB %d completed / %d dropped, sharded %d completed / %d dropped\n",
 				p.UnevenWorkers, p.UnevenShards, p.UnevenSingleCompleted, p.UnevenSingleDropped,
 				p.UnevenCompleted, p.UnevenDropped)
 		}

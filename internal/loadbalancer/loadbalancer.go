@@ -85,8 +85,8 @@ const (
 	PoolHeavy
 )
 
-// Pool is one pool's queue with the three numbers that decide what
-// leaves it and when.
+// Pool is one pool's queue with the two numbers that decide what is
+// shed from it.
 type Pool struct {
 	*queueing.FIFO
 	// MinExec is the pool's batch-1 execution time: a query that cannot
@@ -94,12 +94,6 @@ type Pool struct {
 	MinExec float64
 	// SLO is the latency deadline.
 	SLO float64
-	// Coalesce bounds how long the head of the queue waits for a batch
-	// to fill. Zero hands a worker whatever is queued (the simulator,
-	// whose dispatcher runs at every event); the cluster's concurrently
-	// polling workers would otherwise shred deferral groups into
-	// batch-1 executions.
-	Coalesce float64
 }
 
 // Shed removes and returns the queued queries that can no longer meet
@@ -110,28 +104,11 @@ func (p *Pool) Shed(now float64) []queueing.Item {
 	})
 }
 
-// Dequeue sheds, then dequeues up to max queries if a batch is
-// dispatchable: the queue holds a full one, or its head has waited out
-// the coalesce window — capped at MinExec, since waiting longer than
-// one batch-1 execution is never worthwhile. The batch is appended to
-// dst. With a partial batch still inside its window it returns the
-// seconds until the window expires, so a long poll can wake then.
-func (p *Pool) Dequeue(now float64, max int, dst []queueing.Item) (shed, batch []queueing.Item, retry float64) {
-	shed = p.Shed(now)
-	wait := p.Coalesce
-	if p.MinExec < wait {
-		wait = p.MinExec
-	}
-	if p.Len() < max {
-		oldest, ok := p.PeekEnqueue()
-		if !ok {
-			return shed, dst, 0
-		}
-		if waited := now - oldest; waited < wait {
-			return shed, dst, wait - waited
-		}
-	}
-	return shed, p.PopAppend(now, max, dst), 0
+// Dequeue sheds, then hands out whatever is queued, up to max queries,
+// appended to dst: a worker that asks for a batch never waits for one
+// to fill.
+func (p *Pool) Dequeue(now float64, max int, dst []queueing.Item) (shed, batch []queueing.Item) {
+	return p.Shed(now), p.PopAppend(now, max, dst)
 }
 
 // Defers is the cascade's verdict on a finished generation: a light

@@ -11,8 +11,7 @@ import (
 	"diffserve/internal/stats"
 )
 
-// newLB builds a load balancer over two empty pools with the
-// simulator's settings (no coalesce window).
+// newLB builds a load balancer over two empty pools.
 func newLB(mode Mode, seed uint64) *LB {
 	pool := func(minExec float64) *Pool {
 		return &Pool{FIFO: queueing.NewFIFO(10), MinExec: minExec, SLO: 5}
@@ -124,22 +123,16 @@ func TestModeString(t *testing.T) {
 // TestDataPathScript drives the policy core through one scripted
 // cascade run — arrivals, pulls, completions with confidences and
 // control ticks at stated trace times — the way both drivers do, and
-// checks each query's outcome and every tick's counters. It runs with
-// no coalesce window (the simulator's setting) and with one (the
-// server's): the window moves when a partial batch is handed out, not
-// what happens to any query.
+// checks each query's outcome and every tick's counters.
 func TestDataPathScript(t *testing.T) {
 	const (
 		slo       = 5.0
 		threshold = 0.5
-		window    = 0.5
 	)
 	type conf struct {
 		id int
 		c  float64
 	}
-	// batch and retry are indexed by setting: 0 without a coalesce
-	// window, 1 with one.
 	type step struct {
 		at float64
 
@@ -148,8 +141,7 @@ func TestDataPathScript(t *testing.T) {
 		pull  bool
 		pool  PoolID
 		max   int
-		batch [2][]int
-		retry [2]float64
+		batch []int
 
 		complete []conf
 
@@ -159,17 +151,15 @@ func TestDataPathScript(t *testing.T) {
 	}
 	script := []step{
 		{at: 0, arrive: []int{1, 2}},
-		// A partial batch goes out at once without a window and waits
-		// its window out with one.
-		{at: 0.1, pull: true, pool: PoolLight, max: 4, batch: [2][]int{{1, 2}, nil}, retry: [2]float64{0, 0.4}},
-		{at: 0.6, pull: true, pool: PoolLight, max: 4, batch: [2][]int{nil, {1, 2}}},
+		// A partial batch goes out at once: no pull waits for one to fill.
+		{at: 0.1, pull: true, pool: PoolLight, max: 4, batch: []int{1, 2}},
 		// 1 is confident and serves; 2 is not and joins the heavy queue.
 		{at: 1.6, pool: PoolLight, complete: []conf{{1, 0.9}, {2, 0.2}}},
 		{at: 1.7, arrive: []int{3, 4}},
-		// A full batch is dispatchable whatever the window.
-		{at: 1.8, pull: true, pool: PoolLight, max: 1, batch: [2][]int{{3}, {3}}},
+		// A pull takes no more than its max.
+		{at: 1.8, pull: true, pool: PoolLight, max: 1, batch: []int{3}},
 		{at: 2.0, tick: true, arrivals: 4, violations: 0, lightLen: 1, heavyLen: 1},
-		{at: 2.2, pull: true, pool: PoolHeavy, max: 1, batch: [2][]int{{2}, {2}}},
+		{at: 2.2, pull: true, pool: PoolHeavy, max: 1, batch: []int{2}},
 		{at: 2.5, arrive: []int{5}},
 		{at: 4.2, pool: PoolHeavy, complete: []conf{{2, 0}}},
 		// Nobody pulled 4: at 6 it cannot finish by 1.7+5 even if started
@@ -186,98 +176,92 @@ func TestDataPathScript(t *testing.T) {
 		4: "shed", 5: "shed",
 	}
 
-	for setting, coalesce := range []float64{0, window} {
-		name := fmt.Sprintf("coalesce=%v", coalesce)
-		pool := func(minExec float64) *Pool {
-			return &Pool{FIFO: queueing.NewFIFO(10), MinExec: minExec, SLO: slo, Coalesce: coalesce}
+	pool := func(minExec float64) *Pool {
+		return &Pool{FIFO: queueing.NewFIFO(10), MinExec: minExec, SLO: slo}
+	}
+	lb := New(ModeCascade, stats.NewRNG(1), pool(1), pool(2))
+	ledger := Ledger{SLO: slo, Col: metrics.NewCollector()}
+	pulled := map[int]queueing.Item{}
+	deferred := map[int]bool{}
+	drop := func(shed []queueing.Item) {
+		for _, it := range shed {
+			ledger.Drop(it)
 		}
-		lb := New(ModeCascade, stats.NewRNG(1), pool(1), pool(2))
-		ledger := Ledger{SLO: slo, Col: metrics.NewCollector()}
-		pulled := map[int]queueing.Item{}
-		deferred := map[int]bool{}
-		drop := func(shed []queueing.Item) {
-			for _, it := range shed {
-				ledger.Drop(it)
+	}
+	for _, st := range script {
+		switch {
+		case st.arrive != nil:
+			ledger.Arrive(len(st.arrive))
+			for _, id := range st.arrive {
+				lb.Route(st.at, queueing.Item{ID: id, Arrival: st.at})
+			}
+		case st.pull:
+			shed, batch := lb.Queue(st.pool).Dequeue(st.at, st.max, nil)
+			drop(shed)
+			var ids []int
+			for _, it := range batch {
+				ids = append(ids, it.ID)
+				pulled[it.ID] = it
+			}
+			if fmt.Sprint(ids) != fmt.Sprint(st.batch) {
+				t.Errorf("pull at %v handed out %v, want %v", st.at, ids, st.batch)
+			}
+		case st.complete != nil:
+			for _, c := range st.complete {
+				it := pulled[c.id]
+				if Defers(ModeCascade, st.pool, c.c, threshold) {
+					deferred[c.id] = true
+					lb.Heavy.Push(st.at, it)
+					continue
+				}
+				variant := "light"
+				if st.pool == PoolHeavy {
+					variant = "heavy"
+				}
+				ledger.Complete(it, st.at, st.pool, imagespace.Image{Variant: variant}, c.c)
+			}
+		case st.tick:
+			drop(lb.Light.Shed(st.at))
+			drop(lb.Heavy.Shed(st.at))
+			snap := lb.Snap(st.at)
+			arrivals, violations := ledger.Tick()
+			if arrivals != st.arrivals || violations != st.violations {
+				t.Errorf("tick at %v counted %d arrivals, %d violations; want %d, %d",
+					st.at, arrivals, violations, st.arrivals, st.violations)
+			}
+			if snap.Light.Len != st.lightLen || snap.Heavy.Len != st.heavyLen {
+				t.Errorf("tick at %v queues %d light, %d heavy; want %d, %d",
+					st.at, snap.Light.Len, snap.Heavy.Len, st.lightLen, st.heavyLen)
 			}
 		}
-		for _, st := range script {
-			switch {
-			case st.arrive != nil:
-				ledger.Arrive(len(st.arrive))
-				for _, id := range st.arrive {
-					lb.Route(st.at, queueing.Item{ID: id, Arrival: st.at})
-				}
-			case st.pull:
-				shed, batch, retry := lb.Queue(st.pool).Dequeue(st.at, st.max, nil)
-				drop(shed)
-				var ids []int
-				for _, it := range batch {
-					ids = append(ids, it.ID)
-					pulled[it.ID] = it
-				}
-				if fmt.Sprint(ids) != fmt.Sprint(st.batch[setting]) {
-					t.Errorf("%s: pull at %v handed out %v, want %v", name, st.at, ids, st.batch[setting])
-				}
-				if math.Abs(retry-st.retry[setting]) > 1e-12 {
-					t.Errorf("%s: pull at %v retry = %v, want %v", name, st.at, retry, st.retry[setting])
-				}
-			case st.complete != nil:
-				for _, c := range st.complete {
-					it := pulled[c.id]
-					if Defers(ModeCascade, st.pool, c.c, threshold) {
-						deferred[c.id] = true
-						lb.Heavy.Push(st.at, it)
-						continue
-					}
-					variant := "light"
-					if st.pool == PoolHeavy {
-						variant = "heavy"
-					}
-					ledger.Complete(it, st.at, st.pool, imagespace.Image{Variant: variant}, c.c)
-				}
-			case st.tick:
-				drop(lb.Light.Shed(st.at))
-				drop(lb.Heavy.Shed(st.at))
-				snap := lb.Snap(st.at)
-				arrivals, violations := ledger.Tick()
-				if arrivals != st.arrivals || violations != st.violations {
-					t.Errorf("%s: tick at %v counted %d arrivals, %d violations; want %d, %d",
-						name, st.at, arrivals, violations, st.arrivals, st.violations)
-				}
-				if snap.Light.Len != st.lightLen || snap.Heavy.Len != st.heavyLen {
-					t.Errorf("%s: tick at %v queues %d light, %d heavy; want %d, %d",
-						name, st.at, snap.Light.Len, snap.Heavy.Len, st.lightLen, st.heavyLen)
-				}
-			}
-		}
+	}
 
-		got := map[int]string{}
-		for _, r := range ledger.Col.Records() {
-			if _, dup := got[r.ID]; dup {
-				t.Errorf("%s: query %d resolved twice", name, r.ID)
-			}
-			switch {
-			case r.Dropped:
-				got[r.ID] = "shed"
-			case r.Deferred && deferred[r.ID] && r.ServedBy == "heavy":
-				got[r.ID] = "deferred-then-served-heavy"
-			case !r.Deferred && r.ServedBy == "light" && r.Late():
-				got[r.ID] = "served-light-late"
-			case !r.Deferred && r.ServedBy == "light":
-				got[r.ID] = "served-light"
-			default:
-				got[r.ID] = fmt.Sprintf("unexpected %+v", r)
-			}
-			if r.Deadline != r.Arrival+slo {
-				t.Errorf("%s: query %d deadline %v, want arrival %v + SLO", name, r.ID, r.Deadline, r.Arrival)
-			}
+	got := map[int]string{}
+	for _, r := range ledger.Col.Records() {
+		if _, dup := got[r.ID]; dup {
+			t.Errorf("query %d resolved twice", r.ID)
 		}
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Errorf("%s: outcomes %v, want %v", name, got, want)
+		switch {
+		case r.Dropped:
+			got[r.ID] = "shed"
+		case r.Deferred && deferred[r.ID] && r.ServedBy == "heavy":
+			got[r.ID] = "deferred-then-served-heavy"
+		case !r.Deferred && r.ServedBy == "light" && r.Late():
+			got[r.ID] = "served-light-late"
+		case !r.Deferred && r.ServedBy == "light":
+			got[r.ID] = "served-light"
+		default:
+			got[r.ID] = fmt.Sprintf("unexpected %+v", r)
 		}
-		if completed, dropped := ledger.Counts(); completed != 3 || dropped != 2 {
-			t.Errorf("%s: lifetime counts %d completed, %d dropped; want 3, 2", name, completed, dropped)
+		if r.Deadline != r.Arrival+slo {
+			t.Errorf("query %d deadline %v, want arrival %v + SLO", r.ID, r.Deadline, r.Arrival)
 		}
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("outcomes %v, want %v", got, want)
+	}
+	if completed, dropped := ledger.Counts(); completed != 3 || dropped != 2 {
+		t.Errorf("lifetime counts %d completed, %d dropped; want 3, 2", completed, dropped)
 	}
 }
 

@@ -86,24 +86,7 @@ func fmix64(h uint64) uint64 {
 // count, not just powers of two (a rounded-up fixed width would wrap
 // the last replicas back into segment 0).
 func vnodeHash(member, replica, vnodes int) uint64 {
-	return vnodeHashRep(member, replica, 0, vnodes)
-}
-
-// vnodeHashRep positions repetition rep of replica r of member m — the
-// weighted-placement generalization. A member of weight w contributes
-// w points per segment (repetitions 0..w-1), all stratified into the
-// same common vnodes-segment grid, so within every segment the point
-// population mirrors the weight ratio and key shares stay proportional
-// to weight. (Giving heavier members more segments of their own
-// instead would skew shares: a finer-grained member quasi-regularizes
-// the circle, and coarser members then capture only about half their
-// fair gap.) Repetition 0 reduces to the unweighted position — the
-// fmix of 0 is 0, so the XOR vanishes — which is what makes
-// equal-weight rings bit-identical to NewRing's.
-func vnodeHashRep(member, replica, rep, vnodes int) uint64 {
-	off := fmix64(hash64(uint64(member)) ^
-		fmix64(uint64(replica)*0x9e3779b97f4a7c15) ^
-		fmix64(uint64(rep)*0xd1b54a32d192ed03))
+	off := fmix64(hash64(uint64(member)) ^ fmix64(uint64(replica)*0x9e3779b97f4a7c15))
 	if vnodes == 1 {
 		return off
 	}
@@ -122,70 +105,22 @@ func vnodeHashRep(member, replica, rep, vnodes int) uint64 {
 // members are collapsed. An empty member list yields a ring that owns
 // nothing; callers guard against it.
 func NewRing(members []int, vnodes int) *Ring {
-	ms := dedupSorted(members)
-	reps := make([]int, len(ms))
-	for i := range reps {
-		reps[i] = 1
-	}
-	return buildRing(ms, reps, vnodes)
-}
-
-// NewWeightedRing builds a ring whose members hold key shares
-// proportional to their weights (a shard's worker-group capacity, in
-// the cluster tier): a member of weight w contributes w points to
-// every stratification segment, so within each segment — and hence
-// over the whole circle — key shares track the weight ratio. Weights
-// missing from the map or <= 0 count as 1; the weight vector is
-// reduced by its GCD, so equal weights of any value reproduce NewRing
-// bit for bit. Like NewRing, the result is a pure function of
-// (members, weights, vnodes) — every process that knows the weights
-// computes the same placement — and a member's points depend only on
-// its own ID and weight, so membership changes keep the minimal-
-// disruption property.
-func NewWeightedRing(members []int, weights map[int]int, vnodes int) *Ring {
-	ms := dedupSorted(members)
-	reps := make([]int, len(ms))
-	g := 0
-	for i, m := range ms {
-		w := weights[m]
-		if w <= 0 {
-			w = 1
-		}
-		reps[i] = w
-		g = gcd(g, w)
-	}
-	for i := range reps {
-		reps[i] /= g
-	}
-	return buildRing(ms, reps, vnodes)
-}
-
-// buildRing assembles the vnode circle and lookup table for the given
-// (sorted, deduped) members, member i contributing reps[i] points per
-// stratification segment (vnodes segments; <= 0 uses DefaultVNodes).
-func buildRing(ms []int, reps []int, vnodes int) *Ring {
 	if vnodes <= 0 {
 		vnodes = DefaultVNodes
 	}
+	ms := dedupSorted(members)
 	r := &Ring{members: ms}
-	n := len(ms)
-	if n == 0 {
+	if len(ms) == 0 {
 		return r
 	}
 	type point struct {
 		hash  uint64
 		owner int32
 	}
-	totalPoints := 0
-	for _, c := range reps {
-		totalPoints += c * vnodes
-	}
-	points := make([]point, 0, totalPoints)
+	points := make([]point, 0, len(ms)*vnodes)
 	for oi, m := range ms {
 		for j := 0; j < vnodes; j++ {
-			for rep := 0; rep < reps[oi]; rep++ {
-				points = append(points, point{vnodeHashRep(m, j, rep, vnodes), int32(oi)})
-			}
+			points = append(points, point{vnodeHash(m, j, vnodes), int32(oi)})
 		}
 	}
 	// Sort by hash; ties (astronomically rare) break by owner index so
@@ -319,14 +254,6 @@ func (r *Ring) Has(m int) bool {
 
 // Modulus reports whether the ring uses the legacy ShardOf placement.
 func (r *Ring) Modulus() bool { return r.modulus }
-
-// gcd returns the greatest common divisor (gcd(0, b) = b).
-func gcd(a, b int) int {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
-}
 
 // dedupSorted returns a sorted copy of ms with duplicates removed.
 func dedupSorted(ms []int) []int {

@@ -172,78 +172,6 @@ func TestVnodeStratification(t *testing.T) {
 	}
 }
 
-// TestWeightedRingEqualWeightsIdentical pins the compatibility
-// contract: uniform weights (explicit, implicit via missing entries,
-// or any equal value) reproduce NewRing's placement bit for bit.
-func TestWeightedRingEqualWeightsIdentical(t *testing.T) {
-	members := []int{0, 1, 2, 5}
-	plain := NewRing(members, 128)
-	for _, weights := range []map[int]int{
-		nil,
-		{0: 1, 1: 1, 2: 1, 5: 1},
-		{0: 3, 1: 3, 2: 3, 5: 3},
-		{0: -2, 1: 0}, // non-positive and missing both default to 1
-	} {
-		w := NewWeightedRing(members, weights, 128)
-		for id := 0; id < ringKeys; id++ {
-			if po, wo := plain.Owner(id), w.Owner(id); po != wo {
-				t.Fatalf("weights %v: id %d -> %d, plain ring -> %d", weights, id, wo, po)
-			}
-		}
-	}
-}
-
-// TestWeightedRingProportionalShares pins the placement the thin-shard
-// fix rests on: key shares track the weight ratio. With worker-group
-// weights 3:2:2 (7 workers over 3 shards) the heavy member must own
-// ~3/7 of the keys and each light member ~2/7, within 15% relative.
-func TestWeightedRingProportionalShares(t *testing.T) {
-	cases := []struct {
-		members []int
-		weights map[int]int
-	}{
-		{[]int{0, 1, 2}, map[int]int{0: 3, 1: 2, 2: 2}},
-		{[]int{0, 1}, map[int]int{0: 3, 1: 1}},
-		{[]int{3, 11, 42, 77}, map[int]int{3: 1, 11: 2, 42: 3, 77: 4}},
-	}
-	for _, tc := range cases {
-		r := NewWeightedRing(tc.members, tc.weights, 128)
-		counts := map[int]int{}
-		for id := 0; id < ringKeys; id++ {
-			counts[r.Owner(id)]++
-		}
-		total := 0
-		for _, m := range tc.members {
-			total += tc.weights[m]
-		}
-		for _, m := range tc.members {
-			want := float64(ringKeys) * float64(tc.weights[m]) / float64(total)
-			got := float64(counts[m])
-			if rel := (got - want) / want; rel > 0.15 || rel < -0.15 {
-				t.Errorf("members %v weights %v: member %d owns %.0f keys, want ~%.0f (rel %.3f)",
-					tc.members, tc.weights, m, got, want, rel)
-			}
-		}
-	}
-}
-
-// TestWeightedRingDeterminism pins order-independence and determinism
-// for the weighted constructor, same contract as NewRing's.
-func TestWeightedRingDeterminism(t *testing.T) {
-	w := map[int]int{0: 2, 1: 1, 2: 4, 5: 1}
-	a := NewWeightedRing([]int{0, 1, 2, 5}, w, 64)
-	b := NewWeightedRing([]int{5, 2, 1, 0, 2}, w, 64) // permuted + duplicate
-	for id := 0; id < ringKeys; id++ {
-		ao, bo := a.Owner(id), b.Owner(id)
-		if ao != bo {
-			t.Fatalf("weighted ring not order-independent: id %d -> %d vs %d", id, ao, bo)
-		}
-		if !a.Has(ao) {
-			t.Fatalf("weighted ring routed id %d to non-member %d", id, ao)
-		}
-	}
-}
-
 // TestRingDefaultVNodes pins the vnodes<=0 fallback.
 func TestRingDefaultVNodes(t *testing.T) {
 	a := NewRing([]int{0, 1, 2}, 0)

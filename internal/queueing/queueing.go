@@ -74,17 +74,6 @@ func (q *FIFO) PopAppend(now float64, n int, dst []Item) []Item {
 	return dst
 }
 
-// PeekEnqueue returns the enqueue time of the oldest queued item and
-// true, or 0 and false when empty. Batch-coalescing dispatchers use
-// this to bound how long the head of the queue waits for a batch to
-// fill.
-func (q *FIFO) PeekEnqueue() (float64, bool) {
-	if len(q.items) == 0 {
-		return 0, false
-	}
-	return q.items[0].Enqueue, true
-}
-
 // DropWhere removes queued items for which drop returns true,
 // returning the removed items (used for deadline-based shedding).
 func (q *FIFO) DropWhere(drop func(Item) bool) []Item {

@@ -292,7 +292,7 @@ func (s *System) dispatchAll() {
 // dispatch pulls work for one available worker from its pool queue.
 func (s *System) dispatch(w *worker.Worker, pool loadbalancer.PoolID) {
 	now := s.sim.Now()
-	shed, items, _ := s.lb.Queue(pool).Dequeue(now, w.Batch(), nil)
+	shed, items := s.lb.Queue(pool).Dequeue(now, w.Batch(), nil)
 	s.drop(shed)
 	if len(items) == 0 {
 		return
