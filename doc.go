@@ -325,23 +325,30 @@
 // wait in the runtime — long polls, worker batches, control ticks, the
 // replay client, the trace-time back-offs and the retired-shard sweeps
 // — is one call, Clock.WaitUntil(ctx, deadline, wake): block until the
-// absolute trace deadline, a wakeup channel, or the context, on a
-// pooled timer that allocates nothing. (The retry wrapper's and the tcp
-// dialer's back-offs are wall durations by configuration and stay
-// outside the clock.) Deadlines are absolute because a Go timer wakes
-// late: the runtime's poller rounds a sub-millisecond delay up to a
-// whole millisecond, ~0.12 trace-seconds at 200x, a whole light batch.
-// So the two periodic loops wait for their own schedule rather than an
-// interval after the last wake. A worker starts each batch at the
-// latest of its previous batch's scheduled end, the batch's newest
-// arrival and the pull's return less the time the worker lost getting
-// to that pull (at most one 1 ms timer tick, so a stalled completion is
-// not replayed as GPU time), and completes it at start + exec; the
-// controller ticks at t0 + k·interval, t0 being the harness's clock
-// restart. One late wake then delays one step, not every later one,
-// and no query is served sooner after it arrived than the emulated GPU
-// allows. PERFORMANCE.md ("Schedule-anchored waits") has
-// the timer probe and what it moved.
+// absolute trace deadline, a wakeup channel, or the context, allocating
+// nothing. (The retry wrapper's and the tcp dialer's back-offs are wall
+// durations by configuration and stay outside the clock.) A Go timer
+// wakes late: the runtime's poller rounds a sub-millisecond delay up to
+// a whole millisecond, ~0.12 trace-seconds at 200x, a whole light
+// batch. So a wait without a wake channel — a schedule wait: a batch's
+// end, a control tick, a replayed arrival, a reshard — parks on a
+// pooled timer only until one millisecond before its deadline and, on
+// Linux, sleeps the rest in the kernel (nanosleep), which lands within
+// tens of microseconds; elsewhere it stays on the timer. A long poll
+// (with a wake channel) stays on the timer. Deadlines are absolute, so
+// the two periodic loops wait for their own schedule rather than an
+// interval after the last wake. A worker starts each batch when both it
+// and the batch were ready — the latest of its previous batch's
+// scheduled end and the time the batch's newest query joined the pool
+// (PullResponse.QueuedAt) — credited back from the pull's return by at
+// most one 1 ms timer tick (so a stalled completion is not replayed as
+// GPU time), never later than that return, and completes it at
+// start + exec; the controller ticks at t0 + k·interval, t0 being the
+// harness's clock restart. One late wake then delays one step, not
+// every later one, and no query is served sooner after it was queued
+// than the emulated GPU allows. PERFORMANCE.md ("Schedule-anchored
+// waits", "Kernel-timed waits and enqueue-anchored starts") has the
+// timer probes and what they moved.
 //
 // # Static analysis
 //

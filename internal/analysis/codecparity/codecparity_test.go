@@ -120,16 +120,17 @@ func TestDecodeLineMutations(t *testing.T) {
 }
 
 // encodeAppend matches the per-field encode lines in the real codec:
-// `b = appendXxx(b, m.Field)`. Deleting one removes a field read on
-// the encode path.
-var encodeAppend = regexp.MustCompile(`^\s*b = append\w+\(b, (m|it)\.[A-Z]\w*\)$`)
+// `b = appendXxx(b, m.Field)`, and `return appendXxx(b, m.Field)` for a
+// message's last field. Blanking the first, or turning the second into
+// `return b`, removes a field read on the encode path.
+var encodeAppend = regexp.MustCompile(`^(\s*)(b =|return) append\w+\(b, (m|it)\.[A-Z]\w*\)$`)
 
 // TestEncodeLineMutations is the encode-side twin of
-// TestDecodeLineMutations: deleting any `b = appendXxx(b, m.Field)`
-// line must make codecparity report the field as never read. Every
-// message struct has one encode site — the slice loops of the batch
-// messages call the element's append function — so every such line is
-// load-bearing.
+// TestDecodeLineMutations: dropping any per-field encode line (see
+// encodeAppend) must make codecparity report the field as never read.
+// Every message struct has one encode site — the slice loops of the
+// batch messages call the element's append function — so every such
+// line is load-bearing, the last field's included.
 func TestEncodeLineMutations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("mutation sweep skipped in -short mode")
@@ -150,12 +151,16 @@ func TestEncodeLineMutations(t *testing.T) {
 
 	mutated := 0
 	for i, line := range lines {
-		if !encodeAppend.MatchString(line) {
+		m := encodeAppend.FindStringSubmatch(line)
+		if m == nil {
 			continue
 		}
 		mut := make([]string, len(lines))
 		copy(mut, lines)
 		mut[i] = ""
+		if m[2] == "return" {
+			mut[i] = m[1] + "return b"
+		}
 		files, ok := reparse(loader, pkg, codecPath, strings.Join(mut, "\n"))
 		if !ok {
 			continue

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"math"
+	"sync"
 	"testing"
 	"time"
 
@@ -87,6 +88,42 @@ func TestClockTimescale(t *testing.T) {
 	if NewClock(0).Timescale() != 1 {
 		t.Error("zero timescale should default to 1")
 	}
+}
+
+// TestClockRestartConcurrentReaders restarts a clock while goroutines
+// read it, as the harness does after setup with worker loops running
+// (run under -race by `make race`). Every reading is finite and at least
+// zero, and a restart rewinds what a later reading sees.
+func TestClockRestartConcurrentReaders(t *testing.T) {
+	c := NewClock(0.001)
+	c.WaitUntil(context.Background(), 50, nil)
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if now := c.Now(); now < 0 || math.IsInf(now, 0) || math.IsNaN(now) {
+					t.Errorf("Now() = %v during restarts", now)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 100; i++ {
+		c.Restart()
+	}
+	if now := c.Now(); now >= 50 {
+		t.Errorf("Now() = %v after Restart, want the rewound clock", now)
+	}
+	close(stop)
+	readers.Wait()
 }
 
 // The four tests below drive an LBServer and a WorkerServer the way a

@@ -287,7 +287,8 @@ func appendPullResponse(b []byte, m *PullResponse) []byte {
 		}
 	}
 	b = appendInt(b, m.RingEpoch)
-	return appendF64(b, m.LeaseDeadline)
+	b = appendF64(b, m.LeaseDeadline)
+	return appendF64(b, m.QueuedAt)
 }
 
 func appendCompleteItem(b []byte, m *CompleteItem) []byte {
@@ -581,6 +582,7 @@ func readPullResponse(d *bdec, m *PullResponse) {
 	}
 	m.RingEpoch = d.int()
 	m.LeaseDeadline = d.f64()
+	m.QueuedAt = d.f64()
 }
 
 func readCompleteRequest(d *bdec, m *CompleteRequest) {

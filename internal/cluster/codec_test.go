@@ -110,7 +110,7 @@ func TestCodecParityRandomized(t *testing.T) {
 				pq = append(pq, randQueryMsg(rng))
 			}
 		}
-		presp := PullResponse{Queries: pq, RingEpoch: rng.Intn(8)}
+		presp := PullResponse{Queries: pq, RingEpoch: rng.Intn(8), LeaseDeadline: rng.Float64() * 400, QueuedAt: rng.Float64() * 400}
 		checkParity(t, &presp, func() interface{} { return new(PullResponse) })
 
 		var items []CompleteItem

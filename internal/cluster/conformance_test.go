@@ -240,6 +240,98 @@ func testTransportConformance(t *testing.T, tc transportCase) {
 		}
 	})
 
+	t.Run("queued-at", func(t *testing.T) {
+		// A pull's QueuedAt is when its newest query joined the pool:
+		// at or after every returned arrival and at or before the pull's
+		// return, the maximum over a gather's legs, and for a deferral
+		// pulled from heavy no earlier than the light Complete that
+		// deferred it. Two queries join 5 trace-s apart; the stamp must
+		// be the later join. The frontend asks its legs from a rotating
+		// start, and its two rounds join the shards in opposite orders, so
+		// a gather that kept its first or its last leg's stamp fails one.
+		tp := tc.mk()
+		defer tp.Close()
+		ctx := context.Background()
+		clock := NewClock(0.001)
+		shards := make([]LBConn, 2)
+		for i := range shards {
+			shards[i] = serveTestLB(t, tp, NewLBServer(LBConfig{
+				Mode: loadbalancer.ModeCascade, SLO: 1e9,
+				LightMinExec: 0.1, HeavyMinExec: 1.78,
+				Clock: clock, Seed: 1, RNGStream: fmt.Sprintf("lb/%d", i),
+			}))
+		}
+		fe, err := NewShardedLB(ShardedLBConfig{Shards: shards, Clock: clock})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fe.Close()
+		// onShard returns two query IDs from base up, the first owned by
+		// shard 0, the second by shard 1.
+		onShard := func(base int) (ids [2]int) {
+			for i, id := 0, base; i < 2; id++ {
+				if loadbalancer.ShardOf(id, 2) == i {
+					ids[i], i = id, i+1
+				}
+			}
+			return ids
+		}
+		// pullStamped pulls both queries of role and checks the stamp
+		// against [notBefore, the pull's return] and their arrivals.
+		pullStamped := func(conn LBConn, role string, notBefore float64) PullResponse {
+			t.Helper()
+			resp, err := pull(ctx, conn, PullRequest{Role: role, Max: 2, Wait: 50})
+			returned := clock.Now()
+			if err != nil || len(resp.Queries) != 2 {
+				t.Fatalf("%s pull = %+v, %v; want both queries", role, resp.Queries, err)
+			}
+			if resp.QueuedAt < notBefore || resp.QueuedAt > returned {
+				t.Errorf("%s pull: QueuedAt %.4f, want in [%.4f, %.4f] (the newest join .. the return)", role, resp.QueuedAt, notBefore, returned)
+			}
+			for _, q := range resp.Queries {
+				if resp.QueuedAt < q.Arrival {
+					t.Errorf("%s pull: QueuedAt %.4f before query %d's arrival %.4f", role, resp.QueuedAt, q.ID, q.Arrival)
+				}
+			}
+			return resp
+		}
+		a, b := onShard(100), onShard(200)
+		for _, round := range []struct {
+			name string
+			conn LBConn
+			ids  [2]int // in join order
+		}{
+			{"direct", shards[0], [2]int{1, 2}},
+			{"gather, shard 0 first", fe, a},
+			{"gather, shard 1 first", fe, [2]int{b[1], b[0]}},
+		} {
+			t.Run(round.name, func(t *testing.T) {
+				if err := round.conn.Configure(ctx, ConfigureLBRequest{Threshold: 0.5}); err != nil {
+					t.Fatal(err)
+				}
+				var second float64
+				for i, id := range round.ids {
+					if i == 1 {
+						clock.WaitUntil(ctx, clock.Now()+5, nil)
+						second = clock.Now()
+					}
+					if err := round.conn.SubmitBatch(ctx, SubmitRequest{Queries: []QueryMsg{{ID: id, Arrival: clock.Now()}}}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				light := pullStamped(round.conn, "light", second)
+				completed := clock.Now()
+				if err := completeAll(ctx, round.conn, 0, "light", light, 0.1); err != nil { // defers both
+					t.Fatal(err)
+				}
+				heavy := pullStamped(round.conn, "heavy", completed)
+				if err := completeAll(ctx, round.conn, 0, "heavy", heavy, 0.9); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	})
+
 	t.Run("posted-order", func(t *testing.T) {
 		// SubmitBatch and Complete returning nil means applied before any
 		// later call on the same conn is served, on every transport —

@@ -38,7 +38,7 @@ func dirtyTargets() []func() interface{} {
 		func() interface{} { return &QueryResponse{ID: -1, Variant: "stale", Features: stale(), Deferred: true} },
 		func() interface{} { return &PullRequest{WorkerID: -1, Role: "stale", Max: 99, Drain: true} },
 		func() interface{} {
-			return &PullResponse{Queries: []QueryMsg{{ID: -1}, {ID: -2}, {ID: -3}}, RingEpoch: 99, LeaseDeadline: 99}
+			return &PullResponse{Queries: []QueryMsg{{ID: -1}, {ID: -2}, {ID: -3}}, RingEpoch: 99, LeaseDeadline: 99, QueuedAt: 99}
 		},
 		func() interface{} {
 			return &CompleteRequest{WorkerID: -1, Role: "stale", LeaseDeadline: 99,
@@ -69,7 +69,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		&QueryMsg{ID: 7, Arrival: 12.5},
 		&QueryResponse{ID: 9, Variant: "sdturbo", Features: []float64{1, 2}, Confidence: 0.875, Deferred: true},
 		&PullRequest{WorkerID: 3, Role: "light", Max: 8, Wait: 0.25, Drain: true},
-		&PullResponse{Queries: []QueryMsg{{ID: 1, Arrival: 2}}, RingEpoch: 3, LeaseDeadline: 4.5},
+		&PullResponse{Queries: []QueryMsg{{ID: 1, Arrival: 2}}, RingEpoch: 3, LeaseDeadline: 4.5, QueuedAt: 2.25},
 		&CompleteRequest{WorkerID: 1, Role: "heavy", LeaseDeadline: 6.25, Items: []CompleteItem{{ID: 4, Variant: "sdv15", Features: []float64{3}}}},
 		&ConfigureWorkerRequest{Role: "light", Batch: 8},
 		&ConfigureLBRequest{Threshold: 0.7, SplitProb: 0.25, RingEpoch: 2},
@@ -158,9 +158,9 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(mkFrame(frameResponse, methodLBStats, 3, &LBStats{Completed: 5}, ""))
 	f.Add(mkFrame(frameError, methodComplete, 4, nil, "boom"))
 	// Lease-era frames: a pull response carrying its lease deadline and
-	// a completion echoing one.
+	// queue stamp, and a completion echoing the deadline.
 	f.Add(mkFrame(frameResponse, methodPull, 5,
-		&PullResponse{Queries: []QueryMsg{{ID: 2, Arrival: 1.5}}, RingEpoch: 1, LeaseDeadline: 9.75}, ""))
+		&PullResponse{Queries: []QueryMsg{{ID: 2, Arrival: 1.5}}, RingEpoch: 1, LeaseDeadline: 9.75, QueuedAt: 1.625}, ""))
 	f.Add(mkFrame(frameRequest, methodComplete, 6,
 		&CompleteRequest{WorkerID: 2, Role: "light", LeaseDeadline: 9.75,
 			Items: []CompleteItem{{ID: 2, Arrival: 1.5, Variant: "sdturbo", Confidence: 0.5}}}, ""))

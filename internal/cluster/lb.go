@@ -399,7 +399,7 @@ func (s *LBServer) PullInto(ctx context.Context, req PullRequest, resp *PullResp
 	}
 	epoch := int(s.ringEpoch.Load())
 	resp.RingEpoch = epoch
-	resp.LeaseDeadline = 0
+	resp.LeaseDeadline, resp.QueuedAt = 0, 0
 	// Keep the caller's query buffer for reuse; empty returns hand back
 	// nil (wire parity) without dropping the capacity they carried in.
 	qbuf := resp.Queries[:0]
@@ -434,6 +434,7 @@ func (s *LBServer) PullInto(ctx context.Context, req PullRequest, resp *PullResp
 			}
 			for _, it := range items {
 				qbuf = append(qbuf, QueryMsg{ID: it.ID, Arrival: it.Arrival})
+				resp.QueuedAt = max(resp.QueuedAt, it.Enqueue, it.Arrival)
 			}
 			resp.Queries = qbuf
 			resp.LeaseDeadline = now + s.cfg.LeaseDuration

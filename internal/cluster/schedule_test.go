@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"diffserve/internal/allocator"
 	"diffserve/internal/controller"
@@ -49,6 +50,28 @@ func TestWorkerKeepsSchedule(t *testing.T) {
 				after, 10*exec, span, want)
 		}
 	})
+}
+
+// TestBatchStart pins the start rule: a batch starts when its worker
+// and its queue were ready, credited back from the pull's return by at
+// most one tick, and never later than that return.
+func TestBatchStart(t *testing.T) {
+	const tick = 0.25
+	for _, c := range []struct {
+		name                      string
+		ready, queuedAt, returned float64
+		want                      float64
+	}{
+		{"never before QueuedAt", 9.875, 9.9375, 10, 9.9375},
+		{"never before ReadyAt", 9.9375, 9.875, 10, 9.9375},
+		{"never after the return: queued as the pull returned", 1, 10, 10, 10},
+		{"never after the return: stamps from a clock ahead", 10.5, 11, 10, 10},
+		{"both far behind, as after a stalled Complete: one tick of credit, not the stall", 4, 3, 10, 9.75},
+	} {
+		if got := batchStart(c.ready, c.queuedAt, c.returned, tick); got != c.want {
+			t.Errorf("%s: batchStart(%v, %v, %v, %v) = %v, want %v", c.name, c.ready, c.queuedAt, c.returned, tick, got, c.want)
+		}
+	}
 }
 
 // runBackToBack feeds k batch-1 queries at once to a fresh light worker
@@ -213,6 +236,50 @@ func withinBestOfThree(t *testing.T, measure func() (string, bool)) {
 		if attempt == 3 {
 			t.Error("out of bounds on every attempt: " + got)
 		}
+	}
+}
+
+// TestWaitUntilLandsWithinTick holds a schedule wait (no wake channel)
+// to its deadline: 200 waits of a light batch-1 execution, 0.55 wall-ms
+// at 200x, must overshoot by at most 0.25 ms in the median. A timer
+// alone rounds such a wait up to the next whole millisecond (~0.5 ms
+// late); where WaitUntil sleeps the last tick in the kernel, it lands
+// within a few tens of microseconds. A long poll (a wake channel) stays
+// on the timer and still returns on its wake.
+func TestWaitUntilLandsWithinTick(t *testing.T) {
+	if testing.Short() {
+		t.Skip("wall-clock precision test skipped in -short mode")
+	}
+	if !kernelSleep {
+		t.Skip("no kernel sleep on this OS: schedule waits stay on the timer")
+	}
+	clock := NewClock(rigTimescale)
+	ctx := context.Background()
+	const waits, wait, bound = 200, 0.11, 0.25e-3 // trace-s, trace-s, wall-s
+	withinBestOfThree(t, func() (string, bool) {
+		over := make([]float64, waits)
+		for i := range over {
+			deadline := clock.Now() + wait
+			clock.WaitUntil(ctx, deadline, nil)
+			over[i] = (clock.Now() - deadline) * clock.Timescale()
+		}
+		sort.Float64s(over)
+		med := over[waits/2]
+		return fmt.Sprintf("median overshoot of %d waits of %.2f wall-ms: %.3f ms (p90 %.3f ms), want <= %.2f ms",
+			waits, wait*rigTimescale*1e3, med*1e3, over[waits*9/10]*1e3, bound*1e3), med <= bound
+	})
+
+	wake := make(chan struct{})
+	woke := make(chan bool, 1)
+	go func() { woke <- clock.WaitUntil(ctx, clock.Now()+1e4, wake) }() // 50 wall-s
+	close(wake)
+	select {
+	case ok := <-woke:
+		if !ok {
+			t.Error("a woken wait reported false")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a wait with a wake channel did not return on its wake")
 	}
 }
 

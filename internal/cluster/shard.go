@@ -925,8 +925,8 @@ func (s *ShardedLB) rebuildSweepLocked() {
 // and appends that shard's share, until the batch is full or every
 // shard (retired ones included) was asked — one call returns up to
 // req.Max queries however they are spread over the shards. The
-// response carries the earliest lease deadline any share was granted
-// under and the frontend's ring epoch. A shard that fails after
+// response carries the earliest lease deadline and the latest QueuedAt
+// of any share, and the frontend's ring epoch. A shard that fails after
 // something was gathered costs the call nothing but that shard's
 // share: the gathered queries are returned (they are leased to this
 // caller) and the failure counts against the member; a failure before
@@ -970,6 +970,7 @@ func (s *ShardedLB) PullInto(ctx context.Context, req PullRequest, resp *PullRes
 			if d := leg.LeaseDeadline; d > 0 && (resp.LeaseDeadline == 0 || d < resp.LeaseDeadline) {
 				resp.LeaseDeadline = d
 			}
+			resp.QueuedAt = max(resp.QueuedAt, leg.QueuedAt)
 		}
 		if err != nil && len(got) > 0 {
 			if ctx.Err() == nil { // the member's failure, not the caller giving up

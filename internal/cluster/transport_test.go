@@ -53,8 +53,9 @@ func TestWaitUntilInterruptible(t *testing.T) {
 	}
 }
 
-// TestWaitUntilAllocs pins that a wait that parks on a timer allocates
-// nothing: the timer comes from the pool.
+// TestWaitUntilAllocs pins that a wait allocates nothing: a long poll
+// parks on a pooled timer, and a schedule wait shorter than a tick
+// sleeps in the kernel.
 func TestWaitUntilAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector")
@@ -63,10 +64,15 @@ func TestWaitUntilAllocs(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	wake := make(chan struct{})
-	if n := testing.AllocsPerRun(200, func() {
-		c.WaitUntil(ctx, c.Now()+20, wake)
-	}); n != 0 {
-		t.Errorf("WaitUntil allocated %v times per wait, want 0", n)
+	for _, w := range []struct {
+		name string
+		wake <-chan struct{}
+	}{{"long poll", wake}, {"schedule wait", nil}} {
+		if n := testing.AllocsPerRun(200, func() {
+			c.WaitUntil(ctx, c.Now()+20, w.wake)
+		}); n != 0 {
+			t.Errorf("%s: WaitUntil allocated %v times per wait, want 0", w.name, n)
+		}
 	}
 }
 

@@ -66,6 +66,7 @@ package cluster
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -158,12 +159,18 @@ type PullRequest struct {
 // worker that goes silent past the deadline forfeits the batch — the
 // server's expiry sweep reclaims and re-queues it.
 //
+// QueuedAt is the latest trace time at which any returned query joined
+// the pool it was pulled from, never before its arrival (a deferral
+// joins heavy when the light Complete that deferred it lands); a gather
+// returns the maximum over its legs. No batch starts before it.
+//
 // Queries is a decode target, valid until the next PullInto call on
 // the same struct.
 type PullResponse struct {
 	Queries       []QueryMsg `json:"queries"`
 	RingEpoch     int        `json:"ring_epoch,omitempty"`
 	LeaseDeadline float64    `json:"lease_deadline,omitempty"`
+	QueuedAt      float64    `json:"queued_at,omitempty"`
 }
 
 // CompleteItem is one finished generation. The caller keeps ownership
@@ -251,17 +258,15 @@ type LBStats struct {
 
 // Clock converts between wall time and trace time. Now and Restart
 // are safe for concurrent use: the harness restarts the clock after
-// setup while worker loops are already reading it.
+// setup while worker loops are already reading it. Now takes no lock.
 //
 // Every trace-time wait in the cluster is a WaitUntil on an absolute
-// trace deadline. A timer wakes up to a timerTick late (~0.12
-// trace-seconds at 200x); a loop that waits for its own schedule (a
-// worker for its batch's end, the controller for its next tick), not
-// an interval after each wake, does not accumulate that lateness.
+// trace deadline. A loop that waits for its own schedule (a worker for
+// its batch's end, the controller for its next tick), not an interval
+// after each wake, does not accumulate a late wake's lateness.
 type Clock struct {
-	mu        sync.Mutex
-	start     time.Time
-	timescale float64 // wall seconds per trace second
+	start     atomic.Pointer[time.Time] // the wall instant of trace zero
+	timescale float64                   // wall seconds per trace second
 }
 
 // NewClock starts a clock with the given timescale. A timescale of
@@ -270,24 +275,23 @@ func NewClock(timescale float64) *Clock {
 	if timescale <= 0 {
 		timescale = 1
 	}
-	return &Clock{start: time.Now(), timescale: timescale} //diffvet:allow walltime — Clock anchors trace time to the wall clock; this is the boundary itself
+	c := &Clock{timescale: timescale}
+	start := time.Now() //diffvet:allow walltime — Clock anchors trace time to the wall clock; this is the boundary itself
+	c.start.Store(&start)
+	return c
 }
 
 // Now returns the current trace time in seconds.
 func (c *Clock) Now() float64 {
-	c.mu.Lock()
-	start := c.start
-	c.mu.Unlock()
-	return time.Since(start).Seconds() / c.timescale //diffvet:allow walltime — trace time is derived from wall elapsed since the anchor; this is the boundary itself
+	return time.Since(*c.start.Load()).Seconds() / c.timescale //diffvet:allow walltime — trace time is derived from wall elapsed since the anchor; this is the boundary itself
 }
 
 // Restart rewinds trace time to zero. The harness calls this after
 // component setup so that setup cost (server startup, the initial
 // MILP solve) does not consume trace time.
 func (c *Clock) Restart() {
-	c.mu.Lock()
-	c.start = time.Now() //diffvet:allow walltime — Restart re-anchors trace zero to the wall clock; this is the boundary itself
-	c.mu.Unlock()
+	start := time.Now() //diffvet:allow walltime — Restart re-anchors trace zero to the wall clock; this is the boundary itself
+	c.start.Store(&start)
 }
 
 // WallDuration converts a trace-seconds interval to wall time.
@@ -298,9 +302,12 @@ func (c *Clock) WallDuration(traceSecs float64) time.Duration {
 // WaitUntil blocks until trace time reaches deadline, wake fires, or
 // ctx ends, and reports false only in the last case. A deadline
 // already past returns at once; a nil ctx or wake never fires. A true
-// return without wake guarantees Now() >= deadline: a timer that lands
-// early (its wall duration is truncated) is re-armed for the rest. The
-// timer comes from a pool, so a wait allocates nothing.
+// return without wake guarantees Now() >= deadline: a timer or sleep
+// that lands early is re-armed for the rest. The timer comes from a
+// pool, so a wait allocates nothing. A wait without wake is a schedule
+// wait (a batch's end, a tick, an arrival): where the kernel sleep
+// exists it parks on the timer until one timerTick before the deadline
+// and sleeps the rest in the kernel, deaf to ctx for that last tick.
 func (c *Clock) WaitUntil(ctx context.Context, deadline float64, wake <-chan struct{}) bool {
 	var done <-chan struct{}
 	if ctx != nil {
@@ -316,8 +323,16 @@ func (c *Clock) WaitUntil(ctx context.Context, deadline float64, wake <-chan str
 		if rem <= 0 {
 			return true
 		}
+		wait := c.WallDuration(rem)
+		if wake == nil && kernelSleep {
+			if wait <= timerTick {
+				sleepKernel(wait)
+				continue
+			}
+			wait -= timerTick
+		}
 		t := waitTimers.Get().(*time.Timer)
-		t.Reset(c.WallDuration(rem))
+		t.Reset(wait)
 		fired, woke := false, false
 		select {
 		case <-t.C:
@@ -339,8 +354,9 @@ func (c *Clock) WaitUntil(ctx context.Context, deadline float64, wake <-chan str
 	}
 }
 
-// timerTick is the runtime poller's granularity, which rounds a timer
-// wait up to whole milliseconds: a wait wakes up to this late.
+// timerTick is the runtime poller's granularity: it rounds a timer wait
+// up to whole milliseconds, so a timer wakes up to this late. WaitUntil
+// sleeps a schedule wait's last tick in the kernel instead.
 const timerTick = time.Millisecond
 
 // waitTimers recycles the timers WaitUntil parks on, so a wait costs

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"math"
 	"math/rand"
 	"sync"
 
@@ -160,32 +159,20 @@ func (s *WorkerServer) Loop(ctx context.Context) {
 	// goroutine alone.
 	var pulled PullResponse
 	var items []CompleteItem
-	// fromBatch is set while the worker comes straight from executing a
-	// batch: the pull it issues next is late by lag, the time it spent
-	// past that batch's scheduled end, and the next batch is credited it
-	// back (see executeBatch).
-	fromBatch := false
 	for ctx.Err() == nil {
 		now := s.cfg.Clock.Now()
 		s.mu.Lock()
 		role := s.state.Role()
 		batch := s.state.Batch()
 		available := s.state.Available(now)
-		ready, _ := s.state.ReadyAt()
 		s.mu.Unlock()
 
 		if role == worker.RoleIdle || !available {
-			fromBatch = false
 			if !s.cfg.Clock.WaitUntil(ctx, now+s.cfg.PollInterval, nil) {
 				return
 			}
 			continue
 		}
-		lag := 0.0
-		if fromBatch && now > ready {
-			lag = now - ready
-		}
-		fromBatch = false
 
 		err := lb.PullInto(ctx, PullRequest{
 			WorkerID: s.cfg.ID, Role: roleName(role), Max: batch, Wait: s.cfg.PullWait,
@@ -208,8 +195,7 @@ func (s *WorkerServer) Loop(ctx context.Context) {
 		}
 		pullFails = 0
 		if len(pulled.Queries) > 0 {
-			items = s.executeBatch(ctx, role, lb, &pulled, items, lag)
-			fromBatch = true
+			items = s.executeBatch(ctx, role, lb, &pulled, items)
 		}
 		if pulled.RingEpoch > epoch {
 			// The tier resharded: re-pin after the in-flight batch has
@@ -230,15 +216,11 @@ func (s *WorkerServer) Loop(ctx context.Context) {
 // next batch — its Features fields point into the imagespace cache and
 // are only ever replaced, never written through.
 //
-// The batch runs on its own trace schedule: it starts at the latest of
-// the worker's ReadyAt, the batch's newest arrival, and the pull's
-// return minus lag (how late the pull was issued after the previous
-// batch's scheduled end, capped at one timerTick so a stalled completion
-// is not replayed as GPU time), never later than the pull's return, and
-// completes at start + exec. So the timer overshoot and the completion
-// round trip of one batch are not charged to the next, while no batch
-// starts before its queries arrived or before the previous one ended.
-func (s *WorkerServer) executeBatch(ctx context.Context, role worker.Role, lb LBConn, pulled *PullResponse, items []CompleteItem, lag float64) []CompleteItem {
+// The batch runs on its own trace schedule, from batchStart's start to
+// start + exec: it starts when both the worker (its ReadyAt) and the
+// batch (its QueuedAt) were ready, as the simulator dispatches, not
+// when the pull's round trip happened to return.
+func (s *WorkerServer) executeBatch(ctx context.Context, role worker.Role, lb LBConn, pulled *PullResponse, items []CompleteItem) []CompleteItem {
 	queries := pulled.Queries
 	n := len(queries)
 	variant, exec := s.cfg.Light, discriminator.LightExec(s.cfg.Light, s.cfg.Scorer, n)
@@ -247,15 +229,10 @@ func (s *WorkerServer) executeBatch(ctx context.Context, role worker.Role, lb LB
 	}
 
 	returned := s.cfg.Clock.Now()
-	start := returned - math.Min(lag, timerTick.Seconds()/s.cfg.Clock.Timescale())
-	for _, q := range queries {
-		start = math.Max(start, q.Arrival)
-	}
+	tick := timerTick.Seconds() / s.cfg.Clock.Timescale()
 	s.mu.Lock()
-	if ready, ok := s.state.ReadyAt(); ok {
-		start = math.Max(start, ready)
-	}
-	start = math.Min(start, returned)
+	ready, _ := s.state.ReadyAt() // 0 without a role: then Available fails below
+	start := batchStart(ready, pulled.QueuedAt, returned, tick)
 	if s.state.Available(start) {
 		s.state.StartBatch(start, n, exec)
 	}
@@ -305,4 +282,14 @@ func (s *WorkerServer) executeBatch(ctx context.Context, role worker.Role, lb LB
 	s.busy = false
 	s.mu.Unlock()
 	return items
+}
+
+// batchStart is when a batch whose pull returned at returned starts:
+// when both the worker (ready: previous batch end or model load) and
+// the batch (queuedAt) were ready, so neither a late wake nor the
+// pull's round trip is charged to it, but never after returned, and at
+// most one timer tick (tick) before it: after a stalled Complete, ready
+// is far behind, and the stall must not be replayed as GPU time.
+func batchStart(ready, queuedAt, returned, tick float64) float64 {
+	return min(returned, max(ready, queuedAt, returned-tick))
 }

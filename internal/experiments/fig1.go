@@ -158,14 +158,10 @@ func cascadeCurve(space *imagespace.Space, light, heavy *model.Variant, s discri
 // Render writes the Fig 1a tables.
 func (r *Fig1aResult) Render(w io.Writer) {
 	fmt.Fprintln(w, "Figure 1a — FID vs. average inference latency (batch 1)")
-	for pair, curves := range r.Curves {
+	for _, pair := range sortedKeys(r.Curves) {
+		curves := r.Curves[pair]
 		fmt.Fprintf(w, "\npair %s\n", pair)
-		names := make([]string, 0, len(curves))
-		for n := range curves {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, name := range names {
+		for _, name := range sortedKeys(curves) {
 			fmt.Fprintf(w, "  %-18s", name)
 			for _, p := range curves[name] {
 				fmt.Fprintf(w, "  (%.2fs, %5.2f)", p.AvgLatency, p.FID)
@@ -177,6 +173,17 @@ func (r *Fig1aResult) Render(w io.Writer) {
 	for _, v := range r.Variants {
 		fmt.Fprintf(w, "  %-18s %6.3f %6.2f\n", v.Variant, v.Latency, v.FID)
 	}
+}
+
+// sortedKeys returns a map's keys in order, so a table rendered from
+// the map prints the same on every run.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // Fig1bResult reproduces Fig 1b: the distribution of per-query quality
@@ -240,7 +247,8 @@ func Fig1b(cfg Config) (*Fig1bResult, error) {
 // Render writes the Fig 1b CDF summaries.
 func (r *Fig1bResult) Render(w io.Writer) {
 	fmt.Fprintln(w, "Figure 1b — CDF of quality difference (heavy - light); negative = light better")
-	for pair, p := range r.Pairs {
+	for _, pair := range sortedKeys(r.Pairs) {
+		p := r.Pairs[pair]
 		psCDF := stats.NewCDF(p.PickScoreDiff)
 		cfCDF := stats.NewCDF(p.ConfidenceDiff)
 		fmt.Fprintf(w, "\npair %s (ground-truth easy fraction %.2f)\n", pair, p.EasyFraction)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"time"
 
 	"diffserve/internal/allocator"
@@ -89,20 +88,10 @@ func Fig7(cfg Config) (*Fig7Result, error) {
 // Render writes the Fig 7 tables.
 func (r *Fig7Result) Render(w io.Writer) {
 	fmt.Fprintln(w, "Figure 7 — discriminator design comparison (FID at matched latency)")
-	pairs := make([]string, 0, len(r.Curves))
-	for pair := range r.Curves {
-		pairs = append(pairs, pair)
-	}
-	sort.Strings(pairs)
-	for _, pair := range pairs {
+	for _, pair := range sortedKeys(r.Curves) {
 		curves := r.Curves[pair]
 		fmt.Fprintf(w, "\npair %s\n", pair)
-		names := make([]string, 0, len(curves))
-		for n := range curves {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, name := range names {
+		for _, name := range sortedKeys(curves) {
 			fmt.Fprintf(w, "  %-20s", name)
 			for _, p := range curves[name] {
 				fmt.Fprintf(w, "  (%.2fs, %5.2f)", p.AvgLatency, p.FID)

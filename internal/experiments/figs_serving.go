@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"diffserve/internal/baselines"
 	"diffserve/internal/trace"
@@ -194,11 +193,7 @@ type approachRun struct {
 // Render writes the Fig 5 summary and timeline.
 func (r *Fig5Result) Render(w io.Writer) {
 	writeSummaries(w, fmt.Sprintf("Figure 5 — dynamic trace %s (cascade 1)", r.TraceName), r.Summaries)
-	apps := make([]string, 0, len(r.Timelines))
-	for a := range r.Timelines {
-		apps = append(apps, a)
-	}
-	sort.Strings(apps)
+	apps := sortedKeys(r.Timelines)
 	fmt.Fprintln(w, "\ntimeline (per 10s bucket: demand QPS | per-approach FID | per-approach viol):")
 	fmt.Fprintf(w, "%6s %7s", "t", "demand")
 	for _, a := range apps {

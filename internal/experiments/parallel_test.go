@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"testing"
 )
@@ -97,25 +98,49 @@ func TestFanOutHelper(t *testing.T) {
 // TestFig7RenderIsDeterministic pins the render order of Figure 7's
 // model pairs: the result keeps them in a map, and ranging over it
 // printed the two pair blocks in a different order from run to run, so
-// the table could not be diffed. Two blocks swap with probability 1/2
-// per render; sixteen renders make a regression all but certain to show.
+// the table could not be diffed. Two blocks of a small map swap in
+// about one render in eight; sixty-four renders make a regression all
+// but certain to show.
 func TestFig7RenderIsDeterministic(t *testing.T) {
 	r, err := Fig7(Config{Seed: 777, Short: true, Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkPairRender(t, r)
+}
+
+// TestFig1RenderIsDeterministic is the same check for Figure 1a's and
+// 1b's pair blocks, which were printed in map order too.
+func TestFig1RenderIsDeterministic(t *testing.T) {
+	cfg := Config{Seed: 777, Short: true, Parallelism: 2}
+	a, err := Fig1a(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkPairRender(t, a)
+	b, err := Fig1b(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkPairRender(t, b)
+}
+
+// checkPairRender renders r sixty-four times: every render must match
+// the first, and the sdturbo pair's block must come before the sdxs one's.
+func checkPairRender(t *testing.T, r interface{ Render(io.Writer) }) {
+	t.Helper()
 	var first bytes.Buffer
 	r.Render(&first)
-	for i := 1; i < 16; i++ {
+	for i := 1; i < 64; i++ {
 		var again bytes.Buffer
 		r.Render(&again)
 		if !bytes.Equal(first.Bytes(), again.Bytes()) {
-			t.Fatalf("render %d of one Fig7 result differs from the first.\nfirst:\n%s\nthen:\n%s", i+1, first.Bytes(), again.Bytes())
+			t.Fatalf("render %d of one %T differs from the first.\nfirst:\n%s\nthen:\n%s", i+1, r, first.Bytes(), again.Bytes())
 		}
 	}
 	turbo := bytes.Index(first.Bytes(), []byte("pair sdturbo+sdv15"))
 	sdxs := bytes.Index(first.Bytes(), []byte("pair sdxs+sdv15"))
 	if turbo < 0 || sdxs < 0 || turbo > sdxs {
-		t.Errorf("pairs are not rendered in sorted order:\n%s", first.Bytes())
+		t.Errorf("%T: pairs are not rendered in sorted order:\n%s", r, first.Bytes())
 	}
 }
