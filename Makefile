@@ -201,12 +201,13 @@ race-reshard:
 
 # chaos-soak: the fault-tolerance suite — the worker-churn soak (killed
 # workers, severed conns, injected drops/latency, exactly-once
-# accounting), the lease-reclaim and retry-after-sever conformance rows
-# on both transports, and the controller/shard failover units.
+# accounting), the lease-reclaim and sever-is-transient conformance rows
+# on both transports, a worker riding out an LB restart, and the
+# controller/shard failover units.
 .PHONY: chaos-soak
 chaos-soak:
 	$(GO) test -race -count=$(COUNT) \
-		-run 'TestChaosWorkerChurnNoLostQueries|TestTransportConformance/.*/lease-reclaim-exactly-once|TestTransportConformance/.*/retry-after-sever|TestControllerConservativeFailover|TestShardedLBDegradeSpill' \
+		-run 'TestChaosWorkerChurnNoLostQueries|TestTransportConformance/.*/lease-reclaim-exactly-once|TestTransportConformance/.*/sever-is-transient|TestWorkerResumesAfterLBRestart|TestControllerConservativeFailover|TestShardedLBDegradeSpill' \
 		./internal/cluster/
 
 # race-solver: the warm-started incremental solver and the allocator's

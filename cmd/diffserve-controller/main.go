@@ -27,9 +27,14 @@
 //
 // The controller installs the new ring epoch on its own frontend,
 // drains a removed shard's queued work to the survivors, and re-stripes
-// worker roles on the next control tick. Nothing else adopts the flip:
-// a separately running diffserve-client or diffserve-worker keeps
+// worker roles on the next control tick. The epoch lives in that
+// frontend alone — no shard, worker or client is told of it — so a
+// separately running diffserve-client or diffserve-worker keeps
 // routing by the -shard-addrs it was started with.
+//
+// -workers is parsed like -shard-addrs: blanks around an address and
+// empty entries (a trailing comma) are dropped, so every listed worker
+// is a real one when the allocator counts them.
 package main
 
 import (
@@ -39,7 +44,6 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"strings"
 
 	"diffserve/internal/allocator"
 	"diffserve/internal/baselines"
@@ -63,8 +67,8 @@ func main() {
 	)
 	flag.Parse()
 
-	workerURLs := strings.Split(*workerCSV, ",")
-	if *workerCSV == "" || len(workerURLs) == 0 {
+	workerURLs := cluster.SplitShardAddrs(*workerCSV)
+	if len(workerURLs) == 0 {
 		fatal(fmt.Errorf("need -workers addresses"))
 	}
 

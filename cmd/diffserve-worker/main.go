@@ -16,20 +16,17 @@
 // within that shard — the multi-host layout runs one shard plus its
 // worker group per host with no cross-host data traffic.
 //
-// When the tier reshards (a ring epoch flip driven by the
-// controller's admin RPC), every pull response carries the new ring
-// epoch; a standalone worker logs the flip but keeps its static pin —
-// re-pinning standalone workers onto new shard addresses is the
-// operator's move (restart with the new -shard-addrs). The in-process
-// harness pins no worker: its workers pull through the ShardedLB
-// frontend, which follows the flip itself.
+// A resharded tier does not move a standalone worker: it keeps its
+// static pin, and re-pinning onto new shard addresses is the operator's
+// move (restart with the new -shard-addrs). The in-process harness pins
+// no worker: its workers pull through the ShardedLB frontend, which
+// follows the flip itself.
 //
-// Data-path calls to the LB retry transient failures with jittered
-// exponential backoff (-retry-attempts, -retry-base-ms), and a conn
-// whose pulls keep failing is redialed in place (-redial-after); a
-// completion report that exhausts -complete-retries abandons its
-// batch to the LB's lease sweep, which re-queues the queries for
-// another worker.
+// A worker recovers from a lost LB in one way. The tcp conn redials on
+// its next call and replays the submits and completions the LB never
+// acknowledged; a failed pull is retried after a short trace-time
+// back-off; a completion report that keeps failing is abandoned to the
+// LB's lease sweep, which re-queues the queries for another worker.
 //
 //	diffserve-worker -port 50051 -id 0 -lb localhost:8100 -cascade cascade1
 //	diffserve-worker -port 50051 -id 3 -shard-addrs localhost:8100,localhost:8101
@@ -40,7 +37,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"diffserve/internal/baselines"
 	"diffserve/internal/cluster"
@@ -56,11 +52,6 @@ func main() {
 		seed       = flag.Uint64("seed", 20250610, "shared experiment seed")
 		timescale  = flag.Float64("timescale", 0.1, "wall seconds per trace second")
 		fastLoad   = flag.Bool("fast-load", false, "skip model-switch load delays")
-
-		retryAttempts = flag.Int("retry-attempts", 0, "tries per LB data-path call before the transient failure surfaces (0 = default 4, 1 disables retries)")
-		retryBaseMs   = flag.Float64("retry-base-ms", 0, "first retry backoff in milliseconds, doubling with jitter up to a 50x cap (0 = default 5ms)")
-		redialAfter   = flag.Int("redial-after", 0, "consecutive pull failures before the worker drops its LB conn and redials (0 = default 3, negative disables)")
-		completeRetry = flag.Int("complete-retries", 0, "tries a completion report gets before its batch is abandoned to the lease sweep (0 = default 4)")
 	)
 	flag.Parse()
 
@@ -78,56 +69,16 @@ func main() {
 		lbAddr = addrs[shard]
 		fmt.Printf("diffserve-worker %d: pinned to LB shard %d of %d (%s)\n", *id, shard, len(addrs), lbAddr)
 	}
-	// Every data-path call retries transient failures with jittered
-	// exponential backoff; the jitter stream is seeded per worker so a
-	// fleet sharing a seed does not retry in lockstep.
-	pol := cluster.RetryPolicy{
-		Attempts: *retryAttempts,
-		Base:     time.Duration(*retryBaseMs * float64(time.Millisecond)),
-		Seed:     *seed ^ uint64(*id)<<32,
-	}
-	dialLB := func() (cluster.LBConn, error) {
-		conn, err := cluster.DialLB(lbAddr)
-		if err != nil {
-			return nil, err
-		}
-		return cluster.NewRetryingLBConn(conn, pol), nil
-	}
-	lbConn, err := dialLB()
+	lbConn, err := cluster.DialLB(lbAddr)
 	if err != nil {
 		fatal(err)
 	}
-	clock := cluster.NewClock(*timescale)
-	wcfg := cluster.WorkerConfig{
+	ws := cluster.NewWorkerServer(cluster.WorkerConfig{
 		ID: *id, LB: lbConn,
 		Space: env.Space, Light: env.Light, Heavy: env.Heavy,
-		Scorer: env.Scorer, Clock: clock,
+		Scorer: env.Scorer, Clock: cluster.NewClock(*timescale),
 		DisableLoadDelay: *fastLoad,
-		CompleteRetries:  *completeRetry,
-		// A standalone worker cannot dial shards it was never told
-		// about, so an epoch flip is surfaced to the operator and the
-		// static pin kept (nil return).
-		RePin: func(epoch int) cluster.LBConn {
-			fmt.Printf("diffserve-worker %d: LB tier resharded to ring epoch %d; keeping static pin %s (restart with the new -shard-addrs to re-pin)\n", *id, epoch, lbAddr)
-			return nil
-		},
-	}
-	if *redialAfter >= 0 {
-		wcfg.RedialAfter = *redialAfter
-		// A conn whose pulls keep failing past the threshold is dropped
-		// for a fresh dial of the same shard address; keeping the old
-		// conn (nil return) is the fallback when the redial itself fails.
-		wcfg.Redial = func(epoch int) cluster.LBConn {
-			conn, err := dialLB()
-			if err != nil {
-				fmt.Printf("diffserve-worker %d: redial of %s failed: %v (keeping the dead conn for the next round)\n", *id, lbAddr, err)
-				return nil
-			}
-			fmt.Printf("diffserve-worker %d: redialed %s after repeated pull failures\n", *id, lbAddr)
-			return conn
-		}
-	}
-	ws := cluster.NewWorkerServer(wcfg)
+	})
 	go ws.Loop(context.Background())
 
 	addr := fmt.Sprintf(":%d", *port)

@@ -10,9 +10,29 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
+
+// output collects a child's stdout and stderr; the test reads it while
+// the child is still writing.
+type output struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (o *output) Write(p []byte) (int, error) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.buf.Write(p)
+}
+
+func (o *output) String() string {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.buf.String()
+}
 
 // freePort asks the kernel for an unused loopback port. The listener is
 // closed before the binary binds it, so another process could take the
@@ -37,7 +57,8 @@ func freePort(t *testing.T) int {
 // controller's plan puts both workers on the light model with a
 // threshold above zero, so deferred queries wait in a heavy queue no
 // worker pulls from: they resolve when the controller's stats poll
-// sheds them.
+// sheds them. The controller's -workers list carries a blank after a
+// comma and a trailing comma, and must still count two workers.
 func TestServingBinariesSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the serving binaries; skipped in -short mode")
@@ -62,11 +83,11 @@ func TestServingBinariesSmoke(t *testing.T) {
 	}
 
 	const timescale = "0.01" // 100x real time: 6 trace-seconds in 60 ms
-	start := func(name string, args ...string) *bytes.Buffer {
+	start := func(name string, args ...string) *output {
 		t.Helper()
-		var out bytes.Buffer
+		out := new(output)
 		cmd := command(filepath.Join(bin, name), append(args, "-timescale", timescale)...)
-		cmd.Stdout, cmd.Stderr = &out, &out
+		cmd.Stdout, cmd.Stderr = out, out
 		if err := cmd.Start(); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -77,7 +98,7 @@ func TestServingBinariesSmoke(t *testing.T) {
 				t.Logf("%s output:\n%s", name, out.String())
 			}
 		})
-		return &out
+		return out
 	}
 	listening := func(addr string) {
 		t.Helper()
@@ -108,7 +129,8 @@ func TestServingBinariesSmoke(t *testing.T) {
 	for _, w := range workers {
 		listening(w)
 	}
-	start("diffserve-controller", "-lb", lbAddr, "-workers", strings.Join(workers, ","))
+	workerList := strings.Join(workers, ", ") + ","
+	ctrl := start("diffserve-controller", "-lb", lbAddr, "-workers", workerList)
 
 	client := command(filepath.Join(bin, "diffserve-client"),
 		"-lb", lbAddr, "-min", "2", "-max", "6", "-duration", "6", "-timescale", timescale)
@@ -122,5 +144,8 @@ func TestServingBinariesSmoke(t *testing.T) {
 	}
 	if !regexp.MustCompile(`(?m)^unresolved\s+0$`).Match(out) {
 		t.Errorf("client did not receive a result for every query it submitted:\n%s", out)
+	}
+	if banner := ctrl.String(); !strings.Contains(banner, "diffserve-controller: 2 workers,") {
+		t.Errorf("controller did not count 2 workers in -workers %q:\n%s", workerList, banner)
 	}
 }

@@ -86,12 +86,12 @@
 //
 // cluster.LBConn is the six calls the system makes — SubmitBatch,
 // PullInto, Complete, PollResultsInto, Configure, Stats — and every
-// conn (tcp, inproc, the ShardedLB frontend, the retry and fault
-// wrappers) implements all of them. cluster.CodecJSON encodes the same
-// messages through their json tags; nothing sends it over a
-// connection. It is the reference the parity tests, the fuzzers and
-// diffvet's codecparity analyzer hold the binary codec against, and a
-// tcp server answers a frame that names it with an error frame.
+// conn (tcp, inproc, the ShardedLB frontend) implements all of them.
+// cluster.CodecJSON encodes the same messages through their json
+// tags; nothing sends it over a connection. It is the reference the
+// parity tests, the fuzzers and diffvet's codecparity analyzer hold
+// the binary codec against, and a tcp server answers a frame that
+// names it with an error frame.
 //
 // The two transports are behaviorally interchangeable: a shared
 // conformance suite exercises both, plus the sharded topologies
@@ -171,8 +171,8 @@
 //	  |---------------->|---------------------->|             |            |
 //	  |                 |== Resharding: epoch 2 installs ring{B}; in-flight
 //	  |                 |   batches finish under epoch 1 (RWMutex barrier) ==|
-//	  |                 |-- configure{epoch 2} ->|  (and B, and workers'    |
-//	  |                 |                        |   next pulls echo it)    |
+//	  |                 |-- configure{policy} -->|  (and B: the remembered  |
+//	  |                 |                        |   policy, re-broadcast)  |
 //	  |                 |-- pull{drain} -------->|  queued work handed over |
 //	  |                 |   (A forgets the       |  exactly once            |
 //	  |                 |    registrations)      |                          |
@@ -184,15 +184,16 @@
 //	  |  idempotent resolve machinery no-ops the extra deliveries.         |
 //
 // Workers that pull through the frontend see the new membership on
-// their next pull. Shard-pinned workers observe the flip through the
-// ring-epoch field every pull response carries, and the controller
-// re-stripes their roles across the new shard groups. The
-// protocol is exactly-once end to end: the resharding chaos test
-// races submits, completions, deferrals, and four membership changes
-// under the race detector and requires zero lost and zero
-// double-resolved queries, and the sim-vs-cluster experiment's
-// resharding parity leg requires a 2->3-shard TCP cluster to
-// reproduce the single-LB completed/dropped counts exactly.
+// their next pull. Shard-pinned workers are not told of the flip:
+// they keep their static pin, and the controller re-stripes their
+// roles across the new shard groups. The ring epoch lives in the
+// frontend alone; nothing on the wire carries it. The protocol is
+// exactly-once end to end: the resharding chaos test races submits,
+// completions, deferrals, and four membership changes under the race
+// detector and requires zero lost and zero double-resolved queries,
+// and the sim-vs-cluster experiment's resharding parity leg requires
+// a 2->3-shard TCP cluster to reproduce the single-LB
+// completed/dropped counts exactly.
 //
 // # Scheduled resharding
 //
@@ -293,62 +294,67 @@
 // discarded at dequeue, and every resolution releases its lease in the
 // same critical section, so InFlight is 0 once every query resolved.
 //
-// Around the lease sit three more layers. Client and worker calls
-// retry transient transport failures with jittered exponential
-// backoff (cluster.NewRetryingLBConn; retry-safe calls only — Submit
-// retains at-least-once semantics and is excluded), and a worker
-// whose pulls keep failing redials its shard and re-pins via the
-// epoch machinery above. Transport error events are classified
-// transient versus fatal (cluster.TransientTransportError), so the
-// harness aborts runs on real faults but rides out injected or
-// recovered ones. At the tier level, a shard unreachable for three
-// consecutive dispatches or pump polls is marked degraded: new submits
-// for its hash range spill to the ring's next owner, the state
-// surfaces through merged Stats (DegradedShards) so an operator can
-// reshard it away, and the first successful probe un-degrades it. A controller blinded by stats-poll failures
-// for MaxStatsMisses ticks fails over to a conservative plan
+// A worker recovers from a lost or restarted LB in one way, with
+// three parts. The tcp conn redials on its next call and replays,
+// ahead of anything else, the SubmitBatch and Complete frames the LB
+// never acknowledged. The worker backs off in trace time: a failed
+// pull waits and pulls again on the same conn, and a failed Complete
+// is retried a few times with jittered exponential back-off. What is
+// still left over — a batch whose Complete never landed, a lease on
+// an LB that died — is reclaimed by the lease sweep above. Every one
+// of those waits is a Clock.WaitUntil except the tcp dialer's.
+// Transport error events are classified transient versus fatal
+// (cluster.TransientTransportError), so the harness aborts runs on
+// real faults but rides out injected or recovered ones. At the tier
+// level, a shard unreachable for three consecutive dispatches or pump
+// polls is marked degraded: new submits for its hash range spill to
+// the ring's next owner, the state surfaces through merged Stats
+// (DegradedShards) so an operator can reshard it away, and the first
+// successful probe un-degrades it. A controller blinded by stats-poll
+// failures for MaxStatsMisses ticks fails over to a conservative plan
 // (threshold zero — light-only routing — with the worker layout kept)
 // until polls recover.
 //
-// Faults themselves are injected deterministically:
-// cluster.FaultTransport wraps any transport and applies seeded
-// request/response drops, latency spikes, conn severs, and one-way
-// partitions from a scriptable schedule. The chaos soak
-// (TestChaosWorkerChurnNoLostQueries, the verify script's race-chaos
-// leg) kills busy workers and severs conns mid-trace and requires
-// every submitted query to resolve exactly once.
+// Faults themselves are injected deterministically by a test-only
+// FaultTransport (internal/cluster/fault_test.go): it wraps any
+// transport and applies seeded request/response drops, latency
+// spikes, conn severs, and one-way partitions from a scriptable
+// schedule. The chaos soak (TestChaosWorkerChurnNoLostQueries, the
+// verify script's race-chaos leg) kills busy workers and severs conns
+// mid-trace and requires every submitted query to resolve exactly
+// once.
 //
 // # Trace time
 //
 // The cluster runs on trace time: cluster.Clock maps wall time to
-// trace seconds at a timescale (0.005 replays at 200x), and every timed
-// wait in the runtime — long polls, worker batches, control ticks, the
-// replay client, the trace-time back-offs and the retired-shard sweeps
-// — is one call, Clock.WaitUntil(ctx, deadline, wake): block until the
-// absolute trace deadline, a wakeup channel, or the context, allocating
-// nothing. (The retry wrapper's and the tcp dialer's back-offs are wall
-// durations by configuration and stay outside the clock.) A Go timer
-// wakes late: the runtime's poller rounds a sub-millisecond delay up to
-// a whole millisecond, ~0.12 trace-seconds at 200x, a whole light
-// batch. So a wait without a wake channel — a schedule wait: a batch's
-// end, a control tick, a replayed arrival, a reshard — parks on a
-// pooled timer only until one millisecond before its deadline and, on
-// Linux, sleeps the rest in the kernel (nanosleep), which lands within
-// tens of microseconds; elsewhere it stays on the timer. A long poll
-// (with a wake channel) stays on the timer. Deadlines are absolute, so
-// the two periodic loops wait for their own schedule rather than an
-// interval after the last wake. A worker starts each batch when both it
-// and the batch were ready — the latest of its previous batch's
-// scheduled end and the time the batch's newest query joined the pool
-// (PullResponse.QueuedAt) — credited back from the pull's return by at
-// most one 1 ms timer tick (so a stalled completion is not replayed as
-// GPU time), never later than that return, and completes it at
-// start + exec; the controller ticks at t0 + k·interval, t0 being the
-// harness's clock restart. One late wake then delays one step, not
-// every later one, and no query is served sooner after it was queued
-// than the emulated GPU allows. PERFORMANCE.md ("Schedule-anchored
-// waits", "Kernel-timed waits and enqueue-anchored starts") has the
-// timer probes and what they moved.
+// trace seconds at a timescale (0.005 replays at 200x), and every
+// timed wait in the runtime — long polls, worker batches, control
+// ticks, the replay client, the trace-time back-offs and the
+// retired-shard sweeps — is one call, Clock.WaitUntil(ctx, deadline,
+// wake): block until the absolute trace deadline, a wakeup channel,
+// or the context, allocating nothing. (Only the tcp dialer's back-off
+// is a wall duration and stays outside the clock.) A Go timer wakes
+// late: the runtime's poller rounds a sub-millisecond delay up to a
+// whole millisecond, ~0.12 trace-seconds at 200x, a whole light
+// batch. So a wait without a wake channel — a schedule wait: a
+// batch's end, a control tick, a replayed arrival, a reshard — parks
+// on a pooled timer only until one millisecond before its deadline
+// and, on Linux, sleeps the rest in the kernel (nanosleep), which
+// lands within tens of microseconds; elsewhere it stays on the timer.
+// A long poll (with a wake channel) stays on the timer. Deadlines are
+// absolute, so the two periodic loops wait for their own schedule
+// rather than an interval after the last wake. A worker starts each
+// batch when both it and the batch were ready — the latest of its
+// previous batch's scheduled end and the time the batch's newest
+// query joined the pool (PullResponse.QueuedAt) — credited back from
+// the pull's return by at most one 1 ms timer tick (so a stalled
+// completion is not replayed as GPU time), never later than that
+// return, and completes it at start + exec; the controller ticks at
+// t0 + k·interval, t0 being the harness's clock restart. One late
+// wake then delays one step, not every later one, and no query is
+// served sooner after it was queued than the emulated GPU allows.
+// PERFORMANCE.md ("Schedule-anchored waits", "Kernel-timed waits and
+// enqueue-anchored starts") has the timer probes and what they moved.
 //
 // # Static analysis
 //

@@ -46,16 +46,15 @@ func TestChaosWorkerChurnNoLostQueries(t *testing.T) {
 
 	// Two fault layers over the same server. The client layer injects
 	// request drops and latency only: a SubmitBatch whose RESPONSE is
-	// dropped would be retried after the server admitted it, and a
+	// dropped would be re-sent after the server admitted it, and a
 	// duplicate admission that lands after the first copy resolved is
 	// a second registration — at-least-once submit is the documented
-	// client contract (see retryLBConn), but this test pins
-	// exactly-once accounting, so the submit path only suffers faults
-	// a retry can heal losslessly. The worker layer additionally drops
-	// responses: a lost Pull reply strands a lease for the sweep to
-	// reclaim, and a lost Complete reply makes the worker re-report a
-	// batch the server already resolved — the duplicate-delivery
-	// idempotency under test.
+	// client contract, but this test pins exactly-once accounting, so
+	// the submit path only suffers faults a re-send heals losslessly.
+	// The worker layer additionally drops responses: a lost Pull reply
+	// strands a lease for the sweep to reclaim, and a lost Complete
+	// reply makes the worker re-report a batch the server already
+	// resolved — the duplicate-delivery idempotency under test.
 	ftClient := NewFaultTransport(localTransport{}, FaultPlan{
 		Seed: 11, Clock: clock,
 		DropRequestProb: 0.05, LatencyProb: 0.05, LatencySecs: 0.2,
@@ -71,15 +70,15 @@ func TestChaosWorkerChurnNoLostQueries(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	pol := func(seed uint64) RetryPolicy {
-		return RetryPolicy{Attempts: 5, Base: 200 * time.Microsecond, Cap: 2 * time.Millisecond, Seed: seed}
-	}
-	workerConn := func(seed uint64) LBConn {
-		inner, err := ftWorker.ServeLB(lb)
+	// Each worker gets one faulted conn, in start order, and recovers
+	// the way a standalone worker does: it backs off and retries on
+	// that conn, and the lease sweep reclaims what it gives up on.
+	serve := func(ft *FaultTransport) LBConn {
+		conn, err := ft.ServeLB(lb)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return NewRetryingLBConn(inner, pol(seed))
+		return conn
 	}
 
 	type liveWorker struct {
@@ -89,11 +88,9 @@ func TestChaosWorkerChurnNoLostQueries(t *testing.T) {
 	}
 	startWorker := func(id int, role string) *liveWorker {
 		ws := NewWorkerServer(WorkerConfig{
-			ID: id, LB: workerConn(uint64(id)),
+			ID: id, LB: serve(ftWorker),
 			Space: f.space, Light: f.light, Heavy: f.heavy, Scorer: f.scorer,
 			Clock: clock, DisableLoadDelay: true,
-			RedialAfter: 2, CompleteRetries: 5,
-			Redial: func(epoch int) LBConn { return workerConn(uint64(id) + 100) },
 		})
 		ws.Configure(ConfigureWorkerRequest{Role: role, Batch: 4})
 		wctx, wcancel := context.WithCancel(ctx)
@@ -113,13 +110,11 @@ func TestChaosWorkerChurnNoLostQueries(t *testing.T) {
 		workers[id] = startWorker(id, roleOf(id))
 	}
 
-	// Submitter: paced batches through the retrying faulted client
-	// conn, so admission itself survives injected request drops.
-	subConnRaw, err := ftClient.ServeLB(lb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	subConn := NewRetryingLBConn(subConnRaw, pol(21))
+	// Submitter: paced batches through the faulted client conn. A
+	// request drop never reached the server, so the submitter re-sends
+	// the batch after a short trace-time back-off, and admission itself
+	// survives injected request drops.
+	subConn := serve(ftClient)
 	submitDone := make(chan struct{})
 	go func() {
 		defer close(submitDone)
@@ -128,22 +123,25 @@ func TestChaosWorkerChurnNoLostQueries(t *testing.T) {
 			for i := range qs {
 				qs[i] = QueryMsg{ID: b*batchSize + i}
 			}
-			if err := subConn.SubmitBatch(ctx, SubmitRequest{Queries: qs}); err != nil {
-				t.Errorf("submit batch %d: %v", b, err)
-				return
+			for try := 1; ; try++ {
+				err := subConn.SubmitBatch(ctx, SubmitRequest{Queries: qs})
+				if err == nil {
+					break
+				}
+				if try == 5 {
+					t.Errorf("submit batch %d: %v", b, err)
+					return
+				}
+				clock.WaitUntil(ctx, clock.Now()+0.01, nil)
 			}
 			clock.WaitUntil(ctx, clock.Now()+0.3, nil)
 		}
 	}()
 
 	// Result poller: single destructive reader on the client fault
-	// layer (request drops retry losslessly; responses are never
+	// layer (a request drop is polled again; responses are never
 	// dropped on this layer, so nothing popped here can vanish).
-	pollConnRaw, err := ftClient.ServeLB(lb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pollConn := NewRetryingLBConn(pollConnRaw, pol(22))
+	pollConn := serve(ftClient)
 	seen := make(map[int]int, total)
 	pollDone := make(chan struct{})
 	go func() {
@@ -173,7 +171,7 @@ func TestChaosWorkerChurnNoLostQueries(t *testing.T) {
 
 	// Chaos: kill three workers while they hold leased batches, and
 	// sever two of the survivors' conns for a window long enough to
-	// exhaust their retries and force a redial.
+	// exhaust their completion retries, so the lease sweep reclaims.
 	killBusy := func(id int) {
 		w := workers[id]
 		deadline := time.Now().Add(5 * time.Second)

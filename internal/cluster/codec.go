@@ -178,7 +178,6 @@ func (binaryCodec) Unmarshal(data []byte, v interface{}) error {
 		d.tag(tagConfigureLBRequest)
 		m.Threshold = d.f64()
 		m.SplitProb = d.f64()
-		m.RingEpoch = d.int()
 	case *WorkerStats:
 		d.tag(tagWorkerStats)
 		readWorkerStats(d, m)
@@ -286,7 +285,6 @@ func appendPullResponse(b []byte, m *PullResponse) []byte {
 			b = appendQueryMsg(b, &m.Queries[i])
 		}
 	}
-	b = appendInt(b, m.RingEpoch)
 	b = appendF64(b, m.LeaseDeadline)
 	return appendF64(b, m.QueuedAt)
 }
@@ -324,8 +322,7 @@ func appendConfigureWorker(b []byte, m *ConfigureWorkerRequest) []byte {
 func appendConfigureLB(b []byte, m *ConfigureLBRequest) []byte {
 	b = append(b, tagConfigureLBRequest)
 	b = appendF64(b, m.Threshold)
-	b = appendF64(b, m.SplitProb)
-	return appendInt(b, m.RingEpoch)
+	return appendF64(b, m.SplitProb)
 }
 
 func appendWorkerStats(b []byte, m *WorkerStats) []byte {
@@ -580,7 +577,6 @@ func readPullResponse(d *bdec, m *PullResponse) {
 			readQueryMsg(d, &m.Queries[i])
 		}
 	}
-	m.RingEpoch = d.int()
 	m.LeaseDeadline = d.f64()
 	m.QueuedAt = d.f64()
 }

@@ -110,7 +110,7 @@ func TestCodecParityRandomized(t *testing.T) {
 				pq = append(pq, randQueryMsg(rng))
 			}
 		}
-		presp := PullResponse{Queries: pq, RingEpoch: rng.Intn(8), LeaseDeadline: rng.Float64() * 400, QueuedAt: rng.Float64() * 400}
+		presp := PullResponse{Queries: pq, LeaseDeadline: rng.Float64() * 400, QueuedAt: rng.Float64() * 400}
 		checkParity(t, &presp, func() interface{} { return new(PullResponse) })
 
 		var items []CompleteItem
@@ -125,7 +125,7 @@ func TestCodecParityRandomized(t *testing.T) {
 		cw := ConfigureWorkerRequest{Role: randString(rng), Batch: rng.Intn(32)}
 		checkParity(t, &cw, func() interface{} { return new(ConfigureWorkerRequest) })
 
-		cl := ConfigureLBRequest{Threshold: rng.Float64(), SplitProb: rng.Float64(), RingEpoch: rng.Intn(8)}
+		cl := ConfigureLBRequest{Threshold: rng.Float64(), SplitProb: rng.Float64()}
 		checkParity(t, &cl, func() interface{} { return new(ConfigureLBRequest) })
 
 		ws := WorkerStats{

@@ -190,6 +190,8 @@ type faultLBConn struct {
 	rng *rand.Rand
 }
 
+var _ LBConn = (*faultLBConn)(nil)
+
 // injected builds the transient error a faulted call returns and
 // publishes it on the transport's event channel.
 func (c *faultLBConn) injected(method string, mode FaultMode) error {

@@ -38,14 +38,14 @@ func dirtyTargets() []func() interface{} {
 		func() interface{} { return &QueryResponse{ID: -1, Variant: "stale", Features: stale(), Deferred: true} },
 		func() interface{} { return &PullRequest{WorkerID: -1, Role: "stale", Max: 99, Drain: true} },
 		func() interface{} {
-			return &PullResponse{Queries: []QueryMsg{{ID: -1}, {ID: -2}, {ID: -3}}, RingEpoch: 99, LeaseDeadline: 99, QueuedAt: 99}
+			return &PullResponse{Queries: []QueryMsg{{ID: -1}, {ID: -2}, {ID: -3}}, LeaseDeadline: 99, QueuedAt: 99}
 		},
 		func() interface{} {
 			return &CompleteRequest{WorkerID: -1, Role: "stale", LeaseDeadline: 99,
 				Items: []CompleteItem{{ID: -1, Features: stale()}, {ID: -2, Features: stale()}}}
 		},
 		func() interface{} { return &ConfigureWorkerRequest{Role: "stale", Batch: 99} },
-		func() interface{} { return &ConfigureLBRequest{Threshold: 99, SplitProb: 99, RingEpoch: 99} },
+		func() interface{} { return &ConfigureLBRequest{Threshold: 99, SplitProb: 99} },
 		func() interface{} { return &WorkerStats{ID: -1, Role: "stale", Busy: true, Batches: 99} },
 		func() interface{} { return &LBStats{Now: 99, Completed: 99, Reclaims: 99} },
 		func() interface{} { return &SubmitRequest{Queries: []QueryMsg{{ID: -1}, {ID: -2}}, Pool: "stale"} },
@@ -69,10 +69,10 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		&QueryMsg{ID: 7, Arrival: 12.5},
 		&QueryResponse{ID: 9, Variant: "sdturbo", Features: []float64{1, 2}, Confidence: 0.875, Deferred: true},
 		&PullRequest{WorkerID: 3, Role: "light", Max: 8, Wait: 0.25, Drain: true},
-		&PullResponse{Queries: []QueryMsg{{ID: 1, Arrival: 2}}, RingEpoch: 3, LeaseDeadline: 4.5, QueuedAt: 2.25},
+		&PullResponse{Queries: []QueryMsg{{ID: 1, Arrival: 2}}, LeaseDeadline: 4.5, QueuedAt: 2.25},
 		&CompleteRequest{WorkerID: 1, Role: "heavy", LeaseDeadline: 6.25, Items: []CompleteItem{{ID: 4, Variant: "sdv15", Features: []float64{3}}}},
 		&ConfigureWorkerRequest{Role: "light", Batch: 8},
-		&ConfigureLBRequest{Threshold: 0.7, SplitProb: 0.25, RingEpoch: 2},
+		&ConfigureLBRequest{Threshold: 0.7, SplitProb: 0.25},
 		&WorkerStats{ID: 2, Role: "heavy", Batch: 4, Busy: true, Batches: 10, Queries: 40},
 		&LBStats{Now: 100, LightQueueLen: 3, Completed: 50, InFlight: 4, Reclaims: 2, ShedRedelivery: 1, LateCompletions: 3, DegradedShards: 1},
 		&SubmitRequest{Queries: []QueryMsg{{ID: 5, Arrival: 1}}, Pool: "heavy"},
@@ -160,7 +160,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	// Lease-era frames: a pull response carrying its lease deadline and
 	// queue stamp, and a completion echoing the deadline.
 	f.Add(mkFrame(frameResponse, methodPull, 5,
-		&PullResponse{Queries: []QueryMsg{{ID: 2, Arrival: 1.5}}, RingEpoch: 1, LeaseDeadline: 9.75, QueuedAt: 1.625}, ""))
+		&PullResponse{Queries: []QueryMsg{{ID: 2, Arrival: 1.5}}, LeaseDeadline: 9.75, QueuedAt: 1.625}, ""))
 	f.Add(mkFrame(frameRequest, methodComplete, 6,
 		&CompleteRequest{WorkerID: 2, Role: "light", LeaseDeadline: 9.75,
 			Items: []CompleteItem{{ID: 2, Arrival: 1.5, Variant: "sdturbo", Confidence: 0.5}}}, ""))

@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 
 	"diffserve/internal/imagespace"
 	"diffserve/internal/loadbalancer"
@@ -118,11 +117,6 @@ func (p *lbPool) push(now float64, items ...queueing.Item) bool {
 // guarded by resMu, and the random-split routing state by splitMu.
 type LBServer struct {
 	cfg LBConfig
-
-	// ringEpoch is the sharded tier's ring epoch this server last
-	// learned via Configure (monotonic). It is echoed in every
-	// PullResponse so shard-pinned workers notice membership changes.
-	ringEpoch atomic.Int64
 
 	// pools is indexed by loadbalancer.PoolID (PoolLight, PoolHeavy).
 	pools [2]lbPool
@@ -397,8 +391,6 @@ func (s *LBServer) PullInto(ctx context.Context, req PullRequest, resp *PullResp
 		*resp = s.drainPull(req)
 		return
 	}
-	epoch := int(s.ringEpoch.Load())
-	resp.RingEpoch = epoch
 	resp.LeaseDeadline, resp.QueuedAt = 0, 0
 	// Keep the caller's query buffer for reuse; empty returns hand back
 	// nil (wire parity) without dropping the capacity they carried in.
@@ -459,14 +451,13 @@ func (s *LBServer) PullInto(ctx context.Context, req PullRequest, resp *PullResp
 // already resolved by a racing drop and is silently discarded —
 // returning it would let the re-submission resolve it a second time.
 func (s *LBServer) drainPull(req PullRequest) PullResponse {
-	epoch := int(s.ringEpoch.Load())
 	max := req.Max
 	if max <= 0 {
 		max = 256
 	}
 	now := s.cfg.Clock.Now()
 	p := &s.pools[poolOf(req.Role)]
-	resp := PullResponse{RingEpoch: epoch}
+	var resp PullResponse
 	// An empty response means "this pool is drained": a popped round
 	// whose items all turn out non-migratable (already resolved by a
 	// racing drop) must not end the caller's drain loop while queries
@@ -744,16 +735,8 @@ func (s *LBServer) flushResultsLocked() {
 	}
 }
 
-// Configure updates threshold / split probability, and adopts the
-// ring epoch monotonically: a stale broadcast racing a reshard cannot
-// regress the epoch workers observe in their pull responses.
+// Configure updates threshold / split probability.
 func (s *LBServer) Configure(req ConfigureLBRequest) {
-	for {
-		cur := s.ringEpoch.Load()
-		if int64(req.RingEpoch) <= cur || s.ringEpoch.CompareAndSwap(cur, int64(req.RingEpoch)) {
-			break
-		}
-	}
 	s.resMu.Lock()
 	s.threshold = req.Threshold
 	s.resMu.Unlock()

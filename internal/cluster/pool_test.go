@@ -62,10 +62,10 @@ func TestReleaseMessageResets(t *testing.T) {
 		}
 	})
 	t.Run("pull-response", func(t *testing.T) {
-		m := &PullResponse{Queries: make([]QueryMsg, 3, 16), RingEpoch: 9, LeaseDeadline: 1.5}
+		m := &PullResponse{Queries: make([]QueryMsg, 3, 16), LeaseDeadline: 1.5, QueuedAt: 9}
 		qs := m.Queries
 		ReleaseMessage(m)
-		if m.RingEpoch != 0 || m.LeaseDeadline != 0 || len(m.Queries) != 0 || cap(m.Queries) != cap(qs) {
+		if m.QueuedAt != 0 || m.LeaseDeadline != 0 || len(m.Queries) != 0 || cap(m.Queries) != cap(qs) {
 			t.Fatalf("not reset with capacity kept: %+v cap=%d", m, cap(m.Queries))
 		}
 	})

@@ -44,8 +44,7 @@ import (
 // stragglers (e.g. a deferral a completion pushed there after the
 // drain ran), so nothing a retired shard still holds is ever lost.
 // Workers that pull through the frontend sweep the new membership on
-// their next pull; a shard-pinned worker observes the flip through
-// the ring-epoch field every pull response carries (its RePin hook).
+// their next pull; a shard-pinned worker keeps its static pin.
 //
 // Neither old epochs nor retired conns are kept forever. The frontend
 // counts the in-flight queries dispatched under each epoch; an epoch
@@ -139,8 +138,8 @@ func (e *epochRing) conn(member int) LBConn {
 //     one shard at a time between empty sweeps;
 //   - Complete routes each finished item to its owning shard under
 //     every epoch — the non-owners treat the delivery as a no-op;
-//   - Configure broadcasts with the current ring epoch stamped;
-//     Stats merges the shards' reports;
+//   - Configure broadcasts to every reachable shard; Stats merges the
+//     shards' reports;
 //   - every fan-out (SubmitBatch, Complete, Configure) runs its legs
 //     to in-process shards, and its last remote leg, on the caller's
 //     goroutine; only the other remote legs get goroutines;
@@ -186,10 +185,10 @@ type ShardedLB struct {
 	curEpoch  atomic.Int64
 
 	// cfgMu guards the last configured policy AND serializes policy
-	// broadcasts: a reshard re-broadcasts lastCfg with the new epoch
-	// stamp, and without the serialization it could interleave with a
-	// concurrent Configure and overwrite a newer threshold with a
-	// stale one on some shards.
+	// broadcasts: a reshard re-broadcasts lastCfg to the new
+	// membership, and without the serialization it could interleave
+	// with a concurrent Configure and overwrite a newer threshold with
+	// a stale one on some shards.
 	cfgMu   sync.Mutex
 	lastCfg ConfigureLBRequest
 
@@ -252,7 +251,8 @@ type ShardedLB struct {
 // trimming whitespace and dropping empty entries (a trailing comma
 // is not a shard). The cmd binaries share it so every -shard-addrs
 // flag parses identically — the list order defines the initial ring
-// members 0..N-1, and must match on every process.
+// members 0..N-1, and must match on every process — and the
+// controller parses its -workers list with it too.
 func SplitShardAddrs(csv string) []string {
 	var addrs []string
 	for _, a := range strings.Split(csv, ",") {
@@ -724,7 +724,7 @@ func (s *ShardedLB) startPumps() {
 	s.pumpMu.Lock()
 	defer s.pumpMu.Unlock()
 	s.pumping = true
-	sweep, _ := s.sweepConns()
+	sweep := s.sweepConns()
 	for i, m := range sweep.members {
 		if !s.pumped[m] {
 			s.pumped[m] = true
@@ -797,7 +797,7 @@ func (s *ShardedLB) land(results []QueryResponse) {
 // left to their pumps — a round trip each is what the pumps exist to
 // keep off this path.
 func (s *ShardedLB) gatherResults(ctx context.Context) {
-	sweep, _ := s.sweepConns()
+	sweep := s.sweepConns()
 	if len(sweep.local) == 0 {
 		return
 	}
@@ -891,12 +891,12 @@ func newSweepList(members []int, conns []LBConn) sweepList {
 	return l
 }
 
-// sweepConns snapshots the sweep list and the current epoch. The list
-// is rebuilt only on reshard, so the per-call cost is a struct read.
-func (s *ShardedLB) sweepConns() (sweepList, int) {
+// sweepConns snapshots the sweep list. The list is rebuilt only on
+// reshard, so the per-call cost is a struct read.
+func (s *ShardedLB) sweepConns() sweepList {
 	s.ringMu.RLock()
 	defer s.ringMu.RUnlock()
-	return s.sweep, s.cur().epoch
+	return s.sweep
 }
 
 // rebuildSweepLocked recomputes the sweep list. Callers hold ringMu
@@ -926,11 +926,11 @@ func (s *ShardedLB) rebuildSweepLocked() {
 // shard (retired ones included) was asked — one call returns up to
 // req.Max queries however they are spread over the shards. The
 // response carries the earliest lease deadline and the latest QueuedAt
-// of any share, and the frontend's ring epoch. A shard that fails after
-// something was gathered costs the call nothing but that shard's
-// share: the gathered queries are returned (they are leased to this
-// caller) and the failure counts against the member; a failure before
-// anything was gathered is returned. With req.Wait > 0 an empty sweep
+// of any share. A shard that fails after something was gathered costs
+// the call nothing but that shard's share: the gathered queries are
+// returned (they are leased to this caller) and the failure counts
+// against the member; a failure before anything was gathered is
+// returned. With req.Wait > 0 an empty sweep
 // parks on the round's first shard for a bounded slice of the
 // remaining wait, then re-sweeps — work arriving on any shard is
 // picked up within one slice. A Drain pull transfers ownership of one
@@ -942,19 +942,17 @@ func (s *ShardedLB) rebuildSweepLocked() {
 // shard and stay pinned to it. resp.Queries' capacity is reused across
 // calls (an empty pull leaves Queries nil, as an LBServer's does).
 func (s *ShardedLB) PullInto(ctx context.Context, req PullRequest, resp *PullResponse) error {
-	sweep, epoch := s.sweepConns()
+	sweep := s.sweepConns()
 	n := len(sweep.conns)
 	if n == 1 {
-		err := sweep.conns[0].PullInto(ctx, req, resp)
-		resp.RingEpoch = epoch
-		return err
+		return sweep.conns[0].PullInto(ctx, req, resp)
 	}
 	var deadline float64
 	if req.Wait > 0 {
 		deadline = s.cfg.Clock.Now() + req.Wait
 	}
 	got := resp.Queries[:0]
-	*resp = PullResponse{RingEpoch: epoch}
+	*resp = PullResponse{}
 	leg := getPullResponse()
 	defer ReleaseMessage(leg)
 	// ask pulls shard i's share of what is still missing into got and
@@ -1079,11 +1077,10 @@ func (s *ShardedLB) Complete(ctx context.Context, req CompleteRequest) error {
 	})
 }
 
-// Configure broadcasts the policy update to every shard — retired
-// ones included, so their pinned workers see epoch flips too — with
-// the current ring epoch stamped. The policy is
-// remembered and re-broadcast (with the new stamp) whenever
-// membership changes.
+// Configure broadcasts the policy update to every shard, retired ones
+// included: a straggler a retired shard still serves is thresholded
+// like any other. The policy is remembered and re-broadcast whenever
+// membership changes, so a newly added shard gets it too.
 func (s *ShardedLB) Configure(ctx context.Context, req ConfigureLBRequest) error {
 	// cfgMu is held across the broadcast so a reshard's re-broadcast
 	// of the remembered policy cannot interleave with (and partially
@@ -1091,13 +1088,12 @@ func (s *ShardedLB) Configure(ctx context.Context, req ConfigureLBRequest) error
 	s.cfgMu.Lock()
 	defer s.cfgMu.Unlock()
 	s.lastCfg = req
-	req.RingEpoch = s.Epoch()
 	return s.broadcast(ctx, req)
 }
 
 // broadcast fans a configure message out to every reachable shard.
 func (s *ShardedLB) broadcast(ctx context.Context, req ConfigureLBRequest) error {
-	sweep, _ := s.sweepConns()
+	sweep := s.sweepConns()
 	sc := getFanScratch(len(sweep.conns))
 	defer putFanScratch(sc)
 	for i := range sweep.conns {
@@ -1122,7 +1118,7 @@ func (s *ShardedLB) Stats(ctx context.Context) (LBStats, error) {
 	// poll of the same conn.
 	s.statsMu.Lock()
 	defer s.statsMu.Unlock()
-	sweep, _ := s.sweepConns()
+	sweep := s.sweepConns()
 	var out LBStats
 	var firstErr error
 	for _, conn := range sweep.conns {
@@ -1182,8 +1178,8 @@ func (s *ShardedLB) Stats(ctx context.Context) (LBStats, error) {
 // Member IDs are never reused: re-adding a retired member is an
 // error, because its old conn may still hold registrations.
 //
-// Scope: the flip is THIS frontend's (plus the workers', which follow
-// the epoch their pull responses carry). Another frontend over the
+// Scope: the flip is THIS frontend's (plus its pullers', which sweep
+// the new membership on their next pull). Another frontend over the
 // same shards — a standalone diffserve-client dialed with its own
 // -shard-addrs — keeps routing by the membership it was started with:
 // queries it sends to a retired shard are re-routed by the straggler
@@ -1302,15 +1298,12 @@ func (s *ShardedLB) reshardLocked(ctx context.Context, members []int, newConns m
 	}
 	s.pumpMu.Unlock()
 
-	// Re-broadcast the remembered policy with the new epoch stamped, so
-	// shard-pinned workers (including those on removed shards) observe
-	// the flip in their next pull response and re-pin. cfgMu is held
-	// across the broadcast so a racing Configure cannot end up
-	// partially overwritten by this stale policy.
+	// Re-broadcast the remembered policy, so a newly added shard
+	// thresholds like the others. cfgMu is held across the broadcast so
+	// a racing Configure cannot end up partially overwritten by this
+	// stale policy.
 	s.cfgMu.Lock()
-	cfgMsg := s.lastCfg
-	cfgMsg.RingEpoch = next.epoch
-	_ = s.broadcast(ctx, cfgMsg)
+	_ = s.broadcast(ctx, s.lastCfg)
 	s.cfgMu.Unlock()
 
 	// Migrate departing shards' queued work to the new owners, then

@@ -247,6 +247,76 @@ func TestTCPClientRedialsAfterRestart(t *testing.T) {
 	}
 }
 
+// TestWorkerResumesAfterLBRestart runs a WorkerServer on a DialLB conn,
+// closes the LBServer behind that address and starts a new one on the
+// same address. With no redial hook the worker must keep serving: the
+// conn redials on the worker's next pull, and every query submitted to
+// the new server completes.
+func TestWorkerResumesAfterLBRestart(t *testing.T) {
+	f := newFixtures(t)
+	clock := NewClock(0.001)
+	newLB := func() *LBServer {
+		return NewLBServer(LBConfig{
+			Mode: loadbalancer.ModeCascade, SLO: 1e9,
+			LightMinExec: 0.1, HeavyMinExec: 1.78,
+			Clock: clock, Seed: 1,
+		})
+	}
+	// serve submits n queries numbered from first to lb and waits until
+	// lb has completed all of them (the threshold is 0, so nothing
+	// defers to the heavy pool no worker pulls from).
+	serve := func(lb *LBServer, first, n int) {
+		t.Helper()
+		qs := make([]QueryMsg, n)
+		for i := range qs {
+			qs[i] = QueryMsg{ID: first + i, Arrival: clock.Now()}
+		}
+		lb.SubmitBatchReq(SubmitRequest{Queries: qs})
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			st := lb.Stats()
+			if st.Completed == n {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%d of %d queries completed, %d dropped", st.Completed, n, st.Dropped)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	lb := newLB()
+	srv, err := ServeLBTCP("127.0.0.1:0", lb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := srv.Addr()
+	conn, err := DialLB(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.(tcpLBConn).c.Close()
+	ws := NewWorkerServer(WorkerConfig{
+		LB: conn, Space: f.space, Light: f.light, Heavy: f.heavy, Scorer: f.scorer,
+		Clock: clock, DisableLoadDelay: true,
+	})
+	ws.Configure(ConfigureWorkerRequest{Role: "light", Batch: 4})
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { defer close(done); ws.Loop(ctx) }()
+	defer func() { cancel(); <-done }()
+
+	serve(lb, 0, 8)
+	srv.Close()
+	lb2 := newLB()
+	srv2, err := ServeLBTCP(addr, lb2)
+	if err != nil {
+		t.Fatalf("rebinding %s: %v", addr, err)
+	}
+	defer srv2.Close()
+	serve(lb2, 100, 8)
+}
+
 // TestHarnessReportsTransportFailure kills the TCP listeners midway
 // through a harness run and asserts the run surfaces the transport
 // failure instead of silently dropping the in-flight queries.

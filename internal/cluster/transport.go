@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 )
 
@@ -10,9 +11,8 @@ import (
 // batches and poll for their results, workers pull batches and report
 // completions, and the controller configures and reads stats.
 // Implementations: NewTCPLBConn (framed TCP, binary codec),
-// NewLocalLBConn (in-process direct dispatch, zero serialization),
-// ShardedLB (a frontend over N of either), and the retry and fault
-// wrappers.
+// NewLocalLBConn (in-process direct dispatch, zero serialization) and
+// ShardedLB (a frontend over N of either).
 //
 // PullInto and PollResultsInto decode into a caller-owned response
 // struct, reusing its slice capacity across calls. The response is
@@ -31,13 +31,12 @@ import (
 // before the server's acknowledgement, the conn sends it again ahead of
 // everything else on the next dial (a repeated Complete is a no-op; a
 // repeated SubmitBatch queues its queries again and the first
-// resolution of each is final, as under retryLBConn). On either
-// transport a call that returns a response — Stats is the cheap one —
-// is therefore a barrier: when it returns, everything this conn
-// accepted before it has been applied. Code that looks at the server by
-// any other route (another conn, the LBServer itself) needs that
-// barrier first. Configure is applied when it returns, on either
-// transport.
+// resolution of each is final). On either transport a call that
+// returns a response — Stats is the cheap one — is therefore a
+// barrier: when it returns, everything this conn accepted before it has
+// been applied. Code that looks at the server by any other route
+// (another conn, the LBServer itself) needs that barrier first.
+// Configure is applied when it returns, on either transport.
 type LBConn interface {
 	// SubmitBatch admits a batch of queries asynchronously; results
 	// arrive via PollResultsInto.
@@ -61,8 +60,6 @@ var (
 	_ LBConn = localLBConn{}
 	_ LBConn = tcpLBConn{}
 	_ LBConn = (*ShardedLB)(nil)
-	_ LBConn = (*retryLBConn)(nil)
-	_ LBConn = (*faultLBConn)(nil)
 )
 
 // PullIntoConn is conn.PullInto, kept for benchmark/.
@@ -111,6 +108,39 @@ type Transport interface {
 	// A nil channel means the transport never reports (inproc cannot
 	// fail).
 	Errors() <-chan error
+}
+
+// TransportError classifies an event on Transport.Errors(): transient
+// faults (an injected fault, a conn that severed and redialed) versus
+// fatal ones (dial retries exhausted for good, a listener gone).
+// Harnesses abort a run only on fatal events. A bare error on the
+// channel is fatal — classification is opt-in, so reporters that
+// predate it keep their abort semantics.
+type TransportError struct {
+	Err       error
+	Transient bool
+}
+
+func (e *TransportError) Error() string {
+	if e.Transient {
+		return "transient transport fault: " + e.Err.Error()
+	}
+	return e.Err.Error()
+}
+
+func (e *TransportError) Unwrap() error { return e.Err }
+
+// TransientTransportError wraps err as a transient (non-aborting)
+// transport event.
+func TransientTransportError(err error) error {
+	return &TransportError{Err: err, Transient: true}
+}
+
+// IsTransientTransportError reports whether err is classified as
+// transient. Unclassified errors are fatal.
+func IsTransientTransportError(err error) bool {
+	var te *TransportError
+	return errors.As(err, &te) && te.Transient
 }
 
 // NewTransport builds a transport by name. Empty defaults to tcp, the

@@ -148,10 +148,7 @@ type PullRequest struct {
 	Drain    bool    `json:"drain,omitempty"`
 }
 
-// PullResponse carries the dequeued work. RingEpoch echoes the ring
-// epoch the server last learned via ConfigureLBRequest: workers
-// compare it against the epoch they pinned under and re-pin when the
-// tier's membership has moved on.
+// PullResponse carries the dequeued work.
 //
 // LeaseDeadline is the absolute trace time until which the server
 // considers the pulled queries owned by this worker. Worker activity
@@ -168,7 +165,6 @@ type PullRequest struct {
 // the same struct.
 type PullResponse struct {
 	Queries       []QueryMsg `json:"queries"`
-	RingEpoch     int        `json:"ring_epoch,omitempty"`
 	LeaseDeadline float64    `json:"lease_deadline,omitempty"`
 	QueuedAt      float64    `json:"queued_at,omitempty"`
 }
@@ -207,15 +203,10 @@ type ConfigureWorkerRequest struct {
 	Batch int    `json:"batch"`
 }
 
-// ConfigureLBRequest updates the data-path policy knobs. RingEpoch
-// carries the sharded tier's current ring epoch; the server adopts it
-// monotonically (a stale broadcast cannot regress the epoch) and
-// echoes it in every PullResponse so shard-pinned workers observe
-// membership changes without a dedicated control channel.
+// ConfigureLBRequest updates the data-path policy knobs.
 type ConfigureLBRequest struct {
 	Threshold float64 `json:"threshold"`
 	SplitProb float64 `json:"split_prob"`
-	RingEpoch int     `json:"ring_epoch,omitempty"`
 }
 
 // WorkerStats is a worker's control-plane report.

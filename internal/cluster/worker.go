@@ -24,38 +24,24 @@ type WorkerConfig struct {
 	Scorer discriminator.Scorer
 	// Clock provides trace time and scaled sleeping.
 	Clock *Clock
-	// PollInterval is the idle re-check delay in trace seconds, used
-	// while the worker has no role assigned.
-	PollInterval float64
-	// PullWait is the long-poll duration in trace seconds: each pull
-	// blocks server-side until work is dispatchable or PullWait
-	// passes. It bounds how long a role change can go unnoticed, so
-	// it stays well under the control interval.
-	PullWait float64
 	// DisableLoadDelay skips model-switch downtime.
 	DisableLoadDelay bool
-	// RePin, when set, is consulted whenever a pull response carries a
-	// ring epoch newer than the one the worker pinned under: it
-	// returns the connection the worker should pull from at that
-	// epoch (nil keeps the current pin). Only a worker pinned to one
-	// shard has a use for it; a batch already pulled always completes
-	// to the connection it was pulled from, because that shard holds
-	// the queries' registrations.
-	RePin func(epoch int) LBConn
-	// Redial, when set, is consulted after RedialAfter consecutive
-	// pull failures: it returns a fresh connection to the worker's
-	// shard (nil keeps the current one), so a conn that died for good
-	// is replaced instead of being error-polled forever.
-	Redial func(epoch int) LBConn
-	// RedialAfter is the consecutive-pull-failure threshold that
-	// triggers Redial (0 defaults to 3).
-	RedialAfter int
-	// CompleteRetries is the number of tries a completion report gets
-	// before the worker gives up and lets the lease sweep reclaim the
-	// batch (0 defaults to 4). Retries back off exponentially from
-	// PollInterval with deterministic per-worker jitter.
-	CompleteRetries int
 }
+
+const (
+	// workerBackoff is the trace-seconds delay before an idle
+	// worker re-checks its role, before a failed pull is retried, and
+	// before a failed completion's first retry.
+	workerBackoff = 0.05
+	// workerLongPoll is the long-poll duration in trace seconds: each
+	// pull blocks server-side until work is dispatchable or it passes.
+	// It bounds how long a role change can go unnoticed, so it stays
+	// well under the control interval.
+	workerLongPoll = 0.25
+	// completeTries is the number of tries a completion report gets
+	// before the worker lets the lease sweep reclaim the batch.
+	completeTries = 4
+)
 
 // WorkerServer simulates one GPU worker: it long-polls batches from
 // the load balancer, sleeps for the profiled execution latency
@@ -73,18 +59,6 @@ type WorkerServer struct {
 
 // NewWorkerServer constructs a worker.
 func NewWorkerServer(cfg WorkerConfig) *WorkerServer {
-	if cfg.PollInterval <= 0 {
-		cfg.PollInterval = 0.05
-	}
-	if cfg.PullWait <= 0 {
-		cfg.PullWait = 0.25
-	}
-	if cfg.RedialAfter <= 0 {
-		cfg.RedialAfter = 3
-	}
-	if cfg.CompleteRetries <= 0 {
-		cfg.CompleteRetries = 4
-	}
 	return &WorkerServer{
 		cfg:   cfg,
 		rng:   rand.New(rand.NewSource(int64(cfg.ID)*0x9e3779b9 + 17)),
@@ -144,14 +118,11 @@ func (s *WorkerServer) Stats() WorkerStats {
 // is cancelled. It is the cluster analogue of the simulator's
 // dispatch/onBatchDone events. Pulls long-poll server-side, so an
 // idle worker consumes no wire round-trips between arrivals.
+//
+// A failed pull waits workerBackoff and retries on the same conn: a tcp
+// conn redials and replays its posted calls on its own, and whatever a
+// dead LB still held is reclaimed by the lease sweep.
 func (s *WorkerServer) Loop(ctx context.Context) {
-	// lb is the conn the worker pulls from — the whole tier's frontend,
-	// or the one shard a standalone worker is pinned to; epoch is the
-	// ring epoch it pinned under. A pulled batch completes to the conn
-	// it came from even if the worker re-pins before execution ends.
-	lb := s.cfg.LB
-	epoch := 0
-	pullFails := 0
 	// The pull response and completion-item scratch live for the whole
 	// loop: each pull decodes into the same struct (reusing its query
 	// buffer) and each batch reuses the item slice, so a steady-state
@@ -168,50 +139,29 @@ func (s *WorkerServer) Loop(ctx context.Context) {
 		s.mu.Unlock()
 
 		if role == worker.RoleIdle || !available {
-			if !s.cfg.Clock.WaitUntil(ctx, now+s.cfg.PollInterval, nil) {
+			if !s.cfg.Clock.WaitUntil(ctx, now+workerBackoff, nil) {
 				return
 			}
 			continue
 		}
 
-		err := lb.PullInto(ctx, PullRequest{
-			WorkerID: s.cfg.ID, Role: roleName(role), Max: batch, Wait: s.cfg.PullWait,
+		err := s.cfg.LB.PullInto(ctx, PullRequest{
+			WorkerID: s.cfg.ID, Role: roleName(role), Max: batch, Wait: workerLongPoll,
 		}, &pulled)
 		if err != nil {
-			// Transient transport failure: back off briefly. Past the
-			// redial threshold the conn is presumed dead for good —
-			// replace it rather than error-polling a corpse.
-			pullFails++
-			if pullFails >= s.cfg.RedialAfter && s.cfg.Redial != nil {
-				if c := s.cfg.Redial(epoch); c != nil {
-					lb = c
-					pullFails = 0
-				}
-			}
-			if !s.cfg.Clock.WaitUntil(ctx, s.cfg.Clock.Now()+s.cfg.PollInterval, nil) {
+			if !s.cfg.Clock.WaitUntil(ctx, s.cfg.Clock.Now()+workerBackoff, nil) {
 				return
 			}
 			continue
 		}
-		pullFails = 0
 		if len(pulled.Queries) > 0 {
-			items = s.executeBatch(ctx, role, lb, &pulled, items)
-		}
-		if pulled.RingEpoch > epoch {
-			// The tier resharded: re-pin after the in-flight batch has
-			// completed back to the shard it was pulled from.
-			epoch = pulled.RingEpoch
-			if s.cfg.RePin != nil {
-				if c := s.cfg.RePin(epoch); c != nil {
-					lb = c
-				}
-			}
+			items = s.executeBatch(ctx, role, &pulled, items)
 		}
 	}
 }
 
-// executeBatch simulates execution and reports completions to lb, the
-// connection the batch was pulled from. items is the caller's reusable
+// executeBatch simulates execution and reports completions to the LB.
+// items is the caller's reusable
 // completion scratch; the (possibly grown) slice is returned for the
 // next batch — its Features fields point into the imagespace cache and
 // are only ever replaced, never written through.
@@ -220,7 +170,7 @@ func (s *WorkerServer) Loop(ctx context.Context) {
 // start + exec: it starts when both the worker (its ReadyAt) and the
 // batch (its QueuedAt) were ready, as the simulator dispatches, not
 // when the pull's round trip happened to return.
-func (s *WorkerServer) executeBatch(ctx context.Context, role worker.Role, lb LBConn, pulled *PullResponse, items []CompleteItem) []CompleteItem {
+func (s *WorkerServer) executeBatch(ctx context.Context, role worker.Role, pulled *PullResponse, items []CompleteItem) []CompleteItem {
 	queries := pulled.Queries
 	n := len(queries)
 	variant, exec := s.cfg.Light, discriminator.LightExec(s.cfg.Light, s.cfg.Scorer, n)
@@ -262,9 +212,9 @@ func (s *WorkerServer) executeBatch(ctx context.Context, role worker.Role, lb LB
 		// jittered exponential backoff; if every try fails, the lease
 		// sweep reclaims and re-runs the batch — server-side
 		// idempotent resolve makes the duplicate execution harmless.
-		backoff := s.cfg.PollInterval
+		backoff := workerBackoff
 		for try := 1; ; try++ {
-			if lb.Complete(ctx, req) == nil || try >= s.cfg.CompleteRetries || ctx.Err() != nil {
+			if s.cfg.LB.Complete(ctx, req) == nil || try >= completeTries || ctx.Err() != nil {
 				break
 			}
 			s.mu.Lock()
