@@ -171,12 +171,13 @@ race-cluster:
 	$(GO) test -race -short ./internal/cluster/ ./internal/parallel/ ./benchmark/
 	$(GO) test -race ./internal/loadbalancer/
 
-# race-sharded: the frontend fan-out/merge paths, the missed-wakeup
-# notifier, and the drain/complete idempotency guard.
+# race-sharded: the frontend fan-out/merge paths (Complete's reads of
+# where each query was sent, against the pumps releasing them), the
+# missed-wakeup notifier, and the drain/complete idempotency guard.
 .PHONY: race-sharded
 race-sharded:
 	$(GO) test -race -short -count=$(COUNT) \
-		-run 'TestShardedLBStress|TestLBPoolWakeupStress|TestDrainCompleteRaceNoDoubleResolve|TestNotifierCoalescing' \
+		-run 'TestShardedLBStress|TestLBPoolWakeupStress|TestDrainCompleteRaceNoDoubleResolve|TestNotifierCoalescing|TestShardedLBLateCompletionCounted|TestShardedLBMixedLegs' \
 		./internal/cluster/
 
 # race-posted: the tcp transport's posted calls — posters, callers, the
@@ -191,12 +192,12 @@ race-posted:
 		./internal/cluster/
 
 # race-reshard: the dynamic-membership machinery — epoch flips, drain
-# migration, retired-shard sweeps, worker re-pinning, and the
-# epoch-collapse and retired-pump-termination regressions.
+# migration, retired-shard sweeps, and the nothing-left-tracked and
+# retired-pump-termination regressions.
 .PHONY: race-reshard
 race-reshard:
 	$(GO) test -race -short -count=$(COUNT) \
-		-run 'TestReshardChaosNoLostOrDoubleResolve|TestTransportConformance/.*/epoch-flip-atomic-submit|TestTransportConformance/.*/drain-pull-ownership|TestManyReshardsCollapseEpochs|TestRetiredPumpsTerminate' \
+		-run 'TestReshardChaosNoLostOrDoubleResolve|TestTransportConformance/.*/epoch-flip-atomic-submit|TestTransportConformance/.*/drain-pull-ownership|TestManyReshardsLeaveNothingTracked|TestRetiredPumpsTerminate' \
 		./internal/cluster/
 
 # chaos-soak: the fault-tolerance suite — the worker-churn soak (killed

@@ -125,15 +125,15 @@
 //	                  stripes roles across shard groups
 //
 // cluster.ShardedLB fans SubmitBatch out per shard, merges
-// PollResultsInto streams (one background pump per shard), routes each
-// Complete item back to its owning shard, broadcasts Configure, and
-// sums Stats. A PullInto through the frontend gathers its batch from as
-// many shards as it takes to fill req.Max, under the earliest lease
-// deadline any of them granted. Shards served in the frontend's own
-// process cost it no goroutines: their legs of every fan-out run
-// inline on the caller, and a PollResultsInto call collects from them
-// itself before it parks; only legs that cross a wire fly
-// concurrently and rely on the pumps. The harness's workers pull
+// PollResultsInto streams (one background pump per shard), sends each
+// Complete item back to the shard its query was sent to, broadcasts
+// Configure, and sums Stats. A PullInto through the frontend gathers
+// its batch from as many shards as it takes to fill req.Max, under the
+// earliest lease deadline any of them granted. Shards served in the
+// frontend's own process cost it no goroutines: their legs of every
+// fan-out run inline on the caller, and a PollResultsInto call
+// collects from them itself before it parks; only legs that cross a
+// wire fly concurrently and rely on the pumps. The harness's workers pull
 // through the frontend, so every worker of a role serves every shard's
 // queue of that role — one queue per pool, as in the simulator.
 // Standalone workers (diffserve-worker -shard-addrs) instead pin to
@@ -180,8 +180,8 @@
 //	  |                 |   ... straggler sweeps keep re-draining A ...     |
 //	  |  results merge from B's pump — and from A's, which stays reachable |
 //	  |  ("retired") so a deferral a late completion pushes into A still   |
-//	  |  resolves; completions fan out to every epoch's owner and the      |
-//	  |  idempotent resolve machinery no-ops the extra deliveries.         |
+//	  |  resolves; each completion goes to the one shard its query was     |
+//	  |  sent to (A for work A still holds, B for what migrated).          |
 //
 // Workers that pull through the frontend see the new membership on
 // their next pull. Shard-pinned workers are not told of the flip:
@@ -209,16 +209,16 @@
 // routing by the -shard-addrs it was started with (diffserve-worker's
 // header says so for workers).
 //
-// Epoch quiescence keeps repeated membership change cheap. The
-// frontend tags every in-flight query with the epoch it was submitted
-// under and counts live queries per epoch; once an old epoch's count
-// reaches zero it collapses out of the installed-epoch list, so
-// Complete fan-out stays bounded: 50 back-to-back reshards leave at
-// most two live epochs, not 50 rings. A retired member is swept for
-// stragglers until it quiesces, then finalized — its residual stats
-// fold into the merged totals once, and its result pump and sweep
-// goroutines terminate (both regression-tested, the latter by
-// goroutine count under the race detector).
+// The frontend keeps one ring, the current one, and records for every
+// in-flight query the member it was sent to: the ring owner, a
+// degraded owner's spill target, or the shard a drain migrated it to.
+// A completion goes to that member alone, with the worker's lease
+// deadline, and the record is released when the query's result lands.
+// A retired member is swept for stragglers until no record names it,
+// then finalized — its residual stats fold into the merged totals
+// once, and its result pump and sweep goroutines terminate (both
+// regression-tested, the latter by goroutine count under the race
+// detector).
 //
 // # Allocation control loop
 //

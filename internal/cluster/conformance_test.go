@@ -948,9 +948,13 @@ func testTransportConformance(t *testing.T, tc transportCase) {
 		if len(loc) != nBatches*perBatch {
 			t.Fatalf("located %d of %d queries", len(loc), nBatches*perBatch)
 		}
-		rings := fe.epochRings()
-		if len(rings) != 2 {
-			t.Fatalf("%d epochs installed, want 2", len(rings))
+		if fe.Epoch() != 1 {
+			t.Fatalf("epoch %d after one reshard, want 1", fe.Epoch())
+		}
+		// The frontend's placement before and after the flip.
+		rings := []*loadbalancer.Ring{
+			loadbalancer.NewRing([]int{0, 1}, 64),
+			loadbalancer.NewRing([]int{0, 1, 2}, 64),
 		}
 		for b := 0; b < nBatches; b++ {
 			consistent := false

@@ -34,11 +34,11 @@ func newLocalShard(clock *Clock, member int) (*LBServer, LBConn) {
 	return lb, NewLocalLBConn(lb)
 }
 
-// TestManyReshardsCollapseEpochs is the quiescence regression: 50
-// membership changes, each with live traffic, must not accumulate 50
-// ring epochs. Once every query resolves, the drained epochs collapse
-// and at most the newest plus one straggler remain installed.
-func TestManyReshardsCollapseEpochs(t *testing.T) {
+// TestManyReshardsLeaveNothingTracked is the quiescence regression: 50
+// membership changes, each with live traffic, must leave no state
+// behind. Once every query resolves, the frontend tracks none of them
+// and every retired member has finalized.
+func TestManyReshardsLeaveNothingTracked(t *testing.T) {
 	const (
 		rounds    = 25 // add + remove per round = 50 reshards
 		batchSize = 8
@@ -116,12 +116,15 @@ func TestManyReshardsCollapseEpochs(t *testing.T) {
 			t.Errorf("query %d resolved %d times", id, n)
 		}
 	}
+	fe.liveMu.Lock()
+	tracked := len(fe.sentTo)
+	fe.liveMu.Unlock()
+	if tracked != 0 {
+		t.Errorf("%d reshards left %d queries tracked, want 0", 2*rounds, tracked)
+	}
 	waitUntil(t, 30*time.Second, "retired members to finalize", func() bool {
 		return len(fe.RetiredMembers()) == 0
 	})
-	if live := fe.LiveEpochs(); live > 2 {
-		t.Errorf("%d reshards left %d live epochs, want <= 2", 2*rounds, live)
-	}
 }
 
 // TestRetiredPumpsTerminate checks that a retired member's result pump

@@ -165,9 +165,10 @@ func (c *gateConn) PollResultsInto(ctx context.Context, req ResultsRequest, resp
 
 // TestShardedLBDegradeSpill pins the shard-degradation lifecycle: an
 // unreachable shard is marked degraded after the failure threshold,
-// its hash range's new submits spill to the ring's next owner, the
-// state surfaces through merged Stats, and recovery (the result pump
-// probing successfully again) restores normal placement.
+// its hash range's new submits spill to the ring's next owner (and
+// their completions follow them there), the state surfaces through
+// merged Stats, and recovery (the result pump probing successfully
+// again) restores normal placement.
 func TestShardedLBDegradeSpill(t *testing.T) {
 	clock := NewClock(1e-3)
 	newShard := func(member int) (*LBServer, LBConn) {
@@ -191,7 +192,7 @@ func TestShardedLBDegradeSpill(t *testing.T) {
 	ctx := context.Background()
 
 	// IDs owned by each member under the (only) ring epoch.
-	ring := fe.epochRings()[0]
+	ring := fe.ring.ring
 	ownedBy := func(member, n, from int) []int {
 		var ids []int
 		for id := from; len(ids) < n; id++ {
@@ -267,11 +268,40 @@ func TestShardedLBDegradeSpill(t *testing.T) {
 		}
 	}
 
-	// Recovery: the shard heals, the result pump's next successful
-	// poll un-degrades it, and placement returns to the primary.
-	if _, err := pollResults(ctx, fe, ResultsRequest{Max: 8}); err != nil {
-		t.Fatal(err) // starts the pumps
+	// Completed through the frontend, each spilled query goes to shard 1,
+	// where it was sent — not to its ring owner — and resolves once.
+	items := make([]CompleteItem, len(spill))
+	for i, id := range spill {
+		items[i] = CompleteItem{ID: id, Variant: "light", Confidence: 0.9}
 	}
+	if err := fe.Complete(ctx, CompleteRequest{WorkerID: 1, Role: "light", Items: items}); err != nil {
+		t.Fatal(err)
+	}
+	resolved := map[int]int{}
+	for deadline := time.Now().Add(5 * time.Second); len(resolved) < len(spill) && time.Now().Before(deadline); {
+		rr, err := pollResults(ctx, fe, ResultsRequest{Max: 8, Wait: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rr.Results {
+			resolved[r.ID]++
+		}
+	}
+	if rr, err := pollResults(ctx, fe, ResultsRequest{Max: 8}); err != nil || len(rr.Results) != 0 {
+		t.Fatalf("extra results after the spilled completions: %+v, %v", rr.Results, err)
+	}
+	if len(resolved) != len(spill) {
+		t.Errorf("resolved %v, want each of %v once", resolved, spill)
+	}
+	for _, id := range spill {
+		if resolved[id] != 1 {
+			t.Errorf("spilled id %d resolved %d times, want once", id, resolved[id])
+		}
+	}
+
+	// Recovery: the shard heals, the result pump's next successful
+	// poll un-degrades it, and placement returns to the primary. (The
+	// polls above started the pumps.)
 	gate.set(false)
 	deadline := time.Now().Add(10 * time.Second)
 	for len(fe.DegradedMembers()) != 0 && time.Now().Before(deadline) {

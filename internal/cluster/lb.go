@@ -497,10 +497,10 @@ func (s *LBServer) Complete(req CompleteRequest) {
 	s.clearLeasesLocked(&req)
 	for _, item := range req.Items {
 		// Only live queries resolve or defer: the first resolution is
-		// final, and the resharding fan-out delivers completions to
-		// every epoch's owner, so a shard that never held (or already
-		// migrated away) this query must not enqueue a phantom copy in
-		// its heavy pool.
+		// final, and a completion can reach a shard that never held (or
+		// already migrated away) this query — a zombie's late report, or
+		// a frontend routing an untracked ID by its ring — which must not
+		// enqueue a phantom copy in its heavy pool.
 		if !s.liveLocked(item.ID) {
 			continue
 		}

@@ -139,9 +139,9 @@ func TestReshardChaosNoLostOrDoubleResolve(t *testing.T) {
 		}
 		_ = conn.Complete(ctx, CompleteRequest{Role: role, Items: items})
 	}
-	// Shard-pinned workers that re-consult the membership each round —
-	// the cluster layout's analogue of RePin. Completions go back to
-	// the conn the batch was pulled from, retired or not.
+	// Shard-pinned workers that pick a current member afresh each
+	// round. Completions go back to the conn the batch was pulled
+	// from, retired or not.
 	for w := 0; w < 2; w++ {
 		for _, role := range []string{"light", "heavy"} {
 			wg.Add(1)
@@ -162,8 +162,9 @@ func TestReshardChaosNoLostOrDoubleResolve(t *testing.T) {
 			}(w, role)
 		}
 	}
-	// Frontend sweep workers: their completions route by the epoch
-	// fan-out, the path a reshard races hardest.
+	// Frontend sweep workers: their completions route by the frontend's
+	// record of where each query was sent, the path a reshard races
+	// hardest.
 	for _, role := range []string{"light", "heavy"} {
 		wg.Add(1)
 		go func(role string) {

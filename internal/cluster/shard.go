@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -34,27 +33,25 @@ import (
 // Membership is a runtime property. Resharding installs a new ring
 // epoch: new submits atomically flip to the new ring (an RWMutex
 // write barrier — a batch in flight lands entirely in the epoch it
-// started under), queued queries owned by departing shards are
+// started under), and queued queries on departing shards are
 // drain-pulled back through the frontend and re-submitted to their
 // new owners (PullRequest.Drain transfers ownership, so the move is
-// exactly-once), and completions fan out to each epoch's owner —
-// the idempotent complete/drop machinery makes the extra deliveries
-// no-ops. Removed shards stay reachable as "retired" conns: their
-// result pumps keep running and a background sweeper re-routes
-// stragglers (e.g. a deferral a completion pushed there after the
-// drain ran), so nothing a retired shard still holds is ever lost.
-// Workers that pull through the frontend sweep the new membership on
-// their next pull; a shard-pinned worker keeps its static pin.
+// exactly-once). The frontend records, for every query it tracks, the
+// member it was sent to — the ring owner, a degraded owner's spill
+// target, or a drain's migration target — and sends the query's
+// completion there and nowhere else. Removed shards stay reachable as
+// "retired" conns: their result pumps keep running and a background
+// sweeper re-routes stragglers (e.g. a deferral a completion pushed
+// there after the drain ran), so nothing a retired shard still holds
+// is ever lost. Workers that pull through the frontend sweep the new
+// membership on their next pull; a shard-pinned worker keeps its
+// static pin.
 //
-// Neither old epochs nor retired conns are kept forever. The frontend
-// counts the in-flight queries dispatched under each epoch; an epoch
-// whose count has drained to zero (and that has a newer successor) is
-// quiesced and collapsed out of the installed list, so the Complete
-// fan-out stays bounded under continuous resharding. A retired member
-// finalizes once every epoch that knew it has collapsed and two
-// consecutive straggler sweeps came back empty: its cumulative
-// counters are folded into the merged Stats baseline, and its pump and
-// sweeper terminate instead of polling a drained shard forever.
+// Retired conns are not kept forever. A retired member finalizes once
+// no tracked query is recorded at it and two consecutive straggler
+// sweeps came back empty: its cumulative counters are folded into the
+// merged Stats baseline, and its pump and sweeper terminate instead of
+// polling a drained shard forever.
 
 // shardPullSlice bounds, in trace seconds, how long a frontend Pull
 // parks on one shard before re-sweeping the others for work.
@@ -101,11 +98,9 @@ type ShardedLBConfig struct {
 	Clock *Clock
 }
 
-// epochRing is one installed placement epoch: the ring plus the
-// member connections as of that epoch. Epochs are immutable once
-// installed; the newest one routes submits, and completions fan out
-// across all of them so a query registered under any epoch still
-// finds its shard.
+// epochRing is the installed placement: the ring plus the member
+// connections as of its epoch. It is immutable once installed; a
+// reshard replaces it whole.
 type epochRing struct {
 	epoch   int
 	ring    *loadbalancer.Ring
@@ -136,8 +131,8 @@ func (e *epochRing) conn(member int) LBConn {
 //   - PullInto gathers up to req.Max queries from the shards (retired
 //     ones included), sweeping from a rotating start and parking on
 //     one shard at a time between empty sweeps;
-//   - Complete routes each finished item to its owning shard under
-//     every epoch — the non-owners treat the delivery as a no-op;
+//   - Complete sends each finished item to the one shard its query
+//     was sent to;
 //   - Configure broadcasts to every reachable shard; Stats merges the
 //     shards' reports;
 //   - every fan-out (SubmitBatch, Complete, Configure) runs its legs
@@ -153,16 +148,17 @@ type ShardedLB struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	// ringMu guards the epoch list and the retired set. Submit fan-out
-	// holds it for reading across the whole batch flight, which is the
-	// write barrier that makes a reshard flip atomic per batch.
+	// ringMu guards the ring and the retired set. Submit fan-out holds
+	// it for reading across the whole batch flight, which is the write
+	// barrier that makes a reshard flip atomic per batch.
 	ringMu  sync.RWMutex
-	epochs  []epochRing
+	ring    epochRing
 	retired map[int]LBConn // removed member -> conn, kept for stragglers
 	// sweep is the immutable list of every reachable member (current
 	// members in ascending order, then retired members) that PullInto
-	// sweeps, PollResultsInto gathers from and Configure/Stats broadcast to,
-	// rebuilt on every reshard so a snapshot is a slice read, not a copy.
+	// sweeps, PollResultsInto gathers from, Complete routes over and
+	// Configure/Stats broadcast to, rebuilt on every reshard so a
+	// snapshot is a slice read, not a copy.
 	sweep sweepList
 
 	// reshardMu serializes membership changes end to end (flip +
@@ -170,19 +166,15 @@ type ShardedLB struct {
 	// migrations.
 	reshardMu sync.Mutex
 
-	// Epoch-liveness accounting, behind the quiescence collapse.
-	// liveEpoch maps each in-flight query ID admitted through
-	// SubmitBatch (or migrated by a drain) to the epoch it was
-	// dispatched under; epochLive counts in-flight queries per epoch.
-	// An epoch with a zero count and a newer successor is quiesced:
-	// collapseQuiescedLocked drops it from the installed list. liveMu
-	// is a leaf lock, taken under ringMu; curEpoch mirrors the newest
-	// epoch so decrement paths can skip the collapse attempt without
-	// touching ringMu.
-	liveMu    sync.Mutex
-	liveEpoch map[int]int
-	epochLive map[int]int
-	curEpoch  atomic.Int64
+	// Where each tracked query lives. sentTo maps each in-flight query
+	// ID admitted through SubmitBatch (or migrated by a drain) to the
+	// member it was sent to, and Complete routes by it; memberLive
+	// counts the records per member, and a retired member with none is
+	// quiesced. A record is released when its result lands. liveMu is a
+	// leaf lock, taken under ringMu.
+	liveMu     sync.Mutex
+	sentTo     map[int]int
+	memberLive map[int]int
 
 	// cfgMu guards the last configured policy AND serializes policy
 	// broadcasts: a reshard re-broadcasts lastCfg to the new
@@ -325,51 +317,47 @@ func NewShardedLB(cfg ShardedLBConfig) (*ShardedLB, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	return &ShardedLB{
 		cfg: cfg, ctx: ctx, cancel: cancel,
-		epochs:      []epochRing{e},
+		ring:        e,
 		retired:     map[int]LBConn{},
 		pumped:      map[int]bool{},
 		finished:    map[int]bool{},
 		sweep:       newSweepList(e.members, e.conns),
 		memberFails: map[int]int{},
 		degraded:    map[int]bool{},
-		liveEpoch:   map[int]int{},
-		epochLive:   map[int]int{},
+		sentTo:      map[int]int{},
+		memberLive:  map[int]int{},
 	}, nil
 }
-
-// cur returns the newest epoch. Callers must hold ringMu.
-func (s *ShardedLB) cur() *epochRing { return &s.epochs[len(s.epochs)-1] }
 
 // Shards returns the number of shards currently in the ring.
 func (s *ShardedLB) Shards() int {
 	s.ringMu.RLock()
 	defer s.ringMu.RUnlock()
-	return len(s.cur().members)
+	return len(s.ring.members)
 }
 
-// Epoch returns the current ring epoch (0 until the first reshard).
+// Epoch returns the current ring epoch: the number of reshards so far.
 func (s *ShardedLB) Epoch() int {
 	s.ringMu.RLock()
 	defer s.ringMu.RUnlock()
-	return s.cur().epoch
+	return s.ring.epoch
 }
 
 // Members returns the current ring membership, sorted ascending.
 func (s *ShardedLB) Members() []int {
 	s.ringMu.RLock()
 	defer s.ringMu.RUnlock()
-	return append([]int(nil), s.cur().members...)
+	return append([]int(nil), s.ring.members...)
 }
 
 // memberConn returns the connection serving a member ID, retired
 // members included (their stragglers still resolve there), or nil.
 func (s *ShardedLB) memberConn(m int) LBConn {
-	s.ringMu.RLock()
-	defer s.ringMu.RUnlock()
-	if c := s.cur().conn(m); c != nil {
-		return c
+	sweep := s.sweepConns()
+	if i, ok := sweep.slot[m]; ok {
+		return sweep.conns[i]
 	}
-	return s.retired[m]
+	return nil
 }
 
 // Close stops the result pumps and retired-shard sweepers. In-flight
@@ -472,14 +460,14 @@ func (s *ShardedLB) DegradedMembers() []int {
 func (s *ShardedLB) SubmitBatch(ctx context.Context, req SubmitRequest) error {
 	s.ringMu.RLock()
 	defer s.ringMu.RUnlock()
-	cur := s.cur()
+	cur := &s.ring
 	n := len(cur.conns)
 	if n == 1 {
-		s.trackBatch(cur.epoch, req.Queries)
+		s.trackBatch(cur.members[0], req.Queries)
 		err := cur.conns[0].SubmitBatch(ctx, req)
 		s.recordDispatch(cur.members[0], err)
 		if err != nil {
-			s.untrackBatch(cur.epoch, req.Queries)
+			s.untrackBatch(cur.members[0], req.Queries)
 		}
 		return err
 	}
@@ -488,122 +476,66 @@ func (s *ShardedLB) SubmitBatch(ctx context.Context, req SubmitRequest) error {
 	for _, q := range req.Queries {
 		sc.addQuery(s.shardFor(cur, q.ID), q)
 	}
-	s.trackBatch(cur.epoch, req.Queries)
+	for _, i := range sc.legs {
+		s.trackBatch(cur.members[i], sc.queries[i])
+	}
 	return sc.run(cur.conns, func(i int) error {
 		g := sc.queries[i]
 		err := cur.conns[i].SubmitBatch(ctx, SubmitRequest{Queries: g, Pool: req.Pool})
 		s.recordDispatch(cur.members[i], err)
 		if err != nil {
-			s.untrackBatch(cur.epoch, g)
+			s.untrackBatch(cur.members[i], g)
 		}
 		return err
 	})
 }
 
-// trackBatch tags each query with its dispatch epoch BEFORE the
-// dispatch flies: results race the submit call, and a landing result
-// must find the tag to release it. Callers hold ringMu for reading,
-// which pins epoch as current. A query already tagged (a client retry
-// re-admitting an ID, or a drain migrating it) moves to the new epoch.
-func (s *ShardedLB) trackBatch(epoch int, qs []QueryMsg) {
+// trackBatch records member as where qs were sent, BEFORE the dispatch
+// flies: results race the submit call, and a landing result must find
+// the record to release it. Callers hold ringMu for reading with member
+// in the current ring. A query already recorded (a client retry
+// re-admitting an ID, or a drain migrating it) moves to member.
+func (s *ShardedLB) trackBatch(member int, qs []QueryMsg) {
 	s.liveMu.Lock()
 	for i := range qs {
 		id := qs[i].ID
-		if old, ok := s.liveEpoch[id]; ok {
-			s.epochLive[old]--
+		if old, ok := s.sentTo[id]; ok {
+			s.memberLive[old]--
 		}
-		s.liveEpoch[id] = epoch
-		s.epochLive[epoch]++
+		s.sentTo[id] = member
+		s.memberLive[member]++
 	}
 	s.liveMu.Unlock()
 }
 
-// untrackBatch releases queries whose dispatch failed outright: the
-// shard never admitted them (or, if it did and the reply was lost,
-// their results land through the pump and find the tag already gone —
-// a harmless no-op either way, though in the lost-reply corner the
-// dispatch epoch may collapse while the silent registration persists;
-// its completion then relies on the lease-expiry reclaim rather than
-// the epoch fan-out). Skipping IDs re-tagged meanwhile keeps a
-// concurrent re-admission's newer tag intact.
-func (s *ShardedLB) untrackBatch(epoch int, qs []QueryMsg) {
+// untrackBatch releases queries whose dispatch to member failed
+// outright: the shard never admitted them (or, if it did and the reply
+// was lost, their results land through the pump and find the record
+// already gone — a harmless no-op; a completion for such a query routes
+// by the current ring, and if that misses member the query relies on
+// the lease-expiry reclaim). Skipping IDs recorded elsewhere meanwhile
+// keeps a concurrent re-admission's newer record intact.
+func (s *ShardedLB) untrackBatch(member int, qs []QueryMsg) {
 	s.liveMu.Lock()
-	drained := false
 	for i := range qs {
-		id := qs[i].ID
-		if e, ok := s.liveEpoch[id]; ok && e == epoch {
-			delete(s.liveEpoch, id)
-			s.epochLive[epoch]--
-			drained = drained || s.epochLive[epoch] <= 0
+		if m, ok := s.sentTo[qs[i].ID]; ok && m == member {
+			delete(s.sentTo, qs[i].ID)
+			s.memberLive[m]--
 		}
 	}
 	s.liveMu.Unlock()
-	if drained && int(s.curEpoch.Load()) != epoch {
-		s.maybeCollapse()
-	}
 }
 
-// untrackResults releases landed results' epoch tags and collapses any
-// non-current epoch the landings drained. The current epoch is read
-// under liveMu: a reshard stores the new epoch before its collapse
-// takes liveMu, so either that collapse sees these decrements or this
-// read sees the new epoch. Read before the lock, a landing racing the
-// flip could drain the old epoch unseen by both and pin it forever.
+// untrackResults releases landed results' records.
 func (s *ShardedLB) untrackResults(results []QueryResponse) {
-	collapse := false
 	s.liveMu.Lock()
-	cur := int(s.curEpoch.Load())
 	for i := range results {
-		id := results[i].ID
-		e, ok := s.liveEpoch[id]
-		if !ok {
-			continue
-		}
-		delete(s.liveEpoch, id)
-		s.epochLive[e]--
-		if s.epochLive[e] <= 0 && e != cur {
-			collapse = true
+		if m, ok := s.sentTo[results[i].ID]; ok {
+			delete(s.sentTo, results[i].ID)
+			s.memberLive[m]--
 		}
 	}
 	s.liveMu.Unlock()
-	if collapse {
-		s.maybeCollapse()
-	}
-}
-
-// maybeCollapse takes the ring write lock and collapses quiesced
-// epochs. Decrement paths call it only when they drained a non-current
-// epoch, so the write-lock traffic is per quiescence event, not per
-// result.
-func (s *ShardedLB) maybeCollapse() {
-	s.ringMu.Lock()
-	s.collapseQuiescedLocked()
-	s.ringMu.Unlock()
-}
-
-// collapseQuiescedLocked drops installed epochs with no live queries
-// (the newest epoch always stays: it routes new submits). The kept
-// epochs go into a fresh slice — Complete snapshots s.epochs by
-// reference, so the array a snapshot points at must never be mutated.
-// Callers hold ringMu exclusively.
-func (s *ShardedLB) collapseQuiescedLocked() {
-	if len(s.epochs) == 1 {
-		return
-	}
-	s.liveMu.Lock()
-	keep := make([]epochRing, 0, len(s.epochs))
-	for i := range s.epochs {
-		e := &s.epochs[i]
-		if i == len(s.epochs)-1 || s.epochLive[e.epoch] > 0 {
-			keep = append(keep, *e)
-		} else {
-			delete(s.epochLive, e.epoch)
-		}
-	}
-	s.liveMu.Unlock()
-	if len(keep) != len(s.epochs) {
-		s.epochs = keep
-	}
 }
 
 // inProcessConn is the capability of a conn whose calls dispatch
@@ -772,7 +704,7 @@ func (s *ShardedLB) pump(member int, conn LBConn) {
 }
 
 // land moves one member poll's results into the merged stream and
-// releases their epoch tags — the one way results enter the stream,
+// releases their records — the one way results enter the stream,
 // whether a pump or a polling caller fetched them. The stream takes
 // value copies, so each element's Features pointer is handed off by
 // zeroing the element: the fetcher's next poll decodes into the same
@@ -877,13 +809,15 @@ func (s *ShardedLB) takeInto(max int, resp *ResultsResponse) {
 // work, and its policy and counters still matter.
 type sweepList struct {
 	members []int
-	conns   []LBConn // parallel to members
-	local   []LBConn // the in-process subset of conns
+	conns   []LBConn    // parallel to members
+	slot    map[int]int // member -> index into members and conns
+	local   []LBConn    // the in-process subset of conns
 }
 
 func newSweepList(members []int, conns []LBConn) sweepList {
-	l := sweepList{members: members, conns: conns}
-	for _, c := range conns {
+	l := sweepList{members: members, conns: conns, slot: make(map[int]int, len(members))}
+	for i, c := range conns {
+		l.slot[members[i]] = i
 		if inProcess(c) {
 			l.local = append(l.local, c)
 		}
@@ -902,9 +836,8 @@ func (s *ShardedLB) sweepConns() sweepList {
 // rebuildSweepLocked recomputes the sweep list. Callers hold ringMu
 // exclusively.
 func (s *ShardedLB) rebuildSweepLocked() {
-	cur := s.cur()
-	members := append([]int(nil), cur.members...)
-	conns := append([]LBConn(nil), cur.conns...)
+	members := append([]int(nil), s.ring.members...)
+	conns := append([]LBConn(nil), s.ring.conns...)
 	if len(s.retired) > 0 {
 		ms := make([]int, 0, len(s.retired))
 		for m := range s.retired {
@@ -999,79 +932,39 @@ func (s *ShardedLB) PullInto(ctx context.Context, req PullRequest, resp *PullRes
 	}
 }
 
-// Complete routes each finished item to the shard that owns its query
-// ID under every installed epoch and fans the per-shard reports out
-// (see fanScratch.run). The item's registration lives on exactly one
-// of those shards (wherever it was last submitted or migrated to); the
-// others treat the delivery as a no-op thanks to the LBServer's
-// idempotent resolve machinery. The fan-out is what lets a completion
-// raced by a reshard — or reported by a worker that pulled before the
-// flip — always reach the shard that can resolve it.
-//
-// With one epoch installed every item has one destination, and the
-// lease deadline the worker echoes is forwarded with it so the shard
-// can tell a zombie report from a timely one. With several epochs the
-// duplicate deliveries are no-ops by design and must not each count as
-// a late completion, so their legs carry no deadline.
+// Complete sends each finished item to the one shard that holds its
+// query — the member the frontend recorded sending it to (by
+// SubmitBatch, after any degrade spill, or by a drain migration), or,
+// for a query it does not track, the current ring's owner — and fans
+// the per-shard reports out (see fanScratch.run). A worker that pulled
+// before a reshard, or from a shard that took a spill, still reports
+// to the shard that can resolve it. Every leg carries the lease
+// deadline the worker echoed, so the shard can tell a zombie report
+// from a timely one.
 func (s *ShardedLB) Complete(ctx context.Context, req CompleteRequest) error {
 	s.ringMu.RLock()
-	// Snapshotting the epoch list is a reference, not a copy: epochs
-	// are immutable once installed and reshard appends copy-on-grow,
-	// so the captured prefix stays valid outside the lock.
-	epochs := s.epochs
-	s.ringMu.RUnlock()
-
-	last := &epochs[len(epochs)-1]
-	if len(epochs) == 1 && len(last.conns) == 1 {
-		return last.conns[0].Complete(ctx, req)
+	sweep, ring := s.sweep, s.ring.ring
+	if len(sweep.conns) == 1 {
+		s.ringMu.RUnlock()
+		return sweep.conns[0].Complete(ctx, req)
 	}
-
-	// Group items by owning member. With a single epoch (no reshard
-	// yet — the overwhelmingly common case, and the steady-state data
-	// path) a leg is a slot of that epoch, exactly like SubmitBatch.
-	// After a reshard the rare multi-epoch path numbers the legs by
-	// member ID across every epoch (member IDs are stable over the
-	// frontend's lifetime, so a member names one conn forever — current
-	// or retired).
-	conns := last.conns
-	legs := 0
-	for e := range epochs {
-		legs += len(epochs[e].conns)
-	}
-	sc := getFanScratch(legs)
+	sc := getFanScratch(len(sweep.conns))
 	defer putFanScratch(sc)
-	if len(epochs) == 1 {
-		for _, it := range req.Items {
-			sc.addItem(last.slot[last.ring.Owner(it.ID)], it)
+	// Both reads under ringMu: a recorded member is in the sweep list,
+	// because records go only to current members and a retired member
+	// finalizes only once nothing is recorded at it.
+	s.liveMu.Lock()
+	for _, it := range req.Items {
+		m, ok := s.sentTo[it.ID]
+		if !ok {
+			m = ring.Owner(it.ID)
 		}
-	} else {
-		req.LeaseDeadline = 0
-		conns = nil
-		legOf := map[int]int{}
-		var owners []int // per-item dedup scratch
-		for _, it := range req.Items {
-			owners = owners[:0]
-			for e := len(epochs) - 1; e >= 0; e-- {
-				m := epochs[e].ring.Owner(it.ID)
-				if slices.Contains(owners, m) {
-					continue
-				}
-				owners = append(owners, m)
-				leg, ok := legOf[m]
-				if !ok {
-					// An epoch's owner always has a conn in that epoch
-					// (removed members keep theirs in the epochs that
-					// owned them), so no retired-map fallback is needed.
-					leg = len(conns)
-					legOf[m] = leg
-					conns = append(conns, epochs[e].conn(m))
-				}
-				sc.addItem(leg, it)
-			}
-		}
+		sc.addItem(sweep.slot[m], it)
 	}
-	return sc.run(conns, func(i int) error {
-		return conns[i].Complete(ctx, CompleteRequest{
+	s.liveMu.Unlock()
+	s.ringMu.RUnlock()
+	return sc.run(sweep.conns, func(i int) error {
+		return sweep.conns[i].Complete(ctx, CompleteRequest{
 			WorkerID: req.WorkerID, Role: req.Role, Items: sc.items[i], LeaseDeadline: req.LeaseDeadline,
 		})
 	})
@@ -1234,7 +1127,7 @@ func (s *ShardedLB) reshardLocked(ctx context.Context, members []int, newConns m
 	}
 
 	s.ringMu.Lock()
-	cur := s.cur()
+	cur := s.ring
 	next := epochRing{
 		epoch:   cur.epoch + 1,
 		members: append([]int(nil), members...),
@@ -1275,12 +1168,7 @@ func (s *ShardedLB) reshardLocked(ctx context.Context, members []int, newConns m
 	// The flip: acquiring ringMu exclusively barriered behind every
 	// in-flight submit batch, so batches before this line routed
 	// entirely by the old ring and batches after route by the new one.
-	s.epochs = append(s.epochs, next)
-	s.curEpoch.Store(int64(next.epoch))
-	// Quiesced predecessors collapse under the same exclusive hold, so
-	// 50 back-to-back reshards of an idle tier still leave a
-	// single-digit epoch list, not 50 rings fanning every Complete.
-	s.collapseQuiescedLocked()
+	s.ring = next
 	s.rebuildSweepLocked()
 	s.ringMu.Unlock()
 
@@ -1374,18 +1262,18 @@ func (s *ShardedLB) drainShard(ctx context.Context, conn LBConn) bool {
 func (s *ShardedLB) resubmitMigrated(queries []QueryMsg, pool string) {
 	ctx := s.ctx
 	s.ringMu.RLock()
-	cur := s.cur()
-	conns := make([]LBConn, len(cur.conns))
-	copy(conns, cur.conns)
+	cur := s.ring // immutable: its conns stay valid after the unlock
+	conns := cur.conns
 	groups := make([][]QueryMsg, len(conns))
 	for _, q := range queries {
 		sh := cur.slot[cur.ring.Owner(q.ID)]
 		groups[sh] = append(groups[sh], q)
 	}
-	// Migration re-tags the queries to the epoch whose ring grouped
-	// them: their old shard forgot them, so their old epoch must not be
-	// what keeps their new shard in the Complete fan-out.
-	s.trackBatch(cur.epoch, queries)
+	// Migration rewrites each query's record to its new shard: the old
+	// shard forgot it, so its completion must go to the new one.
+	for i, g := range groups {
+		s.trackBatch(cur.members[i], g)
+	}
 	s.ringMu.RUnlock()
 	for {
 		pending := false
@@ -1421,10 +1309,9 @@ func (s *ShardedLB) resubmitMigrated(queries []QueryMsg, pool string) {
 // an older membership (see Resharding) — its misdirected queries must
 // reach their real owner with latency budget left under typical SLOs.
 //
-// The sweep does not run forever. Once every epoch that knew the
-// member has collapsed (so no frontend-tracked query can live there)
-// and retiredEmptySweeps consecutive drains came back empty (the
-// grace window for stale foreign frontends), the member finalizes:
+// The sweep does not run forever. Once no tracked query is recorded at
+// the member and retiredEmptySweeps consecutive drains came back empty
+// (the grace window for stale foreign frontends), the member finalizes:
 // its counters fold into the Stats baseline and the sweeper — and the
 // member's result pump — terminate.
 func (s *ShardedLB) sweepRetired(member int, conn LBConn) {
@@ -1451,20 +1338,13 @@ func (s *ShardedLB) sweepRetired(member int, conn LBConn) {
 	}
 }
 
-// memberQuiesced reports whether no installed epoch knows the member:
-// every epoch that routed to it has collapsed, so no query the
-// frontend tracks can be registered there. Quiescence is monotonic —
-// member IDs are never reused, so a collapsed epoch naming the member
-// can never be reinstalled.
+// memberQuiesced reports whether no tracked query is recorded at the
+// member. For a retired member quiescence is monotonic: records go only
+// to current members, and member IDs are never reused.
 func (s *ShardedLB) memberQuiesced(member int) bool {
-	s.ringMu.RLock()
-	defer s.ringMu.RUnlock()
-	for i := range s.epochs {
-		if _, ok := s.epochs[i].slot[member]; ok {
-			return false
-		}
-	}
-	return true
+	s.liveMu.Lock()
+	defer s.liveMu.Unlock()
+	return s.memberLive[member] == 0
 }
 
 // finalizeRetired retires a member for good: its last Stats snapshot
@@ -1509,14 +1389,6 @@ func (s *ShardedLB) sweepDeadline(traceSecs float64) float64 {
 	return s.cfg.Clock.Now() + math.Max(traceSecs, 1e-3/s.cfg.Clock.Timescale())
 }
 
-// LiveEpochs returns the installed-epoch count — bounded by the
-// quiescence collapse, and what the regression tests assert on.
-func (s *ShardedLB) LiveEpochs() int {
-	s.ringMu.RLock()
-	defer s.ringMu.RUnlock()
-	return len(s.epochs)
-}
-
 // RetiredMembers returns the removed members still awaiting
 // finalization, sorted ascending.
 func (s *ShardedLB) RetiredMembers() []int {
@@ -1527,18 +1399,5 @@ func (s *ShardedLB) RetiredMembers() []int {
 		out = append(out, m)
 	}
 	sort.Ints(out)
-	return out
-}
-
-// epochRings snapshots the installed epochs' rings, oldest first —
-// the conformance suite uses it to check that a batch raced by a
-// reshard landed consistently under exactly one epoch.
-func (s *ShardedLB) epochRings() []*loadbalancer.Ring {
-	s.ringMu.RLock()
-	defer s.ringMu.RUnlock()
-	out := make([]*loadbalancer.Ring, len(s.epochs))
-	for i := range s.epochs {
-		out[i] = s.epochs[i].ring
-	}
 	return out
 }

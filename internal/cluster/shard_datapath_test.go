@@ -74,51 +74,63 @@ func completeAll(ctx context.Context, conn LBConn, workerID int, role string, pu
 // fan-out: a zombie's report, routed by the frontend to the shard that
 // reclaimed and re-served its query, must count as a late completion
 // there. The fanned-out legs used to drop CompleteRequest.LeaseDeadline,
-// so behind a multi-shard frontend the counter never moved.
+// so behind a multi-shard frontend the counter never moved — and after
+// a reshard they dropped it again, until completions went to the shard
+// each query was sent to instead of to every epoch's owner.
 func TestShardedLBLateCompletionCounted(t *testing.T) {
-	clock := NewClock(0.001)
-	conns := make([]LBConn, 2)
-	for i := range conns {
-		conns[i] = NewLocalLBConn(NewLBServer(LBConfig{
-			Mode: loadbalancer.ModeCascade, SLO: 1e9,
-			LightMinExec: 0.1, HeavyMinExec: 1.78,
-			Clock: clock, Seed: 1, RNGStream: fmt.Sprintf("lb/%d", i),
-			LeaseDuration: 0.5,
-		}))
-	}
-	fe, err := NewShardedLB(ShardedLBConfig{Shards: conns, Clock: clock})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fe.Close()
-	ctx := context.Background()
+	for _, reshard := range []bool{false, true} {
+		t.Run(fmt.Sprintf("reshard=%v", reshard), func(t *testing.T) {
+			clock := NewClock(0.001)
+			newShard := func(member int) LBConn {
+				return NewLocalLBConn(NewLBServer(LBConfig{
+					Mode: loadbalancer.ModeCascade, SLO: 1e9,
+					LightMinExec: 0.1, HeavyMinExec: 1.78,
+					Clock: clock, Seed: 1, RNGStream: fmt.Sprintf("lb/%d", member),
+					LeaseDuration: 0.5,
+				}))
+			}
+			fe, err := NewShardedLB(ShardedLBConfig{Shards: []LBConn{newShard(0), newShard(1)}, Clock: clock})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fe.Close()
+			ctx := context.Background()
 
-	if err := fe.SubmitBatch(ctx, SubmitRequest{Queries: queriesFor(idsPerShard(2, 2, 0))}); err != nil {
-		t.Fatal(err)
-	}
-	zombie, err := pull(ctx, fe, PullRequest{WorkerID: 1, Role: "light", Max: 1})
-	if err != nil || len(zombie.Queries) != 1 || zombie.LeaseDeadline <= 0 {
-		t.Fatalf("zombie pull = %+v, %v", zombie, err)
-	}
-	// Worker 1 goes silent past the lease's hard cap; worker 2's pull
-	// reclaims its query and gathers it with the other three.
-	clock.WaitUntil(ctx, clock.Now()+3, nil)
-	live, err := pull(ctx, fe, PullRequest{WorkerID: 2, Role: "light", Max: 8})
-	if err != nil || len(live.Queries) != 4 {
-		t.Fatalf("reclaiming pull = %+v, %v", live, err)
-	}
-	if err := completeAll(ctx, fe, 2, "light", live, 0.9); err != nil {
-		t.Fatal(err)
-	}
-	if err := completeAll(ctx, fe, 1, "light", zombie, 0.9); err != nil {
-		t.Fatal(err)
-	}
-	st, err := fe.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Completed != 4 || st.Reclaims != 1 || st.LateCompletions != 1 {
-		t.Errorf("completed %d, reclaims %d, late completions %d; want 4, 1, 1", st.Completed, st.Reclaims, st.LateCompletions)
+			if err := fe.SubmitBatch(ctx, SubmitRequest{Queries: queriesFor(idsPerShard(2, 2, 0))}); err != nil {
+				t.Fatal(err)
+			}
+			zombie, err := pull(ctx, fe, PullRequest{WorkerID: 1, Role: "light", Max: 1})
+			if err != nil || len(zombie.Queries) != 1 || zombie.LeaseDeadline <= 0 {
+				t.Fatalf("zombie pull = %+v, %v", zombie, err)
+			}
+			// Worker 1 goes silent past the lease's hard cap; worker 2's pull
+			// reclaims its query and gathers it with the other three.
+			clock.WaitUntil(ctx, clock.Now()+3, nil)
+			live, err := pull(ctx, fe, PullRequest{WorkerID: 2, Role: "light", Max: 8})
+			if err != nil || len(live.Queries) != 4 {
+				t.Fatalf("reclaiming pull = %+v, %v", live, err)
+			}
+			if reshard {
+				// A third member re-maps the keys (modulus 2 -> 3); the four
+				// queries stay where they were sent.
+				if err := fe.AddShard(ctx, 2, newShard(2)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := completeAll(ctx, fe, 2, "light", live, 0.9); err != nil {
+				t.Fatal(err)
+			}
+			if err := completeAll(ctx, fe, 1, "light", zombie, 0.9); err != nil {
+				t.Fatal(err)
+			}
+			st, err := fe.Stats(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Completed != 4 || st.Reclaims != 1 || st.LateCompletions != 1 {
+				t.Errorf("completed %d, reclaims %d, late completions %d; want 4, 1, 1", st.Completed, st.Reclaims, st.LateCompletions)
+			}
+		})
 	}
 }
 

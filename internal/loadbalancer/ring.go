@@ -236,25 +236,6 @@ func (r *Ring) NextOwner(id int) int {
 	return r.members[primary]
 }
 
-// Members returns the ring's membership, sorted ascending.
-func (r *Ring) Members() []int {
-	out := make([]int, len(r.members))
-	copy(out, r.members)
-	return out
-}
-
-// N returns the member count.
-func (r *Ring) N() int { return len(r.members) }
-
-// Has reports whether m is a ring member.
-func (r *Ring) Has(m int) bool {
-	i := sort.SearchInts(r.members, m)
-	return i < len(r.members) && r.members[i] == m
-}
-
-// Modulus reports whether the ring uses the legacy ShardOf placement.
-func (r *Ring) Modulus() bool { return r.modulus }
-
 // dedupSorted returns a sorted copy of ms with duplicates removed.
 func dedupSorted(ms []int) []int {
 	out := make([]int, len(ms))
