@@ -164,7 +164,8 @@ race: race-cluster race-sharded race-posted race-reshard chaos-soak race-solver 
 
 # race-cluster: the cluster data path (the per-pool lock stress hammer
 # and the transport conformance matrix included), the parallel helpers,
-# the consistent-hash ring, and the benchmark's smoke test, which
+# the load-balancer policy and shard placement, and the benchmark's
+# smoke test, which
 # drives cluster.Run end to end with the controller ticking.
 .PHONY: race-cluster
 race-cluster:
@@ -235,14 +236,8 @@ race-poison:
 poison-test: race-poison
 	$(GO) test -tags poolpoison ./internal/cluster/
 
-# bench-ring compares the consistent-hash ring lookup against the
-# static-modulus ShardOf baseline (acceptance bar: ring within 2x).
-.PHONY: bench-ring
-bench-ring:
-	$(GO) test -run '^$$' -bench 'BenchmarkRingLookup|BenchmarkShardOf' -benchmem ./internal/loadbalancer/
-
 # fuzz-smoke runs each fuzz target briefly on top of the committed
-# seed corpus (testdata/fuzz): the decoders, the ring, warm-vs-cold
+# seed corpus (testdata/fuzz): the decoders, the shard placement, warm-vs-cold
 # MILP solves, and the lazily seeded RNG source's parity with
 # math/rand. CI runs this on every
 # push; raise -fuzztime for a deeper local hunt.

@@ -36,7 +36,6 @@ func main() {
 	var (
 		lbURL      = flag.String("lb", "localhost:8100", "load balancer address (host:port)")
 		shardAddrs = flag.String("shard-addrs", "", "comma-separated LB shard addresses; overrides -lb and partitions the replay across the shards")
-		ringVNodes = flag.Int("ring-vnodes", 0, "virtual nodes per LB shard on the consistent-hash ring (0 = legacy static modulus); must match every peer")
 		traceFile  = flag.String("trace", "", "trace file (empty: generate an Azure-like trace)")
 		cascadeN   = flag.String("cascade", "cascade1", "cascade (for query content + SLO)")
 		minQPS     = flag.Float64("min", 4, "generated trace minimum QPS")
@@ -80,7 +79,7 @@ func main() {
 	clock := cluster.NewClock(*timescale)
 	var conn cluster.LBConn
 	if *shardAddrs != "" {
-		frontend, err := cluster.DialShardedLB(*shardAddrs, clock, *ringVNodes)
+		frontend, err := cluster.DialShardedLB(*shardAddrs, clock)
 		if err != nil {
 			fatal(err)
 		}

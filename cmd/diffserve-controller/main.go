@@ -16,21 +16,21 @@
 // broadcasts policy to every shard, merges their stats, and stripes
 // worker roles so each shard keeps both pools served (worker i is
 // assumed pinned to shard i mod shards, matching diffserve-worker's
-// -shard-addrs behavior). With -ring-vnodes N the tier partitions by
-// consistent-hash ring instead of the static modulus, and the
-// -admin-port RPC can then add or remove a shard at runtime without
-// restarting the tier —
+// -shard-addrs behavior). The -admin-port RPC adds or removes a shard
+// at runtime without restarting the tier —
 //
 //	curl -X POST localhost:9100/add-shard \
 //	    -d '{"member": 2, "addr": "localhost:8102"}'
 //	curl -X POST localhost:9100/remove-shard -d '{"member": 0}'
 //
-// The controller installs the new ring epoch on its own frontend,
-// drains a removed shard's queued work to the survivors, and re-stripes
-// worker roles on the next control tick. The epoch lives in that
-// frontend alone — no shard, worker or client is told of it — so a
-// separately running diffserve-client or diffserve-worker keeps
-// routing by the -shard-addrs it was started with.
+// The controller installs the new ring epoch on its own frontend —
+// new submits route by ShardOf over the new sorted membership — drains
+// a removed shard's queued work to the survivors (an add moves nothing
+// already queued), and re-stripes worker roles on the next control
+// tick. The epoch lives in that frontend alone — no shard, worker or
+// client is told of it — so a separately running diffserve-client or
+// diffserve-worker keeps routing by the -shard-addrs it was started
+// with.
 //
 // -workers is parsed like -shard-addrs: blanks around an address and
 // empty entries (a trailing comma) are dropped, so every listed worker
@@ -56,7 +56,6 @@ func main() {
 	var (
 		lbURL      = flag.String("lb", "localhost:8100", "load balancer address (host:port)")
 		shardAddrs = flag.String("shard-addrs", "", "comma-separated LB shard addresses; overrides -lb and enables shard-striped role assignment")
-		ringVNodes = flag.Int("ring-vnodes", 0, "virtual nodes per LB shard on the consistent-hash ring (0 = legacy static modulus); must match every peer")
 		adminPort  = flag.Int("admin-port", 0, "admin API port for runtime add-shard/remove-shard (0 = disabled; needs -shard-addrs)")
 		workerCSV  = flag.String("workers", "", "comma-separated worker control-plane addresses (host:port)")
 		cascadeN   = flag.String("cascade", "cascade1", "cascade: cascade1|cascade2|cascade3")
@@ -99,7 +98,7 @@ func main() {
 	var frontend *cluster.ShardedLB
 	shards := 1
 	if *shardAddrs != "" {
-		if frontend, err = cluster.DialShardedLB(*shardAddrs, clock, *ringVNodes); err != nil {
+		if frontend, err = cluster.DialShardedLB(*shardAddrs, clock); err != nil {
 			fatal(err)
 		}
 		lbConn, shards = frontend, frontend.Shards()

@@ -17,8 +17,7 @@
 // With -admin-port the process serves a small admin API for dynamic
 // shard membership: POST /add-shard brings up one more LB shard on
 // the next consecutive port and reports its address, ready to be
-// joined into the ring via diffserve-controller's /add-shard RPC
-// (the tier must run with matching -ring-vnodes on the frontends).
+// joined into the ring via diffserve-controller's /add-shard RPC.
 //
 //	diffserve-lb -port 8100 -cascade cascade1 -slo 5 -timescale 0.1
 //	diffserve-lb -port 8100 -lb-shards 2

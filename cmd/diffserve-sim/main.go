@@ -34,7 +34,6 @@ func main() {
 		maxQPS     = flag.Float64("max-qps", 32, "trace maximum rate for -serve")
 		transport  = flag.String("transport", "tcp", "cluster transport for sim-vs-cluster: inproc|tcp")
 		lbShards   = flag.Int("lb-shards", 1, "LB shard count for sim-vs-cluster (>1 runs the sharded LB tier plus static and mid-trace-resharding parity checks)")
-		ringVNodes = flag.Int("ring-vnodes", 0, "virtual nodes per LB shard on the consistent-hash ring for sim-vs-cluster (0 = legacy static modulus; the resharding leg defaults to 128)")
 	)
 	flag.Parse()
 
@@ -77,7 +76,6 @@ func main() {
 			Short:                *short,
 			ClusterTransport:     *transport,
 			ClusterLBShards:      *lbShards,
-			ClusterRingVNodes:    *ringVNodes,
 		}, os.Stdout)
 		if err != nil {
 			fatal(err)

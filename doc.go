@@ -108,9 +108,11 @@
 //
 // One load-balancer process tops out on its admission and result
 // locks long before web-scale arrival rates. The sharded tier
-// partitions the query stream by ID hash (loadbalancer.ShardOf, a
-// pure FNV-1a function every process computes locally) across N
-// independent LBServer shards, each reachable over either transport:
+// partitions the query stream by ID hash across N independent LBServer
+// shards, each reachable over either transport. Placement is one pure
+// function every process computes locally: loadbalancer.ShardOf (an
+// FNV-1a hash mod N) indexing the sorted member list, so members
+// 0..N-1 own exactly the IDs ShardOf(id, N) assigns them:
 //
 //	                 client (cluster.ShardedLB frontend)
 //	                 /  submit by ID hash, merge results  \
@@ -156,20 +158,21 @@
 //
 // # Dynamic shard membership
 //
-// Placement is a versioned consistent-hash ring (loadbalancer.Ring):
-// with -ring-vnodes N each shard owns the key ranges preceding its N
-// virtual nodes, so membership can change at runtime with minimal key
-// movement (adding one of M shards moves ~1/(M+1) of the stream;
-// vnodes=0 keeps the legacy ShardOf modulus bit-identically). A
-// membership change installs a new ring epoch on the ShardedLB
-// frontend (cluster.ShardedLB.Resharding / AddShard / RemoveShard,
-// exposed as admin RPCs on diffserve-controller and in the harness
-// via HarnessConfig.Reshard):
+// Membership can change at runtime. A change installs a new ring epoch
+// on the ShardedLB frontend (cluster.ShardedLB.AddShard / RemoveShard,
+// exposed as admin RPCs on diffserve-controller and in the harness via
+// HarnessConfig.Reshard), whose placement (loadbalancer.Ring) is
+// ShardOf over the new sorted member list. That remaps most IDs, and
+// moves no queued query: placement only routes new submits and
+// re-homes a departing shard's drained queue. An add drains nothing,
+// so every queued query stays where it was sent, and each completion
+// follows the frontend's record of where its query went, not the
+// current placement:
 //
 //	client        frontend            shard A (departing)   shard B    controller
 //	  |  submit(batch)  |  epoch 1: ring{A,B}   |             |            |
 //	  |---------------->|---------------------->|             |            |
-//	  |                 |== Resharding: epoch 2 installs ring{B}; in-flight
+//	  |                 |== RemoveShard(A): epoch 2 installs ring{B}; in-flight
 //	  |                 |   batches finish under epoch 1 (RWMutex barrier) ==|
 //	  |                 |-- configure{policy} -->|  (and B: the remembered  |
 //	  |                 |                        |   policy, re-broadcast)  |

@@ -1,11 +1,11 @@
 // Cluster example: run the full DiffServe system as real networked
 // components — a sharded load-balancer tier (two LB shards
-// partitioning the query stream on a consistent-hash ring), eight
-// workers pulling from every shard through the tier's frontend, and
-// the MILP controller — wired over loopback sockets, then replay a
-// trace through the network data path at 10x speed, growing the tier
-// to three shards mid-trace: the reshard installs a new ring epoch
-// and migrates the queued work it moves, and the workers' next pulls
+// partitioning the query stream by query ID), eight workers pulling
+// from every shard through the tier's frontend, and the MILP
+// controller — wired over loopback sockets, then replay a trace
+// through the network data path at 10x speed, growing the tier to
+// three shards mid-trace: the reshard installs a new ring epoch that
+// routes new submits over three shards, and the workers' next pulls
 // sweep the new shard too.
 // The example uses the framed-TCP transport (persistent multiplexed
 // connections, binary codec), the wire the standalone binaries speak;
@@ -71,15 +71,14 @@ func main() {
 		// direct dispatch for maximum replay speed).
 		Transport: cluster.TransportTCP,
 		// Sharded LB tier: queries are partitioned across independent
-		// balancer shards on a consistent-hash ring (128 virtual nodes
-		// per shard); each worker pins to its member of the current
-		// ring and the client merges every shard's result stream.
-		LBShards:   2,
-		RingVNodes: 128,
+		// balancer shards by loadbalancer.ShardOf; each worker pulls
+		// from every shard and the client merges every shard's result
+		// stream.
+		LBShards: 2,
 		// Mid-trace resharding: at t=60s a third shard joins. The ring
-		// epoch flips atomically for submit batches, ~1/3 of the key
-		// space moves to the new shard, and the workers and role plan
-		// follow within a pull round trip.
+		// epoch flips atomically for submit batches, new submits spread
+		// over three shards while queued queries stay where they are,
+		// and the workers and role plan follow within a pull round trip.
 		Reshard: []cluster.ReshardEvent{{At: 60, Action: "add", Member: 2}},
 	})
 	if err != nil {

@@ -28,22 +28,17 @@ type ExperimentConfig struct {
 	// the single-LB topology) and adds single-vs-sharded and
 	// mid-trace-resharding outcome parity checks.
 	ClusterLBShards int
-	// ClusterRingVNodes selects the sharded tier's consistent-hash
-	// ring density (0 = legacy static modulus for the static runs;
-	// the resharding parity leg defaults to 128).
-	ClusterRingVNodes int
 }
 
 func (c ExperimentConfig) internal() experiments.Config {
 	return experiments.Config{
-		Seed:              c.Seed,
-		Queries:           c.Queries,
-		Workers:           c.Workers,
-		TraceDuration:     c.TraceDurationSeconds,
-		Short:             c.Short,
-		ClusterTransport:  c.ClusterTransport,
-		ClusterLBShards:   c.ClusterLBShards,
-		ClusterRingVNodes: c.ClusterRingVNodes,
+		Seed:             c.Seed,
+		Queries:          c.Queries,
+		Workers:          c.Workers,
+		TraceDuration:    c.TraceDurationSeconds,
+		Short:            c.Short,
+		ClusterTransport: c.ClusterTransport,
+		ClusterLBShards:  c.ClusterLBShards,
 	}
 }
 

@@ -891,7 +891,7 @@ func testTransportConformance(t *testing.T, tc transportCase) {
 		for i := range conns {
 			_, conns[i] = mkShard(i)
 		}
-		fe, err := NewShardedLB(ShardedLBConfig{Shards: conns, Clock: clock, VNodes: 64})
+		fe, err := NewShardedLB(ShardedLBConfig{Shards: conns, Clock: clock})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -953,8 +953,8 @@ func testTransportConformance(t *testing.T, tc transportCase) {
 		}
 		// The frontend's placement before and after the flip.
 		rings := []*loadbalancer.Ring{
-			loadbalancer.NewRing([]int{0, 1}, 64),
-			loadbalancer.NewRing([]int{0, 1, 2}, 64),
+			loadbalancer.NewRing([]int{0, 1}),
+			loadbalancer.NewRing([]int{0, 1, 2}),
 		}
 		for b := 0; b < nBatches; b++ {
 			consistent := false

@@ -32,7 +32,7 @@ type ControllerConfig struct {
 	// stripes each plan across those groups so every shard keeps at
 	// least one worker of every role the plan uses: a shard whose
 	// partition of the query stream has no light (or no heavy) worker
-	// would starve, which a global plan never intends. Resharding
+	// would starve, which a global plan never intends. A reshard
 	// updates the count at runtime via SetShards.
 	Shards int
 	// MaxStatsMisses is the consecutive stats-poll-failure budget:

@@ -48,7 +48,7 @@ func TestManyReshardsLeaveNothingTracked(t *testing.T) {
 	_, conn0 := newLocalShard(clock, 0)
 	_, conn1 := newLocalShard(clock, 1)
 	fe, err := NewShardedLB(ShardedLBConfig{
-		Shards: []LBConn{conn0, conn1}, Clock: clock, VNodes: 128,
+		Shards: []LBConn{conn0, conn1}, Clock: clock,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +137,7 @@ func TestRetiredPumpsTerminate(t *testing.T) {
 	_, conn0 := newLocalShard(clock, 0)
 	_, conn1 := newLocalShard(clock, 1)
 	fe, err := NewShardedLB(ShardedLBConfig{
-		Shards: []LBConn{conn0, conn1}, Clock: clock, VNodes: 128,
+		Shards: []LBConn{conn0, conn1}, Clock: clock,
 	})
 	if err != nil {
 		t.Fatal(err)

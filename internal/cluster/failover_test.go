@@ -183,7 +183,7 @@ func TestShardedLBDegradeSpill(t *testing.T) {
 	_, conn1 := newShard(1)
 	gate := &gateConn{LBConn: conn0}
 	fe, err := NewShardedLB(ShardedLBConfig{
-		Shards: []LBConn{gate, conn1}, Clock: clock, VNodes: 64,
+		Shards: []LBConn{gate, conn1}, Clock: clock,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -52,22 +52,18 @@ type HarnessConfig struct {
 	TransportImpl Transport
 	// LBShards runs the sharded LB tier: the query stream is
 	// partitioned across this many independent LBServer shards (each
-	// with its own RNG stream "lb/<shard>"), and the client, the
-	// controller and every worker speak to one ShardedLB frontend. A
-	// worker's pull gathers from every shard, so each pool is served by
-	// all the workers of its role, as in the simulator, however the
-	// stream is split. 0 or 1 runs the single-LB topology (unless
+	// with its own RNG stream "lb/<shard>") by loadbalancer.ShardOf, and
+	// the client, the controller and every worker speak to one ShardedLB
+	// frontend. A worker's pull gathers from every shard, so each pool is
+	// served by all the workers of its role, as in the simulator, however
+	// the stream is split. 0 or 1 runs the single-LB topology (unless
 	// Reshard events are present, which force the frontend).
 	LBShards int
-	// RingVNodes selects the tier's placement exactly as
-	// ShardedLBConfig.VNodes does: 0 keeps the legacy static modulus
-	// (bit-identical to ShardOf), > 0 partitions by consistent-hash
-	// ring — required for minimal-disruption resharding.
-	RingVNodes int
 	// Reshard schedules mid-trace membership changes: at each event's
 	// trace time the harness adds a fresh shard (a new LBServer) or
-	// removes one (draining its queued work to the survivors). Events
-	// run in At order.
+	// removes one (draining its queued work to the survivors). New
+	// submits then route by ShardOf over the new sorted membership; an
+	// add moves no queued query. Events run in At order.
 	Reshard []ReshardEvent
 }
 
@@ -198,7 +194,7 @@ func Run(cfg HarnessConfig) (*Result, error) {
 		lbConn = shardConns[0]
 	} else {
 		var err error
-		frontend, err = NewShardedLB(ShardedLBConfig{Shards: shardConns, Clock: clock, VNodes: cfg.RingVNodes})
+		frontend, err = NewShardedLB(ShardedLBConfig{Shards: shardConns, Clock: clock})
 		if err != nil {
 			return nil, err
 		}

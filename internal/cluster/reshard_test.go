@@ -4,11 +4,13 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"diffserve/internal/loadbalancer"
+	"diffserve/internal/queueing"
 	"diffserve/internal/trace"
 )
 
@@ -34,7 +36,7 @@ func TestHarnessReshardTopology(t *testing.T) {
 		Mode: loadbalancer.ModeCascade, Workers: 9, SLO: 5,
 		Trace: tr, Ctrl: f.controller(t, 9, 5),
 		Timescale: 0.05, Seed: 4242, DisableLoadDelay: true,
-		Transport: TransportTCP, LBShards: 2, RingVNodes: 128,
+		Transport: TransportTCP, LBShards: 2,
 		Reshard: []ReshardEvent{
 			{At: 12, Action: "add", Member: 2},
 			{At: 26, Action: "remove", Member: 0},
@@ -59,6 +61,128 @@ func TestHarnessReshardTopology(t *testing.T) {
 	}
 	t.Logf("reshard harness: %d queries, FID=%.2f viol=%.3f wall=%.1fs",
 		sum.Queries, sum.FID, sum.ViolationRatio, res.WallSeconds)
+}
+
+// queuedLight lists the IDs queued in an LBServer's light pool, in
+// queue order, without dequeuing them.
+func queuedLight(lb *LBServer) []int {
+	p := &lb.pools[loadbalancer.PoolLight]
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var ids []int
+	p.DropWhere(func(it queueing.Item) bool { ids = append(ids, it.ID); return false })
+	return ids
+}
+
+// TestReshardMovesOnlyDepartingQueue pins why the tier needs no
+// minimal-movement placement: a membership change never moves a query
+// that stays queued on a surviving member. An add drains nothing, and a
+// remove re-homes only the departing member's queue; completions then
+// follow each query to wherever it was sent, and every query resolves
+// exactly once.
+func TestReshardMovesOnlyDepartingQueue(t *testing.T) {
+	const total = 60
+	clock := NewClock(1e-5)
+	ctx := context.Background()
+	servers := map[int]*LBServer{}
+	conns := make([]LBConn, 3)
+	for m := range conns {
+		servers[m], conns[m] = newLocalShard(clock, m)
+	}
+	fe, err := NewShardedLB(ShardedLBConfig{Shards: conns, Clock: clock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fe.Close()
+	if err := fe.Configure(ctx, ConfigureLBRequest{Threshold: 0.5}); err != nil {
+		t.Fatal(err)
+	}
+	qs := make([]QueryMsg, total)
+	for i := range qs {
+		qs[i] = QueryMsg{ID: i}
+	}
+	if err := fe.SubmitBatch(ctx, SubmitRequest{Queries: qs}); err != nil {
+		t.Fatal(err)
+	}
+	before := map[int][]int{}
+	for m, lb := range servers {
+		before[m] = queuedLight(lb)
+	}
+
+	var conn3 LBConn
+	servers[3], conn3 = newLocalShard(clock, 3)
+	if err := fe.AddShard(ctx, 3, conn3); err != nil {
+		t.Fatal(err)
+	}
+	for m := 0; m < 3; m++ {
+		if got := queuedLight(servers[m]); !slices.Equal(got, before[m]) {
+			t.Errorf("after add: member %d queues %v, want %v", m, got, before[m])
+		}
+	}
+	if got := queuedLight(servers[3]); len(got) != 0 {
+		t.Errorf("after add: new member 3 queues %v, want none", got)
+	}
+
+	if err := fe.RemoveShard(ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+	if got := queuedLight(servers[1]); len(got) != 0 {
+		t.Errorf("after remove: member 1 still queues %v", got)
+	}
+	// Every survivor keeps its old queue as a prefix; what it gained is
+	// exactly member 1's former queue, spread over the survivors.
+	var gained []int
+	for _, m := range []int{0, 2, 3} {
+		got := queuedLight(servers[m])
+		if len(got) < len(before[m]) || !slices.Equal(got[:len(before[m])], before[m]) {
+			t.Errorf("after remove: member %d queues %v, want its old queue %v first", m, got, before[m])
+			continue
+		}
+		gained = append(gained, got[len(before[m]):]...)
+	}
+	slices.Sort(gained)
+	want := slices.Clone(before[1])
+	slices.Sort(want)
+	if !slices.Equal(gained, want) {
+		t.Errorf("after remove: survivors gained %v, want member 1's former queue %v", gained, want)
+	}
+
+	seen := map[int]int{}
+	deadline := time.Now().Add(20 * time.Second)
+	for len(seen) < total {
+		if time.Now().After(deadline) {
+			t.Fatalf("resolved %d of %d queries", len(seen), total)
+		}
+		if resp, err := pull(ctx, fe, PullRequest{Role: "light", Max: total, Wait: 5}); err == nil && len(resp.Queries) > 0 {
+			items := make([]CompleteItem, len(resp.Queries))
+			for i, q := range resp.Queries {
+				items[i] = CompleteItem{ID: q.ID, Arrival: q.Arrival, Variant: "light", Confidence: 0.95}
+			}
+			if err := fe.Complete(ctx, CompleteRequest{Role: "light", Items: items}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rr, err := pollResults(ctx, fe, ResultsRequest{Max: total, Wait: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rr.Results {
+			seen[r.ID]++
+		}
+	}
+	// A late duplicate would surface within this last poll.
+	rr, err := pollResults(ctx, fe, ResultsRequest{Max: total, Wait: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rr.Results {
+		seen[r.ID]++
+	}
+	for id := 0; id < total; id++ {
+		if seen[id] != 1 {
+			t.Errorf("query %d resolved %d times", id, seen[id])
+		}
+	}
 }
 
 // TestReshardChaosNoLostOrDoubleResolve is the resharding soak: while
@@ -94,7 +218,7 @@ func TestReshardChaosNoLostOrDoubleResolve(t *testing.T) {
 	lb1, conn1 := newShard(1)
 	servers[0], servers[1] = lb0, lb1
 	fe, err := NewShardedLB(ShardedLBConfig{
-		Shards: []LBConn{conn0, conn1}, Clock: clock, VNodes: 128,
+		Shards: []LBConn{conn0, conn1}, Clock: clock,
 	})
 	if err != nil {
 		t.Fatal(err)

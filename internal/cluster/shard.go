@@ -22,24 +22,25 @@ import (
 // without any new wire messages — the frontend speaks the existing
 // LBConn verbs to each shard.
 //
-// Placement is a loadbalancer.Ring — a versioned consistent-hash ring
-// over the shard membership. Every process computes the owning shard
-// locally and deterministically from (members, vnodes), so a
-// multi-host layout — one LB shard plus a worker group per host —
-// needs no coordination service. With VNodes == 0 the epoch-0 ring is
-// the legacy static modulus (bit-identical to loadbalancer.ShardOf),
-// so fixed-N deployments keep their exact assignment.
+// Placement is a loadbalancer.Ring: loadbalancer.ShardOf over the
+// sorted shard membership. Every process computes the owning shard
+// locally and deterministically from the member list, so a multi-host
+// layout — one LB shard plus a worker group per host — needs no
+// coordination service, and members 0..N-1 route exactly as
+// ShardOf(id, N).
 //
-// Membership is a runtime property. Resharding installs a new ring
-// epoch: new submits atomically flip to the new ring (an RWMutex
-// write barrier — a batch in flight lands entirely in the epoch it
-// started under), and queued queries on departing shards are
-// drain-pulled back through the frontend and re-submitted to their
-// new owners (PullRequest.Drain transfers ownership, so the move is
-// exactly-once). The frontend records, for every query it tracks, the
-// member it was sent to — the ring owner, a degraded owner's spill
-// target, or a drain's migration target — and sends the query's
-// completion there and nowhere else. Removed shards stay reachable as
+// Membership is a runtime property. AddShard and RemoveShard install a
+// new ring epoch: new submits atomically flip to the new ring (an
+// RWMutex write barrier — a batch in flight lands entirely in the epoch
+// it started under), and queued queries on a departing shard are
+// drain-pulled back through the frontend and re-submitted to their new
+// owners (PullRequest.Drain transfers ownership, so the move is
+// exactly-once). Nothing else moves: an add drains no queue, so the
+// flip remaps where new submits go and nothing already queued. The
+// frontend records, for every query it tracks, the member it was sent
+// to — the ring owner, a degraded owner's spill target, or a drain's
+// migration target — and sends the query's completion there and
+// nowhere else. Removed shards stay reachable as
 // "retired" conns: their result pumps keep running and a background
 // sweeper re-routes stragglers (e.g. a deferral a completion pushed
 // there after the drain ran), so nothing a retired shard still holds
@@ -81,18 +82,10 @@ const retiredEmptySweeps = 2
 // ShardedLBConfig parameterizes the sharded frontend.
 type ShardedLBConfig struct {
 	// Shards are the per-shard connections, one per LBServer; Shards[i]
-	// serves ring member i. With the default modulus placement
-	// (VNodes == 0) that is the shard loadbalancer.ShardOf assigns
-	// index i. Member IDs are never reused: a removed member stays
-	// retired for the frontend's lifetime.
+	// serves ring member i, the shard loadbalancer.ShardOf assigns index
+	// i. Member IDs are never reused: a removed member stays retired for
+	// the frontend's lifetime.
 	Shards []LBConn
-	// VNodes selects the placement: 0 keeps the legacy static-modulus
-	// assignment (bit-identical to ShardOf) as long as membership
-	// stays contiguous 0..N-1, falling back to a consistent-hash ring
-	// with loadbalancer.DefaultVNodes otherwise; > 0 always uses a
-	// consistent-hash ring with that many virtual nodes per shard,
-	// the minimal-disruption placement for tiers that reshard.
-	VNodes int
 	// Clock converts long-poll waits (trace seconds) to wall time,
 	// exactly as the shards themselves do.
 	Clock *Clock
@@ -117,7 +110,7 @@ func (e *epochRing) conn(member int) LBConn {
 }
 
 // ShardedLB partitions queries across independent LBServer shards by
-// consistent hashing and re-exposes them as one LBConn:
+// ShardOf over the member list and re-exposes them as one LBConn:
 //
 //   - SubmitBatch routes each query to its owning shard under the
 //     current ring epoch (batches fan out per shard, and a whole batch
@@ -138,8 +131,8 @@ func (e *epochRing) conn(member int) LBConn {
 //   - every fan-out (SubmitBatch, Complete, Configure) runs its legs
 //     to in-process shards, and its last remote leg, on the caller's
 //     goroutine; only the other remote legs get goroutines;
-//   - Resharding / AddShard / RemoveShard change membership at
-//     runtime (see the file comment for the migration protocol).
+//   - AddShard / RemoveShard change membership at runtime (see the
+//     file comment for the migration protocol).
 //
 // Exactly one process may poll results through a given query's shard
 // — the same destructive-read contract a single LBServer has.
@@ -258,9 +251,7 @@ func SplitShardAddrs(csv string) []string {
 // DialShardedLB dials every shard of a comma-separated address list
 // with DialLB and wraps the connections in a ShardedLB frontend —
 // the standalone client's and controller's way onto a sharded tier.
-// vnodes selects the placement exactly as ShardedLBConfig.VNodes
-// does: 0 is the legacy static modulus, > 0 a consistent-hash ring.
-func DialShardedLB(addrCSV string, clock *Clock, vnodes int) (*ShardedLB, error) {
+func DialShardedLB(addrCSV string, clock *Clock) (*ShardedLB, error) {
 	addrs := SplitShardAddrs(addrCSV)
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("cluster: no shard addresses in %q", addrCSV)
@@ -273,27 +264,7 @@ func DialShardedLB(addrCSV string, clock *Clock, vnodes int) (*ShardedLB, error)
 		}
 		conns[i] = conn
 	}
-	return NewShardedLB(ShardedLBConfig{Shards: conns, Clock: clock, VNodes: vnodes})
-}
-
-// buildRing constructs the placement for one epoch's membership under
-// the config's VNodes policy.
-func (cfg *ShardedLBConfig) buildRing(members []int) *loadbalancer.Ring {
-	if cfg.VNodes == 0 && contiguousMembers(members) {
-		return loadbalancer.NewModulusRing(len(members))
-	}
-	return loadbalancer.NewRing(members, cfg.VNodes)
-}
-
-// contiguousMembers reports whether sorted members are exactly 0..N-1
-// — the only shape the legacy modulus placement is defined over.
-func contiguousMembers(members []int) bool {
-	for i, m := range members {
-		if m != i {
-			return false
-		}
-	}
-	return true
+	return NewShardedLB(ShardedLBConfig{Shards: conns, Clock: clock})
 }
 
 // NewShardedLB builds the frontend over the given shard connections.
@@ -313,7 +284,7 @@ func NewShardedLB(cfg ShardedLBConfig) (*ShardedLB, error) {
 		e.members[i] = i
 		e.slot[i] = i
 	}
-	e.ring = cfg.buildRing(e.members)
+	e.ring = loadbalancer.NewRing(e.members)
 	ctx, cancel := context.WithCancel(context.Background())
 	return &ShardedLB{
 		cfg: cfg, ctx: ctx, cancel: cancel,
@@ -454,9 +425,9 @@ func (s *ShardedLB) DegradedMembers() []int {
 // SubmitBatch splits the batch by owning shard under the current ring
 // epoch and fans the per-shard batches out (see fanScratch.run: legs
 // to in-process shards run inline, remote legs concurrently). The
-// epoch is held (shared-locked) for the whole flight: a Resharding
-// call barriers behind in-flight batches, so every batch lands
-// entirely in one epoch — never straddling two rings.
+// epoch is held (shared-locked) for the whole flight: an AddShard or
+// RemoveShard call barriers behind in-flight batches, so every batch
+// lands entirely in one epoch — never straddling two rings.
 func (s *ShardedLB) SubmitBatch(ctx context.Context, req SubmitRequest) error {
 	s.ringMu.RLock()
 	defer s.ringMu.RUnlock()
@@ -1060,30 +1031,6 @@ func (s *ShardedLB) Stats(ctx context.Context) (LBStats, error) {
 	return out, nil
 }
 
-// Resharding installs a new ring epoch over the given membership.
-// conns must provide a connection for every member not already in the
-// ring; members being removed keep their existing connection and
-// become retired. The flip is atomic with respect to submit batches
-// (each lands entirely in one epoch); queued queries on departing
-// shards are drain-pulled and re-submitted to their new owners, and a
-// background sweeper keeps re-routing stragglers that reach a retired
-// shard afterwards (a deferral from a batch pulled before the flip).
-// Member IDs are never reused: re-adding a retired member is an
-// error, because its old conn may still hold registrations.
-//
-// Scope: the flip is THIS frontend's (plus its pullers', which sweep
-// the new membership on their next pull). Another frontend over the
-// same shards — a standalone diffserve-client dialed with its own
-// -shard-addrs — keeps routing by the membership it was started with:
-// queries it sends to a retired shard are re-routed by the straggler
-// sweep (within ~2 trace-seconds of added latency), which is also why
-// a retired member keeps a grace window before finalizing.
-func (s *ShardedLB) Resharding(ctx context.Context, members []int, conns map[int]LBConn) error {
-	s.reshardMu.Lock()
-	defer s.reshardMu.Unlock()
-	return s.reshardLocked(ctx, members, conns)
-}
-
 // AddShard grows the ring by one member served by conn.
 func (s *ShardedLB) AddShard(ctx context.Context, member int, conn LBConn) error {
 	s.reshardMu.Lock()
@@ -1120,12 +1067,26 @@ func (s *ShardedLB) RemoveShard(ctx context.Context, member int) error {
 }
 
 // reshardLocked is the membership-change core: it installs epoch
-// cur+1 over members. Callers hold reshardMu.
+// cur+1 over members, which AddShard and RemoveShard keep non-empty and
+// free of duplicates. Callers hold reshardMu. newConns must provide a
+// connection for every member not already in the ring; members being
+// removed keep their existing connection and become retired. The flip
+// is atomic with respect to submit batches (each lands entirely in one
+// epoch); queued queries on departing shards are drain-pulled and
+// re-submitted to their new owners, and a background sweeper keeps
+// re-routing stragglers that reach a retired shard afterwards (a
+// deferral from a batch pulled before the flip). Member IDs are never
+// reused: re-adding a retired member is an error, because its old conn
+// may still hold registrations.
+//
+// Scope: the flip is THIS frontend's (plus its pullers', which sweep
+// the new membership on their next pull). Another frontend over the
+// same shards — a standalone diffserve-client dialed with its own
+// -shard-addrs — keeps routing by the membership it was started with:
+// queries it sends to a retired shard are re-routed by the straggler
+// sweep (within ~2 trace-seconds of added latency), which is also why
+// a retired member keeps a grace window before finalizing.
 func (s *ShardedLB) reshardLocked(ctx context.Context, members []int, newConns map[int]LBConn) error {
-	if len(members) == 0 {
-		return fmt.Errorf("cluster: resharding to an empty membership")
-	}
-
 	s.ringMu.Lock()
 	cur := s.ring
 	next := epochRing{
@@ -1136,10 +1097,6 @@ func (s *ShardedLB) reshardLocked(ctx context.Context, members []int, newConns m
 	sort.Ints(next.members)
 	next.conns = make([]LBConn, len(next.members))
 	for i, m := range next.members {
-		if _, dup := next.slot[m]; dup {
-			s.ringMu.Unlock()
-			return fmt.Errorf("cluster: duplicate shard member %d", m)
-		}
 		next.slot[m] = i
 		switch {
 		case cur.conn(m) != nil:
@@ -1155,7 +1112,7 @@ func (s *ShardedLB) reshardLocked(ctx context.Context, members []int, newConns m
 			return fmt.Errorf("cluster: no connection for new shard member %d", m)
 		}
 	}
-	next.ring = s.cfg.buildRing(next.members)
+	next.ring = loadbalancer.NewRing(next.members)
 	var removed []LBConn
 	var removedMembers []int
 	for i, m := range cur.members {
@@ -1306,7 +1263,7 @@ func (s *ShardedLB) resubmitMigrated(queries []QueryMsg, pool string) {
 // Empty sweeps back off exponentially, but only up to 8x the base
 // interval (2 trace-seconds): besides pre-flip worker stragglers, the
 // sweep is the re-route path for any OTHER frontend still routing by
-// an older membership (see Resharding) — its misdirected queries must
+// an older membership (see reshardLocked) — its misdirected queries must
 // reach their real owner with latency budget left under typical SLOs.
 //
 // The sweep does not run forever. Once no tracked query is recorded at

@@ -549,7 +549,7 @@ func TestSplitShardAddrs(t *testing.T) {
 	if SplitShardAddrs("") != nil {
 		t.Errorf("empty list should parse to nil")
 	}
-	if _, err := DialShardedLB(" , ", NewClock(1), 0); err == nil {
+	if _, err := DialShardedLB(" , ", NewClock(1)); err == nil {
 		t.Error("DialShardedLB accepted an empty shard list")
 	}
 }

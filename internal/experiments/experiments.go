@@ -58,14 +58,9 @@ type Config struct {
 	// sharded LB tier with this many shards (0 or 1: single LB). With
 	// shards the experiment also replays a deterministic static trace
 	// through the single-LB, static-sharded, and mid-trace-resharded
-	// (N -> N+1 shards via the consistent-hash ring) topologies and
-	// reports the completed/dropped parity between them.
+	// (N -> N+1 shards) topologies and reports the completed/dropped
+	// parity between them.
 	ClusterLBShards int
-	// ClusterRingVNodes selects the sharded tier's placement (see
-	// cluster.HarnessConfig.RingVNodes): 0 keeps the legacy static
-	// modulus for the static-shard runs; the resharding parity leg
-	// always uses a consistent-hash ring (this value, or 128 when 0).
-	ClusterRingVNodes int
 }
 
 func (c Config) withDefaults() Config {

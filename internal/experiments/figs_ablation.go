@@ -267,18 +267,17 @@ type SimVsClusterResult struct {
 // static-sharded, and mid-trace-resharded replays of one
 // deterministic trace. Under ample capacity the outcome set is
 // timing-insensitive, so the counts must agree exactly: the
-// partitioned query stream — even while a consistent-hash ring epoch
-// flip migrates ownership mid-trace — reaches the same completions
-// and the same (zero) drops the single balancer produces.
+// partitioned query stream — even across a mid-trace membership change
+// — reaches the same completions and the same (zero) drops the single
+// balancer produces.
 type ShardParity struct {
 	Shards                           int
 	Queries                          int
 	SingleCompleted, SingleDropped   int
 	ShardedCompleted, ShardedDropped int
 	// Reshard* is the mid-trace resharding leg: the run starts with
-	// Shards shards on a consistent-hash ring and adds one more at
-	// half-trace, so the counts cover an epoch flip plus the queued-
-	// work migration.
+	// Shards shards and adds one more at half-trace, so the counts
+	// cover an epoch flip under in-flight queries.
 	ReshardCompleted, ReshardDropped int
 	// Uneven* is the non-divisible leg: UnevenWorkers workers across
 	// UnevenShards shards (7 across 3), a worker count the shard count
@@ -385,13 +384,12 @@ func SimVsCluster(cfg Config) (*SimVsClusterResult, error) {
 
 // shardParityRuns replays one deterministic lightly loaded static
 // trace through the single-LB, the static-sharded, and the mid-trace
-// resharded (N -> N+1 shards on a consistent-hash ring) cluster
-// topologies at the same seed. With ample capacity the outcome set is
-// timing-insensitive, so the completed/dropped counts must agree
-// exactly — the tier's validation that consistent ID partitioning
-// (with per-shard "lb/<shard>" RNG streams) loses and invents
-// nothing, including across a ring epoch flip that migrates queued
-// ownership while the trace is in flight.
+// resharded (N -> N+1 shards) cluster topologies at the same seed.
+// With ample capacity the outcome set is timing-insensitive, so the
+// completed/dropped counts must agree exactly — the tier's validation
+// that ShardOf partitioning (with per-shard "lb/<shard>" RNG streams)
+// loses and invents nothing, including across an epoch flip while the
+// trace is in flight.
 func shardParityRuns(cfg Config, env *baselines.Env, timescale float64) (*ShardParity, error) {
 	// 4 QPS leaves the workers comfortable capacity headroom in every
 	// leg, so no tail query sheds right at the SLO boundary on
@@ -412,7 +410,7 @@ func shardParityRuns(cfg Config, env *baselines.Env, timescale float64) (*ShardP
 		timescale = 0.08
 	}
 	out := &ShardParity{Shards: cfg.ClusterLBShards}
-	run := func(workers, shards, vnodes int, reshard []cluster.ReshardEvent) (completed, dropped int, err error) {
+	run := func(workers, shards int, reshard []cluster.ReshardEvent) (completed, dropped int, err error) {
 		a, err := allocator.NewMILP(allocator.Config{
 			Light: env.Light, Heavy: env.Heavy,
 			DiscPerImage: env.Scorer.PerImageLatency(),
@@ -432,7 +430,7 @@ func shardParityRuns(cfg Config, env *baselines.Env, timescale float64) (*ShardP
 			Mode: loadbalancer.ModeCascade, Workers: workers, SLO: env.Spec.SLOSeconds,
 			Trace: tr, Ctrl: ctrl, Timescale: timescale, Seed: env.Seed + 23,
 			DisableLoadDelay: true, Transport: cfg.ClusterTransport,
-			LBShards: shards, RingVNodes: vnodes, Reshard: reshard,
+			LBShards: shards, Reshard: reshard,
 		})
 		if err != nil {
 			return 0, 0, err
@@ -447,24 +445,19 @@ func shardParityRuns(cfg Config, env *baselines.Env, timescale float64) (*ShardP
 		}
 		return completed, dropped, nil
 	}
-	if out.SingleCompleted, out.SingleDropped, err = run(parityWorkers, 1, 0, nil); err != nil {
+	if out.SingleCompleted, out.SingleDropped, err = run(parityWorkers, 1, nil); err != nil {
 		return nil, err
 	}
-	if out.ShardedCompleted, out.ShardedDropped, err = run(parityWorkers, cfg.ClusterLBShards, cfg.ClusterRingVNodes, nil); err != nil {
+	if out.ShardedCompleted, out.ShardedDropped, err = run(parityWorkers, cfg.ClusterLBShards, nil); err != nil {
 		return nil, err
 	}
-	// Resharding leg: start sharded on a true consistent-hash ring and
-	// grow by one shard at half trace — the epoch flip and the drain
-	// migration happen while queries are in flight, and the outcome
-	// counts must still be the single-LB counts.
-	vnodes := cfg.ClusterRingVNodes
-	if vnodes <= 0 {
-		vnodes = 128
-	}
+	// Resharding leg: grow by one shard at half trace — the epoch flip
+	// happens while queries are in flight, and the outcome counts must
+	// still be the single-LB counts.
 	reshard := []cluster.ReshardEvent{
 		{At: parityDuration / 2, Action: "add", Member: cfg.ClusterLBShards},
 	}
-	if out.ReshardCompleted, out.ReshardDropped, err = run(parityWorkers, cfg.ClusterLBShards, vnodes, reshard); err != nil {
+	if out.ReshardCompleted, out.ReshardDropped, err = run(parityWorkers, cfg.ClusterLBShards, reshard); err != nil {
 		return nil, err
 	}
 	// Uneven leg: 7 workers across 3 shards, a count the shard count
@@ -472,10 +465,10 @@ func shardParityRuns(cfg Config, env *baselines.Env, timescale float64) (*ShardP
 	// baseline (capacity differs from the 9-worker legs above).
 	const unevenWorkers, unevenShards = 7, 3
 	out.UnevenWorkers, out.UnevenShards = unevenWorkers, unevenShards
-	if out.UnevenSingleCompleted, out.UnevenSingleDropped, err = run(unevenWorkers, 1, 0, nil); err != nil {
+	if out.UnevenSingleCompleted, out.UnevenSingleDropped, err = run(unevenWorkers, 1, nil); err != nil {
 		return nil, err
 	}
-	if out.UnevenCompleted, out.UnevenDropped, err = run(unevenWorkers, unevenShards, vnodes, nil); err != nil {
+	if out.UnevenCompleted, out.UnevenDropped, err = run(unevenWorkers, unevenShards, nil); err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -61,19 +61,22 @@ func (m Mode) String() string {
 // LB shard owns a query computes it locally with no coordination.
 // shards <= 1 always maps to shard 0.
 //
-// Ring compatibility: ShardOf is the static-modulus placement — it
-// remaps ~everything when shards changes, so it only suits tiers
-// whose shard count is fixed for the process lifetime. Tiers with
-// dynamic membership use Ring instead; NewModulusRing(n) wraps this
-// exact placement (same hash, same modulus, bit-identical assignment)
-// so a static-N deployment can adopt the ring API without moving a
-// single key, and NewRing provides the minimal-disruption placement
-// once membership actually changes.
+// Ring compatibility: Ring applies ShardOf to the index of a sorted
+// member list, so a tier whose membership changes at runtime keeps
+// this placement: over members 0..n-1 Ring.Owner(id) is ShardOf(id, n).
+// Changing the shard count remaps most IDs, which costs nothing — a
+// query already queued stays where it was sent.
 func ShardOf(id, shards int) int {
 	if shards <= 1 {
 		return 0
 	}
-	return int(hash64(uint64(id)) % uint64(shards))
+	// FNV-1a over the ID's 8 little-endian bytes.
+	h := uint64(14695981039346656037) // FNV-1a offset basis
+	for i := 0; i < 8; i++ {
+		h ^= uint64(id) >> (8 * i) & 0xff
+		h *= 1099511628211 // FNV-1a prime
+	}
+	return int(h % uint64(shards))
 }
 
 // PoolID identifies a destination pool.

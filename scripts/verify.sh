@@ -22,7 +22,7 @@ make loc
 go test ./...
 # Every race-detector leg — the cluster data path, the sharded
 # frontend, the tcp transport's posted calls, reshard, the chaos soak,
-# ring, solver and allocator, and the poolpoison build — and
+# shard placement, solver and allocator, and the poolpoison build — and
 # the poolpoison suite without the detector. The legs and what each is
 # for are listed once, in the Makefile.
 make race poison-test
@@ -32,6 +32,3 @@ make race poison-test
 # out of `go test ./...` so it does not compete for the box with the
 # wall-clock-calibrated cluster tests.
 make sweep-allocator
-# bench-ring smoke: the consistent-hash lookup must stay within 2x of
-# the static-modulus ShardOf (full numbers in PERFORMANCE.md).
-go test -run '^$' -bench 'BenchmarkRingLookup|BenchmarkShardOf' -benchtime 100x ./internal/loadbalancer/ >/dev/null
