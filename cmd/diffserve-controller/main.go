@@ -16,21 +16,9 @@
 // broadcasts policy to every shard, merges their stats, and stripes
 // worker roles so each shard keeps both pools served (worker i is
 // assumed pinned to shard i mod shards, matching diffserve-worker's
-// -shard-addrs behavior). The -admin-port RPC adds or removes a shard
-// at runtime without restarting the tier —
-//
-//	curl -X POST localhost:9100/add-shard \
-//	    -d '{"member": 2, "addr": "localhost:8102"}'
-//	curl -X POST localhost:9100/remove-shard -d '{"member": 0}'
-//
-// The controller installs the new ring epoch on its own frontend —
-// new submits route by ShardOf over the new sorted membership — drains
-// a removed shard's queued work to the survivors (an add moves nothing
-// already queued), and re-stripes worker roles on the next control
-// tick. The epoch lives in that frontend alone — no shard, worker or
-// client is told of it — so a separately running diffserve-client or
-// diffserve-worker keeps routing by the -shard-addrs it was started
-// with.
+// -shard-addrs behavior). The shard list is fixed for the life of the
+// processes; resharding at run time is cluster.HarnessConfig.Reshard's,
+// whose frontend carries the queries.
 //
 // -workers is parsed like -shard-addrs: blanks around an address and
 // empty entries (a trailing comma) are dropped, so every listed worker
@@ -39,10 +27,8 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 
 	"diffserve/internal/allocator"
@@ -56,7 +42,6 @@ func main() {
 	var (
 		lbURL      = flag.String("lb", "localhost:8100", "load balancer address (host:port)")
 		shardAddrs = flag.String("shard-addrs", "", "comma-separated LB shard addresses; overrides -lb and enables shard-striped role assignment")
-		adminPort  = flag.Int("admin-port", 0, "admin API port for runtime add-shard/remove-shard (0 = disabled; needs -shard-addrs)")
 		workerCSV  = flag.String("workers", "", "comma-separated worker control-plane addresses (host:port)")
 		cascadeN   = flag.String("cascade", "cascade1", "cascade: cascade1|cascade2|cascade3")
 		slo        = flag.Float64("slo", 0, "SLO seconds (0 = cascade default)")
@@ -95,10 +80,10 @@ func main() {
 	}
 	clock := cluster.NewClock(*timescale)
 	var lbConn cluster.LBConn
-	var frontend *cluster.ShardedLB
 	shards := 1
 	if *shardAddrs != "" {
-		if frontend, err = cluster.DialShardedLB(*shardAddrs, clock); err != nil {
+		frontend, err := cluster.DialShardedLB(*shardAddrs, clock)
+		if err != nil {
 			fatal(err)
 		}
 		lbConn, shards = frontend, frontend.Shards()
@@ -115,67 +100,9 @@ func main() {
 		Ctrl: ctrl, LB: lbConn, Workers: workerConns,
 		Mode: loadbalancer.ModeCascade, Clock: clock, Shards: shards,
 	})
-	if *adminPort > 0 {
-		if frontend == nil {
-			fatal(fmt.Errorf("-admin-port needs a sharded tier (-shard-addrs)"))
-		}
-		go serveAdmin(*adminPort, frontend, loop)
-	}
 	fmt.Printf("diffserve-controller: %d workers, %d LB shard(s), SLO %.1fs, interval %.1fs\n",
 		len(workerURLs), shards, deadline, *interval)
 	loop.Run(context.Background())
-}
-
-// serveAdmin exposes the runtime resharding RPC: POST /add-shard
-// {"member": N, "addr": "host:port"} dials the new shard and installs
-// a grown ring epoch; POST /remove-shard {"member": N} shrinks the
-// ring and migrates the departing shard's queued work. Role striping
-// follows on the next control tick.
-func serveAdmin(port int, fe *cluster.ShardedLB, loop *cluster.ControllerLoop) {
-	type reshardReq struct {
-		Member int    `json:"member"`
-		Addr   string `json:"addr"`
-	}
-	reply := func(w http.ResponseWriter, err error) {
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusConflict)
-			return
-		}
-		loop.SetShards(fe.Shards())
-		json.NewEncoder(w).Encode(map[string]interface{}{
-			"epoch": fe.Epoch(), "members": fe.Members(),
-		})
-	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/add-shard", func(w http.ResponseWriter, r *http.Request) {
-		var req reshardReq
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		conn, err := cluster.DialLB(req.Addr)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		reply(w, fe.AddShard(r.Context(), req.Member, conn))
-	})
-	mux.HandleFunc("/remove-shard", func(w http.ResponseWriter, r *http.Request) {
-		var req reshardReq
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		reply(w, fe.RemoveShard(r.Context(), req.Member))
-	})
-	mux.HandleFunc("/ring", func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(map[string]interface{}{
-			"epoch": fe.Epoch(), "members": fe.Members(),
-		})
-	})
-	if err := http.ListenAndServe(fmt.Sprintf(":%d", port), mux); err != nil {
-		fatal(err)
-	}
 }
 
 func fatal(err error) {

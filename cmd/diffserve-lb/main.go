@@ -12,25 +12,19 @@
 // routing randomness from its own "lb/<shard>" stream of the shared
 // seed. Peers pass the same shard list via their -shard-addrs flags:
 // workers pin to one shard, the controller and client fan out across
-// all of them. Run one shard per host for multi-host layouts.
-//
-// With -admin-port the process serves a small admin API for dynamic
-// shard membership: POST /add-shard brings up one more LB shard on
-// the next consecutive port and reports its address, ready to be
-// joined into the ring via diffserve-controller's /add-shard RPC.
+// all of them. Run one shard per host for multi-host layouts. Shard i
+// listens on port+i and nowhere else, because that is where every
+// peer's -shard-addrs points: if the port is taken the process exits
+// with an error naming the shard.
 //
 //	diffserve-lb -port 8100 -cascade cascade1 -slo 5 -timescale 0.1
 //	diffserve-lb -port 8100 -lb-shards 2
-//	diffserve-lb -port 8100 -lb-shards 2 -admin-port 9101
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
-	"sync"
 
 	"diffserve/internal/baselines"
 	"diffserve/internal/cluster"
@@ -49,8 +43,6 @@ func main() {
 		mode      = flag.String("mode", "cascade", "routing: cascade|all-light|all-heavy|random-split")
 		lease     = flag.Float64("lease", 0, "pull-lease duration in trace seconds: a worker that pulls a batch and never completes it forfeits the queries to the expiry sweep (0 = 4x the SLO)")
 		leaseRed  = flag.Int("lease-redeliveries", 0, "times an unlucky query is reclaimed and re-queued before it is shed as a drop (0 = default 3)")
-		adminPort = flag.Int("admin-port", 0, "admin API port: POST /add-shard serves one more shard on the next consecutive port (0 = disabled)")
-		advertise = flag.String("advertise", "", "host other processes should dial this LB's shards at; /add-shard reports addresses as <advertise>:<port> (empty: port-only, same-host layouts)")
 	)
 	flag.Parse()
 
@@ -76,14 +68,7 @@ func main() {
 	fmt.Printf("diffserve-lb: %s, %d shard(s) from port %d (cascade %s, SLO %.1fs, mode %s)\n",
 		env.Spec.Name, *shards, *port, *cascadeN, deadline, *mode)
 
-	errc := make(chan error, 1)
-	var serveMu sync.Mutex
-	nextShard := 0
-	nextPort := *port
-	serveShard := func() (int, string, error) {
-		serveMu.Lock()
-		defer serveMu.Unlock()
-		i := nextShard
+	for i := 0; i < *shards; i++ {
 		cfg := cluster.LBConfig{
 			Mode: lbMode, SLO: deadline,
 			LightMinExec: discriminator.LightExec(env.Light, env.Scorer, 1),
@@ -92,62 +77,16 @@ func main() {
 			RNGStream:     fmt.Sprintf("lb/%d", i),
 			LeaseDuration: *lease, LeaseRedeliveries: *leaseRed,
 		}
-		if *shards == 1 && i == 0 {
+		if *shards == 1 {
 			cfg.RNGStream = "" // classic single-LB stream name
 		}
-		lb := cluster.NewLBServer(cfg)
-		// Consecutive port allocation can land on a port another
-		// process already holds — long-lived admin APIs add shards far
-		// from the initial block. Skip occupied ports (each port is
-		// tried once; the cursor never moves backwards) instead of
-		// failing the add and re-failing on the same port forever.
-		const maxPortTries = 64
-		var lastErr error
-		for try := 0; try < maxPortTries; try++ {
-			addr := fmt.Sprintf(":%d", nextPort)
-			nextPort++
-			// ServeLBTCP fails synchronously when the port is occupied:
-			// the admin /add-shard must not report an address that never
-			// came up.
-			if _, err := cluster.ServeLBTCP(addr, lb); err != nil {
-				lastErr = err
-				fmt.Printf("diffserve-lb: shard %d: port %s occupied, trying next (%v)\n", i, addr, err)
-				continue
-			}
-			nextShard++
-			fmt.Printf("diffserve-lb: shard %d on %s\n", i, addr)
-			// Report a dialable address: ":port" only resolves to the
-			// right machine when the dialer shares this host, so
-			// multi-host layouts set -advertise.
-			return i, *advertise + addr, nil
+		addr := fmt.Sprintf(":%d", *port+i)
+		if _, err := cluster.ServeLBTCP(addr, cluster.NewLBServer(cfg)); err != nil {
+			fatal(fmt.Errorf("shard %d on %s: %w", i, addr, err))
 		}
-		return 0, "", fmt.Errorf("no bindable port for shard %d in [%d, %d): last error: %w",
-			i, nextPort-maxPortTries, nextPort, lastErr)
+		fmt.Printf("diffserve-lb: shard %d on %s\n", i, addr)
 	}
-	for i := 0; i < *shards; i++ {
-		if _, _, err := serveShard(); err != nil {
-			fatal(err)
-		}
-	}
-	if *adminPort > 0 {
-		mux := http.NewServeMux()
-		mux.HandleFunc("/add-shard", func(w http.ResponseWriter, r *http.Request) {
-			shard, addr, err := serveShard()
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
-			json.NewEncoder(w).Encode(map[string]interface{}{"shard": shard, "addr": addr})
-		})
-		go func() {
-			errc <- http.ListenAndServe(fmt.Sprintf(":%d", *adminPort), mux)
-		}()
-		fmt.Printf("diffserve-lb: admin API on :%d\n", *adminPort)
-	}
-	// Serve until the process is killed or the admin listener fails.
-	if err := <-errc; err != nil {
-		fatal(err)
-	}
+	select {} // serve until the process is killed
 }
 
 func fatal(err error) {

@@ -16,11 +16,10 @@
 // within that shard — the multi-host layout runs one shard plus its
 // worker group per host with no cross-host data traffic.
 //
-// A resharded tier does not move a standalone worker: it keeps its
-// static pin, and re-pinning onto new shard addresses is the operator's
-// move (restart with the new -shard-addrs). The in-process harness pins
-// no worker: its workers pull through the ShardedLB frontend, which
-// follows the flip itself.
+// A standalone tier's shard list is fixed: re-pinning onto new shard
+// addresses means restarting with the new -shard-addrs. The in-process
+// harness, which reshards at run time, pins no worker: its workers pull
+// through the ShardedLB frontend, which follows the flip itself.
 //
 // A worker recovers from a lost LB in one way. The tcp conn redials on
 // its next call and replays the submits and completions the LB never

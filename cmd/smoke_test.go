@@ -1,5 +1,5 @@
-// Package cmd holds no code of its own: this file is the one test that
-// builds the four serving binaries and runs them as real processes.
+// Package cmd holds no code of its own: this file holds the tests that
+// build the serving binaries and run them as real processes.
 package cmd
 
 import (
@@ -48,6 +48,37 @@ func freePort(t *testing.T) int {
 	return ln.Addr().(*net.TCPAddr).Port
 }
 
+// command runs a child at the lowest priority where nice(1) exists.
+// `go test ./...` runs this package next to others whose assertions
+// are calibrated on the wall clock (benchmark/'s span-coverage check
+// failed 2 runs in 20 with the smoke test beside it, 0 in 20 without),
+// and a build plus five processes is two CPU-seconds in one burst;
+// these tests assert on outcomes, not on time, and can afford to wait.
+func command(name string, args ...string) *exec.Cmd {
+	if nice, err := exec.LookPath("nice"); err == nil {
+		return exec.Command(nice, append([]string{"-n", "19", name}, args...)...)
+	}
+	return exec.Command(name, args...)
+}
+
+// build compiles the named binaries into a temporary directory and
+// returns it. The tests that call it are skipped under -short.
+func build(t *testing.T, names ...string) string {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("builds and runs the serving binaries; skipped in -short mode")
+	}
+	bin := t.TempDir()
+	args := []string{"build", "-o", bin + string(filepath.Separator)}
+	for _, n := range names {
+		args = append(args, "./"+n)
+	}
+	if out, err := command("go", args...).CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
+}
+
 // TestServingBinariesSmoke builds diffserve-lb, -worker, -controller
 // and -client, starts one LB, two workers and the controller on free
 // loopback ports with no transport or codec flag — so whatever wire
@@ -60,27 +91,7 @@ func freePort(t *testing.T) int {
 // sheds them. The controller's -workers list carries a blank after a
 // comma and a trailing comma, and must still count two workers.
 func TestServingBinariesSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and runs the serving binaries; skipped in -short mode")
-	}
-	// `go test ./...` runs this package next to others whose assertions
-	// are calibrated on the wall clock (benchmark/'s span-coverage check
-	// failed 2 runs in 20 with this test beside it, 0 in 20 without), and
-	// the build plus five processes is two CPU-seconds in one burst. So
-	// every child runs at the lowest priority where nice(1) exists: this
-	// test asserts on outcomes, not on time, and can afford to wait.
-	command := func(name string, args ...string) *exec.Cmd {
-		if nice, err := exec.LookPath("nice"); err == nil {
-			return exec.Command(nice, append([]string{"-n", "19", name}, args...)...)
-		}
-		return exec.Command(name, args...)
-	}
-	bin := t.TempDir()
-	build := command("go", "build", "-o", bin+string(filepath.Separator),
-		"./diffserve-lb", "./diffserve-worker", "./diffserve-controller", "./diffserve-client")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := build(t, "diffserve-lb", "diffserve-worker", "diffserve-controller", "diffserve-client")
 
 	const timescale = "0.01" // 100x real time: 6 trace-seconds in 60 ms
 	start := func(name string, args ...string) *output {
@@ -147,5 +158,40 @@ func TestServingBinariesSmoke(t *testing.T) {
 	}
 	if banner := ctrl.String(); !strings.Contains(banner, "diffserve-controller: 2 workers,") {
 		t.Errorf("controller did not count 2 workers in -workers %q:\n%s", workerList, banner)
+	}
+}
+
+// TestLBShardPortTaken pins diffserve-lb's port layout: shard i serves
+// port+i, where every peer's -shard-addrs points, so a taken port is a
+// start-up error naming the shard, not a silent move to another port.
+func TestLBShardPortTaken(t *testing.T) {
+	bin := build(t, "diffserve-lb")
+	var port int
+	var held net.Listener
+	for held == nil { // a free port whose successor is free too
+		port = freePort(t)
+		held, _ = net.Listen("tcp", fmt.Sprintf(":%d", port+1))
+	}
+	defer held.Close()
+	out := new(output)
+	lb := command(filepath.Join(bin, "diffserve-lb"), "-port", fmt.Sprint(port), "-lb-shards", "2")
+	lb.Stderr = out
+	if err := lb.Start(); err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan error, 1)
+	go func() { exited <- lb.Wait() }()
+	select {
+	case err := <-exited:
+		if err == nil {
+			t.Fatal("diffserve-lb exited 0 with shard 1's port taken")
+		}
+	case <-time.After(10 * time.Second):
+		lb.Process.Kill()
+		<-exited
+		t.Fatalf("diffserve-lb still running 10 s after start with shard 1's port %d taken:\n%s", port+1, out)
+	}
+	if !strings.Contains(out.String(), "shard 1") {
+		t.Errorf("diffserve-lb's error does not name shard 1:\n%s", out)
 	}
 }

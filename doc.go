@@ -160,8 +160,7 @@
 //
 // Membership can change at runtime. A change installs a new ring epoch
 // on the ShardedLB frontend (cluster.ShardedLB.AddShard / RemoveShard,
-// exposed as admin RPCs on diffserve-controller and in the harness via
-// HarnessConfig.Reshard), whose placement (loadbalancer.Ring) is
+// driven by the harness's HarnessConfig.Reshard), whose placement (loadbalancer.Ring) is
 // ShardOf over the new sorted member list. That remaps most IDs, and
 // moves no queued query: placement only routes new submits and
 // re-homes a departing shard's drained queue. An add drains nothing,
@@ -180,48 +179,40 @@
 //	  |                 |   (A forgets the       |  exactly once            |
 //	  |                 |    registrations)      |                          |
 //	  |                 |-- submit(migrated) ------------------>|           |
-//	  |                 |   ... straggler sweeps keep re-draining A ...     |
 //	  |  results merge from B's pump — and from A's, which stays reachable |
 //	  |  ("retired") so a deferral a late completion pushes into A still   |
 //	  |  resolves; each completion goes to the one shard its query was     |
 //	  |  sent to (A for work A still holds, B for what migrated).          |
 //
 // Workers that pull through the frontend see the new membership on
-// their next pull. Shard-pinned workers are not told of the flip:
-// they keep their static pin, and the controller re-stripes their
-// roles across the new shard groups. The ring epoch lives in the
-// frontend alone; nothing on the wire carries it. The protocol is
-// exactly-once end to end: the resharding chaos test races submits,
-// completions, deferrals, and four membership changes under the race
-// detector and requires zero lost and zero double-resolved queries,
-// and the sim-vs-cluster experiment's resharding parity leg requires
-// a 2->3-shard TCP cluster to reproduce the single-LB
-// completed/dropped counts exactly.
+// their next pull. The ring epoch lives in the frontend alone;
+// nothing on the wire carries it. The protocol is exactly-once end to
+// end: the resharding chaos test races submits, completions,
+// deferrals, and four membership changes under the race detector and
+// requires zero lost and zero double-resolved queries, and the
+// sim-vs-cluster experiment's resharding parity leg requires a
+// 2->3-shard TCP cluster to reproduce the single-LB completed/dropped
+// counts exactly.
 //
 // # Scheduled resharding
 //
-// Membership changes when someone asks: a HarnessConfig.Reshard event
-// at its trace time, or diffserve-controller's admin RPC
-// (/add-shard, /remove-shard). Either flips the ring epoch on one
-// frontend — the harness's, or the controller's. The harness's workers
-// pull through that frontend, so their next pulls sweep the new
-// membership and no worker is pinned or re-striped. Standalone workers
-// stay pinned to their shard: the controller re-stripes their roles
-// across the new shard groups on its next control tick, and a
-// separately running diffserve-client or diffserve-worker keeps
-// routing by the -shard-addrs it was started with (diffserve-worker's
-// header says so for workers).
+// Membership changes at a HarnessConfig.Reshard event's trace time, on
+// the harness's one frontend: its client submits, its controller
+// configures and its workers pull through it, so their next pulls
+// sweep the new membership and no worker is pinned or re-striped. The
+// standalone binaries have no reshard driver: their shard list is the
+// -shard-addrs every process was started with.
 //
 // The frontend keeps one ring, the current one, and records for every
 // in-flight query the member it was sent to: the ring owner, a
 // degraded owner's spill target, or the shard a drain migrated it to.
 // A completion goes to that member alone, with the worker's lease
 // deadline, and the record is released when the query's result lands.
-// A retired member is swept for stragglers until no record names it,
-// then finalized — its residual stats fold into the merged totals
-// once, and its result pump and sweep goroutines terminate (both
-// regression-tested, the latter by goroutine count under the race
-// detector).
+// A retired member stays reachable — pullers still gather its
+// stragglers — until no record names it; then its own result pump
+// finalizes it after a successful poll — its residual stats fold into
+// the merged totals once — and exits (both regression-tested, the
+// latter by goroutine count under the race detector).
 //
 // # Allocation control loop
 //
@@ -312,7 +303,7 @@
 // level, a shard unreachable for three consecutive dispatches or pump
 // polls is marked degraded: new submits for its hash range spill to
 // the ring's next owner, the state surfaces through merged Stats
-// (DegradedShards) so an operator can reshard it away, and the first
+// (DegradedShards), and the first
 // successful probe un-degrades it. A controller blinded by stats-poll
 // failures for MaxStatsMisses ticks fails over to a conservative plan
 // (threshold zero — light-only routing — with the worker layout kept)
@@ -332,8 +323,7 @@
 // The cluster runs on trace time: cluster.Clock maps wall time to
 // trace seconds at a timescale (0.005 replays at 200x), and every
 // timed wait in the runtime — long polls, worker batches, control
-// ticks, the replay client, the trace-time back-offs and the
-// retired-shard sweeps — is one call, Clock.WaitUntil(ctx, deadline,
+// ticks, the replay client and the trace-time back-offs — is one call, Clock.WaitUntil(ctx, deadline,
 // wake): block until the absolute trace deadline, a wakeup channel,
 // or the context, allocating nothing. (Only the tcp dialer's back-off
 // is a wall duration and stays outside the clock.) A Go timer wakes

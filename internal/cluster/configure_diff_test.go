@@ -141,15 +141,14 @@ func TestControllerHealsAmnesiacWorker(t *testing.T) {
 	}
 }
 
-// TestControllerConservativeFailoverAndRestripeDiffed drives a diffing
-// loop and a reference loop forced to re-send everything (its
-// acknowledgements wiped before every step) through plan changes,
-// SetShards + re-applies in both directions and the stats-blind
-// conservative failover. After every step each worker must hold under
+// TestControllerConservativeFailoverDiffed drives a diffing loop and a
+// reference loop forced to re-send everything (its acknowledgements
+// wiped before every step), both striping over 2 shards, through plan
+// changes, a re-apply and the stats-blind conservative failover. After every step each worker must hold under
 // diffing exactly what the full send leaves it holding; and the
 // failover, which keeps the worker layout and only zeroes the
 // threshold, must reach the LB without configuring a single worker.
-func TestControllerConservativeFailoverAndRestripeDiffed(t *testing.T) {
+func TestControllerConservativeFailoverDiffed(t *testing.T) {
 	f := newFixtures(t)
 	const n = 8
 	diffed, diffedLB, diffedWs := diffLoop(t, f, n, 2, 2)
@@ -176,10 +175,8 @@ func TestControllerConservativeFailoverAndRestripeDiffed(t *testing.T) {
 	planA := allocator.Plan{Threshold: 0.7, DeferFraction: 0.4, LightWorkers: 5, HeavyWorkers: 2, LightBatch: 4, HeavyBatch: 2}
 	planB := allocator.Plan{Threshold: 0.5, DeferFraction: 0.2, LightWorkers: 3, HeavyWorkers: 5, LightBatch: 8, HeavyBatch: 2}
 	both("plan A", func(l *ControllerLoop) { l.Apply(ctx, planA) })
-	both("restripe over 4 shards", func(l *ControllerLoop) { l.SetShards(4); l.Apply(ctx, planA) })
-	both("plan B over 4 shards", func(l *ControllerLoop) { l.Apply(ctx, planB) })
-	both("restripe back over 2 shards", func(l *ControllerLoop) { l.SetShards(2); l.Apply(ctx, planB) })
-	both("restripe again, nothing moved", func(l *ControllerLoop) { l.Apply(ctx, planB) })
+	both("plan B", func(l *ControllerLoop) { l.Apply(ctx, planB) })
+	both("plan B again, nothing moved", func(l *ControllerLoop) { l.Apply(ctx, planB) })
 
 	before := workerCalls(diffedWs)
 	diffedLB.setFail(true)

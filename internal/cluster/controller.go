@@ -24,16 +24,15 @@ type ControllerConfig struct {
 	Mode loadbalancer.Mode
 	// Clock provides trace time.
 	Clock *Clock
-	// Shards is the initial count of LB shards the workers are pinned
-	// to (0 or 1: no pinning — a single LB, or workers that pull
+	// Shards is the count of LB shards the workers are pinned to (0 or
+	// 1: no pinning — a single LB, or workers that pull
 	// through the ShardedLB frontend, as the harness's do). A
 	// standalone diffserve-worker started with -shard-addrs pins
 	// worker i to shard group i mod Shards, and role assignment then
 	// stripes each plan across those groups so every shard keeps at
 	// least one worker of every role the plan uses: a shard whose
 	// partition of the query stream has no light (or no heavy) worker
-	// would starve, which a global plan never intends. A reshard
-	// updates the count at runtime via SetShards.
+	// would starve, which a global plan never intends.
 	Shards int
 	// MaxStatsMisses is the consecutive stats-poll-failure budget:
 	// after this many misses the loop stops trusting its stale plan
@@ -91,10 +90,6 @@ type ControllerLoop struct {
 	// stats-blind fallback (conservativePlanLocked).
 	lastPlan allocator.Plan
 	hasPlan  bool
-	// shards tracks the current pinned-shard count; resharding updates
-	// it via SetShards and the next Apply re-stripes roles across the
-	// new shard-pinned worker groups.
-	shards atomic.Int32
 	// assigned caches the role each worker was last meant to have —
 	// worker.AssignRoles' stability input, so ticks need no per-worker
 	// stats round-trip. It records intent: whether the worker heard it
@@ -126,9 +121,7 @@ func NewControllerLoop(cfg ControllerConfig) *ControllerLoop {
 	if cfg.MaxStatsMisses <= 0 {
 		cfg.MaxStatsMisses = 3
 	}
-	c := &ControllerLoop{cfg: cfg}
-	c.shards.Store(int32(cfg.Shards))
-	return c
+	return &ControllerLoop{cfg: cfg}
 }
 
 func (c *ControllerLoop) logf(format string, args ...interface{}) {
@@ -157,15 +150,6 @@ func (c *ControllerLoop) LoopStats() ControllerLoopStats {
 		st.WarmLPs, st.ColdLPs = ss.WarmLPs, ss.ColdLPs
 	}
 	return st
-}
-
-// SetShards updates the shard count the role striping targets —
-// diffserve-controller's reshard RPCs call it when LB membership
-// changes, so worker i's group becomes i mod the new count.
-func (c *ControllerLoop) SetShards(n int) {
-	if n >= 1 {
-		c.shards.Store(int32(n))
-	}
 }
 
 // Plans returns the plans applied so far.
@@ -283,8 +267,7 @@ func (c *ControllerLoop) Apply(ctx context.Context, plan allocator.Plan) {
 // configure every worker whatever it last acknowledged. A worker that
 // lost its state without failing an RPC (restarted behind the same
 // address, say) therefore holds its role again within fullResendEvery
-// applies — at most that many control periods, fewer when reshards
-// re-apply in between. Sized by cost: over loopback tcp a full send to
+// applies — at most that many control periods. Sized by cost: over loopback tcp a full send to
 // 16 workers takes ~165 µs longer than a diffed apply, so one in ten
 // adds ~16 µs, under 5 % of the 0.37 ms tick `control_tick` measures.
 const fullResendEvery = 10
@@ -335,7 +318,7 @@ func (c *ControllerLoop) applyLocked(ctx context.Context, plan allocator.Plan) {
 	}
 
 	var next []worker.Role
-	if shards := int(c.shards.Load()); shards > 1 {
+	if shards := c.cfg.Shards; shards > 1 {
 		// Sharded LB tier: stripe the plan across the shard-pinned
 		// worker groups (worker i serves shard i mod shards) so each
 		// shard's partition of the query stream keeps both roles.

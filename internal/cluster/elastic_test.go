@@ -128,7 +128,7 @@ func TestManyReshardsLeaveNothingTracked(t *testing.T) {
 }
 
 // TestRetiredPumpsTerminate checks that a retired member's result pump
-// and straggler sweep both exit once the member quiesces, instead of
+// finalizes the member and exits once it quiesces, instead of
 // long-polling a dead shard forever. Asserted by goroutine count so a
 // regression shows up under -race as well.
 func TestRetiredPumpsTerminate(t *testing.T) {
@@ -172,7 +172,7 @@ func TestRetiredPumpsTerminate(t *testing.T) {
 	waitUntil(t, 30*time.Second, "retired members to finalize", func() bool {
 		return len(fe.RetiredMembers()) == 0
 	})
-	// Every retired pump and sweep must exit; allow a little slack for
+	// Every retired pump must exit; allow a little slack for
 	// unrelated runtime goroutines.
 	waitUntil(t, 30*time.Second, "retired pumps and sweeps to exit", func() bool {
 		return runtime.NumGoroutine() <= base+2

@@ -24,8 +24,6 @@ type LBConfig struct {
 	Clock *Clock
 	// Seed drives random-split routing.
 	Seed uint64
-	// QueueWindow sizes arrival-rate windows (trace seconds).
-	QueueWindow float64
 	// CoalesceWait is ignored. A pull hands out whatever is queued, up
 	// to its Max, as the simulator's dispatcher does; no pull waits for
 	// a batch to fill. The field stays only because existing callers
@@ -154,9 +152,6 @@ type LBServer struct {
 
 // NewLBServer constructs a load balancer.
 func NewLBServer(cfg LBConfig) *LBServer {
-	if cfg.QueueWindow <= 0 {
-		cfg.QueueWindow = 10
-	}
 	stream := cfg.RNGStream
 	if stream == "" {
 		stream = "lb"
@@ -175,11 +170,8 @@ func NewLBServer(cfg LBConfig) *LBServer {
 		leases:     make(map[int]lbLease),
 		workerSeen: make(map[int]float64),
 	}
-	pool := func(minExec float64) loadbalancer.Pool {
-		return loadbalancer.Pool{FIFO: queueing.NewFIFO(cfg.QueueWindow), MinExec: minExec, SLO: cfg.SLO}
-	}
-	s.pools[loadbalancer.PoolLight].Pool = pool(cfg.LightMinExec)
-	s.pools[loadbalancer.PoolHeavy].Pool = pool(cfg.HeavyMinExec)
+	s.pools[loadbalancer.PoolLight].Pool = *loadbalancer.NewPool(cfg.LightMinExec, cfg.SLO)
+	s.pools[loadbalancer.PoolHeavy].Pool = *loadbalancer.NewPool(cfg.HeavyMinExec, cfg.SLO)
 	return s
 }
 

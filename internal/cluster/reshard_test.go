@@ -20,8 +20,8 @@ import (
 // topology produces: every query resolves exactly once, none drop.
 // The run covers the full resharding protocol end to end — epoch
 // flips under workers pulling through the frontend, the drain
-// migration of the removed shard's queued work, and the retired-shard
-// straggler sweeps.
+// migration of the removed shard's queued work, and the retired
+// member's finalization by its pump.
 func TestHarnessReshardTopology(t *testing.T) {
 	if testing.Short() {
 		t.Skip("reshard harness skipped in -short mode")

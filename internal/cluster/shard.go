@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -41,26 +40,21 @@ import (
 // to — the ring owner, a degraded owner's spill target, or a drain's
 // migration target — and sends the query's completion there and
 // nowhere else. Removed shards stay reachable as
-// "retired" conns: their result pumps keep running and a background
-// sweeper re-routes stragglers (e.g. a deferral a completion pushed
-// there after the drain ran), so nothing a retired shard still holds
-// is ever lost. Workers that pull through the frontend sweep the new
-// membership on their next pull; a shard-pinned worker keeps its
-// static pin.
+// "retired" conns: their result pumps keep running, and PullInto keeps
+// gathering from them, so a straggler (e.g. a deferral a completion
+// pushed there after the drain ran) is still served and nothing a
+// retired shard still holds is lost. Workers that pull through the
+// frontend sweep the new membership on their next pull; a shard-pinned
+// worker keeps its static pin.
 //
-// Retired conns are not kept forever. A retired member finalizes once
-// no tracked query is recorded at it and two consecutive straggler
-// sweeps came back empty: its cumulative counters are folded into the
-// merged Stats baseline, and its pump and sweeper terminate instead of
-// polling a drained shard forever.
+// Retired conns are not kept forever. A retired member's own pump
+// finalizes it once no tracked query is recorded at it: its cumulative
+// counters are folded into the merged Stats baseline, and the pump
+// exits instead of polling a drained shard forever.
 
 // shardPullSlice bounds, in trace seconds, how long a frontend Pull
 // parks on one shard before re-sweeping the others for work.
 const shardPullSlice = 0.25
-
-// retiredSweepInterval is the trace-seconds cadence at which a
-// removed shard is re-swept for straggler queries.
-const retiredSweepInterval = 0.25
 
 // pumpWait is the long-poll duration, in trace seconds, of each
 // background result pump.
@@ -72,12 +66,6 @@ const pumpWait = 0.5
 // degraded count surfaces in merged Stats. The first success
 // un-degrades.
 const degradeThreshold = 3
-
-// retiredEmptySweeps is how many consecutive empty straggler sweeps a
-// fully-quiesced retired member must report before it is finalized.
-// The grace rounds cover the re-route window for stale foreign
-// frontends that still route by a pre-flip membership.
-const retiredEmptySweeps = 2
 
 // ShardedLBConfig parameterizes the sharded frontend.
 type ShardedLBConfig struct {
@@ -188,14 +176,12 @@ type ShardedLB struct {
 	// member maps to one conn forever). pumpsUp short-circuits
 	// startPumps once the initial scan has run — PollResults calls it
 	// on every poll, and reshardLocked starts pumps for members added
-	// later, so re-scanning would be pure lock traffic. finished marks
-	// retired members that finalized: their pump exits on its next
-	// poll cycle and never restarts.
-	pumpMu   sync.Mutex
-	pumping  bool
-	pumped   map[int]bool
-	finished map[int]bool
-	pumpsUp  atomic.Bool
+	// later, so re-scanning would be pure lock traffic. A finalized
+	// member's pump has exited and, still marked pumped, never restarts.
+	pumpMu  sync.Mutex
+	pumping bool
+	pumped  map[int]bool
+	pumpsUp atomic.Bool
 
 	// rr rotates Pull's sweep start across calls so concurrent
 	// frontend pullers spread over the shards.
@@ -291,7 +277,6 @@ func NewShardedLB(cfg ShardedLBConfig) (*ShardedLB, error) {
 		ring:        e,
 		retired:     map[int]LBConn{},
 		pumped:      map[int]bool{},
-		finished:    map[int]bool{},
 		sweep:       newSweepList(e.members, e.conns),
 		memberFails: map[int]int{},
 		degraded:    map[int]bool{},
@@ -331,11 +316,10 @@ func (s *ShardedLB) memberConn(m int) LBConn {
 	return nil
 }
 
-// Close stops the result pumps and retired-shard sweepers. In-flight
-// pump polls are cancelled and parked PollResultsInto calls return
-// ErrTransportClosed; callers drain all expected results before
-// closing, exactly as they would before tearing down a single
-// LBServer's transport.
+// Close stops the result pumps. In-flight pump polls are cancelled and
+// parked PollResultsInto calls return ErrTransportClosed; callers
+// drain all expected results before closing, exactly as they would
+// before tearing down a single LBServer's transport.
 func (s *ShardedLB) Close() {
 	s.cancel()
 	s.resMu.Lock()
@@ -643,9 +627,11 @@ func (s *ShardedLB) startPumps() {
 // in-process poll cancelled at shutdown still returns the batch it
 // popped, and dropping it would lose resolved queries. Retired
 // shards keep their pump — stragglers completed there after a
-// reshard still surface in the merged stream — until the member
-// finalizes, at which point the pump exits instead of long-polling a
-// drained shard forever.
+// reshard still surface in the merged stream — until, after a
+// successful poll, no tracked query is recorded at the member: the
+// pump then finalizes it and exits instead of long-polling a drained
+// shard forever. A member retired before pumping began is finalized by
+// its first pump (startPumps covers the whole sweep list).
 //
 // The pump doubles as the degradation tracker's health probe: poll
 // failures extend the member's failure streak, and each successful
@@ -655,9 +641,6 @@ func (s *ShardedLB) pump(member int, conn LBConn) {
 	defer s.pumps.Done()
 	var resp ResultsResponse // reused across iterations; land empties it
 	for s.ctx.Err() == nil {
-		if s.pumpFinished(member) {
-			return
-		}
 		resp.Results = resp.Results[:0] // a failed remote call leaves resp as it was
 		err := conn.PollResultsInto(s.ctx, ResultsRequest{Max: 1024, Wait: pumpWait}, &resp)
 		s.land(resp.Results)
@@ -671,6 +654,9 @@ func (s *ShardedLB) pump(member int, conn LBConn) {
 			continue
 		}
 		s.recordMemberSuccess(member)
+		if s.retiredQuiesced(member) && s.finalizeRetired(member, conn) {
+			return
+		}
 	}
 }
 
@@ -680,16 +666,17 @@ func (s *ShardedLB) pump(member int, conn LBConn) {
 // value copies, so each element's Features pointer is handed off by
 // zeroing the element: the fetcher's next poll decodes into the same
 // slice, and reusing that capacity would scribble on results already
-// landed.
+// landed. The records are released first: a poller that returns a
+// result never finds its record still held.
 func (s *ShardedLB) land(results []QueryResponse) {
 	if len(results) == 0 {
 		return
 	}
+	s.untrackResults(results)
 	s.resMu.Lock()
 	s.results = append(s.results, results...)
 	s.wake.wake()
 	s.resMu.Unlock()
-	s.untrackResults(results)
 	clear(results)
 }
 
@@ -712,14 +699,6 @@ func (s *ShardedLB) gatherResults(ctx context.Context) {
 		_ = conn.PollResultsInto(ctx, ResultsRequest{Max: 1024}, leg)
 		s.land(leg.Results)
 	}
-}
-
-// pumpFinished reports whether a member's pump should exit: its
-// retirement finalized, so no result can ever surface there again.
-func (s *ShardedLB) pumpFinished(member int) bool {
-	s.pumpMu.Lock()
-	defer s.pumpMu.Unlock()
-	return s.finished[member]
 }
 
 // PollResultsInto drains the merged result stream with the same wait
@@ -1073,19 +1052,16 @@ func (s *ShardedLB) RemoveShard(ctx context.Context, member int) error {
 // removed keep their existing connection and become retired. The flip
 // is atomic with respect to submit batches (each lands entirely in one
 // epoch); queued queries on departing shards are drain-pulled and
-// re-submitted to their new owners, and a background sweeper keeps
-// re-routing stragglers that reach a retired shard afterwards (a
-// deferral from a batch pulled before the flip). Member IDs are never
+// re-submitted to their new owners, and a straggler that reaches a
+// retired shard afterwards (a deferral from a batch pulled before the
+// flip) is served there by the frontend's pullers. Member IDs are never
 // reused: re-adding a retired member is an error, because its old conn
 // may still hold registrations.
 //
 // Scope: the flip is THIS frontend's (plus its pullers', which sweep
-// the new membership on their next pull). Another frontend over the
-// same shards — a standalone diffserve-client dialed with its own
-// -shard-addrs — keeps routing by the membership it was started with:
-// queries it sends to a retired shard are re-routed by the straggler
-// sweep (within ~2 trace-seconds of added latency), which is also why
-// a retired member keeps a grace window before finalizing.
+// the new membership on their next pull). No other process is told of
+// it, so every puller of the shards must pull through this frontend,
+// as the harness's workers do.
 func (s *ShardedLB) reshardLocked(ctx context.Context, members []int, newConns map[int]LBConn) error {
 	s.ringMu.Lock()
 	cur := s.ring
@@ -1114,12 +1090,10 @@ func (s *ShardedLB) reshardLocked(ctx context.Context, members []int, newConns m
 	}
 	next.ring = loadbalancer.NewRing(next.members)
 	var removed []LBConn
-	var removedMembers []int
 	for i, m := range cur.members {
 		if _, keep := next.slot[m]; !keep {
 			s.retired[m] = cur.conns[i]
 			removed = append(removed, cur.conns[i])
-			removedMembers = append(removedMembers, m)
 		}
 	}
 	// The flip: acquiring ringMu exclusively barriered behind every
@@ -1151,12 +1125,9 @@ func (s *ShardedLB) reshardLocked(ctx context.Context, members []int, newConns m
 	_ = s.broadcast(ctx, s.lastCfg)
 	s.cfgMu.Unlock()
 
-	// Migrate departing shards' queued work to the new owners, then
-	// keep sweeping for stragglers in the background.
-	for i, conn := range removed {
+	// Migrate departing shards' queued work to the new owners.
+	for _, conn := range removed {
 		s.drainShard(ctx, conn)
-		s.pumps.Add(1)
-		go s.sweepRetired(removedMembers[i], conn)
 	}
 	return nil
 }
@@ -1178,15 +1149,13 @@ func (s *ShardedLB) reshardLocked(ctx context.Context, members []int, newConns m
 // whose response is lost entirely after the server popped it remains
 // unrecoverable — the same at-most-once pull semantics every worker
 // pull has.)
-func (s *ShardedLB) drainShard(ctx context.Context, conn LBConn) bool {
-	moved := false
+func (s *ShardedLB) drainShard(ctx context.Context, conn LBConn) {
 	var resp PullResponse
 	for _, role := range []string{"light", "heavy"} {
 		for {
 			resp.Queries = resp.Queries[:0] // a failed remote call leaves resp as it was
 			err := conn.PullInto(ctx, PullRequest{Role: role, Max: 512, Drain: true}, &resp)
 			if len(resp.Queries) > 0 {
-				moved = true
 				s.resubmitMigrated(resp.Queries, role)
 			}
 			if err != nil || len(resp.Queries) == 0 {
@@ -1194,7 +1163,6 @@ func (s *ShardedLB) drainShard(ctx context.Context, conn LBConn) bool {
 			}
 		}
 	}
-	return moved
 }
 
 // resubmitMigrated re-queues drained queries on their current ring
@@ -1202,8 +1170,8 @@ func (s *ShardedLB) drainShard(ctx context.Context, conn LBConn) bool {
 // closes: the departing shard already forgot these queries'
 // registrations, so giving up would lose them outright — which is
 // why the retries run under the frontend's own lifetime context, not
-// the reshard caller's (an admin RPC's request context dying must
-// not strand half-migrated queries).
+// the reshard caller's (a caller's context dying must not strand
+// half-migrated queries).
 //
 // The grouping is computed ONCE, under the ring at entry, and every
 // retry re-targets the same shard: a submit that errored after being
@@ -1213,9 +1181,9 @@ func (s *ShardedLB) drainShard(ctx context.Context, conn LBConn) bool {
 // under a ring that resharded mid-back-off could register the query
 // on a second live shard and double-resolve it. If the targeted
 // shard is itself removed while retries are in flight, the query
-// still lands there (retired conns stay reachable) and that shard's
-// straggler sweep migrates it onward — one registration at a time,
-// always.
+// still lands there (retired conns stay reachable) and the frontend's
+// pullers serve it from the retired shard — one registration at a
+// time, always.
 func (s *ShardedLB) resubmitMigrated(queries []QueryMsg, pool string) {
 	ctx := s.ctx
 	s.ringMu.RLock()
@@ -1247,58 +1215,22 @@ func (s *ShardedLB) resubmitMigrated(queries []QueryMsg, pool string) {
 		if !pending || s.ctx.Err() != nil {
 			return
 		}
-		// Wall-clock floor, like the sweeper's: at extreme timescales a
-		// trace-seconds back-off rounds to nothing and a dead shard
-		// would be hammered in a busy loop.
-		if !s.cfg.Clock.WaitUntil(s.ctx, s.sweepDeadline(0.05), nil) {
+		// Back off as the pump does, so a dead shard is not hammered.
+		if !s.cfg.Clock.WaitUntil(s.ctx, s.cfg.Clock.Now()+0.05, nil) {
 			return
 		}
 	}
 }
 
-// sweepRetired periodically re-drains a removed shard: a worker that
-// pulled before the flip can still push a deferral into the retired
-// shard's heavy queue after the migration drain ran, and with no
-// worker pinned there any more that query would strand forever.
-// Empty sweeps back off exponentially, but only up to 8x the base
-// interval (2 trace-seconds): besides pre-flip worker stragglers, the
-// sweep is the re-route path for any OTHER frontend still routing by
-// an older membership (see reshardLocked) — its misdirected queries must
-// reach their real owner with latency budget left under typical SLOs.
-//
-// The sweep does not run forever. Once no tracked query is recorded at
-// the member and retiredEmptySweeps consecutive drains came back empty
-// (the grace window for stale foreign frontends), the member finalizes:
-// its counters fold into the Stats baseline and the sweeper — and the
-// member's result pump — terminate.
-func (s *ShardedLB) sweepRetired(member int, conn LBConn) {
-	defer s.pumps.Done()
-	interval := retiredSweepInterval
-	empty := 0
-	for s.cfg.Clock.WaitUntil(s.ctx, s.sweepDeadline(interval), nil) {
-		if s.drainShard(s.ctx, conn) {
-			interval = retiredSweepInterval
-			empty = 0
-			continue
-		}
-		if s.memberQuiesced(member) {
-			empty++
-			if empty >= retiredEmptySweeps && s.finalizeRetired(member, conn) {
-				return
-			}
-		} else {
-			empty = 0
-		}
-		if interval < 8*retiredSweepInterval {
-			interval *= 2
-		}
+// retiredQuiesced reports whether member is retired and no tracked
+// query is recorded at it. Quiescence of a retired member is monotonic:
+// records go only to current members, and member IDs are never reused.
+func (s *ShardedLB) retiredQuiesced(member int) bool {
+	s.ringMu.RLock()
+	defer s.ringMu.RUnlock()
+	if _, ok := s.retired[member]; !ok {
+		return false
 	}
-}
-
-// memberQuiesced reports whether no tracked query is recorded at the
-// member. For a retired member quiescence is monotonic: records go only
-// to current members, and member IDs are never reused.
-func (s *ShardedLB) memberQuiesced(member int) bool {
 	s.liveMu.Lock()
 	defer s.liveMu.Unlock()
 	return s.memberLive[member] == 0
@@ -1308,15 +1240,15 @@ func (s *ShardedLB) memberQuiesced(member int) bool {
 // folds into the merged-Stats baseline (cumulative counters stay
 // visible forever; the destructively-read tick counters carry into
 // the next merge), the conn leaves the retired set and the Pull
-// sweep, and the member's pump is told to exit. A failed final poll
-// postpones finalization to the next sweep round. Holding statsMu
-// across poll+fold keeps the snapshot from interleaving with a
-// concurrent merge's poll of the same conn, which would double-count.
+// sweep. It reports whether it did; a failed final poll leaves the
+// member retired for its pump's next round. Holding statsMu across
+// poll, fold and removal keeps a concurrent merge from polling the conn
+// around the snapshot, which would double-count.
 func (s *ShardedLB) finalizeRetired(member int, conn LBConn) bool {
 	s.statsMu.Lock()
+	defer s.statsMu.Unlock()
 	st, err := conn.Stats(s.ctx)
 	if err != nil {
-		s.statsMu.Unlock()
 		return false
 	}
 	s.retiredBase.Completed += st.Completed
@@ -1326,24 +1258,12 @@ func (s *ShardedLB) finalizeRetired(member int, conn LBConn) bool {
 	s.retiredBase.LateCompletions += st.LateCompletions
 	s.carryArrivals += st.ArrivalsSinceTick
 	s.carryTimeouts += st.TimeoutsSinceTick
-	s.statsMu.Unlock()
 
 	s.ringMu.Lock()
 	delete(s.retired, member)
 	s.rebuildSweepLocked()
 	s.ringMu.Unlock()
-
-	s.pumpMu.Lock()
-	s.finished[member] = true
-	s.pumpMu.Unlock()
 	return true
-}
-
-// sweepDeadline is the trace time a sweep interval started now ends,
-// the interval floored at one wall millisecond so extreme timescales
-// cannot spin the sweeper.
-func (s *ShardedLB) sweepDeadline(traceSecs float64) float64 {
-	return s.cfg.Clock.Now() + math.Max(traceSecs, 1e-3/s.cfg.Clock.Timescale())
 }
 
 // RetiredMembers returns the removed members still awaiting

@@ -99,6 +99,16 @@ type Pool struct {
 	SLO float64
 }
 
+// arrivalWindow is the trace-seconds window a pool's arrival rate is
+// estimated over.
+const arrivalWindow = 10
+
+// NewPool returns an empty pool with the given batch-1 execution time
+// and deadline, its arrival rate estimated over arrivalWindow.
+func NewPool(minExec, slo float64) *Pool {
+	return &Pool{FIFO: queueing.NewFIFO(arrivalWindow), MinExec: minExec, SLO: slo}
+}
+
 // Shed removes and returns the queued queries that can no longer meet
 // their deadline even if started at now with minimal service.
 func (p *Pool) Shed(now float64) []queueing.Item {

@@ -13,10 +13,7 @@ import (
 
 // newLB builds a load balancer over two empty pools.
 func newLB(mode Mode, seed uint64) *LB {
-	pool := func(minExec float64) *Pool {
-		return &Pool{FIFO: queueing.NewFIFO(10), MinExec: minExec, SLO: 5}
-	}
-	return New(mode, stats.NewRNG(seed), pool(1), pool(2))
+	return New(mode, stats.NewRNG(seed), NewPool(1, 5), NewPool(2, 5))
 }
 
 func TestCascadeRoutesLight(t *testing.T) {
@@ -176,10 +173,7 @@ func TestDataPathScript(t *testing.T) {
 		4: "shed", 5: "shed",
 	}
 
-	pool := func(minExec float64) *Pool {
-		return &Pool{FIFO: queueing.NewFIFO(10), MinExec: minExec, SLO: slo}
-	}
-	lb := New(ModeCascade, stats.NewRNG(1), pool(1), pool(2))
+	lb := New(ModeCascade, stats.NewRNG(1), NewPool(1, slo), NewPool(2, slo))
 	ledger := Ledger{SLO: slo, Col: metrics.NewCollector()}
 	pulled := map[int]queueing.Item{}
 	deferred := map[int]bool{}

@@ -58,8 +58,6 @@ type Config struct {
 	Mode loadbalancer.Mode
 	// Seed drives arrival synthesis and random routing.
 	Seed uint64
-	// QueueWindow sizes arrival-rate estimation windows (default 10s).
-	QueueWindow float64
 	// DisableModelLoadDelay makes role switches instantaneous (used by
 	// tests and the simulator-vs-cluster comparison).
 	DisableModelLoadDelay bool
@@ -126,22 +124,17 @@ func New(cfg Config) (*System, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if cfg.QueueWindow <= 0 {
-		cfg.QueueWindow = 10
-	}
 	if cfg.Mode != loadbalancer.ModeCascade {
 		// The Clipper/Proteus baselines run no discriminator.
 		cfg.Scorer = nil
 	}
 	rng := stats.NewRNG(cfg.Seed)
-	pool := func(minExec float64) *loadbalancer.Pool {
-		return &loadbalancer.Pool{FIFO: queueing.NewFIFO(cfg.QueueWindow), MinExec: minExec, SLO: cfg.SLO}
-	}
 	s := &System{
 		cfg: cfg,
 		sim: simring.New(),
 		lb: loadbalancer.New(cfg.Mode, rng,
-			pool(discriminator.LightExec(cfg.Light, cfg.Scorer, 1)), pool(cfg.Heavy.Latency.Latency(1))),
+			loadbalancer.NewPool(discriminator.LightExec(cfg.Light, cfg.Scorer, 1), cfg.SLO),
+			loadbalancer.NewPool(cfg.Heavy.Latency.Latency(1), cfg.SLO)),
 		ledger:  loadbalancer.Ledger{SLO: cfg.SLO, Col: metrics.NewCollector()},
 		rng:     rng,
 		queries: make(map[int]*imagespace.Query),
