@@ -160,7 +160,7 @@ allocs-gate:
 # distorts. Raise COUNT for a longer hunt on the soak legs.
 COUNT ?= 2
 .PHONY: race
-race: race-cluster race-sharded race-posted race-reshard chaos-soak race-solver race-poison
+race: race-cluster race-sharded race-posted chaos-soak race-solver race-poison
 
 # race-cluster: the cluster data path (the per-pool lock stress hammer
 # and the transport conformance matrix included), the parallel helpers,
@@ -174,12 +174,16 @@ race-cluster:
 
 # race-sharded: the frontend fan-out/merge paths (Complete's reads of
 # where each query was sent, against the pumps releasing them), the
-# missed-wakeup notifier, and the drain/complete idempotency guard.
+# missed-wakeup notifier, the drain/complete idempotency guard, and the
+# nothing-left-tracked regression; that one runs 30 times more (~2 s),
+# the count that exposes a result published before its record is
+# released.
 .PHONY: race-sharded
 race-sharded:
 	$(GO) test -race -short -count=$(COUNT) \
-		-run 'TestShardedLBStress|TestLBPoolWakeupStress|TestDrainCompleteRaceNoDoubleResolve|TestNotifierCoalescing|TestShardedLBLateCompletionCounted|TestShardedLBMixedLegs' \
+		-run 'TestShardedLBStress|TestLBPoolWakeupStress|TestDrainCompleteRaceNoDoubleResolve|TestNotifierCoalescing|TestShardedLBLateCompletionCounted|TestShardedLBMixedLegs|TestFrontendLeavesNothingTracked' \
 		./internal/cluster/
+	$(GO) test -race -short -count=30 -run 'TestFrontendLeavesNothingTracked' ./internal/cluster/
 
 # race-posted: the tcp transport's posted calls — posters, callers, the
 # flusher and the read loop sharing one connection; replay after a lost
@@ -191,18 +195,6 @@ race-posted:
 	$(GO) test -race -count=10 \
 		-run 'TestTCPPosted|TestTCPCloseWithPostedFrames|TestTCPInlineResponseNotStranded|TestTCPTryFirst' \
 		./internal/cluster/
-
-# race-reshard: the dynamic-membership machinery — epoch flips, drain
-# migration, retired-member finalization, and the nothing-left-tracked
-# and retired-pump-termination regressions; the nothing-left-tracked
-# soak runs 30 times more (~2 s), the count that exposes a result
-# published before its record is released.
-.PHONY: race-reshard
-race-reshard:
-	$(GO) test -race -short -count=$(COUNT) \
-		-run 'TestReshardChaosNoLostOrDoubleResolve|TestReshardMovesOnlyDepartingQueue|TestTransportConformance/.*/epoch-flip-atomic-submit|TestTransportConformance/.*/drain-pull-ownership|TestManyReshardsLeaveNothingTracked|TestRetiredPumpsTerminate' \
-		./internal/cluster/
-	$(GO) test -race -short -count=30 -run 'TestManyReshardsLeaveNothingTracked' ./internal/cluster/
 
 # chaos-soak: the fault-tolerance suite — the worker-churn soak (killed
 # workers, severed conns, injected drops/latency, exactly-once
@@ -240,14 +232,12 @@ poison-test: race-poison
 	$(GO) test -tags poolpoison ./internal/cluster/
 
 # fuzz-smoke runs each fuzz target briefly on top of the committed
-# seed corpus (testdata/fuzz): the decoders, the shard placement, warm-vs-cold
-# MILP solves, and the lazily seeded RNG source's parity with
+# seed corpus (testdata/fuzz): the decoders, warm-vs-cold MILP solves, and the lazily seeded RNG source's parity with
 # math/rand. CI runs this on every
 # push; raise -fuzztime for a deeper local hunt.
 .PHONY: fuzz-smoke
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzCodecRoundTrip -fuzztime=10s ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime=10s ./internal/cluster/
-	$(GO) test -run '^$$' -fuzz FuzzRingLookup -fuzztime=10s ./internal/loadbalancer/
 	$(GO) test -run '^$$' -fuzz FuzzWarmVsCold -fuzztime=10s ./internal/milp/
 	$(GO) test -run '^$$' -fuzz FuzzLazySourceParity -fuzztime=10s ./internal/stats/

@@ -17,8 +17,7 @@
 // worker roles so each shard keeps both pools served (worker i is
 // assumed pinned to shard i mod shards, matching diffserve-worker's
 // -shard-addrs behavior). The shard list is fixed for the life of the
-// processes; resharding at run time is cluster.HarnessConfig.Reshard's,
-// whose frontend carries the queries.
+// processes.
 //
 // -workers is parsed like -shard-addrs: blanks around an address and
 // empty entries (a trailing comma) are dropped, so every listed worker

@@ -18,8 +18,8 @@
 //
 // A standalone tier's shard list is fixed: re-pinning onto new shard
 // addresses means restarting with the new -shard-addrs. The in-process
-// harness, which reshards at run time, pins no worker: its workers pull
-// through the ShardedLB frontend, which follows the flip itself.
+// harness pins no worker: its workers pull through the ShardedLB
+// frontend, which gathers from every shard.
 //
 // A worker recovers from a lost LB in one way. The tcp conn redials on
 // its next call and replays the submits and completions the LB never

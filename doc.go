@@ -109,10 +109,11 @@
 // One load-balancer process tops out on its admission and result
 // locks long before web-scale arrival rates. The sharded tier
 // partitions the query stream by ID hash across N independent LBServer
-// shards, each reachable over either transport. Placement is one pure
-// function every process computes locally: loadbalancer.ShardOf (an
-// FNV-1a hash mod N) indexing the sorted member list, so members
-// 0..N-1 own exactly the IDs ShardOf(id, N) assigns them:
+// shards, each reachable over either transport. Membership is fixed
+// when a process starts: shard i is the i-th entry of its shard list,
+// and placement is one pure function every process computes locally,
+// loadbalancer.ShardOf (an FNV-1a hash mod N), so shard i owns exactly
+// the IDs ShardOf(id, N) assigns it:
 //
 //	                 client (cluster.ShardedLB frontend)
 //	                 /  submit by ID hash, merge results  \
@@ -156,63 +157,13 @@
 // ("lb/<shard>") derived from the shared experiment seed. See
 // PERFORMANCE.md for what the frontend costs per query.
 //
-// # Dynamic shard membership
-//
-// Membership can change at runtime. A change installs a new ring epoch
-// on the ShardedLB frontend (cluster.ShardedLB.AddShard / RemoveShard,
-// driven by the harness's HarnessConfig.Reshard), whose placement (loadbalancer.Ring) is
-// ShardOf over the new sorted member list. That remaps most IDs, and
-// moves no queued query: placement only routes new submits and
-// re-homes a departing shard's drained queue. An add drains nothing,
-// so every queued query stays where it was sent, and each completion
-// follows the frontend's record of where its query went, not the
-// current placement:
-//
-//	client        frontend            shard A (departing)   shard B    controller
-//	  |  submit(batch)  |  epoch 1: ring{A,B}   |             |            |
-//	  |---------------->|---------------------->|             |            |
-//	  |                 |== RemoveShard(A): epoch 2 installs ring{B}; in-flight
-//	  |                 |   batches finish under epoch 1 (RWMutex barrier) ==|
-//	  |                 |-- configure{policy} -->|  (and B: the remembered  |
-//	  |                 |                        |   policy, re-broadcast)  |
-//	  |                 |-- pull{drain} -------->|  queued work handed over |
-//	  |                 |   (A forgets the       |  exactly once            |
-//	  |                 |    registrations)      |                          |
-//	  |                 |-- submit(migrated) ------------------>|           |
-//	  |  results merge from B's pump — and from A's, which stays reachable |
-//	  |  ("retired") so a deferral a late completion pushes into A still   |
-//	  |  resolves; each completion goes to the one shard its query was     |
-//	  |  sent to (A for work A still holds, B for what migrated).          |
-//
-// Workers that pull through the frontend see the new membership on
-// their next pull. The ring epoch lives in the frontend alone;
-// nothing on the wire carries it. The protocol is exactly-once end to
-// end: the resharding chaos test races submits, completions,
-// deferrals, and four membership changes under the race detector and
-// requires zero lost and zero double-resolved queries, and the
-// sim-vs-cluster experiment's resharding parity leg requires a
-// 2->3-shard TCP cluster to reproduce the single-LB completed/dropped
-// counts exactly.
-//
-// # Scheduled resharding
-//
-// Membership changes at a HarnessConfig.Reshard event's trace time, on
-// the harness's one frontend: its client submits, its controller
-// configures and its workers pull through it, so their next pulls
-// sweep the new membership and no worker is pinned or re-striped. The
-// standalone binaries have no reshard driver: their shard list is the
-// -shard-addrs every process was started with.
-//
-// The frontend keeps one ring, the current one, and records for every
-// in-flight query the member it was sent to: the ring owner, a
-// degraded owner's spill target, or the shard a drain migrated it to.
-// A completion goes to that member alone, with the worker's lease
-// deadline, and the record is released when the query's result lands.
-// A retired member stays reachable — pullers still gather its
-// stragglers — until no record names it; then its own result pump
-// finalizes it after a successful poll — its residual stats fold into
-// the merged totals once — and exits (both regression-tested, the
-// latter by goroutine count under the race detector).
+// The frontend records, for every in-flight query, the shard it was
+// sent to: the owner, or a degraded owner's spill target. A completion
+// goes to that shard alone, with the worker's lease deadline, and the
+// record is released when the query's result lands. No process adds or
+// removes shards at run time: DiffServe scales models over a fixed
+// worker pool, and the shard list is the -shard-addrs (or
+// HarnessConfig.LBShards) every process was started with.
 //
 // # Allocation control loop
 //
@@ -302,7 +253,7 @@
 // real faults but rides out injected or recovered ones. At the tier
 // level, a shard unreachable for three consecutive dispatches or pump
 // polls is marked degraded: new submits for its hash range spill to
-// the ring's next owner, the state surfaces through merged Stats
+// the next shard, (owner+1) mod N, the state surfaces through merged Stats
 // (DegradedShards), and the first
 // successful probe un-degrades it. A controller blinded by stats-poll
 // failures for MaxStatsMisses ticks fails over to a conservative plan
@@ -330,7 +281,7 @@
 // late: the runtime's poller rounds a sub-millisecond delay up to a
 // whole millisecond, ~0.12 trace-seconds at 200x, a whole light
 // batch. So a wait without a wake channel — a schedule wait: a
-// batch's end, a control tick, a replayed arrival, a reshard — parks
+// batch's end, a control tick, a replayed arrival — parks
 // on a pooled timer only until one millisecond before its deadline
 // and, on Linux, sleeps the rest in the kernel (nanosleep), which
 // lands within tens of microseconds; elsewhere it stays on the timer.

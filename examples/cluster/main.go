@@ -3,15 +3,12 @@
 // partitioning the query stream by query ID), eight workers pulling
 // from every shard through the tier's frontend, and the MILP
 // controller — wired over loopback sockets, then replay a trace
-// through the network data path at 10x speed, growing the tier to
-// three shards mid-trace: the reshard installs a new ring epoch that
-// routes new submits over three shards, and the workers' next pulls
-// sweep the new shard too.
+// through the network data path at 10x speed.
 // The example uses the framed-TCP transport (persistent multiplexed
 // connections, binary codec), the wire the standalone binaries speak;
 // set the Transport field to cluster.TransportInproc for the
-// zero-serialization in-process alternative, or LBShards to 1 (and
-// drop Reshard) for the classic single-balancer topology.
+// zero-serialization in-process alternative, or LBShards to 1 for the
+// classic single-balancer topology.
 //
 //	go run ./examples/cluster
 package main
@@ -60,7 +57,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("replaying %s through 2 LB shards (growing to 3 at t=60s) + %d workers + controller over framed TCP (10x speed)...\n",
+	fmt.Printf("replaying %s through 2 LB shards + %d workers + controller over framed TCP (10x speed)...\n",
 		tr.Name(), workers)
 	res, err := cluster.Run(cluster.HarnessConfig{
 		Space: env.Space, Light: env.Light, Heavy: env.Heavy, Scorer: env.Scorer,
@@ -75,11 +72,6 @@ func main() {
 		// from every shard and the client merges every shard's result
 		// stream.
 		LBShards: 2,
-		// Mid-trace resharding: at t=60s a third shard joins. The ring
-		// epoch flips atomically for submit batches, new submits spread
-		// over three shards while queued queries stay where they are,
-		// and the workers and role plan follow within a pull round trip.
-		Reshard: []cluster.ReshardEvent{{At: 60, Action: "add", Member: 2}},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -25,8 +25,8 @@ type ExperimentConfig struct {
 	ClusterTransport string
 	// ClusterLBShards runs the sim-vs-cluster experiment's cluster
 	// side through the sharded LB tier with this many shards (0 or 1:
-	// the single-LB topology) and adds single-vs-sharded and
-	// mid-trace-resharding outcome parity checks.
+	// the single-LB topology) and adds single-vs-sharded outcome parity
+	// checks.
 	ClusterLBShards int
 }
 

@@ -14,6 +14,7 @@ import (
 	"diffserve/internal/imagespace"
 	"diffserve/internal/loadbalancer"
 	"diffserve/internal/model"
+	"diffserve/internal/queueing"
 	"diffserve/internal/stats"
 	"diffserve/internal/trace"
 )
@@ -253,8 +254,11 @@ func TestLBServerStatsShedsExpired(t *testing.T) {
 	})
 	// Both arrivals are back-dated past their deadline; the second sits
 	// in the heavy pool the way a deferred query does.
-	lb.SubmitBatch([]QueryMsg{{ID: 1, Arrival: -10}})
-	lb.SubmitBatchReq(SubmitRequest{Queries: []QueryMsg{{ID: 2, Arrival: -10}}, Pool: "heavy"})
+	lb.SubmitBatchReq(SubmitRequest{Queries: []QueryMsg{{ID: 1, Arrival: -10}}})
+	lb.resMu.Lock()
+	lb.async[2] = struct{}{}
+	lb.resMu.Unlock()
+	lb.pools[loadbalancer.PoolHeavy].push(lb.cfg.Clock.Now(), queueing.Item{ID: 2, Arrival: -10})
 
 	st := lb.Stats()
 	if st.TimeoutsSinceTick != 2 || st.Dropped != 2 || st.ArrivalsSinceTick != 1 {

@@ -271,8 +271,7 @@ func appendPullRequest(b []byte, m *PullRequest) []byte {
 	b = appendInt(b, m.WorkerID)
 	b = appendStr(b, m.Role)
 	b = appendInt(b, m.Max)
-	b = appendF64(b, m.Wait)
-	return appendBool(b, m.Drain)
+	return appendF64(b, m.Wait)
 }
 
 func appendPullResponse(b []byte, m *PullResponse) []byte {
@@ -363,7 +362,7 @@ func appendSubmitRequest(b []byte, m *SubmitRequest) []byte {
 			b = appendQueryMsg(b, &m.Queries[i])
 		}
 	}
-	return appendStr(b, m.Pool)
+	return b
 }
 
 func appendResultsRequest(b []byte, m *ResultsRequest) []byte {
@@ -550,7 +549,6 @@ func readPullRequest(d *bdec, m *PullRequest) {
 	m.Role = d.str()
 	m.Max = d.int()
 	m.Wait = d.f64()
-	m.Drain = d.bool()
 }
 
 // Slice-valued messages decode with capacity reuse: when the target
@@ -655,7 +653,6 @@ func readSubmitRequest(d *bdec, m *SubmitRequest) {
 			readQueryMsg(d, &m.Queries[i])
 		}
 	}
-	m.Pool = d.str()
 }
 
 func readResultsResponse(d *bdec, m *ResultsResponse) {

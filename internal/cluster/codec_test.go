@@ -100,7 +100,7 @@ func TestCodecParityRandomized(t *testing.T) {
 
 		pr := PullRequest{
 			WorkerID: rng.Intn(64), Role: randString(rng), Max: rng.Intn(32),
-			Wait: rng.Float64(), Drain: rng.Intn(2) == 0,
+			Wait: rng.Float64(),
 		}
 		checkParity(t, &pr, func() interface{} { return new(PullRequest) })
 
@@ -142,7 +142,7 @@ func TestCodecParityRandomized(t *testing.T) {
 		}
 		checkParity(t, &lbs, func() interface{} { return new(LBStats) })
 
-		sr := SubmitRequest{Queries: pq, Pool: []string{"", "light", "heavy"}[rng.Intn(3)]}
+		sr := SubmitRequest{Queries: pq}
 		checkParity(t, &sr, func() interface{} { return new(SubmitRequest) })
 
 		rr := ResultsRequest{Max: rng.Intn(1024), Wait: rng.Float64() * 2}

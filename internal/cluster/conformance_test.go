@@ -532,98 +532,6 @@ func testTransportConformance(t *testing.T, tc transportCase) {
 		if st.LightQueueLen != queries-5 {
 			t.Errorf("%d queries left queued after a Max:5 pull, want %d", st.LightQueueLen, queries-5)
 		}
-
-		// A drain pull hands over one shard's queue per call, as before.
-		resp, err = pull(ctx, fe, PullRequest{Role: "light", Max: 512, Drain: true})
-		if err != nil || len(resp.Queries) == 0 || len(resp.Queries) > perShard {
-			t.Fatalf("drain pull returned %d queries, want one shard's share (1..%d): %v", len(resp.Queries), perShard, err)
-		}
-		owner := loadbalancer.ShardOf(resp.Queries[0].ID, shards)
-		for _, q := range resp.Queries {
-			if sh := loadbalancer.ShardOf(q.ID, shards); sh != owner {
-				t.Errorf("drain pull mixed shards %d and %d", owner, sh)
-			}
-		}
-	})
-
-	t.Run("drain-pull-ownership", func(t *testing.T) {
-		// PullRequest.Drain must behave identically on every
-		// transport: queued async queries are handed over exactly once
-		// (their registration forgotten), a second drain finds
-		// nothing, and the handed-over queries can be re-submitted and
-		// resolved elsewhere without ever double-resolving.
-		tp := tc.mk()
-		defer tp.Close()
-		conn := serveTestLB(t, tp, newTestLB(0.001))
-		ctx := context.Background()
-
-		if err := conn.Configure(ctx, ConfigureLBRequest{Threshold: 0.5}); err != nil {
-			t.Fatal(err)
-		}
-		err := conn.SubmitBatch(ctx, SubmitRequest{Queries: []QueryMsg{
-			{ID: 1, Arrival: 0.001}, {ID: 2, Arrival: 0.001},
-		}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		drained, err := pull(ctx, conn, PullRequest{Role: "light", Max: 8, Drain: true})
-		if err != nil || len(drained.Queries) != 2 {
-			t.Fatalf("drain pull = %+v, %v", drained, err)
-		}
-		if drained.Queries[0].Arrival != 0.001 {
-			t.Errorf("drained query lost its arrival stamp: %+v", drained.Queries[0])
-		}
-		again, err := pull(ctx, conn, PullRequest{Role: "light", Max: 8, Drain: true})
-		if err != nil || len(again.Queries) != 0 {
-			t.Fatalf("second drain pull = %+v, %v", again, err)
-		}
-		// The drained queries' registrations are forgotten: completing
-		// them now must be a no-op, not a resolution.
-		items := make([]CompleteItem, len(drained.Queries))
-		for i, q := range drained.Queries {
-			items[i] = CompleteItem{ID: q.ID, Arrival: q.Arrival, Variant: "sdturbo", Confidence: 0.9}
-		}
-		if err := conn.Complete(ctx, CompleteRequest{Role: "light", Items: items}); err != nil {
-			t.Fatal(err)
-		}
-		if res, err := pollResults(ctx, conn, ResultsRequest{Max: 8}); err != nil || len(res.Results) != 0 {
-			t.Fatalf("completion after drain resolved %d results, want 0 (err %v)", len(res.Results), err)
-		}
-		// Re-submission (the migration path) re-registers them; now
-		// the same completion resolves each exactly once.
-		if err := conn.SubmitBatch(ctx, SubmitRequest{Queries: drained.Queries}); err != nil {
-			t.Fatal(err)
-		}
-		// The batch is queued, so the pull returns it at once. Wait is
-		// a ceiling that must not expire first on a loaded box (5 would
-		// be 5 ms here).
-		pulled, err := pull(ctx, conn, PullRequest{Role: "light", Max: 8, Wait: 5000})
-		if err != nil || len(pulled.Queries) != 2 {
-			t.Fatalf("post-migration pull = %+v, %v", pulled, err)
-		}
-		if err := conn.Complete(ctx, CompleteRequest{Role: "light", Items: items}); err != nil {
-			t.Fatal(err)
-		}
-		got := map[int]bool{}
-		for len(got) < 2 {
-			res, err := pollResults(ctx, conn, ResultsRequest{Max: 8, Wait: 5})
-			if err != nil || len(res.Results) == 0 {
-				t.Fatalf("migrated results missing: %v (got %v)", err, got)
-			}
-			for _, r := range res.Results {
-				if got[r.ID] {
-					t.Fatalf("result %d delivered twice", r.ID)
-				}
-				got[r.ID] = true
-			}
-		}
-		st, err := conn.Stats(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Completed != 2 || st.Dropped != 0 {
-			t.Errorf("stats after migration = %+v, want 2 completed / 0 dropped", st)
-		}
 	})
 
 	t.Run("lease-reclaim-exactly-once", func(t *testing.T) {
@@ -869,119 +777,6 @@ func testTransportConformance(t *testing.T, tc transportCase) {
 		}
 	})
 
-	t.Run("epoch-flip-atomic-submit", func(t *testing.T) {
-		// A submit batch racing a reshard must land entirely in one
-		// epoch on every transport: for each batch there is a single
-		// epoch whose ring explains where every query of the batch
-		// surfaced. A batch straddling two rings would split brains —
-		// half the IDs on the old placement, half on the new.
-		tp := tc.mk()
-		defer tp.Close()
-		clock := NewClock(0.001)
-		const shards = 2
-		mkShard := func(m int) (*LBServer, LBConn) {
-			lb := NewLBServer(LBConfig{
-				Mode: loadbalancer.ModeCascade, SLO: 1e9,
-				LightMinExec: 0.1, HeavyMinExec: 1.78,
-				Clock: clock, Seed: 1, RNGStream: fmt.Sprintf("lb/%d", m),
-			})
-			return lb, serveTestLB(t, tp, lb)
-		}
-		conns := make([]LBConn, shards)
-		for i := range conns {
-			_, conns[i] = mkShard(i)
-		}
-		fe, err := NewShardedLB(ShardedLBConfig{Shards: conns, Clock: clock})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer fe.Close()
-
-		ctx := context.Background()
-		const nBatches, perBatch = 40, 6
-		stop := make(chan struct{})
-		var submitWG sync.WaitGroup
-		submitWG.Add(1)
-		go func() { // submitter races the AddShard below
-			defer submitWG.Done()
-			for b := 0; b < nBatches; b++ {
-				qs := make([]QueryMsg, perBatch)
-				for i := range qs {
-					qs[i] = QueryMsg{ID: b*perBatch + i, Arrival: 0.001}
-				}
-				if err := fe.SubmitBatch(ctx, SubmitRequest{Queries: qs}); err != nil {
-					t.Errorf("submit: %v", err)
-					return
-				}
-			}
-			close(stop)
-		}()
-		time.Sleep(time.Millisecond)
-		_, conn2 := mkShard(2)
-		if err := fe.AddShard(ctx, 2, conn2); err != nil {
-			t.Fatal(err)
-		}
-		<-stop
-		submitWG.Wait()
-
-		// Locate every query via drain pulls (adds migrate nothing, so
-		// placement still reflects the submit-time epoch).
-		loc := map[int]int{}
-		for m := 0; m <= 2; m++ {
-			conn := fe.memberConn(m)
-			for {
-				resp, err := pull(ctx, conn, PullRequest{Role: "light", Max: 64, Drain: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(resp.Queries) == 0 {
-					break
-				}
-				for _, q := range resp.Queries {
-					if _, dup := loc[q.ID]; dup {
-						t.Errorf("query %d queued on two shards", q.ID)
-					}
-					loc[q.ID] = m
-				}
-			}
-		}
-		if len(loc) != nBatches*perBatch {
-			t.Fatalf("located %d of %d queries", len(loc), nBatches*perBatch)
-		}
-		if fe.Epoch() != 1 {
-			t.Fatalf("epoch %d after one reshard, want 1", fe.Epoch())
-		}
-		// The frontend's placement before and after the flip.
-		rings := []*loadbalancer.Ring{
-			loadbalancer.NewRing([]int{0, 1}),
-			loadbalancer.NewRing([]int{0, 1, 2}),
-		}
-		for b := 0; b < nBatches; b++ {
-			consistent := false
-			for _, ring := range rings {
-				all := true
-				for i := 0; i < perBatch; i++ {
-					id := b*perBatch + i
-					if loc[id] != ring.Owner(id) {
-						all = false
-						break
-					}
-				}
-				if all {
-					consistent = true
-					break
-				}
-			}
-			if !consistent {
-				placements := map[int]int{}
-				for i := 0; i < perBatch; i++ {
-					placements[b*perBatch+i] = loc[b*perBatch+i]
-				}
-				t.Errorf("batch %d straddles epochs: %v", b, placements)
-			}
-		}
-	})
-
 	t.Run("pull-longpoll-blocks-until-work", func(t *testing.T) {
 		tp := tc.mk()
 		defer tp.Close()
@@ -989,7 +784,7 @@ func testTransportConformance(t *testing.T, tc transportCase) {
 		conn := serveTestLB(t, tp, lb)
 		go func() {
 			time.Sleep(30 * time.Millisecond)
-			lb.SubmitBatch([]QueryMsg{{ID: 11, Arrival: 0.001}})
+			lb.SubmitBatchReq(SubmitRequest{Queries: []QueryMsg{{ID: 11, Arrival: 0.001}}})
 		}()
 		start := time.Now()
 		// Wait 10 trace seconds = 100ms wall; work arrives at ~30ms.

@@ -274,8 +274,8 @@ const fullResendEvery = 10
 
 // applyLocked is Apply's core. Callers hold mu.
 //
-// The LB's policy is sent on every apply: it is one broadcast, and it
-// carries the threshold to shards a reshard has just added. A worker is
+// The LB's policy is sent on every apply: it is one broadcast, and a
+// shard that missed the last one catches up on the next. A worker is
 // configured only when it has to be: when the request differs from the
 // last one that worker acknowledged, when the worker's state is unknown
 // (never configured, or its last send failed or was cancelled — a

@@ -165,7 +165,7 @@ func (c *gateConn) PollResultsInto(ctx context.Context, req ResultsRequest, resp
 
 // TestShardedLBDegradeSpill pins the shard-degradation lifecycle: an
 // unreachable shard is marked degraded after the failure threshold,
-// its hash range's new submits spill to the ring's next owner (and
+// its hash range's new submits spill to the next shard (and
 // their completions follow them there), the state surfaces through
 // merged Stats, and recovery (the result pump probing successfully
 // again) restores normal placement.
@@ -191,12 +191,11 @@ func TestShardedLBDegradeSpill(t *testing.T) {
 	defer fe.Close()
 	ctx := context.Background()
 
-	// IDs owned by each member under the (only) ring epoch.
-	ring := fe.ring.ring
+	// IDs owned by each shard.
 	ownedBy := func(member, n, from int) []int {
 		var ids []int
 		for id := from; len(ids) < n; id++ {
-			if ring.Owner(id) == member {
+			if loadbalancer.ShardOf(id, 2) == member {
 				ids = append(ids, id)
 			}
 		}
@@ -255,8 +254,8 @@ func TestShardedLBDegradeSpill(t *testing.T) {
 		t.Fatalf("merged stats report %d degraded shards, want 1", st.DegradedShards)
 	}
 
-	// Spill: member 0's hash range now lands on the ring's next owner
-	// (member 1 — the only other shard) with no error.
+	// Spill: shard 0's hash range now lands on the next shard (shard 1,
+	// the only other one) with no error.
 	spill := ownedBy(0, 3, 200)
 	if err := submit(spill); err != nil {
 		t.Fatalf("spill submit errored: %v", err)
@@ -269,7 +268,7 @@ func TestShardedLBDegradeSpill(t *testing.T) {
 	}
 
 	// Completed through the frontend, each spilled query goes to shard 1,
-	// where it was sent — not to its ring owner — and resolves once.
+	// where it was sent — not to its owner — and resolves once.
 	items := make([]CompleteItem, len(spill))
 	for i, id := range spill {
 		items[i] = CompleteItem{ID: id, Variant: "light", Confidence: 0.9}

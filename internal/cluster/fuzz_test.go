@@ -36,7 +36,7 @@ func dirtyTargets() []func() interface{} {
 	return []func() interface{}{
 		func() interface{} { return &QueryMsg{ID: -1, Arrival: 99} },
 		func() interface{} { return &QueryResponse{ID: -1, Variant: "stale", Features: stale(), Deferred: true} },
-		func() interface{} { return &PullRequest{WorkerID: -1, Role: "stale", Max: 99, Drain: true} },
+		func() interface{} { return &PullRequest{WorkerID: -1, Role: "stale", Max: 99} },
 		func() interface{} {
 			return &PullResponse{Queries: []QueryMsg{{ID: -1}, {ID: -2}, {ID: -3}}, LeaseDeadline: 99, QueuedAt: 99}
 		},
@@ -48,7 +48,7 @@ func dirtyTargets() []func() interface{} {
 		func() interface{} { return &ConfigureLBRequest{Threshold: 99, SplitProb: 99} },
 		func() interface{} { return &WorkerStats{ID: -1, Role: "stale", Busy: true, Batches: 99} },
 		func() interface{} { return &LBStats{Now: 99, Completed: 99, Reclaims: 99} },
-		func() interface{} { return &SubmitRequest{Queries: []QueryMsg{{ID: -1}, {ID: -2}}, Pool: "stale"} },
+		func() interface{} { return &SubmitRequest{Queries: []QueryMsg{{ID: -1}, {ID: -2}}} },
 		func() interface{} { return &ResultsRequest{Max: 99, Wait: 99} },
 		func() interface{} {
 			return &ResultsResponse{Results: []QueryResponse{{ID: -1, Variant: "stale", Features: stale()}}}
@@ -68,14 +68,14 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	seeds := []interface{}{
 		&QueryMsg{ID: 7, Arrival: 12.5},
 		&QueryResponse{ID: 9, Variant: "sdturbo", Features: []float64{1, 2}, Confidence: 0.875, Deferred: true},
-		&PullRequest{WorkerID: 3, Role: "light", Max: 8, Wait: 0.25, Drain: true},
+		&PullRequest{WorkerID: 3, Role: "light", Max: 8, Wait: 0.25},
 		&PullResponse{Queries: []QueryMsg{{ID: 1, Arrival: 2}}, LeaseDeadline: 4.5, QueuedAt: 2.25},
 		&CompleteRequest{WorkerID: 1, Role: "heavy", LeaseDeadline: 6.25, Items: []CompleteItem{{ID: 4, Variant: "sdv15", Features: []float64{3}}}},
 		&ConfigureWorkerRequest{Role: "light", Batch: 8},
 		&ConfigureLBRequest{Threshold: 0.7, SplitProb: 0.25},
 		&WorkerStats{ID: 2, Role: "heavy", Batch: 4, Busy: true, Batches: 10, Queries: 40},
 		&LBStats{Now: 100, LightQueueLen: 3, Completed: 50, InFlight: 4, Reclaims: 2, ShedRedelivery: 1, LateCompletions: 3, DegradedShards: 1},
-		&SubmitRequest{Queries: []QueryMsg{{ID: 5, Arrival: 1}}, Pool: "heavy"},
+		&SubmitRequest{Queries: []QueryMsg{{ID: 5, Arrival: 1}}},
 		&ResultsRequest{Max: 64, Wait: 2},
 		&ResultsResponse{Results: []QueryResponse{{ID: 6, Variant: "sdturbo"}}},
 	}

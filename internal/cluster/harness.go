@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -56,26 +55,8 @@ type HarnessConfig struct {
 	// the client, the controller and every worker speak to one ShardedLB
 	// frontend. A worker's pull gathers from every shard, so each pool is
 	// served by all the workers of its role, as in the simulator, however
-	// the stream is split. 0 or 1 runs the single-LB topology (unless
-	// Reshard events are present, which force the frontend).
+	// the stream is split. 0 or 1 runs the single-LB topology.
 	LBShards int
-	// Reshard schedules mid-trace membership changes: at each event's
-	// trace time the harness adds a fresh shard (a new LBServer) or
-	// removes one (draining its queued work to the survivors). New
-	// submits then route by ShardOf over the new sorted membership; an
-	// add moves no queued query. Events run in At order.
-	Reshard []ReshardEvent
-}
-
-// ReshardEvent is one scheduled membership change in a harness run.
-type ReshardEvent struct {
-	// At is the trace time (seconds) the change applies.
-	At float64
-	// Action is "add" or "remove".
-	Action string
-	// Member is the ring member ID to add or remove. Added members
-	// must be fresh IDs (never used before in the run).
-	Member int
 }
 
 func (c *HarnessConfig) validate() error {
@@ -92,14 +73,6 @@ func (c *HarnessConfig) validate() error {
 		return fmt.Errorf("cluster: controller required")
 	case c.Scorer == nil && c.Mode == loadbalancer.ModeCascade:
 		return fmt.Errorf("cluster: scorer required in cascade mode")
-	}
-	for _, ev := range c.Reshard {
-		if ev.Action != "add" && ev.Action != "remove" {
-			return fmt.Errorf("cluster: reshard action %q (have add, remove)", ev.Action)
-		}
-		if ev.At < 0 {
-			return fmt.Errorf("cluster: reshard event at negative trace time %g", ev.At)
-		}
 	}
 	return nil
 }
@@ -148,53 +121,35 @@ func Run(cfg HarnessConfig) (*Result, error) {
 		scorer = cfg.Scorer
 	}
 	// One LBServer per shard (one shard: the classic topology). Each
-	// shard draws routing randomness from its own stream "lb/<member>"
-	// of the run seed, so per-shard behavior is deterministic and
-	// independent of the shard count of other runs — and of when the
-	// shard joined.
+	// shard of a sharded tier draws routing randomness from its own
+	// stream "lb/<shard>" of the run seed, so shards draw decorrelated
+	// random-split decisions and per-shard behavior is deterministic;
+	// the classic single-LB topology keeps the default "lb" stream.
 	shardCount := cfg.LBShards
 	if shardCount <= 0 {
 		shardCount = 1
 	}
-	// Reshard events need the frontend even over one initial shard.
-	useFrontend := shardCount > 1 || len(cfg.Reshard) > 0
-	newShardServer := func(member int) *LBServer {
+	servers := make([]*LBServer, shardCount)
+	shardConns := make([]LBConn, shardCount)
+	for i := range servers {
 		lbCfg := LBConfig{
 			Mode: cfg.Mode, SLO: cfg.SLO,
 			LightMinExec: discriminator.LightExec(cfg.Light, scorer, 1),
 			HeavyMinExec: cfg.Heavy.Latency.Latency(1),
 			Clock:        clock, Seed: cfg.Seed,
 		}
-		// Every shard of a sharded (or reshardable) tier draws from
-		// its member's own stream, so shards added mid-run stay
-		// decorrelated from the survivors; only the classic single-LB
-		// topology keeps the default "lb" stream.
-		if useFrontend {
-			lbCfg.RNGStream = fmt.Sprintf("lb/%d", member)
+		if shardCount > 1 {
+			lbCfg.RNGStream = fmt.Sprintf("lb/%d", i)
 		}
-		return NewLBServer(lbCfg)
-	}
-	// servers tracks every LBServer the run ever creates — including
-	// shards added or retired mid-trace — for the end-of-run drain and
-	// the collector merge.
-	var serverMu sync.Mutex
-	var servers []*LBServer
-	shardConns := make([]LBConn, shardCount)
-	for i := 0; i < shardCount; i++ {
-		lb := newShardServer(i)
-		servers = append(servers, lb)
+		servers[i] = NewLBServer(lbCfg)
 		var err error
-		if shardConns[i], err = tp.ServeLB(lb); err != nil {
+		if shardConns[i], err = tp.ServeLB(servers[i]); err != nil {
 			return nil, err
 		}
 	}
-	var lbConn LBConn
-	var frontend *ShardedLB
-	if !useFrontend {
-		lbConn = shardConns[0]
-	} else {
-		var err error
-		frontend, err = NewShardedLB(ShardedLBConfig{Shards: shardConns, Clock: clock})
+	lbConn := shardConns[0]
+	if shardCount > 1 {
+		frontend, err := NewShardedLB(ShardedLBConfig{Shards: shardConns, Clock: clock})
 		if err != nil {
 			return nil, err
 		}
@@ -240,8 +195,8 @@ func Run(cfg HarnessConfig) (*Result, error) {
 	for i := 0; i < cfg.Workers; i++ {
 		// Every worker pulls through the run's one LB conn: behind a
 		// frontend a pull gathers from any shard and a completion is
-		// routed to the shard that owns each query, so no worker is
-		// pinned and a reshard needs nothing from the workers.
+		// routed to the shard that holds each query, so no worker is
+		// pinned.
 		ws := NewWorkerServer(WorkerConfig{
 			ID: i, LB: lbConn,
 			Space: cfg.Space, Light: cfg.Light, Heavy: cfg.Heavy,
@@ -286,47 +241,6 @@ func Run(cfg HarnessConfig) (*Result, error) {
 		defer loopDone.Done()
 		loop.Run(ctx)
 	}()
-
-	// Reshard driver: apply the scheduled membership changes at their
-	// trace times. Each change installs a new ring epoch on the
-	// frontend (adding a freshly served LBServer or retiring one); the
-	// workers' next pulls already sweep the new membership. A failed
-	// reshard is a configuration bug and aborts the run like a fatal
-	// transport failure would.
-	reshardFailed := make(chan error, 1)
-	if len(cfg.Reshard) > 0 {
-		events := append([]ReshardEvent(nil), cfg.Reshard...)
-		sort.SliceStable(events, func(i, j int) bool { return events[i].At < events[j].At })
-		go func() {
-			for _, ev := range events {
-				if !clock.WaitUntil(ctx, ev.At, nil) {
-					return
-				}
-				var err error
-				switch ev.Action {
-				case "add":
-					lb := newShardServer(ev.Member)
-					var conn LBConn
-					if conn, err = tp.ServeLB(lb); err == nil {
-						serverMu.Lock()
-						servers = append(servers, lb)
-						serverMu.Unlock()
-						err = frontend.AddShard(ctx, ev.Member, conn)
-					}
-				case "remove":
-					err = frontend.RemoveShard(ctx, ev.Member)
-				}
-				if err != nil {
-					select {
-					case reshardFailed <- fmt.Errorf("cluster: reshard %s %d at t=%g: %w", ev.Action, ev.Member, ev.At, err):
-					default:
-					}
-					cancel()
-					return
-				}
-			}
-		}()
-	}
 
 	// Replay the trace over the batched async submit path: one
 	// submitter goroutine groups queries that are due together into a
@@ -378,10 +292,7 @@ func Run(cfg HarnessConfig) (*Result, error) {
 	// transport failure aborts the wait immediately.
 	var transportErr error
 	drainAll := func() {
-		serverMu.Lock()
-		all := append([]*LBServer(nil), servers...)
-		serverMu.Unlock()
-		for _, lb := range all {
+		for _, lb := range servers {
 			lb.DrainRemaining()
 		}
 	}
@@ -390,13 +301,11 @@ func Run(cfg HarnessConfig) (*Result, error) {
 	select {
 	case <-done:
 	case transportErr = <-tpFailed:
-	case transportErr = <-reshardFailed:
 	case <-time.After(clock.WallDuration(horizon)): //diffvet:allow walltime — shutdown watchdog must fire on wall time even if the trace clock stalls
 		drainAll()
 		select {
 		case <-done:
 		case transportErr = <-tpFailed:
-		case transportErr = <-reshardFailed:
 		case <-time.After(clock.WallDuration(grace) + 2*time.Second): //diffvet:allow walltime — drain grace watchdog must fire on wall time even if the trace clock stalls
 		}
 	}
@@ -409,10 +318,6 @@ func Run(cfg HarnessConfig) (*Result, error) {
 		select {
 		case transportErr = <-tpFailed:
 		default:
-			select {
-			case transportErr = <-reshardFailed:
-			default:
-			}
 		}
 	}
 	if transportErr != nil {
@@ -423,16 +328,12 @@ func Run(cfg HarnessConfig) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: building FID reference: %w", err)
 	}
-	serverMu.Lock()
-	allServers := append([]*LBServer(nil), servers...)
-	serverMu.Unlock()
-	col := allServers[0].Collector()
-	if len(allServers) > 1 {
-		// Merge the per-shard collectors — retired shards included —
-		// into one run-level view. The run is over: no shard is
-		// recording anymore.
+	col := servers[0].Collector()
+	if len(servers) > 1 {
+		// Merge the per-shard collectors into one run-level view. The
+		// run is over: no shard is recording anymore.
 		col = metrics.NewCollector()
-		for _, lb := range allServers {
+		for _, lb := range servers {
 			col.Merge(lb.Collector())
 		}
 	}

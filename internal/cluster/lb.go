@@ -178,8 +178,8 @@ func NewLBServer(cfg LBConfig) *LBServer {
 // Collector exposes the LB's metrics records (read after the run).
 func (s *LBServer) Collector() *metrics.Collector { return s.ledger.Col }
 
-// poolOf resolves a wire role or pool name to its pool: "heavy" is the
-// heavy pool, anything else the light one.
+// poolOf resolves a wire role to its pool: "heavy" is the heavy pool,
+// anything else the light one.
 func poolOf(name string) loadbalancer.PoolID {
 	if name == "heavy" {
 		return loadbalancer.PoolHeavy
@@ -239,30 +239,12 @@ func (n *notifier) wake() {
 	n.armed = false
 }
 
-// SubmitBatch admits queries asynchronously: each will eventually
-// surface exactly one result (completion or drop) via PollResultsInto.
-func (s *LBServer) SubmitBatch(qs []QueryMsg) {
-	s.submitBatch(qs, false, loadbalancer.PoolLight)
-}
-
-// SubmitBatchReq admits a SubmitRequest, honoring its Pool override —
-// the transport handlers' entry point, so a migration re-queue
-// arriving over any wire lands in the pool it was drained from. Pool
-// is wire-facing: anything but the two known pool names degrades to
-// a normal policy-routed (and demand-counted) admission rather than
-// silently picking a pool for a value the peer mistyped.
+// SubmitBatchReq admits a batch of queries asynchronously — the
+// transport handlers' entry point. Each query is routed by the
+// configured policy, counted as an arrival, and will eventually surface
+// exactly one result (completion or drop) via PollResultsInto.
 func (s *LBServer) SubmitBatchReq(req SubmitRequest) {
-	s.submitBatch(req.Queries, req.Pool == "light" || req.Pool == "heavy", poolOf(req.Pool))
-}
-
-// submitBatch is the admission core. Without requeue the queries are
-// normal arrivals: routed by policy and counted in the demand
-// counters. A requeue is a resharding migration: the queries go
-// straight to dest (a drained deferral keeps its place in the cascade)
-// and the arrival counters stay untouched — they were already counted
-// at the shard the queries first arrived on, which the merged Stats
-// still sums.
-func (s *LBServer) submitBatch(qs []QueryMsg, requeue bool, dest loadbalancer.PoolID) {
+	qs := req.Queries
 	if len(qs) == 0 {
 		return
 	}
@@ -277,19 +259,14 @@ func (s *LBServer) submitBatch(qs []QueryMsg, requeue bool, dest loadbalancer.Po
 	for _, q := range qs {
 		s.async[q.ID] = struct{}{}
 	}
-	if !requeue {
-		s.ledger.Arrive(len(qs))
-	}
+	s.ledger.Arrive(len(qs))
 	s.resMu.Unlock()
 
-	if requeue || s.cfg.Mode != loadbalancer.ModeRandomSplit {
+	if s.cfg.Mode != loadbalancer.ModeRandomSplit {
 		// Single-destination admissions (every policy but random
-		// split, and all requeues): push the whole batch under one
-		// pool lock with no per-query routing state or allocation.
-		if !requeue {
-			dest = s.routePool()
-		}
-		p := &s.pools[dest]
+		// split): push the whole batch under one pool lock with no
+		// per-query routing state or allocation.
+		p := &s.pools[s.routePool()]
 		p.mu.Lock()
 		if p.draining {
 			p.mu.Unlock()
@@ -379,10 +356,6 @@ func (s *LBServer) takeResultsInto(max int, resp *ResultsResponse) {
 // is overwritten entirely (an empty pull leaves Queries nil, matching
 // the wire codec's nil-vs-empty normalization).
 func (s *LBServer) PullInto(ctx context.Context, req PullRequest, resp *PullResponse) {
-	if req.Drain {
-		*resp = s.drainPull(req)
-		return
-	}
 	resp.LeaseDeadline, resp.QueuedAt = 0, 0
 	// Keep the caller's query buffer for reuse; empty returns hand back
 	// nil (wire parity) without dropping the capacity they carried in.
@@ -435,49 +408,6 @@ func (s *LBServer) PullInto(ctx context.Context, req PullRequest, resp *PullResp
 	}
 }
 
-// drainPull is the resharding path's ownership transfer (see
-// PullRequest.Drain): it pops up to req.Max queued queries from the
-// pool with no shedding, forgets their async
-// registrations, and hands them to the caller for re-submission to
-// their new owning shard. A query with no live registration was
-// already resolved by a racing drop and is silently discarded —
-// returning it would let the re-submission resolve it a second time.
-func (s *LBServer) drainPull(req PullRequest) PullResponse {
-	max := req.Max
-	if max <= 0 {
-		max = 256
-	}
-	now := s.cfg.Clock.Now()
-	p := &s.pools[poolOf(req.Role)]
-	var resp PullResponse
-	// An empty response means "this pool is drained": a popped round
-	// whose items all turn out non-migratable (already resolved by a
-	// racing drop) must not end the caller's drain loop while queries
-	// still sit in the queue, so keep popping until a round yields
-	// something migratable or the queue is empty.
-	for len(resp.Queries) == 0 {
-		p.mu.Lock()
-		n := p.Len()
-		if n > max {
-			n = max
-		}
-		items := p.Pop(now, n)
-		p.mu.Unlock()
-		if len(items) == 0 {
-			return resp
-		}
-		s.resMu.Lock()
-		for _, it := range items {
-			if _, ok := s.async[it.ID]; ok {
-				delete(s.async, it.ID)
-				resp.Queries = append(resp.Queries, QueryMsg{ID: it.ID, Arrival: it.Arrival})
-			}
-		}
-		s.resMu.Unlock()
-	}
-	return resp
-}
-
 // Complete receives a finished batch: light-pool results are
 // thresholded (serve or defer); heavy-pool results always serve.
 func (s *LBServer) Complete(req CompleteRequest) {
@@ -489,10 +419,10 @@ func (s *LBServer) Complete(req CompleteRequest) {
 	s.clearLeasesLocked(&req)
 	for _, item := range req.Items {
 		// Only live queries resolve or defer: the first resolution is
-		// final, and a completion can reach a shard that never held (or
-		// already migrated away) this query — a zombie's late report, or
-		// a frontend routing an untracked ID by its ring — which must not
-		// enqueue a phantom copy in its heavy pool.
+		// final, and a completion can reach a shard that never held this
+		// query — a zombie's late report, or a frontend routing an
+		// untracked ID to its owner — which must not enqueue a phantom
+		// copy in its heavy pool.
 		if !s.liveLocked(item.ID) {
 			continue
 		}
@@ -653,15 +583,13 @@ func (s *LBServer) collectExpiredLocked(now float64) (requeue [2][]queueing.Item
 
 // settleExpired disposes of a sweep's harvest: redelivery-exhausted
 // queries resolve as drops, the rest re-queue into the pool they were
-// pulled from. This is the same exactly-once shape as the resharding
-// re-submit path (SubmitRequest.Pool): the arrival stamp rides along
-// untouched, nothing is re-counted as an arrival, and — because a
-// reclaim never crosses servers — the async registration is still in
-// place, so no re-registration happens at all. A query whose
-// registration is already gone (resolved by a zombie completion) is
-// skipped rather than re-executed for nobody; a pool already draining
-// for shutdown refuses the push and the queries resolve as drops like
-// any late arrival.
+// pulled from: the arrival stamp rides along untouched, nothing is
+// re-counted as an arrival, and — because a reclaim never crosses
+// servers — the async registration is still in place, so no
+// re-registration happens at all. A query whose registration is
+// already gone (resolved by a zombie completion) is skipped rather than
+// re-executed for nobody; a pool already draining for shutdown refuses
+// the push and the queries resolve as drops like any late arrival.
 func (s *LBServer) settleExpired(requeue [2][]queueing.Item, shed []queueing.Item, now float64) {
 	s.drop(shed)
 	for dest, items := range requeue {

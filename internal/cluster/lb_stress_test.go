@@ -104,7 +104,7 @@ func TestLBServerPerPoolLockStress(t *testing.T) {
 				for i := range qs {
 					qs[i] = QueryMsg{ID: base + b*batchSize + i}
 				}
-				lb.SubmitBatch(qs)
+				lb.SubmitBatchReq(SubmitRequest{Queries: qs})
 			}
 		}(s)
 	}
@@ -229,7 +229,7 @@ func TestLBPoolWakeupStress(t *testing.T) {
 		go func(p int) {
 			defer pushWG.Done()
 			for i := 0; i < perPush; i++ {
-				lb.SubmitBatch([]QueryMsg{{ID: p*perPush + i}})
+				lb.SubmitBatchReq(SubmitRequest{Queries: []QueryMsg{{ID: p*perPush + i}}})
 			}
 		}(p)
 	}
@@ -302,7 +302,7 @@ func TestDrainCompleteRaceNoDoubleResolve(t *testing.T) {
 		for i := range qs {
 			qs[i] = QueryMsg{ID: r*batchSize + i}
 		}
-		lb.SubmitBatch(qs)
+		lb.SubmitBatchReq(SubmitRequest{Queries: qs})
 		// Pull whatever survived the racing drain; everything else
 		// already resolved as a drop.
 		pulledItems := []CompleteItem{}

@@ -8,8 +8,8 @@ import "math"
 // every buffer returned to a pool is first overwritten with sentinel
 // garbage. If any live query still referenced the buffer — a handler
 // that retained a decoded feature slice instead of interning it, a
-// frame payload aliased past its release, a lease reclaim or epoch
-// drain holding a recycled batch — its data turns to poison and the
+// frame payload aliased past its release, a lease reclaim holding a
+// recycled batch — its data turns to poison and the
 // conformance/chaos suites fail loudly instead of silently serving
 // corrupt results. Enable with:
 //

@@ -51,10 +51,10 @@ func TestInternStringBounded(t *testing.T) {
 // (lengths, scalars, and any pointer that may alias shared storage).
 func TestReleaseMessageResets(t *testing.T) {
 	t.Run("submit-request", func(t *testing.T) {
-		m := &SubmitRequest{Pool: "heavy", Queries: make([]QueryMsg, 5, 8)}
+		m := &SubmitRequest{Queries: make([]QueryMsg, 5, 8)}
 		qs := m.Queries
 		ReleaseMessage(m)
-		if m.Pool != "" || len(m.Queries) != 0 {
+		if len(m.Queries) != 0 {
 			t.Fatalf("not reset: %+v", m)
 		}
 		if cap(m.Queries) != cap(qs) {
@@ -111,7 +111,7 @@ func TestReleaseMessageResets(t *testing.T) {
 		}
 	})
 	t.Run("scalar-messages", func(t *testing.T) {
-		pr := &PullRequest{WorkerID: 1, Role: "light", Max: 8, Wait: 2, Drain: true}
+		pr := &PullRequest{WorkerID: 1, Role: "light", Max: 8, Wait: 2}
 		ReleaseMessage(pr)
 		if *pr != (PullRequest{}) {
 			t.Fatalf("PullRequest not zeroed: %+v", pr)

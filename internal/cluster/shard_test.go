@@ -260,7 +260,7 @@ func TestShardedLBStress(t *testing.T) {
 	}
 	// Shard-pinned workers (the multi-host layout)...
 	for s := 0; s < shards; s++ {
-		conn := fe.memberConn(s)
+		conn := fe.cfg.Shards[s]
 		for _, role := range []string{"light", "heavy"} {
 			wg.Add(1)
 			go func(conn LBConn, role string) {
@@ -432,7 +432,7 @@ func TestHarnessShardedTopology(t *testing.T) {
 				Space: f.space, Light: f.light, Heavy: f.heavy, Scorer: f.scorer,
 				Mode: tc.mode, Workers: tc.workers, SLO: 5,
 				Trace: tr, Ctrl: tc.ctrl(tc.workers),
-				// 0.05 like the reshard topology test: at 0.02 a GC pause on
+				// 0.05, not 0.02: at 0.02 a GC pause on
 				// a loaded 1-core box spans multiple trace seconds and sheds
 				// a tail query past the SLO.
 				Timescale: 0.05, Seed: 4242, DisableLoadDelay: true,
@@ -536,6 +536,74 @@ func TestShardedLBStatsCarriesResetCounters(t *testing.T) {
 	}
 	for _, lb := range lbs {
 		lb.DrainRemaining()
+	}
+}
+
+// TestFrontendLeavesNothingTracked is the record-release regression:
+// 50 rounds of submit, pull, complete and poll through a 2-shard
+// frontend, each required to leave no query tracked once its results
+// were returned, with every query resolved exactly once. It holds
+// because land releases a result's record before it publishes the
+// result.
+func TestFrontendLeavesNothingTracked(t *testing.T) {
+	const (
+		rounds    = 50
+		batchSize = 8
+	)
+	_, fe := newTestShards(t, 2, 1e-5, 1e9)
+	ctx := context.Background()
+	if err := fe.Configure(ctx, ConfigureLBRequest{Threshold: 0.5}); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[int]int{}
+	nextID := 0
+	for round := 0; round < rounds; round++ {
+		qs := make([]QueryMsg, batchSize)
+		for i := range qs {
+			qs[i] = QueryMsg{ID: nextID}
+			nextID++
+		}
+		if err := fe.SubmitBatch(ctx, SubmitRequest{Queries: qs}); err != nil {
+			t.Fatalf("round %d: submit: %v", round, err)
+		}
+		resolved := 0
+		deadline := time.Now().Add(20 * time.Second)
+		for resolved < batchSize {
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: drained %d of %d queries", round, resolved, batchSize)
+			}
+			if resp, err := pull(ctx, fe, PullRequest{Role: "light", Max: batchSize, Wait: 5}); err == nil && len(resp.Queries) > 0 {
+				items := make([]CompleteItem, len(resp.Queries))
+				for i, q := range resp.Queries {
+					items[i] = CompleteItem{ID: q.ID, Arrival: q.Arrival, Variant: "light", Confidence: 0.95}
+				}
+				if err := fe.Complete(ctx, CompleteRequest{Role: "light", Items: items}); err != nil {
+					t.Fatalf("round %d: complete: %v", round, err)
+				}
+			}
+			rr, err := pollResults(ctx, fe, ResultsRequest{Max: batchSize, Wait: 5})
+			if err != nil {
+				t.Fatalf("round %d: poll: %v", round, err)
+			}
+			for _, r := range rr.Results {
+				seen[r.ID]++
+				resolved++
+			}
+		}
+		fe.liveMu.Lock()
+		tracked := len(fe.sentTo)
+		fe.liveMu.Unlock()
+		if tracked != 0 {
+			t.Fatalf("round %d left %d queries tracked, want 0", round, tracked)
+		}
+	}
+	if len(seen) != rounds*batchSize {
+		t.Errorf("resolved %d distinct queries, want %d", len(seen), rounds*batchSize)
+	}
+	for id, n := range seen {
+		if n != 1 {
+			t.Errorf("query %d resolved %d times", id, n)
+		}
 	}
 }
 

@@ -303,9 +303,9 @@ func (l lbService) serve(ctx context.Context, method byte, req interface{}, park
 		}
 		return resp, nil
 	case methodPull:
-		// Try first, as above; a drain pull never waits.
+		// Try first, as above.
 		r := *req.(*PullRequest)
-		try := !park && r.Wait > 0 && !r.Drain
+		try := !park && r.Wait > 0
 		if try {
 			r.Wait = 0
 		}

@@ -396,7 +396,7 @@ func TestTCPInlineResponseNotStranded(t *testing.T) {
 		t.Fatalf("first frame back = %+v, %v; want the Configure's response while the pull is parked", f, err)
 	}
 	waitUntil(t, 10*time.Second, "the pull to park", func() bool { return r.probe.parks.Load() == 1 })
-	r.lb.SubmitBatch([]QueryMsg{{ID: 1, Arrival: 0.001}})
+	r.lb.SubmitBatchReq(SubmitRequest{Queries: []QueryMsg{{ID: 1, Arrival: 0.001}}})
 	f, _, err = readFrame(br, nil)
 	if err != nil || f.kind != frameResponse || f.id != 2 {
 		t.Fatalf("second frame back = %+v, %v; want the woken pull's response", f, err)
@@ -432,9 +432,6 @@ func TestTCPTryFirst(t *testing.T) {
 	// Nothing ready, nothing asked to wait: answered empty, inline.
 	if pulled, err = pull(ctx, r.conn, PullRequest{Role: "light", Max: 1}); err != nil || len(pulled.Queries) != 0 {
 		t.Fatalf("zero-wait pull = %+v, %v", pulled, err)
-	}
-	if pulled, err = pull(ctx, r.conn, PullRequest{Role: "light", Max: 1, Wait: 3600, Drain: true}); err != nil || len(pulled.Queries) != 0 {
-		t.Fatalf("drain pull = %+v, %v", pulled, err)
 	}
 	if got := r.probe.parks.Load(); got != 0 {
 		t.Fatalf("%d calls parked with work ready or no wait asked", got)

@@ -95,7 +95,7 @@ func TestPullLongPollCancellable(t *testing.T) {
 
 func TestSubmitBatchResultsRoundTrip(t *testing.T) {
 	lb := newTestLB(0.001)
-	lb.SubmitBatch([]QueryMsg{{ID: 1, Arrival: 0.001}, {ID: 2, Arrival: 0.001}})
+	lb.SubmitBatchReq(SubmitRequest{Queries: []QueryMsg{{ID: 1, Arrival: 0.001}, {ID: 2, Arrival: 0.001}}})
 
 	pulled, _ := pull(context.Background(), NewLocalLBConn(lb), PullRequest{Role: "light", Max: 2, Wait: 5})
 	if len(pulled.Queries) != 2 {
@@ -137,7 +137,7 @@ func TestDrainRefusesLatePushes(t *testing.T) {
 	lb.Configure(ConfigureLBRequest{Threshold: 0.8})
 
 	// A query pulled by a worker while the drain runs...
-	lb.SubmitBatch([]QueryMsg{{ID: 1, Arrival: 0.001}})
+	lb.SubmitBatchReq(SubmitRequest{Queries: []QueryMsg{{ID: 1, Arrival: 0.001}}})
 	pulled, _ := pull(context.Background(), NewLocalLBConn(lb), PullRequest{Role: "light", Max: 1, Wait: 5})
 	if len(pulled.Queries) != 1 {
 		t.Fatalf("pulled %+v", pulled.Queries)
@@ -149,7 +149,7 @@ func TestDrainRefusesLatePushes(t *testing.T) {
 	lb.Complete(CompleteRequest{Role: "light", Items: []CompleteItem{
 		{ID: 1, Arrival: 0.001, Variant: "sdturbo", Confidence: 0.2},
 	}})
-	lb.SubmitBatch([]QueryMsg{{ID: 2, Arrival: 0.002}})
+	lb.SubmitBatchReq(SubmitRequest{Queries: []QueryMsg{{ID: 2, Arrival: 0.002}}})
 
 	got := map[int]bool{}
 	for len(got) < 2 {

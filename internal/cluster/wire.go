@@ -100,17 +100,8 @@ type QueryResponse struct {
 // This is the persistent-connection client data path — one round
 // trip admits a whole arrival batch instead of one blocking request
 // per query.
-//
-// Pool is the resharding migration path's override: "" (normal
-// admission) routes by the configured policy and counts the queries
-// as fresh arrivals; "light" or "heavy" re-queues drained queries
-// into that pool directly — a deferral migrated off a departing
-// shard keeps its place in the cascade instead of re-running the
-// light model — and leaves the arrival counters untouched, since the
-// queries were already counted where they first arrived.
 type SubmitRequest struct {
 	Queries []QueryMsg `json:"queries"`
-	Pool    string     `json:"pool,omitempty"`
 }
 
 // ResultsRequest long-polls for completed (or dropped) query results:
@@ -132,20 +123,11 @@ type ResultsResponse struct {
 // the given pool. A positive Wait turns the pull into a long poll:
 // the server blocks until anything is queued or Wait
 // trace-seconds pass, which replaces client-side sleep-and-retry.
-//
-// Drain flips the pull into an ownership transfer used by the
-// resharding path: the server pops up to Max queued queries without
-// shedding and forgets their async registrations, so
-// the caller becomes responsible for re-submitting them (to their
-// new owning shard). Queries already resolved by a racing drop are
-// not returned at all, which is what keeps migration
-// double-resolve-free.
 type PullRequest struct {
 	WorkerID int     `json:"worker_id"`
 	Role     string  `json:"role"` // "light" or "heavy"
 	Max      int     `json:"max"`
 	Wait     float64 `json:"wait,omitempty"` // trace seconds
-	Drain    bool    `json:"drain,omitempty"`
 }
 
 // PullResponse carries the dequeued work.
@@ -228,8 +210,8 @@ type WorkerStats struct {
 // the redelivery bound, and LateCompletions the lifetime count of
 // completion items reported by a worker whose lease had already been
 // reclaimed. DegradedShards is only set by the sharded frontend's
-// merged report: the number of shards currently marked unreachable —
-// a nonzero value is an operator's cue to reshard around them.
+// merged report: the number of shards currently marked unreachable,
+// whose new submits spill to the next shard.
 type LBStats struct {
 	Now               float64 `json:"now"` // trace time, seconds
 	LightQueueLen     int     `json:"light_queue_len"`

@@ -57,9 +57,9 @@ type Config struct {
 	// ClusterLBShards runs SimVsCluster's cluster side through the
 	// sharded LB tier with this many shards (0 or 1: single LB). With
 	// shards the experiment also replays a deterministic static trace
-	// through the single-LB, static-sharded, and mid-trace-resharded
-	// (N -> N+1 shards) topologies and reports the completed/dropped
-	// parity between them.
+	// through the single-LB and sharded topologies (N shards, and 7
+	// workers across 3) and reports the completed/dropped parity
+	// between them.
 	ClusterLBShards int
 }
 

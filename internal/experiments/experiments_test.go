@@ -254,16 +254,11 @@ func TestSimVsClusterShardedTCP(t *testing.T) {
 			p.SingleCompleted, p.SingleDropped, p.Queries)
 	}
 	if !p.Matches() {
-		t.Errorf("sharded topologies diverged from single LB: single %d/%d, sharded %d/%d, resharded %d/%d (completed/dropped)",
-			p.SingleCompleted, p.SingleDropped, p.ShardedCompleted, p.ShardedDropped,
-			p.ReshardCompleted, p.ReshardDropped)
+		t.Errorf("sharded topologies diverged from single LB: single %d/%d, sharded %d/%d (completed/dropped)",
+			p.SingleCompleted, p.SingleDropped, p.ShardedCompleted, p.ShardedDropped)
 	}
 	if p.SingleDropped != 0 {
 		t.Errorf("parity trace dropped %d queries under light load", p.SingleDropped)
-	}
-	if p.ReshardCompleted != p.Queries || p.ReshardDropped != 0 {
-		t.Errorf("2->3-shard mid-trace reshard lost queries: %d completed / %d dropped of %d",
-			p.ReshardCompleted, p.ReshardDropped, p.Queries)
 	}
 	if p.UnevenWorkers != 7 || p.UnevenShards != 3 {
 		t.Errorf("uneven leg ran %d workers / %d shards, want 7 / 3", p.UnevenWorkers, p.UnevenShards)

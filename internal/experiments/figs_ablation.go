@@ -263,22 +263,16 @@ type SimVsClusterResult struct {
 	ShardParity *ShardParity
 }
 
-// ShardParity reports completed/dropped counts of the single-LB,
-// static-sharded, and mid-trace-resharded replays of one
-// deterministic trace. Under ample capacity the outcome set is
-// timing-insensitive, so the counts must agree exactly: the
-// partitioned query stream — even across a mid-trace membership change
-// — reaches the same completions and the same (zero) drops the single
-// balancer produces.
+// ShardParity reports completed/dropped counts of the single-LB and
+// sharded replays of one deterministic trace. Under ample capacity the
+// outcome set is timing-insensitive, so the counts must agree exactly:
+// the partitioned query stream reaches the same completions and the
+// same (zero) drops the single balancer produces.
 type ShardParity struct {
 	Shards                           int
 	Queries                          int
 	SingleCompleted, SingleDropped   int
 	ShardedCompleted, ShardedDropped int
-	// Reshard* is the mid-trace resharding leg: the run starts with
-	// Shards shards and adds one more at half-trace, so the counts
-	// cover an epoch flip under in-flight queries.
-	ReshardCompleted, ReshardDropped int
 	// Uneven* is the non-divisible leg: UnevenWorkers workers across
 	// UnevenShards shards (7 across 3), a worker count the shard count
 	// does not divide. Every worker pulls from every shard, so the
@@ -289,12 +283,10 @@ type ShardParity struct {
 	UnevenCompleted, UnevenDropped             int
 }
 
-// Matches reports whether the sharded topologies — static,
-// mid-trace-resharded, and uneven — reproduced their
-// single-LB outcome counts.
+// Matches reports whether the sharded topologies — static and uneven —
+// reproduced their single-LB outcome counts.
 func (p *ShardParity) Matches() bool {
 	return p.SingleCompleted == p.ShardedCompleted && p.SingleDropped == p.ShardedDropped &&
-		p.SingleCompleted == p.ReshardCompleted && p.SingleDropped == p.ReshardDropped &&
 		p.UnevenSingleCompleted == p.UnevenCompleted && p.UnevenSingleDropped == p.UnevenDropped
 }
 
@@ -383,13 +375,11 @@ func SimVsCluster(cfg Config) (*SimVsClusterResult, error) {
 }
 
 // shardParityRuns replays one deterministic lightly loaded static
-// trace through the single-LB, the static-sharded, and the mid-trace
-// resharded (N -> N+1 shards) cluster topologies at the same seed.
-// With ample capacity the outcome set is timing-insensitive, so the
-// completed/dropped counts must agree exactly — the tier's validation
-// that ShardOf partitioning (with per-shard "lb/<shard>" RNG streams)
-// loses and invents nothing, including across an epoch flip while the
-// trace is in flight.
+// trace through the single-LB and the sharded cluster topologies at the
+// same seed. With ample capacity the outcome set is timing-insensitive,
+// so the completed/dropped counts must agree exactly — the tier's
+// validation that ShardOf partitioning (with per-shard "lb/<shard>" RNG
+// streams) loses and invents nothing.
 func shardParityRuns(cfg Config, env *baselines.Env, timescale float64) (*ShardParity, error) {
 	// 4 QPS leaves the workers comfortable capacity headroom in every
 	// leg, so no tail query sheds right at the SLO boundary on
@@ -410,7 +400,7 @@ func shardParityRuns(cfg Config, env *baselines.Env, timescale float64) (*ShardP
 		timescale = 0.08
 	}
 	out := &ShardParity{Shards: cfg.ClusterLBShards}
-	run := func(workers, shards int, reshard []cluster.ReshardEvent) (completed, dropped int, err error) {
+	run := func(workers, shards int) (completed, dropped int, err error) {
 		a, err := allocator.NewMILP(allocator.Config{
 			Light: env.Light, Heavy: env.Heavy,
 			DiscPerImage: env.Scorer.PerImageLatency(),
@@ -430,7 +420,7 @@ func shardParityRuns(cfg Config, env *baselines.Env, timescale float64) (*ShardP
 			Mode: loadbalancer.ModeCascade, Workers: workers, SLO: env.Spec.SLOSeconds,
 			Trace: tr, Ctrl: ctrl, Timescale: timescale, Seed: env.Seed + 23,
 			DisableLoadDelay: true, Transport: cfg.ClusterTransport,
-			LBShards: shards, Reshard: reshard,
+			LBShards: shards,
 		})
 		if err != nil {
 			return 0, 0, err
@@ -445,19 +435,10 @@ func shardParityRuns(cfg Config, env *baselines.Env, timescale float64) (*ShardP
 		}
 		return completed, dropped, nil
 	}
-	if out.SingleCompleted, out.SingleDropped, err = run(parityWorkers, 1, nil); err != nil {
+	if out.SingleCompleted, out.SingleDropped, err = run(parityWorkers, 1); err != nil {
 		return nil, err
 	}
-	if out.ShardedCompleted, out.ShardedDropped, err = run(parityWorkers, cfg.ClusterLBShards, nil); err != nil {
-		return nil, err
-	}
-	// Resharding leg: grow by one shard at half trace — the epoch flip
-	// happens while queries are in flight, and the outcome counts must
-	// still be the single-LB counts.
-	reshard := []cluster.ReshardEvent{
-		{At: parityDuration / 2, Action: "add", Member: cfg.ClusterLBShards},
-	}
-	if out.ReshardCompleted, out.ReshardDropped, err = run(parityWorkers, cfg.ClusterLBShards, reshard); err != nil {
+	if out.ShardedCompleted, out.ShardedDropped, err = run(parityWorkers, cfg.ClusterLBShards); err != nil {
 		return nil, err
 	}
 	// Uneven leg: 7 workers across 3 shards, a count the shard count
@@ -465,10 +446,10 @@ func shardParityRuns(cfg Config, env *baselines.Env, timescale float64) (*ShardP
 	// baseline (capacity differs from the 9-worker legs above).
 	const unevenWorkers, unevenShards = 7, 3
 	out.UnevenWorkers, out.UnevenShards = unevenWorkers, unevenShards
-	if out.UnevenSingleCompleted, out.UnevenSingleDropped, err = run(unevenWorkers, 1, nil); err != nil {
+	if out.UnevenSingleCompleted, out.UnevenSingleDropped, err = run(unevenWorkers, 1); err != nil {
 		return nil, err
 	}
-	if out.UnevenCompleted, out.UnevenDropped, err = run(unevenWorkers, unevenShards, nil); err != nil {
+	if out.UnevenCompleted, out.UnevenDropped, err = run(unevenWorkers, unevenShards); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -491,9 +472,8 @@ func (r *SimVsClusterResult) Render(w io.Writer) {
 		if !p.Matches() {
 			verdict = "MISMATCH"
 		}
-		fmt.Fprintf(w, "shard parity (%d queries, static trace): single LB %d completed / %d dropped, %d shards %d completed / %d dropped, %d->%d shards mid-trace %d completed / %d dropped — %s\n",
-			p.Queries, p.SingleCompleted, p.SingleDropped, p.Shards, p.ShardedCompleted, p.ShardedDropped,
-			p.Shards, p.Shards+1, p.ReshardCompleted, p.ReshardDropped, verdict)
+		fmt.Fprintf(w, "shard parity (%d queries, static trace): single LB %d completed / %d dropped, %d shards %d completed / %d dropped — %s\n",
+			p.Queries, p.SingleCompleted, p.SingleDropped, p.Shards, p.ShardedCompleted, p.ShardedDropped, verdict)
 		if p.UnevenWorkers > 0 {
 			fmt.Fprintf(w, "uneven parity (%d workers / %d shards): single LB %d completed / %d dropped, sharded %d completed / %d dropped\n",
 				p.UnevenWorkers, p.UnevenShards, p.UnevenSingleCompleted, p.UnevenSingleDropped,

@@ -59,13 +59,8 @@ func (m Mode) String() string {
 // assignment is identical across processes, transports, and runs —
 // every component (frontend, workers, tests) that needs to know which
 // LB shard owns a query computes it locally with no coordination.
-// shards <= 1 always maps to shard 0.
-//
-// Ring compatibility: Ring applies ShardOf to the index of a sorted
-// member list, so a tier whose membership changes at runtime keeps
-// this placement: over members 0..n-1 Ring.Owner(id) is ShardOf(id, n).
-// Changing the shard count remaps most IDs, which costs nothing — a
-// query already queued stays where it was sent.
+// shards <= 1 always maps to shard 0. A degraded owner's new submits
+// spill to shard (ShardOf(id, shards)+1) % shards.
 func ShardOf(id, shards int) int {
 	if shards <= 1 {
 		return 0

@@ -21,8 +21,8 @@ GOOS=darwin GOARCH=arm64 go build ./...
 make loc
 go test ./...
 # Every race-detector leg — the cluster data path, the sharded
-# frontend, the tcp transport's posted calls, reshard, the chaos soak,
-# shard placement, solver and allocator, and the poolpoison build — and
+# frontend, the tcp transport's posted calls, the chaos soak, shard
+# placement, solver and allocator, and the poolpoison build — and
 # the poolpoison suite without the detector. The legs and what each is
 # for are listed once, in the Makefile.
 make race poison-test
