@@ -19,8 +19,9 @@ vet:
 	$(GO) vet ./...
 
 # lint runs the diffvet static-analysis suite (internal/analysis):
-# codecparity, poolownership, walltime, and globalrand. Exit 1 on any
-# finding; suppress only with //diffvet:allow <analyzer> — <reason>.
+# codecparity, deadcode, poolownership, walltime, and globalrand.
+# Exit 1 on any finding; suppress only with
+# //diffvet:allow <analyzer> — <reason>.
 .PHONY: lint
 lint:
 	$(GO) run ./cmd/diffvet ./...

@@ -193,25 +193,13 @@ func BenchmarkAllocatorMILPVsGrid(b *testing.B) {
 }
 
 // BenchmarkFIDExactVsDiagonal_Exact measures the exact full-covariance
-// FID over a 5000-image set (the design-choice ablation's exact arm;
-// see also the micro-benchmarks in internal/fid).
+// FID over a 5000-image set (see also the micro-benchmarks in
+// internal/fid).
 func BenchmarkFIDExactVsDiagonal_Exact(b *testing.B) {
 	ref, feats := fidFixture(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ref.Score(feats); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFIDExactVsDiagonal_Diagonal measures the diagonal
-// approximation on the same set.
-func BenchmarkFIDExactVsDiagonal_Diagonal(b *testing.B) {
-	ref, feats := fidFixture(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ref.ScoreDiagonal(feats); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -49,6 +49,15 @@ func main() {
 	if *shards < 1 {
 		fatal(fmt.Errorf("-lb-shards must be at least 1, got %d", *shards))
 	}
+	lbMode, ok := map[string]loadbalancer.Mode{
+		"cascade":      loadbalancer.ModeCascade,
+		"all-light":    loadbalancer.ModeAllLight,
+		"all-heavy":    loadbalancer.ModeAllHeavy,
+		"random-split": loadbalancer.ModeRandomSplit,
+	}[*mode]
+	if !ok {
+		fatal(fmt.Errorf("unknown -mode %q: want cascade, all-light, all-heavy or random-split", *mode))
+	}
 	env, err := baselines.NewEnv(*cascadeN, *seed, 2000)
 	if err != nil {
 		fatal(err)
@@ -57,13 +66,6 @@ func main() {
 	if *slo > 0 {
 		deadline = *slo
 	}
-	lbMode := map[string]loadbalancer.Mode{
-		"cascade":      loadbalancer.ModeCascade,
-		"all-light":    loadbalancer.ModeAllLight,
-		"all-heavy":    loadbalancer.ModeAllHeavy,
-		"random-split": loadbalancer.ModeRandomSplit,
-	}[*mode]
-
 	clock := cluster.NewClock(*timescale)
 	fmt.Printf("diffserve-lb: %s, %d shard(s) from port %d (cascade %s, SLO %.1fs, mode %s)\n",
 		env.Spec.Name, *shards, *port, *cascadeN, deadline, *mode)

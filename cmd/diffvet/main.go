@@ -7,8 +7,9 @@
 //
 //	go run ./cmd/diffvet [-C dir] [-only name[,name...]] [-list] [patterns...]
 //
-// Patterns default to ./... . Exit status: 0 clean, 1 findings, 2
-// operational error. Findings print as
+// Patterns default to ./... ; deadcode reads the whole module whatever
+// they match. Exit status: 0 clean, 1 findings, 2 operational error.
+// Findings print as
 //
 //	path/file.go:line:col: message (diffvet/analyzer)
 //
@@ -23,11 +24,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 
 	"diffserve/internal/analysis"
 	"diffserve/internal/analysis/codecparity"
+	"diffserve/internal/analysis/deadcode"
 	"diffserve/internal/analysis/globalrand"
 	"diffserve/internal/analysis/poolownership"
 	"diffserve/internal/analysis/walltime"
@@ -36,6 +39,7 @@ import (
 // analyzers is the full suite, in report order.
 var analyzers = []*analysis.Analyzer{
 	codecparity.Analyzer,
+	deadcode.Analyzer,
 	globalrand.Analyzer,
 	poolownership.Analyzer,
 	walltime.Analyzer,
@@ -83,8 +87,14 @@ func run(args []string) int {
 		patterns = []string{"./..."}
 	}
 
+	// The whole module first: deadcode reads all of it, and the
+	// patterns' packages are then the module's own.
 	loader := &analysis.Loader{Dir: *dir}
-	pkgs, err := loader.Load(patterns...)
+	module, err := loader.LoadModule()
+	var pkgs []*analysis.Package
+	if err == nil {
+		pkgs, err = loader.Load(patterns...)
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "diffvet: %v\n", err)
 		return 2
@@ -92,17 +102,31 @@ func run(args []string) int {
 	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].ImportPath < pkgs[j].ImportPath })
 
 	findings := 0
+	dirs := map[string]bool{}
+	report := func(diags []analysis.Diagnostic) {
+		for _, d := range diags {
+			if pos := loader.Fset().Position(d.Pos); dirs[filepath.Dir(pos.Filename)] {
+				fmt.Printf("%s: %s (diffvet/%s)\n", pos, d.Message, d.Analyzer)
+				findings++
+			}
+		}
+	}
 	for _, pkg := range pkgs {
+		dirs[pkg.Dir] = true
 		diags, err := analysis.RunPackage(pkg, suite)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "diffvet: %s: %v\n", pkg.ImportPath, err)
 			return 2
 		}
-		for _, d := range diags {
-			pos := pkg.Fset.Position(d.Pos)
-			fmt.Printf("%s: %s (diffvet/%s)\n", pos, d.Message, d.Analyzer)
-			findings++
+		report(diags)
+	}
+	for _, a := range suite {
+		diags, err := analysis.RunModule(module, a)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "diffvet: %v\n", err)
+			return 2
 		}
+		report(diags)
 	}
 	if findings > 0 {
 		fmt.Fprintf(os.Stderr, "diffvet: %d finding(s)\n", findings)

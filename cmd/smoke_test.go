@@ -195,3 +195,32 @@ func TestLBShardPortTaken(t *testing.T) {
 		t.Errorf("diffserve-lb's error does not name shard 1:\n%s", out)
 	}
 }
+
+// TestLBRejectsUnknownMode: a mistyped -mode must stop diffserve-lb and
+// name the valid modes, not fall back to cascade routing.
+func TestLBRejectsUnknownMode(t *testing.T) {
+	bin := build(t, "diffserve-lb")
+	out := new(output)
+	lb := command(filepath.Join(bin, "diffserve-lb"), "-port", fmt.Sprint(freePort(t)), "-mode", "bogus")
+	lb.Stderr = out
+	if err := lb.Start(); err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan error, 1)
+	go func() { exited <- lb.Wait() }()
+	select {
+	case err := <-exited:
+		if err == nil {
+			t.Fatal("diffserve-lb exited 0 with -mode bogus")
+		}
+	case <-time.After(10 * time.Second):
+		lb.Process.Kill()
+		<-exited
+		t.Fatalf("diffserve-lb still running 10 s after start with -mode bogus:\n%s", out)
+	}
+	for _, m := range []string{"cascade", "all-light", "all-heavy", "random-split"} {
+		if !strings.Contains(out.String(), m) {
+			t.Errorf("diffserve-lb's error does not name mode %s:\n%s", m, out)
+		}
+	}
+}

@@ -256,7 +256,7 @@
 // the next shard, (owner+1) mod N, the state surfaces through merged Stats
 // (DegradedShards), and the first
 // successful probe un-degrades it. A controller blinded by stats-poll
-// failures for MaxStatsMisses ticks fails over to a conservative plan
+// failures for three consecutive ticks fails over to a conservative plan
 // (threshold zero — light-only routing — with the worker layout kept)
 // until polls recover.
 //
@@ -311,7 +311,7 @@
 // cluster.Clock, and randomness must flow from seeded per-component
 // streams rather than the global math/rand source. diffvet
 // (cmd/diffvet, `make lint`, the CI lint job) enforces them
-// mechanically with four analyzers built on internal/analysis, a
+// mechanically with five analyzers built on internal/analysis, a
 // self-contained, stdlib-only framework in the shape of
 // golang.org/x/tools/go/analysis:
 //
@@ -329,6 +329,8 @@
 //     explicitly annotated sites.
 //   - globalrand: no global math/rand draws anywhere in the module —
 //     determinism and sim-vs-cluster parity depend on seeded streams.
+//   - deadcode: no declaration under internal/ that only tests use;
+//     TestDeadcodeAllowsPinned lists the keepers.
 //
 // Any finding fails the build. The escape hatch is a same-line or
 // line-above comment with a mandatory reason,

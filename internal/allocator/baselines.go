@@ -19,7 +19,6 @@ type ClipperAllocator struct {
 	heavy   bool
 	workers int
 	slo     float64
-	disc    float64
 }
 
 // NewClipper builds a Clipper baseline. heavy selects whether the
@@ -145,16 +144,8 @@ func (a *ProteusAllocator) Allocate(obs Observation) (Plan, error) {
 
 // StaticAllocator returns a fixed plan on every call: the
 // DiffServe-Static baseline (provisioned for peak, query-aware but
-// never adapting) or any other frozen configuration.
-type StaticAllocator struct {
-	name string
-	plan Plan
-}
-
-// NewStatic wraps a fixed plan.
-func NewStatic(name string, plan Plan) *StaticAllocator {
-	return &StaticAllocator{name: name, plan: plan}
-}
+// never adapting).
+type StaticAllocator struct{ plan Plan }
 
 // NewDiffServeStatic builds the paper's DiffServe-Static baseline:
 // query-aware (cascade + discriminator) but frozen. Worker allocation
@@ -209,14 +200,11 @@ func NewDiffServeStatic(cfg Config, peakDemand, deferTarget float64) (*StaticAll
 	if bestHeavyCap < 0 {
 		best = bestEffortPlan(&c)
 	}
-	return &StaticAllocator{name: "diffserve-static", plan: best}, nil
+	return &StaticAllocator{plan: best}, nil
 }
 
 // Name implements Allocator.
-func (a *StaticAllocator) Name() string { return a.name }
-
-// Plan returns the frozen plan.
-func (a *StaticAllocator) Plan() Plan { return a.plan }
+func (a *StaticAllocator) Name() string { return "diffserve-static" }
 
 // Allocate implements Allocator.
 func (a *StaticAllocator) Allocate(Observation) (Plan, error) { return a.plan, nil }

@@ -36,11 +36,13 @@ type Analyzer struct {
 	// pass.Report. The returned error aborts the whole run (reserved
 	// for internal analyzer failures, not findings).
 	Run func(pass *Pass) error
+	// RunModule, set instead of Run, sees every package of the module
+	// at once (deadcode needs the whole module's uses).
+	RunModule func(pass *ModulePass) error
 }
 
 // A Pass carries one type-checked package to one analyzer.
 type Pass struct {
-	Analyzer  *Analyzer
 	Fset      *token.FileSet
 	Files     []*ast.File
 	Pkg       *types.Package
@@ -49,6 +51,15 @@ type Pass struct {
 	// filtering afterwards, so analyzers never need to check for
 	// escapes themselves.
 	Report func(Diagnostic)
+}
+
+// A ModulePass carries every package of the module to one analyzer.
+// Allowed reports whether an allow directive for the analyzer covers
+// pos, so it can widen a directive's reach (a type's to its methods).
+type ModulePass struct {
+	Pkgs    []*Package
+	Report  func(Diagnostic)
+	Allowed func(pos token.Pos) bool
 }
 
 // Reportf formats and reports a diagnostic at pos.
@@ -72,9 +83,11 @@ func RunPackage(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var out []Diagnostic
 	out = append(out, allowDiags...)
 	for _, a := range analyzers {
+		if a.Run == nil {
+			continue
+		}
 		var diags []Diagnostic
 		pass := &Pass{
-			Analyzer:  a,
 			Fset:      pkg.Fset,
 			Files:     pkg.Files,
 			Pkg:       pkg.Types,
@@ -97,5 +110,34 @@ func RunPackage(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 		}
 		return out[i].Analyzer < out[j].Analyzer
 	})
+	return out, nil
+}
+
+// RunModule runs a module-level analyzer over pkgs, every package of
+// the module, and returns its diagnostics that no allow directive
+// suppresses (none for a per-package analyzer). Malformed directives
+// are RunPackage's to report.
+func RunModule(pkgs []*Package, a *Analyzer) ([]Diagnostic, error) {
+	if a.RunModule == nil {
+		return nil, nil
+	}
+	var files []*ast.File
+	for _, p := range pkgs {
+		files = append(files, p.Files...)
+	}
+	fset := pkgs[0].Fset
+	allows, _ := collectAllows(fset, files)
+	var out []Diagnostic
+	pass := &ModulePass{Pkgs: pkgs}
+	pass.Allowed = func(pos token.Pos) bool { return allows.suppresses(fset, a.Name, pos) }
+	pass.Report = func(d Diagnostic) {
+		if !pass.Allowed(d.Pos) {
+			d.Analyzer = a.Name
+			out = append(out, d)
+		}
+	}
+	if err := a.RunModule(pass); err != nil {
+		return nil, fmt.Errorf("%s: %w", a.Name, err)
+	}
 	return out, nil
 }

@@ -115,8 +115,8 @@ func TestLoaderLoadsModulePackage(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	if len(pkgs) < 5 {
-		t.Fatalf("Load returned %d packages, want the framework plus four analyzers", len(pkgs))
+	if len(pkgs) < 6 {
+		t.Fatalf("Load returned %d packages, want the framework plus five analyzers", len(pkgs))
 	}
 	for _, p := range pkgs {
 		if p.Types == nil || p.TypesInfo == nil {

@@ -32,33 +32,50 @@ var wantRe = regexp.MustCompile("// want `([^`]*)`")
 // package's directory, t.Chdir-independent) for each named fixture
 // package and checks a's diagnostics against the fixtures' want
 // comments. It returns the diagnostics per package for tests that
-// assert beyond the want matching.
+// assert beyond the want matching. A module-level analyzer sees all the
+// named packages at once; a fixture may import one named before it.
+//
+//diffvet:allow deadcode — the analyzers' fixture harness; only their tests call it
 func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgs ...string) map[string][]analysis.Diagnostic {
 	t.Helper()
 	loader := &analysis.Loader{Dir: dir}
-	out := map[string][]analysis.Diagnostic{}
+	srcRoot := filepath.Join(dir, "testdata", "src")
+	var loaded []*analysis.Package
 	for _, pkg := range pkgs {
-		fixDir := filepath.Join(dir, "testdata", "src", pkg)
-		if err := ensureImports(loader, fixDir); err != nil {
+		fixDir := filepath.Join(srcRoot, pkg)
+		if err := ensureImports(loader, srcRoot, fixDir); err != nil {
 			t.Fatalf("%s: resolving fixture imports: %v", pkg, err)
 		}
-		loaded, err := loader.LoadDir(fixDir)
+		p, err := loader.LoadDir(fixDir)
 		if err != nil {
 			t.Fatalf("%s: loading fixture: %v", pkg, err)
 		}
-		diags, err := analysis.RunPackage(loaded, []*analysis.Analyzer{a})
+		loaded = append(loaded, p)
+	}
+	moduleDiags, err := analysis.RunModule(loaded, a)
+	if err != nil {
+		t.Fatalf("running %s: %v", a.Name, err)
+	}
+	out := map[string][]analysis.Diagnostic{}
+	for i, p := range loaded {
+		diags, err := analysis.RunPackage(p, []*analysis.Analyzer{a})
 		if err != nil {
-			t.Fatalf("%s: running %s: %v", pkg, a.Name, err)
+			t.Fatalf("%s: running %s: %v", pkgs[i], a.Name, err)
 		}
-		out[pkg] = diags
-		check(t, loaded.Fset, fixDir, diags)
+		for _, d := range moduleDiags {
+			if filepath.Dir(p.Fset.Position(d.Pos).Filename) == p.Dir {
+				diags = append(diags, d)
+			}
+		}
+		out[pkgs[i]] = diags
+		check(t, p.Fset, p.Dir, diags)
 	}
 	return out
 }
 
 // ensureImports pre-resolves export data for everything the fixture
-// files import.
-func ensureImports(loader *analysis.Loader, fixDir string) error {
+// files import, other than sibling fixture packages under srcRoot.
+func ensureImports(loader *analysis.Loader, srcRoot, fixDir string) error {
 	ents, err := os.ReadDir(fixDir)
 	if err != nil {
 		return err
@@ -76,6 +93,9 @@ func ensureImports(loader *analysis.Loader, fixDir string) error {
 		}
 		for _, imp := range f.Imports {
 			path := strings.Trim(imp.Path.Value, `"`)
+			if _, err := os.Stat(filepath.Join(srcRoot, path)); err == nil {
+				continue
+			}
 			if !seen[path] {
 				seen[path] = true
 				imports = append(imports, path)

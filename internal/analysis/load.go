@@ -13,6 +13,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 )
 
 // A Package is one loaded, type-checked package: the unit RunPackage
@@ -30,17 +31,18 @@ type Package struct {
 // A Loader type-checks packages against compiler export data produced
 // by `go list -export`, so loading needs no network and no external
 // modules: in-module packages are parsed from source, while every
-// dependency (stdlib included) is imported from its cached export
+// other dependency (stdlib included) is imported from its cached export
 // file. One Loader shares a FileSet and an importer cache across all
-// the packages it loads.
+// the packages it loads; later packages import the ones it parsed.
 type Loader struct {
 	// Dir is the directory `go list` runs in (anywhere inside the
 	// module). Defaults to the current directory.
 	Dir string
 
 	fset    *token.FileSet
-	exports map[string]string // import path -> export data file
-	imp     types.ImporterFrom
+	exports map[string]string   // import path -> export data file
+	source  map[string]*Package // import path -> package parsed from source
+	gc      types.Importer
 }
 
 // listedPkg is the subset of `go list -json` output the loader needs.
@@ -54,9 +56,8 @@ type listedPkg struct {
 }
 
 // Load lists patterns (e.g. "./...") with export data and returns the
-// matched packages parsed from source and type-checked. Dependencies
-// are resolved from export data only, so each package loads
-// independently of the others' source.
+// matched packages parsed from source and type-checked (once per
+// Loader). Unmatched dependencies are resolved from export data.
 func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -70,19 +71,32 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 		if p.DepOnly || len(p.GoFiles) == 0 {
 			continue
 		}
-		pkg, err := l.loadSource(p.ImportPath, p.Dir, p.GoFiles)
-		if err != nil {
-			return nil, err
+		pkg := l.source[p.ImportPath]
+		if pkg == nil {
+			if pkg, err = l.loadSource(p.ImportPath, p.Dir, p.GoFiles); err != nil {
+				return nil, err
+			}
 		}
 		pkgs = append(pkgs, pkg)
 	}
 	return pkgs, nil
 }
 
+// LoadModule loads every package of the module containing Dir.
+func (l *Loader) LoadModule() ([]*Package, error) {
+	cmd := exec.Command("go", "list", "-m")
+	cmd.Dir = l.Dir
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("analysis: go list -m: %v", err)
+	}
+	return l.Load(strings.TrimSpace(string(out)) + "/...")
+}
+
 // LoadDir parses and type-checks the .go files of one directory that
 // is not necessarily part of a module (analysistest fixture packages).
-// Imports must resolve through export data, so the harness first calls
-// EnsureExports for everything the fixtures import.
+// Imports resolve to packages loaded earlier or else through export
+// data, so the harness first calls EnsureExports for the rest.
 func (l *Loader) LoadDir(dir string) (*Package, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -154,8 +168,13 @@ func (l *Loader) Fset() *token.FileSet {
 	return l.fset
 }
 
-func (l *Loader) importer() types.ImporterFrom {
-	if l.imp == nil {
+// Import implements types.Importer: a package the loader parsed from
+// source, else export data.
+func (l *Loader) Import(path string) (*types.Package, error) {
+	if p := l.source[path]; p != nil {
+		return p.Types, nil
+	}
+	if l.gc == nil {
 		lookup := func(path string) (io.ReadCloser, error) {
 			file, ok := l.exports[path]
 			if !ok {
@@ -163,9 +182,9 @@ func (l *Loader) importer() types.ImporterFrom {
 			}
 			return os.Open(file)
 		}
-		l.imp = importer.ForCompiler(l.Fset(), "gc", lookup).(types.ImporterFrom)
+		l.gc = importer.ForCompiler(l.Fset(), "gc", lookup)
 	}
-	return l.imp
+	return l.gc.Import(path)
 }
 
 // loadSource parses the named files in dir and type-checks them as one
@@ -180,7 +199,14 @@ func (l *Loader) loadSource(importPath, dir string, fileNames []string) (*Packag
 		}
 		files = append(files, f)
 	}
-	return l.TypeCheck(importPath, dir, files)
+	pkg, err := l.TypeCheck(importPath, dir, files)
+	if err == nil {
+		if l.source == nil {
+			l.source = map[string]*Package{}
+		}
+		l.source[importPath] = pkg
+	}
+	return pkg, err
 }
 
 // TypeCheck type-checks already-parsed files (from the loader's own
@@ -195,7 +221,7 @@ func (l *Loader) TypeCheck(importPath, dir string, files []*ast.File) (*Package,
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 		Implicits:  map[ast.Node]types.Object{},
 	}
-	conf := types.Config{Importer: l.importer()}
+	conf := types.Config{Importer: l}
 	tpkg, err := conf.Check(importPath, l.Fset(), files, info)
 	if err != nil {
 		return nil, fmt.Errorf("analysis: typecheck %s: %v", importPath, err)

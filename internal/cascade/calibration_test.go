@@ -96,7 +96,7 @@ func TestCalibrationReport(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("%s easy fraction = %.3f", spec.Name, c.EasyFraction(queries))
+		t.Logf("%s easy fraction = %.3f", spec.Name, easyFraction(c, queries))
 	}
 
 	// FID-vs-deferral curves for cascade 1 under each scorer.

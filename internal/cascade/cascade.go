@@ -140,94 +140,3 @@ func (p *DeferralProfile) ThresholdForFraction(f float64) float64 {
 	}
 	return p.sortedConfs[i]
 }
-
-// Thresholds returns an ascending grid of m candidate thresholds that
-// uniformly spans deferral fractions (0, 1), suitable as the MILP's
-// discretized threshold variable.
-func (p *DeferralProfile) Thresholds(m int) []float64 {
-	if m <= 0 {
-		return nil
-	}
-	ts := make([]float64, m)
-	for i := 0; i < m; i++ {
-		f := float64(i+1) / float64(m+1)
-		ts[i] = p.ThresholdForFraction(f)
-	}
-	return ts
-}
-
-// Len returns the number of calibration samples behind the profile.
-func (p *DeferralProfile) Len() int { return len(p.sortedConfs) }
-
-// OnlineDeferral blends an offline profile with live observations of
-// (threshold, deferred?) pairs, as the controller sees them. As the
-// paper notes, f(t) is "initialized through offline profiling and
-// updated during model serving as t changes".
-type OnlineDeferral struct {
-	offline *DeferralProfile
-	// recent holds the most recent observed confidences in a ring.
-	recent []float64
-	next   int
-	filled bool
-	// minObservations gates switching from offline to blended mode.
-	minObservations int
-}
-
-// NewOnlineDeferral wraps an offline profile with an observation
-// window of the given capacity.
-func NewOnlineDeferral(offline *DeferralProfile, window int) *OnlineDeferral {
-	if window <= 0 {
-		window = 512
-	}
-	return &OnlineDeferral{offline: offline, recent: make([]float64, window), minObservations: window / 4}
-}
-
-// Observe records a live confidence score.
-func (o *OnlineDeferral) Observe(conf float64) {
-	o.recent[o.next] = conf
-	o.next++
-	if o.next == len(o.recent) {
-		o.next = 0
-		o.filled = true
-	}
-}
-
-// Fraction returns the blended deferral fraction estimate at t: the
-// offline estimate until enough observations arrive, then the mean of
-// the offline and live empirical fractions.
-func (o *OnlineDeferral) Fraction(t float64) float64 {
-	n := o.next
-	if o.filled {
-		n = len(o.recent)
-	}
-	if n < o.minObservations {
-		return o.offline.Fraction(t)
-	}
-	below := 0
-	for i := 0; i < n; i++ {
-		if o.recent[i] < t {
-			below++
-		}
-	}
-	live := float64(below) / float64(n)
-	return 0.5*o.offline.Fraction(t) + 0.5*live
-}
-
-// EasyFraction returns the fraction of queries for which the light
-// variant's image quality is at least as good as the heavy variant's
-// (ground-truth artifact comparison) — the paper's Fig 1b headline
-// statistic (20–40%).
-func (c *Cascade) EasyFraction(queries []*imagespace.Query) float64 {
-	if len(queries) == 0 {
-		return 0
-	}
-	easy := 0
-	for _, q := range queries {
-		light := c.Space.GenerateDeterministic(q, c.Light.Name, c.Light.Gen)
-		heavy := c.Space.GenerateDeterministic(q, c.Heavy.Name, c.Heavy.Gen)
-		if light.Artifact <= heavy.Artifact {
-			easy++
-		}
-	}
-	return float64(easy) / float64(len(queries))
-}

@@ -170,8 +170,8 @@ func TestProfileStageConditioning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prof0.Len() != len(queries) {
-		t.Errorf("stage 0 profile over %d queries, want all %d", prof0.Len(), len(queries))
+	if len(prof0.sortedConfs) != len(queries) {
+		t.Errorf("stage 0 profile over %d queries, want all %d", len(prof0.sortedConfs), len(queries))
 	}
 	t0 := prof0.ThresholdForFraction(0.5)
 	prof1, err := ml.ProfileStage(queries, []float64{t0}, 1)
@@ -179,8 +179,8 @@ func TestProfileStageConditioning(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Only deferred (~half) queries reach stage 1.
-	if prof1.Len() >= len(queries) || prof1.Len() == 0 {
-		t.Errorf("stage 1 profile over %d queries, want ~half", prof1.Len())
+	if len(prof1.sortedConfs) >= len(queries) || len(prof1.sortedConfs) == 0 {
+		t.Errorf("stage 1 profile over %d queries, want ~half", len(prof1.sortedConfs))
 	}
 	if _, err := ml.ProfileStage(queries, nil, 5); err == nil {
 		t.Error("out-of-range stage should fail")

@@ -25,7 +25,7 @@ type Codec interface {
 
 // CodecJSON is the reflection-based encoding/json codec, the reference
 // encoding. Nothing sends it over a connection.
-var CodecJSON Codec = jsonCodec{}
+var CodecJSON Codec = jsonCodec{} //diffvet:allow deadcode — the reference the codec parity tests and fuzzers hold CodecBinary to
 
 // CodecBinary is the length-prefixed binary codec, the wire format.
 var CodecBinary Codec = binaryCodec{}

@@ -10,7 +10,7 @@ import (
 )
 
 // diffLoop builds a ControllerLoop over n recording worker conns.
-func diffLoop(t *testing.T, f *fixtures, n, shards, maxMisses int) (*ControllerLoop, *blindStatsConn, []*flakyWorkerConn) {
+func diffLoop(t *testing.T, f *fixtures, n, shards int) (*ControllerLoop, *blindStatsConn, []*flakyWorkerConn) {
 	t.Helper()
 	lb := &blindStatsConn{}
 	workers := make([]*flakyWorkerConn, n)
@@ -22,7 +22,6 @@ func diffLoop(t *testing.T, f *fixtures, n, shards, maxMisses int) (*ControllerL
 	loop := NewControllerLoop(ControllerConfig{
 		Ctrl: f.controller(t, n, 5), LB: lb, Workers: conns, Shards: shards,
 		Mode: loadbalancer.ModeCascade, Clock: NewClock(0.001),
-		MaxStatsMisses: maxMisses,
 	})
 	return loop, lb, workers
 }
@@ -40,7 +39,7 @@ func workerCalls(ws []*flakyWorkerConn) []int {
 // each apply must send exactly the workers whose (role, batch) request
 // changed, and every worker must hold what the plan means it to.
 func TestControllerConfiguresOnlyChangedWorkers(t *testing.T) {
-	loop, lb, ws := diffLoop(t, newFixtures(t), 4, 0, 0)
+	loop, lb, ws := diffLoop(t, newFixtures(t), 4, 0)
 	ctx := context.Background()
 	req := func(role string, batch int) ConfigureWorkerRequest {
 		return ConfigureWorkerRequest{Role: role, Batch: batch}
@@ -110,7 +109,7 @@ func TestControllerConfiguresOnlyChangedWorkers(t *testing.T) {
 // worker — until the periodic full re-send, which must hand the request
 // back within fullResendEvery applies, with no error reported.
 func TestControllerHealsAmnesiacWorker(t *testing.T) {
-	loop, _, ws := diffLoop(t, newFixtures(t), 2, 0, 0)
+	loop, _, ws := diffLoop(t, newFixtures(t), 2, 0)
 	ctx := context.Background()
 	plan := allocator.Plan{LightWorkers: 1, HeavyWorkers: 1, LightBatch: 4, HeavyBatch: 2}
 	loop.Apply(ctx, plan)
@@ -151,8 +150,8 @@ func TestControllerHealsAmnesiacWorker(t *testing.T) {
 func TestControllerConservativeFailoverDiffed(t *testing.T) {
 	f := newFixtures(t)
 	const n = 8
-	diffed, diffedLB, diffedWs := diffLoop(t, f, n, 2, 2)
-	full, fullLB, fullWs := diffLoop(t, f, n, 2, 2)
+	diffed, diffedLB, diffedWs := diffLoop(t, f, n, 2)
+	full, fullLB, fullWs := diffLoop(t, f, n, 2)
 	ctx := context.Background()
 	both := func(name string, op func(*ControllerLoop)) {
 		t.Helper()
@@ -182,6 +181,7 @@ func TestControllerConservativeFailoverDiffed(t *testing.T) {
 	diffedLB.setFail(true)
 	fullLB.setFail(true)
 	both("first stats miss", func(l *ControllerLoop) { l.TickOnce(ctx) })
+	both("second stats miss", func(l *ControllerLoop) { l.TickOnce(ctx) })
 	both("conservative failover", func(l *ControllerLoop) { l.TickOnce(ctx) })
 	if st := diffed.LoopStats(); !st.Conservative {
 		t.Fatalf("no failover after the miss budget: %+v", st)
@@ -205,7 +205,7 @@ func TestControllerConservativeFailoverDiffed(t *testing.T) {
 // unknown, and the next apply sends it again — while workers the
 // cancelled apply did not need to reach are still skipped.
 func TestControllerResendsAfterCancelledApply(t *testing.T) {
-	loop, _, ws := diffLoop(t, newFixtures(t), 3, 0, 0)
+	loop, _, ws := diffLoop(t, newFixtures(t), 3, 0)
 	ctx := context.Background()
 	loop.Apply(ctx, allocator.Plan{LightWorkers: 2, HeavyWorkers: 1, LightBatch: 4, HeavyBatch: 2})
 

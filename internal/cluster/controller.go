@@ -34,13 +34,6 @@ type ControllerConfig struct {
 	// partition of the query stream has no light (or no heavy) worker
 	// would starve, which a global plan never intends.
 	Shards int
-	// MaxStatsMisses is the consecutive stats-poll-failure budget:
-	// after this many misses the loop stops trusting its stale plan
-	// and fails over to a conservative one (threshold and split
-	// forced to zero — every query served by the light pool — so a
-	// blind controller cannot keep deferring load it can no longer
-	// observe into the heavy pool). Zero defaults to 3.
-	MaxStatsMisses int
 	// Logf, when set, receives controller-loop events (stats misses,
 	// the conservative failover, recovery). Nil discards them.
 	Logf func(format string, args ...interface{})
@@ -116,11 +109,15 @@ type ControllerLoop struct {
 	workerSent, workerSkipped int
 }
 
+// maxStatsMisses is the consecutive stats-poll-failure budget: after
+// this many misses the loop stops trusting its stale plan and fails
+// over to a conservative one (threshold and split forced to zero —
+// every query served by the light pool — so a blind controller cannot
+// keep deferring load it can no longer observe into the heavy pool).
+const maxStatsMisses = 3
+
 // NewControllerLoop constructs the control loop.
 func NewControllerLoop(cfg ControllerConfig) *ControllerLoop {
-	if cfg.MaxStatsMisses <= 0 {
-		cfg.MaxStatsMisses = 3
-	}
 	return &ControllerLoop{cfg: cfg}
 }
 
@@ -132,6 +129,8 @@ func (c *ControllerLoop) logf(format string, args ...interface{}) {
 
 // LoopStats reports the control loop's own health (stats-poll misses
 // and whether the conservative fallback is active).
+//
+//diffvet:allow deadcode — what the failover and configure-diffing tests observe of the loop
 func (c *ControllerLoop) LoopStats() ControllerLoopStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -189,7 +188,7 @@ func (c *ControllerLoop) Run(ctx context.Context) {
 
 // TickOnce performs one control period: poll stats, solve, push.
 //
-// A failed stats poll is tolerated for MaxStatsMisses consecutive
+// A failed stats poll is tolerated for maxStatsMisses-1 consecutive
 // ticks — a transient wire fault should not perturb the plan — but
 // not forever: past the budget the loop fails over to a conservative
 // plan instead of steering the cluster with observations that may be
@@ -202,7 +201,7 @@ func (c *ControllerLoop) TickOnce(ctx context.Context) {
 		c.statsMisses++
 		c.totalMisses++
 		misses := c.statsMisses
-		failover := misses >= c.cfg.MaxStatsMisses && !c.conservative && c.hasPlan
+		failover := misses >= maxStatsMisses && !c.conservative && c.hasPlan
 		if failover {
 			c.conservative = true
 			plan := c.conservativePlanLocked()

@@ -59,8 +59,23 @@ func (c *blindStatsConn) Stats(ctx context.Context) (LBStats, error) {
 	return LBStats{Now: 1}, nil
 }
 
+// degradedMembers returns the shards s currently marks degraded,
+// ascending. Merged Stats carry only their count
+// (LBStats.DegradedShards).
+func degradedMembers(s *ShardedLB) []int {
+	s.degradeMu.Lock()
+	defer s.degradeMu.Unlock()
+	var out []int
+	for i, d := range s.degraded {
+		if d {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
 // TestControllerConservativeFailover pins the stats-blindness budget:
-// the loop tolerates MaxStatsMisses-1 consecutive poll failures
+// the loop tolerates maxStatsMisses-1 consecutive poll failures
 // without touching its plan, fails over to the conservative plan
 // (threshold and split zero, worker layout kept) at the budget, and
 // resumes normal planning on the first successful poll.
@@ -72,7 +87,6 @@ func TestControllerConservativeFailover(t *testing.T) {
 	loop := NewControllerLoop(ControllerConfig{
 		Ctrl: f.controller(t, 2, 5), LB: conn,
 		Mode: loadbalancer.ModeCascade, Clock: NewClock(0.001),
-		MaxStatsMisses: 3,
 		Logf: func(format string, args ...interface{}) {
 			logMu.Lock()
 			logs = append(logs, fmt.Sprintf(format, args...))
@@ -243,7 +257,7 @@ func TestShardedLBDegradeSpill(t *testing.T) {
 			t.Fatal("submit to an unreachable shard succeeded")
 		}
 	}
-	if ms := fe.DegradedMembers(); len(ms) != 1 || ms[0] != 0 {
+	if ms := degradedMembers(fe); len(ms) != 1 || ms[0] != 0 {
 		t.Fatalf("degraded members = %v, want [0]", ms)
 	}
 	st, err := fe.Stats(ctx)
@@ -303,10 +317,10 @@ func TestShardedLBDegradeSpill(t *testing.T) {
 	// polls above started the pumps.)
 	gate.set(false)
 	deadline := time.Now().Add(10 * time.Second)
-	for len(fe.DegradedMembers()) != 0 && time.Now().Before(deadline) {
+	for len(degradedMembers(fe)) != 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if ms := fe.DegradedMembers(); len(ms) != 0 {
+	if ms := degradedMembers(fe); len(ms) != 0 {
 		t.Fatalf("shard never recovered: degraded members = %v", ms)
 	}
 	after := ownedBy(0, 2, 300)

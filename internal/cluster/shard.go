@@ -264,21 +264,6 @@ func (s *ShardedLB) recordShardSuccess(i int) {
 	}
 }
 
-// DegradedMembers returns the shards currently marked degraded,
-// ascending. The count surfaces in merged Stats
-// (LBStats.DegradedShards); tests and operators read identities here.
-func (s *ShardedLB) DegradedMembers() []int {
-	s.degradeMu.Lock()
-	defer s.degradeMu.Unlock()
-	var out []int
-	for i, d := range s.degraded {
-		if d {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // SubmitBatch splits the batch by owning shard and fans the per-shard
 // batches out (see fanScratch.run: legs to in-process shards run
 // inline, remote legs concurrently).

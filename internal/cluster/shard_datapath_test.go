@@ -333,7 +333,7 @@ func TestShardedLBGatherPullLegFailure(t *testing.T) {
 	if err != nil || len(resp.Queries) != 2 {
 		t.Fatalf("pull filled from the healthy shard = %+v, %v", resp.Queries, err)
 	}
-	if got := fe.DegradedMembers(); len(got) != 0 {
+	if got := degradedMembers(fe); len(got) != 0 {
 		t.Fatalf("members %v degraded by a pull that never reached them", got)
 	}
 	// Each pull that gathers the healthy shard's share and then fails on
@@ -343,7 +343,7 @@ func TestShardedLBGatherPullLegFailure(t *testing.T) {
 	// nothing.
 	refill := 100
 	for round := 0; round < degradeThreshold; round++ {
-		if got := fe.DegradedMembers(); len(got) != 0 {
+		if got := degradedMembers(fe); len(got) != 0 {
 			t.Fatalf("members %v degraded after %d failed legs", got, round)
 		}
 		if round > 0 {
@@ -363,7 +363,7 @@ func TestShardedLBGatherPullLegFailure(t *testing.T) {
 			t.Fatalf("pull past the failing shard = %+v, %v; want the healthy shard's last query", resp.Queries, err)
 		}
 	}
-	if got := fmt.Sprint(fe.DegradedMembers()); got != "[1]" {
+	if got := fmt.Sprint(degradedMembers(fe)); got != "[1]" {
 		t.Errorf("degraded members %s after %d failed legs, want [1]", got, degradeThreshold)
 	}
 

@@ -1281,15 +1281,3 @@ func (t *tcpTransport) Close() {
 		s.Close()
 	}
 }
-
-// closeServers kills only the server side — listeners and accepted
-// connections — leaving the clients to discover the loss, redial, and
-// exhaust their retries. Tests use it to inject mid-run failures.
-func (t *tcpTransport) closeServers() {
-	t.mu.Lock()
-	srvs := t.srvs
-	t.mu.Unlock()
-	for _, s := range srvs {
-		s.Close()
-	}
-}

@@ -17,6 +17,18 @@ import (
 
 // TestTCPFrameRoundTrip pins the frame encoding: appendFrame output
 // must decode to the same header and payload.
+// closeServers kills only the server side — listeners and accepted
+// connections — leaving the clients to discover the loss, redial, and
+// exhaust their retries, to inject a mid-run failure.
+func (t *tcpTransport) closeServers() {
+	t.mu.Lock()
+	srvs := t.srvs
+	t.mu.Unlock()
+	for _, s := range srvs {
+		s.Close()
+	}
+}
+
 func TestTCPFrameRoundTrip(t *testing.T) {
 	msg := &PullRequest{WorkerID: 3, Role: "light", Max: 8, Wait: 0.25}
 	b, err := appendFrame(nil, frameRequest, methodPull, 42, msg, "")

@@ -133,12 +133,6 @@ func (c *Controller) Tick(now float64, in TickInput) (allocator.Plan, error) {
 // Plans returns the timestamped plan log.
 func (c *Controller) Plans() []PlanAt { return c.plans }
 
-// DemandEstimate returns the current EWMA demand.
-func (c *Controller) DemandEstimate() float64 { return c.demand.Value() }
-
-// Ticks returns the number of control periods executed.
-func (c *Controller) Ticks() int { return c.ticks }
-
 // MeanSolveSeconds returns the average allocator solve time.
 func (c *Controller) MeanSolveSeconds() float64 {
 	if c.ticks == 0 {

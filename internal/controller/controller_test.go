@@ -45,21 +45,21 @@ func TestTickDemandEWMA(t *testing.T) {
 	if _, err := c.Tick(2, TickInput{Arrivals: 20}); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.DemandEstimate(); got != 10 {
+	if got := c.Plans()[0].Demand; got != 10 {
 		t.Errorf("demand = %v, want 10", got)
 	}
 	// Second tick: 0 arrivals -> EWMA 0.5*0 + 0.5*10 = 5.
 	if _, err := c.Tick(4, TickInput{Arrivals: 0}); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.DemandEstimate(); got != 5 {
+	if got := c.Plans()[1].Demand; got != 5 {
 		t.Errorf("demand = %v, want 5", got)
 	}
 	if fa.obs[1].Demand != 5 {
 		t.Errorf("allocator saw demand %v", fa.obs[1].Demand)
 	}
-	if c.Ticks() != 2 {
-		t.Errorf("Ticks = %d", c.Ticks())
+	if c.ticks != 2 {
+		t.Errorf("Ticks = %d", c.ticks)
 	}
 }
 

@@ -55,7 +55,8 @@ func newObsCache() *obsCache {
 }
 
 // sample returns draw applied to the stream
-// base.Stream("v:"+variant).StreamN("q", id), memoized.
+// the per-query stream ("q", id) of base.Stream("v:"+variant),
+// memoized.
 func (c *obsCache) sample(base *stats.RNG, variant string, id int, draw func(*stats.RNG) float64) float64 {
 	k := obsKey{variant: variant, id: id}
 	c.mu.Lock()

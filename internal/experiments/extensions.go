@@ -13,10 +13,9 @@ import (
 
 // ReuseRow is one light-heavy pair's outcome in the §5 reuse study.
 type ReuseRow struct {
-	Pair          string
-	FIDFresh      float64 // heavy generations from fresh noise
-	FIDReuse      float64 // heavy generations resumed from the light output
-	Compatibility float64 // dot product of the variants' artifact modes
+	Pair     string
+	FIDFresh float64 // heavy generations from fresh noise
+	FIDReuse float64 // heavy generations resumed from the light output
 }
 
 // ReuseResult reproduces the §5 "Reuse Opportunities" discussion: the

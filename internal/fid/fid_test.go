@@ -11,7 +11,7 @@ import (
 
 func TestFrechetIdenticalIsZero(t *testing.T) {
 	mu := []float64{1, 2, 3}
-	s := linalg.Diag([]float64{1, 2, 3})
+	s := diag([]float64{1, 2, 3})
 	got, err := Frechet(mu, s, mu, s)
 	if err != nil {
 		t.Fatal(err)
@@ -34,8 +34,8 @@ func TestFrechetMeanShiftOnly(t *testing.T) {
 
 func TestFrechetCovarianceOnly(t *testing.T) {
 	mu := []float64{0, 0}
-	s1 := linalg.Diag([]float64{1, 1})
-	s2 := linalg.Diag([]float64{4, 9})
+	s1 := diag([]float64{1, 1})
+	s2 := diag([]float64{4, 9})
 	// Diagonal case: sum (sqrt(a)-sqrt(b))^2 = (1-2)^2 + (1-3)^2 = 5.
 	got, err := Frechet(mu, s1, mu, s2)
 	if err != nil {
@@ -74,7 +74,22 @@ func randomPSD(rng *stats.RNG, n int) *linalg.Matrix {
 	for i := range a.Data {
 		a.Data[i] = rng.Normal(0, 1)
 	}
-	return a.Transpose().Mul(a).Symmetrize()
+	at := linalg.NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			at.Set(j, i, a.At(i, j))
+		}
+	}
+	return at.Mul(a).Symmetrize()
+}
+
+// diag returns the square diagonal matrix with diagonal d.
+func diag(d []float64) *linalg.Matrix {
+	m := linalg.NewMatrix(len(d), len(d))
+	for i, v := range d {
+		m.Set(i, i, v)
+	}
+	return m
 }
 
 func TestFrechetShapeErrors(t *testing.T) {
@@ -84,48 +99,6 @@ func TestFrechetShapeErrors(t *testing.T) {
 	}
 	if _, err := Frechet([]float64{0, 0, 0}, s, []float64{0, 0, 0}, s); err == nil {
 		t.Error("expected covariance shape error")
-	}
-}
-
-func TestFrechetDiagonalMatchesExactForDiagonal(t *testing.T) {
-	mu1 := []float64{0, 1}
-	mu2 := []float64{2, 0}
-	s1 := linalg.Diag([]float64{1, 2})
-	s2 := linalg.Diag([]float64{3, 1})
-	exact, err := Frechet(mu1, s1, mu2, s2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diag, err := FrechetDiagonal(mu1, s1, mu2, s2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(exact-diag) > 1e-8 {
-		t.Errorf("exact %v vs diagonal %v should match for diagonal covariances", exact, diag)
-	}
-}
-
-func TestFrechetDiagonalLowerBoundsExact(t *testing.T) {
-	// For correlated covariances the diagonal approximation typically
-	// differs; both must remain non-negative.
-	rng := stats.NewRNG(6)
-	for trial := 0; trial < 10; trial++ {
-		dim := 4
-		mu1 := rng.NormalVec(nil, dim, 0, 1)
-		mu2 := rng.NormalVec(nil, dim, 0.5, 1)
-		s1 := randomPSD(rng, dim)
-		s2 := randomPSD(rng, dim)
-		exact, err := Frechet(mu1, s1, mu2, s2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		diag, err := FrechetDiagonal(mu1, s1, mu2, s2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if exact < -1e-9 || diag < -1e-9 {
-			t.Fatalf("negative FID: exact %v diag %v", exact, diag)
-		}
 	}
 }
 
@@ -177,13 +150,6 @@ func TestReferenceScore(t *testing.T) {
 	}
 	if score > 0.2 {
 		t.Errorf("N(0,I) sample vs exact reference FID = %v, want near 0", score)
-	}
-	diagScore, err := ref.ScoreDiagonal(gen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diagScore > 0.2 {
-		t.Errorf("diagonal score = %v, want near 0", diagScore)
 	}
 }
 
@@ -247,23 +213,6 @@ func BenchmarkFrechetExact16(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		v, err := Frechet(mu1, s1, mu2, s2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchSink = v
-	}
-}
-
-func BenchmarkFrechetDiagonal16(b *testing.B) {
-	rng := stats.NewRNG(11)
-	dim := 16
-	mu1 := rng.NormalVec(nil, dim, 0, 1)
-	mu2 := rng.NormalVec(nil, dim, 0.5, 1)
-	s1 := randomPSD(rng, dim)
-	s2 := randomPSD(rng, dim)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v, err := FrechetDiagonal(mu1, s1, mu2, s2)
 		if err != nil {
 			b.Fatal(err)
 		}

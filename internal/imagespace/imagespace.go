@@ -135,9 +135,6 @@ func NewSpace(cfg SpaceConfig, rng *stats.RNG) (*Space, error) {
 	}, nil
 }
 
-// Config returns the space configuration.
-func (s *Space) Config() SpaceConfig { return s.cfg }
-
 // Dim returns the feature dimensionality.
 func (s *Space) Dim() int { return s.cfg.Dim }
 
@@ -160,8 +157,8 @@ func (s *Space) SampleQuery(id int) *Query {
 		s.mu.Unlock()
 		return q
 	}
-	// Identical to s.rng.StreamN("query", id) without allocating the
-	// intermediate RNG.
+	// The per-query stream (s.rng, "query", id), without allocating
+	// an RNG.
 	s.genRNG.Reseed(stats.StreamNSeedFrom(s.rng.Seed(), "query", id))
 	q := &Query{
 		ID:         id,
@@ -273,15 +270,10 @@ func (s *Space) artifactDir(skew float64, axis int) []float64 {
 	return dir
 }
 
-// Generate produces an image for query q under the given generation
-// parameters. rng should be a per-(query, variant) stream so that the
-// same query generated twice by the same variant yields the same image.
-func (s *Space) Generate(q *Query, p GenParams, rng *stats.RNG) Image {
-	return s.generate(q, p, rng, s.artifactDir(p.DirSkew, p.DirAxis))
-}
-
-// generate is Generate with the artifact direction supplied by the
-// caller (so cached directions skip the per-image allocation).
+// generate produces an image for query q under the given generation
+// parameters and artifact direction, drawing its noise from rng, a
+// per-(query, variant) stream so that the same query generated twice
+// by the same variant yields the same image.
 func (s *Space) generate(q *Query, p GenParams, rng *stats.RNG, dir []float64) Image {
 	a := p.ArtifactBase + p.ArtifactSlope*q.Difficulty + rng.Normal(0, p.ArtifactNoise)
 	if a < 0 {
@@ -294,8 +286,8 @@ func (s *Space) generate(q *Query, p GenParams, rng *stats.RNG, dir []float64) I
 	return Image{QueryID: q.ID, Features: feat, Artifact: a}
 }
 
-// GenerateDeterministic is Generate with a stream derived from the
-// query ID and a variant label, guaranteeing reproducibility when the
+// GenerateDeterministic generates q's image with a stream derived from
+// the query ID and a variant label, guaranteeing reproducibility when the
 // same query is re-generated (e.g. replayed through a different
 // serving policy).
 //
@@ -313,7 +305,7 @@ func (s *Space) GenerateDeterministic(q *Query, variant string, p GenParams) Ima
 	}
 	// The stream seed is derived without allocating intermediate
 	// strings or RNGs: this hash chain is exactly
-	// rng.Stream("gen:"+variant).StreamN("q", q.ID).
+	// the per-query stream ("q", q.ID) of rng.Stream("gen:"+variant).
 	seed := stats.StreamNSeedFrom(s.rng.StreamSeed2("gen:", variant), "q", q.ID)
 	s.genRNG.Reseed(seed)
 	img := s.generate(q, p, s.genRNG, s.artifactDirLocked(p.DirSkew, p.DirAxis))

@@ -106,14 +106,21 @@ func TestGenParamsValidate(t *testing.T) {
 	}
 }
 
+// generateFresh generates q's image with the artifact direction
+// computed afresh and the caller's stream: the uncached reference the
+// tests hold the memoized paths to.
+func generateFresh(s *Space, q *Query, p GenParams, rng *stats.RNG) Image {
+	return s.generate(q, p, rng, s.artifactDir(p.DirSkew, p.DirAxis))
+}
+
 func TestGenerateArtifactGrowsWithDifficulty(t *testing.T) {
 	s := newTestSpace(t)
 	p := GenParams{ArtifactBase: 1, ArtifactSlope: 5, ArtifactNoise: 0, DirSkew: 0, Contraction: 1, NoiseStd: 0}
 	rng := stats.NewRNG(2)
 	easy := &Query{ID: 1, Difficulty: 0.1, Truth: make([]float64, s.Dim())}
 	hard := &Query{ID: 2, Difficulty: 0.9, Truth: make([]float64, s.Dim())}
-	ie := s.Generate(easy, p, rng.Stream("a"))
-	ih := s.Generate(hard, p, rng.Stream("b"))
+	ie := generateFresh(s, easy, p, rng.Stream("a"))
+	ih := generateFresh(s, hard, p, rng.Stream("b"))
 	if ie.Artifact >= ih.Artifact {
 		t.Errorf("artifact should grow with difficulty: easy %.3f vs hard %.3f", ie.Artifact, ih.Artifact)
 	}
@@ -128,7 +135,7 @@ func TestGenerateArtifactNonNegative(t *testing.T) {
 	rng := stats.NewRNG(3)
 	q := s.SampleQuery(0)
 	for i := 0; i < 1000; i++ {
-		img := s.Generate(q, p, rng.StreamN("g", i))
+		img := generateFresh(s, q, p, stats.NewRNG(stats.StreamNSeedFrom(rng.Seed(), "g", i)))
 		if img.Artifact < 0 {
 			t.Fatal("artifact went negative")
 		}
@@ -169,7 +176,7 @@ func TestArtifactShiftLandsOnArtifactDims(t *testing.T) {
 	s := newTestSpace(t)
 	p := GenParams{ArtifactBase: 4, ArtifactSlope: 0, ArtifactNoise: 0, DirSkew: 0, Contraction: 1, NoiseStd: 0}
 	q := &Query{ID: 0, Difficulty: 0.5, Truth: make([]float64, s.Dim())}
-	img := s.Generate(q, p, stats.NewRNG(4))
+	img := generateFresh(s, q, p, stats.NewRNG(4))
 	if math.Abs(img.Features[0]-4) > 1e-9 {
 		t.Errorf("artifact shift on dim 0 = %v, want 4", img.Features[0])
 	}
@@ -201,7 +208,7 @@ func TestArtifactDirStaysInSubspace(t *testing.T) {
 	for _, skew := range []float64{0, 0.3, 0.9, 1} {
 		for axis := -2; axis < 8; axis++ {
 			dir := s.artifactDir(skew, axis)
-			for i := s.Config().ArtifactDims; i < s.Dim(); i++ {
+			for i := s.cfg.ArtifactDims; i < s.Dim(); i++ {
 				if dir[i] != 0 {
 					t.Fatalf("skew %v axis %d leaks outside artifact subspace at dim %d", skew, axis, i)
 				}

@@ -140,7 +140,7 @@ func TestGenerateDeterministicCacheByteIdentical(t *testing.T) {
 	for id := 0; id < 64; id++ {
 		q := space.SampleQuery(id)
 		// The uncached reference: the documented stream derivation.
-		want := space.Generate(q, p, rng.Stream("space").Stream("gen:variantA").StreamN("q", q.ID))
+		want := generateFresh(space, q, p, stats.NewRNG(stats.StreamNSeedFrom(rng.Stream("space").Stream("gen:variantA").Seed(), "q", q.ID)))
 		// Fresh space with the same seed, exercising the memo twice.
 		got1 := space.GenerateDeterministic(q, "variantA", p)
 		got2 := space.GenerateDeterministic(q, "variantA", p)

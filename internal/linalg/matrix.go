@@ -37,58 +37,11 @@ func Identity(n int) *Matrix {
 	return m
 }
 
-// Diag returns a square diagonal matrix with the given diagonal.
-func Diag(d []float64) *Matrix {
-	m := NewMatrix(len(d), len(d))
-	for i, v := range d {
-		m.Set(i, i, v)
-	}
-	return m
-}
-
 // At returns the element at row i, column j.
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
 // Set assigns the element at row i, column j.
 func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
-
-// Clone returns a deep copy of the matrix.
-func (m *Matrix) Clone() *Matrix {
-	c := NewMatrix(m.Rows, m.Cols)
-	copy(c.Data, m.Data)
-	return c
-}
-
-// Add returns m + o as a new matrix.
-// It panics on shape mismatch.
-func (m *Matrix) Add(o *Matrix) *Matrix {
-	m.mustSameShape(o)
-	r := NewMatrix(m.Rows, m.Cols)
-	for i := range m.Data {
-		r.Data[i] = m.Data[i] + o.Data[i]
-	}
-	return r
-}
-
-// Sub returns m - o as a new matrix.
-// It panics on shape mismatch.
-func (m *Matrix) Sub(o *Matrix) *Matrix {
-	m.mustSameShape(o)
-	r := NewMatrix(m.Rows, m.Cols)
-	for i := range m.Data {
-		r.Data[i] = m.Data[i] - o.Data[i]
-	}
-	return r
-}
-
-// Scale returns s*m as a new matrix.
-func (m *Matrix) Scale(s float64) *Matrix {
-	r := NewMatrix(m.Rows, m.Cols)
-	for i := range m.Data {
-		r.Data[i] = s * m.Data[i]
-	}
-	return r
-}
 
 // Mul returns the matrix product m*o as a new matrix.
 // It panics if the inner dimensions disagree.
@@ -106,17 +59,6 @@ func (m *Matrix) Mul(o *Matrix) *Matrix {
 			for j := 0; j < o.Cols; j++ {
 				r.Data[i*r.Cols+j] += a * o.At(k, j)
 			}
-		}
-	}
-	return r
-}
-
-// Transpose returns the transpose of m as a new matrix.
-func (m *Matrix) Transpose() *Matrix {
-	r := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			r.Set(j, i, m.At(i, j))
 		}
 	}
 	return r
@@ -161,12 +103,6 @@ func (m *Matrix) IsSymmetric(tol float64) bool {
 	return true
 }
 
-func (m *Matrix) mustSameShape(o *Matrix) {
-	if m.Rows != o.Rows || m.Cols != o.Cols {
-		panic(fmt.Sprintf("linalg: shape mismatch %dx%d vs %dx%d", m.Rows, m.Cols, o.Rows, o.Cols))
-	}
-}
-
 func (m *Matrix) mustSquare() {
 	if m.Rows != m.Cols {
 		panic(fmt.Sprintf("linalg: matrix not square (%dx%d)", m.Rows, m.Cols))
@@ -184,18 +120,4 @@ func Dot(a, b []float64) float64 {
 		s += a[i] * b[i]
 	}
 	return s
-}
-
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 { return math.Sqrt(Dot(v, v)) }
-
-// AXPY computes dst[i] += a*x[i] in place.
-// It panics on length mismatch.
-func AXPY(a float64, x, dst []float64) {
-	if len(x) != len(dst) {
-		panic("linalg: AXPY length mismatch")
-	}
-	for i := range x {
-		dst[i] += a * x[i]
-	}
 }

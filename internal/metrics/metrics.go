@@ -34,14 +34,6 @@ func (r QueryRecord) Late() bool { return !r.Dropped && r.Completion > r.Deadlin
 // (dropped or late), the paper's definition.
 func (r QueryRecord) Violated() bool { return r.Dropped || r.Late() }
 
-// Latency returns the end-to-end latency, or NaN when dropped.
-func (r QueryRecord) Latency() float64 {
-	if r.Dropped {
-		return math.NaN()
-	}
-	return r.Completion - r.Arrival
-}
-
 // Collector accumulates query records. All headline statistics are
 // maintained incrementally at Record time (streaming moments for FID,
 // counters for ratios), so Summarize, FID, and Timeline are cheap
@@ -192,17 +184,6 @@ func (c *Collector) DeferRatio() float64 {
 		return 0
 	}
 	return float64(c.deferred) / float64(c.served)
-}
-
-// ServedFeatures returns the feature vectors of all completed queries.
-func (c *Collector) ServedFeatures() [][]float64 {
-	var out [][]float64
-	for _, r := range c.records {
-		if !r.Dropped && r.Features != nil {
-			out = append(out, r.Features)
-		}
-	}
-	return out
 }
 
 // ServedMoments returns the streaming moment accumulator of all

@@ -13,9 +13,6 @@ func TestQueryRecordPredicates(t *testing.T) {
 	if onTime.Late() || onTime.Violated() {
 		t.Error("on-time record misclassified")
 	}
-	if onTime.Latency() != 3 {
-		t.Errorf("latency = %v", onTime.Latency())
-	}
 	late := QueryRecord{Arrival: 0, Completion: 6, Deadline: 5}
 	if !late.Late() || !late.Violated() {
 		t.Error("late record misclassified")
@@ -26,9 +23,6 @@ func TestQueryRecordPredicates(t *testing.T) {
 	}
 	if !dropped.Violated() {
 		t.Error("dropped records violate the SLO")
-	}
-	if !math.IsNaN(dropped.Latency()) {
-		t.Error("dropped latency should be NaN")
 	}
 }
 
@@ -55,8 +49,8 @@ func TestCollectorRatios(t *testing.T) {
 	if c.Len() != 4 {
 		t.Errorf("Len = %d", c.Len())
 	}
-	if len(c.ServedFeatures()) != 3 {
-		t.Errorf("served features = %d", len(c.ServedFeatures()))
+	if n := c.ServedMoments().Count(); n != 3 {
+		t.Errorf("served features = %d", n)
 	}
 }
 

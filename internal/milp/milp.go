@@ -177,6 +177,8 @@ const (
 
 // SolveLP solves the linear relaxation of the problem (ignoring
 // integrality flags).
+//
+//diffvet:allow deadcode — the reference the LP tests hold the warm-started simplex to
 func SolveLP(p *Problem) (*Solution, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -190,6 +192,8 @@ func SolveLP(p *Problem) (*Solution, error) {
 // a sequence of related problems (the control loop) should hold an
 // IncrementalSolver instead, which reuses the tableau, basis, node
 // pool, and previous incumbent across calls.
+//
+//diffvet:allow deadcode — the cold reference of FuzzWarmVsCold and the warm-vs-cold suites
 func Solve(p *Problem) (*Solution, error) {
 	var s IncrementalSolver
 	return s.Solve(p)

@@ -71,11 +71,6 @@ func LinearProfile(base, overhead float64, batchSizes []int) (*Profile, error) {
 // and searched by the resource allocator.
 var StandardBatchSizes = []int{1, 2, 4, 8, 16, 32}
 
-// BatchSizes returns the profiled batch sizes.
-func (p *Profile) BatchSizes() []int {
-	return append([]int(nil), p.batchSizes...)
-}
-
 // MaxBatch returns the largest profiled batch size.
 func (p *Profile) MaxBatch() int { return p.batchSizes[len(p.batchSizes)-1] }
 

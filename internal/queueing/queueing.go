@@ -93,9 +93,6 @@ func (q *FIFO) DropWhere(drop func(Item) bool) []Item {
 // Len returns the current queue length.
 func (q *FIFO) Len() int { return len(q.items) }
 
-// Enqueued returns the lifetime number of enqueued items.
-func (q *FIFO) Enqueued() int { return q.enqueued }
-
 // trim drops arrival records older than the rate window.
 func (q *FIFO) trim(now float64) {
 	cut := now - q.windowSecs

@@ -158,7 +158,7 @@ func TestEnqueuedCounter(t *testing.T) {
 		q.Push(float64(i), Item{ID: i})
 	}
 	q.Pop(4, 2)
-	if q.Enqueued() != 4 {
-		t.Errorf("Enqueued = %d, want 4", q.Enqueued())
+	if q.enqueued != 4 {
+		t.Errorf("Enqueued = %d, want 4", q.enqueued)
 	}
 }

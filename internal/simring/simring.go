@@ -89,12 +89,6 @@ func New() *Sim { return &Sim{} }
 // Now returns the current virtual time in seconds.
 func (s *Sim) Now() float64 { return s.now }
 
-// Executed returns the number of events executed so far.
-func (s *Sim) Executed() int { return s.executed }
-
-// Pending returns the number of scheduled, unexecuted events.
-func (s *Sim) Pending() int { return len(s.events) }
-
 // At schedules fn to run at absolute time t. Scheduling in the past
 // panics: it indicates a simulator bug.
 func (s *Sim) At(t float64, fn func()) {
@@ -106,14 +100,6 @@ func (s *Sim) At(t float64, fn func()) {
 	}
 	s.seq++
 	s.events.push(event{at: t, seq: s.seq, fn: fn})
-}
-
-// After schedules fn to run d seconds from now.
-func (s *Sim) After(d float64, fn func()) {
-	if d < 0 {
-		panic(fmt.Sprintf("simring: negative delay %v", d))
-	}
-	s.At(s.now+d, fn)
 }
 
 // Run executes events in time order until the queue empties or the

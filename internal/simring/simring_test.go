@@ -104,8 +104,8 @@ func TestRunHorizon(t *testing.T) {
 	if n != 1 || len(ran) != 1 {
 		t.Errorf("Run(3) executed %d events: %v", n, ran)
 	}
-	if s.Pending() != 1 {
-		t.Errorf("Pending = %d", s.Pending())
+	if len(s.events) != 1 {
+		t.Errorf("Pending = %d", len(s.events))
 	}
 	// Event exactly at the horizon still runs.
 	n = s.Run(5)
@@ -119,7 +119,7 @@ func TestAfterAndNestedScheduling(t *testing.T) {
 	var times []float64
 	s.At(1, func() {
 		times = append(times, s.Now())
-		s.After(2, func() { times = append(times, s.Now()) })
+		s.At(s.Now()+2, func() { times = append(times, s.Now()) })
 	})
 	s.Run(10)
 	if len(times) != 2 || times[0] != 1 || times[1] != 3 {
@@ -135,8 +135,8 @@ func TestDrain(t *testing.T) {
 	if n := s.Drain(); n != 2 || count != 2 {
 		t.Errorf("Drain ran %d", n)
 	}
-	if s.Executed() != 2 {
-		t.Errorf("Executed = %d", s.Executed())
+	if s.executed != 2 {
+		t.Errorf("Executed = %d", s.executed)
 	}
 }
 
@@ -164,14 +164,6 @@ func TestInvalidTimesPanics(t *testing.T) {
 			s.At(bad, func() {})
 		}()
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("negative delay should panic")
-			}
-		}()
-		s.After(-1, func() {})
-	}()
 }
 
 func TestClockMonotoneAcrossRuns(t *testing.T) {

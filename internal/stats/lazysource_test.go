@@ -115,7 +115,7 @@ func TestRNGMethodsMatchMathRandTwin(t *testing.T) {
 				eq(t, seed, "Float64", a.Float64(), b.Float64())
 				eq(t, seed, "Intn", a.Intn(1+i*37), b.Intn(1+i*37))
 				eq(t, seed, "Normal", a.Normal(1, 2), b.Normal(1, 2))
-				eq(t, seed, "StdNormal", a.StdNormal(), b.StdNormal())
+				eq(t, seed, "NormFloat64", a.src.NormFloat64(), b.src.NormFloat64())
 				eq(t, seed, "Exponential", a.Exponential(3), b.Exponential(3))
 				eq(t, seed, "Uniform", a.Uniform(-2, 5), b.Uniform(-2, 5))
 				eq(t, seed, "Bernoulli", a.Bernoulli(0.3), b.Bernoulli(0.3))
@@ -125,7 +125,7 @@ func TestRNGMethodsMatchMathRandTwin(t *testing.T) {
 				eq(t, seed, "Poisson", a.Poisson(4.5), b.Poisson(4.5))
 				eq(t, seed, "Poisson", a.Poisson(200), b.Poisson(200))
 			}
-			pa, pb := a.Perm(50), b.Perm(50)
+			pa, pb := a.src.Perm(50), b.src.Perm(50)
 			for i := range pa {
 				eq(t, seed, "Perm", pa[i], pb[i])
 			}
@@ -133,8 +133,8 @@ func TestRNGMethodsMatchMathRandTwin(t *testing.T) {
 			for i := range sa {
 				sa[i], sb[i] = i, i
 			}
-			a.Shuffle(len(sa), func(i, j int) { sa[i], sa[j] = sa[j], sa[i] })
-			b.Shuffle(len(sb), func(i, j int) { sb[i], sb[j] = sb[j], sb[i] })
+			a.src.Shuffle(len(sa), func(i, j int) { sa[i], sa[j] = sa[j], sa[i] })
+			b.src.Shuffle(len(sb), func(i, j int) { sb[i], sb[j] = sb[j], sb[i] })
 			for i := range sa {
 				eq(t, seed, "Shuffle", sa[i], sb[i])
 			}
@@ -145,10 +145,10 @@ func TestRNGMethodsMatchMathRandTwin(t *testing.T) {
 		}
 		// Derived streams seed through the same path.
 		ca, cb := a.Stream("child"), stockRNG(b.StreamSeed("child"))
-		na, nb := a.StreamN("q", 7), stockRNG(StreamNSeedFrom(b.Seed(), "q", 7))
+		na, nb := NewRNG(StreamNSeedFrom(a.Seed(), "q", 7)), stockRNG(StreamNSeedFrom(b.Seed(), "q", 7))
 		for i := 0; i < 20; i++ {
 			eq(t, seed, "Stream", ca.Float64(), cb.Float64())
-			eq(t, seed, "StreamN", na.Float64(), nb.Float64())
+			eq(t, seed, "StreamNSeedFrom", na.Float64(), nb.Float64())
 		}
 	}
 }

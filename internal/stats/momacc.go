@@ -107,15 +107,6 @@ func (m *MomentAccumulator) Mean() []float64 {
 	return append([]float64(nil), m.mean...)
 }
 
-// MeanInto copies the running mean into dst (allocated when nil).
-func (m *MomentAccumulator) MeanInto(dst []float64) []float64 {
-	if dst == nil {
-		dst = make([]float64, m.dim)
-	}
-	copy(dst, m.mean)
-	return dst
-}
-
 // CovarianceInto writes the unbiased (n-1) sample covariance into dst
 // as a dim×dim row-major matrix, allocating when dst is nil. It
 // returns an error with fewer than two observations.
@@ -137,24 +128,4 @@ func (m *MomentAccumulator) CovarianceInto(dst []float64) ([]float64, error) {
 		}
 	}
 	return dst, nil
-}
-
-// Reset returns the accumulator to the empty state.
-func (m *MomentAccumulator) Reset() {
-	m.n = 0
-	for i := range m.mean {
-		m.mean[i] = 0
-	}
-	for i := range m.comoment {
-		m.comoment[i] = 0
-	}
-}
-
-// Clone returns an independent deep copy.
-func (m *MomentAccumulator) Clone() *MomentAccumulator {
-	c := NewMomentAccumulator(m.dim)
-	c.n = m.n
-	copy(c.mean, m.mean)
-	copy(c.comoment, m.comoment)
-	return c
 }

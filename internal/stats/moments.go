@@ -7,7 +7,7 @@ import (
 
 // Welford accumulates streaming mean and variance using Welford's
 // numerically stable online algorithm. The zero value is ready to use.
-type Welford struct {
+type Welford struct { //diffvet:allow deadcode — the statistical oracle of the rng, discriminator and imagespace tests
 	n    int
 	mean float64
 	m2   float64
@@ -92,15 +92,6 @@ func (e *EWMA) Add(x float64) float64 {
 	e.value = e.alpha*x + (1-e.alpha)*e.value
 	return e.value
 }
-
-// Value returns the current average (0 before any observation).
-func (e *EWMA) Value() float64 { return e.value }
-
-// Initialized reports whether at least one observation has been added.
-func (e *EWMA) Initialized() bool { return e.init }
-
-// Reset clears the average.
-func (e *EWMA) Reset() { e.value, e.init = 0, false }
 
 // Quantile returns the q-quantile (q in [0, 1]) of xs using linear
 // interpolation between order statistics. It returns NaN for an empty
@@ -194,90 +185,3 @@ func (c *CDF) At(x float64) float64 {
 
 // InverseAt returns the q-quantile of the empirical distribution.
 func (c *CDF) InverseAt(q float64) float64 { return Quantile(c.sorted, q) }
-
-// Len returns the number of samples underlying the CDF.
-func (c *CDF) Len() int { return len(c.sorted) }
-
-// Points returns (x, P(X<=x)) pairs suitable for plotting the CDF with
-// at most n points, evenly spaced over the sample indices.
-func (c *CDF) Points(n int) (xs, ps []float64) {
-	if len(c.sorted) == 0 || n <= 0 {
-		return nil, nil
-	}
-	if n > len(c.sorted) {
-		n = len(c.sorted)
-	}
-	xs = make([]float64, n)
-	ps = make([]float64, n)
-	for i := 0; i < n; i++ {
-		idx := i * (len(c.sorted) - 1) / maxInt(n-1, 1)
-		xs[i] = c.sorted[idx]
-		ps[i] = float64(idx+1) / float64(len(c.sorted))
-	}
-	return xs, ps
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// Histogram is a fixed-bin histogram over [lo, hi).
-type Histogram struct {
-	lo, hi   float64
-	counts   []int
-	under    int
-	over     int
-	total    int
-	binWidth float64
-}
-
-// NewHistogram returns a histogram with bins equal-width bins over
-// [lo, hi). It panics if bins <= 0 or hi <= lo.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 {
-		panic("stats: histogram needs bins > 0")
-	}
-	if hi <= lo {
-		panic("stats: histogram needs hi > lo")
-	}
-	return &Histogram{lo: lo, hi: hi, counts: make([]int, bins), binWidth: (hi - lo) / float64(bins)}
-}
-
-// Add records an observation.
-func (h *Histogram) Add(x float64) {
-	h.total++
-	switch {
-	case x < h.lo:
-		h.under++
-	case x >= h.hi:
-		h.over++
-	default:
-		i := int((x - h.lo) / h.binWidth)
-		if i >= len(h.counts) { // guard float rounding at the upper edge
-			i = len(h.counts) - 1
-		}
-		h.counts[i]++
-	}
-}
-
-// Count returns the count in bin i.
-func (h *Histogram) Count(i int) int { return h.counts[i] }
-
-// Total returns the total number of observations including out-of-range.
-func (h *Histogram) Total() int { return h.total }
-
-// BinCenter returns the center x-value of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	return h.lo + (float64(i)+0.5)*h.binWidth
-}
-
-// Fraction returns the fraction of all observations landing in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.counts[i]) / float64(h.total)
-}

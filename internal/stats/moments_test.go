@@ -73,7 +73,7 @@ func TestWelfordEmpty(t *testing.T) {
 
 func TestEWMAFirstObservation(t *testing.T) {
 	e := NewEWMA(0.3)
-	if e.Initialized() {
+	if e.init {
 		t.Error("fresh EWMA reports initialized")
 	}
 	if got := e.Add(10); got != 10 {
@@ -91,8 +91,8 @@ func TestEWMAConvergesToConstant(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		e.Add(5)
 	}
-	if math.Abs(e.Value()-5) > 1e-9 {
-		t.Errorf("EWMA of constant = %v, want 5", e.Value())
+	if math.Abs(e.value-5) > 1e-9 {
+		t.Errorf("EWMA of constant = %v, want 5", e.value)
 	}
 }
 
@@ -106,15 +106,6 @@ func TestEWMAPanicsOnBadAlpha(t *testing.T) {
 			}()
 			NewEWMA(alpha)
 		}()
-	}
-}
-
-func TestEWMAReset(t *testing.T) {
-	e := NewEWMA(0.5)
-	e.Add(3)
-	e.Reset()
-	if e.Initialized() || e.Value() != 0 {
-		t.Error("Reset did not clear state")
 	}
 }
 
@@ -168,8 +159,8 @@ func TestCDF(t *testing.T) {
 			t.Errorf("CDF.At(%v) = %v, want %v", tc.x, got, tc.want)
 		}
 	}
-	if c.Len() != 4 {
-		t.Errorf("Len = %d", c.Len())
+	if len(c.sorted) != 4 {
+		t.Errorf("Len = %d", len(c.sorted))
 	}
 }
 
@@ -187,66 +178,5 @@ func TestCDFMonotone(t *testing.T) {
 			t.Fatalf("CDF not monotone at x=%v: %v < %v", x, p, prev)
 		}
 		prev = p
-	}
-}
-
-func TestCDFPoints(t *testing.T) {
-	c := NewCDF([]float64{1, 2, 3, 4, 5})
-	xs, ps := c.Points(3)
-	if len(xs) != 3 || len(ps) != 3 {
-		t.Fatalf("Points lengths = %d, %d", len(xs), len(ps))
-	}
-	if xs[0] != 1 || xs[2] != 5 {
-		t.Errorf("Points endpoints = %v", xs)
-	}
-	if ps[2] != 1 {
-		t.Errorf("final CDF point = %v, want 1", ps[2])
-	}
-	if x, p := (&CDF{}).Points(3); x != nil || p != nil {
-		t.Error("empty CDF Points should be nil")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 9.999, 10, 42} {
-		h.Add(x)
-	}
-	if h.Total() != 7 {
-		t.Errorf("Total = %d", h.Total())
-	}
-	if h.Count(0) != 2 { // 0 and 1.9
-		t.Errorf("bin 0 count = %d, want 2", h.Count(0))
-	}
-	if h.Count(1) != 1 { // 2
-		t.Errorf("bin 1 count = %d, want 1", h.Count(1))
-	}
-	if h.Count(4) != 1 { // 9.999
-		t.Errorf("bin 4 count = %d, want 1", h.Count(4))
-	}
-	if h.under != 1 || h.over != 2 {
-		t.Errorf("under/over = %d/%d, want 1/2", h.under, h.over)
-	}
-	if h.BinCenter(0) != 1 {
-		t.Errorf("BinCenter(0) = %v, want 1", h.BinCenter(0))
-	}
-	if got := h.Fraction(0); math.Abs(got-2.0/7) > 1e-12 {
-		t.Errorf("Fraction(0) = %v", got)
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	for _, fn := range []func(){
-		func() { NewHistogram(0, 1, 0) },
-		func() { NewHistogram(1, 1, 4) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			fn()
-		}()
 	}
 }

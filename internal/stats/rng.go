@@ -66,12 +66,6 @@ func (r *RNG) Stream(name string) *RNG {
 	return NewRNG(r.StreamSeed(name))
 }
 
-// StreamN derives an independent child RNG identified by name and index,
-// convenient for per-query or per-worker streams.
-func (r *RNG) StreamN(name string, n int) *RNG {
-	return NewRNG(StreamNSeedFrom(r.seed, name, n))
-}
-
 // StreamSeed returns the seed Stream(name) would give its child,
 // without allocating the child.
 func (r *RNG) StreamSeed(name string) uint64 {
@@ -85,7 +79,8 @@ func (r *RNG) StreamSeed2(prefix, name string) uint64 {
 }
 
 // StreamNSeedFrom returns the seed that an RNG seeded with seed would
-// derive via StreamN(name, n).
+// derive for the per-index stream (name, n), as for per-query or
+// per-worker streams.
 func StreamNSeedFrom(seed uint64, name string, n int) uint64 {
 	return fnvUint64(fnvString(fnvUint64(fnvOffset64, seed), name), uint64(n))
 }
@@ -107,19 +102,10 @@ func (r *RNG) Float64() float64 { return r.src.Float64() }
 // Intn returns a uniform sample in [0, n).
 func (r *RNG) Intn(n int) int { return r.src.Intn(n) }
 
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *RNG) Perm(n int) []int { return r.src.Perm(n) }
-
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) { r.src.Shuffle(n, swap) }
-
 // Normal returns a sample from the normal distribution N(mu, sigma^2).
 func (r *RNG) Normal(mu, sigma float64) float64 {
 	return mu + sigma*r.src.NormFloat64()
 }
-
-// StdNormal returns a sample from N(0, 1).
-func (r *RNG) StdNormal() float64 { return r.src.NormFloat64() }
 
 // Exponential returns a sample from the exponential distribution with
 // the given rate (mean 1/rate). It panics if rate <= 0.

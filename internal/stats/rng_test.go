@@ -36,14 +36,13 @@ func TestRNGStreamIndependence(t *testing.T) {
 }
 
 func TestRNGStreamN(t *testing.T) {
-	root := NewRNG(11)
 	seen := map[uint64]bool{}
 	for i := 0; i < 100; i++ {
-		s := root.StreamN("query", i)
-		if seen[s.Seed()] {
+		s := StreamNSeedFrom(11, "query", i)
+		if seen[s] {
 			t.Fatalf("duplicate seed for index %d", i)
 		}
-		seen[s.Seed()] = true
+		seen[s] = true
 	}
 }
 

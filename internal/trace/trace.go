@@ -55,22 +55,6 @@ func Static(qps, duration, interval float64) (*Trace, error) {
 	return New(interval, rates)
 }
 
-// Steps returns a trace that holds each of the given rates for
-// stepDuration seconds in turn.
-func Steps(rates []float64, stepDuration, interval float64) (*Trace, error) {
-	if stepDuration < interval {
-		return nil, fmt.Errorf("trace: stepDuration must be >= interval")
-	}
-	per := int(math.Round(stepDuration / interval))
-	out := make([]float64, 0, per*len(rates))
-	for _, r := range rates {
-		for i := 0; i < per; i++ {
-			out = append(out, r)
-		}
-	}
-	return New(interval, out)
-}
-
 // AzureLike generates a diurnal, bursty demand shape resembling the
 // Microsoft Azure Functions trace used in the paper, compressed into
 // the given duration: a dominant single-cycle diurnal swing, a weaker

@@ -53,22 +53,6 @@ func TestStatic(t *testing.T) {
 	}
 }
 
-func TestSteps(t *testing.T) {
-	tr, err := Steps([]float64{5, 10, 15}, 10, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Duration() != 30 {
-		t.Errorf("duration = %v", tr.Duration())
-	}
-	if tr.RateAt(0) != 5 || tr.RateAt(12) != 10 || tr.RateAt(25) != 15 {
-		t.Error("step rates wrong")
-	}
-	if _, err := Steps([]float64{1}, 0.5, 1); err == nil {
-		t.Error("stepDuration < interval should fail")
-	}
-}
-
 func TestRateAtBounds(t *testing.T) {
 	tr, _ := New(1, []float64{2, 4, 6})
 	if tr.RateAt(-1) != 2 {
@@ -201,7 +185,14 @@ func TestArrivalsRateRecovery(t *testing.T) {
 
 func TestArrivalsTrackRateChanges(t *testing.T) {
 	rng := stats.NewRNG(5)
-	tr, _ := Steps([]float64{5, 50}, 60, 1)
+	rates := make([]float64, 120)
+	for i := range rates {
+		rates[i] = 5
+		if i >= 60 {
+			rates[i] = 50
+		}
+	}
+	tr, _ := New(1, rates)
 	arr := tr.Arrivals(rng)
 	var lo, hi int
 	for _, a := range arr {

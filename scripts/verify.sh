@@ -11,7 +11,8 @@ fi
 go vet ./...
 # diffvet: the repo's own invariant analyzers (internal/analysis) —
 # wire/codec field parity, pooled-message ownership, trace-time
-# wall-clock bans, and global-rand bans. Exit 1 on any finding.
+# wall-clock bans, global-rand bans, and dead code under internal/.
+# Exit 1 on any finding.
 go run ./cmd/diffvet ./...
 go build ./...
 # The cluster's kernel sleep is Linux-only behind a build tag; building
