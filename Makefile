@@ -118,27 +118,16 @@ bench-smoke:
 	@mkdir -p benchmark/out
 	bash benchmark/run.sh -all -seconds 1 -o benchmark/out/smoke.json >/dev/null
 
-# bench-milp runs the allocation-solver benchmarks: the Fig 5
-# allocation slice (one full Allocate: the closed-form threshold
-# search, then one warm-started MILP) and the control-tick solve rate
-# at 1x and 10x the current pool count (see PERFORMANCE.md's
-# "Warm-started MILP" tables). Summary in BENCH_milp.json.
-.PHONY: bench-milp
-bench-milp:
-	@out="$$($(GO) test -run '^$$' -bench 'BenchmarkMILPSolve|BenchmarkControlTickSolve' -benchmem .)" \
-		|| { echo "$$out"; exit 1; }; \
-	printf '%s\n' "$$out" | $(GO) run ./cmd/benchjson -out BENCH_milp.json
-
-# sweep-allocator runs the solver's and the allocator's property tests
-# at full size: the closed-form feasibility oracle against the solver
-# on 10 500 random observations x every threshold-grid index x 7 config
-# variants, Allocate against the legacy MILP-per-probe bisect over
-# 10 500 drifting-demand ticks (~15 s together), and one
-# IncrementalSolver held against a cold solve at every one of 10^5
-# perturbed ticks, a couple of hundred refactor periods (~3 s).
-# `go test ./...` runs the first two at 1/15 and the last at 1/20 of
-# that so the packages stay off the box while the cluster's wall-clock-
-# calibrated tests run.
+# sweep-allocator runs the allocator's and internal/milp's property
+# tests at full size: the closed-form feasibility oracle and the exact
+# enumeration against a brute-force scan of the program on 10 500
+# random observations x every threshold-grid index x 7 config
+# variants, Allocate against the solve-every-probe bisect over 10 500
+# drifting-demand ticks (~1 s together), and one IncrementalSolver held
+# against a cold solve at every one of 10^5 perturbed ticks, a couple
+# of hundred refactor periods (~3 s). `go test ./...` runs the first
+# two at 1/15 and the last at 1/20 of that so the packages stay off
+# the box while the cluster's wall-clock-calibrated tests run.
 .PHONY: sweep-allocator
 sweep-allocator:
 	$(GO) test -run 'TestOracleMatchesSolver|TestAllocateMatchesLegacyBisect' ./internal/allocator/ -sweep 1500
@@ -208,10 +197,9 @@ chaos-soak:
 		-run 'TestChaosWorkerChurnNoLostQueries|TestTransportConformance/.*/lease-reclaim-exactly-once|TestTransportConformance/.*/sever-is-transient|TestWorkerResumesAfterLBRestart|TestControllerConservativeFailover|TestShardedLBDegradeSpill' \
 		./internal/cluster/
 
-# race-solver: the warm-started incremental solver and the allocator's
-# threshold search over it — warm-vs-cold equivalence, node-limit
-# degradation, concurrent Allocate calls serializing on one solver, and
-# the property tests at their default size.
+# race-solver: the allocator and internal/milp under the race
+# detector — concurrent Allocate calls on one allocator, warm-vs-cold
+# equivalence, and the property tests at their default size.
 .PHONY: race-solver
 race-solver:
 	$(GO) test -race ./internal/milp/ ./internal/allocator/
@@ -233,9 +221,9 @@ poison-test: race-poison
 	$(GO) test -tags poolpoison ./internal/cluster/
 
 # fuzz-smoke runs each fuzz target briefly on top of the committed
-# seed corpus (testdata/fuzz): the decoders, warm-vs-cold MILP solves, and the lazily seeded RNG source's parity with
-# math/rand. CI runs this on every
-# push; raise -fuzztime for a deeper local hunt.
+# seed corpus (testdata/fuzz): the decoders, warm-vs-cold MILP solves,
+# and the lazily seeded RNG source's parity with math/rand. CI runs
+# this on every push; raise -fuzztime for a deeper local hunt.
 .PHONY: fuzz-smoke
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzCodecRoundTrip -fuzztime=10s ./internal/cluster/

@@ -101,8 +101,9 @@ func BenchmarkFig9(b *testing.B) {
 	})
 }
 
-// BenchmarkMILPSolve measures one resource-allocation solve (§4.5
-// reports ~10 ms under Gurobi).
+// BenchmarkMILPSolve measures one resource-allocation solve: the
+// closed-form threshold search, then the exact enumeration at the
+// threshold it picks (§4.5 reports ~10 ms under Gurobi).
 func BenchmarkMILPSolve(b *testing.B) {
 	env, err := baselines.NewEnv("cascade1", 1, 2000)
 	if err != nil {
@@ -129,7 +130,7 @@ func BenchmarkMILPSolve(b *testing.B) {
 // BenchmarkControlTickSolve measures the allocation slice of a full
 // control tick at 1× and 10× the current pool count: K independent
 // controllers (one per model pool, the forthcoming N-pool layout)
-// each re-solve their MILP against a drifting demand walk. The
+// each re-solve their allocation against a drifting demand walk. The
 // reported ns/op is one tick across all K pools, so ticks/sec =
 // 1e9/ns — the solve-rate headroom number PERFORMANCE.md tracks.
 func BenchmarkControlTickSolve(b *testing.B) {
@@ -167,7 +168,7 @@ func BenchmarkControlTickSolve(b *testing.B) {
 }
 
 // BenchmarkAllocatorMILPVsGrid is the solver-strategy ablation: the
-// exhaustive grid enumeration that cross-validates the MILP.
+// grid allocator, which places only the workers the demand needs.
 func BenchmarkAllocatorMILPVsGrid(b *testing.B) {
 	env, err := baselines.NewEnv("cascade1", 1, 2000)
 	if err != nil {

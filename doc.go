@@ -24,8 +24,9 @@
 // feature-space model that substitutes for GPU inference
 // (internal/imagespace), exact FID (internal/fid, internal/linalg),
 // the discriminator zoo (internal/discriminator), cascades
-// (internal/cascade), the MILP solver (internal/milp), the resource
-// allocator (internal/allocator), the discrete-event system simulator
+// (internal/cascade), the resource allocator (internal/allocator), a
+// general MILP solver no other package imports (internal/milp), the
+// discrete-event system simulator
 // (internal/system), and the cluster runtime (internal/cluster).
 // The sections below are the system inventory; `diffserve-sim -list`
 // names every experiment and `diffserve-sim -experiment <name>`
@@ -171,38 +172,30 @@
 // the controller (internal/controller) EWMA-smooths observed demand,
 // the allocator (internal/allocator) bisects the confidence-threshold
 // grid on a closed-form feasibility test (some batch pair meets the
-// latency row and its minimal worker counts fit the budget), and the
-// largest feasible threshold is one mixed-integer subproblem solved
-// by internal/milp. Successive ticks pose nearly identical problems —
-// only demand and the chosen deferral fraction move — so each
-// MILPAllocator holds one persistent milp.IncrementalSolver: the
-// simplex warm-starts from the
-// previous solve's optimal basis (dual-simplex repair when the moved
-// demand makes it primal-infeasible), branch-and-bound nodes are
-// bound-deltas in a pooled arena under a best-bound heap, and the
-// previous tick's integral plan seeds the incumbent. A solve that
-// exhausts its node budget (allocator.Config.NodeLimit) returns the
-// best incumbent with milp.StatusNodeLimit — a starved tick degrades
-// to a usable plan rather than failing. Warm and cold solves agree by
-// construction (equivalence suites pin it), the closed-form search
-// and the MILP-per-probe bisect it replaced return the same plans
-// (property tests in internal/allocator keep the old search as their
-// reference), the simplex's inner loops skip structural zeros through
-// index lists in an order that leaves every floating-point result as
-// the dense loops gave it (a parent-generated plan-sequence hash pins
-// that), one full Allocate runs in ~0.3 ms and 37 allocations, and
-// per-solve cost stays flat at 10× the pool count
-// (BenchmarkControlTickSolve). The cluster's ControllerLoop then
-// pushes the plan: the LB's policy every tick, and a configure to each
-// worker whose request differs from the last one it acknowledged — a
-// failed or cancelled send leaves the worker unknown and is re-sent
-// on the next apply, and every tenth apply re-sends everyone. Solver
-// path counters surface through controller.Controller.SolveStats and
-// cluster.ControllerLoopStats, which also counts failed configure
-// RPCs (ConfigureErrors, LastApplyErrors) so a half-applied plan is
-// visible, and worker configures sent and skipped. See
-// PERFORMANCE.md's "Control tick", "Simulator and control plane" and
-// "Warm-started MILP" sections.
+// latency row and its minimal worker counts fit the budget), and at
+// the largest feasible threshold it solves the program exactly by
+// enumeration: every admitted batch pair, every split of the worker
+// budget between the pools, the first optimum in scan order kept. At
+// DiffServe's size that is a few hundred candidates, one full Allocate
+// runs in microseconds with a couple of allocations
+// (BenchmarkControlTickSolve), and the oracle and the enumeration go
+// through one admissibility test, so they cannot disagree. The
+// allocator's tests hold both to a brute-force scan of the program as
+// the paper writes it — every batch pair and worker split checked
+// against Eqs. 1-4 directly — at every grid index and at every probe
+// of the bisect, and require the same plans. The allocator holds no
+// state between ticks; a plan-sequence hash
+// (internal/allocator/testdata/plan_sequence.pin) pins its output bit
+// for bit. The cluster's ControllerLoop then pushes the plan: the LB's
+// policy every tick, and a configure to each worker whose request
+// differs from the last one it acknowledged — a failed or cancelled
+// send leaves the worker unknown and is re-sent on the next apply, and
+// every tenth apply re-sends everyone. cluster.ControllerLoopStats
+// reports the mean solve time and counts failed configure RPCs
+// (ConfigureErrors, LastApplyErrors) so a half-applied plan is
+// visible, and worker configures sent and skipped. See PERFORMANCE.md's
+// "Control tick", "Simulator and control plane" and "Exact allocation
+// by enumeration" sections.
 //
 // # Failure model
 //

@@ -55,10 +55,10 @@ func main() {
 		if !plan.Feasible {
 			status = " overloaded"
 		}
-		fmt.Printf("%6.0fqps | %s %7.2f | %8dx b%-2d %8dx b%-2d | %7.1fms | %s\n",
+		fmt.Printf("%6.0fqps | %s %7.2f | %8dx b%-2d %8dx b%-2d | %7.1fµs | %s\n",
 			demand, status, plan.DeferFraction,
 			plan.LightWorkers, plan.LightBatch, plan.HeavyWorkers, plan.HeavyBatch,
-			plan.SolveTime.Seconds()*1000, agrees)
+			plan.SolveTime.Seconds()*1e6, agrees)
 	}
 	fmt.Println("\nhigher demand -> lower threshold (less deferral) until the system")
 	fmt.Println("falls back to all-light best effort: query-aware model scaling.")

@@ -11,12 +11,16 @@
 //
 // with D' = lambda · D the over-provisioned demand estimate, q(·) the
 // Little's-law queuing delay W = L/lambda from observed queue state,
-// and f(t) the profiled deferral fraction. The threshold is discretized onto a
-// grid; the resulting problem is a genuine MILP (binary batch and
-// threshold selectors, integer worker counts, linearized products)
-// solved by the internal/milp branch-and-bound solver. An exhaustive
-// grid solver cross-validates optimality in tests and serves as an
-// ablation baseline.
+// and f(t) the profiled deferral fraction. The threshold is discretized
+// onto a grid, which makes the problem the paper's MILP (batch and
+// threshold selectors, integer worker counts). MILPAllocator bisects
+// the grid on a closed-form feasibility test and solves the program at
+// the threshold it picks exactly, by enumerating batch pairs and
+// worker splits; its tests hold the oracle and the enumeration to a
+// brute-force scan of every batch pair and worker split against the
+// constraints above.
+// GridAllocator, which places only the workers the demand needs, is
+// the ablation baseline.
 package allocator
 
 import (
@@ -118,11 +122,6 @@ type Config struct {
 	// FixedLightBatch and FixedHeavyBatch, when positive, pin the
 	// batch sizes (the AIMD ablation drives these externally).
 	FixedLightBatch, FixedHeavyBatch int
-	// NodeLimit caps branch-and-bound nodes per MILP subproblem (0
-	// means the solver default). When the cap is hit with a feasible
-	// incumbent in hand, the allocator uses the best-effort plan
-	// rather than failing the tick.
-	NodeLimit int
 }
 
 func (c *Config) validate() error {

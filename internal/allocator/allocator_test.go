@@ -2,6 +2,7 @@ package allocator
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"diffserve/internal/cascade"
@@ -420,4 +421,29 @@ func TestPlanString(t *testing.T) {
 	if s == "" {
 		t.Error("empty String()")
 	}
+}
+
+// TestAllocateConcurrentSafe drives one allocator from many
+// goroutines; the calls share nothing but the read-only config, so the
+// race detector must stay quiet (make race-solver).
+func TestAllocateConcurrentSafe(t *testing.T) {
+	cfg := buildConfig(t, 16, 5)
+	a, err := NewMILP(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 6; i++ {
+				if _, err := a.Allocate(Observation{Demand: float64(3 + (g*7+i*5)%25)}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -11,50 +11,95 @@ import (
 // sweep sizes the two property sweeps below: random observations per
 // config variant for TestOracleMatchesSolver, demand-walk ticks per
 // variant for TestAllocateMatchesLegacyBisect. The default keeps the
-// package to a few seconds, because `go test ./...` runs it on the
-// same two cores as the cluster's wall-clock-calibrated tests and
-// because the race detector slows the simplex ~15x;
+// package to a couple of seconds, because `go test ./...` runs it on
+// the same two cores as the cluster's wall-clock-calibrated tests;
 // `make sweep-allocator` (scripts/verify.sh, CI) runs -sweep 1500:
-// 10 500 observations x every grid index, 10 500 ticks, ~15 s.
+// 10 500 observations x every grid index, 10 500 ticks.
 var sweep = flag.Int("sweep", 100, "observations / ticks per config variant in the allocator property sweeps")
 
+// scanPoints visits every point of the fixed-threshold program at
+// deferral fraction f that meets Eqs. 1-4 as the paper writes them —
+// every batch pair, every w1 >= 1 and w2 >= 0 with w1 + w2 <= S, the
+// throughput rows checked as products rather than through admit's
+// minimal counts — in ascending (b1, b2, w1, w2) order, with the
+// objective enumerate maximizes.
+func scanPoints(c *Config, obs Observation, demand, f float64, visit func(b1, b2, w1, w2 int, obj float64)) {
+	lightBs, heavyBs := batchCandidates(c)
+	dl, dh := math.Max(demand, 0.5), demand*f
+	for _, b1 := range lightBs {
+		for _, b2 := range heavyBs {
+			q1, q2 := queueDelays(c, obs, b1, b2)
+			if lightExec(c, b1)+q1+heavyExec(c, b2)+q2 > c.SLO { // Eq. 1
+				continue
+			}
+			t1, t2 := lightThroughput(c, b1), heavyThroughput(c, b2)
+			for w1 := 1; w1 <= c.TotalWorkers; w1++ {
+				for w2 := 0; w1+w2 <= c.TotalWorkers; w2++ { // Eq. 4
+					if float64(w1)*t1 < demand || float64(w2)*t2 < dh { // Eqs. 2-3
+						continue
+					}
+					h := math.Min(headroomCap, float64(w1)*t1/dl)
+					if dh > 0 {
+						h = math.Min(h, float64(w2)*t2/dh)
+					}
+					visit(b1, b2, w1, w2, h+1e-4*float64(w1)+9e-5*float64(w2))
+				}
+			}
+		}
+	}
+}
+
+// bruteForce solves the fixed-threshold program at threshold t by
+// scanPoints, keeping the first optimum in scan order. It shares the
+// program's terms with enumerate but neither admit nor the reduction
+// to w2 = S - w1.
+func bruteForce(c *Config, obs Observation, demand, t, f float64) (plan Plan, ok bool) {
+	best := 0.0
+	scanPoints(c, obs, demand, f, func(b1, b2, w1, w2 int, obj float64) {
+		if !ok || obj > best {
+			best, ok = obj, true
+			plan = Plan{
+				Threshold: t, DeferFraction: f,
+				LightWorkers: w1, HeavyWorkers: w2,
+				LightBatch: b1, HeavyBatch: b2,
+				Feasible: true,
+			}
+		}
+	})
+	return plan, ok
+}
+
 // legacyAllocate is the threshold search Allocate ran before the
-// closed-form oracle: the same bisect, but every probe is a full
-// branch-and-bound MILP (5-7 per tick). It lives on here as the
-// reference the property tests hold the production search against.
-func legacyAllocate(a *MILPAllocator, obs Observation) (Plan, error) {
-	c := &a.cfg
+// closed-form oracle: the same bisect, but every probe solves the
+// fixed-threshold program (by bruteForce here) and the search keeps
+// the plan of the last feasible probe. It is the independent
+// reference TestAllocateMatchesLegacyBisect holds Allocate to.
+func legacyAllocate(c *Config, obs Observation) Plan {
 	demand := math.Max(obs.Demand, 0) * c.OverProvision
 	ts, fs := thresholdGrid(c)
-	solve := func(j int) (Plan, bool, error) {
-		return a.solveAtThreshold(obs, demand, ts[j], fs[j])
-	}
-	best, ok, err := solve(0)
-	if err != nil {
-		return Plan{}, err
-	}
+	solve := func(j int) (Plan, bool) { return bruteForce(c, obs, demand, ts[j], fs[j]) }
+	best, ok := solve(0)
 	if !ok {
-		return bestEffortPlan(c), nil
+		return bestEffortPlan(c)
 	}
 	lo, hi := 0, len(ts)-1 // feasible at lo
-	if hiPlan, hiOK, err := solve(hi); err != nil {
-		return Plan{}, err
-	} else if hiOK {
-		return hiPlan, nil
+	if hiPlan, hiOK := solve(hi); hiOK {
+		return hiPlan
 	}
 	for hi-lo > 1 {
 		mid := (lo + hi) / 2
-		midPlan, midOK, err := solve(mid)
-		if err != nil {
-			return Plan{}, err
-		}
-		if midOK {
+		if midPlan, midOK := solve(mid); midOK {
 			lo, best = mid, midPlan
 		} else {
 			hi = mid
 		}
 	}
-	return best, nil
+	return best
+}
+
+func samePlan(a, b Plan) bool {
+	a.SolveTime, b.SolveTime = 0, 0
+	return a == b
 }
 
 // searchVariants are the allocator configurations the experiments
@@ -115,55 +160,42 @@ func randomObservation(r *stats.RNG) Observation {
 	return obs
 }
 
-// TestOracleMatchesSolver pins the closed form to the MILP: at every
-// grid index of every variant, feasible() says yes exactly when
-// solveAtThreshold finds a plan.
-//
-// Nine tenths of a full solve is spent proving a feasible plan optimal,
-// which says nothing about feasibility, so the question is put to two
-// solvers. Where the oracle says no, the production configuration
-// must exhaust branch-and-bound and agree (cheap: the root relaxation
-// is usually infeasible already). Where it says yes, an allocator with
-// a one-node budget must still return a plan: the solver checks the
-// warm-start point against its own constraint rows before adopting it
-// as the incumbent, so a yes the rows do not bear out surfaces as
-// ErrNodeLimit or an infeasible verdict. (The production configuration
-// on the yes side is TestAllocateMatchesLegacyBisect's job: every probe
-// of the legacy bisect is a full solve whose verdict must match.)
+// TestOracleMatchesSolver pins the closed forms to the unreduced
+// program: at every grid index of every variant, feasible() says yes
+// exactly when bruteForce finds a point, enumerate returns bruteForce's
+// plan field for field, and that plan meets Eqs. 1-4 as
+// checkPlanFeasible re-derives them.
 func TestOracleMatchesSolver(t *testing.T) {
 	for name, cfg := range searchVariants(t) {
 		t.Run(name, func(t *testing.T) {
-			full, err := NewMILP(cfg)
+			a, err := NewMILP(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg.NodeLimit = 1
-			oneNode, err := NewMILP(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			c := &full.cfg
+			c := &a.cfg
 			ts, fs := thresholdGrid(c)
 			r := stats.NewRNG(19).Stream(name)
 			var yes, no int
 			for i := 0; i < *sweep; i++ {
 				obs := randomObservation(r)
-				demand := math.Max(obs.Demand, 0) * c.OverProvision
+				demand := obs.Demand * c.OverProvision
 				for j := range ts {
-					want := feasible(c, obs, demand, fs[j])
-					solver := full
-					if want {
-						solver = oneNode
-						yes++
-					} else {
+					want, wantOK := bruteForce(c, obs, demand, ts[j], fs[j])
+					if oracle := feasible(c, obs, demand, fs[j]); oracle != wantOK {
+						t.Fatalf("obs %d %+v index %d (f=%v): oracle %v, brute force %v", i, obs, j, fs[j], oracle, wantOK)
+					}
+					p, ok := enumerate(c, obs, demand, ts[j], fs[j])
+					if ok != wantOK || !samePlan(p, want) {
+						t.Fatalf("obs %d %+v index %d: enumerate %v (%v), brute force %v (%v)", i, obs, j, p, ok, want, wantOK)
+					}
+					if !ok {
 						no++
+						continue
 					}
-					_, got, err := solver.solveAtThreshold(obs, demand, ts[j], fs[j])
-					if err != nil {
-						t.Fatalf("obs %d %+v index %d (f=%v): oracle %v, solver: %v", i, obs, j, fs[j], want, err)
-					}
-					if got != want {
-						t.Fatalf("obs %d %+v index %d (f=%v): oracle %v, solver %v", i, obs, j, fs[j], want, got)
+					yes++
+					checkPlanFeasible(t, c, obs, p)
+					if t.Failed() {
+						t.Fatalf("obs %d %+v index %d: plan %v", i, obs, j, p)
 					}
 				}
 			}
@@ -174,21 +206,50 @@ func TestOracleMatchesSolver(t *testing.T) {
 	}
 }
 
-func samePlan(a, b Plan) bool {
-	a.SolveTime, b.SolveTime = 0, 0
-	return a == b
-}
-
 // headroomCapped reports whether both pools of p reach headroomCap.
-// There the subproblem's objective is flat in the batch sizes, so
-// which of the tied optima branch-and-bound returns depends on the
-// basis the previous solve left behind — already true of the legacy
-// search, whose plans at such demands differ between a long-lived
-// allocator and a fresh one.
+// There the subproblem's objective is flat in the batch sizes.
 func headroomCapped(c *Config, obs Observation, p Plan) bool {
 	demand := math.Max(obs.Demand, 0) * c.OverProvision
 	return float64(p.LightWorkers)*lightThroughput(c, p.LightBatch) >= headroomCap*math.Max(demand, 0.5) &&
 		float64(p.HeavyWorkers)*heavyThroughput(c, p.HeavyBatch) >= headroomCap*demand*p.DeferFraction
+}
+
+// TestEnumerateTieBreaksInScanOrder pins enumerate's documented
+// tie-break where it decides the plan: at a demand below 1 QPS both
+// pools sit on headroomCap, several batch pairs reach the same optimum,
+// and the plan must be the first of them in (b1, b2) scan order. The
+// optima are found here by scanPoints, the unreduced scan.
+func TestEnumerateTieBreaksInScanOrder(t *testing.T) {
+	a, err := NewMILP(buildConfig(t, 16, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &a.cfg
+	obs := Observation{Demand: 0.5}
+	p, err := a.Allocate(obs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !p.Feasible || !headroomCapped(c, obs, p) {
+		t.Fatalf("plan %v: want a feasible plan with both pools on the headroom cap", p)
+	}
+	type pair struct{ b1, b2 int }
+	var optima []pair
+	best := math.Inf(-1)
+	scanPoints(c, obs, obs.Demand*c.OverProvision, p.DeferFraction, func(b1, b2, _, _ int, obj float64) {
+		switch {
+		case obj > best:
+			best, optima = obj, []pair{{b1, b2}}
+		case obj == best && optima[len(optima)-1] != (pair{b1, b2}):
+			optima = append(optima, pair{b1, b2})
+		}
+	})
+	if len(optima) < 2 {
+		t.Fatalf("optimum reached only by %v: no tie to break", optima)
+	}
+	if got := (pair{p.LightBatch, p.HeavyBatch}); got != optima[0] {
+		t.Errorf("plan %v takes batch pair %v; tied optima in scan order %v", p, got, optima)
+	}
 }
 
 // driftingObservation advances demand one tick — a random walk with
@@ -223,114 +284,6 @@ func driftingObservation(r *stats.RNG, demand *float64, i int) Observation {
 	return obs
 }
 
-// TestAllocateMatchesLegacyBisect runs the production search and the
-// MILP-per-probe reference, each on its own long-lived allocator, over
-// one drifting-demand sequence: every field of every plan must agree
-// (batch sizes excepted where both plans sit on the headroom cap and
-// the optimum is not unique), and the production allocator must have
-// called the solver exactly once per tick, feasible or not.
-func TestAllocateMatchesLegacyBisect(t *testing.T) {
-	ticks := *sweep
-	for name, cfg := range searchVariants(t) {
-		t.Run(name, func(t *testing.T) {
-			got, err := NewMILP(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref, err := NewMILP(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r := stats.NewRNG(23).Stream(name)
-			demand := 8.0
-			var infeasible, capped int
-			for i := 0; i < ticks; i++ {
-				obs := driftingObservation(r, &demand, i)
-				before := got.SolveStats().Solves
-				p, err := got.Allocate(obs)
-				if err != nil {
-					t.Fatalf("tick %d: %v", i, err)
-				}
-				if n := got.SolveStats().Solves - before; n != 1 {
-					t.Fatalf("tick %d (%+v): %d solves, want exactly 1 (plan %v)", i, obs, n, p)
-				}
-				want, err := legacyAllocate(ref, obs)
-				if err != nil {
-					t.Fatalf("tick %d: legacy: %v", i, err)
-				}
-				if headroomCapped(&got.cfg, obs, p) && headroomCapped(&got.cfg, obs, want) {
-					capped++
-					want.LightBatch, want.HeavyBatch = p.LightBatch, p.HeavyBatch
-				}
-				if !samePlan(p, want) {
-					t.Fatalf("tick %d (%+v): Allocate %v, legacy bisect %v", i, obs, p, want)
-				}
-				if !p.Feasible {
-					infeasible++
-				}
-			}
-			if unique := ticks - infeasible - capped; infeasible == 0 || unique < ticks/10 {
-				t.Fatalf("%d ticks: %d infeasible, %d on the headroom cap, %d unique optima — the sequence should cross feasibility and compare whole plans", ticks, infeasible, capped, unique)
-			}
-		})
-	}
-}
-
-// TestSolveDownFromStepsPastSolverInfeasible forces the oracle/solver
-// disagreement the step-down exists for: handed an index above the
-// largest feasible one (what a too-generous oracle would return),
-// solveDownFrom must land on the same plan the search finds, one extra
-// solve per skipped index; handed only infeasible indices it must fall
-// through to the best-effort plan.
-func TestSolveDownFromStepsPastSolverInfeasible(t *testing.T) {
-	cfg := buildConfig(t, 16, 5)
-	a, err := NewMILP(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := &a.cfg
-	ts, fs := thresholdGrid(c)
-	obs := Observation{Demand: 24}
-	demand := obs.Demand * c.OverProvision
-	j := searchThreshold(c, obs, demand, fs)
-	const over = 3
-	if j == 0 || j+over >= len(ts) {
-		t.Fatalf("demand %v puts the answer at index %d of %d; pick one strictly inside", obs.Demand, j, len(ts))
-	}
-	want, err := a.solveDownFrom(obs, demand, ts, fs, j)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := a.SolveStats().Solves
-	got, err := a.solveDownFrom(obs, demand, ts, fs, j+over)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := a.SolveStats().Solves - before; n != over+1 {
-		t.Errorf("stepping down %d indices took %d solves, want %d", over, n, over+1)
-	}
-	if !got.Feasible || !samePlan(got, want) {
-		t.Errorf("stepped-down plan %v, want %v", got, want)
-	}
-	if got.Threshold != ts[j] {
-		t.Errorf("stepped down to threshold %v, want ts[%d]=%v", got.Threshold, j, ts[j])
-	}
-
-	// Nothing feasible anywhere: every index is tried, then best effort.
-	obs = Observation{Demand: 8, LightQueueLen: 1000, LightArrivalRate: 8}
-	before = a.SolveStats().Solves
-	got, err = a.solveDownFrom(obs, 8*c.OverProvision, ts, fs, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := a.SolveStats().Solves - before; n != 3 {
-		t.Errorf("falling through indices 2..0 took %d solves, want 3", n)
-	}
-	if got.Feasible || !samePlan(got, bestEffortPlan(c)) {
-		t.Errorf("fall-through plan %v, want best effort %v", got, bestEffortPlan(c))
-	}
-}
-
 // TestSearchThresholdIsLargestFeasibleIndex checks the bisect against
 // a linear scan of the oracle, including the all-infeasible (index 0)
 // and all-feasible (last index) ends.
@@ -361,5 +314,49 @@ func TestSearchThresholdIsLargestFeasibleIndex(t *testing.T) {
 		if len(fs) > 1 && (!seen[len(fs)-1] || len(seen) < 4) {
 			t.Errorf("%s: sample reached only indices %v", name, seen)
 		}
+	}
+}
+
+// TestAllocateMatchesLegacyBisect runs the production search on one
+// long-lived allocator beside the solve-every-probe reference over one
+// drifting-demand sequence: every field of every plan must agree, and
+// every feasible plan must meet Eqs. 1-4.
+func TestAllocateMatchesLegacyBisect(t *testing.T) {
+	ticks := *sweep
+	for name, cfg := range searchVariants(t) {
+		t.Run(name, func(t *testing.T) {
+			got, err := NewMILP(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := got.Config()
+			r := stats.NewRNG(23).Stream(name)
+			demand := 8.0
+			var infeasible, capped int
+			for i := 0; i < ticks; i++ {
+				obs := driftingObservation(r, &demand, i)
+				p, err := got.Allocate(obs)
+				if err != nil {
+					t.Fatalf("tick %d: %v", i, err)
+				}
+				if want := legacyAllocate(&c, obs); !samePlan(p, want) {
+					t.Fatalf("tick %d (%+v): Allocate %v, legacy bisect %v", i, obs, p, want)
+				}
+				if !p.Feasible {
+					infeasible++
+					continue
+				}
+				checkPlanFeasible(t, &c, obs, p)
+				if t.Failed() {
+					t.Fatalf("tick %d (%+v): plan %v", i, obs, p)
+				}
+				if headroomCapped(&c, obs, p) {
+					capped++
+				}
+			}
+			if unique := ticks - infeasible - capped; infeasible == 0 || unique < ticks/10 {
+				t.Fatalf("%d ticks: %d infeasible, %d on the headroom cap, %d off it — the sequence should cross feasibility and reach plans the objective decides", ticks, infeasible, capped, unique)
+			}
+		})
 	}
 }

@@ -49,13 +49,9 @@ type ControllerLoopStats struct {
 	// stats-blind fallback plan.
 	Conservative bool
 	// MeanSolveMs is the average allocator solve time per control
-	// tick, in milliseconds — the number the warm-started MILP is
-	// meant to keep flat as the shard tier grows.
+	// tick, in milliseconds (microseconds' worth for the enumerating
+	// MILPAllocator, against the paper's ~10 ms Gurobi solve).
 	MeanSolveMs float64
-	// WarmLPs and ColdLPs split the MILP solver's LP relaxations by
-	// path: warm (reused basis) vs cold (fresh two-phase solve). Zero
-	// for allocators without an internal solver.
-	WarmLPs, ColdLPs int
 	// ConfigureErrors counts failed configure RPCs — the LB's and each
 	// worker's — over the loop's life; LastApplyErrors counts those of
 	// the most recent plan application alone, so a non-zero value
@@ -134,21 +130,16 @@ func (c *ControllerLoop) logf(format string, args ...interface{}) {
 func (c *ControllerLoop) LoopStats() ControllerLoopStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st := ControllerLoopStats{
-		ConsecutiveStatsMisses: c.statsMisses,
-		TotalStatsMisses:       c.totalMisses,
-		Conservative:           c.conservative,
-		MeanSolveMs:            c.cfg.Ctrl.MeanSolveSeconds() * 1e3,
-		ConfigureErrors:        c.configureErrors,
-		LastApplyErrors:        c.lastApplyErrors,
-
+	return ControllerLoopStats{
+		ConsecutiveStatsMisses:  c.statsMisses,
+		TotalStatsMisses:        c.totalMisses,
+		Conservative:            c.conservative,
+		MeanSolveMs:             c.cfg.Ctrl.MeanSolveSeconds() * 1e3,
+		ConfigureErrors:         c.configureErrors,
+		LastApplyErrors:         c.lastApplyErrors,
 		WorkerConfiguresSent:    c.workerSent,
 		WorkerConfiguresSkipped: c.workerSkipped,
 	}
-	if ss, ok := c.cfg.Ctrl.SolveStats(); ok {
-		st.WarmLPs, st.ColdLPs = ss.WarmLPs, ss.ColdLPs
-	}
-	return st
 }
 
 // Plans returns the plans applied so far.
@@ -157,11 +148,12 @@ func (c *ControllerLoop) Plans() []controller.PlanAt { return c.cfg.Ctrl.Plans()
 // Run executes control ticks on the trace-time schedule t0 + k·interval
 // until the context is cancelled, t0 being when Run starts; a late wake
 // delays one tick, not every later one. A caller that restarts the
-// clock starts Run after the restart. Each tick (stats poll + MILP
-// solve + plan push) runs asynchronously with at most one in flight,
-// so solver time stays off the control cadence — the paper's design:
-// "the MILP is called asynchronously and its execution is in the
-// control path". Run returns only once the tick in flight at
+// clock starts Run after the restart. Each tick (stats poll +
+// allocation solve + plan push) runs asynchronously with at most one in
+// flight, so a slow tick — a stats poll or configure push waiting on
+// the network — never shifts the schedule: a tick that falls due while
+// one is still in flight is skipped. (The paper likewise calls its MILP
+// asynchronously.) Run returns only once the tick in flight at
 // cancellation has finished, so a caller that waits for Run may then
 // read Plans.
 func (c *ControllerLoop) Run(ctx context.Context) {

@@ -12,7 +12,6 @@ import (
 	"math"
 
 	"diffserve/internal/allocator"
-	"diffserve/internal/milp"
 	"diffserve/internal/stats"
 )
 
@@ -141,19 +140,10 @@ func (c *Controller) MeanSolveSeconds() float64 {
 	return c.totalSolve / float64(c.ticks)
 }
 
-// SolverStatser is implemented by allocators that expose internal
-// solver path counters; the MILP allocator reports its incremental
-// solver's warm/cold split through it.
-type SolverStatser interface {
-	SolveStats() milp.IncrementalStats
-}
-
-// SolveStats returns the allocator's solver path counters when the
-// allocator exposes them; ok is false for allocators without an
-// internal solver (grid, AIMD).
-func (c *Controller) SolveStats() (st milp.IncrementalStats, ok bool) {
-	if s, isStatser := c.cfg.Alloc.(SolverStatser); isStatser {
-		return s.SolveStats(), true
-	}
-	return milp.IncrementalStats{}, false
+// SolveStats always reports zero LP counts and ok false: no allocator
+// runs an LP solver any more. It exists only because benchmark/control.go
+// reads it for its milp.* metrics, and it goes in the benchmark change
+// that drops them.
+func (c *Controller) SolveStats() (st struct{ WarmLPs, ColdLPs int }, ok bool) {
+	return st, false
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"diffserve/internal/allocator"
-	"diffserve/internal/milp"
 )
 
 // fakeAlloc records observations and returns a canned plan.
@@ -137,36 +136,5 @@ func TestMeanSolveSecondsEmpty(t *testing.T) {
 	c, _ := New(Config{Alloc: &fakeAlloc{}})
 	if c.MeanSolveSeconds() != 0 {
 		t.Error("no ticks should mean 0 solve time")
-	}
-}
-
-// statsAlloc is a fakeAlloc that also exposes solver path counters.
-type statsAlloc struct {
-	fakeAlloc
-	stats milp.IncrementalStats
-}
-
-func (s *statsAlloc) SolveStats() milp.IncrementalStats { return s.stats }
-
-func TestSolveStatsSurfacesAllocatorCounters(t *testing.T) {
-	plain, err := New(Config{Alloc: &fakeAlloc{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := plain.SolveStats(); ok {
-		t.Error("plain allocator should not report solver stats")
-	}
-
-	sa := &statsAlloc{stats: milp.IncrementalStats{Solves: 3, WarmLPs: 7, ColdLPs: 2}}
-	c, err := New(Config{Alloc: sa})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, ok := c.SolveStats()
-	if !ok {
-		t.Fatal("stats-capable allocator not detected")
-	}
-	if st.WarmLPs != 7 || st.ColdLPs != 2 || st.Solves != 3 {
-		t.Errorf("stats passthrough mangled: %+v", st)
 	}
 }

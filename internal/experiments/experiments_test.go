@@ -134,9 +134,10 @@ func TestMILPOverheadUnderPaperBudget(t *testing.T) {
 	if r.Solves == 0 || r.MeanMillis <= 0 {
 		t.Fatalf("bad measurement %+v", r)
 	}
-	// The paper reports ~10ms with Gurobi; our solver should stay in
-	// the same regime (well under the 2s control interval).
-	if r.MeanMillis > 200 {
+	// The paper reports ~10ms with Gurobi for the same program (§4.5);
+	// solved exactly by enumeration it takes microseconds, so 2ms
+	// leaves room for a slow or shared machine.
+	if r.MeanMillis > 2 {
 		t.Errorf("mean solve time %.1fms too slow for a 2s control loop", r.MeanMillis)
 	}
 	var buf bytes.Buffer

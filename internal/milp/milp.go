@@ -1,10 +1,10 @@
 // Package milp provides a small, self-contained mixed-integer linear
 // programming solver: a two-phase dense primal simplex for linear
 // relaxations (Bland's rule, so it cannot cycle) and best-bound
-// branch-and-bound for integrality. It stands in for Gurobi in the
-// DiffServe resource allocator, whose instances are small (on the
-// order of a hundred variables), and is cross-validated against
-// exhaustive enumeration in the allocator's tests.
+// branch-and-bound for integrality, standing in for Gurobi. No other
+// package imports it: the allocator solves the paper's per-tick
+// program (Eqs. 1-4) exactly by enumeration, and its tests check that
+// enumeration against a brute-force scan.
 package milp
 
 import (
@@ -189,7 +189,7 @@ func SolveLP(p *Problem) (*Solution, error) {
 
 // Solve solves the mixed-integer program by best-bound branch and
 // bound over LP relaxations. Each call runs cold; callers that solve
-// a sequence of related problems (the control loop) should hold an
+// a sequence of related problems (a demand walk) should hold an
 // IncrementalSolver instead, which reuses the tableau, basis, node
 // pool, and previous incumbent across calls.
 //

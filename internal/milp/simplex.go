@@ -367,7 +367,7 @@ type pivotTerm struct {
 // pivot performs a Gauss-Jordan pivot on t[row][col] and updates basis.
 //
 // The normalised pivot row is mostly structural zeros (37 % non-zero
-// on the control loop's 46 x 72 tableau), so its non-zero entries are
+// on the allocator program's 46 x 72 tableau), so its non-zero entries are
 // gathered once and every other row subtracts only those. The term a
 // dense update would also apply at a skipped column is x - f*0 with f
 // finite, which is x unless x is itself a zero and then at most flips

@@ -5,7 +5,7 @@ import (
 	"slices"
 )
 
-// IncrementalSolver solves a sequence of related MILPs — the control
+// IncrementalSolver solves a sequence of related MILPs — a control
 // loop's case, where successive ticks move only demand — reusing
 // state across Solve calls instead of rebuilding it:
 //
@@ -92,8 +92,8 @@ type IncrementalSolver struct {
 	stats IncrementalStats
 }
 
-// IncrementalStats counts the solver's path choices, for benchmarks
-// and the warm-reuse regression tests.
+// IncrementalStats counts the solver's path choices, for the
+// warm-reuse regression tests.
 type IncrementalStats struct {
 	// Solves is the number of Solve calls.
 	Solves int
@@ -113,13 +113,6 @@ type IncrementalStats struct {
 	// a dense update the zero-skipping kernel still pays. Both are
 	// deterministic.
 	PivotCells, PivotDense int
-}
-
-// Stats returns the cumulative path counters.
-func (s *IncrementalSolver) Stats() IncrementalStats {
-	st := s.stats
-	st.PivotCells, st.PivotDense = s.piv.cells, s.piv.dense
-	return st
 }
 
 // bbNode is one branch-and-bound node: a single-variable bound delta

@@ -9,6 +9,14 @@ import (
 	"diffserve/internal/stats"
 )
 
+// statsOf returns s's cumulative path counters with the pivot kernel's
+// cell counts folded in.
+func statsOf(s *IncrementalSolver) IncrementalStats {
+	st := s.stats
+	st.PivotCells, st.PivotDense = s.piv.cells, s.piv.dense
+	return st
+}
+
 // randomILP builds a small random integer program in the same family
 // the brute-force suite uses.
 func randomILP(rng *stats.RNG) (*Problem, []int) {
@@ -112,7 +120,7 @@ func TestWarmVsColdEquivalenceRandomSequences(t *testing.T) {
 			checkAgainstCold(t, &warm, p, "perturbed")
 		}
 	}
-	if st := warm.Stats(); st.WarmLPs == 0 {
+	if st := statsOf(&warm); st.WarmLPs == 0 {
 		t.Fatalf("suite never exercised the warm path: %+v", st)
 	}
 }
@@ -473,7 +481,7 @@ func TestWarmVsColdLongHorizon(t *testing.T) {
 		tol := 1e-6 * math.Max(1, math.Abs(want.Objective))
 		if math.Abs(got.Objective-want.Objective) > tol {
 			t.Fatalf("tick %d: warm objective %v, cold %v (after %d warm LPs)\nproblem: %+v\nwarm x=%v cold x=%v",
-				tick, got.Objective, want.Objective, warm.Stats().WarmLPs, p, got.X, want.X)
+				tick, got.Objective, want.Objective, statsOf(&warm).WarmLPs, p, got.X, want.X)
 		}
 		dot, same := 0.0, true
 		for i, v := range got.X {
@@ -493,7 +501,7 @@ func TestWarmVsColdLongHorizon(t *testing.T) {
 			sameVector++
 		}
 	}
-	st := warm.Stats()
+	st := statsOf(&warm)
 	t.Logf("%d ticks: %d optimal (%d with the cold solve's integer vector), %d infeasible; %d warm / %d cold LPs, %d refactor periods crossed",
 		ticks, optimal, sameVector, infeasible, st.WarmLPs, st.ColdLPs, st.WarmLPs/refactorEvery)
 	if st.WarmLPs < refactorEvery || st.WarmLPs < 4*st.ColdLPs {

@@ -24,8 +24,6 @@ type FIFO struct {
 	// arrival-rate window
 	arrivals   []float64
 	windowSecs float64
-	// counters
-	enqueued, dequeued int
 }
 
 // NewFIFO returns a queue whose arrival rate is estimated over the
@@ -43,7 +41,6 @@ func (q *FIFO) Push(now float64, it Item) {
 	it.Enqueue = now
 	q.items = append(q.items, it)
 	q.arrivals = append(q.arrivals, now)
-	q.enqueued++
 	q.trim(now)
 }
 
@@ -69,7 +66,6 @@ func (q *FIFO) PopAppend(now float64, n int, dst []Item) []Item {
 	}
 	dst = append(dst, q.items[:n]...)
 	q.items = append(q.items[:0], q.items[n:]...)
-	q.dequeued += n
 	q.trim(now)
 	return dst
 }

@@ -152,13 +152,13 @@ func TestDefaultWindow(t *testing.T) {
 	}
 }
 
-func TestEnqueuedCounter(t *testing.T) {
+func TestFIFOLenAfterPushPop(t *testing.T) {
 	q := NewFIFO(10)
 	for i := 0; i < 4; i++ {
 		q.Push(float64(i), Item{ID: i})
 	}
 	q.Pop(4, 2)
-	if q.enqueued != 4 {
-		t.Errorf("Enqueued = %d, want 4", q.enqueued)
+	if q.Len() != 2 {
+		t.Errorf("Len = %d, want 2", q.Len())
 	}
 }

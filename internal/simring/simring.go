@@ -77,10 +77,9 @@ func (h *eventHeap) pop() event {
 // Sim is a single-threaded discrete-event simulator. The zero value
 // is ready to use.
 type Sim struct {
-	now      float64
-	seq      int64
-	events   eventHeap
-	executed int
+	now    float64
+	seq    int64
+	events eventHeap
 }
 
 // New returns a simulator with the clock at zero.
@@ -114,7 +113,6 @@ func (s *Sim) Run(until float64) int {
 		e := s.events.pop()
 		s.now = e.at
 		e.fn()
-		s.executed++
 		ran++
 	}
 	// Advance the clock to the horizon even if the queue drained, so

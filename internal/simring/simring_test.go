@@ -135,8 +135,8 @@ func TestDrain(t *testing.T) {
 	if n := s.Drain(); n != 2 || count != 2 {
 		t.Errorf("Drain ran %d", n)
 	}
-	if s.executed != 2 {
-		t.Errorf("Executed = %d", s.executed)
+	if n := s.Drain(); n != 0 {
+		t.Errorf("second Drain ran %d, want 0", n)
 	}
 }
 

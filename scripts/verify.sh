@@ -27,7 +27,7 @@ go test ./...
 # the poolpoison suite without the detector. The legs and what each is
 # for are listed once, in the Makefile.
 make race poison-test
-# sweep-allocator leg: the same two property tests at full size
+# sweep-allocator leg: the two allocator property tests at full size
 # (10 500 observations, 10 500 ticks) and the solver's long-horizon
 # warm-vs-cold drift test (10^5 ticks) — see the Makefile target. Kept
 # out of `go test ./...` so it does not compete for the box with the
