@@ -118,20 +118,17 @@ bench-smoke:
 	@mkdir -p benchmark/out
 	bash benchmark/run.sh -all -seconds 1 -o benchmark/out/smoke.json >/dev/null
 
-# sweep-allocator runs the allocator's and internal/milp's property
-# tests at full size: the closed-form feasibility oracle and the exact
-# enumeration against a brute-force scan of the program on 10 500
-# random observations x every threshold-grid index x 7 config
-# variants, Allocate against the solve-every-probe bisect over 10 500
-# drifting-demand ticks (~1 s together), and one IncrementalSolver held
-# against a cold solve at every one of 10^5 perturbed ticks, a couple
-# of hundred refactor periods (~3 s). `go test ./...` runs the first
-# two at 1/15 and the last at 1/20 of that so the packages stay off
-# the box while the cluster's wall-clock-calibrated tests run.
+# sweep-allocator runs the allocator's property tests at full size:
+# the closed-form feasibility oracle and the exact enumeration against
+# a brute-force scan of the program on 10 500 random observations x
+# every threshold-grid index x 7 config variants, and Allocate against
+# the solve-every-probe bisect over 10 500 drifting-demand ticks (~1 s
+# together). `go test ./...` runs them at 1/15 of that so the package
+# stays off the box while the cluster's wall-clock-calibrated tests
+# run.
 .PHONY: sweep-allocator
 sweep-allocator:
 	$(GO) test -run 'TestOracleMatchesSolver|TestAllocateMatchesLegacyBisect' ./internal/allocator/ -sweep 1500
-	$(GO) test -run 'TestWarmVsColdLongHorizon' ./internal/milp/ -sweep 100000
 
 # allocs-gate pins the zero-allocation wire path: the end-to-end
 # tcp cycle must stay within 16 allocs/op (8 queries/op, so
@@ -197,12 +194,12 @@ chaos-soak:
 		-run 'TestChaosWorkerChurnNoLostQueries|TestTransportConformance/.*/lease-reclaim-exactly-once|TestTransportConformance/.*/sever-is-transient|TestWorkerResumesAfterLBRestart|TestControllerConservativeFailover|TestShardedLBDegradeSpill' \
 		./internal/cluster/
 
-# race-solver: the allocator and internal/milp under the race
-# detector — concurrent Allocate calls on one allocator, warm-vs-cold
-# equivalence, and the property tests at their default size.
+# race-solver: the allocator under the race detector — concurrent
+# Allocate calls on one allocator, and the property tests at their
+# default size.
 .PHONY: race-solver
 race-solver:
-	$(GO) test -race ./internal/milp/ ./internal/allocator/
+	$(GO) test -race ./internal/allocator/
 
 # race-poison: the cluster suite under the race detector with recycled
 # buffers filled with NaN sentinels on release (see pool_poison.go).
@@ -221,12 +218,11 @@ poison-test: race-poison
 	$(GO) test -tags poolpoison ./internal/cluster/
 
 # fuzz-smoke runs each fuzz target briefly on top of the committed
-# seed corpus (testdata/fuzz): the decoders, warm-vs-cold MILP solves,
-# and the lazily seeded RNG source's parity with math/rand. CI runs
-# this on every push; raise -fuzztime for a deeper local hunt.
+# seed corpus (testdata/fuzz): the decoders and the lazily seeded RNG
+# source's parity with math/rand. CI runs this on every push; raise
+# -fuzztime for a deeper local hunt.
 .PHONY: fuzz-smoke
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzCodecRoundTrip -fuzztime=10s ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime=10s ./internal/cluster/
-	$(GO) test -run '^$$' -fuzz FuzzWarmVsCold -fuzztime=10s ./internal/milp/
 	$(GO) test -run '^$$' -fuzz FuzzLazySourceParity -fuzztime=10s ./internal/stats/

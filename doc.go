@@ -24,10 +24,9 @@
 // feature-space model that substitutes for GPU inference
 // (internal/imagespace), exact FID (internal/fid, internal/linalg),
 // the discriminator zoo (internal/discriminator), cascades
-// (internal/cascade), the resource allocator (internal/allocator), a
-// general MILP solver no other package imports (internal/milp), the
-// discrete-event system simulator
-// (internal/system), and the cluster runtime (internal/cluster).
+// (internal/cascade), the resource allocator (internal/allocator), the
+// discrete-event system simulator (internal/system), and the cluster
+// runtime (internal/cluster).
 // The sections below are the system inventory; `diffserve-sim -list`
 // names every experiment and `diffserve-sim -experiment <name>`
 // prints its measured table.

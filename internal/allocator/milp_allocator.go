@@ -184,8 +184,8 @@ func feasible(c *Config, obs Observation, demand, f float64) bool {
 // exhaustively with analytically minimal worker counts. It reaches the
 // same threshold as MILPAllocator, which tests hold it to, but not the
 // same plan: it places only the workers the demand needs, where
-// MILPAllocator spreads the spare ones by headroom. It is the
-// ablation comparator for solver strategy.
+// MILPAllocator spreads the spare ones by headroom. No experiment runs
+// it; examples/allocator checks MILPAllocator's thresholds against it.
 type GridAllocator struct {
 	cfg Config
 }

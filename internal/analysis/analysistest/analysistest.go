@@ -12,7 +12,7 @@
 // diagnostic; want comments without a matching diagnostic fail the
 // test. Fixtures may import the standard library freely — dependencies
 // type-check against compiler export data resolved through `go list`.
-package analysistest
+package analysistest //diffvet:allow deadcode — the analyzers' fixture harness; only their tests import it
 
 import (
 	"go/parser"

@@ -5,9 +5,10 @@
 // declaration itself, and a method's of its receiver type, do not
 // count. Exempt: a method of a type implementing an interface that has
 // it; Unwrap, which errors.Is/As call through interface literals; the
-// members of an iota const block with a used member; init. A keeper
-// carries //diffvet:allow deadcode — <reason>, on a type covering its
-// methods too.
+// members of an iota const block with a used member; init. A package
+// no other package's non-test file imports is flagged at its package
+// clause. A keeper carries //diffvet:allow deadcode — <reason>, on a
+// type or package clause covering its methods or package too.
 package deadcode
 
 import (
@@ -27,7 +28,7 @@ var Analyzer = New("diffserve/internal")
 func New(scope ...string) *analysis.Analyzer {
 	return &analysis.Analyzer{
 		Name: "deadcode",
-		Doc:  "flag package-level declarations under internal/ that no non-test file of the module uses",
+		Doc:  "flag packages under internal/ that no non-test file of another package imports, and package-level declarations there that no non-test file of the module uses",
 		RunModule: func(pass *analysis.ModulePass) error {
 			run(pass, scope)
 			return nil
@@ -42,7 +43,11 @@ func run(pass *analysis.ModulePass, scope []string) {
 	iotaObj := types.Universe.Lookup("iota")
 	// The interfaces of the module and of the packages it imports.
 	ifaces := []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}
+	imported := map[string]bool{}
 	for _, pkg := range pass.Pkgs {
+		for _, p := range pkg.Types.Imports() {
+			imported[p.Path()] = true
+		}
 		for _, p := range append(pkg.Types.Imports(), pkg.Types) {
 			for _, name := range p.Scope().Names() {
 				if it, ok := p.Scope().Lookup(name).Type().Underlying().(*types.Interface); ok {
@@ -55,6 +60,10 @@ func run(pass *analysis.ModulePass, scope []string) {
 		mine := slices.ContainsFunc(scope, func(p string) bool {
 			return pkg.ImportPath == p || strings.HasPrefix(pkg.ImportPath, p+"/")
 		})
+		if mine && !imported[pkg.ImportPath] {
+			pass.Report(analysis.Diagnostic{Pos: pkg.Files[0].Package, Message: "package " + pkg.Types.Name() +
+				" is imported by no non-test file of another package: delete it, or keep it with //diffvet:allow deadcode — reason"})
+		}
 		info := pkg.TypesInfo
 		for _, f := range pkg.Files {
 			for _, d := range f.Decls {

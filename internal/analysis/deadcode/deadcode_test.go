@@ -13,12 +13,14 @@ import (
 	"diffserve/internal/analysis/analysistest"
 )
 
-// TestDeadcode runs the analyzer over a declaring package and a using
-// one: uses from either keep a declaration alive, self-uses do not,
-// interface methods, iota blocks with a used member, init and allowed
-// keepers are exempt, and the out-of-scope package is not checked.
+// TestDeadcode runs the analyzer over a declaring package, a using one
+// and an orphan: uses from either of the first two keep a declaration
+// alive, self-uses do not, interface methods, iota blocks with a used
+// member, init and allowed keepers are exempt, the orphan is reported
+// as a package although its keeper roots all of it, and the
+// out-of-scope package is not checked.
 func TestDeadcode(t *testing.T) {
-	diags := analysistest.Run(t, ".", New("deadcode_decl"), "deadcode_decl", "deadcode_use")
+	diags := analysistest.Run(t, ".", New("deadcode_decl", "deadcode_orphan"), "deadcode_decl", "deadcode_use", "deadcode_orphan")
 	if n := len(diags["deadcode_use"]); n != 0 {
 		t.Errorf("out-of-scope deadcode_use: %d diagnostics, want 0", n)
 	}
@@ -29,13 +31,12 @@ func TestDeadcode(t *testing.T) {
 // review.
 var deadcodeAllows = []string{
 	"internal/analysis/analysistest/analysistest.go: Run",
+	"internal/analysis/analysistest/analysistest.go: package analysistest",
 	"internal/cluster/codec.go: CodecJSON",
 	"internal/cluster/controller.go: ControllerLoop.LoopStats",
 	"internal/cluster/pool_nopoison.go: poolPoisonEnabled",
 	"internal/fid/fid.go: Between",
 	"internal/fid/fid.go: ExactReference",
-	"internal/milp/milp.go: Solve",
-	"internal/milp/milp.go: SolveLP",
 	"internal/stats/moments.go: Welford",
 }
 
@@ -103,9 +104,13 @@ func allowsDeadcode(text string) bool {
 }
 
 // declAt names the top-level declaration whose identifier sits on one
-// of the given lines, a method as Recv.Method.
+// of the given lines, a method as Recv.Method and the package clause as
+// "package name".
 func declAt(fset *token.FileSet, f *ast.File, lines ...int) string {
 	on := func(id *ast.Ident) bool { return slices.Contains(lines, fset.Position(id.Pos()).Line) }
+	if on(f.Name) {
+		return "package " + f.Name.Name
+	}
 	for _, d := range f.Decls {
 		switch d := d.(type) {
 		case *ast.FuncDecl:

@@ -258,9 +258,9 @@ func (c *ControllerLoop) Apply(ctx context.Context, plan allocator.Plan) {
 // configure every worker whatever it last acknowledged. A worker that
 // lost its state without failing an RPC (restarted behind the same
 // address, say) therefore holds its role again within fullResendEvery
-// applies — at most that many control periods. Sized by cost: over loopback tcp a full send to
-// 16 workers takes ~165 µs longer than a diffed apply, so one in ten
-// adds ~16 µs, under 5 % of the 0.37 ms tick `control_tick` measures.
+// applies — at most that many control periods. Cost, over loopback tcp
+// to 16 workers: a full send ~290 µs, a diffed apply ~37 µs, so one in
+// ten adds ~25 µs, a quarter of `control_tick`'s ~0.1 ms tick (2 vCPUs).
 const fullResendEvery = 10
 
 // applyLocked is Apply's core. Callers hold mu.

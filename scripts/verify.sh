@@ -23,13 +23,12 @@ make loc
 go test ./...
 # Every race-detector leg — the cluster data path, the sharded
 # frontend, the tcp transport's posted calls, the chaos soak, shard
-# placement, solver and allocator, and the poolpoison build — and
+# placement, the allocator, and the poolpoison build — and
 # the poolpoison suite without the detector. The legs and what each is
 # for are listed once, in the Makefile.
 make race poison-test
 # sweep-allocator leg: the two allocator property tests at full size
-# (10 500 observations, 10 500 ticks) and the solver's long-horizon
-# warm-vs-cold drift test (10^5 ticks) — see the Makefile target. Kept
+# (10 500 observations, 10 500 ticks) — see the Makefile target. Kept
 # out of `go test ./...` so it does not compete for the box with the
 # wall-clock-calibrated cluster tests.
 make sweep-allocator
