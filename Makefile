@@ -20,7 +20,9 @@ vet:
 
 # lint runs the diffvet static-analysis suite (internal/analysis):
 # codecparity, deadcode, poolownership, walltime, and globalrand.
-# Exit 1 on any finding; suppress only with
+# deadcode flags, under internal/, packages no other package imports,
+# and declarations and struct fields no non-test file of the module
+# uses or reads. Exit 1 on any finding; suppress only with
 # //diffvet:allow <analyzer> — <reason>.
 .PHONY: lint
 lint:
@@ -62,17 +64,6 @@ bench:
 bench-perf:
 	$(GO) test -run '^$$' -bench 'Fig5$$|MomentsStreaming|MomentsBatch|GenerateCached|ExperimentsSerial|ExperimentsParallel' -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkReseedDraw20|BenchmarkLongStream' -benchmem ./internal/stats/
-
-# bench-wire runs the cluster wire-path benchmarks: codec
-# encode/decode (the binary codec next to its JSON reference) and the
-# end-to-end submit/pull/complete/results cycle across the tcp and
-# inproc transports (see PERFORMANCE.md). The machine-readable summary
-# lands in BENCH_wire.json via cmd/benchjson.
-.PHONY: bench-wire
-bench-wire:
-	@out="$$($(GO) test -run '^$$' -bench 'BenchmarkCodec|BenchmarkWirePath' -benchmem ./internal/cluster/)" \
-		|| { echo "$$out"; exit 1; }; \
-	printf '%s\n' "$$out" | $(GO) run ./cmd/benchjson -out BENCH_wire.json
 
 # bench-all runs the repo's benchmark (benchmark/, BENCHMARK.json):
 # every workload ten times, each run a fresh process, medians and
@@ -140,6 +131,20 @@ allocs-gate:
 		|| { echo "$$out"; exit 1; }; \
 	printf '%s\n' "$$out" | $(GO) run ./cmd/benchjson \
 		-max-allocs 'BenchmarkWirePath/tcp=16,BenchmarkWirePath/inproc=8'
+
+# allocator-allocs-gate pins the allocator's allocations: one full
+# Allocate is the closed-form threshold search plus the exact
+# enumeration at the threshold it picks (2 allocs/op, the threshold
+# grid's two slices), a 10-pool control tick ten of them (20). The
+# budgets are 4 and 40: an allocation creeping into the per-candidate
+# scan, or a solver that builds a problem per tick (the branch-and-bound
+# the enumeration replaced took 37 and 371), fails the gate.
+.PHONY: allocator-allocs-gate
+allocator-allocs-gate:
+	@out="$$($(GO) test -run '^$$' -bench 'BenchmarkMILPSolve|BenchmarkControlTickSolve' -benchtime 20x -benchmem -count=1 .)" \
+		|| { echo "$$out"; exit 1; }; \
+	printf '%s\n' "$$out" | $(GO) run ./cmd/benchjson \
+		-max-allocs 'BenchmarkMILPSolve=4,BenchmarkControlTickSolve/pools=10=40'
 
 # race is every race-detector leg, the one list scripts/verify.sh and
 # CI run too; each leg is also a target of its own. -short (where set)

@@ -167,32 +167,6 @@ func BenchmarkControlTickSolve(b *testing.B) {
 	}
 }
 
-// BenchmarkAllocatorMILPVsGrid is the solver-strategy ablation: the
-// grid allocator, which places only the workers the demand needs.
-func BenchmarkAllocatorMILPVsGrid(b *testing.B) {
-	env, err := baselines.NewEnv("cascade1", 1, 2000)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := allocator.Config{
-		Light: env.Light, Heavy: env.Heavy,
-		DiscPerImage: env.Scorer.PerImageLatency(),
-		Deferral:     env.Deferral,
-		TotalWorkers: 16,
-		SLO:          5,
-	}
-	g, err := allocator.NewGrid(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := g.Allocate(allocator.Observation{Demand: float64(4 + i%28)}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkFIDExactVsDiagonal_Exact measures the exact full-covariance
 // FID over a 5000-image set (see also the micro-benchmarks in
 // internal/fid).

@@ -22,12 +22,17 @@
 // -workers is parsed like -shard-addrs: blanks around an address and
 // empty entries (a trailing comma) are dropped, so every listed worker
 // is a real one when the allocator counts them.
+//
+// The control loop logs to stderr: each failed stats poll, the
+// failover to the conservative plan and its recovery, and every plan
+// left half-applied by a failed configure RPC.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"log"
 	"os"
 
 	"diffserve/internal/allocator"
@@ -98,6 +103,7 @@ func main() {
 	loop := cluster.NewControllerLoop(cluster.ControllerConfig{
 		Ctrl: ctrl, LB: lbConn, Workers: workerConns,
 		Mode: loadbalancer.ModeCascade, Clock: clock, Shards: shards,
+		Logf: log.Printf, // stats-poll misses, failover, half-applied plans: stderr
 	})
 	fmt.Printf("diffserve-controller: %d workers, %d LB shard(s), SLO %.1fs, interval %.1fs\n",
 		len(workerURLs), shards, deadline, *interval)

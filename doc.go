@@ -189,10 +189,11 @@
 // policy every tick, and a configure to each worker whose request
 // differs from the last one it acknowledged — a failed or cancelled
 // send leaves the worker unknown and is re-sent on the next apply, and
-// every tenth apply re-sends everyone. cluster.ControllerLoopStats
-// reports the mean solve time and counts failed configure RPCs
-// (ConfigureErrors, LastApplyErrors) so a half-applied plan is
-// visible, and worker configures sent and skipped. See PERFORMANCE.md's
+// every tenth apply re-sends everyone. The loop reports through
+// ControllerConfig.Logf (diffserve-controller logs to stderr): each
+// stats-poll miss, the conservative failover and its recovery, and one
+// line per half-applied plan naming the workers it re-sends. See
+// PERFORMANCE.md's
 // "Control tick", "Simulator and control plane" and "Exact allocation
 // by enumeration" sections.
 //

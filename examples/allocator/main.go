@@ -29,36 +29,23 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	grid, err := allocator.NewGrid(milp.Config())
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	fmt.Println("DiffServe MILP allocation across a demand sweep (16 workers, SLO 5s)")
-	fmt.Printf("%8s | %10s %7s | %12s %12s | %9s | %s\n",
-		"demand", "threshold", "f(t)", "light", "heavy", "solve", "grid agrees")
+	fmt.Printf("%8s | %10s %7s | %12s %12s | %9s\n",
+		"demand", "threshold", "f(t)", "light", "heavy", "solve")
 	for _, demand := range []float64{2, 4, 8, 12, 16, 20, 24, 28, 32, 40, 60, 120} {
 		obs := allocator.Observation{Demand: demand}
 		plan, err := milp.Allocate(obs)
 		if err != nil {
 			log.Fatal(err)
 		}
-		gp, err := grid.Allocate(obs)
-		if err != nil {
-			log.Fatal(err)
-		}
-		agrees := "yes"
-		if plan.Feasible != gp.Feasible || (plan.Feasible && plan.Threshold != gp.Threshold) {
-			agrees = "NO"
-		}
 		status := fmt.Sprintf("%10.3f", plan.Threshold)
 		if !plan.Feasible {
 			status = " overloaded"
 		}
-		fmt.Printf("%6.0fqps | %s %7.2f | %8dx b%-2d %8dx b%-2d | %7.1fµs | %s\n",
+		fmt.Printf("%6.0fqps | %s %7.2f | %8dx b%-2d %8dx b%-2d | %7.1fµs\n",
 			demand, status, plan.DeferFraction,
 			plan.LightWorkers, plan.LightBatch, plan.HeavyWorkers, plan.HeavyBatch,
-			plan.SolveTime.Seconds()*1e6, agrees)
+			plan.SolveTime.Seconds()*1e6)
 	}
 	fmt.Println("\nhigher demand -> lower threshold (less deferral) until the system")
 	fmt.Println("falls back to all-light best effort: query-aware model scaling.")

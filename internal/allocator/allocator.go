@@ -19,8 +19,6 @@
 // worker splits; its tests hold the oracle and the enumeration to a
 // brute-force scan of every batch pair and worker split against the
 // constraints above.
-// GridAllocator is an exhaustive scan of the grid that places only the
-// workers the demand needs.
 package allocator
 
 import (

@@ -60,7 +60,7 @@ func TestConfigValidation(t *testing.T) {
 	}
 	bad = good
 	bad.TotalWorkers = 0
-	if _, err := NewGrid(bad); err == nil {
+	if _, err := NewMILP(bad); err == nil {
 		t.Error("zero workers should fail")
 	}
 	bad = good
@@ -110,17 +110,28 @@ func checkPlanFeasible(t *testing.T, c *Config, obs Observation, p Plan) {
 	}
 }
 
+// gridFeasible is the brute-force reference for a plan's threshold:
+// the largest threshold on the grid at which scanPoints finds a batch
+// pair and worker split meeting Eqs. 1-4, and false when no grid
+// threshold has one.
+func gridFeasible(c *Config, obs Observation) (threshold float64, ok bool) {
+	demand := math.Max(obs.Demand, 0) * c.OverProvision
+	ts, fs := thresholdGrid(c)
+	for j := len(ts) - 1; j >= 0; j-- {
+		if _, ok := bruteForce(c, obs, demand, ts[j], fs[j]); ok {
+			return ts[j], true
+		}
+	}
+	return 0, false
+}
+
 func TestMILPMatchesGridThreshold(t *testing.T) {
 	cfg := buildConfig(t, 16, 5)
 	m, err := NewMILP(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := NewGrid(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, demand := range []float64{1, 4, 10, 18, 26, 32, 40} {
+	for _, demand := range []float64{1, 4, 10, 18, 26, 32, 40, 500} {
 		for _, obs := range []Observation{
 			{Demand: demand},
 			{Demand: demand, LightQueueLen: 10, HeavyQueueLen: 4, LightArrivalRate: demand, HeavyArrivalRate: demand * 0.4},
@@ -129,18 +140,12 @@ func TestMILPMatchesGridThreshold(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			gp, err := g.Allocate(obs)
-			if err != nil {
-				t.Fatal(err)
+			want, ok := gridFeasible(&m.cfg, obs)
+			if mp.Feasible != ok {
+				t.Fatalf("demand %v: feasibility disagrees: milp %v vs brute-force scan %v", demand, mp, ok)
 			}
-			if mp.Feasible != gp.Feasible {
-				t.Fatalf("demand %v: feasibility disagrees: milp %v vs grid %v", demand, mp, gp)
-			}
-			if !mp.Feasible {
-				continue
-			}
-			if math.Abs(mp.Threshold-gp.Threshold) > 1e-9 {
-				t.Errorf("demand %v: thresholds disagree: milp %v vs grid %v", demand, mp.Threshold, gp.Threshold)
+			if ok && math.Abs(mp.Threshold-want) > 1e-9 {
+				t.Errorf("demand %v: thresholds disagree: milp %v vs brute-force scan %v", demand, mp.Threshold, want)
 			}
 		}
 	}
@@ -199,16 +204,8 @@ func TestBestEffortOnOverload(t *testing.T) {
 	if plan.LightWorkers != 2 || plan.HeavyWorkers != 0 {
 		t.Errorf("best effort should go all-light: %v", plan)
 	}
-	g, err := NewGrid(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gp, err := g.Allocate(Observation{Demand: 500})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gp.Feasible {
-		t.Errorf("grid should agree on infeasibility: %v", gp)
+	if thr, ok := gridFeasible(&a.cfg, Observation{Demand: 500}); ok {
+		t.Errorf("the brute-force scan finds a feasible plan at threshold %v", thr)
 	}
 }
 

@@ -31,9 +31,6 @@ func NewMILP(cfg Config) (*MILPAllocator, error) {
 // Name implements Allocator.
 func (a *MILPAllocator) Name() string { return "diffserve-milp" }
 
-// Config returns the allocator's effective configuration.
-func (a *MILPAllocator) Config() Config { return a.cfg }
-
 // Allocate implements Allocator.
 //
 // The paper's optimization maximizes the confidence threshold t
@@ -178,84 +175,4 @@ func feasible(c *Config, obs Observation, demand, f float64) bool {
 		}
 	}
 	return false
-}
-
-// GridAllocator scans (threshold, light batch, heavy batch)
-// exhaustively with analytically minimal worker counts. It reaches the
-// same threshold as MILPAllocator, which tests hold it to, but not the
-// same plan: it places only the workers the demand needs, where
-// MILPAllocator spreads the spare ones by headroom. No experiment runs
-// it; examples/allocator checks MILPAllocator's thresholds against it.
-type GridAllocator struct {
-	cfg Config
-}
-
-// NewGrid constructs the exhaustive-search allocator.
-func NewGrid(cfg Config) (*GridAllocator, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	return &GridAllocator{cfg: cfg.withDefaults()}, nil
-}
-
-// Name implements Allocator.
-func (a *GridAllocator) Name() string { return "diffserve-grid" }
-
-// Allocate implements Allocator.
-func (a *GridAllocator) Allocate(obs Observation) (Plan, error) {
-	start := time.Now()
-	c := &a.cfg
-	demand := math.Max(obs.Demand, 0) * c.OverProvision
-	lightBs, heavyBs := batchCandidates(c)
-	ts, fs := thresholdGrid(c)
-
-	best := Plan{Feasible: false}
-	found := false
-	// Scan thresholds descending: the first feasible is optimal in t;
-	// among equal t prefer fewer heavy workers.
-	for j := len(ts) - 1; j >= 0 && !found; j-- {
-		type cand struct {
-			plan  Plan
-			heavy int
-		}
-		var bestCand *cand
-		for _, b1 := range lightBs {
-			for _, b2 := range heavyBs {
-				q1, q2 := queueDelays(c, obs, b1, b2)
-				if lightExec(c, b1)+q1+heavyExec(c, b2)+q2 > c.SLO+1e-12 {
-					continue
-				}
-				x1 := int(math.Ceil(demand / lightThroughput(c, b1)))
-				if x1 < 1 {
-					x1 = 1
-				}
-				need := demand * fs[j]
-				x2 := 0
-				if need > 0 {
-					x2 = int(math.Ceil(need / heavyThroughput(c, b2)))
-				}
-				if x1+x2 > c.TotalWorkers {
-					continue
-				}
-				p := Plan{
-					Threshold: ts[j], DeferFraction: fs[j],
-					LightWorkers: x1, HeavyWorkers: x2,
-					LightBatch: b1, HeavyBatch: b2,
-					Feasible: true,
-				}
-				if bestCand == nil || x2 < bestCand.heavy {
-					bestCand = &cand{plan: p, heavy: x2}
-				}
-			}
-		}
-		if bestCand != nil {
-			best = bestCand.plan
-			found = true
-		}
-	}
-	if !found {
-		best = bestEffortPlan(c)
-	}
-	best.SolveTime = time.Since(start)
-	return best, nil
 }

@@ -329,7 +329,7 @@ func TestAllocateMatchesLegacyBisect(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			c := got.Config()
+			c := got.cfg
 			r := stats.NewRNG(23).Stream(name)
 			demand := 8.0
 			var infeasible, capped int

@@ -196,8 +196,8 @@ func TestEncodeLineMutations(t *testing.T) {
 // mutated source no longer parses.
 func reparse(loader *analysis.Loader, pkg *analysis.Package, codecPath, mutSrc string) ([]*ast.File, bool) {
 	var files []*ast.File
-	for _, name := range pkg.GoFiles {
-		path := filepath.Join(pkg.Dir, name)
+	for _, orig := range pkg.Files {
+		path := pkg.Fset.Position(orig.Package).Filename
 		var src interface{}
 		if path == codecPath {
 			src = mutSrc

@@ -7,8 +7,13 @@
 // it; Unwrap, which errors.Is/As call through interface literals; the
 // members of an iota const block with a used member; init. A package
 // no other package's non-test file imports is flagged at its package
-// clause. A keeper carries //diffvet:allow deadcode — <reason>, on a
-// type or package clause covering its methods or package too.
+// clause. A struct field declared there is dead when no non-test file
+// of the module reads it (fields.go): being assigned, bumped, set in a
+// composite literal or read by a codec.go append* encoder does not
+// count, and every field of a struct whose values are compared or key
+// a map counts as read. A keeper carries
+// //diffvet:allow deadcode — <reason>, on a type or package clause
+// covering its methods or package too.
 package deadcode
 
 import (
@@ -28,7 +33,7 @@ var Analyzer = New("diffserve/internal")
 func New(scope ...string) *analysis.Analyzer {
 	return &analysis.Analyzer{
 		Name: "deadcode",
-		Doc:  "flag packages under internal/ that no non-test file of another package imports, and package-level declarations there that no non-test file of the module uses",
+		Doc:  "flag packages under internal/ that no non-test file of another package imports, package-level declarations there that no non-test file of the module uses, and struct fields there that none reads",
 		RunModule: func(pass *analysis.ModulePass) error {
 			run(pass, scope)
 			return nil
@@ -56,10 +61,14 @@ func run(pass *analysis.ModulePass, scope []string) {
 			}
 		}
 	}
-	for _, pkg := range pass.Pkgs {
-		mine := slices.ContainsFunc(scope, func(p string) bool {
+	inScope := func(pkg *analysis.Package) bool {
+		return slices.ContainsFunc(scope, func(p string) bool {
 			return pkg.ImportPath == p || strings.HasPrefix(pkg.ImportPath, p+"/")
 		})
+	}
+	checkFields(pass, inScope)
+	for _, pkg := range pass.Pkgs {
+		mine := inScope(pkg)
 		if mine && !imported[pkg.ImportPath] {
 			pass.Report(analysis.Diagnostic{Pos: pkg.Files[0].Package, Message: "package " + pkg.Types.Name() +
 				" is imported by no non-test file of another package: delete it, or keep it with //diffvet:allow deadcode — reason"})

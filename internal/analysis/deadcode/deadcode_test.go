@@ -13,14 +13,18 @@ import (
 	"diffserve/internal/analysis/analysistest"
 )
 
-// TestDeadcode runs the analyzer over a declaring package, a using one
-// and an orphan: uses from either of the first two keep a declaration
-// alive, self-uses do not, interface methods, iota blocks with a used
-// member, init and allowed keepers are exempt, the orphan is reported
-// as a package although its keeper roots all of it, and the
-// out-of-scope package is not checked.
+// TestDeadcode runs the analyzer over a declaring package, a package of
+// struct fields, a using one and an orphan: uses from any of the first
+// three keep a declaration alive, self-uses do not, interface methods,
+// iota blocks with a used member, init and allowed keepers are exempt,
+// the orphan is reported as a package although its keeper roots all of
+// it, and the out-of-scope package is not checked. A field is reported
+// when it is only written, bumped, set in a literal or read by its
+// wire encoder, and not when it is read or its struct is compared or
+// keys a map.
 func TestDeadcode(t *testing.T) {
-	diags := analysistest.Run(t, ".", New("deadcode_decl", "deadcode_orphan"), "deadcode_decl", "deadcode_use", "deadcode_orphan")
+	diags := analysistest.Run(t, ".", New("deadcode_decl", "deadcode_fields", "deadcode_orphan"),
+		"deadcode_decl", "deadcode_fields", "deadcode_use", "deadcode_orphan")
 	if n := len(diags["deadcode_use"]); n != 0 {
 		t.Errorf("out-of-scope deadcode_use: %d diagnostics, want 0", n)
 	}
@@ -33,7 +37,7 @@ var deadcodeAllows = []string{
 	"internal/analysis/analysistest/analysistest.go: Run",
 	"internal/analysis/analysistest/analysistest.go: package analysistest",
 	"internal/cluster/codec.go: CodecJSON",
-	"internal/cluster/controller.go: ControllerLoop.LoopStats",
+	"internal/cluster/lb.go: LBConfig.CoalesceWait",
 	"internal/cluster/pool_nopoison.go: poolPoisonEnabled",
 	"internal/fid/fid.go: Between",
 	"internal/fid/fid.go: ExactReference",
@@ -104,8 +108,8 @@ func allowsDeadcode(text string) bool {
 }
 
 // declAt names the top-level declaration whose identifier sits on one
-// of the given lines, a method as Recv.Method and the package clause as
-// "package name".
+// of the given lines, a method as Recv.Method, a struct field as
+// Type.Field and the package clause as "package name".
 func declAt(fset *token.FileSet, f *ast.File, lines ...int) string {
 	on := func(id *ast.Ident) bool { return slices.Contains(lines, fset.Position(id.Pos()).Line) }
 	if on(f.Name) {
@@ -131,6 +135,15 @@ func declAt(fset *token.FileSet, f *ast.File, lines ...int) string {
 				case *ast.TypeSpec:
 					if on(s.Name) {
 						return s.Name.Name
+					}
+					if st, ok := s.Type.(*ast.StructType); ok {
+						for _, fl := range st.Fields.List {
+							for _, id := range fl.Names {
+								if on(id) {
+									return s.Name.Name + "." + id.Name
+								}
+							}
+						}
 					}
 				case *ast.ValueSpec:
 					for _, id := range s.Names {

@@ -21,7 +21,6 @@ import (
 type Package struct {
 	ImportPath string
 	Dir        string
-	GoFiles    []string
 	Fset       *token.FileSet
 	Files      []*ast.File
 	Types      *types.Package
@@ -226,14 +225,9 @@ func (l *Loader) TypeCheck(importPath, dir string, files []*ast.File) (*Package,
 	if err != nil {
 		return nil, fmt.Errorf("analysis: typecheck %s: %v", importPath, err)
 	}
-	var names []string
-	for _, f := range files {
-		names = append(names, filepath.Base(l.Fset().Position(f.Pos()).Filename))
-	}
 	return &Package{
 		ImportPath: importPath,
 		Dir:        dir,
-		GoFiles:    names,
 		Fset:       l.Fset(),
 		Files:      files,
 		Types:      tpkg,

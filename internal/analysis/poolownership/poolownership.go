@@ -182,10 +182,7 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl, acquires, releases map[typ
 	var acquired []acquireEvent
 	var released []releaseEvent
 	handedOff := map[types.Object]bool{}
-	var kills []struct {
-		pos token.Pos
-		obj types.Object
-	}
+	var kills []acquireEvent
 
 	markHandoffIdents := func(e ast.Expr) {
 		if id, ok := e.(*ast.Ident); ok {
@@ -235,10 +232,7 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl, acquires, releases map[typ
 						obj = info.Uses[id]
 					}
 					if obj != nil {
-						kills = append(kills, struct {
-							pos token.Pos
-							obj types.Object
-						}{id.Pos(), obj})
+						kills = append(kills, acquireEvent{id.Pos(), obj})
 					}
 				}
 			}

@@ -53,12 +53,10 @@ func Ablations() []Approach {
 // Env is the shared experimental fixture for one cascade.
 type Env struct {
 	Space    *imagespace.Space
-	Registry *model.Registry
 	Spec     model.CascadeSpec
 	Light    *model.Variant
 	Heavy    *model.Variant
 	Scorer   discriminator.Scorer
-	Cascade  *cascade.Cascade
 	Deferral *cascade.DeferralProfile
 	Seed     uint64
 }
@@ -98,9 +96,9 @@ func NewEnv(cascadeName string, seed uint64, calibrationQueries int) (*Env, erro
 		return nil, err
 	}
 	return &Env{
-		Space: space, Registry: reg, Spec: spec,
+		Space: space, Spec: spec,
 		Light: light, Heavy: heavy,
-		Scorer: scorer, Cascade: casc, Deferral: prof,
+		Scorer: scorer, Deferral: prof,
 		Seed: seed,
 	}, nil
 }

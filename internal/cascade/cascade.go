@@ -43,12 +43,9 @@ func New(space *imagespace.Space, light, heavy *model.Variant, scorer discrimina
 // Outcome records the result of pushing one query through a cascade
 // outside the serving system (batch size 1, no queuing).
 type Outcome struct {
-	Query      *imagespace.Query
-	LightImage imagespace.Image
-	HeavyImage imagespace.Image // zero value unless Deferred
-	Confidence float64
-	Deferred   bool
-	Served     imagespace.Image
+	// Served is the light image, or the heavy one when the light
+	// image's confidence fell below the threshold (deferred).
+	Served imagespace.Image
 	// Latency is the end-to-end batch-1 processing latency in seconds:
 	// light execution + discriminator, plus heavy execution if deferred.
 	Latency float64
@@ -58,21 +55,11 @@ type Outcome struct {
 // threshold.
 func (c *Cascade) Process(q *imagespace.Query, threshold float64) Outcome {
 	light := c.Space.GenerateDeterministic(q, c.Light.Name, c.Light.Gen)
-	conf := c.Scorer.Confidence(q, light)
-	out := Outcome{
-		Query:      q,
-		LightImage: light,
-		Confidence: conf,
-		Latency:    discriminator.LightExec(c.Light, c.Scorer, 1),
+	out := Outcome{Served: light, Latency: discriminator.LightExec(c.Light, c.Scorer, 1)}
+	if c.Scorer.Confidence(q, light) < threshold {
+		out.Served = c.Space.GenerateDeterministic(q, c.Heavy.Name, c.Heavy.Gen)
+		out.Latency += c.Heavy.Latency.Latency(1)
 	}
-	if conf >= threshold {
-		out.Served = light
-		return out
-	}
-	out.Deferred = true
-	out.HeavyImage = c.Space.GenerateDeterministic(q, c.Heavy.Name, c.Heavy.Gen)
-	out.Served = out.HeavyImage
-	out.Latency += c.Heavy.Latency.Latency(1)
 	return out
 }
 

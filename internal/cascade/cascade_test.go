@@ -52,19 +52,13 @@ func TestProcessThresholdExtremes(t *testing.T) {
 	for _, q := range queries {
 		// Threshold 0: everything has confidence >= 0, nothing deferred.
 		out := c.Process(q, 0)
-		if out.Deferred {
-			t.Fatal("threshold 0 deferred a query")
-		}
 		if out.Served.Variant != c.Light.Name {
-			t.Fatal("threshold 0 should serve the light image")
+			t.Fatal("threshold 0 deferred a query: it should serve the light image")
 		}
 		// Threshold > 1: everything deferred.
 		out = c.Process(q, 1.01)
-		if !out.Deferred {
-			t.Fatal("threshold > 1 failed to defer")
-		}
 		if out.Served.Variant != c.Heavy.Name {
-			t.Fatal("deferred query should serve the heavy image")
+			t.Fatal("threshold > 1 failed to defer: a deferred query serves the heavy image")
 		}
 	}
 }
@@ -75,12 +69,16 @@ func TestProcessLatencyAccounting(t *testing.T) {
 	withHeavy := base + c.Heavy.Latency.Latency(1)
 	for _, q := range queries {
 		out := c.Process(q, 0.5)
+		deferred := c.Scorer.Confidence(q, c.Space.GenerateDeterministic(q, c.Light.Name, c.Light.Gen)) < 0.5
+		if got := out.Served.Variant == c.Heavy.Name; got != deferred {
+			t.Fatalf("served %s, deferred=%v", out.Served.Variant, deferred)
+		}
 		want := base
-		if out.Deferred {
+		if deferred {
 			want = withHeavy
 		}
 		if math.Abs(out.Latency-want) > 1e-12 {
-			t.Fatalf("latency = %v, want %v (deferred=%v)", out.Latency, want, out.Deferred)
+			t.Fatalf("latency = %v, want %v (deferred=%v)", out.Latency, want, deferred)
 		}
 	}
 }
@@ -90,7 +88,7 @@ func TestProcessDeterministic(t *testing.T) {
 	for _, q := range queries {
 		a := c.Process(q, 0.5)
 		b := c.Process(q, 0.5)
-		if a.Confidence != b.Confidence || a.Deferred != b.Deferred {
+		if a.Served.Variant != b.Served.Variant || a.Served.Artifact != b.Served.Artifact || a.Latency != b.Latency {
 			t.Fatal("Process is not deterministic")
 		}
 	}

@@ -57,11 +57,6 @@ func (m *MultiLevel) Stages() int { return len(m.Variants) }
 
 // MultiOutcome records one query's walk through the chain.
 type MultiOutcome struct {
-	Query *imagespace.Query
-	// StageImages holds the generation of every executed stage.
-	StageImages []imagespace.Image
-	// Confidences holds the scorer outputs for executed non-final stages.
-	Confidences []float64
 	// ServedStage is the index of the stage whose output was returned.
 	ServedStage int
 	Served      imagespace.Image
@@ -76,20 +71,17 @@ func (m *MultiLevel) Process(q *imagespace.Query, thresholds []float64) (MultiOu
 	if len(thresholds) != len(m.Scorers) {
 		return MultiOutcome{}, fmt.Errorf("cascade: need %d thresholds, got %d", len(m.Scorers), len(thresholds))
 	}
-	out := MultiOutcome{Query: q}
+	var out MultiOutcome
 	for i, v := range m.Variants {
 		img := m.Space.GenerateDeterministic(q, v.Name, v.Gen)
-		out.StageImages = append(out.StageImages, img)
 		out.Latency += v.Latency.Latency(1)
 		if i == len(m.Variants)-1 {
 			out.ServedStage = i
 			out.Served = img
 			return out, nil
 		}
-		conf := m.Scorers[i].Confidence(q, img)
-		out.Confidences = append(out.Confidences, conf)
 		out.Latency += m.Scorers[i].PerImageLatency()
-		if conf >= thresholds[i] {
+		if m.Scorers[i].Confidence(q, img) >= thresholds[i] {
 			out.ServedStage = i
 			out.Served = img
 			return out, nil

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -82,13 +83,14 @@ func TestChaosWorkerChurnNoLostQueries(t *testing.T) {
 	}
 
 	type liveWorker struct {
-		ws     *WorkerServer
+		lease  *leaseWatch
 		cancel context.CancelFunc
 		done   chan struct{}
 	}
 	startWorker := func(id int, role string) *liveWorker {
+		lease := &leaseWatch{LBConn: serve(ftWorker)}
 		ws := NewWorkerServer(WorkerConfig{
-			ID: id, LB: serve(ftWorker),
+			ID: id, LB: lease,
 			Space: f.space, Light: f.light, Heavy: f.heavy, Scorer: f.scorer,
 			Clock: clock, DisableLoadDelay: true,
 		})
@@ -96,7 +98,7 @@ func TestChaosWorkerChurnNoLostQueries(t *testing.T) {
 		wctx, wcancel := context.WithCancel(ctx)
 		done := make(chan struct{})
 		go func() { defer close(done); ws.Loop(wctx) }()
-		return &liveWorker{ws: ws, cancel: wcancel, done: done}
+		return &liveWorker{lease: lease, cancel: wcancel, done: done}
 	}
 
 	workers := map[int]*liveWorker{}
@@ -175,7 +177,7 @@ func TestChaosWorkerChurnNoLostQueries(t *testing.T) {
 	killBusy := func(id int) {
 		w := workers[id]
 		deadline := time.Now().Add(5 * time.Second)
-		for !w.ws.Stats().Busy && time.Now().Before(deadline) && ctx.Err() == nil {
+		for !w.lease.held.Load() && time.Now().Before(deadline) && ctx.Err() == nil {
 			time.Sleep(100 * time.Microsecond)
 		}
 		w.cancel()
@@ -248,4 +250,24 @@ func TestChaosWorkerChurnNoLostQueries(t *testing.T) {
 	}
 	t.Logf("chaos soak: %d queries, %d reclaims, %d shed, %d late completions",
 		total, st.Reclaims, st.ShedRedelivery, st.LateCompletions)
+}
+
+// leaseWatch wraps a worker's LBConn and reports whether the worker
+// holds a batch: one it pulled and has not yet begun to complete.
+type leaseWatch struct {
+	LBConn
+	held atomic.Bool
+}
+
+func (c *leaseWatch) PullInto(ctx context.Context, req PullRequest, resp *PullResponse) error {
+	err := c.LBConn.PullInto(ctx, req, resp)
+	if err == nil && len(resp.Queries) > 0 {
+		c.held.Store(true)
+	}
+	return err
+}
+
+func (c *leaseWatch) Complete(ctx context.Context, req CompleteRequest) error {
+	c.held.Store(false)
+	return c.LBConn.Complete(ctx, req)
 }

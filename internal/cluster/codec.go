@@ -326,12 +326,7 @@ func appendConfigureLB(b []byte, m *ConfigureLBRequest) []byte {
 
 func appendWorkerStats(b []byte, m *WorkerStats) []byte {
 	b = append(b, tagWorkerStats)
-	b = appendInt(b, m.ID)
-	b = appendStr(b, m.Role)
-	b = appendInt(b, m.Batch)
-	b = appendBool(b, m.Busy)
-	b = appendInt(b, m.Batches)
-	return appendInt(b, m.Queries)
+	return appendStr(b, m.Role)
 }
 
 func appendLBStats(b []byte, m *LBStats) []byte {
@@ -611,12 +606,7 @@ func readCompleteItem(d *bdec, m *CompleteItem) {
 }
 
 func readWorkerStats(d *bdec, m *WorkerStats) {
-	m.ID = d.int()
 	m.Role = d.str()
-	m.Batch = d.int()
-	m.Busy = d.bool()
-	m.Batches = d.int()
-	m.Queries = d.int()
 }
 
 func readLBStats(d *bdec, m *LBStats) {

@@ -128,10 +128,7 @@ func TestCodecParityRandomized(t *testing.T) {
 		cl := ConfigureLBRequest{Threshold: rng.Float64(), SplitProb: rng.Float64()}
 		checkParity(t, &cl, func() interface{} { return new(ConfigureLBRequest) })
 
-		ws := WorkerStats{
-			ID: rng.Intn(64), Role: randString(rng), Batch: rng.Intn(32),
-			Busy: rng.Intn(2) == 0, Batches: rng.Intn(1000), Queries: rng.Intn(10000),
-		}
+		ws := WorkerStats{Role: randString(rng)}
 		checkParity(t, &ws, func() interface{} { return new(WorkerStats) })
 
 		lbs := LBStats{

@@ -2,14 +2,18 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"diffserve/internal/allocator"
 	"diffserve/internal/loadbalancer"
 )
 
-// diffLoop builds a ControllerLoop over n recording worker conns.
+// diffLoop builds a ControllerLoop over n recording worker conns. A
+// failed configure would log a "half-applied" line, which fails the
+// test: none of these conns fails unless its context has ended.
 func diffLoop(t *testing.T, f *fixtures, n, shards int) (*ControllerLoop, *blindStatsConn, []*flakyWorkerConn) {
 	t.Helper()
 	lb := &blindStatsConn{}
@@ -22,6 +26,11 @@ func diffLoop(t *testing.T, f *fixtures, n, shards int) (*ControllerLoop, *blind
 	loop := NewControllerLoop(ControllerConfig{
 		Ctrl: f.controller(t, n, 5), LB: lb, Workers: conns, Shards: shards,
 		Mode: loadbalancer.ModeCascade, Clock: NewClock(0.001),
+		Logf: func(format string, args ...interface{}) {
+			if msg := fmt.Sprintf(format, args...); strings.Contains(msg, "half-applied") {
+				t.Errorf("unexpected failed configure: %s", msg)
+			}
+		},
 	})
 	return loop, lb, workers
 }
@@ -32,6 +41,14 @@ func workerCalls(ws []*flakyWorkerConn) []int {
 		calls[i] = w.calls
 	}
 	return calls
+}
+
+func totalCalls(ws []*flakyWorkerConn) int {
+	n := 0
+	for _, w := range ws {
+		n += w.calls
+	}
+	return n
 }
 
 // TestControllerConfiguresOnlyChangedWorkers walks one loop through a
@@ -75,7 +92,7 @@ func TestControllerConfiguresOnlyChangedWorkers(t *testing.T) {
 			[]int{3},
 			[]ConfigureWorkerRequest{req("light", 8), req("heavy", 1), req("heavy", 1), req("light", 8)}},
 	}
-	sent, skipped := 0, 0
+	sent := 0
 	for n, s := range steps {
 		before := workerCalls(ws)
 		loop.Apply(ctx, s.plan)
@@ -95,11 +112,9 @@ func TestControllerConfiguresOnlyChangedWorkers(t *testing.T) {
 			t.Errorf("%s: LB configured %d times over %d applies, want every apply", s.name, pushes, n+1)
 		}
 		sent += len(s.sent)
-		skipped += len(ws) - len(s.sent)
 	}
-	st := loop.LoopStats()
-	if st.WorkerConfiguresSent != sent || st.WorkerConfiguresSkipped != skipped || st.ConfigureErrors != 0 {
-		t.Errorf("stats %+v, want %d sent / %d skipped / 0 errors", st, sent, skipped)
+	if got := totalCalls(ws); got != sent {
+		t.Errorf("%d worker configures sent, want %d", got, sent)
 	}
 }
 
@@ -107,7 +122,8 @@ func TestControllerConfiguresOnlyChangedWorkers(t *testing.T) {
 // acknowledgement cannot see: a worker that loses its state without
 // failing an RPC. Nothing tells the loop, so it keeps skipping the
 // worker — until the periodic full re-send, which must hand the request
-// back within fullResendEvery applies, with no error reported.
+// back within fullResendEvery applies, with no error reported (diffLoop
+// fails the test on one).
 func TestControllerHealsAmnesiacWorker(t *testing.T) {
 	loop, _, ws := diffLoop(t, newFixtures(t), 2, 0)
 	ctx := context.Background()
@@ -132,9 +148,6 @@ func TestControllerHealsAmnesiacWorker(t *testing.T) {
 		t.Fatalf("worker 1 still holds %+v after %d applies", ws[1].held, fullResendEvery)
 	}
 	t.Logf("healed by the full re-send %d applies after the loss (bound %d)", healedAfter, fullResendEvery)
-	if st := loop.LoopStats(); st.ConfigureErrors != 0 || st.LastApplyErrors != 0 {
-		t.Errorf("amnesia reported as an error: %+v", st)
-	}
 	if ws[0].calls != 2 {
 		t.Errorf("healthy worker configured %d times, want 2 (first apply and the full re-send)", ws[0].calls)
 	}
@@ -183,29 +196,29 @@ func TestControllerConservativeFailoverDiffed(t *testing.T) {
 	both("first stats miss", func(l *ControllerLoop) { l.TickOnce(ctx) })
 	both("second stats miss", func(l *ControllerLoop) { l.TickOnce(ctx) })
 	both("conservative failover", func(l *ControllerLoop) { l.TickOnce(ctx) })
-	if st := diffed.LoopStats(); !st.Conservative {
-		t.Fatalf("no failover after the miss budget: %+v", st)
-	}
-	if cfg, _ := diffedLB.last(); cfg.Threshold != 0 {
-		t.Errorf("conservative policy did not reach the LB: %+v", cfg)
+	if cfg, pushes := diffedLB.last(); cfg.Threshold != 0 || pushes != 4 {
+		t.Errorf("conservative policy did not reach the LB: %+v (%d pushes, want 4)", cfg, pushes)
 	}
 	for i, w := range diffedWs {
 		if w.calls != before[i] {
 			t.Errorf("failover configured worker %d although its request did not change", i)
 		}
 	}
-	st, ref := diffed.LoopStats(), full.LoopStats()
-	if st.WorkerConfiguresSkipped == 0 || st.WorkerConfiguresSent >= ref.WorkerConfiguresSent {
-		t.Errorf("diffing sent %d worker configures (skipped %d), the full send %d", st.WorkerConfiguresSent, st.WorkerConfiguresSkipped, ref.WorkerConfiguresSent)
+	if d, r := totalCalls(diffedWs), totalCalls(fullWs); d >= r {
+		t.Errorf("diffing sent %d worker configures, the full send %d", d, r)
 	}
 }
 
 // TestControllerResendsAfterCancelledApply pins that a send the caller's
-// context cut short is a failed send: it is counted, the worker is left
+// context cut short is a failed send: it is logged, the worker is left
 // unknown, and the next apply sends it again — while workers the
 // cancelled apply did not need to reach are still skipped.
 func TestControllerResendsAfterCancelledApply(t *testing.T) {
 	loop, _, ws := diffLoop(t, newFixtures(t), 3, 0)
+	var logs []string
+	loop.cfg.Logf = func(format string, args ...interface{}) {
+		logs = append(logs, fmt.Sprintf(format, args...))
+	}
 	ctx := context.Background()
 	loop.Apply(ctx, allocator.Plan{LightWorkers: 2, HeavyWorkers: 1, LightBatch: 4, HeavyBatch: 2})
 
@@ -214,8 +227,8 @@ func TestControllerResendsAfterCancelledApply(t *testing.T) {
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
 	loop.Apply(cancelled, flip)
-	if st := loop.LoopStats(); st.LastApplyErrors != 1 || st.ConfigureErrors != 1 {
-		t.Fatalf("cancelled send not counted as failed: %+v", st)
+	if len(logs) != 1 || !strings.Contains(logs[0], "1 of 2 configure RPCs failed") || !strings.Contains(logs[0], "workers [1]") {
+		t.Fatalf("cancelled send not logged as failed: %q", logs)
 	}
 	if want := (ConfigureWorkerRequest{Role: "light", Batch: 4}); ws[1].held != want {
 		t.Fatalf("worker 1 holds %+v after a cancelled send, want its old %+v", ws[1].held, want)
@@ -227,7 +240,7 @@ func TestControllerResendsAfterCancelledApply(t *testing.T) {
 	if got, want := workerCalls(ws), []int{1, 3, 1}; !slices.Equal(got, want) {
 		t.Errorf("configure calls per worker %v, want %v", got, want)
 	}
-	if st := loop.LoopStats(); st.LastApplyErrors != 0 {
-		t.Errorf("healed apply still reports errors: %+v", st)
+	if len(logs) != 1 {
+		t.Errorf("healed apply still reports errors: %q", logs)
 	}
 }

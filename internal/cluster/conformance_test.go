@@ -119,8 +119,11 @@ func testTransportConformance(t *testing.T, tc transportCase) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.ID != 4 || st.Role != "heavy" || st.Batch != 6 {
+		if st.Role != "heavy" {
 			t.Errorf("stats = %+v", st)
+		}
+		if b := ws.state.Batch(); b != 6 {
+			t.Errorf("worker batch = %d after configuring 6", b)
 		}
 	})
 

@@ -39,30 +39,6 @@ type ControllerConfig struct {
 	Logf func(format string, args ...interface{})
 }
 
-// ControllerLoopStats is the control loop's own health report.
-type ControllerLoopStats struct {
-	// ConsecutiveStatsMisses is the current run of failed stats polls.
-	ConsecutiveStatsMisses int
-	// TotalStatsMisses counts failed stats polls over the loop's life.
-	TotalStatsMisses int
-	// Conservative reports whether the loop is currently running the
-	// stats-blind fallback plan.
-	Conservative bool
-	// MeanSolveMs is the average allocator solve time per control
-	// tick, in milliseconds (microseconds' worth for the enumerating
-	// MILPAllocator, against the paper's ~10 ms Gurobi solve).
-	MeanSolveMs float64
-	// ConfigureErrors counts failed configure RPCs — the LB's and each
-	// worker's — over the loop's life; LastApplyErrors counts those of
-	// the most recent plan application alone, so a non-zero value
-	// means the cluster currently holds a half-applied plan.
-	ConfigureErrors, LastApplyErrors int
-	// WorkerConfiguresSent counts the worker configure RPCs the loop
-	// has made, WorkerConfiguresSkipped those it did not make because
-	// the worker had already acknowledged the identical request.
-	WorkerConfiguresSent, WorkerConfiguresSkipped int
-}
-
 // ControllerLoop polls runtime statistics, re-solves allocation, and
 // pushes plans — the cluster analogue of the simulator's control tick.
 // A push is the LB's policy plus a configure for each worker whose
@@ -92,17 +68,10 @@ type ControllerLoop struct {
 	acked   []ConfigureWorkerRequest
 	applies int
 	// stats-poll failure tracking (guarded by mu): statsMisses is the
-	// consecutive run, totalMisses the lifetime count, conservative
-	// whether the blind-fallback plan is currently applied.
+	// consecutive run, conservative whether the blind-fallback plan is
+	// currently applied.
 	statsMisses  int
-	totalMisses  int
 	conservative bool
-	// configure-RPC failure tracking (guarded by mu): the lifetime
-	// count and the count of the latest applyLocked.
-	configureErrors int
-	lastApplyErrors int
-	// worker configure RPCs made and skipped, lifetime (guarded by mu).
-	workerSent, workerSkipped int
 }
 
 // maxStatsMisses is the consecutive stats-poll-failure budget: after
@@ -120,25 +89,6 @@ func NewControllerLoop(cfg ControllerConfig) *ControllerLoop {
 func (c *ControllerLoop) logf(format string, args ...interface{}) {
 	if c.cfg.Logf != nil {
 		c.cfg.Logf(format, args...)
-	}
-}
-
-// LoopStats reports the control loop's own health (stats-poll misses
-// and whether the conservative fallback is active).
-//
-//diffvet:allow deadcode — what the failover and configure-diffing tests observe of the loop
-func (c *ControllerLoop) LoopStats() ControllerLoopStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return ControllerLoopStats{
-		ConsecutiveStatsMisses:  c.statsMisses,
-		TotalStatsMisses:        c.totalMisses,
-		Conservative:            c.conservative,
-		MeanSolveMs:             c.cfg.Ctrl.MeanSolveSeconds() * 1e3,
-		ConfigureErrors:         c.configureErrors,
-		LastApplyErrors:         c.lastApplyErrors,
-		WorkerConfiguresSent:    c.workerSent,
-		WorkerConfiguresSkipped: c.workerSkipped,
 	}
 }
 
@@ -191,7 +141,6 @@ func (c *ControllerLoop) TickOnce(ctx context.Context) {
 	if err != nil {
 		c.mu.Lock()
 		c.statsMisses++
-		c.totalMisses++
 		misses := c.statsMisses
 		failover := misses >= maxStatsMisses && !c.conservative && c.hasPlan
 		if failover {
@@ -270,11 +219,10 @@ const fullResendEvery = 10
 // configured only when it has to be: when the request differs from the
 // last one that worker acknowledged, when the worker's state is unknown
 // (never configured, or its last send failed or was cancelled — a
-// failed RPC is counted in ConfigureErrors / LastApplyErrors and
-// logged, not retried, and the next apply re-sends it), or on a full
-// re-send (fullResendEvery). A worker treats an identical request as a
-// no-op, so with no failures every worker passes through exactly the
-// states an every-apply re-send would have put it through.
+// failed RPC is logged, not retried, and the next apply re-sends it),
+// or on a full re-send (fullResendEvery). A worker treats an identical
+// request as a no-op, so with no failures every worker passes through
+// exactly the states an every-apply re-send would have put it through.
 func (c *ControllerLoop) applyLocked(ctx context.Context, plan allocator.Plan) {
 	c.lastPlan, c.hasPlan = plan, true
 	attempted, failed := 0, 0
@@ -351,10 +299,8 @@ func (c *ControllerLoop) applyLocked(ctx context.Context, plan allocator.Plan) {
 			req.Batch = plan.HeavyBatch
 		}
 		if c.acked[i] == req {
-			c.workerSkipped++
 			continue
 		}
-		c.workerSent++
 		err := conn.Configure(ctx, req)
 		sent(err)
 		if err != nil {
@@ -364,8 +310,6 @@ func (c *ControllerLoop) applyLocked(ctx context.Context, plan allocator.Plan) {
 		c.acked[i] = req
 	}
 	c.assigned = next
-	c.configureErrors += failed
-	c.lastApplyErrors = failed
 	if failed > 0 {
 		c.logf("controller: plan half-applied: %d of %d configure RPCs failed (first: %v); the next apply re-sends the LB policy and workers %v", failed, attempted, firstErr, unknown)
 	}

@@ -46,7 +46,7 @@ func dirtyTargets() []func() interface{} {
 		},
 		func() interface{} { return &ConfigureWorkerRequest{Role: "stale", Batch: 99} },
 		func() interface{} { return &ConfigureLBRequest{Threshold: 99, SplitProb: 99} },
-		func() interface{} { return &WorkerStats{ID: -1, Role: "stale", Busy: true, Batches: 99} },
+		func() interface{} { return &WorkerStats{Role: "stale"} },
 		func() interface{} { return &LBStats{Now: 99, Completed: 99, Reclaims: 99} },
 		func() interface{} { return &SubmitRequest{Queries: []QueryMsg{{ID: -1}, {ID: -2}}} },
 		func() interface{} { return &ResultsRequest{Max: 99, Wait: 99} },
@@ -73,7 +73,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		&CompleteRequest{WorkerID: 1, Role: "heavy", LeaseDeadline: 6.25, Items: []CompleteItem{{ID: 4, Variant: "sdv15", Features: []float64{3}}}},
 		&ConfigureWorkerRequest{Role: "light", Batch: 8},
 		&ConfigureLBRequest{Threshold: 0.7, SplitProb: 0.25},
-		&WorkerStats{ID: 2, Role: "heavy", Batch: 4, Busy: true, Batches: 10, Queries: 40},
+		&WorkerStats{Role: "heavy"},
 		&LBStats{Now: 100, LightQueueLen: 3, Completed: 50, InFlight: 4, Reclaims: 2, ShedRedelivery: 1, LateCompletions: 3, DegradedShards: 1},
 		&SubmitRequest{Queries: []QueryMsg{{ID: 5, Arrival: 1}}},
 		&ResultsRequest{Max: 64, Wait: 2},

@@ -28,7 +28,7 @@ type LBConfig struct {
 	// to its Max, as the simulator's dispatcher does; no pull waits for
 	// a batch to fill. The field stays only because existing callers
 	// still set it.
-	CoalesceWait float64
+	CoalesceWait float64 //diffvet:allow deadcode — benchmark/dataplane.go still sets it; it goes with that setter in the benchmark's own cleanup (ROADMAP item 12)
 	// RNGStream names the routing RNG stream derived from Seed (empty
 	// defaults to "lb"). The sharded LB tier gives shard i the stream
 	// "lb/<i>" so shards draw independent random-split decisions while

@@ -193,12 +193,7 @@ type ConfigureLBRequest struct {
 
 // WorkerStats is a worker's control-plane report.
 type WorkerStats struct {
-	ID      int    `json:"id"`
-	Role    string `json:"role"`
-	Batch   int    `json:"batch"`
-	Busy    bool   `json:"busy"`
-	Batches int    `json:"batches"`
-	Queries int    `json:"queries"`
+	Role string `json:"role"`
 }
 
 // LBStats is the load balancer's control-plane report.

@@ -54,7 +54,6 @@ type WorkerServer struct {
 
 	mu    sync.Mutex
 	state *worker.Worker
-	busy  bool
 }
 
 // NewWorkerServer constructs a worker.
@@ -102,16 +101,8 @@ func (s *WorkerServer) Configure(req ConfigureWorkerRequest) {
 // Stats reports the worker's state.
 func (s *WorkerServer) Stats() WorkerStats {
 	s.mu.Lock()
-	out := WorkerStats{
-		ID:      s.state.ID(),
-		Role:    roleName(s.state.Role()),
-		Batch:   s.state.Batch(),
-		Busy:    s.busy,
-		Batches: s.state.Batches(),
-		Queries: s.state.Queries(),
-	}
-	s.mu.Unlock()
-	return out
+	defer s.mu.Unlock()
+	return WorkerStats{Role: roleName(s.state.Role())}
 }
 
 // Loop runs the worker's pull-execute-complete cycle until the context
@@ -186,7 +177,6 @@ func (s *WorkerServer) executeBatch(ctx context.Context, role worker.Role, pulle
 	if s.state.Available(start) {
 		s.state.StartBatch(start, n, exec)
 	}
-	s.busy = true
 	s.mu.Unlock()
 
 	finished := s.cfg.Clock.WaitUntil(ctx, start+exec, nil)
@@ -227,10 +217,6 @@ func (s *WorkerServer) executeBatch(ctx context.Context, role worker.Role, pulle
 		}
 		items = req.Items
 	}
-
-	s.mu.Lock()
-	s.busy = false
-	s.mu.Unlock()
 	return items
 }
 

@@ -125,7 +125,6 @@ func runOnTrace(env *baselines.Env, app baselines.Approach, tr *trace.Trace, opt
 	s := res.Summary()
 	summary = Summary{
 		Approach:       string(app),
-		Queries:        s.Queries,
 		FID:            s.FID,
 		ViolationRatio: s.ViolationRatio,
 		DropRatio:      s.DropRatio,
@@ -140,7 +139,7 @@ func runOnTrace(env *baselines.Env, app baselines.Approach, tr *trace.Trace, opt
 	for _, b := range bks {
 		buckets = append(buckets, TimelineBucket{
 			Start: b.Start, DemandQPS: b.DemandQPS,
-			FID: b.FID, ViolationRatio: b.ViolationRatio, DeferRatio: b.DeferRatio,
+			FID: b.FID, ViolationRatio: b.ViolationRatio,
 		})
 	}
 	return summary, buckets, nil
@@ -149,7 +148,6 @@ func runOnTrace(env *baselines.Env, app baselines.Approach, tr *trace.Trace, opt
 // Summary is one approach's end-to-end outcome.
 type Summary struct {
 	Approach       string
-	Queries        int
 	FID            float64
 	ViolationRatio float64
 	DropRatio      float64
@@ -164,7 +162,6 @@ type TimelineBucket struct {
 	DemandQPS      float64
 	FID            float64 // NaN when too few samples
 	ViolationRatio float64
-	DeferRatio     float64
 }
 
 // writeSummaries renders a summary table.

@@ -17,11 +17,8 @@ import (
 // Fig1aPoint is one (threshold, latency, FID) operating point of a
 // cascade under a scorer.
 type Fig1aPoint struct {
-	Scorer        string
-	DeferFraction float64
-	Threshold     float64
-	AvgLatency    float64
-	FID           float64
+	AvgLatency float64
+	FID        float64
 }
 
 // VariantPoint is one independent model variant in the Fig 1a scatter.
@@ -147,10 +144,7 @@ func cascadeCurve(space *imagespace.Space, light, heavy *model.Variant, s discri
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, Fig1aPoint{
-			Scorer: s.Name(), DeferFraction: f, Threshold: thr,
-			AvgLatency: latency / float64(len(queries)), FID: score,
-		})
+		out = append(out, Fig1aPoint{AvgLatency: latency / float64(len(queries)), FID: score})
 	}
 	return out, nil
 }
@@ -268,7 +262,6 @@ type Fig1cPoint struct {
 	HeavyBatch    int
 	LightWorkers  int
 	HeavyWorkers  int
-	Pareto        bool
 }
 
 // Fig1cResult reproduces Fig 1c: the FID-vs-serving-throughput space
@@ -371,7 +364,6 @@ func Fig1c(cfg Config) (*Fig1cResult, error) {
 	for _, p := range sorted {
 		if p.FID < bestFID-1e-9 {
 			bestFID = p.FID
-			p.Pareto = true
 			out.Frontier = append(out.Frontier, p)
 		}
 	}

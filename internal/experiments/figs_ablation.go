@@ -8,7 +8,6 @@ import (
 
 	"diffserve/internal/allocator"
 	"diffserve/internal/baselines"
-	"diffserve/internal/cascade"
 	"diffserve/internal/cluster"
 	"diffserve/internal/controller"
 	"diffserve/internal/discriminator"
@@ -356,8 +355,7 @@ func SimVsCluster(cfg Config) (*SimVsClusterResult, error) {
 		approach = fmt.Sprintf("diffserve (cluster, %s, %d lb shards)", res.Transport, res.LBShards)
 	}
 	clusterSum := Summary{
-		Approach: approach, Queries: cs.Queries,
-		FID: cs.FID, ViolationRatio: cs.ViolationRatio,
+		Approach: approach, FID: cs.FID, ViolationRatio: cs.ViolationRatio,
 		DropRatio: cs.DropRatio, DeferRatio: cs.DeferRatio,
 		MeanLatency: cs.MeanLatency, P99Latency: cs.P99Latency,
 	}
@@ -482,6 +480,3 @@ func (r *SimVsClusterResult) Render(w io.Writer) {
 		}
 	}
 }
-
-// cascadeCurveDeps keeps the cascade import referenced from this file.
-var _ = cascade.ProfileDeferral

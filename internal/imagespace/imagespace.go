@@ -242,7 +242,6 @@ func (s *Space) MeanArtifact(p GenParams) float64 {
 // ground-truth artifact magnitude used by the evaluation harness (never
 // by the serving system itself).
 type Image struct {
-	QueryID  int
 	Features []float64
 	// Artifact is the ground-truth artifact magnitude (inverse quality).
 	Artifact float64
@@ -283,7 +282,7 @@ func (s *Space) generate(q *Query, p GenParams, rng *stats.RNG, dir []float64) I
 	for i := 0; i < s.cfg.Dim; i++ {
 		feat[i] = p.Contraction*q.Truth[i] + a*dir[i] + rng.Normal(0, p.NoiseStd)
 	}
-	return Image{QueryID: q.ID, Features: feat, Artifact: a}
+	return Image{Features: feat, Artifact: a}
 }
 
 // GenerateDeterministic generates q's image with a stream derived from

@@ -223,11 +223,7 @@ func (c *Collector) MeanLatency() float64 {
 
 // Bucket is one time window of the serving timeline.
 type Bucket struct {
-	Start, End float64
-	Arrivals   int
-	Served     int
-	Dropped    int
-	Late       int
+	Start float64
 	// DemandQPS is arrivals divided by bucket width.
 	DemandQPS float64
 	// ViolationRatio is (dropped+late)/arrivals, 0 when no arrivals.
@@ -310,11 +306,6 @@ func (c *Collector) Timeline(bucketSecs float64, ref *fid.Reference, minFIDSampl
 		ba := &c.buckets[i]
 		b := &buckets[i]
 		b.Start = float64(i) * bucketSecs
-		b.End = float64(i+1) * bucketSecs
-		b.Arrivals = ba.arrivals
-		b.Served = ba.served
-		b.Dropped = ba.dropped
-		b.Late = ba.late
 		b.DemandQPS = float64(ba.arrivals) / bucketSecs
 		if ba.arrivals > 0 {
 			b.ViolationRatio = float64(ba.dropped+ba.late) / float64(ba.arrivals)

@@ -15,10 +15,6 @@ type Variant struct {
 	Name string
 	// DisplayName is the human-readable name used in reports.
 	DisplayName string
-	// Steps is the number of denoising steps the variant runs.
-	Steps int
-	// Resolution is the output image resolution (square, pixels).
-	Resolution int
 	// Latency is the profiled batch execution latency.
 	Latency *Profile
 	// Gen holds the feature-space generation parameters.
@@ -121,7 +117,7 @@ func BuiltinRegistry() *Registry {
 
 	// Cascade 1 & 2 heavyweight: Stable Diffusion v1.5, 50 steps.
 	add(&Variant{
-		Name: "sdv15", DisplayName: "SDv1.5", Steps: 50, Resolution: 512,
+		Name: "sdv15", DisplayName: "SDv1.5",
 		Latency: mustProfile(1.78, 0.62),
 		Gen: imagespace.GenParams{
 			ArtifactBase: 4.00, ArtifactSlope: 0.90, ArtifactNoise: 0.35,
@@ -132,7 +128,7 @@ func BuiltinRegistry() *Registry {
 
 	// Cascade 1 lightweight: SD-Turbo, 1 step.
 	add(&Variant{
-		Name: "sdturbo", DisplayName: "SD-Turbo", Steps: 1, Resolution: 512,
+		Name: "sdturbo", DisplayName: "SD-Turbo",
 		Latency: mustProfile(0.10, 0.35),
 		Gen: imagespace.GenParams{
 			ArtifactBase: 2.90, ArtifactSlope: 5.50, ArtifactNoise: 0.55,
@@ -143,7 +139,7 @@ func BuiltinRegistry() *Registry {
 
 	// Cascade 2 lightweight: SDXS-512-0.9, 1 step.
 	add(&Variant{
-		Name: "sdxs", DisplayName: "SDXS", Steps: 1, Resolution: 512,
+		Name: "sdxs", DisplayName: "SDXS",
 		Latency: mustProfile(0.05, 0.30),
 		Gen: imagespace.GenParams{
 			ArtifactBase: 3.00, ArtifactSlope: 5.60, ArtifactNoise: 0.60,
@@ -154,7 +150,7 @@ func BuiltinRegistry() *Registry {
 
 	// Cascade 3 heavyweight: SDXL, 50 steps, 1024x1024.
 	add(&Variant{
-		Name: "sdxl", DisplayName: "SDXL", Steps: 50, Resolution: 1024,
+		Name: "sdxl", DisplayName: "SDXL",
 		Latency: mustProfile(6.0, 0.70),
 		Gen: imagespace.GenParams{
 			ArtifactBase: 4.20, ArtifactSlope: 0.80, ArtifactNoise: 0.35,
@@ -165,7 +161,7 @@ func BuiltinRegistry() *Registry {
 
 	// Cascade 3 lightweight: SDXL-Lightning, 2 steps, 1024x1024.
 	add(&Variant{
-		Name: "sdxl-lightning", DisplayName: "SDXL-Lightning", Steps: 2, Resolution: 1024,
+		Name: "sdxl-lightning", DisplayName: "SDXL-Lightning",
 		Latency: mustProfile(0.50, 0.10),
 		Gen: imagespace.GenParams{
 			ArtifactBase: 3.60, ArtifactSlope: 5.00, ArtifactNoise: 0.55,
@@ -176,7 +172,7 @@ func BuiltinRegistry() *Registry {
 
 	// Independent variants shown in the Fig 1a scatter.
 	add(&Variant{
-		Name: "sdv15-dpms", DisplayName: "SDv1.5 (DPMS++)", Steps: 20, Resolution: 512,
+		Name: "sdv15-dpms", DisplayName: "SDv1.5 (DPMS++)",
 		Latency: mustProfile(0.75, 0.55),
 		Gen: imagespace.GenParams{
 			ArtifactBase: 4.05, ArtifactSlope: 1.30, ArtifactNoise: 0.40,
@@ -185,7 +181,7 @@ func BuiltinRegistry() *Registry {
 		LoadSeconds: 8,
 	})
 	add(&Variant{
-		Name: "sdxl-turbo", DisplayName: "SDXL-Turbo", Steps: 1, Resolution: 512,
+		Name: "sdxl-turbo", DisplayName: "SDXL-Turbo",
 		Latency: mustProfile(0.15, 0.35),
 		Gen: imagespace.GenParams{
 			ArtifactBase: 3.40, ArtifactSlope: 3.60, ArtifactNoise: 0.50,
@@ -194,7 +190,7 @@ func BuiltinRegistry() *Registry {
 		LoadSeconds: 4,
 	})
 	add(&Variant{
-		Name: "tinysd-dpms", DisplayName: "TinySD (DPMS++)", Steps: 20, Resolution: 512,
+		Name: "tinysd-dpms", DisplayName: "TinySD (DPMS++)",
 		Latency: mustProfile(0.40, 0.45),
 		Gen: imagespace.GenParams{
 			ArtifactBase: 3.90, ArtifactSlope: 3.80, ArtifactNoise: 0.55,
@@ -206,8 +202,8 @@ func BuiltinRegistry() *Registry {
 	return r
 }
 
-// CascadeSpec names a light–heavy pair evaluated in the paper, its SLO
-// and the dataset driving it.
+// CascadeSpec names a light–heavy pair evaluated in the paper and its
+// SLO.
 type CascadeSpec struct {
 	// Name is the cascade key ("cascade1", "cascade2", "cascade3").
 	Name string
@@ -215,16 +211,14 @@ type CascadeSpec struct {
 	Light, Heavy string
 	// SLOSeconds is the latency deadline for the cascade's experiments.
 	SLOSeconds float64
-	// Dataset is the evaluation dataset label (MS-COCO or DiffusionDB).
-	Dataset string
 }
 
 // BuiltinCascades returns the three cascades of the paper's evaluation.
 func BuiltinCascades() []CascadeSpec {
 	return []CascadeSpec{
-		{Name: "cascade1", Light: "sdturbo", Heavy: "sdv15", SLOSeconds: 5, Dataset: "mscoco-2017"},
-		{Name: "cascade2", Light: "sdxs", Heavy: "sdv15", SLOSeconds: 5, Dataset: "mscoco-2017"},
-		{Name: "cascade3", Light: "sdxl-lightning", Heavy: "sdxl", SLOSeconds: 15, Dataset: "diffusiondb"},
+		{Name: "cascade1", Light: "sdturbo", Heavy: "sdv15", SLOSeconds: 5},
+		{Name: "cascade2", Light: "sdxs", Heavy: "sdv15", SLOSeconds: 5},
+		{Name: "cascade3", Light: "sdxl-lightning", Heavy: "sdxl", SLOSeconds: 15},
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package queueing provides the FIFO query queues used by workers and
-// the Little's-law waiting-time estimation that DiffServe's resource
-// allocator relies on (paper §3.3): W = L / lambda, where L is the
-// observed queue length and lambda the arrival rate.
+// the queue state DiffServe's resource allocator estimates waiting
+// time from by Little's law (paper §3.3): W = L / lambda, where L is
+// the observed queue length and lambda the arrival rate.
 package queueing
 
 import (
@@ -115,34 +115,14 @@ func (q *FIFO) ArrivalRate(now float64) float64 {
 	return float64(len(q.arrivals)) / span
 }
 
-// LittleWait estimates the queuing delay via Little's law from a queue
-// length and an arrival rate. A zero arrival rate yields zero wait for
-// an empty queue, and +Inf for a non-empty one (the queue cannot drain
-// through arrivals-based accounting).
-func LittleWait(queueLen int, arrivalRate float64) float64 {
-	if queueLen == 0 {
-		return 0
-	}
-	if arrivalRate <= 0 {
-		return math.Inf(1)
-	}
-	return float64(queueLen) / arrivalRate
-}
-
 // Snapshot is a point-in-time view of queue state consumed by the
 // controller.
 type Snapshot struct {
 	Len         int
 	ArrivalRate float64
-	LittleWait  float64
 }
 
 // Snap builds a Snapshot at time now.
 func (q *FIFO) Snap(now float64) Snapshot {
-	rate := q.ArrivalRate(now)
-	return Snapshot{
-		Len:         q.Len(),
-		ArrivalRate: rate,
-		LittleWait:  LittleWait(q.Len(), rate),
-	}
+	return Snapshot{Len: q.Len(), ArrivalRate: q.ArrivalRate(now)}
 }

@@ -91,18 +91,6 @@ func TestArrivalRateEarlyClock(t *testing.T) {
 	}
 }
 
-func TestLittleWait(t *testing.T) {
-	if got := LittleWait(0, 5); got != 0 {
-		t.Errorf("empty queue wait = %v", got)
-	}
-	if got := LittleWait(10, 5); got != 2 {
-		t.Errorf("wait = %v, want 2", got)
-	}
-	if got := LittleWait(3, 0); !math.IsInf(got, 1) {
-		t.Errorf("zero-rate wait = %v, want +Inf", got)
-	}
-}
-
 func TestSnap(t *testing.T) {
 	q := NewFIFO(10)
 	for i := 0; i < 8; i++ {
@@ -112,18 +100,16 @@ func TestSnap(t *testing.T) {
 	if s.Len != 8 {
 		t.Errorf("Len = %d", s.Len)
 	}
-	if s.ArrivalRate <= 0 {
-		t.Errorf("rate = %v", s.ArrivalRate)
-	}
-	if math.Abs(s.LittleWait-float64(s.Len)/s.ArrivalRate) > 1e-9 {
-		t.Errorf("LittleWait inconsistent: %v", s.LittleWait)
+	// 8 arrivals over the first 8 s of a 10 s window.
+	if math.Abs(s.ArrivalRate-1) > 1e-9 {
+		t.Errorf("rate = %v, want 1", s.ArrivalRate)
 	}
 }
 
 func TestLittleLawConsistencyUnderSteadyState(t *testing.T) {
-	// Feed at rate lambda, drain at rate mu < lambda: queue builds and
-	// the Little estimate grows accordingly; then drain fully and the
-	// estimate returns to zero.
+	// Feed at rate lambda, drain at rate mu < lambda: the queue builds,
+	// so Little's W = L/lambda from the snapshot is positive and finite;
+	// then drain fully and L, hence W, returns to zero.
 	q := NewFIFO(5)
 	now := 0.0
 	id := 0
@@ -136,12 +122,12 @@ func TestLittleLawConsistencyUnderSteadyState(t *testing.T) {
 		}
 	}
 	s := q.Snap(now)
-	if s.Len == 0 || s.LittleWait <= 0 {
-		t.Errorf("expected backlog: %+v", s)
+	if s.Len == 0 || s.ArrivalRate <= 0 {
+		t.Errorf("expected backlog at a positive arrival rate: %+v", s)
 	}
 	q.Pop(now, q.Len())
-	if w := q.Snap(now).LittleWait; w != 0 {
-		t.Errorf("drained wait = %v, want 0", w)
+	if n := q.Snap(now).Len; n != 0 {
+		t.Errorf("drained queue length = %d, want 0", n)
 	}
 }
 

@@ -1,8 +1,7 @@
 // Package worker models a GPU worker's serving state machine: the
 // role it currently hosts (light model + discriminator, heavy model,
-// or idle), its configured batch size, busy/loading intervals, and
-// execution accounting, plus the keep-in-place role assignment a new
-// plan goes through. The discrete-event simulator and the cluster
+// or idle), its configured batch size and busy/loading intervals,
+// plus the keep-in-place role assignment a new plan goes through. The discrete-event simulator and the cluster
 // runtime both drive it.
 package worker
 
@@ -42,9 +41,6 @@ type Worker struct {
 	busyUntil float64
 	// loadingUntil is when a model switch completes, or 0.
 	loadingUntil float64
-	// lifetime counters
-	batches int
-	queries int
 }
 
 // New returns an idle worker.
@@ -52,20 +48,11 @@ func New(id int) *Worker {
 	return &Worker{id: id, batch: 1}
 }
 
-// ID returns the worker's identifier.
-func (w *Worker) ID() int { return w.id }
-
 // Role returns the current role.
 func (w *Worker) Role() Role { return w.role }
 
 // Batch returns the configured batch size.
 func (w *Worker) Batch() int { return w.batch }
-
-// Batches returns the number of batches executed.
-func (w *Worker) Batches() int { return w.batches }
-
-// Queries returns the number of queries executed.
-func (w *Worker) Queries() int { return w.queries }
 
 // SetBatch reconfigures the batch size without a model switch.
 // It panics on non-positive sizes.
@@ -135,8 +122,6 @@ func (w *Worker) StartBatch(now float64, n int, execSeconds float64) float64 {
 		panic(fmt.Sprintf("worker %d: negative exec time", w.id))
 	}
 	w.busyUntil = now + execSeconds
-	w.batches++
-	w.queries += n
 	return w.busyUntil
 }
 
