@@ -57,13 +57,16 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
 
 # bench-perf runs just the perf-pipeline benchmarks this refactor
-# tracks (see PERFORMANCE.md), and the RNG's two: the per-query
+# tracks (see PERFORMANCE.md); the RNG's two: the per-query
 # re-seed-and-draw-20 pattern and the steady-state draw, each next to
-# math/rand's seeded source.
+# math/rand's seeded source; and the simulator's per-query layers: one
+# 16-dim moment update, one 16-dim Fréchet cross term, and a generation
+# on a query with nothing memoized (GenerateMiss).
 .PHONY: bench-perf
 bench-perf:
-	$(GO) test -run '^$$' -bench 'Fig5$$|MomentsStreaming|MomentsBatch|GenerateCached|ExperimentsSerial|ExperimentsParallel' -benchmem .
-	$(GO) test -run '^$$' -bench 'BenchmarkReseedDraw20|BenchmarkLongStream' -benchmem ./internal/stats/
+	$(GO) test -run '^$$' -bench 'Fig5$$|MomentsStreaming|MomentsBatch|GenerateCached|GenerateMiss|ExperimentsSerial|ExperimentsParallel' -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkReseedDraw20|BenchmarkLongStream|BenchmarkMomentAdd16' -benchmem ./internal/stats/
+	$(GO) test -run '^$$' -bench 'BenchmarkTraceSqrtProduct16' -benchmem ./internal/linalg/
 
 # bench-all runs the repo's benchmark (benchmark/, BENCHMARK.json):
 # every workload ten times, each run a fresh process, medians and
@@ -152,7 +155,7 @@ allocator-allocs-gate:
 # distorts. Raise COUNT for a longer hunt on the soak legs.
 COUNT ?= 2
 .PHONY: race
-race: race-cluster race-sharded race-posted chaos-soak race-solver race-poison
+race: race-cluster race-sharded race-posted chaos-soak race-solver race-poison race-space
 
 # race-cluster: the cluster data path (the per-pool lock stress hammer
 # and the transport conformance matrix included), the parallel helpers,
@@ -205,6 +208,15 @@ chaos-soak:
 .PHONY: race-solver
 race-solver:
 	$(GO) test -race ./internal/allocator/
+
+# race-space: the simulator's shared memos — images memoized on each
+# *Query under its Space's lock (TestGenerateDeterministicConcurrent
+# among them), the scorers' observation memo, and the experiment
+# harness running simulations in parallel over one Space.
+.PHONY: race-space
+race-space:
+	$(GO) test -race ./internal/imagespace/ ./internal/discriminator/
+	$(GO) test -race -run TestFanOutSerialParallelIdentical ./internal/experiments/
 
 # race-poison: the cluster suite under the race detector with recycled
 # buffers filled with NaN sentinels on release (see pool_poison.go).

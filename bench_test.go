@@ -254,6 +254,37 @@ func BenchmarkGenerateCached(b *testing.B) {
 	}
 }
 
+// BenchmarkGenerateMiss measures deterministic generation on queries
+// nothing has generated yet, as every simulated window's first pass
+// does: GenerateCached above measures only memo hits. Queries are
+// sampled outside the timer in blocks, and a fresh Space every 1<<16
+// IDs bounds the memory a long run holds.
+func BenchmarkGenerateMiss(b *testing.B) {
+	const block, perSpace = 4096, 1 << 16
+	v := model.BuiltinRegistry().MustGet("sdturbo")
+	var space *imagespace.Space
+	var queries []*imagespace.Query
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%block == 0 {
+			b.StopTimer()
+			if i%perSpace == 0 {
+				var err error
+				space, err = imagespace.NewSpace(imagespace.DefaultSpaceConfig(), stats.NewRNG(3).Stream("space"))
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			queries = space.SampleQueries(i, block)
+			b.StartTimer()
+		}
+		if img := space.GenerateDeterministic(queries[i%block], v.Name, v.Gen); img.Features == nil {
+			b.Fatal("missing features")
+		}
+	}
+}
+
 // benchFig8At runs the Fig 8 ablation suite at a fixed worker-pool
 // size (the serial-vs-parallel experiment harness comparison).
 func benchFig8At(b *testing.B, parallelism int) {

@@ -64,7 +64,7 @@ func (c *obsCache) sample(base *stats.RNG, variant string, id int, draw func(*st
 	if !ok {
 		c.scratch.Reseed(stats.StreamNSeedFrom(base.StreamSeed2("v:", variant), "q", id))
 		v = draw(c.scratch)
-		// Bounded like the imagespace memos: past the cap, compute
+		// Bounded like imagespace's query memo: past the cap, compute
 		// without storing so long-lived processes stay O(1).
 		if len(c.vals) < maxObsEntries {
 			c.vals[k] = v

@@ -81,25 +81,15 @@ type Space struct {
 	cfg SpaceConfig
 	rng *stats.RNG
 
-	// Deterministic generation and query sampling are memoized:
-	// replaying the same query population through different serving
-	// policies or thresholds never regenerates an image or re-samples
-	// a query. All cache state is guarded by mu so concurrent
-	// simulation runs can share one Space.
+	// Query sampling is memoized per ID and generation on the sampled
+	// *Query (Query.images): replaying a query population through other
+	// policies or thresholds never re-samples a query or regenerates an
+	// image. All of it, the queries' images too, is guarded by mu so
+	// concurrent simulation runs can share one Space.
 	mu      sync.Mutex
-	images  map[genKey]Image
 	queries map[int]*Query
 	dirs    map[dirKey][]float64
 	genRNG  *stats.RNG // scratch RNG reseeded per cache miss
-}
-
-// genKey identifies a deterministic generation: GenParams is part of
-// the key so the cache stays correct even if two variants share a name
-// with different parameters.
-type genKey struct {
-	variant string
-	id      int
-	params  GenParams
 }
 
 // dirKey identifies a memoized artifact direction.
@@ -108,9 +98,9 @@ type dirKey struct {
 	axis int
 }
 
-// maxCacheEntries bounds each memo map so a long-lived process (e.g.
+// maxCacheEntries bounds the query memo so a long-lived process (e.g.
 // a cluster worker serving an unbounded query stream) cannot grow
-// without limit: past the cap, results are computed but not stored.
+// without limit: past the cap, a query (with its images) is not stored.
 const maxCacheEntries = 1 << 20
 
 // NewSpace constructs a Space. The RNG seeds all query sampling; use
@@ -128,7 +118,6 @@ func NewSpace(cfg SpaceConfig, rng *stats.RNG) (*Space, error) {
 	return &Space{
 		cfg:     cfg,
 		rng:     rng,
-		images:  make(map[genKey]Image),
 		queries: make(map[int]*Query),
 		dirs:    make(map[dirKey][]float64),
 		genRNG:  stats.NewRNG(0),
@@ -145,12 +134,25 @@ type Query struct {
 	ID         int
 	Difficulty float64   // latent difficulty in [0, 1]
 	Truth      []float64 // ground-truth image feature vector, ~ N(0, I)
+
+	// owner is the Space that sampled the query, and images the
+	// generations it memoized on it, guarded by owner.mu. A query
+	// built by hand has no owner, so its images are never memoized.
+	owner  *Space
+	images []genMemo
+}
+
+// genMemo is one memoized generation: the image a variant with these
+// parameters made of the query.
+type genMemo struct {
+	GenParams
+	Image
 }
 
 // SampleQuery draws the query with the given ID from the population.
 // Queries are deterministic per ID and memoized, so replaying the
 // same population across runs returns shared *Query values — treat
-// them as read-only.
+// their exported fields as read-only (the Space memoizes images on them).
 func (s *Space) SampleQuery(id int) *Query {
 	s.mu.Lock()
 	if q, ok := s.queries[id]; ok {
@@ -164,6 +166,7 @@ func (s *Space) SampleQuery(id int) *Query {
 		ID:         id,
 		Difficulty: s.genRNG.Beta(s.cfg.DifficultyAlpha, s.cfg.DifficultyBeta),
 		Truth:      s.genRNG.NormalVec(nil, s.cfg.Dim, 0, 1),
+		owner:      s,
 	}
 	if len(s.queries) < maxCacheEntries {
 		s.queries[id] = q
@@ -290,17 +293,20 @@ func (s *Space) generate(q *Query, p GenParams, rng *stats.RNG, dir []float64) I
 // same query is re-generated (e.g. replayed through a different
 // serving policy).
 //
-// Results are memoized per (variant, query, params): replaying the
-// same query population across approaches, thresholds, or sweep
-// points returns the cached image, byte-identical to a fresh
-// generation. The returned Image's Features slice is shared with the
-// cache — treat it as read-only.
+// Results are memoized on q per (variant, params) when this Space
+// sampled q, so replays across approaches, thresholds, or sweep points
+// return the cached image, byte-identical to a fresh generation; two
+// *Query values with one ID each generate (the same bits) once. The
+// returned Image's Features slice is shared with the cache — treat it
+// as read-only.
 func (s *Space) GenerateDeterministic(q *Query, variant string, p GenParams) Image {
-	key := genKey{variant: variant, id: q.ID, params: p}
 	s.mu.Lock()
-	if img, ok := s.images[key]; ok {
-		s.mu.Unlock()
-		return img
+	memo := q.owner == s
+	for i := 0; memo && i < len(q.images); i++ {
+		if e := &q.images[i]; e.Variant == variant && e.GenParams == p {
+			s.mu.Unlock()
+			return e.Image
+		}
 	}
 	// The stream seed is derived without allocating intermediate
 	// strings or RNGs: this hash chain is exactly
@@ -309,8 +315,11 @@ func (s *Space) GenerateDeterministic(q *Query, variant string, p GenParams) Ima
 	s.genRNG.Reseed(seed)
 	img := s.generate(q, p, s.genRNG, s.artifactDirLocked(p.DirSkew, p.DirAxis))
 	img.Variant = variant
-	if len(s.images) < maxCacheEntries {
-		s.images[key] = img
+	if memo {
+		if q.images == nil {
+			q.images = make([]genMemo, 0, 2) // a cascade's two variants
+		}
+		q.images = append(q.images, genMemo{p, img})
 	}
 	s.mu.Unlock()
 	return img

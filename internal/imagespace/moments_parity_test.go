@@ -2,6 +2,7 @@ package imagespace
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"diffserve/internal/stats"
@@ -205,4 +206,101 @@ func TestGenerateWithReuseDoesNotCorruptCache(t *testing.T) {
 	if reused.Artifact < fresh1.Artifact {
 		t.Fatal("reuse leak should not reduce the artifact magnitude")
 	}
+}
+
+// TestGenerateDeterministicConcurrent has 8 goroutines share one Space,
+// sampling overlapping query IDs and generating each through two
+// variants, so the memo on a shared *Query is read and appended to
+// concurrently (run it under -race). Every image must equal the one a
+// fresh Space with the same seed generates.
+func TestGenerateDeterministicConcurrent(t *testing.T) {
+	newSpace := func() *Space {
+		s, err := NewSpace(DefaultSpaceConfig(), stats.NewRNG(12).Stream("space"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	light := GenParams{ArtifactBase: 0.3, ArtifactSlope: 6, ArtifactNoise: 0.2, DirSkew: 0.6, DirAxis: 2, Contraction: 0.85, NoiseStd: 0.35}
+	heavy := GenParams{ArtifactBase: 0.6, ArtifactSlope: 1.5, ArtifactNoise: 0.2, DirSkew: 0.1, DirAxis: 1, Contraction: 0.95, NoiseStd: 0.3}
+	shared := newSpace()
+	const workers, ids = 8, 256
+	got := make([][ids][2]Image, workers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			<-start
+			// Worker w walks IDs from its own offset, both variants in
+			// an order that depends on w, so every ID is hit by all 8.
+			for k := 0; k < ids; k++ {
+				id := (k + w*ids/workers) % ids
+				q := shared.SampleQuery(id)
+				if w%2 == 0 {
+					got[w][id][0] = shared.GenerateDeterministic(q, "light", light)
+					got[w][id][1] = shared.GenerateDeterministic(q, "heavy", heavy)
+				} else {
+					got[w][id][1] = shared.GenerateDeterministic(q, "heavy", heavy)
+					got[w][id][0] = shared.GenerateDeterministic(q, "light", light)
+				}
+			}
+		}(w)
+	}
+	close(start)
+	wg.Wait()
+	fresh := newSpace()
+	for id := 0; id < ids; id++ {
+		q := fresh.SampleQuery(id)
+		want := [2]Image{fresh.GenerateDeterministic(q, "light", light), fresh.GenerateDeterministic(q, "heavy", heavy)}
+		for w := 0; w < workers; w++ {
+			for v := range want {
+				g := got[w][id][v]
+				if g.Variant != want[v].Variant || math.Float64bits(g.Artifact) != math.Float64bits(want[v].Artifact) || !sameFeatures(g.Features, want[v].Features) {
+					t.Fatalf("worker %d, id %d, variant %s: image differs from a fresh Space's", w, id, want[v].Variant)
+				}
+			}
+		}
+	}
+}
+
+// TestGenerateDeterministicForeignQuery checks that the memo a query
+// carries belongs to the Space that sampled it: another Space (another
+// seed) generating the same *Query gets its own image, not the cached
+// one, and a query built by hand generates the same bits every time.
+func TestGenerateDeterministicForeignQuery(t *testing.T) {
+	a, err := NewSpace(DefaultSpaceConfig(), stats.NewRNG(13).Stream("space"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewSpace(DefaultSpaceConfig(), stats.NewRNG(14).Stream("space"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := GenParams{ArtifactBase: 0.4, ArtifactSlope: 5, ArtifactNoise: 0.3, DirSkew: 0.2, DirAxis: 1, Contraction: 0.9, NoiseStd: 0.4}
+	q := a.SampleQuery(5)
+	fromA := a.GenerateDeterministic(q, "v", p)
+	fromB := b.GenerateDeterministic(q, "v", p)
+	want := generateFresh(b, q, p, stats.NewRNG(stats.StreamNSeedFrom(stats.NewRNG(14).Stream("space").Stream("gen:v").Seed(), "q", q.ID)))
+	if !sameFeatures(fromB.Features, want.Features) || sameFeatures(fromB.Features, fromA.Features) {
+		t.Fatal("a Space generating another Space's query must use its own stream, not the query's memo")
+	}
+	hand := &Query{ID: 5, Difficulty: q.Difficulty, Truth: q.Truth}
+	h1, h2 := a.GenerateDeterministic(hand, "v", p), a.GenerateDeterministic(hand, "v", p)
+	if !sameFeatures(h1.Features, fromA.Features) || !sameFeatures(h2.Features, fromA.Features) || len(hand.images) != 0 {
+		t.Fatal("a hand-built query must regenerate the sampled query's bits and memoize nothing")
+	}
+}
+
+func sameFeatures(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }

@@ -51,13 +51,13 @@ func (m *Matrix) Mul(o *Matrix) *Matrix {
 	}
 	r := NewMatrix(m.Rows, o.Cols)
 	for i := 0; i < m.Rows; i++ {
-		for k := 0; k < m.Cols; k++ {
-			a := m.At(i, k)
+		ri := r.Data[i*o.Cols : (i+1)*o.Cols]
+		for k, a := range m.Data[i*m.Cols : (i+1)*m.Cols] {
 			if a == 0 {
 				continue
 			}
-			for j := 0; j < o.Cols; j++ {
-				r.Data[i*r.Cols+j] += a * o.At(k, j)
+			for j, okj := range o.Data[k*o.Cols : (k+1)*o.Cols] {
+				ri[j] += a * okj
 			}
 		}
 	}

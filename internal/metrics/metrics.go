@@ -8,6 +8,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"diffserve/internal/fid"
 	"diffserve/internal/stats"
@@ -150,9 +151,17 @@ func (c *Collector) InternFeatures(f []float64) []float64 {
 // into one run-level view after a run ends; other must not be
 // recording concurrently.
 func (c *Collector) Merge(other *Collector) {
+	c.Grow(len(other.records))
 	for _, r := range other.records {
 		c.Record(r)
 	}
+}
+
+// Grow reserves room for n more records, so a caller that knows how
+// many queries it will record pays for no reallocation on the way.
+func (c *Collector) Grow(n int) {
+	c.records = slices.Grow(c.records, n)
+	c.lats = slices.Grow(c.lats, n)
 }
 
 // Len returns the number of recorded queries.

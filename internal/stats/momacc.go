@@ -20,8 +20,9 @@ type MomentAccumulator struct {
 	// comoment holds the upper triangle (i <= j) of the co-moment
 	// matrix row by row: index (i, j) lives at i*dim - i*(i-1)/2 + j-i.
 	comoment []float64
-	// dx is scratch for Add, kept to avoid per-observation allocation.
-	dx []float64
+	// dx and dy are scratch for Add (x - mean before and after the
+	// update), kept to avoid per-observation allocation.
+	dx, dy []float64
 }
 
 // NewMomentAccumulator returns an empty accumulator for d-dimensional
@@ -35,6 +36,7 @@ func NewMomentAccumulator(dim int) *MomentAccumulator {
 		mean:     make([]float64, dim),
 		comoment: make([]float64, dim*(dim+1)/2),
 		dx:       make([]float64, dim),
+		dy:       make([]float64, dim),
 	}
 }
 
@@ -51,17 +53,20 @@ func (m *MomentAccumulator) Add(x []float64) {
 	}
 	m.n++
 	inv := 1 / float64(m.n)
+	mean, dx, dy := m.mean[:len(x)], m.dx[:len(x)], m.dy[:len(x)]
 	for i, v := range x {
-		m.dx[i] = v - m.mean[i]
-		m.mean[i] += m.dx[i] * inv
+		dx[i] = v - mean[i]
+		mean[i] += dx[i] * inv
+		dy[i] = v - mean[i]
 	}
-	k := 0
-	for i := 0; i < m.dim; i++ {
-		di := m.dx[i]
-		for j := i; j < m.dim; j++ {
-			m.comoment[k] += di * (x[j] - m.mean[j])
-			k++
+	// Row i of the upper triangle gains dx[i]·dy[j] for j >= i.
+	rows := m.comoment
+	for i, di := range dx {
+		row := rows[:len(dy)-i]
+		for j, y := range dy[i:] {
+			row[j] += di * y
 		}
+		rows = rows[len(row):]
 	}
 }
 

@@ -116,7 +116,8 @@ type System struct {
 
 	threshold float64
 
-	queries map[int]*imagespace.Query
+	// queries holds the run's queries, indexed by ID - QueryIDBase.
+	queries []*imagespace.Query
 }
 
 // New builds a system from the config.
@@ -135,9 +136,8 @@ func New(cfg Config) (*System, error) {
 		lb: loadbalancer.New(cfg.Mode, rng,
 			loadbalancer.NewPool(discriminator.LightExec(cfg.Light, cfg.Scorer, 1), cfg.SLO),
 			loadbalancer.NewPool(cfg.Heavy.Latency.Latency(1), cfg.SLO)),
-		ledger:  loadbalancer.Ledger{SLO: cfg.SLO, Col: metrics.NewCollector()},
-		rng:     rng,
-		queries: make(map[int]*imagespace.Query),
+		ledger: loadbalancer.Ledger{SLO: cfg.SLO, Col: metrics.NewCollector()},
+		rng:    rng,
 	}
 	s.ws = make([]*worker.Worker, cfg.Workers)
 	for i := range s.ws {
@@ -153,10 +153,12 @@ func (s *System) Run() (*Result, error) {
 	// instead of materializing every real feature vector.
 	arrivals := s.cfg.Trace.Arrivals(s.rng.Stream("trace"))
 	realAcc := stats.NewMomentAccumulator(s.cfg.Space.Dim())
+	s.queries = make([]*imagespace.Query, len(arrivals))
+	s.ledger.Col.Grow(len(arrivals)) // one record per arrival
 	for i, at := range arrivals {
 		id := s.cfg.QueryIDBase + i
 		q := s.cfg.Space.SampleQuery(id)
-		s.queries[id] = q
+		s.queries[i] = q
 		realAcc.Add(q.Truth)
 		at, id := at, id
 		s.sim.At(at, func() { s.onArrival(id, at) })
@@ -307,10 +309,7 @@ func (s *System) onBatchDone(pool loadbalancer.PoolID, items []queueing.Item) {
 		variant = s.cfg.Heavy
 	}
 	for _, it := range items {
-		q := s.queries[it.ID]
-		if q == nil {
-			continue // cannot happen; defensive
-		}
+		q := s.queries[it.ID-s.cfg.QueryIDBase]
 		img := s.cfg.Space.GenerateDeterministic(q, variant.Name, variant.Gen)
 		conf := 0.0
 		if pool == loadbalancer.PoolLight && s.cfg.Scorer != nil {

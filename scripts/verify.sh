@@ -23,8 +23,8 @@ make loc
 go test ./...
 # Every race-detector leg — the cluster data path, the sharded
 # frontend, the tcp transport's posted calls, the chaos soak, shard
-# placement, the allocator, and the poolpoison build — and
-# the poolpoison suite without the detector. The legs and what each is
+# placement, the allocator, the poolpoison build, and the simulator's
+# shared memos — and the poolpoison suite without the detector. The legs and what each is
 # for are listed once, in the Makefile.
 make race poison-test
 # sweep-allocator leg: the two allocator property tests at full size
