@@ -194,12 +194,13 @@ race-posted:
 # chaos-soak: the fault-tolerance suite — the worker-churn soak (killed
 # workers, severed conns, injected drops/latency, exactly-once
 # accounting), the lease-reclaim and sever-is-transient conformance rows
-# on both transports, a worker riding out an LB restart, and the
-# controller/shard failover units.
+# on both transports, a worker riding out an LB restart, the
+# controller/shard failover units, and the controller re-configuring a
+# worker or an LB shard restarted behind the same address.
 .PHONY: chaos-soak
 chaos-soak:
 	$(GO) test -race -count=$(COUNT) \
-		-run 'TestChaosWorkerChurnNoLostQueries|TestTransportConformance/.*/lease-reclaim-exactly-once|TestTransportConformance/.*/sever-is-transient|TestWorkerResumesAfterLBRestart|TestControllerConservativeFailover|TestShardedLBDegradeSpill' \
+		-run 'TestChaosWorkerChurnNoLostQueries|TestTransportConformance/.*/lease-reclaim-exactly-once|TestTransportConformance/.*/sever-is-transient|TestWorkerResumesAfterLBRestart|TestControllerConservativeFailover|TestShardedLBDegradeSpill|TestControllerReconfiguresRestarted|TestControllerResendsAfterConnectionLoss|TestControllerReadsLossesBeforeSending' \
 		./internal/cluster/
 
 # race-solver: the allocator under the race detector — concurrent

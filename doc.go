@@ -185,17 +185,19 @@
 // of the bisect, and require the same plans. The allocator holds no
 // state between ticks; a plan-sequence hash
 // (internal/allocator/testdata/plan_sequence.pin) pins its output bit
-// for bit. The cluster's ControllerLoop then pushes the plan: the LB's
-// policy every tick, and a configure to each worker whose request
-// differs from the last one it acknowledged — a failed or cancelled
-// send leaves the worker unknown and is re-sent on the next apply, and
-// every tenth apply re-sends everyone. The loop reports through
+// for bit. The cluster's ControllerLoop then pushes the plan, sending
+// the LB's policy and each worker's configure only when the request
+// differs from the last one that receiver acknowledged: a failed or
+// cancelled send leaves the receiver unknown and is re-sent on the next
+// apply, and so is the state of a receiver whose tcp connection dropped
+// since it acknowledged (a restarted process), so a steady plan costs
+// no configure RPC. The loop reports through
 // ControllerConfig.Logf (diffserve-controller logs to stderr): each
 // stats-poll miss, the conservative failover and its recovery, and one
-// line per half-applied plan naming the workers it re-sends. See
-// PERFORMANCE.md's
-// "Control tick", "Simulator and control plane" and "Exact allocation
-// by enumeration" sections.
+// line per half-applied plan naming what the next apply re-sends. See
+// PERFORMANCE.md's "Control tick", "Simulator and control plane",
+// "Exact allocation by enumeration" and "Send each control tick only
+// what changed" sections.
 //
 // # Failure model
 //

@@ -52,9 +52,10 @@ func totalCalls(ws []*flakyWorkerConn) int {
 }
 
 // TestControllerConfiguresOnlyChangedWorkers walks one loop through a
-// role flip, two batch-only changes and an idle worker gaining a role:
-// each apply must send exactly the workers whose (role, batch) request
-// changed, and every worker must hold what the plan means it to.
+// role flip, two batch-only changes, a threshold-only change and an idle
+// worker gaining a role: each apply must send exactly the workers whose
+// (role, batch) request changed, and the LB only when its policy did;
+// every worker and the LB must hold what the plan means them to.
 func TestControllerConfiguresOnlyChangedWorkers(t *testing.T) {
 	loop, lb, ws := diffLoop(t, newFixtures(t), 4, 0)
 	ctx := context.Background()
@@ -62,38 +63,43 @@ func TestControllerConfiguresOnlyChangedWorkers(t *testing.T) {
 		return ConfigureWorkerRequest{Role: role, Batch: batch}
 	}
 	steps := []struct {
-		name string
-		plan allocator.Plan
-		sent []int // workers configured by this apply
-		held []ConfigureWorkerRequest
+		name   string
+		plan   allocator.Plan
+		sent   []int // workers configured by this apply
+		lbSent bool  // whether this apply configures the LB
+		held   []ConfigureWorkerRequest
 	}{
 		{"first apply sends everyone",
 			allocator.Plan{LightWorkers: 2, HeavyWorkers: 1, LightBatch: 4, HeavyBatch: 2},
-			[]int{0, 1, 2, 3},
+			[]int{0, 1, 2, 3}, true,
 			[]ConfigureWorkerRequest{req("light", 4), req("light", 4), req("heavy", 2), req("idle", 4)}},
 		{"same plan sends no one",
 			allocator.Plan{LightWorkers: 2, HeavyWorkers: 1, LightBatch: 4, HeavyBatch: 2},
-			nil,
+			nil, false,
 			[]ConfigureWorkerRequest{req("light", 4), req("light", 4), req("heavy", 2), req("idle", 4)}},
 		{"role flip: worker 1 light -> heavy",
 			allocator.Plan{LightWorkers: 1, HeavyWorkers: 2, LightBatch: 4, HeavyBatch: 2},
-			[]int{1},
+			[]int{1}, false,
 			[]ConfigureWorkerRequest{req("light", 4), req("heavy", 2), req("heavy", 2), req("idle", 4)}},
 		{"heavy batch only: the two heavy workers",
 			allocator.Plan{LightWorkers: 1, HeavyWorkers: 2, LightBatch: 4, HeavyBatch: 1},
-			[]int{1, 2},
+			[]int{1, 2}, false,
 			[]ConfigureWorkerRequest{req("light", 4), req("heavy", 1), req("heavy", 1), req("idle", 4)}},
 		{"light batch only: the light worker, and the idle one, whose request carries it",
 			allocator.Plan{LightWorkers: 1, HeavyWorkers: 2, LightBatch: 8, HeavyBatch: 1},
-			[]int{0, 3},
+			[]int{0, 3}, false,
+			[]ConfigureWorkerRequest{req("light", 8), req("heavy", 1), req("heavy", 1), req("idle", 8)}},
+		{"threshold only: the LB alone",
+			allocator.Plan{Threshold: 0.6, LightWorkers: 1, HeavyWorkers: 2, LightBatch: 8, HeavyBatch: 1},
+			nil, true,
 			[]ConfigureWorkerRequest{req("light", 8), req("heavy", 1), req("heavy", 1), req("idle", 8)}},
 		{"idle worker 3 gains a role",
-			allocator.Plan{LightWorkers: 2, HeavyWorkers: 2, LightBatch: 8, HeavyBatch: 1},
-			[]int{3},
+			allocator.Plan{Threshold: 0.6, LightWorkers: 2, HeavyWorkers: 2, LightBatch: 8, HeavyBatch: 1},
+			[]int{3}, false,
 			[]ConfigureWorkerRequest{req("light", 8), req("heavy", 1), req("heavy", 1), req("light", 8)}},
 	}
-	sent := 0
-	for n, s := range steps {
+	sent, lbSent := 0, 0
+	for _, s := range steps {
 		before := workerCalls(ws)
 		loop.Apply(ctx, s.plan)
 		want := append([]int(nil), before...)
@@ -108,8 +114,15 @@ func TestControllerConfiguresOnlyChangedWorkers(t *testing.T) {
 				t.Errorf("%s: worker %d holds %+v, want %+v", s.name, i, w.held, s.held[i])
 			}
 		}
-		if _, pushes := lb.last(); pushes != n+1 {
-			t.Errorf("%s: LB configured %d times over %d applies, want every apply", s.name, pushes, n+1)
+		if s.lbSent {
+			lbSent++
+		}
+		cfg, pushes := lb.last()
+		if pushes != lbSent {
+			t.Errorf("%s: LB configured %d times so far, want %d (once per policy change)", s.name, pushes, lbSent)
+		}
+		if cfg.Threshold != s.plan.Threshold {
+			t.Errorf("%s: LB holds threshold %v, want %v", s.name, cfg.Threshold, s.plan.Threshold)
 		}
 		sent += len(s.sent)
 	}
@@ -118,48 +131,93 @@ func TestControllerConfiguresOnlyChangedWorkers(t *testing.T) {
 	}
 }
 
-// TestControllerHealsAmnesiacWorker covers the one failure an
-// acknowledgement cannot see: a worker that loses its state without
-// failing an RPC. Nothing tells the loop, so it keeps skipping the
-// worker — until the periodic full re-send, which must hand the request
-// back within fullResendEvery applies, with no error reported (diffLoop
-// fails the test on one).
-func TestControllerHealsAmnesiacWorker(t *testing.T) {
-	loop, _, ws := diffLoop(t, newFixtures(t), 2, 0)
+// TestControllerResendsAfterConnectionLoss covers the state an
+// acknowledgement cannot vouch for: a process that restarted behind the
+// same address, its configuration gone. Its conn reports the dropped
+// connection (lossCounter), and the very next apply of an unchanged
+// plan must send that receiver, and only it, with no error reported
+// (diffLoop fails the test on one).
+func TestControllerResendsAfterConnectionLoss(t *testing.T) {
+	loop, lb, ws := diffLoop(t, newFixtures(t), 2, 0)
 	ctx := context.Background()
-	plan := allocator.Plan{LightWorkers: 1, HeavyWorkers: 1, LightBatch: 4, HeavyBatch: 2}
+	plan := allocator.Plan{Threshold: 0.6, LightWorkers: 1, HeavyWorkers: 1, LightBatch: 4, HeavyBatch: 2}
+	loop.Apply(ctx, plan)
 	loop.Apply(ctx, plan)
 	want := ConfigureWorkerRequest{Role: "heavy", Batch: 2}
 	if ws[1].held != want {
-		t.Fatalf("worker 1 holds %+v after the first apply, want %+v", ws[1].held, want)
+		t.Fatalf("worker 1 holds %+v after the first applies, want %+v", ws[1].held, want)
 	}
+	if got := workerCalls(ws); !slices.Equal(got, []int{1, 1}) {
+		t.Fatalf("two applies of one plan configured the workers %v times, want [1 1]", got)
+	}
+
 	ws[1].held = ConfigureWorkerRequest{} // restarted behind the same address
-	healedAfter := 0
-	for k := 1; k <= fullResendEvery && healedAfter == 0; k++ {
+	ws[1].losses++
+	loop.Apply(ctx, plan)
+	if ws[1].held != want {
+		t.Errorf("worker 1 holds %+v after the apply following its connection loss, want %+v", ws[1].held, want)
+	}
+	if got := workerCalls(ws); !slices.Equal(got, []int{1, 2}) {
+		t.Errorf("configure calls per worker %v, want [1 2]: worker 1 alone re-sent", got)
+	}
+	if _, pushes := lb.last(); pushes != 1 {
+		t.Errorf("a worker's connection loss re-sent the LB policy (%d pushes, want 1)", pushes)
+	}
+
+	lb.lose()
+	loop.Apply(ctx, plan)
+	loop.Apply(ctx, plan)
+	if cfg, pushes := lb.last(); pushes != 2 || cfg.Threshold != plan.Threshold {
+		t.Errorf("after the LB's connection loss it holds %+v after %d pushes, want threshold %v after 2", cfg, pushes, plan.Threshold)
+	}
+	if got := workerCalls(ws); !slices.Equal(got, []int{1, 2}) {
+		t.Errorf("the LB's connection loss configured the workers: calls %v, want [1 2]", got)
+	}
+}
+
+// lossAfterAckConn is a worker conn whose connection drops right after
+// it acknowledges its first configure: the loss races the send.
+type lossAfterAckConn struct{ flakyWorkerConn }
+
+func (w *lossAfterAckConn) Configure(ctx context.Context, req ConfigureWorkerRequest) error {
+	err := w.flakyWorkerConn.Configure(ctx, req)
+	if w.calls == 1 {
+		w.losses++
+	}
+	return err
+}
+
+// TestControllerReadsLossesBeforeSending pins when the loop reads a
+// receiver's connection-loss count: before the send. A loss that lands
+// after the acknowledgement (the receiver may have restarted since)
+// must show as a mismatch at the next apply, which re-sends; read after
+// the send, the loss would be taken as acknowledged and never healed.
+func TestControllerReadsLossesBeforeSending(t *testing.T) {
+	w := &lossAfterAckConn{}
+	loop := NewControllerLoop(ControllerConfig{
+		Ctrl: newFixtures(t).controller(t, 1, 5), LB: &blindStatsConn{},
+		Workers: []WorkerConn{w},
+		Mode:    loadbalancer.ModeCascade, Clock: NewClock(0.001),
+	})
+	ctx := context.Background()
+	plan := allocator.Plan{LightWorkers: 1, LightBatch: 4}
+	for k, want := range []int{1, 2, 2} {
 		loop.Apply(ctx, plan)
-		switch {
-		case ws[1].held == want:
-			healedAfter = k
-		case ws[1].calls != 1:
-			t.Fatalf("apply %d sent worker 1 a configure (%d calls) that did not restore it", k, ws[1].calls)
+		if w.calls != want {
+			t.Fatalf("after apply %d the worker was configured %d times, want %d", k+1, w.calls, want)
 		}
-	}
-	if healedAfter == 0 {
-		t.Fatalf("worker 1 still holds %+v after %d applies", ws[1].held, fullResendEvery)
-	}
-	t.Logf("healed by the full re-send %d applies after the loss (bound %d)", healedAfter, fullResendEvery)
-	if ws[0].calls != 2 {
-		t.Errorf("healthy worker configured %d times, want 2 (first apply and the full re-send)", ws[0].calls)
 	}
 }
 
 // TestControllerConservativeFailoverDiffed drives a diffing loop and a
-// reference loop forced to re-send everything (its acknowledgements
-// wiped before every step), both striping over 2 shards, through plan
-// changes, a re-apply and the stats-blind conservative failover. After every step each worker must hold under
-// diffing exactly what the full send leaves it holding; and the
-// failover, which keeps the worker layout and only zeroes the
-// threshold, must reach the LB without configuring a single worker.
+// reference loop forced to re-send everything (its LB and worker
+// acknowledgements wiped before every step), both striping over 2
+// shards, through plan changes, a re-apply and the stats-blind
+// conservative failover. After every step each worker and the LB must
+// hold under diffing exactly what the full send leaves them holding;
+// the LB is pushed only when its policy changes; and the failover,
+// which keeps the worker layout and only zeroes the threshold, must
+// reach the LB without configuring a single worker.
 func TestControllerConservativeFailoverDiffed(t *testing.T) {
 	f := newFixtures(t)
 	const n = 8
@@ -168,8 +226,9 @@ func TestControllerConservativeFailoverDiffed(t *testing.T) {
 	ctx := context.Background()
 	both := func(name string, op func(*ControllerLoop)) {
 		t.Helper()
+		full.lbAcked = ackState[ConfigureLBRequest]{}
 		for i := range full.acked {
-			full.acked[i] = ConfigureWorkerRequest{}
+			full.acked[i] = ackState[ConfigureWorkerRequest]{}
 		}
 		op(diffed)
 		op(full)
@@ -196,8 +255,13 @@ func TestControllerConservativeFailoverDiffed(t *testing.T) {
 	both("first stats miss", func(l *ControllerLoop) { l.TickOnce(ctx) })
 	both("second stats miss", func(l *ControllerLoop) { l.TickOnce(ctx) })
 	both("conservative failover", func(l *ControllerLoop) { l.TickOnce(ctx) })
-	if cfg, pushes := diffedLB.last(); cfg.Threshold != 0 || pushes != 4 {
-		t.Errorf("conservative policy did not reach the LB: %+v (%d pushes, want 4)", cfg, pushes)
+	// Plan A, plan B and the failover each change the policy; the
+	// re-apply of plan B and the two misses do not.
+	if cfg, pushes := diffedLB.last(); cfg.Threshold != 0 || pushes != 3 {
+		t.Errorf("conservative policy did not reach the LB: %+v (%d pushes, want 3)", cfg, pushes)
+	}
+	if _, pushes := fullLB.last(); pushes != 4 {
+		t.Errorf("the full send pushed the LB %d times over 4 applies, want 4", pushes)
 	}
 	for i, w := range diffedWs {
 		if w.calls != before[i] {
@@ -210,11 +274,12 @@ func TestControllerConservativeFailoverDiffed(t *testing.T) {
 }
 
 // TestControllerResendsAfterCancelledApply pins that a send the caller's
-// context cut short is a failed send: it is logged, the worker is left
-// unknown, and the next apply sends it again — while workers the
-// cancelled apply did not need to reach are still skipped.
+// context cut short is a failed send: it is logged, the LB and the
+// worker it was meant for are left unknown, and the next apply sends
+// them again — while workers the cancelled apply did not need to reach
+// are still skipped.
 func TestControllerResendsAfterCancelledApply(t *testing.T) {
-	loop, _, ws := diffLoop(t, newFixtures(t), 3, 0)
+	loop, lb, ws := diffLoop(t, newFixtures(t), 3, 0)
 	var logs []string
 	loop.cfg.Logf = func(format string, args ...interface{}) {
 		logs = append(logs, fmt.Sprintf(format, args...))
@@ -222,20 +287,28 @@ func TestControllerResendsAfterCancelledApply(t *testing.T) {
 	ctx := context.Background()
 	loop.Apply(ctx, allocator.Plan{LightWorkers: 2, HeavyWorkers: 1, LightBatch: 4, HeavyBatch: 2})
 
-	// Worker 1 flips light -> heavy; the apply that says so is cancelled.
-	flip := allocator.Plan{LightWorkers: 1, HeavyWorkers: 2, LightBatch: 4, HeavyBatch: 2}
+	// Worker 1 flips light -> heavy and the threshold moves; the apply
+	// that says so is cancelled.
+	flip := allocator.Plan{Threshold: 0.6, LightWorkers: 1, HeavyWorkers: 2, LightBatch: 4, HeavyBatch: 2}
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
 	loop.Apply(cancelled, flip)
-	if len(logs) != 1 || !strings.Contains(logs[0], "1 of 2 configure RPCs failed") || !strings.Contains(logs[0], "workers [1]") {
+	if len(logs) != 1 || !strings.Contains(logs[0], "2 of 2 configure RPCs failed") ||
+		!strings.HasSuffix(logs[0], "the next apply re-sends the LB policy and workers [1]") {
 		t.Fatalf("cancelled send not logged as failed: %q", logs)
 	}
 	if want := (ConfigureWorkerRequest{Role: "light", Batch: 4}); ws[1].held != want {
 		t.Fatalf("worker 1 holds %+v after a cancelled send, want its old %+v", ws[1].held, want)
 	}
+	if cfg, _ := lb.last(); cfg.Threshold != 0 {
+		t.Fatalf("LB holds %+v after a cancelled send, want its old threshold 0", cfg)
+	}
 	loop.Apply(ctx, flip)
 	if want := (ConfigureWorkerRequest{Role: "heavy", Batch: 2}); ws[1].held != want {
 		t.Fatalf("worker 1 holds %+v after the re-send, want %+v", ws[1].held, want)
+	}
+	if cfg, pushes := lb.last(); cfg.Threshold != flip.Threshold || pushes != 2 {
+		t.Fatalf("LB holds %+v after %d pushes, want threshold %v after 2", cfg, pushes, flip.Threshold)
 	}
 	if got, want := workerCalls(ws), []int{1, 3, 1}; !slices.Equal(got, want) {
 		t.Errorf("configure calls per worker %v, want %v", got, want)

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -41,9 +43,9 @@ type ControllerConfig struct {
 
 // ControllerLoop polls runtime statistics, re-solves allocation, and
 // pushes plans — the cluster analogue of the simulator's control tick.
-// A push is the LB's policy plus a configure for each worker whose
-// request changed since it last acknowledged one (see applyLocked), so
-// a steady plan costs one RPC per tick, not one per process.
+// A push sends the LB's policy and each worker's configure only when
+// the receiver may not hold it already (see applyLocked), so a steady
+// plan costs no configure RPC at all.
 type ControllerLoop struct {
 	cfg ControllerConfig
 	// mu serializes control ticks and plan applications: the periodic
@@ -60,13 +62,10 @@ type ControllerLoop struct {
 	// stats round-trip. It records intent: whether the worker heard it
 	// is acked's business.
 	assigned []worker.Role
-	// acked is, per worker, the last configure request it acknowledged
-	// (Configure returned nil). The zero request — no role is ever "" —
-	// marks a worker whose state is unknown: never configured, or the
-	// last send failed or was cancelled. applies counts applyLocked
-	// calls, for the periodic full re-send. Guarded by mu.
-	acked   []ConfigureWorkerRequest
-	applies int
+	// lbAcked and acked (per worker) record what each receiver last
+	// acknowledged. Guarded by mu.
+	lbAcked ackState[ConfigureLBRequest]
+	acked   []ackState[ConfigureWorkerRequest]
 	// stats-poll failure tracking (guarded by mu): statsMisses is the
 	// consecutive run, conservative whether the blind-fallback plan is
 	// currently applied.
@@ -202,27 +201,48 @@ func (c *ControllerLoop) Apply(ctx context.Context, plan allocator.Plan) {
 	c.applyLocked(ctx, plan)
 }
 
-// fullResendEvery is the period, in applies, of the full worker
-// re-send: the first apply and every fullResendEvery-th after it
-// configure every worker whatever it last acknowledged. A worker that
-// lost its state without failing an RPC (restarted behind the same
-// address, say) therefore holds its role again within fullResendEvery
-// applies — at most that many control periods. Cost, over loopback tcp
-// to 16 workers: a full send ~290 µs, a diffed apply ~37 µs, so one in
-// ten adds ~25 µs, a quarter of `control_tick`'s ~0.1 ms tick (2 vCPUs).
-const fullResendEvery = 10
+// lossCounter is a conn that counts the connections it has lost: tcp
+// conns, and ShardedLB over its shards. A process loses its configured
+// state only by restarting, which drops every connection into it, so
+// an unchanged count means it still holds what it acknowledged. A
+// half-open connection to a crashed host counts once Go's default TCP
+// keepalive (net.DialTimeout enables it: 15 s idle, then 9 probes 15 s
+// apart) declares it dead. In-process conns and wrappers report 0.
+type lossCounter interface{ connLosses() uint64 }
+
+func connLosses(conn interface{}) uint64 {
+	if l, ok := conn.(lossCounter); ok {
+		return l.connLosses()
+	}
+	return 0
+}
+
+// ackState is what the loop knows one receiver holds: the request it
+// last acknowledged, and its connection-loss count read before that
+// send, so a loss racing the send shows as a mismatch later, never as
+// an acknowledgement. The zero value (ok false) is unknown: never
+// configured, or the last send failed or was cancelled.
+type ackState[R comparable] struct {
+	req    R
+	losses uint64
+	ok     bool
+}
+
+func (a ackState[R]) holds(req R, losses uint64) bool {
+	return a.ok && a.req == req && a.losses == losses
+}
 
 // applyLocked is Apply's core. Callers hold mu.
 //
-// The LB's policy is sent on every apply: it is one broadcast, and a
-// shard that missed the last one catches up on the next. A worker is
-// configured only when it has to be: when the request differs from the
-// last one that worker acknowledged, when the worker's state is unknown
-// (never configured, or its last send failed or was cancelled — a
-// failed RPC is logged, not retried, and the next apply re-sends it),
-// or on a full re-send (fullResendEvery). A worker treats an identical
-// request as a no-op, so with no failures every worker passes through
-// exactly the states an every-apply re-send would have put it through.
+// The LB policy and each worker's configure are sent only when the
+// receiver may not hold them: when the request differs from the last
+// one it acknowledged, when its last send failed or was cancelled (a
+// failed RPC is logged, not retried: the next apply re-sends it), or
+// when its connection dropped since that acknowledgement (lossCounter)
+// — which heals a process restarted behind the same address on the
+// next apply. Receivers treat an identical request as a no-op, so with
+// no failures every process passes through exactly the states an
+// every-apply re-send would have put it through.
 func (c *ControllerLoop) applyLocked(ctx context.Context, plan allocator.Plan) {
 	c.lastPlan, c.hasPlan = plan, true
 	attempted, failed := 0, 0
@@ -243,17 +263,19 @@ func (c *ControllerLoop) applyLocked(ctx context.Context, plan allocator.Plan) {
 	if c.cfg.Mode == loadbalancer.ModeRandomSplit {
 		split = plan.DeferFraction
 	}
-	sent(c.cfg.LB.Configure(ctx, ConfigureLBRequest{
-		Threshold: plan.Threshold,
-		SplitProb: split,
-	}))
+	lbReq := ConfigureLBRequest{Threshold: plan.Threshold, SplitProb: split}
+	if losses := connLosses(c.cfg.LB); !c.lbAcked.holds(lbReq, losses) {
+		err := c.cfg.LB.Configure(ctx, lbReq)
+		sent(err)
+		c.lbAcked = ackState[ConfigureLBRequest]{lbReq, losses, err == nil}
+	}
 
 	// Current roles come from the assignment cache (the controller is
 	// the only writer of worker roles, so the cache is authoritative
 	// and avoids a per-worker stats round-trip each tick).
 	if len(c.assigned) != len(c.cfg.Workers) {
 		c.assigned = make([]worker.Role, len(c.cfg.Workers)) // all idle
-		c.acked = make([]ConfigureWorkerRequest, len(c.cfg.Workers))
+		c.acked = make([]ackState[ConfigureWorkerRequest], len(c.cfg.Workers))
 	}
 
 	var next []worker.Role
@@ -286,32 +308,33 @@ func (c *ControllerLoop) applyLocked(ctx context.Context, plan allocator.Plan) {
 	} else {
 		next = worker.AssignRoles(c.assigned, plan.LightWorkers, plan.HeavyWorkers)
 	}
-	if c.applies%fullResendEvery == 0 {
-		for i := range c.acked {
-			c.acked[i] = ConfigureWorkerRequest{}
-		}
-	}
-	c.applies++
 	var unknown []int
 	for i, conn := range c.cfg.Workers {
 		req := ConfigureWorkerRequest{Role: roleName(next[i]), Batch: plan.LightBatch}
 		if next[i] == worker.RoleHeavy {
 			req.Batch = plan.HeavyBatch
 		}
-		if c.acked[i] == req {
+		losses := connLosses(conn)
+		if c.acked[i].holds(req, losses) {
 			continue
 		}
 		err := conn.Configure(ctx, req)
 		sent(err)
+		c.acked[i] = ackState[ConfigureWorkerRequest]{req, losses, err == nil}
 		if err != nil {
-			req = ConfigureWorkerRequest{}
 			unknown = append(unknown, i)
 		}
-		c.acked[i] = req
 	}
 	c.assigned = next
 	if failed > 0 {
-		c.logf("controller: plan half-applied: %d of %d configure RPCs failed (first: %v); the next apply re-sends the LB policy and workers %v", failed, attempted, firstErr, unknown)
+		var resend []string
+		if !c.lbAcked.ok { // its send just failed
+			resend = append(resend, "the LB policy")
+		}
+		if unknown != nil {
+			resend = append(resend, fmt.Sprintf("workers %v", unknown))
+		}
+		c.logf("controller: plan half-applied: %d of %d configure RPCs failed (first: %v); the next apply re-sends %s", failed, attempted, firstErr, strings.Join(resend, " and "))
 	}
 }
 

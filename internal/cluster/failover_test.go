@@ -15,18 +15,33 @@ import (
 
 // blindStatsConn is an LBConn stub whose Stats calls fail while
 // tripped, recording every Configure push so a test can observe the
-// plans a blind controller applies.
+// plans a blind controller applies. Like a real conn it fails a
+// Configure whose context has ended. Its connection-loss count (see
+// lossCounter) moves only when a test calls lose.
 type blindStatsConn struct {
 	mu      sync.Mutex
 	fail    bool
 	lastCfg ConfigureLBRequest
 	cfgs    int
+	losses  uint64
 }
 
 func (c *blindStatsConn) setFail(v bool) {
 	c.mu.Lock()
 	c.fail = v
 	c.mu.Unlock()
+}
+
+func (c *blindStatsConn) lose() {
+	c.mu.Lock()
+	c.losses++
+	c.mu.Unlock()
+}
+
+func (c *blindStatsConn) connLosses() uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.losses
 }
 
 func (c *blindStatsConn) last() (ConfigureLBRequest, int) {
@@ -44,6 +59,9 @@ func (c *blindStatsConn) PullInto(ctx context.Context, req PullRequest, resp *Pu
 }
 func (c *blindStatsConn) Complete(ctx context.Context, req CompleteRequest) error { return nil }
 func (c *blindStatsConn) Configure(ctx context.Context, req ConfigureLBRequest) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	c.mu.Lock()
 	c.lastCfg = req
 	c.cfgs++
@@ -341,12 +359,16 @@ func TestShardedLBDegradeSpill(t *testing.T) {
 
 // flakyWorkerConn is a WorkerConn whose first failN Configure calls
 // fail and which, like a real conn, fails a call whose context has
-// ended; it remembers the last request that got through.
+// ended; it remembers the last request that got through. losses is its
+// connection-loss count (see lossCounter), which only a test moves.
 type flakyWorkerConn struct {
-	failN int
-	calls int
-	held  ConfigureWorkerRequest
+	failN  int
+	calls  int
+	held   ConfigureWorkerRequest
+	losses uint64
 }
+
+func (w *flakyWorkerConn) connLosses() uint64 { return w.losses }
 
 func (w *flakyWorkerConn) Configure(ctx context.Context, req ConfigureWorkerRequest) error {
 	w.calls++
@@ -366,16 +388,17 @@ func (w *flakyWorkerConn) Stats(ctx context.Context) (WorkerStats, error) {
 
 // TestControllerCountsConfigureErrors pins that a half-applied plan is
 // visible and heals, and that healing costs only the worker that needs
-// it: over three applies of one plan the healthy worker is configured
-// once, while the worker whose first two sends fail stays unknown, is
+// it: over three applies of one plan the LB and the healthy worker are
+// configured once, while the worker whose first two sends fail stays unknown, is
 // sent every time, and ends holding the role the first apply meant it
 // to have. One log line per failed apply reports it.
 func TestControllerCountsConfigureErrors(t *testing.T) {
 	f := newFixtures(t)
 	good, flaky := &flakyWorkerConn{}, &flakyWorkerConn{failN: 2}
+	lb := &blindStatsConn{}
 	var logs []string
 	loop := NewControllerLoop(ControllerConfig{
-		Ctrl: f.controller(t, 2, 5), LB: &blindStatsConn{},
+		Ctrl: f.controller(t, 2, 5), LB: lb,
 		Workers: []WorkerConn{good, flaky},
 		Mode:    loadbalancer.ModeCascade, Clock: NewClock(0.001),
 		Logf: func(format string, args ...interface{}) {
@@ -400,11 +423,21 @@ func TestControllerCountsConfigureErrors(t *testing.T) {
 	if want := (ConfigureWorkerRequest{Role: "heavy", Batch: 2}); flaky.held != want {
 		t.Fatalf("flaky worker holds %+v after the healing re-send, want %+v", flaky.held, want)
 	}
+	if _, pushes := lb.last(); pushes != 1 {
+		t.Errorf("LB configured %d times, want 1: it acknowledged the first apply's policy", pushes)
+	}
 	if good.calls != 1 || flaky.calls != 3 {
 		t.Errorf("healthy worker configured %d times, flaky %d; want 1 (acknowledged, then skipped) and 3 (unknown until it acknowledges)", good.calls, flaky.calls)
 	}
+	// The LB acknowledged the first apply's policy, so only worker 1 is
+	// re-sent: the second apply makes one RPC, not two.
 	if len(logs) != 2 || !strings.Contains(logs[0], "1 of 3 configure RPCs failed") ||
-		!strings.Contains(logs[1], "1 of 2 configure RPCs failed") || !strings.Contains(logs[1], "workers [1]") {
-		t.Errorf("want one log line per failed apply naming worker 1, got %q", logs)
+		!strings.Contains(logs[1], "1 of 1 configure RPCs failed") {
+		t.Errorf("want one log line per failed apply, counting the RPCs sent, got %q", logs)
+	}
+	for _, l := range logs {
+		if !strings.HasSuffix(l, "the next apply re-sends workers [1]") {
+			t.Errorf("log line %q does not name exactly worker 1 as re-sent", l)
+		}
 	}
 }

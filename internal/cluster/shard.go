@@ -348,6 +348,15 @@ func inProcess(conn LBConn) bool {
 	return ok
 }
 
+// connLosses sums the shard conns' loss counts (see lossCounter).
+func (s *ShardedLB) connLosses() uint64 {
+	var n uint64
+	for _, conn := range s.cfg.Shards {
+		n += connLosses(conn)
+	}
+	return n
+}
+
 // fanScratch recycles one fan-out's state — the per-leg query or item
 // groups (inner slice capacity included), the list of legs to run,
 // their error slots and the join — so a steady stream of calls does not

@@ -598,6 +598,7 @@ type tcpClient struct {
 	// closed is atomic so Close takes effect immediately even while
 	// a dial-retry cycle is in flight.
 	closed atomic.Bool
+	losses atomic.Uint64 // connections fail marked dead before Close: see lossCounter
 
 	mu      sync.Mutex
 	cs      *tcpConnState // nil when disconnected
@@ -1030,6 +1031,7 @@ func (cs *tcpConnState) fail(err error) {
 	closed := c.closed.Load()
 	if !closed {
 		c.replay = append(c.replay, frames...)
+		c.losses.Add(1)
 	}
 	c.mu.Unlock()
 	if closed {
@@ -1206,6 +1208,8 @@ func (c tcpLBConn) Stats(ctx context.Context) (LBStats, error) {
 	return out, err
 }
 
+func (c tcpLBConn) connLosses() uint64 { return c.c.losses.Load() }
+
 type tcpWorkerConn struct{ c *tcpClient }
 
 // NewTCPWorkerConn connects to a worker's framed-TCP control plane.
@@ -1222,6 +1226,8 @@ func (c tcpWorkerConn) Stats(ctx context.Context) (WorkerStats, error) {
 	err := c.c.call(ctx, methodWorkerStats, nil, &out)
 	return out, err
 }
+
+func (c tcpWorkerConn) connLosses() uint64 { return c.c.losses.Load() }
 
 // --- transport ---
 

@@ -5,12 +5,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"fmt"
 	"net"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"diffserve/internal/allocator"
 	"diffserve/internal/loadbalancer"
 	"diffserve/internal/trace"
 )
@@ -327,6 +329,141 @@ func TestWorkerResumesAfterLBRestart(t *testing.T) {
 	}
 	defer srv2.Close()
 	serve(lb2, 100, 8)
+}
+
+// waitConnLoss waits, with a bound, until conn has counted at least
+// want lost connections (see lossCounter).
+func waitConnLoss(t *testing.T, conn interface{}, want uint64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for connLosses(conn) < want {
+		if time.Now().After(deadline) {
+			t.Fatalf("conn counted %d lost connections in 10 s, want %d", connLosses(conn), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestControllerReconfiguresRestartedWorker restarts a worker behind
+// the same address; the new process starts idle. Once the controller's
+// tcp conn has seen the dropped connection, the very next apply of the
+// unchanged plan must give the new process its role back.
+func TestControllerReconfiguresRestartedWorker(t *testing.T) {
+	f := newFixtures(t)
+	clock := NewClock(0.001)
+	newWorker := func() *WorkerServer {
+		return NewWorkerServer(WorkerConfig{
+			LB: &blindStatsConn{}, Space: f.space, Light: f.light, Heavy: f.heavy, Scorer: f.scorer,
+			Clock: clock, DisableLoadDelay: true,
+		})
+	}
+	ws := newWorker()
+	srv, err := ServeWorkerTCP("127.0.0.1:0", ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := srv.Addr()
+	conn, err := DialWorker(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.(tcpWorkerConn).c.Close()
+	loop := NewControllerLoop(ControllerConfig{
+		Ctrl: f.controller(t, 1, 5), LB: &blindStatsConn{}, Workers: []WorkerConn{conn},
+		Mode: loadbalancer.ModeCascade, Clock: clock,
+		Logf: func(format string, args ...interface{}) { t.Errorf("controller: "+format, args...) },
+	})
+	ctx := context.Background()
+	plan := allocator.Plan{LightWorkers: 1, LightBatch: 4}
+	loop.Apply(ctx, plan)
+	if role := ws.Stats().Role; role != "light" {
+		t.Fatalf("worker holds role %q after the first apply, want light", role)
+	}
+
+	srv.Close()
+	ws2 := newWorker()
+	srv2, err := ServeWorkerTCP(addr, ws2)
+	if err != nil {
+		t.Fatalf("rebinding %s: %v", addr, err)
+	}
+	defer srv2.Close()
+	waitConnLoss(t, conn, 1)
+	loop.Apply(ctx, plan)
+	if role := ws2.Stats().Role; role != "light" {
+		t.Fatalf("restarted worker holds role %q after the next apply, want light", role)
+	}
+	conn.(tcpWorkerConn).c.Close()
+	if n := connLosses(conn); n != 1 {
+		t.Errorf("conn counts %d lost connections after Close, want 1: Close is not a loss", n)
+	}
+}
+
+// TestControllerReconfiguresRestartedShard is the same for one LB shard
+// under a ShardedLB: the frontend reports its shard conns' losses, so
+// the next apply of the unchanged plan gives the restarted shard its
+// threshold back.
+func TestControllerReconfiguresRestartedShard(t *testing.T) {
+	f := newFixtures(t)
+	clock := NewClock(0.001)
+	newLB := func(member int) *LBServer {
+		return NewLBServer(LBConfig{
+			Mode: loadbalancer.ModeCascade, SLO: 1e9,
+			LightMinExec: 0.1, HeavyMinExec: 1.78,
+			Clock: clock, Seed: 1, RNGStream: fmt.Sprintf("lb/%d", member),
+		})
+	}
+	threshold := func(lb *LBServer) float64 {
+		lb.resMu.Lock()
+		defer lb.resMu.Unlock()
+		return lb.threshold
+	}
+	lbs := []*LBServer{newLB(0), newLB(1)}
+	srvs := make([]*TCPServer, len(lbs))
+	conns := make([]LBConn, len(lbs))
+	for i, lb := range lbs {
+		srv, err := ServeLBTCP("127.0.0.1:0", lb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		srvs[i] = srv
+		if conns[i], err = DialLB(srv.Addr()); err != nil {
+			t.Fatal(err)
+		}
+		defer conns[i].(tcpLBConn).c.Close()
+	}
+	front, err := NewShardedLB(ShardedLBConfig{Shards: conns, Clock: clock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer front.Close()
+	loop := NewControllerLoop(ControllerConfig{
+		Ctrl: f.controller(t, 1, 5), LB: front,
+		Mode: loadbalancer.ModeCascade, Clock: clock,
+		Logf: func(format string, args ...interface{}) { t.Errorf("controller: "+format, args...) },
+	})
+	ctx := context.Background()
+	plan := allocator.Plan{Threshold: 0.7}
+	loop.Apply(ctx, plan)
+	for i, lb := range lbs {
+		if th := threshold(lb); th != plan.Threshold {
+			t.Fatalf("shard %d holds threshold %v after the first apply, want %v", i, th, plan.Threshold)
+		}
+	}
+
+	addr := srvs[1].Addr()
+	srvs[1].Close()
+	lbs[1] = newLB(1)
+	srv, err := ServeLBTCP(addr, lbs[1])
+	if err != nil {
+		t.Fatalf("rebinding %s: %v", addr, err)
+	}
+	defer srv.Close()
+	waitConnLoss(t, front, 1)
+	loop.Apply(ctx, plan)
+	if th := threshold(lbs[1]); th != plan.Threshold {
+		t.Fatalf("restarted shard holds threshold %v after the next apply, want %v", th, plan.Threshold)
+	}
 }
 
 // TestHarnessReportsTransportFailure kills the TCP listeners midway
