@@ -87,11 +87,11 @@
 // cluster.LBConn is the six calls the system makes — SubmitBatch,
 // PullInto, Complete, PollResultsInto, Configure, Stats — and every
 // conn (tcp, inproc, the ShardedLB frontend) implements all of them.
-// cluster.CodecJSON encodes the same messages through their json
-// tags; nothing sends it over a connection. It is the reference the
-// parity tests, the fuzzers and diffvet's codecparity analyzer hold
-// the binary codec against, and a tcp server answers a frame that
-// names it with an error frame.
+// The binary codec (cluster.CodecBinary) is the only encoding in the
+// package: a frame names no codec. The cluster tests hold it to an
+// encoding/json reference over the messages' json tags, and diffvet's
+// codecparity analyzer checks that it encodes and decodes every tagged
+// field.
 //
 // The two transports are behaviorally interchangeable: a shared
 // conformance suite exercises both, plus the sharded topologies
@@ -299,9 +299,9 @@
 //
 // Several of the invariants above are conventions no compiler checks:
 // the hand-rolled binary codec must read and write every wire-struct
-// field (the JSON path tracks struct tags by reflection, the binary
-// path does not — a field added to wire.go but not codec.go silently
-// drops on the wire), pooled messages must not be touched after
+// field (the tests' JSON reference tracks struct tags by reflection,
+// the binary codec does not — a field added to wire.go but not
+// codec.go silently drops on the wire), pooled messages must not be touched after
 // ReleaseMessage, trace-time packages must route time through
 // cluster.Clock, and randomness must flow from seeded per-component
 // streams rather than the global math/rand source. diffvet
@@ -313,8 +313,9 @@
 //   - codecparity: every exported field of every message struct in
 //     internal/cluster/wire.go carries a json tag and is read (encode)
 //     and written (decode) by the binary codec in codec.go. Each
-//     scalar decode line is individually load-bearing; a mutation test
-//     deletes them one at a time and asserts the analyzer objects.
+//     per-field encode and decode line is individually load-bearing;
+//     mutation tests delete them one at a time and assert the
+//     analyzer objects.
 //   - poolownership: a value acquired from a typed sync.Pool helper is
 //     either released or handed off on every path, and never used
 //     after release.
@@ -325,7 +326,7 @@
 //   - globalrand: no global math/rand draws anywhere in the module —
 //     determinism and sim-vs-cluster parity depend on seeded streams.
 //   - deadcode: no declaration under internal/ that only tests use;
-//     TestDeadcodeAllowsPinned lists the keepers.
+//     TestDeadcodeAllowsPinned lists the seven keepers.
 //
 // Any finding fails the build. The escape hatch is a same-line or
 // line-above comment with a mandatory reason,

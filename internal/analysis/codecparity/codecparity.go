@@ -2,12 +2,12 @@
 // wire-message structs and the hand-rolled binary codec in lockstep.
 //
 // The cluster package's wire messages are declared in wire.go and
-// serialized by two codec paths in codec.go: encoding/json (which
-// follows struct tags by reflection, so it tracks the struct
-// automatically) and the hand-rolled binary codec (which reads and
-// writes each field explicitly, so it does not). Adding a field to a
-// wire struct without touching codec.go silently drops that field on
-// the binary wire — the exact bug shape the codec fuzzers only catch
+// serialized by the hand-rolled binary codec in codec.go, which reads
+// and writes each field explicitly. Its tests hold it to an
+// encoding/json reference, which follows the struct tags by reflection
+// and so tracks the structs automatically. Adding a field to a wire
+// struct without touching codec.go silently drops that field on the
+// wire — the exact bug shape the codec fuzzers only catch
 // probabilistically, and only for field values the corpus happens to
 // exercise.
 //
@@ -17,12 +17,12 @@
 // message struct the analyzer requires:
 //
 //   - every exported field carries a json tag that is not "-" (the
-//     JSON path serializes by tag; an untagged or omitted field breaks
-//     cross-codec payload parity);
-//   - no unexported fields (invisible to the JSON path, so they could
-//     never round-trip equally on both codecs);
+//     JSON reference serializes by tag; an untagged or omitted field
+//     breaks its payload parity with the binary codec);
+//   - no unexported fields (invisible to the JSON reference, so they
+//     could never round-trip equally on both);
 //   - every exported field is read at least once in codec.go outside
-//     the size-hint helper (the binary encode path) and written at
+//     binarySizeHint (the binary encode path) and written at
 //     least once in codec.go (the binary decode path). A read of the
 //     written field inside its own assignment's RHS — the
 //     capacity-reuse decode pattern
@@ -46,41 +46,22 @@ import (
 	"diffserve/internal/analysis"
 )
 
-// Config scopes the analyzer to a wire/codec file pair.
-type Config struct {
-	// WireFile and CodecFile are base names within the analyzed
-	// package. Defaults: "wire.go", "codec.go".
-	WireFile  string
-	CodecFile string
-	// IgnoreFuncs are codec-file functions whose field reads don't
-	// count as encoding (size hints presize buffers; reading a slice's
-	// length there must not satisfy the encode-side requirement).
-	// Default: binarySizeHint.
-	IgnoreFuncs []string
-}
+// The analyzed file pair, and the codec-file function whose field
+// reads don't count as encoding: a size hint presizes a buffer, and
+// reading a slice's length there must not satisfy the encode-side
+// requirement.
+const (
+	wireFileName  = "wire.go"
+	codecFileName = "codec.go"
+	sizeHintFunc  = "binarySizeHint"
+)
 
-// Analyzer is the instance cmd/diffvet runs, with default file names.
-var Analyzer = New(Config{})
-
-// New builds a codecparity analyzer for a wire/codec file pair.
-func New(cfg Config) *analysis.Analyzer {
-	if cfg.WireFile == "" {
-		cfg.WireFile = "wire.go"
-	}
-	if cfg.CodecFile == "" {
-		cfg.CodecFile = "codec.go"
-	}
-	if cfg.IgnoreFuncs == nil {
-		cfg.IgnoreFuncs = []string{"binarySizeHint"}
-	}
-	return &analysis.Analyzer{
-		Name: "codecparity",
-		Doc: "every exported field of every wire.go message struct must carry a json tag and be read " +
-			"(encode) and written (decode) by the binary codec in codec.go",
-		Run: func(pass *analysis.Pass) error {
-			return run(pass, cfg)
-		},
-	}
+// Analyzer is the instance cmd/diffvet runs.
+var Analyzer = &analysis.Analyzer{
+	Name: "codecparity",
+	Doc: "every exported field of every wire.go message struct must carry a json tag and be read " +
+		"(encode) and written (decode) by the binary codec in codec.go",
+	Run: run,
 }
 
 // messageField is one exported field of a message struct.
@@ -91,13 +72,13 @@ type messageField struct {
 	obj        *types.Var
 }
 
-func run(pass *analysis.Pass, cfg Config) error {
+func run(pass *analysis.Pass) error {
 	var wireFile, codecFile *ast.File
 	for _, f := range pass.Files {
 		switch filepath.Base(pass.Fset.Position(f.Pos()).Filename) {
-		case cfg.WireFile:
+		case wireFileName:
 			wireFile = f
-		case cfg.CodecFile:
+		case codecFileName:
 			codecFile = f
 		}
 	}
@@ -114,19 +95,19 @@ func run(pass *analysis.Pass, cfg Config) error {
 		byObj[fields[i].obj] = &fields[i]
 	}
 
-	reads, writes := collectCodecAccesses(pass, codecFile, cfg.IgnoreFuncs, byObj)
+	reads, writes := collectCodecAccesses(pass, codecFile, byObj)
 
 	for i := range fields {
 		f := &fields[i]
 		if reads[f.obj] == 0 {
 			pass.Reportf(f.pos.Pos(),
 				"wire field %s.%s is never read by the binary codec in %s: the encode path drops it on the wire",
-				f.structName, f.name, cfg.CodecFile)
+				f.structName, f.name, codecFileName)
 		}
 		if writes[f.obj] == 0 {
 			pass.Reportf(f.pos.Pos(),
 				"wire field %s.%s is never written by the binary decode path in %s: decoded messages lose it",
-				f.structName, f.name, cfg.CodecFile)
+				f.structName, f.name, codecFileName)
 		}
 	}
 	return nil
@@ -237,22 +218,17 @@ func jsonTag(fld *ast.Field) (string, bool) {
 // collectCodecAccesses counts, per message-struct field object, the
 // selector reads and writes inside the codec file. A selector on the
 // left-hand side of an assignment (or an inc/dec target) is a write;
-// everything else is a read. Reads inside the ignored functions don't
-// count.
-func collectCodecAccesses(pass *analysis.Pass, codecFile *ast.File, ignoreFuncs []string, fields map[*types.Var]*messageField) (reads, writes map[*types.Var]int) {
+// everything else is a read. Reads inside sizeHintFunc don't count.
+func collectCodecAccesses(pass *analysis.Pass, codecFile *ast.File, fields map[*types.Var]*messageField) (reads, writes map[*types.Var]int) {
 	reads = map[*types.Var]int{}
 	writes = map[*types.Var]int{}
-	ignored := map[string]bool{}
-	for _, n := range ignoreFuncs {
-		ignored[n] = true
-	}
 
 	for _, decl := range codecFile.Decls {
 		fd, ok := decl.(*ast.FuncDecl)
 		if !ok || fd.Body == nil {
 			continue
 		}
-		inIgnored := ignored[fd.Name.Name]
+		inIgnored := fd.Name.Name == sizeHintFunc
 
 		// Mark write-position selector nodes first, then classify every
 		// field selector in one walk. A read of the written field inside

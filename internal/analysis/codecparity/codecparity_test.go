@@ -33,12 +33,11 @@ func TestParityClean(t *testing.T) {
 }
 
 // decodeAssign matches the per-field decode assignments in the real
-// codec: `m.Field = d.xxx(...)` / `it.Field = d.xxx(...)`. Each such
-// line is the sole writer of its field, so deleting it must trip the
-// analyzer. Slice-header resets (m.Queries = nil and friends) are
-// excluded: they share their field with the element-decode loop and
-// are not the lines whose loss this criterion is about.
-var decodeAssign = regexp.MustCompile(`^\s*(m|it)\.[A-Z]\w*\s*=\s*d\.`)
+// codec: `m.Field = d.xxx(...)` / `it.Field = d.xxx(...)`, and the
+// slice fields' `m.Field = resize(...)` / `m.Field = readQueryMsgs(d,
+// ...)`. Each such line is the sole writer of its field, so deleting it
+// must trip the analyzer.
+var decodeAssign = regexp.MustCompile(`^\s*(m|it)\.[A-Z]\w*\s*=\s*(d\.|resize\(|readQueryMsgs\(d,)`)
 
 // TestDecodeLineMutations pins the acceptance criterion "removing any
 // single field-handling line from the binary codec makes codecparity

@@ -36,7 +36,6 @@ func TestDeadcode(t *testing.T) {
 var deadcodeAllows = []string{
 	"internal/analysis/analysistest/analysistest.go: Run",
 	"internal/analysis/analysistest/analysistest.go: package analysistest",
-	"internal/cluster/codec.go: CodecJSON",
 	"internal/cluster/lb.go: LBConfig.CoalesceWait",
 	"internal/cluster/pool_nopoison.go: poolPoisonEnabled",
 	"internal/fid/fid.go: Between",

@@ -2,39 +2,17 @@ package cluster
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"math"
 )
 
-// Codec serializes cluster wire messages. CodecBinary (a hand-rolled
-// length-prefixed binary encoding with no reflection on the hot path)
-// is the one codec on the wire. CodecJSON (encoding/json over the
-// messages' json tags) is its reference: the parity tests, the fuzzers
-// and diffvet's codecparity analyzer hold the binary codec against it.
-// Both carry identical payload semantics: for any message,
-// decode(encode(msg)) yields the same value under either codec.
-type Codec interface {
-	// Name identifies the codec ("json", "binary").
-	Name() string
-	// Marshal encodes a message (pass a wire-message value or pointer).
-	Marshal(v interface{}) ([]byte, error)
-	// Unmarshal decodes into a wire-message pointer.
-	Unmarshal(data []byte, v interface{}) error
-}
-
-// CodecJSON is the reflection-based encoding/json codec, the reference
-// encoding. Nothing sends it over a connection.
-var CodecJSON Codec = jsonCodec{} //diffvet:allow deadcode — the reference the codec parity tests and fuzzers hold CodecBinary to
-
-// CodecBinary is the length-prefixed binary codec, the wire format.
-var CodecBinary Codec = binaryCodec{}
-
-type jsonCodec struct{}
-
-func (jsonCodec) Name() string                            { return "json" }
-func (jsonCodec) Marshal(v interface{}) ([]byte, error)   { return json.Marshal(v) }
-func (jsonCodec) Unmarshal(d []byte, v interface{}) error { return json.Unmarshal(d, v) }
+// CodecBinary is the wire codec: the one encoding of the wire messages
+// (wire.go) that any process sends, hand-rolled and length-prefixed
+// with no reflection on the hot path. The tcp transport frames its
+// output (tcp.go). The tests hold it to an encoding/json reference over
+// the messages' json tags: for any message, decode(encode(msg)) yields
+// the same value under either.
+var CodecBinary = binaryCodec{}
 
 // Message tags: one leading byte per frame so decode mismatches fail
 // loudly instead of misreading fields.
@@ -57,10 +35,8 @@ const (
 // counts and non-negative ints, zigzag varints for signed ints, fixed
 // 8-byte little-endian IEEE-754 for floats, and length-prefixed bytes
 // for strings and slices. Encoding and decoding dispatch on a type
-// switch over the concrete wire-message types — no reflection.
+// switch over pointers to the wire-message types — no reflection.
 type binaryCodec struct{}
-
-func (binaryCodec) Name() string { return "binary" }
 
 func (c binaryCodec) Marshal(v interface{}) ([]byte, error) {
 	return c.MarshalAppend(make([]byte, 0, binarySizeHint(v)), v)
@@ -72,23 +48,13 @@ func binarySizeHint(v interface{}) int {
 	switch m := v.(type) {
 	case *QueryResponse:
 		return 64 + 8*len(m.Features)
-	case QueryResponse:
-		return 64 + 8*len(m.Features)
 	case *PullResponse:
-		return 8 + 24*len(m.Queries)
-	case PullResponse:
 		return 8 + 24*len(m.Queries)
 	case *CompleteRequest:
 		return 16 + 192*len(m.Items)
-	case CompleteRequest:
-		return 16 + 192*len(m.Items)
 	case *SubmitRequest:
 		return 8 + 24*len(m.Queries)
-	case SubmitRequest:
-		return 8 + 24*len(m.Queries)
 	case *ResultsResponse:
-		return 8 + 96*len(m.Results)
-	case ResultsResponse:
 		return 8 + 96*len(m.Results)
 	default:
 		return 64
@@ -102,52 +68,28 @@ func (binaryCodec) MarshalAppend(b []byte, v interface{}) ([]byte, error) {
 	switch m := v.(type) {
 	case *QueryMsg:
 		return appendQueryMsg(append(b, tagQueryMsg), m), nil
-	case QueryMsg:
-		return appendQueryMsg(append(b, tagQueryMsg), &m), nil
 	case *QueryResponse:
 		return appendQueryResponse(b, m), nil
-	case QueryResponse:
-		return appendQueryResponse(b, &m), nil
 	case *PullRequest:
 		return appendPullRequest(b, m), nil
-	case PullRequest:
-		return appendPullRequest(b, &m), nil
 	case *PullResponse:
 		return appendPullResponse(b, m), nil
-	case PullResponse:
-		return appendPullResponse(b, &m), nil
 	case *CompleteRequest:
 		return appendCompleteRequest(b, m), nil
-	case CompleteRequest:
-		return appendCompleteRequest(b, &m), nil
 	case *ConfigureWorkerRequest:
 		return appendConfigureWorker(b, m), nil
-	case ConfigureWorkerRequest:
-		return appendConfigureWorker(b, &m), nil
 	case *ConfigureLBRequest:
 		return appendConfigureLB(b, m), nil
-	case ConfigureLBRequest:
-		return appendConfigureLB(b, &m), nil
 	case *WorkerStats:
 		return appendWorkerStats(b, m), nil
-	case WorkerStats:
-		return appendWorkerStats(b, &m), nil
 	case *LBStats:
 		return appendLBStats(b, m), nil
-	case LBStats:
-		return appendLBStats(b, &m), nil
 	case *SubmitRequest:
 		return appendSubmitRequest(b, m), nil
-	case SubmitRequest:
-		return appendSubmitRequest(b, &m), nil
 	case *ResultsRequest:
 		return appendResultsRequest(b, m), nil
-	case ResultsRequest:
-		return appendResultsRequest(b, &m), nil
 	case *ResultsResponse:
 		return appendResultsResponse(b, m), nil
-	case ResultsResponse:
-		return appendResultsResponse(b, &m), nil
 	}
 	return nil, fmt.Errorf("cluster: binary codec cannot marshal %T", v)
 }
@@ -180,13 +122,13 @@ func (binaryCodec) Unmarshal(data []byte, v interface{}) error {
 		m.SplitProb = d.f64()
 	case *WorkerStats:
 		d.tag(tagWorkerStats)
-		readWorkerStats(d, m)
+		m.Role = d.str()
 	case *LBStats:
 		d.tag(tagLBStats)
 		readLBStats(d, m)
 	case *SubmitRequest:
 		d.tag(tagSubmitRequest)
-		readSubmitRequest(d, m)
+		m.Queries = readQueryMsgs(d, m.Queries)
 	case *ResultsRequest:
 		d.tag(tagResultsRequest)
 		m.Max = d.int()
@@ -246,6 +188,19 @@ func appendQueryMsg(b []byte, m *QueryMsg) []byte {
 	return appendF64(b, m.Arrival)
 }
 
+// appendQueryMsgs encodes a query slice, length-prefixed with len+1 so
+// nil stays distinct from empty (see appendFloats).
+func appendQueryMsgs(b []byte, qs []QueryMsg) []byte {
+	if qs == nil {
+		return appendUint(b, 0)
+	}
+	b = appendUint(b, uint64(len(qs))+1)
+	for i := range qs {
+		b = appendQueryMsg(b, &qs[i])
+	}
+	return b
+}
+
 func appendQueryResponse(b []byte, m *QueryResponse) []byte {
 	b = append(b, tagQueryResponse)
 	b = appendInt(b, m.ID)
@@ -276,14 +231,7 @@ func appendPullRequest(b []byte, m *PullRequest) []byte {
 
 func appendPullResponse(b []byte, m *PullResponse) []byte {
 	b = append(b, tagPullResponse)
-	if m.Queries == nil {
-		b = appendUint(b, 0)
-	} else {
-		b = appendUint(b, uint64(len(m.Queries))+1)
-		for i := range m.Queries {
-			b = appendQueryMsg(b, &m.Queries[i])
-		}
-	}
+	b = appendQueryMsgs(b, m.Queries)
 	b = appendF64(b, m.LeaseDeadline)
 	return appendF64(b, m.QueuedAt)
 }
@@ -349,15 +297,7 @@ func appendLBStats(b []byte, m *LBStats) []byte {
 
 func appendSubmitRequest(b []byte, m *SubmitRequest) []byte {
 	b = append(b, tagSubmitRequest)
-	if m.Queries == nil {
-		b = appendUint(b, 0)
-	} else {
-		b = appendUint(b, uint64(len(m.Queries))+1)
-		for i := range m.Queries {
-			b = appendQueryMsg(b, &m.Queries[i])
-		}
-	}
-	return b
+	return appendQueryMsgs(b, m.Queries)
 }
 
 func appendResultsRequest(b []byte, m *ResultsRequest) []byte {
@@ -491,15 +431,7 @@ func (d *bdec) floatsInto(prev []float64) []float64 {
 		d.fail("truncated float slice")
 		return nil
 	}
-	var out []float64
-	if uint64(cap(prev)) >= n {
-		out = prev[:n]
-		if out == nil {
-			out = []float64{} // wire says empty, not nil
-		}
-	} else {
-		out = make([]float64, n)
-	}
+	out := resize(prev, int(n))
 	for i := range out {
 		out[i] = d.f64()
 	}
@@ -520,6 +452,22 @@ func (d *bdec) count() int {
 		return -1
 	}
 	return int(n)
+}
+
+// resize returns a decode target of length n (a count as d.count
+// returns it), reusing s's backing array when it has the room: a
+// message decoded into again, pooled or caller-owned, keeps the
+// capacity an earlier frame left it. The caller overwrites every
+// element, so stale contents never leak. A nil count yields nil and a
+// zero count an empty slice, the nil-vs-empty parity with JSON.
+func resize[T any](s []T, n int) []T {
+	switch {
+	case n < 0:
+		return nil
+	case s != nil && cap(s) >= n:
+		return s[:n]
+	}
+	return make([]T, n)
 }
 
 func readQueryMsg(d *bdec, m *QueryMsg) {
@@ -546,30 +494,17 @@ func readPullRequest(d *bdec, m *PullRequest) {
 	m.Wait = d.f64()
 }
 
-// Slice-valued messages decode with capacity reuse: when the target
-// already holds a slice with room (left over from a previous decode
-// into the same struct), its backing array is reused instead of
-// reallocated. Every element field is overwritten, so stale contents
-// never leak; a nil count still yields nil, preserving the codec's
-// nil-vs-empty parity with JSON.
+// readQueryMsgs decodes a query slice into qs's capacity.
+func readQueryMsgs(d *bdec, qs []QueryMsg) []QueryMsg {
+	qs = resize(qs, d.count())
+	for i := range qs {
+		readQueryMsg(d, &qs[i])
+	}
+	return qs
+}
 
 func readPullResponse(d *bdec, m *PullResponse) {
-	n := d.count()
-	if n < 0 {
-		m.Queries = nil
-	} else {
-		if cap(m.Queries) >= n {
-			m.Queries = m.Queries[:n]
-		} else {
-			m.Queries = make([]QueryMsg, n)
-		}
-		if m.Queries == nil {
-			m.Queries = []QueryMsg{} // wire says empty, not nil
-		}
-		for i := range m.Queries {
-			readQueryMsg(d, &m.Queries[i])
-		}
-	}
+	m.Queries = readQueryMsgs(d, m.Queries)
 	m.LeaseDeadline = d.f64()
 	m.QueuedAt = d.f64()
 }
@@ -577,21 +512,9 @@ func readPullResponse(d *bdec, m *PullResponse) {
 func readCompleteRequest(d *bdec, m *CompleteRequest) {
 	m.WorkerID = d.int()
 	m.Role = d.str()
-	n := d.count()
-	if n < 0 {
-		m.Items = nil
-	} else {
-		if cap(m.Items) >= n {
-			m.Items = m.Items[:n]
-		} else {
-			m.Items = make([]CompleteItem, n)
-		}
-		if m.Items == nil {
-			m.Items = []CompleteItem{} // wire says empty, not nil
-		}
-		for i := range m.Items {
-			readCompleteItem(d, &m.Items[i])
-		}
+	m.Items = resize(m.Items, d.count())
+	for i := range m.Items {
+		readCompleteItem(d, &m.Items[i])
 	}
 	m.LeaseDeadline = d.f64()
 }
@@ -603,10 +526,6 @@ func readCompleteItem(d *bdec, m *CompleteItem) {
 	m.Features = d.floatsInto(m.Features)
 	m.Artifact = d.f64()
 	m.Confidence = d.f64()
-}
-
-func readWorkerStats(d *bdec, m *WorkerStats) {
-	m.Role = d.str()
 }
 
 func readLBStats(d *bdec, m *LBStats) {
@@ -626,39 +545,8 @@ func readLBStats(d *bdec, m *LBStats) {
 	m.DegradedShards = d.int()
 }
 
-func readSubmitRequest(d *bdec, m *SubmitRequest) {
-	n := d.count()
-	if n < 0 {
-		m.Queries = nil
-	} else {
-		if cap(m.Queries) >= n {
-			m.Queries = m.Queries[:n]
-		} else {
-			m.Queries = make([]QueryMsg, n)
-		}
-		if m.Queries == nil {
-			m.Queries = []QueryMsg{} // wire says empty, not nil
-		}
-		for i := range m.Queries {
-			readQueryMsg(d, &m.Queries[i])
-		}
-	}
-}
-
 func readResultsResponse(d *bdec, m *ResultsResponse) {
-	n := d.count()
-	if n < 0 {
-		m.Results = nil
-		return
-	}
-	if cap(m.Results) >= n {
-		m.Results = m.Results[:n]
-	} else {
-		m.Results = make([]QueryResponse, n)
-	}
-	if m.Results == nil {
-		m.Results = []QueryResponse{} // wire says empty, not nil
-	}
+	m.Results = resize(m.Results, d.count())
 	for i := range m.Results {
 		d.tag(tagQueryResponse)
 		readQueryResponse(d, &m.Results[i])

@@ -1,20 +1,46 @@
 package cluster
 
 import (
+	"encoding/json"
 	"math/rand"
 	"reflect"
 	"testing"
 )
 
+// codec is what the tests drive on both encodings of the wire
+// messages.
+type codec interface {
+	Marshal(v interface{}) ([]byte, error)
+	Unmarshal(data []byte, v interface{}) error
+}
+
+// CodecJSON is the reference encoding: encoding/json over the wire
+// messages' json tags, which follow the structs by reflection. The
+// parity tests and the size test hold CodecBinary to it; nothing sends
+// it over a connection.
+var CodecJSON codec = jsonCodec{}
+
+type jsonCodec struct{}
+
+func (jsonCodec) Marshal(v interface{}) ([]byte, error)   { return json.Marshal(v) }
+func (jsonCodec) Unmarshal(d []byte, v interface{}) error { return json.Unmarshal(d, v) }
+
+// codecs names both encodings for the tests and benchmarks that run
+// each.
+var codecs = []struct {
+	name string
+	c    codec
+}{{"json", CodecJSON}, {"binary", CodecBinary}}
+
 // codecRT round-trips a message through a codec into fresh storage.
-func codecRT(t *testing.T, c Codec, in, out interface{}) {
+func codecRT(t *testing.T, c codec, in, out interface{}) {
 	t.Helper()
 	data, err := c.Marshal(in)
 	if err != nil {
-		t.Fatalf("%s marshal %T: %v", c.Name(), in, err)
+		t.Fatalf("%T marshal %T: %v", c, in, err)
 	}
 	if err := c.Unmarshal(data, out); err != nil {
-		t.Fatalf("%s unmarshal %T: %v", c.Name(), out, err)
+		t.Fatalf("%T unmarshal %T: %v", c, out, err)
 	}
 }
 

@@ -543,7 +543,7 @@ func testTransportConformance(t *testing.T, tc transportCase) {
 		// arrival stamps intact — and a second worker's pull receives
 		// them. Whichever completion lands first resolves each query
 		// and later reports are no-ops, with the lease counters
-		// surfacing it all through Stats on every transport × codec.
+		// surfacing it all through Stats on every transport.
 		tp := tc.mk()
 		defer tp.Close()
 		clock := NewClock(0.001)

@@ -102,9 +102,6 @@ func getConfigureWorkerRequest() *ConfigureWorkerRequest {
 // arena and must never become decode targets.
 func ReleaseMessage(v interface{}) {
 	switch m := v.(type) {
-	case *QueryResponse:
-		// Features may alias the collector arena: drop, don't reuse.
-		*m = QueryResponse{}
 	case *SubmitRequest:
 		qs := m.Queries
 		poisonQueries(qs)

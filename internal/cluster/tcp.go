@@ -24,7 +24,6 @@ import (
 //	uint32 big-endian  body length (header + payload, ≤ maxFrameBody)
 //	byte               frame kind (request, response, error)
 //	byte               method (methodSubmit … methodWorkerStats)
-//	byte               codec id (binary; a server refuses any other)
 //	uint64 big-endian  request id (responses echo it)
 //	payload            binary-encoded message, or UTF-8 error text
 //
@@ -54,9 +53,13 @@ import (
 // served; delivered at least once across redials.
 
 const (
-	// frameHeaderLen is the fixed body header: kind + method + codec
-	// id + request id.
-	frameHeaderLen = 11
+	// frameIDAt is where the request id starts in a body, after the
+	// kind and method bytes. A client encodes a request frame before it
+	// has an id and patches the id in (setFrameID).
+	frameIDAt = 2
+	// frameHeaderLen is the fixed body header: kind + method + request
+	// id.
+	frameHeaderLen = frameIDAt + 8
 	// maxFrameBody caps the declared body length. Decoders reject
 	// anything larger before allocating, so a corrupted or hostile
 	// length prefix cannot trigger a huge allocation.
@@ -93,16 +96,6 @@ const (
 	methodMax = methodMembershipRetired
 )
 
-// Codec ids on the wire. Every frame this package writes carries
-// codecIDBinary; the JSON id is still a well-formed header value, which
-// a server answers with an error frame instead of dropping the
-// connection.
-const (
-	codecIDJSON byte = iota + 1
-	codecIDBinary
-	codecIDMax = codecIDBinary
-)
-
 // ErrTransportClosed is returned by calls on a closed TCP conn or
 // transport.
 var ErrTransportClosed = errors.New("cluster: transport closed")
@@ -125,9 +118,9 @@ func putFrame(bp *[]byte) {
 // frame is a decoded frame header plus its payload (aliasing the read
 // buffer).
 type frame struct {
-	kind, method, codec byte
-	id                  uint64
-	payload             []byte
+	kind, method byte
+	id           uint64
+	payload      []byte
 }
 
 // readFrame reads one length-prefixed frame, reusing buf when it is
@@ -166,8 +159,7 @@ func readFrame(br *bufio.Reader, buf []byte) (frame, []byte, error) {
 	f := frame{
 		kind:    buf[0],
 		method:  buf[1],
-		codec:   buf[2],
-		id:      binary.BigEndian.Uint64(buf[3:frameHeaderLen]),
+		id:      binary.BigEndian.Uint64(buf[frameIDAt:frameHeaderLen]),
 		payload: buf[frameHeaderLen:n],
 	}
 	switch {
@@ -175,8 +167,6 @@ func readFrame(br *bufio.Reader, buf []byte) (frame, []byte, error) {
 		return frame{}, buf, fmt.Errorf("cluster: tcp frame kind %d invalid", f.kind)
 	case f.method < methodQueryRetired || f.method > methodMax:
 		return frame{}, buf, fmt.Errorf("cluster: tcp frame method %d invalid", f.method)
-	case f.codec < codecIDJSON || f.codec > codecIDMax:
-		return frame{}, buf, fmt.Errorf("cluster: tcp frame codec %d invalid", f.codec)
 	}
 	return f, buf, nil
 }
@@ -186,14 +176,15 @@ func readFrame(br *bufio.Reader, buf []byte) (frame, []byte, error) {
 // binary-encoded msg (straight into the frame buffer, no intermediate
 // slice) or the error text.
 func appendFrame(b []byte, kind, method byte, id uint64, msg interface{}, errText string) ([]byte, error) {
-	b = append(b, 0, 0, 0, 0, kind, method, codecIDBinary)
-	b = binary.BigEndian.AppendUint64(b, id)
+	b = append(b, make([]byte, 4+frameHeaderLen)...)
+	b[4], b[5] = kind, method
+	setFrameID(b, id)
 	switch {
 	case errText != "":
 		b = append(b, errText...)
 	case msg != nil:
 		var err error
-		if b, err = (binaryCodec{}).MarshalAppend(b, msg); err != nil {
+		if b, err = CodecBinary.MarshalAppend(b, msg); err != nil {
 			return b, err
 		}
 	}
@@ -202,6 +193,11 @@ func appendFrame(b []byte, kind, method byte, id uint64, msg interface{}, errTex
 	}
 	binary.BigEndian.PutUint32(b[:4], uint32(len(b)-4))
 	return b, nil
+}
+
+// setFrameID writes id into the header of the encoded frame b.
+func setFrameID(b []byte, id uint64) {
+	binary.BigEndian.PutUint64(b[4+frameIDAt:], id)
 }
 
 // --- server ---
@@ -467,9 +463,6 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 // pool for a frame that is refused. The binary decoder overwrites every
 // field, so a pooled request's dirty capacity is reused as it is.
 func (s *TCPServer) decode(f frame) (interface{}, error) {
-	if f.codec != codecIDBinary {
-		return nil, fmt.Errorf("codec %d not supported", f.codec)
-	}
 	req, known := s.svc.newRequest(f.method)
 	if !known {
 		return nil, fmt.Errorf("method %d not supported", f.method)
@@ -697,7 +690,7 @@ func (cs *tcpConnState) releaseSlotLocked(id uint64) {
 // must hold cs.mu.
 func (cs *tcpConnState) postLocked(bp *[]byte) error {
 	sl, id := cs.acquireSlotLocked()
-	binary.BigEndian.PutUint64((*bp)[7:7+8], id)
+	setFrameID(*bp, id)
 	cs.postSeq++
 	sl.post, sl.seq = bp, cs.postSeq
 	cs.posted++
@@ -916,7 +909,7 @@ func (c *tcpClient) do(ctx context.Context, method byte, in, out interface{}, po
 		return err
 	}
 	sl, id := cs.acquireSlotLocked()
-	binary.BigEndian.PutUint64(b[7:7+8], id)
+	setFrameID(b, id)
 	_, werr := cs.bw.Write(b)
 	if cs.writers.Add(-1) == 0 && werr == nil {
 		werr = cs.bw.Flush() // posted frames buffered ahead of b leave with it

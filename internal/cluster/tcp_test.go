@@ -17,8 +17,6 @@ import (
 	"diffserve/internal/trace"
 )
 
-// TestTCPFrameRoundTrip pins the frame encoding: appendFrame output
-// must decode to the same header and payload.
 // closeServers kills only the server side — listeners and accepted
 // connections — leaving the clients to discover the loss, redial, and
 // exhaust their retries, to inject a mid-run failure.
@@ -31,6 +29,8 @@ func (t *tcpTransport) closeServers() {
 	}
 }
 
+// TestTCPFrameRoundTrip pins the frame encoding: appendFrame output
+// must decode to the same header and payload.
 func TestTCPFrameRoundTrip(t *testing.T) {
 	msg := &PullRequest{WorkerID: 3, Role: "light", Max: 8, Wait: 0.25}
 	b, err := appendFrame(nil, frameRequest, methodPull, 42, msg, "")
@@ -41,7 +41,7 @@ func TestTCPFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.kind != frameRequest || f.method != methodPull || f.codec != codecIDBinary || f.id != 42 {
+	if f.kind != frameRequest || f.method != methodPull || f.id != 42 {
 		t.Errorf("header = %+v", f)
 	}
 	var out PullRequest
@@ -66,9 +66,44 @@ func TestTCPFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTCPFrameLayout pins the bytes of a request frame and an error
+// frame: the big-endian body length, kind, method and the 8-byte
+// request id, then the binary payload or the error text. A frame
+// encoded with id 0 and patched by setFrameID, as a client sends it,
+// is the same frame.
+func TestTCPFrameLayout(t *testing.T) {
+	msg := &PullRequest{WorkerID: 3, Role: "light", Max: 8, Wait: 0.25}
+	payload, err := CodecBinary.Marshal(msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const id = 0x0102030405060708
+	for _, c := range []struct {
+		kind    byte
+		msg     interface{}
+		errText string
+		payload []byte
+	}{{frameRequest, msg, "", payload}, {frameError, nil, "boom", []byte("boom")}} {
+		want := binary.BigEndian.AppendUint32(nil, uint32(10+len(c.payload)))
+		want = append(want, c.kind, methodPull, 1, 2, 3, 4, 5, 6, 7, 8)
+		want = append(want, c.payload...)
+		got, err := appendFrame(nil, c.kind, methodPull, id, c.msg, c.errText)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Errorf("kind %d frame = %x, %v; want %x", c.kind, got, err, want)
+		}
+		patched, err := appendFrame(nil, c.kind, methodPull, 0, c.msg, c.errText)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if setFrameID(patched, id); !bytes.Equal(patched, want) {
+			t.Errorf("kind %d frame with its id patched in = %x, want %x", c.kind, patched, want)
+		}
+	}
+}
+
 // TestTCPFrameRejectsCorruptHeaders exercises the decode guards:
-// oversized and undersized declared lengths, invalid kind, method,
-// and codec bytes must all fail without panicking.
+// oversized and undersized declared lengths, and invalid kind and
+// method bytes must all fail without panicking.
 func TestTCPFrameRejectsCorruptHeaders(t *testing.T) {
 	valid, err := appendFrame(nil, frameRequest, methodPull, 1, &PullRequest{}, "")
 	if err != nil {
@@ -84,7 +119,6 @@ func TestTCPFrameRejectsCorruptHeaders(t *testing.T) {
 		"undersized-length": corrupt(func(b []byte) { b[0], b[1], b[2], b[3] = 0, 0, 0, frameHeaderLen-1 }),
 		"bad-kind":          corrupt(func(b []byte) { b[4] = 99 }),
 		"bad-method":        corrupt(func(b []byte) { b[5] = 0 }),
-		"bad-codec":         corrupt(func(b []byte) { b[6] = 7 }),
 		"truncated":         valid[:len(valid)-2],
 	}
 	for name, data := range cases {
@@ -94,13 +128,13 @@ func TestTCPFrameRejectsCorruptHeaders(t *testing.T) {
 	}
 }
 
-// TestTCPRefusesRetiredCodecAndMethod pins the one change a tcp peer
-// can see on the wire: a request frame that names the JSON codec, and
-// one that names a retired method (the blocking submit, the membership
-// read), each get an error frame — nothing is applied, nothing is taken from a message pool for
-// them (the suite runs this under -tags poolpoison too), and the
-// connection serves the next frame as if they had never arrived.
-func TestTCPRefusesRetiredCodecAndMethod(t *testing.T) {
+// TestTCPRefusesRetiredMethod pins what a tcp peer sees when a request
+// frame names a retired method (the blocking submit, the membership
+// read): an error frame each — nothing is applied, nothing is taken
+// from a message pool for them (the suite runs this under -tags
+// poolpoison too), and the connection serves the next frame as if they
+// had never arrived.
+func TestTCPRefusesRetiredMethod(t *testing.T) {
 	lb := newTestLB(0.001)
 	srv, err := ServeLBTCP("127.0.0.1:0", lb)
 	if err != nil {
@@ -113,42 +147,21 @@ func TestTCPRefusesRetiredCodecAndMethod(t *testing.T) {
 	}
 	defer conn.Close()
 
-	// What a pre-deletion "-codec json" client sent: a well-formed
-	// frame, JSON codec id, JSON payload.
-	submit := SubmitRequest{Queries: []QueryMsg{{ID: 1, Arrival: 0.001}}}
-	payload, err := CodecJSON.Marshal(&submit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jsonFrame, err := appendFrame(nil, frameRequest, methodSubmit, 1, nil, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	jsonFrame = append(jsonFrame, payload...)
-	jsonFrame[6] = codecIDJSON
-	binary.BigEndian.PutUint32(jsonFrame[:4], uint32(len(jsonFrame)-4))
-	// The same codec id over a binary payload, as a peer with only the
-	// header wrong would send it.
-	mislabelled, err := appendFrame(nil, frameRequest, methodSubmit, 2, &submit, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mislabelled[6] = codecIDJSON
 	// The retired method, payload as its clients encoded it.
-	query, err := appendFrame(nil, frameRequest, methodQueryRetired, 3, &QueryMsg{ID: 2, Arrival: 0.001}, "")
+	query, err := appendFrame(nil, frameRequest, methodQueryRetired, 1, &QueryMsg{ID: 2, Arrival: 0.001}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	membership, err := appendFrame(nil, frameRequest, methodMembershipRetired, 4, nil, "")
+	membership, err := appendFrame(nil, frameRequest, methodMembershipRetired, 2, nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := appendFrame(nil, frameRequest, methodLBStats, 5, nil, "")
+	stats, err := appendFrame(nil, frameRequest, methodLBStats, 3, nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var seg []byte
-	for _, f := range [][]byte{jsonFrame, mislabelled, query, membership, stats} {
+	for _, f := range [][]byte{query, membership, stats} {
 		seg = append(seg, f...)
 	}
 	if _, err := conn.Write(seg); err != nil {
@@ -160,7 +173,7 @@ func TestTCPRefusesRetiredCodecAndMethod(t *testing.T) {
 	for _, want := range []struct {
 		id   uint64
 		text string
-	}{{1, "codec 1 not supported"}, {2, "codec 1 not supported"}, {3, "method 1 not supported"}, {4, "method 10 not supported"}} {
+	}{{1, "method 1 not supported"}, {2, "method 10 not supported"}} {
 		f, _, err := readFrame(br, nil)
 		if err != nil {
 			t.Fatalf("frame %d: connection lost instead of an error frame: %v", want.id, err)
@@ -171,7 +184,7 @@ func TestTCPRefusesRetiredCodecAndMethod(t *testing.T) {
 		}
 	}
 	f, _, err := readFrame(br, nil)
-	if err != nil || f.kind != frameResponse || f.id != 5 {
+	if err != nil || f.kind != frameResponse || f.id != 3 {
 		t.Fatalf("frame after the refusals = %+v, %v; want the Stats response on the same connection", f, err)
 	}
 	var st LBStats

@@ -172,7 +172,7 @@ func TestDrainRefusesLatePushes(t *testing.T) {
 // Conn-level behavioral assertions (query round trips, worker conns,
 // long-poll semantics, shutdown cases) live in the conformance suite:
 // see TestTransportConformance in conformance_test.go, which runs
-// them over every transport × codec combination.
+// them over every transport.
 
 // TestHarnessTransportEquivalence replays the same lightly loaded
 // trace at a fixed seed through both transports and requires

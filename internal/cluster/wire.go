@@ -8,11 +8,11 @@
 //   - wire messages (QueryMsg, PullRequest/Response, CompleteRequest,
 //     stats and configure messages) — plain structs with stable
 //     payload semantics;
-//   - one codec on the wire, CodecBinary — hand-rolled and
-//     length-prefixed, with no reflection on the hot path; CodecJSON
-//     encodes the same messages through their json tags and is the
-//     reference the parity tests, the fuzzers and diffvet's
-//     codecparity analyzer hold the binary codec against;
+//   - one codec, CodecBinary (codec.go) — hand-rolled and
+//     length-prefixed, with no reflection on the hot path; the tests
+//     hold it to an encoding/json reference over the messages' json
+//     tags, and diffvet's codecparity analyzer keeps it in step with
+//     the structs;
 //   - a Transport / LBConn / WorkerConn abstraction over how messages
 //     move, with two implementations: framed TCP (persistent
 //     multiplexed connections carrying length-prefixed binary frames —

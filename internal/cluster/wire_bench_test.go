@@ -32,13 +32,13 @@ func benchCompleteRequest() *CompleteRequest {
 func TestWireSizes(t *testing.T) {
 	req := benchCompleteRequest()
 	sizes := map[string]int{}
-	for _, c := range []Codec{CodecJSON, CodecBinary} {
-		d, err := c.Marshal(req)
+	for _, c := range codecs {
+		d, err := c.c.Marshal(req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sizes[c.Name()] = len(d)
-		t.Logf("%-6s CompleteRequest(8x16dim): %d bytes, %.1f bytes/query", c.Name(), len(d), float64(len(d))/8)
+		sizes[c.name] = len(d)
+		t.Logf("%-6s CompleteRequest(8x16dim): %d bytes, %.1f bytes/query", c.name, len(d), float64(len(d))/8)
 	}
 	if sizes["binary"]*2 > sizes["json"] {
 		t.Errorf("binary payload %dB is not ≥2x smaller than JSON %dB", sizes["binary"], sizes["json"])
@@ -48,18 +48,18 @@ func TestWireSizes(t *testing.T) {
 // BenchmarkCodecCompleteRequest measures encode+decode of one 8-query
 // completion batch per op.
 func BenchmarkCodecCompleteRequest(b *testing.B) {
-	for _, codec := range []Codec{CodecJSON, CodecBinary} {
-		b.Run(codec.Name(), func(b *testing.B) {
+	for _, c := range codecs {
+		b.Run(c.name, func(b *testing.B) {
 			req := benchCompleteRequest()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				data, err := codec.Marshal(req)
+				data, err := c.c.Marshal(req)
 				if err != nil {
 					b.Fatal(err)
 				}
 				var out CompleteRequest
-				if err := codec.Unmarshal(data, &out); err != nil {
+				if err := c.c.Unmarshal(data, &out); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -147,16 +147,16 @@ func BenchmarkCodecQueryResponse(b *testing.B) {
 		ID: 42, Variant: "sdv15", Features: benchCompleteRequest().Items[0].Features,
 		Artifact: 0.25, Confidence: 0.875, Deferred: true, Arrival: 10.5, Completion: 12.0,
 	}
-	for _, codec := range []Codec{CodecJSON, CodecBinary} {
-		b.Run(codec.Name(), func(b *testing.B) {
+	for _, c := range codecs {
+		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				data, err := codec.Marshal(resp)
+				data, err := c.c.Marshal(resp)
 				if err != nil {
 					b.Fatal(err)
 				}
 				var out QueryResponse
-				if err := codec.Unmarshal(data, &out); err != nil {
+				if err := c.c.Unmarshal(data, &out); err != nil {
 					b.Fatal(err)
 				}
 				benchSink = out.Variant
