@@ -60,11 +60,12 @@ bench:
 # tracks (see PERFORMANCE.md); the RNG's two: the per-query
 # re-seed-and-draw-20 pattern and the steady-state draw, each next to
 # math/rand's seeded source; and the simulator's per-query layers: one
-# 16-dim moment update, one 16-dim Fréchet cross term, and a generation
-# on a query with nothing memoized (GenerateMiss).
+# 16-dim moment update, one 16-dim Fréchet cross term, a generation
+# on a query with nothing memoized (GenerateMiss) and a scorer's draw on
+# a query ID it has not scored (ConfidenceMiss).
 .PHONY: bench-perf
 bench-perf:
-	$(GO) test -run '^$$' -bench 'Fig5$$|MomentsStreaming|MomentsBatch|GenerateCached|GenerateMiss|ExperimentsSerial|ExperimentsParallel' -benchmem .
+	$(GO) test -run '^$$' -bench 'Fig5$$|MomentsStreaming|MomentsBatch|GenerateCached|GenerateMiss|ConfidenceMiss|ExperimentsSerial|ExperimentsParallel' -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkReseedDraw20|BenchmarkLongStream|BenchmarkMomentAdd16' -benchmem ./internal/stats/
 	$(GO) test -run '^$$' -bench 'BenchmarkTraceSqrtProduct16' -benchmem ./internal/linalg/
 
@@ -210,13 +211,16 @@ chaos-soak:
 race-solver:
 	$(GO) test -race ./internal/allocator/
 
-# race-space: the simulator's shared memos — images memoized on each
-# *Query under its Space's lock (TestGenerateDeterministicConcurrent
-# among them), the scorers' observation memo, and the experiment
-# harness running simulations in parallel over one Space.
+# race-space: the simulator's concurrency — one Space and one scorer
+# shared by many goroutines on pooled scratch RNGs, with images memoized
+# on each *Query under its Space's lock (TestGenerateDeterministicConcurrent,
+# TestConfidenceConcurrentMatchesSerial), the producer filling a run's
+# query table ahead of the event loop (TestRunIdenticalAcrossProcs), the
+# timeline scoring its buckets in parallel, and the experiment harness
+# running simulations in parallel over one Space.
 .PHONY: race-space
 race-space:
-	$(GO) test -race ./internal/imagespace/ ./internal/discriminator/
+	$(GO) test -race ./internal/imagespace/ ./internal/discriminator/ ./internal/system/ ./internal/metrics/
 	$(GO) test -race -run TestFanOutSerialParallelIdentical ./internal/experiments/
 
 # race-poison: the cluster suite under the race detector with recycled

@@ -257,31 +257,49 @@ func BenchmarkGenerateCached(b *testing.B) {
 // BenchmarkGenerateMiss measures deterministic generation on queries
 // nothing has generated yet, as every simulated window's first pass
 // does: GenerateCached above measures only memo hits. Queries are
-// sampled outside the timer in blocks, and a fresh Space every 1<<16
-// IDs bounds the memory a long run holds.
+// sampled outside the timer in blocks.
 func BenchmarkGenerateMiss(b *testing.B) {
-	const block, perSpace = 4096, 1 << 16
+	const block = 4096
 	v := model.BuiltinRegistry().MustGet("sdturbo")
-	var space *imagespace.Space
+	space, err := imagespace.NewSpace(imagespace.DefaultSpaceConfig(), stats.NewRNG(3).Stream("space"))
+	if err != nil {
+		b.Fatal(err)
+	}
 	var queries []*imagespace.Query
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if i%block == 0 {
 			b.StopTimer()
-			if i%perSpace == 0 {
-				var err error
-				space, err = imagespace.NewSpace(imagespace.DefaultSpaceConfig(), stats.NewRNG(3).Stream("space"))
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
 			queries = space.SampleQueries(i, block)
 			b.StartTimer()
 		}
 		if img := space.GenerateDeterministic(queries[i%block], v.Name, v.Gen); img.Features == nil {
 			b.Fatal("missing features")
 		}
+	}
+}
+
+// confidenceSink keeps BenchmarkConfidenceMiss's scores live.
+var confidenceSink float64
+
+// BenchmarkConfidenceMiss measures one discriminator score on a query
+// ID the scorer has not scored before, as each cascade arrival of a
+// simulated window is: the observation stream's re-seed and one draw.
+func BenchmarkConfidenceMiss(b *testing.B) {
+	d, err := discriminator.New(discriminator.Config{
+		Arch: discriminator.ArchEfficientNet, Train: discriminator.TrainGT,
+	}, stats.NewRNG(3).Stream("disc"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	q := &imagespace.Query{}
+	img := imagespace.Image{Features: make([]float64, imagespace.DefaultDim), Artifact: 3, Variant: "sdturbo"}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q.ID = i
+		confidenceSink += d.Confidence(q, img)
 	}
 }
 

@@ -154,8 +154,9 @@ func (s *WorkerServer) Loop(ctx context.Context) {
 // executeBatch simulates execution and reports completions to the LB.
 // items is the caller's reusable
 // completion scratch; the (possibly grown) slice is returned for the
-// next batch — its Features fields point into the imagespace cache and
-// are only ever replaced, never written through.
+// next batch — its Features fields point at images the Space generated
+// (and may share with a query's memo) and are only ever replaced,
+// never written through.
 //
 // The batch runs on its own trace schedule, from batchStart's start to
 // start + exec: it starts when both the worker (its ReadyAt) and the

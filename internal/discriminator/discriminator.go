@@ -33,49 +33,21 @@ import (
 	"diffserve/internal/stats"
 )
 
-// obsCache memoizes each scorer's per-(variant, query) observation
-// draw. Scores are documented to be deterministic per (scorer, query,
-// image-variant), so the draw — the only stochastic input — is
-// computed once per pair with an allocation-free stream derivation
-// and replayed from the cache afterwards. The cache is synchronized
-// so concurrent simulation runs can share one scorer.
-type obsCache struct {
-	mu      sync.Mutex
-	vals    map[obsKey]float64
-	scratch *stats.RNG
-}
+// obsRNGs holds the scratch RNGs the scorers draw observations from.
+var obsRNGs = sync.Pool{New: func() any { return stats.NewRNG(0) }}
 
-type obsKey struct {
-	variant string
-	id      int
+// obsRNG returns a pooled RNG seeded to a scorer's observation stream
+// for query id's image by variant: the per-query stream ("q", id) of
+// base.Stream("v:"+variant). Release it with obsRNGs.Put. Scores are
+// documented to be deterministic per (scorer, query, image-variant);
+// the draw, their only stochastic input, is a pure function of that
+// triple, so it is drawn afresh each time and any number of goroutines
+// can share one scorer.
+func obsRNG(base *stats.RNG, variant string, id int) *stats.RNG {
+	r := obsRNGs.Get().(*stats.RNG)
+	r.Reseed(stats.StreamNSeedFrom(base.StreamSeed2("v:", variant), "q", id))
+	return r
 }
-
-func newObsCache() *obsCache {
-	return &obsCache{vals: make(map[obsKey]float64), scratch: stats.NewRNG(0)}
-}
-
-// sample returns draw applied to the stream
-// the per-query stream ("q", id) of base.Stream("v:"+variant),
-// memoized.
-func (c *obsCache) sample(base *stats.RNG, variant string, id int, draw func(*stats.RNG) float64) float64 {
-	k := obsKey{variant: variant, id: id}
-	c.mu.Lock()
-	v, ok := c.vals[k]
-	if !ok {
-		c.scratch.Reseed(stats.StreamNSeedFrom(base.StreamSeed2("v:", variant), "q", id))
-		v = draw(c.scratch)
-		// Bounded like imagespace's query memo: past the cap, compute
-		// without storing so long-lived processes stay O(1).
-		if len(c.vals) < maxObsEntries {
-			c.vals[k] = v
-		}
-	}
-	c.mu.Unlock()
-	return v
-}
-
-// maxObsEntries bounds each scorer's observation memo.
-const maxObsEntries = 1 << 20
 
 // Scorer assigns a confidence score in [0, 1] to a generated image;
 // higher means more likely to meet the quality bar. A cascade returns
@@ -168,7 +140,6 @@ type Discriminator struct {
 	cfg    Config
 	traits archTraits
 	rng    *stats.RNG
-	obs    *obsCache
 }
 
 // New constructs a discriminator. rng seeds the observation-noise
@@ -198,7 +169,6 @@ func New(cfg Config, rng *stats.RNG) (*Discriminator, error) {
 	return &Discriminator{
 		cfg: cfg, traits: traits,
 		rng: rng.Stream("disc:" + string(cfg.Arch) + ":" + string(cfg.Train)),
-		obs: newObsCache(),
 	}, nil
 }
 
@@ -218,10 +188,9 @@ func (d *Discriminator) PerImageLatency() float64 { return d.traits.latency }
 
 // Confidence implements Scorer.
 func (d *Discriminator) Confidence(q *imagespace.Query, img imagespace.Image) float64 {
-	noise := d.obs.sample(d.rng, img.Variant, q.ID, func(r *stats.RNG) float64 {
-		return r.Normal(0, d.traits.obsNoise)
-	})
-	observed := img.Artifact + noise
+	r := obsRNG(d.rng, img.Variant, q.ID)
+	observed := img.Artifact + r.Normal(0, d.traits.obsNoise)
+	obsRNGs.Put(r)
 	var score float64
 	switch d.cfg.Train {
 	case TrainGT:
@@ -261,7 +230,6 @@ func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
 //     different prompt-image pairs".
 type PickScore struct {
 	rng *stats.RNG
-	obs *obsCache
 	// AlignmentWeight scales the image's alignment-axis projection;
 	// QualityWeight scales the (negated) true-quality estimate; Noise
 	// is per-measurement observation noise; Center recenters the
@@ -272,7 +240,7 @@ type PickScore struct {
 // NewPickScore returns a PickScore metric with calibrated weights.
 func NewPickScore(rng *stats.RNG) *PickScore {
 	return &PickScore{
-		rng: rng.Stream("pickscore"), obs: newObsCache(),
+		rng:             rng.Stream("pickscore"),
 		AlignmentWeight: 0.60, QualityWeight: 0.25, Noise: 0.30, Center: 1.4,
 	}
 }
@@ -286,9 +254,9 @@ func (p *PickScore) PerImageLatency() float64 { return 0.012 }
 // Raw returns the unnormalized PickScore, used for Fig 1b score-
 // difference CDFs.
 func (p *PickScore) Raw(q *imagespace.Query, img imagespace.Image) float64 {
-	noise := p.obs.sample(p.rng, img.Variant, q.ID, func(r *stats.RNG) float64 {
-		return r.Normal(0, p.Noise)
-	})
+	r := obsRNG(p.rng, img.Variant, q.ID)
+	noise := r.Normal(0, p.Noise)
+	obsRNGs.Put(r)
 	return p.AlignmentWeight*img.Features[0] + p.QualityWeight*(-img.Artifact) + noise
 }
 
@@ -303,14 +271,13 @@ func (p *PickScore) Confidence(q *imagespace.Query, img imagespace.Image) float6
 // different model variants are very close.
 type ClipScore struct {
 	rng                                           *stats.RNG
-	obs                                           *obsCache
 	AlignmentWeight, QualityWeight, Noise, Center float64
 }
 
 // NewClipScore returns a CLIPScore metric with calibrated weights.
 func NewClipScore(rng *stats.RNG) *ClipScore {
 	return &ClipScore{
-		rng: rng.Stream("clipscore"), obs: newObsCache(),
+		rng:             rng.Stream("clipscore"),
 		AlignmentWeight: 0.65, QualityWeight: 0.08, Noise: 0.35, Center: 2.4,
 	}
 }
@@ -323,9 +290,9 @@ func (c *ClipScore) PerImageLatency() float64 { return 0.008 }
 
 // Raw returns the unnormalized CLIPScore.
 func (c *ClipScore) Raw(q *imagespace.Query, img imagespace.Image) float64 {
-	noise := c.obs.sample(c.rng, img.Variant, q.ID, func(r *stats.RNG) float64 {
-		return r.Normal(0, c.Noise)
-	})
+	r := obsRNG(c.rng, img.Variant, q.ID)
+	noise := r.Normal(0, c.Noise)
+	obsRNGs.Put(r)
 	return c.AlignmentWeight*img.Features[0] + c.QualityWeight*(-img.Artifact) + noise
 }
 
@@ -339,12 +306,11 @@ func (c *ClipScore) Confidence(q *imagespace.Query, img imagespace.Image) float6
 // fraction t of queries regardless of content.
 type Random struct {
 	rng *stats.RNG
-	obs *obsCache
 }
 
 // NewRandom returns the random baseline scorer.
 func NewRandom(rng *stats.RNG) *Random {
-	return &Random{rng: rng.Stream("random-scorer"), obs: newObsCache()}
+	return &Random{rng: rng.Stream("random-scorer")}
 }
 
 // Name implements Scorer.
@@ -355,9 +321,10 @@ func (r *Random) PerImageLatency() float64 { return 0 }
 
 // Confidence implements Scorer.
 func (r *Random) Confidence(q *imagespace.Query, img imagespace.Image) float64 {
-	return r.obs.sample(r.rng, img.Variant, q.ID, func(rr *stats.RNG) float64 {
-		return rr.Float64()
-	})
+	rr := obsRNG(r.rng, img.Variant, q.ID)
+	v := rr.Float64()
+	obsRNGs.Put(rr)
+	return v
 }
 
 // Oracle scores with the ground-truth artifact magnitude and no noise —

@@ -2,6 +2,7 @@ package discriminator
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"diffserve/internal/imagespace"
@@ -271,5 +272,67 @@ func TestGTConfidenceDecreasesWithArtifact(t *testing.T) {
 	}
 	if !(avgConf(2) > avgConf(4.2) && avgConf(4.2) > avgConf(7)) {
 		t.Error("GT-trained confidence should decrease with artifact magnitude")
+	}
+}
+
+// TestConfidenceConcurrentMatchesSerial has 8 goroutines share each
+// scorer, scoring 256 overlapping query IDs through two variants in
+// orders that differ per goroutine (run it under -race). Every score
+// must equal, bit for bit, what a fresh scorer with the same seed
+// returns when called serially.
+func TestConfidenceConcurrentMatchesSerial(t *testing.T) {
+	space, reg, queries := testFixtures(t)
+	const workers, ids = 8, 256
+	variants := []*model.Variant{reg.MustGet("sdturbo"), reg.MustGet("sdv15")}
+	var imgs [ids][2]imagespace.Image
+	for id := 0; id < ids; id++ {
+		for v, vr := range variants {
+			imgs[id][v] = space.GenerateDeterministic(queries[id], vr.Name, vr.Gen)
+		}
+	}
+	type scoreFn func(*imagespace.Query, imagespace.Image) float64
+	scorers := map[string]func() scoreFn{
+		"discriminator-gt": func() scoreFn {
+			return mustNew(t, Config{Arch: ArchEfficientNet, Train: TrainGT}, stats.NewRNG(21)).Confidence
+		},
+		"discriminator-fake": func() scoreFn {
+			return mustNew(t, Config{Arch: ArchViT, Train: TrainFake, HeavyMeanArtifact: 3}, stats.NewRNG(22)).Confidence
+		},
+		"pickscore-raw": func() scoreFn { return NewPickScore(stats.NewRNG(23)).Raw },
+		"clipscore-raw": func() scoreFn { return NewClipScore(stats.NewRNG(24)).Raw },
+		"random":        func() scoreFn { return NewRandom(stats.NewRNG(25)).Confidence },
+	}
+	for name, mk := range scorers {
+		shared := mk()
+		got := make([][ids][2]float64, workers)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				<-start
+				for k := 0; k < ids; k++ {
+					id := (k + w*ids/workers) % ids
+					for j := range variants {
+						v := (j + w) % len(variants)
+						got[w][id][v] = shared(queries[id], imgs[id][v])
+					}
+				}
+			}(w)
+		}
+		close(start)
+		wg.Wait()
+		serial := mk()
+		for id := 0; id < ids; id++ {
+			for v := range variants {
+				want := serial(queries[id], imgs[id][v])
+				for w := 0; w < workers; w++ {
+					if math.Float64bits(got[w][id][v]) != math.Float64bits(want) {
+						t.Fatalf("%s: worker %d, id %d, variant %s: %v, serial %v", name, w, id, variants[v].Name, got[w][id][v], want)
+					}
+				}
+			}
+		}
 	}
 }

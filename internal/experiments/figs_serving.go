@@ -93,7 +93,8 @@ func Fig4(cfg Config) (*Fig4Result, error) {
 
 	// Fresh env and trace per load level keeps approaches comparable
 	// within the level while isolating RNG streams; runs within a
-	// level share the env (its generation cache is synchronized).
+	// level share the env (its Space and scorer are safe for
+	// concurrent use).
 	envs := map[string]*baselines.Env{}
 	trs := map[string]*trace.Trace{}
 	for _, label := range labels {

@@ -77,19 +77,19 @@ func DefaultSpaceConfig() SpaceConfig {
 
 // Space is a query/image universe: a feature space plus the difficulty
 // distribution of the query population.
+//
+// A Space holds no per-query state: every query, image and its noise is
+// a pure function of (seed, query ID, variant), drawn on a pooled
+// scratch RNG, so any number of goroutines can sample and generate
+// through one Space at once. Generations are memoized on the sampled
+// *Query (Query.images); mu guards those memos and the artifact
+// direction memo, and is never held while drawing.
 type Space struct {
 	cfg SpaceConfig
 	rng *stats.RNG
 
-	// Query sampling is memoized per ID and generation on the sampled
-	// *Query (Query.images): replaying a query population through other
-	// policies or thresholds never re-samples a query or regenerates an
-	// image. All of it, the queries' images too, is guarded by mu so
-	// concurrent simulation runs can share one Space.
-	mu      sync.Mutex
-	queries map[int]*Query
-	dirs    map[dirKey][]float64
-	genRNG  *stats.RNG // scratch RNG reseeded per cache miss
+	mu   sync.Mutex
+	dirs map[dirKey][]float64
 }
 
 // dirKey identifies a memoized artifact direction.
@@ -98,10 +98,9 @@ type dirKey struct {
 	axis int
 }
 
-// maxCacheEntries bounds the query memo so a long-lived process (e.g.
-// a cluster worker serving an unbounded query stream) cannot grow
-// without limit: past the cap, a query (with its images) is not stored.
-const maxCacheEntries = 1 << 20
+// scratchRNGs holds the RNGs SampleQuery and GenerateDeterministic
+// re-seed for each draw.
+var scratchRNGs = sync.Pool{New: func() any { return stats.NewRNG(0) }}
 
 // NewSpace constructs a Space. The RNG seeds all query sampling; use
 // distinct streams for distinct datasets.
@@ -116,11 +115,9 @@ func NewSpace(cfg SpaceConfig, rng *stats.RNG) (*Space, error) {
 		return nil, fmt.Errorf("imagespace: difficulty Beta parameters must be positive")
 	}
 	return &Space{
-		cfg:     cfg,
-		rng:     rng,
-		queries: make(map[int]*Query),
-		dirs:    make(map[dirKey][]float64),
-		genRNG:  stats.NewRNG(0),
+		cfg:  cfg,
+		rng:  rng,
+		dirs: make(map[dirKey][]float64),
 	}, nil
 }
 
@@ -150,28 +147,22 @@ type genMemo struct {
 }
 
 // SampleQuery draws the query with the given ID from the population.
-// Queries are deterministic per ID and memoized, so replaying the
-// same population across runs returns shared *Query values — treat
-// their exported fields as read-only (the Space memoizes images on them).
+// Queries are deterministic per ID: each call returns a fresh *Query
+// with the same fields. The Space memoizes the query's images on it, so
+// a caller that replays one population through several policies or
+// thresholds keeps its *Query values and generates each image once —
+// treat their exported fields as read-only.
 func (s *Space) SampleQuery(id int) *Query {
-	s.mu.Lock()
-	if q, ok := s.queries[id]; ok {
-		s.mu.Unlock()
-		return q
-	}
-	// The per-query stream (s.rng, "query", id), without allocating
-	// an RNG.
-	s.genRNG.Reseed(stats.StreamNSeedFrom(s.rng.Seed(), "query", id))
+	// The per-query stream (s.rng, "query", id), on a pooled RNG.
+	rng := scratchRNGs.Get().(*stats.RNG)
+	rng.Reseed(stats.StreamNSeedFrom(s.rng.Seed(), "query", id))
 	q := &Query{
 		ID:         id,
-		Difficulty: s.genRNG.Beta(s.cfg.DifficultyAlpha, s.cfg.DifficultyBeta),
-		Truth:      s.genRNG.NormalVec(nil, s.cfg.Dim, 0, 1),
+		Difficulty: rng.Beta(s.cfg.DifficultyAlpha, s.cfg.DifficultyBeta),
+		Truth:      rng.NormalVec(nil, s.cfg.Dim, 0, 1),
 		owner:      s,
 	}
-	if len(s.queries) < maxCacheEntries {
-		s.queries[id] = q
-	}
-	s.mu.Unlock()
+	scratchRNGs.Put(rng)
 	return q
 }
 
@@ -295,27 +286,38 @@ func (s *Space) generate(q *Query, p GenParams, rng *stats.RNG, dir []float64) I
 //
 // Results are memoized on q per (variant, params) when this Space
 // sampled q, so replays across approaches, thresholds, or sweep points
-// return the cached image, byte-identical to a fresh generation; two
-// *Query values with one ID each generate (the same bits) once. The
-// returned Image's Features slice is shared with the cache — treat it
-// as read-only.
+// that hold q return the cached image, byte-identical to a fresh
+// generation. The returned Image's Features slice is shared with the
+// cache — treat it as read-only.
 func (s *Space) GenerateDeterministic(q *Query, variant string, p GenParams) Image {
-	s.mu.Lock()
 	memo := q.owner == s
-	for i := 0; memo && i < len(q.images); i++ {
-		if e := &q.images[i]; e.Variant == variant && e.GenParams == p {
+	s.mu.Lock()
+	if memo {
+		if img, ok := q.memoized(variant, p); ok {
 			s.mu.Unlock()
-			return e.Image
+			return img
 		}
 	}
+	dir := s.artifactDirLocked(p.DirSkew, p.DirAxis)
+	s.mu.Unlock()
+
 	// The stream seed is derived without allocating intermediate
 	// strings or RNGs: this hash chain is exactly
 	// the per-query stream ("q", q.ID) of rng.Stream("gen:"+variant).
-	seed := stats.StreamNSeedFrom(s.rng.StreamSeed2("gen:", variant), "q", q.ID)
-	s.genRNG.Reseed(seed)
-	img := s.generate(q, p, s.genRNG, s.artifactDirLocked(p.DirSkew, p.DirAxis))
+	rng := scratchRNGs.Get().(*stats.RNG)
+	rng.Reseed(stats.StreamNSeedFrom(s.rng.StreamSeed2("gen:", variant), "q", q.ID))
+	img := s.generate(q, p, rng, dir)
+	scratchRNGs.Put(rng)
 	img.Variant = variant
-	if memo {
+	if !memo {
+		return img
+	}
+	s.mu.Lock()
+	// Another goroutine may have generated the same image meanwhile:
+	// keep the first so the memo never holds a duplicate.
+	if prev, ok := q.memoized(variant, p); ok {
+		img = prev
+	} else {
 		if q.images == nil {
 			q.images = make([]genMemo, 0, 2) // a cascade's two variants
 		}
@@ -323,6 +325,17 @@ func (s *Space) GenerateDeterministic(q *Query, variant string, p GenParams) Ima
 	}
 	s.mu.Unlock()
 	return img
+}
+
+// memoized returns q's memoized image for (variant, p), if there is
+// one. Callers must hold q.owner.mu.
+func (q *Query) memoized(variant string, p GenParams) (Image, bool) {
+	for i := range q.images {
+		if e := &q.images[i]; e.Variant == variant && e.GenParams == p {
+			return e.Image, true
+		}
+	}
+	return Image{}, false
 }
 
 // artifactDirLocked memoizes artifactDir per (skew, axis). Callers

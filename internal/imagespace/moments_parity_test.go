@@ -304,3 +304,38 @@ func sameFeatures(a, b []float64) bool {
 	}
 	return true
 }
+
+// TestGenerateDeterministicMemoNoDuplicates has 8 goroutines generate
+// the same queries through two variants at once. Generation runs
+// outside the Space's lock, so two of them can miss the memo together;
+// the memo must still end with one image per variant.
+func TestGenerateDeterministicMemoNoDuplicates(t *testing.T) {
+	s, err := NewSpace(DefaultSpaceConfig(), stats.NewRNG(15).Stream("space"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	light := GenParams{ArtifactBase: 0.3, ArtifactSlope: 6, ArtifactNoise: 0.2, DirSkew: 0.6, DirAxis: 2, Contraction: 0.85, NoiseStd: 0.35}
+	heavy := GenParams{ArtifactBase: 0.6, ArtifactSlope: 1.5, ArtifactNoise: 0.2, DirSkew: 0.1, DirAxis: 1, Contraction: 0.95, NoiseStd: 0.3}
+	qs := s.SampleQueries(0, 256)
+	const workers = 8
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for _, q := range qs {
+				s.GenerateDeterministic(q, "light", light)
+				s.GenerateDeterministic(q, "heavy", heavy)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for _, q := range qs {
+		if len(q.images) != 2 {
+			t.Fatalf("query %d memoized %d images, want one per variant", q.ID, len(q.images))
+		}
+	}
+}

@@ -11,6 +11,7 @@ import (
 	"slices"
 
 	"diffserve/internal/fid"
+	"diffserve/internal/parallel"
 	"diffserve/internal/stats"
 )
 
@@ -310,6 +311,19 @@ func (c *Collector) Timeline(bucketSecs float64, ref *fid.Reference, minFIDSampl
 	if ref != nil && c.dimErr != nil {
 		return nil, c.dimErr
 	}
+	// Each bucket's FID is a pure function of its moments, so the
+	// buckets are scored in parallel; Map returns the first error in
+	// bucket order, as a serial loop would.
+	fids, err := parallel.Map(0, len(c.buckets), func(i int) (float64, error) {
+		ba := &c.buckets[i]
+		if ref == nil || ba.acc == nil || ba.acc.Count() < minFIDSamples {
+			return math.NaN(), nil
+		}
+		return ref.ScoreMoments(ba.acc)
+	})
+	if err != nil {
+		return nil, err
+	}
 	buckets := make([]Bucket, len(c.buckets))
 	for i := range c.buckets {
 		ba := &c.buckets[i]
@@ -322,14 +336,7 @@ func (c *Collector) Timeline(bucketSecs float64, ref *fid.Reference, minFIDSampl
 		if ba.served > 0 {
 			b.DeferRatio = float64(ba.deferredServed) / float64(ba.served)
 		}
-		b.FID = math.NaN()
-		if ref != nil && ba.acc != nil && ba.acc.Count() >= minFIDSamples {
-			v, err := ref.ScoreMoments(ba.acc)
-			if err != nil {
-				return nil, err
-			}
-			b.FID = v
-		}
+		b.FID = fids[i]
 	}
 	return buckets, nil
 }

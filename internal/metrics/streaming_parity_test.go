@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -249,5 +250,95 @@ func TestInconsistentFeatureDimsSurfaceAsError(t *testing.T) {
 	}
 	if buckets[0].DemandQPS != 0.3 {
 		t.Fatalf("demand = %v, want 3 arrivals over 10 s", buckets[0].DemandQPS)
+	}
+}
+
+// TestTimelineParallelMatchesSerial checks the timeline's parallel
+// FID scoring against a serial loop: at GOMAXPROCS 1, 2 and 8 each
+// bucket's FID equals, bit for bit, ref.ScoreMoments on that bucket's
+// moments, NaN below minFIDSamples; and when buckets fail, the error
+// is the first failing bucket's in bucket order.
+func TestTimelineParallelMatchesSerial(t *testing.T) {
+	const dim, width, minSamples = 16, 5, 135
+	ref := fid.ExactReference(dim)
+	c := NewCollector()
+	for _, r := range synthRecords(43, 3000, dim) {
+		c.Record(r)
+	}
+	for _, procs := range []int{1, 2, 8} {
+		prev := runtime.GOMAXPROCS(procs)
+		got, err := c.Timeline(width, ref, minSamples)
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatalf("GOMAXPROCS %d: %v", procs, err)
+		}
+		scored, skipped := 0, 0
+		for i, b := range got {
+			acc := c.buckets[i].acc
+			if acc == nil || acc.Count() < minSamples {
+				if !math.IsNaN(b.FID) {
+					t.Fatalf("GOMAXPROCS %d: bucket %d is below %d samples but FID %v", procs, i, minSamples, b.FID)
+				}
+				skipped++
+				continue
+			}
+			want, err := ref.ScoreMoments(acc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(b.FID) != math.Float64bits(want) {
+				t.Fatalf("GOMAXPROCS %d: bucket %d FID %v, serial %v", procs, i, b.FID, want)
+			}
+			scored++
+		}
+		if scored == 0 || skipped == 0 {
+			t.Fatalf("GOMAXPROCS %d: %d buckets scored and %d skipped; the fixture must have both", procs, scored, skipped)
+		}
+	}
+
+	// Two kinds of failing bucket: one with a single sample (too few
+	// for moments once minFIDSamples is 1) and one whose NaN feature
+	// stops the eigensolver. Whichever comes first must be reported.
+	served := func(c *Collector, at float64, f []float64) {
+		c.Record(QueryRecord{Arrival: at, Completion: at + 1, Deadline: at + 5, Features: f})
+	}
+	rng := stats.NewRNG(44)
+	fill := func(c *Collector, bucket int, kind string) {
+		at := float64(bucket) * width
+		switch kind {
+		case "ok":
+			for k := 0; k < 40; k++ {
+				served(c, at, rng.NormalVec(nil, dim, 0, 1))
+			}
+		case "single":
+			served(c, at, rng.NormalVec(nil, dim, 0, 1))
+		case "nan":
+			for k := 0; k < 40; k++ {
+				f := rng.NormalVec(nil, dim, 0, 1)
+				if k == 7 {
+					f[3] = math.NaN()
+				}
+				served(c, at, f)
+			}
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	for _, order := range [][]string{
+		{"ok", "ok", "single", "ok", "nan", "ok"},
+		{"ok", "nan", "ok", "ok", "single", "ok"},
+	} {
+		c := NewCollector()
+		first := -1
+		for i, kind := range order {
+			fill(c, i, kind)
+			if first < 0 && kind != "ok" {
+				first = i
+			}
+		}
+		_, err := c.Timeline(width, ref, 1)
+		_, want := ref.ScoreMoments(c.buckets[first].acc)
+		if err == nil || want == nil || err.Error() != want.Error() {
+			t.Fatalf("buckets %v: error %v, want bucket %d's %v", order, err, first, want)
+		}
 	}
 }

@@ -14,10 +14,11 @@ import (
 // (0 or negative means one per available CPU) and returns the results
 // in index order.
 //
-// Independent simulation runs, sweep points, and cascade curves each
-// own their seeded RNG streams and mutate no shared state (the
-// imagespace generation cache is internally synchronized and
-// value-deterministic), so fanning them out is bit-for-bit
+// Independent simulation runs, sweep points, cascade curves and
+// timeline buckets each own their seeded RNG streams and mutate no
+// shared state (a shared Space or scorer draws every value from a
+// per-query stream on a pooled RNG, and the images it memoizes on a
+// *Query are value-deterministic), so fanning them out is bit-for-bit
 // deterministic: the result slice is identical to a serial loop
 // regardless of worker count or scheduling order. The first error
 // encountered in index order is returned, mirroring a serial loop's

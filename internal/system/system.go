@@ -13,6 +13,15 @@
 // worker.AssignRoles. This package keeps what is the simulator's: the
 // event ring, worker timing and image generation.
 //
+// A run uses two goroutines. Every query, image and score is a pure
+// function of (query ID, variant), so Run starts a producer that walks
+// the arrivals in order ahead of the event loop: it samples each query
+// into the run's query table, streams its ground truth into the FID
+// reference and, in the cascade, generates and scores its light image.
+// It hands the table over in fixed blocks on a channel; the event loop
+// receives a block before it reads an entry in it, and generates heavy
+// images itself when a batch completes.
+//
 // One deliberate simplification: queues live at pool granularity (one
 // light queue, one heavy queue) rather than per worker. Idle workers
 // pull from their pool's queue, which is work-conserving and
@@ -116,9 +125,26 @@ type System struct {
 
 	threshold float64
 
-	// queries holds the run's queries, indexed by ID - QueryIDBase.
-	queries []*imagespace.Query
+	// queries is the run's query table, indexed by ID - QueryIDBase.
+	// The producer fills it in index order; entries [0, ready) are
+	// visible to the event loop, and blocks delivers each new ready.
+	queries []runQuery
+	ready   int
+	blocks  chan int
 }
+
+// runQuery is one arrival's entry in the run's query table.
+type runQuery struct {
+	q *imagespace.Query
+	// light and conf are the light variant's image and the scorer's
+	// confidence in it, filled ahead of time in ModeCascade only.
+	light imagespace.Image
+	conf  float64
+}
+
+// producerBlock is how many table entries the producer fills before it
+// publishes them to the event loop.
+const producerBlock = 512
 
 // New builds a system from the config.
 func New(cfg Config) (*System, error) {
@@ -148,25 +174,23 @@ func New(cfg Config) (*System, error) {
 
 // Run simulates the full trace and returns the result.
 func (s *System) Run() (*Result, error) {
-	// Synthesize arrivals and pre-sample the query population,
-	// streaming the ground-truth image moments for the FID reference
-	// instead of materializing every real feature vector.
+	// Synthesize arrivals; a producer goroutine samples the query
+	// population ahead of the event loop, streaming the ground-truth
+	// image moments for the FID reference instead of materializing
+	// every real feature vector.
 	arrivals := s.cfg.Trace.Arrivals(s.rng.Stream("trace"))
 	realAcc := stats.NewMomentAccumulator(s.cfg.Space.Dim())
-	s.queries = make([]*imagespace.Query, len(arrivals))
+	s.startProducer(len(arrivals), realAcc)
 	s.ledger.Col.Grow(len(arrivals)) // one record per arrival
 	for i, at := range arrivals {
-		id := s.cfg.QueryIDBase + i
-		q := s.cfg.Space.SampleQuery(id)
-		s.queries[i] = q
-		realAcc.Add(q.Truth)
-		at, id := at, id
+		id, at := s.cfg.QueryIDBase+i, at
 		s.sim.At(at, func() { s.onArrival(id, at) })
 	}
 
 	// Initial plan from the trace's starting rate, then periodic ticks.
 	initialPlan, err := s.cfg.Controller.InitialPlan(s.cfg.Trace.RateAt(0))
 	if err != nil {
+		s.awaitProducer()
 		return nil, err
 	}
 	s.applyPlan(0, initialPlan, true)
@@ -184,6 +208,7 @@ func (s *System) Run() (*Result, error) {
 	s.sim.Drain()
 	s.dropRemaining()
 
+	s.awaitProducer() // realAcc is complete once the producer is done
 	ref, err := fid.NewReferenceFromAccumulator(realAcc)
 	if err != nil {
 		return nil, fmt.Errorf("system: building FID reference: %w", err)
@@ -195,6 +220,56 @@ func (s *System) Run() (*Result, error) {
 		Queries:          len(arrivals),
 		MeanSolveSeconds: s.cfg.Controller.MeanSolveSeconds(),
 	}, nil
+}
+
+// startProducer sizes the query table to the run's n arrivals and
+// starts the goroutine that fills it. In index order it samples each
+// query and adds its truth to acc — the reference's order of additions
+// — and in ModeCascade, where every arrival is served by the light
+// pool first, it also generates the light image and scores it. It
+// publishes each filled block's end on s.blocks, which has room for
+// every block, so it never blocks and finishes even if Run stops
+// reading; it closes s.blocks when the table is full.
+func (s *System) startProducer(n int, acc *stats.MomentAccumulator) {
+	s.queries = make([]runQuery, n)
+	s.blocks = make(chan int, (n+producerBlock-1)/producerBlock)
+	cascade := s.cfg.Scorer != nil // New keeps a scorer in ModeCascade only
+	go func() {
+		defer close(s.blocks)
+		for i := range s.queries {
+			e := &s.queries[i]
+			e.q = s.cfg.Space.SampleQuery(s.cfg.QueryIDBase + i)
+			acc.Add(e.q.Truth)
+			if cascade {
+				e.light = s.cfg.Space.GenerateDeterministic(e.q, s.cfg.Light.Name, s.cfg.Light.Gen)
+				e.conf = s.cfg.Scorer.Confidence(e.q, e.light)
+			}
+			if end := i + 1; end%producerBlock == 0 || end == n {
+				s.blocks <- end
+			}
+		}
+	}()
+}
+
+// entry returns query id's table entry, first receiving block ends
+// from the producer until the entry is covered; the receive orders the
+// producer's writes before the event loop's reads.
+func (s *System) entry(id int) *runQuery {
+	i := id - s.cfg.QueryIDBase
+	for i >= s.ready {
+		end, ok := <-s.blocks
+		if !ok {
+			panic(fmt.Sprintf("system: query %d is not in the run's table", id))
+		}
+		s.ready = end
+	}
+	return &s.queries[i]
+}
+
+// awaitProducer waits for the producer to fill the whole table.
+func (s *System) awaitProducer() {
+	for range s.blocks {
+	}
 }
 
 // onArrival admits a query into the system.
@@ -309,11 +384,13 @@ func (s *System) onBatchDone(pool loadbalancer.PoolID, items []queueing.Item) {
 		variant = s.cfg.Heavy
 	}
 	for _, it := range items {
-		q := s.queries[it.ID-s.cfg.QueryIDBase]
-		img := s.cfg.Space.GenerateDeterministic(q, variant.Name, variant.Gen)
+		e := s.entry(it.ID)
+		var img imagespace.Image
 		conf := 0.0
 		if pool == loadbalancer.PoolLight && s.cfg.Scorer != nil {
-			conf = s.cfg.Scorer.Confidence(q, img)
+			img, conf = e.light, e.conf // filled by the producer
+		} else {
+			img = s.cfg.Space.GenerateDeterministic(e.q, variant.Name, variant.Gen)
 		}
 		if loadbalancer.Defers(s.cfg.Mode, pool, conf, s.threshold) {
 			s.lb.Heavy.Push(now, it)

@@ -2,6 +2,8 @@ package system
 
 import (
 	"math"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"diffserve/internal/allocator"
@@ -10,6 +12,7 @@ import (
 	"diffserve/internal/discriminator"
 	"diffserve/internal/imagespace"
 	"diffserve/internal/loadbalancer"
+	"diffserve/internal/metrics"
 	"diffserve/internal/model"
 	"diffserve/internal/stats"
 	"diffserve/internal/trace"
@@ -318,4 +321,83 @@ func TestModelLoadDelayVisible(t *testing.T) {
 		t.Errorf("instant model loads should not hurt: fast %.3f vs slow %.3f",
 			fast.ViolationRatio, slow.ViolationRatio)
 	}
+}
+
+// TestRunIdenticalAcrossProcs runs one cascade and one random-split
+// system at GOMAXPROCS 1, 2 and 8: the producer filling the query
+// table, the cascade's light images and scores it computes ahead of
+// the event loop, and the timeline's parallel scoring must not move a
+// bit of any record, of the FID reference or of the plan log.
+func TestRunIdenticalAcrossProcs(t *testing.T) {
+	tr, err := trace.AzureLike(stats.NewRNG(5), 120, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr, err = tr.ScaleTo(4, 24); err != nil {
+		t.Fatal(err)
+	}
+	type outcome struct {
+		res   *Result
+		plans []controller.PlanAt
+	}
+	run := func(mode loadbalancer.Mode, procs int) outcome {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		sys, err := New(fixture(t, tr, 8, mode))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sys.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans := append([]controller.PlanAt(nil), res.Plans...)
+		for i := range plans {
+			plans[i].Plan.SolveTime = 0 // wall clock
+		}
+		return outcome{res, plans}
+	}
+	for _, mode := range []loadbalancer.Mode{loadbalancer.ModeCascade, loadbalancer.ModeRandomSplit} {
+		want := run(mode, 1)
+		if n := want.res.Queries; n <= 2*producerBlock {
+			t.Fatalf("mode %v: %d queries fill fewer than three producer blocks", mode, n)
+		}
+		for _, procs := range []int{2, 8} {
+			got := run(mode, procs)
+			wr, gr := want.res.Collector.Records(), got.res.Collector.Records()
+			if len(gr) != len(wr) {
+				t.Fatalf("mode %v, GOMAXPROCS %d: %d records, want %d", mode, procs, len(gr), len(wr))
+			}
+			for i := range wr {
+				if !sameRecord(gr[i], wr[i]) {
+					t.Fatalf("mode %v, GOMAXPROCS %d: record %d is %+v, want %+v", mode, procs, i, gr[i], wr[i])
+				}
+			}
+			if !sameBits(got.res.Reference.Mu, want.res.Reference.Mu) || !sameBits(got.res.Reference.Sigma.Data, want.res.Reference.Sigma.Data) {
+				t.Fatalf("mode %v, GOMAXPROCS %d: FID reference moments differ", mode, procs)
+			}
+			if !reflect.DeepEqual(got.plans, want.plans) {
+				t.Fatalf("mode %v, GOMAXPROCS %d: plan logs differ", mode, procs)
+			}
+		}
+	}
+}
+
+// sameRecord compares two records field by field, floats by their bits.
+func sameRecord(a, b metrics.QueryRecord) bool {
+	return a.ID == b.ID && a.Dropped == b.Dropped && a.Deferred == b.Deferred && a.ServedBy == b.ServedBy &&
+		sameBits([]float64{a.Arrival, a.Completion, a.Deadline, a.Confidence, a.Artifact},
+			[]float64{b.Arrival, b.Completion, b.Deadline, b.Confidence, b.Artifact}) &&
+		(a.Features == nil) == (b.Features == nil) && sameBits(a.Features, b.Features)
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }

@@ -24,7 +24,7 @@ go test ./...
 # Every race-detector leg — the cluster data path, the sharded
 # frontend, the tcp transport's posted calls, the chaos soak, shard
 # placement, the allocator, the poolpoison build, and the simulator's
-# shared memos — and the poolpoison suite without the detector. The legs and what each is
+# shared Space, scorers and query producer — and the poolpoison suite without the detector. The legs and what each is
 # for are listed once, in the Makefile.
 make race poison-test
 # sweep-allocator leg: the two allocator property tests at full size
