@@ -10,6 +10,7 @@ package diffserve
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"testing"
 
 	"diffserve/internal/allocator"
@@ -183,10 +184,7 @@ func BenchmarkFIDExactVsDiagonal_Exact(b *testing.B) {
 func fidFixture(b *testing.B) (*fid.Reference, [][]float64) {
 	b.Helper()
 	rng := stats.NewRNG(3)
-	space, err := imagespace.NewSpace(imagespace.DefaultSpaceConfig(), rng.Stream("space"))
-	if err != nil {
-		b.Fatal(err)
-	}
+	space := imagespace.NewSpace(rng.Stream("space"))
 	v := model.BuiltinRegistry().MustGet("sdturbo")
 	queries := space.SampleQueries(0, 5000)
 	feats := make([][]float64, len(queries))
@@ -236,10 +234,7 @@ func BenchmarkMomentsBatch(b *testing.B) {
 // every threshold/approach sweep does after its first pass.
 func BenchmarkGenerateCached(b *testing.B) {
 	rng := stats.NewRNG(3)
-	space, err := imagespace.NewSpace(imagespace.DefaultSpaceConfig(), rng.Stream("space"))
-	if err != nil {
-		b.Fatal(err)
-	}
+	space := imagespace.NewSpace(rng.Stream("space"))
 	v := model.BuiltinRegistry().MustGet("sdturbo")
 	queries := space.SampleQueries(0, 1024)
 	for _, q := range queries {
@@ -261,10 +256,7 @@ func BenchmarkGenerateCached(b *testing.B) {
 func BenchmarkGenerateMiss(b *testing.B) {
 	const block = 4096
 	v := model.BuiltinRegistry().MustGet("sdturbo")
-	space, err := imagespace.NewSpace(imagespace.DefaultSpaceConfig(), stats.NewRNG(3).Stream("space"))
-	if err != nil {
-		b.Fatal(err)
-	}
+	space := imagespace.NewSpace(stats.NewRNG(3).Stream("space"))
 	var queries []*imagespace.Query
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -294,7 +286,7 @@ func BenchmarkConfidenceMiss(b *testing.B) {
 		b.Fatal(err)
 	}
 	q := &imagespace.Query{}
-	img := imagespace.Image{Features: make([]float64, imagespace.DefaultDim), Artifact: 3, Variant: "sdturbo"}
+	img := imagespace.Image{Features: make([]float64, imagespace.FeatureDim), Artifact: 3, Variant: "sdturbo"}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -303,14 +295,13 @@ func BenchmarkConfidenceMiss(b *testing.B) {
 	}
 }
 
-// benchFig8At runs the Fig 8 ablation suite at a fixed worker-pool
-// size (the serial-vs-parallel experiment harness comparison).
-func benchFig8At(b *testing.B, parallelism int) {
+// benchFig8At runs the Fig 8 ablation suite at GOMAXPROCS procs, the
+// experiment pool's width (the serial-vs-parallel harness comparison).
+func benchFig8At(b *testing.B, procs int) {
 	b.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	for i := 0; i < b.N; i++ {
-		cfg := benchCfg()
-		cfg.Parallelism = parallelism
-		r, err := experiments.Fig8(cfg)
+		r, err := experiments.Fig8(benchCfg())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -322,18 +313,15 @@ func benchFig8At(b *testing.B, parallelism int) {
 // runs on one worker.
 func BenchmarkExperimentsSerial(b *testing.B) { benchFig8At(b, 1) }
 
-// BenchmarkExperimentsParallel runs the same four simulation runs on
-// one worker per available CPU.
-func BenchmarkExperimentsParallel(b *testing.B) { benchFig8At(b, 0) }
+// BenchmarkExperimentsParallel runs the same four simulation runs at
+// the GOMAXPROCS the benchmark was started with.
+func BenchmarkExperimentsParallel(b *testing.B) { benchFig8At(b, runtime.GOMAXPROCS(0)) }
 
 // BenchmarkCascadeProcess measures one query through the cascade's
 // offline data path (generate light image, score, maybe defer).
 func BenchmarkCascadeProcess(b *testing.B) {
 	rng := stats.NewRNG(4)
-	space, err := imagespace.NewSpace(imagespace.DefaultSpaceConfig(), rng.Stream("space"))
-	if err != nil {
-		b.Fatal(err)
-	}
+	space := imagespace.NewSpace(rng.Stream("space"))
 	reg := model.BuiltinRegistry()
 	d, err := discriminator.New(discriminator.Config{
 		Arch: discriminator.ArchEfficientNet, Train: discriminator.TrainGT,

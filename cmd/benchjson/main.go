@@ -1,9 +1,8 @@
-// Command benchjson converts `go test -bench` output into a JSON
-// summary and optionally enforces an allocation budget.
+// Command benchjson enforces allocation budgets on `go test -bench`
+// output.
 //
 // Usage:
 //
-//	go test -run '^$' -bench . -benchmem ./... | benchjson -out BENCH.json
 //	go test -run '^$' -bench WirePath -benchmem ./... | benchjson -max-allocs 'BenchmarkWirePath/tcp=16'
 //
 // The benchmark text passes through to stdout unchanged, so the tool
@@ -17,7 +16,6 @@ package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -26,23 +24,14 @@ import (
 	"strings"
 )
 
-// benchResult is one benchmark line. B/op and allocs/op are -1 when
-// the run did not use -benchmem.
+// benchResult is one benchmark line's name and allocs/op, -1 when the
+// run did not use -benchmem.
 type benchResult struct {
-	Name        string  `json:"name"`
-	Iterations  int64   `json:"iterations"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-}
-
-type benchReport struct {
-	Unit       string        `json:"unit"`
-	Benchmarks []benchResult `json:"benchmarks"`
+	Name        string
+	AllocsPerOp int64
 }
 
 func main() {
-	out := flag.String("out", "", "write the JSON summary to this file")
 	maxAllocs := flag.String("max-allocs", "", "comma-separated name=budget allocs/op gates, e.g. 'BenchmarkWirePath/tcp=16'")
 	flag.Parse()
 
@@ -51,33 +40,22 @@ func main() {
 		fatal(err)
 	}
 
-	report := benchReport{Unit: "ns/op, B/op, allocs/op", Benchmarks: []benchResult{}}
+	var results []benchResult
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
 	for sc.Scan() {
 		line := sc.Text()
 		fmt.Println(line) // passthrough: keep the readable report
 		if r, ok := parseBenchLine(line, runtime.GOMAXPROCS(0)); ok {
-			report.Benchmarks = append(report.Benchmarks, r)
+			results = append(results, r)
 		}
 	}
 	if err := sc.Err(); err != nil {
 		fatal(err)
 	}
 
-	if *out != "" {
-		data, err := json.MarshalIndent(&report, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "benchjson: wrote %d benchmarks to %s\n", len(report.Benchmarks), *out)
-	}
-
 	if len(budgets) > 0 {
-		if err := gate(report.Benchmarks, budgets); err != nil {
+		if err := gate(results, budgets); err != nil {
 			fatal(err)
 		}
 	}
@@ -121,18 +99,12 @@ func parseBenchLine(line string, procs int) (benchResult, bool) {
 	if len(f) < 4 || !strings.HasPrefix(f[0], "Benchmark") {
 		return benchResult{}, false
 	}
-	iters, err := strconv.ParseInt(f[1], 10, 64)
-	if err != nil {
+	if _, err := strconv.ParseInt(f[1], 10, 64); err != nil {
 		return benchResult{}, false
 	}
-	r := benchResult{Name: trimProcs(f[0], procs), Iterations: iters, BytesPerOp: -1, AllocsPerOp: -1}
+	r := benchResult{Name: trimProcs(f[0], procs), AllocsPerOp: -1}
 	for i := 2; i+1 < len(f); i += 2 {
-		switch f[i+1] {
-		case "ns/op":
-			r.NsPerOp, _ = strconv.ParseFloat(f[i], 64)
-		case "B/op":
-			r.BytesPerOp, _ = strconv.ParseInt(f[i], 10, 64)
-		case "allocs/op":
+		if f[i+1] == "allocs/op" {
 			r.AllocsPerOp, _ = strconv.ParseInt(f[i], 10, 64)
 		}
 	}

@@ -21,10 +21,7 @@ import (
 
 func main() {
 	rng := stats.NewRNG(11)
-	space, err := imagespace.NewSpace(imagespace.DefaultSpaceConfig(), rng.Stream("space"))
-	if err != nil {
-		log.Fatal(err)
-	}
+	space := imagespace.NewSpace(rng.Stream("space"))
 	reg := model.BuiltinRegistry()
 	light, heavy := reg.MustGet("sdturbo"), reg.MustGet("sdv15")
 	queries := space.SampleQueries(0, 3000)

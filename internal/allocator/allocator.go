@@ -87,7 +87,23 @@ const (
 	QueueModelTwiceExec
 )
 
-// Config parameterizes the DiffServe allocator.
+// The allocator's fixed calibration: the threshold grid has
+// thresholdGridSize points, evenly spaced in deferral fraction up to
+// maxDeferFraction, the level found quality-optimal in offline FID
+// profiling (beyond the FID curve's dip, more deferral wastes capacity
+// and degrades quality, Fig 1a). Batch sizes range over
+// model.StandardBatchSizes.
+const (
+	thresholdGridSize = 20
+	maxDeferFraction  = 0.65
+)
+
+// Config parameterizes the DiffServe allocator: the cascade, the
+// cluster it runs on, and the settings the experiments vary (lambda in
+// Fig 4, the queue model and a pinned threshold in the §4.5
+// ablations). Everything else — the threshold grid, its deferral cap
+// and the batch grid — is the paper's one configuration, held in
+// constants.
 type Config struct {
 	// Light and Heavy are the cascade's model variants.
 	Light, Heavy *model.Variant
@@ -102,24 +118,11 @@ type Config struct {
 	SLO float64
 	// OverProvision is the demand inflation factor lambda (default 1.05).
 	OverProvision float64
-	// ThresholdGridSize discretizes t (default 20 points).
-	ThresholdGridSize int
-	// MaxDeferFraction caps the threshold grid at the deferral level
-	// found quality-optimal in offline FID profiling; beyond the FID
-	// curve's dip, additional deferral wastes capacity and degrades
-	// quality (Fig 1a). Default 0.65.
-	MaxDeferFraction float64
-	// BatchSizes are the candidate batch sizes (default the standard
-	// profiled grid).
-	BatchSizes []int
 	// Queue selects the queuing-delay model.
 	Queue QueueModel
 	// FixedThreshold, when non-nil, pins t (the "Static threshold"
 	// ablation); the optimizer still tunes workers and batches.
 	FixedThreshold *float64
-	// FixedLightBatch and FixedHeavyBatch, when positive, pin the
-	// batch sizes (the AIMD ablation drives these externally).
-	FixedLightBatch, FixedHeavyBatch int
 }
 
 func (c *Config) validate() error {
@@ -142,15 +145,6 @@ func (c *Config) withDefaults() Config {
 	out := *c
 	if out.OverProvision <= 0 {
 		out.OverProvision = 1.05
-	}
-	if out.ThresholdGridSize <= 0 {
-		out.ThresholdGridSize = 20
-	}
-	if out.MaxDeferFraction <= 0 || out.MaxDeferFraction > 1 {
-		out.MaxDeferFraction = 0.65
-	}
-	if len(out.BatchSizes) == 0 {
-		out.BatchSizes = model.StandardBatchSizes
 	}
 	return out
 }
@@ -204,13 +198,12 @@ func thresholdGrid(c *Config) (ts, fs []float64) {
 		t := *c.FixedThreshold
 		return []float64{t}, []float64{c.Deferral.Fraction(t)}
 	}
-	n := c.ThresholdGridSize
-	ts = make([]float64, 0, n+1)
-	fs = make([]float64, 0, n+1)
+	ts = make([]float64, 0, thresholdGridSize+1)
+	fs = make([]float64, 0, thresholdGridSize+1)
 	ts = append(ts, 0)
 	fs = append(fs, 0)
-	for i := 1; i <= n; i++ {
-		frac := c.MaxDeferFraction * float64(i) / float64(n)
+	for i := 1; i <= thresholdGridSize; i++ {
+		frac := maxDeferFraction * float64(i) / float64(thresholdGridSize)
 		t := c.Deferral.ThresholdForFraction(frac)
 		ts = append(ts, t)
 		fs = append(fs, c.Deferral.Fraction(t))
@@ -218,42 +211,18 @@ func thresholdGrid(c *Config) (ts, fs []float64) {
 	return ts, fs
 }
 
-// batchCandidates returns the candidate batch lists honoring fixed
-// batch overrides.
-func batchCandidates(c *Config) (light, heavy []int) {
-	light = c.BatchSizes
-	heavy = c.BatchSizes
-	if c.FixedLightBatch > 0 {
-		light = []int{c.FixedLightBatch}
-	}
-	if c.FixedHeavyBatch > 0 {
-		heavy = []int{c.FixedHeavyBatch}
-	}
-	return light, heavy
-}
-
 // bestEffortPlan is returned when no configuration is feasible: all
 // workers serve the light model at the largest batch within the SLO
 // (or the smallest batch if none fits), threshold 0.
 func bestEffortPlan(c *Config) Plan {
-	b := c.BatchSizes[0]
+	b := model.StandardBatchSizes[0]
 	if got, ok := c.Light.Latency.BestBatchWithin(c.SLO / 2); ok {
 		b = got
-	}
-	if c.FixedLightBatch > 0 {
-		b = c.FixedLightBatch
 	}
 	return Plan{
 		Threshold: 0, DeferFraction: 0,
 		LightWorkers: c.TotalWorkers, HeavyWorkers: 0,
-		LightBatch: b, HeavyBatch: firstBatch(c),
+		LightBatch: b, HeavyBatch: model.StandardBatchSizes[0],
 		Feasible: false,
 	}
-}
-
-func firstBatch(c *Config) int {
-	if c.FixedHeavyBatch > 0 {
-		return c.FixedHeavyBatch
-	}
-	return c.BatchSizes[0]
 }

@@ -17,10 +17,7 @@ import (
 func buildConfig(t testing.TB, workers int, slo float64) Config {
 	t.Helper()
 	rng := stats.NewRNG(2026)
-	space, err := imagespace.NewSpace(imagespace.DefaultSpaceConfig(), rng.Stream("space"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	space := imagespace.NewSpace(rng.Stream("space"))
 	reg := model.BuiltinRegistry()
 	light, heavy := reg.MustGet("sdturbo"), reg.MustGet("sdv15")
 	d, err := discriminator.New(discriminator.Config{
@@ -182,7 +179,7 @@ func TestLowDemandMaximizesDeferralCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.DeferFraction < cfg.withDefaults().MaxDeferFraction-0.05 {
+	if plan.DeferFraction < maxDeferFraction-0.05 {
 		t.Errorf("low demand should push deferral to the cap, got %v", plan.DeferFraction)
 	}
 }
@@ -245,23 +242,6 @@ func TestFixedThresholdPins(t *testing.T) {
 	}
 	if plan.Threshold != fixed {
 		t.Errorf("threshold = %v, want pinned %v", plan.Threshold, fixed)
-	}
-}
-
-func TestFixedBatchesPinned(t *testing.T) {
-	cfg := buildConfig(t, 16, 5)
-	cfg.FixedLightBatch = 4
-	cfg.FixedHeavyBatch = 2
-	a, err := NewMILP(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := a.Allocate(Observation{Demand: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.LightBatch != 4 || plan.HeavyBatch != 2 {
-		t.Errorf("batches = %d/%d, want 4/2", plan.LightBatch, plan.HeavyBatch)
 	}
 }
 
@@ -345,7 +325,7 @@ func TestProteusScalesHeavyShareWithDemand(t *testing.T) {
 
 func TestDiffServeStaticFrozen(t *testing.T) {
 	cfg := buildConfig(t, 16, 5)
-	s, err := NewDiffServeStatic(cfg, 32, 0)
+	s, err := NewDiffServeStatic(cfg, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +346,7 @@ func TestDiffServeStaticFrozen(t *testing.T) {
 }
 
 func TestAIMDBatcher(t *testing.T) {
-	b := NewAIMDBatcher([]int{1, 2, 4, 8})
+	var b AIMDBatcher
 	if b.Batch() != 1 {
 		t.Errorf("start batch = %d", b.Batch())
 	}
@@ -383,17 +363,14 @@ func TestAIMDBatcher(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		b.Observe(false)
 	}
-	if b.Batch() != 8 {
-		t.Errorf("cap = %d, want 8", b.Batch())
+	if b.Batch() != 32 {
+		t.Errorf("cap = %d, want 32", b.Batch())
 	}
 	for i := 0; i < 10; i++ {
 		b.Observe(true)
 	}
 	if b.Batch() != 1 {
 		t.Errorf("floor = %d, want 1", b.Batch())
-	}
-	if NewAIMDBatcher(nil).Batch() != 1 {
-		t.Error("default grid should start at 1")
 	}
 }
 

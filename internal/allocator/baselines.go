@@ -100,12 +100,11 @@ func (a *ProteusAllocator) Allocate(obs Observation) (Plan, error) {
 	start := time.Now()
 	c := &a.cfg
 	demand := math.Max(obs.Demand, 1e-9) * c.OverProvision
-	lightBs, heavyBs := batchCandidates(c)
 
 	best := Plan{Feasible: false}
 	bestRho := -1.0
-	for _, b1 := range lightBs {
-		for _, b2 := range heavyBs {
+	for _, b1 := range model.StandardBatchSizes {
+		for _, b2 := range model.StandardBatchSizes {
 			q1, q2 := queueDelays(c, obs, b1, b2)
 			// Independent pools: each path must fit the SLO alone.
 			if lightExec(c, b1)+q1 > c.SLO || heavyExec(c, b2)+q2 > c.SLO {
@@ -147,31 +146,32 @@ func (a *ProteusAllocator) Allocate(obs Observation) (Plan, error) {
 // never adapting).
 type StaticAllocator struct{ plan Plan }
 
+// staticDeferTarget is DiffServe-Static's frozen deferral fraction:
+// the operator's quality-throughput compromise for typical load.
+const staticDeferTarget = 0.55
+
 // NewDiffServeStatic builds the paper's DiffServe-Static baseline:
 // query-aware (cascade + discriminator) but frozen. Worker allocation
 // is provisioned for the given peak demand — the light pool is sized
 // so the first cascade stage never saturates — while the confidence
-// threshold stays pinned at deferTarget (default 0.55), the operator's
-// quality-throughput compromise for typical load. At peak demand the
-// heavy pool therefore receives more deferrals than it can absorb,
-// which is exactly the SLO-violation behaviour the paper reports for
-// this baseline (§4.3: up to 19% during peak).
-func NewDiffServeStatic(cfg Config, peakDemand, deferTarget float64) (*StaticAllocator, error) {
+// threshold stays pinned where it defers staticDeferTarget of the
+// queries. At peak demand the heavy pool therefore receives more
+// deferrals than it can absorb, which is exactly the SLO-violation
+// behaviour the paper reports for this baseline (§4.3: up to 19%
+// during peak).
+func NewDiffServeStatic(cfg Config, peakDemand float64) (*StaticAllocator, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	c := cfg.withDefaults()
-	if deferTarget <= 0 || deferTarget > 1 {
-		deferTarget = 0.55
-	}
 	demand := peakDemand * c.OverProvision
-	t := c.Deferral.ThresholdForFraction(deferTarget)
+	t := c.Deferral.ThresholdForFraction(staticDeferTarget)
 	f := c.Deferral.Fraction(t)
 
 	best := Plan{}
 	bestHeavyCap := -1.0
-	for _, b1 := range c.BatchSizes {
-		for _, b2 := range c.BatchSizes {
+	for _, b1 := range model.StandardBatchSizes {
+		for _, b2 := range model.StandardBatchSizes {
 			// Provisioning uses the optimistic empty-queue latency
 			// model: execution only, with 10% headroom.
 			if lightExec(&c, b1)+heavyExec(&c, b2) > 0.9*c.SLO {
@@ -212,22 +212,14 @@ func (a *StaticAllocator) Allocate(Observation) (Plan, error) { return a.plan, n
 // AIMDBatcher implements Clipper's additive-increase /
 // multiplicative-decrease batch-size heuristic, the batching ablation
 // of §4.5: on an SLO timeout the batch size halves; otherwise it grows
-// by one profiled step.
+// by one profiled step. The zero AIMDBatcher starts at the smallest
+// size of model.StandardBatchSizes.
 type AIMDBatcher struct {
-	sizes []int
-	idx   int
-}
-
-// NewAIMDBatcher starts at the smallest batch size of the grid.
-func NewAIMDBatcher(sizes []int) *AIMDBatcher {
-	if len(sizes) == 0 {
-		sizes = model.StandardBatchSizes
-	}
-	return &AIMDBatcher{sizes: append([]int(nil), sizes...)}
+	idx int
 }
 
 // Batch returns the current batch size.
-func (a *AIMDBatcher) Batch() int { return a.sizes[a.idx] }
+func (a *AIMDBatcher) Batch() int { return model.StandardBatchSizes[a.idx] }
 
 // Observe updates the batch size given whether the last interval saw
 // an SLO timeout.
@@ -241,7 +233,7 @@ func (a *AIMDBatcher) Observe(sloTimeout bool) {
 		return
 	}
 	// Additive increase: one step up.
-	if a.idx < len(a.sizes)-1 {
+	if a.idx < len(model.StandardBatchSizes)-1 {
 		a.idx++
 	}
 }

@@ -3,6 +3,8 @@ package allocator
 import (
 	"math"
 	"time"
+
+	"diffserve/internal/model"
 )
 
 // MILPAllocator is the DiffServe resource allocator: it solves the
@@ -107,13 +109,13 @@ const headroomCap = 20
 // whole budget loses nothing: the objective rises strictly with w2 at
 // fixed w1, so no optimum leaves a worker idle. Of several optima it
 // returns the first in ascending (b1, b2, w1) scan order, b1 and b2 in
-// the order of Config.BatchSizes. ok is false when no pair is admitted.
+// the order of model.StandardBatchSizes. ok is false when no pair is
+// admitted.
 func enumerate(c *Config, obs Observation, demand, t, f float64) (plan Plan, ok bool) {
-	lightBs, heavyBs := batchCandidates(c)
 	dl, dh := math.Max(demand, 0.5), demand*f
 	best := 0.0
-	for _, b1 := range lightBs {
-		for _, b2 := range heavyBs {
+	for _, b1 := range model.StandardBatchSizes {
+		for _, b2 := range model.StandardBatchSizes {
 			x1, x2, admitted := admit(c, obs, demand, f, b1, b2)
 			if !admitted {
 				continue
@@ -166,9 +168,8 @@ func admit(c *Config, obs Observation, demand, f float64, b1, b2 int) (x1, x2 in
 // feasible is the threshold search's oracle: whether the subproblem at
 // deferral fraction f has any solution, answered without the solver.
 func feasible(c *Config, obs Observation, demand, f float64) bool {
-	lightBs, heavyBs := batchCandidates(c)
-	for _, b1 := range lightBs {
-		for _, b2 := range heavyBs {
+	for _, b1 := range model.StandardBatchSizes {
+		for _, b2 := range model.StandardBatchSizes {
 			if _, _, ok := admit(c, obs, demand, f, b1, b2); ok {
 				return true
 			}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"diffserve/internal/model"
 	"diffserve/internal/stats"
 )
 
@@ -24,10 +25,9 @@ var sweep = flag.Int("sweep", 100, "observations / ticks per config variant in t
 // minimal counts — in ascending (b1, b2, w1, w2) order, with the
 // objective enumerate maximizes.
 func scanPoints(c *Config, obs Observation, demand, f float64, visit func(b1, b2, w1, w2 int, obj float64)) {
-	lightBs, heavyBs := batchCandidates(c)
 	dl, dh := math.Max(demand, 0.5), demand*f
-	for _, b1 := range lightBs {
-		for _, b2 := range heavyBs {
+	for _, b1 := range model.StandardBatchSizes {
+		for _, b2 := range model.StandardBatchSizes {
 			q1, q2 := queueDelays(c, obs, b1, b2)
 			if lightExec(c, b1)+q1+heavyExec(c, b2)+q2 > c.SLO { // Eq. 1
 				continue
@@ -103,9 +103,9 @@ func samePlan(a, b Plan) bool {
 }
 
 // searchVariants are the allocator configurations the experiments
-// build (internal/baselines: static threshold, AIMD's pinned batches,
-// the no-queuing-model ablation) plus budgets small enough that the
-// worker rows bind at low demand.
+// build (internal/baselines: static threshold, the no-queuing-model
+// ablation) plus budgets small enough that the worker rows bind at low
+// demand.
 func searchVariants(t testing.TB) map[string]Config {
 	base := buildConfig(t, 16, 5)
 	v := map[string]Config{"default": base}
@@ -113,12 +113,6 @@ func searchVariants(t testing.TB) map[string]Config {
 	c := base
 	c.FixedThreshold = &thr
 	v["fixed-threshold"] = c
-	c = base
-	c.FixedLightBatch, c.FixedHeavyBatch = 4, 2
-	v["fixed-batches"] = c
-	c = base
-	c.FixedHeavyBatch = 1
-	v["fixed-heavy-batch"] = c
 	c = base
 	c.Queue = QueueModelTwiceExec
 	v["twice-exec"] = c

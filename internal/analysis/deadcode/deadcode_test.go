@@ -156,3 +156,113 @@ func declAt(fset *token.FileSet, f *ast.File, lines ...int) string {
 	}
 	return ""
 }
+
+// configFieldKeepers are the fields of a *Config or *Options struct
+// under internal/ that no non-test file outside the declaring package
+// sets, each with the reason it stays.
+var configFieldKeepers = map[string]string{
+	"cluster.HarnessConfig.TransportImpl": "the fault-injection seam: tests substitute a wrapped transport",
+}
+
+// TestConfigFieldsHaveSetters holds every field of a struct named
+// *Config or *Options, declared in a non-test file under internal/, to
+// a caller: some non-test file of another package (examples/ does not
+// count) must set it, by composite-literal key or assignment, or the
+// field is pinned in configFieldKeepers. A setting only its own
+// defaults and tests set is a constant.
+//
+// The match is by field name alone, so it under-reports: a field is
+// taken as set when any other package sets any field of that name.
+func TestConfigFieldsHaveSetters(t *testing.T) {
+	root, err := filepath.Abs("../../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	type decl struct{ dir, name, field string }
+	var fields []decl
+	setBy := map[string]map[string]bool{} // field name -> directories setting it
+	set := func(dir, name string) {
+		if setBy[name] == nil {
+			setBy[name] = map[string]bool{}
+		}
+		setBy[name][dir] = true
+	}
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if n := d.Name(); path != root && (n == "testdata" || n == "examples" || strings.HasPrefix(n, ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, filepath.Dir(path))
+		dir := filepath.ToSlash(rel)
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.TypeSpec:
+				st, ok := n.Type.(*ast.StructType)
+				name := n.Name.Name
+				if ok && strings.HasPrefix(dir, "internal/") && (strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options")) {
+					for _, fl := range st.Fields.List {
+						for _, id := range fl.Names {
+							fields = append(fields, decl{dir, filepath.Base(dir) + "." + name + "." + id.Name, id.Name})
+						}
+					}
+				}
+			case *ast.CompositeLit:
+				for _, e := range n.Elts {
+					if kv, ok := e.(*ast.KeyValueExpr); ok {
+						if id, ok := kv.Key.(*ast.Ident); ok {
+							set(dir, id.Name)
+						}
+					}
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok {
+						set(dir, sel.Sel.Name)
+					}
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var unset []string
+	kept := map[string]bool{}
+	for _, fd := range fields {
+		outside := false
+		for dir := range setBy[fd.field] {
+			outside = outside || dir != fd.dir
+		}
+		switch _, keep := configFieldKeepers[fd.name]; {
+		case outside:
+		case keep:
+			kept[fd.name] = true
+		default:
+			unset = append(unset, fd.name)
+		}
+	}
+	slices.Sort(unset)
+	if len(unset) > 0 {
+		t.Errorf("%d config fields no non-test caller outside their package sets; make each a constant or pin it in configFieldKeepers:\n  %s",
+			len(unset), strings.Join(unset, "\n  "))
+	}
+	for name := range configFieldKeepers {
+		if !kept[name] {
+			t.Errorf("configFieldKeepers pins %s, which is gone or now has a caller", name)
+		}
+	}
+}

@@ -69,10 +69,7 @@ func NewEnv(cascadeName string, seed uint64, calibrationQueries int) (*Env, erro
 		return nil, err
 	}
 	rng := stats.NewRNG(seed)
-	space, err := imagespace.NewSpace(imagespace.DefaultSpaceConfig(), rng.Stream("space"))
-	if err != nil {
-		return nil, err
-	}
+	space := imagespace.NewSpace(rng.Stream("space"))
 	reg := model.BuiltinRegistry()
 	light, heavy := reg.MustGet(spec.Light), reg.MustGet(spec.Heavy)
 	scorer, err := discriminator.New(discriminator.Config{
@@ -111,45 +108,20 @@ type Options struct {
 	SLO float64
 	// OverProvision overrides the default 1.05 factor when positive.
 	OverProvision float64
-	// ControlInterval overrides the 2-second control period.
-	ControlInterval float64
-	// PeakDemand provisions the static baselines; defaults to the
-	// trace's peak rate.
-	PeakDemand float64
-	// StaticThreshold pins the static-threshold ablation (default:
-	// the threshold deferring 20% of queries, a peak-survivable level).
-	StaticThreshold float64
-	// StaticDeferTarget sets the DiffServe-Static baseline's frozen
-	// deferral fraction (default 0.55).
-	StaticDeferTarget float64
-	// MaxDeferFraction overrides the allocator's deferral cap.
-	MaxDeferFraction float64
 	// Seed overrides the env seed for arrival synthesis.
 	Seed uint64
 	// QueryIDBase offsets the query population.
 	QueryIDBase int
 	// DisableModelLoadDelay makes role switches instantaneous.
 	DisableModelLoadDelay bool
-	// EWMAAlpha overrides the controller's demand-smoothing factor.
-	EWMAAlpha float64
 }
 
-func (o Options) withDefaults(e *Env, tr *trace.Trace) Options {
+func (o Options) withDefaults(e *Env) Options {
 	if o.Workers <= 0 {
 		o.Workers = 16
 	}
 	if o.SLO <= 0 {
 		o.SLO = e.Spec.SLOSeconds
-	}
-	if o.PeakDemand <= 0 {
-		o.PeakDemand = tr.PeakRate()
-	}
-	if o.StaticThreshold <= 0 {
-		// The static-threshold ablation pins the threshold at a
-		// peak-survivable deferral level (an operator would choose a
-		// value the heavy pool can absorb at peak), so it gives up the
-		// off-peak quality headroom DiffServe exploits (§4.5).
-		o.StaticThreshold = e.Deferral.ThresholdForFraction(0.2)
 	}
 	if o.Seed == 0 {
 		o.Seed = e.Seed + 17
@@ -161,18 +133,17 @@ func (o Options) withDefaults(e *Env, tr *trace.Trace) Options {
 func (e *Env) allocConfig(opt Options) allocator.Config {
 	return allocator.Config{
 		Light: e.Light, Heavy: e.Heavy,
-		DiscPerImage:     e.Scorer.PerImageLatency(),
-		Deferral:         e.Deferral,
-		TotalWorkers:     opt.Workers,
-		SLO:              opt.SLO,
-		OverProvision:    opt.OverProvision,
-		MaxDeferFraction: opt.MaxDeferFraction,
+		DiscPerImage:  e.Scorer.PerImageLatency(),
+		Deferral:      e.Deferral,
+		TotalWorkers:  opt.Workers,
+		SLO:           opt.SLO,
+		OverProvision: opt.OverProvision,
 	}
 }
 
 // NewSystem builds a runnable system for the approach on the trace.
 func (e *Env) NewSystem(app Approach, tr *trace.Trace, opt Options) (*system.System, error) {
-	opt = opt.withDefaults(e, tr)
+	opt = opt.withDefaults(e)
 
 	var (
 		alloc allocfn
@@ -198,7 +169,7 @@ func (e *Env) NewSystem(app Approach, tr *trace.Trace, opt Options) (*system.Sys
 	case DiffServeStatic:
 		mode = loadbalancer.ModeCascade
 		alloc = func() (allocator.Allocator, error) {
-			return allocator.NewDiffServeStatic(e.allocConfig(opt), opt.PeakDemand, opt.StaticDeferTarget)
+			return allocator.NewDiffServeStatic(e.allocConfig(opt), tr.PeakRate())
 		}
 	case DiffServe:
 		mode = loadbalancer.ModeCascade
@@ -209,7 +180,11 @@ func (e *Env) NewSystem(app Approach, tr *trace.Trace, opt Options) (*system.Sys
 		mode = loadbalancer.ModeCascade
 		alloc = func() (allocator.Allocator, error) {
 			cfg := e.allocConfig(opt)
-			thr := opt.StaticThreshold
+			// The static-threshold ablation pins the threshold at a
+			// peak-survivable deferral level (an operator would choose a
+			// value the heavy pool can absorb at peak), so it gives up the
+			// off-peak quality headroom DiffServe exploits (§4.5).
+			thr := e.Deferral.ThresholdForFraction(0.2)
 			cfg.FixedThreshold = &thr
 			return allocator.NewMILP(cfg)
 		}
@@ -234,12 +209,7 @@ func (e *Env) NewSystem(app Approach, tr *trace.Trace, opt Options) (*system.Sys
 	if err != nil {
 		return nil, err
 	}
-	ctrl, err := controller.New(controller.Config{
-		Alloc:     a,
-		Interval:  opt.ControlInterval,
-		EWMAAlpha: opt.EWMAAlpha,
-		AIMD:      aimd,
-	})
+	ctrl, err := controller.New(controller.Config{Alloc: a, AIMD: aimd})
 	if err != nil {
 		return nil, err
 	}

@@ -15,10 +15,7 @@ import (
 func calibSetup(t testing.TB, n int) (*imagespace.Space, *model.Registry, []*imagespace.Query, *fid.Reference) {
 	t.Helper()
 	rng := stats.NewRNG(20250610)
-	space, err := imagespace.NewSpace(imagespace.DefaultSpaceConfig(), rng.Stream("space"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	space := imagespace.NewSpace(rng.Stream("space"))
 	reg := model.BuiltinRegistry()
 	queries := space.SampleQueries(0, n)
 	real := make([][]float64, n)
@@ -42,7 +39,7 @@ func cascadeFIDCurve(t testing.TB, c *Cascade, queries []*imagespace.Query, ref 
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := parallel.Map(0, len(fracs), func(i int) (float64, error) {
+	out, err := parallel.Map(len(fracs), func(i int) (float64, error) {
 		thr := prof.ThresholdForFraction(fracs[i])
 		feats := make([][]float64, len(queries))
 		for j, q := range queries {
@@ -68,7 +65,7 @@ func TestCalibrationReport(t *testing.T) {
 	// Standalone per-variant FIDs are independent passes over the
 	// query set: sweep them through the shared fan-out pool.
 	names := reg.Names()
-	scores, err := parallel.Map(0, len(names), func(i int) (float64, error) {
+	scores, err := parallel.Map(len(names), func(i int) (float64, error) {
 		v := reg.MustGet(names[i])
 		feats := make([][]float64, len(queries))
 		for j, q := range queries {

@@ -15,10 +15,7 @@ import (
 func newFixture(t *testing.T, n int) (*imagespace.Space, *Cascade, []*imagespace.Query) {
 	t.Helper()
 	rng := stats.NewRNG(123)
-	space, err := imagespace.NewSpace(imagespace.DefaultSpaceConfig(), rng.Stream("space"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	space := imagespace.NewSpace(rng.Stream("space"))
 	reg := model.BuiltinRegistry()
 	d, err := discriminator.New(discriminator.Config{
 		Arch: discriminator.ArchEfficientNet, Train: discriminator.TrainGT,
@@ -153,10 +150,7 @@ func TestProfileDeferralErrors(t *testing.T) {
 func TestEasyFractionInPaperRange(t *testing.T) {
 	// Paper Fig 1b: 20-40% of queries are easy for all cascades.
 	rng := stats.NewRNG(321)
-	space, err := imagespace.NewSpace(imagespace.DefaultSpaceConfig(), rng.Stream("space"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	space := imagespace.NewSpace(rng.Stream("space"))
 	reg := model.BuiltinRegistry()
 	queries := space.SampleQueries(0, 3000)
 	d, err := discriminator.New(discriminator.Config{
@@ -198,10 +192,7 @@ func easyFraction(c *Cascade, queries []*imagespace.Query) float64 {
 // FID, and the discriminator curve dips below the all-heavy endpoint.
 func TestFigure1aOrdering(t *testing.T) {
 	rng := stats.NewRNG(555)
-	space, err := imagespace.NewSpace(imagespace.DefaultSpaceConfig(), rng.Stream("space"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	space := imagespace.NewSpace(rng.Stream("space"))
 	reg := model.BuiltinRegistry()
 	queries := space.SampleQueries(0, 2500)
 	real := make([][]float64, len(queries))

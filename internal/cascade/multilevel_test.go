@@ -13,10 +13,7 @@ import (
 func newMultiFixture(t *testing.T, n int) (*imagespace.Space, *MultiLevel, []*imagespace.Query) {
 	t.Helper()
 	rng := stats.NewRNG(606)
-	space, err := imagespace.NewSpace(imagespace.DefaultSpaceConfig(), rng.Stream("space"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	space := imagespace.NewSpace(rng.Stream("space"))
 	reg := model.BuiltinRegistry()
 	mk := func(label string) discriminator.Scorer {
 		d, err := discriminator.New(discriminator.Config{

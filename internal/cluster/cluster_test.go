@@ -30,10 +30,7 @@ type fixtures struct {
 func newFixtures(t testing.TB) *fixtures {
 	t.Helper()
 	rng := stats.NewRNG(808)
-	space, err := imagespace.NewSpace(imagespace.DefaultSpaceConfig(), rng.Stream("space"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	space := imagespace.NewSpace(rng.Stream("space"))
 	reg := model.BuiltinRegistry()
 	light, heavy := reg.MustGet("sdturbo"), reg.MustGet("sdv15")
 	d, err := discriminator.New(discriminator.Config{

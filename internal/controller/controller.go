@@ -28,22 +28,21 @@ type Config struct {
 	Alloc allocator.Allocator
 	// Interval is the control period in seconds (default 2).
 	Interval float64
-	// EWMAAlpha smooths demand estimates (default 0.5).
-	EWMAAlpha float64
-	// AIMD enables the reactive batching ablation: batch sizes follow
-	// additive-increase/multiplicative-decrease on SLO timeouts
-	// instead of the optimizer's choice.
+	// AIMD enables the reactive batching ablation: both pools' batch
+	// sizes follow additive-increase/multiplicative-decrease on SLO
+	// timeouts, over the standard grid, instead of the optimizer's
+	// choice.
 	AIMD bool
-	// AIMDBatchSizes is the AIMD grid (defaults to the standard grid).
-	AIMDBatchSizes []int
 }
+
+// ewmaAlpha is the smoothing factor of the demand estimate.
+const ewmaAlpha = 0.5
 
 // Controller drives periodic re-allocation.
 type Controller struct {
 	cfg        Config
 	demand     *stats.EWMA
-	aimdLight  *allocator.AIMDBatcher
-	aimdHeavy  *allocator.AIMDBatcher
+	aimd       allocator.AIMDBatcher
 	plans      []PlanAt
 	ticks      int
 	totalSolve float64
@@ -57,15 +56,7 @@ func New(cfg Config) (*Controller, error) {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 2
 	}
-	if cfg.EWMAAlpha <= 0 || cfg.EWMAAlpha > 1 {
-		cfg.EWMAAlpha = 0.5
-	}
-	c := &Controller{cfg: cfg, demand: stats.NewEWMA(cfg.EWMAAlpha)}
-	if cfg.AIMD {
-		c.aimdLight = allocator.NewAIMDBatcher(cfg.AIMDBatchSizes)
-		c.aimdHeavy = allocator.NewAIMDBatcher(cfg.AIMDBatchSizes)
-	}
-	return c, nil
+	return &Controller{cfg: cfg, demand: stats.NewEWMA(ewmaAlpha)}, nil
 }
 
 // Interval returns the control period.
@@ -119,10 +110,9 @@ func (c *Controller) Tick(now float64, in TickInput) (allocator.Plan, error) {
 		return allocator.Plan{}, fmt.Errorf("controller: allocation failed: %w", err)
 	}
 	if c.cfg.AIMD {
-		c.aimdLight.Observe(in.SLOTimeouts > 0)
-		c.aimdHeavy.Observe(in.SLOTimeouts > 0)
-		plan.LightBatch = c.aimdLight.Batch()
-		plan.HeavyBatch = c.aimdHeavy.Batch()
+		c.aimd.Observe(in.SLOTimeouts > 0)
+		plan.LightBatch = c.aimd.Batch()
+		plan.HeavyBatch = c.aimd.Batch()
 	}
 	c.totalSolve += plan.SolveTime.Seconds()
 	c.plans = append(c.plans, PlanAt{Time: now, Demand: estimate, Plan: plan})

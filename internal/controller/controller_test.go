@@ -36,7 +36,7 @@ func TestNewValidation(t *testing.T) {
 
 func TestTickDemandEWMA(t *testing.T) {
 	fa := &fakeAlloc{plan: allocator.Plan{Feasible: true, LightBatch: 1, HeavyBatch: 1}}
-	c, err := New(Config{Alloc: fa, Interval: 2, EWMAAlpha: 0.5})
+	c, err := New(Config{Alloc: fa, Interval: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,25 +90,22 @@ func TestTickAllocatorError(t *testing.T) {
 
 func TestAIMDOverridesBatches(t *testing.T) {
 	fa := &fakeAlloc{plan: allocator.Plan{Feasible: true, LightBatch: 32, HeavyBatch: 32}}
-	c, err := New(Config{Alloc: fa, AIMD: true, AIMDBatchSizes: []int{1, 2, 4}})
+	c, err := New(Config{Alloc: fa, AIMD: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// No timeouts: AIMD grows from 1 to 2.
-	plan, err := c.Tick(2, TickInput{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.LightBatch != 2 || plan.HeavyBatch != 2 {
-		t.Errorf("AIMD batches = %d/%d, want 2/2", plan.LightBatch, plan.HeavyBatch)
-	}
-	// Timeout: halves back to 1.
-	plan, err = c.Tick(4, TickInput{SLOTimeouts: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.LightBatch != 1 {
-		t.Errorf("AIMD after timeout = %d, want 1", plan.LightBatch)
+	// AIMD walks the standard grid from 1: up on a clean interval, one
+	// step down on a timeout, the same batch for both pools.
+	for i, tc := range []struct {
+		timeouts, want int
+	}{{0, 2}, {0, 4}, {3, 2}, {0, 4}, {0, 8}, {1, 4}, {1, 2}, {1, 1}, {1, 1}} {
+		plan, err := c.Tick(float64(2*i+2), TickInput{SLOTimeouts: tc.timeouts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.LightBatch != tc.want || plan.HeavyBatch != plan.LightBatch {
+			t.Errorf("tick %d: AIMD batches = %d/%d, want %d/%d", i, plan.LightBatch, plan.HeavyBatch, tc.want, tc.want)
+		}
 	}
 }
 

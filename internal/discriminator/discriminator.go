@@ -116,22 +116,18 @@ var archs = map[Arch]archTraits{
 type Config struct {
 	Arch  Arch
 	Train TrainSource
-	// Midpoint is the artifact magnitude at which confidence is 0.5.
-	// Zero means use the calibrated default.
-	Midpoint float64
-	// Steepness is the logistic slope. Zero means use the default.
-	Steepness float64
 	// HeavyMeanArtifact is required for TrainFake: the mean artifact
 	// magnitude of the heavyweight model it was trained against.
 	HeavyMeanArtifact float64
 }
 
-// Default calibration: the confidence midpoint sits at the typical
-// artifact magnitude of a heavyweight generation, so thresholds in
-// (0, 1) sweep the full routing range.
+// The confidence calibration: midpoint is the artifact magnitude at
+// which confidence is 0.5, the typical magnitude of a heavyweight
+// generation, so thresholds in (0, 1) sweep the full routing range;
+// steepness is the logistic slope.
 const (
-	defaultMidpoint  = 4.2
-	defaultSteepness = 1.1
+	midpoint  = 4.2
+	steepness = 1.1
 )
 
 // Discriminator is a trained real-vs-fake classifier repurposed as a
@@ -154,12 +150,6 @@ func New(cfg Config, rng *stats.RNG) (*Discriminator, error) {
 	}
 	if cfg.Train == TrainFake && cfg.HeavyMeanArtifact <= 0 {
 		return nil, fmt.Errorf("discriminator: TrainFake requires HeavyMeanArtifact > 0")
-	}
-	if cfg.Midpoint == 0 {
-		cfg.Midpoint = defaultMidpoint
-	}
-	if cfg.Steepness == 0 {
-		cfg.Steepness = defaultSteepness
 	}
 	if cfg.Train == TrainFake {
 		// Training against generated "real" samples yields noisier
@@ -195,20 +185,20 @@ func (d *Discriminator) Confidence(q *imagespace.Query, img imagespace.Image) fl
 	switch d.cfg.Train {
 	case TrainGT:
 		// Distance from the real-image manifold: monotone in artifact.
-		score = d.cfg.Steepness * (d.cfg.Midpoint - observed)
+		score = steepness * (midpoint - observed)
 	case TrainFake:
 		// Distance from the heavy model's output distribution: images
 		// far from typical heavy artifact levels — in either direction —
 		// look "fake" to this discriminator.
 		dev := math.Abs(observed - d.cfg.HeavyMeanArtifact)
-		score = d.cfg.Steepness * (d.cfg.Midpoint - d.cfg.HeavyMeanArtifact + 1.2 - dev)
+		score = steepness * (midpoint - d.cfg.HeavyMeanArtifact + 1.2 - dev)
 	}
 	return sigmoid(score)
 }
 
 func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
 
-// PickScore models the PickScore prompt-image preference metric.
+// PromptScore models a prompt-image metric, PickScore or CLIPScore.
 //
 // The score is computed from the *observable* image: a CLIP-style
 // alignment reading of the image's projection onto the alignment axis
@@ -225,80 +215,58 @@ func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
 //     is why Fig 1b can use PickScore differences to demonstrate the
 //     existence of easy queries.
 //   - Thresholding absolute scores across prompts prefers *more*
-//     artifacted light images, so PickScore routing underperforms even
-//     a Random classifier (Fig 1a): scores are "incomparable between
-//     different prompt-image pairs".
-type PickScore struct {
-	rng *stats.RNG
-	// AlignmentWeight scales the image's alignment-axis projection;
-	// QualityWeight scales the (negated) true-quality estimate; Noise
-	// is per-measurement observation noise; Center recenters the
-	// squashed confidence near 0.5 for the light-model population.
-	AlignmentWeight, QualityWeight, Noise, Center float64
+//     artifacted light images, so routing on either metric
+//     underperforms even a Random classifier (Fig 1a): scores are
+//     "incomparable between different prompt-image pairs".
+type PromptScore struct {
+	name    string
+	latency float64
+	rng     *stats.RNG
+	// alignment scales the image's alignment-axis projection; quality
+	// scales the (negated) true-quality estimate; noise is the
+	// per-measurement observation noise; center recenters the squashed
+	// confidence near 0.5 for the light-model population.
+	alignment, quality, noise, center float64
 }
 
-// NewPickScore returns a PickScore metric with calibrated weights.
-func NewPickScore(rng *stats.RNG) *PickScore {
-	return &PickScore{
-		rng:             rng.Stream("pickscore"),
-		AlignmentWeight: 0.60, QualityWeight: 0.25, Noise: 0.30, Center: 1.4,
+// NewPickScore returns the PickScore metric, which runs a CLIP-H
+// backbone.
+func NewPickScore(rng *stats.RNG) *PromptScore {
+	return &PromptScore{
+		name: "PickScore", latency: 0.012, rng: rng.Stream("pickscore"),
+		alignment: 0.60, quality: 0.25, noise: 0.30, center: 1.4,
+	}
+}
+
+// NewClipScore returns the CLIPScore metric: the same reward-hacked
+// alignment reading as PickScore but with an even weaker true-quality
+// component — per the paper, CLIP scores of different model variants
+// are very close.
+func NewClipScore(rng *stats.RNG) *PromptScore {
+	return &PromptScore{
+		name: "ClipScore", latency: 0.008, rng: rng.Stream("clipscore"),
+		alignment: 0.65, quality: 0.08, noise: 0.35, center: 2.4,
 	}
 }
 
 // Name implements Scorer.
-func (p *PickScore) Name() string { return "PickScore" }
-
-// PerImageLatency implements Scorer. PickScore runs a CLIP-H backbone.
-func (p *PickScore) PerImageLatency() float64 { return 0.012 }
-
-// Raw returns the unnormalized PickScore, used for Fig 1b score-
-// difference CDFs.
-func (p *PickScore) Raw(q *imagespace.Query, img imagespace.Image) float64 {
-	r := obsRNG(p.rng, img.Variant, q.ID)
-	noise := r.Normal(0, p.Noise)
-	obsRNGs.Put(r)
-	return p.AlignmentWeight*img.Features[0] + p.QualityWeight*(-img.Artifact) + noise
-}
-
-// Confidence implements Scorer.
-func (p *PickScore) Confidence(q *imagespace.Query, img imagespace.Image) float64 {
-	return sigmoid(p.Raw(q, img) - p.Center)
-}
-
-// ClipScore models the CLIPScore prompt-image alignment metric: the
-// same reward-hacked alignment reading as PickScore but with an even
-// weaker true-quality component — per the paper, CLIP scores of
-// different model variants are very close.
-type ClipScore struct {
-	rng                                           *stats.RNG
-	AlignmentWeight, QualityWeight, Noise, Center float64
-}
-
-// NewClipScore returns a CLIPScore metric with calibrated weights.
-func NewClipScore(rng *stats.RNG) *ClipScore {
-	return &ClipScore{
-		rng:             rng.Stream("clipscore"),
-		AlignmentWeight: 0.65, QualityWeight: 0.08, Noise: 0.35, Center: 2.4,
-	}
-}
-
-// Name implements Scorer.
-func (c *ClipScore) Name() string { return "ClipScore" }
+func (p *PromptScore) Name() string { return p.name }
 
 // PerImageLatency implements Scorer.
-func (c *ClipScore) PerImageLatency() float64 { return 0.008 }
+func (p *PromptScore) PerImageLatency() float64 { return p.latency }
 
-// Raw returns the unnormalized CLIPScore.
-func (c *ClipScore) Raw(q *imagespace.Query, img imagespace.Image) float64 {
-	r := obsRNG(c.rng, img.Variant, q.ID)
-	noise := r.Normal(0, c.Noise)
+// Raw returns the unnormalized score, used for Fig 1b score-difference
+// CDFs.
+func (p *PromptScore) Raw(q *imagespace.Query, img imagespace.Image) float64 {
+	r := obsRNG(p.rng, img.Variant, q.ID)
+	noise := r.Normal(0, p.noise)
 	obsRNGs.Put(r)
-	return c.AlignmentWeight*img.Features[0] + c.QualityWeight*(-img.Artifact) + noise
+	return p.alignment*img.Features[0] + p.quality*(-img.Artifact) + noise
 }
 
 // Confidence implements Scorer.
-func (c *ClipScore) Confidence(q *imagespace.Query, img imagespace.Image) float64 {
-	return sigmoid(c.Raw(q, img) - c.Center)
+func (p *PromptScore) Confidence(q *imagespace.Query, img imagespace.Image) float64 {
+	return sigmoid(p.Raw(q, img) - p.center)
 }
 
 // Random is the random-classifier baseline: confidence is an
@@ -329,14 +297,11 @@ func (r *Random) Confidence(q *imagespace.Query, img imagespace.Image) float64 {
 
 // Oracle scores with the ground-truth artifact magnitude and no noise —
 // an upper bound used in tests and ablations, never by the system.
-type Oracle struct {
-	Midpoint, Steepness float64
-}
+type Oracle struct{}
 
-// NewOracle returns an oracle scorer with the default calibration.
-func NewOracle() *Oracle {
-	return &Oracle{Midpoint: defaultMidpoint, Steepness: defaultSteepness}
-}
+// NewOracle returns an oracle scorer with the discriminators'
+// calibration.
+func NewOracle() *Oracle { return &Oracle{} }
 
 // Name implements Scorer.
 func (o *Oracle) Name() string { return "Oracle" }
@@ -346,5 +311,5 @@ func (o *Oracle) PerImageLatency() float64 { return 0 }
 
 // Confidence implements Scorer.
 func (o *Oracle) Confidence(q *imagespace.Query, img imagespace.Image) float64 {
-	return sigmoid(o.Steepness * (o.Midpoint - img.Artifact))
+	return sigmoid(steepness * (midpoint - img.Artifact))
 }

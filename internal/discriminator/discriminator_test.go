@@ -13,10 +13,7 @@ import (
 func testFixtures(t *testing.T) (*imagespace.Space, *model.Registry, []*imagespace.Query) {
 	t.Helper()
 	rng := stats.NewRNG(77)
-	space, err := imagespace.NewSpace(imagespace.DefaultSpaceConfig(), rng.Stream("space"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	space := imagespace.NewSpace(rng.Stream("space"))
 	return space, model.BuiltinRegistry(), space.SampleQueries(0, 2000)
 }
 

@@ -17,7 +17,12 @@
 //	Fig8   — resource-allocation ablation timeline
 //	Fig9   — SLO sensitivity sweep
 //	MILPOverhead — allocator solve-time measurement (§4.5)
-//	SimVsCluster — simulator vs. HTTP-cluster agreement (§4.3)
+//	SimVsCluster — simulator vs. cluster-runtime (tcp / inproc) agreement (§4.3)
+//
+// An experiment's independent simulation runs (approaches, loads,
+// sweep points, cascade curves) fan out through parallel.Map, one
+// worker per GOMAXPROCS. Each run owns its seeded RNG streams, so
+// every table is bit-identical at any GOMAXPROCS.
 package experiments
 
 import (
@@ -46,11 +51,6 @@ type Config struct {
 	TraceDuration float64
 	// Short shrinks everything for quick runs and tests.
 	Short bool
-	// Parallelism caps the worker pool used to fan out independent
-	// simulation runs (approaches, loads, sweep points). 0 uses one
-	// worker per available CPU; 1 forces serial execution. Results are
-	// bit-for-bit identical at every setting.
-	Parallelism int
 	// ClusterTransport selects the cluster runtime's wire path for
 	// SimVsCluster: "tcp" (framed TCP, the default) or "inproc".
 	ClusterTransport string

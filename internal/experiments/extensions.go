@@ -8,6 +8,7 @@ import (
 	"diffserve/internal/discriminator"
 	"diffserve/internal/imagespace"
 	"diffserve/internal/model"
+	"diffserve/internal/parallel"
 	"diffserve/internal/stats"
 )
 
@@ -32,10 +33,7 @@ type ReuseResult struct {
 func ReuseStudy(cfg Config) (*ReuseResult, error) {
 	cfg = cfg.withDefaults()
 	rng := stats.NewRNG(cfg.Seed)
-	space, err := imagespace.NewSpace(imagespace.DefaultSpaceConfig(), rng.Stream("space"))
-	if err != nil {
-		return nil, err
-	}
+	space := imagespace.NewSpace(rng.Stream("space"))
 	reg := model.BuiltinRegistry()
 	queries, ref, err := offlineSet(space, cfg.Queries)
 	if err != nil {
@@ -43,7 +41,7 @@ func ReuseStudy(cfg Config) (*ReuseResult, error) {
 	}
 
 	pairs := [][2]string{{"sdturbo", "sdv15"}, {"sdxs", "sdv15"}}
-	rows, err := fanOut(cfg.Parallelism, len(pairs), func(p int) (ReuseRow, error) {
+	rows, err := parallel.Map(len(pairs), func(p int) (ReuseRow, error) {
 		pairSpec := pairs[p]
 		light, heavy := reg.MustGet(pairSpec[0]), reg.MustGet(pairSpec[1])
 		fresh := make([][]float64, len(queries))
@@ -106,10 +104,7 @@ type MultiLevelResult struct {
 func MultiLevelStudy(cfg Config) (*MultiLevelResult, error) {
 	cfg = cfg.withDefaults()
 	rng := stats.NewRNG(cfg.Seed)
-	space, err := imagespace.NewSpace(imagespace.DefaultSpaceConfig(), rng.Stream("space"))
-	if err != nil {
-		return nil, err
-	}
+	space := imagespace.NewSpace(rng.Stream("space"))
 	reg := model.BuiltinRegistry()
 	queries, ref, err := offlineSet(space, cfg.Queries)
 	if err != nil {

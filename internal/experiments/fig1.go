@@ -11,6 +11,7 @@ import (
 	"diffserve/internal/fid"
 	"diffserve/internal/imagespace"
 	"diffserve/internal/model"
+	"diffserve/internal/parallel"
 	"diffserve/internal/stats"
 )
 
@@ -43,10 +44,7 @@ type Fig1aResult struct {
 func Fig1a(cfg Config) (*Fig1aResult, error) {
 	cfg = cfg.withDefaults()
 	rng := stats.NewRNG(cfg.Seed)
-	space, err := imagespace.NewSpace(imagespace.DefaultSpaceConfig(), rng.Stream("space"))
-	if err != nil {
-		return nil, err
-	}
+	space := imagespace.NewSpace(rng.Stream("space"))
 	reg := model.BuiltinRegistry()
 	queries, ref, err := offlineSet(space, cfg.Queries)
 	if err != nil {
@@ -86,7 +84,7 @@ func Fig1a(cfg Config) (*Fig1aResult, error) {
 			jobs = append(jobs, curveJob{pairKey: pairKey, light: light, heavy: heavy, scorer: s})
 		}
 	}
-	curves, err := fanOut(cfg.Parallelism, len(jobs), func(i int) ([]Fig1aPoint, error) {
+	curves, err := parallel.Map(len(jobs), func(i int) ([]Fig1aPoint, error) {
 		j := jobs[i]
 		return cascadeCurve(space, j.light, j.heavy, j.scorer, queries, ref, fracs)
 	})
@@ -99,7 +97,7 @@ func Fig1a(cfg Config) (*Fig1aResult, error) {
 
 	// Standalone variant scatter.
 	names := reg.Names()
-	variants, err := fanOut(cfg.Parallelism, len(names), func(i int) (VariantPoint, error) {
+	variants, err := parallel.Map(len(names), func(i int) (VariantPoint, error) {
 		v := reg.MustGet(names[i])
 		feats := make([][]float64, len(queries))
 		for k, q := range queries {
@@ -203,10 +201,7 @@ type Fig1bPair struct {
 func Fig1b(cfg Config) (*Fig1bResult, error) {
 	cfg = cfg.withDefaults()
 	rng := stats.NewRNG(cfg.Seed)
-	space, err := imagespace.NewSpace(imagespace.DefaultSpaceConfig(), rng.Stream("space"))
-	if err != nil {
-		return nil, err
-	}
+	space := imagespace.NewSpace(rng.Stream("space"))
 	reg := model.BuiltinRegistry()
 	queries := space.SampleQueries(0, cfg.Queries)
 
@@ -279,10 +274,7 @@ type Fig1cResult struct {
 func Fig1c(cfg Config) (*Fig1cResult, error) {
 	cfg = cfg.withDefaults()
 	rng := stats.NewRNG(cfg.Seed)
-	space, err := imagespace.NewSpace(imagespace.DefaultSpaceConfig(), rng.Stream("space"))
-	if err != nil {
-		return nil, err
-	}
+	space := imagespace.NewSpace(rng.Stream("space"))
 	reg := model.BuiltinRegistry()
 	light, heavy := reg.MustGet("sdturbo"), reg.MustGet("sdv15")
 	queries, ref, err := offlineSet(space, cfg.Queries)
@@ -313,7 +305,7 @@ func Fig1c(cfg Config) (*Fig1cResult, error) {
 	// Precompute the FID for each deferral fraction (it depends only
 	// on the threshold, not on batches/placement). Sweep points are
 	// independent, so they fan out across the worker pool.
-	fidVals, err := fanOut(cfg.Parallelism, len(fracGrid), func(i int) (float64, error) {
+	fidVals, err := parallel.Map(len(fracGrid), func(i int) (float64, error) {
 		thr := prof.ThresholdForFraction(fracGrid[i])
 		feats := make([][]float64, len(queries))
 		for k, q := range queries {

@@ -14,6 +14,7 @@ import (
 	"diffserve/internal/imagespace"
 	"diffserve/internal/loadbalancer"
 	"diffserve/internal/model"
+	"diffserve/internal/parallel"
 	"diffserve/internal/stats"
 	"diffserve/internal/trace"
 )
@@ -30,10 +31,7 @@ type Fig7Result struct {
 func Fig7(cfg Config) (*Fig7Result, error) {
 	cfg = cfg.withDefaults()
 	rng := stats.NewRNG(cfg.Seed)
-	space, err := imagespace.NewSpace(imagespace.DefaultSpaceConfig(), rng.Stream("space"))
-	if err != nil {
-		return nil, err
-	}
+	space := imagespace.NewSpace(rng.Stream("space"))
 	reg := model.BuiltinRegistry()
 	queries, ref, err := offlineSet(space, cfg.Queries)
 	if err != nil {
@@ -71,7 +69,7 @@ func Fig7(cfg Config) (*Fig7Result, error) {
 			jobs = append(jobs, curveJob{pairKey: pairKey, light: light, heavy: heavy, disc: d})
 		}
 	}
-	curves, err := fanOut(cfg.Parallelism, len(jobs), func(i int) ([]Fig1aPoint, error) {
+	curves, err := parallel.Map(len(jobs), func(i int) ([]Fig1aPoint, error) {
 		j := jobs[i]
 		return cascadeCurve(space, j.light, j.heavy, j.disc, queries, ref, fracs)
 	})
@@ -115,13 +113,13 @@ func Fig8(cfg Config) (*Fig8Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	env, err := baselines.NewEnv("cascade1", cfg.Seed+17, minInt(cfg.Queries, 2000))
+	env, err := baselines.NewEnv("cascade1", cfg.Seed+17, min(cfg.Queries, 2000))
 	if err != nil {
 		return nil, err
 	}
 	out := &Fig8Result{Timelines: map[string][]TimelineBucket{}}
 	apps := baselines.Ablations()
-	runs, err := fanOut(cfg.Parallelism, len(apps), func(i int) (approachRun, error) {
+	runs, err := parallel.Map(len(apps), func(i int) (approachRun, error) {
 		sum, buckets, err := runOnTrace(env, apps[i], tr, baselines.Options{Workers: cfg.Workers})
 		return approachRun{sum: sum, buckets: buckets}, err
 	})
@@ -164,8 +162,8 @@ func Fig9(cfg Config) (*Fig9Result, error) {
 	if cfg.Short {
 		slos = []float64{3, 5, 10}
 	}
-	points, err := fanOut(cfg.Parallelism, len(slos), func(i int) (Fig9Point, error) {
-		env, err := baselines.NewEnv("cascade1", cfg.Seed+19, minInt(cfg.Queries, 2000))
+	points, err := parallel.Map(len(slos), func(i int) (Fig9Point, error) {
+		env, err := baselines.NewEnv("cascade1", cfg.Seed+19, min(cfg.Queries, 2000))
 		if err != nil {
 			return Fig9Point{}, err
 		}
@@ -202,7 +200,7 @@ type MILPOverheadResult struct {
 // MILPOverhead measures the allocator's solve times across a demand sweep.
 func MILPOverhead(cfg Config) (*MILPOverheadResult, error) {
 	cfg = cfg.withDefaults()
-	env, err := baselines.NewEnv("cascade1", cfg.Seed+23, minInt(cfg.Queries, 2000))
+	env, err := baselines.NewEnv("cascade1", cfg.Seed+23, min(cfg.Queries, 2000))
 	if err != nil {
 		return nil, err
 	}
@@ -251,7 +249,7 @@ func (r *MILPOverheadResult) Render(w io.Writer) {
 }
 
 // SimVsClusterResult validates the discrete-event simulator against
-// the HTTP cluster runtime (§4.3 reports 0.56% FID and 1.1% SLO
+// the tcp / inproc cluster runtime (§4.3 reports 0.56% FID and 1.1% SLO
 // violation differences between simulator and testbed).
 type SimVsClusterResult struct {
 	Sim, Cluster      Summary
@@ -306,7 +304,7 @@ func SimVsCluster(cfg Config) (*SimVsClusterResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	env, err := baselines.NewEnv("cascade1", cfg.Seed+31, minInt(cfg.Queries, 2000))
+	env, err := baselines.NewEnv("cascade1", cfg.Seed+31, min(cfg.Queries, 2000))
 	if err != nil {
 		return nil, err
 	}
@@ -362,9 +360,9 @@ func SimVsCluster(cfg Config) (*SimVsClusterResult, error) {
 	simSum.Approach = "diffserve (simulator)"
 	out := &SimVsClusterResult{Sim: simSum, Cluster: clusterSum}
 	if simSum.FID != 0 {
-		out.FIDDeltaPct = 100 * abs(clusterSum.FID-simSum.FID) / simSum.FID
+		out.FIDDeltaPct = 100 * math.Abs(clusterSum.FID-simSum.FID) / simSum.FID
 	}
-	out.ViolationDeltaAbs = abs(clusterSum.ViolationRatio - simSum.ViolationRatio)
+	out.ViolationDeltaAbs = math.Abs(clusterSum.ViolationRatio - simSum.ViolationRatio)
 	if cfg.ClusterLBShards > 1 {
 		if out.ShardParity, err = shardParityRuns(cfg, env, timescale); err != nil {
 			return nil, err
@@ -452,13 +450,6 @@ func shardParityRuns(cfg Config, env *baselines.Env, timescale float64) (*ShardP
 		return nil, err
 	}
 	return out, nil
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // Render writes the comparison.

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"diffserve/internal/baselines"
+	"diffserve/internal/parallel"
 	"diffserve/internal/trace"
 )
 
@@ -102,14 +103,14 @@ func Fig4(cfg Config) (*Fig4Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		env, err := baselines.NewEnv("cascade1", cfg.Seed+7, minInt(cfg.Queries, 2000))
+		env, err := baselines.NewEnv("cascade1", cfg.Seed+7, min(cfg.Queries, 2000))
 		if err != nil {
 			return nil, err
 		}
 		envs[label], trs[label] = env, tr
 	}
 
-	points, err := fanOut(cfg.Parallelism, len(jobs), func(i int) (Fig4Point, error) {
+	points, err := parallel.Map(len(jobs), func(i int) (Fig4Point, error) {
 		j := jobs[i]
 		sum, _, err := runOnTrace(envs[j.label], j.app, trs[j.label], baselines.Options{
 			Workers: cfg.Workers, OverProvision: j.op,
@@ -165,13 +166,13 @@ func Fig5(cfg Config) (*Fig5Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	env, err := baselines.NewEnv("cascade1", cfg.Seed+11, minInt(cfg.Queries, 2000))
+	env, err := baselines.NewEnv("cascade1", cfg.Seed+11, min(cfg.Queries, 2000))
 	if err != nil {
 		return nil, err
 	}
 	out := &Fig5Result{TraceName: tr.Name(), Timelines: map[string][]TimelineBucket{}}
 	apps := baselines.All()
-	runs, err := fanOut(cfg.Parallelism, len(apps), func(i int) (approachRun, error) {
+	runs, err := parallel.Map(len(apps), func(i int) (approachRun, error) {
 		sum, buckets, err := runOnTrace(env, apps[i], tr, baselines.Options{Workers: cfg.Workers})
 		return approachRun{sum: sum, buckets: buckets}, err
 	})
@@ -221,8 +222,8 @@ type Fig6Result struct {
 }
 
 // Fig6 regenerates Figure 6 (simulator; the paper's testbed — the
-// SimVsCluster experiment validates the simulator against the HTTP
-// cluster runtime).
+// SimVsCluster experiment validates the simulator against the tcp /
+// inproc cluster runtime).
 func Fig6(cfg Config) (*Fig6Result, error) {
 	cfg = cfg.withDefaults()
 	out := &Fig6Result{Cascades: map[string][]Summary{}}
@@ -246,7 +247,7 @@ func Fig6(cfg Config) (*Fig6Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		env, err := baselines.NewEnv(name, cfg.Seed+13, minInt(cfg.Queries, 2000))
+		env, err := baselines.NewEnv(name, cfg.Seed+13, min(cfg.Queries, 2000))
 		if err != nil {
 			return nil, err
 		}
@@ -255,7 +256,7 @@ func Fig6(cfg Config) (*Fig6Result, error) {
 			jobs = append(jobs, fig6Job{cascade: name, app: app})
 		}
 	}
-	sums, err := fanOut(cfg.Parallelism, len(jobs), func(i int) (Summary, error) {
+	sums, err := parallel.Map(len(jobs), func(i int) (Summary, error) {
 		j := jobs[i]
 		sum, _, err := runOnTrace(envs[j.cascade], j.app, trs[j.cascade], baselines.Options{Workers: cfg.Workers})
 		return sum, err
@@ -275,11 +276,4 @@ func (r *Fig6Result) Render(w io.Writer) {
 		writeSummaries(w, fmt.Sprintf("Figure 6 — %s averages", name), r.Cascades[name])
 		fmt.Fprintln(w)
 	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

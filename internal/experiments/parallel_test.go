@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"os"
+	"runtime"
 	"testing"
 )
 
@@ -12,14 +13,15 @@ import (
 // the pre-refactor (serial, batch-moments, uncached-generation)
 // implementation. This pins down three properties at once: the
 // streaming metrics pipeline reports the same numbers, the generation
-// memo is byte-identical, and the parallel fan-out is deterministic.
+// memo is byte-identical, and the parallel fan-out (4 wide here) is
+// deterministic.
 func TestFig5MatchesPreRefactorGolden(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	want, err := os.ReadFile("testdata/fig5_short_seed777.golden")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Seed: 777, Short: true, Parallelism: 4}
-	r, err := Fig5(cfg)
+	r, err := Fig5(Config{Seed: 777, Short: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,20 +33,19 @@ func TestFig5MatchesPreRefactorGolden(t *testing.T) {
 }
 
 // TestFanOutSerialParallelIdentical runs the same experiment serially
-// and with a saturated worker pool and requires byte-identical
-// renders: every run owns its seeded RNG streams, so scheduling must
-// not be observable.
+// (GOMAXPROCS 1) and with a saturated worker pool (GOMAXPROCS 8) and
+// requires byte-identical renders: every run owns its seeded RNG
+// streams, so scheduling must not be observable.
 func TestFanOutSerialParallelIdentical(t *testing.T) {
-	serialCfg := Config{Seed: 777, Short: true, Parallelism: 1}
-	parallelCfg := Config{Seed: 777, Short: true, Parallelism: 8}
-	serial, err := Fig8(serialCfg)
-	if err != nil {
-		t.Fatal(err)
+	fig8At := func(procs int) *Fig8Result {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		r, err := Fig8(Config{Seed: 777, Short: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
 	}
-	parallel, err := Fig8(parallelCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial, parallel := fig8At(1), fig8At(8)
 	var a, b bytes.Buffer
 	serial.Render(&a)
 	parallel.Render(&b)
@@ -61,40 +62,6 @@ func TestFanOutSerialParallelIdentical(t *testing.T) {
 	}
 }
 
-// TestFanOutHelper exercises the pool directly: ordering, error
-// propagation, and the serial fast path.
-func TestFanOutHelper(t *testing.T) {
-	for _, workers := range []int{0, 1, 3, 64} {
-		got, err := fanOut(workers, 37, func(i int) (int, error) { return i * i, nil })
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != 37 {
-			t.Fatalf("workers=%d: len %d", workers, len(got))
-		}
-		for i, v := range got {
-			if v != i*i {
-				t.Fatalf("workers=%d: out[%d] = %d", workers, i, v)
-			}
-		}
-	}
-	wantErr := os.ErrInvalid
-	for _, workers := range []int{1, 4} {
-		_, err := fanOut(workers, 10, func(i int) (int, error) {
-			if i >= 3 {
-				return 0, wantErr
-			}
-			return i, nil
-		})
-		if err != wantErr {
-			t.Fatalf("workers=%d: err = %v, want %v", workers, err, wantErr)
-		}
-	}
-	if out, err := fanOut(4, 0, func(i int) (int, error) { return 0, nil }); err != nil || len(out) != 0 {
-		t.Fatalf("empty fan-out: %v %v", out, err)
-	}
-}
-
 // TestFig7RenderIsDeterministic pins the render order of Figure 7's
 // model pairs: the result keeps them in a map, and ranging over it
 // printed the two pair blocks in a different order from run to run, so
@@ -102,7 +69,8 @@ func TestFanOutHelper(t *testing.T) {
 // about one render in eight; sixty-four renders make a regression all
 // but certain to show.
 func TestFig7RenderIsDeterministic(t *testing.T) {
-	r, err := Fig7(Config{Seed: 777, Short: true, Parallelism: 2})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	r, err := Fig7(Config{Seed: 777, Short: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +80,8 @@ func TestFig7RenderIsDeterministic(t *testing.T) {
 // TestFig1RenderIsDeterministic is the same check for Figure 1a's and
 // 1b's pair blocks, which were printed in map order too.
 func TestFig1RenderIsDeterministic(t *testing.T) {
-	cfg := Config{Seed: 777, Short: true, Parallelism: 2}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	cfg := Config{Seed: 777, Short: true}
 	a, err := Fig1a(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -2,16 +2,18 @@
 // substitutes for real diffusion-model inference in this reproduction.
 //
 // Real images are modeled as points drawn from the standard Gaussian
-// N(0, I_K) in a K-dimensional Inception-like feature space. A diffusion
-// model variant generates, for a query q with latent difficulty d(q), a
-// feature vector
+// N(0, I_K) in a K-dimensional Inception-like feature space, K =
+// FeatureDim (16), the one space every experiment uses. A diffusion
+// model variant generates, for a query q with latent difficulty
+// d(q) ~ Beta(2, 4), a feature vector
 //
 //	y = c·r(q) + a(q)·u + eps,   eps ~ N(0, tau^2 I)
 //
 // where r(q) ~ N(0, I) is the query's ground-truth image, c <= 1 is a
 // contraction factor (mode collapse: the model under-disperses relative
 // to the real distribution), u is the variant's unit artifact direction
-// inside a low-dimensional artifact subspace, and
+// inside a low-dimensional artifact subspace (the leading 4
+// dimensions), and
 //
 //	a(q) = max(0, base + slope·d(q) + noise)
 //
@@ -45,35 +47,17 @@ import (
 	"diffserve/internal/stats"
 )
 
-// DefaultDim is the default feature-space dimensionality.
-const DefaultDim = 16
+// FeatureDim is the feature-space dimensionality.
+const FeatureDim = 16
 
-// DefaultArtifactDims is the default dimensionality of the artifact
-// subspace (the leading dimensions of the feature space).
-const DefaultArtifactDims = 4
-
-// SpaceConfig parameterizes a feature space.
-type SpaceConfig struct {
-	// Dim is the total feature dimensionality.
-	Dim int
-	// ArtifactDims is the size of the artifact subspace (leading dims).
-	ArtifactDims int
-	// DifficultyAlpha and DifficultyBeta parameterize the Beta
-	// distribution of per-query latent difficulty.
-	DifficultyAlpha, DifficultyBeta float64
-}
-
-// DefaultSpaceConfig returns the configuration used throughout the
-// paper reproduction: a 16-dim feature space with a 4-dim artifact
-// subspace and Beta(2, 4) query difficulty.
-func DefaultSpaceConfig() SpaceConfig {
-	return SpaceConfig{
-		Dim:             DefaultDim,
-		ArtifactDims:    DefaultArtifactDims,
-		DifficultyAlpha: 2,
-		DifficultyBeta:  4,
-	}
-}
+// The artifact subspace is the leading artifactDims dimensions of the
+// feature space, and per-query latent difficulty is
+// Beta(difficultyAlpha, difficultyBeta).
+const (
+	artifactDims    = 4
+	difficultyAlpha = 2
+	difficultyBeta  = 4
+)
 
 // Space is a query/image universe: a feature space plus the difficulty
 // distribution of the query population.
@@ -85,7 +69,6 @@ func DefaultSpaceConfig() SpaceConfig {
 // *Query (Query.images); mu guards those memos and the artifact
 // direction memo, and is never held while drawing.
 type Space struct {
-	cfg SpaceConfig
 	rng *stats.RNG
 
 	mu   sync.Mutex
@@ -104,25 +87,12 @@ var scratchRNGs = sync.Pool{New: func() any { return stats.NewRNG(0) }}
 
 // NewSpace constructs a Space. The RNG seeds all query sampling; use
 // distinct streams for distinct datasets.
-func NewSpace(cfg SpaceConfig, rng *stats.RNG) (*Space, error) {
-	if cfg.Dim <= 0 {
-		return nil, fmt.Errorf("imagespace: Dim must be positive, got %d", cfg.Dim)
-	}
-	if cfg.ArtifactDims <= 0 || cfg.ArtifactDims > cfg.Dim {
-		return nil, fmt.Errorf("imagespace: ArtifactDims must be in [1, Dim], got %d", cfg.ArtifactDims)
-	}
-	if cfg.DifficultyAlpha <= 0 || cfg.DifficultyBeta <= 0 {
-		return nil, fmt.Errorf("imagespace: difficulty Beta parameters must be positive")
-	}
-	return &Space{
-		cfg:  cfg,
-		rng:  rng,
-		dirs: make(map[dirKey][]float64),
-	}, nil
+func NewSpace(rng *stats.RNG) *Space {
+	return &Space{rng: rng, dirs: make(map[dirKey][]float64)}
 }
 
-// Dim returns the feature dimensionality.
-func (s *Space) Dim() int { return s.cfg.Dim }
+// Dim returns the feature dimensionality, FeatureDim.
+func (s *Space) Dim() int { return FeatureDim }
 
 // Query is a text prompt in the serving system. Its latent difficulty
 // and ground-truth image are hidden from the serving system; only the
@@ -158,8 +128,8 @@ func (s *Space) SampleQuery(id int) *Query {
 	rng.Reseed(stats.StreamNSeedFrom(s.rng.Seed(), "query", id))
 	q := &Query{
 		ID:         id,
-		Difficulty: rng.Beta(s.cfg.DifficultyAlpha, s.cfg.DifficultyBeta),
-		Truth:      rng.NormalVec(nil, s.cfg.Dim, 0, 1),
+		Difficulty: rng.Beta(difficultyAlpha, difficultyBeta),
+		Truth:      rng.NormalVec(nil, FeatureDim, 0, 1),
 		owner:      s,
 	}
 	scratchRNGs.Put(rng)
@@ -196,7 +166,7 @@ type GenParams struct {
 	// from the shared axis within the artifact subspace. Variants with
 	// different skews have partially disjoint failure modes.
 	DirSkew float64
-	// DirAxis selects the secondary artifact axis (1..ArtifactDims-1)
+	// DirAxis selects the secondary artifact axis (1..artifactDims-1)
 	// toward which DirSkew rotates. Variants with different axes fail
 	// in more orthogonal directions.
 	DirAxis int
@@ -228,7 +198,7 @@ func (p GenParams) Validate() error {
 // space's difficulty distribution (ignoring the max(0, ·) clamp, which
 // is negligible for the calibrated parameter ranges).
 func (s *Space) MeanArtifact(p GenParams) float64 {
-	meanDiff := s.cfg.DifficultyAlpha / (s.cfg.DifficultyAlpha + s.cfg.DifficultyBeta)
+	meanDiff := float64(difficultyAlpha) / (difficultyAlpha + difficultyBeta)
 	return p.ArtifactBase + p.ArtifactSlope*meanDiff
 }
 
@@ -249,13 +219,13 @@ type Image struct {
 // small skews fail in nearly the same direction; larger skews and
 // different secondary axes make failure modes more orthogonal.
 func (s *Space) artifactDir(skew float64, axis int) []float64 {
-	dir := make([]float64, s.cfg.Dim)
-	if s.cfg.ArtifactDims == 1 || skew == 0 {
+	dir := make([]float64, FeatureDim)
+	if skew == 0 {
 		dir[0] = 1
 		return dir
 	}
-	if axis < 1 || axis >= s.cfg.ArtifactDims {
-		axis = 1 + ((axis%(s.cfg.ArtifactDims-1))+(s.cfg.ArtifactDims-1))%(s.cfg.ArtifactDims-1)
+	if axis < 1 || axis >= artifactDims {
+		axis = 1 + ((axis%(artifactDims-1))+(artifactDims-1))%(artifactDims-1)
 	}
 	theta := skew * math.Pi / 2
 	dir[0] = math.Cos(theta)
@@ -272,8 +242,8 @@ func (s *Space) generate(q *Query, p GenParams, rng *stats.RNG, dir []float64) I
 	if a < 0 {
 		a = 0
 	}
-	feat := make([]float64, s.cfg.Dim)
-	for i := 0; i < s.cfg.Dim; i++ {
+	feat := make([]float64, FeatureDim)
+	for i := 0; i < FeatureDim; i++ {
 		feat[i] = p.Contraction*q.Truth[i] + a*dir[i] + rng.Normal(0, p.NoiseStd)
 	}
 	return Image{Features: feat, Artifact: a}

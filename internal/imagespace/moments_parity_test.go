@@ -133,10 +133,7 @@ func TestMomentAccumulatorMergeOrderInvariant(t *testing.T) {
 // the underlying uncached generation path, call after call.
 func TestGenerateDeterministicCacheByteIdentical(t *testing.T) {
 	rng := stats.NewRNG(7)
-	space, err := NewSpace(DefaultSpaceConfig(), rng.Stream("space"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	space := NewSpace(rng.Stream("space"))
 	p := GenParams{ArtifactBase: 0.4, ArtifactSlope: 5, ArtifactNoise: 0.3, DirSkew: 0.2, DirAxis: 1, Contraction: 0.9, NoiseStd: 0.4}
 	for id := 0; id < 64; id++ {
 		q := space.SampleQuery(id)
@@ -166,10 +163,7 @@ func TestGenerateDeterministicCacheByteIdentical(t *testing.T) {
 // sharing a name but not parameters do not collide in the cache.
 func TestGenerateDeterministicDistinctParams(t *testing.T) {
 	rng := stats.NewRNG(8)
-	space, err := NewSpace(DefaultSpaceConfig(), rng.Stream("space"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	space := NewSpace(rng.Stream("space"))
 	q := space.SampleQuery(3)
 	pa := GenParams{ArtifactBase: 0.1, ArtifactSlope: 2, Contraction: 1, NoiseStd: 0.1}
 	pb := pa
@@ -186,10 +180,7 @@ func TestGenerateDeterministicDistinctParams(t *testing.T) {
 // generation.
 func TestGenerateWithReuseDoesNotCorruptCache(t *testing.T) {
 	rng := stats.NewRNG(9)
-	space, err := NewSpace(DefaultSpaceConfig(), rng.Stream("space"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	space := NewSpace(rng.Stream("space"))
 	light := GenParams{ArtifactBase: 0.3, ArtifactSlope: 6, ArtifactNoise: 0.2, DirSkew: 0.6, DirAxis: 2, Contraction: 0.85, NoiseStd: 0.35}
 	heavy := GenParams{ArtifactBase: 0.6, ArtifactSlope: 1.5, ArtifactNoise: 0.2, DirSkew: 0.1, DirAxis: 1, Contraction: 0.95, NoiseStd: 0.3}
 	q := space.SampleQuery(11)
@@ -215,10 +206,7 @@ func TestGenerateWithReuseDoesNotCorruptCache(t *testing.T) {
 // fresh Space with the same seed generates.
 func TestGenerateDeterministicConcurrent(t *testing.T) {
 	newSpace := func() *Space {
-		s, err := NewSpace(DefaultSpaceConfig(), stats.NewRNG(12).Stream("space"))
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := NewSpace(stats.NewRNG(12).Stream("space"))
 		return s
 	}
 	light := GenParams{ArtifactBase: 0.3, ArtifactSlope: 6, ArtifactNoise: 0.2, DirSkew: 0.6, DirAxis: 2, Contraction: 0.85, NoiseStd: 0.35}
@@ -270,14 +258,8 @@ func TestGenerateDeterministicConcurrent(t *testing.T) {
 // seed) generating the same *Query gets its own image, not the cached
 // one, and a query built by hand generates the same bits every time.
 func TestGenerateDeterministicForeignQuery(t *testing.T) {
-	a, err := NewSpace(DefaultSpaceConfig(), stats.NewRNG(13).Stream("space"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewSpace(DefaultSpaceConfig(), stats.NewRNG(14).Stream("space"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := NewSpace(stats.NewRNG(13).Stream("space"))
+	b := NewSpace(stats.NewRNG(14).Stream("space"))
 	p := GenParams{ArtifactBase: 0.4, ArtifactSlope: 5, ArtifactNoise: 0.3, DirSkew: 0.2, DirAxis: 1, Contraction: 0.9, NoiseStd: 0.4}
 	q := a.SampleQuery(5)
 	fromA := a.GenerateDeterministic(q, "v", p)
@@ -310,10 +292,7 @@ func sameFeatures(a, b []float64) bool {
 // outside the Space's lock, so two of them can miss the memo together;
 // the memo must still end with one image per variant.
 func TestGenerateDeterministicMemoNoDuplicates(t *testing.T) {
-	s, err := NewSpace(DefaultSpaceConfig(), stats.NewRNG(15).Stream("space"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := NewSpace(stats.NewRNG(15).Stream("space"))
 	light := GenParams{ArtifactBase: 0.3, ArtifactSlope: 6, ArtifactNoise: 0.2, DirSkew: 0.6, DirAxis: 2, Contraction: 0.85, NoiseStd: 0.35}
 	heavy := GenParams{ArtifactBase: 0.6, ArtifactSlope: 1.5, ArtifactNoise: 0.2, DirSkew: 0.1, DirAxis: 1, Contraction: 0.95, NoiseStd: 0.3}
 	qs := s.SampleQueries(0, 256)

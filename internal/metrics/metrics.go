@@ -314,7 +314,7 @@ func (c *Collector) Timeline(bucketSecs float64, ref *fid.Reference, minFIDSampl
 	// Each bucket's FID is a pure function of its moments, so the
 	// buckets are scored in parallel; Map returns the first error in
 	// bucket order, as a serial loop would.
-	fids, err := parallel.Map(0, len(c.buckets), func(i int) (float64, error) {
+	fids, err := parallel.Map(len(c.buckets), func(i int) (float64, error) {
 		ba := &c.buckets[i]
 		if ref == nil || ba.acc == nil || ba.acc.Count() < minFIDSamples {
 			return math.NaN(), nil

@@ -1,7 +1,8 @@
 // Package parallel provides the bounded, deterministic fan-out helper
-// shared by the experiment drivers and the cascade calibration
-// sweeps: index-ordered results, fail-fast error propagation, and a
-// worker pool capped by caller or CPU count.
+// shared by the experiment drivers, the metrics timeline and the
+// cascade calibration sweeps: index-ordered results, fail-fast error
+// propagation, and a worker pool GOMAXPROCS wide. Tests that need a
+// given width set runtime.GOMAXPROCS.
 package parallel
 
 import (
@@ -10,9 +11,8 @@ import (
 	"sync/atomic"
 )
 
-// Map runs fn for every index in [0, n) on up to `workers` goroutines
-// (0 or negative means one per available CPU) and returns the results
-// in index order.
+// Map runs fn for every index in [0, n) on up to GOMAXPROCS goroutines
+// and returns the results in index order.
 //
 // Independent simulation runs, sweep points, cascade curves and
 // timeline buckets each own their seeded RNG streams and mutate no
@@ -23,14 +23,9 @@ import (
 // regardless of worker count or scheduling order. The first error
 // encountered in index order is returned, mirroring a serial loop's
 // fail-fast behavior.
-func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
+func Map[T any](n int, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
+	workers := min(runtime.GOMAXPROCS(0), n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			v, err := fn(i)

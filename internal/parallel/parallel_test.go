@@ -2,48 +2,56 @@ package parallel
 
 import (
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
 
 func TestMapOrderingAndFastPath(t *testing.T) {
-	for _, workers := range []int{0, 1, 3, 64} {
-		got, err := Map(workers, 37, func(i int) (int, error) { return i * i, nil })
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != 37 {
-			t.Fatalf("workers=%d: len %d", workers, len(got))
-		}
-		for i, v := range got {
-			if v != i*i {
-				t.Fatalf("workers=%d: out[%d] = %d", workers, i, v)
+	for _, procs := range []int{1, 3, 64} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			got, err := Map(37, func(i int) (int, error) { return i * i, nil })
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			if len(got) != 37 {
+				t.Fatalf("GOMAXPROCS %d: len %d", procs, len(got))
+			}
+			for i, v := range got {
+				if v != i*i {
+					t.Fatalf("GOMAXPROCS %d: out[%d] = %d", procs, i, v)
+				}
+			}
+		}()
 	}
-	if out, err := Map(4, 0, func(i int) (int, error) { return 0, nil }); err != nil || len(out) != 0 {
+	if out, err := Map(0, func(i int) (int, error) { return 0, nil }); err != nil || len(out) != 0 {
 		t.Fatalf("empty map: %v %v", out, err)
 	}
 }
 
 func TestMapErrorPropagation(t *testing.T) {
 	wantErr := errors.New("boom")
-	for _, workers := range []int{1, 4} {
-		_, err := Map(workers, 10, func(i int) (int, error) {
-			if i >= 3 {
-				return 0, wantErr
+	for _, procs := range []int{1, 4} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			_, err := Map(10, func(i int) (int, error) {
+				if i >= 3 {
+					return 0, wantErr
+				}
+				return i, nil
+			})
+			if err != wantErr {
+				t.Fatalf("GOMAXPROCS %d: err = %v, want %v", procs, err, wantErr)
 			}
-			return i, nil
-		})
-		if err != wantErr {
-			t.Fatalf("workers=%d: err = %v, want %v", workers, err, wantErr)
-		}
+		}()
 	}
 }
 
 func TestMapBoundsConcurrency(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
 	var inFlight, peak atomic.Int64
-	_, err := Map(3, 64, func(i int) (int, error) {
+	_, err := Map(64, func(i int) (int, error) {
 		cur := inFlight.Add(1)
 		for {
 			p := peak.Load()
@@ -58,6 +66,6 @@ func TestMapBoundsConcurrency(t *testing.T) {
 		t.Fatal(err)
 	}
 	if peak.Load() > 3 {
-		t.Errorf("peak concurrency %d exceeds worker cap 3", peak.Load())
+		t.Errorf("peak concurrency %d exceeds GOMAXPROCS 3", peak.Load())
 	}
 }

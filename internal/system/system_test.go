@@ -22,10 +22,7 @@ import (
 func fixture(t *testing.T, tr *trace.Trace, workers int, mode loadbalancer.Mode) Config {
 	t.Helper()
 	rng := stats.NewRNG(404)
-	space, err := imagespace.NewSpace(imagespace.DefaultSpaceConfig(), rng.Stream("space"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	space := imagespace.NewSpace(rng.Stream("space"))
 	reg := model.BuiltinRegistry()
 	light, heavy := reg.MustGet("sdturbo"), reg.MustGet("sdv15")
 	d, err := discriminator.New(discriminator.Config{
