@@ -7,6 +7,21 @@ GO ?= go
 .PHONY: verify
 verify: fmt-check vet lint build test
 
+# verify-all is every leg scripts/verify.sh runs, in its order: the
+# tier-1 gate's legs with the darwin/arm64 cross-build and the four
+# sizes the ROADMAP's bars are stated in, every race-detector leg and
+# the poolpoison suite, and the allocator's property tests at full
+# size. Run it without -j: make then runs the legs in the order listed
+# and stops at the first that fails.
+.PHONY: verify-all
+verify-all: fmt-check vet lint build cross-build loc test race poison-test sweep-allocator
+
+# cross-build: the cluster's kernel sleep is Linux-only behind a build
+# tag; building for another OS keeps its fallback compiling.
+.PHONY: cross-build
+cross-build:
+	GOOS=darwin GOARCH=arm64 $(GO) build ./...
+
 .PHONY: fmt-check
 fmt-check:
 	@out="$$(gofmt -l .)"; \
@@ -56,8 +71,9 @@ loc:
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
 
-# bench-perf runs just the perf-pipeline benchmarks this refactor
-# tracks (see PERFORMANCE.md); the RNG's two: the per-query
+# bench-perf runs the simulator's benchmarks (PERFORMANCE.md,
+# "Simulator"): the fig5 replay, streaming against batch moments and
+# serial against parallel experiments; the RNG's two: the per-query
 # re-seed-and-draw-20 pattern and the steady-state draw, each next to
 # math/rand's seeded source; and the simulator's per-query layers: one
 # 16-dim moment update, one 16-dim Fréchet cross term, a generation
@@ -80,7 +96,7 @@ bench-perf:
 #	make bench-compare BASE=/tmp/base.json NEW=/tmp/new.json
 #
 # BENCH_e2e.json is the committed ledger of those medians, one entry
-# per measured commit; PERFORMANCE.md quotes it.
+# per measured commit; PERFORMANCE.md's "The ledger" section quotes it.
 OUT ?= benchmark/out/all.json
 .PHONY: bench-all
 bench-all:
@@ -128,7 +144,8 @@ sweep-allocator:
 # allocs-gate pins the zero-allocation wire path: the end-to-end
 # tcp cycle must stay within 16 allocs/op (8 queries/op, so
 # <= 2 allocs per query) and the in-process transport within 8.
-# Baseline before pooling: tcp 73 allocs/op (see PERFORMANCE.md).
+# Baseline before pooling: tcp 73 allocs/op (PERFORMANCE.md, "TCP wire
+# and codec").
 .PHONY: allocs-gate
 allocs-gate:
 	@out="$$($(GO) test -run '^$$' -bench 'BenchmarkWirePath' -benchmem -count=1 ./internal/cluster/)" \

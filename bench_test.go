@@ -133,7 +133,8 @@ func BenchmarkMILPSolve(b *testing.B) {
 // controllers (one per model pool, the forthcoming N-pool layout)
 // each re-solve their allocation against a drifting demand walk. The
 // reported ns/op is one tick across all K pools, so ticks/sec =
-// 1e9/ns — the solve-rate headroom number PERFORMANCE.md tracks.
+// 1e9/ns — the solve-rate headroom in PERFORMANCE.md's "Control tick"
+// section.
 func BenchmarkControlTickSolve(b *testing.B) {
 	env, err := baselines.NewEnv("cascade1", 1, 2000)
 	if err != nil {

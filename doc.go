@@ -70,10 +70,10 @@
 //     host:port; there is no transport or codec flag) and the default
 //     of cluster.NewTransport and the harness. With the pooled wire
 //     path the full submit/pull/complete/collect cycle runs at under 2
-//     allocations per query (see PERFORMANCE.md): the server decodes
-//     into pooled messages released after dispatch, clients decode long
-//     polls into caller-owned response structs (PullInto,
-//     PollResultsInto), request/response correlation reuses
+//     allocations per query (PERFORMANCE.md, "TCP wire and codec"): the
+//     server decodes into pooled messages released after dispatch,
+//     clients decode long polls into caller-owned response structs
+//     (PullInto, PollResultsInto), request/response correlation reuses
 //     generation-checked slots instead of per-call channels, and frame
 //     writes coalesce into one flush per burst. SubmitBatch and
 //     Complete are posted: accepted in order, applied before any later
@@ -154,8 +154,9 @@
 // (-lb-shards on diffserve-sim) validates that a 2-shard TCP cluster
 // reproduces the single-LB completed/dropped outcome exactly on a
 // deterministic trace, with per-shard routing RNG streams
-// ("lb/<shard>") derived from the shared experiment seed. See
-// PERFORMANCE.md for what the frontend costs per query.
+// ("lb/<shard>") derived from the shared experiment seed.
+// PERFORMANCE.md's "ShardedLB frontend" section has what the frontend
+// costs per query.
 //
 // The frontend records, for every in-flight query, the shard it was
 // sent to: the owner, or a degraded owner's spill target. A completion
@@ -194,10 +195,9 @@
 // no configure RPC. The loop reports through
 // ControllerConfig.Logf (diffserve-controller logs to stderr): each
 // stats-poll miss, the conservative failover and its recovery, and one
-// line per half-applied plan naming what the next apply re-sends. See
-// PERFORMANCE.md's "Control tick", "Simulator and control plane",
-// "Exact allocation by enumeration" and "Send each control tick only
-// what changed" sections.
+// line per half-applied plan naming what the next apply re-sends.
+// PERFORMANCE.md's "Control tick" and "control_tick" sections have what
+// a tick costs and where its time goes.
 //
 // # Failure model
 //
@@ -259,10 +259,10 @@
 // FaultTransport (internal/cluster/fault_test.go): it wraps any
 // transport and applies seeded request/response drops, latency
 // spikes, conn severs, and one-way partitions from a scriptable
-// schedule. The chaos soak (TestChaosWorkerChurnNoLostQueries, the
-// verify script's race-chaos leg) kills busy workers and severs conns
-// mid-trace and requires every submitted query to resolve exactly
-// once.
+// schedule. The chaos soak (TestChaosWorkerChurnNoLostQueries, `make
+// chaos-soak`, one of `make race`'s legs) kills busy workers and
+// severs conns mid-trace and requires every submitted query to resolve
+// exactly once.
 //
 // # Trace time
 //
@@ -292,8 +292,8 @@
 // t0 + k·interval, t0 being the harness's clock restart. One late
 // wake then delays one step, not every later one, and no query is
 // served sooner after it was queued than the emulated GPU allows.
-// PERFORMANCE.md ("Schedule-anchored waits", "Kernel-timed waits and
-// enqueue-anchored starts") has the timer probes and what they moved.
+// PERFORMANCE.md ("Trace-time Clock") has the timer probes and what
+// they moved.
 //
 // # Static analysis
 //

@@ -23,8 +23,8 @@ import (
 // (injected response drops make any client-side count lossy): every
 // submitted query ends Completed or deliberately Dropped, the two sum
 // to exactly the number submitted, and the result stream carries each
-// ID exactly once. The verify script's race-chaos leg runs this test
-// under -race.
+// ID exactly once. `make chaos-soak`, one of `make race`'s legs, runs
+// this test under -race.
 func TestChaosWorkerChurnNoLostQueries(t *testing.T) {
 	const (
 		batches   = 40

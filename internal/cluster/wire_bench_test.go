@@ -28,7 +28,8 @@ func benchCompleteRequest() *CompleteRequest {
 }
 
 // TestWireSizes pins the codecs' relative payload sizes and logs the
-// absolute bytes/query recorded in PERFORMANCE.md.
+// absolute bytes/query recorded in PERFORMANCE.md's "TCP wire and
+// codec" section.
 func TestWireSizes(t *testing.T) {
 	req := benchCompleteRequest()
 	sizes := map[string]int{}

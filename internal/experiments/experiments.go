@@ -19,6 +19,14 @@
 //	MILPOverhead — allocator solve-time measurement (§4.5)
 //	SimVsCluster — simulator vs. cluster-runtime (tcp / inproc) agreement (§4.3)
 //
+// Two more go beyond the paper's evaluation. They are extensions, not
+// reproductions of a reported table or figure:
+//
+//	ReuseStudy      — §5 "Reuse Opportunities": FID when the heavy model
+//	                  builds on the light model's output (`reuse`)
+//	MultiLevelStudy — §5's longer-pipeline extension: a three-stage
+//	                  cascade SDXS -> SD-Turbo -> SDv1.5 (`multilevel`)
+//
 // An experiment's independent simulation runs (approaches, loads,
 // sweep points, cascade curves) fan out through parallel.Map, one
 // worker per GOMAXPROCS. Each run owns its seeded RNG streams, so
