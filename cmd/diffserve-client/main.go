@@ -6,14 +6,8 @@
 // moment are submitted in one request over a persistent connection,
 // and completions stream back through long-poll result fetches.
 //
-// Against a sharded LB tier, pass the full shard list via
-// -shard-addrs (same order on every process): submissions are
-// partitioned by query ID across the shards and results are merged
-// back into one stream.
-//
 //	diffserve-client -lb localhost:8100 -trace trace_4to32qps.txt -timescale 0.1
 //	diffserve-client -lb localhost:8100 -min 4 -max 32 -duration 360
-//	diffserve-client -shard-addrs localhost:8100,localhost:8101
 package main
 
 import (
@@ -34,15 +28,14 @@ import (
 
 func main() {
 	var (
-		lbURL      = flag.String("lb", "localhost:8100", "load balancer address (host:port)")
-		shardAddrs = flag.String("shard-addrs", "", "comma-separated LB shard addresses; overrides -lb and partitions the replay across the shards")
-		traceFile  = flag.String("trace", "", "trace file (empty: generate an Azure-like trace)")
-		cascadeN   = flag.String("cascade", "cascade1", "cascade (for query content + SLO)")
-		minQPS     = flag.Float64("min", 4, "generated trace minimum QPS")
-		maxQPS     = flag.Float64("max", 32, "generated trace maximum QPS")
-		duration   = flag.Float64("duration", 360, "generated trace duration (seconds)")
-		seed       = flag.Uint64("seed", 20250610, "shared experiment seed")
-		timescale  = flag.Float64("timescale", 0.1, "wall seconds per trace second")
+		lbURL     = flag.String("lb", "localhost:8100", "load balancer address (host:port)")
+		traceFile = flag.String("trace", "", "trace file (empty: generate an Azure-like trace)")
+		cascadeN  = flag.String("cascade", "cascade1", "cascade (for query content + SLO)")
+		minQPS    = flag.Float64("min", 4, "generated trace minimum QPS")
+		maxQPS    = flag.Float64("max", 32, "generated trace maximum QPS")
+		duration  = flag.Float64("duration", 360, "generated trace duration (seconds)")
+		seed      = flag.Uint64("seed", 20250610, "shared experiment seed")
+		timescale = flag.Float64("timescale", 0.1, "wall seconds per trace second")
 	)
 	flag.Parse()
 
@@ -77,16 +70,8 @@ func main() {
 		tr.Name(), len(arrivals), 1 / *timescale)
 
 	clock := cluster.NewClock(*timescale)
-	var conn cluster.LBConn
-	if *shardAddrs != "" {
-		frontend, err := cluster.DialShardedLB(*shardAddrs, clock)
-		if err != nil {
-			fatal(err)
-		}
-		defer frontend.Close()
-		conn = frontend
-		fmt.Printf("diffserve-client: partitioning across %d LB shards\n", frontend.Shards())
-	} else if conn, err = cluster.DialLB(*lbURL); err != nil {
+	conn, err := cluster.DialLB(*lbURL)
+	if err != nil {
 		fatal(err)
 	}
 	col := metrics.NewCollector()

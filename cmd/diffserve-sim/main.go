@@ -33,7 +33,6 @@ func main() {
 		minQPS     = flag.Float64("min-qps", 4, "trace minimum rate for -serve")
 		maxQPS     = flag.Float64("max-qps", 32, "trace maximum rate for -serve")
 		transport  = flag.String("transport", "tcp", "cluster transport for sim-vs-cluster: inproc|tcp")
-		lbShards   = flag.Int("lb-shards", 1, "LB shard count for sim-vs-cluster (>1 runs the sharded LB tier plus single-vs-sharded parity checks)")
 	)
 	flag.Parse()
 
@@ -75,7 +74,6 @@ func main() {
 			TraceDurationSeconds: *duration,
 			Short:                *short,
 			ClusterTransport:     *transport,
-			ClusterLBShards:      *lbShards,
 		}, os.Stdout)
 		if err != nil {
 			fatal(err)

@@ -10,17 +10,6 @@
 // (-lb takes a host:port) and serves its own control plane over framed
 // TCP as well.
 //
-// Against a sharded LB tier, pass the full shard list via
-// -shard-addrs (same order on every process): the worker pins itself
-// to shard (id mod len(addrs)) and pulls, completes, and defers only
-// within that shard — the multi-host layout runs one shard plus its
-// worker group per host with no cross-host data traffic.
-//
-// A standalone tier's shard list is fixed: re-pinning onto new shard
-// addresses means restarting with the new -shard-addrs. The in-process
-// harness pins no worker: its workers pull through the ShardedLB
-// frontend, which gathers from every shard.
-//
 // A worker recovers from a lost LB in one way. The tcp conn redials on
 // its next call and replays the submits and completions the LB never
 // acknowledged; a failed pull is retried after a short trace-time
@@ -28,7 +17,6 @@
 // LB's lease sweep, which re-queues the queries for another worker.
 //
 //	diffserve-worker -port 50051 -id 0 -lb localhost:8100 -cascade cascade1
-//	diffserve-worker -port 50051 -id 3 -shard-addrs localhost:8100,localhost:8101
 package main
 
 import (
@@ -43,14 +31,13 @@ import (
 
 func main() {
 	var (
-		port       = flag.Int("port", 50051, "listen port (control API)")
-		id         = flag.Int("id", 0, "worker ID")
-		lbURL      = flag.String("lb", "localhost:8100", "load balancer address (host:port)")
-		shardAddrs = flag.String("shard-addrs", "", "comma-separated LB shard addresses; the worker pins to shard (id mod count), overriding -lb")
-		cascadeN   = flag.String("cascade", "cascade1", "cascade: cascade1|cascade2|cascade3")
-		seed       = flag.Uint64("seed", 20250610, "shared experiment seed")
-		timescale  = flag.Float64("timescale", 0.1, "wall seconds per trace second")
-		fastLoad   = flag.Bool("fast-load", false, "skip model-switch load delays")
+		port      = flag.Int("port", 50051, "listen port (control API)")
+		id        = flag.Int("id", 0, "worker ID")
+		lbURL     = flag.String("lb", "localhost:8100", "load balancer address (host:port)")
+		cascadeN  = flag.String("cascade", "cascade1", "cascade: cascade1|cascade2|cascade3")
+		seed      = flag.Uint64("seed", 20250610, "shared experiment seed")
+		timescale = flag.Float64("timescale", 0.1, "wall seconds per trace second")
+		fastLoad  = flag.Bool("fast-load", false, "skip model-switch load delays")
 	)
 	flag.Parse()
 
@@ -58,17 +45,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	lbAddr := *lbURL
-	if *shardAddrs != "" {
-		addrs := cluster.SplitShardAddrs(*shardAddrs)
-		if len(addrs) == 0 {
-			fatal(fmt.Errorf("no shard addresses in -shard-addrs %q", *shardAddrs))
-		}
-		shard := *id % len(addrs)
-		lbAddr = addrs[shard]
-		fmt.Printf("diffserve-worker %d: pinned to LB shard %d of %d (%s)\n", *id, shard, len(addrs), lbAddr)
-	}
-	lbConn, err := cluster.DialLB(lbAddr)
+	lbConn, err := cluster.DialLB(*lbURL)
 	if err != nil {
 		fatal(err)
 	}
@@ -84,7 +61,7 @@ func main() {
 	if _, err := cluster.ServeWorkerTCP(addr, ws); err != nil {
 		fatal(err)
 	}
-	fmt.Printf("diffserve-worker %d: ready on %s (pulling from %s)\n", *id, addr, lbAddr)
+	fmt.Printf("diffserve-worker %d: ready on %s (pulling from %s)\n", *id, addr, *lbURL)
 	select {} // serve until the process is killed
 }
 

@@ -161,41 +161,6 @@ func TestServingBinariesSmoke(t *testing.T) {
 	}
 }
 
-// TestLBShardPortTaken pins diffserve-lb's port layout: shard i serves
-// port+i, where every peer's -shard-addrs points, so a taken port is a
-// start-up error naming the shard, not a silent move to another port.
-func TestLBShardPortTaken(t *testing.T) {
-	bin := build(t, "diffserve-lb")
-	var port int
-	var held net.Listener
-	for held == nil { // a free port whose successor is free too
-		port = freePort(t)
-		held, _ = net.Listen("tcp", fmt.Sprintf(":%d", port+1))
-	}
-	defer held.Close()
-	out := new(output)
-	lb := command(filepath.Join(bin, "diffserve-lb"), "-port", fmt.Sprint(port), "-lb-shards", "2")
-	lb.Stderr = out
-	if err := lb.Start(); err != nil {
-		t.Fatal(err)
-	}
-	exited := make(chan error, 1)
-	go func() { exited <- lb.Wait() }()
-	select {
-	case err := <-exited:
-		if err == nil {
-			t.Fatal("diffserve-lb exited 0 with shard 1's port taken")
-		}
-	case <-time.After(10 * time.Second):
-		lb.Process.Kill()
-		<-exited
-		t.Fatalf("diffserve-lb still running 10 s after start with shard 1's port %d taken:\n%s", port+1, out)
-	}
-	if !strings.Contains(out.String(), "shard 1") {
-		t.Errorf("diffserve-lb's error does not name shard 1:\n%s", out)
-	}
-}
-
 // TestLBRejectsUnknownMode: a mistyped -mode must stop diffserve-lb and
 // name the valid modes, not fall back to cascade routing.
 func TestLBRejectsUnknownMode(t *testing.T) {

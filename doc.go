@@ -51,10 +51,10 @@
 // a server needs — wakeups, long polls, the exactly-once registration
 // map, result buffering, leases; cluster.ControllerLoop applies plans
 // through the same role assignment (per shard group when workers are
-// pinned to shards). Both drivers shed
-// at dispatch and again at every control tick (LBServer.Stats is the
-// cluster's tick), so a query waiting in a pool no worker serves still
-// resolves, as a drop.
+// pinned to shards, as benchmark/'s control_tick pins them). Both
+// drivers shed at dispatch and again at every control tick
+// (LBServer.Stats is the cluster's tick), so a query waiting in a pool
+// no worker serves still resolves, as a drop.
 //
 // # Cluster transports
 //
@@ -106,65 +106,34 @@
 //
 // # Sharded LB tier
 //
-// One load-balancer process tops out on its admission and result
-// locks long before web-scale arrival rates. The sharded tier
-// partitions the query stream by ID hash across N independent LBServer
-// shards, each reachable over either transport. Membership is fixed
-// when a process starts: shard i is the i-th entry of its shard list,
-// and placement is one pure function every process computes locally,
-// loadbalancer.ShardOf (an FNV-1a hash mod N), so shard i owns exactly
-// the IDs ShardOf(id, N) assigns it:
+// cluster.ShardedLB is an in-process tier: a frontend that partitions
+// the query stream by ID hash across N independent LBServer shards,
+// each reachable over either transport, and re-exposes them as one
+// LBConn. The harness builds it when HarnessConfig.LBShards is above
+// one, and benchmark/ builds it for its dataplane_sharded and
+// control_tick workloads; every serving binary serves or dials exactly
+// one LB. Membership is fixed when the frontend is built: shard i is
+// the i-th conn, and a query belongs to shard loadbalancer.ShardOf(id,
+// N) (an FNV-1a hash mod N). Each shard draws routing randomness from
+// its own stream "lb/<shard>" of the run seed.
 //
-//	                 client (cluster.ShardedLB frontend)
-//	                 /  submit by ID hash, merge results  \
-//	    +-----------+                                      +-----------+
-//	    | LB shard 0|  "lb/0" RNG stream                   | LB shard 1|
-//	    +-----------+                                      +-----------+
-//	     /         \                                        /         \
-//	worker 0    worker 2  ...  (standalone worker i    worker 1    worker 3
-//	                            pins to shard i mod N)
-//	                 \            controller            /
-//	                  broadcasts policy, merges stats,
-//	                  stripes roles across shard groups
-//
-// cluster.ShardedLB fans SubmitBatch out per shard, merges
-// PollResultsInto streams (one background pump per shard), sends each
-// Complete item back to the shard its query was sent to, broadcasts
-// Configure, and sums Stats. A PullInto through the frontend gathers
-// its batch from as many shards as it takes to fill req.Max, under the
-// earliest lease deadline any of them granted. Shards served in the
-// frontend's own process cost it no goroutines: their legs of every
-// fan-out run inline on the caller, and a PollResultsInto call
-// collects from them itself before it parks; only legs that cross a
-// wire fly concurrently and rely on the pumps. The harness's workers pull
-// through the frontend, so every worker of a role serves every shard's
-// queue of that role — one queue per pool, as in the simulator.
-// Standalone workers (diffserve-worker -shard-addrs) instead pin to
-// one shard — pulls, completions, and cascade deferrals never cross
-// shards — so a multi-host layout runs one shard plus its worker group
-// per host with no cross-host data traffic; for them the controller
-// (-shard-addrs) stripes each allocation plan across the shard-pinned
-// worker groups so every shard keeps both pools served.
-//
-// The standalone binaries wire the tier with flags: diffserve-lb
-// -lb-shards N serves N shards on consecutive ports; diffserve-worker,
-// diffserve-controller, and diffserve-client take -shard-addrs with
-// the same comma-separated shard list. The harness runs it in-process
-// via HarnessConfig.LBShards, and the sim-vs-cluster experiment
-// (-lb-shards on diffserve-sim) validates that a 2-shard TCP cluster
-// reproduces the single-LB completed/dropped outcome exactly on a
-// deterministic trace, with per-shard routing RNG streams
-// ("lb/<shard>") derived from the shared experiment seed.
-// PERFORMANCE.md's "ShardedLB frontend" section has what the frontend
-// costs per query.
-//
-// The frontend records, for every in-flight query, the shard it was
-// sent to: the owner, or a degraded owner's spill target. A completion
-// goes to that shard alone, with the worker's lease deadline, and the
-// record is released when the query's result lands. No process adds or
-// removes shards at run time: DiffServe scales models over a fixed
-// worker pool, and the shard list is the -shard-addrs (or
-// HarnessConfig.LBShards) every process was started with.
+// The frontend fans SubmitBatch out per shard, merges PollResultsInto
+// streams (one background pump per shard), sends each Complete item
+// back to the shard its query was sent to, broadcasts Configure, and
+// sums Stats. A PullInto through the frontend gathers its batch from
+// as many shards as it takes to fill req.Max, under the earliest lease
+// deadline any of them granted. Shards served in the frontend's own
+// process cost it no goroutines: their legs of every fan-out run
+// inline on the caller, and a PollResultsInto call collects from them
+// itself before it parks; only legs that cross a wire fly concurrently
+// and rely on the pumps. The harness's workers pull through the
+// frontend, so every worker of a role serves every shard's queue of
+// that role — one queue per pool, as in the simulator. The frontend
+// records, for every in-flight query, the shard it was sent to: the
+// owner, or a degraded owner's spill target. A completion goes to that
+// shard alone, with the worker's lease deadline, and the record is
+// released when the query's result lands. PERFORMANCE.md's "ShardedLB
+// frontend" section has what the frontend costs per query.
 //
 // # Allocation control loop
 //

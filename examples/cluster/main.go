@@ -1,14 +1,11 @@
 // Cluster example: run the full DiffServe system as real networked
-// components — a sharded load-balancer tier (two LB shards
-// partitioning the query stream by query ID), eight workers pulling
-// from every shard through the tier's frontend, and the MILP
-// controller — wired over loopback sockets, then replay a trace
-// through the network data path at 10x speed.
+// components — one load balancer, eight workers pulling from it, and
+// the MILP controller — wired over loopback sockets, then replay a
+// trace through the network data path at 10x speed.
 // The example uses the framed-TCP transport (persistent multiplexed
 // connections, binary codec), the wire the standalone binaries speak;
 // set the Transport field to cluster.TransportInproc for the
-// zero-serialization in-process alternative, or LBShards to 1 for the
-// classic single-balancer topology.
+// zero-serialization in-process alternative.
 //
 //	go run ./examples/cluster
 package main
@@ -57,7 +54,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("replaying %s through 2 LB shards + %d workers + controller over framed TCP (10x speed)...\n",
+	fmt.Printf("replaying %s through an LB + %d workers + controller over framed TCP (10x speed)...\n",
 		tr.Name(), workers)
 	res, err := cluster.Run(cluster.HarnessConfig{
 		Space: env.Space, Light: env.Light, Heavy: env.Heavy, Scorer: env.Scorer,
@@ -67,18 +64,13 @@ func main() {
 		// The alternative is cluster.TransportInproc (zero-serialization
 		// direct dispatch for maximum replay speed).
 		Transport: cluster.TransportTCP,
-		// Sharded LB tier: queries are partitioned across independent
-		// balancer shards by loadbalancer.ShardOf; each worker pulls
-		// from every shard and the client merges every shard's result
-		// stream.
-		LBShards: 2,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	sum := res.Summary()
-	fmt.Printf("\ncompleted in %.1fs wall time (%s transport, %d LB shards)\n", res.WallSeconds, res.Transport, res.LBShards)
+	fmt.Printf("\ncompleted in %.1fs wall time (%s transport)\n", res.WallSeconds, res.Transport)
 	fmt.Printf("queries          %d\n", sum.Queries)
 	fmt.Printf("FID              %.2f\n", sum.FID)
 	fmt.Printf("SLO violations   %.3f (drops %.3f)\n", sum.ViolationRatio, sum.DropRatio)

@@ -23,11 +23,6 @@ type ExperimentConfig struct {
 	// ClusterTransport selects the cluster runtime's wire path for
 	// the sim-vs-cluster experiment: "tcp" (default) or "inproc".
 	ClusterTransport string
-	// ClusterLBShards runs the sim-vs-cluster experiment's cluster
-	// side through the sharded LB tier with this many shards (0 or 1:
-	// the single-LB topology) and adds single-vs-sharded outcome parity
-	// checks.
-	ClusterLBShards int
 }
 
 func (c ExperimentConfig) internal() experiments.Config {
@@ -38,7 +33,6 @@ func (c ExperimentConfig) internal() experiments.Config {
 		TraceDuration:    c.TraceDurationSeconds,
 		Short:            c.Short,
 		ClusterTransport: c.ClusterTransport,
-		ClusterLBShards:  c.ClusterLBShards,
 	}
 }
 

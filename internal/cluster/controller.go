@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"diffserve/internal/allocator"
 	"diffserve/internal/controller"
@@ -28,13 +27,13 @@ type ControllerConfig struct {
 	Clock *Clock
 	// Shards is the count of LB shards the workers are pinned to (0 or
 	// 1: no pinning — a single LB, or workers that pull
-	// through the ShardedLB frontend, as the harness's do). A
-	// standalone diffserve-worker started with -shard-addrs pins
-	// worker i to shard group i mod Shards, and role assignment then
-	// stripes each plan across those groups so every shard keeps at
-	// least one worker of every role the plan uses: a shard whose
-	// partition of the query stream has no light (or no heavy) worker
-	// would starve, which a global plan never intends.
+	// through the ShardedLB frontend, as the harness's do). Only
+	// benchmark/'s control_tick pins workers: worker i to shard group
+	// i mod Shards. Role assignment then stripes each plan across those
+	// groups so every shard keeps at least one worker of every role the
+	// plan uses: a shard whose partition of the query stream has no
+	// light (or no heavy) worker would starve, which a global plan
+	// never intends.
 	Shards int
 	// Logf, when set, receives controller-loop events (stats misses,
 	// the conservative failover, recovery). Nil discards them.
@@ -98,29 +97,22 @@ func (c *ControllerLoop) Plans() []controller.PlanAt { return c.cfg.Ctrl.Plans()
 // until the context is cancelled, t0 being when Run starts; a late wake
 // delays one tick, not every later one. A caller that restarts the
 // clock starts Run after the restart. Each tick (stats poll +
-// allocation solve + plan push) runs asynchronously with at most one in
-// flight, so a slow tick — a stats poll or configure push waiting on
-// the network — never shifts the schedule: a tick that falls due while
-// one is still in flight is skipped. (The paper likewise calls its MILP
-// asynchronously.) Run returns only once the tick in flight at
-// cancellation has finished, so a caller that waits for Run may then
-// read Plans.
+// allocation solve + plan push) runs on Run's goroutine, and a slow
+// tick — a stats poll or configure push waiting on the network — never
+// shifts the schedule: every due time that passed while it ran is
+// skipped. (The paper likewise calls its MILP asynchronously.) Run
+// returns once the tick in flight at cancellation has finished, so a
+// caller that waits for Run may then read Plans.
 func (c *ControllerLoop) Run(ctx context.Context) {
-	var busy int32
-	var inFlight sync.WaitGroup
-	defer inFlight.Wait()
 	interval := c.cfg.Ctrl.Interval()
 	next := c.cfg.Clock.Now()
 	for ctx.Err() == nil {
-		if atomic.CompareAndSwapInt32(&busy, 0, 1) {
-			inFlight.Add(1)
-			go func() {
-				defer inFlight.Done()
-				defer atomic.StoreInt32(&busy, 0)
-				c.TickOnce(ctx)
-			}()
-		}
+		c.TickOnce(ctx)
+		now := c.cfg.Clock.Now()
 		next += interval
+		for next < now { // fell due while the tick ran: skipped
+			next += interval
+		}
 		if !c.cfg.Clock.WaitUntil(ctx, next, nil) {
 			return
 		}

@@ -85,8 +85,6 @@ type Result struct {
 	Queries   int
 	// Transport names the transport the run used.
 	Transport string
-	// LBShards is the LB shard count the run used (1 = single LB).
-	LBShards int
 	// WallSeconds is the real elapsed time.
 	WallSeconds float64
 }
@@ -343,7 +341,6 @@ func Run(cfg HarnessConfig) (*Result, error) {
 		Plans:       loop.Plans(),
 		Queries:     len(arrivals),
 		Transport:   tp.Name(),
-		LBShards:    shardCount,
 		WallSeconds: time.Since(wallStart).Seconds(), //diffvet:allow walltime — WallSeconds measures real elapsed time for the run report
 	}, nil
 }

@@ -13,22 +13,19 @@ import (
 
 // This file implements the sharded load-balancer tier: a frontend
 // that partitions the query stream across N independent LBServer
-// shards, each reachable through either Transport (inproc, tcp).
-// One LBServer process tops out on its result lock and admission path
-// long before "millions of users" arrival rates; partitioning query
-// IDs across shards multiplies the admission and result throughput
+// shards, each reachable through either Transport (inproc, tcp),
 // without any new wire messages — the frontend speaks the existing
-// LBConn verbs to each shard.
+// LBConn verbs to each shard. The harness builds it when
+// HarnessConfig.LBShards is above one, and benchmark/ builds it for
+// its dataplane_sharded and control_tick workloads; no serving binary
+// does.
 //
 // Membership is fixed when the frontend is built: shard i is
 // ShardedLBConfig.Shards[i], and query id belongs to shard
-// loadbalancer.ShardOf(id, N). Every process computes the owning shard
-// locally and deterministically from the shard count, so a multi-host
-// layout — one LB shard plus a worker group per host — needs no
-// coordination service. The frontend records, for every query it
-// tracks, the shard it was sent to — the owner, or a degraded owner's
-// spill target — and sends the query's completion there and nowhere
-// else.
+// loadbalancer.ShardOf(id, N). The frontend records, for every query
+// it tracks, the shard it was sent to — the owner, or a degraded
+// owner's spill target — and sends the query's completion there and
+// nowhere else.
 
 // shardPullSlice bounds, in trace seconds, how long a frontend Pull
 // parks on one shard before re-sweeping the others for work.
@@ -131,12 +128,9 @@ type ShardedLB struct {
 	degradedN  atomic.Int32
 }
 
-// SplitShardAddrs parses a comma-separated shard address list,
-// trimming whitespace and dropping empty entries (a trailing comma
-// is not a shard). The cmd binaries share it so every -shard-addrs
-// flag parses identically — the list order defines shards 0..N-1, and
-// must match on every process — and the controller parses its
-// -workers list with it too.
+// SplitShardAddrs parses a comma-separated address list, trimming
+// whitespace and dropping empty entries (a trailing comma is not an
+// address). diffserve-controller parses its -workers list with it.
 func SplitShardAddrs(csv string) []string {
 	var addrs []string
 	for _, a := range strings.Split(csv, ",") {
@@ -145,25 +139,6 @@ func SplitShardAddrs(csv string) []string {
 		}
 	}
 	return addrs
-}
-
-// DialShardedLB dials every shard of a comma-separated address list
-// with DialLB and wraps the connections in a ShardedLB frontend —
-// the standalone client's and controller's way onto a sharded tier.
-func DialShardedLB(addrCSV string, clock *Clock) (*ShardedLB, error) {
-	addrs := SplitShardAddrs(addrCSV)
-	if len(addrs) == 0 {
-		return nil, fmt.Errorf("cluster: no shard addresses in %q", addrCSV)
-	}
-	conns := make([]LBConn, len(addrs))
-	for i, a := range addrs {
-		conn, err := DialLB(a)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: dialing shard %d: %w", i, err)
-		}
-		conns[i] = conn
-	}
-	return NewShardedLB(ShardedLBConfig{Shards: conns, Clock: clock})
 }
 
 // NewShardedLB builds the frontend over the given shard connections.
@@ -191,9 +166,6 @@ func NewShardedLB(cfg ShardedLBConfig) (*ShardedLB, error) {
 		degraded:   make([]bool, n),
 	}, nil
 }
-
-// Shards returns the number of shards.
-func (s *ShardedLB) Shards() int { return len(s.cfg.Shards) }
 
 // Close stops the result pumps. In-flight pump polls are cancelled and
 // parked PollResultsInto calls return ErrTransportClosed; callers
@@ -339,8 +311,9 @@ func (s *ShardedLB) untrackResults(results []QueryResponse) {
 // straight into an LBServer in this process: they cost microseconds and
 // never wait on a peer, so a fan-out runs them on the caller's
 // goroutine and PollResults gathers from them directly. Only
-// localLBConn claims it; retry and fault wrappers do not forward it, so
-// a wrapped conn (which may sleep or back off) is treated as remote.
+// localLBConn claims it; the tests' fault wrapper (faultLBConn) does
+// not forward it, so a wrapped conn (which may sleep or fail) is
+// treated as remote.
 type inProcessConn interface{ dispatchesInProcess() }
 
 func inProcess(conn LBConn) bool {

@@ -392,11 +392,13 @@ func TestShardQuotas(t *testing.T) {
 }
 
 // TestHarnessShardedTopology replays lightly loaded traces through
-// the 2-shard TCP topology and requires the same loss-free outcome a
+// the sharded TCP topology and requires the same loss-free outcome a
 // single LB produces: every query resolves exactly once, none drop.
 // The one-worker row holds the tier to one queue per pool: its single
 // worker must serve both shards, so a worker pinned to one shard would
-// leave the other shard's half of the stream to be shed.
+// leave the other shard's half of the stream to be shed. The
+// 7-worker/3-shard row is a worker count the shard count does not
+// divide: every worker still pulls from every shard.
 func TestHarnessShardedTopology(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sharded harness skipped in -short mode")
@@ -413,15 +415,17 @@ func TestHarnessShardedTopology(t *testing.T) {
 		}
 		return ctrl
 	}
+	cascade := func(workers int) *controller.Controller { return f.controller(t, workers, 5) }
 	for _, tc := range []struct {
-		name     string
-		mode     loadbalancer.Mode
-		workers  int
-		qps, dur float64
-		ctrl     func(workers int) *controller.Controller
+		name            string
+		mode            loadbalancer.Mode
+		workers, shards int
+		qps, dur        float64
+		ctrl            func(workers int) *controller.Controller
 	}{
-		{"cascade-8-workers", loadbalancer.ModeCascade, 8, 6, 15, func(n int) *controller.Controller { return f.controller(t, n, 5) }},
-		{"all-light-1-worker", loadbalancer.ModeAllLight, 1, 2, 10, clipperLight},
+		{"cascade-8-workers", loadbalancer.ModeCascade, 8, 2, 6, 15, cascade},
+		{"all-light-1-worker", loadbalancer.ModeAllLight, 1, 2, 2, 10, clipperLight},
+		{"cascade-7-workers-3-shards", loadbalancer.ModeCascade, 7, 3, 4, 15, cascade},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tr, err := trace.Static(tc.qps, tc.dur, 1)
@@ -436,13 +440,10 @@ func TestHarnessShardedTopology(t *testing.T) {
 				// a loaded 1-core box spans multiple trace seconds and sheds
 				// a tail query past the SLO.
 				Timescale: 0.05, Seed: 4242, DisableLoadDelay: true,
-				Transport: TransportTCP, LBShards: 2,
+				Transport: TransportTCP, LBShards: tc.shards,
 			})
 			if err != nil {
 				t.Fatal(err)
-			}
-			if res.LBShards != 2 {
-				t.Errorf("result reports %d shards", res.LBShards)
 			}
 			if res.Collector.Len() != res.Queries {
 				t.Errorf("recorded %d of %d queries", res.Collector.Len(), res.Queries)
@@ -607,7 +608,7 @@ func TestFrontendLeavesNothingTracked(t *testing.T) {
 	}
 }
 
-// TestSplitShardAddrs pins the shared -shard-addrs parsing.
+// TestSplitShardAddrs pins the address-list parsing -workers uses.
 func TestSplitShardAddrs(t *testing.T) {
 	got := SplitShardAddrs(" host:1 ,host:2,, host:3,")
 	want := []string{"host:1", "host:2", "host:3"}
@@ -616,8 +617,5 @@ func TestSplitShardAddrs(t *testing.T) {
 	}
 	if SplitShardAddrs("") != nil {
 		t.Errorf("empty list should parse to nil")
-	}
-	if _, err := DialShardedLB(" , ", NewClock(1)); err == nil {
-		t.Error("DialShardedLB accepted an empty shard list")
 	}
 }

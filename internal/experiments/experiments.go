@@ -62,13 +62,6 @@ type Config struct {
 	// ClusterTransport selects the cluster runtime's wire path for
 	// SimVsCluster: "tcp" (framed TCP, the default) or "inproc".
 	ClusterTransport string
-	// ClusterLBShards runs SimVsCluster's cluster side through the
-	// sharded LB tier with this many shards (0 or 1: single LB). With
-	// shards the experiment also replays a deterministic static trace
-	// through the single-LB and sharded topologies (N shards, and 7
-	// workers across 3) and reports the completed/dropped parity
-	// between them.
-	ClusterLBShards int
 }
 
 func (c Config) withDefaults() Config {

@@ -176,26 +176,35 @@ func TestFig8AblationOrdering(t *testing.T) {
 }
 
 // TestSimVsClusterAgreement runs the simulator-vs-cluster validation
-// over both transports at 50x real time: the zero-serialization
-// in-process path and a real socket between components must each agree
-// with the simulator.
+// at 50x real time over the zero-serialization in-process path, a real
+// socket between components, and that socket with the LB split into
+// two shards behind the harness's frontend (per-shard "lb/<shard>" RNG
+// streams): each must agree with the simulator.
 func TestSimVsClusterAgreement(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster comparison skipped in -short mode")
 	}
-	for _, transport := range []string{"inproc", "tcp"} {
-		t.Run(transport, func(t *testing.T) {
+	for _, tc := range []struct {
+		name, transport string
+		lbShards        int
+		approach        string
+	}{
+		{"inproc", "inproc", 1, "inproc"},
+		{"tcp", "tcp", 1, "tcp"},
+		{"tcp-2-shards", "tcp", 2, "tcp, 2 lb shards"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			cfg := shortCfg()
-			cfg.ClusterTransport = transport
-			r, err := SimVsCluster(cfg)
+			cfg.ClusterTransport = tc.transport
+			r, err := simVsCluster(cfg, tc.lbShards)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if math.IsNaN(r.Sim.FID) || math.IsNaN(r.Cluster.FID) {
 				t.Fatal("FID not computed")
 			}
-			if !strings.Contains(r.Cluster.Approach, transport) {
-				t.Errorf("cluster approach %q does not name the transport", r.Cluster.Approach)
+			if !strings.Contains(r.Cluster.Approach, tc.approach) {
+				t.Errorf("cluster approach %q does not name %q", r.Cluster.Approach, tc.approach)
 			}
 			// The paper reports 0.56% FID / 1.1% violation agreement. Run in
 			// isolation this reproduction achieves ~0.03% / ~0.02, but the
@@ -215,66 +224,6 @@ func TestSimVsClusterAgreement(t *testing.T) {
 				t.Error("render missing title")
 			}
 		})
-	}
-}
-
-// TestSimVsClusterShardedTCP validates the sharded LB tier end to
-// end: the cluster side runs two LB shards over raw TCP (per-shard
-// "lb/<shard>" RNG streams), must still agree with the simulator, and
-// the shard-parity leg must reproduce the single-LB completed/dropped
-// counts exactly on the deterministic static trace.
-func TestSimVsClusterShardedTCP(t *testing.T) {
-	if testing.Short() {
-		t.Skip("cluster comparison skipped in -short mode")
-	}
-	cfg := shortCfg()
-	cfg.ClusterTransport = "tcp"
-	cfg.ClusterLBShards = 2
-	r, err := SimVsCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.IsNaN(r.Sim.FID) || math.IsNaN(r.Cluster.FID) {
-		t.Fatal("FID not computed")
-	}
-	if !strings.Contains(r.Cluster.Approach, "2 lb shards") {
-		t.Errorf("cluster approach %q does not name the shard count", r.Cluster.Approach)
-	}
-	if r.FIDDeltaPct > 8 {
-		t.Errorf("FID delta %.2f%% too large", r.FIDDeltaPct)
-	}
-	if r.ViolationDeltaAbs > 0.20 {
-		t.Errorf("violation delta %.3f too large", r.ViolationDeltaAbs)
-	}
-	p := r.ShardParity
-	if p == nil {
-		t.Fatal("shard parity not populated")
-	}
-	if p.SingleCompleted+p.SingleDropped != p.Queries {
-		t.Errorf("single-LB accounting: %d completed + %d dropped != %d queries",
-			p.SingleCompleted, p.SingleDropped, p.Queries)
-	}
-	if !p.Matches() {
-		t.Errorf("sharded topologies diverged from single LB: single %d/%d, sharded %d/%d (completed/dropped)",
-			p.SingleCompleted, p.SingleDropped, p.ShardedCompleted, p.ShardedDropped)
-	}
-	if p.SingleDropped != 0 {
-		t.Errorf("parity trace dropped %d queries under light load", p.SingleDropped)
-	}
-	if p.UnevenWorkers != 7 || p.UnevenShards != 3 {
-		t.Errorf("uneven leg ran %d workers / %d shards, want 7 / 3", p.UnevenWorkers, p.UnevenShards)
-	}
-	if p.UnevenCompleted != p.UnevenSingleCompleted || p.UnevenDropped != p.UnevenSingleDropped {
-		t.Errorf("7-worker/3-shard leg diverged from its single-LB baseline: single %d/%d, sharded %d/%d (completed/dropped)",
-			p.UnevenSingleCompleted, p.UnevenSingleDropped, p.UnevenCompleted, p.UnevenDropped)
-	}
-	if p.UnevenSingleDropped != 0 {
-		t.Errorf("uneven parity baseline dropped %d queries under light load", p.UnevenSingleDropped)
-	}
-	var buf bytes.Buffer
-	r.Render(&buf)
-	if !strings.Contains(buf.String(), "shard parity") {
-		t.Error("render missing shard parity line")
 	}
 }
 

@@ -255,41 +255,15 @@ type SimVsClusterResult struct {
 	Sim, Cluster      Summary
 	FIDDeltaPct       float64
 	ViolationDeltaAbs float64
-	// ShardParity compares a sharded-LB cluster run against a
-	// single-LB run on the same deterministic trace and seed. Only
-	// populated when Config.ClusterLBShards > 1.
-	ShardParity *ShardParity
-}
-
-// ShardParity reports completed/dropped counts of the single-LB and
-// sharded replays of one deterministic trace. Under ample capacity the
-// outcome set is timing-insensitive, so the counts must agree exactly:
-// the partitioned query stream reaches the same completions and the
-// same (zero) drops the single balancer produces.
-type ShardParity struct {
-	Shards                           int
-	Queries                          int
-	SingleCompleted, SingleDropped   int
-	ShardedCompleted, ShardedDropped int
-	// Uneven* is the non-divisible leg: UnevenWorkers workers across
-	// UnevenShards shards (7 across 3), a worker count the shard count
-	// does not divide. Every worker pulls from every shard, so the
-	// counts must still match a single-LB baseline with the same
-	// (reduced) worker count.
-	UnevenWorkers, UnevenShards                int
-	UnevenSingleCompleted, UnevenSingleDropped int
-	UnevenCompleted, UnevenDropped             int
-}
-
-// Matches reports whether the sharded topologies — static and uneven —
-// reproduced their single-LB outcome counts.
-func (p *ShardParity) Matches() bool {
-	return p.SingleCompleted == p.ShardedCompleted && p.SingleDropped == p.ShardedDropped &&
-		p.UnevenSingleCompleted == p.UnevenCompleted && p.UnevenSingleDropped == p.UnevenDropped
 }
 
 // SimVsCluster runs the same cascade-1 workload through both runtimes.
-func SimVsCluster(cfg Config) (*SimVsClusterResult, error) {
+func SimVsCluster(cfg Config) (*SimVsClusterResult, error) { return simVsCluster(cfg, 1) }
+
+// simVsCluster is SimVsCluster with the cluster side's LB split into
+// lbShards in-process shards behind the harness's frontend (1: one LB).
+// Only the tests ask for more than one.
+func simVsCluster(cfg Config, lbShards int) (*SimVsClusterResult, error) {
 	cfg = cfg.withDefaults()
 	// The comparison always uses a full-length trace: compressing the
 	// diurnal cycle below ~150s makes demand ramps far steeper than
@@ -342,15 +316,15 @@ func SimVsCluster(cfg Config) (*SimVsClusterResult, error) {
 		Mode: loadbalancer.ModeCascade, Workers: cfg.Workers, SLO: env.Spec.SLOSeconds,
 		Trace: tr, Ctrl: ctrl, Timescale: timescale, Seed: env.Seed + 17,
 		DisableLoadDelay: true, Transport: cfg.ClusterTransport,
-		LBShards: cfg.ClusterLBShards,
+		LBShards: lbShards,
 	})
 	if err != nil {
 		return nil, err
 	}
 	cs := res.Summary()
 	approach := "diffserve (cluster, " + res.Transport + ")"
-	if res.LBShards > 1 {
-		approach = fmt.Sprintf("diffserve (cluster, %s, %d lb shards)", res.Transport, res.LBShards)
+	if lbShards > 1 {
+		approach = fmt.Sprintf("diffserve (cluster, %s, %d lb shards)", res.Transport, lbShards)
 	}
 	clusterSum := Summary{
 		Approach: approach, FID: cs.FID, ViolationRatio: cs.ViolationRatio,
@@ -363,92 +337,6 @@ func SimVsCluster(cfg Config) (*SimVsClusterResult, error) {
 		out.FIDDeltaPct = 100 * math.Abs(clusterSum.FID-simSum.FID) / simSum.FID
 	}
 	out.ViolationDeltaAbs = math.Abs(clusterSum.ViolationRatio - simSum.ViolationRatio)
-	if cfg.ClusterLBShards > 1 {
-		if out.ShardParity, err = shardParityRuns(cfg, env, timescale); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// shardParityRuns replays one deterministic lightly loaded static
-// trace through the single-LB and the sharded cluster topologies at the
-// same seed. With ample capacity the outcome set is timing-insensitive,
-// so the completed/dropped counts must agree exactly — the tier's
-// validation that ShardOf partitioning (with per-shard "lb/<shard>" RNG
-// streams) loses and invents nothing.
-func shardParityRuns(cfg Config, env *baselines.Env, timescale float64) (*ShardParity, error) {
-	// 4 QPS leaves the workers comfortable capacity headroom in every
-	// leg, so no tail query sheds right at the SLO boundary on
-	// wall-clock jitter.
-	const parityDuration = 40
-	tr, err := trace.Static(4, parityDuration, 1)
-	if err != nil {
-		return nil, err
-	}
-	const parityWorkers = 9
-	// The parity legs run on wall-clock time like any cluster replay,
-	// and they are timing-sensitive: on a loaded 1-core CI box a
-	// scheduler stall at 50x replay spans several trace seconds and
-	// sheds queries that a quiet machine serves. 12.5x keeps the legs
-	// deterministic even with residual load while still finishing in
-	// a few wall seconds each.
-	if timescale < 0.08 {
-		timescale = 0.08
-	}
-	out := &ShardParity{Shards: cfg.ClusterLBShards}
-	run := func(workers, shards int) (completed, dropped int, err error) {
-		a, err := allocator.NewMILP(allocator.Config{
-			Light: env.Light, Heavy: env.Heavy,
-			DiscPerImage: env.Scorer.PerImageLatency(),
-			Deferral:     env.Deferral,
-			TotalWorkers: workers,
-			SLO:          env.Spec.SLOSeconds,
-		})
-		if err != nil {
-			return 0, 0, err
-		}
-		ctrl, err := controller.New(controller.Config{Alloc: a})
-		if err != nil {
-			return 0, 0, err
-		}
-		res, err := cluster.Run(cluster.HarnessConfig{
-			Space: env.Space, Light: env.Light, Heavy: env.Heavy, Scorer: env.Scorer,
-			Mode: loadbalancer.ModeCascade, Workers: workers, SLO: env.Spec.SLOSeconds,
-			Trace: tr, Ctrl: ctrl, Timescale: timescale, Seed: env.Seed + 23,
-			DisableLoadDelay: true, Transport: cfg.ClusterTransport,
-			LBShards: shards,
-		})
-		if err != nil {
-			return 0, 0, err
-		}
-		out.Queries = res.Queries
-		for _, r := range res.Collector.Records() {
-			if r.Dropped {
-				dropped++
-			} else {
-				completed++
-			}
-		}
-		return completed, dropped, nil
-	}
-	if out.SingleCompleted, out.SingleDropped, err = run(parityWorkers, 1); err != nil {
-		return nil, err
-	}
-	if out.ShardedCompleted, out.ShardedDropped, err = run(parityWorkers, cfg.ClusterLBShards); err != nil {
-		return nil, err
-	}
-	// Uneven leg: 7 workers across 3 shards, a count the shard count
-	// does not divide. Compared against its own 7-worker single-LB
-	// baseline (capacity differs from the 9-worker legs above).
-	const unevenWorkers, unevenShards = 7, 3
-	out.UnevenWorkers, out.UnevenShards = unevenWorkers, unevenShards
-	if out.UnevenSingleCompleted, out.UnevenSingleDropped, err = run(unevenWorkers, 1); err != nil {
-		return nil, err
-	}
-	if out.UnevenCompleted, out.UnevenDropped, err = run(unevenWorkers, unevenShards); err != nil {
-		return nil, err
-	}
 	return out, nil
 }
 
@@ -457,17 +345,4 @@ func (r *SimVsClusterResult) Render(w io.Writer) {
 	writeSummaries(w, "Simulator vs. cluster (paper §4.3: 0.56% FID, 1.1% violation gap)",
 		[]Summary{r.Sim, r.Cluster})
 	fmt.Fprintf(w, "FID delta: %.2f%%   violation delta: %.3f\n", r.FIDDeltaPct, r.ViolationDeltaAbs)
-	if p := r.ShardParity; p != nil {
-		verdict := "MATCH"
-		if !p.Matches() {
-			verdict = "MISMATCH"
-		}
-		fmt.Fprintf(w, "shard parity (%d queries, static trace): single LB %d completed / %d dropped, %d shards %d completed / %d dropped — %s\n",
-			p.Queries, p.SingleCompleted, p.SingleDropped, p.Shards, p.ShardedCompleted, p.ShardedDropped, verdict)
-		if p.UnevenWorkers > 0 {
-			fmt.Fprintf(w, "uneven parity (%d workers / %d shards): single LB %d completed / %d dropped, sharded %d completed / %d dropped\n",
-				p.UnevenWorkers, p.UnevenShards, p.UnevenSingleCompleted, p.UnevenSingleDropped,
-				p.UnevenCompleted, p.UnevenDropped)
-		}
-	}
 }
