@@ -106,26 +106,16 @@ func main() {
 			// the processes' clocks start at different wall times, so
 			// only server-side stamps are mutually consistent.
 			for _, r := range resp.Results {
-				if seen[r.ID] {
-					continue
+				if !seen[r.ID] {
+					seen[r.ID] = true
+					col.Record(r.Record(env.Spec.SLOSeconds))
 				}
-				seen[r.ID] = true
-				if r.Dropped {
-					col.Record(metrics.QueryRecord{ID: r.ID, Arrival: r.Arrival, Deadline: r.Arrival + env.Spec.SLOSeconds, Dropped: true})
-					continue
-				}
-				col.Record(metrics.QueryRecord{
-					ID: r.ID, Arrival: r.Arrival, Completion: r.Completion,
-					Deadline: r.Arrival + env.Spec.SLOSeconds, Deferred: r.Deferred,
-					ServedBy: r.Variant, Confidence: r.Confidence,
-					Features: r.Features, Artifact: r.Artifact,
-				})
 			}
 		}
 		unresolved = len(arrivals) - len(seen)
 		for id, at := range arrivals {
 			if !seen[id] {
-				col.Record(metrics.QueryRecord{ID: id, Arrival: at, Deadline: at + env.Spec.SLOSeconds, Dropped: true})
+				col.Record(cluster.QueryResponse{ID: id, Arrival: at, Dropped: true}.Record(env.Spec.SLOSeconds))
 			}
 		}
 	}()

@@ -43,8 +43,9 @@
 // queued, up to its batch size — neither driver holds a partial batch
 // back for a coalesce window); Defers is the cascade's verdict on a
 // light result's confidence; Ledger builds the completed or dropped
-// record and keeps the arrival and violation counts the controller
-// polls. worker.AssignRoles turns a plan's pool sizes into per-worker
+// record, hands it to its owner's recorder (the simulator's
+// metrics.Collector, the LB's fixed-size metrics.Tally), and keeps the
+// arrival and violation counts the controller polls. worker.AssignRoles turns a plan's pool sizes into per-worker
 // roles, keeping workers in place. internal/system drives these from
 // its event ring and keeps only worker timing and image generation;
 // cluster.LBServer drives them under its per-pool locks and keeps what

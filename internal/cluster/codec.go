@@ -418,7 +418,7 @@ func (d *bdec) str() string {
 // floatsInto decodes a length-prefixed float slice, reusing prev's
 // backing array when it has the capacity. Decoding into a message
 // that already carries a feature buffer from an earlier frame is the
-// arena-reuse half of the zero-allocation wire path; the caller must
+// buffer-reuse half of the zero-allocation wire path; the caller must
 // own prev exclusively.
 func (d *bdec) floatsInto(prev []float64) []float64 {
 	n := d.uint()

@@ -79,6 +79,7 @@ func (c *HarnessConfig) validate() error {
 
 // Result is the outcome of a harness run.
 type Result struct {
+	// Collector records every result the harness's client polled.
 	Collector *metrics.Collector
 	Reference *fid.Reference
 	Plans     []controller.PlanAt
@@ -244,20 +245,42 @@ func Run(cfg HarnessConfig) (*Result, error) {
 	// submitter goroutine groups queries that are due together into a
 	// single SubmitBatch round trip, and one collector goroutine
 	// long-polls for results — persistent connections end to end
-	// instead of a goroutine + blocking request per query.
-	done := make(chan struct{})
+	// instead of a goroutine + blocking request per query. The
+	// collector records what it polls: the LBs keep no per-query
+	// record, so this is the run's record.
+	col := metrics.NewCollector()
+	col.Grow(len(arrivals))
+	done := make(chan struct{})    // closed once every query's result is recorded
+	drained := make(chan struct{}) // closed after the last drain: take what is left, then stop
 	var collected sync.WaitGroup
 	collected.Add(1)
 	go func() { // collector
 		defer collected.Done()
 		got := 0
-		var resp ResultsResponse // reused across polls
+		var resp ResultsResponse // reused across polls; features are interned out of it
 		for got < len(arrivals) && ctx.Err() == nil {
-			err := lbConn.PollResultsInto(ctx, ResultsRequest{Max: 1024, Wait: 1}, &resp)
-			if err != nil {
+			req := ResultsRequest{Max: 1024, Wait: 1}
+			select {
+			case <-drained:
+				req.Wait = 0
+			default:
+			}
+			resp.Results = resp.Results[:0] // a failed remote call leaves resp as it was
+			if err := lbConn.PollResultsInto(ctx, req, &resp); err != nil {
+				if req.Wait == 0 {
+					return
+				}
 				// Transient transport failure: back off briefly.
 				clock.WaitUntil(ctx, clock.Now()+0.05, nil)
 				continue
+			}
+			if req.Wait == 0 && len(resp.Results) == 0 {
+				return
+			}
+			for i := range resp.Results {
+				rec := resp.Results[i].Record(cfg.SLO)
+				rec.Features = col.InternFeatures(rec.Features)
+				col.Record(rec)
 			}
 			got += len(resp.Results)
 		}
@@ -308,8 +331,13 @@ func Run(cfg HarnessConfig) (*Result, error) {
 		}
 	}
 	drainAll()
-	cancel()
+	// The collector, unless it is done, now polls without waiting until
+	// the LB is empty, so a drop the drain resolved is still recorded;
+	// it is not cancelled mid-poll, which over tcp would lose the
+	// results that poll took.
+	close(drained)
 	collected.Wait()
+	cancel()
 	loopDone.Wait()
 	if transportErr == nil {
 		// The failure may have raced with normal completion.
@@ -325,15 +353,6 @@ func Run(cfg HarnessConfig) (*Result, error) {
 	ref, err := fid.NewReference(realFeats)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: building FID reference: %w", err)
-	}
-	col := servers[0].Collector()
-	if len(servers) > 1 {
-		// Merge the per-shard collectors into one run-level view. The
-		// run is over: no shard is recording anymore.
-		col = metrics.NewCollector()
-		for _, lb := range servers {
-			col.Merge(lb.Collector())
-		}
 	}
 	return &Result{
 		Collector:   col,

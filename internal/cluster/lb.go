@@ -111,7 +111,7 @@ func (p *lbPool) push(now float64, items ...queueing.Item) bool {
 // Locking is sharded so the hot paths do not contend on one mutex:
 // each pool queue has its own lock (light pulls never wait on heavy
 // pulls or on submissions routed to the other pool), the
-// client-result state (async results, metrics, counters) is
+// client-result state (async results, tally, counters) is
 // guarded by resMu, and the random-split routing state by splitMu.
 type LBServer struct {
 	cfg LBConfig
@@ -125,13 +125,18 @@ type LBServer struct {
 	rng       *stats.RNG
 
 	// resMu guards everything on the client-result side: async-result
-	// buffering, the resolution ledger (metrics collector and
-	// control-plane counters), and the cascade threshold.
+	// buffering, the resolution ledger (its tally and the control-plane
+	// counters), and the cascade threshold.
 	resMu     sync.Mutex
 	threshold float64
 	async     map[int]struct{} // submitted queries awaiting results
-	results   []QueryResponse  // finished async results not yet fetched
-	ledger    loadbalancer.Ledger
+	// results holds finished async results not yet fetched. Each
+	// element owns its Features buffer and keeps it when the element is
+	// reused, so the LB holds as many buffers as results were ever
+	// pending at once, however many it has resolved.
+	results []QueryResponse
+	ledger  loadbalancer.Ledger
+	tally   metrics.Tally // the ledger's recorder
 	// Result long-poll wakeup. resultsDirty batches the wakeup: a
 	// whole Complete batch signals once, not once per query.
 	wakeResults  notifier
@@ -166,17 +171,19 @@ func NewLBServer(cfg LBConfig) *LBServer {
 		cfg:        cfg,
 		rng:        stats.NewRNG(cfg.Seed).Stream(stream),
 		async:      make(map[int]struct{}),
-		ledger:     loadbalancer.Ledger{SLO: cfg.SLO, Col: metrics.NewCollector()},
 		leases:     make(map[int]lbLease),
 		workerSeen: make(map[int]float64),
 	}
+	s.ledger = loadbalancer.Ledger{SLO: cfg.SLO, Col: &s.tally}
 	s.pools[loadbalancer.PoolLight].Pool = *loadbalancer.NewPool(cfg.LightMinExec, cfg.SLO)
 	s.pools[loadbalancer.PoolHeavy].Pool = *loadbalancer.NewPool(cfg.HeavyMinExec, cfg.SLO)
 	return s
 }
 
-// Collector exposes the LB's metrics records (read after the run).
-func (s *LBServer) Collector() *metrics.Collector { return s.ledger.Col }
+// Collector exposes the LB's resolution tally (read after the run): how
+// many queries it resolved and the moments of the served features. The
+// LB keeps no per-query record; a client records the results it polls.
+func (s *LBServer) Collector() *metrics.Tally { return &s.tally }
 
 // poolOf resolves a wire role to its pool: "heavy" is the heavy pool,
 // anything else the light one.
@@ -295,11 +302,11 @@ func (s *LBServer) SubmitBatchReq(req SubmitRequest) {
 // req.Wait trace-seconds for at least one to arrive. req.Wait <= 0 is
 // an explicit non-blocking poll: one buffer check, never a sleep —
 // identical across both transports (the conformance suite pins it).
-// Results are copied into resp.Results' existing capacity, so a caller
-// that polls in a loop with one persistent response struct allocates
-// nothing in steady state. resp is overwritten entirely; the caller
-// owns it and everything it references (result Features alias the
-// collector's immutable arena and must not be mutated).
+// Results are copied into resp.Results' existing capacity, each one's
+// Features into that element's own buffer, so a caller that polls in a
+// loop with one persistent response struct allocates nothing in steady
+// state. resp is overwritten entirely; as with the tcp decoder, the
+// caller owns the results until its next poll with the same struct.
 func (s *LBServer) PollResultsInto(ctx context.Context, req ResultsRequest, resp *ResultsResponse) {
 	max := req.Max
 	if max <= 0 {
@@ -328,20 +335,55 @@ func (s *LBServer) PollResultsInto(ctx context.Context, req ResultsRequest, resp
 }
 
 // takeResultsInto pops up to max buffered async results into
-// resp.Results, reusing its capacity. An empty take keeps the
-// caller's buffer (length zero) so the next non-empty poll is still
-// allocation-free. Callers must hold resMu.
+// resp.Results as copies, reusing its capacity and its elements'
+// Features buffers. An empty take keeps the caller's buffer (length
+// zero) so the next non-empty poll is still allocation-free. Callers
+// must hold resMu.
 func (s *LBServer) takeResultsInto(max int, resp *ResultsResponse) {
-	n := len(s.results)
-	if n == 0 {
-		resp.Results = resp.Results[:0]
-		return
+	n := min(len(s.results), max)
+	resp.Results = resp.Results[:0]
+	for i := range s.results[:n] {
+		resp.Results = appendResult(resp.Results, &s.results[i])
 	}
-	if n > max {
-		n = max
+	s.results = dropFront(s.results, n)
+}
+
+// growResults returns rs one element longer. The new element is the one
+// past rs's end when the capacity has room, still holding the Features
+// buffer an earlier use left it; the caller overwrites every field.
+func growResults(rs []QueryResponse) []QueryResponse {
+	if len(rs) < cap(rs) {
+		return rs[:len(rs)+1]
 	}
-	resp.Results = append(resp.Results[:0], s.results[:n]...)
-	s.results = append(s.results[:0], s.results[n:]...)
+	return append(rs, QueryResponse{})
+}
+
+// appendResult appends a copy of src to dst, its features copied into
+// the new element's own buffer. Empty features are delivered as nil,
+// as the wire decodes them.
+func appendResult(dst []QueryResponse, src *QueryResponse) []QueryResponse {
+	dst = growResults(dst)
+	d := &dst[len(dst)-1]
+	buf := d.Features
+	*d = *src
+	d.Features = nil
+	if len(src.Features) > 0 {
+		d.Features = append(buf[:0], src.Features...)
+	}
+	return dst
+}
+
+// dropFront removes the first n of rs by swapping the rest down, so
+// every element, the ones now past the end included, keeps a Features
+// buffer of its own. A copying shift (append(rs[:0], rs[n:]...)) would
+// leave an element past the end sharing its buffer with a live one,
+// which the next growResults would then overwrite.
+func dropFront(rs []QueryResponse, n int) []QueryResponse {
+	rest := len(rs) - n
+	for i := 0; i < rest; i++ {
+		rs[i], rs[n+i] = rs[n+i], rs[i]
+	}
+	return rs[:rest]
 }
 
 // PullInto hands up to req.Max queued queries to a worker, shedding
@@ -619,15 +661,11 @@ func (s *LBServer) liveLocked(id int) bool {
 	return ok
 }
 
-// completeLocked resolves a live query as served and records the
+// completeLocked resolves a live query as served and tallies the
 // outcome. Callers must hold resMu.
 func (s *LBServer) completeLocked(item CompleteItem, now float64, pool loadbalancer.PoolID) {
-	// Intern the features once into the collector's immutable arena:
-	// the stored record and the delivered result share that copy, so
-	// neither retains the caller's slice — a pooled decode buffer can
-	// be recycled the moment Complete returns.
 	rec := s.ledger.Complete(queueing.Item{ID: item.ID, Arrival: item.Arrival}, now, pool, imagespace.Image{
-		Variant: item.Variant, Features: s.ledger.Col.InternFeatures(item.Features), Artifact: item.Artifact,
+		Variant: item.Variant, Features: item.Features, Artifact: item.Artifact,
 	}, item.Confidence)
 	s.resolveLocked(QueryResponse{
 		ID: rec.ID, Variant: rec.ServedBy, Features: rec.Features,
@@ -639,9 +677,14 @@ func (s *LBServer) completeLocked(item CompleteItem, now float64, pool loadbalan
 // resolveLocked delivers a live query's final outcome to the results
 // buffer drained by PollResultsInto and ends its registration, so a
 // completion or drop racing a drain (or arriving twice) finds it no
-// longer live. Callers must hold resMu.
+// longer live. The features are copied into the pending element's own
+// buffer: the caller's slice, a pooled decode buffer over tcp, is free
+// again the moment Complete returns. Callers must hold resMu.
 func (s *LBServer) resolveLocked(resp QueryResponse) {
-	s.results = append(s.results, resp)
+	s.results = growResults(s.results)
+	r := &s.results[len(s.results)-1]
+	resp.Features = append(r.Features[:0], resp.Features...)
+	*r = resp
 	delete(s.async, resp.ID)
 	s.resultsDirty = true
 }

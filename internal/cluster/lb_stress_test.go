@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -277,12 +278,16 @@ func TestDrainCompleteRaceNoDoubleResolve(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var resolved atomic.Int64
+	seen := map[int]int{} // results per query ID; read after wg.Wait
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() { // merged-result accounting
 		defer wg.Done()
 		for resolved.Load() < total && ctx.Err() == nil {
 			resp, _ := pollResults(ctx, NewLocalLBConn(lb), ResultsRequest{Max: 64, Wait: 50})
+			for _, r := range resp.Results {
+				seen[r.ID]++
+			}
 			resolved.Add(int64(len(resp.Results)))
 		}
 	}()
@@ -362,13 +367,93 @@ func TestDrainCompleteRaceNoDoubleResolve(t *testing.T) {
 	if lb.Collector().Len() != total {
 		t.Errorf("collector recorded %d of %d (double records?)", lb.Collector().Len(), total)
 	}
-	seen := map[int]int{}
-	for _, rec := range lb.Collector().Records() {
-		seen[rec.ID]++
-	}
 	for id, n := range seen {
 		if n != 1 {
 			t.Errorf("query %d recorded %d times", id, n)
 		}
 	}
+}
+
+// TestLBServerRetainsNothingPerQuery drives an in-process LBServer
+// through closed-loop 16-query submit/pull/complete/poll cycles, a
+// quarter of them deferred to the heavy pool, and requires its live
+// heap not to grow with the queries it has resolved: the results it
+// hands out are the client's to record, and the LB keeps fixed-size
+// state, so a server that runs as long as demand lasts does not run out
+// of memory.
+func TestLBServerRetainsNothingPerQuery(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap figures are meaningless under the race detector")
+	}
+	const (
+		cycleQueries = 16
+		warmCycles   = 1000
+		cycles       = 4000
+		maxPerQuery  = 16 // bytes of live heap per resolved query
+	)
+	// Trace time runs a million times faster than wall time, so the
+	// pools' 10-second arrival-rate window holds next to nothing.
+	lb := NewLBServer(LBConfig{
+		Mode: loadbalancer.ModeCascade, SLO: 1e12,
+		LightMinExec: 0.1, HeavyMinExec: 1,
+		Clock: NewClock(1e-6), Seed: 1,
+	})
+	lb.Configure(ConfigureLBRequest{Threshold: 0.5})
+	ctx := context.Background()
+	feats := make([]float64, 16)
+	queries := make([]QueryMsg, cycleQueries)
+	items := make([]CompleteItem, 0, cycleQueries)
+	var pulled PullResponse
+	var results ResultsResponse
+	next := 0
+	cycle := func() {
+		for j := range queries {
+			queries[j] = QueryMsg{ID: next + j}
+		}
+		next += cycleQueries
+		lb.SubmitBatchReq(SubmitRequest{Queries: queries})
+		for _, role := range []string{"light", "heavy"} {
+			for {
+				lb.PullInto(ctx, PullRequest{Role: role, Max: cycleQueries}, &pulled)
+				if len(pulled.Queries) == 0 {
+					break
+				}
+				items = items[:0]
+				for _, q := range pulled.Queries {
+					conf := 0.9
+					if role == "light" && q.ID%4 == 0 {
+						conf = 0.1
+					}
+					items = append(items, CompleteItem{ID: q.ID, Arrival: q.Arrival, Variant: role, Features: feats, Confidence: conf})
+				}
+				lb.Complete(CompleteRequest{Role: role, Items: items, LeaseDeadline: pulled.LeaseDeadline})
+			}
+		}
+		for got := 0; got < cycleQueries; got += len(results.Results) {
+			lb.PollResultsInto(ctx, ResultsRequest{Max: cycleQueries}, &results)
+			if len(results.Results) == 0 {
+				t.Fatalf("cycle at id %d: %d of %d results", next-cycleQueries, got, cycleQueries)
+			}
+		}
+	}
+	liveHeap := func(n int) uint64 {
+		for i := 0; i < n; i++ {
+			cycle()
+		}
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := liveHeap(warmCycles)
+	after := liveHeap(cycles)
+	perQuery := (float64(after) - float64(before)) / (cycles * cycleQueries)
+	if perQuery > maxPerQuery {
+		t.Errorf("live heap grew %.1f B per resolved query over %d queries, want <= %d",
+			perQuery, cycles*cycleQueries, maxPerQuery)
+	}
+	if got := lb.Collector().Len(); got != next {
+		t.Errorf("tally counted %d of %d resolved queries", got, next)
+	}
+	t.Logf("live heap %d -> %d B: %.2f B per query", before, after, perQuery)
 }

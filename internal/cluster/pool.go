@@ -18,18 +18,19 @@ import (
 //   - A message obtained from a pooled decode (the TCP server's
 //     dispatch path) is owned by exactly one goroutine. Handlers must
 //     copy anything they retain past return — strings are immutable
-//     and always safe; feature slices are interned into the metrics
-//     collector's arena (Collector.InternFeatures) before they outlive
-//     the handler.
+//     and always safe; a completion's features are copied into the
+//     pending result's own buffer, which the LB reuses and never hands
+//     out: a poll copies it into the caller's response.
 //   - ReleaseMessage must be called only on messages the caller owns
-//     exclusively, i.e. ones produced by a pooled decode. Releasing a
+//     exclusively, i.e. ones taken from these pools. Releasing a
 //     message whose slices alias shared storage (a worker's imagespace
-//     cache, the collector arena) would hand shared memory to the next
-//     decode; the poolpoison build tag exists to make exactly that
-//     class of bug fail loudly in tests.
-//   - Released messages keep their slice capacity (dirty), so the next
-//     decode into them is allocation-free; every decoded field is
-//     overwritten, so stale contents never leak.
+//     cache) would hand shared memory to the next decode; the
+//     poolpoison build tag exists to make exactly that class of bug
+//     fail loudly in tests.
+//   - Released messages keep their slice capacity (dirty), a result's
+//     feature buffers included, so the next decode or poll into them is
+//     allocation-free; every field is overwritten, so stale contents
+//     never leak.
 
 // internLimit bounds the intern table so adversarial wire input (the
 // fuzzers feed arbitrary strings) cannot grow it without bound. Real
@@ -97,9 +98,8 @@ func getConfigureWorkerRequest() *ConfigureWorkerRequest {
 // this). Unknown types are a no-op.
 //
 // Decoder-owned float slices are kept (and poisoned under the
-// poolpoison build tag) for reuse; outbound result messages instead
-// drop their Features pointers, which alias the collector's immutable
-// arena and must never become decode targets.
+// poolpoison build tag) for reuse, and so are a result message's
+// Features buffers: results are copied into them, never aliased.
 func ReleaseMessage(v interface{}) {
 	switch m := v.(type) {
 	case *SubmitRequest:
@@ -126,11 +126,10 @@ func ReleaseMessage(v interface{}) {
 		*m = ResultsRequest{}
 		resultsRequestPool.Put(m)
 	case *ResultsResponse:
-		// Result Features alias the collector arena; nil them out so a
-		// later decode into this struct can never scribble on it.
 		results := m.Results
 		for i := range results {
-			results[i] = QueryResponse{}
+			poisonFloats(results[i].Features)
+			results[i] = QueryResponse{Features: results[i].Features[:0]}
 		}
 		*m = ResultsResponse{Results: results[:0]}
 		resultsResponsePool.Put(m)

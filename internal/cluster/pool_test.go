@@ -89,18 +89,19 @@ func TestReleaseMessageResets(t *testing.T) {
 		}
 	})
 	t.Run("results-response", func(t *testing.T) {
-		// Result features alias the collector arena: release must nil
-		// them out in place so a later decode cannot scribble on the
-		// arena through a recycled element.
-		arena := []float64{1, 2, 3}
-		m := &ResultsResponse{Results: []QueryResponse{{ID: 7, Variant: "sdturbo", Features: arena}}}
+		// Result features are the message's own buffers (a poll copies
+		// into them; nothing aliases them): release keeps each one's
+		// capacity for the next poll, as it does a decoded request's,
+		// and zeroes every other field.
+		feats := make([]float64, 3, 4)
+		m := &ResultsResponse{Results: []QueryResponse{{ID: 7, Variant: "sdturbo", Features: feats}}}
 		rs := m.Results
 		ReleaseMessage(m)
 		if len(m.Results) != 0 || cap(m.Results) != cap(rs) {
 			t.Fatalf("not reset with capacity kept: %+v", m)
 		}
-		if got := rs[:1][0]; got.Features != nil || got.ID != 0 || got.Variant != "" {
-			t.Fatalf("recycled element still aliases the arena: %+v", got)
+		if got := rs[:1][0]; got.ID != 0 || got.Variant != "" || len(got.Features) != 0 || cap(got.Features) != cap(feats) {
+			t.Fatalf("recycled element not reset with its feature capacity kept: %+v cap=%d", got, cap(got.Features))
 		}
 	})
 	t.Run("scalar-messages", func(t *testing.T) {

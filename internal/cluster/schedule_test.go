@@ -130,11 +130,12 @@ func (c *stallFirstComplete) Complete(ctx context.Context, req CompleteRequest) 
 type scheduleRig struct {
 	t     *testing.T
 	clock *Clock
-	lb    *LBServer
 	conn  LBConn
 	exec  float64
 	next  int // next query ID
 	stop  func()
+	// resolved is every result polled so far, without its features.
+	resolved []QueryResponse
 }
 
 const rigTimescale = 0.005
@@ -168,7 +169,7 @@ func newScheduleRig(t *testing.T, f *fixtures, exec float64, wrap func(LBConn, *
 		defer loop.Done()
 		ws.Loop(ctx)
 	}()
-	return &scheduleRig{t: t, clock: clock, lb: lb, conn: conn, exec: exec, next: 1, stop: func() {
+	return &scheduleRig{t: t, clock: clock, conn: conn, exec: exec, next: 1, stop: func() {
 		cancel()
 		loop.Wait()
 		tp.Close()
@@ -198,16 +199,20 @@ func (r *scheduleRig) submit(n int) {
 		if len(resp.Results) == 0 {
 			r.t.Fatalf("no result within %g trace-seconds (%d of %d)", wait, got, n)
 		}
+		for _, res := range resp.Results {
+			res.Features = nil
+			r.resolved = append(r.resolved, res)
+		}
 	}
 }
 
-// completions checks that every record so far was served, none faster
-// than the pool's MinExec, and returns their completion times.
+// completions checks that every result polled so far was served, none
+// faster than the pool's MinExec, and returns their completion times.
 func (r *scheduleRig) completions() []float64 {
 	r.t.Helper()
-	recs := r.lb.Collector().Records()
+	recs := r.resolved
 	if len(recs) != r.next-1 {
-		r.t.Fatalf("%d records, want %d", len(recs), r.next-1)
+		r.t.Fatalf("%d results, want %d", len(recs), r.next-1)
 	}
 	cs := make([]float64, 0, len(recs))
 	for _, rec := range recs {

@@ -466,22 +466,33 @@ func (s *ShardedLB) pump(shard int, conn LBConn) {
 
 // land moves one shard poll's results into the merged stream and
 // releases their records — the one way results enter the stream,
-// whether a pump or a polling caller fetched them. The stream takes
-// value copies, so each element's Features pointer is handed off by
-// zeroing the element: the fetcher's next poll decodes into the same
-// slice, and reusing that capacity would scribble on results already
-// landed. The records are released first: a poller that returns a
-// result never finds its record still held.
+// whether a pump or a polling caller fetched them. Each result is
+// swapped with a spare element of the stream, so its Features buffer
+// moves to the stream and the fetcher's slice gets the spare's buffer
+// back: the fetcher's next poll copies or decodes into that slice, and
+// no buffer is ever held by both. The records are released first: a
+// poller that returns a result never finds its record still held.
 func (s *ShardedLB) land(results []QueryResponse) {
 	if len(results) == 0 {
 		return
 	}
 	s.untrackResults(results)
 	s.resMu.Lock()
-	s.results = append(s.results, results...)
+	for i := range results {
+		s.results = moveResult(s.results, &results[i])
+	}
 	s.wake.wake()
 	s.resMu.Unlock()
-	clear(results)
+}
+
+// moveResult appends *src to dst without copying its features: src is
+// swapped with the new element, so src gets back the spare Features
+// buffer that element held and no buffer is ever in both slices.
+func moveResult(dst []QueryResponse, src *QueryResponse) []QueryResponse {
+	dst = growResults(dst)
+	last := &dst[len(dst)-1]
+	*last, *src = *src, *last
+	return dst
 }
 
 // gatherResults polls every in-process shard once, without waiting,
@@ -546,14 +557,16 @@ func (s *ShardedLB) PollResultsInto(ctx context.Context, req ResultsRequest, res
 
 // takeInto pops up to max merged results into resp.Results, reusing
 // its capacity; an empty take leaves resp.Results at length zero (the
-// buffer is kept). Callers must hold resMu.
+// buffer is kept). Results are swapped out as land swaps them in: the
+// caller's elements' buffers become the stream's spares. Callers must
+// hold resMu.
 func (s *ShardedLB) takeInto(max int, resp *ResultsResponse) {
-	n := len(s.results)
-	if n > max {
-		n = max
+	n := min(len(s.results), max)
+	resp.Results = resp.Results[:0]
+	for i := range s.results[:n] {
+		resp.Results = moveResult(resp.Results, &s.results[i])
 	}
-	resp.Results = append(resp.Results[:0], s.results[:n]...)
-	s.results = append(s.results[:0], s.results[n:]...)
+	s.results = dropFront(s.results, n)
 }
 
 // PullInto gathers dispatchable work from the shards: starting at a

@@ -214,8 +214,8 @@ func setFrameID(b []byte, id uint64) {
 // returns both request and response to the pools via ReleaseMessage
 // once the response frame is written. Handlers therefore must not
 // retain anything a request references past serve's return (strings
-// are immutable and exempt; the LB interns feature slices into the
-// collector arena).
+// are immutable and exempt; the LB copies a completion's features into
+// a pending result's own buffer).
 //
 // serve is first called on the connection's read loop with park false:
 // it must not block, and answers errWouldPark when the call can only

@@ -32,16 +32,19 @@
 // ownership part of the API contract:
 //
 //   - Requests (SubmitRequest, CompleteRequest): the caller keeps
-//     ownership of every slice it passes in. The server copies (or
-//     interns into the metrics collector's append-only arena) anything
-//     it retains, so callers may reuse or overwrite request buffers the
-//     moment the call returns.
+//     ownership of every slice it passes in. The server copies anything
+//     it retains (a completion's features go into the pending result's
+//     own buffer), so callers may reuse or overwrite request buffers
+//     the moment the call returns.
 //   - Responses (PullInto, PollResultsInto): the caller supplies the
-//     response struct and its slices are decode targets. The caller
-//     owns their contents only until its next *Into call on the same
-//     struct, which overwrites them in place. Callers that retain
-//     results past that point (or poll into a shared struct from two
-//     goroutines) must copy.
+//     response struct and its slices are decode targets. Over either
+//     transport, results are copies into the caller's buffers: the tcp
+//     decoder writes into them, and in-process the LB copies into them
+//     (ShardedLB swaps its merged results in). The caller owns their
+//     contents only until its next *Into call on the same struct,
+//     which overwrites them in place. Callers that retain results past
+//     that point (or poll into a shared struct from two goroutines)
+//     must copy.
 //   - Pooled decodes (the TCP server's dispatch path): messages
 //     acquired from the package pools are owned by exactly one
 //     goroutine and returned via ReleaseMessage; released storage is
@@ -68,6 +71,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"diffserve/internal/metrics"
 )
 
 // QueryMsg is a query submission.
@@ -93,6 +98,23 @@ type QueryResponse struct {
 	Deferred   bool      `json:"deferred"`
 	Arrival    float64   `json:"arrival"`
 	Completion float64   `json:"completion"`
+}
+
+// Record is the query's metrics record, its deadline Arrival + slo: a
+// drop, or the image served with its confidence and completion time.
+// Features is the response's slice, not a copy. A client records a
+// query whose result never came back as a drop at its arrival:
+// QueryResponse{ID: id, Arrival: at, Dropped: true}.Record(slo).
+func (r QueryResponse) Record(slo float64) metrics.QueryRecord {
+	if r.Dropped {
+		return metrics.QueryRecord{ID: r.ID, Arrival: r.Arrival, Deadline: r.Arrival + slo, Dropped: true}
+	}
+	return metrics.QueryRecord{
+		ID: r.ID, Arrival: r.Arrival, Completion: r.Completion,
+		Deadline: r.Arrival + slo, Deferred: r.Deferred,
+		ServedBy: r.Variant, Confidence: r.Confidence,
+		Features: r.Features, Artifact: r.Artifact,
+	}
 }
 
 // SubmitRequest batches asynchronous query submissions: the call

@@ -126,14 +126,24 @@ func Defers(mode Mode, pool PoolID, conf, threshold float64) bool {
 	return mode == ModeCascade && pool == PoolLight && conf < threshold
 }
 
+// Recorder receives a ledger's records. The simulator gives its ledger
+// a full metrics.Collector; the cluster's LBServer gives it a
+// metrics.Tally, which keeps no record, so a long-running LB holds
+// nothing per query.
+type Recorder interface {
+	Record(metrics.QueryRecord)
+}
+
 // Ledger resolves queries: it builds the completed or dropped record,
-// hands it to the collector, and keeps the counts the controller
+// hands it to its recorder, and keeps the counts the controller
 // polls. Resolving a query twice is the caller's to prevent.
 type Ledger struct {
 	// SLO is the latency deadline stamped on every record.
 	SLO float64
-	// Col receives every record.
-	Col *metrics.Collector
+	// Col receives every record. A served record's Features are the
+	// caller's slice: the simulator's immutable image, the LB's decode
+	// buffer, which its Tally only folds into moments.
+	Col Recorder
 
 	arrivals, violations int // since the last Tick
 	completed, dropped   int // lifetime

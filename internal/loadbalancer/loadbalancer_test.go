@@ -174,7 +174,8 @@ func TestDataPathScript(t *testing.T) {
 	}
 
 	lb := New(ModeCascade, stats.NewRNG(1), NewPool(1, slo), NewPool(2, slo))
-	ledger := Ledger{SLO: slo, Col: metrics.NewCollector()}
+	col := metrics.NewCollector()
+	ledger := Ledger{SLO: slo, Col: col}
 	pulled := map[int]queueing.Item{}
 	deferred := map[int]bool{}
 	drop := func(shed []queueing.Item) {
@@ -231,7 +232,7 @@ func TestDataPathScript(t *testing.T) {
 	}
 
 	got := map[int]string{}
-	for _, r := range ledger.Col.Records() {
+	for _, r := range col.Records() {
 		if _, dup := got[r.ID]; dup {
 			t.Errorf("query %d resolved twice", r.ID)
 		}

@@ -36,6 +36,44 @@ func (r QueryRecord) Late() bool { return !r.Dropped && r.Completion > r.Deadlin
 // (dropped or late), the paper's definition.
 func (r QueryRecord) Violated() bool { return r.Dropped || r.Late() }
 
+// Tally is the part of a Collector whose size does not grow with the
+// run: how many queries resolved and the streaming moments of the
+// served images' features. A record's features are folded in at Record
+// time and not retained.
+type Tally struct {
+	n   int
+	acc *stats.MomentAccumulator // features of completed queries
+	// dimErr records an inconsistent feature dimensionality seen at
+	// Record time; FID and Timeline surface it as an error, matching
+	// the pre-streaming behavior of the batch moments path.
+	dimErr error
+}
+
+// Record counts a query outcome and folds a served query's features
+// into the moments.
+func (t *Tally) Record(r QueryRecord) {
+	t.n++
+	if r.Dropped || r.Features == nil {
+		return
+	}
+	if t.acc == nil {
+		t.acc = stats.NewMomentAccumulator(len(r.Features))
+	}
+	if len(r.Features) == t.acc.Dim() {
+		t.acc.Add(r.Features)
+	} else if t.dimErr == nil {
+		t.dimErr = fmt.Errorf("metrics: inconsistent feature dims %d vs %d", len(r.Features), t.acc.Dim())
+	}
+}
+
+// Len returns the number of recorded queries.
+func (t *Tally) Len() int { return t.n }
+
+// ServedMoments returns the streaming moment accumulator of all
+// completed-query features (nil when no features were recorded).
+// Treat as read-only.
+func (t *Tally) ServedMoments() *stats.MomentAccumulator { return t.acc }
+
 // Collector accumulates query records. All headline statistics are
 // maintained incrementally at Record time (streaming moments for FID,
 // counters for ratios), so Summarize, FID, and Timeline are cheap
@@ -44,17 +82,13 @@ type Collector struct {
 	records []QueryRecord
 
 	// Streaming per-run state.
+	Tally
 	violated int
 	dropped  int
 	served   int // completed (not dropped)
 	deferred int // completed and served by the heavy model
 	latSum   float64
-	lats     []float64                // completed-query latencies, record order
-	acc      *stats.MomentAccumulator // features of completed queries
-	// dimErr records an inconsistent feature dimensionality seen at
-	// Record time; FID and Timeline surface it as an error, matching
-	// the pre-streaming behavior of the batch moments path.
-	dimErr error
+	lats     []float64 // completed-query latencies, record order
 
 	// Streaming per-bucket state for Timeline, keyed to a bucket
 	// width: built lazily on the first Timeline call and maintained
@@ -85,6 +119,7 @@ func NewCollector() *Collector { return &Collector{} }
 // aggregates.
 func (c *Collector) Record(r QueryRecord) {
 	c.records = append(c.records, r)
+	c.Tally.Record(r)
 	if r.Violated() {
 		c.violated++
 	}
@@ -98,16 +133,6 @@ func (c *Collector) Record(r QueryRecord) {
 		lat := r.Completion - r.Arrival
 		c.latSum += lat
 		c.lats = append(c.lats, lat)
-		if r.Features != nil {
-			if c.acc == nil {
-				c.acc = stats.NewMomentAccumulator(len(r.Features))
-			}
-			if len(r.Features) == c.acc.Dim() {
-				c.acc.Add(r.Features)
-			} else if c.dimErr == nil {
-				c.dimErr = fmt.Errorf("metrics: inconsistent feature dims %d vs %d", len(r.Features), c.acc.Dim())
-			}
-		}
 	}
 	if c.bucketSecs > 0 {
 		c.bucketAdd(r)
@@ -123,10 +148,9 @@ const featSlabSize = 1 << 16
 // arena and returns the copy. The returned slice is owned by the
 // collector, valid for its lifetime, and must be treated as
 // immutable; the caller's slice is not retained and may be reused or
-// recycled immediately. Callers on the pooled wire path intern a
-// decoded feature vector once and hand the same interned slice to
-// both Record and the query's result, so the decode buffer can go
-// back to its pool the moment the handler returns.
+// recycled immediately. The cluster harness interns each polled
+// result's features before recording it, so the response it polls
+// into can be reused by the next poll.
 func (c *Collector) InternFeatures(f []float64) []float64 {
 	if f == nil {
 		return nil
@@ -148,9 +172,8 @@ func (c *Collector) InternFeatures(f []float64) []float64 {
 // Merge folds every record of other into c by replaying them through
 // Record, so the streaming aggregates (counters, moments, lazily
 // built timeline buckets) stay consistent with the merged record set.
-// The sharded cluster harness uses it to combine per-shard collectors
-// into one run-level view after a run ends; other must not be
-// recording concurrently.
+// The benchmark's replay uses it to combine its windows' collectors
+// into one run-level view; other must not be recording concurrently.
 func (c *Collector) Merge(other *Collector) {
 	c.Grow(len(other.records))
 	for _, r := range other.records {
@@ -164,9 +187,6 @@ func (c *Collector) Grow(n int) {
 	c.records = slices.Grow(c.records, n)
 	c.lats = slices.Grow(c.lats, n)
 }
-
-// Len returns the number of recorded queries.
-func (c *Collector) Len() int { return len(c.records) }
 
 // Records returns the raw records (not copied; treat as read-only).
 func (c *Collector) Records() []QueryRecord { return c.records }
@@ -195,11 +215,6 @@ func (c *Collector) DeferRatio() float64 {
 	}
 	return float64(c.deferred) / float64(c.served)
 }
-
-// ServedMoments returns the streaming moment accumulator of all
-// completed-query features (nil when no features were recorded).
-// Treat as read-only.
-func (c *Collector) ServedMoments() *stats.MomentAccumulator { return c.acc }
 
 // FID computes the response-quality FID of all served images against
 // the reference from the streamed moments. It returns an error when

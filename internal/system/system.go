@@ -120,6 +120,7 @@ type System struct {
 	sim    *simring.Sim
 	lb     *loadbalancer.LB
 	ledger loadbalancer.Ledger
+	col    *metrics.Collector // the ledger's recorder
 	ws     []*worker.Worker
 	rng    *stats.RNG
 
@@ -162,9 +163,10 @@ func New(cfg Config) (*System, error) {
 		lb: loadbalancer.New(cfg.Mode, rng,
 			loadbalancer.NewPool(discriminator.LightExec(cfg.Light, cfg.Scorer, 1), cfg.SLO),
 			loadbalancer.NewPool(cfg.Heavy.Latency.Latency(1), cfg.SLO)),
-		ledger: loadbalancer.Ledger{SLO: cfg.SLO, Col: metrics.NewCollector()},
-		rng:    rng,
+		col: metrics.NewCollector(),
+		rng: rng,
 	}
+	s.ledger = loadbalancer.Ledger{SLO: cfg.SLO, Col: s.col}
 	s.ws = make([]*worker.Worker, cfg.Workers)
 	for i := range s.ws {
 		s.ws[i] = worker.New(i)
@@ -181,7 +183,7 @@ func (s *System) Run() (*Result, error) {
 	arrivals := s.cfg.Trace.Arrivals(s.rng.Stream("trace"))
 	realAcc := stats.NewMomentAccumulator(s.cfg.Space.Dim())
 	s.startProducer(len(arrivals), realAcc)
-	s.ledger.Col.Grow(len(arrivals)) // one record per arrival
+	s.col.Grow(len(arrivals)) // one record per arrival
 	for i, at := range arrivals {
 		id, at := s.cfg.QueryIDBase+i, at
 		s.sim.At(at, func() { s.onArrival(id, at) })
@@ -214,7 +216,7 @@ func (s *System) Run() (*Result, error) {
 		return nil, fmt.Errorf("system: building FID reference: %w", err)
 	}
 	return &Result{
-		Collector:        s.ledger.Col,
+		Collector:        s.col,
 		Reference:        ref,
 		Plans:            s.cfg.Controller.Plans(),
 		Queries:          len(arrivals),

@@ -13,10 +13,18 @@
 # of the machine does not favour one side. It then prints, for every
 # end-to-end metric the runs report, the per-seed values of both sides,
 # each side's median and quartiles, the gap between the medians against
-# the base's interquartile range, and in how many pairs the change was
-# better (the direction is BENCHMARK.json's "better"). Runs that are not
-# correct or that failed operations are listed at the end, and make the
-# script exit 1.
+# the base's interquartile range, in how many pairs the change was
+# better (the direction is BENCHMARK.json's "better"), and a verdict:
+#
+#   gain     the change is better in at least 9 of 10 pairs and its
+#            median is better than the base's by more than the base's
+#            interquartile range: a gain that can be claimed;
+#   worse    the change's median is worse than the base's by more than
+#            the metric's "bound" in BENCHMARK.json (relative);
+#   neither  anything else: no claimable gain, no breach.
+#
+# Runs that are not correct or that failed operations are listed at the
+# end, and make the script exit 1.
 #
 # BASE is any revision the local repository already holds. It is checked
 # out, detached, into a git worktree under a temporary directory (under
@@ -76,10 +84,12 @@ for ((i = 0; i < pairs; i++)); do
 	fi
 done
 
-# Which way is better, per end-to-end metric, from BENCHMARK.json.
+# Which way is better, and the bound, per end-to-end metric, from
+# BENCHMARK.json.
 awk '/"end_to_end"/ { on = 1 } /"per_layer"/ { on = 0 }
 	on && /"name"/ { gsub(/[",]/, "", $2); name = $2 }
-	on && /"better"/ { gsub(/[",]/, "", $2); print name, $2 }' BENCHMARK.json >"$tmp/better"
+	on && /"better"/ { gsub(/[",]/, "", $2); better = $2 }
+	on && /"bound"/ { gsub(/[",]/, "", $2); print name, better, $2 }' BENCHMARK.json >"$tmp/better"
 
 awk -v pairs="$pairs" '
 function quantile(a, n, q,   pos, lo, frac, i, j, t) {
@@ -95,7 +105,7 @@ function stats(side, m,   a, i) {
 	med[side] = quantile(a, pairs, 0.5)
 	q3[side] = quantile(a, pairs, 0.75)
 }
-FILENAME ~ /better$/ { better[$1] = $2; next }
+FILENAME ~ /better$/ { better[$1] = $2; bound[$1] = $3; next }
 {
 	side = $1; seed = $2
 	n[side]++
@@ -129,6 +139,13 @@ END {
 		iqr = q3["base"] - q1["base"]
 		printf "  change better in %d of %d pairs; median gap %+.6g (%+.2f%%), base IQR %.6g\n",
 			wins, pairs, gap, med["base"] == 0 ? 0 : 100 * gap / med["base"], iqr
+		# gap signed so that positive is better, and the relative worsening
+		gain = better[m] == "lower" ? -gap : gap
+		worse = med["base"] == 0 ? 0 : -gain / (med["base"] < 0 ? -med["base"] : med["base"])
+		verdict = "neither"
+		if (better[m] != "" && 10 * wins >= 9 * pairs && gain > iqr) verdict = "gain"
+		else if (bound[m] != "" && worse > bound[m]) verdict = "worse"
+		printf "  verdict: %s\n", verdict
 	}
 	if (bad != "") { printf "\nruns not correct or with failed operations:\n%s", bad; exit 1 }
 }' "$tmp/better" "$tmp/runs"
