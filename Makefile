@@ -185,18 +185,18 @@ race-cluster:
 	$(GO) test -race -short ./internal/cluster/ ./internal/parallel/ ./benchmark/
 	$(GO) test -race ./internal/loadbalancer/
 
-# race-sharded: the frontend fan-out/merge paths (Complete's reads of
-# where each query was sent, against the pumps releasing them), the
-# missed-wakeup notifier, the drain/complete idempotency guard, and the
-# nothing-left-tracked regression; that one runs 30 times more (~2 s),
-# the count that exposes a result published before its record is
-# released.
+# race-sharded: the frontend fan-out/merge paths (submits, pulls and
+# completes against the pumps landing results), the missed-wakeup
+# notifier, the drain/complete idempotency guard, and the
+# exactly-once submit/pull/complete/poll rounds through a 2-shard
+# frontend; that one runs 30 times more (~2 s), to shake out a race
+# between a landing result and the poll that returns it.
 .PHONY: race-sharded
 race-sharded:
 	$(GO) test -race -short -count=$(COUNT) \
-		-run 'TestShardedLBStress|TestLBPoolWakeupStress|TestDrainCompleteRaceNoDoubleResolve|TestNotifierCoalescing|TestShardedLBLateCompletionCounted|TestShardedLBMixedLegs|TestFrontendLeavesNothingTracked' \
+		-run 'TestShardedLBStress|TestLBPoolWakeupStress|TestDrainCompleteRaceNoDoubleResolve|TestNotifierCoalescing|TestShardedLBLateCompletionCounted|TestShardedLBMixedLegs|TestFrontendResolvesEachQueryOnce' \
 		./internal/cluster/
-	$(GO) test -race -short -count=30 -run 'TestFrontendLeavesNothingTracked' ./internal/cluster/
+	$(GO) test -race -short -count=30 -run 'TestFrontendResolvesEachQueryOnce' ./internal/cluster/
 
 # race-posted: the tcp transport's posted calls — posters, callers, the
 # flusher and the read loop sharing one connection; replay after a lost
@@ -213,12 +213,12 @@ race-posted:
 # workers, severed conns, injected drops/latency, exactly-once
 # accounting), the lease-reclaim and sever-is-transient conformance rows
 # on both transports, a worker riding out an LB restart, the
-# controller/shard failover units, and the controller re-configuring a
+# controller failover unit, and the controller re-configuring a
 # worker or an LB shard restarted behind the same address.
 .PHONY: chaos-soak
 chaos-soak:
 	$(GO) test -race -count=$(COUNT) \
-		-run 'TestChaosWorkerChurnNoLostQueries|TestTransportConformance/.*/lease-reclaim-exactly-once|TestTransportConformance/.*/sever-is-transient|TestWorkerResumesAfterLBRestart|TestControllerConservativeFailover|TestShardedLBDegradeSpill|TestControllerReconfiguresRestarted|TestControllerResendsAfterConnectionLoss|TestControllerReadsLossesBeforeSending' \
+		-run 'TestChaosWorkerChurnNoLostQueries|TestTransportConformance/.*/lease-reclaim-exactly-once|TestTransportConformance/.*/sever-is-transient|TestWorkerResumesAfterLBRestart|TestControllerConservativeFailover|TestControllerReconfiguresRestarted|TestControllerResendsAfterConnectionLoss|TestControllerReadsLossesBeforeSending' \
 		./internal/cluster/
 
 # race-solver: the allocator under the race detector — concurrent

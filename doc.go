@@ -114,27 +114,26 @@
 // one, and benchmark/ builds it for its dataplane_sharded and
 // control_tick workloads; every serving binary serves or dials exactly
 // one LB. Membership is fixed when the frontend is built: shard i is
-// the i-th conn, and a query belongs to shard loadbalancer.ShardOf(id,
-// N) (an FNV-1a hash mod N). Each shard draws routing randomness from
-// its own stream "lb/<shard>" of the run seed.
+// the i-th conn (at least two), and a query belongs to shard
+// loadbalancer.ShardOf(id, N) (an FNV-1a hash mod N). Each shard draws
+// routing randomness from its own stream "lb/<shard>" of the run seed.
 //
 // The frontend fans SubmitBatch out per shard, merges PollResultsInto
-// streams (one background pump per shard), sends each Complete item
-// back to the shard its query was sent to, broadcasts Configure, and
-// sums Stats. A PullInto through the frontend gathers its batch from
-// as many shards as it takes to fill req.Max, under the earliest lease
-// deadline any of them granted. Shards served in the frontend's own
+// streams (one background pump per shard), sends each Complete item to
+// its query's owner, broadcasts Configure, and sums Stats. A PullInto
+// through the frontend gathers its batch from as many shards as it
+// takes to fill req.Max, under the earliest lease deadline any of them
+// granted. Shards served in the frontend's own
 // process cost it no goroutines: their legs of every fan-out run
 // inline on the caller, and a PollResultsInto call collects from them
 // itself before it parks; only legs that cross a wire fly concurrently
 // and rely on the pumps. The harness's workers pull through the
 // frontend, so every worker of a role serves every shard's queue of
-// that role — one queue per pool, as in the simulator. The frontend
-// records, for every in-flight query, the shard it was sent to: the
-// owner, or a degraded owner's spill target. A completion goes to that
-// shard alone, with the worker's lease deadline, and the record is
-// released when the query's result lands. PERFORMANCE.md's "ShardedLB
-// frontend" section has what the frontend costs per query.
+// that role — one queue per pool, as in the simulator. A query's
+// submit and its completion go to its owner alone, the completion with
+// the worker's lease deadline, so the frontend keeps no per-query
+// state. PERFORMANCE.md's "ShardedLB frontend" section has what the
+// frontend costs per query.
 //
 // # Allocation control loop
 //
@@ -171,8 +170,8 @@
 //
 // # Failure model
 //
-// The cluster survives worker death, connection flaps, and
-// unreachable shards with exactly-once query resolution. The data
+// The cluster survives worker death and connection flaps with
+// exactly-once query resolution. The data
 // path is pull-based, so the core mechanism is a lease on every
 // pulled batch (LBConfig.LeaseDuration, default 4x the SLO; the
 // -lease flag on diffserve-lb):
@@ -215,15 +214,19 @@
 // of those waits is a Clock.WaitUntil except the tcp dialer's.
 // Transport error events are classified transient versus fatal
 // (cluster.TransientTransportError), so the harness aborts runs on
-// real faults but rides out injected or recovered ones. At the tier
-// level, a shard unreachable for three consecutive dispatches or pump
-// polls is marked degraded: new submits for its hash range spill to
-// the next shard, (owner+1) mod N, the state surfaces through merged Stats
-// (DegradedShards), and the first
-// successful probe un-degrades it. A controller blinded by stats-poll
-// failures for three consecutive ticks fails over to a conservative plan
-// (threshold zero — light-only routing — with the worker layout kept)
-// until polls recover.
+// real faults but rides out injected or recovered ones. The sharded
+// tier adds no failure domain: every shard is an LBServer in the
+// frontend's own process, so a shard dies only with the whole process,
+// and a dead shard holding queued or leased queries while the rest
+// serve cannot arise. A shard conn's error reaches the frontend's
+// caller as an LBServer's error does: a failed SubmitBatch, Complete
+// or Configure leg is returned (joined with the other legs'), a pull
+// returns what it already gathered, a result pump backs off and polls
+// again, and Stats carries the counters of the shards it did poll into
+// the next merge. A controller blinded by stats-poll failures for three
+// consecutive ticks fails over to a conservative plan (threshold zero
+// — light-only routing — with the worker layout kept) until polls
+// recover.
 //
 // Faults themselves are injected deterministically by a test-only
 // FaultTransport (internal/cluster/fault_test.go): it wraps any

@@ -291,8 +291,7 @@ func appendLBStats(b []byte, m *LBStats) []byte {
 	b = appendInt(b, m.InFlight)
 	b = appendInt(b, m.Reclaims)
 	b = appendInt(b, m.ShedRedelivery)
-	b = appendInt(b, m.LateCompletions)
-	return appendInt(b, m.DegradedShards)
+	return appendInt(b, m.LateCompletions)
 }
 
 func appendSubmitRequest(b []byte, m *SubmitRequest) []byte {
@@ -542,7 +541,6 @@ func readLBStats(d *bdec, m *LBStats) {
 	m.Reclaims = d.int()
 	m.ShedRedelivery = d.int()
 	m.LateCompletions = d.int()
-	m.DegradedShards = d.int()
 }
 
 func readResultsResponse(d *bdec, m *ResultsResponse) {

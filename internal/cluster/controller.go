@@ -94,29 +94,48 @@ func (c *ControllerLoop) logf(format string, args ...interface{}) {
 func (c *ControllerLoop) Plans() []controller.PlanAt { return c.cfg.Ctrl.Plans() }
 
 // Run executes control ticks on the trace-time schedule t0 + k·interval
-// until the context is cancelled, t0 being when Run starts; a late wake
-// delays one tick, not every later one. A caller that restarts the
-// clock starts Run after the restart. Each tick (stats poll +
-// allocation solve + plan push) runs on Run's goroutine, and a slow
-// tick — a stats poll or configure push waiting on the network — never
-// shifts the schedule: every due time that passed while it ran is
-// skipped. (The paper likewise calls its MILP asynchronously.) Run
-// returns once the tick in flight at cancellation has finished, so a
-// caller that waits for Run may then read Plans.
+// until the context is cancelled, t0 being when Run starts. A caller
+// that restarts the clock starts Run after the restart. Each tick
+// (stats poll + allocation solve + plan push) runs on Run's goroutine.
+// A slow tick — a stats poll or configure push waiting on the network
+// — never shifts the schedule: every due time that fell while it ran
+// is skipped. A late wake loses no tick: a due time that passed before
+// its tick started runs at once (see advanceSchedule). (The paper
+// likewise calls its MILP asynchronously.) Run returns once the tick
+// in flight at cancellation has finished, so a caller that waits for
+// Run may then read Plans.
 func (c *ControllerLoop) Run(ctx context.Context) {
 	interval := c.cfg.Ctrl.Interval()
-	next := c.cfg.Clock.Now()
+	next, owed := c.cfg.Clock.Now(), 0
 	for ctx.Err() == nil {
-		c.TickOnce(ctx)
-		now := c.cfg.Clock.Now()
-		next += interval
-		for next < now { // fell due while the tick ran: skipped
+		if owed > 0 {
+			owed--
+		} else {
+			if !c.cfg.Clock.WaitUntil(ctx, next, nil) {
+				return
+			}
 			next += interval
 		}
-		if !c.cfg.Clock.WaitUntil(ctx, next, nil) {
-			return
-		}
+		start := c.cfg.Clock.Now()
+		c.TickOnce(ctx)
+		next, owed = advanceSchedule(next, owed, interval, start, c.cfg.Clock.Now())
 	}
+}
+
+// advanceSchedule is Run's skip rule for one tick that ran over
+// [start, end). next is the earliest due time on the schedule that has
+// neither run nor been skipped, and owed counts due times that passed
+// before a tick started and have not run yet. Due times before start
+// join owed, so they run at once; those inside [start, end) are
+// skipped. It returns next and owed after the tick.
+func advanceSchedule(next float64, owed int, interval, start, end float64) (float64, int) {
+	for ; next < start; next += interval {
+		owed++
+	}
+	for next < end {
+		next += interval
+	}
+	return next, owed
 }
 
 // TickOnce performs one control period: poll stats, solve, push.

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"diffserve/internal/allocator"
 	"diffserve/internal/loadbalancer"
@@ -75,21 +74,6 @@ func (c *blindStatsConn) Stats(ctx context.Context) (LBStats, error) {
 		return LBStats{}, errors.New("stats poll severed")
 	}
 	return LBStats{Now: 1}, nil
-}
-
-// degradedMembers returns the shards s currently marks degraded,
-// ascending. Merged Stats carry only their count
-// (LBStats.DegradedShards).
-func degradedMembers(s *ShardedLB) []int {
-	s.degradeMu.Lock()
-	defer s.degradeMu.Unlock()
-	var out []int
-	for i, d := range s.degraded {
-		if d {
-			out = append(out, i)
-		}
-	}
-	return out
 }
 
 // TestControllerConservativeFailover pins the stats-blindness budget:
@@ -161,199 +145,6 @@ func TestControllerConservativeFailover(t *testing.T) {
 	loop.TickOnce(ctx) // a miss after recovery starts a fresh run
 	if l := lastLog(); !strings.Contains(l, "(1 consecutive)") {
 		t.Fatalf("first miss after recovery logs %q, want the run restarted at 1", l)
-	}
-}
-
-// gateConn wraps an LBConn; while tripped, SubmitBatch and
-// PollResults fail — the two calls the sharded frontend's degradation
-// tracker watches.
-type gateConn struct {
-	LBConn
-	mu   sync.Mutex
-	down bool
-}
-
-func (c *gateConn) set(down bool) {
-	c.mu.Lock()
-	c.down = down
-	c.mu.Unlock()
-}
-
-func (c *gateConn) isDown() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.down
-}
-
-func (c *gateConn) SubmitBatch(ctx context.Context, req SubmitRequest) error {
-	if c.isDown() {
-		return errors.New("shard unreachable")
-	}
-	return c.LBConn.SubmitBatch(ctx, req)
-}
-
-func (c *gateConn) PollResultsInto(ctx context.Context, req ResultsRequest, resp *ResultsResponse) error {
-	if c.isDown() {
-		return errors.New("shard unreachable")
-	}
-	return c.LBConn.PollResultsInto(ctx, req, resp)
-}
-
-// TestShardedLBDegradeSpill pins the shard-degradation lifecycle: an
-// unreachable shard is marked degraded after the failure threshold,
-// its hash range's new submits spill to the next shard (and
-// their completions follow them there), the state surfaces through
-// merged Stats, and recovery (the result pump probing successfully
-// again) restores normal placement.
-func TestShardedLBDegradeSpill(t *testing.T) {
-	clock := NewClock(1e-3)
-	newShard := func(member int) (*LBServer, LBConn) {
-		lb := NewLBServer(LBConfig{
-			Mode: loadbalancer.ModeCascade, SLO: 1e9,
-			LightMinExec: 0.1, HeavyMinExec: 1.78,
-			Clock: clock, Seed: 1, RNGStream: fmt.Sprintf("lb/%d", member),
-		})
-		return lb, NewLocalLBConn(lb)
-	}
-	_, conn0 := newShard(0)
-	_, conn1 := newShard(1)
-	gate := &gateConn{LBConn: conn0}
-	fe, err := NewShardedLB(ShardedLBConfig{
-		Shards: []LBConn{gate, conn1}, Clock: clock,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fe.Close()
-	ctx := context.Background()
-
-	// IDs owned by each shard.
-	ownedBy := func(member, n, from int) []int {
-		var ids []int
-		for id := from; len(ids) < n; id++ {
-			if loadbalancer.ShardOf(id, 2) == member {
-				ids = append(ids, id)
-			}
-		}
-		return ids
-	}
-	submit := func(ids []int) error {
-		qs := make([]QueryMsg, len(ids))
-		for i, id := range ids {
-			qs[i] = QueryMsg{ID: id}
-		}
-		return fe.SubmitBatch(ctx, SubmitRequest{Queries: qs})
-	}
-	pullIDs := func(conn LBConn) map[int]bool {
-		got := map[int]bool{}
-		for {
-			resp, err := pull(ctx, conn, PullRequest{WorkerID: 1, Role: "light", Max: 64, Wait: 2})
-			if err != nil || len(resp.Queries) == 0 {
-				return got
-			}
-			for _, q := range resp.Queries {
-				got[q.ID] = true
-			}
-		}
-	}
-
-	// Healthy tier: submits to member 0 land on member 0.
-	first := ownedBy(0, 2, 0)
-	if err := submit(first); err != nil {
-		t.Fatal(err)
-	}
-	got := pullIDs(gate)
-	for _, id := range first {
-		if !got[id] {
-			t.Fatalf("healthy submit to owner 0 missing id %d on shard 0 (got %v)", id, got)
-		}
-	}
-
-	// Shard 0 goes dark: dispatch failures past the threshold degrade
-	// it. (The pump is not running yet — PollResults was never called
-	// — so the dispatch path alone must trip the marker.)
-	gate.set(true)
-	down := ownedBy(0, 1, 100)
-	for i := 0; i < degradeThreshold; i++ {
-		if err := submit(down); err == nil {
-			t.Fatal("submit to an unreachable shard succeeded")
-		}
-	}
-	if ms := degradedMembers(fe); len(ms) != 1 || ms[0] != 0 {
-		t.Fatalf("degraded members = %v, want [0]", ms)
-	}
-	st, err := fe.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.DegradedShards != 1 {
-		t.Fatalf("merged stats report %d degraded shards, want 1", st.DegradedShards)
-	}
-
-	// Spill: shard 0's hash range now lands on the next shard (shard 1,
-	// the only other one) with no error.
-	spill := ownedBy(0, 3, 200)
-	if err := submit(spill); err != nil {
-		t.Fatalf("spill submit errored: %v", err)
-	}
-	got = pullIDs(conn1)
-	for _, id := range spill {
-		if !got[id] {
-			t.Fatalf("spilled id %d missing on shard 1 (got %v)", id, got)
-		}
-	}
-
-	// Completed through the frontend, each spilled query goes to shard 1,
-	// where it was sent — not to its owner — and resolves once.
-	items := make([]CompleteItem, len(spill))
-	for i, id := range spill {
-		items[i] = CompleteItem{ID: id, Variant: "light", Confidence: 0.9}
-	}
-	if err := fe.Complete(ctx, CompleteRequest{WorkerID: 1, Role: "light", Items: items}); err != nil {
-		t.Fatal(err)
-	}
-	resolved := map[int]int{}
-	for deadline := time.Now().Add(5 * time.Second); len(resolved) < len(spill) && time.Now().Before(deadline); {
-		rr, err := pollResults(ctx, fe, ResultsRequest{Max: 8, Wait: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range rr.Results {
-			resolved[r.ID]++
-		}
-	}
-	if rr, err := pollResults(ctx, fe, ResultsRequest{Max: 8}); err != nil || len(rr.Results) != 0 {
-		t.Fatalf("extra results after the spilled completions: %+v, %v", rr.Results, err)
-	}
-	if len(resolved) != len(spill) {
-		t.Errorf("resolved %v, want each of %v once", resolved, spill)
-	}
-	for _, id := range spill {
-		if resolved[id] != 1 {
-			t.Errorf("spilled id %d resolved %d times, want once", id, resolved[id])
-		}
-	}
-
-	// Recovery: the shard heals, the result pump's next successful
-	// poll un-degrades it, and placement returns to the primary. (The
-	// polls above started the pumps.)
-	gate.set(false)
-	deadline := time.Now().Add(10 * time.Second)
-	for len(degradedMembers(fe)) != 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if ms := degradedMembers(fe); len(ms) != 0 {
-		t.Fatalf("shard never recovered: degraded members = %v", ms)
-	}
-	after := ownedBy(0, 2, 300)
-	if err := submit(after); err != nil {
-		t.Fatal(err)
-	}
-	got = pullIDs(gate)
-	for _, id := range after {
-		if !got[id] {
-			t.Fatalf("post-recovery id %d missing on shard 0 (got %v)", id, got)
-		}
 	}
 }
 

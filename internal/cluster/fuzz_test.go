@@ -74,7 +74,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		&ConfigureWorkerRequest{Role: "light", Batch: 8},
 		&ConfigureLBRequest{Threshold: 0.7, SplitProb: 0.25},
 		&WorkerStats{Role: "heavy"},
-		&LBStats{Now: 100, LightQueueLen: 3, Completed: 50, InFlight: 4, Reclaims: 2, ShedRedelivery: 1, LateCompletions: 3, DegradedShards: 1},
+		&LBStats{Now: 100, LightQueueLen: 3, Completed: 50, InFlight: 4, Reclaims: 2, ShedRedelivery: 1, LateCompletions: 3},
 		&SubmitRequest{Queries: []QueryMsg{{ID: 5, Arrival: 1}}},
 		&ResultsRequest{Max: 64, Wait: 2},
 		&ResultsResponse{Results: []QueryResponse{{ID: 6, Variant: "sdturbo"}}},

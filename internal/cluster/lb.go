@@ -451,25 +451,26 @@ func (s *LBServer) PullInto(ctx context.Context, req PullRequest, resp *PullResp
 }
 
 // Complete receives a finished batch: light-pool results are
-// thresholded (serve or defer); heavy-pool results always serve.
+// thresholded (serve or defer); heavy-pool results always serve. The
+// deferrals gather in a pooled scratch, as PullInto's dequeue does.
 func (s *LBServer) Complete(req CompleteRequest) {
 	now := s.cfg.Clock.Now()
 	pool := poolOf(req.Role)
 
-	var deferred []queueing.Item
+	deferred := getItemScratch()
+	defer putItemScratch(deferred)
 	s.resMu.Lock()
 	s.clearLeasesLocked(&req)
 	for _, item := range req.Items {
 		// Only live queries resolve or defer: the first resolution is
-		// final, and a completion can reach a shard that never held this
-		// query — a zombie's late report, or a frontend routing an
-		// untracked ID to its owner — which must not enqueue a phantom
-		// copy in its heavy pool.
+		// final, and a zombie's late report can name a query already
+		// resolved, which must not enqueue a phantom copy in the heavy
+		// pool.
 		if !s.liveLocked(item.ID) {
 			continue
 		}
 		if loadbalancer.Defers(s.cfg.Mode, pool, item.Confidence, s.threshold) {
-			deferred = append(deferred, queueing.Item{ID: item.ID, Arrival: item.Arrival})
+			*deferred = append(*deferred, queueing.Item{ID: item.ID, Arrival: item.Arrival})
 			continue
 		}
 		s.completeLocked(item, now, pool)
@@ -478,11 +479,11 @@ func (s *LBServer) Complete(req CompleteRequest) {
 	s.resMu.Unlock()
 	s.leaseTouch(req.WorkerID, now)
 
-	if len(deferred) > 0 && !s.pools[loadbalancer.PoolHeavy].push(now, deferred...) {
+	if len(*deferred) > 0 && !s.pools[loadbalancer.PoolHeavy].push(now, *deferred...) {
 		// The end-of-run drain already swept the heavy queue: these
 		// deferrals arrived too late to ever be pulled, so they
 		// resolve as drops instead of stranding their clients.
-		s.drop(deferred)
+		s.drop(*deferred)
 	}
 }
 

@@ -142,8 +142,9 @@ func ReleaseMessage(v interface{}) {
 	}
 }
 
-// queueItemPool recycles the scratch slices PullInto uses to dequeue
-// batches, so the hot pull path never allocates for the dequeue.
+// queueItemPool recycles the scratch slices LBServer.PullInto uses to
+// dequeue batches and LBServer.Complete to gather deferrals, so neither
+// hot path allocates for them.
 var queueItemPool = sync.Pool{
 	New: func() interface{} {
 		s := make([]queueing.Item, 0, 64)

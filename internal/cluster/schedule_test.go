@@ -340,3 +340,34 @@ func runControlLoop(ctrl *controller.Controller, T float64) float64 {
 	run.Wait()
 	return float64(len(ctrl.Plans()) - before)
 }
+
+// TestAdvanceSchedule pins ControllerLoop.Run's skip rule on a 1.5 s
+// schedule: a due time that fell while a tick ran is skipped, one that
+// passed before its tick started (a late wake) is owed and runs at
+// once. In each row Run has already moved next past the due time the
+// tick served (8.5 in the rows that owe nothing beforehand).
+func TestAdvanceSchedule(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		next       float64
+		owed       int
+		start, end float64
+		wantNext   float64
+		wantOwed   int
+	}{
+		{"on time", 10, 0, 8.5, 8.6, 10, 0},
+		{"ends on a due time", 10, 0, 8.5, 10, 10, 0},
+		{"slow tick", 10, 0, 8.5, 11.8, 13, 0},
+		{"late wake", 10, 0, 10.3, 10.4, 11.5, 1},
+		{"late wake, three due times", 10, 0, 13.2, 13.3, 14.5, 3},
+		{"late wake and slow tick", 10, 0, 10.3, 12, 13, 1},
+		{"owed tick on time", 13, 1, 12, 12.1, 13, 1},
+		{"owed tick, late and slow", 13, 1, 13.2, 16.1, 17.5, 2},
+	} {
+		next, owed := advanceSchedule(tc.next, tc.owed, 1.5, tc.start, tc.end)
+		if next != tc.wantNext || owed != tc.wantOwed {
+			t.Errorf("%s: advanceSchedule(%v, %d, 1.5, %v, %v) = %v, %d; want %v, %d",
+				tc.name, tc.next, tc.owed, tc.start, tc.end, next, owed, tc.wantNext, tc.wantOwed)
+		}
+	}
+}

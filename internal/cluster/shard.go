@@ -22,10 +22,10 @@ import (
 //
 // Membership is fixed when the frontend is built: shard i is
 // ShardedLBConfig.Shards[i], and query id belongs to shard
-// loadbalancer.ShardOf(id, N). The frontend records, for every query
-// it tracks, the shard it was sent to — the owner, or a degraded
-// owner's spill target — and sends the query's completion there and
-// nowhere else.
+// loadbalancer.ShardOf(id, N). Its submit and its completion go there
+// and nowhere else, so the frontend keeps no per-query state. A shard
+// has no process of its own and so no failure of its own: a shard
+// conn's error reaches the caller as an LBServer's error does.
 
 // shardPullSlice bounds, in trace seconds, how long a frontend Pull
 // parks on one shard before re-sweeping the others for work.
@@ -34,12 +34,6 @@ const shardPullSlice = 0.25
 // pumpWait is the long-poll duration, in trace seconds, of each
 // background result pump.
 const pumpWait = 0.5
-
-// degradeThreshold is the number of consecutive failed dispatches (or
-// result-pump polls) against one shard before the frontend marks the
-// shard degraded: new submits spill to the next shard and the degraded
-// count surfaces in merged Stats. The first success un-degrades.
-const degradeThreshold = 3
 
 // ShardedLBConfig parameterizes the sharded frontend.
 type ShardedLBConfig struct {
@@ -65,8 +59,7 @@ type ShardedLBConfig struct {
 //   - PullInto gathers up to req.Max queries from the shards, sweeping
 //     from a rotating start and parking on one shard at a time between
 //     empty sweeps;
-//   - Complete sends each finished item to the one shard its query
-//     was sent to;
+//   - Complete sends each finished item to its query's owning shard;
 //   - Configure broadcasts to every shard; Stats merges the shards'
 //     reports;
 //   - every fan-out (SubmitBatch, Complete, Configure) runs its legs
@@ -82,12 +75,6 @@ type ShardedLB struct {
 	// local is the in-process subset of cfg.Shards, which
 	// PollResultsInto gathers from directly.
 	local []LBConn
-
-	// sentTo maps each in-flight query ID admitted through SubmitBatch
-	// to the shard it was sent to, and Complete routes by it. A record
-	// is released when its result lands.
-	liveMu sync.Mutex
-	sentTo map[int]int
 
 	// cfgMu serializes policy broadcasts, so two concurrent Configure
 	// calls cannot interleave and leave the shards on different
@@ -113,19 +100,6 @@ type ShardedLB struct {
 	statsMu       sync.Mutex
 	carryArrivals int
 	carryTimeouts int
-
-	// Degradation state, indexed by shard. A shard that fails
-	// degradeThreshold consecutive dispatches or pump polls is marked
-	// degraded; while marked, new submits owned by it spill to the next
-	// shard (see shardFor) and the merged Stats report the count. The
-	// first success resets the streak and restores normal placement.
-	// degradeMu is a leaf lock; degradedN mirrors the number of marked
-	// shards so the healthy-tier placement fast path is one atomic load,
-	// no lock.
-	degradeMu  sync.Mutex
-	shardFails []int
-	degraded   []bool
-	degradedN  atomic.Int32
 }
 
 // SplitShardAddrs parses a comma-separated address list, trimming
@@ -141,11 +115,11 @@ func SplitShardAddrs(csv string) []string {
 	return addrs
 }
 
-// NewShardedLB builds the frontend over the given shard connections.
+// NewShardedLB builds the frontend over the given shard connections,
+// at least two: one LB needs no frontend.
 func NewShardedLB(cfg ShardedLBConfig) (*ShardedLB, error) {
-	n := len(cfg.Shards)
-	if n == 0 {
-		return nil, fmt.Errorf("cluster: sharded LB needs at least one shard conn")
+	if len(cfg.Shards) < 2 {
+		return nil, fmt.Errorf("cluster: sharded LB needs at least two shard conns, got %d", len(cfg.Shards))
 	}
 	if cfg.Clock == nil {
 		return nil, fmt.Errorf("cluster: sharded LB needs a clock")
@@ -158,13 +132,7 @@ func NewShardedLB(cfg ShardedLBConfig) (*ShardedLB, error) {
 		}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	return &ShardedLB{
-		cfg: cfg, ctx: ctx, cancel: cancel,
-		local:      local,
-		sentTo:     map[int]int{},
-		shardFails: make([]int, n),
-		degraded:   make([]bool, n),
-	}, nil
+	return &ShardedLB{cfg: cfg, ctx: ctx, cancel: cancel, local: local}, nil
 }
 
 // Close stops the result pumps. In-flight pump polls are cancelled and
@@ -179,132 +147,19 @@ func (s *ShardedLB) Close() {
 	s.pumps.Wait()
 }
 
-// shardFor returns the shard query id routes to over N >= 2 shards:
-// normally its owner, ShardOf(id, N), but a degraded owner's new
-// submits spill to the next shard, (owner+1) mod N, while it is marked,
-// so an unreachable shard does not blackhole its hash range. The spill
-// target must itself be healthy; otherwise the owner keeps the query —
-// a degraded shard is slow or unreachable, not forgotten, and whatever
-// lands there still resolves once it recovers.
-func (s *ShardedLB) shardFor(id int) int {
-	n := len(s.cfg.Shards)
-	owner := loadbalancer.ShardOf(id, n)
-	if s.degradedN.Load() == 0 {
-		return owner
-	}
-	next := (owner + 1) % n
-	s.degradeMu.Lock()
-	defer s.degradeMu.Unlock()
-	if s.degraded[owner] && !s.degraded[next] {
-		return next
-	}
-	return owner
-}
-
-// recordDispatch feeds one per-shard call outcome into the degradation
-// tracker: failures extend the shard's streak (degrading it at the
-// threshold), a success resets it.
-func (s *ShardedLB) recordDispatch(shard int, err error) {
-	if err != nil {
-		s.recordShardFailure(shard)
-	} else {
-		s.recordShardSuccess(shard)
-	}
-}
-
-// recordShardFailure counts one failed dispatch or pump poll against
-// a shard, marking it degraded at degradeThreshold.
-func (s *ShardedLB) recordShardFailure(i int) {
-	s.degradeMu.Lock()
-	defer s.degradeMu.Unlock()
-	s.shardFails[i]++
-	if s.shardFails[i] >= degradeThreshold && !s.degraded[i] {
-		s.degraded[i] = true
-		s.degradedN.Add(1)
-	}
-}
-
-// recordShardSuccess resets a shard's failure streak and, if it was
-// degraded, restores normal placement for its hash range.
-func (s *ShardedLB) recordShardSuccess(i int) {
-	s.degradeMu.Lock()
-	defer s.degradeMu.Unlock()
-	s.shardFails[i] = 0
-	if s.degraded[i] {
-		s.degraded[i] = false
-		s.degradedN.Add(-1)
-	}
-}
-
 // SubmitBatch splits the batch by owning shard and fans the per-shard
 // batches out (see fanScratch.run: legs to in-process shards run
 // inline, remote legs concurrently).
 func (s *ShardedLB) SubmitBatch(ctx context.Context, req SubmitRequest) error {
 	conns := s.cfg.Shards
-	if len(conns) == 1 {
-		s.trackBatch(0, req.Queries)
-		err := conns[0].SubmitBatch(ctx, req)
-		s.recordDispatch(0, err)
-		if err != nil {
-			s.untrackBatch(0, req.Queries)
-		}
-		return err
-	}
 	sc := getFanScratch(len(conns))
 	defer putFanScratch(sc)
 	for _, q := range req.Queries {
-		sc.addQuery(s.shardFor(q.ID), q)
-	}
-	for _, i := range sc.legs {
-		s.trackBatch(i, sc.queries[i])
+		sc.addQuery(loadbalancer.ShardOf(q.ID, len(conns)), q)
 	}
 	return sc.run(conns, func(i int) error {
-		g := sc.queries[i]
-		err := conns[i].SubmitBatch(ctx, SubmitRequest{Queries: g})
-		s.recordDispatch(i, err)
-		if err != nil {
-			s.untrackBatch(i, g)
-		}
-		return err
+		return conns[i].SubmitBatch(ctx, SubmitRequest{Queries: sc.queries[i]})
 	})
-}
-
-// trackBatch records shard as where qs were sent, BEFORE the dispatch
-// flies: results race the submit call, and a landing result must find
-// the record to release it. A query already recorded (a client retry
-// re-admitting an ID) moves to shard.
-func (s *ShardedLB) trackBatch(shard int, qs []QueryMsg) {
-	s.liveMu.Lock()
-	for i := range qs {
-		s.sentTo[qs[i].ID] = shard
-	}
-	s.liveMu.Unlock()
-}
-
-// untrackBatch releases queries whose dispatch to shard failed
-// outright: the shard never admitted them (or, if it did and the reply
-// was lost, their results land through the pump and find the record
-// already gone — a harmless no-op; a completion for such a query routes
-// to its owner, and if that misses shard the query relies on the
-// lease-expiry reclaim). Skipping IDs recorded elsewhere meanwhile
-// keeps a concurrent re-admission's newer record intact.
-func (s *ShardedLB) untrackBatch(shard int, qs []QueryMsg) {
-	s.liveMu.Lock()
-	for i := range qs {
-		if m, ok := s.sentTo[qs[i].ID]; ok && m == shard {
-			delete(s.sentTo, qs[i].ID)
-		}
-	}
-	s.liveMu.Unlock()
-}
-
-// untrackResults releases landed results' records.
-func (s *ShardedLB) untrackResults(results []QueryResponse) {
-	s.liveMu.Lock()
-	for i := range results {
-		delete(s.sentTo, results[i].ID)
-	}
-	s.liveMu.Unlock()
 }
 
 // inProcessConn is the capability of a conn whose calls dispatch
@@ -428,9 +283,9 @@ func (sc *fanScratch) run(conns []LBConn, leg func(i int) error) error {
 // startPumps launches one result pump per shard, once, on first use.
 func (s *ShardedLB) startPumps() {
 	s.pumpsOnce.Do(func() {
-		for i, conn := range s.cfg.Shards {
+		for _, conn := range s.cfg.Shards {
 			s.pumps.Add(1)
-			go s.pump(i, conn)
+			go s.pump(conn)
 		}
 	})
 }
@@ -438,13 +293,10 @@ func (s *ShardedLB) startPumps() {
 // pump long-polls one shard for results and lands them in the merged
 // stream. Results are landed before the error is inspected: an
 // in-process poll cancelled at shutdown still returns the batch it
-// popped, and dropping it would lose resolved queries.
-//
-// The pump doubles as the degradation tracker's health probe: poll
-// failures extend the shard's failure streak, and each successful
-// poll — empty or not — resets it, which is what un-degrades a shard
-// that came back without any new submits being risked on it first.
-func (s *ShardedLB) pump(shard int, conn LBConn) {
+// popped, and dropping it would lose resolved queries. After an error
+// (a transport failure, or shutdown) the pump backs off 0.05 trace-s,
+// so a failing conn cannot spin it.
+func (s *ShardedLB) pump(conn LBConn) {
 	defer s.pumps.Done()
 	var resp ResultsResponse // reused across iterations; land empties it
 	for s.ctx.Err() == nil {
@@ -452,31 +304,21 @@ func (s *ShardedLB) pump(shard int, conn LBConn) {
 		err := conn.PollResultsInto(s.ctx, ResultsRequest{Max: 1024, Wait: pumpWait}, &resp)
 		s.land(resp.Results)
 		if err != nil {
-			// Transient transport failure (or shutdown): back off so a
-			// dead shard cannot spin the pump.
-			if s.ctx.Err() == nil {
-				s.recordShardFailure(shard)
-			}
 			s.cfg.Clock.WaitUntil(s.ctx, s.cfg.Clock.Now()+0.05, nil)
-			continue
 		}
-		s.recordShardSuccess(shard)
 	}
 }
 
-// land moves one shard poll's results into the merged stream and
-// releases their records — the one way results enter the stream,
-// whether a pump or a polling caller fetched them. Each result is
-// swapped with a spare element of the stream, so its Features buffer
-// moves to the stream and the fetcher's slice gets the spare's buffer
-// back: the fetcher's next poll copies or decodes into that slice, and
-// no buffer is ever held by both. The records are released first: a
-// poller that returns a result never finds its record still held.
+// land moves one shard poll's results into the merged stream — the one
+// way results enter the stream, whether a pump or a polling caller
+// fetched them. Each result is swapped with a spare element of the
+// stream, so its Features buffer moves to the stream and the fetcher's
+// slice gets the spare's buffer back: the fetcher's next poll copies or
+// decodes into that slice, and no buffer is ever held by both.
 func (s *ShardedLB) land(results []QueryResponse) {
 	if len(results) == 0 {
 		return
 	}
-	s.untrackResults(results)
 	s.resMu.Lock()
 	for i := range results {
 		s.results = moveResult(s.results, &results[i])
@@ -578,23 +420,19 @@ func (s *ShardedLB) takeInto(max int, resp *ResultsResponse) {
 // lease deadline and the latest QueuedAt of any share. A shard that
 // fails after something was gathered costs the call nothing but that
 // shard's share: the gathered queries are returned (they are leased to
-// this caller) and the failure counts against the shard; a failure
-// before anything was gathered is returned. With req.Wait > 0 an empty
-// sweep parks on the round's first shard for a bounded slice of the
-// remaining wait, then re-sweeps — work arriving on any shard is
-// picked up within one slice.
+// this caller); a failure before anything was gathered is returned.
+// With req.Wait > 0 an empty sweep parks on the round's first shard for
+// a bounded slice of the remaining wait, then re-sweeps — work arriving
+// on any shard is picked up within one slice.
 // This is how the harness's workers pull: every worker of a role
 // draws from every shard's queue of that role, so the tier serves
 // each pool from one queue of all its workers, as the simulator does.
-// Standalone workers of the multi-host layout instead dial their own
-// shard and stay pinned to it. resp.Queries' capacity is reused across
-// calls (an empty pull leaves Queries nil, as an LBServer's does).
+// (benchmark/'s control_tick instead gives each worker one shard's
+// conn.) resp.Queries' capacity is reused across calls (an empty pull
+// leaves Queries nil, as an LBServer's does).
 func (s *ShardedLB) PullInto(ctx context.Context, req PullRequest, resp *PullResponse) error {
 	conns := s.cfg.Shards
 	n := len(conns)
-	if n == 1 {
-		return conns[0].PullInto(ctx, req, resp)
-	}
 	var deadline float64
 	if req.Wait > 0 {
 		deadline = s.cfg.Clock.Now() + req.Wait
@@ -619,9 +457,6 @@ func (s *ShardedLB) PullInto(ctx context.Context, req PullRequest, resp *PullRes
 			resp.QueuedAt = max(resp.QueuedAt, leg.QueuedAt)
 		}
 		if err != nil && len(got) > 0 {
-			if ctx.Err() == nil { // the shard's failure, not the caller giving up
-				s.recordShardFailure(i)
-			}
 			return true, nil
 		}
 		return err != nil || len(got) >= req.Max, err
@@ -647,31 +482,18 @@ func (s *ShardedLB) PullInto(ctx context.Context, req PullRequest, resp *PullRes
 	}
 }
 
-// Complete sends each finished item to the one shard that holds its
-// query — the shard the frontend recorded sending it to (its owner, or
-// a degraded owner's spill target), or, for a query it does not track,
-// its owner — and fans the per-shard reports out (see fanScratch.run).
-// A worker that pulled from a shard that took a spill still reports to
-// the shard that can resolve it. Every leg carries the lease deadline
-// the worker echoed, so the shard can tell a zombie report from a
-// timely one.
+// Complete sends each finished item to its query's owning shard,
+// ShardOf(id, N) — the one shard SubmitBatch sent it to — and fans the
+// per-shard reports out (see fanScratch.run). Every leg carries the
+// lease deadline the worker echoed, so the shard can tell a zombie
+// report from a timely one.
 func (s *ShardedLB) Complete(ctx context.Context, req CompleteRequest) error {
 	conns := s.cfg.Shards
-	n := len(conns)
-	if n == 1 {
-		return conns[0].Complete(ctx, req)
-	}
-	sc := getFanScratch(n)
+	sc := getFanScratch(len(conns))
 	defer putFanScratch(sc)
-	s.liveMu.Lock()
 	for _, it := range req.Items {
-		shard, ok := s.sentTo[it.ID]
-		if !ok {
-			shard = loadbalancer.ShardOf(it.ID, n)
-		}
-		sc.addItem(shard, it)
+		sc.addItem(loadbalancer.ShardOf(it.ID, len(conns)), it)
 	}
-	s.liveMu.Unlock()
 	return sc.run(conns, func(i int) error {
 		return conns[i].Complete(ctx, CompleteRequest{
 			WorkerID: req.WorkerID, Role: req.Role, Items: sc.items[i], LeaseDeadline: req.LeaseDeadline,
@@ -728,11 +550,7 @@ func (s *ShardedLB) Stats(ctx context.Context) (LBStats, error) {
 		out.Reclaims += st.Reclaims
 		out.ShedRedelivery += st.ShedRedelivery
 		out.LateCompletions += st.LateCompletions
-		out.DegradedShards += st.DegradedShards
 	}
-	// The frontend's own degradation view rides on top of whatever the
-	// shards reported (an LBServer never sets DegradedShards itself).
-	out.DegradedShards += int(s.degradedN.Load())
 	if firstErr != nil {
 		s.carryArrivals += out.ArrivalsSinceTick
 		s.carryTimeouts += out.TimeoutsSinceTick

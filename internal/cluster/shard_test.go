@@ -41,8 +41,10 @@ func newTestShards(t testing.TB, n int, timescale, slo float64) ([]*LBServer, *S
 
 // TestShardedLBRoutesByHash pins the frontend's partitioning to
 // loadbalancer.ShardOf: every submitted query must be pullable only
-// from its owning shard, and the merged result stream must return
-// every ID exactly once.
+// from its owning shard, every completion sent through the frontend
+// must reach that shard, and the merged result stream must return
+// every ID exactly once. A frontend over fewer than two shards is
+// refused.
 func TestShardedLBRoutesByHash(t *testing.T) {
 	const shards, queries = 3, 60
 	lbs, fe := newTestShards(t, shards, 0.001, 1e9)
@@ -75,7 +77,9 @@ func TestShardedLBRoutesByHash(t *testing.T) {
 				seen[q.ID] = s
 				items[i] = CompleteItem{ID: q.ID, Arrival: q.Arrival, Variant: "sdturbo", Confidence: 0.9}
 			}
-			lb.Complete(CompleteRequest{Role: "light", Items: items})
+			if err := fe.Complete(ctx, CompleteRequest{Role: "light", Items: items}); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	if len(seen) != queries {
@@ -111,6 +115,24 @@ func TestShardedLBRoutesByHash(t *testing.T) {
 	}
 	if st.Completed != queries || st.Dropped != 0 || st.ArrivalsSinceTick != queries {
 		t.Errorf("merged stats = %+v", st)
+	}
+	// Each shard completed exactly the queries it owns: the frontend
+	// routed every completion by ShardOf.
+	owned := make([]int, shards)
+	for id := range seen {
+		owned[loadbalancer.ShardOf(id, shards)]++
+	}
+	for s, lb := range lbs {
+		if got := lb.Stats().Completed; got != owned[s] {
+			t.Errorf("shard %d completed %d queries, owns %d", s, got, owned[s])
+		}
+	}
+
+	clock := NewClock(0.001)
+	for _, conns := range [][]LBConn{nil, {NewLocalLBConn(lbs[0])}} {
+		if _, err := NewShardedLB(ShardedLBConfig{Shards: conns, Clock: clock}); err == nil {
+			t.Errorf("NewShardedLB over %d conns succeeded, want an error", len(conns))
+		}
 	}
 }
 
@@ -540,13 +562,10 @@ func TestShardedLBStatsCarriesResetCounters(t *testing.T) {
 	}
 }
 
-// TestFrontendLeavesNothingTracked is the record-release regression:
-// 50 rounds of submit, pull, complete and poll through a 2-shard
-// frontend, each required to leave no query tracked once its results
-// were returned, with every query resolved exactly once. It holds
-// because land releases a result's record before it publishes the
-// result.
-func TestFrontendLeavesNothingTracked(t *testing.T) {
+// TestFrontendResolvesEachQueryOnce runs 50 rounds of submit, pull,
+// complete and poll through a 2-shard frontend, each round required to
+// drain its batch, and requires every query to resolve exactly once.
+func TestFrontendResolvesEachQueryOnce(t *testing.T) {
 	const (
 		rounds    = 50
 		batchSize = 8
@@ -590,12 +609,6 @@ func TestFrontendLeavesNothingTracked(t *testing.T) {
 				seen[r.ID]++
 				resolved++
 			}
-		}
-		fe.liveMu.Lock()
-		tracked := len(fe.sentTo)
-		fe.liveMu.Unlock()
-		if tracked != 0 {
-			t.Fatalf("round %d left %d queries tracked, want 0", round, tracked)
 		}
 	}
 	if len(seen) != rounds*batchSize {

@@ -226,9 +226,8 @@ type WorkerStats struct {
 // expired, ShedRedelivery the lifetime count dropped after exhausting
 // the redelivery bound, and LateCompletions the lifetime count of
 // completion items reported by a worker whose lease had already been
-// reclaimed. DegradedShards is only set by the sharded frontend's
-// merged report: the number of shards currently marked unreachable,
-// whose new submits spill to the next shard.
+// reclaimed. The sharded frontend's report sums its shards' reports,
+// with Now the latest shard clock.
 type LBStats struct {
 	Now               float64 `json:"now"` // trace time, seconds
 	LightQueueLen     int     `json:"light_queue_len"`
@@ -243,7 +242,6 @@ type LBStats struct {
 	Reclaims          int     `json:"reclaims,omitempty"`
 	ShedRedelivery    int     `json:"shed_redelivery,omitempty"`
 	LateCompletions   int     `json:"late_completions,omitempty"`
-	DegradedShards    int     `json:"degraded_shards,omitempty"`
 }
 
 // Clock converts between wall time and trace time. Now and Restart

@@ -59,8 +59,8 @@ func (m Mode) String() string {
 // assignment is identical across processes, transports, and runs —
 // every component (frontend, workers, tests) that needs to know which
 // LB shard owns a query computes it locally with no coordination.
-// shards <= 1 always maps to shard 0. A degraded owner's new submits
-// spill to shard (ShardOf(id, shards)+1) % shards.
+// shards <= 1 always maps to shard 0. The frontend sends a query's
+// submit and its completion to this shard and no other.
 func ShardOf(id, shards int) int {
 	if shards <= 1 {
 		return 0
