@@ -49,8 +49,9 @@
 // roles, keeping workers in place. internal/system drives these from
 // its event ring and keeps only worker timing and image generation;
 // cluster.LBServer drives them under its per-pool locks and keeps what
-// a server needs — wakeups, long polls, the exactly-once registration
-// map, result buffering, leases; cluster.ControllerLoop applies plans
+// a server needs — wakeups, long polls, result buffering and one table
+// of live queries, each entry holding its query's redelivery count and,
+// while a worker has it, its lease; cluster.ControllerLoop applies plans
 // through the same role assignment (per shard group when workers are
 // pinned to shards, as benchmark/'s control_tick pins them). Both
 // drivers shed at dispatch and again at every control tick
@@ -197,11 +198,13 @@
 // shed as a deliberate drop rather than looping forever through dying
 // workers — exactly-once here means "resolved exactly once, as a
 // completion or as an accounted drop" (LBStats.Reclaims,
-// ShedRedelivery, InFlight expose the lifecycle). No lease outlives
-// its query: a pull leases only queries still awaiting resolution, so
-// a reclaimed copy whose query the zombie's late report resolved is
-// discarded at dequeue, and every resolution releases its lease in the
-// same critical section, so InFlight is 0 once every query resolved.
+// ShedRedelivery, InFlight expose the lifecycle). The bound counts per
+// query: a deferral to the heavy pool does not reset it. No lease
+// outlives its query, by construction: the lease is a field of the
+// query's entry in the LB's table of live queries, and resolving the
+// query deletes the entry, so InFlight is 0 once every query resolved.
+// A reclaimed copy whose query the zombie's late report resolved finds
+// no entry and is discarded at dequeue.
 //
 // A worker recovers from a lost or restarted LB in one way, with
 // three parts. The tcp conn redials on its next call and replays,

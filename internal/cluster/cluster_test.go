@@ -253,7 +253,7 @@ func TestLBServerStatsShedsExpired(t *testing.T) {
 	// in the heavy pool the way a deferred query does.
 	lb.SubmitBatchReq(SubmitRequest{Queries: []QueryMsg{{ID: 1, Arrival: -10}}})
 	lb.resMu.Lock()
-	lb.async[2] = struct{}{}
+	lb.live[2] = lbQuery{arrival: -10}
 	lb.resMu.Unlock()
 	lb.pools[loadbalancer.PoolHeavy].push(lb.cfg.Clock.Now(), queueing.Item{ID: 2, Arrival: -10})
 
@@ -268,6 +268,52 @@ func TestLBServerStatsShedsExpired(t *testing.T) {
 	lb.PollResultsInto(context.Background(), ResultsRequest{Max: 4}, &res)
 	if len(res.Results) != 2 || !res.Results[0].Dropped || !res.Results[1].Dropped {
 		t.Errorf("results = %+v, want queries 1 and 2 dropped", res.Results)
+	}
+}
+
+// TestLeaseRedeliveryCountsPerQuery pins that LeaseRedeliveries bounds
+// the reclaims of a query, not of one queued copy of it: a zombie's late
+// light report that defers a reclaimed query to the heavy pool does not
+// reset its count, so the heavy puller's death sheds it.
+func TestLeaseRedeliveryCountsPerQuery(t *testing.T) {
+	clock := NewClock(0.001)
+	lb := NewLBServer(LBConfig{
+		Mode: loadbalancer.ModeCascade, SLO: 1e9,
+		LightMinExec: 0.1, HeavyMinExec: 1.78, Clock: clock, Seed: 1,
+		LeaseDuration: 0.5, LeaseRedeliveries: 1,
+	})
+	lb.Configure(ConfigureLBRequest{Threshold: 0.5})
+	ctx := context.Background()
+
+	lb.SubmitBatchReq(SubmitRequest{Queries: []QueryMsg{{ID: 1}}})
+	var light, heavy PullResponse
+	lb.PullInto(ctx, PullRequest{WorkerID: 1, Role: "light", Max: 8}, &light)
+	if len(light.Queries) != 1 {
+		t.Fatalf("light pull = %+v, want query 1", light)
+	}
+	// Worker 1 goes silent past its lease's hard deadline.
+	clock.WaitUntil(ctx, clock.Now()+3, nil)
+	if st := lb.Stats(); st.Reclaims != 1 {
+		t.Fatalf("stats = %+v, want 1 reclaim", st)
+	}
+	// Its late report defers the reclaimed query to the heavy pool.
+	lb.Complete(CompleteRequest{WorkerID: 1, Role: "light", LeaseDeadline: light.LeaseDeadline, Items: []CompleteItem{
+		{ID: 1, Arrival: light.Queries[0].Arrival, Variant: "sdturbo", Confidence: 0.1},
+	}})
+	lb.PullInto(ctx, PullRequest{WorkerID: 2, Role: "heavy", Max: 8}, &heavy)
+	if len(heavy.Queries) != 1 {
+		t.Fatalf("heavy pull = %+v, want the deferred query 1", heavy)
+	}
+	// Worker 2 dies too: the query's second reclaim exceeds the bound.
+	clock.WaitUntil(ctx, clock.Now()+3, nil)
+	st := lb.Stats()
+	if st.Reclaims != 1 || st.ShedRedelivery != 1 || st.InFlight != 0 || st.Dropped != 1 {
+		t.Errorf("stats = %+v, want 1 reclaim, 1 redelivery shed, 0 in flight, 1 dropped", st)
+	}
+	var res ResultsResponse
+	lb.PollResultsInto(ctx, ResultsRequest{Max: 4}, &res)
+	if len(res.Results) != 1 || res.Results[0].ID != 1 || !res.Results[0].Dropped {
+		t.Errorf("results = %+v, want query 1 dropped", res.Results)
 	}
 }
 

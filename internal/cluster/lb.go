@@ -49,9 +49,13 @@ type LBConfig struct {
 	LeaseRedeliveries int
 }
 
-// lbLease is one pulled, uncompleted query's ownership record.
-type lbLease struct {
+// lbQuery is one unresolved query's record: its arrival, how many
+// times it has been reclaimed, and, while a worker holds it, that
+// worker's lease. Resolving the query deletes the record, lease and all.
+type lbQuery struct {
 	arrival float64
+	red     int // times already reclaimed and re-queued
+	leased  bool
 	// deadline is the lease granted at pull time; hard caps how far
 	// worker heartbeats can push it. The cap is what reclaims a query
 	// whose pull response was lost in transit: the worker never saw the
@@ -60,7 +64,6 @@ type lbLease struct {
 	deadline, hard float64
 	worker         int
 	pool           loadbalancer.PoolID
-	red            int // times already reclaimed and re-queued
 }
 
 // lbPool is one pool's share of the data path: its policy core (the
@@ -103,17 +106,20 @@ func (p *lbPool) push(now float64, items ...queueing.Item) bool {
 // where an arrival goes, what is shed, when a batch is dispatchable,
 // what defers, how a resolution is recorded and counted — is
 // internal/loadbalancer, the same code the simulator runs; what is
-// here is the server around it: locks, wakeups, long polls, the
-// exactly-once registration map, leases. Its core methods (SubmitBatchReq,
+// here is the server around it: locks, wakeups, long polls, and one
+// table of live queries, each entry holding the query's lease while a
+// worker has it, so a query resolves exactly once and no lease
+// outlives it. Its core methods (SubmitBatchReq,
 // PollResultsInto, PullInto, Complete, Configure, Stats) are
 // transport-agnostic: ServeLBTCP wraps them in framed-TCP handlers
 // and NewLocalLBConn dispatches to them directly.
 //
 // Locking is sharded so the hot paths do not contend on one mutex:
 // each pool queue has its own lock (light pulls never wait on heavy
-// pulls or on submissions routed to the other pool), the
-// client-result state (async results, tally, counters) is
-// guarded by resMu, and the random-split routing state by splitMu.
+// pulls or on submissions routed to the other pool), the live
+// queries, their leases and the client-result state (results, tally,
+// counters) are guarded by resMu, and the random-split routing state
+// by splitMu.
 type LBServer struct {
 	cfg LBConfig
 
@@ -125,12 +131,12 @@ type LBServer struct {
 	splitProb float64
 	rng       *stats.RNG
 
-	// resMu guards everything on the client-result side: async-result
+	// resMu guards the live queries and their leases, result
 	// buffering, the resolution ledger (its tally and the control-plane
 	// counters), and the cascade threshold.
 	resMu     sync.Mutex
 	threshold float64
-	async     map[int]struct{} // submitted queries awaiting results
+	live      map[int]lbQuery // submitted queries awaiting resolution
 	// results holds finished async results not yet fetched. Each
 	// element owns its Features buffer and keeps it when the element is
 	// reused, so the LB holds as many buffers as results were ever
@@ -143,11 +149,6 @@ type LBServer struct {
 	wakeResults  notifier
 	resultsDirty bool
 
-	// leaseMu guards the pull-lease table. It is a leaf like the pool
-	// locks: it is never held while acquiring another LBServer lock,
-	// so it may be taken freely from any path (including under resMu).
-	leaseMu    sync.Mutex
-	leases     map[int]lbLease // query ID -> in-flight lease
 	workerSeen map[int]float64 // worker ID -> last pull/complete time
 	nextSweep  float64
 	// lifetime failure-model counters, surfaced through Stats
@@ -171,8 +172,7 @@ func NewLBServer(cfg LBConfig) *LBServer {
 	s := &LBServer{
 		cfg:        cfg,
 		rng:        stats.NewRNG(cfg.Seed).Stream(stream),
-		async:      make(map[int]struct{}),
-		leases:     make(map[int]lbLease),
+		live:       make(map[int]lbQuery),
 		workerSeen: make(map[int]float64),
 	}
 	s.ledger = loadbalancer.Ledger{SLO: cfg.SLO, Col: &s.tally}
@@ -266,7 +266,9 @@ func (s *LBServer) SubmitBatchReq(req SubmitRequest) {
 	}
 	s.resMu.Lock()
 	for _, q := range qs {
-		s.async[q.ID] = struct{}{}
+		if _, ok := s.live[q.ID]; !ok {
+			s.live[q.ID] = lbQuery{arrival: item(q).Arrival}
+		}
 	}
 	s.ledger.Arrive(len(qs))
 	s.resMu.Unlock()
@@ -405,11 +407,14 @@ func (s *LBServer) PullInto(ctx context.Context, req PullRequest, resp *PullResp
 	resp.Queries = nil
 	pool := poolOf(req.Role)
 	p := &s.pools[pool]
-	deadline := s.cfg.Clock.Now() + req.Wait
+	var deadline float64
 	scratch := getItemScratch()
 	defer putItemScratch(scratch)
-	for {
+	for first := true; ; first = false {
 		now := s.cfg.Clock.Now()
+		if first && req.Wait > 0 {
+			deadline = now + req.Wait
+		}
 		// Heartbeat first, sweep if due: a reclaimed query re-queued by
 		// the sweep is pullable by this very call.
 		s.leaseTouch(req.WorkerID, now)
@@ -453,6 +458,14 @@ func (s *LBServer) PullInto(ctx context.Context, req PullRequest, resp *PullResp
 // Complete receives a finished batch: light-pool results are
 // thresholded (serve or defer); heavy-pool results always serve. The
 // deferrals gather in a pooled scratch, as PullInto's dequeue does.
+// Each report releases its query's lease, whichever worker holds it:
+// the query resolves or re-queues as a deferral here, so any copy
+// leased elsewhere is moot. A lease-aware report (a nonzero echoed
+// deadline) that finds no lease — reclaimed, or resolved by someone
+// else first — counts as late; pre-lease clients do not inflate the
+// counter. Only live queries resolve or defer: the first resolution is
+// final, and a zombie's late report can name a query already resolved,
+// which must not enqueue a phantom copy in the heavy pool.
 func (s *LBServer) Complete(req CompleteRequest) {
 	now := s.cfg.Clock.Now()
 	pool := poolOf(req.Role)
@@ -460,16 +473,17 @@ func (s *LBServer) Complete(req CompleteRequest) {
 	deferred := getItemScratch()
 	defer putItemScratch(deferred)
 	s.resMu.Lock()
-	s.clearLeasesLocked(&req)
 	for _, item := range req.Items {
-		// Only live queries resolve or defer: the first resolution is
-		// final, and a zombie's late report can name a query already
-		// resolved, which must not enqueue a phantom copy in the heavy
-		// pool.
-		if !s.liveLocked(item.ID) {
+		q, ok := s.live[item.ID]
+		if !q.leased && req.LeaseDeadline > 0 {
+			s.lateCompletions++
+		}
+		if !ok {
 			continue
 		}
 		if loadbalancer.Defers(s.cfg.Mode, pool, item.Confidence, s.threshold) {
+			q.leased = false
+			s.live[item.ID] = q
 			*deferred = append(*deferred, queueing.Item{ID: item.ID, Arrival: item.Arrival})
 			continue
 		}
@@ -478,35 +492,39 @@ func (s *LBServer) Complete(req CompleteRequest) {
 	s.flushResultsLocked()
 	s.resMu.Unlock()
 	s.leaseTouch(req.WorkerID, now)
+	s.pushOrDrop(loadbalancer.PoolHeavy, *deferred, now)
+}
 
-	if len(*deferred) > 0 && !s.pools[loadbalancer.PoolHeavy].push(now, *deferred...) {
-		// The end-of-run drain already swept the heavy queue: these
-		// deferrals arrived too late to ever be pulled, so they
-		// resolve as drops instead of stranding their clients.
-		s.drop(*deferred)
+// pushOrDrop re-queues items into pool dest. Once the end-of-run drain
+// has swept that pool they arrived too late to ever be pulled, so they
+// resolve as drops instead of stranding their clients.
+func (s *LBServer) pushOrDrop(dest loadbalancer.PoolID, items []queueing.Item, now float64) {
+	if len(items) > 0 && !s.pools[dest].push(now, items...) {
+		s.drop(items)
 	}
 }
 
-// drop resolves queries as drops: shed by a pool, refused by a drained
-// one, or out of redeliveries. A query already resolved by a racing
-// complete or an earlier sweep is left alone. A reclaimed copy deferred
-// by a late completion sits in both pools, so a drop releases leases.
+// drop resolves queries as drops: shed by a pool or refused by a
+// drained one. A query already resolved by a racing complete or an
+// earlier drop is left alone.
 func (s *LBServer) drop(items []queueing.Item) {
 	if len(items) == 0 {
 		return
 	}
 	s.resMu.Lock()
-	s.leaseMu.Lock()
 	for _, it := range items {
-		if s.liveLocked(it.ID) {
-			s.ledger.Drop(it)
-			s.resolveLocked(QueryResponse{ID: it.ID, Dropped: true, Arrival: it.Arrival})
-			delete(s.leases, it.ID)
+		if _, ok := s.live[it.ID]; ok {
+			s.dropLocked(it)
 		}
 	}
-	s.leaseMu.Unlock()
 	s.flushResultsLocked()
 	s.resMu.Unlock()
+}
+
+// dropLocked resolves a live query as a drop. Callers must hold resMu.
+func (s *LBServer) dropLocked(it queueing.Item) {
+	s.ledger.Drop(it)
+	s.resolveLocked(QueryResponse{ID: it.ID, Dropped: true, Arrival: it.Arrival})
 }
 
 // leaseHardFactor caps how far heartbeats can extend a lease past its
@@ -523,143 +541,78 @@ const leaseHardFactor = 4
 // least one live worker, dead workers' leases are reclaimed within a
 // sweep interval.
 func (s *LBServer) leaseTouch(workerID int, now float64) {
-	s.leaseMu.Lock()
+	s.resMu.Lock()
 	s.workerSeen[workerID] = now
-	requeue, shed := s.collectExpiredLocked(now)
-	s.leaseMu.Unlock()
-	s.settleExpired(requeue, shed, now)
+	requeue := s.sweepLocked(now)
+	s.resMu.Unlock()
+	s.requeue(requeue, now)
 }
 
-// sweepLeases runs the expiry sweep without attributing a heartbeat
-// (the Stats path: the controller's poll must reclaim a fully dead
-// worker set even when no worker is pulling).
-func (s *LBServer) sweepLeases(now float64) {
-	s.leaseMu.Lock()
-	requeue, shed := s.collectExpiredLocked(now)
-	s.leaseMu.Unlock()
-	s.settleExpired(requeue, shed, now)
+// requeue pushes a sweep's reclaimed queries back into the pools they
+// were pulled from.
+func (s *LBServer) requeue(items [2][]queueing.Item, now float64) {
+	for dest := range items {
+		s.pushOrDrop(loadbalancer.PoolID(dest), items[dest], now)
+	}
 }
 
 // leaseBatch leases the pulled items whose queries are still live to
 // the worker and returns them; a reclaimed copy whose query a late
-// completion resolved is not dispatched again. Resolutions release
-// leases under resMu too, so no lease outlives its query. A reclaimed
-// item's Item.Payload carries its redelivery count through the queue.
+// completion resolved is not dispatched again.
 func (s *LBServer) leaseBatch(workerID int, pool loadbalancer.PoolID, items []queueing.Item, now float64) []queueing.Item {
 	dur := s.cfg.LeaseDuration
 	live := items[:0]
 	s.resMu.Lock()
-	s.leaseMu.Lock()
 	for _, it := range items {
-		if !s.liveLocked(it.ID) {
+		q, ok := s.live[it.ID]
+		if !ok {
 			continue
 		}
 		live = append(live, it)
-		red := 0
-		if v, ok := it.Payload.(int); ok {
-			red = v
-		}
-		s.leases[it.ID] = lbLease{
-			arrival: it.Arrival, deadline: now + dur, hard: now + leaseHardFactor*dur,
-			worker: workerID, pool: pool, red: red,
-		}
+		q.leased, q.worker, q.pool = true, workerID, pool
+		q.deadline, q.hard = now+dur, now+leaseHardFactor*dur
+		s.live[it.ID] = q
 	}
-	s.leaseMu.Unlock()
 	s.resMu.Unlock()
 	return live
 }
 
-// clearLeasesLocked releases the leases of a completed batch and
-// counts zombie reports: items whose lease was already reclaimed — or
-// resolved by someone else — before this completion arrived. Only
-// lease-aware reports (a nonzero echoed deadline) are counted, so
-// pre-lease clients do not inflate the counter. The lease is released
-// regardless of which worker holds it: the query resolves (or
-// re-queues as a deferral) in the caller's resMu section, so any copy
-// still leased elsewhere is moot. Callers must hold resMu.
-func (s *LBServer) clearLeasesLocked(req *CompleteRequest) {
-	s.leaseMu.Lock()
-	for i := range req.Items {
-		if _, ok := s.leases[req.Items[i].ID]; ok {
-			delete(s.leases, req.Items[i].ID)
-		} else if req.LeaseDeadline > 0 {
-			s.lateCompletions++
-		}
-	}
-	s.leaseMu.Unlock()
-}
-
-// collectExpiredLocked removes every lease past its effective
-// deadline, splitting the expirations into per-pool re-queue lists
-// and a shed list (queries that exhausted their redelivery bound).
+// sweepLocked reclaims every lease past its effective deadline. A
+// query out of redeliveries resolves as a drop here; the rest are
+// returned per pool for the caller to re-queue once it has released
+// resMu — arrival stamp untouched, nothing re-counted as an arrival.
 // It self-throttles to one scan per quarter lease duration. Callers
-// must hold leaseMu.
-func (s *LBServer) collectExpiredLocked(now float64) (requeue [2][]queueing.Item, shed []queueing.Item) {
+// must hold resMu.
+func (s *LBServer) sweepLocked(now float64) (requeue [2][]queueing.Item) {
 	if now < s.nextSweep {
-		return requeue, nil
+		return requeue
 	}
 	dur := s.cfg.LeaseDuration
 	s.nextSweep = now + dur/4
-	for id, l := range s.leases {
-		eff := l.deadline
-		if seen, ok := s.workerSeen[l.worker]; ok && seen+dur > eff {
+	for id, q := range s.live {
+		if !q.leased {
+			continue
+		}
+		eff := q.deadline
+		if seen, ok := s.workerSeen[q.worker]; ok && seen+dur > eff {
 			eff = seen + dur
 		}
-		if eff > l.hard {
-			eff = l.hard
-		}
-		if now <= eff {
+		if now <= min(eff, q.hard) {
 			continue
 		}
-		delete(s.leases, id)
-		it := queueing.Item{ID: id, Arrival: l.arrival, Payload: l.red + 1}
-		if l.red+1 > s.cfg.LeaseRedeliveries {
-			shed = append(shed, it)
+		it := queueing.Item{ID: id, Arrival: q.arrival}
+		if q.red++; q.red > s.cfg.LeaseRedeliveries {
+			s.dropLocked(it)
 			s.shedRedelivery++
-		} else {
-			requeue[l.pool] = append(requeue[l.pool], it)
-			s.reclaims++
-		}
-	}
-	return requeue, shed
-}
-
-// settleExpired disposes of a sweep's harvest: redelivery-exhausted
-// queries resolve as drops, the rest re-queue into the pool they were
-// pulled from: the arrival stamp rides along untouched, nothing is
-// re-counted as an arrival, and — because a reclaim never crosses
-// servers — the async registration is still in place, so no
-// re-registration happens at all. A query whose registration is
-// already gone (resolved by a zombie completion) is skipped rather than
-// re-executed for nobody; a pool already draining for shutdown refuses
-// the push and the queries resolve as drops like any late arrival.
-func (s *LBServer) settleExpired(requeue [2][]queueing.Item, shed []queueing.Item, now float64) {
-	s.drop(shed)
-	for dest, items := range requeue {
-		if len(items) == 0 {
 			continue
 		}
-		live := items[:0]
-		s.resMu.Lock()
-		for _, it := range items {
-			if s.liveLocked(it.ID) {
-				live = append(live, it)
-			}
-		}
-		s.resMu.Unlock()
-		if len(live) > 0 && !s.pools[dest].push(now, live...) {
-			s.drop(live)
-		}
+		q.leased = false
+		s.live[id] = q
+		requeue[q.pool] = append(requeue[q.pool], it)
+		s.reclaims++
 	}
-}
-
-// liveLocked reports whether a query still awaits its resolution —
-// its async entry exists. Once resolved it does not, so completions
-// and drops racing a drain (or arriving twice) become no-ops instead
-// of double-counting in the ledger. Callers must hold resMu.
-func (s *LBServer) liveLocked(id int) bool {
-	_, ok := s.async[id]
-	return ok
+	s.flushResultsLocked()
+	return requeue
 }
 
 // completeLocked resolves a live query as served and tallies the
@@ -676,9 +629,9 @@ func (s *LBServer) completeLocked(item CompleteItem, now float64, pool loadbalan
 }
 
 // resolveLocked delivers a live query's final outcome to the results
-// buffer drained by PollResultsInto and ends its registration, so a
-// completion or drop racing a drain (or arriving twice) finds it no
-// longer live. The features are copied into the pending element's own
+// buffer drained by PollResultsInto and deletes its entry, lease and
+// all, so a completion or drop racing a drain (or arriving twice) finds
+// it no longer live. The features are copied into the pending element's own
 // buffer: the caller's slice, a pooled decode buffer over tcp, is free
 // again the moment Complete returns. Callers must hold resMu.
 func (s *LBServer) resolveLocked(resp QueryResponse) {
@@ -686,7 +639,7 @@ func (s *LBServer) resolveLocked(resp QueryResponse) {
 	r := &s.results[len(s.results)-1]
 	resp.Features = append(r.Features[:0], resp.Features...)
 	*r = resp
-	delete(s.async, resp.ID)
+	delete(s.live, resp.ID)
 	s.resultsDirty = true
 }
 
@@ -718,9 +671,12 @@ func (s *LBServer) Configure(req ConfigureLBRequest) {
 func (s *LBServer) Stats() LBStats {
 	now := s.cfg.Clock.Now()
 	// The stats poll doubles as the sweep of last resort: with every
-	// worker dead nothing else ticks the lease table, and it is
-	// exactly then that reclamation matters most.
-	s.sweepLeases(now)
+	// worker dead nothing else sweeps the leases, and it is exactly
+	// then that reclamation matters most.
+	s.resMu.Lock()
+	requeue := s.sweepLocked(now)
+	s.resMu.Unlock()
+	s.requeue(requeue, now)
 	var snap [2]queueing.Snapshot
 	for i := range s.pools {
 		p := &s.pools[i]
@@ -742,14 +698,15 @@ func (s *LBServer) Stats() LBStats {
 	}
 	out.ArrivalsSinceTick, out.TimeoutsSinceTick = s.ledger.Tick()
 	out.Completed, out.Dropped = s.ledger.Counts()
-	s.resMu.Unlock()
-
-	s.leaseMu.Lock()
-	out.InFlight = len(s.leases)
+	for _, q := range s.live {
+		if q.leased {
+			out.InFlight++
+		}
+	}
 	out.Reclaims = s.reclaims
 	out.ShedRedelivery = s.shedRedelivery
 	out.LateCompletions = s.lateCompletions
-	s.leaseMu.Unlock()
+	s.resMu.Unlock()
 	return out
 }
 

@@ -13,7 +13,6 @@ type Item struct {
 	ID      int
 	Arrival float64 // time the query entered the system
 	Enqueue float64 // time the item joined this queue
-	Payload interface{}
 }
 
 // FIFO is a first-in-first-out queue with arrival-rate tracking.
