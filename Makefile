@@ -75,7 +75,8 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
 
 # bench-perf runs the simulator's benchmarks (PERFORMANCE.md,
-# "Simulator"): the fig5 replay, streaming against batch moments and
+# "Simulator"): one sim_replay window in process (SimWindow, simulated
+# queries/s), the fig5 replay, streaming against batch moments and
 # serial against parallel experiments; the RNG's two: the per-query
 # re-seed-and-draw-20 pattern and the steady-state draw, each next to
 # math/rand's seeded source; and the simulator's per-query layers: one
@@ -84,7 +85,7 @@ bench:
 # a query ID it has not scored (ConfidenceMiss).
 .PHONY: bench-perf
 bench-perf:
-	$(GO) test -run '^$$' -bench 'Fig5$$|MomentsStreaming|MomentsBatch|GenerateCached|GenerateMiss|ConfidenceMiss|ExperimentsSerial|ExperimentsParallel' -benchmem .
+	$(GO) test -run '^$$' -bench 'SimWindow|Fig5$$|MomentsStreaming|MomentsBatch|GenerateCached|GenerateMiss|ConfidenceMiss|ExperimentsSerial|ExperimentsParallel' -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkReseedDraw20|BenchmarkLongStream|BenchmarkMomentAdd16' -benchmem ./internal/stats/
 	$(GO) test -run '^$$' -bench 'BenchmarkTraceSqrtProduct16' -benchmem ./internal/linalg/
 

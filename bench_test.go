@@ -22,6 +22,7 @@ import (
 	"diffserve/internal/imagespace"
 	"diffserve/internal/model"
 	"diffserve/internal/stats"
+	"diffserve/internal/trace"
 )
 
 func benchCfg() experiments.Config {
@@ -339,6 +340,48 @@ func BenchmarkCascadeProcess(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c.Process(queries[i%len(queries)], 0.5)
 	}
+}
+
+// BenchmarkSimWindow replays one window of the benchmark's sim_replay
+// workload in process: cascade 1 on 16 workers with a 5 s SLO over
+// the 750-s Azure-like demand curve scaled to 4-32 qps. It times what
+// sim_replay times per window — building the System, Run, Summary and
+// Timeline(10, ref, 48) — and reports simulated queries per second of
+// that. Each iteration serves its own block of query IDs.
+func BenchmarkSimWindow(b *testing.B) {
+	const seed = 20250610
+	env, err := baselines.NewEnv("cascade1", seed, 2000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	raw, err := trace.AzureLike(stats.NewRNG(seed+1), 750, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	demand, err := raw.ScaleTo(4, 32)
+	if err != nil {
+		b.Fatal(err)
+	}
+	queries := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sys, err := env.NewSystem(baselines.DiffServe, demand, baselines.Options{
+			Workers: 16, SLO: 5, Seed: 7001, QueryIDBase: i * 1_000_000,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := sys.Run()
+		if err != nil {
+			b.Fatal(err)
+		}
+		res.Summary()
+		if _, err := res.Collector.Timeline(10, res.Reference, 48); err != nil {
+			b.Fatal(err)
+		}
+		queries += res.Queries
+	}
+	b.ReportMetric(float64(queries)/b.Elapsed().Seconds(), "queries/s")
 }
 
 // BenchmarkServeDiffServe measures a full simulated serving run of

@@ -255,7 +255,7 @@ func TestLBServerStatsShedsExpired(t *testing.T) {
 	lb.resMu.Lock()
 	lb.live[2] = lbQuery{arrival: -10}
 	lb.resMu.Unlock()
-	lb.pools[loadbalancer.PoolHeavy].push(lb.cfg.Clock.Now(), queueing.Item{ID: 2, Arrival: -10})
+	lb.pools[loadbalancer.PoolHeavy].push(lb.cfg.Clock.Now(), false, queueing.Item{ID: 2, Arrival: -10})
 
 	st := lb.Stats()
 	if st.TimeoutsSinceTick != 2 || st.Dropped != 2 || st.ArrivalsSinceTick != 1 {
@@ -274,9 +274,14 @@ func TestLBServerStatsShedsExpired(t *testing.T) {
 // TestLeaseRedeliveryCountsPerQuery pins that LeaseRedeliveries bounds
 // the reclaims of a query, not of one queued copy of it: a zombie's late
 // light report that defers a reclaimed query to the heavy pool does not
-// reset its count, so the heavy puller's death sheds it.
+// reset its count, so the heavy puller's death sheds it. Once it is
+// shed, its reclaimed copy still in the light pool is not counted as
+// queued, and the re-queue never counted as an arrival.
 func TestLeaseRedeliveryCountsPerQuery(t *testing.T) {
-	clock := NewClock(0.001)
+	// 20 ms per trace-second: the run takes about 6 trace-seconds, and
+	// both pools' arrivals must stay inside their 10-s rate window for
+	// the final rates to compare, which leaves a stalled host 80 ms.
+	clock := NewClock(0.02)
 	lb := NewLBServer(LBConfig{
 		Mode: loadbalancer.ModeCascade, SLO: 1e9,
 		LightMinExec: 0.1, HeavyMinExec: 1.78, Clock: clock, Seed: 1,
@@ -309,6 +314,15 @@ func TestLeaseRedeliveryCountsPerQuery(t *testing.T) {
 	st := lb.Stats()
 	if st.Reclaims != 1 || st.ShedRedelivery != 1 || st.InFlight != 0 || st.Dropped != 1 {
 		t.Errorf("stats = %+v, want 1 reclaim, 1 redelivery shed, 0 in flight, 1 dropped", st)
+	}
+	// The light pool still held the first reclaim's copy when the query
+	// was shed: it no longer counts as queued, and its re-queue never
+	// counted as an arrival, so each pool saw the query arrive once.
+	if st.LightQueueLen != 0 || st.HeavyQueueLen != 0 {
+		t.Errorf("stats = %+v, want both queues empty once query 1 is shed", st)
+	}
+	if st.LightArrivalRate != st.HeavyArrivalRate {
+		t.Errorf("arrival rates light %v, heavy %v: want one arrival in each pool", st.LightArrivalRate, st.HeavyArrivalRate)
 	}
 	var res ResultsResponse
 	lb.PollResultsInto(ctx, ResultsRequest{Max: 4}, &res)

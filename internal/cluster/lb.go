@@ -83,16 +83,22 @@ type lbPool struct {
 	draining bool
 }
 
-// push enqueues items and wakes blocked pulls. It reports false —
+// push enqueues items and wakes blocked pulls. Each counts as an
+// arrival in the pool's rate unless requeue is set: a reclaimed query
+// going back to its pool arrived there once already. It reports false —
 // enqueueing nothing — once the pool has been drained for shutdown.
-func (p *lbPool) push(now float64, items ...queueing.Item) bool {
+func (p *lbPool) push(now float64, requeue bool, items ...queueing.Item) bool {
 	p.mu.Lock()
 	if p.draining {
 		p.mu.Unlock()
 		return false
 	}
 	for _, it := range items {
-		p.Push(now, it)
+		if requeue {
+			p.Requeue(now, it)
+		} else {
+			p.Push(now, it)
+		}
 	}
 	p.wake.wake()
 	p.mu.Unlock()
@@ -296,7 +302,7 @@ func (s *LBServer) SubmitBatchReq(req SubmitRequest) {
 		return
 	}
 	for _, q := range qs {
-		if it := item(q); !s.pools[s.routePool()].push(now, it) {
+		if it := item(q); !s.pools[s.routePool()].push(now, false, it) {
 			s.drop([]queueing.Item{it})
 		}
 	}
@@ -492,14 +498,15 @@ func (s *LBServer) Complete(req CompleteRequest) {
 	s.flushResultsLocked()
 	s.resMu.Unlock()
 	s.leaseTouch(req.WorkerID, now)
-	s.pushOrDrop(loadbalancer.PoolHeavy, *deferred, now)
+	s.pushOrDrop(loadbalancer.PoolHeavy, *deferred, now, false)
 }
 
-// pushOrDrop re-queues items into pool dest. Once the end-of-run drain
-// has swept that pool they arrived too late to ever be pulled, so they
-// resolve as drops instead of stranding their clients.
-func (s *LBServer) pushOrDrop(dest loadbalancer.PoolID, items []queueing.Item, now float64) {
-	if len(items) > 0 && !s.pools[dest].push(now, items...) {
+// pushOrDrop re-queues items into pool dest, as lbPool.push does. Once
+// the end-of-run drain has swept that pool they arrived too late to
+// ever be pulled, so they resolve as drops instead of stranding their
+// clients.
+func (s *LBServer) pushOrDrop(dest loadbalancer.PoolID, items []queueing.Item, now float64, requeue bool) {
+	if len(items) > 0 && !s.pools[dest].push(now, requeue, items...) {
 		s.drop(items)
 	}
 }
@@ -549,10 +556,10 @@ func (s *LBServer) leaseTouch(workerID int, now float64) {
 }
 
 // requeue pushes a sweep's reclaimed queries back into the pools they
-// were pulled from.
+// were pulled from, counting none as an arrival.
 func (s *LBServer) requeue(items [2][]queueing.Item, now float64) {
 	for dest := range items {
-		s.pushOrDrop(loadbalancer.PoolID(dest), items[dest], now)
+		s.pushOrDrop(loadbalancer.PoolID(dest), items[dest], now, true)
 	}
 }
 
@@ -580,7 +587,8 @@ func (s *LBServer) leaseBatch(workerID int, pool loadbalancer.PoolID, items []qu
 // sweepLocked reclaims every lease past its effective deadline. A
 // query out of redeliveries resolves as a drop here; the rest are
 // returned per pool for the caller to re-queue once it has released
-// resMu — arrival stamp untouched, nothing re-counted as an arrival.
+// resMu — arrival stamp untouched, nothing re-counted as an arrival
+// (LBServer.requeue).
 // It self-throttles to one scan per quarter lease duration. Callers
 // must hold resMu.
 func (s *LBServer) sweepLocked(now float64) (requeue [2][]queueing.Item) {
@@ -667,7 +675,9 @@ func (s *LBServer) Configure(req ConfigureLBRequest) {
 // counters. Like the simulator's control tick it first sheds what has
 // expired in the queues, so a query waiting in a pool no worker pulls
 // from still resolves (as a drop) and the queue lengths the allocator
-// sees are honest.
+// sees are honest. For the same reason it first discards queued copies
+// of queries that have resolved: a reclaimed copy whose query a late
+// report served, deferred or shed elsewhere.
 func (s *LBServer) Stats() LBStats {
 	now := s.cfg.Clock.Now()
 	// The stats poll doubles as the sweep of last resort: with every
@@ -677,18 +687,29 @@ func (s *LBServer) Stats() LBStats {
 	requeue := s.sweepLocked(now)
 	s.resMu.Unlock()
 	s.requeue(requeue, now)
+
+	// Pool locks nest inside resMu, never around it.
+	s.resMu.Lock()
+	resolved := func(it queueing.Item) bool {
+		_, ok := s.live[it.ID]
+		return !ok
+	}
 	var snap [2]queueing.Snapshot
 	for i := range s.pools {
 		p := &s.pools[i]
 		p.mu.Lock()
+		p.DropWhere(resolved)
 		shed := p.Shed(now)
 		snap[i] = p.Snap(now)
 		p.mu.Unlock()
-		s.drop(shed)
+		for _, it := range shed {
+			if !resolved(it) { // unless another copy of it was shed first
+				s.dropLocked(it)
+			}
+		}
 	}
+	s.flushResultsLocked()
 	light, heavy := snap[loadbalancer.PoolLight], snap[loadbalancer.PoolHeavy]
-
-	s.resMu.Lock()
 	out := LBStats{
 		Now:              now,
 		LightQueueLen:    light.Len,

@@ -271,14 +271,7 @@ func (s *Space) GenerateDeterministic(q *Query, variant string, p GenParams) Ima
 	dir := s.artifactDirLocked(p.DirSkew, p.DirAxis)
 	s.mu.Unlock()
 
-	// The stream seed is derived without allocating intermediate
-	// strings or RNGs: this hash chain is exactly
-	// the per-query stream ("q", q.ID) of rng.Stream("gen:"+variant).
-	rng := scratchRNGs.Get().(*stats.RNG)
-	rng.Reseed(stats.StreamNSeedFrom(s.rng.StreamSeed2("gen:", variant), "q", q.ID))
-	img := s.generate(q, p, rng, dir)
-	scratchRNGs.Put(rng)
-	img.Variant = variant
+	img := s.fresh(q, variant, p, dir)
 	if !memo {
 		return img
 	}
@@ -294,6 +287,31 @@ func (s *Space) GenerateDeterministic(q *Query, variant string, p GenParams) Ima
 		q.images = append(q.images, genMemo{p, img})
 	}
 	s.mu.Unlock()
+	return img
+}
+
+// GenerateOnce returns the image GenerateDeterministic returns, bit
+// for bit, but never memoizes it: it is for a caller that asks for
+// each of a query's images once, such as the simulator's run, to which
+// the memo would only add a lock and an allocation per image.
+func (s *Space) GenerateOnce(q *Query, variant string, p GenParams) Image {
+	s.mu.Lock()
+	dir := s.artifactDirLocked(p.DirSkew, p.DirAxis)
+	s.mu.Unlock()
+	return s.fresh(q, variant, p, dir)
+}
+
+// fresh generates q's image for the variant along the
+// artifact direction dir, on a pooled RNG.
+func (s *Space) fresh(q *Query, variant string, p GenParams, dir []float64) Image {
+	// The stream seed is derived without allocating intermediate
+	// strings or RNGs: this hash chain is exactly
+	// the per-query stream ("q", q.ID) of rng.Stream("gen:"+variant).
+	rng := scratchRNGs.Get().(*stats.RNG)
+	rng.Reseed(stats.StreamNSeedFrom(s.rng.StreamSeed2("gen:", variant), "q", q.ID))
+	img := s.generate(q, p, rng, dir)
+	scratchRNGs.Put(rng)
+	img.Variant = variant
 	return img
 }
 

@@ -318,3 +318,28 @@ func TestGenerateDeterministicMemoNoDuplicates(t *testing.T) {
 		}
 	}
 }
+
+// TestGenerateOnceMatchesDeterministic checks that GenerateOnce returns
+// GenerateDeterministic's image bit for bit, before and after the memo
+// holds it, and leaves nothing memoized on the query.
+func TestGenerateOnceMatchesDeterministic(t *testing.T) {
+	s := NewSpace(stats.NewRNG(16).Stream("space"))
+	p := GenParams{ArtifactBase: 0.4, ArtifactSlope: 5, ArtifactNoise: 0.3, DirSkew: 0.2, DirAxis: 1, Contraction: 0.9, NoiseStd: 0.4}
+	for id := 0; id < 64; id++ {
+		q := s.SampleQuery(id)
+		once := s.GenerateOnce(q, "variantA", p)
+		if q.images != nil {
+			t.Fatalf("id %d: GenerateOnce memoized %d images", id, len(q.images))
+		}
+		for _, want := range []Image{s.GenerateDeterministic(q, "variantA", p), s.GenerateDeterministic(q, "variantA", p)} {
+			if once.Variant != want.Variant || math.Float64bits(once.Artifact) != math.Float64bits(want.Artifact) {
+				t.Fatalf("id %d: GenerateOnce %q/%v, GenerateDeterministic %q/%v", id, once.Variant, once.Artifact, want.Variant, want.Artifact)
+			}
+			for i := range want.Features {
+				if math.Float64bits(once.Features[i]) != math.Float64bits(want.Features[i]) {
+					t.Fatalf("id %d: feature[%d] %v, GenerateDeterministic %v", id, i, once.Features[i], want.Features[i])
+				}
+			}
+		}
+	}
+}

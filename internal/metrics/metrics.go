@@ -75,10 +75,11 @@ func (t *Tally) Len() int { return t.n }
 // benchmark/ only: dataplane.go (dataplane_*); item P deletes it.
 func (t *Tally) ServedMoments() *stats.MomentAccumulator { return t.acc }
 
-// Collector accumulates query records. All headline statistics are
+// Collector accumulates query records. The headline statistics are
 // maintained incrementally at Record time (streaming moments for FID,
-// counters for ratios), so Summarize, FID, and Timeline are cheap
-// finalizations rather than re-scans of every record.
+// counters for ratios), so Summarize and FID are cheap finalizations
+// rather than re-scans of every record; Timeline, which a run calls
+// once, buckets the records when it is called.
 type Collector struct {
 	records []QueryRecord
 
@@ -91,11 +92,8 @@ type Collector struct {
 	latSum   float64
 	lats     []float64 // completed-query latencies, record order
 
-	// Streaming per-bucket state for Timeline, keyed to a bucket
-	// width: built lazily on the first Timeline call and maintained
-	// incrementally by Record afterwards.
-	bucketSecs float64
-	buckets    []bucketAcc
+	// buckets is the per-bucket state the last Timeline call built.
+	buckets []bucketAcc
 
 	// featSlab is the append-only arena backing InternFeatures copies.
 	// Slabs are never shrunk or recycled while the collector lives, so
@@ -104,7 +102,7 @@ type Collector struct {
 	featSlab []float64
 }
 
-// bucketAcc is the streaming state of one timeline bucket.
+// bucketAcc is what one timeline bucket counts of its records.
 type bucketAcc struct {
 	arrivals, served, dropped, late int
 	// deferredServed counts completed-with-features deferred queries
@@ -134,9 +132,6 @@ func (c *Collector) Record(r QueryRecord) {
 		lat := r.Completion - r.Arrival
 		c.latSum += lat
 		c.lats = append(c.lats, lat)
-	}
-	if c.bucketSecs > 0 {
-		c.bucketAdd(r)
 	}
 }
 
@@ -171,8 +166,8 @@ func (c *Collector) InternFeatures(f []float64) []float64 {
 }
 
 // Merge folds every record of other into c by replaying them through
-// Record, so the streaming aggregates (counters, moments, lazily
-// built timeline buckets) stay consistent with the merged record set.
+// Record, so the streaming aggregates (counters, moments) stay
+// consistent with the merged record set.
 // The other collector must not be recording concurrently.
 // benchmark/ only: replay.go (sim_replay); item P deletes it.
 func (c *Collector) Merge(other *Collector) {
@@ -263,15 +258,9 @@ type Bucket struct {
 	DeferRatio float64
 }
 
-// bucketAdd folds one record into the streaming bucket state. Bucket
-// assignment needs only the arrival index, so no global sort of the
-// records is ever required.
-func (c *Collector) bucketAdd(r QueryRecord) {
-	i := int(r.Arrival / c.bucketSecs)
-	for len(c.buckets) <= i {
-		c.buckets = append(c.buckets, bucketAcc{})
-	}
-	b := &c.buckets[i]
+// add counts one record into its bucket; the moments, which only a
+// FID needs, are built only when withMoments is set.
+func (b *bucketAcc) add(r *QueryRecord, withMoments bool) {
 	b.arrivals++
 	switch {
 	case r.Dropped:
@@ -283,13 +272,11 @@ func (c *Collector) bucketAdd(r QueryRecord) {
 		b.served++
 	}
 	if !r.Dropped && r.Features != nil {
-		if b.acc == nil {
-			b.acc = stats.NewMomentAccumulator(len(r.Features))
-		}
-		if len(r.Features) == b.acc.Dim() {
+		if withMoments {
+			if b.acc == nil {
+				b.acc = stats.NewMomentAccumulator(len(r.Features))
+			}
 			b.acc.Add(r.Features)
-		} else if c.dimErr == nil {
-			c.dimErr = fmt.Errorf("metrics: inconsistent feature dims %d vs %d", len(r.Features), b.acc.Dim())
 		}
 		if r.Deferred {
 			b.deferredServed++
@@ -297,23 +284,16 @@ func (c *Collector) bucketAdd(r QueryRecord) {
 	}
 }
 
-// ensureBuckets (re)builds the streaming bucket state for the given
-// width. After the first call, Record maintains it incrementally; a
-// Timeline call with a different width triggers one rebuild.
-func (c *Collector) ensureBuckets(bucketSecs float64) {
-	if c.bucketSecs == bucketSecs && c.buckets != nil {
-		return
-	}
-	c.bucketSecs = bucketSecs
-	c.buckets = c.buckets[:0]
-	for _, r := range c.records {
-		c.bucketAdd(r)
-	}
-}
-
 // Timeline aggregates records into fixed-width buckets by arrival
 // time. ref may be nil to skip FID computation. minFIDSamples guards
 // against meaningless small-sample FIDs (default 32 when <= 0).
+//
+// One serial pass sorts the record indexes by bucket (a counting sort,
+// so each bucket keeps record order); each bucket's counts, moments
+// and FID are then built in parallel, its records added in record
+// order, so every bucket is bit-identical at any GOMAXPROCS. With a
+// reference, features of inconsistent dimensionality fail the call, as
+// they fail Collector.FID.
 func (c *Collector) Timeline(bucketSecs float64, ref *fid.Reference, minFIDSamples int) ([]Bucket, error) {
 	if bucketSecs <= 0 {
 		return nil, fmt.Errorf("metrics: bucketSecs must be positive")
@@ -324,15 +304,35 @@ func (c *Collector) Timeline(bucketSecs float64, ref *fid.Reference, minFIDSampl
 	if minFIDSamples <= 0 {
 		minFIDSamples = 32
 	}
-	c.ensureBuckets(bucketSecs)
 	if ref != nil && c.dimErr != nil {
 		return nil, c.dimErr
 	}
-	// Each bucket's FID is a pure function of its moments, so the
-	// buckets are scored in parallel; Map returns the first error in
-	// bucket order, as a serial loop would.
+	// start[i]:start[i+1] is bucket i's share of order.
+	var start []int
+	for k := range c.records {
+		i := int(c.records[k].Arrival/bucketSecs) + 2
+		for len(start) <= i {
+			start = append(start, 0)
+		}
+		start[i]++
+	}
+	for i := 2; i < len(start); i++ {
+		start[i] += start[i-1]
+	}
+	order := make([]int, len(c.records))
+	for k := range c.records {
+		i := int(c.records[k].Arrival/bucketSecs) + 1
+		order[start[i]] = k
+		start[i]++
+	}
+	c.buckets = make([]bucketAcc, len(start)-2)
+	// Map returns the first error in bucket order, as a serial loop
+	// would.
 	fids, err := parallel.Map(len(c.buckets), func(i int) (float64, error) {
 		ba := &c.buckets[i]
+		for _, k := range order[start[i]:start[i+1]] {
+			ba.add(&c.records[k], ref != nil)
+		}
 		if ref == nil || ba.acc == nil || ba.acc.Count() < minFIDSamples {
 			return math.NaN(), nil
 		}

@@ -1,6 +1,10 @@
 // Package simring is the discrete-event simulation core driving the
-// DiffServe simulator: a virtual clock and a time-ordered event heap
-// with deterministic FIFO tie-breaking for simultaneous events.
+// DiffServe simulator: a virtual clock, a time-ordered event heap
+// with deterministic FIFO tie-breaking for simultaneous events, and a
+// run's arrivals as one sorted stream merged ahead of the heap. The
+// heap holds only what is scheduled while the run goes (control ticks,
+// batch completions, worker wake-ups), so it does not grow with the
+// trace.
 package simring
 
 import (
@@ -80,6 +84,12 @@ type Sim struct {
 	now    float64
 	seq    int64
 	events eventHeap
+
+	// The arrival stream: arrivals[next:] are still to fire, each
+	// through onArrival with its index.
+	arrivals  []float64
+	next      int
+	onArrival func(i int)
 }
 
 // New returns a simulator with the clock at zero.
@@ -101,13 +111,48 @@ func (s *Sim) At(t float64, fn func()) {
 	s.events.push(event{at: t, seq: s.seq, fn: fn})
 }
 
-// Run executes events in time order until the queue empties or the
-// clock passes until. Events scheduled exactly at until still run.
-// It returns the number of events executed by this call.
+// Arrivals sets the run's arrival stream: fn(i) runs at time at[i]
+// for every i, in index order. An arrival runs before any event At
+// scheduled for the same instant, as if every arrival had been
+// scheduled before anything else. at must be sorted and start no
+// earlier than now, and the previous stream must have finished;
+// otherwise Arrivals panics, as scheduling in the past does. The
+// stream reads at as it goes, so the caller must not change it.
+func (s *Sim) Arrivals(at []float64, fn func(i int)) {
+	if s.next < len(s.arrivals) {
+		panic(fmt.Sprintf("simring: arrival stream set with %d arrivals of the last one still to run", len(s.arrivals)-s.next))
+	}
+	prev := s.now
+	for i, t := range at {
+		if t < prev {
+			panic(fmt.Sprintf("simring: arrival %d at %v before %v", i, t, prev))
+		}
+		if math.IsNaN(t) || math.IsInf(t, 0) {
+			panic(fmt.Sprintf("simring: invalid arrival time %v", t))
+		}
+		prev = t
+	}
+	s.arrivals, s.next, s.onArrival = at, 0, fn
+}
+
+// Run executes arrivals and events in time order until both are
+// exhausted or the clock passes until. Events scheduled exactly at
+// until still run. It returns the number of arrivals and events
+// executed by this call.
 func (s *Sim) Run(until float64) int {
 	ran := 0
-	for len(s.events) > 0 {
-		if s.events[0].at > until {
+	for {
+		if s.next < len(s.arrivals) {
+			if at := s.arrivals[s.next]; at <= until && (len(s.events) == 0 || at <= s.events[0].at) {
+				i := s.next
+				s.next++
+				s.now = at
+				s.onArrival(i)
+				ran++
+				continue
+			}
+		}
+		if len(s.events) == 0 || s.events[0].at > until {
 			break
 		}
 		e := s.events.pop()
@@ -123,5 +168,5 @@ func (s *Sim) Run(until float64) int {
 	return ran
 }
 
-// Drain runs every remaining event regardless of time.
+// Drain runs every remaining arrival and event regardless of time.
 func (s *Sim) Drain() int { return s.Run(math.Inf(1)) }

@@ -1,9 +1,11 @@
 package simring
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -176,4 +178,130 @@ func TestClockMonotoneAcrossRuns(t *testing.T) {
 	if s.Now() != 5 {
 		t.Errorf("clock moved backwards: %v", s.Now())
 	}
+}
+
+// TestArrivalStreamMatchesScheduledArrivals runs one random schedule
+// twice: once with every arrival scheduled through At before anything
+// else, as the simulator used to, and once with the arrivals as a
+// stream. Callbacks schedule follow-up events (some at their own
+// instant), and both runs must execute the same callbacks at the same
+// times in the same order.
+func TestArrivalStreamMatchesScheduledArrivals(t *testing.T) {
+	type stamp struct {
+		at  float64
+		tag int // arrival index, or -1 - event number
+	}
+	arrivals := make([]float64, 3000)
+	rng := rand.New(rand.NewSource(5))
+	for i := range arrivals {
+		arrivals[i] = float64(rng.Intn(400)) / 8 // many equal times
+	}
+	sort.Float64s(arrivals)
+	run := func(stream bool) []stamp {
+		s := New()
+		var got []stamp
+		rng := rand.New(rand.NewSource(6))
+		events := 0
+		var follow func()
+		follow = func() {
+			got = append(got, stamp{s.Now(), -1 - events})
+			events++
+			if rng.Intn(3) == 0 {
+				s.At(s.Now()+float64(rng.Intn(3))/8, follow)
+			}
+		}
+		arrive := func(i int) {
+			got = append(got, stamp{s.Now(), i})
+			if rng.Intn(2) == 0 {
+				s.At(s.Now()+float64(rng.Intn(4))/8, follow)
+			}
+		}
+		if stream {
+			s.Arrivals(arrivals, arrive)
+		} else {
+			for i, at := range arrivals {
+				i := i
+				s.At(at, func() { arrive(i) })
+			}
+		}
+		for t := 0.5; t <= 50; t += 5 { // ticks, after every arrival
+			s.At(t, follow)
+		}
+		s.Run(25)
+		s.Drain()
+		return got
+	}
+	want, got := run(false), run(true)
+	if len(got) != len(want) {
+		t.Fatalf("stream ran %d callbacks, scheduled arrivals %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("callback %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestArrivalStreamOrder pins the stream's order: an arrival runs
+// before an At event at the same instant, even one scheduled before
+// the stream was set; equal arrival times run in index order; Run
+// leaves an arrival past its horizon for Drain; and Now never goes
+// back.
+func TestArrivalStreamOrder(t *testing.T) {
+	s := New()
+	var order []string
+	last := 0.0
+	note := func(what string) {
+		if s.Now() < last {
+			t.Errorf("%s at %v after %v: clock went back", what, s.Now(), last)
+		}
+		last = s.Now()
+		order = append(order, fmt.Sprintf("%s@%g", what, s.Now()))
+	}
+	s.At(1, func() { note("event") })
+	s.Arrivals([]float64{0.5, 1, 1, 2, 7}, func(i int) {
+		note(fmt.Sprintf("arrival%d", i))
+		if i == 0 {
+			s.At(1, func() { note("scheduled") })
+		}
+	})
+	if ran := s.Run(5); ran != 6 {
+		t.Errorf("Run(5) ran %d, want 6", ran)
+	}
+	if s.Now() != 5 {
+		t.Errorf("Now = %v after Run(5)", s.Now())
+	}
+	if ran := s.Drain(); ran != 1 {
+		t.Errorf("Drain ran %d, want the arrival at 7", ran)
+	}
+	want := "arrival0@0.5 arrival1@1 arrival2@1 event@1 scheduled@1 arrival3@2 arrival4@7"
+	if got := strings.Join(order, " "); got != want {
+		t.Errorf("order = %s\nwant    %s", got, want)
+	}
+}
+
+// TestArrivalStreamRejectsBadTimes checks that unsorted arrivals, an
+// arrival before now, an invalid time, and a new stream set while the
+// last has arrivals to run all panic, as scheduling in the past does.
+func TestArrivalStreamRejectsBadTimes(t *testing.T) {
+	panics := func(label string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s should panic", label)
+			}
+		}()
+		f()
+	}
+	noop := func(int) {}
+	panics("unsorted arrivals", func() { New().Arrivals([]float64{1, 3, 2}, noop) })
+	panics("NaN arrival", func() { New().Arrivals([]float64{1, math.NaN()}, noop) })
+	panics("infinite arrival", func() { New().Arrivals([]float64{math.Inf(1)}, noop) })
+	s := New()
+	s.Run(4)
+	panics("arrival before now", func() { s.Arrivals([]float64{3, 5}, noop) })
+	s.Arrivals([]float64{5, 6}, noop)
+	panics("stream replaced early", func() { s.Arrivals([]float64{8}, noop) })
+	s.Run(6)
+	s.Arrivals([]float64{8}, noop) // the last stream has finished
 }

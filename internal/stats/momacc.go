@@ -59,14 +59,27 @@ func (m *MomentAccumulator) Add(x []float64) {
 		mean[i] += dx[i] * inv
 		dy[i] = v - mean[i]
 	}
-	// Row i of the upper triangle gains dx[i]·dy[j] for j >= i.
+	// Row i of the upper triangle gains dx[i]·dy[j] for j >= i. Rows
+	// go in pairs, updated together in one pass over dy: row i+1 is
+	// one shorter than row i and follows it.
 	rows := m.comoment
-	for i, di := range dx {
-		row := rows[:len(dy)-i]
-		for j, y := range dy[i:] {
-			row[j] += di * y
+	d := len(dy)
+	i := 0
+	for ; i+1 < d; i += 2 {
+		n := d - i // row i's length
+		rows[0] += dx[i] * dy[i]
+		ys := dy[i+1:]
+		r0, r1 := rows[1:n], rows[n:2*n-1]
+		r0, r1 = r0[:len(ys)], r1[:len(ys)]
+		d0, d1 := dx[i], dx[i+1]
+		for j, y := range ys {
+			r0[j] += d0 * y
+			r1[j] += d1 * y
 		}
-		rows = rows[len(row):]
+		rows = rows[2*n-1:]
+	}
+	if i < d {
+		rows[0] += dx[i] * dy[i]
 	}
 }
 

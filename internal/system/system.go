@@ -134,6 +134,25 @@ type System struct {
 	queries []runQuery
 	ready   int
 	blocks  chan int
+
+	// batches is the free list of batches: dispatch takes one for each
+	// batch it starts and onBatchDone returns it once it has resolved
+	// or deferred every item, so starting a batch allocates nothing
+	// once the list has grown to the most batches ever in flight. A
+	// batch per worker would not do: a worker can start its next batch
+	// at the instant its last one ends, before that batch's done event
+	// has run.
+	batches []*batch
+	// redispatch is dispatchAll as an event, made once.
+	redispatch func()
+}
+
+// batch is one started batch: the pool it came from, its items, and
+// the event that finishes it, made once per batch and reused with it.
+type batch struct {
+	pool  loadbalancer.PoolID
+	items []queueing.Item
+	done  func()
 }
 
 // runQuery is one arrival's entry in the run's query table.
@@ -169,6 +188,7 @@ func New(cfg Config) (*System, error) {
 		rng: rng,
 	}
 	s.ledger = loadbalancer.Ledger{SLO: cfg.SLO, Col: s.col}
+	s.redispatch = s.dispatchAll
 	s.ws = make([]*worker.Worker, cfg.Workers)
 	for i := range s.ws {
 		s.ws[i] = worker.New(i)
@@ -186,10 +206,7 @@ func (s *System) Run() (*Result, error) {
 	realAcc := stats.NewMomentAccumulator(s.cfg.Space.Dim())
 	s.startProducer(len(arrivals), realAcc)
 	s.col.Grow(len(arrivals)) // one record per arrival
-	for i, at := range arrivals {
-		id, at := s.cfg.QueryIDBase+i, at
-		s.sim.At(at, func() { s.onArrival(id, at) })
-	}
+	s.sim.Arrivals(arrivals, func(i int) { s.onArrival(s.cfg.QueryIDBase+i, arrivals[i]) })
 
 	// Initial plan from the trace's starting rate, then periodic ticks.
 	initialPlan, err := s.cfg.Controller.InitialPlan(s.cfg.Trace.RateAt(0))
@@ -245,7 +262,7 @@ func (s *System) startProducer(n int, acc *stats.MomentAccumulator) {
 			e.q = s.cfg.Space.SampleQuery(s.cfg.QueryIDBase + i)
 			acc.Add(e.q.Truth)
 			if cascade {
-				e.light = s.cfg.Space.GenerateDeterministic(e.q, s.cfg.Light.Name, s.cfg.Light.Gen)
+				e.light = s.cfg.Space.GenerateOnce(e.q, s.cfg.Light.Name, s.cfg.Light.Gen)
 				e.conf = s.cfg.Scorer.Confidence(e.q, e.light)
 			}
 			if end := i + 1; end%producerBlock == 0 || end == n {
@@ -342,15 +359,20 @@ func (s *System) applyPlan(now float64, plan allocator.Plan, initial bool) {
 		w := s.ws[i]
 		w.Assign(now, role, batch, load)
 		if at, ok := w.ReadyAt(); ok && at > now {
-			s.sim.At(at, func() { s.dispatchAll() })
+			s.sim.At(at, s.redispatch)
 		}
 	}
 }
 
-// dispatchAll starts batches on every available worker with queued work.
+// dispatchAll starts batches on every available worker with queued
+// work. It stops once both pools are empty: no worker has anything
+// left to start.
 func (s *System) dispatchAll() {
 	now := s.sim.Now()
 	for _, w := range s.ws {
+		if s.lb.Light.Len() == 0 && s.lb.Heavy.Len() == 0 {
+			return
+		}
 		if !w.Available(now) {
 			continue
 		}
@@ -364,37 +386,53 @@ func (s *System) dispatchAll() {
 }
 
 // dispatch pulls work for one available worker from its pool queue.
+// An empty queue has nothing to shed or hand out, so it is skipped.
 func (s *System) dispatch(w *worker.Worker, pool loadbalancer.PoolID) {
-	now := s.sim.Now()
-	shed, items := s.lb.Queue(pool).Dequeue(now, w.Batch(), nil)
-	s.drop(shed)
-	if len(items) == 0 {
+	q := s.lb.Queue(pool)
+	if q.Len() == 0 {
 		return
 	}
-	exec := s.cfg.Heavy.Latency.Latency(len(items))
-	if pool == loadbalancer.PoolLight {
-		exec = discriminator.LightExec(s.cfg.Light, s.cfg.Scorer, len(items))
+	now := s.sim.Now()
+	var b *batch
+	if n := len(s.batches); n > 0 {
+		b, s.batches = s.batches[n-1], s.batches[:n-1]
+	} else {
+		b = &batch{}
+		b.done = func() { s.onBatchDone(b) }
 	}
-	done := w.StartBatch(now, len(items), exec)
-	s.sim.At(done, func() { s.onBatchDone(pool, items) })
+	var shed []queueing.Item
+	shed, b.items = q.Dequeue(now, w.Batch(), b.items[:0])
+	s.drop(shed)
+	n := len(b.items)
+	if n == 0 {
+		s.batches = append(s.batches, b)
+		return
+	}
+	b.pool = pool
+	exec := s.cfg.Heavy.Latency.Latency(n)
+	if pool == loadbalancer.PoolLight {
+		exec = discriminator.LightExec(s.cfg.Light, s.cfg.Scorer, n)
+	}
+	s.sim.At(w.StartBatch(now, n, exec), b.done)
 }
 
 // onBatchDone finalizes a batch: generates images, applies the
 // cascade's discriminator, completes or defers each query.
-func (s *System) onBatchDone(pool loadbalancer.PoolID, items []queueing.Item) {
+func (s *System) onBatchDone(b *batch) {
 	now := s.sim.Now()
+	pool := b.pool
 	variant := s.cfg.Light
 	if pool == loadbalancer.PoolHeavy {
 		variant = s.cfg.Heavy
 	}
-	for _, it := range items {
+	for _, it := range b.items {
 		e := s.entry(it.ID)
 		var img imagespace.Image
 		conf := 0.0
 		if pool == loadbalancer.PoolLight && s.cfg.Scorer != nil {
 			img, conf = e.light, e.conf // filled by the producer
 		} else {
-			img = s.cfg.Space.GenerateDeterministic(e.q, variant.Name, variant.Gen)
+			img = s.cfg.Space.GenerateOnce(e.q, variant.Name, variant.Gen)
 		}
 		if loadbalancer.Defers(s.cfg.Mode, pool, conf, s.threshold) {
 			s.lb.Heavy.Push(now, it)
@@ -402,6 +440,7 @@ func (s *System) onBatchDone(pool loadbalancer.PoolID, items []queueing.Item) {
 		}
 		s.ledger.Complete(it, now, pool, img, conf)
 	}
+	s.batches = append(s.batches, b)
 	s.dispatchAll()
 }
 
