@@ -217,13 +217,15 @@ race-posted:
 # workers, severed conns, injected drops/latency, exactly-once
 # accounting), the per-query redelivery bound, the lease-reclaim and
 # sever-is-transient conformance rows on both transports, a worker
-# riding out an LB restart, the controller failover unit, and the
+# riding out an LB restart, a worker reporting a batch whose every
+# Complete fails exactly completeTries times and then pulling again,
+# the controller failover unit, and the
 # controller re-configuring a worker or an LB shard restarted behind
 # the same address.
 .PHONY: chaos-soak
 chaos-soak:
 	$(GO) test -race -count=$(COUNT) \
-		-run 'TestChaosWorkerChurnNoLostQueries|TestLeaseRedeliveryCountsPerQuery|TestTransportConformance/.*/lease-reclaim-exactly-once|TestTransportConformance/.*/sever-is-transient|TestWorkerResumesAfterLBRestart|TestControllerConservativeFailover|TestControllerReconfiguresRestarted|TestControllerResendsAfterConnectionLoss|TestControllerReadsLossesBeforeSending' \
+		-run 'TestChaosWorkerChurnNoLostQueries|TestLeaseRedeliveryCountsPerQuery|TestTransportConformance/.*/lease-reclaim-exactly-once|TestTransportConformance/.*/sever-is-transient|TestWorkerResumesAfterLBRestart|TestWorkerLoop/complete-retries-then-pulls|TestControllerConservativeFailover|TestControllerReconfiguresRestarted|TestControllerResendsAfterConnectionLoss|TestControllerReadsLossesBeforeSending' \
 		./internal/cluster/
 
 # race-solver: the allocator under the race detector — concurrent

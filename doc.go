@@ -264,7 +264,10 @@
 // query joined the pool (PullResponse.QueuedAt) — credited back from
 // the pull's return by at most one 1 ms timer tick (so a stalled
 // completion is not replayed as GPU time), never later than that
-// return, and completes it at start + exec; the controller ticks at
+// return, and completes it at start + exec. The worker waits in one
+// place: its pull step starts the batch and returns that end without
+// waiting, WorkerServer.Loop waits for it, and its finish step
+// generates, scores and reports the images. The controller ticks at
 // t0 + k·interval, t0 being the harness's clock restart. One late
 // wake then delays one step, not every later one, and no query is
 // served sooner after it was queued than the emulated GPU allows.

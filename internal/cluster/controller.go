@@ -322,7 +322,7 @@ func (c *ControllerLoop) applyLocked(ctx context.Context, plan allocator.Plan) {
 	}
 	var unknown []int
 	for i, conn := range c.cfg.Workers {
-		req := ConfigureWorkerRequest{Role: roleName(next[i]), Batch: plan.LightBatch}
+		req := ConfigureWorkerRequest{Role: next[i].String(), Batch: plan.LightBatch}
 		if next[i] == worker.RoleHeavy {
 			req.Batch = plan.HeavyBatch
 		}

@@ -76,8 +76,6 @@ func parseRole(s string) worker.Role {
 	}
 }
 
-func roleName(r worker.Role) string { return r.String() }
-
 // Configure reassigns the worker's model and batch size. Role
 // switches incur the variant's load time (timescale-adjusted) unless
 // disabled.
@@ -102,74 +100,69 @@ func (s *WorkerServer) Configure(req ConfigureWorkerRequest) {
 func (s *WorkerServer) Stats() WorkerStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return WorkerStats{Role: roleName(s.state.Role())}
+	return WorkerStats{Role: s.state.Role().String()}
 }
 
-// Loop runs the worker's pull-execute-complete cycle until the context
-// is cancelled. It is the cluster analogue of the simulator's
-// dispatch/onBatchDone events. Pulls long-poll server-side, so an
-// idle worker consumes no wire round-trips between arrivals.
+// Loop runs the worker until ctx ends: pull a batch, wait in trace
+// time for the step pull returns, and finish the batch if there is
+// one. It is the cluster analogue of the simulator's
+// dispatch/onBatchDone events, and it holds the worker's one schedule
+// wait: neither step waits but for finish's back-off between Complete
+// tries, which an inproc Complete never reaches (it fails only once ctx
+// has ended). Pulls long-poll server-side, so an idle worker consumes
+// no wire round-trips between arrivals.
 //
-// A failed pull waits workerBackoff and retries on the same conn: a tcp
-// conn redials and replays its posted calls on its own, and whatever a
-// dead LB still held is reclaimed by the lease sweep.
+// The pull response and completion-item scratch live for the whole
+// loop: each pull decodes into the same struct (reusing its query
+// buffer) and each batch reuses the item slice, so neither allocates
+// per cycle. Both are owned by this goroutine alone.
 func (s *WorkerServer) Loop(ctx context.Context) {
-	// The pull response and completion-item scratch live for the whole
-	// loop: each pull decodes into the same struct (reusing its query
-	// buffer) and each batch reuses the item slice, so a steady-state
-	// worker allocates nothing per cycle. Both are owned by this
-	// goroutine alone.
 	var pulled PullResponse
 	var items []CompleteItem
 	for ctx.Err() == nil {
-		now := s.cfg.Clock.Now()
-		s.mu.Lock()
-		role := s.state.Role()
-		batch := s.state.Batch()
-		available := s.state.Available(now)
-		s.mu.Unlock()
-
-		if role == worker.RoleIdle || !available {
-			if !s.cfg.Clock.WaitUntil(ctx, now+workerBackoff, nil) {
-				return
-			}
-			continue
+		next, role := s.pull(ctx, s.cfg.Clock.Now(), &pulled)
+		if !s.cfg.Clock.WaitUntil(ctx, next, nil) {
+			return
 		}
-
-		err := s.cfg.LB.PullInto(ctx, PullRequest{
-			WorkerID: s.cfg.ID, Role: roleName(role), Max: batch, Wait: workerLongPoll,
-		}, &pulled)
-		if err != nil {
-			if !s.cfg.Clock.WaitUntil(ctx, s.cfg.Clock.Now()+workerBackoff, nil) {
-				return
-			}
-			continue
-		}
-		if len(pulled.Queries) > 0 {
-			items = s.executeBatch(ctx, role, &pulled, items)
+		if role != worker.RoleIdle {
+			items = s.finish(ctx, role, &pulled, items)
 		}
 	}
 }
 
-// executeBatch simulates execution and reports completions to the LB.
-// items is the caller's reusable
-// completion scratch; the (possibly grown) slice is returned for the
-// next batch — its Features fields point at images the Space generated
-// (and may share with a query's memo) and are only ever replaced,
-// never written through.
-//
-// The batch runs on its own trace schedule, from batchStart's start to
-// start + exec: it starts when both the worker (its ReadyAt) and the
+// pull long-polls the LB for a batch into pulled and starts it. It
+// never waits: it returns the trace time of the worker's next step and
+// the batch's role, or RoleIdle if it pulled none. A batch runs on its
+// own trace schedule and pull returns its end, start + exec: it starts
+// by batchStart's rule, when both the worker (its ReadyAt) and the
 // batch (its QueuedAt) were ready, as the simulator dispatches, not
-// when the pull's round trip happened to return.
-func (s *WorkerServer) executeBatch(ctx context.Context, role worker.Role, pulled *PullResponse, items []CompleteItem) []CompleteItem {
-	queries := pulled.Queries
-	n := len(queries)
-	variant, exec := s.cfg.Light, discriminator.LightExec(s.cfg.Light, s.cfg.Scorer, n)
-	if role == worker.RoleHeavy {
-		variant, exec = s.cfg.Heavy, s.cfg.Heavy.Latency.Latency(n)
+// when the pull's round trip happened to return. An idle or loading
+// worker sends no pull and returns now + workerBackoff. A failed pull
+// returns workerBackoff from the clock: a tcp conn redials and replays
+// its posted calls on its own, and whatever a dead LB still held is
+// reclaimed by the lease sweep. An empty long poll returns now, to
+// pull again at once.
+func (s *WorkerServer) pull(ctx context.Context, now float64, pulled *PullResponse) (float64, worker.Role) {
+	s.mu.Lock()
+	role, batch, available := s.state.Role(), s.state.Batch(), s.state.Available(now)
+	s.mu.Unlock()
+	if role == worker.RoleIdle || !available {
+		return now + workerBackoff, worker.RoleIdle
 	}
-
+	err := s.cfg.LB.PullInto(ctx, PullRequest{
+		WorkerID: s.cfg.ID, Role: role.String(), Max: batch, Wait: workerLongPoll,
+	}, pulled)
+	if err != nil {
+		return s.cfg.Clock.Now() + workerBackoff, worker.RoleIdle
+	}
+	n := len(pulled.Queries)
+	if n == 0 {
+		return now, worker.RoleIdle
+	}
+	exec := discriminator.LightExec(s.cfg.Light, s.cfg.Scorer, n)
+	if role == worker.RoleHeavy {
+		exec = s.cfg.Heavy.Latency.Latency(n)
+	}
 	returned := s.cfg.Clock.Now()
 	tick := timerTick.Seconds() / s.cfg.Clock.Timescale()
 	s.mu.Lock()
@@ -179,46 +172,52 @@ func (s *WorkerServer) executeBatch(ctx context.Context, role worker.Role, pulle
 		s.state.StartBatch(start, n, exec)
 	}
 	s.mu.Unlock()
+	return start + exec, role
+}
 
-	finished := s.cfg.Clock.WaitUntil(ctx, start+exec, nil)
-
-	if finished {
-		req := CompleteRequest{
-			WorkerID: s.cfg.ID, Role: roleName(role), LeaseDeadline: pulled.LeaseDeadline,
-		}
-		req.Items = items[:0]
-		for _, q := range queries {
-			query := s.cfg.Space.SampleQuery(q.ID)
-			img := s.cfg.Space.GenerateDeterministic(query, variant.Name, variant.Gen)
-			item := CompleteItem{
-				ID: q.ID, Arrival: q.Arrival,
-				Variant: img.Variant, Features: img.Features, Artifact: img.Artifact,
-			}
-			if role == worker.RoleLight && s.cfg.Scorer != nil {
-				item.Confidence = s.cfg.Scorer.Confidence(query, img)
-			}
-			req.Items = append(req.Items, item)
-		}
-		// A lost completion used to be a lost batch. Retry with
-		// jittered exponential backoff; if every try fails, the lease
-		// sweep reclaims and re-runs the batch — server-side
-		// idempotent resolve makes the duplicate execution harmless.
-		backoff := workerBackoff
-		for try := 1; ; try++ {
-			if s.cfg.LB.Complete(ctx, req) == nil || try >= completeTries || ctx.Err() != nil {
-				break
-			}
-			s.mu.Lock()
-			jitter := 0.5 + s.rng.Float64()
-			s.mu.Unlock()
-			if !s.cfg.Clock.WaitUntil(ctx, s.cfg.Clock.Now()+backoff*jitter, nil) {
-				break
-			}
-			backoff *= 2
-		}
-		items = req.Items
+// finish generates and scores the pulled batch's images and reports
+// them to the LB. items is the caller's reusable completion scratch;
+// the (possibly grown) slice is returned for the next batch — its
+// Features fields point at images the Space generated and are only ever
+// replaced, never written through.
+func (s *WorkerServer) finish(ctx context.Context, role worker.Role, pulled *PullResponse, items []CompleteItem) []CompleteItem {
+	variant := s.cfg.Light
+	if role == worker.RoleHeavy {
+		variant = s.cfg.Heavy
 	}
-	return items
+	req := CompleteRequest{
+		WorkerID: s.cfg.ID, Role: role.String(), LeaseDeadline: pulled.LeaseDeadline,
+	}
+	req.Items = items[:0]
+	for _, q := range pulled.Queries {
+		query := s.cfg.Space.SampleQuery(q.ID)
+		img := s.cfg.Space.GenerateOnce(query, variant.Name, variant.Gen)
+		item := CompleteItem{
+			ID: q.ID, Arrival: q.Arrival,
+			Variant: img.Variant, Features: img.Features, Artifact: img.Artifact,
+		}
+		if role == worker.RoleLight && s.cfg.Scorer != nil {
+			item.Confidence = s.cfg.Scorer.Confidence(query, img)
+		}
+		req.Items = append(req.Items, item)
+	}
+	// Retry a failed report with jittered exponential backoff; if every
+	// try fails, the lease sweep reclaims and re-runs the batch, and
+	// server-side idempotent resolve makes the duplicate run harmless.
+	backoff := workerBackoff
+	for try := 1; ; try++ {
+		if s.cfg.LB.Complete(ctx, req) == nil || try >= completeTries || ctx.Err() != nil {
+			break
+		}
+		s.mu.Lock()
+		jitter := 0.5 + s.rng.Float64()
+		s.mu.Unlock()
+		if !s.cfg.Clock.WaitUntil(ctx, s.cfg.Clock.Now()+backoff*jitter, nil) {
+			break
+		}
+		backoff *= 2
+	}
+	return req.Items
 }
 
 // batchStart is when a batch whose pull returned at returned starts:
