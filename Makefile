@@ -54,6 +54,15 @@ build:
 test:
 	$(GO) test ./...
 
+# tier1-series runs the tier-1 tests N times in a row, uncached, and
+# prints each run's failing tests with their failure lines and each
+# package's time, naming the slowest test of a package over 15 s
+# (scripts/tier1-series.sh). It exits 1 unless every run was green.
+N ?= 20
+.PHONY: tier1-series
+tier1-series:
+	bash scripts/tier1-series.sh $(N)
+
 # loc prints the four sizes the ROADMAP's bars are stated in, counted
 # one way: lines of tracked non-test Go in the repo, in internal/cluster
 # and in the data-path policy's homes (the core in internal/loadbalancer,

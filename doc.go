@@ -268,9 +268,13 @@
 // place: its pull step starts the batch and returns that end without
 // waiting, WorkerServer.Loop waits for it, and its finish step
 // generates, scores and reports the images. The controller ticks at
-// t0 + k·interval, t0 being the harness's clock restart. One late
-// wake then delays one step, not every later one, and no query is
-// served sooner after it was queued than the emulated GPU allows.
+// t0 + k·interval, t0 being when its loop starts. One late wake then
+// delays one step, not every later one, and no query is served sooner
+// after it was queued than the emulated GPU allows. The harness's
+// trace zero is its clock restart, after the cluster is built: the
+// initial plan is applied at it, so each worker's role is stamped on
+// the new clock, and the workers and the control loop start after it,
+// so no wait of theirs was armed on the old one.
 // PERFORMANCE.md ("Trace-time Clock") has the timer probes and what
 // they moved.
 //

@@ -359,9 +359,7 @@ func declAt(fset *token.FileSet, f *ast.File, lines ...int) string {
 // configFieldKeepers are the fields of a *Config or *Options struct
 // under internal/ that no non-test file outside the declaring package
 // sets, each with the reason it stays.
-var configFieldKeepers = map[string]string{
-	"cluster.HarnessConfig.TransportImpl": "the fault-injection seam: tests substitute a wrapped transport",
-}
+var configFieldKeepers = map[string]string{}
 
 // TestConfigFieldsHaveSetters holds every field of a struct named
 // *Config or *Options, declared in a non-test file under internal/, to

@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -426,4 +428,97 @@ func TestHarnessValidation(t *testing.T) {
 			t.Errorf("case %d: expected validation error", i)
 		}
 	}
+}
+
+// TestBuildDrivesNothing holds build to assembling the cluster: on one
+// LB and on two shards, over inproc, every worker is still idle (no
+// plan was applied), the frontend exists exactly on the sharded tier,
+// the arrivals, their reference features and an initial plan that
+// assigns workers are ready, and no goroutine was started.
+func TestBuildDrivesNothing(t *testing.T) {
+	f := newFixtures(t)
+	tr, err := trace.Static(8, 5, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			cfg := HarnessConfig{
+				Space: f.space, Light: f.light, Heavy: f.heavy, Scorer: f.scorer,
+				Mode: loadbalancer.ModeCascade, Workers: 4, SLO: 5,
+				Trace: tr, Ctrl: f.controller(t, 4, 5),
+				Timescale: 0.01, Seed: 3, DisableLoadDelay: true,
+				LBShards: shards,
+			}
+			before := runtime.NumGoroutine()
+			r, err := build(cfg, localTransport{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if after := runtime.NumGoroutine(); after > before {
+				t.Errorf("build started goroutines: %d before, %d after", before, after)
+			}
+			for i, w := range r.workers {
+				if role := w.Stats().Role; role != "idle" {
+					t.Errorf("worker %d has role %q before the replay, want idle", i, role)
+				}
+			}
+			if (r.frontend != nil) != (shards > 1) {
+				t.Errorf("frontend %v on %d shards", r.frontend, shards)
+			}
+			if n := len(r.arrivals); n == 0 || len(r.realFeats) != n {
+				t.Errorf("%d arrivals, %d reference features", n, len(r.realFeats))
+			}
+			if r.plan.LightWorkers+r.plan.HeavyWorkers == 0 {
+				t.Errorf("initial plan %v assigns no worker", r.plan)
+			}
+		})
+	}
+}
+
+// slowServeTransport is the in-process transport with a worker's
+// serving taking 10 wall-ms, so a 16-worker build takes 160 ms: 16
+// trace-seconds at timescale 0.01.
+type slowServeTransport struct{ localTransport }
+
+func (t slowServeTransport) ServeWorker(s *WorkerServer) (WorkerConn, error) {
+	time.Sleep(10 * time.Millisecond)
+	return t.localTransport.ServeWorker(s)
+}
+
+// TestHarnessSetupCostsNoTraceTime replays a light trace after a slow
+// setup. Setup takes most of the 20-second trace in trace time, so a
+// worker whose role or first wait were stamped on the clock before its
+// restart stays unavailable for most of the replay, and queries drop.
+func TestHarnessSetupCostsNoTraceTime(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cluster harness skipped in -short mode")
+	}
+	f := newFixtures(t)
+	tr, err := trace.Static(8, 20, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tp := slowServeTransport{}
+	r, err := build(HarnessConfig{
+		Space: f.space, Light: f.light, Heavy: f.heavy, Scorer: f.scorer,
+		Mode: loadbalancer.ModeCascade, Workers: 16, SLO: 5,
+		Trace: tr, Ctrl: f.controller(t, 16, 5),
+		Timescale: 0.01, Seed: 1, DisableLoadDelay: true,
+	}, tp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	col, err := r.replayWall()
+	if err != nil {
+		t.Fatal(err)
+	}
+	drop, viol := col.DropRatio(), col.SLOViolationRatio()
+	if drop != 0 {
+		t.Errorf("drop ratio %.3f after a slow setup, want 0", drop)
+	}
+	if viol > 0.05 {
+		t.Errorf("violation ratio %.3f after a slow setup, want <= 0.05", viol)
+	}
+	t.Logf("%d queries: drop %.3f, violation %.3f", col.Len(), drop, viol)
 }

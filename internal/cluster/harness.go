@@ -3,9 +3,9 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
+	"diffserve/internal/allocator"
 	"diffserve/internal/controller"
 	"diffserve/internal/discriminator"
 	"diffserve/internal/fid"
@@ -45,10 +45,6 @@ type HarnessConfig struct {
 	// zero serialization — the fastest path for high timescale
 	// factors).
 	Transport string
-	// TransportImpl overrides Transport with a pre-built transport.
-	// The harness still owns and closes it. Tests use it to inject
-	// failures mid-run.
-	TransportImpl Transport
 	// LBShards runs the sharded LB tier: the query stream is
 	// partitioned across this many independent LBServer shards (each
 	// with its own RNG stream "lb/<shard>") by loadbalancer.ShardOf, and
@@ -94,7 +90,9 @@ type Result struct {
 // Summary computes the end-to-end summary against the run's reference.
 func (r *Result) Summary() metrics.Summary { return r.Collector.Summarize(r.Reference) }
 
-// Run executes the full trace through the in-process cluster.
+// Run executes the full trace through the in-process cluster: it
+// builds the cluster over a fresh transport, replays the trace on the
+// wall clock and builds the FID reference of what the client recorded.
 func Run(cfg HarnessConfig) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -102,19 +100,61 @@ func Run(cfg HarnessConfig) (*Result, error) {
 	if cfg.Timescale <= 0 {
 		cfg.Timescale = 0.02
 	}
-	tp := cfg.TransportImpl
-	if tp == nil {
-		var err error
-		if tp, err = NewTransport(cfg.Transport); err != nil {
-			return nil, err
-		}
+	tp, err := NewTransport(cfg.Transport)
+	if err != nil {
+		return nil, err
 	}
 	defer tp.Close()
 
 	wallStart := time.Now() //diffvet:allow walltime — WallSeconds measures real elapsed time for the run report
-	clock := NewClock(cfg.Timescale)
-	rng := stats.NewRNG(cfg.Seed)
+	r, err := build(cfg, tp)
+	if err != nil {
+		return nil, err
+	}
+	col, err := r.replayWall()
+	if err != nil {
+		return nil, err
+	}
+	ref, err := fid.NewReference(r.realFeats)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: building FID reference: %w", err)
+	}
+	return &Result{
+		Collector:   col,
+		Reference:   ref,
+		Plans:       r.loop.Plans(),
+		Queries:     len(r.arrivals),
+		Transport:   tp.Name(),
+		WallSeconds: time.Since(wallStart).Seconds(), //diffvet:allow walltime — WallSeconds measures real elapsed time for the run report
+	}, nil
+}
 
+// rig is an assembled in-process cluster that nothing drives yet. A
+// replay runs the trace through it from its own trace zero, where it
+// applies plan, the initial plan, and only then starts the workers.
+type rig struct {
+	cfg     HarnessConfig
+	tp      Transport
+	clock   *Clock
+	servers []*LBServer // one per shard
+	// lb is the conn the client, the workers and the controller share:
+	// frontend, the ShardedLB over the shards, or the one LB's conn.
+	lb        LBConn
+	frontend  *ShardedLB // nil on one LB; the replay closes it
+	workers   []*WorkerServer
+	loop      *ControllerLoop
+	plan      allocator.Plan // solved, not applied
+	arrivals  []float64      // trace seconds, ascending
+	realFeats [][]float64    // the FID reference's features, one per arrival
+}
+
+// build assembles the cluster cfg describes over tp, with the arrivals
+// and the FID reference features precomputed while setup time is free.
+// It drives nothing: it configures no component, reads and restarts no
+// trace time, and starts no worker, control, submitter or collector.
+func build(cfg HarnessConfig, tp Transport) (*rig, error) {
+	r := &rig{cfg: cfg, tp: tp, clock: NewClock(cfg.Timescale)}
+	var err error
 	// Only the cascade runs a discriminator.
 	var scorer discriminator.Scorer
 	if cfg.Mode == loadbalancer.ModeCascade {
@@ -125,141 +165,105 @@ func Run(cfg HarnessConfig) (*Result, error) {
 	// stream "lb/<shard>" of the run seed, so shards draw decorrelated
 	// random-split decisions and per-shard behavior is deterministic;
 	// the classic single-LB topology keeps the default "lb" stream.
-	shardCount := cfg.LBShards
-	if shardCount <= 0 {
-		shardCount = 1
-	}
-	servers := make([]*LBServer, shardCount)
+	shardCount := max(cfg.LBShards, 1)
+	r.servers = make([]*LBServer, shardCount)
 	shardConns := make([]LBConn, shardCount)
-	for i := range servers {
+	for i := range r.servers {
 		lbCfg := LBConfig{
 			Mode: cfg.Mode, SLO: cfg.SLO,
 			LightMinExec: discriminator.LightExec(cfg.Light, scorer, 1),
 			HeavyMinExec: cfg.Heavy.Latency.Latency(1),
-			Clock:        clock, Seed: cfg.Seed,
+			Clock:        r.clock, Seed: cfg.Seed,
 		}
 		if shardCount > 1 {
 			lbCfg.RNGStream = fmt.Sprintf("lb/%d", i)
 		}
-		servers[i] = NewLBServer(lbCfg)
-		var err error
-		if shardConns[i], err = tp.ServeLB(servers[i]); err != nil {
+		r.servers[i] = NewLBServer(lbCfg)
+		if shardConns[i], err = tp.ServeLB(r.servers[i]); err != nil {
 			return nil, err
 		}
 	}
-	lbConn := shardConns[0]
+	r.lb = shardConns[0]
 	if shardCount > 1 {
-		frontend, err := NewShardedLB(ShardedLBConfig{Shards: shardConns, Clock: clock})
-		if err != nil {
+		if r.frontend, err = NewShardedLB(ShardedLBConfig{Shards: shardConns, Clock: r.clock}); err != nil {
 			return nil, err
 		}
-		defer frontend.Close()
-		lbConn = frontend
+		r.lb = r.frontend
 	}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	// Watch for fatal transport failures (a TCP peer gone for good,
-	// dial retries exhausted): abort the run and surface the error
-	// instead of silently dropping the submitted queries. Transient
-	// events — an injected fault from a FaultTransport, a conn that
-	// severed and recovered — are drained and ignored: a run under
-	// fault injection must survive its own chaos, not abort on it.
-	tpFailed := make(chan error, 1)
-	if ch := tp.Errors(); ch != nil {
-		go func() {
-			for {
-				select {
-				case terr, ok := <-ch:
-					if !ok {
-						return
-					}
-					if terr == nil || IsTransientTransportError(terr) {
-						continue
-					}
-					select {
-					case tpFailed <- terr:
-					default:
-					}
-					cancel()
-					return
-				case <-ctx.Done():
-					return
-				}
-			}
-		}()
-	}
-
+	// Every worker pulls through the run's one LB conn: behind a
+	// frontend a pull gathers from any shard and a completion is routed
+	// to the shard that holds each query, so no worker is pinned.
+	r.workers = make([]*WorkerServer, cfg.Workers)
 	workerConns := make([]WorkerConn, cfg.Workers)
-	for i := 0; i < cfg.Workers; i++ {
-		// Every worker pulls through the run's one LB conn: behind a
-		// frontend a pull gathers from any shard and a completion is
-		// routed to the shard that holds each query, so no worker is
-		// pinned.
-		ws := NewWorkerServer(WorkerConfig{
-			ID: i, LB: lbConn,
+	for i := range r.workers {
+		r.workers[i] = NewWorkerServer(WorkerConfig{
+			ID: i, LB: r.lb,
 			Space: cfg.Space, Light: cfg.Light, Heavy: cfg.Heavy,
-			Scorer: scorer, Clock: clock,
+			Scorer: scorer, Clock: r.clock,
 			DisableLoadDelay: cfg.DisableLoadDelay,
 		})
-		var err error
-		if workerConns[i], err = tp.ServeWorker(ws); err != nil {
+		if workerConns[i], err = tp.ServeWorker(r.workers[i]); err != nil {
 			return nil, err
 		}
-		go ws.Loop(ctx)
 	}
-
-	loop := NewControllerLoop(ControllerConfig{
-		Ctrl: cfg.Ctrl, LB: lbConn, Workers: workerConns,
-		Mode: cfg.Mode, Clock: clock,
+	r.loop = NewControllerLoop(ControllerConfig{
+		Ctrl: cfg.Ctrl, LB: r.lb, Workers: workerConns,
+		Mode: cfg.Mode, Clock: r.clock,
 	})
-	// Initial plan from the trace's starting rate, then periodic ticks.
-	initialPlan, err := cfg.Ctrl.InitialPlan(cfg.Trace.RateAt(0))
-	if err != nil {
+	if r.plan, err = cfg.Ctrl.InitialPlan(cfg.Trace.RateAt(0)); err != nil {
 		return nil, err
 	}
-	loop.Apply(ctx, initialPlan)
 
-	// Precompute arrivals and the FID reference features while setup
-	// time is still free.
-	arrivals := cfg.Trace.Arrivals(rng.Stream("trace"))
-	realFeats := make([][]float64, len(arrivals))
-	for i := range arrivals {
+	r.arrivals = cfg.Trace.Arrivals(stats.NewRNG(cfg.Seed).Stream("trace"))
+	r.realFeats = make([][]float64, len(r.arrivals))
+	for i := range r.arrivals {
 		q := cfg.Space.SampleQuery(cfg.QueryIDBase + i)
-		realFeats[i] = cfg.Space.RealImage(q)
+		r.realFeats[i] = cfg.Space.RealImage(q)
 	}
+	return r, nil
+}
 
-	// Setup is done (servers up, initial plan applied): rewind trace
-	// time so setup cost does not eat into the replay, then start the
-	// control ticks on the rewound clock. They are joined before the
-	// Result is built: a tick in flight at cancel appends to its plans.
-	clock.Restart()
-	var loopDone sync.WaitGroup
-	loopDone.Add(1)
+// replayWall replays r's trace on the wall clock, drains the cluster
+// and returns what the client recorded, or the transport's error if it
+// failed for good mid-run. Trace zero is its clock restart: the initial
+// plan is applied at it and the workers and control ticks start after
+// it, so no role stamp or wait of theirs predates it. It closes the
+// frontend when it returns.
+func (r *rig) replayWall() (*metrics.Collector, error) {
+	if r.frontend != nil {
+		defer r.frontend.Close()
+	}
+	r.clock.Restart()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	tpFailed := watchTransport(ctx, r.tp, cancel)
+	r.loop.Apply(ctx, r.plan)
+	for _, w := range r.workers {
+		go w.Loop(ctx)
+	}
+	// The control ticks are joined before the caller reads the plans: a
+	// tick in flight at cancel appends to them.
+	loopDone := make(chan struct{})
 	go func() {
-		defer loopDone.Done()
-		loop.Run(ctx)
+		defer close(loopDone)
+		r.loop.Run(ctx)
 	}()
 
-	// Replay the trace over the batched async submit path: one
-	// submitter goroutine groups queries that are due together into a
-	// single SubmitBatch round trip, and one collector goroutine
-	// long-polls for results — persistent connections end to end
-	// instead of a goroutine + blocking request per query. The
-	// collector records what it polls: the LBs keep no per-query
-	// record, so this is the run's record.
+	// One submitter goroutine (submit) sends the queries due together
+	// in one SubmitBatch, and one collector goroutine long-polls for
+	// results and records them: the LBs keep no per-query record, so
+	// this is the run's record.
 	col := metrics.NewCollector()
-	col.Grow(len(arrivals))
-	done := make(chan struct{})    // closed once every query's result is recorded
-	drained := make(chan struct{}) // closed after the last drain: take what is left, then stop
-	var collected sync.WaitGroup
-	collected.Add(1)
-	go func() { // collector
-		defer collected.Done()
+	col.Grow(len(r.arrivals))
+	done := make(chan struct{})      // closed once every query's result is recorded
+	drained := make(chan struct{})   // closed after the last drain: take what is left, then stop
+	collected := make(chan struct{}) // closed when the collector returns
+	go func() {
+		defer close(collected)
 		got := 0
 		var resp ResultsResponse // reused across polls; features are interned out of it
-		for got < len(arrivals) && ctx.Err() == nil {
+		for got < len(r.arrivals) && ctx.Err() == nil {
 			req := ResultsRequest{Max: 1024, Wait: 1}
 			select {
 			case <-drained:
@@ -267,46 +271,29 @@ func Run(cfg HarnessConfig) (*Result, error) {
 			default:
 			}
 			resp.Results = resp.Results[:0] // a failed remote call leaves resp as it was
-			if err := lbConn.PollResultsInto(ctx, req, &resp); err != nil {
+			if err := r.lb.PollResultsInto(ctx, req, &resp); err != nil {
 				if req.Wait == 0 {
 					return
 				}
 				// Transient transport failure: back off briefly.
-				clock.WaitUntil(ctx, clock.Now()+0.05, nil)
+				r.clock.WaitUntil(ctx, r.clock.Now()+0.05, nil)
 				continue
 			}
 			if req.Wait == 0 && len(resp.Results) == 0 {
 				return
 			}
 			for i := range resp.Results {
-				rec := resp.Results[i].Record(cfg.SLO)
+				rec := resp.Results[i].Record(r.cfg.SLO)
 				rec.Features = col.InternFeatures(rec.Features)
 				col.Record(rec)
 			}
 			got += len(resp.Results)
 		}
-		if got >= len(arrivals) {
+		if got >= len(r.arrivals) {
 			close(done)
 		}
 	}()
-	go func() { // submitter
-		batch := make([]QueryMsg, 0, 64)
-		i := 0
-		for i < len(arrivals) {
-			if !clock.WaitUntil(ctx, arrivals[i], nil) {
-				return
-			}
-			now := clock.Now()
-			batch = batch[:0]
-			for i < len(arrivals) && arrivals[i] <= now {
-				batch = append(batch, QueryMsg{ID: cfg.QueryIDBase + i, Arrival: arrivals[i]})
-				i++
-			}
-			if err := lbConn.SubmitBatch(ctx, SubmitRequest{Queries: batch}); err != nil {
-				return
-			}
-		}
-	}()
+	go r.submit(ctx)
 
 	// Wait for every query to resolve, plus a drain grace; then shed
 	// leftovers and, as a last resort, give up after a second grace
@@ -314,21 +301,21 @@ func Run(cfg HarnessConfig) (*Result, error) {
 	// transport failure aborts the wait immediately.
 	var transportErr error
 	drainAll := func() {
-		for _, lb := range servers {
+		for _, lb := range r.servers {
 			lb.DrainRemaining()
 		}
 	}
-	grace := model.DrainGrace(cfg.SLO, cfg.Heavy)
-	horizon := cfg.Trace.Duration() + grace
+	grace := model.DrainGrace(r.cfg.SLO, r.cfg.Heavy)
+	horizon := r.cfg.Trace.Duration() + grace
 	select {
 	case <-done:
 	case transportErr = <-tpFailed:
-	case <-time.After(clock.WallDuration(horizon)): //diffvet:allow walltime — shutdown watchdog must fire on wall time even if the trace clock stalls
+	case <-time.After(r.clock.WallDuration(horizon)): //diffvet:allow walltime — shutdown watchdog must fire on wall time even if the trace clock stalls
 		drainAll()
 		select {
 		case <-done:
 		case transportErr = <-tpFailed:
-		case <-time.After(clock.WallDuration(grace) + 2*time.Second): //diffvet:allow walltime — drain grace watchdog must fire on wall time even if the trace clock stalls
+		case <-time.After(r.clock.WallDuration(grace) + 2*time.Second): //diffvet:allow walltime — drain grace watchdog must fire on wall time even if the trace clock stalls
 		}
 	}
 	drainAll()
@@ -337,9 +324,9 @@ func Run(cfg HarnessConfig) (*Result, error) {
 	// it is not cancelled mid-poll, which over tcp would lose the
 	// results that poll took.
 	close(drained)
-	collected.Wait()
+	<-collected
 	cancel()
-	loopDone.Wait()
+	<-loopDone
 	if transportErr == nil {
 		// The failure may have raced with normal completion.
 		select {
@@ -348,19 +335,64 @@ func Run(cfg HarnessConfig) (*Result, error) {
 		}
 	}
 	if transportErr != nil {
-		return nil, fmt.Errorf("cluster: %s transport failed mid-run: %w", tp.Name(), transportErr)
+		return nil, fmt.Errorf("cluster: %s transport failed mid-run: %w", r.tp.Name(), transportErr)
 	}
+	return col, nil
+}
 
-	ref, err := fid.NewReference(realFeats)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: building FID reference: %w", err)
+// submit submits r's arrivals as each falls due, those due together in
+// one SubmitBatch, until they are all submitted, ctx ends or a submit
+// fails.
+func (r *rig) submit(ctx context.Context) {
+	batch := make([]QueryMsg, 0, 64)
+	i := 0
+	for i < len(r.arrivals) {
+		if !r.clock.WaitUntil(ctx, r.arrivals[i], nil) {
+			return
+		}
+		now := r.clock.Now()
+		batch = batch[:0]
+		for i < len(r.arrivals) && r.arrivals[i] <= now {
+			batch = append(batch, QueryMsg{ID: r.cfg.QueryIDBase + i, Arrival: r.arrivals[i]})
+			i++
+		}
+		if err := r.lb.SubmitBatch(ctx, SubmitRequest{Queries: batch}); err != nil {
+			return
+		}
 	}
-	return &Result{
-		Collector:   col,
-		Reference:   ref,
-		Plans:       loop.Plans(),
-		Queries:     len(arrivals),
-		Transport:   tp.Name(),
-		WallSeconds: time.Since(wallStart).Seconds(), //diffvet:allow walltime — WallSeconds measures real elapsed time for the run report
-	}, nil
+}
+
+// watchTransport watches tp for a fatal failure (a TCP peer gone for
+// good, dial retries exhausted) until ctx ends. On the first it cancels
+// the run and hands the failure over on the returned channel, so the
+// run surfaces it instead of silently dropping the submitted queries.
+// Transient events — an injected fault from a FaultTransport, a conn
+// that severed and recovered — are drained and ignored: a run under
+// fault injection must survive its own chaos, not abort on it. A nil
+// Errors channel never fires, so the watch then just waits for ctx.
+func watchTransport(ctx context.Context, tp Transport, cancel context.CancelFunc) <-chan error {
+	failed := make(chan error, 1)
+	ch := tp.Errors()
+	go func() {
+		for {
+			select {
+			case terr, ok := <-ch:
+				if !ok {
+					return
+				}
+				if terr == nil || IsTransientTransportError(terr) {
+					continue
+				}
+				select {
+				case failed <- terr:
+				default:
+				}
+				cancel()
+				return
+			case <-ctx.Done():
+				return
+			}
+		}
+	}()
+	return failed
 }

@@ -14,6 +14,7 @@ import (
 
 	"diffserve/internal/allocator"
 	"diffserve/internal/loadbalancer"
+	"diffserve/internal/metrics"
 	"diffserve/internal/trace"
 )
 
@@ -492,17 +493,21 @@ func TestHarnessReportsTransportFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	tp := newTCPTransport()
+	defer tp.Close()
 
-	resCh := make(chan *Result, 1)
+	resCh := make(chan *metrics.Collector, 1)
 	errCh := make(chan error, 1)
 	go func() {
-		res, err := Run(HarnessConfig{
+		r, err := build(HarnessConfig{
 			Space: f.space, Light: f.light, Heavy: f.heavy, Scorer: f.scorer,
 			Mode: loadbalancer.ModeCascade, Workers: 4, SLO: 5,
 			Trace: tr, Ctrl: f.controller(t, 4, 5),
 			Timescale: 0.1, Seed: 7, DisableLoadDelay: true,
-			TransportImpl: tp,
-		})
+		}, tp)
+		var res *metrics.Collector
+		if err == nil {
+			res, err = r.replayWall()
+		}
 		resCh <- res
 		errCh <- err
 	}()

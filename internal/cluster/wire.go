@@ -246,8 +246,7 @@ type LBStats struct {
 }
 
 // Clock converts between wall time and trace time. Now and Restart
-// are safe for concurrent use: the harness restarts the clock after
-// setup while worker loops are already reading it. Now takes no lock.
+// are safe for concurrent use, and Now takes no lock.
 //
 // Every trace-time wait in the cluster is a WaitUntil on an absolute
 // trace deadline. A loop that waits for its own schedule (a worker for
@@ -275,9 +274,10 @@ func (c *Clock) Now() float64 {
 	return time.Since(*c.start.Load()).Seconds() / c.timescale //diffvet:allow walltime — trace time is derived from wall elapsed since the anchor; this is the boundary itself
 }
 
-// Restart rewinds trace time to zero. The harness calls this after
-// component setup so that setup cost (server startup, the initial
-// MILP solve) does not consume trace time.
+// Restart rewinds trace time to zero. The harness's wall replay calls
+// it first, so setup (server startup, the initial MILP solve) costs no
+// trace time, and applies the initial plan and starts the workers after
+// it, so no role stamp or wait predates trace zero.
 func (c *Clock) Restart() {
 	start := time.Now() //diffvet:allow walltime — Restart re-anchors trace zero to the wall clock; this is the boundary itself
 	c.start.Store(&start)
