@@ -63,6 +63,22 @@ N ?= 20
 tier1-series:
 	bash scripts/tier1-series.sh $(N)
 
+# goldens regenerates internal/experiments/testdata/<name>_short_seed4242.golden
+# (TestExperimentGoldens): diffserve-sim's -short -seed 4242 output of
+# every experiment but sim-vs-cluster, whose cluster side runs on the
+# wall clock, with milp's wall-clock solve times masked. Run it only
+# when a change means to move a reported number.
+.PHONY: goldens
+goldens:
+	@bin="$$(mktemp -d)"; trap 'rm -rf "$$bin"' EXIT; \
+	$(GO) build -o "$$bin/diffserve-sim" ./cmd/diffserve-sim || exit 1; \
+	for e in $$("$$bin/diffserve-sim" -list | cut -d: -f2); do \
+		case "$$e" in all|sim-vs-cluster) continue;; esac; \
+		"$$bin/diffserve-sim" -experiment "$$e" -short -seed 4242 > "$$bin/out" || exit 1; \
+		sed -E 's/mean [0-9.]+ ms, p99 [0-9.]+ ms/mean - ms, p99 - ms/' "$$bin/out" \
+			> "internal/experiments/testdata/$${e}_short_seed4242.golden"; \
+	done
+
 # loc prints the four sizes the ROADMAP's bars are stated in, counted
 # one way: lines of tracked non-test Go in the repo, in internal/cluster
 # and in the data-path policy's homes (the core in internal/loadbalancer,

@@ -55,17 +55,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	deadline := env.Spec.SLOSeconds
-	if *slo > 0 {
-		deadline = *slo
-	}
-	alloc, err := allocator.NewMILP(allocator.Config{
-		Light: env.Light, Heavy: env.Heavy,
-		DiscPerImage: env.Scorer.PerImageLatency(),
-		Deferral:     env.Deferral,
-		TotalWorkers: len(workerURLs),
-		SLO:          deadline,
-	})
+	ac := env.AllocConfig(baselines.Options{Workers: len(workerURLs), SLO: *slo})
+	alloc, err := allocator.NewMILP(ac)
 	if err != nil {
 		fatal(err)
 	}
@@ -89,7 +80,7 @@ func main() {
 		Logf: log.Printf, // stats-poll misses, failover, half-applied plans: stderr
 	})
 	fmt.Printf("diffserve-controller: %d workers, SLO %.1fs, interval %.1fs\n",
-		len(workerURLs), deadline, *interval)
+		len(workerURLs), ac.SLO, *interval)
 	loop.Run(context.Background())
 }
 

@@ -32,7 +32,6 @@ func main() {
 		slo        = flag.Float64("slo", 0, "SLO override in seconds (0 = cascade default)")
 		minQPS     = flag.Float64("min-qps", 4, "trace minimum rate for -serve")
 		maxQPS     = flag.Float64("max-qps", 32, "trace maximum rate for -serve")
-		transport  = flag.String("transport", "tcp", "cluster transport for sim-vs-cluster: inproc|tcp")
 	)
 	flag.Parse()
 
@@ -73,7 +72,6 @@ func main() {
 			Workers:              *workers,
 			TraceDurationSeconds: *duration,
 			Short:                *short,
-			ClusterTransport:     *transport,
 		}, os.Stdout)
 		if err != nil {
 			fatal(err)

@@ -4,8 +4,10 @@
 // trace through the network data path at 10x speed.
 // The example uses the framed-TCP transport (persistent multiplexed
 // connections, binary codec), the wire the standalone binaries speak;
-// set the Transport field to cluster.TransportInproc for the
-// zero-serialization in-process alternative.
+// set the harness's Transport field to cluster.TransportInproc for the
+// zero-serialization in-process alternative. baselines.Env builds the
+// run's components, routing mode and controller, as it does for the
+// simulator.
 //
 //	go run ./examples/cluster
 package main
@@ -14,11 +16,8 @@ import (
 	"fmt"
 	"log"
 
-	"diffserve/internal/allocator"
 	"diffserve/internal/baselines"
 	"diffserve/internal/cluster"
-	"diffserve/internal/controller"
-	"diffserve/internal/loadbalancer"
 	"diffserve/internal/stats"
 	"diffserve/internal/trace"
 )
@@ -39,32 +38,17 @@ func main() {
 		log.Fatal(err)
 	}
 
-	alloc, err := allocator.NewMILP(allocator.Config{
-		Light: env.Light, Heavy: env.Heavy,
-		DiscPerImage: env.Scorer.PerImageLatency(),
-		Deferral:     env.Deferral,
-		TotalWorkers: workers,
-		SLO:          env.Spec.SLOSeconds,
+	hc, err := env.Harness(baselines.DiffServe, tr, baselines.Options{
+		Workers: workers, Seed: 99, DisableModelLoadDelay: true,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	ctrl, err := controller.New(controller.Config{Alloc: alloc})
-	if err != nil {
-		log.Fatal(err)
-	}
+	hc.Timescale, hc.Transport = 0.1, cluster.TransportTCP
 
 	fmt.Printf("replaying %s through an LB + %d workers + controller over framed TCP (10x speed)...\n",
 		tr.Name(), workers)
-	res, err := cluster.Run(cluster.HarnessConfig{
-		Space: env.Space, Light: env.Light, Heavy: env.Heavy, Scorer: env.Scorer,
-		Mode: loadbalancer.ModeCascade, Workers: workers, SLO: env.Spec.SLOSeconds,
-		Trace: tr, Ctrl: ctrl, Timescale: 0.1, Seed: 99,
-		DisableLoadDelay: true,
-		// The alternative is cluster.TransportInproc (zero-serialization
-		// direct dispatch for maximum replay speed).
-		Transport: cluster.TransportTCP,
-	})
+	res, err := cluster.Run(hc)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -20,19 +20,15 @@ type ExperimentConfig struct {
 	TraceDurationSeconds float64
 	// Short shrinks everything for quick runs.
 	Short bool
-	// ClusterTransport selects the cluster runtime's wire path for
-	// the sim-vs-cluster experiment: "tcp" (default) or "inproc".
-	ClusterTransport string
 }
 
 func (c ExperimentConfig) internal() experiments.Config {
 	return experiments.Config{
-		Seed:             c.Seed,
-		Queries:          c.Queries,
-		Workers:          c.Workers,
-		TraceDuration:    c.TraceDurationSeconds,
-		Short:            c.Short,
-		ClusterTransport: c.ClusterTransport,
+		Seed:          c.Seed,
+		Queries:       c.Queries,
+		Workers:       c.Workers,
+		TraceDuration: c.TraceDurationSeconds,
+		Short:         c.Short,
 	}
 }
 

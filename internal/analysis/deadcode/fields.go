@@ -12,10 +12,11 @@ import (
 
 // checkFields reports the named fields of the structs the in-scope
 // packages declare that no non-test file of the module reads. Not a
-// read: an assignment's left side, an inc/dec operand, a
-// composite-literal key, and a selection inside an append* func of a
-// codec.go (a wire message's encoder). Every field of a struct type is
-// read when its values are compared or key a map.
+// read: an assignment's left side and an inc/dec operand, the field
+// itself or an element of it (x.F[k] = v), a composite-literal key,
+// and a selection inside an append* func of a codec.go (a wire
+// message's encoder). Every field of a struct type is read when its
+// values are compared or key a map.
 func checkFields(pass *analysis.ModulePass, mine func(*analysis.Package) bool) {
 	read := map[*types.Var]bool{}
 	var readAll func(t types.Type)
@@ -63,10 +64,10 @@ func checkFields(pass *analysis.ModulePass, mine func(*analysis.Package) bool) {
 					return !encoder || !strings.HasPrefix(n.Name.Name, "append")
 				case *ast.AssignStmt:
 					for _, lhs := range n.Lhs {
-						written[ast.Unparen(lhs)] = true
+						written[container(lhs)] = true
 					}
 				case *ast.IncDecStmt:
-					written[ast.Unparen(n.X)] = true
+					written[container(n.X)] = true
 				case *ast.BinaryExpr:
 					if n.Op == token.EQL || n.Op == token.NEQ {
 						readAll(info.TypeOf(n.X))
@@ -89,6 +90,19 @@ func checkFields(pass *analysis.ModulePass, mine func(*analysis.Package) bool) {
 			pass.Report(analysis.Diagnostic{Pos: f.v.Pos(), Message: "field " + f.name +
 				" is read by no non-test file of the module: delete it, or keep it with //diffvet:allow deadcode — reason"})
 		}
+	}
+}
+
+// container is the expression an assignment to e writes: e itself, or
+// for an element x[i][j], the x it indexes into.
+func container(e ast.Expr) ast.Expr {
+	e = ast.Unparen(e)
+	for {
+		ix, ok := e.(*ast.IndexExpr)
+		if !ok {
+			return e
+		}
+		e = ast.Unparen(ix.X)
 	}
 }
 

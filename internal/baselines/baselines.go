@@ -5,7 +5,9 @@
 // queuing model). Each approach pairs a routing mode with an
 // allocator; the Env fixture shares the query space, model variants,
 // discriminator, and deferral profile across approaches so comparisons
-// are apples-to-apples.
+// are apples-to-apples. An Env builds one approach's run for either
+// driver from the same recipe: NewSystem for the discrete-event
+// simulator, Harness for the cluster runtime.
 package baselines
 
 import (
@@ -13,6 +15,7 @@ import (
 
 	"diffserve/internal/allocator"
 	"diffserve/internal/cascade"
+	"diffserve/internal/cluster"
 	"diffserve/internal/controller"
 	"diffserve/internal/discriminator"
 	"diffserve/internal/imagespace"
@@ -130,8 +133,10 @@ func (o Options) withDefaults(e *Env) Options {
 	return o
 }
 
-// allocConfig builds the shared allocator configuration.
-func (e *Env) allocConfig(opt Options) allocator.Config {
+// AllocConfig is the allocator configuration the DiffServe-family
+// approaches and Proteus plan with, for opt with its defaults applied.
+func (e *Env) AllocConfig(opt Options) allocator.Config {
+	opt = opt.withDefaults(e)
 	return allocator.Config{
 		Light: e.Light, Heavy: e.Heavy,
 		DiscPerImage:  e.Scorer.PerImageLatency(),
@@ -142,75 +147,10 @@ func (e *Env) allocConfig(opt Options) allocator.Config {
 	}
 }
 
-// NewSystem builds a runnable system for the approach on the trace.
+// NewSystem builds the simulator's run of the approach on the trace.
 func (e *Env) NewSystem(app Approach, tr *trace.Trace, opt Options) (*system.System, error) {
 	opt = opt.withDefaults(e)
-
-	var (
-		alloc allocfn
-		mode  loadbalancer.Mode
-		aimd  bool
-	)
-	switch app {
-	case ClipperLight:
-		mode = loadbalancer.ModeAllLight
-		alloc = func() (allocator.Allocator, error) {
-			return allocator.NewClipper(e.Light, false, opt.Workers, opt.SLO)
-		}
-	case ClipperHeavy:
-		mode = loadbalancer.ModeAllHeavy
-		alloc = func() (allocator.Allocator, error) {
-			return allocator.NewClipper(e.Heavy, true, opt.Workers, opt.SLO)
-		}
-	case Proteus:
-		mode = loadbalancer.ModeRandomSplit
-		alloc = func() (allocator.Allocator, error) {
-			return allocator.NewProteus(e.allocConfig(opt))
-		}
-	case DiffServeStatic:
-		mode = loadbalancer.ModeCascade
-		alloc = func() (allocator.Allocator, error) {
-			return allocator.NewDiffServeStatic(e.allocConfig(opt), tr.PeakRate())
-		}
-	case DiffServe:
-		mode = loadbalancer.ModeCascade
-		alloc = func() (allocator.Allocator, error) {
-			return allocator.NewMILP(e.allocConfig(opt))
-		}
-	case DiffServeStaticThreshold:
-		mode = loadbalancer.ModeCascade
-		alloc = func() (allocator.Allocator, error) {
-			cfg := e.allocConfig(opt)
-			// The static-threshold ablation pins the threshold at a
-			// peak-survivable deferral level (an operator would choose a
-			// value the heavy pool can absorb at peak), so it gives up the
-			// off-peak quality headroom DiffServe exploits (§4.5).
-			thr := e.Deferral.ThresholdForFraction(0.2)
-			cfg.FixedThreshold = &thr
-			return allocator.NewMILP(cfg)
-		}
-	case DiffServeAIMD:
-		mode = loadbalancer.ModeCascade
-		aimd = true
-		alloc = func() (allocator.Allocator, error) {
-			return allocator.NewMILP(e.allocConfig(opt))
-		}
-	case DiffServeNoQueue:
-		mode = loadbalancer.ModeCascade
-		alloc = func() (allocator.Allocator, error) {
-			cfg := e.allocConfig(opt)
-			cfg.Queue = allocator.QueueModelTwiceExec
-			return allocator.NewMILP(cfg)
-		}
-	default:
-		return nil, fmt.Errorf("baselines: unknown approach %q", app)
-	}
-
-	a, err := alloc()
-	if err != nil {
-		return nil, err
-	}
-	ctrl, err := controller.New(controller.Config{Alloc: a, AIMD: aimd})
+	mode, ctrl, err := e.controller(app, tr, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -224,4 +164,71 @@ func (e *Env) NewSystem(app Approach, tr *trace.Trace, opt Options) (*system.Sys
 	})
 }
 
-type allocfn = func() (allocator.Allocator, error)
+// Harness builds the cluster runtime's run of the approach on the
+// trace: the components, routing mode, controller and seed NewSystem
+// gives the simulator. The caller sets only how the run is replayed:
+// Timescale, Transport and LBShards.
+func (e *Env) Harness(app Approach, tr *trace.Trace, opt Options) (cluster.HarnessConfig, error) {
+	opt = opt.withDefaults(e)
+	mode, ctrl, err := e.controller(app, tr, opt)
+	if err != nil {
+		return cluster.HarnessConfig{}, err
+	}
+	return cluster.HarnessConfig{
+		Space: e.Space, Light: e.Light, Heavy: e.Heavy, Scorer: e.Scorer,
+		Mode: mode, Workers: opt.Workers, SLO: opt.SLO,
+		Trace: tr, Ctrl: ctrl, Seed: opt.Seed,
+		DisableLoadDelay: opt.DisableModelLoadDelay,
+		QueryIDBase:      opt.QueryIDBase,
+	}, nil
+}
+
+// controller is the approach's recipe, shared by both drivers: its
+// routing mode and a fresh controller over its allocator. opt's
+// defaults are already applied.
+func (e *Env) controller(app Approach, tr *trace.Trace, opt Options) (loadbalancer.Mode, *controller.Controller, error) {
+	var (
+		a    allocator.Allocator
+		err  error
+		mode = loadbalancer.ModeCascade
+		aimd bool
+	)
+	switch app {
+	case ClipperLight:
+		mode = loadbalancer.ModeAllLight
+		a, err = allocator.NewClipper(e.Light, false, opt.Workers, opt.SLO)
+	case ClipperHeavy:
+		mode = loadbalancer.ModeAllHeavy
+		a, err = allocator.NewClipper(e.Heavy, true, opt.Workers, opt.SLO)
+	case Proteus:
+		mode = loadbalancer.ModeRandomSplit
+		a, err = allocator.NewProteus(e.AllocConfig(opt))
+	case DiffServeStatic:
+		a, err = allocator.NewDiffServeStatic(e.AllocConfig(opt), tr.PeakRate())
+	case DiffServe:
+		a, err = allocator.NewMILP(e.AllocConfig(opt))
+	case DiffServeStaticThreshold:
+		cfg := e.AllocConfig(opt)
+		// The static-threshold ablation pins the threshold at a
+		// peak-survivable deferral level (an operator would choose a
+		// value the heavy pool can absorb at peak), so it gives up the
+		// off-peak quality headroom DiffServe exploits (§4.5).
+		thr := e.Deferral.ThresholdForFraction(0.2)
+		cfg.FixedThreshold = &thr
+		a, err = allocator.NewMILP(cfg)
+	case DiffServeAIMD:
+		aimd = true
+		a, err = allocator.NewMILP(e.AllocConfig(opt))
+	case DiffServeNoQueue:
+		cfg := e.AllocConfig(opt)
+		cfg.Queue = allocator.QueueModelTwiceExec
+		a, err = allocator.NewMILP(cfg)
+	default:
+		return mode, nil, fmt.Errorf("baselines: unknown approach %q", app)
+	}
+	if err != nil {
+		return mode, nil, err
+	}
+	ctrl, err := controller.New(controller.Config{Alloc: a, AIMD: aimd})
+	return mode, ctrl, err
+}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"diffserve/internal/loadbalancer"
 	"diffserve/internal/metrics"
 	"diffserve/internal/stats"
 	"diffserve/internal/trace"
@@ -143,5 +144,71 @@ func TestAllAndAblationsLists(t *testing.T) {
 	}
 	if len(Ablations()) != 4 {
 		t.Errorf("Ablations() = %d, want 4", len(Ablations()))
+	}
+}
+
+// TestHarnessMatchesNewSystem holds the cluster's recipe to the
+// simulator's: for every approach, Harness carries the env's
+// components, the trace and opt's defaulted settings, routes in the
+// approach's mode, and its fresh controller's first plan is the one the
+// NewSystem run applied at trace zero.
+func TestHarnessMatchesNewSystem(t *testing.T) {
+	env, err := NewEnv("cascade1", 7, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := trace.Static(8, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	modes := map[Approach]loadbalancer.Mode{
+		ClipperLight: loadbalancer.ModeAllLight,
+		ClipperHeavy: loadbalancer.ModeAllHeavy,
+		Proteus:      loadbalancer.ModeRandomSplit,
+	}
+	for _, opt := range []Options{
+		{Workers: 8},
+		{Workers: 8, SLO: 4, Seed: 5, OverProvision: 1.2, QueryIDBase: 100, DisableModelLoadDelay: true},
+	} {
+		want := opt.withDefaults(env)
+		for _, app := range append(All(), Ablations()[1:]...) {
+			hc, err := env.Harness(app, tr, opt)
+			if err != nil {
+				t.Fatalf("%s: %v", app, err)
+			}
+			if hc.Space != env.Space || hc.Light != env.Light || hc.Heavy != env.Heavy || hc.Scorer != env.Scorer || hc.Trace != tr {
+				t.Errorf("%s %+v: harness does not carry the env's components and trace", app, opt)
+			}
+			if hc.Workers != want.Workers || hc.SLO != want.SLO || hc.Seed != want.Seed ||
+				hc.QueryIDBase != want.QueryIDBase || hc.DisableLoadDelay != want.DisableModelLoadDelay {
+				t.Errorf("%s %+v: harness workers %d SLO %v seed %d base %d no-load-delay %v, want %+v",
+					app, opt, hc.Workers, hc.SLO, hc.Seed, hc.QueryIDBase, hc.DisableLoadDelay, want)
+			}
+			wantMode, ok := modes[app]
+			if !ok {
+				wantMode = loadbalancer.ModeCascade
+			}
+			if hc.Mode != wantMode {
+				t.Errorf("%s: harness mode %v, want %v", app, hc.Mode, wantMode)
+			}
+
+			sys, err := env.NewSystem(app, tr, opt)
+			if err != nil {
+				t.Fatalf("%s: %v", app, err)
+			}
+			res, err := sys.Run()
+			if err != nil {
+				t.Fatalf("%s: %v", app, err)
+			}
+			got, err := hc.Ctrl.InitialPlan(tr.RateAt(0))
+			if err != nil {
+				t.Fatalf("%s: %v", app, err)
+			}
+			sim := res.Plans[0].Plan
+			got.SolveTime, sim.SolveTime = 0, 0
+			if got != sim {
+				t.Errorf("%s %+v: harness plans %v at trace zero, the simulator %v", app, opt, got, sim)
+			}
+		}
 	}
 }

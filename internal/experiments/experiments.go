@@ -17,7 +17,7 @@
 //	Fig8   — resource-allocation ablation timeline
 //	Fig9   — SLO sensitivity sweep
 //	MILPOverhead — allocator solve-time measurement (§4.5)
-//	SimVsCluster — simulator vs. cluster-runtime (tcp / inproc) agreement (§4.3)
+//	SimVsCluster — simulator vs. cluster-runtime (tcp) agreement (§4.3)
 //
 // Two more go beyond the paper's evaluation. They are extensions, not
 // reproductions of a reported table or figure:
@@ -41,6 +41,8 @@ import (
 	"diffserve/internal/baselines"
 	"diffserve/internal/fid"
 	"diffserve/internal/imagespace"
+	"diffserve/internal/metrics"
+	"diffserve/internal/parallel"
 	"diffserve/internal/stats"
 	"diffserve/internal/trace"
 )
@@ -59,9 +61,6 @@ type Config struct {
 	TraceDuration float64
 	// Short shrinks everything for quick runs and tests.
 	Short bool
-	// ClusterTransport selects the cluster runtime's wire path for
-	// SimVsCluster: "tcp" (framed TCP, the default) or "inproc".
-	ClusterTransport string
 }
 
 func (c Config) withDefaults() Config {
@@ -113,8 +112,9 @@ func azureTrace(cfg Config, minQPS, maxQPS float64) (*trace.Trace, error) {
 	return raw.ScaleTo(minQPS, maxQPS)
 }
 
-// runOnTrace builds and runs one approach, returning its result.
-func runOnTrace(env *baselines.Env, app baselines.Approach, tr *trace.Trace, opt baselines.Options) (summary Summary, buckets []TimelineBucket, err error) {
+// runOnTrace builds and runs one approach on the simulator, returning
+// its summary and its 10-second timeline.
+func runOnTrace(env *baselines.Env, app baselines.Approach, tr *trace.Trace, opt baselines.Options) (Summary, []metrics.Bucket, error) {
 	sys, err := env.NewSystem(app, tr, opt)
 	if err != nil {
 		return Summary{}, nil, err
@@ -123,46 +123,40 @@ func runOnTrace(env *baselines.Env, app baselines.Approach, tr *trace.Trace, opt
 	if err != nil {
 		return Summary{}, nil, err
 	}
-	s := res.Summary()
-	summary = Summary{
-		Approach:       string(app),
-		FID:            s.FID,
-		ViolationRatio: s.ViolationRatio,
-		DropRatio:      s.DropRatio,
-		DeferRatio:     s.DeferRatio,
-		MeanLatency:    s.MeanLatency,
-		P99Latency:     s.P99Latency,
-	}
-	bks, err := res.Collector.Timeline(10, res.Reference, 48)
+	buckets, err := res.Collector.Timeline(10, res.Reference, 48)
 	if err != nil {
 		return Summary{}, nil, err
 	}
-	for _, b := range bks {
-		buckets = append(buckets, TimelineBucket{
-			Start: b.Start, DemandQPS: b.DemandQPS,
-			FID: b.FID, ViolationRatio: b.ViolationRatio,
-		})
+	return Summary{Approach: string(app), Summary: res.Summary()}, buckets, nil
+}
+
+// runApproaches runs each approach on the trace in parallel and returns
+// their summaries in order and their timelines by approach.
+func runApproaches(env *baselines.Env, apps []baselines.Approach, tr *trace.Trace, opt baselines.Options) ([]Summary, map[string][]metrics.Bucket, error) {
+	type run struct {
+		sum     Summary
+		buckets []metrics.Bucket
 	}
-	return summary, buckets, nil
+	runs, err := parallel.Map(len(apps), func(i int) (run, error) {
+		sum, buckets, err := runOnTrace(env, apps[i], tr, opt)
+		return run{sum, buckets}, err
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	sums := make([]Summary, len(runs))
+	timelines := map[string][]metrics.Bucket{}
+	for i, r := range runs {
+		sums[i] = r.sum
+		timelines[string(apps[i])] = r.buckets
+	}
+	return sums, timelines, nil
 }
 
 // Summary is one approach's end-to-end outcome.
 type Summary struct {
-	Approach       string
-	FID            float64
-	ViolationRatio float64
-	DropRatio      float64
-	DeferRatio     float64
-	MeanLatency    float64
-	P99Latency     float64
-}
-
-// TimelineBucket is one 10-second window of a timeline figure.
-type TimelineBucket struct {
-	Start          float64
-	DemandQPS      float64
-	FID            float64 // NaN when too few samples
-	ViolationRatio float64
+	Approach string
+	metrics.Summary
 }
 
 // writeSummaries renders a summary table.

@@ -194,9 +194,7 @@ func TestSimVsClusterAgreement(t *testing.T) {
 		{"tcp-2-shards", "tcp", 2, "tcp, 2 lb shards"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := shortCfg()
-			cfg.ClusterTransport = tc.transport
-			r, err := simVsCluster(cfg, tc.lbShards)
+			r, err := simVsCluster(shortCfg(), tc.transport, tc.lbShards)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -9,10 +9,8 @@ import (
 	"diffserve/internal/allocator"
 	"diffserve/internal/baselines"
 	"diffserve/internal/cluster"
-	"diffserve/internal/controller"
 	"diffserve/internal/discriminator"
 	"diffserve/internal/imagespace"
-	"diffserve/internal/loadbalancer"
 	"diffserve/internal/model"
 	"diffserve/internal/parallel"
 	"diffserve/internal/stats"
@@ -103,7 +101,6 @@ func (r *Fig7Result) Render(w io.Writer) {
 // batching) on the dynamic trace.
 type Fig8Result struct {
 	Summaries []Summary
-	Timelines map[string][]TimelineBucket
 }
 
 // Fig8 regenerates Figure 8.
@@ -117,20 +114,11 @@ func Fig8(cfg Config) (*Fig8Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &Fig8Result{Timelines: map[string][]TimelineBucket{}}
-	apps := baselines.Ablations()
-	runs, err := parallel.Map(len(apps), func(i int) (approachRun, error) {
-		sum, buckets, err := runOnTrace(env, apps[i], tr, baselines.Options{Workers: cfg.Workers})
-		return approachRun{sum: sum, buckets: buckets}, err
-	})
+	sums, _, err := runApproaches(env, baselines.Ablations(), tr, baselines.Options{Workers: cfg.Workers})
 	if err != nil {
 		return nil, err
 	}
-	for i, r := range runs {
-		out.Summaries = append(out.Summaries, r.sum)
-		out.Timelines[string(apps[i])] = r.buckets
-	}
-	return out, nil
+	return &Fig8Result{Summaries: sums}, nil
 }
 
 // Render writes the Fig 8 summary.
@@ -204,14 +192,7 @@ func MILPOverhead(cfg Config) (*MILPOverheadResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	prof := env.Deferral
-	a, err := allocator.NewMILP(allocator.Config{
-		Light: env.Light, Heavy: env.Heavy,
-		DiscPerImage: env.Scorer.PerImageLatency(),
-		Deferral:     prof,
-		TotalWorkers: cfg.Workers,
-		SLO:          env.Spec.SLOSeconds,
-	})
+	a, err := allocator.NewMILP(env.AllocConfig(baselines.Options{Workers: cfg.Workers}))
 	if err != nil {
 		return nil, err
 	}
@@ -249,7 +230,7 @@ func (r *MILPOverheadResult) Render(w io.Writer) {
 }
 
 // SimVsClusterResult validates the discrete-event simulator against
-// the tcp / inproc cluster runtime (§4.3 reports 0.56% FID and 1.1% SLO
+// the cluster runtime over tcp (§4.3 reports 0.56% FID and 1.1% SLO
 // violation differences between simulator and testbed).
 type SimVsClusterResult struct {
 	Sim, Cluster      Summary
@@ -258,12 +239,15 @@ type SimVsClusterResult struct {
 }
 
 // SimVsCluster runs the same cascade-1 workload through both runtimes.
-func SimVsCluster(cfg Config) (*SimVsClusterResult, error) { return simVsCluster(cfg, 1) }
+func SimVsCluster(cfg Config) (*SimVsClusterResult, error) {
+	return simVsCluster(cfg, cluster.TransportTCP, 1)
+}
 
-// simVsCluster is SimVsCluster with the cluster side's LB split into
-// lbShards in-process shards behind the harness's frontend (1: one LB).
-// Only the tests ask for more than one.
-func simVsCluster(cfg Config, lbShards int) (*SimVsClusterResult, error) {
+// simVsCluster is SimVsCluster with the cluster side wired over the
+// named transport and its LB split into lbShards in-process shards
+// behind the harness's frontend (1: one LB). Only the tests ask for
+// another transport or more than one shard.
+func simVsCluster(cfg Config, transport string, lbShards int) (*SimVsClusterResult, error) {
 	cfg = cfg.withDefaults()
 	// The comparison always uses a full-length trace: compressing the
 	// diurnal cycle below ~150s makes demand ramps far steeper than
@@ -285,24 +269,12 @@ func simVsCluster(cfg Config, lbShards int) (*SimVsClusterResult, error) {
 	// Model-load delays are disabled on both sides: wall-clock load
 	// simulation at high timescale factors would distort the cluster
 	// side only.
-	simSum, _, err := runOnTrace(env, baselines.DiffServe, tr, baselines.Options{
-		Workers: cfg.Workers, DisableModelLoadDelay: true,
-	})
+	opt := baselines.Options{Workers: cfg.Workers, DisableModelLoadDelay: true}
+	sim, _, err := runOnTrace(env, baselines.DiffServe, tr, opt)
 	if err != nil {
 		return nil, err
 	}
-
-	a, err := allocator.NewMILP(allocator.Config{
-		Light: env.Light, Heavy: env.Heavy,
-		DiscPerImage: env.Scorer.PerImageLatency(),
-		Deferral:     env.Deferral,
-		TotalWorkers: cfg.Workers,
-		SLO:          env.Spec.SLOSeconds,
-	})
-	if err != nil {
-		return nil, err
-	}
-	ctrl, err := controller.New(controller.Config{Alloc: a})
+	hc, err := env.Harness(baselines.DiffServe, tr, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -310,33 +282,21 @@ func simVsCluster(cfg Config, lbShards int) (*SimVsClusterResult, error) {
 	// for CI, slow enough that the framed-TCP transport's wire overhead
 	// (tens of microseconds per call; the in-process transport has
 	// none) stays negligible next to the profiled execution latencies.
-	const timescale = 0.02
-	res, err := cluster.Run(cluster.HarnessConfig{
-		Space: env.Space, Light: env.Light, Heavy: env.Heavy, Scorer: env.Scorer,
-		Mode: loadbalancer.ModeCascade, Workers: cfg.Workers, SLO: env.Spec.SLOSeconds,
-		Trace: tr, Ctrl: ctrl, Timescale: timescale, Seed: env.Seed + 17,
-		DisableLoadDelay: true, Transport: cfg.ClusterTransport,
-		LBShards: lbShards,
-	})
+	hc.Timescale, hc.Transport, hc.LBShards = 0.02, transport, lbShards
+	res, err := cluster.Run(hc)
 	if err != nil {
 		return nil, err
 	}
-	cs := res.Summary()
 	approach := "diffserve (cluster, " + res.Transport + ")"
 	if lbShards > 1 {
 		approach = fmt.Sprintf("diffserve (cluster, %s, %d lb shards)", res.Transport, lbShards)
 	}
-	clusterSum := Summary{
-		Approach: approach, FID: cs.FID, ViolationRatio: cs.ViolationRatio,
-		DropRatio: cs.DropRatio, DeferRatio: cs.DeferRatio,
-		MeanLatency: cs.MeanLatency, P99Latency: cs.P99Latency,
+	sim.Approach = "diffserve (simulator)"
+	out := &SimVsClusterResult{Sim: sim, Cluster: Summary{Approach: approach, Summary: res.Summary()}}
+	if sim.FID != 0 {
+		out.FIDDeltaPct = 100 * math.Abs(out.Cluster.FID-sim.FID) / sim.FID
 	}
-	simSum.Approach = "diffserve (simulator)"
-	out := &SimVsClusterResult{Sim: simSum, Cluster: clusterSum}
-	if simSum.FID != 0 {
-		out.FIDDeltaPct = 100 * math.Abs(clusterSum.FID-simSum.FID) / simSum.FID
-	}
-	out.ViolationDeltaAbs = math.Abs(clusterSum.ViolationRatio - simSum.ViolationRatio)
+	out.ViolationDeltaAbs = math.Abs(out.Cluster.ViolationRatio - sim.ViolationRatio)
 	return out, nil
 }
 

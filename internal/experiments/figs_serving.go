@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"diffserve/internal/baselines"
+	"diffserve/internal/metrics"
 	"diffserve/internal/parallel"
 	"diffserve/internal/trace"
 )
@@ -156,7 +157,7 @@ type Fig5Result struct {
 	TraceName string
 	Summaries []Summary
 	// Timelines maps approach to 10-second buckets.
-	Timelines map[string][]TimelineBucket
+	Timelines map[string][]metrics.Bucket
 }
 
 // Fig5 regenerates Figure 5 for cascade 1.
@@ -170,26 +171,12 @@ func Fig5(cfg Config) (*Fig5Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &Fig5Result{TraceName: tr.Name(), Timelines: map[string][]TimelineBucket{}}
-	apps := baselines.All()
-	runs, err := parallel.Map(len(apps), func(i int) (approachRun, error) {
-		sum, buckets, err := runOnTrace(env, apps[i], tr, baselines.Options{Workers: cfg.Workers})
-		return approachRun{sum: sum, buckets: buckets}, err
-	})
+	out := &Fig5Result{TraceName: tr.Name()}
+	out.Summaries, out.Timelines, err = runApproaches(env, baselines.All(), tr, baselines.Options{Workers: cfg.Workers})
 	if err != nil {
 		return nil, err
 	}
-	for i, r := range runs {
-		out.Summaries = append(out.Summaries, r.sum)
-		out.Timelines[string(apps[i])] = r.buckets
-	}
 	return out, nil
-}
-
-// approachRun bundles one simulated run's outputs for fan-out.
-type approachRun struct {
-	sum     Summary
-	buckets []TimelineBucket
 }
 
 // Render writes the Fig 5 summary and timeline.
@@ -222,8 +209,8 @@ type Fig6Result struct {
 }
 
 // Fig6 regenerates Figure 6 (simulator; the paper's testbed — the
-// SimVsCluster experiment validates the simulator against the tcp /
-// inproc cluster runtime).
+// SimVsCluster experiment validates the simulator against the tcp
+// cluster runtime).
 func Fig6(cfg Config) (*Fig6Result, error) {
 	cfg = cfg.withDefaults()
 	out := &Fig6Result{Cascades: map[string][]Summary{}}
