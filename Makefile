@@ -34,7 +34,7 @@ vet:
 	$(GO) vet ./...
 
 # lint runs the diffvet static-analysis suite (internal/analysis):
-# codecparity, deadcode, poolownership, walltime, and globalrand.
+# deadcode, globalrand, poolownership and walltime.
 # deadcode flags, under internal/, packages no other package imports,
 # and declarations and struct fields no non-test file of the module
 # uses or reads. Exit 1 on any finding; suppress only with
@@ -170,31 +170,21 @@ bench-smoke:
 sweep-allocator:
 	$(GO) test -run 'TestOracleMatchesSolver|TestAllocateMatchesLegacyBisect' ./internal/allocator/ -sweep 1500
 
-# allocs-gate pins the zero-allocation wire path: the end-to-end
-# tcp cycle must stay within 16 allocs/op (8 queries/op, so
-# <= 2 allocs per query) and the in-process transport within 8.
-# Baseline before pooling: tcp 73 allocs/op (PERFORMANCE.md, "TCP wire
-# and codec").
+# allocs-gate runs the zero-allocation wire path's pin,
+# TestWirePathAllocs: BenchmarkWirePath's end-to-end cycle (8 queries)
+# within 16 allocations over tcp (<= 2 per query; 73 before pooling,
+# PERFORMANCE.md "TCP wire and codec") and within 8 in process.
+# `go test ./...` runs it too.
 .PHONY: allocs-gate
 allocs-gate:
-	@out="$$($(GO) test -run '^$$' -bench 'BenchmarkWirePath' -benchmem -count=1 ./internal/cluster/)" \
-		|| { echo "$$out"; exit 1; }; \
-	printf '%s\n' "$$out" | $(GO) run ./cmd/benchjson \
-		-max-allocs 'BenchmarkWirePath/tcp=16,BenchmarkWirePath/inproc=8'
+	$(GO) test -count=1 -run 'TestWirePathAllocs' -v ./internal/cluster/
 
-# allocator-allocs-gate pins the allocator's allocations: one full
-# Allocate is the closed-form threshold search plus the exact
-# enumeration at the threshold it picks (2 allocs/op, the threshold
-# grid's two slices), a 10-pool control tick ten of them (20). The
-# budgets are 4 and 40: an allocation creeping into the per-candidate
-# scan, or a solver that builds a problem per tick (the branch-and-bound
-# the enumeration replaced took 37 and 371), fails the gate.
+# allocator-allocs-gate runs the allocator's pin, TestSolveAllocs: one
+# Allocate within 4 allocations (it makes 2) and a 10-pool control
+# tick within 40 (20); the test says why. `go test ./...` runs it too.
 .PHONY: allocator-allocs-gate
 allocator-allocs-gate:
-	@out="$$($(GO) test -run '^$$' -bench 'BenchmarkMILPSolve|BenchmarkControlTickSolve' -benchtime 20x -benchmem -count=1 .)" \
-		|| { echo "$$out"; exit 1; }; \
-	printf '%s\n' "$$out" | $(GO) run ./cmd/benchjson \
-		-max-allocs 'BenchmarkMILPSolve=4,BenchmarkControlTickSolve/pools=10=40'
+	$(GO) test -count=1 -run 'TestSolveAllocs' -v .
 
 # race is every race-detector leg, the one list scripts/verify.sh and
 # CI run too; each leg is also a target of its own. -short (where set)

@@ -103,29 +103,51 @@ func BenchmarkFig9(b *testing.B) {
 	})
 }
 
+// solveFixture builds the allocators BenchmarkMILPSolve,
+// BenchmarkControlTickSolve and TestSolveAllocs share: one per model
+// pool, each for cascade 1 on 16 workers under a 5-s SLO.
+func solveFixture(tb testing.TB, pools int) []*allocator.MILPAllocator {
+	tb.Helper()
+	env, err := baselines.NewEnv("cascade1", 1, 2000)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	allocs := make([]*allocator.MILPAllocator, pools)
+	for k := range allocs {
+		a, err := allocator.NewMILP(allocator.Config{
+			Light: env.Light, Heavy: env.Heavy,
+			DiscPerImage: env.Scorer.PerImageLatency(),
+			Deferral:     env.Deferral,
+			TotalWorkers: 16,
+			SLO:          5,
+		})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		allocs[k] = a
+	}
+	return allocs
+}
+
+// solveTick is control tick i's allocation slice: each pool's
+// allocator re-solves against its own step of a drifting demand walk.
+func solveTick(tb testing.TB, allocs []*allocator.MILPAllocator, i int) {
+	for k, a := range allocs {
+		d := float64(4 + (i+7*k)%28)
+		if _, err := a.Allocate(allocator.Observation{Demand: d}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkMILPSolve measures one resource-allocation solve: the
 // closed-form threshold search, then the exact enumeration at the
 // threshold it picks (§4.5 reports ~10 ms under Gurobi).
 func BenchmarkMILPSolve(b *testing.B) {
-	env, err := baselines.NewEnv("cascade1", 1, 2000)
-	if err != nil {
-		b.Fatal(err)
-	}
-	a, err := allocator.NewMILP(allocator.Config{
-		Light: env.Light, Heavy: env.Heavy,
-		DiscPerImage: env.Scorer.PerImageLatency(),
-		Deferral:     env.Deferral,
-		TotalWorkers: 16,
-		SLO:          5,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
+	allocs := solveFixture(b, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := a.Allocate(allocator.Observation{Demand: float64(4 + i%28)}); err != nil {
-			b.Fatal(err)
-		}
+		solveTick(b, allocs, i)
 	}
 }
 
@@ -137,36 +159,42 @@ func BenchmarkMILPSolve(b *testing.B) {
 // 1e9/ns — the solve-rate headroom in PERFORMANCE.md's "Control tick"
 // section.
 func BenchmarkControlTickSolve(b *testing.B) {
-	env, err := baselines.NewEnv("cascade1", 1, 2000)
-	if err != nil {
-		b.Fatal(err)
-	}
 	for _, pools := range []int{1, 10} {
 		b.Run(fmt.Sprintf("pools=%d", pools), func(b *testing.B) {
-			allocs := make([]*allocator.MILPAllocator, pools)
-			for k := range allocs {
-				a, err := allocator.NewMILP(allocator.Config{
-					Light: env.Light, Heavy: env.Heavy,
-					DiscPerImage: env.Scorer.PerImageLatency(),
-					Deferral:     env.Deferral,
-					TotalWorkers: 16,
-					SLO:          5,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				allocs[k] = a
-			}
+			allocs := solveFixture(b, pools)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				for k, a := range allocs {
-					d := float64(4 + (i+7*k)%28)
-					if _, err := a.Allocate(allocator.Observation{Demand: d}); err != nil {
-						b.Fatal(err)
-					}
-				}
+				solveTick(b, allocs, i)
 			}
 		})
+	}
+}
+
+// TestSolveAllocs pins the allocator's allocations. One Allocate is
+// the closed-form threshold search plus the exact enumeration at the
+// threshold it picks (2 allocations, the threshold grid's two slices),
+// a 10-pool control tick ten of them (20). The budgets are 4 and 40:
+// an allocation creeping into the per-candidate scan, or a solver that
+// builds a problem per tick (the branch-and-bound the enumeration
+// replaced took 37 and 371), fails.
+func TestSolveAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not pinned under the race detector")
+	}
+	for _, c := range []struct {
+		pools  int
+		budget float64
+	}{{1, 4}, {10, 40}} {
+		allocs := solveFixture(t, c.pools)
+		i := 0
+		n := testing.AllocsPerRun(28, func() {
+			solveTick(t, allocs, i)
+			i++
+		})
+		t.Logf("%d pools: %v allocations per tick", c.pools, n)
+		if n > c.budget {
+			t.Errorf("%d pools: %v allocations per tick, budget %v", c.pools, n, c.budget)
+		}
 	}
 }
 

@@ -1,7 +1,9 @@
 // Command diffvet runs the diffserve static-analysis suite over the
 // module: custom analyzers that mechanically enforce the invariants
-// this codebase's correctness arguments lean on — wire/codec parity,
-// pool ownership, trace-time purity, and seeded randomness.
+// this codebase's correctness arguments lean on — pool ownership,
+// trace-time purity, seeded randomness, and no dead code under
+// internal/. Codec parity is a test (TestCodecRoundTripsEveryField in
+// internal/cluster), not an analyzer.
 //
 // Usage:
 //
@@ -29,7 +31,6 @@ import (
 	"strings"
 
 	"diffserve/internal/analysis"
-	"diffserve/internal/analysis/codecparity"
 	"diffserve/internal/analysis/deadcode"
 	"diffserve/internal/analysis/globalrand"
 	"diffserve/internal/analysis/poolownership"
@@ -38,7 +39,6 @@ import (
 
 // analyzers is the full suite, in report order.
 var analyzers = []*analysis.Analyzer{
-	codecparity.Analyzer,
 	deadcode.Analyzer,
 	globalrand.Analyzer,
 	poolownership.Analyzer,

@@ -91,9 +91,10 @@
 // conn (tcp, inproc, the ShardedLB frontend) implements all of them.
 // The binary codec (cluster.CodecBinary) is the only encoding in the
 // package: a frame names no codec. The cluster tests hold it to an
-// encoding/json reference over the messages' json tags, and diffvet's
-// codecparity analyzer checks that it encodes and decodes every tagged
-// field.
+// encoding/json reference over the messages' json tags, and
+// TestCodecRoundTripsEveryField fills every field of every message in
+// wire.go with a distinct value by reflection and requires an exact
+// round trip, also into a message already holding other values.
 //
 // The two transports are behaviorally interchangeable: a shared
 // conformance suite exercises both, plus the sharded topologies
@@ -101,10 +102,10 @@
 // contract documented in the cluster package), and fuzz targets cover
 // the binary codec and TCP frame decoders that face raw network
 // bytes. The "Buffer ownership" section of the cluster package doc
-// states who owns which slice on each call; `make allocs-gate` pins
-// the tcp allocation budget in CI, and `make poison-test` reruns the
-// suite with released pool buffers poisoned (NaN sentinels) to catch
-// use-after-release.
+// states who owns which slice on each call; TestWirePathAllocs (`make
+// allocs-gate`) pins the tcp allocation budget, and `make poison-test`
+// reruns the suite with released pool buffers poisoned (NaN sentinels)
+// to catch use-after-release.
 //
 // # Sharded LB tier
 //
@@ -281,24 +282,16 @@
 // # Static analysis
 //
 // Several of the invariants above are conventions no compiler checks:
-// the hand-rolled binary codec must read and write every wire-struct
-// field (the tests' JSON reference tracks struct tags by reflection,
-// the binary codec does not — a field added to wire.go but not
-// codec.go silently drops on the wire), pooled messages must not be touched after
-// ReleaseMessage, trace-time packages must route time through
-// cluster.Clock, and randomness must flow from seeded per-component
-// streams rather than the global math/rand source. diffvet
-// (cmd/diffvet, `make lint`, the CI lint job) enforces them
-// mechanically with five analyzers built on internal/analysis, a
-// self-contained, stdlib-only framework in the shape of
-// golang.org/x/tools/go/analysis:
+// pooled messages must not be touched after ReleaseMessage,
+// trace-time packages must route time through cluster.Clock, and
+// randomness must flow from seeded per-component streams rather than
+// the global math/rand source. diffvet (cmd/diffvet, `make lint`, the
+// CI lint job) enforces them mechanically with four analyzers built
+// on internal/analysis, a self-contained, stdlib-only framework in
+// the shape of golang.org/x/tools/go/analysis. (That the binary codec
+// carries every wire-struct field is a test, not an analyzer:
+// TestCodecRoundTripsEveryField, above.)
 //
-//   - codecparity: every exported field of every message struct in
-//     internal/cluster/wire.go carries a json tag and is read (encode)
-//     and written (decode) by the binary codec in codec.go. Each
-//     per-field encode and decode line is individually load-bearing;
-//     mutation tests delete them one at a time and assert the
-//     analyzer objects.
 //   - poolownership: a value acquired from a typed sync.Pool helper is
 //     either released or handed off on every path, and never used
 //     after release.

@@ -116,7 +116,7 @@ func TestLoaderLoadsModulePackage(t *testing.T) {
 		t.Fatalf("Load: %v", err)
 	}
 	if len(pkgs) < 6 {
-		t.Fatalf("Load returned %d packages, want the framework plus five analyzers", len(pkgs))
+		t.Fatalf("Load returned %d packages, want the framework, analysistest and four analyzers", len(pkgs))
 	}
 	for _, p := range pkgs {
 		if p.Types == nil || p.TypesInfo == nil {

@@ -2,8 +2,13 @@ package cluster
 
 import (
 	"encoding/json"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"math/rand"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -218,5 +223,136 @@ func TestBinaryCodecRejectsMismatchedTag(t *testing.T) {
 	}
 	if err := CodecBinary.Unmarshal(append(data, 0), &q); err == nil {
 		t.Error("trailing bytes should fail")
+	}
+}
+
+// wireRows holds one message per codec tag, in tag order. A struct
+// added to wire.go is reached from a row or fails
+// TestCodecRoundTripsEveryField.
+var wireRows = []interface{}{
+	&QueryMsg{}, &QueryResponse{}, &PullRequest{}, &PullResponse{},
+	&CompleteRequest{}, &ConfigureWorkerRequest{}, &ConfigureLBRequest{},
+	&WorkerStats{}, &LBStats{}, &SubmitRequest{}, &ResultsRequest{},
+	&ResultsResponse{},
+}
+
+// filler sets every field of a wire message by reflection: each
+// number and string its own value from one counter, so no two fields
+// (and no two slice elements) carry the same one, and each bool the
+// counter's parity. Two fills whose bases differ in parity therefore
+// set every bool true in one of them.
+type filler struct {
+	t     *testing.T
+	n     int             // the counter
+	elems int             // the length of every slice
+	seen  map[string]bool // the names of the struct types reached
+}
+
+func (f *filler) fill(v reflect.Value) {
+	f.t.Helper()
+	switch v.Kind() {
+	case reflect.Struct:
+		f.seen[v.Type().Name()] = true
+		for i := 0; i < v.NumField(); i++ {
+			sf := v.Type().Field(i)
+			if !sf.IsExported() {
+				f.t.Fatalf("%s.%s: unexported field; the codecs do not carry it", v.Type(), sf.Name)
+			}
+			if tag := sf.Tag.Get("json"); tag == "" || tag == "-" || strings.HasPrefix(tag, "-,") {
+				f.t.Fatalf("%s.%s: json tag %q; the JSON reference does not carry it", v.Type(), sf.Name, tag)
+			}
+			f.fill(v.Field(i))
+		}
+		return
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), f.elems, f.elems))
+		for i := 0; i < f.elems; i++ {
+			f.fill(v.Index(i))
+		}
+		return
+	}
+	f.n++
+	switch v.Kind() {
+	case reflect.Int:
+		v.SetInt(int64(f.n))
+	case reflect.Float64:
+		v.SetFloat(float64(f.n) + 0.25)
+	case reflect.String:
+		v.SetString("s" + strconv.Itoa(f.n))
+	case reflect.Bool:
+		v.SetBool(f.n%2 == 1)
+	default:
+		f.t.Fatalf("fill: kind %s of %s not handled", v.Kind(), v.Type())
+	}
+}
+
+// wireStructs lists wire.go's message structs: those with a json tag.
+func wireStructs(t *testing.T) []string {
+	t.Helper()
+	file, err := parser.ParseFile(token.NewFileSet(), "wire.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	ast.Inspect(file, func(n ast.Node) bool {
+		spec, ok := n.(*ast.TypeSpec)
+		if !ok {
+			return true
+		}
+		if st, ok := spec.Type.(*ast.StructType); ok {
+			for _, field := range st.Fields.List {
+				if field.Tag != nil && strings.Contains(field.Tag.Value, `json:"`) {
+					names = append(names, spec.Name.Name)
+					break
+				}
+			}
+		}
+		return false
+	})
+	return names
+}
+
+// TestCodecRoundTripsEveryField fills every field of every wire
+// message with a distinct value and holds the binary codec to an exact
+// round trip and to the JSON reference. A field the codec drops, or two
+// decoded in each other's place, changes the value. It also pins what
+// the TCP server's pooled decode relies on: the decoder overwrites
+// every field, so decoding into a message that already holds other
+// values, or decoding the zero message into one, equals a fresh decode.
+func TestCodecRoundTripsEveryField(t *testing.T) {
+	seen := map[string]bool{}
+	fresh := func(row interface{}) interface{} { return reflect.New(reflect.TypeOf(row).Elem()).Interface() }
+	filled := func(t *testing.T, row interface{}, base, elems int) interface{} {
+		v := fresh(row)
+		(&filler{t: t, n: base, elems: elems, seen: seen}).fill(reflect.ValueOf(v).Elem())
+		return v
+	}
+	for _, row := range wireRows {
+		t.Run(reflect.TypeOf(row).Elem().Name(), func(t *testing.T) {
+			// Each message is decoded fresh and into one filled with
+			// other values and other slice lengths; the last is the
+			// zero message.
+			for _, c := range []struct{ in, dirty interface{} }{
+				{filled(t, row, 0, 2), filled(t, row, 1001, 3)},
+				{filled(t, row, 1001, 3), filled(t, row, 0, 2)},
+				{fresh(row), filled(t, row, 0, 2)},
+			} {
+				out := fresh(row)
+				codecRT(t, CodecBinary, c.in, out)
+				if !reflect.DeepEqual(out, c.in) {
+					t.Errorf("binary round trip changed the message:\n  in:  %+v\n  out: %+v", c.in, out)
+				}
+				checkParity(t, c.in, func() interface{} { return fresh(row) })
+				codecRT(t, CodecBinary, c.in, c.dirty)
+				if !reflect.DeepEqual(c.dirty, out) {
+					t.Errorf("decode into a filled message differs from a fresh decode:\n  fresh:  %+v\n  filled: %+v", out, c.dirty)
+				}
+			}
+		})
+	}
+	for _, name := range wireStructs(t) {
+		if !seen[name] {
+			t.Errorf("wire.go's %s is reached from no row of wireRows", name)
+		}
 	}
 }

@@ -83,8 +83,7 @@ type WorkerConn interface {
 	Stats(ctx context.Context) (WorkerStats, error)
 }
 
-// Transport names accepted by NewTransport and diffserve-sim's
-// -transport flag.
+// Transport names accepted by NewTransport and HarnessConfig.Transport.
 const (
 	TransportInproc = "inproc" // in-process direct dispatch
 	TransportTCP    = "tcp"    // framed TCP with the binary codec

@@ -10,9 +10,9 @@
 //     payload semantics;
 //   - one codec, CodecBinary (codec.go) — hand-rolled and
 //     length-prefixed, with no reflection on the hot path; the tests
-//     hold it to an encoding/json reference over the messages' json
-//     tags, and diffvet's codecparity analyzer keeps it in step with
-//     the structs;
+//     fill every field of every message by reflection and hold it to
+//     an exact round trip and to an encoding/json reference over the
+//     messages' json tags;
 //   - a Transport / LBConn / WorkerConn abstraction over how messages
 //     move, with two implementations: framed TCP (persistent
 //     multiplexed connections carrying length-prefixed binary frames —

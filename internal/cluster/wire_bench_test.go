@@ -68,74 +68,114 @@ func BenchmarkCodecCompleteRequest(b *testing.B) {
 	}
 }
 
-// BenchmarkWirePath measures one full data-path cycle per op — an
-// 8-query batch submitted, pulled, completed, and its results
-// collected — through each transport. Divide B/op and allocs/op by 8
-// for per-query numbers.
+// wirePath is one data-path cycle's rig: an LB served over a
+// transport, and the client's and worker's buffers, which persist
+// across cycles as a steady-state client's and worker's do.
+type wirePath struct {
+	conn    LBConn
+	queries []QueryMsg
+	items   []CompleteItem
+	// Persistent response structs: the Into calls decode into their
+	// existing capacity, so a steady-state client allocates nothing
+	// per cycle.
+	pulled  PullResponse
+	results ResultsResponse
+	cycles  int
+}
+
+// newWirePath serves an LB over the named transport; the transport
+// closes when the test ends.
+func newWirePath(tb testing.TB, transport string) *wirePath {
+	tb.Helper()
+	tp, err := NewTransport(transport)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { tp.Close() })
+	lb := NewLBServer(LBConfig{
+		Mode: loadbalancer.ModeCascade, SLO: 1e9,
+		LightMinExec: 0.1, HeavyMinExec: 1.78,
+		Clock: NewClock(1), Seed: 1,
+	})
+	conn, err := tp.ServeLB(lb)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	items := benchCompleteRequest().Items
+	for j := range items {
+		items[j].Arrival = 0.001
+	}
+	return &wirePath{conn: conn, queries: make([]QueryMsg, len(items)), items: items}
+}
+
+// cycle runs one full data-path cycle: an 8-query batch submitted,
+// pulled, completed, and its results collected.
+func (w *wirePath) cycle(tb testing.TB) {
+	ctx := context.Background()
+	for j := range w.queries {
+		id := w.cycles*len(w.queries) + j
+		// Zero arrival: the LB stamps the current trace time, keeping
+		// queries inside the SLO horizon however long the cycles run.
+		w.queries[j] = QueryMsg{ID: id, Arrival: 0}
+		w.items[j].ID = id
+	}
+	w.cycles++
+	if err := w.conn.SubmitBatch(ctx, SubmitRequest{Queries: w.queries}); err != nil {
+		tb.Fatal(err)
+	}
+	if err := w.conn.PullInto(ctx, PullRequest{Role: "light", Max: len(w.queries), Wait: 10}, &w.pulled); err != nil {
+		tb.Fatal(err)
+	}
+	if len(w.pulled.Queries) != len(w.queries) {
+		tb.Fatalf("pulled %d of %d", len(w.pulled.Queries), len(w.queries))
+	}
+	if err := w.conn.Complete(ctx, CompleteRequest{WorkerID: 0, Role: "light", Items: w.items}); err != nil {
+		tb.Fatal(err)
+	}
+	for got := 0; got < len(w.queries); got += len(w.results.Results) {
+		if err := w.conn.PollResultsInto(ctx, ResultsRequest{Max: len(w.queries), Wait: 10}, &w.results); err != nil {
+			tb.Fatal(err)
+		}
+		if len(w.results.Results) == 0 {
+			tb.Fatal("no results")
+		}
+	}
+}
+
+// BenchmarkWirePath measures one full data-path cycle per op through
+// each transport. Divide B/op and allocs/op by 8 for per-query
+// numbers.
 func BenchmarkWirePath(b *testing.B) {
 	for _, name := range []string{TransportTCP, TransportInproc} {
 		b.Run(name, func(b *testing.B) {
-			tp, err := NewTransport(name)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer tp.Close()
-			lb := NewLBServer(LBConfig{
-				Mode: loadbalancer.ModeCascade, SLO: 1e9,
-				LightMinExec: 0.1, HeavyMinExec: 1.78,
-				Clock: NewClock(1), Seed: 1,
-			})
-			conn, err := tp.ServeLB(lb)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ctx := context.Background()
-			proto := benchCompleteRequest()
-			queries := make([]QueryMsg, len(proto.Items))
-			items := make([]CompleteItem, len(proto.Items))
-			// Persistent response structs: the Into calls decode into
-			// their existing capacity, so a steady-state client
-			// allocates nothing per cycle.
-			var pulled PullResponse
-			var results ResultsResponse
-
+			w := newWirePath(b, name)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				for j := range queries {
-					id := i*len(queries) + j
-					// Zero arrival: the LB stamps the current trace
-					// time, keeping queries inside the SLO horizon
-					// however long the benchmark runs.
-					queries[j] = QueryMsg{ID: id, Arrival: 0}
-					items[j] = proto.Items[j]
-					items[j].ID = id
-					items[j].Arrival = 0.001
-				}
-				if err := conn.SubmitBatch(ctx, SubmitRequest{Queries: queries}); err != nil {
-					b.Fatal(err)
-				}
-				if err := conn.PullInto(ctx, PullRequest{Role: "light", Max: len(queries), Wait: 10}, &pulled); err != nil {
-					b.Fatal(err)
-				}
-				if len(pulled.Queries) != len(queries) {
-					b.Fatalf("pulled %d of %d", len(pulled.Queries), len(queries))
-				}
-				if err := conn.Complete(ctx, CompleteRequest{WorkerID: 0, Role: "light", Items: items}); err != nil {
-					b.Fatal(err)
-				}
-				got := 0
-				for got < len(queries) {
-					if err := conn.PollResultsInto(ctx, ResultsRequest{Max: len(queries), Wait: 10}, &results); err != nil {
-						b.Fatal(err)
-					}
-					if len(results.Results) == 0 {
-						b.Fatal("no results")
-					}
-					got += len(results.Results)
-				}
+				w.cycle(b)
 			}
 		})
+	}
+}
+
+// TestWirePathAllocs pins the zero-allocation wire path at
+// BenchmarkWirePath's cycle: over tcp at most 16 allocations per
+// 8-query cycle (2 per query; 73 before pooling, PERFORMANCE.md "TCP
+// wire and codec"), in process at most 8.
+func TestWirePathAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	for _, c := range []struct {
+		transport string
+		budget    float64
+	}{{TransportTCP, 16}, {TransportInproc, 8}} {
+		w := newWirePath(t, c.transport)
+		n := testing.AllocsPerRun(200, func() { w.cycle(t) })
+		t.Logf("%s: %v allocations per wire cycle", c.transport, n)
+		if n > c.budget {
+			t.Errorf("%s: %v allocations per wire cycle, budget %v", c.transport, n, c.budget)
+		}
 	}
 }
 

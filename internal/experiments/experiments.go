@@ -44,6 +44,7 @@ import (
 	"diffserve/internal/metrics"
 	"diffserve/internal/parallel"
 	"diffserve/internal/stats"
+	"diffserve/internal/system"
 	"diffserve/internal/trace"
 )
 
@@ -113,8 +114,9 @@ func azureTrace(cfg Config, minQPS, maxQPS float64) (*trace.Trace, error) {
 }
 
 // runOnTrace builds and runs one approach on the simulator, returning
-// its summary and its 10-second timeline.
-func runOnTrace(env *baselines.Env, app baselines.Approach, tr *trace.Trace, opt baselines.Options) (Summary, []metrics.Bucket, error) {
+// its summary and the run's result, which Fig 5 reads its timeline
+// from.
+func runOnTrace(env *baselines.Env, app baselines.Approach, tr *trace.Trace, opt baselines.Options) (Summary, *system.Result, error) {
 	sys, err := env.NewSystem(app, tr, opt)
 	if err != nil {
 		return Summary{}, nil, err
@@ -123,34 +125,16 @@ func runOnTrace(env *baselines.Env, app baselines.Approach, tr *trace.Trace, opt
 	if err != nil {
 		return Summary{}, nil, err
 	}
-	buckets, err := res.Collector.Timeline(10, res.Reference, 48)
-	if err != nil {
-		return Summary{}, nil, err
-	}
-	return Summary{Approach: string(app), Summary: res.Summary()}, buckets, nil
+	return Summary{Approach: string(app), Summary: res.Summary()}, res, nil
 }
 
 // runApproaches runs each approach on the trace in parallel and returns
-// their summaries in order and their timelines by approach.
-func runApproaches(env *baselines.Env, apps []baselines.Approach, tr *trace.Trace, opt baselines.Options) ([]Summary, map[string][]metrics.Bucket, error) {
-	type run struct {
-		sum     Summary
-		buckets []metrics.Bucket
-	}
-	runs, err := parallel.Map(len(apps), func(i int) (run, error) {
-		sum, buckets, err := runOnTrace(env, apps[i], tr, opt)
-		return run{sum, buckets}, err
+// their summaries in order.
+func runApproaches(env *baselines.Env, apps []baselines.Approach, tr *trace.Trace, opt baselines.Options) ([]Summary, error) {
+	return parallel.Map(len(apps), func(i int) (Summary, error) {
+		sum, _, err := runOnTrace(env, apps[i], tr, opt)
+		return sum, err
 	})
-	if err != nil {
-		return nil, nil, err
-	}
-	sums := make([]Summary, len(runs))
-	timelines := map[string][]metrics.Bucket{}
-	for i, r := range runs {
-		sums[i] = r.sum
-		timelines[string(apps[i])] = r.buckets
-	}
-	return sums, timelines, nil
 }
 
 // Summary is one approach's end-to-end outcome.

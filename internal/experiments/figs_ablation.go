@@ -114,7 +114,7 @@ func Fig8(cfg Config) (*Fig8Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	sums, _, err := runApproaches(env, baselines.Ablations(), tr, baselines.Options{Workers: cfg.Workers})
+	sums, err := runApproaches(env, baselines.Ablations(), tr, baselines.Options{Workers: cfg.Workers})
 	if err != nil {
 		return nil, err
 	}

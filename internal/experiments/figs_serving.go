@@ -171,10 +171,26 @@ func Fig5(cfg Config) (*Fig5Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &Fig5Result{TraceName: tr.Name()}
-	out.Summaries, out.Timelines, err = runApproaches(env, baselines.All(), tr, baselines.Options{Workers: cfg.Workers})
+	type run struct {
+		sum     Summary
+		buckets []metrics.Bucket
+	}
+	apps := baselines.All()
+	runs, err := parallel.Map(len(apps), func(i int) (run, error) {
+		sum, res, err := runOnTrace(env, apps[i], tr, baselines.Options{Workers: cfg.Workers})
+		if err != nil {
+			return run{}, err
+		}
+		buckets, err := res.Collector.Timeline(10, res.Reference, 48)
+		return run{sum, buckets}, err
+	})
 	if err != nil {
 		return nil, err
+	}
+	out := &Fig5Result{TraceName: tr.Name(), Timelines: map[string][]metrics.Bucket{}}
+	for i, r := range runs {
+		out.Summaries = append(out.Summaries, r.sum)
+		out.Timelines[string(apps[i])] = r.buckets
 	}
 	return out, nil
 }
